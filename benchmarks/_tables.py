@@ -41,3 +41,18 @@ def _fmt(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:.3f}"
     return str(cell)
+
+
+def gate(name: str, actual: float, op: str, threshold: float) -> dict:
+    """One machine-readable pass/fail claim for a result file's ``gates``
+    list (``op`` is ``>=`` or ``<=``); ``check_gates.py`` re-validates it."""
+    ok = actual >= threshold if op == ">=" else actual <= threshold
+    return {"name": name, "actual": actual, "op": op,
+            "threshold": threshold, "pass": ok}
+
+
+def assert_gates(gates: Sequence[dict]) -> None:
+    """Fail the bench on the first recorded gate that does not hold."""
+    for g in gates:
+        assert g["pass"], (f"{g['name']}: {g['actual']:.2f} violates "
+                           f"{g['op']} {g['threshold']}")

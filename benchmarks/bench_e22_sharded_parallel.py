@@ -38,7 +38,7 @@ import random
 import sys
 import time
 
-from _tables import write_table
+from _tables import assert_gates, gate, write_table
 
 from repro.cluster.backends import ProcessPoolBackend
 from repro.storage.rdbms.engine import Database
@@ -235,12 +235,6 @@ def check_identity(db: Database, oracle: Database) -> int:
     return len(IDENTITY_QUERIES)
 
 
-def _gate(name: str, actual: float, op: str, threshold: float) -> dict:
-    ok = actual >= threshold if op == ">=" else actual <= threshold
-    return {"name": name, "actual": actual, "op": op,
-            "threshold": threshold, "pass": ok}
-
-
 def run_bench(num_rows: int = 150_000, repeats: int = 3,
               smoke: bool = False) -> dict:
     backend = ProcessPoolBackend(max_workers=WORKERS)
@@ -264,11 +258,11 @@ def run_bench(num_rows: int = 150_000, repeats: int = 3,
         if not smoke:
             for q in queries:
                 if q["gate"] is not None:
-                    gates.append(_gate(f"speedup:{q['name']}",
+                    gates.append(gate(f"speedup:{q['name']}",
                                        q["speedup"], ">=", q["gate"]))
-            gates.append(_gate("prune_fraction",
+            gates.append(gate("prune_fraction",
                                pruning["prune_fraction"], ">=", 0.5))
-            gates.append(_gate("pruned_vs_index_ratio",
+            gates.append(gate("pruned_vs_index_ratio",
                                point["ratio"], "<=", 1.2))
 
         write_table(
@@ -312,11 +306,7 @@ def run_bench(num_rows: int = 150_000, repeats: int = 3,
             json.dump(payload, f, indent=2, sort_keys=True)
         print(f"\nwrote {JSON_PATH}")
 
-        for gate in gates:
-            assert gate["pass"], (
-                f"{gate['name']}: {gate['actual']:.2f} violates "
-                f"{gate['op']} {gate['threshold']}"
-            )
+        assert_gates(gates)
         return payload
     finally:
         backend.close()

@@ -318,7 +318,7 @@ class Transaction:
 
     def scan_units(self, table: str) -> list[tuple[str, Any]]:
         """The table's vectorizable scan units (S on the whole table) —
-        ``("segment", Segment)`` / ``("rows", Iterator[Row])`` pairs in
+        ``("segment", Segment)`` / ``("rows", (rid, values) pairs)`` in
         global rid order; see :meth:`HeapTable.scan_units`."""
         self._check_active()
         db = self._db
@@ -332,6 +332,10 @@ class Transaction:
         db = self._db
         db._locks.acquire(self.txn_id, (table, None), LockMode.SHARED)
         return db._table(table).sharded_scan_units()
+
+    def shard_spec(self, table: str) -> ShardSpec | None:
+        """The shard layout this transaction reads ``table`` under."""
+        return self._db._table(table).shard_spec
 
     def scan_where(self, table: str,
                    predicate: Callable[[dict[str, Any]], bool]) -> list[Row]:

@@ -36,6 +36,7 @@ from typing import Any, Callable, Iterator
 
 from repro.errors import CancellationToken, ReadOnlyTransactionError
 from repro.storage.rdbms.index import HashIndex, Index, SortedIndex
+from repro.storage.rdbms.sharding import ShardSpec
 from repro.storage.rdbms.table import HeapTable, Row
 from repro.telemetry import metrics
 
@@ -226,6 +227,12 @@ class SnapshotTransaction:
         """Per-shard units of the snapshot, for parallel plans."""
         self._check()
         return self._snap(table).table.sharded_scan_units()
+
+    def shard_spec(self, table: str) -> ShardSpec | None:
+        """The shard layout the snapshot froze for ``table`` (None when
+        the table is unsharded or did not exist at snapshot time)."""
+        snap = self._snapshots.get(table)
+        return snap.table.shard_spec if snap is not None else None
 
     def scan_where(self, table: str,
                    predicate: Callable[[dict[str, Any]], bool]) -> list[Row]:

@@ -2,15 +2,17 @@
 
 When a table is sharded (``CREATE TABLE ... SHARD BY (col) SHARDS n``)
 and the database carries an execution backend (``Database.exec_backend``),
-the planner swaps its chosen scan for the operators in this module:
+the planner swaps its chosen scan for the operators in this module.
+Each wraps the planner's own scan kernel, ``AggState`` and
+``hash_join_pairs`` in the one :func:`exchange` that fans work out:
 
-* :class:`ParallelScan` — fans the scan out as one task per shard chunk
-  on the backend, prunes shards a shard-key equality/IN predicate pins
-  away, and heap-merges the rid-sorted per-shard streams so the output
-  is byte-identical to the single-shard plan;
-* :class:`ParallelAggregate` — partial aggregation per shard, merged
-  coordinator-side (type-gated so the merged fold is exact: FLOAT sums
-  and FLOAT group keys fall back to the serial path);
+* :class:`ParallelScan` — exchange(scan kernel) + a rid heap-merge of
+  the per-shard streams, byte-identical to the single-shard plan; shards
+  a shard-key equality/IN predicate pins away are pruned at plan time.
+  Under an aggregate it folds instead — exchange(scan kernel → partial
+  ``AggState``) + ``merge`` in shard order, EXPLAIN's
+  ``ParallelAggregate`` — when ``AggState.mergeable`` says the merged
+  fold is exact (FLOAT sums and FLOAT group keys keep the serial fold);
 * :class:`ParallelHashJoin` — shard-local hash join when both sides are
   co-partitioned on the join key, else broadcast of the
   statistics-smaller side to every shard of the fanned side.
@@ -28,20 +30,15 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import zip_longest
+from operator import itemgetter
 from time import perf_counter
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import StaleSnapshotError
 from repro.storage.rdbms import planner as _planner
 from repro.storage.rdbms.engine import Transaction
 from repro.storage.rdbms.sharding import ShardSpec
-from repro.storage.rdbms.sql import (
-    Aggregate,
-    InPredicate,
-    SelectStatement,
-    eval_predicate,
-)
-from repro.storage.rdbms.types import ColumnType
+from repro.storage.rdbms.sql import InPredicate, SelectStatement
 from repro.telemetry import metrics
 from repro.telemetry.tracing import get_tracer
 
@@ -87,129 +84,89 @@ def allowed_shards(conjuncts: list[Any], spec: ShardSpec,
     return sorted(allowed)
 
 
-# ------------------------------------------------------------ scan worker
+# ---------------------------------------------------------------- workers
+#
+# Every worker answers in one shape: ``out`` (rows / partial state / join
+# pairs), wall ``seconds``, and per fanned input a ``(rows, segments
+# scanned, segments skipped)`` triple.
 
 
 @dataclass
-class ScanChunkTask:
-    """One worker unit: a slice of one shard's scan."""
+class ShardTask:
+    """(A slice of) one shard's units under the scan's predicate; ``stmt``
+    is set when the shard folds into a partial aggregate."""
 
-    table: str
     shard: int
     units: list[tuple[str, Any]]
-    conjuncts: list[Any]
-    vector: list[Any]
-    fallback: list[Any]
+    pred: _planner.ScanPredicate
+    stmt: SelectStatement | None = None
 
 
-def _scan_units(units: list[tuple[str, Any]], conjuncts: list[Any],
-                vector: list[Any], fallback: list[Any],
-                registry) -> tuple[list[dict[str, Any]], int, int]:
-    """Evaluate scan units exactly like :class:`SegmentScan` would:
-    zone-map prune, bitmap selection, fallback re-check, dense decode.
-    Returns ``(rows, segments_scanned, segments_skipped)``."""
-    full = _planner.conjoin(conjuncts)
-    fallback_pred = _planner.conjoin(fallback)
-    rows: list[dict[str, Any]] = []
-    scanned = skipped = 0
-    for kind, unit in units:
-        if kind == "rows":
-            for rid, values in unit:
-                r = dict(values)
-                r["__rid__"] = rid
-                if full is None or eval_predicate(full, r):
-                    rows.append(r)
-            continue
-        segment = unit
-        if segment.count == 0:
-            continue
-        if any(_planner._zone_map_prunes(segment, c) for c in vector):
-            registry.inc("segments.skipped")
-            skipped += 1
-            continue
-        registry.inc("segments.scanned")
-        scanned += 1
-        selected = _planner._segment_selection(segment, vector)
-        if selected is None:  # incomparable operands: naive error surface
-            for rid, values in segment.iter_rows():
-                values["__rid__"] = rid
-                if full is None or eval_predicate(full, values):
-                    rows.append(values)
-            continue
-        if fallback_pred is not None:
-            for pos in selected:
-                values = segment.row_values(pos)
-                values["__rid__"] = segment.rids[pos]
-                if eval_predicate(fallback_pred, values):
-                    rows.append(values)
-            continue
-        if len(selected) * 4 >= segment.count:
-            decoded = [(col.name, segment.columns[col.name].decoded())
-                       for col in segment.schema.columns]
-            rids = segment.rids
-            for pos in selected:
-                values = {name: column[pos] for name, column in decoded}
-                values["__rid__"] = rids[pos]
-                rows.append(values)
-        else:
-            for pos in selected:
-                values = segment.row_values(pos)
-                values["__rid__"] = segment.rids[pos]
-                rows.append(values)
-    return rows, scanned, skipped
+@dataclass
+class JoinShardTask:
+    """One shard's join: a side is a :class:`ShardTask` when it fans out
+    (scan this shard's units), the broadcast side's rows otherwise."""
+
+    shard: int
+    left: ShardTask | list[dict[str, Any]]
+    right: ShardTask | list[dict[str, Any]]
+    tables: tuple[str, str]
+    cols: tuple[str, str]
 
 
-def _preprune_units(units: list[tuple[str, Any]], vector: list[Any],
-                    registry) -> tuple[list[tuple[str, Any]], int]:
-    """Coordinator-side zone-map prune before tasks are built.
-
-    Workers prune too (:func:`_scan_units`), but by then the segment has
-    already been pickled across the process boundary.  Dropping provably
-    empty segments here keeps them out of the task payloads entirely,
-    which is what makes a shard-pruned point query competitive with the
-    index path.  Returns ``(kept_units, segments_skipped)``.
-    """
-    if not vector:
-        return units, 0
-    kept: list[tuple[str, Any]] = []
-    skipped = 0
-    for kind, unit in units:
-        if kind == "segment" and unit.count and any(
-                _planner._zone_map_prunes(unit, c) for c in vector):
-            skipped += 1
-            continue
-        kept.append((kind, unit))
-    if skipped:
-        registry.inc("segments.skipped", skipped)
-    return kept, skipped
+def _result(out: Any, t0: float,
+            fanned: list[tuple[int, _planner.OperatorProfile]],
+            ) -> dict[str, Any]:
+    return {"out": out, "seconds": perf_counter() - t0,
+            "fanned": [(n, prof.segments_scanned, prof.segments_skipped)
+                       for n, prof in fanned]}
 
 
-def run_scan_chunk(task: ScanChunkTask) -> dict[str, Any]:
+def run_scan_chunk(task: ShardTask) -> dict[str, Any]:
     """Worker: scan one chunk of one shard, applying the full predicate."""
     t0 = perf_counter()
-    rows, scanned, skipped = _scan_units(
-        task.units, task.conjuncts, task.vector, task.fallback,
-        metrics.get_registry())
-    return {"shard": task.shard, "rows": rows,
-            "seconds": perf_counter() - t0,
-            "scanned": scanned, "skipped": skipped}
+    prof = _planner.OperatorProfile()
+    rows = list(_planner.scan_rows(task.units, task.pred, prof=prof))
+    return _result(rows, t0, [(len(rows), prof)])
 
 
-# ------------------------------------------------------------- operators
+def run_agg_shard(task: ShardTask) -> dict[str, Any]:
+    """Worker: fold one shard into a partial aggregate state."""
+    t0 = perf_counter()
+    prof = _planner.OperatorProfile()
+    state = _planner.AggState(task.stmt)
+    n = _planner.fold_units(task.units, task.pred, state, prof=prof)
+    return _result(state, t0, [(n, prof)])
+
+
+def run_join_shard(task: JoinShardTask) -> dict[str, Any]:
+    """Worker: hash-join one shard, output keyed (left rid, right rid)."""
+    t0 = perf_counter()
+    inputs = []
+    fanned = []
+    for side in (task.left, task.right):
+        if isinstance(side, ShardTask):
+            scanned = run_scan_chunk(side)
+            fanned += scanned["fanned"]
+            side = scanned["out"]
+        inputs.append(side)
+    pairs = _planner.hash_join_pairs(*inputs, *task.tables, *task.cols)
+    return {"out": pairs, "seconds": perf_counter() - t0, "fanned": fanned}
+
+
+# ---------------------------------------------------------------- exchange
 
 
 class ShardScan(_planner.PlanNode):
     """Pseudo-child rendering the fanned-out per-shard work.
 
     Fanned operators execute N worker tasks but must render ONE plan
-    line, so the coordinator sums worker actuals into this node's
-    profile (rows summed, loops = shards that executed, time = summed
-    worker seconds).  ``profiled_manual`` keeps :func:`attach_profiles`
-    from wrapping it — a fully pruned fan-out leaves the profile
-    untouched, which describe() renders as ``never executed``.
+    line, so the exchange sums worker actuals into this node's profile
+    (rows summed, loops = shards that executed, time = summed worker
+    seconds).  Nothing ever opens it, so a fully pruned fan-out leaves
+    the profile untouched, which describe() renders as ``never
+    executed``.
     """
-
-    profiled_manual = True
 
     def __init__(self, table: str, total: int, live: int,
                  side: str | None = None) -> None:
@@ -218,27 +175,19 @@ class ShardScan(_planner.PlanNode):
         self.live = live
         self.side = side  # join fan sides label which input fans out
 
-    def execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        return []  # only ever executed through its parent's fan-out
-
-    def absorb(self, result: dict[str, Any], new_shard: bool,
-               rows_key: str = "rows") -> None:
+    def absorb(self, seconds: float, actuals: tuple[int, int, int],
+               new_shard: bool) -> None:
         """Fold one worker result's actuals into this node's profile."""
         prof = self.profile
         if prof is None:
             return
         if new_shard:
             prof.loops += 1
-        rows = result[rows_key]
-        prof.rows += rows if isinstance(rows, int) else len(rows)
-        prof.seconds += result["seconds"]
-        prof.segments_scanned += result["scanned"]
-        prof.segments_skipped += result["skipped"]
-
-    def absorb_prepruned(self, skipped: int) -> None:
-        """Count coordinator-pruned segments as skipped in the actuals."""
-        if self.profile is not None and skipped:
-            self.profile.segments_skipped += skipped
+        rows, scanned, skipped = actuals
+        prof.rows += rows
+        prof.seconds += seconds
+        prof.segments_scanned += scanned
+        prof.segments_skipped += skipped
 
     def label(self) -> str:
         prefix = f"ShardScan({self.table}" if self.side is None \
@@ -273,14 +222,6 @@ def _chunk_shard_units(units: list[tuple[str, Any]]) \
     return chunks
 
 
-def _backend_stream(backend: Any, fn, tasks: list) -> Iterator[Any]:
-    """Stream task results through the backend, inline when it cannot."""
-    stream = getattr(backend, "map_stream", None)
-    if stream is not None:
-        return stream(fn, tasks)
-    return map(fn, tasks)
-
-
 def _checked_shard_units(txn: Transaction, table: str,
                          spec: ShardSpec) -> list[list[tuple[str, Any]]]:
     """The transaction's per-shard units, verified against the planned spec.
@@ -292,118 +233,131 @@ def _checked_shard_units(txn: Transaction, table: str,
     unsharded entirely) raises :class:`StaleSnapshotError`, which the
     statement executor answers with a fresh snapshot + fresh plan.
     """
-    snapshots = getattr(txn, "_snapshots", None)
-    if snapshots is not None:
-        snap = snapshots.get(table)
-        live_spec = snap.table.shard_spec if snap is not None else None
-    else:
-        live_spec = txn._db._table(table).shard_spec
-    if live_spec != spec:
+    if txn.shard_spec(table) != spec:
         metrics.get_registry().inc("parallel.stale_layouts")
         raise StaleSnapshotError(
             f"shard layout of {table!r} changed between snapshot and plan")
     return txn.sharded_scan_units(table)
 
 
-def _should_inline(tasks: list, total_rows: int) -> bool:
-    """Tiny fan-outs run inline at the coordinator.
+def exchange(txn: Transaction, shards: list[int], fans: list[Any],
+             make_task: Callable[[int, list[list[tuple[str, Any]]]], Any],
+             worker: Callable[[Any], dict[str, Any]],
+             prof: _planner.OperatorProfile | None,
+             chunk: bool = False,
+             ) -> tuple[list[Any], Iterator[tuple[Any, dict[str, Any]]]]:
+    """Fan work out over the live ``shards`` of one or two co-partitioned
+    inputs — the one place that decides how.
 
-    A single task has no parallelism to win, and for a handful of rows
-    the pool's pickle + dispatch latency dominates the work itself —
-    exactly the shape of a shard-pruned point query.  Inline execution
-    uses a lazy ``map``, so streaming and LIMIT early-exit behave the
-    same as the backend path.
+    Each of ``fans`` carries ``table``, ``spec`` (the layout the plan
+    assumed), ``pred`` and the ``shard_scan`` rendering its actuals.  Per
+    live shard, each fan's units (stale-layout checked) lose the
+    segments zone maps prove empty *before* anything is pickled — what
+    keeps a shard-pruned point query competitive with the index path —
+    and become ``make_task(shard, [units per fan])``; a shard with an
+    empty fan gets no task.  ``chunk`` slices a single fan's units into
+    ~:data:`CHUNK_TARGET_ROWS`-row tasks, round-robined so every shard
+    progresses under the backend's bounded submit-ahead window.
+
+    Returns ``(tasks, results)``: ``results`` lazily yields ``(task,
+    worker result)`` in task order (abandoned, the remaining tasks never
+    run), polls the cancellation token between results and folds each
+    result's actuals into the fans' ShardScans.
     """
-    return len(tasks) == 1 or total_rows * 2 <= CHUNK_TARGET_ROWS
+    registry = metrics.get_registry()
+    total = fans[0].spec.count
+    registry.inc("parallel.shards.scanned", len(shards))
+    registry.inc("parallel.shards.pruned", total - len(shards))
+    if prof is not None:
+        prof.shards_total += total
+        prof.shards_pruned += total - len(shards)
+    if not shards:
+        return [], iter(())
+    layouts = [_checked_shard_units(txn, fan.table, fan.spec)
+               for fan in fans]
+    per_shard: list[list[Any]] = []
+    total_rows = 0
+    for shard in shards:
+        unit_lists = [
+            [(kind, unit) for kind, unit, _ in _planner.select_units(
+                layout[shard], fan.pred.vector,
+                prof=fan.shard_scan.profile, select=False)]
+            for fan, layout in zip(fans, layouts)]
+        if not all(unit_lists):
+            continue  # an empty fanned input scans / joins to nothing
+        total_rows += sum(u.count if kind == "segment" else len(u)
+                          for units in unit_lists for kind, u in units)
+        groups = [[c] for c in _chunk_shard_units(unit_lists[0])] \
+            if chunk else [unit_lists]
+        per_shard.append([make_task(shard, group) for group in groups])
+    tasks = [task for tier in zip_longest(*per_shard)
+             for task in tier if task is not None]
+    # Tiny fan-outs run inline at the coordinator: a single task has no
+    # parallelism to win, and for a handful of rows the pool's pickle +
+    # dispatch latency dominates the work itself — exactly the shape of
+    # a shard-pruned point query.  Inline is a lazy ``map``, so LIMIT
+    # early-exit behaves like the backend path.
+    inline = len(tasks) == 1 or total_rows * 2 <= CHUNK_TARGET_ROWS
+    stream = getattr(None if inline else txn._db.exec_backend,
+                     "map_stream", map)
+    results = stream(worker, tasks)
+    guard = txn.guard
+
+    def absorbed() -> Iterator[tuple[Any, dict[str, Any]]]:
+        started: set[int] = set()
+        for task, result in zip(tasks, results):
+            if guard is not None:
+                guard.check()
+            new_shard = task.shard not in started
+            started.add(task.shard)
+            for fan, actuals in zip(fans, result["fanned"]):
+                fan.shard_scan.absorb(result["seconds"], actuals, new_shard)
+            yield task, result
+
+    return tasks, absorbed()
+
+
+# ------------------------------------------------------------- operators
 
 
 class ParallelScan(_planner.PlanNode):
     """Fan a sharded table's scan out on the execution backend.
 
     Plan-time shard pruning drops shards a shard-key equality or IN
-    conjunct proves empty; the rest fan out as per-shard chunk tasks,
-    interleaved round-robin so every shard makes progress under the
-    backend's bounded submit-ahead window.  Each shard's chunks arrive
-    in rid order, and a ``heapq.merge`` over the per-shard streams
+    conjunct proves empty; the rest go through :func:`exchange` as
+    per-shard chunk tasks running the scan kernel.  Each shard's chunks
+    arrive in rid order, and a ``heapq.merge`` over the per-shard streams
     restores global rid order — row- and byte-identical to the serial
     scan.  Streaming end to end: chunks buffer per shard (bounded by
     the backend window), so a LIMIT abandons the merge without
-    materializing the table.
+    materializing the table.  An aggregate directly on top folds
+    instead: one task per shard fills a partial ``AggState``, merged in
+    shard order.
     """
 
-    profiled_streaming = True
+    plan_counter = "planner.plans.parallel_scan"
 
-    def __init__(self, table: str, conjuncts: list[Any],
-                 vector: list[Any], fallback: list[Any],
+    def __init__(self, table: str, pred: _planner.ScanPredicate,
                  spec: ShardSpec, shards: list[int]) -> None:
         self.table = table
-        self.conjuncts = conjuncts
-        self._vector = vector
-        self._fallback = fallback
+        self.pred = pred
         self.spec = spec
         self.shards = shards  # live (un-pruned) shards, ascending
         self.shard_scan = ShardScan(table, spec.count, len(shards))
 
-    def execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        return list(self.rows(txn))
-
-    def rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
-        registry = metrics.get_registry()
-        pruned = self.spec.count - len(self.shards)
-        registry.inc("parallel.shards.scanned", len(self.shards))
-        registry.inc("parallel.shards.pruned", pruned)
-        prof = self.profile
-        if prof is not None:
-            prof.shards_total += self.spec.count
-            prof.shards_pruned += pruned
-        if not self.shards:
-            return iter(())
-        units_by_shard = _checked_shard_units(txn, self.table, self.spec)
-        shard_tasks: dict[int, list[ScanChunkTask]] = {}
-        total_rows = 0
-        for shard in self.shards:
-            units, skipped = _preprune_units(units_by_shard[shard],
-                                             self._vector, registry)
-            self.shard_scan.absorb_prepruned(skipped)
-            total_rows += sum(u.count if kind == "segment" else len(u)
-                              for kind, u in units)
-            chunks = _chunk_shard_units(units)
-            if chunks:
-                shard_tasks[shard] = [
-                    ScanChunkTask(self.table, shard, chunk, self.conjuncts,
-                                  self._vector, self._fallback)
-                    for chunk in chunks
-                ]
-        if not shard_tasks:
-            return iter(())
-        # Round-robin interleave so the bounded in-flight window serves
-        # every shard — the merge needs each shard's head chunk early.
-        ordered = [shard_tasks[s] for s in sorted(shard_tasks)]
-        flat = [t for group in zip_longest(*ordered)
-                for t in group if t is not None]
-        backend = getattr(txn._db, "exec_backend", None)
-        if _should_inline(flat, total_rows):
-            backend = None
-        stream = zip(flat, _backend_stream(backend, run_scan_chunk, flat))
-        return self._merged(stream, sorted(shard_tasks))
-
-    def _merged(self, stream: Iterator[tuple[ScanChunkTask, dict]],
-                live: list[int]) -> Iterator[dict[str, Any]]:
-        buffers: dict[int, deque] = {s: deque() for s in live}
-        started: set[int] = set()
-        shard_scan = self.shard_scan
-
-        def absorb(task: ScanChunkTask, result: dict[str, Any]) -> None:
-            new = task.shard not in started
-            started.add(task.shard)
-            shard_scan.absorb(result, new)
-            buffers[task.shard].append(result["rows"])
+    def _rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
+        tasks, stream = exchange(
+            txn, self.shards, [self],
+            lambda shard, units: ShardTask(shard, units[0], self.pred),
+            run_scan_chunk, self.profile, chunk=True)
+        # Only shards WITH tasks get a stream below, so none can be
+        # forced to drain every other shard's chunks looking for its own.
+        buffers: dict[int, deque] = {task.shard: deque() for task in tasks}
 
         def shard_rows(shard: int) -> Iterator[dict[str, Any]]:
-            # Generators share the result stream: whichever the merge
-            # pulls next drains it into the per-shard buffers until its
-            # own chunk arrives.  Only shards WITH tasks get generators,
-            # so no generator can be forced to drain the whole stream.
+            # The per-shard generators share the result stream:
+            # whichever the merge pulls next drains it into the buffers
+            # until its own chunk arrives.
             with get_tracer().span("rdbms.shard_scan", table=self.table,
                                    shard=shard):
                 buf = buffers[shard]
@@ -415,257 +369,78 @@ class ParallelScan(_planner.PlanNode):
                         task, result = next(stream)
                     except StopIteration:
                         return
-                    absorb(task, result)
+                    buffers[task.shard].append(result["out"])
 
-        return heapq.merge(*(shard_rows(s) for s in live),
-                           key=lambda r: r["__rid__"])
+        return heapq.merge(*(shard_rows(s) for s in sorted(buffers)),
+                           key=itemgetter("__rid__"))
+
+    def _fold(self, txn: Transaction, state: _planner.AggState) -> int:
+        _, stream = exchange(
+            txn, self.shards, [self],
+            lambda shard, units: ShardTask(shard, units[0], self.pred,
+                                           state.stmt),
+            run_agg_shard, self.profile)
+        n = 0
+        for _, result in stream:
+            state.merge(result["out"])
+            (rows, _, _), = result["fanned"]
+            n += rows
+        return n
+
+    def fold_plan(self, stmt: SelectStatement,
+                  schema: Any) -> tuple[str, str] | None:
+        # Not mergeable (FLOAT sums / keys / extrema): the aggregate
+        # replays the serial fold over this scan's rid-ordered rows.
+        if not _planner.AggState.mergeable(stmt, schema):
+            return None
+        return "ParallelAggregate", "planner.plans.parallel_agg"
+
+    def feedback_keys(self) -> list[tuple[str, str]]:
+        return self.pred.feedback_keys()
 
     def children(self) -> list[_planner.PlanNode]:
         return [self.shard_scan]
 
     def label(self) -> str:
-        pred = _planner.render_predicate(_planner.conjoin(self.conjuncts)) \
-            if self.conjuncts else "TRUE"
-        return (f"ParallelScan({self.table}, pred={pred}, "
+        return (f"ParallelScan({self.table}, "
+                f"pred={_planner.render_predicate(self.pred.full)}, "
                 f"shards={len(self.shards)}/{self.spec.count})")
 
 
-# ------------------------------------------------------- parallel aggregate
-
-
-@dataclass
-class AggShardTask:
-    """One shard's partial-aggregation work."""
-
-    stmt: SelectStatement
-    table: str
-    shard: int
-    units: list[tuple[str, Any]]
-    conjuncts: list[Any]
-    vector: list[Any]
-    fallback: list[Any]
-
-
-def run_agg_shard(task: AggShardTask) -> dict[str, Any]:
-    """Worker: fold one shard into a partial accumulator state."""
-    t0 = perf_counter()
-    registry = metrics.get_registry()
-    surrogate = _planner.SegmentScan(task.table, task.conjuncts,
-                                     task.vector, task.fallback)
-    agg = _planner.VectorizedAggregate(task.stmt, surrogate)
-    prof = _planner.OperatorProfile()
-    agg.profile = prof
-    state: dict[tuple, list[list[Any]]] = {}
-    rows = 0
-    for kind, unit in task.units:
-        if kind == "rows":
-            pred = surrogate._full
-            for rid, values in unit:
-                r = dict(values)
-                r["__rid__"] = rid
-                if pred is None or eval_predicate(pred, r):
-                    agg._accumulate_row(state, r)
-                    rows += 1
-            continue
-        rows += agg.accumulate_segment(state, unit, registry)
-    return {"shard": task.shard, "state": state, "rows": rows,
-            "seconds": perf_counter() - t0,
-            "scanned": prof.segments_scanned,
-            "skipped": prof.segments_skipped}
-
-
-class ParallelAggregate:
-    """Partial per-shard aggregation merged coordinator-side.
-
-    Duck-types :class:`~repro.storage.rdbms.planner.VectorizedAggregate`
-    for ``SelectPlan`` (``execute(txn)``, ``profile``, ``render_name``).
-    Each live shard folds its rows into a partial accumulator state with
-    the exact VectorizedAggregate kernels; the coordinator merges states
-    in ascending shard order and finalizes with the shared ``_finalize``
-    (same output ordering).  :func:`plan_parallel_aggregate` type-gates
-    the statement so merged folds are exact — see there.
-    """
-
-    render_name = "ParallelAggregate"
-
-    #: set per-instance by ``SelectPlan.enable_profiling``
-    profile: _planner.OperatorProfile | None = None
-
-    def __init__(self, stmt: SelectStatement, source: ParallelScan,
-                 inner: "_planner.VectorizedAggregate") -> None:
-        self.stmt = stmt
-        self.source = source
-        self.inner = inner  # accumulation/finalize kernels + item specs
-
-    def execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        source = self.source
-        registry = metrics.get_registry()
-        pruned = source.spec.count - len(source.shards)
-        registry.inc("parallel.shards.scanned", len(source.shards))
-        registry.inc("parallel.shards.pruned", pruned)
-        if self.profile is not None:
-            self.profile.shards_total += source.spec.count
-            self.profile.shards_pruned += pruned
-        merged: dict[tuple, list[list[Any]]] = {}
-        if source.shards:
-            units_by_shard = _checked_shard_units(txn, source.table,
-                                                  source.spec)
-            shard_scan = source.shard_scan
-            tasks = []
-            total_rows = 0
-            for shard in source.shards:
-                units, skipped = _preprune_units(units_by_shard[shard],
-                                                 source._vector, registry)
-                shard_scan.absorb_prepruned(skipped)
-                total_rows += sum(u.count if kind == "segment" else len(u)
-                                  for kind, u in units)
-                if units:
-                    tasks.append(AggShardTask(
-                        self.stmt, source.table, shard, units,
-                        source.conjuncts, source._vector,
-                        source._fallback))
-            backend = getattr(txn._db, "exec_backend", None)
-            if _should_inline(tasks, total_rows):
-                backend = None
-            for result in _backend_stream(backend, run_agg_shard, tasks):
-                shard_scan.absorb(result, new_shard=True, rows_key="rows")
-                self._merge_states(merged, result["state"])
-        return self.inner._finalize(merged)
-
-    def _merge_states(self, merged: dict, partial: dict) -> None:
-        agg_items = self.inner._agg_items
-        for key, accs in partial.items():
-            dst = merged.get(key)
-            if dst is None:
-                merged[key] = accs
-                continue
-            for dacc, sacc, (_, func, _) in zip(dst, accs, agg_items):
-                if func == "count":
-                    dacc[0] += sacc[0]
-                elif func in ("sum", "avg"):
-                    dacc[0] += sacc[0]
-                    dacc[1] += sacc[1]
-                elif sacc[0]:  # min / max, source has a value
-                    if not dacc[0]:
-                        dacc[0], dacc[1] = True, sacc[1]
-                    elif func == "min":
-                        if sacc[1] < dacc[1]:
-                            dacc[1] = sacc[1]
-                    elif sacc[1] > dacc[1]:
-                        dacc[1] = sacc[1]
-
-
-def plan_parallel_aggregate(stmt: SelectStatement, schema: Any,
-                            node: ParallelScan) -> ParallelAggregate | None:
-    """A :class:`ParallelAggregate` when partial→final merging is exact.
-
-    On top of the vectorized-aggregate gating, the parallel form requires
-    order-insensitive folds: FLOAT group keys are out (``-0.0``/NaN key
-    objects depend on which shard inserts first), FLOAT SUM/AVG are out
-    (float addition is non-associative; the serial fold order is the
-    oracle), and FLOAT MIN/MAX are out (NaN comparisons make first-value
-    -wins order-dependent).  COUNT takes anything; SUM/AVG over INT/BOOL
-    are exact integer arithmetic; MIN/MAX over INT/BOOL/TEXT are total
-    orders.  Gated statements return None — the caller keeps the
-    ParallelScan as a row source and the serial aggregate replays the
-    naive fold over globally rid-ordered rows.
-    """
-    surrogate = _planner.SegmentScan(node.table, node.conjuncts,
-                                     node._vector, node._fallback)
-    inner = _planner.plan_vector_aggregate(stmt, schema, surrogate)
-    if inner is None:
+def plan_parallel_scan(planner: "_planner.Planner", table: str,
+                       conjuncts: list[Any],
+                       chosen: "_planner._AccessChoice",
+                       ) -> ParallelScan | None:
+    """A :class:`ParallelScan` replacing the ``chosen`` access path when
+    the table is sharded and the database carries an execution backend;
+    None keeps the serial path (always for index point lookups: the
+    probe beats fan-out for tiny row counts).  The parallel node
+    consumes ALL conjuncts — its workers apply the full predicate."""
+    db = planner._db
+    backend = db.exec_backend
+    heap = db._table(table)
+    spec = heap.shard_spec
+    if backend is None or spec is None or spec.count <= 1 \
+            or chosen.node.beats_fan_out:
         return None
-    for g in stmt.group_by:
-        if schema.column(g.name).col_type == ColumnType.FLOAT:
-            return None
-    for item in stmt.items:
-        expr = item.expr
-        if not isinstance(expr, Aggregate) or expr.column is None:
-            continue
-        if expr.func == "count":
-            continue
-        col_type = schema.column(expr.column.name).col_type
-        if expr.func in ("sum", "avg"):
-            if col_type not in (ColumnType.INT, ColumnType.BOOL):
-                return None
-        elif col_type == ColumnType.FLOAT:  # min / max
-            return None
-    return ParallelAggregate(stmt, node, inner)
+    shards = allowed_shards(conjuncts, spec, table)
+    node = ParallelScan(
+        table, _planner.ScanPredicate(conjuncts, heap.schema, table),
+        spec, shards)
+    # A path that consumed no conjunct estimated the unfiltered table.
+    node.est_rows = chosen.est_rows if chosen.consumed \
+        else planner._filtered_estimate(table, chosen.est_rows, conjuncts)
+    # Fan-out splits the chosen scan's work across shards; pruning
+    # drops the pinned-away fraction entirely.
+    node.cost = chosen.cost * (len(shards) / spec.count) \
+        / min(getattr(backend, "max_workers", 1) or 1, spec.count) \
+        + _planner._PROBE_COST
+    node.shard_scan.est_rows = node.est_rows
+    node.shard_scan.cost = node.cost
+    return node
 
 
 # ------------------------------------------------------------ parallel join
-
-
-@dataclass
-class JoinShardTask:
-    """One shard's join work.
-
-    Exactly one of ``left_units``/``left_rows`` is set per side: units
-    mean the side fans out (scan this shard's units under the side's
-    raw conjuncts), rows mean the side was broadcast (already planned
-    and executed coordinator-side).
-    """
-
-    left_table: str
-    right_table: str
-    left_col: str
-    right_col: str
-    shard: int
-    left_units: list[tuple[str, Any]] | None
-    left_rows: list[dict[str, Any]] | None
-    left_conjuncts: list[Any]
-    left_vector: list[Any]
-    left_fallback: list[Any]
-    right_units: list[tuple[str, Any]] | None
-    right_rows: list[dict[str, Any]] | None
-    right_conjuncts: list[Any]
-    right_vector: list[Any]
-    right_fallback: list[Any]
-
-
-def run_join_shard(task: JoinShardTask) -> dict[str, Any]:
-    """Worker: hash-join one shard, output sorted by (left rid, right rid)."""
-    t0 = perf_counter()
-    registry = metrics.get_registry()
-    scanned = skipped = 0
-    if task.left_units is not None:
-        left_rows, s, k = _scan_units(task.left_units, task.left_conjuncts,
-                                      task.left_vector, task.left_fallback,
-                                      registry)
-        scanned += s
-        skipped += k
-    else:
-        left_rows = task.left_rows or []
-    if task.right_units is not None:
-        right_rows, s, k = _scan_units(task.right_units,
-                                       task.right_conjuncts,
-                                       task.right_vector,
-                                       task.right_fallback, registry)
-        scanned += s
-        skipped += k
-    else:
-        right_rows = task.right_rows or []
-    buckets: dict[Any, list[dict[str, Any]]] = {}
-    for rrow in right_rows:
-        key = rrow.get(task.right_col)
-        if key is not None:
-            buckets.setdefault(key, []).append(rrow)
-    pairs: list[tuple[tuple[int, int], dict[str, Any]]] = []
-    for lrow in left_rows:
-        key = lrow.get(task.left_col)
-        if key is None:
-            continue
-        for rrow in buckets.get(key, ()):
-            pairs.append(
-                ((lrow["__rid__"], rrow["__rid__"]),
-                 _planner._combine(task.left_table, lrow,
-                                   task.right_table, rrow))
-            )
-    pairs.sort(key=lambda p: p[0])
-    return {"shard": task.shard, "pairs": pairs, "rows": len(pairs),
-            "left_n": len(left_rows), "right_n": len(right_rows),
-            "seconds": perf_counter() - t0,
-            "scanned": scanned, "skipped": skipped}
 
 
 @dataclass
@@ -674,12 +449,11 @@ class _JoinSide:
 
     table: str
     col: str
-    conjuncts: list[Any]
-    vector: list[Any]
-    fallback: list[Any]
+    pred: _planner.ScanPredicate
     fan: bool  # fans over its shards vs broadcast to every task
     node: _planner.PlanNode | None  # planned node for the broadcast side
-    spec: Any = None  # ShardSpec the plan assumed, for fan sides
+    spec: ShardSpec | None  # layout the plan assumed, for fan sides
+    shard_scan: ShardScan | None = None  # renders a fan side's actuals
 
 
 class ParallelHashJoin(_planner.PlanNode):
@@ -691,11 +465,12 @@ class ParallelHashJoin(_planner.PlanNode):
     ``True`` together exactly like SQL ``=``) and each shard joins
     locally.  ``mode='broadcast'``: only the fan side is partitioned;
     the other side's planned subtree executes once coordinator-side and
-    its rows ship to every shard task.  Worker output is sorted by
-    (left rid, right rid) and the coordinator heap-merges the per-shard
-    lists — byte-identical to :class:`HashJoin`, whose output is always
-    in that order regardless of build side.
+    its rows ship to every shard task.  Workers run the same
+    ``hash_join_pairs`` as :class:`HashJoin`; the coordinator heap-merges
+    their (left rid, right rid)-keyed lists — byte-identical to it.
     """
+
+    plan_counter = "planner.plans.parallel_join"
 
     def __init__(self, left: _JoinSide, right: _JoinSide, mode: str,
                  spec_count: int, shards: list[int]) -> None:
@@ -704,150 +479,92 @@ class ParallelHashJoin(_planner.PlanNode):
         self.mode = mode  # 'co' | 'broadcast'
         self.spec_count = spec_count
         self.shards = shards
-        self.shard_scans = [
-            ShardScan(side.table, spec_count, len(shards), side=name)
-            for name, side in (("left", left), ("right", right)) if side.fan
-        ]
 
-    def execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        registry = metrics.get_registry()
-        pruned = self.spec_count - len(self.shards)
-        registry.inc("parallel.shards.scanned", len(self.shards))
-        registry.inc("parallel.shards.pruned", pruned)
-        prof = self.profile
-        if prof is not None:
-            prof.shards_total += self.spec_count
-            prof.shards_pruned += pruned
-        if not self.shards:
-            return []
-        left_units = _checked_shard_units(
-            txn, self.left.table, self.left.spec) if self.left.fan else None
-        right_units = _checked_shard_units(
-            txn, self.right.table, self.right.spec) if self.right.fan else None
-        left_rows = self.left.node.execute(txn) \
-            if not self.left.fan else None
-        right_rows = self.right.node.execute(txn) \
-            if not self.right.fan else None
-        fan_scans = iter(self.shard_scans)
-        left_scan = next(fan_scans) if self.left.fan else None
-        right_scan = next(fan_scans) if self.right.fan else None
-        tasks = []
-        for shard in self.shards:
-            lu = ru = None
-            if left_units is not None:
-                lu, skipped = _preprune_units(left_units[shard],
-                                              self.left.vector, registry)
-                left_scan.absorb_prepruned(skipped)
-            if right_units is not None:
-                ru, skipped = _preprune_units(right_units[shard],
-                                              self.right.vector, registry)
-                right_scan.absorb_prepruned(skipped)
-            if (lu is not None and not lu) or (ru is not None and not ru):
-                continue  # an empty fanned side joins to nothing
-            tasks.append(JoinShardTask(
-                self.left.table, self.right.table, self.left.col,
-                self.right.col, shard,
-                lu, left_rows, self.left.conjuncts, self.left.vector,
-                self.left.fallback,
-                ru, right_rows, self.right.conjuncts, self.right.vector,
-                self.right.fallback))
-        backend = getattr(txn._db, "exec_backend", None)
-        if len(tasks) == 1:  # one shard task: nothing to parallelize
-            backend = None
-        fan_keys = [key for key, side in (("left_n", self.left),
-                                          ("right_n", self.right))
-                    if side.fan]  # same order as self.shard_scans
-        shard_lists: list[list[tuple[tuple[int, int], dict[str, Any]]]] = []
-        for result in _backend_stream(backend, run_join_shard, tasks):
-            for scan, key in zip(self.shard_scans, fan_keys):
-                scan.absorb(result, new_shard=True, rows_key=key)
-            shard_lists.append(result["pairs"])
-        merged = heapq.merge(*shard_lists, key=lambda p: p[0])
+    def _execute(self, txn: Transaction) -> list[dict[str, Any]]:
+        sides = (self.left, self.right)
+        # The broadcast side (if any) runs once, here, and ships whole.
+        shipped = next((s.node.execute(txn) for s in sides
+                        if not s.fan and self.shards), None)
+
+        def make_task(shard: int, unit_lists: list) -> JoinShardTask:
+            units = iter(unit_lists)
+            left, right = (ShardTask(shard, next(units), s.pred) if s.fan
+                           else shipped for s in sides)
+            return JoinShardTask(shard, left, right,
+                                 (self.left.table, self.right.table),
+                                 (self.left.col, self.right.col))
+
+        _, stream = exchange(txn, self.shards, [s for s in sides if s.fan],
+                             make_task, run_join_shard, self.profile)
+        merged = heapq.merge(*[result["out"] for _, result in stream],
+                             key=itemgetter(0))
         return [row for _, row in merged]
 
     def children(self) -> list[_planner.PlanNode]:
-        out: list[_planner.PlanNode] = list(self.shard_scans)
-        for side in (self.left, self.right):
-            if side.node is not None and not side.fan:
-                out.append(side.node)
-        return out
+        sides = (self.left, self.right)
+        return [s.shard_scan for s in sides if s.fan] \
+            + [s.node for s in sides if not s.fan]
 
     def label(self) -> str:
         if self.mode == "co":
             detail = "co-partitioned"
         else:
-            fan = "left" if self.left.fan else "right"
-            detail = f"broadcast={'right' if fan == 'left' else 'left'}"
+            detail = f"broadcast={'right' if self.left.fan else 'left'}"
         return (f"ParallelHashJoin({self.left.table}.{self.left.col} = "
                 f"{self.right.table}.{self.right.col}, {detail}, "
                 f"shards={len(self.shards)}/{self.spec_count})")
 
 
-def plan_parallel_join(planner: "_planner.Planner", stmt: SelectStatement,
-                       left_table: str, right_table: str,
-                       left_col: str, right_col: str,
+def plan_parallel_join(db: Any, join: _planner.HashJoin,
                        left_conjuncts: list[Any],
                        right_conjuncts: list[Any],
-                       left_node: _planner.PlanNode,
-                       right_node: _planner.PlanNode,
                        left_est: float, right_est: float,
-                       hash_join: _planner.PlanNode) \
-        -> ParallelHashJoin | None:
-    """A :class:`ParallelHashJoin` when at least one input is sharded and
-    the database carries a backend; None keeps the serial HashJoin."""
-    db = planner._db
-    if getattr(db, "exec_backend", None) is None:
+                       ) -> ParallelHashJoin | None:
+    """A :class:`ParallelHashJoin` replacing the planned serial ``join``
+    when at least one input is sharded and the database carries a
+    backend; None keeps the HashJoin."""
+    if db.exec_backend is None:
         return None
-    lspec = db._table(left_table).shard_spec
-    rspec = db._table(right_table).shard_spec
-    lschema = db._table(left_table).schema
-    rschema = db._table(right_table).schema
-
-    def side(table, col, conjuncts, schema, fan, node, spec):
-        vector, fallback = _planner._split_vectorizable(
-            conjuncts, schema, table)
-        return _JoinSide(table, col, list(conjuncts), vector, fallback,
-                         fan, None if fan else node,
-                         spec if fan else None)
-
+    lspec = db._table(join.left_table).shard_spec
+    rspec = db._table(join.right_table).shard_spec
     co = (lspec is not None and rspec is not None
           and lspec.count == rspec.count and lspec.count > 1
-          and lspec.key == left_col and rspec.key == right_col)
+          and lspec.key == join.left_col and rspec.key == join.right_col)
+    left_shards = allowed_shards(left_conjuncts, lspec, join.left_table) \
+        if lspec is not None else []
+    right_shards = allowed_shards(right_conjuncts, rspec, join.right_table) \
+        if rspec is not None else []
     if co:
-        shards = sorted(
-            set(allowed_shards(left_conjuncts, lspec, left_table))
-            & set(allowed_shards(right_conjuncts, rspec, right_table)))
-        node = ParallelHashJoin(
-            side(left_table, left_col, left_conjuncts, lschema, True, None,
-                 lspec),
-            side(right_table, right_col, right_conjuncts, rschema, True,
-                 None, rspec),
-            "co", lspec.count, shards)
+        fan_left = fan_right = True
+        shards = sorted(set(left_shards) & set(right_shards))
     else:
         # Broadcast: fan over a sharded side; when both are sharded but
         # not co-partitioned, broadcast the statistics-smaller side.
         left_ok = lspec is not None and lspec.count > 1
         right_ok = rspec is not None and rspec.count > 1
-        if left_ok and right_ok:
-            fan_left = left_est >= right_est
-        elif left_ok or right_ok:
-            fan_left = left_ok
-        else:
+        if not (left_ok or right_ok):
             return None
-        if fan_left:
-            spec = lspec
-            shards = allowed_shards(left_conjuncts, lspec, left_table)
-        else:
-            spec = rspec
-            shards = allowed_shards(right_conjuncts, rspec, right_table)
-        node = ParallelHashJoin(
-            side(left_table, left_col, left_conjuncts, lschema,
-                 fan_left, left_node, lspec),
-            side(right_table, right_col, right_conjuncts, rschema,
-                 not fan_left, right_node, rspec),
-            "broadcast", spec.count, shards)
-    node.est_rows = hash_join.est_rows
-    node.cost = hash_join.cost
-    for scan in node.shard_scans:
-        scan.est_rows = node.est_rows
+        fan_left = left_est >= right_est if left_ok and right_ok else left_ok
+        fan_right = not fan_left
+        shards = left_shards if fan_left else right_shards
+
+    count = (lspec if fan_left else rspec).count
+
+    def side(name, table, col, conjuncts, fan, node, spec):
+        pred = _planner.ScanPredicate(conjuncts, db._table(table).schema,
+                                      table)
+        if not fan:
+            return _JoinSide(table, col, pred, False, node, None)
+        scan = ShardScan(table, count, len(shards), side=name)
+        scan.est_rows = join.est_rows
+        return _JoinSide(table, col, pred, True, None, spec, scan)
+
+    node = ParallelHashJoin(
+        side("left", join.left_table, join.left_col, left_conjuncts,
+             fan_left, join.left, lspec),
+        side("right", join.right_table, join.right_col, right_conjuncts,
+             fan_right, join.right, rspec),
+        "co" if co else "broadcast", count, shards)
+    node.est_rows = join.est_rows
+    node.cost = join.cost
     return node

@@ -17,12 +17,13 @@ for one top-level equality.  This module plans a *physical* tree instead:
 * a selectivity-based cost model fed by
   :class:`~repro.storage.rdbms.stats.StatisticsManager`.
 
-On top of the access paths sits :class:`VectorizedAggregate` — when a
-single-table aggregate query's source is a SegmentScan, COUNT/SUM/AVG/
-MIN/MAX and GROUP BY run directly over the column buffers without ever
-materializing row dicts (float sums carry the running accumulator across
-segment boundaries so the addition chain is bit-identical to the naive
-left-to-right fold).
+On top of the access paths sits one :class:`Aggregate` node folding one
+:class:`AggState` — straight off the column buffers when its child is a
+SegmentScan (float sums carry the running accumulator across segment
+boundaries, so the addition chain is bit-identical to the naive
+left-to-right fold).  Scan units are evaluated by one scan kernel
+(:func:`select_units` → :func:`unit_rows`), which the fan-out operators
+of :mod:`repro.storage.rdbms.parallel` wrap rather than copy.
 
 Every operator preserves the naive interpreter's row *order* (rid order
 for scans, left-rid-major for joins), so planner output is row-identical
@@ -34,16 +35,19 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from repro.errors import CancellationToken
 from repro.storage.rdbms.engine import Database, Transaction
-from repro.storage.rdbms.index import HashIndex, SortedIndex
-from repro.storage.rdbms.segments import ColumnSegment, Segment
+from repro.storage.rdbms.index import SortedIndex
+from repro.storage.rdbms.mvcc import GUARD_STRIDE
+from repro.storage.rdbms.segments import Segment
 from repro.storage.rdbms.stats import MIN_SELECTIVITY
 from repro.storage.rdbms.sql import (
-    Aggregate,
+    Aggregate as AggregateExpr,
     BoolOp,
     ColumnRef,
     Comparison,
@@ -53,6 +57,8 @@ from repro.storage.rdbms.sql import (
     NullPredicate,
     SelectStatement,
     SqlError,
+    _Executor,
+    _feedback_keys,
     _like_to_regex,
     eval_predicate,
 )
@@ -108,35 +114,7 @@ def column_refs(node: Any) -> list[ColumnRef]:
     return []
 
 
-def _eq_conjunct(node: Any) -> tuple[ColumnRef, Any] | None:
-    """``col = literal`` (either orientation) → (ref, value), else None."""
-    if isinstance(node, Comparison) and node.op == "=":
-        if isinstance(node.left, ColumnRef) and isinstance(node.right, Literal):
-            return node.left, node.right.value
-        if isinstance(node.right, ColumnRef) and isinstance(node.left, Literal):
-            return node.right, node.left.value
-    return None
-
 _FLIPPED_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _range_conjunct(node: Any) -> tuple[ColumnRef, str, Any] | None:
-    """``col <op> literal`` for an ordering op → (ref, op, value)."""
-    if not isinstance(node, Comparison) or node.op not in _FLIPPED_OP:
-        return None
-    if isinstance(node.left, ColumnRef) and isinstance(node.right, Literal):
-        return node.left, node.op, node.right.value
-    if isinstance(node.right, ColumnRef) and isinstance(node.left, Literal):
-        return node.right, _FLIPPED_OP[node.op], node.left.value
-    return None
-
-
-def _remove(conjuncts: list[Any], consumed: list[Any]) -> list[Any]:
-    """Conjuncts minus the consumed *instances* (identity, not equality)."""
-    return [c for c in conjuncts if not any(c is used for used in consumed)]
-
-
-# ------------------------------------------------------ vectorized kernels
 
 _COMPARE_FN = {
     "=": operator.eq, "!=": operator.ne, "<": operator.lt,
@@ -156,6 +134,26 @@ def _normalized_comparison(conjunct: Any) -> tuple[ColumnRef, str, Any] | None:
     return None
 
 
+def _eq_conjunct(node: Any) -> tuple[ColumnRef, Any] | None:
+    """``col = literal`` (either orientation) → (ref, value), else None."""
+    cmp = _normalized_comparison(node)
+    return (cmp[0], cmp[2]) if cmp is not None and cmp[1] == "=" else None
+
+
+def _range_conjunct(node: Any) -> tuple[ColumnRef, str, Any] | None:
+    """``col <op> literal`` for an ordering op → (ref, op, value)."""
+    cmp = _normalized_comparison(node)
+    return cmp if cmp is not None and cmp[1] in _FLIPPED_OP else None
+
+
+def _remove(conjuncts: list[Any], consumed: list[Any]) -> list[Any]:
+    """Conjuncts minus the consumed *instances* (identity, not equality)."""
+    return [c for c in conjuncts if not any(c is used for used in consumed)]
+
+
+# ------------------------------------------------------ vectorized kernels
+
+
 def _conjunct_column(conjunct: Any) -> ColumnRef | None:
     """The single column a conjunct tests against constants, or None when
     the conjunct cannot run as a column kernel (NOT/OR, col-col, ...)."""
@@ -165,21 +163,6 @@ def _conjunct_column(conjunct: Any) -> ColumnRef | None:
     if isinstance(conjunct, (LikePredicate, NullPredicate, InPredicate)):
         return conjunct.column
     return None
-
-
-def _split_vectorizable(conjuncts: list[Any], schema: Any,
-                        table: str) -> tuple[list[Any], list[Any]]:
-    """Partition conjuncts into (column kernels, row-fallback)."""
-    vector: list[Any] = []
-    fallback: list[Any] = []
-    for conjunct in conjuncts:
-        ref = _conjunct_column(conjunct)
-        if ref is not None and ref.table in (None, table) \
-                and schema.has_column(ref.name):
-            vector.append(conjunct)
-        else:
-            fallback.append(conjunct)
-    return vector, fallback
 
 
 def _zone_map_prunes(segment: Segment, conjunct: Any) -> bool:
@@ -394,6 +377,43 @@ class OperatorProfile:
             return self.sample_seconds * (self.rows / self.sample_rows)
         return self.sample_seconds
 
+    def timed(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """Run one blocking step under an exact timer pair."""
+        self.loops += 1
+        t0 = perf_counter()
+        out = fn(*args)
+        self.seconds += perf_counter() - t0
+        return out
+
+    def streamed(self, it: Iterator[dict[str, Any]]) -> Iterator[dict[str, Any]]:
+        """Pass rows through: exact row counts, sampled timing."""
+        self.loops += 1
+        timer = perf_counter
+        while True:
+            if self.sample_rows * 16 <= self.rows:
+                t0 = timer()
+                try:
+                    row = next(it)
+                except StopIteration:
+                    self.sample_seconds += timer() - t0
+                    return
+                self.sample_seconds += timer() - t0
+                self.sample_rows += 1
+            else:
+                try:
+                    row = next(it)
+                except StopIteration:
+                    return
+            self.rows += 1
+            yield row
+
+    def absorb_scan(self, child: "OperatorProfile") -> None:
+        """Count a folded child's pruning inclusively, like its time."""
+        self.segments_scanned += child.segments_scanned
+        self.segments_skipped += child.segments_skipped
+        self.shards_total += child.shards_total
+        self.shards_pruned += child.shards_pruned
+
     def describe(self) -> str:
         if self.loops == 0 and self.rows == 0 and self.seconds == 0.0:
             return "never executed"
@@ -410,87 +430,6 @@ class OperatorProfile:
                 f"/{self.shards_total} pruned={self.shards_pruned}")
         return " ".join(parts)
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "rows": self.rows,
-            "loops": self.loops,
-            "seconds": self.actual_seconds(),
-            "segments_scanned": self.segments_scanned,
-            "segments_skipped": self.segments_skipped,
-            "index_probes": self.index_probes,
-            "shards_total": self.shards_total,
-            "shards_pruned": self.shards_pruned,
-        }
-
-
-def _profiled_rows(inner: Callable[..., Iterator[dict[str, Any]]],
-                   prof: OperatorProfile) -> Callable[..., Iterator[dict[str, Any]]]:
-    """Wrap a streaming ``rows`` method: exact row counts, sampled timing."""
-
-    def rows(txn: Transaction) -> Iterator[dict[str, Any]]:
-        prof.loops += 1
-        it = iter(inner(txn))
-        timer = perf_counter
-        while True:
-            if prof.sample_rows * 16 <= prof.rows:
-                t0 = timer()
-                try:
-                    row = next(it)
-                except StopIteration:
-                    prof.sample_seconds += timer() - t0
-                    return
-                prof.sample_seconds += timer() - t0
-                prof.sample_rows += 1
-            else:
-                try:
-                    row = next(it)
-                except StopIteration:
-                    return
-            prof.rows += 1
-            yield row
-
-    return rows
-
-
-def _profiled_execute(inner: Callable[..., list],
-                      prof: OperatorProfile) -> Callable[..., list]:
-    """Wrap a blocking ``execute`` method with one exact timer pair."""
-
-    def execute(txn: Transaction) -> list:
-        prof.loops += 1
-        t0 = perf_counter()
-        out = inner(txn)
-        prof.seconds += perf_counter() - t0
-        prof.rows += len(out)
-        return out
-
-    return execute
-
-
-def attach_profiles(node: "PlanNode") -> None:
-    """Instrument a plan subtree in place for EXPLAIN ANALYZE.
-
-    Profiling wrappers are installed as *instance* attributes shadowing
-    the class methods, so un-analyzed plans carry zero instrumentation —
-    not even an if-check — on the hot path.  Streaming operators wrap
-    ``rows`` (their ``execute`` delegates to it); blocking operators
-    wrap ``execute`` (their default ``rows`` delegates back).
-    """
-    prof = OperatorProfile()
-    node.profile = prof
-    if node.profiled_manual:
-        # The operator fills its own profile (e.g. ShardScan actuals are
-        # summed from per-shard worker stats by the coordinator): no
-        # wrapper — a fully pruned node keeps an untouched profile, which
-        # describe() renders as "never executed".
-        pass
-    elif node.profiled_streaming:
-        node.rows = _profiled_rows(node.rows, prof)  # type: ignore[method-assign]
-    else:
-        node.execute = _profiled_execute(node.execute, prof)  # type: ignore[method-assign]
-    for child in node.children():
-        attach_profiles(child)
-
 
 # --------------------------------------------------------- physical plan
 
@@ -498,28 +437,72 @@ def attach_profiles(node: "PlanNode") -> None:
 class PlanNode:
     """A physical operator: ``execute(txn)`` returns row dicts (each
     carrying ``__rid__``), ``rows(txn)`` the same rows as a (possibly
-    lazy) iterator, ``render()`` the EXPLAIN subtree."""
+    lazy) iterator, ``render()`` the EXPLAIN subtree.
 
-    est_rows: float = 0.0
+    An operator implements ONE of ``_rows`` (streaming) or ``_execute``
+    (blocking) — which one decides how :class:`OperatorProfile` times
+    it; the public entry points own that accounting, one ``profile is
+    None`` test per open and nothing per row.
+    """
+
+    est_rows: float | None = 0.0  # None: not costed (the aggregate stage)
     cost: float = 0.0
-    #: set per-instance by :func:`attach_profiles` under EXPLAIN ANALYZE
+    #: set on every node of a plan by :meth:`SelectPlan.enable_profiling`
     profile: OperatorProfile | None = None
-    #: class flags steering :func:`attach_profiles`: streaming operators
-    #: wrap ``rows`` (sampled timing); manual operators fill their own
-    #: profile (per-shard worker actuals); everything else wraps
-    #: ``execute``.  Class attributes so operators defined in other
-    #: modules (parallel.py) opt in without an isinstance list here.
-    profiled_streaming: bool = False
-    profiled_manual: bool = False
+    #: telemetry counter bumped when the planner picks this operator
+    plan_counter: str | None = None
+    #: a sharded table still runs this access path at the coordinator
+    beats_fan_out = False
 
     def execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        raise NotImplementedError
+        prof = self.profile
+        if prof is None:
+            return self._execute(txn)
+        if type(self)._rows is not PlanNode._rows:  # streaming operator
+            return list(self.rows(txn))
+        out = prof.timed(self._execute, txn)
+        prof.rows += len(out)
+        return out
 
     def rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
         """Iterator over the operator's rows.  Scans and filters stream
         (nothing materialized until consumed); blocking operators fall
         back to iterating their materialized output."""
-        return iter(self.execute(txn))
+        prof = self.profile
+        if prof is None:
+            return self._rows(txn)
+        if type(self)._rows is PlanNode._rows:  # blocking operator
+            return iter(self.execute(txn))
+        return prof.streamed(self._rows(txn))
+
+    def fold(self, txn: Transaction, state: "AggState") -> None:
+        """Fold this scan's units into ``state`` without building row
+        dicts — for nodes whose :meth:`fold_plan` accepted the statement."""
+        prof = self.profile
+        if prof is None:
+            self._fold(txn, state)
+        else:
+            prof.rows += prof.timed(self._fold, txn, state)
+
+    def _execute(self, txn: Transaction) -> list[dict[str, Any]]:
+        return list(self._rows(txn))
+
+    def _rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
+        return iter(self._execute(txn))
+
+    def _fold(self, txn: Transaction, state: "AggState") -> int:
+        """Fold into ``state``; returns the number of rows folded."""
+        raise NotImplementedError
+
+    def fold_plan(self, stmt: SelectStatement,
+                  schema: Any) -> tuple[str, str] | None:
+        """``(EXPLAIN name, plan counter)`` of the aggregate stage that
+        can :meth:`fold` this node, or None: it must consume rows."""
+        return None
+
+    def feedback_keys(self) -> list[tuple[str, str]]:
+        """(column, predicate shape) pairs behind this node's estimate."""
+        return []
 
     def children(self) -> list["PlanNode"]:
         return []
@@ -528,8 +511,10 @@ class PlanNode:
         raise NotImplementedError
 
     def render(self, indent: int = 0) -> list[str]:
-        text = (f"{self.label()}  [rows~{max(round(self.est_rows), 0)} "
-                f"cost~{max(round(self.cost), 0)}]")
+        text = self.label()
+        if self.est_rows is not None:
+            text += (f"  [rows~{max(round(self.est_rows), 0)} "
+                     f"cost~{max(round(self.cost), 0)}]")
         if self.profile is not None:
             text += f"  ({self.profile.describe()})"
         lines = ["  " * indent + text]
@@ -547,15 +532,12 @@ def _row_dict(row) -> dict[str, Any]:
 class FullScan(PlanNode):
     """Read every row of a heap table (rid order), streaming."""
 
-    profiled_streaming = True
+    plan_counter = "planner.plans.full_scan"
 
     def __init__(self, table: str) -> None:
         self.table = table
 
-    def execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        return list(self.rows(txn))
-
-    def rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
+    def _rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
         return (_row_dict(r) for r in txn.scan_iter(self.table))
 
     def label(self) -> str:
@@ -565,6 +547,9 @@ class FullScan(PlanNode):
 class IndexLookup(PlanNode):
     """Equality probe of a secondary index (rows come back in rid order)."""
 
+    plan_counter = "planner.plans.index_lookup"
+    beats_fan_out = True  # a point probe is cheaper than any fan-out
+
     def __init__(self, table: str, column: str, value: Any,
                  kind: str) -> None:
         self.table = table
@@ -572,9 +557,12 @@ class IndexLookup(PlanNode):
         self.value = value
         self.kind = kind
 
-    def execute(self, txn: Transaction) -> list[dict[str, Any]]:
+    def _execute(self, txn: Transaction) -> list[dict[str, Any]]:
         return [_row_dict(r)
                 for r in txn.lookup(self.table, self.column, self.value)]
+
+    def feedback_keys(self) -> list[tuple[str, str]]:
+        return [(self.column, "eq")]
 
     def label(self) -> str:
         rendered = _render_operand(Literal(self.value))
@@ -586,6 +574,8 @@ class RangeScan(PlanNode):
     """Bounded scan of a sorted index; rows re-sorted to rid order so the
     output order matches a filtered full scan exactly."""
 
+    plan_counter = "planner.plans.range_scan"
+
     def __init__(self, table: str, column: str, low: Any, high: Any,
                  include_low: bool, include_high: bool) -> None:
         self.table = table
@@ -595,7 +585,7 @@ class RangeScan(PlanNode):
         self.include_low = include_low
         self.include_high = include_high
 
-    def execute(self, txn: Transaction) -> list[dict[str, Any]]:
+    def _execute(self, txn: Transaction) -> list[dict[str, Any]]:
         try:
             rows = txn.range_lookup(self.table, self.column, self.low,
                                     self.high, self.include_low,
@@ -608,6 +598,9 @@ class RangeScan(PlanNode):
             ) from exc
         return [_row_dict(r) for r in rows]
 
+    def feedback_keys(self) -> list[tuple[str, str]]:
+        return [(self.column, "range")]
+
     def label(self) -> str:
         lo = "(-inf" if self.low is None else \
             ("[" if self.include_low else "(") + _render_operand(Literal(self.low))
@@ -617,90 +610,136 @@ class RangeScan(PlanNode):
                 f"via sorted index)")
 
 
-class SegmentScan(PlanNode):
-    """Columnar scan of a compacted table: the full WHERE is evaluated by
-    this node (no residual filter), rows stream out in rid order.
+# ------------------------------------------------------------- scan kernel
 
-    Per segment: zone maps first (a conjunct the whole segment provably
-    fails skips it without touching data), then every kernel conjunct
-    becomes a selection bitmap evaluated column-at-a-time (dictionary
-    predicates evaluate once per distinct string), bitmaps AND together,
-    and only surviving positions decode to row dicts.  Non-kernel
-    conjuncts (NOT/OR, column-to-column) run row-at-a-time on survivors;
-    tail rows run through the ordinary row evaluator.
+
+class ScanPredicate:
+    """A scan's WHERE, split for the scan kernel: ``vector`` conjuncts
+    run as column bitmaps (and against zone maps), ``fallback`` re-checks
+    survivors row-at-a-time.  Picklable: fan-out tasks carry it."""
+
+    __slots__ = ("conjuncts", "vector", "fallback", "full")
+
+    def __init__(self, conjuncts: list[Any], schema: Any, table: str) -> None:
+        self.conjuncts = list(conjuncts)
+        self.vector: list[Any] = []
+        fallback: list[Any] = []
+        for conjunct in conjuncts:
+            ref = _conjunct_column(conjunct)
+            if ref is not None and ref.table in (None, table) \
+                    and schema.has_column(ref.name):
+                self.vector.append(conjunct)
+            else:
+                fallback.append(conjunct)
+        self.fallback = conjoin(fallback)
+        self.full = conjoin(self.conjuncts)
+
+    def feedback_keys(self) -> list[tuple[str, str]]:
+        return [key for c in self.conjuncts for key in _feedback_keys(c)]
+
+
+def select_units(units: Iterable[tuple[str, Any]], vector: list[Any],
+                 guard: CancellationToken | None = None,
+                 prof: OperatorProfile | None = None, select: bool = True,
+                 ) -> Iterator[tuple[str, Any, list[int] | None]]:
+    """Scan kernel, step 1: ``(kind, unit, selected)`` per unit that can
+    hold matching rows, polling ``guard`` once per unit.
+
+    A segment the zone maps prove empty is dropped (``segments.skipped``);
+    a scanned one carries the positions surviving every kernel conjunct —
+    or, when a kernel hit incomparable operands, comes back as a rows
+    unit, so row-by-row evaluation reproduces the naive error surface.
+    ``select=False`` stops after the prune (the fan-out coordinator keeps
+    empty segments out of task payloads; its workers select and count).
     """
-
-    profiled_streaming = True
-
-    def __init__(self, table: str, conjuncts: list[Any],
-                 vector_conjuncts: list[Any],
-                 fallback_conjuncts: list[Any]) -> None:
-        self.table = table
-        self.conjuncts = conjuncts
-        self._vector = vector_conjuncts
-        self._fallback = conjoin(fallback_conjuncts)
-        self._full = conjoin(conjuncts)
-
-    def execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        return list(self.rows(txn))
-
-    def rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
-        registry = metrics.get_registry()
-        for kind, unit in txn.scan_units(self.table):
-            if kind == "rows":
-                for row in unit:
-                    r = _row_dict(row)
-                    if self._full is None or eval_predicate(self._full, r):
-                        yield r
-                continue
-            yield from self._segment_rows(unit, registry)
-
-    def _segment_rows(self, segment: Segment,
-                      registry) -> Iterator[dict[str, Any]]:
-        if segment.count == 0:
-            return
-        prof = self.profile
-        if any(_zone_map_prunes(segment, c) for c in self._vector):
+    registry = metrics.get_registry()
+    for kind, unit in units:
+        if guard is not None:
+            guard.check()
+        if kind == "rows":
+            yield kind, unit, None
+            continue
+        if unit.count == 0:
+            continue
+        if any(_zone_map_prunes(unit, c) for c in vector):
             registry.inc("segments.skipped")
             if prof is not None:
                 prof.segments_skipped += 1
-            return
+            continue
+        if not select:
+            yield kind, unit, None
+            continue
         registry.inc("segments.scanned")
         if prof is not None:
             prof.segments_scanned += 1
-        selected = _segment_selection(segment, self._vector)
-        if selected is None:  # incomparable operands: naive error surface
-            for rid, values in segment.iter_rows():
-                values["__rid__"] = rid
-                if self._full is None or eval_predicate(self._full, values):
-                    yield values
-            return
-        if self._fallback is not None:
-            for pos in selected:
-                values = segment.row_values(pos)
-                values["__rid__"] = segment.rids[pos]
-                if eval_predicate(self._fallback, values):
-                    yield values
-            return
-        if len(selected) * 4 >= segment.count:
-            # Dense survivors: decode whole columns once, not per row.
-            decoded = [(col.name, segment.columns[col.name].decoded())
-                       for col in segment.schema.columns]
-            rids = segment.rids
-            for pos in selected:
-                values = {name: column[pos] for name, column in decoded}
-                values["__rid__"] = rids[pos]
-                yield values
+        selected = _segment_selection(unit, vector)
+        if selected is None:
+            yield "rows", unit.iter_rows(), None
         else:
-            for pos in selected:
-                values = segment.row_values(pos)
-                values["__rid__"] = segment.rids[pos]
-                yield values
+            yield kind, unit, selected
 
-    def label(self) -> str:
-        pred = render_predicate(conjoin(self.conjuncts)) \
-            if self.conjuncts else "TRUE"
-        return f"SegmentScan({self.table}, pred={pred})"
+
+def unit_rows(kind: str, unit: Any, selected: list[int] | None,
+              pred: ScanPredicate, guard: CancellationToken | None = None,
+              ) -> Iterator[dict[str, Any]]:
+    """Scan kernel, step 2: one selected unit's matching rows as dicts
+    (each carrying ``__rid__``), in rid order.  Rows units go through the
+    row evaluator, polling ``guard`` every :data:`GUARD_STRIDE` rows;
+    segments decode only their selected positions."""
+    if kind == "rows":
+        full = pred.full
+        for n, (rid, values) in enumerate(unit):
+            if guard is not None and not n % GUARD_STRIDE:
+                guard.check()
+            values["__rid__"] = rid
+            if full is None or eval_predicate(full, values):
+                yield values
+        return
+    segment: Segment = unit
+    fallback = pred.fallback
+    rids = segment.rids
+    if fallback is None and len(selected) * 4 >= segment.count:
+        # Dense survivors: decode whole columns once, not per row.
+        decoded = [(col.name, segment.columns[col.name].decoded())
+                   for col in segment.schema.columns]
+        for pos in selected:
+            values = {name: column[pos] for name, column in decoded}
+            values["__rid__"] = rids[pos]
+            yield values
+        return
+    for pos in selected:
+        values = segment.row_values(pos)
+        values["__rid__"] = rids[pos]
+        if fallback is None or eval_predicate(fallback, values):
+            yield values
+
+
+def scan_rows(units: Iterable[tuple[str, Any]], pred: ScanPredicate,
+              guard: CancellationToken | None = None,
+              prof: OperatorProfile | None = None,
+              ) -> Iterator[dict[str, Any]]:
+    """The scan kernel for row consumers: every matching row of a list of
+    ``("segment", Segment)`` / ``("rows", (rid, values) pairs)`` units."""
+    for kind, unit, selected in select_units(units, pred.vector, guard, prof):
+        yield from unit_rows(kind, unit, selected, pred, guard)
+
+
+def fold_units(units: Iterable[tuple[str, Any]], pred: ScanPredicate,
+               state: "AggState", guard: CancellationToken | None = None,
+               prof: OperatorProfile | None = None) -> int:
+    """The scan kernel for the aggregate: fold every matching row into
+    ``state`` — column-at-a-time where the kernel conjuncts decided the
+    predicate, as decoded rows elsewhere.  Returns the rows folded."""
+    n = 0
+    for kind, unit, selected in select_units(units, pred.vector, guard, prof):
+        if kind == "segment" and pred.fallback is None:
+            state.add_segment(unit, selected)
+            n += len(selected)
+        else:
+            for row in unit_rows(kind, unit, selected, pred, guard):
+                state.add_row(row)
+                n += 1
+    return n
 
 
 def _segment_selection(segment: Segment,
@@ -720,10 +759,49 @@ def _segment_selection(segment: Segment,
     return [i for i, keep in enumerate(bitmap) if keep]
 
 
+class SegmentScan(PlanNode):
+    """Columnar scan of a compacted table: the full WHERE is evaluated by
+    this node (no residual filter), rows stream out in rid order.
+
+    Per segment: zone maps first (a conjunct the whole segment provably
+    fails skips it without touching data), then every kernel conjunct
+    becomes a selection bitmap evaluated column-at-a-time (dictionary
+    predicates evaluate once per distinct string), bitmaps AND together,
+    and only surviving positions decode to row dicts.  Non-kernel
+    conjuncts (NOT/OR, column-to-column) run row-at-a-time on survivors;
+    tail rows run through the ordinary row evaluator.
+    """
+
+    plan_counter = "planner.plans.segment_scan"
+
+    def __init__(self, table: str, pred: ScanPredicate) -> None:
+        self.table = table
+        self.pred = pred
+
+    def _rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
+        return scan_rows(txn.scan_units(self.table), self.pred, txn.guard,
+                         self.profile)
+
+    def _fold(self, txn: Transaction, state: "AggState") -> int:
+        return fold_units(txn.scan_units(self.table), self.pred, state,
+                          txn.guard, self.profile)
+
+    def fold_plan(self, stmt: SelectStatement,
+                  schema: Any) -> tuple[str, str] | None:
+        if not AggState.supports(stmt, schema):
+            return None
+        return "VectorizedAggregate", "planner.plans.vectorized_agg"
+
+    def feedback_keys(self) -> list[tuple[str, str]]:
+        return self.pred.feedback_keys()
+
+    def label(self) -> str:
+        return (f"SegmentScan({self.table}, "
+                f"pred={render_predicate(self.pred.full)})")
+
+
 class Filter(PlanNode):
     """Apply a (residual or pushed) predicate to the child's rows."""
-
-    profiled_streaming = True
 
     def __init__(self, predicate: Any, child: PlanNode,
                  role: str = "filter") -> None:
@@ -731,10 +809,7 @@ class Filter(PlanNode):
         self.child = child
         self.role = role  # 'filter' (residual) | 'pushed'
 
-    def execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        return [r for r in self.rows(txn)]
-
-    def rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
+    def _rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
         return (r for r in self.child.rows(txn)
                 if eval_predicate(self.predicate, r))
 
@@ -765,6 +840,37 @@ def _combine(left_table: str, lrow: dict[str, Any],
     return row
 
 
+_JoinPairs = list[tuple[tuple[int, int], dict[str, Any]]]
+
+
+def hash_join_pairs(left_rows: list[dict[str, Any]],
+                    right_rows: list[dict[str, Any]], left_table: str,
+                    right_table: str, left_col: str, right_col: str,
+                    build: str = "right") -> _JoinPairs:
+    """Equi-join two rid-ordered inputs into ``((left rid, right rid),
+    joined row)`` pairs sorted by that key (per-shard outputs heap-merge
+    on it), whichever side the hash table is built on."""
+    build_left = build == "left"
+    build_rows, build_col, probe_rows, probe_col = \
+        (left_rows, left_col, right_rows, right_col) if build_left \
+        else (right_rows, right_col, left_rows, left_col)
+    buckets: dict[Any, list[dict[str, Any]]] = {}
+    for brow in build_rows:
+        buckets.setdefault(brow.get(build_col), []).append(brow)
+    pairs: _JoinPairs = []
+    for prow in probe_rows:
+        key = prow.get(probe_col)
+        if key is None:
+            continue
+        for brow in buckets.get(key, ()):
+            lrow, rrow = (brow, prow) if build_left else (prow, brow)
+            pairs.append(((lrow["__rid__"], rrow["__rid__"]),
+                          _combine(left_table, lrow, right_table, rrow)))
+    if build_left:  # probing in right-rid order: restore key order
+        pairs.sort(key=itemgetter(0))
+    return pairs
+
+
 class HashJoin(PlanNode):
     """Equi-join building a hash table on the cheaper side.
 
@@ -772,6 +878,8 @@ class HashJoin(PlanNode):
     side is the left input the probe-order output is re-sorted, so the
     build-side choice is invisible in results.
     """
+
+    plan_counter = "planner.plans.hash_join"
 
     def __init__(self, left: PlanNode, right: PlanNode, left_table: str,
                  right_table: str, left_col: str, right_col: str,
@@ -784,35 +892,11 @@ class HashJoin(PlanNode):
         self.right_col = right_col
         self.build = build  # 'left' | 'right'
 
-    def execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        left_rows = self.left.execute(txn)
-        right_rows = self.right.execute(txn)
-        buckets: dict[Any, list[dict[str, Any]]] = {}
-        if self.build == "right":
-            for rrow in right_rows:
-                buckets.setdefault(rrow.get(self.right_col), []).append(rrow)
-            out: list[dict[str, Any]] = []
-            for lrow in left_rows:
-                key = lrow.get(self.left_col)
-                if key is None:
-                    continue
-                for rrow in buckets.get(key, ()):
-                    out.append(_combine(self.left_table, lrow,
-                                        self.right_table, rrow))
-            return out
-        for lrow in left_rows:
-            buckets.setdefault(lrow.get(self.left_col), []).append(lrow)
-        pairs: list[tuple[tuple[int, int], dict[str, Any]]] = []
-        for rrow in right_rows:
-            key = rrow.get(self.right_col)
-            if key is None:
-                continue
-            for lrow in buckets.get(key, ()):
-                pairs.append(
-                    ((lrow["__rid__"], rrow["__rid__"]),
-                     _combine(self.left_table, lrow, self.right_table, rrow))
-                )
-        pairs.sort(key=lambda p: p[0])
+    def _execute(self, txn: Transaction) -> list[dict[str, Any]]:
+        pairs = hash_join_pairs(
+            self.left.execute(txn), self.right.execute(txn),
+            self.left_table, self.right_table, self.left_col,
+            self.right_col, self.build)
         return [row for _, row in pairs]
 
     def children(self) -> list[PlanNode]:
@@ -832,6 +916,8 @@ class IndexNestedLoopJoin(PlanNode):
     (left rid, right rid) order when the outer side is the right input.
     """
 
+    plan_counter = "planner.plans.index_nested_loop_join"
+
     def __init__(self, outer: PlanNode, outer_col: str, inner_table: str,
                  inner_col: str, inner_filter: Any, outer_side: str,
                  left_table: str, right_table: str, kind: str) -> None:
@@ -845,8 +931,8 @@ class IndexNestedLoopJoin(PlanNode):
         self.right_table = right_table
         self.kind = kind
 
-    def execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        pairs: list[tuple[tuple[int, int], dict[str, Any]]] = []
+    def _execute(self, txn: Transaction) -> list[dict[str, Any]]:
+        pairs: _JoinPairs = []
         out: list[dict[str, Any]] = []
         prof = self.profile
         for orow in self.outer.execute(txn):
@@ -886,12 +972,16 @@ class IndexNestedLoopJoin(PlanNode):
         return label + ")"
 
 
-class VectorizedAggregate:
-    """COUNT/SUM/AVG/MIN/MAX + GROUP BY evaluated straight off a
-    :class:`SegmentScan`'s column buffers — no row dicts, no
-    ``_resolve`` per value.
+# --------------------------------------------------------------- aggregate
 
-    Output is element-identical to the naive ``_aggregate``:
+
+class AggState:
+    """The running state of one aggregate stage — COUNT/SUM/AVG/MIN/MAX
+    per GROUP BY key — folded row by row (:meth:`add_row`), straight off
+    a segment's column buffers (:meth:`add_segment`), or from another
+    state (:meth:`merge`, the per-shard partials of a fanned-out scan).
+
+    :meth:`finalize` is element-identical to the naive ``_aggregate``:
 
     * float SUM/AVG carry the running accumulator across units (``sum``
       with a ``start``), so the addition chain is the same left-to-right
@@ -903,78 +993,67 @@ class VectorizedAggregate:
       ``sorted(groups.items(), ...)`` (dict insertion order breaks ties).
     """
 
-    #: set per-instance by ``SelectPlan.enable_profiling``
-    profile: OperatorProfile | None = None
-
-    def __init__(self, stmt: SelectStatement, source: SegmentScan) -> None:
+    def __init__(self, stmt: SelectStatement) -> None:
         self.stmt = stmt
-        self.source = source
+        #: group key -> one accumulator per aggregate item
+        self.groups: dict[tuple, list[list[Any]]] = {}
         self._group_names = [g.name for g in stmt.group_by]
         self._agg_items = [
             (item.key(), item.expr.func,
              item.expr.column.name if item.expr.column is not None else None)
-            for item in stmt.items if isinstance(item.expr, Aggregate)
+            for item in stmt.items if isinstance(item.expr, AggregateExpr)
         ]
 
-    # ------------------------------------------------------------- execute
+    # ------------------------------------------------------------ gating
 
-    def execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        state: dict[tuple, list[list[Any]]] = {}
-        source = self.source
-        registry = metrics.get_registry()
-        for kind, unit in txn.scan_units(source.table):
-            if kind == "rows":
-                pred = source._full
-                for row in unit:
-                    r = _row_dict(row)
-                    if pred is None or eval_predicate(pred, r):
-                        self._accumulate_row(state, r)
-                continue
-            self.accumulate_segment(state, unit, registry)
-        return self._finalize(state)
+    @staticmethod
+    def supports(stmt: SelectStatement, schema: Any) -> bool:
+        """True when the aggregate stage can fold into an AggState; False
+        keeps the reference row fold and its error surface (SUM over
+        TEXT raising TypeError, a non-grouped column raising SqlError)."""
+        for g in stmt.group_by:
+            if g.table not in (None, stmt.table) \
+                    or not schema.has_column(g.name):
+                return False
+        for item in stmt.items:
+            expr = item.expr
+            if isinstance(expr, AggregateExpr):
+                if expr.column is None:
+                    continue  # COUNT(*)
+                ref = expr.column
+                if ref.table not in (None, stmt.table) \
+                        or not schema.has_column(ref.name):
+                    return False
+                if expr.func in ("sum", "avg"):
+                    col_type = schema.column(ref.name).col_type
+                    if col_type not in (ColumnType.INT, ColumnType.FLOAT,
+                                        ColumnType.BOOL):
+                        return False
+            elif isinstance(expr, ColumnRef):
+                # Naive emits these only as group keys (or raises).
+                if not (stmt.group_by
+                        and any(g.name == expr.name for g in stmt.group_by)):
+                    return False
+            else:
+                return False
+        return True
 
-    def accumulate_segment(self, state: dict, segment: Segment,
-                           registry) -> int:
-        """Fold one segment into ``state`` (prune → bitmaps → accumulate);
-        returns the number of rows accumulated.  Shared with the per-shard
-        parallel aggregation workers in
-        :mod:`repro.storage.rdbms.parallel`."""
-        source = self.source
-        prof = self.profile
-        if segment.count == 0:
-            return 0
-        if any(_zone_map_prunes(segment, c) for c in source._vector):
-            registry.inc("segments.skipped")
-            if prof is not None:
-                prof.segments_skipped += 1
-            return 0
-        registry.inc("segments.scanned")
-        if prof is not None:
-            prof.segments_scanned += 1
-        selected = _segment_selection(segment, source._vector)
-        if selected is None:
-            n = 0
-            for rid, values in segment.iter_rows():
-                values["__rid__"] = rid
-                if source._full is None \
-                        or eval_predicate(source._full, values):
-                    self._accumulate_row(state, values)
-                    n += 1
-            return n
-        if source._fallback is not None:
-            n = 0
-            for pos in selected:
-                values = segment.row_values(pos)
-                values["__rid__"] = segment.rids[pos]
-                if eval_predicate(source._fallback, values):
-                    self._accumulate_row(state, values)
-                    n += 1
-            return n
-        if self._group_names:
-            self._accumulate_grouped(state, segment, selected)
-        else:
-            self._accumulate_global(state, segment, selected)
-        return len(selected)
+    @staticmethod
+    def mergeable(stmt: SelectStatement, schema: Any) -> bool:
+        """True when folding partitions separately and :meth:`merge`-ing
+        them is exact: :meth:`supports`, and no FLOAT group key
+        (``-0.0``/NaN key objects depend on which partition inserts
+        first), FLOAT SUM/AVG (float addition is non-associative; the
+        serial fold order is the oracle) or FLOAT MIN/MAX (NaN makes
+        first-value-wins order-dependent).  COUNT takes anything; INT/BOOL
+        sums are exact; INT/BOOL/TEXT extrema are total orders."""
+        folded = list(stmt.group_by) + [
+            item.expr.column for item in stmt.items
+            if isinstance(item.expr, AggregateExpr)
+            and item.expr.func != "count"]
+        return AggState.supports(stmt, schema) and not any(
+            schema.column(ref.name).col_type == ColumnType.FLOAT
+            for ref in folded)
 
     # ----------------------------------------------------- accumulation
 
@@ -986,16 +1065,16 @@ class VectorizedAggregate:
             return [0, 0]  # running sum (starts at int 0, like sum()), n
         return [False, None]  # have-value flag, extremum
 
-    def _accs_for(self, state: dict, key: tuple) -> list[list[Any]]:
-        accs = state.get(key)
+    def _accs_for(self, key: tuple) -> list[list[Any]]:
+        accs = self.groups.get(key)
         if accs is None:
-            accs = state[key] = [self._new_acc(func)
-                                 for _, func, _ in self._agg_items]
+            accs = self.groups[key] = [self._new_acc(func)
+                                       for _, func, _ in self._agg_items]
         return accs
 
-    def _accumulate_row(self, state: dict, row: dict[str, Any]) -> None:
+    def add_row(self, row: dict[str, Any]) -> None:
         key = tuple(row.get(name) for name in self._group_names)
-        accs = self._accs_for(state, key)
+        accs = self._accs_for(key)
         for acc, (_, func, colname) in zip(accs, self._agg_items):
             if func == "count":
                 if colname is None or row.get(colname) is not None:
@@ -1018,9 +1097,15 @@ class VectorizedAggregate:
                 acc[0] += v
                 acc[1] += 1
 
-    def _accumulate_global(self, state: dict, segment: Segment,
-                           selected: list[int]) -> None:
-        accs = self._accs_for(state, ())
+    def add_segment(self, segment: Segment, selected: list[int]) -> None:
+        """Fold the selected positions of one segment, column-at-a-time."""
+        if self._group_names:
+            self._add_grouped(segment, selected)
+        else:
+            self._add_global(segment, selected)
+
+    def _add_global(self, segment: Segment, selected: list[int]) -> None:
+        accs = self._accs_for(())
         full = len(selected) == segment.count
         decoded: dict[str, list[Any]] = {}
 
@@ -1102,8 +1187,7 @@ class VectorizedAggregate:
                     elif v > acc[1]:
                         acc[1] = v
 
-    def _accumulate_grouped(self, state: dict, segment: Segment,
-                            selected: list[int]) -> None:
+    def _add_grouped(self, segment: Segment, selected: list[int]) -> None:
         group_cols = [segment.column_values(name)
                       for name in self._group_names]
         full = len(selected) == segment.count
@@ -1141,7 +1225,7 @@ class VectorizedAggregate:
         # C speed, and sum(vals, start)/min(vals)/max(vals) replay the
         # exact left-to-right, strict-inequality fold of the row path.
         for key, bucket in buckets.items():
-            accs = self._accs_for(state, (key,) if single else key)
+            accs = self._accs_for((key,) if single else key)
             extracted: dict[str, Sequence[Any]] = {}
             for acc, (_, func, colname) in zip(accs, self._agg_items):
                 if colname is None:  # count(*)
@@ -1172,16 +1256,37 @@ class VectorizedAggregate:
                     elif cand > acc[1]:
                         acc[1] = cand
 
-    # --------------------------------------------------------- finalize
+    def merge(self, other: "AggState") -> None:
+        """Fold another state of the same statement into this one."""
+        for key, accs in other.groups.items():
+            dst = self.groups.get(key)
+            if dst is None:
+                self.groups[key] = accs
+                continue
+            for dacc, sacc, (_, func, _) in zip(dst, accs, self._agg_items):
+                if func == "count":
+                    dacc[0] += sacc[0]
+                elif func in ("sum", "avg"):
+                    dacc[0] += sacc[0]
+                    dacc[1] += sacc[1]
+                elif sacc[0]:  # min / max, source has a value
+                    if not dacc[0]:
+                        dacc[0], dacc[1] = True, sacc[1]
+                    elif func == "min":
+                        if sacc[1] < dacc[1]:
+                            dacc[1] = sacc[1]
+                    elif sacc[1] > dacc[1]:
+                        dacc[1] = sacc[1]
 
-    def _finalize(self, state: dict) -> list[dict[str, Any]]:
-        if not self._group_names and not state:
+    def finalize(self) -> list[dict[str, Any]]:
+        if not self._group_names and not self.groups:
             # Same shape the naive path produces on an empty input:
             # one global group with COUNT 0 and NULL everything else.
-            self._accs_for(state, ())
+            self._accs_for(())
         out: list[dict[str, Any]] = []
         for key, accs in sorted(
-            state.items(), key=lambda kv: tuple((v is None, v) for v in kv[0])
+            self.groups.items(),
+            key=lambda kv: tuple((v is None, v) for v in kv[0])
         ):
             result: dict[str, Any] = {}
             for g, value in zip(self.stmt.group_by, key):
@@ -1199,144 +1304,121 @@ class VectorizedAggregate:
         return out
 
 
-def plan_vector_aggregate(stmt: SelectStatement, schema: Any,
-                          source: SegmentScan) -> VectorizedAggregate | None:
-    """A :class:`VectorizedAggregate` when the statement's aggregate stage
-    can run over columns, else None (the row path keeps naive semantics,
-    including its error surface — e.g. SUM over TEXT raising TypeError)."""
-    for g in stmt.group_by:
-        if g.table not in (None, stmt.table) or not schema.has_column(g.name):
-            return None
-    for item in stmt.items:
-        expr = item.expr
-        if isinstance(expr, Aggregate):
-            if expr.column is None:
-                continue  # COUNT(*)
-            ref = expr.column
-            if ref.table not in (None, stmt.table) \
-                    or not schema.has_column(ref.name):
-                return None
-            if expr.func in ("sum", "avg"):
-                col_type = schema.column(ref.name).col_type
-                if col_type not in (ColumnType.INT, ColumnType.FLOAT,
-                                    ColumnType.BOOL):
-                    return None
-        elif isinstance(expr, ColumnRef):
-            # Naive emits these only as group keys (or raises).
-            if not (stmt.group_by
-                    and any(g.name == expr.name for g in stmt.group_by)):
-                return None
-        else:
-            return None
-    return VectorizedAggregate(stmt, source)
+#: The reference interpreter's fold: what every :class:`AggState` must
+#: equal, and what runs for statements :meth:`AggState.supports` rejects.
+_reference_fold = _Executor(None, None)._aggregate  # type: ignore[arg-type]
+
+
+class Aggregate(PlanNode):
+    """The aggregate stage (GROUP BY + COUNT/SUM/AVG/MIN/MAX).
+
+    A child that can fold its scan units (:meth:`PlanNode.fold_plan`)
+    fills one :class:`AggState` without building row dicts — columnar
+    over a :class:`SegmentScan`, per-shard partials merged over a
+    fanned-out scan — and EXPLAIN names the stage after it.  Any other
+    child's rows run through the reference interpreter's fold.
+    """
+
+    est_rows = None  # group counts are not estimated
+
+    def __init__(self, stmt: SelectStatement, schema: Any,
+                 child: PlanNode) -> None:
+        self.stmt = stmt
+        self.child = child
+        folded = child.fold_plan(stmt, schema)
+        self.folds = folded is not None
+        self.name, self.plan_counter = folded or ("Aggregate", None)
+        #: rows the reference fold consumed, for cardinality feedback
+        self.source_rows: int | None = None
+
+    def _execute(self, txn: Transaction) -> list[dict[str, Any]]:
+        if not self.folds:
+            rows = self.child.execute(txn)
+            self.source_rows = len(rows)
+            return _reference_fold(self.stmt, rows)
+        state = AggState(self.stmt)
+        self.child.fold(txn, state)
+        if self.profile is not None:
+            self.profile.absorb_scan(self.child.profile)
+        return state.finalize()
+
+    def children(self) -> list[PlanNode]:
+        return [self.child]
+
+    def label(self) -> str:
+        keys = ", ".join(g.key() for g in self.stmt.group_by) or "()"
+        items = ", ".join(i.key() for i in self.stmt.items) or "*"
+        return f"{self.name}(group_by=[{keys}], items=[{items}])"
 
 
 class SelectPlan:
-    """A planned SELECT: the executable ``source`` (scan/join + filters,
-    WHERE fully applied) plus the metadata ``sql._select`` needs for the
-    aggregate/projection/order stages and EXPLAIN for rendering.  When
-    ``vector`` is set, the aggregate stage runs columnar: ``sql._select``
-    calls ``vector.execute`` instead of materializing source rows."""
+    """A planned SELECT: the operator tree ``root`` (``source`` is its
+    scan/join subtree, WHERE fully applied, below the aggregate stage if
+    any) plus the statement, whose projection / order / limit
+    ``sql._select`` runs and EXPLAIN renders as pseudo stages."""
 
     def __init__(self, source: PlanNode, stmt: SelectStatement,
-                 use_topk: bool, vector: VectorizedAggregate | None = None) -> None:
+                 use_topk: bool, aggregate: Aggregate | None = None) -> None:
         self.source = source
+        self.root: PlanNode = aggregate or source
         self.stmt = stmt
         self.use_topk = use_topk
-        self.vector = vector
-        #: non-None only under EXPLAIN ANALYZE: profiles of the pseudo
-        #: stages (``"output"`` = projection/order/limit, ``"Aggregate"``)
-        self.stage_profiles: dict[str, OperatorProfile] | None = None
+        #: non-None only under EXPLAIN ANALYZE: actuals of the "output"
+        #: pseudo stage (projection + order/limit)
+        self.output_profile: OperatorProfile | None = None
 
     def enable_profiling(self) -> "SelectPlan":
         """Instrument the whole plan for EXPLAIN ANALYZE (in place)."""
-        self.stage_profiles = {}
-        attach_profiles(self.source)
-        if self.vector is not None:
-            prof = OperatorProfile()
-            self.vector.profile = prof
-            self.vector.execute = _profiled_execute(  # type: ignore[method-assign]
-                self.vector.execute, prof)
+        self.output_profile = OperatorProfile()
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            node.profile = OperatorProfile()
+            stack.extend(node.children())
         return self
-
-    def stage_profile(self, name: str) -> OperatorProfile | None:
-        """The profile ``sql._select`` fills for a pseudo stage, if any."""
-        if self.stage_profiles is None:
-            return None
-        return self.stage_profiles.setdefault(name, OperatorProfile())
-
-    def execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        return self.source.execute(txn)
-
-    def rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
-        return self.source.rows(txn)
 
     def render(self) -> list[str]:
         stmt = self.stmt
         lines: list[str] = []
-        depth = 0
-        profs = self.stage_profiles or {}
         # The "output" stage times projection + order/limit together; its
         # actuals annotate the topmost pseudo stage only.
-        out_prof: OperatorProfile | None = profs.get("output")
+        out_prof = self.output_profile
 
-        def push(text: str, prof: OperatorProfile | None = None) -> None:
-            nonlocal depth
-            if prof is not None:
-                text += f"  ({prof.describe()})"
-            lines.append("  " * depth + text)
-            depth += 1
-
-        def take_output() -> OperatorProfile | None:
+        def push(text: str) -> None:
             nonlocal out_prof
-            prof, out_prof = out_prof, None
-            return prof
+            if out_prof is not None:
+                text += f"  ({out_prof.describe()})"
+                out_prof = None
+            lines.append("  " * len(lines) + text)
 
+        direction = "desc" if stmt.order_desc else "asc"
         if self.use_topk:
-            direction = "desc" if stmt.order_desc else "asc"
             push(f"TopK(key={stmt.order_by.key()}, {direction}, "
-                 f"k={stmt.limit})", take_output())
+                 f"k={stmt.limit})")
         else:
             if stmt.limit is not None:
-                push(f"Limit({stmt.limit})", take_output())
+                push(f"Limit({stmt.limit})")
             if stmt.order_by is not None:
-                direction = "desc" if stmt.order_desc else "asc"
-                push(f"Sort(key={stmt.order_by.key()}, {direction})",
-                     take_output())
-        has_aggregates = any(isinstance(i.expr, Aggregate) for i in stmt.items)
-        if stmt.group_by or has_aggregates:
-            keys = ", ".join(g.key() for g in stmt.group_by) or "()"
-            items = ", ".join(i.key() for i in stmt.items) or "*"
-            if self.vector is not None:
-                label = getattr(self.vector, "render_name",
-                                "VectorizedAggregate")
-                push(f"{label}(group_by=[{keys}], "
-                     f"items=[{items}])", self.vector.profile)
-            else:
-                push(f"Aggregate(group_by=[{keys}], items=[{items}])",
-                     profs.get("Aggregate"))
-        else:
+                push(f"Sort(key={stmt.order_by.key()}, {direction})")
+        if self.root is self.source:
             items = "*" if stmt.star else ", ".join(i.key() for i in stmt.items)
-            push(f"Project({items})", take_output())
-        lines.extend(self.source.render(depth))
+            push(f"Project({items})")
+        lines.extend(self.root.render(len(lines)))
         return lines
 
 
 # --------------------------------------------------------------- planner
 
 
+@dataclass(slots=True)
 class _AccessChoice:
     """One candidate access path while costing a table."""
 
-    __slots__ = ("node", "consumed", "est_rows", "cost", "rank")
-
-    def __init__(self, node: PlanNode, consumed: list[Any], est_rows: float,
-                 cost: float, rank: int) -> None:
-        self.node = node
-        self.consumed = consumed
-        self.est_rows = est_rows
-        self.cost = cost
-        self.rank = rank  # tie-break: lower rank preferred
+    node: PlanNode
+    consumed: list[Any]
+    est_rows: float
+    cost: float
+    rank: int  # tie-break: lower rank preferred
 
 
 class Planner:
@@ -1392,22 +1474,19 @@ class Planner:
             KeyError: unknown table.
         """
         n = float(self._db.table_size(table))
-        registry = metrics.get_registry()
         choices: list[_AccessChoice] = [
             _AccessChoice(FullScan(table), [], n, n, rank=2)
         ]
         heap = self._db._table(table)
         seg_rows = len(heap) - heap.tail_size
         if seg_rows:
-            schema = heap.schema
-            vector, fallback = _split_vectorizable(conjuncts, schema, table)
-            discount = _COLUMNAR_DISCOUNT if not fallback else 1.0
-            if prefer_columnar and not fallback:
+            pred = ScanPredicate(conjuncts, heap.schema, table)
+            discount = _COLUMNAR_DISCOUNT if pred.fallback is None else 1.0
+            if prefer_columnar and pred.fallback is None:
                 discount *= 0.5
             cost = heap.tail_size + seg_rows * discount + _PROBE_COST
             choices.append(_AccessChoice(
-                SegmentScan(table, list(conjuncts), vector, fallback),
-                list(conjuncts),
+                SegmentScan(table, pred), list(conjuncts),
                 self._filtered_estimate(table, n, conjuncts), cost, rank=1,
             ))
         for conjunct in conjuncts:
@@ -1438,56 +1517,15 @@ class Planner:
                 consumed, est, est + _PROBE_COST + math.log2(n + 2), rank=1,
             ))
         best = min(choices, key=lambda c: (c.cost, c.rank))
-        best.node.est_rows = best.est_rows
-        best.node.cost = best.cost
-        parallel = self._maybe_parallel_access(table, conjuncts, best.node)
-        if parallel is not None:
-            registry.inc("planner.plans.parallel_scan")
-            return parallel, []
-        if isinstance(best.node, FullScan):
-            registry.inc("planner.plans.full_scan")
-        elif isinstance(best.node, IndexLookup):
-            registry.inc("planner.plans.index_lookup")
-        elif isinstance(best.node, SegmentScan):
-            registry.inc("planner.plans.segment_scan")
-        else:
-            registry.inc("planner.plans.range_scan")
-        return best.node, _remove(conjuncts, best.consumed)
-
-    def _maybe_parallel_access(self, table: str, conjuncts: list[Any],
-                               chosen: PlanNode) -> PlanNode | None:
-        """Replace a chosen scan with a :class:`~repro.storage.rdbms
-        .parallel.ParallelScan` when the table is sharded and the
-        database carries an execution backend.  Index point lookups are
-        kept — the PR 5 fast path beats fan-out for tiny row counts.
-        The parallel node consumes ALL conjuncts (workers apply the full
-        predicate), so callers get an empty residual."""
-        backend = getattr(self._db, "exec_backend", None)
-        if backend is None:
-            return None
-        heap = self._db._table(table)
-        spec = heap.shard_spec
-        if spec is None or spec.count <= 1:
-            return None
-        if isinstance(chosen, IndexLookup):
-            return None
-        from repro.storage.rdbms.parallel import ParallelScan, allowed_shards
-
-        schema = heap.schema
-        vector, fallback = _split_vectorizable(conjuncts, schema, table)
-        shards = allowed_shards(conjuncts, spec, table)
-        node = ParallelScan(table, list(conjuncts), vector, fallback,
-                            spec, shards)
-        node.est_rows = chosen.est_rows if not isinstance(chosen, FullScan) \
-            else self._filtered_estimate(table, chosen.est_rows, conjuncts)
-        # Fan-out splits the chosen scan's work across shards; pruning
-        # drops the pinned-away fraction entirely.
-        node.cost = chosen.cost * (len(shards) / spec.count) \
-            / min(getattr(backend, "max_workers", 1) or 1, spec.count or 1) \
-            + _PROBE_COST
-        node.shard_scan.est_rows = node.est_rows
-        node.shard_scan.cost = node.cost
-        return node
+        node, residual = best.node, _remove(conjuncts, best.consumed)
+        node.est_rows = best.est_rows
+        node.cost = best.cost
+        fanned = _parallel.plan_parallel_scan(self, table, conjuncts, best)
+        if fanned is not None:
+            # The fan-out's workers apply the full predicate.
+            node, residual = fanned, []
+        metrics.get_registry().inc(node.plan_counter)
+        return node, residual
 
     @staticmethod
     def _range_bounds(
@@ -1616,18 +1654,11 @@ class Planner:
         for candidate in (inlj_right, inlj_left):
             if candidate is not None and candidate.cost < best.cost:
                 best = candidate
-        if isinstance(best, HashJoin):
-            from repro.storage.rdbms.parallel import plan_parallel_join
-            parallel = plan_parallel_join(
-                self, stmt, left_table, right_table, left_col, right_col,
-                left_conjuncts, right_conjuncts, left_node, right_node,
-                left_est, right_est, best)
-            if parallel is not None:
-                registry.inc("planner.plans.parallel_join")
-                return parallel, residual
-            registry.inc("planner.plans.hash_join")
-        else:
-            registry.inc("planner.plans.index_nested_loop_join")
+        if best is hash_join:
+            best = _parallel.plan_parallel_join(
+                self._db, hash_join, left_conjuncts, right_conjuncts,
+                left_est, right_est) or hash_join
+        registry.inc(best.plan_counter)
         return best, residual
 
     def _join_cardinality(self, left_table: str, left_col: str,
@@ -1670,8 +1701,8 @@ class Planner:
         """Physical plan for a SELECT's row-sourcing (and EXPLAIN tree)."""
         registry = metrics.get_registry()
         conjuncts = split_conjuncts(stmt.where)
-        has_aggregates = any(isinstance(i.expr, Aggregate) for i in stmt.items)
-        aggregate_stage = bool(stmt.group_by) or has_aggregates
+        aggregate_stage = bool(stmt.group_by) or any(
+            isinstance(i.expr, AggregateExpr) for i in stmt.items)
         if stmt.join_table is None:
             node, residual = self.plan_access(
                 stmt.table, conjuncts, prefer_columnar=aggregate_stage)
@@ -1683,30 +1714,25 @@ class Planner:
                 est = self._filtered_estimate(stmt.table, est, residual)
             node = Filter(conjoin(residual), node)
             node.est_rows, node.cost = est, node.child.cost
-        vector = None
-        if aggregate_stage and isinstance(node, SegmentScan):
-            vector = plan_vector_aggregate(
+        aggregate = None
+        if aggregate_stage:
+            aggregate = Aggregate(
                 stmt, self._db._table(stmt.table).schema, node)
-            if vector is not None:
-                registry.inc("planner.plans.vectorized_agg")
-        elif aggregate_stage and stmt.join_table is None:
-            from repro.storage.rdbms.parallel import (
-                ParallelScan,
-                plan_parallel_aggregate,
-            )
-            if isinstance(node, ParallelScan):
-                vector = plan_parallel_aggregate(
-                    stmt, self._db._table(stmt.table).schema, node)
-                if vector is not None:
-                    registry.inc("planner.plans.parallel_agg")
+            if aggregate.plan_counter is not None:
+                registry.inc(aggregate.plan_counter)
         use_topk = (
             stmt.order_by is not None and stmt.limit is not None
-            and not stmt.group_by and not has_aggregates
+            and not aggregate_stage
         )
         if use_topk:
             registry.inc("planner.plans.topk")
-        return SelectPlan(node, stmt, use_topk, vector)
+        return SelectPlan(node, stmt, use_topk, aggregate)
 
     def explain(self, stmt: SelectStatement) -> list[str]:
         """EXPLAIN text lines for a SELECT (plans, does not execute)."""
         return self.plan_select(stmt).render()
+
+
+# parallel.py builds on PlanNode and the kernels above, and the planner
+# asks it for fan-out plans: importing it last closes that cycle.
+from repro.storage.rdbms import parallel as _parallel  # noqa: E402

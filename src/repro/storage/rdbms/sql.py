@@ -855,10 +855,6 @@ class _Executor:
     def execute(self, stmt) -> list[dict[str, Any]]:
         if isinstance(stmt, SelectStatement):
             return self._select(stmt)
-        if isinstance(stmt, ExplainStatement):
-            if stmt.analyze:
-                return _analyze_rows(self._db, stmt, self._txn)
-            return _explain_rows(self._db, stmt)
         if isinstance(stmt, InsertStatement):
             count = 0
             for row in stmt.rows:
@@ -877,10 +873,6 @@ class _Executor:
             for row in rows:
                 self._txn.delete(stmt.table, row["__rid__"])
             return [{"deleted": len(rows)}]
-        if isinstance(stmt, CreateTableStatement):
-            self._db.create_table(stmt.schema, shard_key=stmt.shard_key,
-                                  shard_count=stmt.shard_count)
-            return [{"created": stmt.schema.name}]
         raise SqlError(f"cannot execute {stmt!r}")
 
     # -- row production
@@ -931,41 +923,29 @@ class _Executor:
                 with tracer.span("rdbms.plan"):
                     plan = _planner.Planner(self._db).plan_select(stmt)
             with tracer.span("rdbms.exec") as span:
-                source_count: int | None = None
-                if plan.vector is not None:
-                    # Columnar aggregation straight off segment buffers.
-                    result = plan.vector.execute(self._txn)
-                elif aggregate_stage:
-                    src = plan.execute(self._txn)
-                    source_count = len(src)
-                    result = self._run_stage(
-                        plan, "Aggregate", lambda: self._aggregate(stmt, src))
-                elif stmt.star:
-                    rows_iter = (
-                        {k: v for k, v in r.items() if k != "__rid__"}
-                        for r in plan.rows(self._txn))
-                    result = self._run_stage(
-                        plan, "output",
-                        lambda: self._order_and_limit(stmt, rows_iter))
+                if aggregate_stage:
+                    result = plan.root.execute(self._txn)
+                    source_count = plan.root.source_rows
                 else:
-                    rows_iter = (
-                        {item.key(): _resolve(r, item.expr)
-                         for item in stmt.items}
-                        for r in plan.rows(self._txn))
-                    result = self._run_stage(
-                        plan, "output",
-                        lambda: self._order_and_limit(stmt, rows_iter))
+                    if stmt.star:
+                        rows_iter = (
+                            {k: v for k, v in r.items() if k != "__rid__"}
+                            for r in plan.root.rows(self._txn))
+                    else:
+                        rows_iter = (
+                            {item.key(): _resolve(r, item.expr)
+                             for item in stmt.items}
+                            for r in plan.root.rows(self._txn))
+                    result = self._run_output_stage(plan, stmt, rows_iter)
+                    source_count = len(result) if stmt.limit is None else None
                 span.set_attribute("rows", len(result))
-            if not aggregate_stage:
-                if source_count is None and stmt.limit is None:
-                    source_count = len(result)
-                self._record_feedback(stmt, plan, source_count)
-                return result
             self._record_feedback(stmt, plan, source_count)
-            if stmt.having is not None:
-                result = [r for r in result if eval_predicate(stmt.having, r)]
-            return self._run_stage(
-                plan, "output", lambda: self._order_and_limit(stmt, result))
+            if aggregate_stage:
+                if stmt.having is not None:
+                    result = [r for r in result
+                              if eval_predicate(stmt.having, r)]
+                result = self._run_output_stage(plan, stmt, result)
+            return result
         rows = self._source_rows(stmt)
         rows = [r for r in rows if eval_predicate(stmt.where, r)]
         if aggregate_stage:
@@ -983,17 +963,15 @@ class _Executor:
             ]
         return self._order_and_limit(stmt, result)
 
-    @staticmethod
-    def _run_stage(plan, name: str, fn):
-        """Run one pseudo stage (projection/order/aggregate), timing it
-        into the plan's stage profile when EXPLAIN ANALYZE is active."""
-        prof = plan.stage_profile(name)
+    def _run_output_stage(self, plan, stmt: SelectStatement,
+                          rows: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
+        """ORDER BY / LIMIT over the (projected or aggregated) rows: the
+        one pseudo stage, timed into the plan's output profile when
+        EXPLAIN ANALYZE is active."""
+        prof = plan.output_profile
         if prof is None:
-            return fn()
-        prof.loops += 1
-        t0 = perf_counter()
-        out = fn()
-        prof.seconds += perf_counter() - t0
+            return self._order_and_limit(stmt, rows)
+        out = prof.timed(self._order_and_limit, stmt, rows)
         prof.rows += len(out)
         return out
 
@@ -1006,7 +984,7 @@ class _Executor:
         LIMIT truncated it); join plans contribute per-access-path
         observations only when profiled."""
         if stmt.join_table is not None:
-            if plan.stage_profiles is not None:
+            if plan.output_profile is not None:
                 self._record_operator_feedback(plan.source)
             return
         src = plan.source
@@ -1024,33 +1002,12 @@ class _Executor:
 
     def _record_operator_feedback(self, node) -> None:
         """Per-access-path feedback for profiled join subtrees."""
-        from repro.storage.rdbms import planner as _planner
-
-        mgr = self._db.statistics()
         prof = node.profile
         if prof is not None and prof.loops:
-            if isinstance(node, _planner.IndexLookup):
-                mgr.record_predicate_feedback(
-                    node.table, [(node.column, "eq")],
-                    node.est_rows, prof.rows)
-            elif isinstance(node, _planner.RangeScan):
-                mgr.record_predicate_feedback(
-                    node.table, [(node.column, "range")],
-                    node.est_rows, prof.rows)
-            elif isinstance(node, _planner.SegmentScan) and node.conjuncts:
-                keys = [key for c in node.conjuncts
-                        for key in _feedback_keys(c)]
-                if keys:
-                    mgr.record_predicate_feedback(
-                        node.table, keys, node.est_rows, prof.rows)
-            else:
-                from repro.storage.rdbms.parallel import ParallelScan
-                if isinstance(node, ParallelScan) and node.conjuncts:
-                    keys = [key for c in node.conjuncts
-                            for key in _feedback_keys(c)]
-                    if keys:
-                        mgr.record_predicate_feedback(
-                            node.table, keys, node.est_rows, prof.rows)
+            keys = node.feedback_keys()
+            if keys:
+                self._db.statistics().record_predicate_feedback(
+                    node.table, keys, node.est_rows, prof.rows)
         for child in node.children():
             self._record_operator_feedback(child)
 

@@ -460,8 +460,10 @@ class HeapTable:
     def scan_units(self) -> list[tuple[str, Any]]:
         """The scan split into vectorizable units, in global rid order.
 
-        Returns ``("segment", Segment)`` and ``("rows", Iterator[Row])``
-        entries whose concatenation enumerates the table in rid order.
+        Returns ``("segment", Segment)`` and ``("rows", iterator of
+        (rid, values))`` entries whose concatenation enumerates the table
+        in rid order; the value dicts are fresh copies the consumer owns
+        (the same unit shape :meth:`sharded_scan_units` materializes).
         When rid ranges interleave this collapses to one rows unit (the
         merged scan) — the executor then falls back to row-at-a-time,
         which keeps e.g. float SUM accumulation order identical to the
@@ -475,12 +477,12 @@ class HeapTable:
                     else ("rows", self._tail_rows())
                     for kind, segment in ordered
                 ]
-            return [("rows", self.scan())]
+            return [("rows", self._iter_items())]
         return [("rows", self._tail_rows())] if self._rows else []
 
-    def _tail_rows(self) -> Iterator[Row]:
+    def _tail_rows(self) -> Iterator[tuple[int, dict[str, Any]]]:
         for rid in sorted(self._rows):
-            yield Row(rid, dict(self._rows[rid]))
+            yield rid, dict(self._rows[rid])
 
     def sharded_scan_units(self) -> list[list[tuple[str, Any]]]:
         """Per-shard vectorizable units for parallel plans (DESIGN.md §14).

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.cluster.backends import SerialBackend
 from repro.storage.rdbms.engine import Database
-from repro.storage.rdbms.sql import execute_sql
+from repro.storage.rdbms.planner import AggState
+from repro.storage.rdbms.sql import _Executor, execute_sql, parse_sql
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 
 _NAMES = ["alpha", "beta", "gamma", "delta", "epsilon"]
@@ -169,3 +170,74 @@ def test_reshard_preserves_rows(rows, shards, old_key, new_key, compact):
     sql = "SELECT * FROM t"
     assert _canon(execute_sql(sharded, sql)) == \
         _canon(execute_sql(oracle, sql, use_planner=False))
+
+
+# ------------------------------------------------------- AggState.merge
+
+_agg_schema = TableSchema(
+    "t",
+    (Column("name", ColumnType.TEXT), Column("qty", ColumnType.INT),
+     Column("flag", ColumnType.BOOL), Column("score", ColumnType.FLOAT)),
+)
+
+agg_rows_strategy = st.lists(
+    st.fixed_dictionaries({
+        "name": st.sampled_from(_NAMES + [None]),
+        "qty": st.one_of(st.none(), st.integers(-50, 50)),
+        "flag": st.one_of(st.none(), st.booleans()),
+    }),
+    min_size=0, max_size=40,
+)
+
+agg_item_strategy = st.one_of(
+    st.just("COUNT(*)"),
+    st.tuples(st.sampled_from(["COUNT", "MIN", "MAX"]),
+              st.sampled_from(["name", "qty", "flag"])),
+    st.tuples(st.sampled_from(["SUM", "AVG"]),
+              st.sampled_from(["qty", "flag"])),
+).map(lambda item: item if isinstance(item, str) else f"{item[0]}({item[1]})")
+
+
+@given(
+    rows=agg_rows_strategy,
+    cuts=st.lists(st.integers(0, 40), max_size=7),
+    items=st.lists(agg_item_strategy, min_size=1, max_size=4, unique=True),
+    group_by=st.lists(st.sampled_from(["name", "qty", "flag"]),
+                      max_size=2, unique=True),
+)
+@settings(max_examples=150, deadline=None)
+def test_agg_state_merge_equals_single_fold_equals_reference(
+        rows, cuts, items, group_by):
+    sql = "SELECT " + ", ".join(group_by + items) + " FROM t"
+    if group_by:
+        sql += " GROUP BY " + ", ".join(group_by)
+    stmt = parse_sql(sql)
+    assert AggState.mergeable(stmt, _agg_schema), sql
+
+    def fold(part):
+        state = AggState(stmt)
+        for row in part:
+            state.add_row(row)
+        return state
+
+    bounds = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
+    merged = AggState(stmt)
+    for lo, hi in zip(bounds, bounds[1:]):  # 1-8 parts, some empty
+        merged.merge(fold(rows[lo:hi]))
+    reference = _Executor(None, None)._aggregate(stmt, rows)
+    assert _canon(merged.finalize()) == _canon(fold(rows).finalize()) \
+        == _canon(reference), sql
+
+
+def test_agg_state_not_mergeable_over_float_operands():
+    for sql in ("SELECT SUM(score) FROM t",
+                "SELECT name, AVG(score) FROM t GROUP BY name",
+                "SELECT MIN(score) FROM t",
+                "SELECT MAX(score), COUNT(*) FROM t",
+                "SELECT score, COUNT(*) FROM t GROUP BY score"):
+        stmt = parse_sql(sql)
+        assert AggState.supports(stmt, _agg_schema), sql
+        assert not AggState.mergeable(stmt, _agg_schema), sql
+    # COUNT never reads the values, so a FLOAT argument merges exactly
+    assert AggState.mergeable(parse_sql("SELECT COUNT(score) FROM t"),
+                              _agg_schema)

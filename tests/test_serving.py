@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.cluster.backends import SerialBackend
 from repro.core.serving import ServingGate
 from repro.core.system import StructureManagementSystem
 from repro.errors import (AdmissionRejected, CancellationToken,
@@ -138,6 +139,71 @@ def test_typed_errors_carry_sql_text():
     with pytest.raises(QueryTimeoutError) as info:
         execute_sql(db, "SELECT id FROM accounts", guard=guard)
     assert "SELECT id FROM accounts" in str(info.value)
+
+
+class _FiresAfterFirstSegment(CancellationToken):
+    """Counts polls; cancels once the scan has evaluated one segment."""
+
+    def __init__(self, armed=True):
+        super().__init__()
+        self.armed = armed
+        self.polls = 0
+        self._base = metrics.get_registry().get("segments.scanned")
+
+    def check(self):
+        self.polls += 1
+        scanned = metrics.get_registry().get("segments.scanned")
+        if self.armed and scanned > self._base:
+            raise QueryTimeoutError("query exceeded its deadline")
+
+
+def _frozen_db(shards=None, n=300):
+    db = Database()
+    schema = TableSchema("t", (Column("id", ColumnType.INT, nullable=False),
+                               Column("grp", ColumnType.TEXT),
+                               Column("v", ColumnType.INT)),
+                         primary_key="id")
+    if shards:
+        db.create_table(schema, shard_key="grp", shard_count=shards)
+    else:
+        db.create_table(schema)
+    with db.begin() as txn:
+        txn.insert_many("t", [{"id": i, "grp": f"g{i % 7}", "v": i % 13}
+                              for i in range(n)])
+    db.compact("t", target_rows=100)
+    return db
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT id FROM t WHERE v < 5",                   # SegmentScan
+    "SELECT grp, COUNT(*), SUM(v) FROM t GROUP BY grp",  # columnar aggregate
+])
+def test_deadline_cancels_scan_of_frozen_data(sql):
+    db = _frozen_db()
+    assert db._table("t").segment_count() == 3
+    assert "SegmentScan" in execute_sql(db, f"EXPLAIN {sql}")[-1]["plan"]
+    with pytest.raises(QueryTimeoutError) as info:
+        execute_sql(db, sql, guard=_FiresAfterFirstSegment())
+    assert info.value.sql == sql
+
+
+def test_deadline_cancels_sharded_scan_between_worker_results():
+    db = _frozen_db(shards=4)
+    db.exec_backend = SerialBackend()
+    sql = "SELECT id FROM t WHERE v < 5"
+    assert "ShardScan" in execute_sql(db, f"EXPLAIN {sql}")[-1]["plan"]
+    with pytest.raises(QueryTimeoutError) as info:
+        execute_sql(db, sql, guard=_FiresAfterFirstSegment())
+    assert info.value.sql == sql
+
+
+def test_frozen_scan_polls_the_guard_at_least_once_per_segment():
+    db = _frozen_db()
+    for sql in ("SELECT id FROM t WHERE v < 5",
+                "SELECT grp, COUNT(*) FROM t GROUP BY grp"):
+        guard = _FiresAfterFirstSegment(armed=False)
+        execute_sql(db, sql, guard=guard)
+        assert guard.polls >= 3, (sql, guard.polls)
 
 
 # ----------------------------------------------------------- result cache

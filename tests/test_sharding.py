@@ -493,6 +493,127 @@ def test_broadcast_join_matches_oracle():
                for l in lines), lines
 
 
+# ------------------------------------------------- full-tree EXPLAIN goldens
+
+
+def _explain(db, sql):
+    return _plan_lines(db, f"EXPLAIN {sql}")
+
+
+def test_explain_golden_parallel_scan_unpruned_and_pruned():
+    db = _sharded_db(shards=4)
+    assert _explain(
+        db, "SELECT * FROM ev WHERE qty > 50 AND (day < 3 OR qty < id)") == [
+        "Project(*)",
+        "  ParallelScan(ev, pred=qty > 50 AND (day < 3 OR qty < id), "
+        "shards=4/4)  [rows~128 cost~601]",
+        "    ShardScan(ev, shards=4/4 pruned=0)  [rows~128 cost~601]",
+    ]
+    assert _explain(
+        db, "SELECT id, qty FROM ev WHERE region = 'eu' AND day < 10") == [
+        "Project(id, qty)",
+        "  ParallelScan(ev, pred=region = 'eu' AND day < 10, shards=1/4)"
+        "  [rows~42 cost~24]",
+        "    ShardScan(ev, shards=1/4 pruned=3)  [rows~42 cost~24]",
+    ]
+    assert _explain(
+        db, "SELECT id, qty FROM ev WHERE region IN ('eu', 'us') "
+            "ORDER BY qty DESC LIMIT 5") == [
+        "TopK(key=qty, desc, k=5)",
+        "  Project(id, qty)",
+        "    ParallelScan(ev, pred=region IN ('eu', 'us'), shards=1/4)"
+        "  [rows~240 cost~24]",
+        "      ShardScan(ev, shards=1/4 pruned=3)  [rows~240 cost~24]",
+    ]
+
+
+def test_explain_golden_parallel_aggregate():
+    db = _sharded_db(shards=4)
+    assert _explain(
+        db, "SELECT region, count(*), sum(qty) FROM ev WHERE day >= 5 "
+            "GROUP BY region") == [
+        "ParallelAggregate(group_by=[region], "
+        "items=[region, count(*), sum(qty)])",
+        "  ParallelScan(ev, pred=day >= 5, shards=4/4)  [rows~494 cost~47]",
+        "    ShardScan(ev, shards=4/4 pruned=0)  [rows~494 cost~47]",
+    ]
+    assert _explain(db, "SELECT count(*), min(day), max(qty) FROM ev") == [
+        "ParallelAggregate(group_by=[()], "
+        "items=[count(*), min(day), max(qty)])",
+        "  ParallelScan(ev, pred=TRUE, shards=4/4)  [rows~600 cost~47]",
+        "    ShardScan(ev, shards=4/4 pruned=0)  [rows~600 cost~47]",
+    ]
+
+
+def test_explain_golden_float_gated_aggregate_over_parallel_scan():
+    db = Database()
+    db.create_table(TableSchema(
+        "f", (Column("k", ColumnType.INT, nullable=False),
+              Column("grp", ColumnType.TEXT),
+              Column("x", ColumnType.FLOAT)), primary_key="k"),
+        shard_key="grp", shard_count=4)
+    with db.begin() as txn:
+        txn.insert_many("f", [{"k": i, "grp": REGIONS[i % 5],
+                               "x": (i * 0.1) ** 2} for i in range(500)])
+    db.compact("f")
+    db.exec_backend = SerialBackend()
+    scan = ["  ParallelScan(f, pred=TRUE, shards=4/4)  [rows~500 cost~40]",
+            "    ShardScan(f, shards=4/4 pruned=0)  [rows~500 cost~40]"]
+    assert _explain(db, "SELECT grp, sum(x), avg(x) FROM f GROUP BY grp") == [
+        "Aggregate(group_by=[grp], items=[grp, sum(x), avg(x)])", *scan]
+    assert _explain(db, "SELECT x, count(*) FROM f GROUP BY x") == [
+        "Aggregate(group_by=[x], items=[x, count(*)])", *scan]
+    assert _explain(db, "SELECT min(x) FROM f WHERE k > 100") == [
+        "Aggregate(group_by=[()], items=[min(x)])",
+        "  ParallelScan(f, pred=k > 100, shards=4/4)  [rows~382 cost~40]",
+        "    ShardScan(f, shards=4/4 pruned=0)  [rows~382 cost~40]",
+    ]
+
+
+def test_explain_golden_parallel_hash_join_co_partitioned_and_broadcast():
+    db, _ = _join_pair(sharded=True)
+    join = "SELECT * FROM users JOIN orders ON users.uid = orders.uid "
+    assert _explain(db, join + "WHERE orders.total > 40") == [
+        "Project(*)",
+        "  ParallelHashJoin(users.uid = orders.uid, co-partitioned, "
+        "shards=4/4)  [rows~141 cost~1343]",
+        "    ShardScan(left=users, shards=4/4 pruned=0)  [rows~141 cost~0]",
+        "    ShardScan(right=orders, shards=4/4 pruned=0)  [rows~141 cost~0]",
+    ]
+    assert _explain(
+        db, join + "WHERE orders.total > 40 AND users.uid = 7") == [
+        "Project(*)",
+        "  ParallelHashJoin(users.uid = orders.uid, co-partitioned, "
+        "shards=1/4)  [rows~1 cost~994]",
+        "    ShardScan(left=users, shards=1/4 pruned=3)  [rows~1 cost~0]",
+        "    ShardScan(right=orders, shards=1/4 pruned=3)  [rows~1 cost~0]",
+    ]
+    db.create_table(TableSchema(
+        "tags", (Column("uid", ColumnType.INT, nullable=False),
+                 Column("tag", ColumnType.TEXT)), primary_key="uid"))
+    with db.begin() as txn:
+        txn.insert_many("tags", [{"uid": i, "tag": f"t{i}"}
+                                 for i in range(0, 200, 20)])
+    assert _explain(
+        db, "SELECT * FROM users JOIN tags ON users.uid = tags.uid "
+            "WHERE tag != 't0' AND name LIKE 'u1%'") == [
+        "Project(*)",
+        "  ParallelHashJoin(users.uid = tags.uid, broadcast=right, "
+        "shards=4/4)  [rows~2 cost~316]",
+        "    ShardScan(left=users, shards=4/4 pruned=0)  [rows~2 cost~0]",
+        "    PushedFilter(tag != 't0')  [rows~5 cost~10]",
+        "      FullScan(tags)  [rows~10 cost~10]",
+    ]
+    assert _explain(
+        db, "SELECT * FROM tags JOIN users ON users.uid = tags.uid") == [
+        "Project(*)",
+        "  ParallelHashJoin(tags.uid = users.uid, broadcast=left, "
+        "shards=4/4)  [rows~10 cost~421]",
+        "    ShardScan(right=users, shards=4/4 pruned=0)  [rows~10 cost~0]",
+        "    FullScan(tags)  [rows~10 cost~10]",
+    ]
+
+
 # ------------------------------------------------------------ real backends
 
 
