@@ -24,9 +24,12 @@ from repro.telemetry.tracing import get_tracer
 from repro.storage.rdbms.lockmgr import LockManager, LockMode
 from repro.storage.rdbms.segments import SEGMENT_TARGET_ROWS
 from repro.storage.rdbms.sharding import ShardSpec
-from repro.storage.rdbms.table import HeapTable, Row
+from repro.storage.rdbms.table import HeapTable, Row, ScanUnit, fetch_rows
 from repro.storage.rdbms.types import SchemaError, TableSchema
 from repro.storage.rdbms.wal import WriteAheadLog
+
+#: Row-at-a-time reads poll the cancellation token once per this many rows.
+GUARD_STRIDE = 256
 
 #: Default transaction retry policy: deadlock/lock-timeout victims retry
 #: with exponential backoff and full deterministic jitter (decorrelated
@@ -71,7 +74,102 @@ class CommitDelta:
     ddl: frozenset[str] = frozenset()
 
 
-class Transaction:
+class IndexReads:
+    """Index and primary-key reads, once for the locked
+    :class:`Transaction` and the lock-free snapshot transaction.
+
+    The ``*_units`` methods are what the planner's access paths run: rids
+    out of an index become scan units through :meth:`HeapTable.locate`,
+    with no row decoded or copied.  ``lookup`` / ``range_lookup`` /
+    ``get_by_pk`` wrap them into caller-owned :class:`Row` lists.  The two
+    transactions differ only in the hooks they supply next to
+    ``_check_active`` and ``scan_iter``:
+
+    * ``_heap(table)`` — the table to read;
+    * ``_index(table, column, need_sorted=False)`` — the index to probe,
+      or None: the column has none (of the needed kind) and the read
+      falls back to a scan;
+    * ``_pk_rid(table, key)`` — the rid holding a primary key, or None;
+    * ``_admit(table, rids)`` — ``rids`` once this transaction may read
+      them, polling the guard every :data:`GUARD_STRIDE`.
+    """
+
+    def lookup_units(self, table: str, column: str,
+                     value: Any) -> list[ScanUnit]:
+        """Index-assisted equality lookup; falls back to a scan."""
+        self._check_active()
+        index = self._index(table, column)
+        if index is None:
+            return self._scan_fallback(
+                table, lambda v: v.get(column) == value)
+        return self._fetch(table, index.lookup(value), "rdbms.index.lookups")
+
+    def range_units(self, table: str, column: str, low: Any = None,
+                    high: Any = None, include_low: bool = True,
+                    include_high: bool = True) -> list[ScanUnit]:
+        """Sorted-index range lookup, in rid order (the same order a
+        filtered scan would produce); falls back to a scan when no sorted
+        index exists on the column."""
+        self._check_active()
+        index = self._index(table, column, need_sorted=True)
+        if index is None:
+
+            def in_range(values: dict[str, Any]) -> bool:
+                value = values.get(column)
+                if value is None:
+                    return False
+                if low is not None and (
+                        value < low if include_low else value <= low):
+                    return False
+                if high is not None and (
+                        value > high if include_high else value >= high):
+                    return False
+                return True
+
+            return self._scan_fallback(table, in_range)
+        rids = sorted(index.range(low, high, include_low, include_high))
+        return self._fetch(table, rids, "rdbms.index.range_scans")
+
+    def pk_units(self, table: str, key: Any) -> list[ScanUnit]:
+        """The row whose primary key is ``key`` (at most one unit)."""
+        self._check_active()
+        rid = self._pk_rid(table, key)
+        if rid is None:
+            return []
+        return self._heap(table).locate(self._admit(table, [rid]))
+
+    def _fetch(self, table: str, rids: list[int],
+               counter: str) -> list[ScanUnit]:
+        units = self._heap(table).locate(self._admit(table, rids))
+        registry = metrics.get_registry()
+        registry.inc(counter)
+        registry.inc("rdbms.index.rows_fetched", len(rids))
+        return units
+
+    def _scan_fallback(self, table: str,
+                       keep: Callable[[dict[str, Any]], bool],
+                       ) -> list[ScanUnit]:
+        metrics.get_registry().inc("rdbms.index.scan_fallbacks")
+        return [("rows", [(row.rid, row.values)
+                          for row in self.scan_iter(table)
+                          if keep(row.values)], None)]
+
+    def lookup(self, table: str, column: str, value: Any) -> list[Row]:
+        return fetch_rows(self.lookup_units(table, column, value))
+
+    def range_lookup(self, table: str, column: str, low: Any = None,
+                     high: Any = None, include_low: bool = True,
+                     include_high: bool = True) -> list[Row]:
+        return fetch_rows(self.range_units(table, column, low, high,
+                                           include_low, include_high))
+
+    def get_by_pk(self, table: str, key: Any) -> Row | None:
+        """Point read by primary key, or None."""
+        rows = fetch_rows(self.pk_units(table, key))
+        return rows[0] if rows else None
+
+
+class Transaction(IndexReads):
     """A unit of work with strict-2PL isolation and all-or-nothing effects.
 
     Obtained from :meth:`Database.begin`.  Usable as a context manager:
@@ -288,17 +386,6 @@ class Transaction:
         db._locks.acquire(self.txn_id, (table, rid), LockMode.SHARED)
         return db._table(table).get(rid)
 
-    def get_by_pk(self, table: str, key: Any) -> Row | None:
-        """Point read by primary key, or None."""
-        self._check_active()
-        db = self._db
-        db._locks.acquire(self.txn_id, (table, None), LockMode.INTENTION_SHARED)
-        row = db._table(table).get_by_pk(key)
-        if row is None:
-            return None
-        db._locks.acquire(self.txn_id, (table, row.rid), LockMode.SHARED)
-        return db._table(table).get(row.rid)
-
     def scan(self, table: str) -> list[Row]:
         """Full scan (S on the whole table)."""
         return list(self.scan_iter(table))
@@ -316,7 +403,7 @@ class Transaction:
         db._locks.acquire(self.txn_id, (table, None), LockMode.SHARED)
         return db._table(table).scan()
 
-    def scan_units(self, table: str) -> list[tuple[str, Any]]:
+    def scan_units(self, table: str) -> Iterator[tuple[str, Any]]:
         """The table's vectorizable scan units (S on the whole table) —
         ``("segment", Segment)`` / ``("rows", (rid, values) pairs)`` in
         global rid order; see :meth:`HeapTable.scan_units`."""
@@ -342,59 +429,35 @@ class Transaction:
         """Filtered full scan (S on the whole table)."""
         return [r for r in self.scan_iter(table) if predicate(r.values)]
 
-    def lookup(self, table: str, column: str, value: Any) -> list[Row]:
-        """Index-assisted equality lookup; falls back to a scan."""
-        self._check_active()
+    # ------------------------------------------- IndexReads hooks (2PL)
+
+    def _heap(self, table: str) -> HeapTable:
+        return self._db._table(table)
+
+    def _index(self, table: str, column: str,
+               need_sorted: bool = False) -> Index | None:
         db = self._db
-        index = db._find_index(table, column)
-        registry = metrics.get_registry()
-        if index is None:
-            registry.inc("rdbms.index.scan_fallbacks")
-            return self.scan_where(table, lambda v: v.get(column) == value)
-        db._locks.acquire(self.txn_id, (table, None), LockMode.INTENTION_SHARED)
-        rows: list[Row] = []
-        for rid in index.lookup(value):
-            db._locks.acquire(self.txn_id, (table, rid), LockMode.SHARED)
-            rows.append(db._table(table).get(rid))
-        registry.inc("rdbms.index.lookups")
-        registry.inc("rdbms.index.rows_fetched", len(rows))
-        return rows
+        index = db.sorted_index(table, column) if need_sorted \
+            else db._find_index(table, column)
+        if index is not None:
+            db._locks.acquire(self.txn_id, (table, None),
+                              LockMode.INTENTION_SHARED)
+        return index
 
-    def range_lookup(self, table: str, column: str, low: Any = None,
-                     high: Any = None, include_low: bool = True,
-                     include_high: bool = True) -> list[Row]:
-        """Sorted-index range lookup; rows are returned in rid order (the
-        same order a filtered scan would produce).  Falls back to a scan
-        when no sorted index exists on the column."""
-        self._check_active()
+    def _pk_rid(self, table: str, key: Any) -> int | None:
         db = self._db
-        index = db.sorted_index(table, column)
-        registry = metrics.get_registry()
-        if index is None:
-            registry.inc("rdbms.index.scan_fallbacks")
+        db._locks.acquire(self.txn_id, (table, None),
+                          LockMode.INTENTION_SHARED)
+        return db._table(table)._pk_index.get(key)
 
-            def in_range(values: dict[str, Any]) -> bool:
-                value = values.get(column)
-                if value is None:
-                    return False
-                if low is not None and (
-                        value < low if include_low else value <= low):
-                    return False
-                if high is not None and (
-                        value > high if include_high else value >= high):
-                    return False
-                return True
-
-            return self.scan_where(table, in_range)
-        db._locks.acquire(self.txn_id, (table, None), LockMode.INTENTION_SHARED)
-        rids = sorted(index.range(low, high, include_low, include_high))
-        rows: list[Row] = []
-        for rid in rids:
-            db._locks.acquire(self.txn_id, (table, rid), LockMode.SHARED)
-            rows.append(db._table(table).get(rid))
-        registry.inc("rdbms.index.range_scans")
-        registry.inc("rdbms.index.rows_fetched", len(rows))
-        return rows
+    def _admit(self, table: str, rids: list[int]) -> list[int]:
+        """S-lock every rid (held to commit, like any 2PL read)."""
+        acquire, guard = self._db._locks.acquire, self.guard
+        for n, rid in enumerate(rids):
+            if guard is not None and not n % GUARD_STRIDE:
+                guard.check()
+            acquire(self.txn_id, (table, rid), LockMode.SHARED)
+        return rids
 
     # ---------------------------------------------------------- internals
 
@@ -600,8 +663,7 @@ class Database:
             else:
                 raise ValueError(f"unknown index kind {kind!r}")
             self._indexes[(table, column)] = index
-            index.bulk_load((row.values.get(column), row.rid)
-                            for row in self._table(table).scan())
+            index.bulk_load(self._table(table).column_items(column))
 
     def sorted_index(self, table: str, column: str) -> SortedIndex | None:
         """The sorted index on (table, column) if one exists."""
@@ -913,8 +975,7 @@ class Database:
             SortedIndex(table, column) if isinstance(old, SortedIndex)
             else HashIndex(table, column)
         )
-        new.bulk_load((row.values.get(column), row.rid)
-                      for row in self._table(table).scan())
+        new.bulk_load(self._table(table).column_items(column))
         self._indexes[(table, column)] = new
 
     def _index_insert(self, table: str, row: Row) -> None:

@@ -32,16 +32,15 @@ row-identical to the locked path.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterator
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import CancellationToken, ReadOnlyTransactionError
+from repro.storage.rdbms.engine import GUARD_STRIDE, IndexReads
 from repro.storage.rdbms.index import HashIndex, Index, SortedIndex
 from repro.storage.rdbms.sharding import ShardSpec
 from repro.storage.rdbms.table import HeapTable, Row
 from repro.telemetry import metrics
-
-#: Streaming reads poll the cancellation token once per this many rows.
-GUARD_STRIDE = 256
 
 
 def build_table_snapshot(heap: HeapTable, undo_entries: list[tuple],
@@ -73,6 +72,7 @@ def build_table_snapshot(heap: HeapTable, undo_entries: list[tuple],
     # snapshot builds its own lazily instead; nothing reads the clone's.
     clone._pk_index = {}
     clone._segments = list(heap._segments)
+    clone._directory = None
     clone._shard_spec = heap._shard_spec
     if heap._shard_spec is not None:
         spec = heap._shard_spec
@@ -107,18 +107,16 @@ class TableSnapshot:
         self._hash_indexes: dict[str, HashIndex] = {}
         self._sorted_indexes: dict[str, SortedIndex] = {}
 
-    def pk_lookup(self, key: Any) -> Row | None:
+    def pk_rid(self, key: Any) -> int | None:
+        """The rid holding primary key ``key``, or None."""
         pk = self.table.schema.primary_key
         if pk is None:
             return None
         if self._pk_map is None:
             with self._lock:
                 if self._pk_map is None:
-                    self._pk_map = {
-                        row.values[pk]: row.rid for row in self.table.scan()
-                    }
-        rid = self._pk_map.get(key)
-        return self.table.get(rid) if rid is not None else None
+                    self._pk_map = dict(self.table.column_items(pk))
+        return self._pk_map.get(key)
 
     def hash_index(self, column: str) -> HashIndex:
         index = self._hash_indexes.get(column)
@@ -127,8 +125,7 @@ class TableSnapshot:
                 index = self._hash_indexes.get(column)
                 if index is None:
                     index = HashIndex(self.table.name, column)
-                    index.bulk_load((row.values.get(column), row.rid)
-                                    for row in self.table.scan())
+                    index.bulk_load(self.table.column_items(column))
                     self._hash_indexes[column] = index
         return index
 
@@ -139,13 +136,12 @@ class TableSnapshot:
                 index = self._sorted_indexes.get(column)
                 if index is None:
                     index = SortedIndex(self.table.name, column)
-                    index.bulk_load((row.values.get(column), row.rid)
-                                    for row in self.table.scan())
+                    index.bulk_load(self.table.column_items(column))
                     self._sorted_indexes[column] = index
         return index
 
 
-class SnapshotTransaction:
+class SnapshotTransaction(IndexReads):
     """A lock-free read-only transaction over a commit-point snapshot.
 
     Mirrors :class:`~repro.storage.rdbms.engine.Transaction`'s read API
@@ -202,30 +198,25 @@ class SnapshotTransaction:
 
     def get(self, table: str, rid: int) -> Row:
         """Point read by rid against the snapshot (no locks)."""
-        self._check()
+        self._check_active()
         return self._snap(table).table.get(rid)
-
-    def get_by_pk(self, table: str, key: Any) -> Row | None:
-        """Point read by primary key against the snapshot, or None."""
-        self._check()
-        return self._snap(table).pk_lookup(key)
 
     def scan(self, table: str) -> list[Row]:
         return list(self.scan_iter(table))
 
     def scan_iter(self, table: str) -> Iterator[Row]:
         """Streaming full scan of the snapshot (no locks)."""
-        self._check()
+        self._check_active()
         return self._guarded(self._snap(table).table.scan())
 
-    def scan_units(self, table: str) -> list[tuple[str, Any]]:
+    def scan_units(self, table: str) -> Iterator[tuple[str, Any]]:
         """The snapshot's vectorizable scan units (segments + frozen tail)."""
-        self._check()
+        self._check_active()
         return self._snap(table).table.scan_units()
 
     def sharded_scan_units(self, table: str) -> list[list[tuple[str, Any]]]:
         """Per-shard units of the snapshot, for parallel plans."""
-        self._check()
+        self._check_active()
         return self._snap(table).table.sharded_scan_units()
 
     def shard_spec(self, table: str) -> ShardSpec | None:
@@ -238,56 +229,43 @@ class SnapshotTransaction:
                    predicate: Callable[[dict[str, Any]], bool]) -> list[Row]:
         return [r for r in self.scan_iter(table) if predicate(r.values)]
 
-    def lookup(self, table: str, column: str, value: Any) -> list[Row]:
-        """Equality lookup via a per-snapshot lazy index.
+    # ------------------------------------- IndexReads hooks (lock-free)
+
+    def _heap(self, table: str) -> HeapTable:
+        return self._snap(table).table
+
+    def _index(self, table: str, column: str,
+               need_sorted: bool = False) -> Index | None:
+        """A per-snapshot lazy index, when the catalog has one.
 
         The *live* index cannot be consulted: it reflects uncommitted
         writer state (an in-flight UPDATE moves a rid between buckets
         before committing), so a snapshot read through it could miss
-        rows it must see.  The fallback mirror's the locked path: no
+        rows it must see.  The fallback mirrors the locked path: no
         index on the column in the catalog means a scan.
         """
-        self._check()
-        registry = metrics.get_registry()
+        if need_sorted:
+            if self._db.sorted_index(table, column) is None:
+                return None
+            return self._snap(table).sorted_index(column)
         if self._db._find_index(table, column) is None:
-            registry.inc("rdbms.index.scan_fallbacks")
-            return self.scan_where(table, lambda v: v.get(column) == value)
-        snap = self._snap(table)
-        rows = [snap.table.get(rid)
-                for rid in snap.hash_index(column).lookup(value)]
-        registry.inc("rdbms.index.lookups")
-        registry.inc("rdbms.index.rows_fetched", len(rows))
-        return rows
+            return None
+        return self._snap(table).hash_index(column)
 
-    def range_lookup(self, table: str, column: str, low: Any = None,
-                     high: Any = None, include_low: bool = True,
-                     include_high: bool = True) -> list[Row]:
-        """Sorted-index range lookup against the snapshot (rid order)."""
-        self._check()
-        registry = metrics.get_registry()
-        if self._db.sorted_index(table, column) is None:
-            registry.inc("rdbms.index.scan_fallbacks")
+    def _pk_rid(self, table: str, key: Any) -> int | None:
+        return self._snap(table).pk_rid(key)
 
-            def in_range(values: dict[str, Any]) -> bool:
-                value = values.get(column)
-                if value is None:
-                    return False
-                if low is not None and (
-                        value < low if include_low else value <= low):
-                    return False
-                if high is not None and (
-                        value > high if include_high else value >= high):
-                    return False
-                return True
+    def _admit(self, table: str, rids: list[int]) -> Iterable[int]:
+        guard = self.guard
+        if guard is None:
+            return rids
 
-            return self.scan_where(table, in_range)
-        snap = self._snap(table)
-        index = snap.sorted_index(column)
-        rids = sorted(index.range(low, high, include_low, include_high))
-        rows = [snap.table.get(rid) for rid in rids]
-        registry.inc("rdbms.index.range_scans")
-        registry.inc("rdbms.index.rows_fetched", len(rows))
-        return rows
+        def strides() -> Iterator[list[int]]:
+            for at in range(0, len(rids), GUARD_STRIDE):
+                guard.check()
+                yield rids[at:at + GUARD_STRIDE]
+
+        return chain.from_iterable(strides())
 
     # ---------------------------------------------------------- internals
 
@@ -297,7 +275,7 @@ class SnapshotTransaction:
             raise KeyError(f"no table {table!r}")
         return snap
 
-    def _check(self) -> None:
+    def _check_active(self) -> None:
         if self.guard is not None:
             self.guard.check()
 

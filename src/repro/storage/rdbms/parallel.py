@@ -19,7 +19,9 @@ Each wraps the planner's own scan kernel, ``AggState`` and
 
 Workers are module-level functions over picklable tasks (segments,
 conjunct ASTs and row dicts all pickle), so the same code runs on the
-serial, thread and process backends.  Each operator preserves the naive
+serial, thread and process backends.  They ship ``(rid, values)`` rows
+back — merging shards by rid is row-at-a-time by nature — which the
+operators re-batch into rows units.  Each operator preserves the naive
 interpreter's row order exactly — the sharded differential suite and the
 E22 bench gate that invariant.
 """
@@ -39,6 +41,7 @@ from repro.storage.rdbms import planner as _planner
 from repro.storage.rdbms.engine import Transaction
 from repro.storage.rdbms.sharding import ShardSpec
 from repro.storage.rdbms.sql import InPredicate, SelectStatement
+from repro.storage.rdbms.table import ScanUnit
 from repro.telemetry import metrics
 from repro.telemetry.tracing import get_tracer
 
@@ -108,8 +111,8 @@ class JoinShardTask:
     (scan this shard's units), the broadcast side's rows otherwise."""
 
     shard: int
-    left: ShardTask | list[dict[str, Any]]
-    right: ShardTask | list[dict[str, Any]]
+    left: ShardTask | list[tuple[int, dict[str, Any]]]
+    right: ShardTask | list[tuple[int, dict[str, Any]]]
     tables: tuple[str, str]
     cols: tuple[str, str]
 
@@ -280,7 +283,7 @@ def exchange(txn: Transaction, shards: list[int], fans: list[Any],
     for shard in shards:
         unit_lists = [
             [(kind, unit) for kind, unit, _ in _planner.select_units(
-                layout[shard], fan.pred.vector,
+                layout[shard], fan.pred,
                 prof=fan.shard_scan.profile, select=False)]
             for fan, layout in zip(fans, layouts)]
         if not all(unit_lists):
@@ -329,8 +332,9 @@ class ParallelScan(_planner.PlanNode):
     arrive in rid order, and a ``heapq.merge`` over the per-shard streams
     restores global rid order — row- and byte-identical to the serial
     scan.  Streaming end to end: chunks buffer per shard (bounded by
-    the backend window), so a LIMIT abandons the merge without
-    materializing the table.  An aggregate directly on top folds
+    the backend window) and the merge is cut into a rows unit per
+    worker result, so a LIMIT abandons the merge without materializing
+    the table.  An aggregate directly on top folds
     instead: one task per shard fills a partial ``AggState``, merged in
     shard order.
     """
@@ -345,7 +349,7 @@ class ParallelScan(_planner.PlanNode):
         self.shards = shards  # live (un-pruned) shards, ascending
         self.shard_scan = ShardScan(table, spec.count, len(shards))
 
-    def _rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
+    def _units(self, txn: Transaction) -> Iterator[ScanUnit]:
         tasks, stream = exchange(
             txn, self.shards, [self],
             lambda shard, units: ShardTask(shard, units[0], self.pred),
@@ -353,8 +357,10 @@ class ParallelScan(_planner.PlanNode):
         # Only shards WITH tasks get a stream below, so none can be
         # forced to drain every other shard's chunks looking for its own.
         buffers: dict[int, deque] = {task.shard: deque() for task in tasks}
+        fetched = False  # a worker result arrived since the last unit
 
-        def shard_rows(shard: int) -> Iterator[dict[str, Any]]:
+        def shard_rows(shard: int) -> Iterator[tuple[int, dict[str, Any]]]:
+            nonlocal fetched
             # The per-shard generators share the result stream:
             # whichever the merge pulls next drains it into the buffers
             # until its own chunk arrives.
@@ -370,9 +376,21 @@ class ParallelScan(_planner.PlanNode):
                     except StopIteration:
                         return
                     buffers[task.shard].append(result["out"])
+                    fetched = True
 
-        return heapq.merge(*(shard_rows(s) for s in sorted(buffers)),
-                           key=itemgetter("__rid__"))
+        # One rows unit per stretch of the merge the results in hand can
+        # feed: a consumer that stops early never asks for the next task.
+        batch: list[tuple[int, dict[str, Any]]] = []
+        for row in heapq.merge(*(shard_rows(s) for s in sorted(buffers)),
+                               key=itemgetter(0)):
+            if fetched:
+                fetched = False
+                if batch:
+                    yield "rows", batch, None
+                    batch = []
+            batch.append(row)
+        if batch:
+            yield "rows", batch, None
 
     def _fold(self, txn: Transaction, state: _planner.AggState) -> int:
         _, stream = exchange(
@@ -480,10 +498,10 @@ class ParallelHashJoin(_planner.PlanNode):
         self.spec_count = spec_count
         self.shards = shards
 
-    def _execute(self, txn: Transaction) -> list[dict[str, Any]]:
+    def _units(self, txn: Transaction) -> Iterator[ScanUnit]:
         sides = (self.left, self.right)
         # The broadcast side (if any) runs once, here, and ships whole.
-        shipped = next((s.node.execute(txn) for s in sides
+        shipped = next((list(s.node.rows(txn)) for s in sides
                         if not s.fan and self.shards), None)
 
         def make_task(shard: int, unit_lists: list) -> JoinShardTask:
@@ -496,9 +514,8 @@ class ParallelHashJoin(_planner.PlanNode):
 
         _, stream = exchange(txn, self.shards, [s for s in sides if s.fan],
                              make_task, run_join_shard, self.profile)
-        merged = heapq.merge(*[result["out"] for _, result in stream],
-                             key=itemgetter(0))
-        return [row for _, row in merged]
+        yield _planner.joined_unit(heapq.merge(
+            *[result["out"] for _, result in stream], key=itemgetter(0)))
 
     def children(self) -> list[_planner.PlanNode]:
         sides = (self.left, self.right)

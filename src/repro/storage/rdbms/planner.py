@@ -5,8 +5,9 @@ full join of both tables before applying WHERE and only exploits an index
 for one top-level equality.  This module plans a *physical* tree instead:
 
 * access paths — :class:`IndexLookup` (any equality conjunct of the AND
-  with an index), :class:`RangeScan` (``<``/``<=``/``>``/``>=`` bounds
-  over a sorted index), :class:`SegmentScan` (vectorized columnar scan
+  with an index), :class:`PkLookup` (an equality on the primary key),
+  :class:`RangeScan` (``<``/``<=``/``>``/``>=`` bounds over a sorted
+  index), :class:`SegmentScan` (vectorized columnar scan
   over a compacted table: zone maps skip whole segments, AND-conjuncts
   evaluate column-at-a-time as selection bitmaps), :class:`FullScan`;
 * joins — :class:`HashJoin` with statistics-driven build-side selection,
@@ -17,13 +18,24 @@ for one top-level equality.  This module plans a *physical* tree instead:
 * a selectivity-based cost model fed by
   :class:`~repro.storage.rdbms.stats.StatisticsManager`.
 
+Operators hand each other **scan units**, not row dicts: ``("segment",
+segment, positions)`` names frozen rows without decoding them, ``("rows",
+[(rid, values), ...], None)`` carries tail (or joined) rows by reference
+(:mod:`repro.storage.rdbms.table`).  Every access path emits them —
+scans through the one scan kernel (:func:`select_units`), index and
+primary-key probes through ``HeapTable.locate`` — :class:`Filter`
+narrows them with the same column kernels, and the output stage
+(:meth:`SelectPlan.execute`) picks ORDER BY / LIMIT survivors from the
+key column alone and builds result dicts once, for those rows and the
+projected columns only.
+
 On top of the access paths sits one :class:`Aggregate` node folding one
 :class:`AggState` — straight off the column buffers when its child is a
 SegmentScan (float sums carry the running accumulator across segment
 boundaries, so the addition chain is bit-identical to the naive
-left-to-right fold).  Scan units are evaluated by one scan kernel
-(:func:`select_units` → :func:`unit_rows`), which the fan-out operators
-of :mod:`repro.storage.rdbms.parallel` wrap rather than copy.
+left-to-right fold).  The fan-out operators of
+:mod:`repro.storage.rdbms.parallel` wrap the scan kernel rather than
+copy it.
 
 Every operator preserves the naive interpreter's row *order* (rid order
 for scans, left-rid-major for joins), so planner output is row-identical
@@ -33,19 +45,23 @@ tests gate exactly that.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
 from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import CancellationToken
-from repro.storage.rdbms.engine import Database, Transaction
+from repro.storage.rdbms.engine import GUARD_STRIDE, Database, Transaction
 from repro.storage.rdbms.index import SortedIndex
-from repro.storage.rdbms.mvcc import GUARD_STRIDE
-from repro.storage.rdbms.segments import Segment
+from repro.storage.rdbms.segments import Segment, take
 from repro.storage.rdbms.stats import MIN_SELECTIVITY
+from repro.storage.rdbms.table import (TAIL_UNIT_ROWS, ScanUnit, unit_len,
+                                       unit_rows)
 from repro.storage.rdbms.sql import (
     Aggregate as AggregateExpr,
     BoolOp,
@@ -60,7 +76,9 @@ from repro.storage.rdbms.sql import (
     _Executor,
     _feedback_keys,
     _like_to_regex,
+    _resolve,
     eval_predicate,
+    order_key,
 )
 from repro.storage.rdbms.types import ColumnType
 from repro.telemetry import metrics
@@ -224,8 +242,11 @@ def _zone_map_prunes(segment: Segment, conjunct: Any) -> bool:
     return False
 
 
-def _conjunct_bitmap(segment: Segment, conjunct: Any) -> list[bool]:
-    """Selection bitmap of one kernel conjunct over one segment.
+def _conjunct_bitmap(segment: Segment, conjunct: Any,
+                     positions: Sequence[int] | None = None) -> list[bool]:
+    """Selection bitmap of one kernel conjunct over one segment: one bit
+    per row, or — given ``positions`` — one per listed position, reading
+    nothing else.
 
     Matches :func:`repro.storage.rdbms.sql.eval_predicate` exactly on
     every position.  May raise TypeError on incomparable operands — the
@@ -234,63 +255,62 @@ def _conjunct_bitmap(segment: Segment, conjunct: Any) -> list[bool]:
     """
     cmp = _normalized_comparison(conjunct)
     if cmp is not None:
-        ref, op, lit = cmp
-        col = segment.columns[ref.name]
+        column = cmp[0]
+    elif isinstance(conjunct, (LikePredicate, NullPredicate, InPredicate)):
+        column = conjunct.column
+    else:
+        raise SqlError(f"cannot vectorize conjunct {conjunct!r}")
+    col = segment.columns[column.name]
+    data = col.data if positions is None else take(col.data, positions)
+    if cmp is not None:
+        _, op, lit = cmp
         fn = _COMPARE_FN[op]
         if lit is None:
-            return [False] * col.count
+            return [False] * len(data)
         if col.encoding == "dict":
-            matches = [fn(entry, lit) for entry in col.dictionary]
-            return [code >= 0 and matches[code] for code in col.data]
+            # NULL's code, -1, indexes the verdict appended last.
+            matches = [fn(entry, lit) for entry in col.dictionary] + [False]
+            return list(map(matches.__getitem__, data))
         if col.encoding == "raw":
-            return [v is not None and fn(v, lit) for v in col.data]
-        flags = col.null_flags()
+            return [v is not None and fn(v, lit) for v in data]
+        flags = col.null_flags(positions)
         if flags is None:
-            return [fn(v, lit) for v in col.data]
-        data = col.data
-        return [not flags[i] and fn(data[i], lit) for i in range(col.count)]
+            return list(map(fn, data, repeat(lit)))
+        return [not null and fn(v, lit) for null, v in zip(flags, data)]
     if isinstance(conjunct, NullPredicate):
-        col = segment.columns[conjunct.column.name]
-        flags = col.null_flags()
+        flags = col.null_flags(positions)
         if flags is None:
-            return [conjunct.negated] * col.count
+            return [conjunct.negated] * len(data)
         if conjunct.negated:
             return [not f for f in flags]
         return flags
+    negated = conjunct.negated
     if isinstance(conjunct, LikePredicate):
-        col = segment.columns[conjunct.column.name]
-        negated = conjunct.negated
         if col.encoding == "dict":
             regex = _like_to_regex(conjunct.pattern)
             matches = [bool(regex.match(entry)) != negated
-                       for entry in col.dictionary]
-            return [matches[code] if code >= 0 else negated
-                    for code in col.data]
+                       for entry in col.dictionary] + [negated]
+            return list(map(matches.__getitem__, data))
         if col.encoding == "raw":
             regex = _like_to_regex(conjunct.pattern)
             return [(bool(regex.match(v)) != negated) if isinstance(v, str)
-                    else negated for v in col.data]
+                    else negated for v in data]
         # Typed numeric/bool buffers never hold strings: LIKE on a
         # non-string value evaluates to the negation flag, NULL included.
-        return [negated] * col.count
-    if isinstance(conjunct, InPredicate):
-        col = segment.columns[conjunct.column.name]
-        values = conjunct.values
-        negated = conjunct.negated
-        null_result = (None in values) != negated
-        if col.encoding == "dict":
-            matches = [(entry in values) != negated for entry in col.dictionary]
-            return [matches[code] if code >= 0 else null_result
-                    for code in col.data]
-        if col.encoding == "raw":
-            return [(v in values) != negated for v in col.data]
-        flags = col.null_flags()
-        if flags is None:
-            return [(v in values) != negated for v in col.data]
-        data = col.data
-        return [null_result if flags[i] else (data[i] in values) != negated
-                for i in range(col.count)]
-    raise SqlError(f"cannot vectorize conjunct {conjunct!r}")
+        return [negated] * len(data)
+    values = conjunct.values
+    null_result = (None in values) != negated
+    if col.encoding == "dict":
+        matches = [(entry in values) != negated
+                   for entry in col.dictionary] + [null_result]
+        return list(map(matches.__getitem__, data))
+    if col.encoding == "raw":
+        return [(v in values) != negated for v in data]
+    flags = col.null_flags(positions)
+    if flags is None:
+        return [(v in values) != negated for v in data]
+    return [null_result if null else (v in values) != negated
+            for null, v in zip(flags, data)]
 
 
 # ------------------------------------------------------ predicate rendering
@@ -346,14 +366,14 @@ def render_predicate(node: Any) -> str:
 class OperatorProfile:
     """Per-operator actuals collected under ``EXPLAIN ANALYZE``.
 
-    Blocking operators (index probes, joins, aggregates) record one
-    exact ``perf_counter`` pair around ``execute``; streaming operators
-    (scans, filters) count every row exactly but time only every 16th
-    ``next()`` and scale, so ANALYZE stays cheap on million-row flows.
-    Times are inclusive of children, like the estimates they sit next to.
+    Blocking steps (the aggregate stage, a fold, the output stage) record
+    one exact ``perf_counter`` pair; unit streams are timed and counted
+    per unit — exact row counts at a cost per *unit*, not per row, so
+    ANALYZE stays cheap on million-row flows.  Times are inclusive of
+    children, like the estimates they sit next to.
     """
 
-    __slots__ = ("rows", "loops", "seconds", "sample_seconds", "sample_rows",
+    __slots__ = ("rows", "loops", "seconds",
                  "segments_scanned", "segments_skipped", "index_probes",
                  "shards_total", "shards_pruned")
 
@@ -361,21 +381,11 @@ class OperatorProfile:
         self.rows = 0
         self.loops = 0
         self.seconds = 0.0
-        self.sample_seconds = 0.0
-        self.sample_rows = 0
         self.segments_scanned = 0
         self.segments_skipped = 0
         self.index_probes = 0
         self.shards_total = 0
         self.shards_pruned = 0
-
-    def actual_seconds(self) -> float:
-        """Wall time: exact when timed whole, scaled when sampled."""
-        if self.seconds:
-            return self.seconds
-        if self.sample_rows:
-            return self.sample_seconds * (self.rows / self.sample_rows)
-        return self.sample_seconds
 
     def timed(self, fn: Callable[..., Any], *args: Any) -> Any:
         """Run one blocking step under an exact timer pair."""
@@ -385,27 +395,20 @@ class OperatorProfile:
         self.seconds += perf_counter() - t0
         return out
 
-    def streamed(self, it: Iterator[dict[str, Any]]) -> Iterator[dict[str, Any]]:
-        """Pass rows through: exact row counts, sampled timing."""
+    def streamed(self, units: Iterator[ScanUnit]) -> Iterator[ScanUnit]:
+        """Pass scan units through, counting their rows and the time
+        spent producing them."""
         self.loops += 1
-        timer = perf_counter
         while True:
-            if self.sample_rows * 16 <= self.rows:
-                t0 = timer()
-                try:
-                    row = next(it)
-                except StopIteration:
-                    self.sample_seconds += timer() - t0
-                    return
-                self.sample_seconds += timer() - t0
-                self.sample_rows += 1
-            else:
-                try:
-                    row = next(it)
-                except StopIteration:
-                    return
-            self.rows += 1
-            yield row
+            t0 = perf_counter()
+            try:
+                unit = next(units)
+            except StopIteration:
+                return
+            finally:
+                self.seconds += perf_counter() - t0
+            self.rows += unit_len(*unit)
+            yield unit
 
     def absorb_scan(self, child: "OperatorProfile") -> None:
         """Count a folded child's pruning inclusively, like its time."""
@@ -418,7 +421,7 @@ class OperatorProfile:
         if self.loops == 0 and self.rows == 0 and self.seconds == 0.0:
             return "never executed"
         parts = [f"actual rows={self.rows}", f"loops={self.loops}",
-                 f"time={self.actual_seconds() * 1000.0:.2f}ms"]
+                 f"time={self.seconds * 1000.0:.2f}ms"]
         if self.index_probes:
             parts.append(f"probes={self.index_probes}")
         if self.segments_scanned or self.segments_skipped:
@@ -435,14 +438,15 @@ class OperatorProfile:
 
 
 class PlanNode:
-    """A physical operator: ``execute(txn)`` returns row dicts (each
-    carrying ``__rid__``), ``rows(txn)`` the same rows as a (possibly
-    lazy) iterator, ``render()`` the EXPLAIN subtree.
+    """A physical operator: ``units(txn)`` streams its rows as scan units
+    (nothing decoded, tail rows by reference), ``rows(txn)`` the same
+    rows as ``(rid, values)`` pairs for consumers that need whole rows
+    (joins, the reference aggregate fold, DML matching), ``render()``
+    the EXPLAIN subtree.
 
-    An operator implements ONE of ``_rows`` (streaming) or ``_execute``
-    (blocking) — which one decides how :class:`OperatorProfile` times
-    it; the public entry points own that accounting, one ``profile is
-    None`` test per open and nothing per row.
+    An operator implements ``_units``; the public entry points own the
+    :class:`OperatorProfile` accounting — one ``profile is None`` test
+    per open and nothing per row.
     """
 
     est_rows: float | None = 0.0  # None: not costed (the aggregate stage)
@@ -454,26 +458,15 @@ class PlanNode:
     #: a sharded table still runs this access path at the coordinator
     beats_fan_out = False
 
-    def execute(self, txn: Transaction) -> list[dict[str, Any]]:
+    def units(self, txn: Transaction) -> Iterator[ScanUnit]:
         prof = self.profile
         if prof is None:
-            return self._execute(txn)
-        if type(self)._rows is not PlanNode._rows:  # streaming operator
-            return list(self.rows(txn))
-        out = prof.timed(self._execute, txn)
-        prof.rows += len(out)
-        return out
+            return self._units(txn)
+        return prof.streamed(self._units(txn))
 
-    def rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
-        """Iterator over the operator's rows.  Scans and filters stream
-        (nothing materialized until consumed); blocking operators fall
-        back to iterating their materialized output."""
-        prof = self.profile
-        if prof is None:
-            return self._rows(txn)
-        if type(self)._rows is PlanNode._rows:  # blocking operator
-            return iter(self.execute(txn))
-        return prof.streamed(self._rows(txn))
+    def rows(self, txn: Transaction) -> Iterator[tuple[int, dict[str, Any]]]:
+        for unit in self.units(txn):
+            yield from unit_rows(*unit)
 
     def fold(self, txn: Transaction, state: "AggState") -> None:
         """Fold this scan's units into ``state`` without building row
@@ -484,11 +477,11 @@ class PlanNode:
         else:
             prof.rows += prof.timed(self._fold, txn, state)
 
-    def _execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        return list(self._rows(txn))
-
-    def _rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
-        return iter(self._execute(txn))
+    def _units(self, txn: Transaction) -> Iterator[ScanUnit]:
+        """The operator's rows as scan units, in output order.  Always a
+        generator: nothing runs (no lock, no probe) until the first unit
+        is asked for."""
+        raise NotImplementedError
 
     def _fold(self, txn: Transaction, state: "AggState") -> int:
         """Fold into ``state``; returns the number of rows folded."""
@@ -523,12 +516,6 @@ class PlanNode:
         return lines
 
 
-def _row_dict(row) -> dict[str, Any]:
-    values = dict(row.values)
-    values["__rid__"] = row.rid
-    return values
-
-
 class FullScan(PlanNode):
     """Read every row of a heap table (rid order), streaming."""
 
@@ -537,8 +524,12 @@ class FullScan(PlanNode):
     def __init__(self, table: str) -> None:
         self.table = table
 
-    def _rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
-        return (_row_dict(r) for r in txn.scan_iter(self.table))
+    def _units(self, txn: Transaction) -> Iterator[ScanUnit]:
+        guard = txn.guard
+        for kind, unit in txn.scan_units(self.table):
+            if guard is not None:
+                guard.check()
+            yield kind, unit, None if kind == "rows" else range(unit.count)
 
     def label(self) -> str:
         return f"FullScan({self.table})"
@@ -557,9 +548,8 @@ class IndexLookup(PlanNode):
         self.value = value
         self.kind = kind
 
-    def _execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        return [_row_dict(r)
-                for r in txn.lookup(self.table, self.column, self.value)]
+    def _units(self, txn: Transaction) -> Iterator[ScanUnit]:
+        yield from txn.lookup_units(self.table, self.column, self.value)
 
     def feedback_keys(self) -> list[tuple[str, str]]:
         return [(self.column, "eq")]
@@ -568,6 +558,28 @@ class IndexLookup(PlanNode):
         rendered = _render_operand(Literal(self.value))
         return (f"IndexLookup({self.table}.{self.column} = {rendered} "
                 f"via {self.kind} index)")
+
+
+class PkLookup(PlanNode):
+    """Probe of the table's primary-key map: at most one row."""
+
+    plan_counter = "planner.plans.pk_lookup"
+    beats_fan_out = True
+
+    def __init__(self, table: str, column: str, value: Any) -> None:
+        self.table = table
+        self.column = column
+        self.value = value
+
+    def _units(self, txn: Transaction) -> Iterator[ScanUnit]:
+        yield from txn.pk_units(self.table, self.value)
+
+    def feedback_keys(self) -> list[tuple[str, str]]:
+        return [(self.column, "eq")]
+
+    def label(self) -> str:
+        rendered = _render_operand(Literal(self.value))
+        return f"PkLookup({self.table}.{self.column} = {rendered})"
 
 
 class RangeScan(PlanNode):
@@ -585,9 +597,9 @@ class RangeScan(PlanNode):
         self.include_low = include_low
         self.include_high = include_high
 
-    def _execute(self, txn: Transaction) -> list[dict[str, Any]]:
+    def _units(self, txn: Transaction) -> Iterator[ScanUnit]:
         try:
-            rows = txn.range_lookup(self.table, self.column, self.low,
+            units = txn.range_units(self.table, self.column, self.low,
                                     self.high, self.include_low,
                                     self.include_high)
         except TypeError as exc:
@@ -596,7 +608,7 @@ class RangeScan(PlanNode):
             raise SqlError(
                 f"type error in range scan on {self.table}.{self.column}"
             ) from exc
-        return [_row_dict(r) for r in rows]
+        yield from units
 
     def feedback_keys(self) -> list[tuple[str, str]]:
         return [(self.column, "range")]
@@ -638,136 +650,137 @@ class ScanPredicate:
         return [key for c in self.conjuncts for key in _feedback_keys(c)]
 
 
-def select_units(units: Iterable[tuple[str, Any]], vector: list[Any],
+def _segment_selection(segment: Segment, vector_conjuncts: list[Any],
+                       positions: Sequence[int] | None = None,
+                       ) -> Sequence[int] | None:
+    """The positions (all, or of ``positions``) passing every kernel
+    conjunct — each kernel reads only what the ones before it let
+    through — or None when a kernel hit incomparable operands (caller
+    reverts to row evaluation)."""
+    if positions is not None and len(positions) == segment.count:
+        positions = None
+    try:
+        for conjunct in vector_conjuncts:
+            bits = _conjunct_bitmap(segment, conjunct, positions)
+            positions = list(compress(
+                range(segment.count) if positions is None else positions,
+                bits))
+    except TypeError:
+        return None
+    return range(segment.count) if positions is None else positions
+
+
+def filter_unit(kind: str, unit: Any, selected: Sequence[int] | None,
+                pred: ScanPredicate,
+                guard: CancellationToken | None = None) -> ScanUnit:
+    """What is left of one scan unit under ``pred``.
+
+    Segment positions go through the kernel conjuncts (restricted to
+    ``selected``; None means the whole segment); fallback conjuncts
+    decode the survivors to decide, and only then.  Rows units — and a
+    segment whose kernels hit incomparable operands, so that row-by-row
+    evaluation reproduces the naive error surface — run the whole
+    predicate through the row evaluator, polling ``guard`` every
+    :data:`GUARD_STRIDE` rows; their value dicts pass by reference.
+    """
+    if kind == "segment":
+        survivors = _segment_selection(unit, pred.vector, selected)
+        if survivors is not None:
+            fallback = pred.fallback
+            if fallback is not None:
+                survivors = [
+                    pos for pos, (_, values)
+                    in zip(survivors, unit.rows_at(survivors))
+                    if eval_predicate(fallback, values)]
+            return kind, unit, survivors
+        unit = unit.rows_at(range(unit.count) if selected is None
+                            else selected)
+    full = pred.full
+    if full is None:
+        return "rows", unit if isinstance(unit, list) else list(unit), None
+    keep = []
+    for n, item in enumerate(unit):
+        if guard is not None and not n % GUARD_STRIDE:
+            guard.check()
+        if eval_predicate(full, item[1]):
+            keep.append(item)
+    return "rows", keep, None
+
+
+def select_units(units: Iterable[tuple[str, Any]], pred: ScanPredicate,
                  guard: CancellationToken | None = None,
                  prof: OperatorProfile | None = None, select: bool = True,
-                 ) -> Iterator[tuple[str, Any, list[int] | None]]:
-    """Scan kernel, step 1: ``(kind, unit, selected)`` per unit that can
-    hold matching rows, polling ``guard`` once per unit.
+                 ) -> Iterator[ScanUnit]:
+    """The scan kernel: a table's ``(kind, unit)`` scan units narrowed to
+    the rows matching ``pred``, polling ``guard`` once per unit.
 
     A segment the zone maps prove empty is dropped (``segments.skipped``);
-    a scanned one carries the positions surviving every kernel conjunct —
-    or, when a kernel hit incomparable operands, comes back as a rows
-    unit, so row-by-row evaluation reproduces the naive error surface.
-    ``select=False`` stops after the prune (the fan-out coordinator keeps
-    empty segments out of task payloads; its workers select and count).
+    a scanned one goes through :func:`filter_unit`, like every rows unit.
+    Units nothing survives in are not yielded.  ``select=False`` stops
+    after the prune (the fan-out coordinator keeps empty segments out of
+    task payloads; its workers select and count).
     """
     registry = metrics.get_registry()
     for kind, unit in units:
         if guard is not None:
             guard.check()
-        if kind == "rows":
-            yield kind, unit, None
-            continue
-        if unit.count == 0:
-            continue
-        if any(_zone_map_prunes(unit, c) for c in vector):
-            registry.inc("segments.skipped")
-            if prof is not None:
-                prof.segments_skipped += 1
-            continue
+        if kind == "segment":
+            if unit.count == 0:
+                continue
+            if any(_zone_map_prunes(unit, c) for c in pred.vector):
+                registry.inc("segments.skipped")
+                if prof is not None:
+                    prof.segments_skipped += 1
+                continue
+            if select:
+                registry.inc("segments.scanned")
+                if prof is not None:
+                    prof.segments_scanned += 1
         if not select:
             yield kind, unit, None
             continue
-        registry.inc("segments.scanned")
-        if prof is not None:
-            prof.segments_scanned += 1
-        selected = _segment_selection(unit, vector)
-        if selected is None:
-            yield "rows", unit.iter_rows(), None
-        else:
-            yield kind, unit, selected
-
-
-def unit_rows(kind: str, unit: Any, selected: list[int] | None,
-              pred: ScanPredicate, guard: CancellationToken | None = None,
-              ) -> Iterator[dict[str, Any]]:
-    """Scan kernel, step 2: one selected unit's matching rows as dicts
-    (each carrying ``__rid__``), in rid order.  Rows units go through the
-    row evaluator, polling ``guard`` every :data:`GUARD_STRIDE` rows;
-    segments decode only their selected positions."""
-    if kind == "rows":
-        full = pred.full
-        for n, (rid, values) in enumerate(unit):
-            if guard is not None and not n % GUARD_STRIDE:
-                guard.check()
-            values["__rid__"] = rid
-            if full is None or eval_predicate(full, values):
-                yield values
-        return
-    segment: Segment = unit
-    fallback = pred.fallback
-    rids = segment.rids
-    if fallback is None and len(selected) * 4 >= segment.count:
-        # Dense survivors: decode whole columns once, not per row.
-        decoded = [(col.name, segment.columns[col.name].decoded())
-                   for col in segment.schema.columns]
-        for pos in selected:
-            values = {name: column[pos] for name, column in decoded}
-            values["__rid__"] = rids[pos]
-            yield values
-        return
-    for pos in selected:
-        values = segment.row_values(pos)
-        values["__rid__"] = rids[pos]
-        if fallback is None or eval_predicate(fallback, values):
-            yield values
+        out = filter_unit(kind, unit, None, pred, guard)
+        if unit_len(*out):
+            yield out
 
 
 def scan_rows(units: Iterable[tuple[str, Any]], pred: ScanPredicate,
               guard: CancellationToken | None = None,
               prof: OperatorProfile | None = None,
-              ) -> Iterator[dict[str, Any]]:
-    """The scan kernel for row consumers: every matching row of a list of
-    ``("segment", Segment)`` / ``("rows", (rid, values) pairs)`` units."""
-    for kind, unit, selected in select_units(units, pred.vector, guard, prof):
-        yield from unit_rows(kind, unit, selected, pred, guard)
+              ) -> Iterator[tuple[int, dict[str, Any]]]:
+    """The scan kernel for row consumers (fan-out workers ship rows, not
+    positions): every matching ``(rid, values)`` of a list of units."""
+    for unit in select_units(units, pred, guard, prof):
+        yield from unit_rows(*unit)
 
 
 def fold_units(units: Iterable[tuple[str, Any]], pred: ScanPredicate,
                state: "AggState", guard: CancellationToken | None = None,
                prof: OperatorProfile | None = None) -> int:
     """The scan kernel for the aggregate: fold every matching row into
-    ``state`` — column-at-a-time where the kernel conjuncts decided the
-    predicate, as decoded rows elsewhere.  Returns the rows folded."""
+    ``state`` — segments column-at-a-time, tail rows one by one.
+    Returns the rows folded."""
     n = 0
-    for kind, unit, selected in select_units(units, pred.vector, guard, prof):
-        if kind == "segment" and pred.fallback is None:
+    for kind, unit, selected in select_units(units, pred, guard, prof):
+        if kind == "segment":
             state.add_segment(unit, selected)
             n += len(selected)
         else:
-            for row in unit_rows(kind, unit, selected, pred, guard):
-                state.add_row(row)
-                n += 1
+            for _, values in unit:
+                state.add_row(values)
+            n += len(unit)
     return n
-
-
-def _segment_selection(segment: Segment,
-                       vector_conjuncts: list[Any]) -> list[int] | None:
-    """Positions surviving every kernel conjunct's bitmap, or None when a
-    kernel hit incomparable operands (caller reverts to row evaluation)."""
-    try:
-        bitmap: list[bool] | None = None
-        for conjunct in vector_conjuncts:
-            bits = _conjunct_bitmap(segment, conjunct)
-            bitmap = bits if bitmap is None \
-                else [a and b for a, b in zip(bitmap, bits)]
-    except TypeError:
-        return None
-    if bitmap is None:
-        return list(range(segment.count))
-    return [i for i, keep in enumerate(bitmap) if keep]
 
 
 class SegmentScan(PlanNode):
     """Columnar scan of a compacted table: the full WHERE is evaluated by
-    this node (no residual filter), rows stream out in rid order.
+    this node (no residual filter), units stream out in rid order.
 
     Per segment: zone maps first (a conjunct the whole segment provably
     fails skips it without touching data), then every kernel conjunct
     becomes a selection bitmap evaluated column-at-a-time (dictionary
-    predicates evaluate once per distinct string), bitmaps AND together,
-    and only surviving positions decode to row dicts.  Non-kernel
+    predicates evaluate once per distinct string) over the positions the
+    previous ones kept; the survivors travel on as positions.  Non-kernel
     conjuncts (NOT/OR, column-to-column) run row-at-a-time on survivors;
     tail rows run through the ordinary row evaluator.
     """
@@ -778,9 +791,9 @@ class SegmentScan(PlanNode):
         self.table = table
         self.pred = pred
 
-    def _rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
-        return scan_rows(txn.scan_units(self.table), self.pred, txn.guard,
-                         self.profile)
+    def _units(self, txn: Transaction) -> Iterator[ScanUnit]:
+        yield from select_units(txn.scan_units(self.table), self.pred,
+                                txn.guard, self.profile)
 
     def _fold(self, txn: Transaction, state: "AggState") -> int:
         return fold_units(txn.scan_units(self.table), self.pred, state,
@@ -801,52 +814,53 @@ class SegmentScan(PlanNode):
 
 
 class Filter(PlanNode):
-    """Apply a (residual or pushed) predicate to the child's rows."""
+    """Apply a (residual or pushed) predicate to the child's units:
+    kernel conjuncts run column-at-a-time over the positions the child
+    selected, rows units through the row evaluator."""
 
-    def __init__(self, predicate: Any, child: PlanNode,
+    def __init__(self, pred: ScanPredicate, child: PlanNode,
                  role: str = "filter") -> None:
-        self.predicate = predicate
+        self.pred = pred
         self.child = child
         self.role = role  # 'filter' (residual) | 'pushed'
 
-    def _rows(self, txn: Transaction) -> Iterator[dict[str, Any]]:
-        return (r for r in self.child.rows(txn)
-                if eval_predicate(self.predicate, r))
+    def _units(self, txn: Transaction) -> Iterator[ScanUnit]:
+        for unit in self.child.units(txn):
+            out = filter_unit(*unit, self.pred, txn.guard)
+            if unit_len(*out):
+                yield out
 
     def children(self) -> list[PlanNode]:
         return [self.child]
 
     def label(self) -> str:
         name = "Filter" if self.role == "filter" else "PushedFilter"
-        return f"{name}({render_predicate(self.predicate)})"
+        return f"{name}({render_predicate(self.pred.full)})"
 
 
-def _combine(left_table: str, lrow: dict[str, Any],
-             right_table: str, rrow: dict[str, Any]) -> dict[str, Any]:
+_Row = tuple[int, dict[str, Any]]  # (rid, values)
+
+
+def _combine(left_table: str, lvalues: dict[str, Any],
+             right_table: str, rvalues: dict[str, Any]) -> dict[str, Any]:
     """Joined row shaped exactly like the naive interpreter's: qualified
-    keys plus unqualified (left wins on collision), ``__rid__`` = left."""
+    keys plus unqualified (left wins on collision)."""
     row: dict[str, Any] = {}
-    for k, v in lrow.items():
-        if k == "__rid__":
-            continue
+    for k, v in lvalues.items():
         row[f"{left_table}.{k}"] = v
         row.setdefault(k, v)
-    for k, v in rrow.items():
-        if k == "__rid__":
-            continue
+    for k, v in rvalues.items():
         row[f"{right_table}.{k}"] = v
         row.setdefault(k, v)
-    row["__rid__"] = lrow["__rid__"]
     return row
 
 
 _JoinPairs = list[tuple[tuple[int, int], dict[str, Any]]]
 
 
-def hash_join_pairs(left_rows: list[dict[str, Any]],
-                    right_rows: list[dict[str, Any]], left_table: str,
-                    right_table: str, left_col: str, right_col: str,
-                    build: str = "right") -> _JoinPairs:
+def hash_join_pairs(left_rows: list[_Row], right_rows: list[_Row],
+                    left_table: str, right_table: str, left_col: str,
+                    right_col: str, build: str = "right") -> _JoinPairs:
     """Equi-join two rid-ordered inputs into ``((left rid, right rid),
     joined row)`` pairs sorted by that key (per-shard outputs heap-merge
     on it), whichever side the hash table is built on."""
@@ -854,21 +868,28 @@ def hash_join_pairs(left_rows: list[dict[str, Any]],
     build_rows, build_col, probe_rows, probe_col = \
         (left_rows, left_col, right_rows, right_col) if build_left \
         else (right_rows, right_col, left_rows, left_col)
-    buckets: dict[Any, list[dict[str, Any]]] = {}
+    buckets: dict[Any, list[_Row]] = {}
     for brow in build_rows:
-        buckets.setdefault(brow.get(build_col), []).append(brow)
+        buckets.setdefault(brow[1].get(build_col), []).append(brow)
     pairs: _JoinPairs = []
     for prow in probe_rows:
-        key = prow.get(probe_col)
+        key = prow[1].get(probe_col)
         if key is None:
             continue
         for brow in buckets.get(key, ()):
-            lrow, rrow = (brow, prow) if build_left else (prow, brow)
-            pairs.append(((lrow["__rid__"], rrow["__rid__"]),
-                          _combine(left_table, lrow, right_table, rrow)))
+            (lrid, lvalues), (rrid, rvalues) = \
+                (brow, prow) if build_left else (prow, brow)
+            pairs.append(((lrid, rrid), _combine(left_table, lvalues,
+                                                 right_table, rvalues)))
     if build_left:  # probing in right-rid order: restore key order
         pairs.sort(key=itemgetter(0))
     return pairs
+
+
+def joined_unit(pairs: Iterable[tuple[tuple[int, int], dict[str, Any]]],
+                ) -> ScanUnit:
+    """Join output as one rows unit: the joined row under its left rid."""
+    return "rows", [(key[0], row) for key, row in pairs], None
 
 
 class HashJoin(PlanNode):
@@ -892,12 +913,11 @@ class HashJoin(PlanNode):
         self.right_col = right_col
         self.build = build  # 'left' | 'right'
 
-    def _execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        pairs = hash_join_pairs(
-            self.left.execute(txn), self.right.execute(txn),
+    def _units(self, txn: Transaction) -> Iterator[ScanUnit]:
+        yield joined_unit(hash_join_pairs(
+            list(self.left.rows(txn)), list(self.right.rows(txn)),
             self.left_table, self.right_table, self.left_col,
-            self.right_col, self.build)
-        return [row for _, row in pairs]
+            self.right_col, self.build))
 
     def children(self) -> list[PlanNode]:
         return [self.left, self.right]
@@ -911,52 +931,52 @@ class IndexNestedLoopJoin(PlanNode):
     """Probe the inner table's index once per outer row.
 
     The inner side has no access-path subtree — the probe *is* its
-    access path; any conjuncts pushed to the inner side are applied to
-    each fetched row (``inner_filter``).  Output is re-sorted into
-    (left rid, right rid) order when the outer side is the right input.
+    access path; any conjuncts pushed to the inner side narrow each
+    probe's units (``inner_pred``) before a row is decoded.  Output is
+    re-sorted into (left rid, right rid) order when the outer side is
+    the right input.
     """
 
     plan_counter = "planner.plans.index_nested_loop_join"
 
     def __init__(self, outer: PlanNode, outer_col: str, inner_table: str,
-                 inner_col: str, inner_filter: Any, outer_side: str,
+                 inner_col: str, inner_pred: ScanPredicate, outer_side: str,
                  left_table: str, right_table: str, kind: str) -> None:
         self.outer = outer
         self.outer_col = outer_col
         self.inner_table = inner_table
         self.inner_col = inner_col
-        self.inner_filter = inner_filter
+        self.inner_pred = inner_pred
         self.outer_side = outer_side  # 'left' | 'right'
         self.left_table = left_table
         self.right_table = right_table
         self.kind = kind
 
-    def _execute(self, txn: Transaction) -> list[dict[str, Any]]:
+    def _units(self, txn: Transaction) -> Iterator[ScanUnit]:
         pairs: _JoinPairs = []
-        out: list[dict[str, Any]] = []
         prof = self.profile
-        for orow in self.outer.execute(txn):
-            key = orow.get(self.outer_col)
+        inner_pred = self.inner_pred
+        outer_left = self.outer_side == "left"
+        for orid, ovalues in self.outer.rows(txn):
+            key = ovalues.get(self.outer_col)
             if key is None:
                 continue
             if prof is not None:
                 prof.index_probes += 1
-            for inner in txn.lookup(self.inner_table, self.inner_col, key):
-                irow = _row_dict(inner)
-                if self.inner_filter is not None \
-                        and not eval_predicate(self.inner_filter, irow):
-                    continue
-                if self.outer_side == "left":
-                    out.append(_combine(self.left_table, orow,
-                                        self.right_table, irow))
-                else:
-                    combined = _combine(self.left_table, irow,
-                                        self.right_table, orow)
-                    pairs.append(((irow["__rid__"], orow["__rid__"]), combined))
-        if self.outer_side == "left":
-            return out
-        pairs.sort(key=lambda p: p[0])
-        return [row for _, row in pairs]
+            for unit in txn.lookup_units(self.inner_table, self.inner_col,
+                                         key):
+                if inner_pred.full is not None:
+                    unit = filter_unit(*unit, inner_pred, txn.guard)
+                for irid, ivalues in unit_rows(*unit):
+                    pairs.append(
+                        ((orid, irid), _combine(self.left_table, ovalues,
+                                                self.right_table, ivalues))
+                        if outer_left else
+                        ((irid, orid), _combine(self.left_table, ivalues,
+                                                self.right_table, ovalues)))
+        if not outer_left:
+            pairs.sort(key=itemgetter(0))
+        yield joined_unit(pairs)
 
     def children(self) -> list[PlanNode]:
         return [self.outer]
@@ -967,8 +987,9 @@ class IndexNestedLoopJoin(PlanNode):
         label = (f"IndexNestedLoopJoin({outer_table}.{self.outer_col} = "
                  f"{self.inner_table}.{self.inner_col}, "
                  f"inner={self.inner_table} via {self.kind} index")
-        if self.inner_filter is not None:
-            label += f", inner filter: {render_predicate(self.inner_filter)}"
+        if self.inner_pred.full is not None:
+            label += (", inner filter: "
+                      f"{render_predicate(self.inner_pred.full)}")
         return label + ")"
 
 
@@ -1097,14 +1118,14 @@ class AggState:
                 acc[0] += v
                 acc[1] += 1
 
-    def add_segment(self, segment: Segment, selected: list[int]) -> None:
+    def add_segment(self, segment: Segment, selected: Sequence[int]) -> None:
         """Fold the selected positions of one segment, column-at-a-time."""
         if self._group_names:
             self._add_grouped(segment, selected)
         else:
             self._add_global(segment, selected)
 
-    def _add_global(self, segment: Segment, selected: list[int]) -> None:
+    def _add_global(self, segment: Segment, selected: Sequence[int]) -> None:
         accs = self._accs_for(())
         full = len(selected) == segment.count
         decoded: dict[str, list[Any]] = {}
@@ -1112,7 +1133,7 @@ class AggState:
         def column_values(name: str) -> list[Any]:
             values = decoded.get(name)
             if values is None:
-                values = decoded[name] = segment.columns[name].decoded()
+                values = decoded[name] = segment.columns[name].cells()
             return values
 
         for acc, (_, func, colname) in zip(accs, self._agg_items):
@@ -1187,45 +1208,40 @@ class AggState:
                     elif v > acc[1]:
                         acc[1] = v
 
-    def _add_grouped(self, segment: Segment, selected: list[int]) -> None:
-        group_cols = [segment.column_values(name)
-                      for name in self._group_names]
+    def _add_grouped(self, segment: Segment, selected: Sequence[int]) -> None:
         full = len(selected) == segment.count
-        single = len(group_cols) == 1
+        # Bucket on what the segment stores — a dictionary column's codes
+        # stand in for its strings one to one (NULL is code -1) — and
+        # decode one key per group afterwards, off its first row.
+        key_cols = [segment.columns[name] for name in self._group_names]
+        group_cols = []
+        for col in key_cols:
+            cells = col.data if col.encoding == "dict" else col.decoded()
+            group_cols.append(cells if full else take(cells, selected))
 
         # Partition positions by group key.  The per-row cost is one
-        # C-built key (list element or zip tuple) plus one dict probe;
+        # C-built key (buffer element or zip tuple) plus one dict probe;
         # buckets keep first-occurrence order, matching the insertion
         # order the naive per-row fold would produce.
-        buckets: dict[Any, list[int]] = {}
-        if single:
-            keys: Any = group_cols[0] if full \
-                else [group_cols[0][i] for i in selected]
-        elif full:
-            keys = zip(*group_cols)
-        else:
-            keys = zip(*([col[i] for i in selected] for col in group_cols))
-        positions = range(segment.count) if full else selected
-        for pos, key in zip(positions, keys):
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [pos]
-            else:
-                bucket.append(pos)
-
+        buckets: dict[Any, list[int]] = defaultdict(list)
+        keys: Any = group_cols[0] if len(group_cols) == 1 \
+            else zip(*group_cols)
+        for pos, key in zip(selected, keys):
+            buckets[key].append(pos)
         decoded: dict[str, list[Any]] = {}
 
         def column_values(name: str) -> list[Any]:
             values = decoded.get(name)
             if values is None:
-                values = decoded[name] = segment.columns[name].decoded()
+                values = decoded[name] = segment.columns[name].cells()
             return values
 
-        # Fold each bucket off the decoded buffers: itemgetter gathers at
+        # Fold each bucket off the decoded buffers: take() gathers at
         # C speed, and sum(vals, start)/min(vals)/max(vals) replay the
         # exact left-to-right, strict-inequality fold of the row path.
-        for key, bucket in buckets.items():
-            accs = self._accs_for((key,) if single else key)
+        for bucket in buckets.values():
+            accs = self._accs_for(
+                tuple(col.value_at(bucket[0]) for col in key_cols))
             extracted: dict[str, Sequence[Any]] = {}
             for acc, (_, func, colname) in zip(accs, self._agg_items):
                 if colname is None:  # count(*)
@@ -1233,11 +1249,7 @@ class AggState:
                     continue
                 vals = extracted.get(colname)
                 if vals is None:
-                    values = column_values(colname)
-                    if len(bucket) == 1:
-                        vals = (values[bucket[0]],)
-                    else:
-                        vals = itemgetter(*bucket)(values)
+                    vals = take(column_values(colname), bucket)
                     if segment.columns[colname].null_count:
                         vals = [v for v in vals if v is not None]
                     extracted[colname] = vals
@@ -1331,9 +1343,18 @@ class Aggregate(PlanNode):
         #: rows the reference fold consumed, for cardinality feedback
         self.source_rows: int | None = None
 
+    def execute(self, txn: Transaction) -> list[dict[str, Any]]:
+        """The aggregated result rows (before HAVING / ORDER BY / LIMIT)."""
+        prof = self.profile
+        if prof is None:
+            return self._execute(txn)
+        out = prof.timed(self._execute, txn)
+        prof.rows += len(out)
+        return out
+
     def _execute(self, txn: Transaction) -> list[dict[str, Any]]:
         if not self.folds:
-            rows = self.child.execute(txn)
+            rows = [values for _, values in self.child.rows(txn)]
             self.source_rows = len(rows)
             return _reference_fold(self.stmt, rows)
         state = AggState(self.stmt)
@@ -1351,14 +1372,32 @@ class Aggregate(PlanNode):
         return f"{self.name}(group_by=[{keys}], items=[{items}])"
 
 
+def _sort_ranks(keys: list[Any]) -> list[Any]:
+    """What ORDER BY compares for each key: the reference ``(is None,
+    value)`` pair — NULLs after everything else — or, when no key is
+    NULL, the keys themselves, which order exactly like their pairs."""
+    if None in keys:
+        return [(k is None, k) for k in keys]
+    return keys
+
+
 class SelectPlan:
     """A planned SELECT: the operator tree ``root`` (``source`` is its
     scan/join subtree, WHERE fully applied, below the aggregate stage if
-    any) plus the statement, whose projection / order / limit
-    ``sql._select`` runs and EXPLAIN renders as pseudo stages."""
+    any) plus the statement's output stage — projection, ORDER BY and
+    LIMIT, which :meth:`execute` runs over the source's scan units and
+    EXPLAIN renders as pseudo stages.
+
+    The output stage is where row dicts get built, once.  ORDER BY /
+    LIMIT choose rows from the order key alone (a gathered column for
+    segment positions), reproducing the reference ``_order_and_limit`` —
+    its ``(is None, value)`` key, stability and tie order — so only the
+    surviving rows decode, and only the columns the statement names.
+    """
 
     def __init__(self, source: PlanNode, stmt: SelectStatement,
-                 use_topk: bool, aggregate: Aggregate | None = None) -> None:
+                 use_topk: bool, aggregate: Aggregate | None,
+                 schema: Any) -> None:
         self.source = source
         self.root: PlanNode = aggregate or source
         self.stmt = stmt
@@ -1366,6 +1405,153 @@ class SelectPlan:
         #: non-None only under EXPLAIN ANALYZE: actuals of the "output"
         #: pseudo stage (projection + order/limit)
         self.output_profile: OperatorProfile | None = None
+        #: the key ORDER BY reads off a row (None: nothing to order by)
+        self._order_col = order_key(stmt) if stmt.order_by is not None \
+            else None
+        #: ``(output key, source column)`` per select item when each one
+        #: names a column of the single source table, so rows can be
+        #: projected late, straight off the units
+        self._items: list[tuple[str, str]] | None = None
+        #: rows reach the output stage as finished result dicts: out of
+        #: the aggregate stage, joined (``SELECT *`` keeps the joined row
+        #: as it is), or projected one by one in :meth:`_projected`
+        self._finished = aggregate is not None or stmt.join_table is not None
+        if self._finished or stmt.star:
+            return
+        columns = {name: name for name in schema.column_names}
+        try:
+            self._items = [(item.key(), _resolve(columns, item.expr))
+                           for item in stmt.items]
+        except SqlError:
+            # An unknown column surfaces per row, like the naive projection.
+            self._finished = True
+            return
+        if self._order_col is not None:
+            # ORDER BY sees the projected row: the last item under the
+            # key supplies it; with none the key is absent from every row
+            # and the order is a no-op.
+            self._order_col = next(
+                (src for key, src in reversed(self._items)
+                 if key == self._order_col), None)
+
+    # ------------------------------------------------------------ execution
+
+    def execute(self, txn: Transaction) -> list[dict[str, Any]]:
+        """Run the plan; returns the statement's result rows."""
+        stmt = self.stmt
+        if self.root is not self.source:
+            rows = self.root.execute(txn)
+            if stmt.having is not None:
+                rows = [r for r in rows if eval_predicate(stmt.having, r)]
+            units: Iterator[ScanUnit] = iter(
+                [("rows", [(None, row) for row in rows], None)])
+        elif self._finished and not stmt.star:
+            units = self._projected(self.root.rows(txn))
+        else:
+            units = self.root.units(txn)
+        prof = self.output_profile
+        if prof is None:
+            return self._output(units)
+        out = prof.timed(self._output, units)
+        prof.rows += len(out)
+        return out
+
+    def _projected(self, rows: Iterator[tuple[int, dict[str, Any]]],
+                   ) -> Iterator[ScanUnit]:
+        """Project rows one at a time (joined rows resolve qualified and
+        ambiguous names per row), a bounded batch per unit."""
+        items = self.stmt.items
+        while batch := [
+                (rid, {item.key(): _resolve(values, item.expr)
+                       for item in items})
+                for rid, values in islice(rows, TAIL_UNIT_ROWS)]:
+            yield "rows", batch, None
+
+    def _take(self, kind: str, unit: Any, selected: Sequence[int] | None,
+              picks: Sequence[int] | None = None) -> list[dict[str, Any]]:
+        """Result dicts of one unit's rows (all, or those at the
+        ascending ``picks``) — the one place the output stage builds a
+        dict, and for a segment the one place it decodes."""
+        items = self._items
+        if kind == "rows":
+            rows = unit if picks is None else [unit[i] for i in picks]
+            if self._finished:
+                return [values for _, values in rows]
+            if items is None:
+                return [dict(values) for _, values in rows]
+            return [{key: values[src] for key, src in items}
+                    for _, values in rows]
+        positions = selected if picks is None \
+            else [selected[i] for i in picks]
+        if items is None:
+            return [values for _, values in unit.rows_at(positions)]
+        keys = [key for key, _ in items]
+        columns = unit.gather([src for _, src in items], positions)
+        return [dict(zip(keys, cells)) for cells in zip(*columns)]
+
+    def _order_keys(self, kind: str, unit: Any,
+                    selected: Sequence[int] | None) -> list[Any]:
+        """The ORDER BY key of each of one unit's rows."""
+        col = self._order_col
+        if kind == "rows":
+            return [values.get(col) for _, values in unit]
+        return unit.gather((col,), selected)[0]
+
+    def _output(self, units: Iterator[ScanUnit]) -> list[dict[str, Any]]:
+        """Projection + ORDER BY + LIMIT over scan units."""
+        stmt = self.stmt
+        limit = stmt.limit
+        if limit == 0:
+            return []  # before the source is even opened
+        if self._order_col is None:
+            if limit is not None and limit < 0:  # all but the last -limit
+                units = list(units)
+                limit = max(sum(unit_len(*u) for u in units) + limit, 0)
+            out: list[dict[str, Any]] = []
+            for u in units:
+                if limit is not None and limit - len(out) < unit_len(*u):
+                    out.extend(self._take(*u, range(limit - len(out))))
+                else:
+                    out.extend(self._take(*u))
+                if len(out) == limit:
+                    break  # a bare LIMIT stops consuming the source
+            return out
+        if limit is None or limit < 0:
+            # Full sort: order row numbers by key, then lay the rows out.
+            held = list(units)
+            ranks = _sort_ranks(
+                [k for u in held for k in self._order_keys(*u)])
+            order = sorted(range(len(ranks)), key=ranks.__getitem__,
+                           reverse=stmt.order_desc)
+            rows = [row for u in held for row in self._take(*u)]
+            return [rows[i] for i in order[:limit]]
+        # Top-k: heapq.nsmallest / nlargest are documented equivalent to
+        # sort-then-slice (and stable).  Taking each unit's own k first
+        # and folding them into a running best keeps that exact — a row
+        # displaced once can never come back, and ties keep source order
+        # because the running best always precedes the new unit — while
+        # holding only k rows' units.
+        pick = heapq.nlargest if stmt.order_desc else heapq.nsmallest
+        best: list[tuple[tuple[bool, Any], int, int]] = []
+        live: dict[int, ScanUnit] = {}
+        for number, u in enumerate(units):
+            live[number] = u
+            keys = self._order_keys(*u)
+            local = pick(limit, range(len(keys)),
+                         key=_sort_ranks(keys).__getitem__)
+            best = pick(limit, best + [((keys[i] is None, keys[i]), number, i)
+                                       for i in local], key=itemgetter(0))
+            live = {number: live[number] for _, number, _ in best}
+        out = [{}] * len(best)
+        picks: dict[int, list[tuple[int, int]]] = {}
+        for slot, (_, number, i) in enumerate(best):
+            picks.setdefault(number, []).append((i, slot))
+        for number, chosen in picks.items():
+            chosen.sort()
+            rows = self._take(*live[number], [i for i, _ in chosen])
+            for (_, slot), row in zip(chosen, rows):
+                out[slot] = row
+        return out
 
     def enable_profiling(self) -> "SelectPlan":
         """Instrument the whole plan for EXPLAIN ANALYZE (in place)."""
@@ -1504,6 +1690,19 @@ class Planner:
                 IndexLookup(table, column, eq[1], kind), [conjunct],
                 est, est + _PROBE_COST, rank=0,
             ))
+        pk = heap.schema.primary_key
+        for conjunct in conjuncts if pk is not None else ():
+            eq = _eq_conjunct(conjunct)
+            if eq is not None and eq[1] is not None and eq[0].name == pk:
+                # One row per key (NDV = row count), found in one probe;
+                # listed after the indexes, so an index on the key column
+                # that estimates the same single row keeps its plan.
+                est = min(n, 1.0)
+                choices.append(_AccessChoice(
+                    PkLookup(table, pk, eq[1]), [conjunct],
+                    est, est + _PROBE_COST, rank=0,
+                ))
+                break
         for column, bounds in self._range_bounds(conjuncts).items():
             index = self._db.sorted_index(table, column)
             if index is None:
@@ -1627,7 +1826,9 @@ class Planner:
             node, side_residual = self.plan_access(table, side_conjuncts)
             est = self._filtered_estimate(table, node.est_rows, side_residual)
             if side_residual:
-                node = Filter(conjoin(side_residual), node, role="pushed")
+                pred = ScanPredicate(side_residual, self._db.schema(table),
+                                     table)
+                node = Filter(pred, node, role="pushed")
                 node.est_rows, node.cost = est, node.child.cost
             return node, max(est, 0.0)
 
@@ -1689,7 +1890,8 @@ class Planner:
         bucket = inner_rows / max(self._ndv(inner_table, inner_col), 1)
         node = IndexNestedLoopJoin(
             outer, outer_col, inner_table, inner_col,
-            conjoin(inner_conjuncts), outer_side,
+            ScanPredicate(inner_conjuncts, self._db.schema(inner_table),
+                          inner_table), outer_side,
             left_table=stmt.table, right_table=stmt.join_table, kind=kind)
         node.est_rows = out_est
         node.cost = outer.cost + outer_est * (_PROBE_COST + bucket)
@@ -1712,7 +1914,11 @@ class Planner:
             est = node.est_rows
             if stmt.join_table is None:
                 est = self._filtered_estimate(stmt.table, est, residual)
-            node = Filter(conjoin(residual), node)
+            # Over a join every unit is a rows unit (joined dicts): only
+            # the predicate's row form runs, whatever the schema says.
+            node = Filter(
+                ScanPredicate(residual, self._db.schema(stmt.table),
+                              stmt.table), node)
             node.est_rows, node.cost = est, node.child.cost
         aggregate = None
         if aggregate_stage:
@@ -1726,7 +1932,8 @@ class Planner:
         )
         if use_topk:
             registry.inc("planner.plans.topk")
-        return SelectPlan(node, stmt, use_topk, aggregate)
+        return SelectPlan(node, stmt, use_topk, aggregate,
+                          self._db.schema(stmt.table))
 
     def explain(self, stmt: SelectStatement) -> list[str]:
         """EXPLAIN text lines for a SELECT (plans, does not execute)."""

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from typing import Any, Iterator
+from itertools import repeat
+from operator import itemgetter
+from typing import Any, Iterator, Sequence
 
 from repro.storage.rdbms.types import ColumnType, TableSchema
 
@@ -41,6 +43,18 @@ DICT_MAX_ENTRIES = 4_096
 #: Smallest int that still fits ``array('q')`` (and the largest + 1).
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
+
+def take(cells: Sequence[Any], positions: Sequence[int]) -> Sequence[Any]:
+    """``cells`` at ``positions``, gathered by one C-level call."""
+    if len(positions) > 1:
+        return itemgetter(*positions)(cells)
+    return [cells[i] for i in positions]
+
+
+#: Bit offsets set in each byte value: a null bitmap decodes one byte
+#: (not one position) at a time, and all-zero bytes cost nothing.
+_SET_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1)
+                  for byte in range(256))
 
 
 class ColumnSegment:
@@ -58,7 +72,7 @@ class ColumnSegment:
     """
 
     __slots__ = ("name", "encoding", "data", "dictionary", "nulls",
-                 "null_count", "count", "min_value", "max_value")
+                 "null_count", "count", "min_value", "max_value", "_lookup")
 
     def __init__(self, name: str, encoding: str, data: Any,
                  dictionary: list[str] | None, nulls: bytearray | None,
@@ -73,6 +87,9 @@ class ColumnSegment:
         self.count = count
         self.min_value = min_value
         self.max_value = max_value
+        #: code -> value with NULL's code (-1) landing on a trailing None,
+        #: so dictionary columns decode with one C-level index per cell.
+        self._lookup = None if dictionary is None else dictionary + [None]
 
     # ------------------------------------------------------------ encoding
 
@@ -153,21 +170,66 @@ class ColumnSegment:
             return bool(self.data[i])
         return self.data[i]
 
+    def null_positions(self) -> list[int]:
+        """Ascending positions of the NULLs, read off the packed bitmap."""
+        if self.null_count == 0:
+            return []
+        out: list[int] = []
+        for at, byte in enumerate(self.nulls):
+            if byte:
+                base = at << 3
+                out.extend([base + bit for bit in _SET_BITS[byte]])
+        return out
+
     def decoded(self) -> list[Any]:
         """The whole column as properly-typed python values (with Nones)."""
-        if self.encoding in ("int", "float") and self.null_count == 0:
-            return list(self.data)
+        if self.encoding == "dict":
+            return list(map(self._lookup.__getitem__, self.data))
         if self.encoding == "raw":
             return list(self.data)
-        return [self.value_at(i) for i in range(self.count)]
+        out = list(map(bool, self.data)) if self.encoding == "bool" \
+            else list(self.data)
+        for i in self.null_positions():
+            out[i] = None
+        return out
 
-    def null_flags(self) -> list[bool] | None:
-        """Per-position null flags, or None when the column has no NULLs."""
+    def gather(self, positions: Sequence[int]) -> list[Any]:
+        """The decoded values at ``positions`` (any order, repeats fine)."""
+        encoding = self.encoding
+        cells = take(self.data, positions)
+        if encoding == "dict":
+            return list(take(self._lookup, cells))
+        if encoding == "raw":
+            return list(cells)
+        if self.null_count == 0:
+            return list(map(bool, cells) if encoding == "bool" else cells)
+        nulls = self.nulls
+        if encoding == "bool":
+            return [None if nulls[i >> 3] >> (i & 7) & 1 else bool(v)
+                    for i, v in zip(positions, cells)]
+        return [None if nulls[i >> 3] >> (i & 7) & 1 else v
+                for i, v in zip(positions, cells)]
+
+    def cells(self) -> Sequence[Any]:
+        """The decoded values as an indexable sequence: the typed buffer
+        itself where it needs no decoding, else :meth:`decoded`."""
+        if self.encoding in ("int", "float") and self.null_count == 0:
+            return self.data
+        return self.decoded()
+
+    def null_flags(self, positions: Sequence[int] | None = None,
+                   ) -> list[bool] | None:
+        """Null flags of every position (or of ``positions``), or None
+        when the column has no NULLs."""
         if self.null_count == 0:
             return None
-        nulls = self.nulls
-        assert nulls is not None
-        return [bool(nulls[i >> 3] & (1 << (i & 7))) for i in range(self.count)]
+        if positions is not None:
+            nulls = self.nulls
+            return [bool(nulls[i >> 3] >> (i & 7) & 1) for i in positions]
+        flags = [False] * self.count
+        for i in self.null_positions():
+            flags[i] = True
+        return flags
 
     def zone_map(self) -> dict[str, Any]:
         """The per-segment statistics summary for this column."""
@@ -234,17 +296,42 @@ class Segment:
             return pos
         return None
 
-    def row_values(self, pos: int) -> dict[str, Any]:
-        """Decode one row (schema column order, same as the heap table)."""
-        return {col.name: self.columns[col.name].value_at(pos)
-                for col in self.schema.columns}
+    def positions_of(self, rids: list[int]) -> list[int] | None:
+        """Positions of ``rids`` (each within this segment's rid range),
+        or None when one of them is not in the segment."""
+        held = self.rids
+        first = held[0]
+        if held[-1] - first + 1 == self.count:  # no gaps: subtract
+            return [rid - first for rid in rids]
+        positions = list(map(bisect.bisect_left, repeat(held), rids))
+        if list(take(held, positions)) != rids:
+            return None
+        return positions
+
+    def gather(self, names: Sequence[str],
+               positions: Sequence[int]) -> list[list[Any]]:
+        """One decoded value list per named column, at ascending
+        ``positions`` (all of them decodes whole columns at once)."""
+        if len(positions) == self.count:
+            return [self.column_values(name) for name in names]
+        return [self.columns[name].gather(positions)
+                if name in self.columns else [None] * len(positions)
+                for name in names]
+
+    def rows_at(self, positions: Sequence[int],
+                ) -> Iterator[tuple[int, dict[str, Any]]]:
+        """``(rid, values)`` of the rows at ascending ``positions``, all
+        columns in schema order (same as the heap table) — the one place
+        a segment position becomes a row dict."""
+        names = self.schema.column_names
+        rids = self.rids if len(positions) == self.count \
+            else take(self.rids, positions)
+        columns = self.gather(names, positions)
+        return zip(rids, (dict(zip(names, cells)) for cells in zip(*columns)))
 
     def iter_rows(self) -> Iterator[tuple[int, dict[str, Any]]]:
         """Decode every row in rid order — the melt/scan path."""
-        decoded = [(col.name, self.columns[col.name].decoded())
-                   for col in self.schema.columns]
-        for pos, rid in enumerate(self.rids):
-            yield rid, {name: values[pos] for name, values in decoded}
+        return self.rows_at(range(self.count))
 
     def column_values(self, name: str) -> list[Any]:
         """All decoded values of one column (for ANALYZE sampling)."""

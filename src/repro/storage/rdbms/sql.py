@@ -845,6 +845,20 @@ def _equality_lookup(node: Any) -> tuple[str, Any] | None:
     return None
 
 
+def order_key(stmt: SelectStatement) -> str:
+    """The key ORDER BY reads off a *projected* row: the select item the
+    ORDER BY column names (by output key or by column), else the column
+    as written — which a projection that dropped it answers with NULL."""
+    assert stmt.order_by is not None
+    wanted = stmt.order_by.key()
+    for item in stmt.items:
+        if item.key() == wanted or (
+            isinstance(item.expr, ColumnRef) and item.expr.name == stmt.order_by.name
+        ):
+            return item.key()
+    return wanted
+
+
 class _Executor:
     def __init__(self, db: Database, txn: Transaction,
                  use_planner: bool = True) -> None:
@@ -864,38 +878,47 @@ class _Executor:
             return [{"inserted": count}]
         if isinstance(stmt, UpdateStatement):
             changes = {c: v.value for c, v in stmt.assignments.items()}
-            rows = self._matching_rows(stmt.table, stmt.where)
-            for row in rows:
-                self._txn.update(stmt.table, row["__rid__"], changes)
-            return [{"updated": len(rows)}]
+            rids = self._matching_rids(stmt.table, stmt.where)
+            for rid in rids:
+                self._txn.update(stmt.table, rid, changes)
+            return [{"updated": len(rids)}]
         if isinstance(stmt, DeleteStatement):
-            rows = self._matching_rows(stmt.table, stmt.where)
-            for row in rows:
-                self._txn.delete(stmt.table, row["__rid__"])
-            return [{"deleted": len(rows)}]
+            rids = self._matching_rids(stmt.table, stmt.where)
+            for rid in rids:
+                self._txn.delete(stmt.table, rid)
+            return [{"deleted": len(rids)}]
         raise SqlError(f"cannot execute {stmt!r}")
 
     # -- row production
 
-    def _matching_rows(self, table: str, where) -> list[dict[str, Any]]:
-        """Rows of ``table`` satisfying ``where`` (with ``__rid__``).
+    def _matching_rids(self, table: str, where) -> list[int]:
+        """Rids of the rows of ``table`` a DML statement's WHERE selects.
 
         With the planner enabled, the access path (index lookup, range
         scan, or full scan) is chosen by cost; the full predicate is
         still re-checked on every candidate, so a stale plan can only
-        cost time, never rows.
+        cost time, never rows.  The list is complete before the first
+        row is written.
         """
-        if self._use_planner and where is not None:
-            from repro.storage.rdbms import planner as _planner
+        if not (self._use_planner and where is not None):
+            return [row["__rid__"]
+                    for row in self._matching_rows(table, where)]
+        from repro.storage.rdbms import planner as _planner
 
-            conjuncts = _planner.split_conjuncts(where)
-            node, _ = _planner.Planner(self._db).plan_access(table, conjuncts)
-            candidates = node.execute(self._txn)
-            keys = _feedback_keys(where)
-            if keys:
-                self._db.statistics().record_predicate_feedback(
-                    table, keys, node.est_rows, len(candidates))
-            return [row for row in candidates if eval_predicate(where, row)]
+        conjuncts = _planner.split_conjuncts(where)
+        node, _ = _planner.Planner(self._db).plan_access(table, conjuncts)
+        candidates = list(node.rows(self._txn))
+        keys = _feedback_keys(where)
+        if keys:
+            self._db.statistics().record_predicate_feedback(
+                table, keys, node.est_rows, len(candidates))
+        return [rid for rid, values in candidates
+                if eval_predicate(where, values)]
+
+    def _matching_rows(self, table: str, where) -> list[dict[str, Any]]:
+        """Reference interpreter: rows of ``table`` satisfying ``where``
+        (each with ``__rid__``), via one top-level indexed equality or a
+        full scan."""
         lookup = _equality_lookup(where) if where is not None else None
         if lookup is not None and self._db._find_index(table, lookup[0]) is not None:
             candidates = self._txn.lookup(table, lookup[0], lookup[1])
@@ -923,28 +946,13 @@ class _Executor:
                 with tracer.span("rdbms.plan"):
                     plan = _planner.Planner(self._db).plan_select(stmt)
             with tracer.span("rdbms.exec") as span:
-                if aggregate_stage:
-                    result = plan.root.execute(self._txn)
-                    source_count = plan.root.source_rows
-                else:
-                    if stmt.star:
-                        rows_iter = (
-                            {k: v for k, v in r.items() if k != "__rid__"}
-                            for r in plan.root.rows(self._txn))
-                    else:
-                        rows_iter = (
-                            {item.key(): _resolve(r, item.expr)
-                             for item in stmt.items}
-                            for r in plan.root.rows(self._txn))
-                    result = self._run_output_stage(plan, stmt, rows_iter)
-                    source_count = len(result) if stmt.limit is None else None
+                result = plan.execute(self._txn)
                 span.set_attribute("rows", len(result))
-            self._record_feedback(stmt, plan, source_count)
             if aggregate_stage:
-                if stmt.having is not None:
-                    result = [r for r in result
-                              if eval_predicate(stmt.having, r)]
-                result = self._run_output_stage(plan, stmt, result)
+                source_count = plan.root.source_rows
+            else:
+                source_count = len(result) if stmt.limit is None else None
+            self._record_feedback(stmt, plan, source_count)
             return result
         rows = self._source_rows(stmt)
         rows = [r for r in rows if eval_predicate(stmt.where, r)]
@@ -962,18 +970,6 @@ class _Executor:
                 for r in rows
             ]
         return self._order_and_limit(stmt, result)
-
-    def _run_output_stage(self, plan, stmt: SelectStatement,
-                          rows: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
-        """ORDER BY / LIMIT over the (projected or aggregated) rows: the
-        one pseudo stage, timed into the plan's output profile when
-        EXPLAIN ANALYZE is active."""
-        prof = plan.output_profile
-        if prof is None:
-            return self._order_and_limit(stmt, rows)
-        out = prof.timed(self._order_and_limit, stmt, rows)
-        prof.rows += len(out)
-        return out
 
     def _record_feedback(self, stmt: SelectStatement, plan,
                          source_count: int | None) -> None:
@@ -1021,7 +1017,7 @@ class _Executor:
         materializes more than k rows beyond the heap.  A bare LIMIT
         stops consuming the row iterator after k rows."""
         if stmt.order_by is not None:
-            key_name = self._order_key(stmt)
+            key_name = order_key(stmt)
 
             def sort_key(r: dict[str, Any]) -> tuple:
                 return (r.get(key_name) is None, r.get(key_name))
@@ -1036,16 +1032,6 @@ class _Executor:
                 return list(itertools.islice(result, stmt.limit))
             return list(result)[: stmt.limit]
         return result if isinstance(result, list) else list(result)
-
-    def _order_key(self, stmt: SelectStatement) -> str:
-        assert stmt.order_by is not None
-        wanted = stmt.order_by.key()
-        for item in stmt.items:
-            if item.key() == wanted or (
-                isinstance(item.expr, ColumnRef) and item.expr.name == stmt.order_by.name
-            ):
-                return item.key()
-        return wanted
 
     def _source_rows(self, stmt: SelectStatement) -> list[dict[str, Any]]:
         if stmt.join_table is None:

@@ -320,8 +320,7 @@ class StatisticsManager:
                     pos_index += 1
                 base = end
                 continue
-            for row in unit:
-                values = row.values
+            for _, values in unit:
                 for name in names:
                     v = values.get(name)
                     if v is None:

@@ -11,20 +11,38 @@ Since PR 6 a heap table has two regions (DESIGN.md §12):
 Readers never observe the split: :meth:`scan` merges segments and tail in
 rid order, :meth:`get` consults both, and any update/delete of a frozen
 row *melts* its segment back into the tail first (copy-on-write at
-segment granularity).  The vectorized executor reads the regions
-separately via :meth:`scan_units`.
+segment granularity).
+
+The executor reads the regions separately, as **scan units** (DESIGN.md
+§11): ``("segment", Segment, positions)`` names rows of a segment without
+decoding them, ``("rows", [(rid, values), ...], None)`` carries tail rows
+*by reference*.  :meth:`scan_units` enumerates a table that way and
+:meth:`locate` maps index-produced rids to the same shape.  Sharing the
+stored value dicts is safe because the table never mutates one in place:
+every write stores a freshly validated dict, so a reader (or a snapshot)
+holding the old one keeps seeing the old values.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.storage.rdbms.segments import SEGMENT_TARGET_ROWS, Segment
 from repro.storage.rdbms.sharding import ShardSpec
 from repro.storage.rdbms.types import SchemaError, TableSchema
 from repro.telemetry import metrics
+
+
+#: Tail rows per ``rows`` scan unit: bounds what a LIMIT that stops early
+#: has already built, and is the stride of per-unit guard polls.
+TAIL_UNIT_ROWS = 4_096
+
+#: ``(kind, unit, selected)`` — see the module docstring.
+ScanUnit = tuple[str, Any, Sequence[int] | None]
 
 
 @dataclass(frozen=True)
@@ -36,6 +54,41 @@ class Row:
 
     def __getitem__(self, column: str) -> Any:
         return self.values[column]
+
+
+def _rid_order(ranges: list[tuple[int, int]]) -> list[int] | None:
+    """Indexes of ``(first rid, last rid)`` ranges in rid order, or None
+    when two of them overlap."""
+    order = sorted(range(len(ranges)), key=lambda i: ranges[i][0])
+    if any(ranges[b][0] <= ranges[a][1] for a, b in zip(order, order[1:])):
+        return None
+    return order
+
+
+def unit_len(kind: str, unit: Any, selected: Sequence[int] | None) -> int:
+    """Rows one scan unit stands for."""
+    return len(unit) if kind == "rows" else len(selected)
+
+
+def unit_rows(kind: str, unit: Any, selected: Sequence[int] | None,
+              ) -> Iterable[tuple[int, dict[str, Any]]]:
+    """One scan unit's ``(rid, values)`` pairs in rid order, all columns.
+    Tail rows come back by reference: consumers must not mutate them."""
+    return unit if kind == "rows" else unit.rows_at(selected)
+
+
+def fetch_rows(units: Iterable[ScanUnit]) -> list[Row]:
+    """Scan units as caller-owned :class:`Row` objects (the public read
+    APIs hand out rows their callers may keep or change, so tail value
+    dicts are copied here; segment rows decode into fresh dicts anyway)."""
+    rows: list[Row] = []
+    for kind, unit, selected in units:
+        if kind == "rows":
+            rows.extend(Row(rid, dict(values)) for rid, values in unit)
+        else:
+            rows.extend(Row(rid, values)
+                        for rid, values in unit.rows_at(selected))
+    return rows
 
 
 class HeapTable:
@@ -52,6 +105,9 @@ class HeapTable:
         self._next_rid = 0
         self._pk_index: dict[Any, int] = {}
         self._segments: list[Segment] = []
+        #: lazily built by :meth:`_segment_directory`; reset to None by
+        #: whatever changes ``_segments``
+        self._directory: tuple[list[int], list[Segment]] | None = None
         # Shard membership covers *all* rids (tail + frozen); compaction
         # and melting move rows between regions without changing shards.
         self._shard_spec: ShardSpec | None = None
@@ -304,6 +360,7 @@ class HeapTable:
                     del self._rows[rid]
                 created += 1
         if eligible:
+            self._directory = None
             registry = metrics.get_registry()
             registry.inc("segments.created", created)
             registry.inc("segments.rows_frozen", len(eligible))
@@ -316,6 +373,7 @@ class HeapTable:
 
     def _melt_segment(self, segment: Segment) -> None:
         self._segments.remove(segment)
+        self._directory = None
         for rid, values in segment.iter_rows():
             self._rows[rid] = values
         registry = metrics.get_registry()
@@ -323,18 +381,88 @@ class HeapTable:
         registry.inc("segments.rows_melted", segment.count)
 
     def _melt_containing(self, rid: int) -> bool:
-        segment = self._segment_of(rid)
-        if segment is None:
+        found = self._segment_of(rid)
+        if found is None:
             return False
-        self._melt_segment(segment)
+        self._melt_segment(found[0])
         return True
 
-    def _segment_of(self, rid: int) -> Segment | None:
-        for segment in self._segments:
-            if segment.count and segment.min_rid <= rid <= segment.max_rid \
-                    and segment.rid_position(rid) is not None:
-                return segment
+    def _segment_directory(self) -> tuple[list[int], list[Segment]]:
+        """``(first rids, segments)`` of the non-empty segments in rid
+        order, for one bisect per lookup — or ``([], segments)`` when
+        their rid ranges overlap (per-shard segments interleave) and a
+        lookup has to probe each."""
+        directory = self._directory
+        if directory is None:
+            segments = [s for s in self._segments if s.count]
+            order = _rid_order([(s.min_rid, s.max_rid) for s in segments])
+            if order is not None:
+                segments = [segments[i] for i in order]
+            directory = self._directory = (
+                [s.min_rid for s in segments] if order is not None else [],
+                segments)
+        return directory
+
+    def _segment_of(self, rid: int) -> tuple[Segment, int] | None:
+        """The segment holding ``rid`` and its position there, or None."""
+        mins, segments = self._segment_directory()
+        if mins:
+            at = bisect_right(mins, rid) - 1
+            segments = segments[at:at + 1] if at >= 0 else ()
+        for segment in segments:
+            pos = segment.rid_position(rid)
+            if pos is not None:
+                return segment, pos
         return None
+
+    def locate(self, rids: Iterable[int]) -> list[ScanUnit]:
+        """Ascending ``rids`` as scan units, still in rid order: runs of
+        frozen rows become ``("segment", segment, positions)``, runs of
+        tail rows ``("rows", [(rid, values), ...], None)`` by reference.
+        Nothing is decoded or copied.
+
+        Raises:
+            KeyError: a rid the table does not hold.
+        """
+        rids = list(rids)
+        units: list[ScanUnit] = []
+        tail = self._rows
+        disjoint = bool(self._segment_directory()[0])
+        at, n = 0, len(rids)
+        while at < n:
+            rid = rids[at]
+            values = tail.get(rid)
+            if values is not None:
+                members = []
+                while values is not None:
+                    members.append((rid, values))
+                    at += 1
+                    if at == n:
+                        break
+                    rid = rids[at]
+                    values = tail.get(rid)
+                units.append(("rows", members, None))
+                continue
+            found = self._segment_of(rid)
+            if found is None:
+                raise KeyError(rid)
+            segment, pos = found
+            positions = [pos]
+            # Every rid up to the segment's last is, bar an interleaved
+            # tail row, in the same segment: position the whole stretch
+            # at once.
+            end = bisect_right(rids, segment.max_rid, at) if disjoint \
+                else at + 1
+            if end > at + 1:
+                positions = segment.positions_of(rids[at:end])
+                if positions is None:
+                    end, positions = at + 1, [pos]
+            if units and units[-1][1] is segment:
+                units[-1][2].extend(positions)
+            else:
+                units.append(("segment", segment, positions))
+            at = end
+        return units
 
     def segment_layout(self) -> list[list[int]]:
         """``[[min_rid, max_rid, count], ...]`` — checkpointed so reopen
@@ -385,6 +513,7 @@ class HeapTable:
                 self._schema, [(rid, self._rows[rid]) for rid in chunk],
                 shard=shard)
             self._segments.append(segment)
+            self._directory = None
             for rid in chunk:
                 del self._rows[rid]
         return True
@@ -397,15 +526,7 @@ class HeapTable:
         Raises:
             KeyError: unknown rid.
         """
-        values = self._rows.get(rid)
-        if values is not None:
-            return Row(rid, dict(values))
-        segment = self._segment_of(rid)
-        if segment is None:
-            raise KeyError(rid)
-        pos = segment.rid_position(rid)
-        assert pos is not None
-        return Row(rid, segment.row_values(pos))
+        return fetch_rows(self.locate((rid,)))[0]
 
     def get_by_pk(self, key: Any) -> Row | None:
         """Fetch by primary-key value, or None."""
@@ -420,24 +541,18 @@ class HeapTable:
             yield Row(rid, values)
 
     def _iter_items(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        if not self._segments:
-            for rid in sorted(self._rows):
-                yield rid, dict(self._rows[rid])
-            return
+        """Every ``(rid, values)`` in rid order, as fresh dicts."""
+        tail = ((rid, dict(values)) for rid, values in self._tail_rows())
         ordered = self._ordered_units()
-        if ordered is not None:
-            for kind, segment in ordered:
-                if kind == "segment":
-                    yield from segment.iter_rows()
-                else:
-                    for rid in sorted(self._rows):
-                        yield rid, dict(self._rows[rid])
+        if ordered is None:
+            # Rid ranges interleave (e.g. an undo re-inserted a low rid
+            # after compaction): k-way merge keeps global rid order.
+            yield from heapq.merge(
+                *(s.iter_rows() for s in self._segments if s.count), tail,
+                key=lambda kv: kv[0])
             return
-        # Rid ranges interleave (e.g. an undo re-inserted a low rid after
-        # compaction): k-way merge keeps global rid order.
-        iters = [s.iter_rows() for s in self._segments if s.count]
-        iters.append((rid, dict(self._rows[rid])) for rid in sorted(self._rows))
-        yield from heapq.merge(*iters, key=lambda kv: kv[0])
+        for kind, segment in ordered:
+            yield from segment.iter_rows() if kind == "segment" else tail
 
     def _ordered_units(self) -> list[tuple[str, Any]] | None:
         """Units (segments + tail) whose concatenation is global rid order,
@@ -448,41 +563,51 @@ class HeapTable:
         if self._rows:
             units.append(("rows", None))
             ranges.append((min(self._rows), max(self._rows)))
-        order = sorted(range(len(units)), key=lambda i: ranges[i][0])
-        prev_max: int | None = None
-        for i in order:
-            lo, hi = ranges[i]
-            if prev_max is not None and lo <= prev_max:
-                return None
-            prev_max = hi
-        return [units[i] for i in order]
+        order = _rid_order(ranges)
+        return None if order is None else [units[i] for i in order]
 
-    def scan_units(self) -> list[tuple[str, Any]]:
+    def scan_units(self) -> Iterator[tuple[str, Any]]:
         """The scan split into vectorizable units, in global rid order.
 
-        Returns ``("segment", Segment)`` and ``("rows", iterator of
-        (rid, values))`` entries whose concatenation enumerates the table
-        in rid order; the value dicts are fresh copies the consumer owns
-        (the same unit shape :meth:`sharded_scan_units` materializes).
-        When rid ranges interleave this collapses to one rows unit (the
-        merged scan) — the executor then falls back to row-at-a-time,
-        which keeps e.g. float SUM accumulation order identical to the
-        naive interpreter.
+        Yields ``("segment", Segment)`` and ``("rows", [(rid, values),
+        ...])`` entries (the tail in :data:`TAIL_UNIT_ROWS` slices, value
+        dicts by reference) whose concatenation enumerates the table in
+        rid order.  Lazy: the caller must keep writers out while it
+        iterates (a table S lock, or a snapshot clone).  When rid ranges
+        interleave this collapses to one rows unit (the merged scan) —
+        the executor then falls back to row-at-a-time, which keeps e.g.
+        float SUM accumulation order identical to the naive interpreter.
         """
-        if self._segments:
-            ordered = self._ordered_units()
-            if ordered is not None:
-                return [
-                    (kind, segment) if kind == "segment"
-                    else ("rows", self._tail_rows())
-                    for kind, segment in ordered
-                ]
-            return [("rows", self._iter_items())]
-        return [("rows", self._tail_rows())] if self._rows else []
+        ordered = self._ordered_units()
+        if ordered is None:
+            yield "rows", list(self._iter_items())
+            return
+        for kind, segment in ordered:
+            if kind == "segment":
+                yield kind, segment
+            else:
+                yield from (("rows", chunk) for chunk in self._tail_chunks())
+
+    def _tail_chunks(self) -> Iterator[list[tuple[int, dict[str, Any]]]]:
+        """The tail's ``(rid, values)`` in rid order, by reference, in
+        lists of :data:`TAIL_UNIT_ROWS`."""
+        rows = self._rows
+        rids = sorted(rows)
+        for at in range(0, len(rids), TAIL_UNIT_ROWS):
+            chunk = rids[at:at + TAIL_UNIT_ROWS]
+            yield list(zip(chunk, map(rows.__getitem__, chunk)))
 
     def _tail_rows(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        for rid in sorted(self._rows):
-            yield rid, dict(self._rows[rid])
+        return chain.from_iterable(self._tail_chunks())
+
+    def column_items(self, column: str) -> Iterator[tuple[Any, int]]:
+        """``(value, rid)`` of every row for one column, in no particular
+        order — what an index or a pk map loads, without decoding (or
+        copying) any other column."""
+        for segment in self._segments:
+            yield from zip(segment.column_values(column), segment.rids)
+        for rid, values in self._rows.items():
+            yield values.get(column), rid
 
     def sharded_scan_units(self) -> list[list[tuple[str, Any]]]:
         """Per-shard vectorizable units for parallel plans (DESIGN.md §14).
@@ -490,10 +615,11 @@ class HeapTable:
         Returns one unit list per shard; each list enumerates that
         shard's rows in rid order as ``("segment", Segment)`` and
         ``("rows", [(rid, values), ...])`` entries.  Rows units are
-        materialized value-dict copies so the whole structure is
-        picklable for process-pool workers.  Concatenating matching rows
-        of all shards through a rid merge reproduces :meth:`scan` order
-        exactly — the byte-identity invariant parallel plans rely on.
+        materialized lists (value dicts by reference) so the whole
+        structure is picklable for process-pool workers.  Concatenating
+        matching rows of all shards through a rid merge reproduces
+        :meth:`scan` order exactly — the byte-identity invariant parallel
+        plans rely on.
         """
         spec = self._shard_spec
         if spec is None:
@@ -520,24 +646,15 @@ class HeapTable:
                 units.append(("segment", s))
                 ranges.append((s.min_rid, s.max_rid))
             if tail:
-                units.append(
-                    ("rows", [(r, dict(self._rows[r])) for r in tail]))
+                units.append(("rows", [(r, self._rows[r]) for r in tail]))
                 ranges.append((tail[0], tail[-1]))
-            order = sorted(range(len(units)), key=lambda i: ranges[i][0])
-            prev_max: int | None = None
-            interleaved = False
-            for i in order:
-                lo, hi = ranges[i]
-                if prev_max is not None and lo <= prev_max:
-                    interleaved = True
-                    break
-                prev_max = hi
-            if interleaved:
+            order = _rid_order(ranges)
+            if order is None:
                 # Rare (undo re-inserted a low rid after compaction):
                 # collapse the shard to one merged, decoded rows unit.
                 merged = heapq.merge(
                     *(s.iter_rows() for s in segs),
-                    iter((r, dict(self._rows[r])) for r in tail),
+                    iter((r, self._rows[r]) for r in tail),
                     key=lambda kv: kv[0])
                 out.append([("rows", list(merged))])
             else:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.sql import execute_sql
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
+from repro.telemetry import metrics
 
 _NAMES = ["alpha", "beta", "gamma", "delta", "epsilon"]
 
@@ -191,3 +192,174 @@ def test_dml_planner_matches_naive(rows, template, n, name, with_indexes):
     final = "SELECT * FROM t ORDER BY rid"
     assert execute_sql(planner_db, final) == \
         execute_sql(naive_db, final, use_planner=False)
+
+
+# ------------------------------------------------- late materialization
+#
+# Rows travel from every access path to the output stage as positions
+# (DESIGN.md §11); these differentials pin the output stage — projection
+# subsets, ORDER BY keys and LIMITs — byte-identical to the naive
+# interpreter over every table layout the positions can come from.
+
+_STATES = ["heap", "frozen", "mixed", "melted", "interleaved", "sharded",
+           "raw"]
+
+late_rows_strategy = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.sampled_from(_NAMES)),
+        st.integers(min_value=-5, max_value=5),           # ties
+        st.one_of(st.none(), st.integers(-3, 3)),         # NULL order keys
+        st.floats(min_value=-100, max_value=100, allow_nan=False),
+    ),
+    min_size=0, max_size=24,
+)
+
+_PROJECTIONS = ["*", "name, qty", "qty", "score, name, rid",
+                "name AS n, qty AS q", "opt, opt AS again", "t.qty, name"]
+_ORDERS = ["", " ORDER BY qty", " ORDER BY qty DESC", " ORDER BY opt",
+           " ORDER BY opt DESC", " ORDER BY name", " ORDER BY score DESC",
+           " ORDER BY q", " ORDER BY t.qty", " ORDER BY rid DESC"]
+_LIMITS = ["", " LIMIT 0", " LIMIT 3", " LIMIT 100", " LIMIT -2"]
+_ACCESS = [                       # one template per access path
+    "name = '{name}'",            # hash index
+    "name = '{name}' AND score > {n}",   # ... with a residual kernel filter
+    "name = '{name}' AND (qty > {n} OR opt IS NULL)",   # ... and a fallback
+    "qty >= {n}",                 # sorted-index range
+    "qty > {n} AND qty <= {m} AND opt IS NOT NULL",
+    "rid = {k}",                  # primary key
+    "rid = {k} AND qty >= {n}",
+    "score > {n}",                # scan (columnar when frozen)
+    "opt IN ({n}, 0) OR name LIKE 'a%'",
+]
+
+
+def _late_db(rows, state, dims=None):
+    """``t`` (and optionally ``d``) in one of the layouts positions come
+    from: an all-tail heap, all frozen, frozen + newer tail rows, a
+    segment melted back into the tail, tail rids interleaving the
+    segments', per-shard segments with overlapping rid ranges, and
+    dictionary-overflow / beyond-int64 ``raw`` columns."""
+    from repro.storage.rdbms.segments import Segment
+
+    db = Database()
+    schema = TableSchema(
+        "t",
+        (Column("rid", ColumnType.INT, nullable=False),
+         Column("name", ColumnType.TEXT),
+         Column("qty", ColumnType.INT),
+         Column("opt", ColumnType.INT),
+         Column("score", ColumnType.FLOAT)),
+        primary_key="rid",
+    )
+    if state == "sharded":
+        db.create_table(schema, shard_key="name", shard_count=3)
+    else:
+        db.create_table(schema)
+
+    def as_row(i, row):
+        name, qty, opt, score = row
+        if state == "raw" and i % 5 == 0:
+            qty = 2 ** 70 + qty  # does not fit array('q'): raw encoding
+        return {"rid": i, "name": name, "qty": qty, "opt": opt,
+                "score": score}
+
+    head = rows if state in ("heap", "frozen", "sharded", "raw") \
+        else rows[:len(rows) * 2 // 3]
+    db.run(lambda txn: txn.insert_many(
+        "t", [as_row(i, row) for i, row in enumerate(head)]))
+    db.create_index("t", "name", "hash")
+    db.create_index("t", "qty", "sorted")
+    if state != "heap":
+        db.compact("t", target_rows=4)
+    heap = db._table("t")
+    if state == "raw":
+        # Re-freeze with a one-entry dictionary budget: TEXT overflows.
+        heap._segments = [Segment.from_rows(schema, list(s.iter_rows()),
+                                            dict_max=1)
+                          for s in heap._segments]
+        heap._directory = None
+    if state in ("mixed", "melted", "interleaved"):
+        db.run(lambda txn: txn.insert_many(
+            "t", [as_row(i, row) for i, row in
+                  enumerate(rows[len(head):], start=len(head))]))
+    if state in ("melted", "interleaved") and head:
+        if state == "melted":
+            db.compact("t", target_rows=4)   # freeze the newer rows too
+        execute_sql(db, "UPDATE t SET score = 0.5 WHERE rid = 0")
+    if dims is not None:
+        _load_dims(db, dims, with_indexes=True)
+    return db
+
+
+def _same(db, sql, locked):
+    """Planner and naive agree on rows, row order and dict key order."""
+    if locked:
+        with db.begin() as txn:
+            got = execute_sql(db, sql, txn=txn)
+            want = execute_sql(db, sql, txn=txn, use_planner=False)
+    else:
+        got = execute_sql(db, sql)
+        want = execute_sql(db, sql, use_planner=False)
+    assert [list(r.items()) for r in got] == \
+        [list(r.items()) for r in want], sql
+
+
+@given(
+    rows=late_rows_strategy,
+    state=st.sampled_from(_STATES),
+    projection=st.sampled_from(_PROJECTIONS),
+    access=st.sampled_from(_ACCESS),
+    order=st.sampled_from(_ORDERS),
+    limit=st.sampled_from(_LIMITS),
+    n=st.integers(-5, 5), m=st.integers(-5, 5), k=st.integers(0, 24),
+    name=st.sampled_from(_NAMES),
+    locked=st.booleans(),
+)
+@settings(max_examples=250, deadline=None)
+def test_late_materialization_matches_naive(rows, state, projection, access,
+                                            order, limit, n, m, k, name,
+                                            locked):
+    db = _late_db(rows, state)
+    where = access.format(n=n, m=m, k=k, name=name)
+    _same(db, f"SELECT {projection} FROM t WHERE {where}{order}{limit}",
+          locked)
+
+
+@given(
+    rows=late_rows_strategy,
+    dims=dim_strategy,
+    state=st.sampled_from(_STATES),
+    where=st.sampled_from(["", " WHERE qty >= 0", " WHERE grp < 5",
+                           " WHERE t.name = 'alpha' AND opt IS NOT NULL"]),
+    order=st.sampled_from(["", " ORDER BY qty LIMIT 4", " ORDER BY grp DESC",
+                           " ORDER BY rid DESC LIMIT -1", " LIMIT 2"]),
+    locked=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_late_materialization_joins_match_naive(rows, dims, state, where,
+                                                order, locked):
+    # d is tiny and indexed on the join key: plans probe it per outer
+    # row (IndexNestedLoopJoin) or hash-join, as the estimates fall.
+    db = _late_db(rows, state, dims)
+    for items in ("rid, t.name, grp", "*"):
+        _same(db, f"SELECT {items} FROM t JOIN d ON t.name = d.name"
+                  f"{where}{order}", locked)
+
+
+def test_sampled_analyze_plans_over_segments_and_a_tail():
+    # ROADMAP item 0: above sample_threshold ANALYZE samples segments and
+    # tail directly; with a tail present every planned query crashed.
+    from repro.storage.rdbms.stats import StatisticsManager
+
+    rows = [(_NAMES[i % 5], i % 7 - 3, None if i % 4 == 0 else i % 3,
+             float(i)) for i in range(40)]
+    db = _late_db(rows, "mixed")
+    db._stats_manager = StatisticsManager(db, sample_threshold=5,
+                                          sample_size=8)
+    registry = metrics.get_registry()
+    before = registry.get("planner.analyze.sampled")
+    for where in ("name = 'alpha'", "qty >= 1", "rid = 30", "score > 12"):
+        _same(db, f"SELECT name, qty FROM t WHERE {where} ORDER BY qty "
+                  "LIMIT 5", locked=False)
+    assert registry.get("planner.analyze.sampled") > before
+    assert db._table("t").tail_size and db._table("t").segment_count()

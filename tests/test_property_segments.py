@@ -63,6 +63,29 @@ def test_bool_column_roundtrip_is_real_bools(values):
     assert all(v is None or isinstance(v, bool) for v in decoded)
 
 
+@given(data=st.data(),
+       col_type=st.sampled_from([ColumnType.INT, ColumnType.FLOAT,
+                                 ColumnType.TEXT, ColumnType.BOOL]),
+       dict_max=st.integers(1, 20))
+@settings(max_examples=120, deadline=None)
+def test_gather_and_null_flags_agree_with_value_at(data, col_type, dict_max):
+    values = data.draw(st.lists(
+        {ColumnType.INT: _INTS, ColumnType.FLOAT: _FLOATS,
+         ColumnType.TEXT: _TEXTS, ColumnType.BOOL: _BOOLS}[col_type],
+        min_size=1, max_size=60))
+    col = ColumnSegment.encode("c", col_type, values, dict_max=dict_max)
+    positions = data.draw(st.lists(st.integers(0, len(values) - 1),
+                                   max_size=40))
+    want = [col.value_at(i) for i in positions]
+    got = col.gather(positions)
+    assert got == want and [type(v) for v in got] == [type(v) for v in want]
+    nulls = [i for i, v in enumerate(values) if v is None]
+    assert col.null_positions() == nulls
+    flags = col.null_flags(positions)
+    assert flags == (None if not nulls
+                     else [values[i] is None for i in positions])
+
+
 @given(values=st.lists(_INTS, min_size=1, max_size=120))
 @settings(max_examples=60, deadline=None)
 def test_zone_map_bounds_are_exact(values):
@@ -111,6 +134,13 @@ _DIFF_QUERIES = [
     "SELECT COUNT(*) FROM t WHERE s IN ('a', 'b')",
     "SELECT COUNT(*) FROM t WHERE s LIKE 'a%'",
     "SELECT * FROM t ORDER BY id LIMIT 10",
+    # late materialization: only the chosen rows' projected columns decode
+    "SELECT s, v FROM t WHERE v > 0 ORDER BY f DESC LIMIT 3",
+    "SELECT id FROM t WHERE s = 'a' ORDER BY v",
+    "SELECT v AS w, s FROM t ORDER BY w LIMIT -1",
+    "SELECT s FROM t ORDER BY v LIMIT 4",
+    "SELECT f, id FROM t WHERE s IS NULL OR v < 0 LIMIT 5",
+    "SELECT s, f FROM t WHERE id = 3",
 ]
 
 _diff_rows = st.lists(

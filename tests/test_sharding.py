@@ -584,7 +584,7 @@ def test_explain_golden_parallel_hash_join_co_partitioned_and_broadcast():
         db, join + "WHERE orders.total > 40 AND users.uid = 7") == [
         "Project(*)",
         "  ParallelHashJoin(users.uid = orders.uid, co-partitioned, "
-        "shards=1/4)  [rows~1 cost~994]",
+        "shards=1/4)  [rows~1 cost~945]",
         "    ShardScan(left=users, shards=1/4 pruned=3)  [rows~1 cost~0]",
         "    ShardScan(right=orders, shards=1/4 pruned=3)  [rows~1 cost~0]",
     ]
