@@ -23,7 +23,13 @@ list in ``BENCH_e20.json`` and re-validated by ``benchmarks/check_gates.py``):
     primary-key point read and a filtered GROUP BY on a dictionary column
     are >= 5x / >= 5x / >= 2x faster than the parent commit's numbers for
     the same statements (``PARENT_SECONDS`` below), rows identical to
-    the naive interpreter.
+    the naive interpreter;
+  * writes beside segments (PR 17: delete vectors, no melt): a one-row
+    UPDATE by primary key of a frozen 65,536-row segment is >= 20x
+    faster than at the parent commit, the GROUP BY right after it >= 5x
+    faster and <= 1.5x its time on the untouched segment, no row is
+    melted; COMPACT after 10 scattered updates on 16 segments rewrites
+    <= 10 of them and freezes no more rows than they hold.
 
 Run standalone (writes ``results/BENCH_e20.json``)::
 
@@ -154,7 +160,21 @@ PARENT_SECONDS = {
     "group_by_dict_key": 0.416,
 }
 
+#: What a write to a frozen row cost at the parent commit (0a34e71: it
+#: melted the row's segment) — :func:`bench_writes_beside_segments` run
+#: against that commit's ``src/`` on the same box, the median of three
+#: runs, each a min of 3 (0.0870/0.0955/0.0971, 0.1088/0.1424/0.1479; its
+#: COMPACT after the ten updates re-froze the same 10 segments / 40,960
+#: rows, the melts having been paid by the updates).
+PARENT_SECONDS.update({
+    "update_frozen_row": 0.0955,
+    "group_by_after_update": 0.1424,
+})
+
 PK_PROBES = 200
+
+#: One default-sized segment: the table the write cases run on.
+WRITE_TABLE_ROWS = 65_536
 
 
 def late_cases(num_rows: int) -> list[dict]:
@@ -203,6 +223,71 @@ def bench_late_materialization(db: Database, num_rows: int,
             "plan": plan,
         })
     return out
+
+
+def bench_writes_beside_segments(repeats: int,
+                                 num_rows: int = WRITE_TABLE_ROWS) -> dict:
+    """What a write to a frozen row costs, and what it costs the next
+    reader, on a one-segment table of ``num_rows``; then what COMPACT
+    rewrites after 10 scattered updates on the same rows cut into 16
+    segments.  Each repeat starts from a fully frozen table (COMPACT
+    between repeats); rows identical to the naive interpreter."""
+    group_by = ("SELECT region, COUNT(*), AVG(amount) FROM events "
+                "WHERE amount > 300.0 GROUP BY region")
+    db = build_db(num_rows)
+    db.compact("events")
+    db.statistics().analyze("events")
+    heap = db._table("events")
+    registry = metrics.get_registry()
+    untouched = _time(lambda: execute_sql(db, group_by), repeats)
+    update_s = after_s = float("inf")
+    melted0 = registry.get("segments.rows_melted")
+    for r in range(repeats):
+        key = (r * 7919 + num_rows // 2) % num_rows
+        started = time.perf_counter()
+        execute_sql(db, f"UPDATE events SET amount = {r}.5 "
+                        f"WHERE event_id = {key}")
+        update_s = min(update_s, time.perf_counter() - started)
+        tail_rows = heap.tail_size
+        started = time.perf_counter()
+        fast = execute_sql(db, group_by)
+        after_s = min(after_s, time.perf_counter() - started)
+        assert fast == execute_sql(db, group_by, use_planner=False)
+        db.compact("events")
+    rows_melted = registry.get("segments.rows_melted") - melted0
+
+    segment_rows = max(num_rows // 16, 1)
+    db = build_db(num_rows)
+    db.compact("events", target_rows=segment_rows)
+    segments = db._table("events").segment_count()
+    for i in range(10):  # ten segments, one row each
+        execute_sql(db, f"UPDATE events SET qty = {i} WHERE event_id = "
+                        f"{i * segment_rows + segment_rows // 3}")
+    started = time.perf_counter()
+    summary = db.compact("events", target_rows=segment_rows)
+    compact_s = time.perf_counter() - started
+    sql = "SELECT status, COUNT(*), SUM(qty) FROM events GROUP BY status"
+    assert execute_sql(db, sql) == execute_sql(db, sql, use_planner=False)
+    return {
+        "rows": num_rows,
+        "update_seconds": update_s,
+        "update_parent_seconds": PARENT_SECONDS["update_frozen_row"],
+        "update_speedup_over_parent":
+            PARENT_SECONDS["update_frozen_row"] / update_s,
+        "tail_rows_after_update": tail_rows,
+        "rows_melted": rows_melted,
+        "group_by_untouched_seconds": untouched,
+        "group_by_after_update_seconds": after_s,
+        "group_by_parent_seconds": PARENT_SECONDS["group_by_after_update"],
+        "group_by_speedup_over_parent":
+            PARENT_SECONDS["group_by_after_update"] / after_s,
+        "group_by_vs_untouched": after_s / untouched,
+        "compact_segments_before": segments,
+        "compact_segments_rewritten": summary["segments_created"],
+        "compact_rows_frozen": summary["rows_frozen"],
+        "compact_rows_budget": 10 * segment_rows,
+        "compact_seconds": compact_s,
+    }
 
 
 def _time(fn, repeats: int) -> float:
@@ -333,6 +418,8 @@ def run_bench(num_rows: int = 1_000_000, repeats: int = 3,
     skip = bench_zone_map_skip(db)
     identity_count = check_identity(db)
     crash = check_crash_consistency(min(num_rows, 20_000))
+    writes = bench_writes_beside_segments(
+        repeats, min(num_rows, WRITE_TABLE_ROWS))
 
     write_table(
         "e20_columnar_scan",
@@ -360,6 +447,21 @@ def run_bench(num_rows: int = 1_000_000, repeats: int = 3,
           c["speedup_over_parent"], c["gate"]] for c in late],
     )
 
+    write_table(
+        "e20_writes_beside_segments",
+        f"E20: a write to a frozen row, and the read after it "
+        f"({writes['rows']} rows in one segment, min of {repeats}; "
+        f"parent numbers are for {WRITE_TABLE_ROWS})",
+        ["case", "parent s", "this tree s", "speedup"],
+        [["one-row UPDATE by primary key", writes["update_parent_seconds"],
+          writes["update_seconds"], writes["update_speedup_over_parent"]],
+         ["GROUP BY right after it", writes["group_by_parent_seconds"],
+          writes["group_by_after_update_seconds"],
+          writes["group_by_speedup_over_parent"]],
+         ["GROUP BY, untouched segment", "-",
+          writes["group_by_untouched_seconds"], "-"]],
+    )
+
     gates = []
     if not smoke:
         gates = [gate(f"speedup:{q['name']}", q["speedup"], ">=", q["gate"])
@@ -369,6 +471,22 @@ def run_bench(num_rows: int = 1_000_000, repeats: int = 3,
         gates += [gate(f"speedup_over_parent:{c['name']}",
                        c["speedup_over_parent"], ">=", c["gate"])
                   for c in late]
+        gates += [
+            gate("speedup_over_parent:update_frozen_row",
+                 writes["update_speedup_over_parent"], ">=", 20.0),
+            gate("speedup_over_parent:group_by_after_update",
+                 writes["group_by_speedup_over_parent"], ">=", 5.0),
+            gate("group_by_after_update_vs_untouched",
+                 writes["group_by_vs_untouched"], "<=", 1.5),
+        ]
+    # counts, not stopwatches: gated at every scale
+    gates += [
+        gate("compact_segments_rewritten",
+             writes["compact_segments_rewritten"], "<=", 10),
+        gate("compact_rows_frozen", writes["compact_rows_frozen"], "<=",
+             writes["compact_rows_budget"]),
+        gate("rows_melted_by_updates", writes["rows_melted"], "<=", 0),
+    ]
 
     payload = {
         "experiment": "e20_columnar_scan",
@@ -379,6 +497,7 @@ def run_bench(num_rows: int = 1_000_000, repeats: int = 3,
         "queries": queries,
         "zone_map_skip": skip,
         "late_materialization": late,
+        "writes_beside_segments": writes,
         "identity_queries_checked": identity_count,
         "crash_consistency": crash,
         "gates": gates,

@@ -403,16 +403,15 @@ class Transaction(IndexReads):
         db._locks.acquire(self.txn_id, (table, None), LockMode.SHARED)
         return db._table(table).scan()
 
-    def scan_units(self, table: str) -> Iterator[tuple[str, Any]]:
-        """The table's vectorizable scan units (S on the whole table) —
-        ``("segment", Segment)`` / ``("rows", (rid, values) pairs)`` in
+    def scan_units(self, table: str) -> Iterator[ScanUnit]:
+        """The table's vectorizable scan units (S on the whole table), in
         global rid order; see :meth:`HeapTable.scan_units`."""
         self._check_active()
         db = self._db
         db._locks.acquire(self.txn_id, (table, None), LockMode.SHARED)
         return db._table(table).scan_units()
 
-    def sharded_scan_units(self, table: str) -> list[list[tuple[str, Any]]]:
+    def sharded_scan_units(self, table: str) -> list[list[ScanUnit]]:
         """Per-shard vectorizable units (S on the whole table) for
         parallel plans; see :meth:`HeapTable.sharded_scan_units`."""
         self._check_active()
@@ -685,7 +684,10 @@ class Database:
 
     def compact(self, table: str,
                 target_rows: int = SEGMENT_TARGET_ROWS) -> dict[str, Any]:
-        """Freeze the table's committed tail rows into columnar segments.
+        """Freeze the table's committed tail rows into columnar segments,
+        rewriting the segments written to since they froze (their dead
+        positions go, the new versions of those rows come in) and leaving
+        every other segment as it is.
 
         Runs in an internal transaction holding an EXCLUSIVE table lock,
         so no concurrent writer can have uncommitted rows in the tail
@@ -794,7 +796,8 @@ class Database:
                 heap = self._table(table)
             except KeyError:
                 continue
-            if heap.tail_size >= threshold:
+            if heap.tail_size + heap.dead_rows >= threshold:
+                # Dead positions wait for compaction like tail rows do.
                 # The compaction transaction writes no rows, so its own
                 # commit cannot re-trigger this hook.
                 self.compact(table)
@@ -804,6 +807,13 @@ class Database:
         with self._mutate_lock:
             return {name: t.segment_count()
                     for name, t in self._tables.items() if t.segment_count()}
+
+    def dead_row_counts(self) -> dict[str, int]:
+        """Table name -> frozen rows deleted or superseded since they
+        froze and not yet compacted away (tables with none left out)."""
+        with self._mutate_lock:
+            return {name: t.dead_rows
+                    for name, t in self._tables.items() if t.dead_rows}
 
     # --------------------------------------------------------- transactions
 

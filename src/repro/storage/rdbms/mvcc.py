@@ -9,7 +9,12 @@ Writers keep strict 2PL; readers stop locking entirely.  A
   table replaces value dicts on update, never mutates them in place)
   with every **active uncommitted** transaction's undo entries applied
   in reverse, which rolls the copy back to pure committed data;
-* columnar segments are referenced directly — they are immutable;
+* columnar segments are referenced directly — they are immutable — and
+  each delete vector (the dead positions beside a segment, DESIGN.md
+  §12) is copied.  The copy may hold a position an uncommitted writer
+  marked dead; the reversed undo entry has put that row's committed
+  values into the tail copy under the same rid, and a tail row is what
+  readers see for a dead position's rid — so nothing more is undone;
 * shard routing is recomputed over the snapshot's tail (frozen rows
   already live in per-shard segments).
 
@@ -39,7 +44,7 @@ from repro.errors import CancellationToken, ReadOnlyTransactionError
 from repro.storage.rdbms.engine import GUARD_STRIDE, IndexReads
 from repro.storage.rdbms.index import HashIndex, Index, SortedIndex
 from repro.storage.rdbms.sharding import ShardSpec
-from repro.storage.rdbms.table import HeapTable, Row
+from repro.storage.rdbms.table import HeapTable, Row, ScanUnit
 from repro.telemetry import metrics
 
 
@@ -72,6 +77,7 @@ def build_table_snapshot(heap: HeapTable, undo_entries: list[tuple],
     # snapshot builds its own lazily instead; nothing reads the clone's.
     clone._pk_index = {}
     clone._segments = list(heap._segments)
+    clone._dead = {segment: list(dead) for segment, dead in heap._dead.items()}
     clone._directory = None
     clone._shard_spec = heap._shard_spec
     if heap._shard_spec is not None:
@@ -209,12 +215,12 @@ class SnapshotTransaction(IndexReads):
         self._check_active()
         return self._guarded(self._snap(table).table.scan())
 
-    def scan_units(self, table: str) -> Iterator[tuple[str, Any]]:
+    def scan_units(self, table: str) -> Iterator[ScanUnit]:
         """The snapshot's vectorizable scan units (segments + frozen tail)."""
         self._check_active()
         return self._snap(table).table.scan_units()
 
-    def sharded_scan_units(self, table: str) -> list[list[tuple[str, Any]]]:
+    def sharded_scan_units(self, table: str) -> list[list[ScanUnit]]:
         """Per-shard units of the snapshot, for parallel plans."""
         self._check_active()
         return self._snap(table).table.sharded_scan_units()

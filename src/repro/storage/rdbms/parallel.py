@@ -41,7 +41,7 @@ from repro.storage.rdbms import planner as _planner
 from repro.storage.rdbms.engine import Transaction
 from repro.storage.rdbms.sharding import ShardSpec
 from repro.storage.rdbms.sql import InPredicate, SelectStatement
-from repro.storage.rdbms.table import ScanUnit
+from repro.storage.rdbms.table import ScanUnit, unit_len
 from repro.telemetry import metrics
 from repro.telemetry.tracing import get_tracer
 
@@ -100,7 +100,7 @@ class ShardTask:
     is set when the shard folds into a partial aggregate."""
 
     shard: int
-    units: list[tuple[str, Any]]
+    units: list[ScanUnit]
     pred: _planner.ScanPredicate
     stmt: SelectStatement | None = None
 
@@ -199,15 +199,14 @@ class ShardScan(_planner.PlanNode):
                 f"pruned={self.total - self.live})")
 
 
-def _chunk_shard_units(units: list[tuple[str, Any]]) \
-        -> list[list[tuple[str, Any]]]:
+def _chunk_shard_units(units: list[ScanUnit]) -> list[list[ScanUnit]]:
     """Split one shard's unit list into ~CHUNK_TARGET_ROWS-row tasks,
     preserving unit order (per-shard rid order)."""
-    chunks: list[list[tuple[str, Any]]] = []
-    cur: list[tuple[str, Any]] = []
+    chunks: list[list[ScanUnit]] = []
+    cur: list[ScanUnit] = []
     cur_rows = 0
-    for kind, unit in units:
-        n = unit.count if kind == "segment" else len(unit)
+    for kind, unit, selected in units:
+        n = unit_len(kind, unit, selected)
         if cur and cur_rows + n > CHUNK_TARGET_ROWS:
             chunks.append(cur)
             cur, cur_rows = [], 0
@@ -216,9 +215,9 @@ def _chunk_shard_units(units: list[tuple[str, Any]]) \
                 chunks.append(cur)
                 cur, cur_rows = [], 0
             for i in range(0, n, CHUNK_TARGET_ROWS):
-                chunks.append([("rows", unit[i:i + CHUNK_TARGET_ROWS])])
+                chunks.append([("rows", unit[i:i + CHUNK_TARGET_ROWS], None)])
             continue
-        cur.append((kind, unit))
+        cur.append((kind, unit, selected))
         cur_rows += n
     if cur:
         chunks.append(cur)
@@ -226,7 +225,7 @@ def _chunk_shard_units(units: list[tuple[str, Any]]) \
 
 
 def _checked_shard_units(txn: Transaction, table: str,
-                         spec: ShardSpec) -> list[list[tuple[str, Any]]]:
+                         spec: ShardSpec) -> list[list[ScanUnit]]:
     """The transaction's per-shard units, verified against the planned spec.
 
     Snapshot readers take no locks, so a reshard can commit between
@@ -244,7 +243,7 @@ def _checked_shard_units(txn: Transaction, table: str,
 
 
 def exchange(txn: Transaction, shards: list[int], fans: list[Any],
-             make_task: Callable[[int, list[list[tuple[str, Any]]]], Any],
+             make_task: Callable[[int, list[list[ScanUnit]]], Any],
              worker: Callable[[Any], dict[str, Any]],
              prof: _planner.OperatorProfile | None,
              chunk: bool = False,
@@ -282,14 +281,14 @@ def exchange(txn: Transaction, shards: list[int], fans: list[Any],
     total_rows = 0
     for shard in shards:
         unit_lists = [
-            [(kind, unit) for kind, unit, _ in _planner.select_units(
-                layout[shard], fan.pred,
-                prof=fan.shard_scan.profile, select=False)]
+            list(_planner.select_units(layout[shard], fan.pred,
+                                       prof=fan.shard_scan.profile,
+                                       select=False))
             for fan, layout in zip(fans, layouts)]
         if not all(unit_lists):
             continue  # an empty fanned input scans / joins to nothing
-        total_rows += sum(u.count if kind == "segment" else len(u)
-                          for units in unit_lists for kind, u in units)
+        total_rows += sum(unit_len(*unit)
+                          for units in unit_lists for unit in units)
         groups = [[c] for c in _chunk_shard_units(unit_lists[0])] \
             if chunk else [unit_lists]
         per_shard.append([make_task(shard, group) for group in groups])

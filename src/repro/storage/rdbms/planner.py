@@ -50,7 +50,7 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -374,8 +374,8 @@ class OperatorProfile:
     """
 
     __slots__ = ("rows", "loops", "seconds",
-                 "segments_scanned", "segments_skipped", "index_probes",
-                 "shards_total", "shards_pruned")
+                 "segments_scanned", "segments_skipped", "rows_masked",
+                 "index_probes", "shards_total", "shards_pruned")
 
     def __init__(self) -> None:
         self.rows = 0
@@ -383,6 +383,7 @@ class OperatorProfile:
         self.seconds = 0.0
         self.segments_scanned = 0
         self.segments_skipped = 0
+        self.rows_masked = 0  # dead positions of the segments scanned
         self.index_probes = 0
         self.shards_total = 0
         self.shards_pruned = 0
@@ -427,6 +428,8 @@ class OperatorProfile:
         if self.segments_scanned or self.segments_skipped:
             parts.append(f"segments={self.segments_scanned} "
                          f"pruned={self.segments_skipped}")
+        if self.rows_masked:
+            parts.append(f"masked={self.rows_masked}")
         if self.shards_total:
             parts.append(
                 f"shards={self.shards_total - self.shards_pruned}"
@@ -526,10 +529,10 @@ class FullScan(PlanNode):
 
     def _units(self, txn: Transaction) -> Iterator[ScanUnit]:
         guard = txn.guard
-        for kind, unit in txn.scan_units(self.table):
+        for unit in txn.scan_units(self.table):
             if guard is not None:
                 guard.check()
-            yield kind, unit, None if kind == "rows" else range(unit.count)
+            yield unit
 
     def label(self) -> str:
         return f"FullScan({self.table})"
@@ -676,8 +679,8 @@ def filter_unit(kind: str, unit: Any, selected: Sequence[int] | None,
     """What is left of one scan unit under ``pred``.
 
     Segment positions go through the kernel conjuncts (restricted to
-    ``selected``; None means the whole segment); fallback conjuncts
-    decode the survivors to decide, and only then.  Rows units — and a
+    ``selected``); fallback conjuncts decode the survivors to decide, and
+    only then.  Rows units — and a
     segment whose kernels hit incomparable operands, so that row-by-row
     evaluation reproduces the naive error surface — run the whole
     predicate through the row evaluator, polling ``guard`` every
@@ -693,8 +696,7 @@ def filter_unit(kind: str, unit: Any, selected: Sequence[int] | None,
                     in zip(survivors, unit.rows_at(survivors))
                     if eval_predicate(fallback, values)]
             return kind, unit, survivors
-        unit = unit.rows_at(range(unit.count) if selected is None
-                            else selected)
+        unit = unit.rows_at(selected)
     full = pred.full
     if full is None:
         return "rows", unit if isinstance(unit, list) else list(unit), None
@@ -707,44 +709,60 @@ def filter_unit(kind: str, unit: Any, selected: Sequence[int] | None,
     return "rows", keep, None
 
 
-def select_units(units: Iterable[tuple[str, Any]], pred: ScanPredicate,
+def select_units(units: Iterable[ScanUnit], pred: ScanPredicate,
                  guard: CancellationToken | None = None,
                  prof: OperatorProfile | None = None, select: bool = True,
                  ) -> Iterator[ScanUnit]:
-    """The scan kernel: a table's ``(kind, unit)`` scan units narrowed to
-    the rows matching ``pred``, polling ``guard`` once per unit.
+    """The scan kernel: a table's scan units narrowed to the rows
+    matching ``pred``, polling ``guard`` once per unit.
 
     A segment the zone maps prove empty is dropped (``segments.skipped``);
     a scanned one goes through :func:`filter_unit`, like every rows unit.
-    Units nothing survives in are not yielded.  ``select=False`` stops
-    after the prune (the fan-out coordinator keeps empty segments out of
-    task payloads; its workers select and count).
+    A segment arrives as one stretch of live positions or, around tail
+    rows that replaced some of its rows, several in a row: it is pruned
+    and counted once.  Units nothing survives in are not yielded.
+    ``select=False`` stops after the prune (the fan-out coordinator keeps
+    empty segments out of task payloads; its workers select and count).
     """
     registry = metrics.get_registry()
-    for kind, unit in units:
+    # The latest segment, whether it was pruned, and the first of its
+    # positions no stretch has reached yet (EXPLAIN ANALYZE's masked=
+    # counts the live-position gaps: the dead positions scanned past).
+    segment, pruned, reached = None, True, 0
+    count_masked = select and prof is not None
+    for kind, unit, selected in units:
         if guard is not None:
             guard.check()
         if kind == "segment":
-            if unit.count == 0:
+            if unit is not segment:
+                if count_masked and not pruned:
+                    prof.rows_masked += segment.count - reached
+                segment, reached = unit, 0
+                pruned = any(_zone_map_prunes(unit, c) for c in pred.vector)
+                if pruned:
+                    registry.inc("segments.skipped")
+                    if prof is not None:
+                        prof.segments_skipped += 1
+                elif select:
+                    registry.inc("segments.scanned")
+                    if prof is not None:
+                        prof.segments_scanned += 1
+            if pruned:
                 continue
-            if any(_zone_map_prunes(unit, c) for c in pred.vector):
-                registry.inc("segments.skipped")
-                if prof is not None:
-                    prof.segments_skipped += 1
-                continue
-            if select:
-                registry.inc("segments.scanned")
-                if prof is not None:
-                    prof.segments_scanned += 1
+            if count_masked:
+                prof.rows_masked += selected[-1] + 1 - reached - len(selected)
+                reached = selected[-1] + 1
         if not select:
-            yield kind, unit, None
+            yield kind, unit, selected
             continue
-        out = filter_unit(kind, unit, None, pred, guard)
+        out = filter_unit(kind, unit, selected, pred, guard)
         if unit_len(*out):
             yield out
+    if count_masked and not pruned:
+        prof.rows_masked += segment.count - reached
 
 
-def scan_rows(units: Iterable[tuple[str, Any]], pred: ScanPredicate,
+def scan_rows(units: Iterable[ScanUnit], pred: ScanPredicate,
               guard: CancellationToken | None = None,
               prof: OperatorProfile | None = None,
               ) -> Iterator[tuple[int, dict[str, Any]]]:
@@ -754,16 +772,19 @@ def scan_rows(units: Iterable[tuple[str, Any]], pred: ScanPredicate,
         yield from unit_rows(*unit)
 
 
-def fold_units(units: Iterable[tuple[str, Any]], pred: ScanPredicate,
+def fold_units(units: Iterable[ScanUnit], pred: ScanPredicate,
                state: "AggState", guard: CancellationToken | None = None,
                prof: OperatorProfile | None = None) -> int:
     """The scan kernel for the aggregate: fold every matching row into
     ``state`` — segments column-at-a-time, tail rows one by one.
     Returns the rows folded."""
     n = 0
+    segment, cells = None, {}  # the segment being folded, decoded columns
     for kind, unit, selected in select_units(units, pred, guard, prof):
         if kind == "segment":
-            state.add_segment(unit, selected)
+            if unit is not segment:
+                segment, cells = unit, {}
+            state.add_segment(unit, selected, cells)
             n += len(selected)
         else:
             for _, values in unit:
@@ -996,6 +1017,14 @@ class IndexNestedLoopJoin(PlanNode):
 # --------------------------------------------------------------- aggregate
 
 
+def _column_cells(col: Any, cells: dict[Any, Sequence[Any]]) -> Sequence[Any]:
+    """One column's decoded values, decoded at most once per ``cells``."""
+    values = cells.get(col.name)
+    if values is None:
+        values = cells[col.name] = col.cells()
+    return values
+
+
 class AggState:
     """The running state of one aggregate stage — COUNT/SUM/AVG/MIN/MAX
     per GROUP BY key — folded row by row (:meth:`add_row`), straight off
@@ -1118,107 +1147,24 @@ class AggState:
                 acc[0] += v
                 acc[1] += 1
 
-    def add_segment(self, segment: Segment, selected: Sequence[int]) -> None:
-        """Fold the selected positions of one segment, column-at-a-time."""
-        if self._group_names:
-            self._add_grouped(segment, selected)
-        else:
-            self._add_global(segment, selected)
+    def add_segment(self, segment: Segment, selected: Sequence[int],
+                    cells: dict[Any, Sequence[Any]]) -> None:
+        """Fold the selected positions of one segment, column-at-a-time.
 
-    def _add_global(self, segment: Segment, selected: Sequence[int]) -> None:
-        accs = self._accs_for(())
-        full = len(selected) == segment.count
-        decoded: dict[str, list[Any]] = {}
-
-        def column_values(name: str) -> list[Any]:
-            values = decoded.get(name)
-            if values is None:
-                values = decoded[name] = segment.columns[name].cells()
-            return values
-
-        for acc, (_, func, colname) in zip(accs, self._agg_items):
-            if func == "count":
-                if colname is None:
-                    acc[0] += len(selected)
-                    continue
-                col = segment.columns[colname]
-                if full:
-                    acc[0] += col.count - col.null_count
-                    continue
-                flags = col.null_flags()
-                if flags is None:
-                    acc[0] += len(selected)
-                else:
-                    acc[0] += sum(1 for i in selected if not flags[i])
-                continue
-            col = segment.columns[colname]
-            if func in ("sum", "avg"):
-                if full:
-                    if col.encoding in ("int", "bool"):
-                        # NULL placeholder slots are 0: they never change
-                        # an integer sum, so the typed buffer sums whole.
-                        acc[0] = sum(col.data, acc[0])
-                    elif col.encoding == "float" and col.null_count == 0:
-                        acc[0] = sum(col.data, acc[0])
-                    elif col.encoding == "float":
-                        flags = col.null_flags()
-                        data = col.data
-                        acc[0] = sum((data[i] for i in range(col.count)
-                                      if not flags[i]), acc[0])
-                    else:  # raw (e.g. beyond-int64 values)
-                        acc[0] = sum((v for v in col.data if v is not None),
-                                     acc[0])
-                    acc[1] += col.count - col.null_count
-                else:
-                    values = column_values(colname)
-                    for i in selected:
-                        v = values[i]
-                        if v is not None:
-                            acc[0] += v
-                            acc[1] += 1
-                continue
-            # min / max
-            if full and col.encoding != "float":
-                bound = col.min_value if func == "min" else col.max_value
-                if bound is not None:
-                    if not acc[0]:
-                        acc[0], acc[1] = True, bound
-                    elif func == "min" and bound < acc[1]:
-                        acc[1] = bound
-                    elif func == "max" and bound > acc[1]:
-                        acc[1] = bound
-                continue
-            values = column_values(colname)
-            if func == "min":
-                for i in selected:
-                    v = values[i]
-                    if v is None:
-                        continue
-                    if not acc[0]:
-                        acc[0], acc[1] = True, v
-                    elif v < acc[1]:
-                        acc[1] = v
-            else:
-                for i in selected:
-                    v = values[i]
-                    if v is None:
-                        continue
-                    if not acc[0]:
-                        acc[0], acc[1] = True, v
-                    elif v > acc[1]:
-                        acc[1] = v
-
-    def _add_grouped(self, segment: Segment, selected: Sequence[int]) -> None:
-        full = len(selected) == segment.count
+        ``cells`` holds the segment's decoded columns from one call to
+        the next (a segment written to since it froze arrives as several
+        stretches of positions; a column decodes once for all of them).
+        """
+        if not self._group_names:
+            self._fold(segment, self._accs_for(()), selected, cells)
+            return
         # Bucket on what the segment stores — a dictionary column's codes
         # stand in for its strings one to one (NULL is code -1) — and
         # decode one key per group afterwards, off its first row.
         key_cols = [segment.columns[name] for name in self._group_names]
-        group_cols = []
-        for col in key_cols:
-            cells = col.data if col.encoding == "dict" else col.decoded()
-            group_cols.append(cells if full else take(cells, selected))
-
+        group_cols = [take(col.data if col.encoding == "dict"
+                           else _column_cells(col, cells), selected)
+                      for col in key_cols]
         # Partition positions by group key.  The per-row cost is one
         # C-built key (buffer element or zip tuple) plus one dict probe;
         # buckets keep first-occurrence order, matching the insertion
@@ -1228,45 +1174,73 @@ class AggState:
             else zip(*group_cols)
         for pos, key in zip(selected, keys):
             buckets[key].append(pos)
-        decoded: dict[str, list[Any]] = {}
-
-        def column_values(name: str) -> list[Any]:
-            values = decoded.get(name)
-            if values is None:
-                values = decoded[name] = segment.columns[name].cells()
-            return values
-
-        # Fold each bucket off the decoded buffers: take() gathers at
-        # C speed, and sum(vals, start)/min(vals)/max(vals) replay the
-        # exact left-to-right, strict-inequality fold of the row path.
         for bucket in buckets.values():
             accs = self._accs_for(
                 tuple(col.value_at(bucket[0]) for col in key_cols))
-            extracted: dict[str, Sequence[Any]] = {}
-            for acc, (_, func, colname) in zip(accs, self._agg_items):
-                if colname is None:  # count(*)
-                    acc[0] += len(bucket)
-                    continue
-                vals = extracted.get(colname)
-                if vals is None:
-                    vals = take(column_values(colname), bucket)
-                    if segment.columns[colname].null_count:
-                        vals = [v for v in vals if v is not None]
-                    extracted[colname] = vals
+            self._fold(segment, accs, bucket, cells)
+
+    def _fold(self, segment: Segment, accs: list[list[Any]],
+              bucket: Sequence[int], cells: dict[Any, Sequence[Any]]) -> None:
+        """Fold one group's rows — the ascending positions ``bucket`` —
+        off the column buffers: take() gathers at C speed (a slice for a
+        stretch of consecutive positions), and sum(vals, start) /
+        min(vals) / max(vals) replay the exact left-to-right,
+        strict-inequality fold of the row path."""
+        n = len(bucket)
+        full = n == segment.count
+        present: dict[str, Sequence[Any]] = {}  # column -> non-NULL values
+        for acc, (_, func, colname) in zip(accs, self._agg_items):
+            if colname is None:  # count(*)
+                acc[0] += n
+                continue
+            col = segment.columns[colname]
+            if func in ("min", "max"):
+                pick = min if func == "min" else max
+                if full and col.encoding != "float":
+                    # (FLOAT bounds are not trustworthy under NaN)
+                    vals = [v for v in (col.min_value if func == "min"
+                                        else col.max_value,) if v is not None]
+                else:
+                    vals = present.get(colname)
+                    if vals is None:
+                        vals = take(_column_cells(col, cells), bucket)
+                        if col.null_count:
+                            vals = [v for v in vals if v is not None]
+                        present[colname] = vals
+                # The builtins keep the first extremum under ``<`` / ``>``:
+                # seeded with the running one they continue the row fold.
+                if acc[0]:
+                    acc[1] = pick(chain((acc[1],), vals))
+                elif len(vals):
+                    acc[0], acc[1] = True, pick(vals)
+                continue
+            # count / sum / avg: NULL placeholder slots of a typed
+            # integer buffer are 0 and never change a sum, so only the
+            # number of NULLs among the rows is needed; a float column
+            # must step over them to keep its addition chain.
+            if col.null_count == 0 or col.encoding in ("int", "bool") \
+                    or func == "count":
+                nulls = 0
+                if full:
+                    nulls = col.null_count
+                elif col.null_count:
+                    flags = cells.get((colname, "nulls"))
+                    if flags is None:
+                        flags = cells[colname, "nulls"] = col.null_flags()
+                    nulls = sum(take(flags, bucket))
                 if func == "count":
-                    acc[0] += len(vals)
-                elif func in ("sum", "avg"):
-                    acc[0] = sum(vals, acc[0])
-                    acc[1] += len(vals)
-                elif vals:
-                    cand = min(vals) if func == "min" else max(vals)
-                    if not acc[0]:
-                        acc[0], acc[1] = True, cand
-                    elif func == "min":
-                        if cand < acc[1]:
-                            acc[1] = cand
-                    elif cand > acc[1]:
-                        acc[1] = cand
+                    acc[0] += n - nulls
+                else:
+                    acc[0] = sum(take(col.data, bucket), acc[0])
+                    acc[1] += n - nulls
+                continue
+            vals = present.get(colname)
+            if vals is None:
+                vals = present[colname] = [
+                    v for v in take(_column_cells(col, cells), bucket)
+                    if v is not None]
+            acc[0] = sum(vals, acc[0])
+            acc[1] += len(vals)
 
     def merge(self, other: "AggState") -> None:
         """Fold another state of the same statement into this one."""

@@ -45,7 +45,10 @@ _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
 def take(cells: Sequence[Any], positions: Sequence[int]) -> Sequence[Any]:
-    """``cells`` at ``positions``, gathered by one C-level call."""
+    """``cells`` at ``positions``, gathered by one C-level call (a slice
+    for a stretch of consecutive positions)."""
+    if isinstance(positions, range) and positions.step == 1:
+        return cells[positions.start:positions.stop]
     if len(positions) > 1:
         return itemgetter(*positions)(cells)
     return [cells[i] for i in positions]
@@ -330,7 +333,7 @@ class Segment:
         return zip(rids, (dict(zip(names, cells)) for cells in zip(*columns)))
 
     def iter_rows(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        """Decode every row in rid order — the melt/scan path."""
+        """Decode every row in rid order."""
         return self.rows_at(range(self.count))
 
     def column_values(self, name: str) -> list[Any]:

@@ -303,18 +303,23 @@ class StatisticsManager:
         # (whose per-shard rid ranges interleave) into one merged
         # decoded-rows unit — losing the zone-map fast path entirely.
         units: list[tuple[str, Any]] = [
-            ("segment", s) for s in heap._segments if s.count]
-        if heap._rows:
+            ("segment", s) for s in heap.segments if s.count]
+        if heap.tail_size:
             units.append(("rows", heap._tail_rows()))
         for kind, unit in units:
             if kind == "segment":
+                # Zone maps cover the dead positions too: bounds stay
+                # valid (wider at worst), null counts give theirs back.
+                dead = heap.dead_positions(unit)
+                live = heap.live_positions(unit)
                 for name in names:
                     col = unit.columns[name]
-                    null_counts[name] += col.null_count
+                    null_counts[name] += col.null_count \
+                        - sum(map(col.is_null, dead))
                     fold(bounds[name], col.min_value, col.max_value)
-                end = base + unit.count
+                end = base + len(live)
                 while pos_index < k and positions[pos_index] < end:
-                    p = positions[pos_index] - base
+                    p = live[positions[pos_index] - base]
                     for name in names:
                         samples[name].append(unit.columns[name].value_at(p))
                     pos_index += 1

@@ -3,35 +3,41 @@
 Since PR 6 a heap table has two regions (DESIGN.md §12):
 
 * the **row-store tail** — the mutable ``rid -> values`` dict every write
-  lands in, exactly as before;
+  lands in;
 * zero or more immutable **columnar segments** — cold rows frozen by
   :meth:`HeapTable.compact` into the typed layout of
   :mod:`repro.storage.rdbms.segments`.
 
-Readers never observe the split: :meth:`scan` merges segments and tail in
-rid order, :meth:`get` consults both, and any update/delete of a frozen
-row *melts* its segment back into the tail first (copy-on-write at
-segment granularity).
+A write never changes a segment.  Beside each one the table keeps its
+**delete vector** — the positions that are *dead*: deleted, or superseded
+by a tail row stored under the same rid.  ``update`` of a frozen row
+decodes that one row, marks its position dead and stores the new values
+in the tail; ``delete`` marks it dead; :meth:`HeapTable.compact` rewrites
+the segments that have dead positions and no others.
 
-The executor reads the regions separately, as **scan units** (DESIGN.md
-§11): ``("segment", Segment, positions)`` names rows of a segment without
-decoding them, ``("rows", [(rid, values), ...], None)`` carries tail rows
-*by reference*.  :meth:`scan_units` enumerates a table that way and
-:meth:`locate` maps index-produced rids to the same shape.  Sharing the
-stored value dicts is safe because the table never mutates one in place:
-every write stores a freshly validated dict, so a reader (or a snapshot)
-holding the old one keeps seeing the old values.
+Readers never observe the split, and they read in rid order: one function
+(:meth:`HeapTable._interleave`) merges segments and tail into **scan
+units** (DESIGN.md §11) — ``("segment", Segment, positions)`` names live
+rows of a segment without decoding them, ``("rows", [(rid, values), ...],
+None)`` carries tail rows *by reference*, and a tail row whose rid falls
+inside a segment's range comes between two stretches of that segment.
+:meth:`scan_units` enumerates a table that way and :meth:`locate` maps
+index-produced rids to the same shape.  Sharing the stored value dicts is
+safe because the table never mutates one in place: every write stores a
+freshly validated dict, so a reader (or a snapshot) holding the old one
+keeps seeing the old values.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, starmap
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.storage.rdbms.segments import SEGMENT_TARGET_ROWS, Segment
+from repro.storage.rdbms.segments import SEGMENT_TARGET_ROWS, Segment, take
 from repro.storage.rdbms.sharding import ShardSpec
 from repro.storage.rdbms.types import SchemaError, TableSchema
 from repro.telemetry import metrics
@@ -65,6 +71,20 @@ def _rid_order(ranges: list[tuple[int, int]]) -> list[int] | None:
     return order
 
 
+def _live_between(dead: Sequence[int], start: int, stop: int) -> Sequence[int]:
+    """Positions ``start .. stop - 1`` minus the ascending ``dead`` ones —
+    a ``range`` when none of them is dead."""
+    lo, hi = bisect_left(dead, start), bisect_left(dead, stop)
+    if lo == hi:
+        return range(start, stop)
+    live: list[int] = []
+    for pos in dead[lo:hi]:
+        live.extend(range(start, pos))
+        start = pos + 1
+    live.extend(range(start, stop))
+    return live
+
+
 def unit_len(kind: str, unit: Any, selected: Sequence[int] | None) -> int:
     """Rows one scan unit stands for."""
     return len(unit) if kind == "rows" else len(selected)
@@ -77,18 +97,22 @@ def unit_rows(kind: str, unit: Any, selected: Sequence[int] | None,
     return unit if kind == "rows" else unit.rows_at(selected)
 
 
-def fetch_rows(units: Iterable[ScanUnit]) -> list[Row]:
+def iter_rows(units: Iterable[ScanUnit]) -> Iterator[Row]:
     """Scan units as caller-owned :class:`Row` objects (the public read
     APIs hand out rows their callers may keep or change, so tail value
     dicts are copied here; segment rows decode into fresh dicts anyway)."""
-    rows: list[Row] = []
     for kind, unit, selected in units:
         if kind == "rows":
-            rows.extend(Row(rid, dict(values)) for rid, values in unit)
+            for rid, values in unit:
+                yield Row(rid, dict(values))
         else:
-            rows.extend(Row(rid, values)
-                        for rid, values in unit.rows_at(selected))
-    return rows
+            for rid, values in unit.rows_at(selected):
+                yield Row(rid, values)
+
+
+def fetch_rows(units: Iterable[ScanUnit]) -> list[Row]:
+    """:func:`iter_rows`, materialized."""
+    return list(iter_rows(units))
 
 
 class HeapTable:
@@ -105,11 +129,14 @@ class HeapTable:
         self._next_rid = 0
         self._pk_index: dict[Any, int] = {}
         self._segments: list[Segment] = []
+        #: segment -> its dead positions, ascending (the delete vector);
+        #: a segment with none has no entry
+        self._dead: dict[Segment, list[int]] = {}
         #: lazily built by :meth:`_segment_directory`; reset to None by
         #: whatever changes ``_segments``
         self._directory: tuple[list[int], list[Segment]] | None = None
         # Shard membership covers *all* rids (tail + frozen); compaction
-        # and melting move rows between regions without changing shards.
+        # moves rows between regions without changing shards.
         self._shard_spec: ShardSpec | None = None
         self._shard_rids: list[set[int]] = []
         if shard_spec is not None:
@@ -156,7 +183,8 @@ class HeapTable:
         return self._schema.name
 
     def __len__(self) -> int:
-        return len(self._rows) + sum(s.count for s in self._segments)
+        return (len(self._rows) + sum(s.count for s in self._segments)
+                - self.dead_rows)
 
     @property
     def tail_size(self) -> int:
@@ -164,8 +192,21 @@ class HeapTable:
         return len(self._rows)
 
     @property
+    def dead_rows(self) -> int:
+        """Frozen positions marked dead and not yet compacted away."""
+        return sum(map(len, self._dead.values()))
+
+    @property
     def segments(self) -> list[Segment]:
         return list(self._segments)
+
+    def dead_positions(self, segment: Segment) -> Sequence[int]:
+        """The ascending dead positions of one of this table's segments."""
+        return self._dead.get(segment, ())
+
+    def live_positions(self, segment: Segment) -> Sequence[int]:
+        """Its other positions, ascending (a ``range`` when none is dead)."""
+        return _live_between(self.dead_positions(segment), 0, segment.count)
 
     def segment_count(self) -> int:
         return len(self._segments)
@@ -233,23 +274,45 @@ class HeapTable:
             rows.append(Row(rid=rid, values=dict(row_values)))
         return rows
 
+    def _current(self, rid: int,
+                 ) -> tuple[dict[str, Any], tuple[Segment, int] | None]:
+        """A caller-owned copy of the row's values, and where the row is
+        frozen (None: it lives in the tail).  A frozen row costs one
+        decoded row, not its segment.
+
+        Raises:
+            KeyError: unknown rid.
+        """
+        values = self._rows.get(rid)
+        if values is not None:
+            return dict(values), None
+        frozen = self._segment_of(rid)
+        if frozen is None:
+            raise KeyError(rid)
+        segment, pos = frozen
+        return next(segment.rows_at((pos,)))[1], frozen
+
+    def _mark_dead(self, segment: Segment, pos: int) -> None:
+        insort(self._dead.setdefault(segment, []), pos)
+        metrics.get_registry().inc("segments.rows_masked")
+        self._publish_dead_rows()
+
+    def _publish_dead_rows(self) -> None:
+        metrics.get_registry().set_gauge(
+            f"segments.dead_rows.{self.name}", self.dead_rows)
+
     def update(self, rid: int, changes: dict[str, Any]) -> tuple[Row, Row]:
         """Apply column changes to one row; returns (old_row, new_row).
 
-        A frozen row's segment is melted back into the tail first.
+        A frozen row's position is marked dead and the new values go to
+        the tail under the same rid; a rejected update changes nothing.
 
         Raises:
             KeyError: unknown rid.
             SchemaError: schema or primary-key violations.
         """
-        if rid not in self._rows:
-            self._melt_containing(rid)
-        if rid not in self._rows:
-            raise KeyError(rid)
-        old_values = dict(self._rows[rid])
-        merged = dict(old_values)
-        merged.update(changes)
-        new_values = self._schema.validate_row(merged)
+        old_values, frozen = self._current(rid)
+        new_values = self._schema.validate_row({**old_values, **changes})
         pk = self._schema.primary_key
         if pk is not None and new_values[pk] != old_values[pk]:
             if new_values[pk] is None:
@@ -258,6 +321,8 @@ class HeapTable:
                 raise SchemaError(f"duplicate primary key {new_values[pk]!r}")
             del self._pk_index[old_values[pk]]
             self._pk_index[new_values[pk]] = rid
+        if frozen is not None:
+            self._mark_dead(*frozen)
         self._rows[rid] = new_values
         if self._shard_spec is not None:
             old_shard = self._shard_of_values(old_values)
@@ -268,16 +333,17 @@ class HeapTable:
         return Row(rid, old_values), Row(rid, dict(new_values))
 
     def delete(self, rid: int) -> Row:
-        """Delete one row (melting its segment if frozen); returns it.
+        """Delete one row (a frozen one by marking its position dead);
+        returns it.
 
         Raises:
             KeyError: unknown rid.
         """
-        if rid not in self._rows:
-            self._melt_containing(rid)
-        if rid not in self._rows:
-            raise KeyError(rid)
-        values = self._rows.pop(rid)
+        values, frozen = self._current(rid)
+        if frozen is None:
+            del self._rows[rid]
+        else:
+            self._mark_dead(*frozen)
         pk = self._schema.primary_key
         if pk is not None:
             self._pk_index.pop(values[pk], None)
@@ -316,76 +382,106 @@ class HeapTable:
 
     # ------------------------------------------------------------ segments
 
+    def _groups(self) -> list[tuple[int | None, list[Segment], list[int]]]:
+        """``(shard, segments, tail rids)`` per shard — one group, shard
+        None, when unsharded — both in rid order.  The segments of a
+        group never overlap in rid range: :meth:`compact` chunks that
+        way and :meth:`restore_segments` refuses a layout that does not.
+        """
+        by_min_rid = attrgetter("min_rid")
+        segments = [s for s in self._segments if s.count]
+        spec = self._shard_spec
+        if spec is None:
+            return [(None, sorted(segments, key=by_min_rid),
+                     sorted(self._rows))]
+        groups: list[tuple[int | None, list[Segment], list[int]]] = [
+            (shard, [], []) for shard in range(spec.count)]
+        for segment in sorted(segments, key=by_min_rid):
+            groups[segment.shard][1].append(segment)
+        # One pass over the (usually small) tail instead of filtering
+        # every shard's full rid set: point queries hit this per
+        # execution, so it must not scale with frozen-row count.
+        for rid in sorted(self._rows):
+            groups[self._shard_of_values(self._rows[rid])][2].append(rid)
+        return groups
+
     def compact(self, max_rid: int | None = None,
                 target_rows: int = SEGMENT_TARGET_ROWS) -> tuple[int, int, int]:
-        """Freeze tail rows with ``rid <= max_rid`` into columnar segments.
+        """Freeze tail rows with ``rid <= max_rid`` into columnar segments
+        and fold the delete vectors in.
 
-        Chunking is deterministic (sorted rids, ``target_rows`` per
-        segment) so WAL replay of a ``compact`` record reproduces the
-        exact same layout.  Returns ``(segments_created, rows_frozen,
-        max_rid_used)``.
+        Per group of :meth:`_groups`, in rid order: a segment that has a
+        dead position (or a tail row inside its rid range) is rewritten —
+        its live rows and those tail rows join the run being frozen — and
+        an untouched segment ends the run, so no new segment's rid range
+        reaches across an existing one's.  Each run is cut into chunks of
+        ``target_rows``.  Deterministic, so WAL replay of a ``compact``
+        record over the same table state reproduces the layout.  Returns
+        ``(segments_created, rows_frozen, max_rid_used)``.
         """
         if target_rows < 1:
             raise ValueError("target_rows must be >= 1")
         if max_rid is None:
             max_rid = self._next_rid - 1
-        eligible = sorted(r for r in self._rows if r <= max_rid)
-        created = 0
-        if self._shard_spec is not None:
-            # Deterministic per-shard chunking: a sharded table's segments
-            # hold rows of exactly one shard, so parallel plans can hand
-            # whole segments to worker tasks.  Routing is seed-stable
-            # (sharding.py), so WAL replay reproduces the same layout.
-            groups: list[list[int]] = [[] for _ in range(self._shard_spec.count)]
-            for rid in eligible:
-                groups[self._shard_of_values(self._rows[rid])].append(rid)
-            for shard, shard_rids in enumerate(groups):
-                for start in range(0, len(shard_rids), target_rows):
-                    chunk = shard_rids[start:start + target_rows]
-                    segment = Segment.from_rows(
-                        self._schema,
-                        [(rid, self._rows[rid]) for rid in chunk],
-                        shard=shard)
-                    self._segments.append(segment)
-                    for rid in chunk:
-                        del self._rows[rid]
-                    created += 1
-        else:
-            for start in range(0, len(eligible), target_rows):
-                chunk = eligible[start:start + target_rows]
-                segment = Segment.from_rows(
-                    self._schema, [(rid, self._rows[rid]) for rid in chunk])
-                self._segments.append(segment)
-                for rid in chunk:
-                    del self._rows[rid]
-                created += 1
-        if eligible:
-            self._directory = None
+        rows = self._rows
+        rewritten: list[Segment] = []
+        fresh: list[Segment] = []
+        taken: list[int] = []  # tail rids that went into ``fresh``
+        frozen = 0
+        for shard, segments, tail in self._groups():
+            del tail[bisect_right(tail, max_rid):]
+            taken += tail
+            runs: list[list[tuple[int, dict[str, Any]]]] = [[]]
+            at = 0
+            for segment in segments:
+                first = bisect_left(tail, segment.min_rid, at)
+                end = bisect_right(tail, segment.max_rid, first)
+                runs[-1] += [(rid, rows[rid]) for rid in tail[at:end]]
+                if end > first or segment in self._dead:
+                    runs[-1] += segment.rows_at(self.live_positions(segment))
+                    rewritten.append(segment)
+                else:
+                    runs.append([])
+                at = end
+            runs[-1] += [(rid, rows[rid]) for rid in tail[at:]]
+            for run in runs:
+                run.sort(key=itemgetter(0))
+                fresh += [Segment.from_rows(self._schema,
+                                            run[start:start + target_rows],
+                                            shard=shard)
+                          for start in range(0, len(run), target_rows)]
+                frozen += len(run)
+        # Everything new is built: only now does the old layout go.
+        for segment in rewritten:
+            self._segments.remove(segment)
+            self._dead.pop(segment, None)
+        if rewritten:
+            self._publish_dead_rows()
+        for rid in taken:
+            del rows[rid]
+        self._segments += fresh
+        self._directory = None
+        if frozen:
             registry = metrics.get_registry()
-            registry.inc("segments.created", created)
-            registry.inc("segments.rows_frozen", len(eligible))
-        return created, len(eligible), max_rid
+            registry.inc("segments.created", len(fresh))
+            registry.inc("segments.rows_frozen", frozen)
+        return len(fresh), frozen, max_rid
 
     def melt_all(self) -> None:
-        """Decode every segment back into the row-store tail."""
-        for segment in list(self._segments):
-            self._melt_segment(segment)
-
-    def _melt_segment(self, segment: Segment) -> None:
-        self._segments.remove(segment)
-        self._directory = None
-        for rid, values in segment.iter_rows():
-            self._rows[rid] = values
+        """Decode every segment's live rows back into the row-store tail
+        (a change of schema or of shard layout re-types or re-routes
+        every row; no write does this)."""
         registry = metrics.get_registry()
-        registry.inc("segments.melted")
-        registry.inc("segments.rows_melted", segment.count)
-
-    def _melt_containing(self, rid: int) -> bool:
-        found = self._segment_of(rid)
-        if found is None:
-            return False
-        self._melt_segment(found[0])
-        return True
+        for segment in self._segments:
+            live = self.live_positions(segment)
+            self._rows.update(segment.rows_at(live))
+            registry.inc("segments.melted")
+            registry.inc("segments.rows_melted", len(live))
+        if self._dead:
+            self._dead = {}
+            self._publish_dead_rows()
+        self._segments = []
+        self._directory = None
 
     def _segment_directory(self) -> tuple[list[int], list[Segment]]:
         """``(first rids, segments)`` of the non-empty segments in rid
@@ -404,7 +500,8 @@ class HeapTable:
         return directory
 
     def _segment_of(self, rid: int) -> tuple[Segment, int] | None:
-        """The segment holding ``rid`` and its position there, or None."""
+        """The segment holding ``rid`` alive and its position there, or
+        None (a dead position holds nothing)."""
         mins, segments = self._segment_directory()
         if mins:
             at = bisect_right(mins, rid) - 1
@@ -412,14 +509,18 @@ class HeapTable:
         for segment in segments:
             pos = segment.rid_position(rid)
             if pos is not None:
-                return segment, pos
+                dead = self._dead.get(segment, ())
+                at = bisect_left(dead, pos)
+                if at == len(dead) or dead[at] != pos:
+                    return segment, pos
         return None
 
     def locate(self, rids: Iterable[int]) -> list[ScanUnit]:
         """Ascending ``rids`` as scan units, still in rid order: runs of
         frozen rows become ``("segment", segment, positions)``, runs of
         tail rows ``("rows", [(rid, values), ...], None)`` by reference.
-        Nothing is decoded or copied.
+        The tail is asked first — a tail row supersedes the frozen one
+        under its rid.  Nothing is decoded or copied.
 
         Raises:
             KeyError: a rid the table does not hold.
@@ -450,13 +551,21 @@ class HeapTable:
             positions = [pos]
             # Every rid up to the segment's last is, bar an interleaved
             # tail row, in the same segment: position the whole stretch
-            # at once.
+            # at once, and end it before the first dead position.
             end = bisect_right(rids, segment.max_rid, at) if disjoint \
                 else at + 1
             if end > at + 1:
                 positions = segment.positions_of(rids[at:end])
                 if positions is None:
                     end, positions = at + 1, [pos]
+                dead = self._dead.get(segment, ())
+                for gone in dead[bisect_left(dead, pos):
+                                 bisect_right(dead, positions[-1])]:
+                    cut = bisect_left(positions, gone)
+                    if positions[cut] == gone:
+                        del positions[cut:]
+                        end = at + cut
+                        break
             if units and units[-1][1] is segment:
                 units[-1][2].extend(positions)
             else:
@@ -466,7 +575,10 @@ class HeapTable:
 
     def segment_layout(self) -> list[list[int]]:
         """``[[min_rid, max_rid, count], ...]`` — checkpointed so reopen
-        can re-freeze the same layout (and detect drift).
+        can re-freeze the same layout (and detect drift).  ``count`` is
+        what :meth:`restore_segments` will find in the range once every
+        row is back in the tail: the segment's live rows plus the tail
+        rows inside its rid range; a range left with none is omitted.
 
         Segments of sharded tables emit a fourth ``shard`` element:
         per-shard rid ranges interleave, so restore must know which shard
@@ -474,11 +586,19 @@ class HeapTable:
         shards' rows).  Unsharded segments keep the 3-entry form so old
         checkpoints stay readable.
         """
-        return [
-            [s.min_rid, s.max_rid, s.count] if s.shard is None
-            else [s.min_rid, s.max_rid, s.count, s.shard]
-            for s in self._segments
-        ]
+        layout = []
+        tail = sorted(self._rows)
+        for s in self._segments:
+            inside = tail[bisect_left(tail, s.min_rid):
+                          bisect_right(tail, s.max_rid)]
+            if s.shard is not None:
+                inside = [rid for rid in inside
+                          if rid in self._shard_rids[s.shard]]
+            count = len(self.live_positions(s)) + len(inside)
+            if count:
+                layout.append([s.min_rid, s.max_rid, count] if s.shard is None
+                              else [s.min_rid, s.max_rid, count, s.shard])
+        return layout
 
     def restore_segments(self, layout: list[list[int]]) -> bool:
         """Re-freeze a checkpointed layout after the rows were reloaded.
@@ -486,36 +606,38 @@ class HeapTable:
         Re-encoding from the recovered rows rebuilds every zone map from
         scratch, so reopen can never serve stale min/max bounds (the
         drift class PR 5's facts-index bug belonged to).  If any entry no
-        longer matches the live rows — the snapshot drifted — the restore
-        stops and remaining rows stay in the (always correct) tail;
-        returns False in that case so callers can count the invalidation.
+        longer matches the live rows — the snapshot drifted — or reaches
+        across a segment already restored, the restore stops and the
+        remaining rows stay in the (always correct) tail; returns False
+        in that case so callers can count the invalidation.
 
         The shard spec must already be applied (recovery order): 4-entry
         layouts select rows by rid range *and* shard membership.
         """
-        for entry in layout:
-            if len(entry) == 4:
-                min_rid, max_rid, count, shard = entry
-                if (self._shard_spec is None
-                        or shard >= self._shard_spec.count):
-                    return False
-                members = self._shard_rids[shard]
-                chunk = sorted(r for r in self._rows
-                               if min_rid <= r <= max_rid and r in members)
-            else:
-                min_rid, max_rid, count = entry
-                shard = None
-                chunk = sorted(r for r in self._rows
-                               if min_rid <= r <= max_rid)
-            if len(chunk) != count:
+        rids = sorted(self._rows)  # once: each entry bisects its range
+        spec = self._shard_spec
+        restored: dict[int | None, list[tuple[int, int]]] = {}
+        for min_rid, max_rid, count, *tag in layout:
+            shard = tag[0] if tag else None
+            if (shard is None) != (spec is None) \
+                    or (spec is not None and shard >= spec.count):
                 return False
-            segment = Segment.from_rows(
-                self._schema, [(rid, self._rows[rid]) for rid in chunk],
-                shard=shard)
-            self._segments.append(segment)
+            chunk = rids[bisect_left(rids, min_rid):
+                         bisect_right(rids, max_rid)]
+            if shard is not None:
+                members = self._shard_rids[shard]
+                chunk = [rid for rid in chunk if rid in members]
+            ranges = restored.setdefault(shard, [])
+            if len(chunk) != count or any(
+                    lo <= max_rid and min_rid <= hi for lo, hi in ranges):
+                return False
+            if not chunk:
+                continue
+            ranges.append((min_rid, max_rid))
+            self._segments.append(Segment.from_rows(
+                self._schema, [(rid, self._rows.pop(rid)) for rid in chunk],
+                shard=shard))
             self._directory = None
-            for rid in chunk:
-                del self._rows[rid]
         return True
 
     # ---------------------------------------------------------------- reads
@@ -537,129 +659,99 @@ class HeapTable:
 
     def scan(self) -> Iterator[Row]:
         """Yield all rows in rid order (segments merged with the tail)."""
-        for rid, values in self._iter_items():
-            yield Row(rid, values)
+        return iter_rows(self.scan_units())
 
-    def _iter_items(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        """Every ``(rid, values)`` in rid order, as fresh dicts."""
-        tail = ((rid, dict(values)) for rid, values in self._tail_rows())
-        ordered = self._ordered_units()
-        if ordered is None:
-            # Rid ranges interleave (e.g. an undo re-inserted a low rid
-            # after compaction): k-way merge keeps global rid order.
-            yield from heapq.merge(
-                *(s.iter_rows() for s in self._segments if s.count), tail,
-                key=lambda kv: kv[0])
-            return
-        for kind, segment in ordered:
-            yield from segment.iter_rows() if kind == "segment" else tail
+    def _interleave(self, segments: list[Segment],
+                    tail: list[int]) -> Iterator[ScanUnit]:
+        """The rid-order merge every scan reads through: ``segments`` (in
+        rid order, ranges disjoint) and the ascending ``tail`` rids, as
+        scan units whose concatenation is rid order.
 
-    def _ordered_units(self) -> list[tuple[str, Any]] | None:
-        """Units (segments + tail) whose concatenation is global rid order,
-        or None when the rid ranges interleave."""
-        units: list[tuple[str, Any]] = [
-            ("segment", s) for s in self._segments if s.count]
-        ranges = [(s.min_rid, s.max_rid) for _, s in units]
-        if self._rows:
-            units.append(("rows", None))
-            ranges.append((min(self._rows), max(self._rows)))
-        order = _rid_order(ranges)
-        return None if order is None else [units[i] for i in order]
-
-    def scan_units(self) -> Iterator[tuple[str, Any]]:
-        """The scan split into vectorizable units, in global rid order.
-
-        Yields ``("segment", Segment)`` and ``("rows", [(rid, values),
-        ...])`` entries (the tail in :data:`TAIL_UNIT_ROWS` slices, value
-        dicts by reference) whose concatenation enumerates the table in
-        rid order.  Lazy: the caller must keep writers out while it
-        iterates (a table S lock, or a snapshot clone).  When rid ranges
-        interleave this collapses to one rows unit (the merged scan) —
-        the executor then falls back to row-at-a-time, which keeps e.g.
-        float SUM accumulation order identical to the naive interpreter.
+        A segment comes out as stretches of live positions — one, a
+        ``range``, when nothing in it was written since it froze — and a
+        tail row whose rid falls inside the segment's range (the new
+        version of a dead position) sits between two stretches, exactly
+        where the row it replaced was.  Tail rows travel in
+        :data:`TAIL_UNIT_ROWS` slices, value dicts by reference.
         """
-        ordered = self._ordered_units()
-        if ordered is None:
-            yield "rows", list(self._iter_items())
-            return
-        for kind, segment in ordered:
-            if kind == "segment":
-                yield kind, segment
-            else:
-                yield from (("rows", chunk) for chunk in self._tail_chunks())
+        at = 0  # tail[:at] has been emitted
+        for segment in segments:
+            rids = segment.rids
+            dead = self._dead.get(segment, ())
+            end = bisect_right(tail, rids[-1], at)
+            start = 0
+            for t in range(bisect_left(tail, rids[0], at, end), end):
+                split = bisect_left(rids, tail[t], start)
+                live = _live_between(dead, start, split)
+                if live:
+                    yield from self._tail_units(tail[at:t])
+                    yield "segment", segment, live
+                    at = t
+                start = split + (split < segment.count
+                                 and rids[split] == tail[t])
+            live = _live_between(dead, start, segment.count)
+            if live:
+                yield from self._tail_units(tail[at:end])
+                yield "segment", segment, live
+                at = end
+        yield from self._tail_units(tail[at:])
 
-    def _tail_chunks(self) -> Iterator[list[tuple[int, dict[str, Any]]]]:
-        """The tail's ``(rid, values)`` in rid order, by reference, in
-        lists of :data:`TAIL_UNIT_ROWS`."""
+    def _tail_units(self, rids: list[int]) -> Iterator[ScanUnit]:
         rows = self._rows
-        rids = sorted(rows)
         for at in range(0, len(rids), TAIL_UNIT_ROWS):
             chunk = rids[at:at + TAIL_UNIT_ROWS]
-            yield list(zip(chunk, map(rows.__getitem__, chunk)))
+            yield "rows", list(zip(chunk, map(rows.__getitem__, chunk))), None
+
+    def scan_units(self) -> Iterator[ScanUnit]:
+        """The scan split into vectorizable units, in global rid order
+        (see :meth:`_interleave`).  Lazy: the caller must keep writers
+        out while it iterates (a table S lock, or a snapshot clone).
+
+        Per-shard segments interleave in rid range; a sharded table's
+        global scan is then one rows unit, the rid merge of its shards'
+        decoded rows — the executor falls back to row-at-a-time, which
+        keeps e.g. float SUM accumulation order identical to the naive
+        interpreter.
+        """
+        mins, segments = self._segment_directory()
+        if mins or not segments:
+            yield from self._interleave(segments, sorted(self._rows))
+            return
+        shards = (chain.from_iterable(starmap(unit_rows, units))
+                  for units in self.sharded_scan_units())
+        yield "rows", list(heapq.merge(*shards, key=itemgetter(0))), None
 
     def _tail_rows(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        return chain.from_iterable(self._tail_chunks())
+        """The tail's ``(rid, values)`` in rid order, by reference."""
+        return chain.from_iterable(
+            unit for _, unit, _ in self._tail_units(sorted(self._rows)))
 
     def column_items(self, column: str) -> Iterator[tuple[Any, int]]:
         """``(value, rid)`` of every row for one column, in no particular
         order — what an index or a pk map loads, without decoding (or
         copying) any other column."""
         for segment in self._segments:
-            yield from zip(segment.column_values(column), segment.rids)
+            live = self.live_positions(segment)
+            yield from zip(segment.gather((column,), live)[0],
+                           take(segment.rids, live))
         for rid, values in self._rows.items():
             yield values.get(column), rid
 
-    def sharded_scan_units(self) -> list[list[tuple[str, Any]]]:
+    def sharded_scan_units(self) -> list[list[ScanUnit]]:
         """Per-shard vectorizable units for parallel plans (DESIGN.md §14).
 
-        Returns one unit list per shard; each list enumerates that
-        shard's rows in rid order as ``("segment", Segment)`` and
-        ``("rows", [(rid, values), ...])`` entries.  Rows units are
+        Returns one unit list per shard, each enumerating that shard's
+        rows in rid order (see :meth:`_interleave`).  Rows units are
         materialized lists (value dicts by reference) so the whole
         structure is picklable for process-pool workers.  Concatenating
         matching rows of all shards through a rid merge reproduces
         :meth:`scan` order exactly — the byte-identity invariant parallel
         plans rely on.
         """
-        spec = self._shard_spec
-        if spec is None:
+        if self._shard_spec is None:
             raise SchemaError(f"table {self.name!r} is not sharded")
-        out: list[list[tuple[str, Any]]] = []
-        # One pass over the (usually small) tail instead of filtering
-        # every shard's full rid set: point queries hit this per
-        # execution, so it must not scale with frozen-row count.
-        tails: list[list[int]] = [[] for _ in range(spec.count)]
-        for rid in sorted(self._rows):
-            shard = spec.shard_of(self._rows[rid].get(spec.key))
-            if rid in self._shard_rids[shard]:
-                tails[shard].append(rid)
-        segs_by_shard: list[list[Segment]] = [[] for _ in range(spec.count)]
-        for s in self._segments:
-            if s.count and s.shard is not None:
-                segs_by_shard[s.shard].append(s)
-        for shard in range(spec.count):
-            segs = sorted(segs_by_shard[shard], key=lambda s: s.min_rid)
-            tail = tails[shard]
-            units: list[tuple[str, Any]] = []
-            ranges: list[tuple[int, int]] = []
-            for s in segs:
-                units.append(("segment", s))
-                ranges.append((s.min_rid, s.max_rid))
-            if tail:
-                units.append(("rows", [(r, self._rows[r]) for r in tail]))
-                ranges.append((tail[0], tail[-1]))
-            order = _rid_order(ranges)
-            if order is None:
-                # Rare (undo re-inserted a low rid after compaction):
-                # collapse the shard to one merged, decoded rows unit.
-                merged = heapq.merge(
-                    *(s.iter_rows() for s in segs),
-                    iter((r, self._rows[r]) for r in tail),
-                    key=lambda kv: kv[0])
-                out.append([("rows", list(merged))])
-            else:
-                out.append([units[i] for i in order])
-        return out
+        return [list(self._interleave(segments, tail))
+                for _, segments, tail in self._groups()]
 
     def scan_where(self, predicate: Callable[[dict[str, Any]], bool]) -> Iterator[Row]:
         """Filtered scan."""
@@ -670,5 +762,5 @@ class HeapTable:
     def rids(self) -> list[int]:
         all_rids = list(self._rows)
         for segment in self._segments:
-            all_rids.extend(segment.rids)
+            all_rids.extend(take(segment.rids, self.live_positions(segment)))
         return sorted(all_rids)

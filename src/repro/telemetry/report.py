@@ -188,8 +188,19 @@ def render_report(summary: dict[str, Any],
                 f"skipped={seg_skipped:.0f} "
                 f"({rate}) "
                 f"frozen_rows="
-                f"{all_counters.get('segments.rows_frozen', 0.0):.0f}",
+                f"{all_counters.get('segments.rows_frozen', 0.0):.0f} "
+                f"masked_rows="
+                f"{all_counters.get('segments.rows_masked', 0.0):.0f}",
             ]
+            # per table: frozen rows deleted or superseded since they
+            # froze, waiting for the next compaction
+            dead = [f"{name.removeprefix('segments.dead_rows.')}={value:.0f}"
+                    for name, value in sorted(
+                        snapshot.get("gauges", {}).items())
+                    if name.startswith("segments.dead_rows.") and value]
+            if dead:
+                lines.append(f"  dead rows awaiting compaction: "
+                             f"{', '.join(dead)}")
         lines += ["", "metrics (counters):"]
         for name, value in counters[:max_metrics]:
             rendered = f"{value:.0f}" if value == int(value) else f"{value:.4f}"

@@ -296,3 +296,40 @@ def test_grouped_aggregate_decodes_one_key_per_group(decoded_cells):
     assert [r["attribute"] for r in rows] == sorted(ATTRS)
     # the NULL-free FLOAT operand is summed off its typed buffer as is
     assert decoded_cells == {"attribute": len(ATTRS)}
+
+
+def test_a_write_to_a_frozen_row_decodes_that_row_only(decoded_cells):
+    db = _facts_db(20_000)
+    heap = db._table("facts")
+    columns = ["fact_id", "entity", "attribute", "value", "note"]
+    sql = ("SELECT attribute, COUNT(*) AS n, AVG(value) AS a FROM facts "
+           "WHERE value > 5000 GROUP BY attribute")
+    execute_sql(db, sql)                # ANALYZE reads the table once
+    registry = metrics.get_registry()
+    melted = registry.get("segments.rows_melted")
+    masked = registry.get("segments.rows_masked")
+
+    decoded_cells.clear()
+    db.run(lambda txn: txn.update("facts", 12_345, {"value": 1.0}))
+    assert decoded_cells == dict.fromkeys(columns, 1)
+    assert (heap.tail_size, heap.dead_rows) == (1, 1)
+    decoded_cells.clear()
+    db.run(lambda txn: txn.delete("facts", 777))
+    assert decoded_cells == dict.fromkeys(columns, 1)
+    assert (heap.tail_size, heap.dead_rows, len(heap)) == (1, 2, 19_999)
+    assert registry.get("segments.rows_melted") == melted
+    assert registry.get("segments.rows_masked") == masked + 2
+
+    # the aggregate right behind them still sums the typed buffer: one
+    # key per group and stretch (the segment now reads as two stretches
+    # around the updated row, which comes from the tail), no value cell
+    decoded_cells.clear()
+    rows = execute_sql(db, sql)
+    assert decoded_cells == {"attribute": 2 * len(ATTRS)}
+    assert rows == execute_sql(db, sql, use_planner=False)
+    lines = [r["plan"] for r in execute_sql(db, f"EXPLAIN ANALYZE {sql}")]
+    scan = next(line for line in lines if "SegmentScan(" in line)
+    assert "segments=1 pruned=0 masked=2" in scan
+    db.compact("facts")
+    lines = [r["plan"] for r in execute_sql(db, f"EXPLAIN ANALYZE {sql}")]
+    assert not any("masked=" in line for line in lines)

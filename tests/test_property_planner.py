@@ -201,8 +201,8 @@ def test_dml_planner_matches_naive(rows, template, n, name, with_indexes):
 # subsets, ORDER BY keys and LIMITs — byte-identical to the naive
 # interpreter over every table layout the positions can come from.
 
-_STATES = ["heap", "frozen", "mixed", "melted", "interleaved", "sharded",
-           "raw"]
+_STATES = ["heap", "frozen", "mixed", "masked", "masked_one", "interleaved",
+           "sharded", "raw"]
 
 late_rows_strategy = st.lists(
     st.tuples(
@@ -235,10 +235,12 @@ _ACCESS = [                       # one template per access path
 
 def _late_db(rows, state, dims=None):
     """``t`` (and optionally ``d``) in one of the layouts positions come
-    from: an all-tail heap, all frozen, frozen + newer tail rows, a
-    segment melted back into the tail, tail rids interleaving the
-    segments', per-shard segments with overlapping rid ranges, and
-    dictionary-overflow / beyond-int64 ``raw`` columns."""
+    from: an all-tail heap, all frozen, frozen + newer tail rows, frozen
+    rows written to since (dead positions, their new versions in the tail
+    between stretches of the segment — over several small segments or
+    inside one), a tail rid in front of every segment, per-shard segments
+    with overlapping rid ranges, and dictionary-overflow / beyond-int64
+    ``raw`` columns."""
     from repro.storage.rdbms.segments import Segment
 
     db = Database()
@@ -265,12 +267,13 @@ def _late_db(rows, state, dims=None):
 
     head = rows if state in ("heap", "frozen", "sharded", "raw") \
         else rows[:len(rows) * 2 // 3]
+    masked = state.startswith("masked")
     db.run(lambda txn: txn.insert_many(
         "t", [as_row(i, row) for i, row in enumerate(head)]))
     db.create_index("t", "name", "hash")
     db.create_index("t", "qty", "sorted")
     if state != "heap":
-        db.compact("t", target_rows=4)
+        db.compact("t", target_rows=64 if state == "masked_one" else 4)
     heap = db._table("t")
     if state == "raw":
         # Re-freeze with a one-entry dictionary budget: TEXT overflows.
@@ -278,14 +281,18 @@ def _late_db(rows, state, dims=None):
                                             dict_max=1)
                           for s in heap._segments]
         heap._directory = None
-    if state in ("mixed", "melted", "interleaved"):
+    if state in ("mixed", "interleaved") or masked:
         db.run(lambda txn: txn.insert_many(
             "t", [as_row(i, row) for i, row in
                   enumerate(rows[len(head):], start=len(head))]))
-    if state in ("melted", "interleaved") and head:
-        if state == "melted":
-            db.compact("t", target_rows=4)   # freeze the newer rows too
+    if state == "interleaved" and head:
         execute_sql(db, "UPDATE t SET score = 0.5 WHERE rid = 0")
+    if masked:
+        for i in range(0, len(head), 3):     # neighbours 6 and 7 both move
+            execute_sql(db, f"UPDATE t SET score = 0.5, qty = {i % 4 - 1} "
+                            f"WHERE rid IN ({i}, {2 * i + 1})")
+        execute_sql(db, "DELETE FROM t WHERE rid IN (2, 4, 5, 11, 13)")
+        assert len(head) < 3 or heap.dead_rows
     if dims is not None:
         _load_dims(db, dims, with_indexes=True)
     return db

@@ -4,8 +4,11 @@ The unsharded naive interpreter (``use_planner=False``) is the oracle:
 for every generated query, a table sharded into 1, 2 or 8 shards and
 executed through the parallel operators (ParallelScan / heapq shard
 merge / partial->final aggregation) must return the *identical* row
-list — same rows, same order.  Compaction state varies too, so both the
-frozen-segment and tail-row worker paths are exercised.
+list — same rows, same order.  The layout varies too — all tail, frozen
+per shard, and frozen rows written to since (dead positions, tail rows
+between stretches of a segment, a row whose new shard key moved it) — so
+the tail-row, frozen-segment and position-stretch worker paths are all
+exercised; the oracle never freezes anything.
 """
 
 import json
@@ -46,7 +49,11 @@ def _schema():
     )
 
 
-def _load(rows, shard_key=None, shard_count=1, compact=False):
+layout_strategy = st.sampled_from(["tail", "frozen", "masked"])
+
+
+def _load(rows, shard_key=None, shard_count=1, layout="tail", oracle=False):
+    """``oracle`` gets the layout's writes but stays one unsharded tail."""
     db = Database()
     if shard_key is not None and shard_count > 1:
         db.create_table(_schema(), shard_key=shard_key,
@@ -57,8 +64,16 @@ def _load(rows, shard_key=None, shard_count=1, compact=False):
         for i, (name, qty, score) in enumerate(rows):
             txn.insert("t", {"rid": i, "name": name, "qty": qty,
                              "score": score})
-    if compact:
-        db.compact("t")
+    if layout != "tail" and not oracle:
+        db.compact("t", target_rows=4 if layout == "masked" else 65_536)
+    if layout == "masked":
+        with db.begin() as txn:
+            for rid in range(0, len(rows), 3):
+                txn.update("t", rid, {"score": 0.25, "qty": rid % 5 - 2})
+            for rid in range(1, len(rows), 7):     # across shards, by key
+                txn.update("t", rid, {"name": "omega", "qty": 7})
+            for rid in range(5, len(rows), 6):
+                txn.delete("t", rid)
     db.exec_backend = SerialBackend()
     return db
 
@@ -71,7 +86,7 @@ def _canon(result):
     rows=rows_strategy,
     shards=shard_count_strategy,
     shard_key=shard_key_strategy,
-    compact=st.booleans(),
+    layout=layout_strategy,
     template=st.sampled_from([
         "qty = {n}",
         "qty > {n} AND qty <= {m}",
@@ -89,10 +104,10 @@ def _canon(result):
     name=st.sampled_from(_NAMES),
 )
 @settings(max_examples=60, deadline=None)
-def test_sharded_select_matches_unsharded(rows, shards, shard_key, compact,
+def test_sharded_select_matches_unsharded(rows, shards, shard_key, layout,
                                           template, tail, n, m, name):
-    sharded = _load(rows, shard_key, shards, compact)
-    oracle = _load(rows)
+    sharded = _load(rows, shard_key, shards, layout)
+    oracle = _load(rows, layout=layout, oracle=True)
     where = template.format(n=n, m=m, name=name)
     sql = f"SELECT * FROM t WHERE {where}{tail}"
     assert _canon(execute_sql(sharded, sql)) == \
@@ -103,7 +118,7 @@ def test_sharded_select_matches_unsharded(rows, shards, shard_key, compact,
     rows=rows_strategy,
     shards=shard_count_strategy,
     shard_key=shard_key_strategy,
-    compact=st.booleans(),
+    layout=layout_strategy,
     sql=st.sampled_from([
         "SELECT COUNT(*) AS n FROM t",
         "SELECT COUNT(*) AS n, SUM(qty) AS s, MIN(qty) AS lo, "
@@ -119,9 +134,9 @@ def test_sharded_select_matches_unsharded(rows, shards, shard_key, compact,
 )
 @settings(max_examples=60, deadline=None)
 def test_sharded_aggregates_match_unsharded(rows, shards, shard_key,
-                                            compact, sql):
-    sharded = _load(rows, shard_key, shards, compact)
-    oracle = _load(rows)
+                                            layout, sql):
+    sharded = _load(rows, shard_key, shards, layout)
+    oracle = _load(rows, layout=layout, oracle=True)
     assert _canon(execute_sql(sharded, sql)) == \
         _canon(execute_sql(oracle, sql, use_planner=False)), sql
 
@@ -130,7 +145,7 @@ def test_sharded_aggregates_match_unsharded(rows, shards, shard_key,
     rows=rows_strategy,
     shards=shard_count_strategy,
     shard_key=shard_key_strategy,
-    compact=st.booleans(),
+    layout=layout_strategy,
     template=st.sampled_from([
         "UPDATE t SET score = 0.0 WHERE name = '{name}'",
         "UPDATE t SET qty = 99 WHERE qty < {n}",
@@ -143,11 +158,11 @@ def test_sharded_aggregates_match_unsharded(rows, shards, shard_key,
     name=st.sampled_from(_NAMES),
 )
 @settings(max_examples=60, deadline=None)
-def test_sharded_dml_matches_unsharded(rows, shards, shard_key, compact,
+def test_sharded_dml_matches_unsharded(rows, shards, shard_key, layout,
                                        template, n, name):
     sql = template.format(n=n, name=name)
-    sharded = _load(rows, shard_key, shards, compact)
-    oracle = _load(rows)
+    sharded = _load(rows, shard_key, shards, layout)
+    oracle = _load(rows, layout=layout, oracle=True)
     assert _canon(execute_sql(sharded, sql)) == \
         _canon(execute_sql(oracle, sql, use_planner=False)), sql
     final = "SELECT * FROM t ORDER BY rid"
@@ -160,12 +175,12 @@ def test_sharded_dml_matches_unsharded(rows, shards, shard_key, compact,
     shards=shard_count_strategy,
     old_key=shard_key_strategy,
     new_key=shard_key_strategy,
-    compact=st.booleans(),
+    layout=layout_strategy,
 )
 @settings(max_examples=30, deadline=None)
-def test_reshard_preserves_rows(rows, shards, old_key, new_key, compact):
-    sharded = _load(rows, old_key, shards, compact)
-    oracle = _load(rows)
+def test_reshard_preserves_rows(rows, shards, old_key, new_key, layout):
+    sharded = _load(rows, old_key, shards, layout)
+    oracle = _load(rows, layout=layout, oracle=True)
     sharded.reshard("t", new_key, 8 // max(shards // 2, 1))
     sql = "SELECT * FROM t"
     assert _canon(execute_sql(sharded, sql)) == \

@@ -1,5 +1,6 @@
-"""Columnar segments: compaction, melt-on-write, vectorized execution,
-zone-map skipping, WAL/checkpoint recovery, and the reopen regression."""
+"""Columnar segments: compaction, delete vectors beside frozen segments,
+vectorized execution, zone-map skipping, WAL/checkpoint recovery, and the
+reopen regression."""
 
 import json
 
@@ -95,25 +96,32 @@ def test_insert_after_compact_lands_in_tail_and_scan_merges():
     assert [r["id"] for r in _rows(db)] == list(range(21))
 
 
-# ---------------------------------------------------------- melt-on-write
+# ------------------------------------------- writes beside frozen segments
 
 
-def test_update_of_frozen_row_melts_segment():
+def test_update_of_frozen_row_masks_one_position():
     db = Database()
     _load(db, 60)
     db.compact("t")
     registry = metrics.get_registry()
     melted_before = registry.get("segments.melted")
+    masked_before = registry.get("segments.rows_masked")
 
     def bump(txn):
         rid = next(r.rid for r in txn.scan("t") if r.values["id"] == 3)
         txn.update("t", rid, {"v": 999})
 
     db.run(bump)
-    assert registry.get("segments.melted") == melted_before + 1
-    assert db._table("t").segment_count() == 0
+    heap = db._table("t")
+    assert registry.get("segments.melted") == melted_before
+    assert registry.get("segments.rows_masked") == masked_before + 1
+    assert (heap.segment_count(), heap.tail_size, heap.dead_rows) == (1, 1, 1)
+    assert len(heap) == 60 and heap.rids() == list(range(60))
+    assert db.segment_counts() == {"t": 1}
+    assert db.dead_row_counts() == {"t": 1}
     got = execute_sql(db, "SELECT v FROM t WHERE id = 3")
     assert got == [{"v": 999}]
+    assert _rows(db) == _rows(db, use_planner=False)
 
 
 def test_delete_of_frozen_row_melts_and_preserves_rest():
@@ -128,6 +136,11 @@ def test_delete_of_frozen_row_melts_and_preserves_rest():
     db.run(drop)
     ids = [r["id"] for r in _rows(db)]
     assert ids == [i for i in range(40) if i != 10]
+    heap = db._table("t")
+    assert (heap.segment_count(), heap.tail_size, heap.dead_rows) == (1, 0, 1)
+    assert len(heap) == 39 and 10 not in heap.rids()
+    with pytest.raises(KeyError):
+        heap.get(10)
 
 
 def test_abort_after_melt_restores_values():
@@ -138,8 +151,98 @@ def test_abort_after_melt_restores_values():
     txn = db.begin()
     rid = next(r.rid for r in txn.scan("t") if r.values["id"] == 5)
     txn.update("t", rid, {"v": -1})
+    other = next(r.rid for r in txn.scan("t") if r.values["id"] == 9)
+    txn.delete("t", other)
     txn.abort()
     assert _rows(db) == before
+    assert _rows(db, use_planner=False) == before
+    assert execute_sql(db, "SELECT id FROM t WHERE id = 9") == [{"id": 9}]
+
+
+def test_pinned_snapshot_keeps_the_row_a_later_write_masks():
+    db = Database()
+    _load(db, 30)
+    db.compact("t")
+    before = _rows(db)
+    pinned = db.begin_snapshot()
+    execute_sql(db, "UPDATE t SET v = 777 WHERE id = 4")
+    execute_sql(db, "DELETE FROM t WHERE id = 20")
+    assert [r.values for r in pinned.scan("t")] == before
+    assert pinned.get_by_pk("t", 4).values == before[4]
+    assert pinned.get_by_pk("t", 20).values == before[20]
+    now = _rows(db)
+    assert len(now) == 29 and now[4]["v"] == 777
+    assert now == _rows(db, use_planner=False)
+
+
+def test_rejected_update_of_frozen_row_changes_nothing():
+    db = Database()
+    _load(db, 8)
+    heap = db._table("t")
+    heap.compact(max_rid=3)
+    heap.compact(target_rows=4)
+    layout = heap.segment_layout()
+    for changes in ({"v": "x"}, {"id": None}, {"id": 2}):
+        with pytest.raises(Exception) as err:
+            heap.update(5, changes)
+        assert type(err.value).__name__ == "SchemaError"
+        assert heap.segment_layout() == layout
+        assert (heap.tail_size, heap.dead_rows) == (0, 0)
+    assert heap.get(5).values == _row(5)
+
+
+def test_compact_rewrites_only_touched_segments():
+    db = Database()
+    _load(db, 40)
+    heap = db._table("t")
+    heap.compact(target_rows=10)
+    kept = {id(s) for s in heap.segments}
+    execute_sql(db, "UPDATE t SET v = 1 WHERE id = 13")
+    execute_sql(db, "DELETE FROM t WHERE id = 35")
+    db.run(lambda txn: txn.insert("t", _row(40)))
+    created, frozen, _ = heap.compact(target_rows=10)
+    # segments [10..19] and [30..39] are rewritten, 40 joins the latter
+    assert (created, frozen) == (2, 10 + 9 + 1)
+    assert len(kept & {id(s) for s in heap.segments}) == 2
+    assert (heap.tail_size, heap.dead_rows) == (0, 0)
+    assert sorted(heap.segment_layout()) == [
+        [0, 9, 10], [10, 19, 10], [20, 29, 10], [30, 40, 10]]
+    assert _rows(db) == _rows(db, use_planner=False)
+
+
+def _straddle_probe(db):
+    """ISSUE 17 probe: a compaction after a write to a middle segment
+    must not freeze a chunk that reaches across the next segment."""
+    _load(db, 12)
+    db.compact("t", target_rows=4)
+    db.run(lambda txn: txn.delete("t", 5))
+    db.run(lambda txn: txn.insert("t", _row(12)))
+    db.compact("t", target_rows=4)
+
+
+def _assert_no_straddle(db):
+    heap = db._table("t")
+    ranges = sorted((lo, hi) for lo, hi, _ in heap.segment_layout())
+    assert all(a[1] < b[0] for a, b in zip(ranges, ranges[1:])), ranges
+    assert heap.tail_size == 0
+    units = list(heap.scan_units())
+    assert [kind for kind, _, _ in units] == ["segment"] * len(ranges)
+    assert [r["id"] for r in _rows(db)] == [i for i in range(13) if i != 5]
+
+
+def test_compact_chunks_never_straddle_an_existing_segment():
+    db = Database()
+    _straddle_probe(db)
+    _assert_no_straddle(db)
+
+
+def test_replayed_compact_never_straddles_an_existing_segment(tmp_path):
+    db = Database(str(tmp_path))
+    _straddle_probe(db)
+    reopened = Database(str(tmp_path))  # no checkpoint: pure WAL replay
+    _assert_no_straddle(reopened)
+    assert reopened._table("t").segment_layout() == \
+        db._table("t").segment_layout()
 
 
 # ------------------------------------------------------ vectorized parity

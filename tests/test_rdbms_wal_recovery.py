@@ -207,3 +207,39 @@ def test_recovery_is_idempotent(tmp_path):
     rows1 = [r.values for r in first.run(lambda t: t.scan("t"))]
     rows2 = [r.values for r in second.run(lambda t: t.scan("t"))]
     assert rows1 == rows2 == [{"id": 1, "value": "a"}]
+
+
+def test_checkpoint_after_writes_to_frozen_rows_refreezes_on_reopen(tmp_path):
+    """A checkpoint records live counts: dead positions and the tail rows
+    standing in for them must not read as drift (the table used to come
+    back all-tail), and zone maps are rebuilt from the recovered rows."""
+    from repro.telemetry import metrics
+
+    db = Database(str(tmp_path))
+    db.create_table(_schema())
+    db.run(lambda t: t.insert_many(
+        "t", [{"id": i, "value": f"v{i:02d}"} for i in range(12)]))
+    db.compact("t", target_rows=4)
+    db.run(lambda t: t.update("t", 5, {"value": "zz"}))     # frozen rows
+    db.run(lambda t: t.delete("t", 8))
+    db.run(lambda t: t.delete("t", 9))
+    heap = db._table("t")
+    assert (heap.tail_size, heap.dead_rows) == (1, 3)
+    assert heap.segment_layout() == [[0, 3, 4], [4, 7, 4], [8, 11, 2]]
+    db.checkpoint()
+    db.run(lambda t: t.update("t", 1, {"value": "after"}))  # WAL suffix
+    db.run(lambda t: t.delete("t", 6))
+    before = db.run(lambda t: [r.values for r in t.scan("t")])
+
+    invalidated = metrics.get_registry().get("segments.invalidated")
+    reopened = Database(str(tmp_path))
+    assert metrics.get_registry().get("segments.invalidated") == invalidated
+    heap = reopened._table("t")
+    assert reopened.run(lambda t: [r.values for r in t.scan("t")]) == before
+    assert heap.segment_count() == 3
+    # the suffix replayed beside the re-frozen segments, melting nothing
+    assert (heap.tail_size, heap.dead_rows) == (1, 2)
+    middle = next(s for s in heap.segments if s.min_rid == 4)
+    assert middle.zone_maps()["value"]["max"] == "zz"
+    assert next(s for s in heap.segments
+                if s.min_rid == 10).zone_maps()["id"]["min"] == 10

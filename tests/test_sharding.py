@@ -209,15 +209,12 @@ def test_sharded_scan_units_cover_every_row_once():
     assert len(units_by_shard) == 4
     rids = []
     for units in units_by_shard:
-        for kind, unit in units:
+        for kind, unit, selected in units:
             if kind == "segment":
-                rids.extend(unit.rids)
+                rids.extend(unit.rids[pos] for pos in selected)
             else:
                 rids.extend(r for r, _ in unit)
-    expected = set(heap._rows)  # tail...
-    for segment in heap._segments:  # ...plus frozen rows
-        expected.update(segment.rids)
-    assert sorted(rids) == sorted(expected)
+    assert sorted(rids) == heap.rids()
     assert len(rids) == 600
 
 

@@ -1,0 +1,387 @@
+"""A stateful model of the relational store (ROADMAP item 2(a) in
+miniature): any interleaving of DML, aborts, compaction, resharding,
+schema migration, pinned snapshots and crash + reopen must leave two
+tables — one unsharded, one sharded — reading exactly like a plain dict.
+
+Segments hold a handful of rows (``target_rows`` 2–8), so every state a
+write beside a frozen segment can produce — dead positions, tail rows
+inside a segment's rid range, segments with nothing left alive, rewritten
+and untouched neighbours — shows up within a few steps.  After every step
+the planner, the naive interpreter and the dict model must agree, row for
+row and key for key, on a scan, a filtered scan, ``ORDER BY … LIMIT`` with
+ties, float ``SUM``/``AVG``, ``GROUP BY``, index, range and primary-key
+reads, under both transaction kinds; so must the readers that never go
+through a scan (``len``, ``rids``, ANALYZE, the checkpointed layout).
+"""
+
+import copy
+import shutil
+import tempfile
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, precondition, rule)
+
+from repro.cluster.backends import SerialBackend
+from repro.storage.rdbms.engine import Database
+from repro.storage.rdbms.sql import execute_sql
+from repro.storage.rdbms.stats import StatisticsManager
+from repro.storage.rdbms.types import (Column, ColumnType, SchemaError,
+                                       TableSchema)
+from repro.telemetry import metrics
+
+TABLES = ("t", "s")          # "s" is the sharded one
+GROUPS = ["a", "b", "c", None]
+
+table_st = st.sampled_from(TABLES)
+pick_st = st.integers(min_value=0, max_value=10_000)    # index into rids
+row_st = st.tuples(
+    st.sampled_from(GROUPS),
+    st.one_of(st.none(), st.integers(-3, 3)),            # ties, NULLs
+    st.floats(min_value=-100, max_value=100, allow_nan=False))
+#: (kind, table, which row, new values, which of them an update changes)
+op_st = st.tuples(
+    st.sampled_from(["insert", "insert_many", "update", "update", "delete",
+                     "delete", "rejected"]),
+    table_st, pick_st, row_st,
+    st.sampled_from(["qty", "score", "grp", "all", "id"]))
+
+
+def _schema(name, extra=False):
+    columns = (Column("id", ColumnType.INT, nullable=False),
+               Column("grp", ColumnType.TEXT),
+               Column("qty", ColumnType.INT),
+               Column("score", ColumnType.FLOAT))
+    if extra:
+        columns += (Column("extra", ColumnType.INT),)
+    return TableSchema(name, columns, primary_key="id")
+
+
+# ------------------------------------------------------------- the model
+
+
+def _null_last(value):
+    return (value is None, value)
+
+
+def _fold(values):
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+def expected(rows, pk_probes):
+    """What each statement of :func:`statements` returns over ``rows``
+    (the model's value dicts in rid order), computed the slow plain way."""
+    out = [
+        list(rows),
+        [r for r in rows if r["qty"] is not None and r["qty"] > 0],
+        [{"id": r["id"], "qty": r["qty"]} for r in
+         sorted(rows, key=lambda r: _null_last(r["qty"]))[:3]],
+        [{"id": r["id"], "qty": r["qty"]} for r in
+         sorted(rows, key=lambda r: _null_last(r["qty"]), reverse=True)[:3]],
+    ]
+    scores = [r["score"] for r in rows if r["score"] is not None]
+    out.append([{
+        "s": _fold(scores) if scores else None,
+        "a": _fold(scores) / len(scores) if scores else None,
+        "c": sum(1 for r in rows if r["qty"] is not None),
+    }])
+    groups = {}
+    for r in rows:
+        groups.setdefault(r["grp"], []).append(r)
+    out.append([{
+        "grp": grp,
+        "n": len(members),
+        "s": _fold([m["score"] for m in members]),
+        "lo": min((m["qty"] for m in members if m["qty"] is not None),
+                  default=None),
+    } for grp, members in sorted(groups.items(),
+                                 key=lambda kv: _null_last(kv[0]))])
+    out.append([{"id": r["id"], "score": r["score"]} for r in rows
+                if r["grp"] == "a"])
+    out.append([{"id": r["id"]} for r in rows
+                if r["qty"] is not None and r["qty"] >= 1])
+    out += [[r for r in rows if r["id"] == key] for key in pk_probes]
+    return out
+
+
+def statements(table, pk_probes):
+    return [
+        f"SELECT * FROM {table}",
+        f"SELECT * FROM {table} WHERE qty > 0",
+        f"SELECT id, qty FROM {table} ORDER BY qty LIMIT 3",
+        f"SELECT id, qty FROM {table} ORDER BY qty DESC LIMIT 3",
+        f"SELECT SUM(score) AS s, AVG(score) AS a, COUNT(qty) AS c "
+        f"FROM {table}",
+        f"SELECT grp, COUNT(*) AS n, SUM(score) AS s, MIN(qty) AS lo "
+        f"FROM {table} GROUP BY grp",
+        f"SELECT id, score FROM {table} WHERE grp = 'a'",      # hash index
+        f"SELECT id FROM {table} WHERE qty >= 1",              # sorted index
+    ] + [f"SELECT * FROM {table} WHERE id = {key}" for key in pk_probes]
+
+
+def _items(result):
+    return [list(row.items()) for row in result]
+
+
+# ----------------------------------------------------------- the machine
+
+
+class StorageMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.directory = tempfile.mkdtemp(prefix="stateful_")
+        self.db = Database(self.directory)
+        self.db.create_table(_schema("t"))
+        self.db.create_table(_schema("s"), shard_key="grp", shard_count=3)
+        #: table -> rid -> values, as of the last commit
+        self.committed = {name: {} for name in TABLES}
+        #: the same, as the open write transaction sees it
+        self.working = None
+        self.txn = None
+        self.next_id = 0
+        self.migrated = set()
+        #: (snapshot transaction, the model it must keep reading)
+        self.pinned = []
+        #: tables written, moved or reloaded since they were last checked
+        self.dirty = set(TABLES)
+        self._dress()
+
+    def _dress(self):
+        """What a reopened database does not bring back by itself."""
+        db = self.db
+        db.exec_backend = SerialBackend()    # "s" plans the fan-out paths
+        # every table counts as large: ANALYZE takes the sampled path
+        db._stats_manager = StatisticsManager(db, sample_threshold=4,
+                                              sample_size=6)
+        for name in TABLES:
+            if db._find_index(name, "grp") is None:
+                db.create_index(name, "grp", "hash")
+            if db._find_index(name, "qty") is None:
+                db.create_index(name, "qty", "sorted")
+
+    def teardown(self):
+        if self.txn is not None:
+            self.txn.abort()
+        self.db.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    # ------------------------------------------------------------- helpers
+
+    def _row(self, table, grp, qty, score):
+        self.next_id += 1
+        row = {"id": self.next_id, "grp": grp, "qty": qty, "score": score}
+        if table in self.migrated:
+            row["extra"] = None
+        return row
+
+    def _apply(self, txn, model, op):
+        """One write through ``txn``, mirrored into ``model``."""
+        kind, table, pick, (grp, qty, score), what = op
+        self.dirty.add(table)
+        rows = model[table]
+        rid = sorted(rows)[pick % len(rows)] if rows else None
+        if kind == "insert" or rid is None:
+            values = self._row(table, grp, qty, score)
+            rows[txn.insert(table, values).rid] = values
+        elif kind == "insert_many":
+            batch = [self._row(table, grp, qty, score + i) for i in range(4)]
+            for stored, values in zip(txn.insert_many(table, batch), batch):
+                rows[stored.rid] = values
+        elif kind == "delete":
+            txn.delete(table, rid)
+            del rows[rid]
+        elif kind == "rejected":                # a duplicate primary key
+            heap = self.db._table(table)
+            before = (heap.segment_layout(), heap.tail_size, heap.dead_rows)
+            taken = rows[sorted(rows)[(pick // 7) % len(rows)]]["id"]
+            if taken != rows[rid]["id"]:
+                with pytest.raises(SchemaError):
+                    txn.update(table, rid, {"id": taken, "qty": qty})
+            assert (heap.segment_layout(), heap.tail_size,
+                    heap.dead_rows) == before
+        else:
+            if what == "id":                    # a primary-key change
+                self.next_id += 1
+                changes = {"id": self.next_id}
+            else:
+                changes = {"qty": qty, "score": score, "grp": grp}
+                if what != "all":
+                    changes = {what: changes[what]}
+            txn.update(table, rid, changes)
+            rows[rid] = {**rows[rid], **changes}
+
+    # --------------------------------------------------------------- rules
+
+    @initialize(rows=st.lists(row_st, min_size=8, max_size=16),
+                target_rows=st.integers(2, 8))
+    def start_frozen(self, rows, target_rows):
+        """Both tables start with a few small segments."""
+        for table in TABLES:
+            self.db.run(lambda txn: [
+                self._apply(txn, self.committed, ("insert", table, 0, row, ""))
+                for row in rows])
+            self.compact(table, target_rows)
+
+    # One statement, committed on its own (three rules: writes should be
+    # most of what happens between two compactions).
+
+    @rule(op=op_st)
+    def write(self, op):
+        self.db.run(lambda txn: self._apply(txn, self.committed, op))
+
+    @rule(table=table_st, pick=pick_st, row=row_st,
+          what=st.sampled_from(["qty", "score", "grp", "all", "id"]))
+    def update(self, table, pick, row, what):
+        self.write(("update", table, pick, row, what))
+
+    @rule(table=table_st, pick=pick_st, row=row_st)
+    def delete(self, table, pick, row):
+        self.write(("delete", table, pick, row, ""))
+
+    @rule(ops=st.lists(op_st, min_size=1, max_size=5),
+          outcome=st.sampled_from(["commit", "abort", "abort", "crash"]),
+          pin=st.booleans())
+    def transaction(self, ops, outcome, pin):
+        """Several statements in one transaction; half-way through, the
+        writer reads its own writes and everybody else — a reader pinned
+        right there included — the last commit; then commit, abort, or
+        crash (no close(): what the transaction wrote is lost)."""
+        self.txn = self.db.begin()
+        self.working = copy.deepcopy(self.committed)
+        for op in ops:
+            self._apply(self.txn, self.working, op)
+        if pin and len(self.pinned) < 2:
+            self.pin()
+        touched = set(self.dirty)
+        self.reads_match_the_model()
+        if outcome == "commit":
+            self.txn.commit()
+            self.committed = self.working
+        elif outcome == "abort":
+            self.txn.abort()
+        self.txn = self.working = None
+        self.dirty |= touched
+        if outcome == "crash":
+            self.crash_and_reopen(checkpoint=False)
+
+    @rule(table=table_st, target_rows=st.integers(2, 8))
+    def compact(self, table, target_rows):
+        self.db.compact(table, target_rows=target_rows)
+        self.dirty.add(table)
+        heap = self.db._table(table)
+        assert heap.tail_size == 0 and heap.dead_rows == 0
+        by_shard = {}
+        for segment in heap.segments:
+            by_shard.setdefault(segment.shard, []).append(
+                (segment.min_rid, segment.max_rid))
+        for ranges in by_shard.values():     # none reaches across another
+            ranges.sort()
+            assert all(a[1] < b[0] for a, b in zip(ranges, ranges[1:]))
+
+    @rule(key=st.sampled_from(["grp", "qty"]), count=st.integers(2, 4))
+    def reshard(self, key, count):
+        self.pinned.clear()      # a pinned reader does not outlive DDL
+        self.db.reshard("s", key, count)
+        self.dirty.add("s")
+
+    @precondition(lambda self: len(self.migrated) < len(TABLES))
+    @rule(table=table_st)
+    def migrate(self, table):
+        if table in self.migrated:
+            return
+        self.pinned.clear()
+        self.migrated.add(table)
+        self.dirty.add(table)
+        self.db.alter_table(table, _schema(table, extra=True),
+                            lambda values: {**values, "extra": 7})
+        model = self.committed[table]
+        for rid in model:
+            model[rid] = {**model[rid], "extra": 7}
+
+    @precondition(lambda self: len(self.pinned) < 2)
+    @rule()
+    def pin(self):
+        self.pinned.append((self.db.begin_snapshot(),
+                            copy.deepcopy(self.committed)))
+
+    @precondition(lambda self: self.pinned)
+    @rule(pick=pick_st)
+    def read_pinned(self, pick):
+        snapshot, model = self.pinned[pick % len(self.pinned)]
+        for table in TABLES:
+            self._check_reads(table, model[table], snapshot)
+
+    @rule(checkpoint=st.booleans())
+    def crash_and_reopen(self, checkpoint):
+        layouts = None
+        if checkpoint:
+            self.db.checkpoint()
+            layouts = {name: self.db._table(name).segment_layout()
+                       for name in TABLES}
+        self.pinned.clear()
+        invalidated = metrics.get_registry().get("segments.invalidated")
+        self.db = Database(self.directory)
+        self._dress()
+        self.dirty.update(TABLES)
+        # a checkpointed layout re-freezes whole, dead positions or not
+        assert metrics.get_registry().get("segments.invalidated") == \
+            invalidated
+        for name in layouts or ():
+            heap = self.db._table(name)     # ranges shrink to the live rows
+            assert [entry[2:] for entry in heap.segment_layout()] == \
+                [entry[2:] for entry in layouts[name]]
+            assert heap.dead_rows == 0
+
+    # ---------------------------------------------------------- invariants
+
+    def _check_reads(self, table, model, txn, naive=True):
+        rows = [model[rid] for rid in sorted(model)]
+        ids = [row["id"] for row in rows]
+        probes = [min(ids), max(ids), max(ids) + 1] if ids else [0]
+        want = expected(rows, probes)
+        for sql, rows_wanted in zip(statements(table, probes), want):
+            for use_planner in (True, False) if naive else (True,):
+                got = execute_sql(self.db, sql, txn=txn,
+                                  use_planner=use_planner)
+                assert _items(got) == _items(rows_wanted), \
+                    (sql, use_planner, txn)
+        # the index and primary-key reads themselves, whatever the
+        # planner would have picked at this size
+        reader = txn if txn is not None else self.db.begin_snapshot()
+        assert [r.values for r in reader.lookup(table, "grp", "a")] == \
+            [r for r in rows if r["grp"] == "a"]
+        assert [r.values for r in reader.range_lookup(table, "qty", 1)] == \
+            [r for r in rows if r["qty"] is not None and r["qty"] >= 1]
+        for key in probes:
+            found = reader.get_by_pk(table, key)
+            assert ([] if found is None else [found.values]) == \
+                [r for r in rows if r["id"] == key]
+
+    @invariant()
+    def reads_match_the_model(self):
+        dirty, self.dirty = sorted(self.dirty), set()
+        for table in dirty:
+            committed = self.committed[table]
+            self._check_reads(table, committed, None)       # a snapshot
+            if self.txn is not None:                        # the writer's
+                self._check_reads(table, self.working[table], self.txn)
+                continue
+            with self.db.begin() as reader:                 # 2PL
+                self._check_reads(table, committed, reader, naive=False)
+            heap = self.db._table(table)
+            assert len(heap) == len(committed)
+            assert heap.rids() == sorted(committed)
+            stats = self.db.statistics().analyze(table)
+            assert stats.row_count == len(committed)
+            assert stats.columns["qty"].null_count == sum(
+                1 for row in committed.values() if row["qty"] is None)
+
+
+StorageMachine.TestCase.settings = settings(
+    max_examples=20, stateful_step_count=30, deadline=None)
+test_storage_state_machine = StorageMachine.TestCase
