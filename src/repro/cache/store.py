@@ -1,7 +1,8 @@
 """Extraction cache implementations: in-memory LRU and on-disk JSONL.
 
 Both map ``(document key, extractor fingerprint)`` to the list
-of extraction tuples (the executor's row dicts) that extractor produced
+of extraction tuples (:func:`repro.extraction.base.extraction_to_tuple`
+row dicts) that extractor produced
 on that document — including the empty list, so unchanged documents that
 yield nothing are not re-scanned either.
 
@@ -11,12 +12,15 @@ evictions record ``cache.evictions``, all into the ambient
 :class:`~repro.telemetry.metrics.MetricsRegistry` — so a cached
 executor run reports hit rates next to its other counters.
 
+The protocol has one caller: :func:`repro.extraction.stage.run_stage`,
+under batch, streaming and on-demand generation alike.
+
 Concurrency: lookups and write-backs happen on the coordinating side
-only (the executor partitions documents *before* fanning misses out on a
+only (the stage partitions documents *before* fanning misses out on a
 thread/process backend and writes results back *after* the wave
 returns), so the disk format needs no cross-process locking; a process
 pool never touches the cache files.  Mutation is nevertheless
-lock-guarded so a cache instance can be shared across executor runs.
+lock-guarded so a cache instance can be shared across runs and paths.
 """
 
 from __future__ import annotations

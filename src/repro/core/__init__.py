@@ -10,9 +10,15 @@
 * user — keyword search over pages *and* facts, SQL, keyword→structured
   query guidance, exploration sessions, accounts/reputation.
 
-:class:`IncrementalExtractionManager` implements the DGE model's
-"incremental, best-effort" generation: extract only the attributes users
-have demanded so far, extending on demand (experiment E4).
+Facts are generated four ways — batch (:meth:`~StructureManagementSystem.
+generate`), streaming (:class:`~repro.core.streaming.StreamingPipeline`),
+on demand (:class:`IncrementalExtractionManager`: the DGE model's
+"incremental, best-effort" generation, experiment E4) and contributed
+(:meth:`~StructureManagementSystem.contribute`) — over one extraction
+stage (:func:`repro.extraction.stage.run_stage`) and, for the ``facts``
+table, one landing path (``StructureManagementSystem._land``: screen →
+halve confidence → insert → provenance → index).  DESIGN.md has the
+table of entry point → stage → sink.
 """
 
 from repro.core.system import GenerationReport, StructureManagementSystem

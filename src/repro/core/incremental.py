@@ -11,23 +11,24 @@ extracted is served from cache.  Work is accounted in characters scanned ×
 extractor cost, so experiment E4 can compare incremental total cost against
 one-shot extraction of everything.
 
-The manager can additionally share a content-addressed
-:class:`~repro.cache.store.ExtractionCache` with the executor: cached
-rows use the executor's tuple form, so a document an xlog program already
-extracted is served without re-scanning here (and vice versa), and
-``work_done`` counts only extraction actually performed.
+Each extractor runs through the shared extraction stage
+(:func:`repro.extraction.stage.run_stage`) — the same cache protocol,
+retry budget and quarantine as batch and streaming generation — so a
+document an xlog program already extracted into a shared
+:class:`~repro.cache.store.ExtractionCache` is served without re-scanning
+here (and vice versa); ``work_done`` counts only extraction actually
+performed.  This module keeps the demand bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
-from repro.cache.fingerprint import extractor_fingerprint
-from repro.cache.store import ExtractionCache, document_key, make_cache
+from repro.cache.store import ExtractionCache, make_cache
 from repro.docmodel.document import Document
-from repro.extraction.base import Extraction, Extractor
-from repro.lang.executor import extraction_to_tuple, tuple_to_extraction
+from repro.extraction.base import Extraction, Extractor, tuple_to_extraction
+from repro.extraction.stage import DEFAULT_DOC_RETRY, run_stage
 
 
 @dataclass
@@ -46,6 +47,11 @@ class IncrementalExtractionManager:
         cache: optional content-addressed extraction cache (same specs as
             :func:`~repro.cache.store.make_cache`); hits skip the scan and
             do not count toward ``work_done``.
+
+    A run is failure-atomic per extractor: a document that exhausts the
+    stage's retry budget is skipped and reported in ``failures``
+    (``{doc_id, extractor, error, error_type, attempts}``), never raised
+    half-way — so a repeated ``demand()`` returns each extraction once.
     """
 
     corpus: Sequence[Document] = ()
@@ -53,6 +59,7 @@ class IncrementalExtractionManager:
     _entries: dict[str, _ExtractorEntry] = field(default_factory=dict)
     _cache: list[Extraction] = field(default_factory=list)
     work_done: float = 0.0  # cost-weighted characters scanned
+    failures: list[dict[str, Any]] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         self._extraction_cache = make_cache(self.cache)
@@ -99,43 +106,38 @@ class IncrementalExtractionManager:
             raise KeyError(
                 f"no extractor produces attribute(s) {sorted(missing)}"
             )
-        for entry in self._entries.values():
-            if entry.has_run or not (entry.attributes & wanted):
-                continue
-            self._run(entry)
+        for name, entry in self._entries.items():
+            if not entry.has_run and entry.attributes & wanted:
+                self._run(name, entry)
         return [e for e in self._cache if e.attribute in wanted]
 
     def extract_all(self) -> list[Extraction]:
         """One-shot mode: run every registered extractor now."""
-        for entry in self._entries.values():
+        for name, entry in self._entries.items():
             if not entry.has_run:
-                self._run(entry)
+                self._run(name, entry)
         return list(self._cache)
 
     def cached(self) -> list[Extraction]:
         return list(self._cache)
 
-    def _run(self, entry: _ExtractorEntry) -> None:
-        store = self._extraction_cache
-        fingerprint = (
-            extractor_fingerprint(entry.extractor) if store is not None else ""
+    def _run(self, name: str, entry: _ExtractorEntry) -> None:
+        docs = list(self.corpus)
+        result = run_stage(entry.extractor, docs,
+                           cache=self._extraction_cache,
+                           retry=DEFAULT_DOC_RETRY)
+        # The cache holds the *full* output (pre-filter), so one entry
+        # serves any attribute subset; only this entry's attributes are
+        # kept here.
+        self._cache.extend(
+            tuple_to_extraction(row)
+            for rows in result.rows if rows is not None
+            for row in rows if row["attribute"] in entry.attributes
         )
-        for doc in self.corpus:
-            rows = None
-            if store is not None:
-                rows = store.get(document_key(doc), fingerprint)
-            if rows is None:
-                extractions = entry.extractor.extract(doc)
-                self.work_done += entry.extractor.cost_per_char * len(doc.text)
-                if store is not None:
-                    # The *full* output is cached (pre-filter), so the
-                    # same entry serves any attribute subset — and the
-                    # executor, which shares the tuple form.
-                    store.put(document_key(doc), fingerprint,
-                              [extraction_to_tuple(e) for e in extractions])
-            else:
-                extractions = [tuple_to_extraction(r) for r in rows]
-            self._cache.extend(
-                e for e in extractions if e.attribute in entry.attributes
-            )
+        for i in result.misses:
+            if result.rows[i] is not None:  # a quarantined scan yielded nothing
+                self.work_done += \
+                    entry.extractor.cost_per_char * len(docs[i].text)
+        self.failures.extend({**f, "extractor": name}
+                             for f in result.failures)
         entry.has_run = True

@@ -1,7 +1,8 @@
 """Streaming DGE: the connected incremental loop as a long-running pipeline.
 
 Corpus delta (snapshot-store / corpus diffs) -> incremental extraction
-(content-addressed cache) -> incremental entity resolution
+(the shared :func:`~repro.extraction.stage.run_stage`: content-addressed
+cache, per-document retry, quarantine) -> incremental entity resolution
 (:class:`~repro.integration.entity_resolution.IncrementalEntityResolver`)
 -> fusion under retraction
 (:class:`~repro.integration.fusion.FusionState`) -> delta-driven
@@ -29,11 +30,12 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
 
-from repro.cache.fingerprint import extractor_fingerprint
-from repro.cache.store import ExtractionCache, document_key
+from repro.cache.store import ExtractionCache, Rows
+from repro.core.system import fact_row
 from repro.docmodel.document import Document
 from repro.errors import CancellationToken
-from repro.extraction.base import Extraction, Extractor
+from repro.extraction.base import Extraction, Extractor, tuple_to_extraction
+from repro.extraction.stage import DEFAULT_DOC_RETRY, ExtractPayload, run_stage
 from repro.faults.deadletter import DeadLetterEntry, DeadLetterStore
 from repro.integration.entity_resolution import (
     EntityCluster,
@@ -48,7 +50,6 @@ from repro.integration.fusion import (
     canonical_extraction_sort_key,
     fuse_extractions,
 )
-from repro.lang.executor import extraction_to_tuple, tuple_to_extraction
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.storage.snapshots import SnapshotStore
@@ -229,71 +230,62 @@ class StreamingPipeline:
         if self.token is not None:
             self.token.check()
 
-    def _dead_letter(self, doc_id: str, stage: str, exc: Exception) -> None:
-        self.stats.docs_deadlettered += 1
-        metrics.get_registry().inc("dge.docs_deadlettered")
-        if self.deadletter is not None:
-            self.deadletter.add(DeadLetterEntry(
-                doc_id=doc_id, extractor=stage, error=str(exc),
-                error_type=type(exc).__name__, attempts=1,
-            ))
-
     # ------------------------------------------------------ stage 1: extract
 
-    def _extract_doc(self, doc: Document) -> tuple[Extraction, ...] | None:
-        """All extractors over one document, through the cache.
-
-        Returns None when every extractor failed outright (the document is
-        dead-lettered and drops out of the derived state).
-        """
-        out: list[Extraction] = []
-        produced = False
-        for name in sorted(self.extractors):
-            extractor = self.extractors[name]
-            rows = None
-            if self.cache is not None:
-                fingerprint = extractor_fingerprint(extractor)
-                rows = self.cache.get(document_key(doc), fingerprint)
-            if rows is not None:
-                out.extend(tuple_to_extraction(r) for r in rows)
-                produced = True
-                continue
-            try:
-                extractions = extractor.extract(doc)
-            except Exception as exc:
-                self._dead_letter(doc.doc_id, name, exc)
-                continue
-            produced = True
-            if self.cache is not None:
-                self.cache.put(document_key(doc), extractor_fingerprint(extractor),
-                               [extraction_to_tuple(e) for e in extractions])
-            out.extend(extractions)
-        if not produced and self.extractors:
-            return None
-        # Entity-less extractions belong to the document itself — the same
-        # fallback the xlog executor applies before resolution.
-        return tuple(
-            e if e.entity else replace(e, entity=e.span.doc_id) for e in out)
+    def _fan_out(self, payload: ExtractPayload,
+                 docs: list[Document]) -> list[Rows]:
+        """The stage's misses, inline, cancellable between documents."""
+        out = []
+        for doc in docs:
+            self._check_cancelled()
+            out.append(payload(doc))
+        return out
 
     def _extract(self, delta: DocDelta) -> _ExtractedDelta:
-        self.stats.deltas_in += 1
+        """Every extractor over the delta's documents: one
+        :func:`run_stage` call per extractor, so streaming shares batch
+        generation's cache protocol, retry budget and quarantine."""
+        self._check_cancelled()
+        docs = [*delta.added, *delta.changed]
         registry = metrics.get_registry()
+        self.stats.deltas_in += 1
+        self.stats.docs_in += len(docs)
         registry.inc("dge.deltas_in")
+        if docs:
+            registry.inc("dge.docs_in", len(docs))
+        per_doc: list[list[Extraction] | None] = [None] * len(docs)
+        for name in sorted(self.extractors):
+            result = run_stage(self.extractors[name], docs, self._fan_out,
+                               cache=self.cache, retry=DEFAULT_DOC_RETRY)
+            for i, rows in enumerate(result.rows):
+                if rows is not None:
+                    if per_doc[i] is None:
+                        per_doc[i] = []
+                    per_doc[i].extend(tuple_to_extraction(r) for r in rows)
+            if result.failures:
+                self.stats.docs_deadlettered += len(result.failures)
+                registry.inc("dge.docs_deadlettered", len(result.failures))
+                if self.deadletter is not None:
+                    self.deadletter.add_many(
+                        DeadLetterEntry(extractor=name, **failure)
+                        for failure in result.failures)
         added: list[tuple[str, tuple[Extraction, ...]]] = []
         changed: list[tuple[str, tuple[Extraction, ...]]] = []
         removed = list(delta.removed)
-        for doc, bucket in [(d, added) for d in delta.added] \
-                + [(d, changed) for d in delta.changed]:
-            self._check_cancelled()
-            self.stats.docs_in += 1
-            registry.inc("dge.docs_in")
-            extractions = self._extract_doc(doc)
-            if extractions is None:
-                # Poison document: excise it from the derived state.
+        for i, doc in enumerate(docs):
+            extractions = per_doc[i]
+            if extractions is None and self.extractors:
+                # Poison document (every extractor failed outright):
+                # excise it from the derived state.
                 if doc.doc_id in self._doc_mentions:
                     removed.append(doc.doc_id)
                 continue
-            bucket.append((doc.doc_id, extractions))
+            # Entity-less extractions belong to the document itself — the
+            # same fallback the xlog executor applies before resolution.
+            bucket = added if i < len(delta.added) else changed
+            bucket.append((doc.doc_id, tuple(
+                e if e.entity else replace(e, entity=e.span.doc_id)
+                for e in extractions or ())))
         return _ExtractedDelta(tuple(added), tuple(changed), tuple(removed))
 
     # --------------------------------------------- stage 2: resolve + fuse
@@ -356,8 +348,12 @@ class StreamingPipeline:
         self.stats.clusters_split += stats.clusters_split
         registry.inc("dge.pairs_scored", stats.pairs_scored)
         registry.inc("dge.clusters_split", stats.clusters_split)
-        # Re-tag extractions whose canonical entity moved, then re-fuse.
-        dirty = self.resolver.last_dirty | {m.mention_id for m in new_mentions}
+        return self._retag(
+            self.resolver.last_dirty | {m.mention_id for m in new_mentions})
+
+    def _retag(self, dirty: Iterable[int]) -> dict[
+            tuple[str, str], FusedValue | None]:
+        """Re-tag extractions whose canonical entity moved, then re-fuse."""
         for mention_id in sorted(dirty):
             if mention_id not in self._raw:
                 continue
@@ -394,15 +390,9 @@ class StreamingPipeline:
                 if rid is not None:
                     txn.delete(self.fused_table, rid)
                 if fused is not None:
-                    value = fused.value
-                    numeric = (isinstance(value, (int, float))
-                               and not isinstance(value, bool))
                     row = txn.insert(self.fused_table, {
-                        "entity": fused.entity,
-                        "attribute": fused.attribute,
-                        "value_text": None if numeric else str(value),
-                        "value_num": float(value) if numeric else None,
-                        "confidence": fused.confidence,
+                        **fact_row(fused.entity, fused.attribute,
+                                   fused.value, fused.confidence),
                         "support": fused.support,
                         "conflict": fused.conflict,
                     })
@@ -441,21 +431,7 @@ class StreamingPipeline:
         with self._lock:
             stats = op(a, b)
             self.stats.clusters_split += stats.clusters_split
-            for mention_id in sorted(self.resolver.last_dirty):
-                if mention_id not in self._raw:
-                    continue
-                canonical = self.resolver.canonical_of(mention_id)
-                if self._canon.get(mention_id) == canonical:
-                    continue
-                old_tagged = self._tagged.get(mention_id, ())
-                if old_tagged:
-                    self.fusion.retract(old_tagged)
-                tagged = tuple(replace(e, entity=canonical)
-                               for e in self._raw[mention_id])
-                self.fusion.add(tagged)
-                self._tagged[mention_id] = tagged
-                self._canon[mention_id] = canonical
-            return self._push(self.fusion.refresh())
+            return self._push(self._retag(self.resolver.last_dirty))
 
     # ---------------------------------------------------------- threaded API
 

@@ -17,6 +17,7 @@ from repro.cluster.simulator import ClusterConfig, SimulatedCluster
 from repro.debugger.semantic import SemanticDebugger, SystemMonitor
 from repro.docmodel.corpus import Corpus, InMemoryCorpus
 from repro.docmodel.document import Document
+from repro.extraction.base import tuple_to_extraction
 from repro.faults.deadletter import DeadLetterEntry, DeadLetterStore
 from repro.faults.retry import RetryPolicy
 from repro.lang.executor import ExecutionResult, Executor
@@ -68,6 +69,21 @@ def facts_schema() -> TableSchema:
         ),
         primary_key="fact_id",
     )
+
+
+def fact_row(entity: str, attribute: str, value: Any,
+             confidence: float) -> dict[str, Any]:
+    """The EAV cells every stored fact shares (``facts`` and
+    ``fused_facts``): numeric values land in ``value_num``, everything
+    else in ``value_text``."""
+    is_num = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return {
+        "entity": entity,
+        "attribute": attribute,
+        "value_text": None if is_num else str(value),
+        "value_num": float(value) if is_num else None,
+        "confidence": confidence,
+    }
 
 
 @dataclass
@@ -293,8 +309,14 @@ class StructureManagementSystem:
         flagged — a human decides; their confidence is halved), written to
         the final RDBMS, provenance-recorded, and fact-indexed for search.
         """
+        return self._generate(program_source, list(self._corpus), optimize,
+                              learn_constraints_first)
+
+    def _generate(self, program_source: str, docs: list[Document],
+                  optimize: bool = True,
+                  learn_constraints_first: bool = True) -> GenerationReport:
+        """:meth:`generate` over an explicit document list."""
         with get_tracer().span("system.generate") as span:
-            docs = list(self._corpus)
             ops, output = parse_program(program_source)
             plan = LogicalPlan.from_ops(ops, output)
             if optimize:
@@ -303,17 +325,8 @@ class StructureManagementSystem:
                                 backend=self._backend, cache=self._cache,
                                 retry=self.retry, fail_fast=self.fail_fast)
             result: ExecutionResult = executor.execute(plan, docs)
-            if result.failed_docs:
-                self.deadletter.add_many(
-                    DeadLetterEntry(
-                        doc_id=f["doc_id"],
-                        extractor=f.get("extractor", ""),
-                        error=f.get("error", ""),
-                        error_type=f.get("error_type", ""),
-                        attempts=int(f.get("attempts", 1)),
-                    )
-                    for f in result.failed_docs
-                )
+            self.deadletter.add_many(
+                DeadLetterEntry(**f) for f in result.failed_docs)
 
             rows = [r for r in result.rows if r.get("attribute")]
             if self.storage is not None:
@@ -330,39 +343,10 @@ class StructureManagementSystem:
                 if trusted:
                     self.debugger.learn(trusted)
 
-            flagged_count = 0
-            staged: list[tuple[dict[str, Any], dict[str, Any], float]] = []
-            for row in rows:
-                violations = self.debugger.check(
-                    {row["attribute"]: row["value"]},
-                    context=f"doc {row.get('doc_id', '?')}",
-                )
-                confidence = float(row.get("confidence", 1.0))
-                if violations:
-                    flagged_count += 1
-                    confidence *= 0.5
-                staged.append(
-                    (row, self._fact_values(row, confidence), confidence)
-                )
-            # Batched write path: one transaction, one insert_many WAL
-            # record and one table-lock acquisition for the whole run (vs
-            # one transaction per fact on the old loop).  The commit delta
-            # notifies monitoring, so standing queries fire here too.
-            if staged:
-                batch = [values for _, values, _ in staged]
-                self.db.run(lambda t: t.insert_many(FACTS_TABLE, batch))
-                for row, values, confidence in staged:
-                    self._record_fact_provenance(row, values, confidence)
-            stored = len(staged)
+            fact_ids, flagged_count = self._land(rows)
+            stored = len(fact_ids)
             self.monitor.record_batch(processed=max(len(rows), 1),
                                       errors=flagged_count)
-            self.search.index_facts(
-                [
-                    {"entity": r["entity"], "attribute": r["attribute"],
-                     "value": r["value"]}
-                    for r in rows
-                ]
-            )
             registry = metrics.get_registry()
             registry.inc("system.facts.stored", stored)
             registry.inc("system.facts.flagged", flagged_count)
@@ -392,10 +376,12 @@ class StructureManagementSystem:
         """Re-drive quarantined documents through a program.
 
         Quarantined documents still present in the corpus are re-run
-        through ``generate()`` (over just those documents).  Documents
-        that now succeed leave the dead-letter store and their facts are
-        stored; documents that fail again are re-quarantined.  Entries
-        whose documents are no longer in the corpus are left untouched.
+        through the generation routine (over just those documents; the
+        corpus itself is untouched, so a concurrent ``ingest()`` is
+        safe).  Documents that now succeed leave the dead-letter store
+        and their facts are stored; documents that fail again are
+        re-quarantined.  Entries whose documents are no longer in the
+        corpus are left untouched.
 
         Returns:
             ``(retried, still_failed)`` counts.
@@ -404,64 +390,76 @@ class StructureManagementSystem:
         docs = [d for d in self._corpus if d.doc_id in ids]
         if not docs:
             return (0, 0)
-        # generate() re-adds whatever fails again, so clear the attempted
+        # The run re-adds whatever fails again, so clear the attempted
         # entries first — a success must not linger in quarantine.
         self.deadletter.remove([d.doc_id for d in docs])
-        saved_corpus = self._corpus
-        subset = InMemoryCorpus()
-        for doc in docs:
-            subset.add(doc)
-        self._corpus = subset
-        try:
-            report = self.generate(program_source, optimize=optimize)
-        finally:
-            self._corpus = saved_corpus
+        report = self._generate(program_source, docs, optimize=optimize)
         return (len(docs), report.failed_docs)
 
-    def _store_fact(self, row: dict[str, Any], confidence: float) -> None:
-        """Store one fact (single-row path; generate() batches instead)."""
-        values = self._fact_values(row, confidence)
-        self.db.run(lambda t: t.insert(FACTS_TABLE, values))
-        self._record_fact_provenance(row, values, confidence)
+    def _land(self, rows: Sequence[dict[str, Any]],
+              feedback: str | None = None) -> tuple[list[int], int]:
+        """The one landing path of a generated fact, whatever made it.
 
-    def _fact_values(self, row: dict[str, Any], confidence: float) -> dict[str, Any]:
-        """Build the facts-table row for a pipeline tuple (assigns an id)."""
-        value = row.get("value")
-        is_num = isinstance(value, (int, float)) and not isinstance(value, bool)
-        fact_id = self._fact_counter
-        self._fact_counter += 1
-        return {
-            "fact_id": fact_id,
-            "entity": str(row.get("entity", "")),
-            "attribute": str(row["attribute"]),
-            "value_text": None if is_num else str(value),
-            "value_num": float(value) if is_num else None,
-            "confidence": confidence,
-            "doc_id": str(row.get("doc_id", "")),
-        }
+        Screen with the semantic debugger (a flagged fact is *kept*, its
+        confidence halved), insert the batch in one transaction (one
+        ``insert_many`` WAL record, one table lock; the commit delta
+        notifies standing queries), record provenance, index for search.
+        ``rows`` are pipeline tuples; ``feedback`` marks a user
+        contribution — its provenance source is a feedback node.
+
+        Returns:
+            (assigned fact ids, number of facts flagged).
+        """
+        flagged = 0
+        batch: list[dict[str, Any]] = []
+        for row in rows:
+            violations = self.debugger.check(
+                {row["attribute"]: row["value"]},
+                context=feedback or f"doc {row.get('doc_id', '?')}",
+            )
+            confidence = float(row.get("confidence", 1.0))
+            if violations:
+                flagged += 1
+                confidence *= 0.5
+            batch.append({
+                "fact_id": self._fact_counter,
+                **fact_row(str(row.get("entity", "")), str(row["attribute"]),
+                           row["value"], confidence),
+                "doc_id": str(row.get("doc_id", "")),
+            })
+            self._fact_counter += 1
+        if batch:
+            self.db.run(lambda t: t.insert_many(FACTS_TABLE, batch))
+            for row, values in zip(rows, batch):
+                self._record_fact_provenance(row, values, feedback)
+        self.search.index_facts([
+            {"entity": v["entity"], "attribute": v["attribute"],
+             "value": r["value"]}
+            for r, v in zip(rows, batch)
+        ])
+        return [v["fact_id"] for v in batch], flagged
 
     def _record_fact_provenance(self, row: dict[str, Any],
                                 values: dict[str, Any],
-                                confidence: float) -> None:
-        value = row.get("value")
-        span_detail = row.get("span_text")
-        if span_detail is not None and row.get("doc_id"):
-            from repro.docmodel.document import Span
-            from repro.extraction.base import Extraction
-
-            extraction = Extraction(
-                entity=values["entity"],
-                attribute=values["attribute"],
-                value=value,
-                span=Span(row["doc_id"], row.get("span_start", 0),
-                          row.get("span_end", 0), span_detail),
-                confidence=min(max(row.get("confidence", 1.0), 0.0), 1.0),
-                extractor=row.get("extractor", "pipeline"),
-            )
-            node = self.provenance.record_extraction(extraction)
-            self.provenance.record_fact(
-                values["entity"], values["attribute"], value, confidence, [node]
-            )
+                                feedback: str | None) -> None:
+        sources = []
+        if feedback is None:
+            if row.get("span_text") is None or not row.get("doc_id"):
+                return  # nothing to point at
+            sources.append(self.provenance.record_extraction(
+                tuple_to_extraction({
+                    "span_start": 0, "span_end": 0, "extractor": "pipeline",
+                    **row,
+                    "entity": values["entity"],
+                    "attribute": values["attribute"],
+                    "confidence": min(max(row.get("confidence", 1.0), 0.0),
+                                      1.0),
+                })))
+        fact = self.provenance.record_fact(
+            values["entity"], values["attribute"], row["value"],
+            values["confidence"], sources)
+        if feedback is not None:
+            self.provenance.record_feedback(feedback, fact)
 
     # ------------------------------------------------------------- queries
 
@@ -616,36 +614,14 @@ class StructureManagementSystem:
         if not self.users.exists(user):
             raise ValueError(f"unknown user {user!r}; register first")
         reputation = self.users.user_reputation(user)
-        confidence = 0.5 + 0.5 * reputation  # rep 0.5 -> 0.75, rep 1 -> 1.0
-        violations = self.debugger.check({attribute: value},
-                                         context=f"contribution by {user}")
-        if violations:
-            confidence *= 0.5
-        fact_id = self._fact_counter
-        is_num = isinstance(value, (int, float)) and not isinstance(value, bool)
-        self._fact_counter += 1
-        values = {
-            "fact_id": fact_id,
-            "entity": entity,
-            "attribute": attribute,
-            "value_text": None if is_num else str(value),
-            "value_num": float(value) if is_num else None,
-            "confidence": confidence,
-            "doc_id": f"user:{user}",
-        }
-        self.db.run(lambda t: t.insert(FACTS_TABLE, values))
-        fact_node = self.provenance.add_node(
-            "fact",
-            f"{entity}.{attribute} = {value!r} (conf {confidence:.2f})",
-            detail={"entity": entity, "attribute": attribute,
-                    "value": value, "confidence": confidence},
+        fact_ids, _ = self._land(
+            [{"entity": entity, "attribute": attribute, "value": value,
+              # rep 0.5 -> 0.75, rep 1 -> 1.0
+              "confidence": 0.5 + 0.5 * reputation,
+              "doc_id": f"user:{user}"}],
+            feedback=f"contributed by user {user}",
         )
-        self.provenance.record_feedback(f"contributed by user {user}",
-                                        fact_node)
-        self.search.index_facts(
-            [{"entity": entity, "attribute": attribute, "value": value}]
-        )
-        return fact_id
+        return fact_ids[0]
 
     def unify_attributes(self, left_attributes: Sequence[str],
                          right_attributes: Sequence[str],

@@ -197,31 +197,37 @@ def learn_constraints(
             ):
                 constraints.append(DomainConstraint(attr, frozenset(distinct)))
 
-    # Approximate FDs between attribute pairs that co-occur often enough.
-    attrs = sorted(values_by_attr)
-    for det in attrs:
-        for dep in attrs:
-            if det == dep:
-                continue
-            mapping: dict[Any, Any] = {}
-            consistent = True
-            support = 0
-            for fact in facts:
-                d, v = fact.get(det), fact.get(dep)
-                if d is None or v is None:
+    # Approximate FDs between attribute pairs that co-occur in a fact: one
+    # pass over the facts, touching only the pairs each fact actually
+    # holds (one-attribute facts — generate()'s default input — hold none).
+    mappings: dict[tuple[str, str], dict[Any, Any]] = {}
+    support: dict[tuple[str, str], int] = defaultdict(int)
+    inconsistent: set[tuple[str, str]] = set()
+    for fact in facts:
+        present = [(a, v) for a, v in fact.items() if v is not None]
+        if len(present) < 2:
+            continue
+        for det, d in present:
+            for dep, v in present:
+                pair = (det, dep)
+                if det == dep or pair in inconsistent:
                     continue
-                support += 1
+                mapping = mappings.setdefault(pair, {})
                 if d in mapping and mapping[d] != v:
-                    consistent = False
-                    break
+                    inconsistent.add(pair)
+                    continue
+                support[pair] += 1
                 mapping[d] = v
-            if consistent and support >= fd_min_support and len(mapping) >= 2:
-                # An FD where every determinant is unique is vacuous unless
-                # the determinant really repeats.
-                if support > len(mapping):
-                    constraints.append(
-                        FunctionalDependency(det, dep, tuple(sorted(
-                            mapping.items(), key=lambda kv: str(kv[0])
-                        )))
-                    )
+    for pair in sorted(mappings):  # (det, dep): the order the pairs had
+        mapping = mappings[pair]
+        if pair not in inconsistent and support[pair] >= fd_min_support \
+                and len(mapping) >= 2:
+            # An FD where every determinant is unique is vacuous unless
+            # the determinant really repeats.
+            if support[pair] > len(mapping):
+                constraints.append(
+                    FunctionalDependency(*pair, tuple(sorted(
+                        mapping.items(), key=lambda kv: str(kv[0])
+                    )))
+                )
     return constraints

@@ -47,31 +47,38 @@ class Extraction:
         """Identity for dedup: (entity, attribute, value)."""
         return (self.entity, self.attribute, self.value)
 
-    def to_payload(self) -> dict[str, Any]:
-        """JSON-able form for the intermediate file store."""
-        return {
-            "entity": self.entity,
-            "attribute": self.attribute,
-            "value": self.value,
-            "doc_id": self.span.doc_id,
-            "start": self.span.start,
-            "end": self.span.end,
-            "text": self.span.text,
-            "confidence": self.confidence,
-            "extractor": self.extractor,
-        }
 
-    @staticmethod
-    def from_payload(payload: dict[str, Any]) -> "Extraction":
-        return Extraction(
-            entity=payload["entity"],
-            attribute=payload["attribute"],
-            value=payload["value"],
-            span=Span(payload["doc_id"], payload["start"], payload["end"],
-                      payload["text"]),
-            confidence=payload["confidence"],
-            extractor=payload.get("extractor", ""),
-        )
+def extraction_to_tuple(extraction: Extraction) -> dict[str, Any]:
+    """The tuple (row-dict) form of an extraction.
+
+    The one ``Extraction`` <-> dict codec: xlog rows, what workers ship
+    back, and what the extraction cache persists (the on-disk format).
+    """
+    return {
+        "doc_id": extraction.span.doc_id,
+        "entity": extraction.entity,
+        "attribute": extraction.attribute,
+        "value": extraction.value,
+        "confidence": extraction.confidence,
+        "span_start": extraction.span.start,
+        "span_end": extraction.span.end,
+        "span_text": extraction.span.text,
+        "extractor": extraction.extractor,
+    }
+
+
+def tuple_to_extraction(row: dict[str, Any]) -> Extraction:
+    """Inverse of :func:`extraction_to_tuple`; tolerates rows an xlog
+    operator has since projected (missing entity/confidence/extractor)."""
+    return Extraction(
+        entity=row.get("entity", ""),
+        attribute=row["attribute"],
+        value=row["value"],
+        span=Span(row["doc_id"], row["span_start"], row["span_end"],
+                  row.get("span_text", " " * (row["span_end"] - row["span_start"]))),
+        confidence=row.get("confidence", 1.0),
+        extractor=row.get("extractor", ""),
+    )
 
 
 class Extractor(ABC):

@@ -1,14 +1,18 @@
 """Execution engine for xlog plans.
 
 Evaluates operators in dependency order, materializing each stream.
-Extraction can run either inline or as a map wave on the simulated cluster
-(the physical-layer integration).
+An extract operator is one call of the shared extraction stage
+(:func:`repro.extraction.stage.run_stage` — cache protocol, per-document
+retry, quarantine); this module only chooses the stage's *fan-out*: the
+inline loop, ``ExecutionBackend.map`` for real parallelism, or a
+Map-Reduce wave on the simulated cluster (the physical-layer
+integration).
 
 All work accounting flows through one per-execution
 :class:`~repro.telemetry.metrics.MetricsRegistry`: operators record
 ``executor.*`` counters (characters scanned per extractor, rows per
-operator, HI questions asked), extraction payloads record
-``extraction.*`` counters even when they run on worker processes (the
+operator, HI questions asked), the stage's payload records
+``extraction.*`` counters even when it runs on worker processes (the
 backends merge worker-local registries back), and nested map-reduce /
 RDBMS work lands in the same registry because it is installed as the
 ambient registry for the duration of the run.  :class:`ExecutionStats` is
@@ -24,15 +28,15 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
-from repro.cache.fingerprint import extractor_fingerprint
-from repro.cache.store import ExtractionCache, document_key
+from repro.cache.store import ExtractionCache, Rows
 from repro.cluster.backends import ExecutionBackend, make_backend
 from repro.cluster.mapreduce import MapReduceJob, run_mapreduce
 from repro.cluster.simulator import SimulatedCluster
-from repro.docmodel.document import Document, Span
-from repro.extraction.base import Extraction
+from repro.docmodel.document import Document
+from repro.extraction.base import tuple_to_extraction
+from repro.extraction.stage import DEFAULT_DOC_RETRY, ExtractPayload, run_stage
 from repro.faults.retry import RetryPolicy
 from repro.hi.aggregate import aggregate_majority
 from repro.hi.tasks import ValidateValueTask
@@ -133,153 +137,17 @@ class ExecutionStats:
         return int(sum(self.chars_scanned.values()))
 
 
-def extraction_to_tuple(extraction: Extraction) -> dict[str, Any]:
-    """The standard tuple form of an extraction."""
-    return {
-        "doc_id": extraction.span.doc_id,
-        "entity": extraction.entity,
-        "attribute": extraction.attribute,
-        "value": extraction.value,
-        "confidence": extraction.confidence,
-        "span_start": extraction.span.start,
-        "span_end": extraction.span.end,
-        "span_text": extraction.span.text,
-        "extractor": extraction.extractor,
-    }
-
-
-def tuple_to_extraction(row: dict[str, Any]) -> Extraction:
-    """Inverse of :func:`extraction_to_tuple` (for fuse/resolve ops)."""
-    return Extraction(
-        entity=row.get("entity", ""),
-        attribute=row["attribute"],
-        value=row["value"],
-        span=Span(row["doc_id"], row["span_start"], row["span_end"],
-                  row.get("span_text", " " * (row["span_end"] - row["span_start"]))),
-        confidence=row.get("confidence", 1.0),
-        extractor=row.get("extractor", ""),
-    )
-
-
-def _record_extraction_metrics(rows: list[dict[str, Any]]) -> None:
-    """Per-document ``extraction.*`` counters (docs, yield, precision proxy).
-
-    Runs wherever the payload runs — inline, pool thread, or worker
-    process; the ambient registry there is merged back by the backend, so
-    totals are backend-independent.  ``high_confidence`` vs
-    ``extractions`` is the precision proxy: the share of output the
-    debugger would trust without human review.
-    """
-    registry = metrics.get_registry()
-    registry.inc("extraction.docs")
-    registry.inc("extraction.extractions", len(rows))
-    registry.inc(
-        "extraction.high_confidence",
-        sum(1 for r in rows if r.get("confidence", 1.0) >= 0.9),
-    )
-
-
-#: Per-document retry budget: extraction faults are usually transient
-#: (resource hiccups, injected test faults), so three quick attempts with
-#: tightly capped backoff resolve them without visible latency.
-DEFAULT_DOC_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001,
-                                max_delay=0.02)
-
-_POISON_KEY = "__poison__"
-
-
-def _poison_row(doc_id: str, exc: BaseException, attempts: int) -> dict[str, Any]:
-    """Quarantine marker emitted in place of a failed document's rows.
-
-    Markers flow through backends and map-reduce exactly like ordinary
-    rows (picklable, mergeable), then get stripped — and recorded — by the
-    executor before results reach downstream operators.
-    """
-    return {
-        _POISON_KEY: True,
-        "doc_id": doc_id,
-        "error": str(exc),
-        "error_type": type(exc).__name__,
-        "attempts": attempts,
-    }
-
-
-def _is_poison(rows: list[Any]) -> bool:
-    """Is this per-document row list a quarantine marker?"""
-    return bool(rows) and isinstance(rows[0], dict) \
-        and bool(rows[0].get(_POISON_KEY))
-
-
 @dataclass(frozen=True)
-class _ExtractDocPayload:
-    """Per-document extraction payload for execution backends.
+class _ByPosition:
+    """Map-function form of a per-item payload for the Map-Reduce path:
+    ``(position, item)`` in, ``(position, value)`` pairs out — keyed by
+    input position, so repeated ``doc_id``s stay separate documents."""
 
-    A module-level dataclass (not a lambda) so process backends can ship
-    it to workers — every bundled extractor pickles cleanly.
+    payload: Any
 
-    Retrying happens *inside* the payload, in whatever worker it landed
-    on: a transient fault is healed on the spot without a round-trip
-    through the pool, and fault-injector attempt counts work unchanged on
-    process backends (the retries all see the same unpickled injector).
-    A document still failing after the budget yields a poison marker
-    instead of raising — unless ``fail_fast``, which restores
-    abort-on-first-error semantics.
-    """
-
-    extractor: Any  # Extractor; Any avoids a hard import cycle in hints
-    retry: RetryPolicy | None = None
-    fail_fast: bool = False
-
-    def __call__(self, doc: Document) -> list[dict[str, Any]]:
-        try:
-            extractions = self._attempt(doc)
-        except Exception as exc:
-            if self.fail_fast:
-                raise
-            metrics.get_registry().inc("extraction.poison_docs")
-            attempts = self.retry.max_attempts if self.retry is not None else 1
-            return [_poison_row(doc.doc_id, exc, attempts)]
-        rows = [extraction_to_tuple(e) for e in extractions]
-        _record_extraction_metrics(rows)
-        return rows
-
-    def _attempt(self, doc: Document) -> list[Extraction]:
-        if self.retry is None:
-            return self.extractor.extract(doc)
-        return self.retry.run(lambda: self.extractor.extract(doc),
-                              salt=doc.doc_id)
-
-
-@dataclass(frozen=True)
-class _ExtractMapFn:
-    """Map-function form of extraction for the Map-Reduce path."""
-
-    extractor: Any
-    retry: RetryPolicy | None = None
-    fail_fast: bool = False
-
-    def __call__(self, doc: Document) -> list[tuple[str, dict[str, Any]]]:
-        payload = _ExtractDocPayload(self.extractor, retry=self.retry,
-                                     fail_fast=self.fail_fast)
-        return [(doc.doc_id, row) for row in payload(doc)]
-
-
-@dataclass(frozen=True)
-class _BackendFailureMarker:
-    """``on_item_failure`` callback: poison marker for a dead-worker item.
-
-    Runs caller-side, after the backend's own retry/rebuild budget is
-    spent on a document — the only failures that reach here are ones the
-    in-worker payload could not catch (the worker process died).
-    """
-
-    retry: RetryPolicy | None
-
-    def __call__(self, doc: Document,
-                 exc: BaseException) -> list[dict[str, Any]]:
-        metrics.get_registry().inc("extraction.poison_docs")
-        attempts = self.retry.max_attempts if self.retry is not None else 1
-        return [_poison_row(doc.doc_id, exc, attempts)]
+    def __call__(self, item: tuple[int, Any]) -> list[tuple[int, Any]]:
+        position, doc = item
+        return [(position, row) for row in self.payload(doc)]
 
 
 def _values_reduce(key: Any, values: list[Any]) -> list[Any]:
@@ -316,11 +184,13 @@ class Executor:
             inline).  Extraction payloads fan out on it — combined with a
             cluster they run inside the simulated waves; without one they
             run as a plain parallel map.  Output is identical across
-            backends (the determinism contract).
-        cache: content-addressed extraction cache.  Each extract operator
-            partitions its documents into hits and misses against
+            backends (the determinism contract).  A backend named by
+            string is built here and closed when each run ends; an
+            instance stays the caller's to close.
+        cache: content-addressed extraction cache.  The stage partitions
+            each extract operator's documents into hits and misses against
             ``(document key, extractor fingerprint)``; only the misses
-            are extracted (on whichever execution path is configured) and
+            are extracted (on whichever fan-out is configured) and
             fresh results are written back.  Output — including its byte
             order — is identical with and without the cache; the
             ``executor.*`` work counters then measure only extraction
@@ -346,13 +216,13 @@ class Executor:
         self._fail_fast = fail_fast
         self._retry = retry if retry is not None \
             else (None if fail_fast else DEFAULT_DOC_RETRY)
-        if isinstance(backend, str):
-            backend_retry = RetryPolicy(max_attempts=1) if fail_fast else None
-            self._backend = make_backend(backend, retry=backend_retry)
-        else:
-            self._backend = backend
+        # A backend built here from a spec string is this executor's to
+        # close (after every run; pools are rebuilt lazily); an instance
+        # passed in stays the caller's.
+        self._owns_backend = isinstance(backend, str)
+        backend_retry = RetryPolicy(max_attempts=1) if fail_fast else None
+        self._backend = make_backend(backend, retry=backend_retry)
         self._cache = cache
-        self._failed_docs: list[dict[str, Any]] = []
 
     def execute(self, plan: LogicalPlan,
                 corpus: Sequence[Document]) -> ExecutionResult:
@@ -363,8 +233,16 @@ class Executor:
         the executor's own; it is merged into the enclosing ambient
         registry afterwards (one global snapshot sees every run).
         """
+        try:
+            return self._execute(plan, corpus)
+        finally:
+            if self._owns_backend:
+                self._backend.close()
+
+    def _execute(self, plan: LogicalPlan,
+                 corpus: Sequence[Document]) -> ExecutionResult:
         registry = MetricsRegistry()
-        self._failed_docs = []
+        failed_docs: list[dict[str, Any]] = []
         stats = ExecutionStats(
             registry,
             backend_name=self._backend.name if self._backend is not None
@@ -382,7 +260,8 @@ class Executor:
                 n_ops += 1
                 op_kind = type(op).__name__.removesuffix("Op").lower()
                 with tracer.span(f"executor.op.{op_kind}", op=op.name) as sp:
-                    result = self._eval(op, streams, corpus_list, stats)
+                    result = self._eval(op, streams, corpus_list, stats,
+                                        failed_docs)
                     streams[op.name] = result
                     if isinstance(result, list) and result \
                             and isinstance(result[0], dict):
@@ -396,12 +275,13 @@ class Executor:
         if rows and isinstance(rows[0], Document):
             rows = [{"doc_id": d.doc_id, "chars": len(d.text)} for d in rows]
         return ExecutionResult(rows=rows, stats=stats, plan=plan,
-                               failed_docs=list(self._failed_docs))
+                               failed_docs=failed_docs)
 
     # ------------------------------------------------------------ operators
 
     def _eval(self, op: Op, streams: dict[str, Any],
-              corpus: list[Document], stats: ExecutionStats) -> Any:
+              corpus: list[Document], stats: ExecutionStats,
+              failed_docs: list[dict[str, Any]]) -> Any:
         if isinstance(op, DocsOp):
             return list(corpus)  # fresh list: downstream ops own their copy
         if isinstance(op, DocFilterOp):
@@ -415,7 +295,8 @@ class Executor:
             )
             return kept
         if isinstance(op, ExtractOp):
-            return self._eval_extract(op, streams[op.inputs[0]], stats)
+            return self._eval_extract(op, streams[op.inputs[0]], stats,
+                                      failed_docs)
         if isinstance(op, FilterOp):
             rows = streams[op.inputs[0]]
             return [r for r in rows if eval_expr(op.predicate, r)]
@@ -487,153 +368,73 @@ class Executor:
         raise TypeError(f"cannot execute operator {type(op).__name__}")
 
     def _eval_extract(self, op: ExtractOp, docs: list[Document],
-                      stats: ExecutionStats) -> list[dict[str, Any]]:
+                      stats: ExecutionStats,
+                      failed_docs: list[dict[str, Any]]) -> Rows:
+        """One extract operator = one :func:`run_stage` call; this
+        executor only picks the fan-out and does the ``executor.*``
+        accounting (work counters measure the misses, i.e. extraction
+        actually performed)."""
         extractor = self._registry.extractor(op.extractor)
-        key = f"{op.extractor}@{op.name}"
         registry = stats.registry
-        payload = _ExtractDocPayload(extractor, retry=self._retry,
-                                     fail_fast=self._fail_fast)
+        if self._cluster is not None:
+            fan_out = self._cluster_wave
+        elif self._backend is not None:
+            fan_out = self._backend_map
+        else:
+            fan_out = None  # the stage's inline loop
+        result = run_stage(extractor, docs, fan_out, cache=self._cache,
+                           retry=self._retry, fail_fast=self._fail_fast)
+        key = f"{op.extractor}@{op.name}"
+        registry.inc(f"executor.chars_scanned.{key}",
+                     sum(len(docs[i].text) for i in result.misses))
+        registry.inc(f"executor.docs_extracted.{key}", len(result.misses))
+        for failure in result.failures:
+            failed_docs.append({**failure, "extractor": op.extractor})
+            registry.inc("executor.docs_failed")
+        rows = [row for per_doc in result.rows if per_doc is not None
+                for row in per_doc]
+        if self._cluster is not None:
+            rows.sort(key=lambda r: (r["doc_id"], r["span_start"],
+                                     r["attribute"]))
+        return rows
 
-        # Partition into cache hits and misses; only misses are extracted.
-        # Cached entries hold the extractor's per-document output in its
-        # natural emission order, so reassembly below reproduces the
-        # uncached byte stream exactly on every execution path.
-        cached: dict[int, list[dict[str, Any]]] = {}
-        miss_docs = docs
-        fingerprint = ""
-        # Duplicate doc_ids inside one operator input (reachable via a
-        # union of document streams) would make the per-document
-        # regrouping on the cluster path ambiguous — such streams simply
-        # bypass the cache.
-        if self._cache is not None and docs \
-                and len({d.doc_id for d in docs}) == len(docs):
-            fingerprint = extractor_fingerprint(extractor)
-            with get_tracer().span("cache.lookup", op=op.name) as span:
-                miss_docs = []
-                for i, doc in enumerate(docs):
-                    rows = self._cache.get(document_key(doc), fingerprint)
-                    if rows is None:
-                        miss_docs.append(doc)
-                    else:
-                        cached[i] = rows
-                span.set_attribute("hits", len(cached))
-                span.set_attribute("misses", len(miss_docs))
+    def _backend_map(self, payload: ExtractPayload,
+                     docs: list[Document]) -> list[Rows]:
+        """Fan-out: a plain parallel map (input order preserved)."""
+        registry = metrics.get_registry()
+        started = time.perf_counter()
+        per_doc = self._backend.map(
+            payload, docs,
+            on_item_failure=None if self._fail_fast else payload.quarantine)
+        registry.inc("executor.real_parallel_seconds",
+                     time.perf_counter() - started)
+        registry.inc("executor.wave_tasks.map", len(docs))
+        return per_doc
 
-        total_chars = sum(len(d.text) for d in miss_docs)
-        registry.inc(f"executor.chars_scanned.{key}", total_chars)
-        registry.inc(f"executor.docs_extracted.{key}", len(miss_docs))
-
-        if self._cluster is not None and docs:
-            if miss_docs:
-                job = MapReduceJob(
-                    map_fn=_ExtractMapFn(extractor, retry=self._retry,
-                                         fail_fast=self._fail_fast),
-                    reduce_fn=_values_reduce,
-                    split_size=max(len(miss_docs) // (len(self._cluster.worker_speeds()) * 4), 1),
-                    num_reducers=1,
-                    map_cost_per_item=extractor.cost_per_char
-                    * (total_chars / len(miss_docs)),
-                )
-                result = run_mapreduce(job, miss_docs, cluster=self._cluster,
-                                       backend=self._backend)
-                registry.inc("executor.cluster_makespan", result.makespan)
-                registry.inc("executor.real_parallel_seconds",
-                             result.real_seconds)
-                registry.inc("executor.wave_tasks.map", result.map_tasks)
-                registry.inc("executor.wave_tasks.reduce", result.reduce_tasks)
-                if fingerprint:
-                    # result.output[doc_id] is that document's rows in
-                    # emission order (map preserves it, the identity
-                    # reduce keeps it) — the per-doc form both the
-                    # write-back and the reassembly need.
-                    per_miss_doc = [
-                        result.output.get(doc.doc_id, []) for doc in miss_docs
-                    ]
-                    self._cache_write_back(fingerprint, miss_docs,
-                                           per_miss_doc)
-                    rows = self._flatten(docs, cached, per_miss_doc,
-                                         op.extractor)
-                else:
-                    rows = []
-                    for values in result.output.values():
-                        if _is_poison(values):
-                            self._note_failure(values[0], op.extractor)
-                            continue
-                        rows.extend(values)
-            else:  # fully warm wave: every document hit the cache
-                rows = self._flatten(docs, cached, [], op.extractor)
-            rows.sort(key=lambda r: (r["doc_id"], r["span_start"], r["attribute"]))
-            return rows
-        if self._backend is not None and miss_docs:
-            started = time.perf_counter()
-            # The payload retries and quarantines internally; the backend
-            # callback covers failures the payload cannot catch in-process
-            # — a worker that died (os._exit, segfault) and kept dying on
-            # the rebuilt pool.
-            on_item_failure = None
-            if not self._fail_fast:
-                on_item_failure = _BackendFailureMarker(self._retry)
-            per_miss_doc = self._backend.map(payload, miss_docs,
-                                             on_item_failure=on_item_failure)
-            registry.inc("executor.real_parallel_seconds",
-                         time.perf_counter() - started)
-            registry.inc("executor.wave_tasks.map", len(miss_docs))
-            self._cache_write_back(fingerprint, miss_docs, per_miss_doc)
-            # Input order is preserved, so flattening matches the serial
-            # loop below row for row.
-            return self._flatten(docs, cached, per_miss_doc, op.extractor)
-        per_miss_doc = [payload(doc) for doc in miss_docs]
-        self._cache_write_back(fingerprint, miss_docs, per_miss_doc)
-        return self._flatten(docs, cached, per_miss_doc, op.extractor)
-
-    def _flatten(self, docs: list[Document],
-                 cached: dict[int, list[dict[str, Any]]],
-                 per_miss_doc: list[list[dict[str, Any]]],
-                 extractor_name: str) -> list[dict[str, Any]]:
-        """Flatten per-document row lists, diverting quarantine markers."""
-        out: list[dict[str, Any]] = []
-        for per_doc in self._assemble(docs, cached, per_miss_doc):
-            if _is_poison(per_doc):
-                self._note_failure(per_doc[0], extractor_name)
-            else:
-                out.extend(per_doc)
-        return out
-
-    def _note_failure(self, marker: dict[str, Any],
-                      extractor_name: str) -> None:
-        """Record one quarantined document from its poison marker."""
-        self._failed_docs.append({
-            "doc_id": marker.get("doc_id", ""),
-            "error": marker.get("error", ""),
-            "error_type": marker.get("error_type", ""),
-            "attempts": int(marker.get("attempts", 1)),
-            "extractor": extractor_name,
-        })
-        metrics.get_registry().inc("executor.docs_failed")
-
-    def _cache_write_back(self, fingerprint: str, miss_docs: list[Document],
-                          per_doc_rows: list[list[dict[str, Any]]]) -> None:
-        """Store freshly extracted rows (empty lists included — an
-        unchanged document that yields nothing must also hit next time;
-        quarantine markers excluded — a failed document must be retried,
-        not remembered as empty)."""
-        if self._cache is None or not fingerprint:
-            return
-        for doc, rows in zip(miss_docs, per_doc_rows):
-            if _is_poison(rows):
-                continue
-            self._cache.put(document_key(doc), fingerprint, rows)
-
-    @staticmethod
-    def _assemble(docs: list[Document],
-                  cached: dict[int, list[dict[str, Any]]],
-                  per_miss_doc: list[list[dict[str, Any]]],
-                  ) -> Iterator[list[dict[str, Any]]]:
-        """Per-document row lists in original document order, merging
-        cache hits with freshly extracted misses."""
-        fresh = iter(per_miss_doc)
-        for i in range(len(docs)):
-            yield cached[i] if i in cached else next(fresh)
+    def _cluster_wave(self, payload: ExtractPayload,
+                      docs: list[Document]) -> list[Rows]:
+        """Fan-out: one Map-Reduce wave on the simulated cluster (real
+        work on the backend, when there is one), keyed by input position
+        — ``output[i]`` is document ``i``'s rows in emission order (map
+        preserves it, the identity reduce keeps it)."""
+        registry = metrics.get_registry()
+        total_chars = sum(len(d.text) for d in docs)
+        job = MapReduceJob(
+            map_fn=_ByPosition(payload),
+            reduce_fn=_values_reduce,
+            split_size=max(
+                len(docs) // (len(self._cluster.worker_speeds()) * 4), 1),
+            num_reducers=1,
+            map_cost_per_item=payload.extractor.cost_per_char
+            * (total_chars / len(docs)),
+        )
+        result = run_mapreduce(job, list(enumerate(docs)),
+                               cluster=self._cluster, backend=self._backend)
+        registry.inc("executor.cluster_makespan", result.makespan)
+        registry.inc("executor.real_parallel_seconds", result.real_seconds)
+        registry.inc("executor.wave_tasks.map", result.map_tasks)
+        registry.inc("executor.wave_tasks.reduce", result.reduce_tasks)
+        return [result.output.get(i, []) for i in range(len(docs))]
 
     def _eval_resolve(self, op: ResolveOp, rows: list[dict[str, Any]],
                       stats: ExecutionStats) -> list[dict[str, Any]]:

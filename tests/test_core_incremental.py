@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.incremental import IncrementalExtractionManager
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
+from repro.docmodel.document import Document, Span
+from repro.extraction.base import Extraction
 from repro.extraction.infobox import InfoboxExtractor
 from repro.extraction.regex_extractor import RegexExtractor
 from repro.extraction.normalize import normalize_number
@@ -107,3 +109,53 @@ def test_values_match_ground_truth():
     by_city = {r.entity: r.value for r in results}
     for facts in truth:
         assert by_city[facts.name] == facts.monthly_temps[8]
+
+
+# ------------------------------------------------------- failure atomicity
+
+
+class _Flaky:
+    """Doubles every letter of a document into one extraction; fails the
+    first ``failures`` calls on the document named ``victim``."""
+
+    cost_per_char = 1.5
+
+    def __init__(self, victim, failures):
+        self.victim = victim
+        self._left = failures
+
+    def extract(self, doc):
+        if doc.doc_id == self.victim and self._left > 0:
+            self._left -= 1
+            raise RuntimeError("transient")
+        return [Extraction(doc.doc_id, "echo", doc.text,
+                           Span(doc.doc_id, 0, len(doc.text), doc.text))]
+
+
+def _two_docs():
+    return [Document("a", "xy"), Document("b", "zw")]
+
+
+def test_flaky_document_is_extracted_once_and_counted_once():
+    # Regression: the parent raised half-way through the corpus with the
+    # first document's extractions already kept, so the second demand()
+    # returned them twice and double-counted work_done (6.0 for 4 chars).
+    manager = IncrementalExtractionManager(corpus=_two_docs())
+    manager.register("echo", _Flaky("b", failures=2), ["echo"])
+    first = manager.demand(["echo"])
+    again = manager.demand(["echo"])
+    assert [(e.entity, e.value) for e in first] == [("a", "xy"), ("b", "zw")]
+    assert again == first
+    assert manager.work_done == 1.5 * 4  # each scanned character once
+    assert manager.failures == []
+
+
+def test_exhausted_document_is_skipped_and_reported_not_raised():
+    manager = IncrementalExtractionManager(corpus=_two_docs())
+    manager.register("echo", _Flaky("a", failures=99), ["echo"])
+    results = manager.demand(["echo"])
+    assert [(e.entity, e.value) for e in results] == [("b", "zw")]
+    assert manager.demand(["echo"]) == results
+    assert manager.work_done == 1.5 * 2  # the quarantined scan yielded nothing
+    assert [(f["doc_id"], f["extractor"], f["error_type"], f["attempts"])
+            for f in manager.failures] == [("a", "echo", "RuntimeError", 3)]

@@ -1,6 +1,8 @@
 """Tests for the semantic debugger and system monitor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.debugger.constraints import (
     DomainConstraint,
@@ -136,3 +138,63 @@ def test_monitor_error_rate_alert():
 def test_monitor_invalid_window():
     with pytest.raises(ValueError):
         SystemMonitor(window=2)
+
+
+# ------------------------------------------- FD mining: one pass vs oracle
+
+
+def _fd_oracle(facts, fd_min_support=4):
+    """The FD pass as it was: every ordered attribute pair x every fact."""
+    attrs = sorted({a for f in facts for a, v in f.items() if v is not None})
+    out = []
+    for det in attrs:
+        for dep in attrs:
+            if det == dep:
+                continue
+            mapping, consistent, support = {}, True, 0
+            for fact in facts:
+                d, v = fact.get(det), fact.get(dep)
+                if d is None or v is None:
+                    continue
+                support += 1
+                if d in mapping and mapping[d] != v:
+                    consistent = False
+                    break
+                mapping[d] = v
+            if consistent and support >= fd_min_support \
+                    and len(mapping) >= 2 and support > len(mapping):
+                out.append(FunctionalDependency(det, dep, tuple(sorted(
+                    mapping.items(), key=lambda kv: str(kv[0])))))
+    return out
+
+
+_fd_fact = st.dictionaries(
+    st.sampled_from(["a", "b", "c", "d"]),
+    st.one_of(st.none(), st.integers(0, 2), st.sampled_from(["x", "y"])),
+    max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_fd_fact, max_size=14), st.integers(1, 5))
+def test_fd_pass_matches_the_nested_loop_oracle(facts, min_support):
+    learned = [c for c in learn_constraints(facts, fd_min_support=min_support)
+               if isinstance(c, FunctionalDependency)]
+    assert learned == _fd_oracle(facts, fd_min_support=min_support)
+
+
+def test_one_attribute_facts_are_never_pair_scanned():
+    # generate() feeds one-attribute dicts: no pair can have support, so
+    # the fact list is walked a constant number of times whatever the
+    # number of distinct attributes (it was 1 + n*(n-1) walks).
+    class CountingFacts(list):
+        walks = 0
+
+        def __iter__(self):
+            CountingFacts.walks += 1
+            return super().__iter__()
+
+    facts = CountingFacts({f"attr{i % 30}": float(i)} for i in range(300))
+    constraints = learn_constraints(facts)
+    assert CountingFacts.walks <= 2
+    assert not any(isinstance(c, FunctionalDependency) for c in constraints)
+    assert sum(isinstance(c, RangeConstraint) for c in constraints) == 30

@@ -130,3 +130,36 @@ def test_ingest_batch_deduplicates_doc_ids():
     assert system.ingest(docs) == 4
     assert system.search.corpus_size() == 4
     system.close()
+
+
+def _backend_threads():
+    import threading
+
+    return [t for t in threading.enumerate()
+            if t.name.startswith("repro-backend")]
+
+
+def test_backend_built_from_a_spec_string_is_closed_after_the_run(monkeypatch):
+    from repro.cluster import backends
+
+    built = []
+    real = backends.ThreadPoolBackend
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setitem(backends._BACKENDS, "thread", recording)
+    baseline = len(_backend_threads())
+    result = run_program(PROGRAM, _corpus(), _registry(), backend="thread")
+    assert result.stats.backend_name == "thread"
+    assert len(built) == 1 and built[0]._pool is None  # shut down
+    assert len(_backend_threads()) == baseline
+
+
+def test_backend_instance_passed_in_stays_open():
+    with make_backend("thread", max_workers=2) as backend:
+        run_program(PROGRAM, _corpus(), _registry(), backend=backend)
+        assert backend._pool is not None  # the caller's to close
+        assert _backend_threads()
+    assert backend._pool is None

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.docmodel.document import Document
-from repro.extraction.base import CompositeExtractor, Extraction
+from repro.extraction.base import (
+    CompositeExtractor,
+    Extraction,
+    extraction_to_tuple,
+    tuple_to_extraction,
+)
 from repro.extraction.dictionary import DictionaryExtractor
 from repro.extraction.infobox import InfoboxExtractor, WikiTableExtractor
 from repro.extraction.normalize import normalize_number, normalize_temperature
@@ -29,8 +34,9 @@ def test_extraction_validates_confidence_and_attribute():
 def test_extraction_payload_roundtrip():
     span = DOC.span(0, 2)
     extraction = Extraction("Madison", "temp", 70.0, span, 0.9, "test")
-    again = Extraction.from_payload(extraction.to_payload())
+    again = tuple_to_extraction(extraction_to_tuple(extraction))
     assert again == extraction
+    assert again.span.text == extraction.span.text  # not part of ==
 
 
 def test_regex_extractor_named_groups():

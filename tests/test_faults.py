@@ -510,3 +510,34 @@ def test_system_retry_deadletter_keeps_still_poison_docs(tmp_path):
     assert (retried, still_failed) == (1, 1)
     assert system.deadletter.doc_ids() == [poison]
     system.close()
+
+
+def test_retry_deadletter_never_swaps_the_corpus(tmp_path):
+    # Regression: the retry pass used to replace ``system._corpus`` with a
+    # subset for the length of generate(); a page ingested meanwhile (from
+    # another thread, or here from inside the extractor) landed in the
+    # subset and was lost when the saved corpus came back.
+    corpus = _corpus(8)
+    poison = corpus[2].doc_id
+    late = corpus[-1]
+    observed = []
+
+    class IngestsMidRetry(FaultyExtractor):
+        def extract(self, doc):
+            if armed:
+                observed.append(len(system.corpus))
+                system.ingest([late])
+            return super().extract(doc)
+
+    armed = False
+    inj = FaultInjector(mode="error", keys=(poison,), fail_attempts=3)
+    system = _system(tmp_path, IngestsMidRetry(InfoboxExtractor(), inj))
+    system.ingest(corpus[:-1])
+    assert system.generate(PROGRAM).failed_doc_ids == [poison]
+
+    armed = True
+    assert system.retry_deadletter(PROGRAM) == (1, 0)
+    assert observed == [len(corpus) - 1]  # system.corpus told the truth
+    assert late.doc_id in {d.doc_id for d in system.corpus}
+    assert len(system.corpus) == len(corpus)
+    system.close()

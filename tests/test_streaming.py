@@ -37,10 +37,18 @@ class TsvExtractor:
     """Parses lines of ``entity<TAB>attribute<TAB>value``; counts calls."""
 
     def __init__(self):
-        self.calls = 0
+        # Underscored: public attributes of a plain-class extractor are
+        # configuration to ``extractor_fingerprint``, and the extraction
+        # stage fingerprints once, *before* extracting — a public counter
+        # would change the cache key between the lookup and the next run.
+        self._calls = 0
+
+    @property
+    def calls(self):
+        return self._calls
 
     def extract(self, doc):
-        self.calls += 1
+        self._calls += 1
         out = []
         offset = 0
         for line in doc.text.splitlines(keepends=True):
