@@ -80,13 +80,6 @@ def _build_system(workspace: str, builtin: bool,
     return system
 
 
-def _reingest_existing(system: StructureManagementSystem) -> None:
-    """Reload the latest snapshot of every known page into memory."""
-    store = system.storage.raw
-    for doc_id in store.doc_ids():
-        system.ingest([store.checkout(doc_id)])
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     """Ingest a directory of .txt pages into the workspace."""
     system = _build_system(args.workspace, args.builtin)
@@ -102,7 +95,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     system = _build_system(args.workspace, args.builtin,
                            backend=args.backend, workers=args.workers,
                            cache=args.cache, fail_fast=args.fail_fast)
-    _reingest_existing(system)
+    system.load_stored_pages()
     with open(args.program, "r", encoding="utf-8") as f:
         source = f.read()
     if args.explain:
@@ -183,7 +176,7 @@ def cmd_reshard(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     """Keyword-search the raw pages; print ranked hits."""
     system = _build_system(args.workspace, args.builtin)
-    _reingest_existing(system)
+    system.load_stored_pages()
     for hit in system.keyword(args.query, k=args.limit):
         print(f"{hit.score:8.3f}  {hit.doc_id}  {hit.snippet[:80]}")
     system.close()
@@ -372,7 +365,7 @@ def cmd_deadletter(args: argparse.Namespace) -> int:
             print("deadletter retry needs --program <file.xlog>",
                   file=sys.stderr)
             return 2
-        _reingest_existing(system)
+        system.load_stored_pages()
         with open(args.program, "r", encoding="utf-8") as f:
             source = f.read()
         retried, still_failed = system.retry_deadletter(source)

@@ -7,7 +7,7 @@ import signal
 import threading
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.cache.store import ExtractionCache, make_cache
 from repro.core.serving import ServingGate
@@ -84,6 +84,31 @@ def fact_row(entity: str, attribute: str, value: Any,
         "value_num": float(value) if is_num else None,
         "confidence": confidence,
     }
+
+
+def _record_fact_provenance(records: Iterable[dict[str, Any]]
+                            ) -> ProvenanceGraph:
+    """The lineage graph of ``records`` (what ``_land`` appended): the one
+    builder behind ``explain()`` and ``system.provenance``."""
+    graph = ProvenanceGraph()
+    for record in records:
+        feedback = record.get("feedback")
+        sources = []
+        if feedback is None:
+            if record.get("span_text") is None or not record.get("doc_id"):
+                continue  # nothing to point at
+            sources.append(graph.record_extraction(tuple_to_extraction({
+                "span_start": 0, "span_end": 0, "extractor": "pipeline",
+                **record,
+                "confidence": min(max(record.get("confidence", 1.0), 0.0),
+                                  1.0),
+            })))
+        fact = graph.record_fact(
+            record["entity"], record["attribute"], record["value"],
+            record["stored_confidence"], sources)
+        if feedback is not None:
+            graph.record_feedback(feedback, fact)
+    return graph
 
 
 @dataclass
@@ -199,7 +224,6 @@ class StructureManagementSystem:
         self.search = KeywordSearchEngine()
         self.debugger = SemanticDebugger()
         self.monitor = SystemMonitor()
-        self.provenance = self._load_provenance()
         self.users = UserManager()
         self.forms = FormCatalog()
         register_builtin_forms(self.forms, table=FACTS_TABLE)
@@ -226,6 +250,11 @@ class StructureManagementSystem:
         # generate()/contribute() notify too, without a full re-run.
         self._corpus = InMemoryCorpus()
         self._fact_counter = 0
+        # Lineage records (see _land) when there is no workspace; lineage
+        # a workspace already holds is fact-indexed on first use, not here.
+        self._lineage: list[dict[str, Any]] = []
+        self._facts_indexed = self.storage is None \
+            or not self.storage.intermediate.segment_count()
         self._cluster = (
             SimulatedCluster(self.cluster_config) if self.use_cluster else None
         )
@@ -294,6 +323,19 @@ class StructureManagementSystem:
             span.set_attribute("new_pages", len(new_docs))
             return len(docs)
 
+    def load_stored_pages(self) -> int:
+        """Check out the latest version of every stored page into the
+        in-memory corpus and the keyword index — a read: unlike
+        :meth:`ingest` it commits no snapshot version.  Returns page count.
+        """
+        store = self.storage.raw
+        docs = [store.checkout(doc_id) for doc_id in store.doc_ids()]
+        for doc in docs:
+            self._corpus.add(doc)
+        self.search.index_corpus(
+            [d for d in docs if not self.search.has_document(d.doc_id)])
+        return len(docs)
+
     @property
     def corpus(self) -> InMemoryCorpus:
         return self._corpus
@@ -304,10 +346,11 @@ class StructureManagementSystem:
                  learn_constraints_first: bool = True) -> GenerationReport:
         """Run a declarative IE+II+HI program and store its output facts.
 
-        The pipeline result is staged in the intermediate file store,
-        screened by the semantic debugger (facts it flags are *kept* but
-        flagged — a human decides; their confidence is halved), written to
-        the final RDBMS, provenance-recorded, and fact-indexed for search.
+        The pipeline result is screened by the semantic debugger (facts
+        it flags are *kept* but flagged — a human decides; their
+        confidence is halved), written to the final RDBMS, its lineage
+        appended to the intermediate file store, and fact-indexed for
+        search.
         """
         return self._generate(program_source, list(self._corpus), optimize,
                               learn_constraints_first)
@@ -329,10 +372,6 @@ class StructureManagementSystem:
                 DeadLetterEntry(**f) for f in result.failed_docs)
 
             rows = [r for r in result.rows if r.get("attribute")]
-            if self.storage is not None:
-                self.storage.intermediate.append_many(
-                    [dict(r) for r in rows]
-                )
             if learn_constraints_first and rows \
                     and not self.debugger.constraints:
                 trusted = [
@@ -403,9 +442,14 @@ class StructureManagementSystem:
         Screen with the semantic debugger (a flagged fact is *kept*, its
         confidence halved), insert the batch in one transaction (one
         ``insert_many`` WAL record, one table lock; the commit delta
-        notifies standing queries), record provenance, index for search.
-        ``rows`` are pipeline tuples; ``feedback`` marks a user
-        contribution — its provenance source is a feedback node.
+        notifies standing queries), append one lineage record per fact
+        to the intermediate file store (a list without a workspace),
+        index for search.  ``rows`` are pipeline tuples; ``feedback``
+        marks a user contribution — its provenance source is a feedback
+        node.  The lineage record (the row plus the stored ``entity`` /
+        ``attribute``, ``fact_id``, ``stored_confidence``, ``feedback``)
+        is the one durable form of provenance; a crash before the append
+        leaves facts with no recorded provenance, never another fact's.
 
         Returns:
             (assigned fact ids, number of facts flagged).
@@ -428,38 +472,43 @@ class StructureManagementSystem:
                 "doc_id": str(row.get("doc_id", "")),
             })
             self._fact_counter += 1
-        if batch:
-            self.db.run(lambda t: t.insert_many(FACTS_TABLE, batch))
-            for row, values in zip(rows, batch):
-                self._record_fact_provenance(row, values, feedback)
-        self.search.index_facts([
-            {"entity": v["entity"], "attribute": v["attribute"],
-             "value": r["value"]}
-            for r, v in zip(rows, batch)
-        ])
+        if not batch:
+            return [], 0
+        self.db.run(lambda t: t.insert_many(FACTS_TABLE, batch))
+        extra = {} if feedback is None else {"feedback": feedback}
+        records = [
+            {**row, "entity": v["entity"], "attribute": v["attribute"],
+             "fact_id": v["fact_id"], "stored_confidence": v["confidence"],
+             **extra}
+            for row, v in zip(rows, batch)
+        ]
+        if self.storage is None:
+            self._lineage.extend(records)
+        else:
+            self.storage.intermediate.append_many(records)
+        if self._facts_indexed:
+            self._index_facts(records)
         return [v["fact_id"] for v in batch], flagged
 
-    def _record_fact_provenance(self, row: dict[str, Any],
-                                values: dict[str, Any],
-                                feedback: str | None) -> None:
-        sources = []
-        if feedback is None:
-            if row.get("span_text") is None or not row.get("doc_id"):
-                return  # nothing to point at
-            sources.append(self.provenance.record_extraction(
-                tuple_to_extraction({
-                    "span_start": 0, "span_end": 0, "extractor": "pipeline",
-                    **row,
-                    "entity": values["entity"],
-                    "attribute": values["attribute"],
-                    "confidence": min(max(row.get("confidence", 1.0), 0.0),
-                                      1.0),
-                })))
-        fact = self.provenance.record_fact(
-            values["entity"], values["attribute"], row["value"],
-            values["confidence"], sources)
-        if feedback is not None:
-            self.provenance.record_feedback(feedback, fact)
+    def _lineage_records(self) -> Iterable[dict[str, Any]]:
+        """What :meth:`_land` appended, in landing order (other records
+        of the intermediate store carry no ``fact_id``)."""
+        if self.storage is None:
+            return self._lineage
+        return (r.payload for r in self.storage.intermediate.scan()
+                if "fact_id" in r.payload)
+
+    def _index_facts(self, records: Iterable[dict[str, Any]]) -> None:
+        self.search.index_facts([
+            {key: r[key] for key in ("entity", "attribute", "value")}
+            for r in records
+        ])
+
+    @property
+    def provenance(self) -> ProvenanceGraph:
+        """The lineage graph of every landed fact: a view built from the
+        lineage records on each access (hold on to the result)."""
+        return _record_fact_provenance(self._lineage_records())
 
     # ------------------------------------------------------------- queries
 
@@ -554,6 +603,9 @@ class StructureManagementSystem:
 
     def keyword_facts(self, query: str, k: int = 5) -> list[dict[str, Any]]:
         """Keyword search over the derived structure."""
+        if not self._facts_indexed:  # reopened workspace, first use
+            self._index_facts(self._lineage_records())
+            self._facts_indexed = True
         return self.search.search_facts(query, k=k)
 
     def translator(self) -> QueryTranslator:
@@ -589,12 +641,12 @@ class StructureManagementSystem:
 
     def explain(self, entity: str, attribute: str) -> str:
         """Provenance explanation for stored facts about (entity, attr)."""
-        nodes = self.provenance.find_facts(entity=entity, attribute=attribute)
-        if not nodes:
-            return f"no recorded provenance for {entity}.{attribute}"
+        graph = _record_fact_provenance(
+            r for r in self._lineage_records()
+            if r["entity"] == entity and r["attribute"] == attribute)
         return "\n\n".join(
-            self.provenance.explain(n.node_id).render() for n in nodes
-        )
+            graph.explain(n.node_id).render() for n in graph.facts()
+        ) or f"no recorded provenance for {entity}.{attribute}"
 
     def contribute(self, user: str, entity: str, attribute: str,
                    value: Any) -> int:
@@ -747,7 +799,6 @@ class StructureManagementSystem:
         if session is not None:
             session.flush()
         if self.storage is not None:
-            self.provenance.save(self._provenance_path())
             self.storage.close()
         else:
             self.db.close()
@@ -765,14 +816,3 @@ class StructureManagementSystem:
             raise SystemExit(128 + signum)
 
         signal.signal(signal.SIGTERM, _terminate)
-
-    def _provenance_path(self) -> str:
-        assert self.workspace is not None
-        return os.path.join(self.workspace, "provenance.json")
-
-    def _load_provenance(self) -> ProvenanceGraph:
-        if self.workspace is not None:
-            path = self._provenance_path()
-            if os.path.exists(path):
-                return ProvenanceGraph.load(path)
-        return ProvenanceGraph()

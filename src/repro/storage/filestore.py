@@ -61,7 +61,7 @@ class RecordFileStore:
         self._tolerant = tolerant
         self.corrupt_lines = 0
         os.makedirs(root, exist_ok=True)
-        self._next_id, self._active_segment, self._active_count = self._recover()
+        self._next_id: int | None = None  # recovered by the first write
 
     # ------------------------------------------------------------------ API
 
@@ -71,20 +71,28 @@ class RecordFileStore:
         Raises:
             ValueError: if the payload uses the reserved tombstone key.
         """
-        if _TOMBSTONE_KEY in payload:
-            raise ValueError(f"{_TOMBSTONE_KEY!r} is reserved")
-        record_id = self._next_id
-        self._next_id += 1
-        self._write_line({"id": record_id, **payload})
-        return record_id
+        return self.append_many([payload])[0]
 
     def append_many(self, payloads: list[dict[str, Any]]) -> list[int]:
-        """Append a batch; returns assigned IDs in order."""
-        return [self.append(p) for p in payloads]
+        """Append a batch (one ``open()`` per segment touched); returns
+        assigned IDs in order.
+
+        Raises:
+            ValueError: a payload uses the reserved tombstone key
+                (nothing of the batch is written).
+        """
+        if any(_TOMBSTONE_KEY in p for p in payloads):
+            raise ValueError(f"{_TOMBSTONE_KEY!r} is reserved")
+        self._recover()
+        ids = list(range(self._next_id, self._next_id + len(payloads)))
+        self._write_lines([{"id": i, **p} for i, p in zip(ids, payloads)])
+        self._next_id += len(payloads)
+        return ids
 
     def delete(self, record_id: int) -> None:
         """Mark a record deleted (tombstone; reclaimed by :meth:`compact`)."""
-        self._write_line({"id": record_id, _TOMBSTONE_KEY: True})
+        self._recover()
+        self._write_lines([{"id": record_id, _TOMBSTONE_KEY: True}])
 
     def scan(self) -> Iterator[Record]:
         """Sequentially yield all live records, oldest first."""
@@ -113,13 +121,13 @@ class RecordFileStore:
 
     def compact(self) -> int:
         """Rewrite all segments dropping tombstones; returns live count."""
+        self._recover()
         live = list(self.scan())
         for name in self._segment_names():
             os.remove(os.path.join(self._root, name))
         self._active_segment = 0
         self._active_count = 0
-        for record in live:
-            self._write_line({"id": record.record_id, **record.payload})
+        self._write_lines([{"id": r.record_id, **r.payload} for r in live])
         return len(live)
 
     def clear(self) -> int:
@@ -182,26 +190,32 @@ class RecordFileStore:
                     yield line
         self.corrupt_lines = corrupt
 
-    def _write_line(self, obj: dict[str, Any]) -> None:
-        if self._active_count >= self._segment_max:
-            self._active_segment += 1
-            self._active_count = 0
-        path = self._segment_path(self._active_segment)
-        with open(path, "a", encoding="utf-8") as f:
-            f.write(json.dumps(obj) + "\n")
-        self._active_count += 1
+    def _write_lines(self, objs: list[dict[str, Any]]) -> None:
+        lines = [json.dumps(obj) + "\n" for obj in objs]
+        while lines:
+            if self._active_count >= self._segment_max:
+                self._active_segment += 1
+                self._active_count = 0
+            chunk = lines[:self._segment_max - self._active_count]
+            path = self._segment_path(self._active_segment)
+            with open(path, "a", encoding="utf-8") as f:
+                f.writelines(chunk)
+            self._active_count += len(chunk)
+            del lines[:len(chunk)]
 
-    def _recover(self) -> tuple[int, int, int]:
-        """Rebuild next-ID and active-segment state from the segments."""
+    def _recover(self) -> None:
+        """Rebuild next-ID and active-segment state from the segments
+        (once, before the first write: opening a store reads nothing)."""
+        if self._next_id is not None:
+            return
+        self._next_id = self._active_segment = self._active_count = 0
         names = self._segment_names()
         if not names:
-            return 0, 0, 0
-        max_id = -1
-        for line in self._scan_lines():
-            max_id = max(max_id, line["id"])
-        last_index = int(names[-1][4:-6])
+            return
+        self._next_id = 1 + max(
+            (line["id"] for line in self._scan_lines()), default=-1)
+        self._active_segment = int(names[-1][4:-6])
         errors = "replace" if self._tolerant else "strict"
         with open(os.path.join(self._root, names[-1]), "r", encoding="utf-8",
                   errors=errors) as f:
-            last_count = sum(1 for raw in f if raw.strip())
-        return max_id + 1, last_index, last_count
+            self._active_count = sum(1 for raw in f if raw.strip())

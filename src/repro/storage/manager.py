@@ -24,7 +24,8 @@ class StorageManager:
 
     Attributes:
         raw: versioned store for crawled/unstructured snapshots.
-        intermediate: sequential record store for extraction intermediates.
+        intermediate: sequential record store for extraction intermediates
+            (the system keeps one lineage record per stored fact here).
         final: transactional relational store for the derived structure
             and for user contributions.
     """

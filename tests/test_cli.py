@@ -105,6 +105,22 @@ def test_reingest_versions_snapshots(capsys, pages_dir, workspace):
     assert "new paragraph" not in store.checkout("madison", 0).text
 
 
+def test_read_commands_commit_no_snapshot_versions(
+        capsys, pages_dir, workspace, tmp_path):
+    from repro.storage.snapshots import SnapshotStore
+    _run(capsys, "--workspace", workspace, "ingest", pages_dir)
+    code, first = _run(capsys, "--workspace", workspace, "search", "capital")
+    assert code == 0 and "madison" in first
+    code, second = _run(capsys, "--workspace", workspace, "search", "capital")
+    assert code == 0 and second == first
+    code, out = _run(capsys, "--workspace", workspace, "generate",
+                     _program_file(tmp_path))
+    assert code == 0 and "stored" in out
+    store = SnapshotStore(os.path.join(workspace, "raw"))
+    assert {d: store.latest_version(d) for d in store.doc_ids()} == {
+        "madison": 0, "austin": 0}
+
+
 # --------------------------------------------------------- fault tolerance
 
 

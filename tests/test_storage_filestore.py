@@ -77,3 +77,41 @@ def test_ids_continue_after_compact(tmp_path):
     store.delete(ids[0])
     store.compact()
     assert store.append({"v": 99}) > ids[-1]
+
+
+def _segment_bytes(root):
+    return {name: (root / name).read_bytes() for name in sorted(
+        p.name for p in root.iterdir())}
+
+
+def test_append_many_across_rotation_matches_per_record_append(tmp_path):
+    payloads = [{"v": i, "text": "x" * i} for i in range(11)]
+    one_by_one = RecordFileStore(str(tmp_path / "a"), segment_max_records=4)
+    one_by_one.append({"v": "head"})  # batches start mid-segment
+    ids = [one_by_one.append(p) for p in payloads]
+    batched = RecordFileStore(str(tmp_path / "b"), segment_max_records=4)
+    batched.append({"v": "head"})
+    assert batched.append_many(payloads[:7]) == ids[:7]
+    assert batched.append_many(payloads[7:]) == ids[7:]
+    assert batched.segment_count() == 3
+    assert _segment_bytes(tmp_path / "b") == _segment_bytes(tmp_path / "a")
+    assert batched.append({"v": "tail"}) == one_by_one.append({"v": "tail"})
+    assert _segment_bytes(tmp_path / "b") == _segment_bytes(tmp_path / "a")
+
+
+def test_append_many_rejecting_a_payload_writes_nothing(tmp_path):
+    store = RecordFileStore(str(tmp_path))
+    with pytest.raises(ValueError):
+        store.append_many([{"v": 1}, {"__deleted__": True}])
+    assert store.count() == 0 and store.append({"v": 2}) == 0
+
+
+def test_reopened_store_recovers_on_its_first_write_whatever_it_is(tmp_path):
+    store = RecordFileStore(str(tmp_path), segment_max_records=3)
+    ids = store.append_many([{"v": i} for i in range(5)])
+    deleter = RecordFileStore(str(tmp_path), segment_max_records=3)
+    deleter.delete(ids[4])  # lands in the active segment, not a new one
+    assert deleter.segment_count() == 2
+    compactor = RecordFileStore(str(tmp_path), segment_max_records=3)
+    assert compactor.compact() == 4
+    assert compactor.append({"v": "next"}) == 5  # ids are never reused
