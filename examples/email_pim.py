@@ -8,12 +8,12 @@ calendar:
 1. extract meeting date/time/room and correspondents from raw messages;
 2. store them in the transactional final store;
 3. exploit them: "what meetings are in room 2310?", "who emails me most?",
-   incremental extraction when a new need (action items) appears later.
+   and a second program when a new need (action items) appears later.
 
 Run:  python examples/email_pim.py
 """
 
-from repro import IncrementalExtractionManager, StructureManagementSystem
+from repro import StructureManagementSystem
 from repro.core.system import FACTS_TABLE
 from repro.datagen import generate_email_corpus
 from repro.extraction import RegexExtractor, normalize_date
@@ -25,7 +25,7 @@ def main() -> None:
     print(f"Mailbox: {len(corpus)} messages "
           f"({with_meetings} mention a concrete meeting)\n")
 
-    system = StructureManagementSystem()
+    system = StructureManagementSystem(cache="memory")
     system.registry.register_extractor(
         "headers",
         RegexExtractor(pattern=r"From: (?P<sender>\S+@\S+)\nTo: (?P<recipient>\S+@\S+)"),
@@ -75,28 +75,24 @@ def main() -> None:
         print(f"  {row['value_text']}: {row['n']} messages")
 
     # -- Incremental, best-effort extension: a need for action items
-    #    appears only now; only the new extractor runs.
+    #    appears only now.  It is one more program: only the new
+    #    extractor scans (a program naming "meetings" again would be all
+    #    cache hits), and its facts land in the store like any others.
     print("\n== Incremental extension: action items ==")
-    manager = IncrementalExtractionManager(corpus=list(corpus))
-    manager.register(
-        "meetings_again",
-        RegexExtractor(pattern=r"at (?P<meeting_time>\d{2}:\d{2})"),
-        attributes=["meeting_time"],
+    actions = RegexExtractor(pattern=r"I will (?P<action_item>[a-z ]+?) later")
+    system.registry.register_extractor("actions", actions)
+    report = system.generate(
+        'mail = docs()\n'
+        'todo = extract(mail, "actions")\n'
+        'output todo'
     )
-    manager.register(
-        "actions",
-        RegexExtractor(pattern=r"I will (?P<action_item>[a-z ]+?) later"),
-        attributes=["action_item"],
-    )
-    manager.demand(["meeting_time"])
-    cost_before = manager.work_done
-    actions = manager.demand(["action_item"])
-    print(f"  demanded 'action_item' later: {len(actions)} items extracted, "
-          f"marginal cost {manager.work_done - cost_before:.0f} work units")
-    for extraction in actions[:3]:
-        print(f"    {extraction.span.doc_id}: "
-              f"will {extraction.value!r}")
-
+    print(f"  demanded 'action_item' later: {report.facts_stored} items "
+          f"extracted, marginal cost "
+          f"{report.chars_scanned * actions.cost_per_char:.0f} work units")
+    for row in system.query(
+            f"SELECT doc_id, value_text FROM {FACTS_TABLE} "
+            "WHERE attribute = 'action_item'")[:3]:
+        print(f"    {row['doc_id']}: will {row['value_text']!r}")
 
 if __name__ == "__main__":
     main()

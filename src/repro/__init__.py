@@ -27,7 +27,6 @@ suite.
 """
 
 from repro.core.system import GenerationReport, StructureManagementSystem
-from repro.core.incremental import IncrementalExtractionManager
 from repro.lang.registry import OperatorRegistry
 
 __version__ = "0.1.0"
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "StructureManagementSystem",
     "GenerationReport",
-    "IncrementalExtractionManager",
     "OperatorRegistry",
     "__version__",
 ]

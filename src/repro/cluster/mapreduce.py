@@ -25,9 +25,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
-from repro.cluster.backends import ExecutionBackend
+from repro.cluster.backends import ExecutionBackend, _chunk
 from repro.cluster.simulator import ClusterConfig, SimulatedCluster, Task, TaskResult
-from repro.faults.retry import RetryPolicy
 from repro.telemetry import metrics, tracing
 
 MapFn = Callable[[Any], Iterable[tuple[Hashable, Any]]]
@@ -91,10 +90,6 @@ class MapReduceResult:
 
     def __post_init__(self) -> None:
         self.makespan = self.map_makespan + self.reduce_makespan
-
-
-def _chunk(items: Sequence[Any], size: int) -> list[Sequence[Any]]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def _stable_hash(key: Hashable) -> int:
@@ -172,17 +167,13 @@ def _approx_record_bytes(key: Hashable, value: Any) -> int:
 def run_mapreduce(job: MapReduceJob, items: Sequence[Any],
                   cluster: SimulatedCluster | None = None,
                   config: ClusterConfig | None = None,
-                  backend: ExecutionBackend | None = None,
-                  retry: RetryPolicy | None = None) -> MapReduceResult:
+                  backend: ExecutionBackend | None = None) -> MapReduceResult:
     """Run a Map-Reduce job over ``items``.
 
     Provide either an existing ``cluster`` or a ``config`` (defaults to a
     4-worker cluster).  With a ``backend``, wave payloads execute on it for
     real wall-clock parallelism before the simulator schedules the (now
-    precomputed) tasks — simulated makespans are unaffected.  ``retry``
-    adds a wave-level re-run budget on top of the backend's own per-chunk
-    retries: if an entire wave fails (e.g. :class:`BackendError` after
-    the backend's budget is spent), the wave is resubmitted whole.
+    precomputed) tasks — simulated makespans are unaffected.
 
     Emits a ``mapreduce.job`` span with per-wave and per-task children,
     plus ``mapreduce.*`` metrics (task counts, shuffle records; shuffle
@@ -214,14 +205,7 @@ def run_mapreduce(job: MapReduceJob, items: Sequence[Any],
             map_outputs: list[list[tuple[Hashable, Any]]] | None = None
             if backend is not None:
                 started = time.perf_counter()
-                if retry is not None:
-                    map_outputs = retry.run(
-                        lambda: backend.map(map_payload, splits, chunk_size=1),
-                        salt="mapreduce:map",
-                    )
-                else:
-                    map_outputs = backend.map(map_payload, splits,
-                                              chunk_size=1)
+                map_outputs = backend.map(map_payload, splits, chunk_size=1)
                 real_seconds += time.perf_counter() - started
 
             def make_map_task(index: int, split: Sequence[Any]) -> Task:
@@ -267,15 +251,8 @@ def run_mapreduce(job: MapReduceJob, items: Sequence[Any],
             reduce_outputs: list[dict[Hashable, Any]] | None = None
             if backend is not None:
                 started = time.perf_counter()
-                if retry is not None:
-                    reduce_outputs = retry.run(
-                        lambda: backend.map(reduce_payload, live_partitions,
-                                            chunk_size=1),
-                        salt="mapreduce:reduce",
-                    )
-                else:
-                    reduce_outputs = backend.map(reduce_payload,
-                                                 live_partitions, chunk_size=1)
+                reduce_outputs = backend.map(reduce_payload,
+                                             live_partitions, chunk_size=1)
                 real_seconds += time.perf_counter() - started
 
             def make_reduce_task(index: int,

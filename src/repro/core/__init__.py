@@ -10,22 +10,21 @@
 * user — keyword search over pages *and* facts, SQL, keyword→structured
   query guidance, exploration sessions, accounts/reputation.
 
-Facts are generated four ways — batch (:meth:`~StructureManagementSystem.
-generate`), streaming (:class:`~repro.core.streaming.StreamingPipeline`),
-on demand (:class:`IncrementalExtractionManager`: the DGE model's
-"incremental, best-effort" generation, experiment E4) and contributed
-(:meth:`~StructureManagementSystem.contribute`) — over one extraction
-stage (:func:`repro.extraction.stage.run_stage`) and, for the ``facts``
-table, one landing path (``StructureManagementSystem._land``: screen →
-halve confidence → insert → provenance → index).  DESIGN.md has the
-table of entry point → stage → sink.
+Facts are generated three ways — by a program (:meth:`~StructureManagementSystem.
+generate`: in one shot, or one program per demand over the shared
+extraction cache, which is the DGE model's "incremental, best-effort"
+generation, experiment E4), streaming (:class:`~repro.core.streaming.
+StreamingPipeline`) and contributed (:meth:`~StructureManagementSystem.
+contribute`) — over one extraction stage (:func:`repro.extraction.stage.
+run_stage`) and, for the ``facts`` table, one landing path
+(``StructureManagementSystem._land``: screen → halve confidence → insert
+→ provenance → index).  DESIGN.md has the table of entry point → stage →
+sink.
 """
 
 from repro.core.system import GenerationReport, StructureManagementSystem
-from repro.core.incremental import IncrementalExtractionManager
 
 __all__ = [
     "StructureManagementSystem",
     "GenerationReport",
-    "IncrementalExtractionManager",
 ]

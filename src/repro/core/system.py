@@ -29,12 +29,7 @@ from repro.storage.manager import StorageManager
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.qcache import QueryResultCache
 from repro.storage.rdbms.sql import execute_sql
-from repro.storage.rdbms.types import (
-    Column,
-    ColumnType,
-    SchemaError,
-    TableSchema,
-)
+from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry import current_session, metrics
 from repro.telemetry.slowlog import SlowQueryLog
 from repro.telemetry.tracing import get_tracer
@@ -277,14 +272,7 @@ class StructureManagementSystem:
             self.db.create_index(FACTS_TABLE, "entity")
             self.db.create_index(FACTS_TABLE, "attribute")
         else:
-            # Reopened workspace: secondary indexes are in-memory only
-            # (recovery replays rows, not indexes), so rebuild the facts
-            # indexes the planner relies on before serving queries.
-            for column in ("entity", "attribute"):
-                try:
-                    self.db.create_index(FACTS_TABLE, column)
-                except SchemaError:
-                    pass  # already present (in-memory reuse of the engine)
+            # Reopened workspace (recovery brought the indexes back):
             # continue fact ids after the stored max
             existing = self.query(
                 f"SELECT MAX(fact_id) AS m FROM {FACTS_TABLE}"
@@ -500,7 +488,8 @@ class StructureManagementSystem:
 
     def _index_facts(self, records: Iterable[dict[str, Any]]) -> None:
         self.search.index_facts([
-            {key: r[key] for key in ("entity", "attribute", "value")}
+            {key: r[key]
+             for key in ("fact_id", "entity", "attribute", "value")}
             for r in records
         ])
 
@@ -604,7 +593,13 @@ class StructureManagementSystem:
     def keyword_facts(self, query: str, k: int = 5) -> list[dict[str, Any]]:
         """Keyword search over the derived structure."""
         if not self._facts_indexed:  # reopened workspace, first use
-            self._index_facts(self._lineage_records())
+            # a record keeps the attribute its fact landed under; ``facts``
+            # has the one unify_attributes() may have given it since
+            stored = {r["fact_id"]: r["attribute"] for r in self.query(
+                f"SELECT fact_id, attribute FROM {FACTS_TABLE}")}
+            self._index_facts(
+                {**r, "attribute": stored.get(r["fact_id"], r["attribute"])}
+                for r in self._lineage_records())
             self._facts_indexed = True
         return self.search.search_facts(query, k=k)
 
@@ -705,6 +700,7 @@ class StructureManagementSystem:
         matcher = SchemaMatcher(threshold=threshold, name_weight=name_weight,
                                 instance_weight=1.0 - name_weight)
         out: list[tuple[str, str, int]] = []
+        renamed: dict[int, str] = {}  # fact id -> its new attribute
         for match in matcher.match(left, right):
             # Parameterized rewrite through the transaction API (the SQL
             # string path would need quote-escaping for attribute names
@@ -713,9 +709,16 @@ class StructureManagementSystem:
                 hits = t.lookup(FACTS_TABLE, "attribute", source)
                 for hit in hits:
                     t.update(FACTS_TABLE, hit.rid, {"attribute": target})
-                return len(hits)
+                return [hit.values["fact_id"] for hit in hits]
 
-            out.append((match.left, match.right, self.db.run(rewrite)))
+            fact_ids = self.db.run(rewrite)
+            renamed.update(dict.fromkeys(fact_ids, match.right))
+            out.append((match.left, match.right, len(fact_ids)))
+        if renamed and self._facts_indexed:
+            # (an index not built yet reads ``facts`` when it is)
+            self._index_facts(
+                {**r, "attribute": renamed[r["fact_id"]]}
+                for r in self._lineage_records() if r["fact_id"] in renamed)
         return out
 
     def explain_program(self, program_source: str) -> str:

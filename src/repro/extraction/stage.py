@@ -1,9 +1,9 @@
 """The extraction stage: the one place a document meets an extractor.
 
-Batch generation (``lang.executor.Executor``), the streaming pipeline
-(``core.streaming.StreamingPipeline._extract``) and on-demand extraction
-(``core.incremental.IncrementalExtractionManager``) all call
-:func:`run_stage`; they differ only in the *fan-out* they hand it — how
+Program-driven generation (``lang.executor.Executor`` — a whole pipeline
+in one shot, or one program per demand over a shared cache) and the
+streaming pipeline (``core.streaming.StreamingPipeline._extract``) both
+call :func:`run_stage`; they differ only in the *fan-out* they hand it — how
 the misses physically run (an inline loop, ``ExecutionBackend.map``, a
 Map-Reduce wave on the simulated cluster) — the way MiniHive's LOCAL /
 HDFS / MOCK are environments of one task graph, not three compilers.

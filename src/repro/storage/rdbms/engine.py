@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterator
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import CancellationToken
 from repro.faults.retry import RetryPolicy
@@ -37,6 +38,10 @@ GUARD_STRIDE = 256
 #: lockstep).  Replaces the bespoke immediate-retry loop.
 TXN_RETRY = RetryPolicy(max_attempts=25, base_delay=0.002, max_delay=0.05,
                         multiplier=2.0, jitter=1.0)
+
+
+_INDEX_KINDS: dict[str, type[Index]] = {"hash": HashIndex,
+                                        "sorted": SortedIndex}
 
 
 class TransactionAborted(Exception):
@@ -74,25 +79,98 @@ class CommitDelta:
     ddl: frozenset[str] = frozenset()
 
 
-class IndexReads:
-    """Index and primary-key reads, once for the locked
-    :class:`Transaction` and the lock-free snapshot transaction.
+class TransactionReads:
+    """Every read a transaction offers, once for the locked
+    :class:`Transaction` and the lock-free snapshot transaction (the
+    planner's physical operators consume either interchangeably).
 
-    The ``*_units`` methods are what the planner's access paths run: rids
-    out of an index become scan units through :meth:`HeapTable.locate`,
-    with no row decoded or copied.  ``lookup`` / ``range_lookup`` /
-    ``get_by_pk`` wrap them into caller-owned :class:`Row` lists.  The two
-    transactions differ only in the hooks they supply next to
-    ``_check_active`` and ``scan_iter``:
+    The scans hand out the table's own iterators and unit lists; the
+    ``*_units`` methods are what the planner's access paths run: rids out
+    of an index become scan units through :meth:`HeapTable.locate`, with
+    no row decoded or copied.  ``lookup`` / ``range_lookup`` /
+    ``get_by_pk`` wrap them into caller-owned :class:`Row` lists.  A
+    subclass sets ``_db`` and ``guard`` and supplies, next to
+    ``_check_active``:
 
     * ``_heap(table)`` — the table to read;
     * ``_index(table, column, need_sorted=False)`` — the index to probe,
       or None: the column has none (of the needed kind) and the read
       falls back to a scan;
-    * ``_pk_rid(table, key)`` — the rid holding a primary key, or None;
+    * ``_pk_rid(table, key)`` — the rid holding a primary key, or None.
+
+    What is defined here reads without locks; the 2PL transaction
+    overrides the two places a lock is taken:
+
+    * ``_enter(table, rid, mode)`` — called before ``table`` (``rid``
+      None) or one of its rows is read in ``mode``;
     * ``_admit(table, rids)`` — ``rids`` once this transaction may read
       them, polling the guard every :data:`GUARD_STRIDE`.
     """
+
+    _db: "Database"
+    guard: CancellationToken | None
+
+    def get(self, table: str, rid: int) -> Row:
+        """Point read by rid (2PL: IS on the table, S on the row)."""
+        self._check_active()
+        self._enter(table, None, LockMode.INTENTION_SHARED)
+        self._enter(table, rid, LockMode.SHARED)
+        return self._heap(table).get(rid)
+
+    def scan(self, table: str) -> list[Row]:
+        """Full scan (2PL: S on the whole table)."""
+        return list(self.scan_iter(table))
+
+    def scan_iter(self, table: str) -> Iterator[Row]:
+        """Streaming full scan (2PL: S on the whole table), polling the
+        guard every :data:`GUARD_STRIDE` rows.
+
+        The table lock is acquired eagerly, before any row is yielded;
+        under strict 2PL it is held until commit/abort, so the iterator
+        may be consumed lazily (the planner streams it through
+        projection into top-k instead of materializing ``list[Row]``).
+        """
+        self._check_active()
+        self._enter(table, None, LockMode.SHARED)
+        rows = self._heap(table).scan()
+        guard = self.guard
+        if guard is None:
+            return rows
+
+        def guarded() -> Iterator[Row]:
+            for i, row in enumerate(rows):
+                if i % GUARD_STRIDE == 0:
+                    guard.check()
+                yield row
+
+        return guarded()
+
+    def scan_units(self, table: str) -> Iterator[ScanUnit]:
+        """The table's vectorizable scan units (2PL: S on the whole
+        table), in global rid order; see :meth:`HeapTable.scan_units`."""
+        self._check_active()
+        self._enter(table, None, LockMode.SHARED)
+        return self._heap(table).scan_units()
+
+    def sharded_scan_units(self, table: str) -> list[list[ScanUnit]]:
+        """Per-shard vectorizable units (2PL: S on the whole table) for
+        parallel plans; see :meth:`HeapTable.sharded_scan_units`."""
+        self._check_active()
+        self._enter(table, None, LockMode.SHARED)
+        return self._heap(table).sharded_scan_units()
+
+    def shard_spec(self, table: str) -> ShardSpec | None:
+        """The shard layout this transaction reads ``table`` under (None
+        when the table is unsharded, or is not there for this reader)."""
+        try:
+            return self._heap(table).shard_spec
+        except KeyError:
+            return None
+
+    def scan_where(self, table: str,
+                   predicate: Callable[[dict[str, Any]], bool]) -> list[Row]:
+        """Filtered full scan (2PL: S on the whole table)."""
+        return [r for r in self.scan_iter(table) if predicate(r.values)]
 
     def lookup_units(self, table: str, column: str,
                      value: Any) -> list[ScanUnit]:
@@ -168,8 +246,23 @@ class IndexReads:
         rows = fetch_rows(self.pk_units(table, key))
         return rows[0] if rows else None
 
+    def _enter(self, table: str, rid: int | None, mode: LockMode) -> None:
+        """Nothing to do for a reader that takes no locks."""
 
-class Transaction(IndexReads):
+    def _admit(self, table: str, rids: list[int]) -> Iterable[int]:
+        guard = self.guard
+        if guard is None:
+            return rids
+
+        def strides() -> Iterator[list[int]]:
+            for at in range(0, len(rids), GUARD_STRIDE):
+                guard.check()
+                yield rids[at:at + GUARD_STRIDE]
+
+        return chain.from_iterable(strides())
+
+
+class Transaction(TransactionReads):
     """A unit of work with strict-2PL isolation and all-or-nothing effects.
 
     Obtained from :meth:`Database.begin`.  Usable as a context manager:
@@ -376,59 +469,7 @@ class Transaction(IndexReads):
             self._delta_rows.append(("delete", table, row.values))
         return row
 
-    # -------------------------------------------------------------- reads
-
-    def get(self, table: str, rid: int) -> Row:
-        """Point read by rid (IS on table, S on row)."""
-        self._check_active()
-        db = self._db
-        db._locks.acquire(self.txn_id, (table, None), LockMode.INTENTION_SHARED)
-        db._locks.acquire(self.txn_id, (table, rid), LockMode.SHARED)
-        return db._table(table).get(rid)
-
-    def scan(self, table: str) -> list[Row]:
-        """Full scan (S on the whole table)."""
-        return list(self.scan_iter(table))
-
-    def scan_iter(self, table: str) -> Iterator[Row]:
-        """Streaming full scan (S on the whole table).
-
-        The table lock is acquired eagerly, before any row is yielded;
-        under strict 2PL it is held until commit/abort, so the iterator
-        may be consumed lazily (the planner streams it through
-        projection into top-k instead of materializing ``list[Row]``).
-        """
-        self._check_active()
-        db = self._db
-        db._locks.acquire(self.txn_id, (table, None), LockMode.SHARED)
-        return db._table(table).scan()
-
-    def scan_units(self, table: str) -> Iterator[ScanUnit]:
-        """The table's vectorizable scan units (S on the whole table), in
-        global rid order; see :meth:`HeapTable.scan_units`."""
-        self._check_active()
-        db = self._db
-        db._locks.acquire(self.txn_id, (table, None), LockMode.SHARED)
-        return db._table(table).scan_units()
-
-    def sharded_scan_units(self, table: str) -> list[list[ScanUnit]]:
-        """Per-shard vectorizable units (S on the whole table) for
-        parallel plans; see :meth:`HeapTable.sharded_scan_units`."""
-        self._check_active()
-        db = self._db
-        db._locks.acquire(self.txn_id, (table, None), LockMode.SHARED)
-        return db._table(table).sharded_scan_units()
-
-    def shard_spec(self, table: str) -> ShardSpec | None:
-        """The shard layout this transaction reads ``table`` under."""
-        return self._db._table(table).shard_spec
-
-    def scan_where(self, table: str,
-                   predicate: Callable[[dict[str, Any]], bool]) -> list[Row]:
-        """Filtered full scan (S on the whole table)."""
-        return [r for r in self.scan_iter(table) if predicate(r.values)]
-
-    # ------------------------------------------- IndexReads hooks (2PL)
+    # -------------------------------------- TransactionReads hooks (2PL)
 
     def _heap(self, table: str) -> HeapTable:
         return self._db._table(table)
@@ -439,15 +480,15 @@ class Transaction(IndexReads):
         index = db.sorted_index(table, column) if need_sorted \
             else db._find_index(table, column)
         if index is not None:
-            db._locks.acquire(self.txn_id, (table, None),
-                              LockMode.INTENTION_SHARED)
+            self._enter(table, None, LockMode.INTENTION_SHARED)
         return index
 
     def _pk_rid(self, table: str, key: Any) -> int | None:
-        db = self._db
-        db._locks.acquire(self.txn_id, (table, None),
-                          LockMode.INTENTION_SHARED)
-        return db._table(table)._pk_index.get(key)
+        self._enter(table, None, LockMode.INTENTION_SHARED)
+        return self._db._table(table)._pk_index.get(key)
+
+    def _enter(self, table: str, rid: int | None, mode: LockMode) -> None:
+        self._db._locks.acquire(self.txn_id, (table, rid), mode)
 
     def _admit(self, table: str, rids: list[int]) -> list[int]:
         """S-lock every rid (held to commit, like any 2PL read)."""
@@ -599,8 +640,7 @@ class Database:
             del self._tables[name]
             self._table_versions.pop(name, None)
             self._snapshot_cache.pop(name, None)
-            for key in [k for k in self._indexes if k[0] == name]:
-                del self._indexes[key]
+            self._drop_indexes(name)
             self._log(0, "drop_table", table=name)
         self._notify_commit(frozenset({name}))
         if self._delta_listeners:
@@ -625,12 +665,9 @@ class Database:
                 extra["shard_count"] = table.shard_spec.count
             self._log(0, "alter_schema", schema=new_schema.to_dict(),
                       rows=rows, **extra)
+            self._drop_indexes(name, new_schema)
             for key in [k for k in self._indexes if k[0] == name]:
-                column = key[1]
-                if new_schema.has_column(column):
-                    self._rebuild_index(name, column)
-                else:
-                    del self._indexes[key]
+                self._rebuild_index(*key)
             self._bump_versions({name})
         self._notify_commit(frozenset({name}))
         if self._delta_listeners:
@@ -648,21 +685,24 @@ class Database:
     # ------------------------------------------------------------- indexes
 
     def create_index(self, table: str, column: str, kind: str = "hash") -> None:
-        """Create a secondary index (``kind`` is ``hash`` or ``sorted``)."""
+        """Create a secondary index (``kind`` is ``hash`` or ``sorted``).
+
+        Logged as a txn-0 DDL record, so the index is there again after a
+        reopen (recovery loads it from the recovered rows).
+        """
         with self._mutate_lock:
             schema = self._table(table).schema
             if not schema.has_column(column):
                 raise SchemaError(f"no column {column!r} in {table!r}")
             if (table, column) in self._indexes:
                 raise SchemaError(f"index on {table}.{column} already exists")
-            if kind == "hash":
-                index: Index = HashIndex(table, column)
-            elif kind == "sorted":
-                index = SortedIndex(table, column)
-            else:
+            if kind not in _INDEX_KINDS:
                 raise ValueError(f"unknown index kind {kind!r}")
-            self._indexes[(table, column)] = index
+            index = self._indexes[(table, column)] = \
+                _INDEX_KINDS[kind](table, column)
             index.bulk_load(self._table(table).column_items(column))
+            self._log(0, "create_index", table=table, column=column,
+                      kind=kind)
 
     def sorted_index(self, table: str, column: str) -> SortedIndex | None:
         """The sorted index on (table, column) if one exists."""
@@ -841,23 +881,26 @@ class Database:
         still in flight).  Readers on this handle take no locks, cannot
         deadlock, and never enter the waits-for graph.
         """
-        from repro.storage.rdbms.mvcc import (
-            SnapshotTransaction,
-            build_table_snapshot,
-        )
+        from repro.storage.rdbms.mvcc import SnapshotTransaction, TableSnapshot
 
         registry = metrics.get_registry()
         with self._mutate_lock:
-            undo: list[tuple] = []
-            for txn in self._active_txns.values():
-                undo.extend(txn._undo)
+            # table -> undo entries of every active writer, in append
+            # order; collected only once some table has to be rebuilt
+            undo: dict[str, list[tuple]] | None = None
             snapshots: dict[str, Any] = {}
             for name, heap in self._tables.items():
                 version = self._table_versions.get(name, 0)
                 cached = self._snapshot_cache.get(name)
                 if cached is None or cached.version != version:
-                    cached = build_table_snapshot(heap, undo, version)
-                    self._snapshot_cache[name] = cached
+                    if undo is None:
+                        undo = {}
+                        for txn in self._active_txns.values():
+                            for entry in txn._undo:
+                                undo.setdefault(entry[1], []).append(entry)
+                    cached = self._snapshot_cache[name] = TableSnapshot(
+                        heap.committed_view(undo.get(name, ())), version)
+                    registry.inc("rdbms.mvcc.snapshot_builds")
                 else:
                     registry.inc("rdbms.mvcc.snapshot_reuses")
                 snapshots[name] = cached
@@ -979,12 +1022,16 @@ class Database:
     def _find_index(self, table: str, column: str) -> Index | None:
         return self._indexes.get((table, column))
 
+    def _drop_indexes(self, table: str,
+                      schema: TableSchema | None = None) -> None:
+        """Forget ``table``'s indexes — given its new ``schema``, only
+        those on a column it no longer has."""
+        for key in [k for k in self._indexes if k[0] == table
+                    and (schema is None or not schema.has_column(k[1]))]:
+            del self._indexes[key]
+
     def _rebuild_index(self, table: str, column: str) -> None:
-        old = self._indexes[(table, column)]
-        new: Index = (
-            SortedIndex(table, column) if isinstance(old, SortedIndex)
-            else HashIndex(table, column)
-        )
+        new = type(self._indexes[(table, column)])(table, column)
         new.bulk_load(self._table(table).column_items(column))
         self._indexes[(table, column)] = new
 
@@ -1077,12 +1124,8 @@ class Database:
                 self._tables[name] = table
             for idx in snapshot.get("indexes", []):
                 key = (idx["table"], idx["column"])
-                index: Index = (
-                    SortedIndex(*key) if idx["kind"] == "sorted" else HashIndex(*key)
-                )
-                for row in self._tables[idx["table"]].scan():
-                    index.insert(row.values.get(idx["column"]), row.rid)
-                self._indexes[key] = index
+                # loaded below, once the log suffix has been replayed
+                self._indexes[key] = _INDEX_KINDS[idx["kind"]](*key)
 
         records = list(self._wal.records())
         committed = {r.txn_id for r in records if r.rec_type == "commit"}
@@ -1102,6 +1145,7 @@ class Database:
                         schema, shard_spec=spec)
             elif rec.rec_type == "drop_table":
                 self._tables.pop(rec.payload["table"], None)
+                self._drop_indexes(rec.payload["table"])
             elif rec.rec_type == "alter_schema":
                 schema = TableSchema.from_dict(rec.payload["schema"])
                 table = HeapTable(schema)
@@ -1112,6 +1156,15 @@ class Database:
                         ShardSpec(rec.payload["shard_key"],
                                   rec.payload.get("shard_count", 1)))
                 self._tables[schema.name] = table
+                self._drop_indexes(schema.name, schema)
+            elif rec.rec_type == "create_index":
+                # DDL-style like compact: skipped when its table or column
+                # is not there at this log position.
+                key = (rec.payload["table"], rec.payload["column"])
+                table = self._tables.get(key[0])
+                if table is not None and table.schema.has_column(key[1]):
+                    self._indexes.setdefault(
+                        key, _INDEX_KINDS[rec.payload["kind"]](*key))
             elif rec.rec_type == "insert" and apply_dml:
                 self._tables[rec.payload["table"]].insert(
                     rec.payload["values"], rid=rec.payload["rid"]

@@ -2,33 +2,22 @@
 
 Writers keep strict 2PL; readers stop locking entirely.  A
 :class:`SnapshotTransaction` serves every read from a set of
-:class:`TableSnapshot` objects — per-table frozen clones capturing the
-*committed* state at one commit point:
+:class:`TableSnapshot` objects — per table, the committed state at one
+commit point as :meth:`HeapTable.committed_view` builds it (a tail copy
+rolled back past every uncommitted writer, beside the shared immutable
+segments) plus the indexes read through it.
 
-* the row-store tail is a shallow dict copy (safe to share: the live
-  table replaces value dicts on update, never mutates them in place)
-  with every **active uncommitted** transaction's undo entries applied
-  in reverse, which rolls the copy back to pure committed data;
-* columnar segments are referenced directly — they are immutable — and
-  each delete vector (the dead positions beside a segment, DESIGN.md
-  §12) is copied.  The copy may hold a position an uncommitted writer
-  marked dead; the reversed undo entry has put that row's committed
-  values into the tail copy under the same rid, and a tail row is what
-  readers see for a dead position's rid — so nothing more is undone;
-* shard routing is recomputed over the snapshot's tail (frozen rows
-  already live in per-shard segments).
-
-Snapshots are built under the database's mutate lock — the same lock
-every write-path structural mutation holds — so the copy can never
-observe a half-applied write.  Cross-table consistency comes from
-resolving *all* tables at ``begin_snapshot()`` time under one lock hold.
+Views are built under the database's mutate lock — the same lock every
+write-path structural mutation holds — so the copy can never observe a
+half-applied write.  Cross-table consistency comes from resolving *all*
+tables at ``begin_snapshot()`` time under one lock hold.
 
 A per-table snapshot is cached keyed by the table's committed version
 (bumped atomically at every commit/DDL that touches it), so only the
 first reader after a commit pays the O(tail) copy; subsequent readers
-share the same frozen clone.  Secondary-index lookups build per-snapshot
-lazy indexes (the live indexes reflect *uncommitted* writer state and
-cannot serve a consistent snapshot), reusing the exact
+share the same view.  Secondary-index lookups build per-snapshot lazy
+indexes (the live indexes reflect *uncommitted* writer state and cannot
+serve a consistent snapshot), reusing the exact
 :class:`~repro.storage.rdbms.index.HashIndex` /
 :class:`~repro.storage.rdbms.index.SortedIndex` semantics so results are
 row-identical to the locked path.
@@ -37,69 +26,21 @@ row-identical to the locked path.
 from __future__ import annotations
 
 import threading
-from itertools import chain
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any
 
 from repro.errors import CancellationToken, ReadOnlyTransactionError
-from repro.storage.rdbms.engine import GUARD_STRIDE, IndexReads
+from repro.storage.rdbms.engine import TransactionReads
 from repro.storage.rdbms.index import HashIndex, Index, SortedIndex
-from repro.storage.rdbms.sharding import ShardSpec
-from repro.storage.rdbms.table import HeapTable, Row, ScanUnit
-from repro.telemetry import metrics
-
-
-def build_table_snapshot(heap: HeapTable, undo_entries: list[tuple],
-                         version: int) -> "TableSnapshot":
-    """Freeze one table's committed state into a snapshot clone.
-
-    Must be called under the database mutate lock.  ``undo_entries`` are
-    the concatenated undo logs of every active uncommitted transaction,
-    in append order; applying them in reverse rolls the tail copy back
-    to committed data (row-level entries of different transactions never
-    overlap — X locks guarantee one uncommitted writer per rid).
-    """
-    rows = dict(heap._rows)
-    for entry in reversed(undo_entries):
-        kind = entry[0]
-        if entry[1] != heap.name:
-            continue
-        if kind == "insert":
-            rows.pop(entry[2], None)
-        elif kind == "update":
-            rows[entry[2]] = entry[3]
-        elif kind == "delete":
-            rows[entry[2]] = entry[3]
-    clone = HeapTable.__new__(HeapTable)
-    clone._schema = heap._schema
-    clone._rows = rows
-    clone._next_rid = heap._next_rid
-    # The pk map covers frozen rows too (O(total) to copy), so the
-    # snapshot builds its own lazily instead; nothing reads the clone's.
-    clone._pk_index = {}
-    clone._segments = list(heap._segments)
-    clone._dead = {segment: list(dead) for segment, dead in heap._dead.items()}
-    clone._directory = None
-    clone._shard_spec = heap._shard_spec
-    if heap._shard_spec is not None:
-        spec = heap._shard_spec
-        sets: list[set[int]] = [set() for _ in range(spec.count)]
-        for rid, values in rows.items():
-            sets[spec.shard_of(values.get(spec.key))].add(rid)
-        clone._shard_rids = sets
-    else:
-        clone._shard_rids = []
-    metrics.get_registry().inc("rdbms.mvcc.snapshot_builds")
-    return TableSnapshot(clone, version)
+from repro.storage.rdbms.table import HeapTable
 
 
 class TableSnapshot:
-    """One table's frozen committed state plus lazy per-snapshot indexes.
+    """One table's committed view plus lazy per-snapshot indexes.
 
-    The wrapped clone is a :class:`HeapTable` that is never mutated, so
-    every read method (scan / scan_units / sharded_scan_units / get)
-    works unchanged.  Shared across all readers at the same committed
-    version; index builds are locked so concurrent first-lookups build
-    once.
+    The view is a :class:`HeapTable` that is never mutated, so every read
+    method works unchanged.  Shared across all readers at the same
+    committed version; index builds are locked so concurrent
+    first-lookups build once.
     """
 
     __slots__ = ("table", "version", "_lock", "_pk_map",
@@ -147,19 +88,19 @@ class TableSnapshot:
         return index
 
 
-class SnapshotTransaction(IndexReads):
+class SnapshotTransaction(TransactionReads):
     """A lock-free read-only transaction over a commit-point snapshot.
 
-    Mirrors :class:`~repro.storage.rdbms.engine.Transaction`'s read API
-    exactly (the planner's physical operators consume either
-    interchangeably) but never touches the lock manager: it cannot
-    block, cannot deadlock, and never enters the waits-for graph.
-    Writes raise :class:`~repro.errors.ReadOnlyTransactionError`.
+    Reads through :class:`~repro.storage.rdbms.engine.TransactionReads`
+    as the locked transaction does, but supplies no lock hook, so it
+    never touches the lock manager: it cannot block, cannot deadlock, and
+    never enters the waits-for graph.  Writes raise
+    :class:`~repro.errors.ReadOnlyTransactionError`.
 
     Obtained from :meth:`Database.begin_snapshot`; usable as a context
     manager.  An optional :class:`~repro.errors.CancellationToken` is
-    polled at every read call and every :data:`GUARD_STRIDE` rows of a
-    streaming scan (cooperative deadlines / shutdown cancellation).
+    polled at every read call and every
+    :data:`~repro.storage.rdbms.engine.GUARD_STRIDE` rows of a streaming scan (cooperative deadlines / shutdown cancellation).
     """
 
     read_only = True
@@ -200,42 +141,7 @@ class SnapshotTransaction(IndexReads):
 
     insert = insert_many = update = delete = _read_only
 
-    # -------------------------------------------------------------- reads
-
-    def get(self, table: str, rid: int) -> Row:
-        """Point read by rid against the snapshot (no locks)."""
-        self._check_active()
-        return self._snap(table).table.get(rid)
-
-    def scan(self, table: str) -> list[Row]:
-        return list(self.scan_iter(table))
-
-    def scan_iter(self, table: str) -> Iterator[Row]:
-        """Streaming full scan of the snapshot (no locks)."""
-        self._check_active()
-        return self._guarded(self._snap(table).table.scan())
-
-    def scan_units(self, table: str) -> Iterator[ScanUnit]:
-        """The snapshot's vectorizable scan units (segments + frozen tail)."""
-        self._check_active()
-        return self._snap(table).table.scan_units()
-
-    def sharded_scan_units(self, table: str) -> list[list[ScanUnit]]:
-        """Per-shard units of the snapshot, for parallel plans."""
-        self._check_active()
-        return self._snap(table).table.sharded_scan_units()
-
-    def shard_spec(self, table: str) -> ShardSpec | None:
-        """The shard layout the snapshot froze for ``table`` (None when
-        the table is unsharded or did not exist at snapshot time)."""
-        snap = self._snapshots.get(table)
-        return snap.table.shard_spec if snap is not None else None
-
-    def scan_where(self, table: str,
-                   predicate: Callable[[dict[str, Any]], bool]) -> list[Row]:
-        return [r for r in self.scan_iter(table) if predicate(r.values)]
-
-    # ------------------------------------- IndexReads hooks (lock-free)
+    # -------------------------------- TransactionReads hooks (lock-free)
 
     def _heap(self, table: str) -> HeapTable:
         return self._snap(table).table
@@ -261,18 +167,6 @@ class SnapshotTransaction(IndexReads):
     def _pk_rid(self, table: str, key: Any) -> int | None:
         return self._snap(table).pk_rid(key)
 
-    def _admit(self, table: str, rids: list[int]) -> Iterable[int]:
-        guard = self.guard
-        if guard is None:
-            return rids
-
-        def strides() -> Iterator[list[int]]:
-            for at in range(0, len(rids), GUARD_STRIDE):
-                guard.check()
-                yield rids[at:at + GUARD_STRIDE]
-
-        return chain.from_iterable(strides())
-
     # ---------------------------------------------------------- internals
 
     def _snap(self, table: str) -> TableSnapshot:
@@ -284,16 +178,3 @@ class SnapshotTransaction(IndexReads):
     def _check_active(self) -> None:
         if self.guard is not None:
             self.guard.check()
-
-    def _guarded(self, it: Iterator[Row]) -> Iterator[Row]:
-        guard = self.guard
-        if guard is None:
-            return it
-
-        def gen() -> Iterator[Row]:
-            for i, row in enumerate(it):
-                if i % GUARD_STRIDE == 0:
-                    guard.check()
-                yield row
-
-        return gen()

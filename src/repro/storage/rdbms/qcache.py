@@ -33,7 +33,7 @@ from collections import OrderedDict
 from time import perf_counter
 from typing import Any
 
-from repro.errors import CancellationToken, StaleSnapshotError
+from repro.errors import CancellationToken
 from repro.storage.rdbms.engine import Database
 from repro.telemetry import metrics
 
@@ -95,35 +95,30 @@ class QueryResultCache:
         key = sqlmod.normalize_sql(sql)
         tables = tuple(
             t for t in (stmt.table, stmt.join_table) if t is not None)
-        last: StaleSnapshotError | None = None
-        for _ in range(sqlmod._STALE_PLAN_ATTEMPTS):
-            snap = self._db.begin_snapshot(guard=guard)
-            try:
-                versions = {t: snap.version_of(t) for t in tables}
-                with self._lock:
-                    entry = self._entries.get(key)
-                    if entry is not None and entry[1] == versions:
-                        self._entries.move_to_end(key)
-                        registry.inc("planner.cache.hits")
-                        return [dict(r) for r in entry[2]]
-                registry.inc("planner.cache.misses")
-                # Executing against the pinned snapshot makes the stored
-                # rows correspond exactly to the stored versions; a
-                # commit racing this statement bumps versions and simply
-                # makes the entry miss for post-commit readers.
-                rows = sqlmod.execute_statement(self._db, stmt, txn=snap)
-                with self._lock:
-                    self._entries[key] = (
-                        tables, versions, [dict(r) for r in rows])
+
+        def read(snap: Any) -> list[dict[str, Any]]:
+            versions = {t: snap.version_of(t) for t in tables}
+            with self._lock:
+                entry = self._entries.get(key)
+                if entry is not None and entry[1] == versions:
                     self._entries.move_to_end(key)
-                    while len(self._entries) > self._capacity:
-                        self._entries.popitem(last=False)
-                return [dict(r) for r in rows]
-            except StaleSnapshotError as exc:
-                last = exc
-            finally:
-                snap.commit()
-        raise last
+                    registry.inc("planner.cache.hits")
+                    return [dict(r) for r in entry[2]]
+            registry.inc("planner.cache.misses")
+            # Executing against the pinned snapshot makes the stored
+            # rows correspond exactly to the stored versions; a
+            # commit racing this statement bumps versions and simply
+            # makes the entry miss for post-commit readers.
+            rows = sqlmod.execute_statement(self._db, stmt, txn=snap)
+            with self._lock:
+                self._entries[key] = (
+                    tables, versions, [dict(r) for r in rows])
+                self._entries.move_to_end(key)
+                while len(self._entries) > self._capacity:
+                    self._entries.popitem(last=False)
+            return [dict(r) for r in rows]
+
+        return sqlmod._run_snapshot_read(self._db, guard, read)
 
     # -------------------------------------------------------- invalidation
 

@@ -165,13 +165,52 @@ class HeapTable:
                 f"shard key {spec.key!r} is not a column of {self.name!r}")
         self.melt_all()
         self._shard_spec = spec
+        self._shard_rids = self._route_tail()
+
+    def _route_tail(self) -> list[set[int]]:
+        """The tail's rids per shard of the current spec ([] unsharded)."""
+        spec = self._shard_spec
         if spec is None:
-            self._shard_rids = []
-            return
+            return []
         sets: list[set[int]] = [set() for _ in range(spec.count)]
         for rid, values in self._rows.items():
             sets[spec.shard_of(values.get(spec.key))].add(rid)
-        self._shard_rids = sets
+        return sets
+
+    def committed_view(self, undo_entries: Sequence[tuple]) -> "HeapTable":
+        """A table nobody writes to, holding this one's committed state —
+        what a snapshot reads.  ``undo_entries`` are the undo records of
+        every active uncommitted transaction *for this table*, in append
+        order (``(kind, table, rid[, before values])``; X locks give each
+        rid one uncommitted writer, so different transactions' entries
+        never overlap).  Call with writers kept out (the database's mutate
+        lock).
+
+        The tail is a shallow copy (value dicts are never mutated in
+        place) with the entries applied in reverse, which rolls it back to
+        committed data.  Segments are immutable and shared; each delete
+        vector is copied — it may hold a position an uncommitted writer
+        marked dead, but the reversed entry has put that row's committed
+        values into the tail copy under the same rid, and readers take the
+        tail row for a dead position's rid, so nothing more is undone.
+        Shard sets are recomputed over the rolled-back tail.  The pk map
+        is left empty: it covers frozen rows too, O(total) to copy, and a
+        snapshot builds its own lazily.
+        """
+        view = HeapTable(self._schema)
+        rows = view._rows = dict(self._rows)
+        for kind, _, rid, *before in reversed(undo_entries):
+            if kind == "insert":
+                rows.pop(rid, None)
+            else:  # update / delete
+                rows[rid] = before[0]
+        view._next_rid = self._next_rid
+        view._segments = list(self._segments)
+        view._dead = {segment: list(dead)
+                      for segment, dead in self._dead.items()}
+        view._shard_spec = self._shard_spec
+        view._shard_rids = view._route_tail()
+        return view
 
     def _shard_of_values(self, values: dict[str, Any]) -> int:
         spec = self._shard_spec

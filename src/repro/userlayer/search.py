@@ -26,10 +26,10 @@ class DocumentResult:
 class KeywordSearchEngine:
     """BM25 search over a corpus, plus optional fact search.
 
-    Facts (dicts with entity/attribute/value) are indexed as
-    pseudo-documents under IDs ``fact:<n>`` so a keyword query can surface
-    structured results alongside pages — the user layer's combined
-    exploitation mode.
+    Facts (dicts with fact_id/entity/attribute/value) are indexed as
+    pseudo-documents under IDs ``fact:<fact_id>`` so a keyword query can
+    surface structured results alongside pages — the user layer's
+    combined exploitation mode.
     """
 
     def __init__(self) -> None:
@@ -50,14 +50,19 @@ class KeywordSearchEngine:
         return count
 
     def index_facts(self, facts: Sequence[dict[str, Any]]) -> int:
-        """Index structured facts as searchable pseudo-documents."""
+        """Index structured facts as searchable pseudo-documents, each
+        under its ``fact_id``; a fact indexed under that id before (it has
+        been rewritten since) is replaced."""
         count = 0
         for fact in facts:
-            fact_id = f"fact:{len(self._facts)}"
+            fact = dict(fact)
+            fact_id = f"fact:{fact.pop('fact_id')}"
+            if fact_id in self._facts:
+                self._fact_index.remove(fact_id)
             rendered = " ".join(
                 str(fact.get(k, "")) for k in ("entity", "attribute", "value")
             )
-            self._facts[fact_id] = dict(fact)
+            self._facts[fact_id] = fact
             self._fact_index.add(fact_id, rendered)
             count += 1
         return count

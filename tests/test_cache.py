@@ -17,7 +17,7 @@ from repro.cache.store import (
     make_cache,
 )
 from repro.cluster.simulator import ClusterConfig, SimulatedCluster
-from repro.core.incremental import IncrementalExtractionManager
+from repro.core.system import StructureManagementSystem
 from repro.docmodel.document import Document
 from repro.extraction.base import CompositeExtractor
 from repro.extraction.dictionary import DictionaryExtractor
@@ -347,30 +347,36 @@ def test_duplicate_doc_ids_bypass_cache_but_stay_correct():
     assert cached.stats.cache_hits == 0  # ambiguous stream: cache unused
 
 
-# ------------------------------------------- incremental manager sharing
+# --------------------------------------------- on-demand program sharing
+
+def _demanding_system(corpus, cache):
+    system = StructureManagementSystem(cache=cache)
+    system.registry.register_extractor("years", _extractor())
+    system.ingest(corpus)
+    return system
 
 
 def test_incremental_manager_reuses_executor_entries():
+    """A demand through ``system.generate()`` costs nothing for what a
+    bare ``run_program`` already extracted into the shared cache."""
     corpus = _corpus()
     cache = LRUExtractionCache()
-    run_program(PROGRAM, corpus, _registry(), cache=cache)
+    rows = run_program(PROGRAM, corpus, _registry(), cache=cache).rows
 
-    manager = IncrementalExtractionManager(corpus=corpus, cache=cache)
-    manager.register("years", _extractor(), ["year"])
-    extractions = manager.demand(["year"])
-    assert manager.work_done == 0.0  # every document was already cached
-    baseline = IncrementalExtractionManager(corpus=corpus)
-    baseline.register("years", _extractor(), ["year"])
-    assert baseline.demand(["year"]) == extractions
-    assert baseline.work_done > 0.0
+    report = _demanding_system(corpus, cache).generate(PROGRAM)
+    assert report.chars_scanned == 0  # every document was already cached
+    assert (report.cache_hits, report.cache_misses) == (len(corpus), 0)
+    assert report.facts_stored == len(rows)
+    baseline = _demanding_system(corpus, None).generate(PROGRAM)
+    assert baseline.facts_stored == len(rows)
+    assert baseline.chars_scanned == sum(len(d.text) for d in corpus)
 
 
 def test_incremental_manager_populates_cache_for_executor():
+    """... and what the demand extracted is a hit for ``run_program``."""
     corpus = _corpus()
     cache = LRUExtractionCache()
-    manager = IncrementalExtractionManager(corpus=corpus, cache=cache)
-    manager.register("years", _extractor(), ["year"])
-    manager.demand(["year"])
+    _demanding_system(corpus, cache).generate(PROGRAM)
 
     warm = run_program(PROGRAM, corpus, _registry(), cache=cache)
     assert warm.stats.cache_hits == len(corpus)

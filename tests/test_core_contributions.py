@@ -124,3 +124,31 @@ def test_unify_attributes_handles_quoted_names(system):
     names = {r["attribute"] for r in remaining}
     assert "o'clock_temp" not in names
     assert "oclock_temperature" in names
+
+
+def test_unify_attributes_reindexes_the_facts_it_rewrote(tmp_path):
+    # Regression: the keyword index kept describing rows under the
+    # attribute name ``facts`` no longer contained.
+    workspace = str(tmp_path / "ws")
+    sys_ = StructureManagementSystem(workspace=workspace)
+    sys_.users.register("pat", "pw")
+    for n, city in enumerate(("Ames", "Bend", "Cody")):
+        sys_.contribute("pat", city, "july_temperature", 70.0 + n)
+        sys_.contribute("pat", city, "jul_temp", 70.5 + n)
+    assert len(sys_.keyword_facts("july_temperature", k=10)) == 3
+    assert sys_.unify_attributes(["july_temperature"], ["jul_temp"]) == \
+        [("july_temperature", "jul_temp", 3)]
+
+    def check(system):
+        assert system.keyword_facts("july_temperature", k=10) == []
+        hits = system.keyword_facts("jul_temp", k=10)
+        assert sorted((h["entity"], h["value"]) for h in hits) == [
+            ("Ames", 70.0), ("Ames", 70.5), ("Bend", 71.0), ("Bend", 71.5),
+            ("Cody", 72.0), ("Cody", 72.5)]
+        assert {h["attribute"] for h in hits} == {"jul_temp"}
+
+    check(sys_)
+    sys_.close()
+    reopened = StructureManagementSystem(workspace=workspace)
+    check(reopened)       # an index built on first use reads ``facts``
+    reopened.close()

@@ -1,12 +1,12 @@
 """One differential for the extraction stage (``repro.extraction.stage``).
 
 Batch (``Executor`` inline / serial / thread / cluster / cluster+backend),
-streaming (``StreamingPipeline._extract``) and on-demand
-(``IncrementalExtractionManager``) generation are fan-outs of one stage,
-so for the same corpus and extractor they must agree on: the per-document
-extraction tuples, the cache entries they read and write, what heals, what
-is quarantined (and with how many attempts), and what a repeated
-``doc_id`` means.
+streaming (``StreamingPipeline._extract``) and on-demand (a program run by
+``system.generate()``, read back from what it landed) generation are
+fan-outs of one stage, so for the same corpus and extractor they must
+agree on: the per-document extraction tuples, the cache entries they read
+and write, what heals, what is quarantined (and with how many attempts),
+and what a repeated ``doc_id`` means.
 """
 
 import os
@@ -20,8 +20,8 @@ from repro.cache.store import (
     document_key,
 )
 from repro.cluster.simulator import ClusterConfig, SimulatedCluster
-from repro.core.incremental import IncrementalExtractionManager
 from repro.core.streaming import DocDelta, StreamingPipeline
+from repro.core.system import StructureManagementSystem
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
 from repro.docmodel.document import Document
 from repro.extraction.base import Extractor, extraction_to_tuple
@@ -104,12 +104,18 @@ def run_path(path, extractor, docs, cache=None):
         return _canonical(rows), [(e.doc_id, e.extractor, e.attempts)
                                   for e in deadletter.entries()]
     assert path == "on-demand"
-    manager = IncrementalExtractionManager(corpus=docs, cache=cache)
-    manager.register(NAME, extractor, sorted(
-        {e.attribute for d in docs for e in InfoboxExtractor().extract(d)}))
-    rows = [extraction_to_tuple(e) for e in manager.extract_all()]
-    return _canonical(rows), [(f["doc_id"], f["extractor"], f["attempts"])
-                              for f in manager.failures]
+    # ``_generate`` is ``generate()`` over an explicit document list (the
+    # corpus would fold a repeated ``doc_id`` into one page).  Not closed:
+    # that would close the caller's cache.
+    system = StructureManagementSystem(cache=cache)
+    system.registry.register_extractor(NAME, extractor)
+    system._generate(PROGRAM, docs, optimize=False)
+    landed = ("fact_id", "stored_confidence")
+    rows = [{k: v for k, v in record.items() if k not in landed}
+            for record in system._lineage_records()]
+    assert system.fact_count() == len(rows)
+    return _canonical(rows), [(e.doc_id, e.extractor, e.attempts)
+                              for e in system.deadletter.entries()]
 
 
 def _expected(docs, skip=()):

@@ -8,6 +8,7 @@ committed state.
 import pytest
 
 from repro.storage.rdbms.engine import Database
+from repro.storage.rdbms.sql import execute_sql
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.storage.rdbms.wal import LogRecord, WriteAheadLog
 
@@ -119,6 +120,65 @@ def test_recovery_restores_indexes(tmp_path):
     db2 = Database(str(tmp_path))
     hits = db2.run(lambda t: t.lookup("t", "value", "findme"))
     assert len(hits) == 1
+
+
+def _plan(db, where):
+    return "\n".join(r["plan"] for r in execute_sql(
+        db, f"EXPLAIN SELECT id FROM t WHERE {where}"))
+
+
+def test_indexes_survive_a_reopen_without_checkpoint(tmp_path):
+    db = Database(str(tmp_path))
+    db.create_table(TableSchema(
+        "t", (Column("id", ColumnType.INT, nullable=False),
+              Column("k", ColumnType.TEXT), Column("n", ColumnType.INT)),
+        primary_key="id"))
+    db.create_index("t", "k", kind="hash")
+    db.create_index("t", "n", kind="sorted")
+    db.run(lambda t: t.insert_many("t", [
+        {"id": i, "k": f"k{i % 40}", "n": i} for i in range(2000)]))
+    plans = _plan(db, "k = 'k3'"), _plan(db, "n > 1990")
+    assert "IndexLookup" in plans[0] and "RangeScan" in plans[1]
+    db.close()
+    reopened = Database(str(tmp_path))
+    assert (_plan(reopened, "k = 'k3'"), _plan(reopened, "n > 1990")) == plans
+    assert [r.values["id"] for r in reopened.run(
+        lambda t: t.range_lookup("t", "n", 1998))] == [1998, 1999]
+    assert len(reopened.run(lambda t: t.lookup("t", "k", "k3"))) == 50
+
+
+def test_create_index_replays_at_its_log_position(tmp_path):
+    db = Database(str(tmp_path))
+    db.create_table(_schema("a"))
+    db.create_table(_schema("b"))
+    db.create_index("a", "value")
+    db.create_index("b", "value", kind="sorted")
+    db.drop_table("a")
+    db.create_table(_schema("a"))                  # comes back unindexed
+    db.alter_table("b", TableSchema(                # loses the indexed column
+        "b", (Column("id", ColumnType.INT, nullable=False),),
+        primary_key="id"), lambda values: {"id": values["id"]})
+    reopened = Database(str(tmp_path))
+    assert reopened._indexes == db._indexes == {}
+
+
+def test_wal_truncated_inside_create_index_recovers_without_the_index(
+        tmp_path):
+    db = Database(str(tmp_path))
+    db.create_table(_schema())
+    db.run(lambda t: t.insert("t", {"id": 1, "value": "a"}))
+    db.create_index("t", "value")
+    db.close()
+    wal_path = tmp_path / "wal.jsonl"
+    data = wal_path.read_bytes()
+    last = data.rstrip(b"\n").rsplit(b"\n", 1)[-1]
+    assert b'"create_index"' in last
+    wal_path.write_bytes(data[:len(data) - len(last) // 2])
+    recovered = Database(str(tmp_path))
+    assert recovered._find_index("t", "value") is None
+    assert [r.values["id"] for r in recovered.run(
+        lambda t: t.lookup("t", "value", "a"))] == [1]   # scan fallback
+    recovered.create_index("t", "value")               # and it can be made
 
 
 def test_txn_counter_continues_after_recovery(tmp_path):

@@ -26,6 +26,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 
 from repro.cluster.backends import SerialBackend
 from repro.storage.rdbms.engine import Database
+from repro.storage.rdbms.index import HashIndex
 from repro.storage.rdbms.sql import execute_sql
 from repro.storage.rdbms.stats import StatisticsManager
 from repro.storage.rdbms.types import (Column, ColumnType, SchemaError,
@@ -149,6 +150,9 @@ class StorageMachine(RuleBasedStateMachine):
         self.pinned = []
         #: tables written, moved or reloaded since they were last checked
         self.dirty = set(TABLES)
+        for name in TABLES:
+            self.db.create_index(name, "grp", "hash")
+            self.db.create_index(name, "qty", "sorted")
         self._dress()
 
     def _dress(self):
@@ -158,11 +162,6 @@ class StorageMachine(RuleBasedStateMachine):
         # every table counts as large: ANALYZE takes the sampled path
         db._stats_manager = StatisticsManager(db, sample_threshold=4,
                                               sample_size=6)
-        for name in TABLES:
-            if db._find_index(name, "grp") is None:
-                db.create_index(name, "grp", "hash")
-            if db._find_index(name, "qty") is None:
-                db.create_index(name, "qty", "sorted")
 
     def teardown(self):
         if self.txn is not None:
@@ -327,6 +326,9 @@ class StorageMachine(RuleBasedStateMachine):
         invalidated = metrics.get_registry().get("segments.invalidated")
         self.db = Database(self.directory)
         self._dress()
+        for name in TABLES:                  # the indexes it does bring back
+            assert isinstance(self.db._find_index(name, "grp"), HashIndex)
+            assert self.db.sorted_index(name, "qty") is not None
         self.dirty.update(TABLES)
         # a checkpointed layout re-freezes whole, dead positions or not
         assert metrics.get_registry().get("segments.invalidated") == \

@@ -96,12 +96,21 @@ def test_engine_indexes_corpus_and_snippets():
 def test_engine_fact_search():
     engine = KeywordSearchEngine()
     engine.index_facts([
-        {"entity": "Madison", "attribute": "sep_temp", "value": 70.0},
-        {"entity": "Austin", "attribute": "sep_temp", "value": 85.0},
+        {"fact_id": 7, "entity": "Madison", "attribute": "sep_temp",
+         "value": 70.0},
+        {"fact_id": 9, "entity": "Austin", "attribute": "sep_temp",
+         "value": 85.0},
     ])
     facts = engine.search_facts("madison sep_temp")
-    assert facts[0]["entity"] == "Madison"
+    assert facts[0] == {"entity": "Madison", "attribute": "sep_temp",
+                        "value": 70.0}
     assert engine.fact_count() == 2
+    # the same fact_id again replaces what was indexed under it
+    engine.index_facts([{"fact_id": 7, "entity": "Madison",
+                         "attribute": "september_temp", "value": 70.0}])
+    assert engine.fact_count() == 2
+    assert [f["entity"] for f in engine.search_facts("sep_temp")] == ["Austin"]
+    assert engine.search_facts("september_temp")[0]["entity"] == "Madison"
 
 
 def test_engine_has_document():
