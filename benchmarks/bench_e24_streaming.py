@@ -18,6 +18,19 @@ Checked invariants (recorded as machine-readable ``gates``):
     exceeds the bound and every submitted delta is processed (nothing
     dropped, memory stays bounded).
 
+Three more gates are counts that repeat exactly for a seed (PR 21: a
+delta costs what it changed):
+  * **same_name_edit_name_comparisons == 0** — a churn batch that edits
+    attribute values on pages that keep their entity name compares no
+    names (``er.name_comparisons``), while still visiting its blocks'
+    pairs;
+  * **wal_records_per_delta <= 3** — ``begin`` + one ``write_many`` +
+    ``commit``, whatever the batch size (the churn database keeps a WAL
+    in a scratch directory for this);
+  * **rows_written_minus_rows_changed == 0** — ``fused_rows_written``
+    summed over the batches equals the number of ``fused_facts`` keys
+    whose stored columns differ before and after each batch.
+
 The report also carries a micro-benchmark of the attribute-dict hoist in
 pair scoring (pre-materialized dicts vs two ``attr_dict()`` calls per
 pair), which is not gated.
@@ -37,6 +50,7 @@ import json
 import os
 import random
 import sys
+import tempfile
 import time
 
 from _tables import write_table
@@ -47,6 +61,7 @@ from repro.extraction.base import Extraction
 from repro.integration.entity_resolution import EntityResolver
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.sql import execute_sql
+from repro.telemetry import metrics
 from repro.userlayer.monitoring import ContinuousQuery, ContinuousQueryManager
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -101,6 +116,25 @@ def make_doc(doc_id: str, identity: int, surnames: list[str],
     return Document(doc_id, "\n".join(lines))
 
 
+def edit_doc(doc: Document, rng: random.Random) -> Document:
+    """The same page about the same name with another age and city; a
+    score line keeps its value and only shifts with the city's length."""
+    lines = []
+    for line in doc.text.splitlines():
+        name, attribute, raw = line.split("\t")
+        if attribute == "city":
+            raw = rng.choice([c for c in CITIES if c != raw])
+        elif attribute == "age":
+            raw = str(int(raw) + 1)
+        lines.append(f"{name}\t{attribute}\t{raw}")
+    return Document(doc.doc_id, "\n".join(lines))
+
+
+def stored_rows(db: Database) -> dict[tuple[str, str], dict]:
+    return {(r["entity"], r["attribute"]): r
+            for r in execute_sql(db, "SELECT * FROM fused_facts")}
+
+
 def full_resolution_pairs(pipeline: StreamingPipeline) -> int:
     """Pairs a from-scratch batch resolution of the live mentions scores."""
     key = pipeline.resolver.resolver.blocking_key
@@ -144,7 +178,11 @@ def bench_churn(num_docs: int, num_surnames: int, churn_batches: int,
     """Seed the corpus, then run churn batches with identity checks."""
     rng = random.Random(24)
     surnames = [f"Surname{i:04d}" for i in range(num_surnames)]
-    db = Database()
+    # on disk, so the WAL records of a delta can be counted (removed when
+    # ``wal_dir`` is collected, at the latest at exit)
+    wal_dir = tempfile.TemporaryDirectory(prefix="e24_wal_")
+    db = Database(wal_dir.name)
+    registry = metrics.get_registry()
     pipeline = build_pipeline(db)
     manager = ContinuousQueryManager(db)
     notifications: list[dict] = []
@@ -154,6 +192,7 @@ def bench_churn(num_docs: int, num_surnames: int, churn_batches: int,
         callback=lambda qid, row: notifications.append(row)))
 
     live: dict[str, int] = {}  # doc_id -> identity
+    pages: dict[str, Document] = {}  # doc_id -> its current page
     next_doc = 0
     seed = []
     for _ in range(num_docs):
@@ -162,22 +201,28 @@ def bench_churn(num_docs: int, num_surnames: int, churn_batches: int,
         live[doc_id] = identity
         seed.append(make_doc(doc_id, identity, surnames, rng))
         next_doc += 1
+    pages.update((doc.doc_id, doc) for doc in seed)
     t0 = time.perf_counter()
     pipeline.process(DocDelta(added=tuple(seed)))
     seed_seconds = time.perf_counter() - t0
     seed_pairs = pipeline.stats.pairs_scored
 
     prev_results = result_set(db)
+    prev_stored = stored_rows(db)
     batch_rows = []
     identity_failures = 0
+    rows_written = rows_changed = max_wal_records = 0
     batch_size = max(1, int(num_docs * churn_fraction))
-    for batch in range(churn_batches):
+    # the last batch is edits only: values move, names stay
+    for batch in range(churn_batches + 1):
         notifications.clear()
         doc_ids = sorted(live)
         changed, removed, added = [], [], []
         for doc_id in rng.sample(doc_ids, min(batch_size, len(doc_ids))):
             roll = rng.random()
-            if roll < 0.4:
+            if batch == churn_batches:
+                changed.append(edit_doc(pages[doc_id], rng))
+            elif roll < 0.4:
                 changed.append(make_doc(doc_id, live[doc_id], surnames, rng))
             elif roll < 0.7:
                 removed.append(doc_id)
@@ -193,13 +238,29 @@ def bench_churn(num_docs: int, num_surnames: int, churn_batches: int,
             next_doc += 1
         for doc in changed:
             live[doc.doc_id] = live.get(doc.doc_id, 0)
+        for doc_id in removed:
+            del pages[doc_id]
+        pages.update((doc.doc_id, doc) for doc in (*added, *changed))
 
         pairs_before = pipeline.stats.pairs_scored
+        written_before = pipeline.stats.fused_rows_written
+        names_before = registry.get("er.name_comparisons")
+        wal_before = registry.get("rdbms.wal.records")
         t0 = time.perf_counter()
         pipeline.process(DocDelta(tuple(added), tuple(changed),
                                   tuple(removed)))
         batch_seconds = time.perf_counter() - t0
         batch_pairs = pipeline.stats.pairs_scored - pairs_before
+        batch_names = int(registry.get("er.name_comparisons") - names_before)
+        wal_records = int(registry.get("rdbms.wal.records") - wal_before)
+        max_wal_records = max(max_wal_records, wal_records)
+        stored = stored_rows(db)
+        batch_changed = sum(1 for key in stored.keys() | prev_stored.keys()
+                            if stored.get(key) != prev_stored.get(key))
+        prev_stored = stored
+        batch_written = pipeline.stats.fused_rows_written - written_before
+        rows_written += batch_written
+        rows_changed += batch_changed
         full_pairs = full_resolution_pairs(pipeline)
 
         # identity gates: clusters, fused values, notifications
@@ -216,7 +277,12 @@ def bench_churn(num_docs: int, num_surnames: int, churn_batches: int,
         batch_rows.append({
             "batch": batch,
             "delta_docs": len(added) + len(changed) + len(removed),
+            "edits_only": batch == churn_batches,
             "pairs_scored": batch_pairs,
+            "name_comparisons": batch_names,
+            "wal_records": wal_records,
+            "fused_rows_written": batch_written,
+            "fused_rows_changed": batch_changed,
             "full_resolution_pairs": full_pairs,
             "pairs_ratio": (full_pairs / batch_pairs
                             if batch_pairs else float(full_pairs)),
@@ -226,9 +292,17 @@ def bench_churn(num_docs: int, num_surnames: int, churn_batches: int,
             "notifications_identical": notify_ok,
         })
 
+    db.close()
+    wal_dir.cleanup()
+    edits = batch_rows.pop()     # reported on its own, not in the ratio
     mean_batch_pairs = (sum(b["pairs_scored"] for b in batch_rows)
                        / len(batch_rows))
     return {
+        "edits_only_batch": edits,
+        "max_wal_records_per_delta": max_wal_records,
+        "fused_rows_written": rows_written,
+        "fused_rows_changed": rows_changed,
+        "fused_rows_unchanged": pipeline.stats.fused_rows_unchanged,
         "num_docs": num_docs,
         "num_surnames": num_surnames,
         "churn_fraction": churn_fraction,
@@ -332,6 +406,13 @@ def run_bench(num_docs: int = 10_000, num_surnames: int = 1_500,
 
     gates = [
         _gate("identity_failures", churn["identity_failures"], "==", 0.0),
+        _gate("same_name_edit_name_comparisons",
+              churn["edits_only_batch"]["name_comparisons"], "==", 0.0),
+        _gate("wal_records_per_delta",
+              churn["max_wal_records_per_delta"], "<=", 3.0),
+        _gate("rows_written_minus_rows_changed",
+              churn["fused_rows_written"] - churn["fused_rows_changed"],
+              "==", 0.0),
         _gate("backpressure_depth_bound",
               backpressure["max_queue_depth"], "<=",
               backpressure["queue_size"]),
@@ -355,6 +436,13 @@ def run_bench(num_docs: int = 10_000, num_surnames: int = 1_500,
          ["full re-resolution pairs", churn["full_resolution_pairs"]],
          ["pairs ratio (full/batch)", round(churn["pairs_ratio"], 1)],
          ["identity failures", churn["identity_failures"]],
+         ["edits-only batch: pairs visited / names compared",
+          f"{churn['edits_only_batch']['pairs_scored']}"
+          f"/{churn['edits_only_batch']['name_comparisons']}"],
+         ["max WAL records per delta", churn["max_wal_records_per_delta"]],
+         ["fused rows written / changed / left unchanged",
+          f"{churn['fused_rows_written']}/{churn['fused_rows_changed']}"
+          f"/{churn['fused_rows_unchanged']}"],
          ["max queue depth / bound",
           f"{backpressure['max_queue_depth']}/{backpressure['queue_size']}"],
          ["deltas processed/submitted",

@@ -10,11 +10,15 @@ continuous-query push (fused rows are upserted into an RDBMS table, whose
 commit delta stream drives the
 :class:`~repro.userlayer.monitoring.ContinuousQueryManager`).
 
-Every stage's cost follows the *delta*, not the corpus: a changed document
-re-extracts one document, re-scores only pairs in its blocking-key
-neighborhoods, re-fuses only the (entity, attribute) groups its mentions
-touch, and re-evaluates standing queries against the changed fused rows
-only.  :meth:`StreamingPipeline.process` runs the stages synchronously;
+Every stage's cost follows the *delta*, not the corpus — and, for an
+edited document, the difference to its previous self, not the page: a
+mention the page still names keeps its id (so HI feedback on it keeps
+applying), reaches the resolver only if its name or attributes changed,
+hands fusion only the extractions that differ, and the fused rows whose
+stored columns moved land as one batch WAL record
+(:meth:`~repro.storage.rdbms.engine.Transaction.write_many`), from which
+standing queries are re-evaluated against the changed rows only.
+:meth:`StreamingPipeline.process` runs the stages synchronously;
 :meth:`StreamingPipeline.start` wires them over bounded queues with
 backpressure (a producer faster than the consumer blocks in
 :meth:`~StreamingPipeline.submit` — deltas are never dropped and memory
@@ -27,8 +31,9 @@ from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Sequence
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Any, Collection, Iterable
 
 from repro.cache.store import ExtractionCache, Rows
 from repro.core.system import fact_row
@@ -138,7 +143,11 @@ class PipelineStats:
     docs_in: int = 0
     pairs_scored: int = 0
     clusters_split: int = 0
+    #: fused rows inserted, updated in place or deleted
     fused_rows_written: int = 0
+    #: re-fused values whose stored columns equalled the row already
+    #: there (only provenance spans moved): nothing written
+    fused_rows_unchanged: int = 0
     docs_deadlettered: int = 0
     max_queue_depth: int = 0
 
@@ -189,14 +198,13 @@ class StreamingPipeline:
         self.fused_table = fused_table
         self.stats = PipelineStats()
         self._ensure_table()
-        #: doc_id -> mention ids currently live for that document.
-        self._doc_mentions: dict[str, tuple[int, ...]] = {}
+        #: doc_id -> raw entity string -> id of the document's live
+        #: mention of it (an id lasts as long as the page names the entity).
+        self._doc_mentions: dict[str, dict[str, int]] = {}
         #: mention id -> raw (untagged) extractions backing it.
         self._raw: dict[int, tuple[Extraction, ...]] = {}
         #: mention id -> canonical-entity-tagged extractions now in fusion.
         self._tagged: dict[int, tuple[Extraction, ...]] = {}
-        #: mention id -> canonical entity last pushed to fusion.
-        self._canon: dict[int, str] = {}
         #: (entity, attribute) -> rid of its fused row in ``fused_table``.
         self._rids: dict[tuple[str, str], int] = {}
         self._next_mention_id = 0
@@ -211,10 +219,8 @@ class StreamingPipeline:
             # A fresh pipeline owns the table's contents: its in-memory
             # derived state starts empty, so stale rows from an earlier
             # process would otherwise double up once deltas flow.
-            def clear(txn: Any) -> None:
-                for row in list(txn.scan(self.fused_table)):
-                    txn.delete(self.fused_table, row.rid)
-            self.db.run(clear)
+            self.db.run(lambda txn: txn.write_many(self.fused_table, [
+                ("delete", row.rid) for row in txn.scan(self.fused_table)]))
             return
         self.db.create_table(TableSchema(self.fused_table, (
             Column("entity", ColumnType.TEXT),
@@ -290,121 +296,165 @@ class StreamingPipeline:
 
     # --------------------------------------------- stage 2: resolve + fuse
 
-    def _build_mentions(
-        self, doc_id: str, extractions: tuple[Extraction, ...],
-    ) -> list[tuple[Mention, tuple[Extraction, ...]]]:
-        """Group one document's extractions into mentions.
+    @staticmethod
+    def _group_mentions(extractions: tuple[Extraction, ...]) -> list[
+            tuple[str, tuple[tuple[str, Any], ...], tuple[Extraction, ...]]]:
+        """Group one document's extractions into mention shapes.
 
-        One mention per distinct raw entity string; its attributes are the
-        first value per attribute in canonical extraction order (a
-        deterministic function of the extraction set, so an unchanged
-        document always rebuilds the same mention shape).
+        One ``(name, attributes, members)`` per distinct raw entity
+        string; the attributes are the first value per attribute in
+        canonical extraction order (a deterministic function of the
+        extraction set, so an unchanged document always rebuilds the same
+        mention shape).
         """
         ordered = sorted(extractions, key=canonical_extraction_sort_key)
         by_entity: dict[str, list[Extraction]] = {}
         for extraction in ordered:
             by_entity.setdefault(extraction.entity, []).append(extraction)
-        out: list[tuple[Mention, tuple[Extraction, ...]]] = []
+        out = []
         for entity in sorted(by_entity):
             members = by_entity[entity]
             attrs: dict[str, Any] = {}
             for extraction in members:
                 attrs.setdefault(extraction.attribute, extraction.value)
-            with self._lock:
-                mention_id = self._next_mention_id
-                self._next_mention_id += 1
-            mention = Mention(mention_id, entity,
-                              tuple(sorted(attrs.items())))
-            out.append((mention, tuple(members)))
+            out.append((entity, tuple(sorted(attrs.items())), tuple(members)))
         return out
 
     def _integrate(self, extracted: _ExtractedDelta) -> dict[
             tuple[str, str], FusedValue | None]:
+        """Resolve and fuse the difference between each document and its
+        previous self.
+
+        A document's new mentions are matched to its old ones by raw
+        entity string.  A matched mention keeps its id: the resolver
+        hears of it only when its name-and-attributes shape changed
+        (``apply(changed=…)``), fusion only of the extractions that
+        differ (:meth:`_retag`).  Unmatched old mentions leave for good,
+        unmatched new ones get fresh ids.  Callers hold the pipeline lock.
+        """
+        self._check_cancelled()
         registry = metrics.get_registry()
-        # Retract mentions of departed/changed documents from ER + fusion.
         gone_ids: list[int] = []
-        for doc_id in (*extracted.removed,
-                       *(d for d, _ in extracted.changed)):
-            for mention_id in self._doc_mentions.pop(doc_id, ()):
-                gone_ids.append(mention_id)
+        for doc_id in extracted.removed:
+            gone_ids.extend(self._doc_mentions.pop(doc_id, {}).values())
+        added: list[Mention] = []
+        changed: list[Mention] = []
+        restated: set[int] = set()  # mentions whose extractions changed
+        # (a doc_id repeated within the delta counts in its last state)
+        for doc_id, extractions in dict(
+                (*extracted.added, *extracted.changed)).items():
+            old_ids = self._doc_mentions.get(doc_id, {})
+            new_ids: dict[str, int] = {}
+            for name, attrs, members in self._group_mentions(extractions):
+                mention_id = old_ids.get(name)
+                if mention_id is None:
+                    mention_id = self._next_mention_id
+                    self._next_mention_id += 1
+                    added.append(Mention(mention_id, name, attrs))
+                elif self.resolver.mention(mention_id).attributes != attrs:
+                    changed.append(Mention(mention_id, name, attrs))
+                new_ids[name] = mention_id
+                if self._raw.get(mention_id) != members:
+                    self._raw[mention_id] = members
+                    restated.add(mention_id)
+            gone_ids.extend(mention_id for name, mention_id in old_ids.items()
+                            if name not in new_ids)
+            self._doc_mentions[doc_id] = new_ids
         for mention_id in gone_ids:
-            tagged = self._tagged.pop(mention_id, ())
-            if tagged:
-                self.fusion.retract(tagged)
+            self.fusion.retract(self._tagged.pop(mention_id, ()))
             self._raw.pop(mention_id, None)
-            self._canon.pop(mention_id, None)
-        # Build mentions for incoming documents (fresh ids).
-        new_mentions: list[Mention] = []
-        for doc_id, extractions in (*extracted.added, *extracted.changed):
-            self._check_cancelled()
-            built = self._build_mentions(doc_id, extractions)
-            self._doc_mentions[doc_id] = tuple(m.mention_id for m, _ in built)
-            for mention, members in built:
-                self._raw[mention.mention_id] = members
-                new_mentions.append(mention)
         # One incremental resolution for the whole batch.
-        stats = self.resolver.apply(added=new_mentions, removed=gone_ids)
+        stats = self.resolver.apply(added=added, changed=changed,
+                                    removed=gone_ids)
         self.stats.pairs_scored += stats.pairs_scored
         self.stats.clusters_split += stats.clusters_split
         registry.inc("dge.pairs_scored", stats.pairs_scored)
         registry.inc("dge.clusters_split", stats.clusters_split)
-        return self._retag(
-            self.resolver.last_dirty | {m.mention_id for m in new_mentions})
+        return self._retag(self.resolver.last_dirty, restated)
 
-    def _retag(self, dirty: Iterable[int]) -> dict[
+    def _retag(self, reclustered: Iterable[int],
+               restated: Collection[int] = ()) -> dict[
             tuple[str, str], FusedValue | None]:
-        """Re-tag extractions whose canonical entity moved, then re-fuse."""
-        for mention_id in sorted(dirty):
-            if mention_id not in self._raw:
+        """Bring fusion up to date with the canonical entities of the
+        ``reclustered`` mentions and the extractions of the ``restated``
+        ones, then re-fuse.
+
+        Fusion is handed the multiset difference between what a mention
+        contributed before and what it contributes now — everything when
+        its canonical entity moved, the edited extractions when its page
+        changed, nothing when neither did — so only groups whose members
+        differ go dirty.
+        """
+        for mention_id in sorted({*reclustered, *restated}):
+            raw = self._raw.get(mention_id)
+            if raw is None:
                 continue
             canonical = self.resolver.canonical_of(mention_id)
-            if self._canon.get(mention_id) == canonical:
+            previous = self._tagged.get(mention_id, ())
+            if mention_id not in restated and previous \
+                    and previous[0].entity == canonical:
                 continue
-            old_tagged = self._tagged.get(mention_id, ())
-            if old_tagged:
-                self.fusion.retract(old_tagged)
-            tagged = tuple(replace(e, entity=canonical)
-                           for e in self._raw[mention_id])
-            self.fusion.add(tagged)
+            tagged = tuple(e if e.entity == canonical
+                           else replace(e, entity=canonical) for e in raw)
+            surplus = Counter(previous)
+            surplus.subtract(tagged)
+            self.fusion.retract(
+                e for e, n in surplus.items() for _ in range(n))
+            self.fusion.add(
+                e for e, n in surplus.items() for _ in range(-n))
             self._tagged[mention_id] = tagged
-            self._canon[mention_id] = canonical
         return self.fusion.refresh()
 
     # --------------------------------------------------- stage 3: push
 
     def _push(self, changed: dict[tuple[str, str], FusedValue | None]) -> int:
-        """Upsert changed fused values; one transaction per batch.
+        """Land the changed fused values as one batch write: an insert
+        for a new key, an in-place update for a key that has a row
+        (dropped by the engine when the stored columns did not move —
+        e.g. only provenance spans did), a delete for an emptied key.
+        One transaction, one WAL record; returns the rows written.
 
         The commit's row delta is what drives registered continuous
         queries — the pipeline never calls ``poke()``.
         """
-        if not changed:
+        keys: list[tuple[str, str]] = []
+        ops: list[tuple] = []
+        for key in sorted(changed):
+            fused = changed[key]
+            rid = self._rids.get(key)
+            if fused is None:
+                if rid is None:
+                    continue
+                ops.append(("delete", rid))
+            else:
+                row = {
+                    **fact_row(fused.entity, fused.attribute,
+                               fused.value, fused.confidence),
+                    "support": fused.support,
+                    "conflict": fused.conflict,
+                }
+                ops.append(("insert", row) if rid is None
+                           else ("update", rid, row))
+            keys.append(key)
+        if not ops:
             return 0
-        new_rids: dict[tuple[str, str], int] = {}
-
-        def write(txn: Any) -> None:
-            new_rids.clear()
-            for key in sorted(changed):
-                fused = changed[key]
-                rid = self._rids.get(key)
-                if rid is not None:
-                    txn.delete(self.fused_table, rid)
-                if fused is not None:
-                    row = txn.insert(self.fused_table, {
-                        **fact_row(fused.entity, fused.attribute,
-                                   fused.value, fused.confidence),
-                        "support": fused.support,
-                        "conflict": fused.conflict,
-                    })
-                    new_rids[key] = row.rid
-
-        self.db.run(write)
-        for key in changed:
-            self._rids.pop(key, None)
-        self._rids.update(new_rids)
-        written = len(changed)
+        rows = self.db.run(
+            lambda txn: txn.write_many(self.fused_table, ops))
+        written = 0
+        for key, op, row in zip(keys, ops, rows):
+            if row is None:
+                continue
+            written += 1
+            if op[0] == "insert":
+                self._rids[key] = row.rid
+            elif op[0] == "delete":
+                del self._rids[key]
+        registry = metrics.get_registry()
         self.stats.fused_rows_written += written
-        metrics.get_registry().inc("dge.fused_rows_written", written)
+        registry.inc("dge.fused_rows_written", written)
+        if written < len(ops):
+            self.stats.fused_rows_unchanged += len(ops) - written
+            registry.inc("dge.fused_rows_unchanged", len(ops) - written)
         return written
 
     # ------------------------------------------------------- synchronous API

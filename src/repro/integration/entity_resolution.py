@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Sequence
 
 from repro.integration.similarity import name_similarity
+from repro.telemetry import metrics
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,7 @@ class EntityResolver:
 
     def score_pair(self, a: Mention, b: Mention) -> float:
         """Pairwise co-reference score in [0, 1]."""
+        self._count_name_comparisons(1)
         return self._score_with_attrs(a, b, a.attr_dict(), b.attr_dict())
 
     def _score_with_attrs(
@@ -143,16 +145,28 @@ class EntityResolver:
 
         The O(pairs) scoring loops (batch and incremental) materialize each
         mention's attribute dict once and pass it here, instead of paying
-        two ``attr_dict()`` constructions per scored pair.  Shared keys are
-        visited in sorted order — with score clamping the fold is not
-        commutative, so set iteration order would make scores
-        hash-seed-dependent.
+        two ``attr_dict()`` constructions per scored pair.
         """
         if self.scorer is not None:
             return self.scorer(a, b)
-        score = name_similarity(a.name, b.name)
-        shared = set(attrs_a) & set(attrs_b)
-        for key in sorted(shared):
+        return self._adjust(name_similarity(a.name, b.name), attrs_a, attrs_b)
+
+    def _count_name_comparisons(self, pairs: int) -> None:
+        """``er.name_comparisons``: every ``name_similarity`` call a
+        resolver makes, batch or incremental — one registry update per
+        scoring loop of ``pairs`` pairs (none under a custom scorer)."""
+        if pairs and self.scorer is None:
+            metrics.get_registry().inc("er.name_comparisons", pairs)
+
+    def _adjust(self, score: float, attrs_a: dict[str, Any],
+                attrs_b: dict[str, Any]) -> float:
+        """A name score shifted by the two mentions' shared attributes.
+
+        Shared keys are visited in sorted order — with score clamping the
+        fold is not commutative, so set iteration order would make scores
+        hash-seed-dependent.
+        """
+        for key in sorted(attrs_a.keys() & attrs_b.keys()):
             if attrs_a[key] == attrs_b[key]:
                 score = min(1.0, score + self.attribute_weight)
             else:
@@ -184,6 +198,7 @@ class EntityResolver:
                         MentionPair(members[i].mention_id,
                                     members[j].mention_id, score)
                     )
+        self._count_name_comparisons(len(pairs))
         pairs.sort(key=lambda p: (-p.score, _norm(p.left, p.right)))
         return pairs
 
@@ -279,18 +294,27 @@ class IncrementalEntityResolver:
     """Persistent-state entity resolution with O(delta) updates.
 
     Maintains the blocking index, the scored-pair set, and the cluster
-    partition across calls.  :meth:`apply` takes a document delta
-    (added / changed / removed mentions) and
+    partition across calls.  :meth:`apply` takes a mention delta (added /
+    changed / removed) and
 
-    1. re-scores only the pairs inside the touched blocks (a new or
-       changed mention scores against its block co-members; nothing else
-       is rescored),
+    1. re-scores only the pairs inside the touched blocks: a new or
+       renamed mention scores against its block co-members; a mention
+       edited under the same name keeps its pairs' *name* scores (held in
+       ``_scores`` beside the pair score, for exactly as long as the pair
+       lives — no memo to size or evict) and re-applies only the attribute
+       adjustment, so a same-name edit costs zero name comparisons;
+       nothing else is rescored,
     2. re-clusters only the affected connected components — the transitive
        closure, over score-above-threshold and must-link edges, of every
        mention whose pairs or constraints changed, in both the old and the
        new link graph (the old-graph closure is what makes *splits* exact:
        when a removed mention or edge disconnects a component, every
        stranded member is re-closed locally).
+
+    Mention ids are the caller's: a mention that comes back under its old
+    id (``changed``) is the same mention, and the must / cannot links
+    naming it keep applying; one that leaves (``removed``) takes the
+    constraints naming it along.
 
     Exactness argument: batch :meth:`EntityResolver.resolve` processes all
     candidate pairs in one canonical order (descending score, then the
@@ -299,9 +323,11 @@ class IncrementalEntityResolver:
     *i* or *j* — i.e. lie inside the same link-graph components.  Merges
     therefore never interact across component boundaries, so replaying the
     canonical order restricted to a union of whole components yields
-    exactly the batch partition of those components.  ``clusters()`` is
-    byte-identical to ``EntityResolver.resolve`` over the same live
-    mentions and constraints.
+    exactly the batch partition of those components.  Pair scores do not
+    depend on which side scored (``name_similarity`` and the attribute
+    fold are symmetric), so ``clusters()`` is byte-identical to
+    ``EntityResolver.resolve`` over the same live mentions and
+    constraints.
     """
 
     def __init__(self, resolver: EntityResolver | None = None,
@@ -312,8 +338,11 @@ class IncrementalEntityResolver:
         self._attrs: dict[int, dict[str, Any]] = {}
         self._blocks: dict[Hashable, set[int]] = {}
         self._block_of: dict[int, Hashable] = {}
-        #: All scored within-block pairs, keyed order-normalized.
-        self._scores: dict[tuple[int, int], float] = {}
+        #: Every within-block pair, keyed order-normalized -> (its name
+        #: score, its pair score: the name score shifted by the two
+        #: mentions' attributes).  Under a custom ``scorer`` there is no
+        #: name score to keep (None).
+        self._scores: dict[tuple[int, int], tuple[float | None, float]] = {}
         #: Link graph: score >= threshold edges plus must-link edges.
         self._adj: dict[int, set[int]] = {}
         #: Constraint indexes (mention id -> peers), mirrors ``constraints``.
@@ -330,7 +359,7 @@ class IncrementalEntityResolver:
         self._cluster_of: dict[int, int] = {}
         self._members: dict[int, set[int]] = {}
         self._canonical: dict[int, str] = {}
-        #: Cumulative pair-scoring work (the E24 O(delta) gate reads this).
+        #: Cumulative block pairs visited (the E24 O(delta) gate reads this).
         self.total_pairs_scored = 0
         #: Mentions whose clusters the last apply/constraint call rebuilt —
         #: the set downstream fusion must re-tag canonical entities for.
@@ -344,6 +373,10 @@ class IncrementalEntityResolver:
     def mentions(self) -> list[Mention]:
         """Live mentions, ordered by mention id (the oracle's input)."""
         return [self._mentions[mid] for mid in sorted(self._mentions)]
+
+    def mention(self, mention_id: int) -> Mention | None:
+        """The live mention under ``mention_id``, or None."""
+        return self._mentions.get(mention_id)
 
     def canonical_of(self, mention_id: int) -> str:
         """Canonical entity name of the cluster holding ``mention_id``."""
@@ -367,24 +400,51 @@ class IncrementalEntityResolver:
               removed: Sequence[int] = ()) -> DeltaResolveStats:
         """Apply one mention delta; returns per-call work stats.
 
-        ``changed`` mentions replace the live mention with the same id
-        (the blocking key may change); ``removed`` ids must be live.
+        ``changed`` mentions replace the live mention with the same id.
+        One whose name (and so block) stayed is *edited* in place: its
+        pairs are visited, their stored name scores re-adjusted for the
+        new attributes, no name compared.  A renamed one leaves its block
+        and is scored against its new one like an added mention.
+        ``removed`` ids must be live; they leave for good, and the
+        constraints naming them are released.  Pairs are visited in the
+        order "drop removed and renamed, re-adjust edited, add by id", so
+        ``pairs_scored`` is what dropping and re-adding every changed
+        mention would visit.
         """
-        touched = ({m.mention_id for m in changed} | set(removed))
-        touched &= set(self._mentions)
+        live = self._mentions
+        gone = set(removed) & live.keys()
+        keeps_names = self.resolver.scorer is None
+        edited: dict[int, Mention] = {}
+        renamed: list[Mention] = []
+        for mention in changed:
+            mid = mention.mention_id
+            old = live.get(mid)
+            if (keeps_names and old is not None and old.name == mention.name
+                    and self._block_of[mid] == self._block_key(mention)):
+                edited[mid] = mention
+            else:
+                renamed.append(mention)
+        replaced = {m.mention_id for m in renamed} & live.keys()
+        touched = gone | replaced | edited.keys()
         # Old-graph closure first: a removal can split a component, and
         # the stranded remainder is only reachable through the old edges.
         old_dirty = self._closure(touched)
-        for mid in sorted(touched):
+        for mid in sorted(gone | replaced):
             self._remove_mention(mid)
-        pairs_scored = 0
-        incoming = sorted((*added, *changed), key=lambda m: m.mention_id)
-        for mention in incoming:
-            pairs_scored += self._add_mention(mention)
-        affected = ({m.mention_id for m in incoming} | old_dirty)
-        affected &= set(self._mentions)
+        for mid in gone:
+            self._release(mid)
+        for mid, mention in edited.items():
+            live[mid] = mention
+            self._attrs[mid] = mention.attr_dict()
+        readjusted = sum(self._readjust(mid, edited) for mid in sorted(edited))
+        incoming = sorted((*added, *renamed), key=lambda m: m.mention_id)
+        compared = sum(self._add_mention(mention) for mention in incoming)
+        self.resolver._count_name_comparisons(compared)
+        affected = {m.mention_id for m in incoming} | edited.keys() | old_dirty
+        affected &= live.keys()
         dirty = self._closure(affected)
         splits = self._recluster(dirty, gone=touched)
+        pairs_scored = readjusted + compared
         self.total_pairs_scored += pairs_scored
         return DeltaResolveStats(
             pairs_scored=pairs_scored,
@@ -418,7 +478,8 @@ class IncrementalEntityResolver:
         self._must_of.get(b, set()).discard(a)
         self._cannot_of.setdefault(a, set()).add(b)
         self._cannot_of.setdefault(b, set()).add(a)
-        if had_must and self._scores.get(_norm(a, b), -1.0) < self.resolver.threshold:
+        if had_must and self._scores.get(
+                _norm(a, b), (None, -1.0))[1] < self.resolver.threshold:
             self._adj.get(a, set()).discard(b)
             self._adj.get(b, set()).discard(a)
         dirty = self._closure(seed | ({a, b} & set(self._mentions)))
@@ -445,6 +506,19 @@ class IncrementalEntityResolver:
         del self._mentions[mid]
         del self._attrs[mid]
 
+    def _release(self, mid: int) -> None:
+        """Forget the constraints naming a mention that left for good."""
+        for peers_of, links in (
+                (self._must_of, self.constraints.must_link),
+                (self._cannot_of, self.constraints.cannot_link)):
+            for peer in peers_of.pop(mid, ()):
+                links.discard(_norm(mid, peer))
+                peers = peers_of.get(peer)
+                if peers is not None:
+                    peers.discard(mid)
+                    if not peers:
+                        del peers_of[peer]
+
     def _add_mention(self, mention: Mention) -> int:
         mid = mention.mention_id
         if mid in self._mentions:
@@ -453,16 +527,21 @@ class IncrementalEntityResolver:
         block = self._block_key(mention)
         members = self._blocks.setdefault(block, set())
         threshold = self.resolver.threshold
+        scorer, adjust = self.resolver.scorer, self.resolver._adjust
         adj = self._adj.setdefault(mid, set())
-        scored = 0
         for other in members:
-            score = self.resolver._score_with_attrs(
-                mention, self._mentions[other], attrs, self._attrs[other])
-            self._scores[_norm(mid, other)] = score
-            scored += 1
+            if scorer is not None:
+                name_score = None
+                score = scorer(mention, self._mentions[other])
+            else:
+                name_score = name_similarity(mention.name,
+                                             self._mentions[other].name)
+                score = adjust(name_score, attrs, self._attrs[other])
+            self._scores[_norm(mid, other)] = (name_score, score)
             if score >= threshold:
                 adj.add(other)
                 self._adj[other].add(mid)
+        scored = len(members)
         members.add(mid)
         self._block_of[mid] = block
         self._mentions[mid] = mention
@@ -472,6 +551,31 @@ class IncrementalEntityResolver:
                 adj.add(peer)
                 self._adj[peer].add(mid)
         return scored
+
+    def _readjust(self, mid: int, edited: dict[int, Mention]) -> int:
+        """Re-link an edited mention to its block co-members under its new
+        attributes; returns the pairs visited.  A pair of two edited
+        mentions is visited once, by the later id."""
+        attrs = self._attrs[mid]
+        adj = self._adj[mid]
+        must = self._must_of.get(mid, ())
+        threshold, adjust = self.resolver.threshold, self.resolver._adjust
+        visited = 0
+        for other in self._blocks[self._block_of[mid]]:
+            if other == mid or (other > mid and other in edited):
+                continue
+            visited += 1
+            key = _norm(mid, other)
+            name_score = self._scores[key][0]
+            score = adjust(name_score, attrs, self._attrs[other])
+            self._scores[key] = (name_score, score)
+            if score >= threshold or other in must:
+                adj.add(other)
+                self._adj[other].add(mid)
+            else:
+                adj.discard(other)
+                self._adj[other].discard(mid)
+        return visited
 
     def _closure(self, seed: set[int]) -> set[int]:
         """Transitive closure of ``seed`` over the current link graph."""
@@ -490,8 +594,9 @@ class IncrementalEntityResolver:
 
         Drops every cluster that intersects ``dirty`` or a departed
         mention, re-runs the batch merge procedure over the dirty set
-        only, and installs the resulting clusters.  Returns how many old
-        clusters split into multiple new ones.
+        only (its own must / cannot links, not everyone's), and installs
+        the resulting clusters.  Returns how many old clusters split into
+        multiple new ones.
         """
         old_groups: list[set[int]] = []
         stale = {self._cluster_of[m] for m in dirty if m in self._cluster_of}
@@ -512,8 +617,9 @@ class IncrementalEntityResolver:
         must = self.constraints.must_link
         cannot = self.constraints.cannot_link
         cannot_indexed = [
-            (index_of[a], index_of[b]) for a, b in cannot
-            if a in index_of and b in index_of
+            (index_of[a], index_of[b])
+            for a in ids for b in self._cannot_of.get(a, ())
+            if a < b and b in index_of
         ]
 
         def would_violate(i: int, j: int) -> bool:
@@ -526,9 +632,10 @@ class IncrementalEntityResolver:
                     return True
             return False
 
-        for a, b in must:
-            if a in index_of and b in index_of:
-                uf.union(index_of[a], index_of[b])
+        for a in ids:
+            for b in self._must_of.get(a, ()):
+                if a < b and b in index_of:
+                    uf.union(index_of[a], index_of[b])
         threshold = self.resolver.threshold
         candidates = []
         for mid in ids:
@@ -536,9 +643,9 @@ class IncrementalEntityResolver:
                 if neighbor <= mid:
                     continue
                 key = (mid, neighbor)
-                score = self._scores.get(key)
-                if score is not None and score >= threshold:
-                    candidates.append((-score, key))
+                scored = self._scores.get(key)
+                if scored is not None and scored[1] >= threshold:
+                    candidates.append((-scored[1], key))
         candidates.sort()
         for _, key in candidates:
             if key in must:

@@ -116,11 +116,16 @@ def name_similarity(a: str, b: str) -> float:
     greedily; the score is the fraction of aligned tokens weighted by their
     per-token similarity (Jaro–Winkler for full tokens, 0.9 for
     initial-to-full matches).
+
+    The greedy alignment runs from one canonical side — the shorter token
+    list, ties broken by the token lists themselves — so the score does
+    not depend on argument order: batch resolution scores (earlier, later)
+    and incremental resolution (new, existing), and both must agree.
     """
     tokens_a, tokens_b = tokens_of(a), tokens_of(b)
     if not tokens_a or not tokens_b:
         return 1.0 if tokens_a == tokens_b else 0.0
-    if len(tokens_a) > len(tokens_b):
+    if (len(tokens_a), tokens_a) > (len(tokens_b), tokens_b):
         tokens_a, tokens_b = tokens_b, tokens_a
     used = [False] * len(tokens_b)
     total = 0.0

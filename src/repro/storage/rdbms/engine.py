@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import CancellationToken
 from repro.faults.retry import RetryPolicy
@@ -433,6 +433,97 @@ class Transaction(TransactionReads):
         registry.observe("rdbms.insert.batch_size", len(rows),
                          buckets=DEFAULT_SIZE_BUCKETS)
         return rows
+
+    def write_many(self, table: str,
+                   ops: Sequence[tuple]) -> list[Row | None]:
+        """Apply mixed writes to one table, in order; X-locks each row.
+
+        Each operation is ``("insert", values)``, ``("update", rid,
+        changes)`` or ``("delete", rid)``.  The batched path for a delta
+        of upserts and deletes (:meth:`insert_many` grown to carry
+        updates and deletes): one intention-exclusive table lock, the row
+        locks the single-row calls take, one mutate-lock critical section
+        and one ``write_many`` WAL record for the whole batch, which
+        recovery replays in order.  Undo entries and commit-delta rows
+        are recorded per operation exactly as :meth:`insert` /
+        :meth:`update` / :meth:`delete` record them.  An update that
+        leaves every stored value as it is (compared against the heap
+        row, under the locks the write holds anyway) is dropped: nothing
+        is logged or undone for it and no delta row is reported.  The
+        batch is all-or-nothing — an operation that fails takes back the
+        ones before it.
+
+        Returns, per operation, the inserted, updated or removed row, or
+        None for a dropped update.
+
+        Raises:
+            SchemaError: schema violation in any operation.
+            KeyError: unknown table, or unknown rid in any operation.
+        """
+        self._check_active()
+        if not ops:
+            return []
+        db = self._db
+        acquire, txn_id = db._locks.acquire, self.txn_id
+        acquire(txn_id, (table, None), LockMode.INTENTION_EXCLUSIVE)
+        for op in ops:
+            if op[0] != "insert":
+                acquire(txn_id, (table, op[1]), LockMode.EXCLUSIVE)
+        results: list[Row | None] = []
+        logged: list[list] = []
+        deltas: list[tuple] = []
+        undo_mark = len(self._undo)
+        with db._mutate_lock:
+            heap = db._table(table)
+            try:
+                for op in ops:
+                    kind = op[0]
+                    if kind == "insert":
+                        row = heap.insert(op[1])
+                        acquire(txn_id, (table, row.rid), LockMode.EXCLUSIVE)
+                        db._index_insert(table, row)
+                        self._undo.append(("insert", table, row.rid))
+                        logged.append(["insert", row.rid, row.values])
+                        deltas.append(("insert", table, row.values))
+                    elif kind == "update":
+                        old, row = heap.update(op[1], op[2])
+                        if old.values == row.values:
+                            results.append(None)
+                            continue
+                        db._index_update(table, old, row)
+                        self._undo.append(
+                            ("update", table, row.rid, old.values))
+                        logged.append(["update", row.rid, {
+                            column: value
+                            for column, value in row.values.items()
+                            if old.values[column] != value}])
+                        deltas.append(
+                            ("update", table, old.values, row.values))
+                    elif kind == "delete":
+                        row = heap.delete(op[1])
+                        db._index_delete(table, row)
+                        self._undo.append(
+                            ("delete", table, row.rid, row.values))
+                        logged.append(["delete", row.rid])
+                        deltas.append(("delete", table, row.values))
+                    else:
+                        raise ValueError(f"unknown write {kind!r}")
+                    results.append(row)
+            except BaseException:
+                for entry in reversed(self._undo[undo_mark:]):
+                    db._apply_undo(entry)
+                del self._undo[undo_mark:]
+                raise
+            if logged:
+                db._log(txn_id, "write_many", table=table, ops=logged)
+        if logged:
+            self._tables_written.add(table)
+            if db._delta_listeners:
+                self._delta_rows.extend(deltas)
+            inserted = sum(1 for entry in logged if entry[0] == "insert")
+            if inserted:
+                metrics.get_registry().inc("rdbms.rows.inserted", inserted)
+        return results
 
     def update(self, table: str, rid: int, changes: dict[str, Any]) -> Row:
         """Update a row by rid; X-locks it; returns the new row."""
@@ -1173,6 +1264,15 @@ class Database:
                 table = self._tables[rec.payload["table"]]
                 for entry in rec.payload["rows"]:
                     table.insert(entry["values"], rid=entry["rid"])
+            elif rec.rec_type == "write_many" and apply_dml:
+                table = self._tables[rec.payload["table"]]
+                for kind, rid, *image in rec.payload["ops"]:
+                    if kind == "insert":
+                        table.insert(image[0], rid=rid)
+                    elif kind == "update":
+                        table.update(rid, image[0])
+                    else:
+                        table.delete(rid)
             elif rec.rec_type == "update" and apply_dml:
                 self._tables[rec.payload["table"]].update(
                     rec.payload["rid"], rec.payload["after"]

@@ -344,7 +344,9 @@ class HeapTable:
         """Apply column changes to one row; returns (old_row, new_row).
 
         A frozen row's position is marked dead and the new values go to
-        the tail under the same rid; a rejected update changes nothing.
+        the tail under the same rid; a rejected update changes nothing,
+        and neither does one whose values equal the stored ones (the
+        returned rows then compare equal).
 
         Raises:
             KeyError: unknown rid.
@@ -352,6 +354,8 @@ class HeapTable:
         """
         old_values, frozen = self._current(rid)
         new_values = self._schema.validate_row({**old_values, **changes})
+        if new_values == old_values:
+            return Row(rid, old_values), Row(rid, new_values)
         pk = self._schema.primary_key
         if pk is not None and new_values[pk] != old_values[pk]:
             if new_values[pk] is None:

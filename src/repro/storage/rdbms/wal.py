@@ -8,6 +8,12 @@ a transaction id, and a type:
   before/after images,
 * ``insert_many`` — one record for a whole batch of inserted rows (the
   bulk-load fast path: rids + values for every row in the batch),
+* ``write_many`` — one record for a batch of mixed writes to one table
+  (a streaming delta's upserts and deletes), replayed in order:
+  ``ops`` is a list of ``["insert", rid, values]``, ``["update", rid,
+  changed columns]`` and ``["delete", rid]``; like every row record it
+  takes effect only if its transaction's ``commit`` made it to the log,
+  so a batch is recovered whole or not at all,
 * ``create_table`` / ``alter_schema`` — DDL,
 * ``compact`` — a columnar freeze of a table's committed tail rows
   (txn 0, DDL-style: replay re-runs the deterministic freeze at the same

@@ -96,6 +96,113 @@ def test_run_batch_single_transaction():
     assert results[2] == 4
 
 
+# ------------------------------------------------ write_many (mixed batch)
+
+
+def _mixed_db():
+    db = Database()
+    db.create_table(_schema())
+    db.create_index("items", "label")
+    db.run(lambda t: t.insert_many("items", _rows(4)))
+    return db
+
+
+def _labels(db):
+    return {r.rid: r.values["label"]
+            for r in db.run(lambda t: t.scan("items"))}
+
+
+def test_write_many_applies_in_order_and_reports_each_row():
+    db = _mixed_db()
+    results = db.run(lambda t: t.write_many("items", [
+        ("delete", 1),
+        ("insert", {"id": 1, "label": "reborn"}),     # the key just freed
+        ("update", 2, {"label": "two"}),
+        ("update", 3, {"label": "row-3"}),            # nothing moves
+        ("update", 4, {"label": "renamed"}),          # the row inserted above
+    ]))
+    assert [r and (r.rid, r.values["label"]) for r in results] == [
+        (1, "row-1"), (4, "reborn"), (2, "two"), None, (4, "renamed")]
+    assert _labels(db) == {0: "row-0", 2: "two", 3: "row-3", 4: "renamed"}
+    hits = db.run(lambda t: t.lookup("items", "label", "renamed"))
+    assert [h.rid for h in hits] == [4]
+    assert db.run(lambda t: t.lookup("items", "label", "row-1")) == []
+    assert db.run(lambda t: t.write_many("items", [])) == []
+
+
+def test_write_many_undone_on_abort():
+    db = _mixed_db()
+    before = _labels(db)
+    txn = db.begin()
+    txn.write_many("items", [("delete", 0), ("update", 1, {"label": "x"}),
+                             ("insert", {"id": 9, "label": "nine"})])
+    txn.abort()
+    assert _labels(db) == before
+    assert [h.rid for h in
+            db.run(lambda t: t.lookup("items", "label", "row-0"))] == [0]
+
+
+@pytest.mark.parametrize("bad, error", [
+    (("insert", {"id": 2, "label": "dup"}), SchemaError),
+    (("update", 77, {"label": "nobody"}), KeyError),
+    (("upsert", 1, {}), ValueError),
+])
+def test_write_many_is_all_or_nothing(tmp_path, bad, error):
+    db = Database(str(tmp_path))
+    db.create_table(_schema())
+    db.create_index("items", "label")
+    db.run(lambda t: t.insert_many("items", _rows(4)))
+    before = _labels(db)
+    seen = []
+    db.add_delta_listener(seen.append)
+    txn = db.begin()
+    with pytest.raises(error):
+        txn.write_many("items", [("delete", 0),
+                                 ("update", 1, {"label": "x"}), bad])
+    assert txn._undo == []
+    txn.commit()                     # the caller may carry on and commit
+    assert _labels(db) == before and seen == []
+    assert [h.rid for h in
+            db.run(lambda t: t.lookup("items", "label", "row-0"))] == [0]
+    assert all(r.rec_type != "write_many" for r in _wal_records(db))
+    assert _labels(Database(str(tmp_path))) == before
+
+
+def test_write_many_reports_row_deltas_like_the_single_row_calls():
+    ops = [("insert", {"id": 9, "label": "nine"}),
+           ("update", 1, {"label": "one"}),
+           ("update", 2, {"label": "row-2"}),      # dropped: not a change
+           ("delete", 3)]
+    deltas = []
+    for batched in (True, False):
+        db = _mixed_db()
+        db.add_delta_listener(deltas.append)
+        if batched:
+            db.run(lambda t: t.write_many("items", ops))
+        else:
+            db.run(lambda t: [getattr(t, op[0])("items", *op[1:])
+                              for op in ops if op[1] != 2])
+    assert deltas[0] == deltas[1]
+    assert len(deltas[0].tables["items"]) == 3
+
+
+def test_write_many_of_nothing_but_unchanged_rows_writes_nothing(tmp_path):
+    db = Database(str(tmp_path))
+    db.create_table(_schema())
+    db.run(lambda t: t.insert_many("items", _rows(4)))
+    db.compact("items", target_rows=4)
+    commits = []
+    db.add_commit_listener(commits.append)
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        results = db.run(lambda t: t.write_many("items", [
+            ("update", rid, {"label": f"row-{rid}"}) for rid in range(4)]))
+    assert results == [None] * 4 and commits == []
+    assert registry.get("rdbms.wal.records") == 2          # begin, commit
+    heap = db._table("items")
+    assert (heap.tail_size, heap.dead_rows) == (0, 0)      # nothing thawed
+
+
 # -------------------------------------------------------- WAL + recovery
 
 

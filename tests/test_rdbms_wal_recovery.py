@@ -11,6 +11,7 @@ from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.sql import execute_sql
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.storage.rdbms.wal import LogRecord, WriteAheadLog
+from repro.telemetry.metrics import MetricsRegistry, use_registry
 
 
 def _schema(name="t"):
@@ -223,8 +224,6 @@ def test_torn_final_record_is_tolerated(tmp_path):
 def test_multi_record_corrupt_suffix_is_tolerated(tmp_path):
     """A crash during a multi-record append burst can corrupt several
     trailing lines; recovery drops the whole suffix and counts it."""
-    from repro.telemetry.metrics import MetricsRegistry, use_registry
-
     db = Database(str(tmp_path))
     db.create_table(_schema())
     with db.begin() as txn:
@@ -303,3 +302,103 @@ def test_checkpoint_after_writes_to_frozen_rows_refreezes_on_reopen(tmp_path):
     assert middle.zone_maps()["value"]["max"] == "zz"
     assert next(s for s in heap.segments
                 if s.min_rid == 10).zone_maps()["id"]["min"] == 10
+
+
+# ------------------------------------------------- the batch write record
+
+
+def _seeded(directory, frozen):
+    """Rows 0..5 committed (the first four frozen when asked), an index."""
+    db = Database(str(directory))
+    db.create_table(_schema())
+    db.create_index("t", "value")
+    db.run(lambda t: t.insert_many(
+        "t", [{"id": i, "value": f"v{i}"} for i in range(6)]))
+    if frozen:
+        db.compact("t", target_rows=4)
+    return db
+
+
+BATCH = [("insert", {"id": 10, "value": "new"}),
+         ("update", 1, {"value": "one"}),        # a frozen row when compacted
+         ("update", 5, {"value": "five"}),       # a tail row
+         ("update", 2, {"value": "v2"}),         # no value moves: dropped
+         ("delete", 3),
+         ("delete", 4),
+         ("insert", {"id": 3, "value": "again"}),    # the key just freed
+         ("update", 6, {"id": 11})]              # the row inserted above
+
+
+def _single_row_calls(txn, ops):
+    for op in ops:
+        getattr(txn, op[0])("t", *op[1:])
+
+
+def _contents(db):
+    rows = db.run(lambda t: [(r.rid, r.values) for r in t.scan("t")])
+    by_value = db.run(lambda t: [r.rid for r in t.lookup("t", "value", "one")])
+    return rows, by_value
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_committed_batch_record_replays_like_the_single_row_calls(
+        tmp_path, frozen):
+    batched = _seeded(tmp_path / "batched", frozen)
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        results = batched.run(lambda t: t.write_many("t", BATCH))
+    assert registry.get("rdbms.wal.records") == 3
+    assert registry.get("rdbms.wal.records.write_many") == 1
+    assert [r and r.rid for r in results] == [6, 1, 5, None, 3, 4, 7, 6]
+    single = _seeded(tmp_path / "single", frozen)
+    single.run(lambda t: _single_row_calls(t, BATCH))
+    assert _contents(batched) == _contents(single)
+    record = [r for r in batched._wal.records()
+              if r.rec_type == "write_many"][0]
+    assert record.payload["ops"][1] == ["update", 1, {"value": "one"}]
+    assert ["update", 2, {}] not in record.payload["ops"]
+    assert len(record.payload["ops"]) == len(BATCH) - 1
+    # crash: no close/checkpoint; reopen from the log
+    recovered = Database(str(tmp_path / "batched"))
+    assert _contents(recovered) == _contents(batched)
+    assert recovered._table("t").segment_layout() == \
+        batched._table("t").segment_layout()
+    recovered.run(lambda t: t.insert("t", {"id": 12, "value": "next"}))
+    assert recovered.run(lambda t: t.get_by_pk("t", 12)).rid == 8
+
+
+@pytest.mark.parametrize("ending", ["in flight", "aborted"])
+def test_uncommitted_or_aborted_batch_record_leaves_no_trace(
+        tmp_path, ending):
+    db = _seeded(tmp_path, frozen=True)
+    before = _contents(db)
+    txn = db.begin()
+    txn.write_many("t", BATCH)
+    if ending == "aborted":
+        txn.abort()
+        assert _contents(db) == before
+    assert [r.rec_type for r in db._wal.records()].count("write_many") == 1
+    assert _contents(Database(str(tmp_path))) == before
+
+
+def test_batch_record_torn_at_any_byte_recovers_to_before_the_transaction(
+        tmp_path):
+    db = _seeded(tmp_path / "db", frozen=True)
+    before = _contents(db)
+    wal_path = tmp_path / "db" / "wal.jsonl"
+    prefix = wal_path.read_bytes()
+    db.run(lambda t: t.write_many("t", BATCH))
+    db.close()
+    whole = wal_path.read_bytes()
+    lines = whole[len(prefix):].splitlines(keepends=True)
+    assert [LogRecord.from_json(line.decode()).rec_type for line in lines] \
+        == ["begin", "write_many", "commit"]
+    start = len(prefix) + len(lines[0])
+    for cut in range(start, start + len(lines[1]) + 1):
+        wal_path.write_bytes(whole[:cut])
+        assert _contents(Database(str(tmp_path / "db"))) == before, cut
+    # only the commit record makes the batch count
+    wal_path.write_bytes(whole[:start + len(lines[1]) + len(lines[2]) - 2])
+    assert _contents(Database(str(tmp_path / "db"))) == before
+    wal_path.write_bytes(whole)
+    assert _contents(Database(str(tmp_path / "db"))) != before

@@ -250,10 +250,67 @@ class StorageMachine(RuleBasedStateMachine):
         writer reads its own writes and everybody else — a reader pinned
         right there included — the last commit; then commit, abort, or
         crash (no close(): what the transaction wrote is lost)."""
+        self._transaction(
+            lambda txn, model: [self._apply(txn, model, op) for op in ops],
+            outcome, pin)
+
+    @rule(table=table_st,
+          ops=st.lists(st.tuples(
+              st.sampled_from(["insert", "update", "update", "unchanged",
+                               "delete"]),
+              pick_st, row_st,
+              st.sampled_from(["qty", "score", "grp", "all", "id"])),
+              min_size=1, max_size=6),
+          outcome=st.sampled_from(["commit", "commit", "abort", "crash"]),
+          pin=st.booleans())
+    def batch_write(self, table, ops, outcome, pin):
+        """The same, the statements being ONE ``write_many`` of inserts,
+        updates and deletes of frozen and tail rows, some updates
+        changing nothing (the engine drops those)."""
+        self._transaction(
+            lambda txn, model: self._apply_batch(txn, model, table, ops),
+            outcome, pin)
+
+    def _apply_batch(self, txn, model, table, ops):
+        self.dirty.add(table)
+        rows = model[table]
+        after = dict(rows)      # the rows as the batch leaves them
+        batch, dropped = [], []
+        for kind, pick, (grp, qty, score), what in ops:
+            rid = sorted(after)[pick % len(after)] if after else None
+            if kind == "insert" or rid is None:
+                batch.append(("insert", self._row(table, grp, qty, score)))
+                dropped.append(False)
+                continue
+            if kind == "delete":
+                batch.append(("delete", rid))
+                dropped.append(False)
+                del after[rid]
+                continue
+            if kind == "unchanged":
+                changes = {"qty": after[rid]["qty"], "grp": after[rid]["grp"]}
+            elif what == "id":
+                self.next_id += 1
+                changes = {"id": self.next_id}
+            else:
+                changes = {"qty": qty, "score": score, "grp": grp}
+                if what != "all":
+                    changes = {what: changes[what]}
+            batch.append(("update", rid, changes))
+            dropped.append({**after[rid], **changes} == after[rid])
+            after[rid] = {**after[rid], **changes}
+        results = txn.write_many(table, batch)
+        assert [result is None for result in results] == dropped
+        for op, result in zip(batch, results):
+            if op[0] == "insert":
+                after[result.rid] = op[1]
+        rows.clear()
+        rows.update(after)
+
+    def _transaction(self, write, outcome, pin):
         self.txn = self.db.begin()
         self.working = copy.deepcopy(self.committed)
-        for op in ops:
-            self._apply(self.txn, self.working, op)
+        write(self.txn, self.working)
         if pin and len(self.pinned) < 2:
             self.pin()
         touched = set(self.dirty)

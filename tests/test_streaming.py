@@ -25,8 +25,10 @@ from repro.core.streaming import (
     DocDelta,
     StreamingPipeline,
 )
+from repro.core.system import fact_row
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.sql import execute_sql
+from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.userlayer.monitoring import ContinuousQuery, ContinuousQueryManager
 
 
@@ -107,6 +109,16 @@ def fused_json(values):
           "support": v.support, "conflict": v.conflict,
           "spans": [(s.doc_id, s.start, s.end) for s in v.spans]}
          for v in values], sort_keys=True)
+
+
+def assert_table_holds_the_fused_values(pipe):
+    """``fused_facts`` is ``fused_values()`` projected to the stored
+    columns, row for row (spans are the one field that is not stored)."""
+    rows = execute_sql(pipe.db, f"SELECT * FROM {pipe.fused_table}")
+    assert sorted(rows, key=lambda r: (r["entity"], r["attribute"])) == [
+        {**fact_row(v.entity, v.attribute, v.value, v.confidence),
+         "support": v.support, "conflict": v.conflict}
+        for v in pipe.fused_values()]
 
 
 # --------------------------------------------------------- delta source
@@ -260,6 +272,135 @@ def test_must_and_cannot_link_propagate_to_fused_rows():
     assert entities == {"Smith John", "Baker Ann"}
 
 
+# ------------------------------------------ a delta costs what it changed
+
+
+def test_an_edit_that_only_moves_spans_writes_and_notifies_nothing():
+    db = Database()
+    pipe = pipeline_over(db)
+    manager = ContinuousQueryManager(db)
+    received = []
+    manager.register(ContinuousQuery(
+        "all", "SELECT entity, attribute, value_num FROM fused_facts",
+        callback=lambda qid, row: received.append(row)))
+    pipe.process(DocDelta(added=(
+        doc("d1", ("Baker Ann", "age", "41"), ("Baker Ann", "score", "3")),)))
+    before = fused_json(pipe.fused_values())
+    received.clear()
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        # a leading blank line: every span moves, no value does
+        written = pipe.process(DocDelta(changed=(Document(
+            "d1", "\n" + doc("d1", ("Baker Ann", "age", "41"),
+                             ("Baker Ann", "score", "3")).text),)))
+    assert written == 0 and received == []
+    assert registry.get("dge.fused_rows_unchanged") == 2
+    assert registry.get("dge.fused_rows_written") == 0
+    assert registry.get("rdbms.wal.records.write_many") == 0
+    assert registry.get("er.name_comparisons") == 0
+    assert pipe.stats.fused_rows_unchanged == 2
+    assert fused_json(pipe.fused_values()) != before      # the spans did move
+    assert fused_json(pipe.fused_values()) == fused_json(pipe.oracle_fused())
+    assert_table_holds_the_fused_values(pipe)
+
+
+def test_an_edit_keeps_mention_ids_and_lands_as_one_wal_record(tmp_path):
+    db = Database(str(tmp_path))
+    pipe = pipeline_over(db)
+    pipe.process(DocDelta(added=(
+        doc("d1", ("Smith John", "age", "41"), ("Smith John", "city", "Ur")),
+        doc("d2", ("Smith Jon", "age", "41")),
+        doc("d3", ("Baker Ann", "age", "29")),
+    )))
+    ids = {m.name: m.mention_id for m in pipe.resolver.mentions()}
+    refreshed = pipe.fusion.groups_refreshed
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        written = pipe.process(DocDelta(
+            added=(doc("d4", ("Jones Rob", "age", "50")),),
+            changed=(doc("d1", ("Smith John", "age", "42"),
+                         ("Smith John", "city", "Ur")),),
+            removed=("d3",)))
+    assert {m.name: m.mention_id for m in pipe.resolver.mentions()} == {
+        "Smith John": ids["Smith John"], "Smith Jon": ids["Smith Jon"],
+        "Jones Rob": max(ids.values()) + 1}
+    # (Smith John, age) updated, (Jones Rob, age) in, (Baker Ann, age) out;
+    # (Smith John, city) was not even re-fused
+    assert written == 3
+    assert pipe.fusion.groups_refreshed - refreshed == 2
+    assert registry.get("er.name_comparisons") == 0    # blocks j / r apart
+    assert registry.get("rdbms.wal.records") == 3      # begin, batch, commit
+    assert registry.get("rdbms.wal.records.write_many") == 1
+    assert_table_holds_the_fused_values(pipe)
+    recovered = Database(str(tmp_path))
+    assert sorted(r.values.items() for r in recovered.begin().scan(
+        "fused_facts")) == sorted(r.values.items() for r in db.begin().scan(
+            "fused_facts"))
+
+
+def test_a_fresh_pipeline_clears_the_table_in_three_wal_records(tmp_path):
+    db = Database(str(tmp_path))
+    pipe = pipeline_over(db)
+    pipe.process(DocDelta(added=tuple(
+        doc(f"d{i}", ("Baker Ann", f"attr{i}", "1")) for i in range(5))))
+    assert db.table_size("fused_facts") == 5
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        pipeline_over(db)
+    assert db.table_size("fused_facts") == 0
+    assert registry.get("rdbms.wal.records") == 3
+    assert Database(str(tmp_path)).table_size("fused_facts") == 0
+
+
+def test_hi_feedback_survives_an_edit_of_the_page():
+    db = Database()
+    pipe = pipeline_over(db)
+    pipe.process(DocDelta(added=(
+        doc("a", ("Smith John", "age", "41")),
+        doc("b", ("Baker Ann", "age", "29")))))
+    pipe.add_must(0, 1)
+    pipe.process(DocDelta(changed=(doc("a", ("Smith John", "age", "42")),)))
+    assert [c.mention_ids for c in pipe.resolver.clusters()] == [(0, 1)]
+    assert {v.entity for v in pipe.fused_values()} == {"Smith John"}
+    assert cluster_key(pipe.resolver.clusters()) \
+        == cluster_key(pipe.oracle_clusters())
+    assert_table_holds_the_fused_values(pipe)
+    # the answer goes when a page stops naming the entity it was about
+    pipe.process(DocDelta(changed=(doc("a", ("Smith Jane", "age", "42")),)))
+    assert len(pipe.resolver.constraints) == 0
+    assert len(pipe.resolver.clusters()) == 2
+
+
+def test_constraints_are_released_with_the_pages():
+    pipe = pipeline_over()
+    pipe.process(DocDelta(added=(
+        doc("a", ("Smith John", "age", "41")),
+        doc("b", ("Baker Ann", "age", "29")))))
+    pipe.add_must(0, 1)
+    pipe.process(DocDelta(removed=("a", "b")))
+    assert len(pipe.resolver.constraints) == 0
+    for round_ in range(1000):
+        pipe.process(DocDelta(added=(
+            doc("a", ("Smith John", "age", "41")),
+            doc("b", ("Baker Ann", "age", "29")))))
+        a, b = (m.mention_id for m in pipe.resolver.mentions())
+        (pipe.add_cannot if round_ % 2 else pipe.add_must)(a, b)
+        pipe.process(DocDelta(removed=("a", "b")))
+    assert len(pipe.resolver.constraints) == 0
+    assert not pipe.resolver._must_of and not pipe.resolver._cannot_of
+    assert pipe.fused_values() == [] and not pipe._raw and not pipe._tagged
+
+
+def test_a_doc_id_repeated_in_one_delta_counts_in_its_last_state():
+    pipe = pipeline_over()
+    pipe.process(DocDelta(added=(
+        doc("d1", ("Baker Ann", "age", "41")),
+        doc("d1", ("Baker Ann", "age", "43")))))
+    assert len(pipe.resolver) == 1
+    assert [(v.value, v.support) for v in pipe.fused_values()] == [(43.0, 1)]
+    assert fused_json(pipe.fused_values()) == fused_json(pipe.oracle_fused())
+
+
 # ------------------------------------------------------ threaded pipeline
 
 
@@ -367,6 +508,7 @@ def test_incremental_state_matches_full_recompute(data):
         assert cluster_key(pipe.resolver.clusters()) \
             == cluster_key(pipe.oracle_clusters())
         assert fused_json(pipe.fused_values()) == fused_json(pipe.oracle_fused())
+        assert_table_holds_the_fused_values(pipe)
 
 
 @given(data=st.data())
@@ -388,6 +530,7 @@ def test_constraints_survive_churn(data):
         assert cluster_key(pipe.resolver.clusters()) \
             == cluster_key(pipe.oracle_clusters())
         assert fused_json(pipe.fused_values()) == fused_json(pipe.oracle_fused())
+        assert_table_holds_the_fused_values(pipe)
 
 
 @given(data=st.data())
@@ -413,3 +556,4 @@ def test_notifications_match_result_set_deltas(data):
         assert got == sorted(current - prev)
         prev = current
         assert manager.poke() == 0  # delta stream left nothing behind
+        assert_table_holds_the_fused_values(pipe)
