@@ -24,9 +24,9 @@ delta costs what it changed):
     attribute values on pages that keep their entity name compares no
     names (``er.name_comparisons``), while still visiting its blocks'
     pairs;
-  * **wal_records_per_delta <= 3** — ``begin`` + one ``write_many`` +
-    ``commit``, whatever the batch size (the churn database keeps a WAL
-    in a scratch directory for this);
+  * **wal_records_per_delta == 1** — a delta is one transaction and a
+    transaction is one ``commit`` record, whatever the batch size (the
+    churn database keeps a WAL in a scratch directory for this);
   * **rows_written_minus_rows_changed == 0** — ``fused_rows_written``
     summed over the batches equals the number of ``fused_facts`` keys
     whose stored columns differ before and after each batch.
@@ -53,7 +53,7 @@ import sys
 import tempfile
 import time
 
-from _tables import write_table
+from _tables import assert_gates, gate, write_table
 
 from repro.core.streaming import DocDelta, StreamingPipeline
 from repro.docmodel.document import Document, Span
@@ -389,42 +389,35 @@ def bench_attr_hoist(block_size: int) -> dict:
     }
 
 
-def _gate(name: str, actual: float, op: str, threshold: float) -> dict:
-    ops = {">=": actual >= threshold, "<=": actual <= threshold,
-           "==": actual == threshold}
-    return {"name": name, "actual": float(actual), "op": op,
-            "threshold": threshold, "pass": ops[op]}
-
-
 def run_bench(num_docs: int = 10_000, num_surnames: int = 1_500,
               churn_batches: int = 3, smoke: bool = False) -> dict:
     churn = bench_churn(num_docs, num_surnames, churn_batches,
                         churn_fraction=0.01)
     backpressure = bench_backpressure(deltas=40 if smoke else 120,
-                                      queue_size=4)
+                                     queue_size=4)
     hoist = bench_attr_hoist(block_size=60 if smoke else 200)
 
     gates = [
-        _gate("identity_failures", churn["identity_failures"], "==", 0.0),
-        _gate("same_name_edit_name_comparisons",
-              churn["edits_only_batch"]["name_comparisons"], "==", 0.0),
-        _gate("wal_records_per_delta",
-              churn["max_wal_records_per_delta"], "<=", 3.0),
-        _gate("rows_written_minus_rows_changed",
-              churn["fused_rows_written"] - churn["fused_rows_changed"],
-              "==", 0.0),
-        _gate("backpressure_depth_bound",
-              backpressure["max_queue_depth"], "<=",
-              backpressure["queue_size"]),
-        _gate("backpressure_no_drops",
-              backpressure["deltas_processed"], "==",
-              backpressure["deltas_submitted"]),
-        _gate("backpressure_fused_identity",
-              1.0 if backpressure["fused_identical_after_drain"] else 0.0,
-              "==", 1.0),
+        gate("identity_failures", churn["identity_failures"], "==", 0.0),
+        gate("same_name_edit_name_comparisons",
+             churn["edits_only_batch"]["name_comparisons"], "==", 0.0),
+        gate("wal_records_per_delta",
+             churn["max_wal_records_per_delta"], "==", 1.0),
+        gate("rows_written_minus_rows_changed",
+             churn["fused_rows_written"] - churn["fused_rows_changed"],
+             "==", 0.0),
+        gate("backpressure_depth_bound",
+             backpressure["max_queue_depth"], "<=",
+             backpressure["queue_size"]),
+        gate("backpressure_no_drops",
+             backpressure["deltas_processed"], "==",
+             backpressure["deltas_submitted"]),
+        gate("backpressure_fused_identity",
+             1.0 if backpressure["fused_identical_after_drain"] else 0.0,
+             "==", 1.0),
     ]
     if not smoke:
-        gates.append(_gate("pairs_ratio", churn["pairs_ratio"], ">=", 10.0))
+        gates.append(gate("pairs_ratio", churn["pairs_ratio"], ">=", 10.0))
 
     write_table(
         "e24_streaming",
@@ -465,11 +458,7 @@ def run_bench(num_docs: int = 10_000, num_surnames: int = 1_500,
         json.dump(payload, f, indent=2, sort_keys=True)
     print(f"\nwrote {JSON_PATH}")
 
-    for gate in gates:
-        assert gate["pass"], (
-            f"{gate['name']}: {gate['actual']:.3f} violates "
-            f"{gate['op']} {gate['threshold']}"
-        )
+    assert_gates(gates)
     return payload
 
 

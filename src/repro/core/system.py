@@ -429,8 +429,8 @@ class StructureManagementSystem:
 
         Screen with the semantic debugger (a flagged fact is *kept*, its
         confidence halved), insert the batch in one transaction (one
-        ``insert_many`` WAL record, one table lock; the commit delta
-        notifies standing queries), append one lineage record per fact
+        WAL record, one table lock; the commit delta notifies standing
+        queries), append one lineage record per fact
         to the intermediate file store (a list without a workspace),
         index for search.  ``rows`` are pipeline tuples; ``feedback``
         marks a user contribution — its provenance source is a feedback

@@ -2,18 +2,20 @@
 
 :class:`Database` owns the heap tables, secondary indexes, lock manager, and
 (optionally) the write-ahead log.  :class:`Transaction` is the unit of work:
-all reads and writes go through it, acquiring strict-2PL locks and logging
-before/after images.  Recovery reconstructs state from the latest checkpoint
-plus the committed suffix of the log, so a "crash" (simply abandoning the
-in-memory object) loses no committed work — experiment E11 exercises exactly
-this.
+all reads and writes go through it, acquiring strict-2PL locks and keeping
+one change log of before/after images that commit writes to the WAL as one
+record.  Recovery reconstructs state from the latest checkpoint plus the
+records on the log, so a "crash" (simply abandoning the in-memory object)
+loses no committed work — experiment E11 exercises exactly this.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import CancellationToken
@@ -42,6 +44,22 @@ TXN_RETRY = RetryPolicy(max_attempts=25, base_delay=0.002, max_delay=0.05,
 
 _INDEX_KINDS: dict[str, type[Index]] = {"hash": HashIndex,
                                         "sorted": SortedIndex}
+
+
+def _reindex(indexes: Iterable[tuple[str, Index]], rid: int,
+             old: dict[str, Any] | None, new: dict[str, Any] | None) -> None:
+    """Move ``rid`` in one table's ``(column, index)`` pairs from its
+    ``old`` values (None: the row was not there) to its ``new`` ones
+    (None: the row is gone)."""
+    if old is None:
+        for column, index in indexes:
+            index.insert(new[column], rid)
+    elif new is None:
+        for column, index in indexes:
+            index.remove(old[column], rid)
+    else:
+        for column, index in indexes:
+            index.update(old[column], new[column], rid)
 
 
 class TransactionAborted(Exception):
@@ -272,13 +290,12 @@ class Transaction(TransactionReads):
     def __init__(self, db: "Database", txn_id: int) -> None:
         self._db = db
         self.txn_id = txn_id
-        self._undo: list[tuple[str, ...]] = []
-        self._tables_written: set[str] = set()
-        #: Row-level change records for delta listeners, in write order:
-        #: ``("insert", table, values)`` / ``("update", table, before,
-        #: after)`` / ``("delete", table, values)``.  Only populated when
-        #: the database has delta listeners (zero cost otherwise).
-        self._delta_rows: list[tuple] = []
+        #: The change log: ``(kind, table, rid, before, after)`` per row
+        #: written, in write order (``before`` is None for an insert,
+        #: ``after`` for a delete).  Abort applies it in reverse, a
+        #: snapshot rolls its view back with it, commit writes it to the
+        #: WAL and folds it into the :class:`CommitDelta`.
+        self._undo: list[tuple] = []
         self.finished = False
         #: Optional cooperative-cancellation token checked at every
         #: operation boundary (and at commit, so a post-deadline
@@ -299,65 +316,89 @@ class Transaction(TransactionReads):
             self.abort()
 
     def commit(self) -> None:
-        """Make all changes durable and release locks.
+        """Make all changes durable and visible, and release locks.
 
-        The MVCC visibility flip (deregistering this transaction's undo
-        from the active-write set and bumping the committed version of
-        every table it wrote) happens atomically under the mutate lock,
-        so a snapshot built at any instant sees either the full
-        pre-commit state (undo applied) or the full post-commit state —
-        never a mix.
+        A transaction that wrote rows appends ONE record to the WAL
+        (:meth:`_logged_writes`), flushed — fsynced under ``sync_wal`` —
+        before anything else happens: that is the durability point, and
+        if it fails the transaction is still open and can be aborted.
+        One that wrote nothing appends nothing.
 
-        Commit listeners registered on the database fire after locks are
+        The append and the MVCC visibility flip (deregistering this
+        transaction from the active-write set and bumping the committed
+        version of every table it wrote) share one mutate-lock hold:
+        records are on the log in the order their transactions became
+        visible, and a snapshot built at any instant sees the full
+        pre-commit state (change log rolled back) or the full
+        post-commit state — never a mix.
+
+        Listeners registered on the database fire after locks are
         released (so a listener's own queries cannot self-deadlock) and
         only when the transaction actually wrote rows.
         """
         self._check_finished()
         if self.guard is not None:
             self.guard.check()
-        self._db._log(self.txn_id, "commit")
-        self._db._mvcc_commit(self)
+        db = self._db
+        tables = {entry[1] for entry in self._undo}
+        with db._mutate_lock:
+            if tables and db._wal is not None:  # no log: skip serializing
+                db._log(self.txn_id, "commit", writes=self._logged_writes())
+            db._active_txns.pop(self.txn_id, None)
+            db._bump_versions(tables)
         self.finished = True
-        self._db._end_txn(self)
+        db._locks.release_all(self.txn_id)
         metrics.get_registry().inc("rdbms.txn.commits")
-        if self._tables_written:
-            self._db._notify_commit(frozenset(self._tables_written))
-            if self._delta_rows and self._db._delta_listeners:
-                self._db._notify_delta(self._build_delta())
-            self._db._maybe_auto_compact(self._tables_written)
+        if tables:
+            if db._listeners:
+                db._notify(self._build_delta())
+            db._maybe_auto_compact(tables)
+
+    def _logged_writes(self) -> list[list]:
+        """The change log as the commit record carries it: a ``[table,
+        ops]`` run per stretch of consecutive writes to one table, each
+        op ``["insert", rid, values]``, ``["update", rid, changed
+        columns]`` or ``["delete", rid]``, redone in order."""
+        runs: list[list] = []
+        for table, entries in groupby(self._undo, key=itemgetter(1)):
+            ops: list[list] = []
+            for kind, _, rid, before, after in entries:
+                if kind == "insert":
+                    ops.append([kind, rid, after])
+                elif kind == "update":
+                    ops.append([kind, rid, {
+                        column: value for column, value in after.items()
+                        if before[column] != value}])
+                else:
+                    ops.append([kind, rid])
+            runs.append([table, ops])
+        return runs
 
     def _build_delta(self) -> CommitDelta:
-        """Fold this transaction's row-change records into a CommitDelta."""
-        inserted: dict[str, list] = {}
-        updated: dict[str, list] = {}
-        deleted: dict[str, list] = {}
-        for record in self._delta_rows:
-            kind, table = record[0], record[1]
+        """Fold the change log into a CommitDelta."""
+        folded: dict[str, tuple[list, list, list]] = {}
+        for kind, table, _, before, after in self._undo:
+            inserted, updated, deleted = folded.setdefault(
+                table, ([], [], []))
             if kind == "insert":
-                inserted.setdefault(table, []).append(record[2])
+                inserted.append(after)
             elif kind == "update":
-                updated.setdefault(table, []).append((record[2], record[3]))
+                updated.append((before, after))
             else:
-                deleted.setdefault(table, []).append(record[2])
-        tables = {
-            name: TableDelta(
-                inserted=tuple(inserted.get(name, ())),
-                updated=tuple(updated.get(name, ())),
-                deleted=tuple(deleted.get(name, ())),
-            )
-            for name in self._tables_written
-            if name in inserted or name in updated or name in deleted
-        }
-        return CommitDelta(tables=tables)
+                deleted.append(before)
+        return CommitDelta(tables={
+            table: TableDelta(*map(tuple, lists))
+            for table, lists in folded.items()})
 
     def abort(self) -> None:
         """Undo all changes (in reverse order) and release locks.
 
         The whole rollback runs under one mutate-lock hold, together
         with the MVCC deregistration: a snapshot builder can never
-        observe a half-undone transaction.  The guard is deliberately
-        NOT checked here — abort is the cleanup path for an
-        already-expired deadline and must always run.
+        observe a half-undone transaction.  Nothing was logged for this
+        transaction and nothing is now.  The guard is deliberately NOT
+        checked here — abort is the cleanup path for an already-expired
+        deadline and must always run.
         """
         self._check_finished()
         db = self._db
@@ -365,93 +406,31 @@ class Transaction(TransactionReads):
             for entry in reversed(self._undo):
                 db._apply_undo(entry)
             self._undo.clear()
-            db._mvcc_forget(self)
-        db._log(self.txn_id, "abort")
+            db._active_txns.pop(self.txn_id, None)
         self.finished = True
-        db._end_txn(self)
+        db._locks.release_all(self.txn_id)
         metrics.get_registry().inc("rdbms.txn.aborts")
 
     # ------------------------------------------------------------- writes
 
-    def insert(self, table: str, values: dict[str, Any]) -> Row:
-        """Insert a row; X-locks it.
-
-        Raises:
-            SchemaError: schema violation.
-            KeyError: unknown table.
-        """
-        self._check_active()
-        db = self._db
-        db._locks.acquire(self.txn_id, (table, None), LockMode.INTENTION_EXCLUSIVE)
-        with db._mutate_lock:
-            row = db._table(table).insert(values)
-            db._locks.acquire(self.txn_id, (table, row.rid), LockMode.EXCLUSIVE)
-            db._index_insert(table, row)
-            db._log(self.txn_id, "insert", table=table, rid=row.rid, values=row.values)
-            self._undo.append(("insert", table, row.rid))
-        self._tables_written.add(table)
-        if db._delta_listeners:
-            self._delta_rows.append(("insert", table, row.values))
-        metrics.get_registry().inc("rdbms.rows.inserted")
-        return row
-
-    def insert_many(self, table: str, values_list: list[dict[str, Any]]) -> list[Row]:
-        """Insert a batch of rows; X-locks each.
-
-        The batched fast path for bulk fact generation: one
-        intention-exclusive table lock acquisition, one mutate-lock
-        critical section, and one ``insert_many`` WAL record for the whole
-        batch (vs one of each per row on the :meth:`insert` path).  The
-        batch is all-or-nothing — a schema or primary-key violation on any
-        row stores none of them.
-
-        Raises:
-            SchemaError: schema violation on any row.
-            KeyError: unknown table.
-        """
-        self._check_active()
-        if not values_list:
-            return []
-        db = self._db
-        db._locks.acquire(self.txn_id, (table, None), LockMode.INTENTION_EXCLUSIVE)
-        with db._mutate_lock:
-            rows = db._table(table).insert_many(values_list)
-            for row in rows:
-                db._locks.acquire(self.txn_id, (table, row.rid), LockMode.EXCLUSIVE)
-                db._index_insert(table, row)
-                self._undo.append(("insert", table, row.rid))
-            db._log(
-                self.txn_id, "insert_many", table=table,
-                rows=[{"rid": r.rid, "values": r.values} for r in rows],
-            )
-        self._tables_written.add(table)
-        if db._delta_listeners:
-            self._delta_rows.extend(
-                ("insert", table, row.values) for row in rows)
-        registry = metrics.get_registry()
-        registry.inc("rdbms.rows.inserted", len(rows))
-        registry.observe("rdbms.insert.batch_size", len(rows),
-                         buckets=DEFAULT_SIZE_BUCKETS)
-        return rows
-
     def write_many(self, table: str,
                    ops: Sequence[tuple]) -> list[Row | None]:
-        """Apply mixed writes to one table, in order; X-locks each row.
+        """Apply writes to one table, in order; X-locks each row.
 
         Each operation is ``("insert", values)``, ``("update", rid,
-        changes)`` or ``("delete", rid)``.  The batched path for a delta
-        of upserts and deletes (:meth:`insert_many` grown to carry
-        updates and deletes): one intention-exclusive table lock, the row
-        locks the single-row calls take, one mutate-lock critical section
-        and one ``write_many`` WAL record for the whole batch, which
-        recovery replays in order.  Undo entries and commit-delta rows
-        are recorded per operation exactly as :meth:`insert` /
-        :meth:`update` / :meth:`delete` record them.  An update that
-        leaves every stored value as it is (compared against the heap
-        row, under the locks the write holds anyway) is dropped: nothing
-        is logged or undone for it and no delta row is reported.  The
-        batch is all-or-nothing — an operation that fails takes back the
-        ones before it.
+        changes)`` or ``("delete", rid)``.  The engine's one write
+        routine (:meth:`insert`, :meth:`insert_many`, :meth:`update` and
+        :meth:`delete` are forms of it): one intention-exclusive table
+        lock, an X lock per row, one mutate-lock critical section in
+        which the heap and the indexes change and each row written is
+        appended to the change log; nothing reaches the WAL before
+        :meth:`commit`.  An update that leaves every stored value as it
+        is (compared against the heap row, under the locks the write
+        holds anyway) is dropped: no change-log entry, so nothing logged,
+        no version bumped, no listener told.  All-or-nothing — an
+        operation that fails takes back the ones before it.  Operations
+        that take a primary-key value another open transaction deleted
+        or changed away wait for that transaction to end first.
 
         Returns, per operation, the inserted, updated or removed row, or
         None for a dropped update.
@@ -463,102 +442,121 @@ class Transaction(TransactionReads):
         self._check_active()
         if not ops:
             return []
-        db = self._db
+        db, changes = self._db, self._undo
         acquire, txn_id = db._locks.acquire, self.txn_id
         acquire(txn_id, (table, None), LockMode.INTENTION_EXCLUSIVE)
+        exclusive = LockMode.EXCLUSIVE
         for op in ops:
             if op[0] != "insert":
-                acquire(txn_id, (table, op[1]), LockMode.EXCLUSIVE)
+                acquire(txn_id, (table, op[1]), exclusive)
         results: list[Row | None] = []
-        logged: list[list] = []
-        deltas: list[tuple] = []
-        undo_mark = len(self._undo)
+        mark = len(changes)
+        inserted = 0
         with db._mutate_lock:
             heap = db._table(table)
-            try:
-                for op in ops:
-                    kind = op[0]
-                    if kind == "insert":
-                        row = heap.insert(op[1])
-                        acquire(txn_id, (table, row.rid), LockMode.EXCLUSIVE)
-                        db._index_insert(table, row)
-                        self._undo.append(("insert", table, row.rid))
-                        logged.append(["insert", row.rid, row.values])
-                        deltas.append(("insert", table, row.values))
-                    elif kind == "update":
-                        old, row = heap.update(op[1], op[2])
-                        if old.values == row.values:
-                            results.append(None)
-                            continue
-                        db._index_update(table, old, row)
-                        self._undo.append(
-                            ("update", table, row.rid, old.values))
-                        logged.append(["update", row.rid, {
-                            column: value
-                            for column, value in row.values.items()
-                            if old.values[column] != value}])
-                        deltas.append(
-                            ("update", table, old.values, row.values))
-                    elif kind == "delete":
-                        row = heap.delete(op[1])
-                        db._index_delete(table, row)
-                        self._undo.append(
-                            ("delete", table, row.rid, row.values))
-                        logged.append(["delete", row.rid])
-                        deltas.append(("delete", table, row.values))
-                    else:
-                        raise ValueError(f"unknown write {kind!r}")
-                    results.append(row)
-            except BaseException:
-                for entry in reversed(self._undo[undo_mark:]):
-                    db._apply_undo(entry)
-                del self._undo[undo_mark:]
-                raise
-            if logged:
-                db._log(txn_id, "write_many", table=table, ops=logged)
-        if logged:
-            self._tables_written.add(table)
-            if db._delta_listeners:
-                self._delta_rows.extend(deltas)
-            inserted = sum(1 for entry in logged if entry[0] == "insert")
-            if inserted:
-                metrics.get_registry().inc("rdbms.rows.inserted", inserted)
+            freed_from = self._freed_by_others(heap, ops)
+            if freed_from is None:
+                indexes = db._indexes_of(table)
+                try:
+                    for op in ops:
+                        kind = op[0]
+                        if kind == "insert":
+                            row = heap.insert(op[1])
+                            acquire(txn_id, (table, row.rid), exclusive)
+                            before, after = None, row.values
+                            inserted += 1
+                        elif kind == "update":
+                            old, row = heap.update(op[1], op[2])
+                            before, after = old.values, row.values
+                            if before == after:
+                                results.append(None)
+                                continue
+                        elif kind == "delete":
+                            row = heap.delete(op[1])
+                            before, after = row.values, None
+                        else:
+                            raise ValueError(f"unknown write {kind!r}")
+                        rid = row.rid
+                        _reindex(indexes, rid, before, after)
+                        changes.append((kind, table, rid, before, after))
+                        results.append(row)
+                except BaseException:
+                    for entry in reversed(changes[mark:]):
+                        db._apply_undo(entry)
+                    del changes[mark:]
+                    raise
+        if freed_from is not None:
+            # Wait for the transaction that freed the value (it X-locks
+            # that rid to its end), then look again.
+            acquire(txn_id, (table, freed_from), exclusive)
+            return self.write_many(table, ops)
+        if inserted:
+            metrics.get_registry().inc("rdbms.rows.inserted", inserted)
         return results
 
+    def _freed_by_others(self, heap: HeapTable,
+                         ops: Sequence[tuple]) -> int | None:
+        """The rid from which another open transaction freed (deleted, or
+        changed away) a primary-key value that one of ``ops`` takes, or
+        None; mutate lock held.  Until that transaction ends the value is
+        still in use in committed state: its abort puts the row back, and
+        recovery, which redoes transactions in commit order, would meet
+        this insert before that delete.  Costs a pass over the change
+        logs of the table's other open writers: nothing when it has none.
+        """
+        db, pk, table = self._db, heap.schema.primary_key, heap.name
+        if pk is None or len(db._active_txns) == 1:
+            return None
+        freed: dict[Any, int] = {}
+        for txn_id in db._locks.holders((table, None)):
+            txn = db._active_txns.get(txn_id)  # None: ended, still releasing
+            if txn is None or txn is self:
+                continue
+            for kind, name, rid, before, after in txn._undo:
+                if name == table and kind != "insert" and (
+                        after is None or after[pk] != before[pk]):
+                    freed[before[pk]] = rid
+        for op in ops if freed else ():
+            if op[0] in ("insert", "update") and op[-1].get(pk) in freed:
+                return freed[op[-1][pk]]
+        return None
+
+    def insert(self, table: str, values: dict[str, Any]) -> Row:
+        """Insert a row; X-locks it.
+
+        Raises:
+            SchemaError: schema violation.
+            KeyError: unknown table.
+        """
+        return self.write_many(table, (("insert", values),))[0]
+
+    def insert_many(self, table: str, values_list: list[dict[str, Any]]) -> list[Row]:
+        """Insert a batch of rows; X-locks each.
+
+        All-or-nothing — a schema or primary-key violation on any row
+        stores none of them.
+
+        Raises:
+            SchemaError: schema violation on any row.
+            KeyError: unknown table.
+        """
+        rows = self.write_many(
+            table, [("insert", values) for values in values_list])
+        if rows:
+            metrics.get_registry().observe(
+                "rdbms.insert.batch_size", len(rows),
+                buckets=DEFAULT_SIZE_BUCKETS)
+        return rows
+
     def update(self, table: str, rid: int, changes: dict[str, Any]) -> Row:
-        """Update a row by rid; X-locks it; returns the new row."""
-        self._check_active()
-        db = self._db
-        db._locks.acquire(self.txn_id, (table, None), LockMode.INTENTION_EXCLUSIVE)
-        db._locks.acquire(self.txn_id, (table, rid), LockMode.EXCLUSIVE)
-        with db._mutate_lock:
-            old, new = db._table(table).update(rid, changes)
-            db._index_update(table, old, new)
-            db._log(
-                self.txn_id, "update",
-                table=table, rid=rid, before=old.values, after=new.values,
-            )
-            self._undo.append(("update", table, rid, old.values))
-        self._tables_written.add(table)
-        if db._delta_listeners:
-            self._delta_rows.append(("update", table, old.values, new.values))
-        return new
+        """Update a row by rid; X-locks it; returns the new row (the
+        stored one when ``changes`` change nothing)."""
+        row = self.write_many(table, (("update", rid, changes),))[0]
+        return self.get(table, rid) if row is None else row
 
     def delete(self, table: str, rid: int) -> Row:
         """Delete a row by rid; X-locks it; returns the removed row."""
-        self._check_active()
-        db = self._db
-        db._locks.acquire(self.txn_id, (table, None), LockMode.INTENTION_EXCLUSIVE)
-        db._locks.acquire(self.txn_id, (table, rid), LockMode.EXCLUSIVE)
-        with db._mutate_lock:
-            row = db._table(table).delete(rid)
-            db._index_delete(table, row)
-            db._log(self.txn_id, "delete", table=table, rid=rid, values=row.values)
-            self._undo.append(("delete", table, rid, row.values))
-        self._tables_written.add(table)
-        if db._delta_listeners:
-            self._delta_rows.append(("delete", table, row.values))
-        return row
+        return self.write_many(table, (("delete", rid),))[0]
 
     # -------------------------------------- TransactionReads hooks (2PL)
 
@@ -608,7 +606,7 @@ class Database:
     Args:
         directory: where the WAL and checkpoints live; ``None`` for a purely
             in-memory database (no durability, no recovery).
-        sync_wal: fsync every log append (durable but slow).
+        sync_wal: fsync at each commit (durable but slow).
 
     Opening a database over an existing directory runs recovery
     automatically.
@@ -621,12 +619,11 @@ class Database:
         self._mutate_lock = threading.RLock()
         self._txn_counter = 0
         self._txn_lock = threading.Lock()
-        self._commit_listeners: list[Callable[[frozenset[str]], None]] = []
-        self._delta_listeners: list[Callable[[CommitDelta], None]] = []
+        self._listeners: list[Callable[[CommitDelta], None]] = []
         self._stats_manager = None
         # --- MVCC state (all guarded by _mutate_lock) ---
-        #: Active write transactions whose undo logs roll snapshots back
-        #: to committed state.
+        #: Active write transactions whose change logs roll snapshots
+        #: back to committed state.
         self._active_txns: dict[int, Transaction] = {}
         #: Per-table committed version: bumped at every commit/DDL that
         #: touches the table.  Monotonic across the whole database (one
@@ -652,7 +649,7 @@ class Database:
             self._wal = WriteAheadLog(directory, sync=sync_wal)
             self._recover()
 
-    # ----------------------------------------------------- commit listeners
+    # ------------------------------------------------------------ listeners
 
     def add_commit_listener(
             self, listener: Callable[[frozenset[str]], None]) -> None:
@@ -664,34 +661,30 @@ class Database:
         stores: any committed transaction that touched rows notifies,
         whatever API produced the writes.  The statistics manager and the
         query-result cache key their versions off the same stream, which
-        is why schema changes notify too.  Listeners run outside all
-        engine locks and must not raise.
+        is why schema changes notify too.  The table-names form of
+        :meth:`add_delta_listener`: both kinds run from one list, in
+        registration order, outside all engine locks, and must not raise.
         """
-        self._commit_listeners.append(listener)
-
-    def _notify_commit(self, tables: frozenset[str]) -> None:
-        for listener in self._commit_listeners:
-            listener(tables)
+        self._listeners.append(
+            lambda delta: listener(frozenset(delta.tables) | delta.ddl))
 
     def add_delta_listener(
             self, listener: Callable[[CommitDelta], None]) -> None:
         """Call ``listener(delta)`` with the row-level changes of every
-        committed transaction, in commit order.
+        committed transaction that wrote rows, in commit order.
 
         Unlike :meth:`add_commit_listener` (which reports only *which*
         tables changed), delta listeners see the changed rows themselves —
-        the foundation for O(delta) standing-query evaluation.  Recording
-        per-row deltas costs one values-dict reference per written row, and
-        only while at least one listener is registered; a database with no
-        delta listeners pays nothing.  Schema changes arrive as a
-        :class:`CommitDelta` whose ``ddl`` set names the affected tables
-        (listeners should treat that as a wholesale resync signal).
+        the foundation for O(delta) standing-query evaluation (folded
+        from the transaction's change log at commit).  Schema changes
+        arrive as a :class:`CommitDelta` whose ``ddl`` set names the
+        affected tables (treat that as a wholesale resync signal).
         Listeners run outside all engine locks and must not raise.
         """
-        self._delta_listeners.append(listener)
+        self._listeners.append(listener)
 
-    def _notify_delta(self, delta: CommitDelta) -> None:
-        for listener in self._delta_listeners:
+    def _notify(self, delta: CommitDelta) -> None:
+        for listener in self._listeners:
             listener(delta)
 
     # -------------------------------------------------------------- schema
@@ -719,13 +712,12 @@ class Database:
                 payload["shard_key"] = spec.key
                 payload["shard_count"] = spec.count
             self._log(0, "create_table", **payload)
-        self._notify_commit(frozenset({schema.name}))
-        if self._delta_listeners:
-            self._notify_delta(CommitDelta(ddl=frozenset({schema.name})))
+        self._notify(CommitDelta(ddl=frozenset({schema.name})))
 
     def drop_table(self, name: str) -> None:
-        """Drop a table and its indexes."""
-        with self._mutate_lock:
+        """Drop a table and its indexes (under the EXCLUSIVE table lock:
+        it waits for every open writer of the table to finish)."""
+        with self._table_exclusive(name), self._mutate_lock:
             if name not in self._tables:
                 raise SchemaError(f"no table {name!r}")
             del self._tables[name]
@@ -733,9 +725,7 @@ class Database:
             self._snapshot_cache.pop(name, None)
             self._drop_indexes(name)
             self._log(0, "drop_table", table=name)
-        self._notify_commit(frozenset({name}))
-        if self._delta_listeners:
-            self._notify_delta(CommitDelta(ddl=frozenset({name})))
+        self._notify(CommitDelta(ddl=frozenset({name})))
 
     def alter_table(self, name: str, new_schema: TableSchema,
                     migrate: Callable[[dict[str, Any]], dict[str, Any]]) -> None:
@@ -743,8 +733,11 @@ class Database:
 
         Used by the schema-evolution subsystem; logged as a schema event
         followed by the rewritten rows so recovery replays deterministically.
+        Runs under the EXCLUSIVE table lock, like :meth:`compact`: it
+        waits for the table's open writers, so the record carries
+        committed rows only and no commit record straddles it.
         """
-        with self._mutate_lock:
+        with self._table_exclusive(name), self._mutate_lock:
             table = self._table(name)
             table.replace_schema(new_schema, migrate)
             rows = {str(r.rid): r.values for r in table.scan()}
@@ -760,9 +753,7 @@ class Database:
             for key in [k for k in self._indexes if k[0] == name]:
                 self._rebuild_index(*key)
             self._bump_versions({name})
-        self._notify_commit(frozenset({name}))
-        if self._delta_listeners:
-            self._notify_delta(CommitDelta(ddl=frozenset({name})))
+        self._notify(CommitDelta(ddl=frozenset({name})))
 
     def table_names(self) -> list[str]:
         return sorted(self._tables)
@@ -820,7 +811,7 @@ class Database:
         positions go, the new versions of those rows come in) and leaving
         every other segment as it is.
 
-        Runs in an internal transaction holding an EXCLUSIVE table lock,
+        Runs under the EXCLUSIVE table lock (:meth:`_table_exclusive`),
         so no concurrent writer can have uncommitted rows in the tail
         while it runs — everything frozen is committed data.  The freeze
         is logged as a ``compact`` WAL record (txn 0, DDL-style: replay
@@ -835,30 +826,23 @@ class Database:
 
         Returns a summary dict (segments created, rows frozen, totals).
         """
-        txn = self.begin()
-        try:
-            self._locks.acquire(txn.txn_id, (table, None), LockMode.EXCLUSIVE)
-            with get_tracer().span("rdbms.compact") as span:
-                with self._mutate_lock:
-                    heap = self._table(table)
-                    created, frozen, max_rid = heap.compact(
-                        target_rows=target_rows)
-                    if frozen:
-                        self._log(0, "compact", table=table, max_rid=max_rid,
-                                  target_rows=target_rows)
-                        # Layout-only change: data is identical, but the
-                        # cached snapshot's unit structure is stale, so
-                        # version it out (readers rebuild, rows unchanged).
-                        self._bump_versions({table})
-                    segment_count = heap.segment_count()
-                span.set_attribute("table", table)
-                span.set_attribute("segments_created", created)
-                span.set_attribute("rows_frozen", frozen)
-            txn.commit()
-        except BaseException:
-            if not txn.finished:
-                txn.abort()
-            raise
+        with self._table_exclusive(table), \
+                get_tracer().span("rdbms.compact") as span:
+            with self._mutate_lock:
+                heap = self._table(table)
+                created, frozen, max_rid = heap.compact(
+                    target_rows=target_rows)
+                if frozen:
+                    self._log(0, "compact", table=table, max_rid=max_rid,
+                              target_rows=target_rows)
+                    # Layout-only change: data is identical, but the
+                    # cached snapshot's unit structure is stale, so
+                    # version it out (readers rebuild, rows unchanged).
+                    self._bump_versions({table})
+                segment_count = heap.segment_count()
+            span.set_attribute("table", table)
+            span.set_attribute("segments_created", created)
+            span.set_attribute("rows_frozen", frozen)
         return {
             "table": table,
             "segments_created": created,
@@ -883,26 +867,19 @@ class Database:
         """
         spec = ShardSpec(shard_key, shard_count) if shard_key is not None \
             else None
-        txn = self.begin()
-        try:
-            self._locks.acquire(txn.txn_id, (table, None), LockMode.EXCLUSIVE)
-            with get_tracer().span("rdbms.reshard") as span:
-                with self._mutate_lock:
-                    heap = self._table(table)
-                    heap.set_shard_spec(spec)
-                    self._log(0, "reshard", table=table, shard_key=shard_key,
-                              shard_count=spec.count if spec else 1)
-                    # Layout-only: invalidate cached snapshots so readers
-                    # never serve per-shard units of the old routing.
-                    self._bump_versions({table})
-                    rows = len(heap)
-                span.set_attribute("table", table)
-                span.set_attribute("shard_count", spec.count if spec else 1)
-            txn.commit()
-        except BaseException:
-            if not txn.finished:
-                txn.abort()
-            raise
+        with self._table_exclusive(table), \
+                get_tracer().span("rdbms.reshard") as span:
+            with self._mutate_lock:
+                heap = self._table(table)
+                heap.set_shard_spec(spec)
+                self._log(0, "reshard", table=table, shard_key=shard_key,
+                          shard_count=spec.count if spec else 1)
+                # Layout-only: invalidate cached snapshots so readers
+                # never serve per-shard units of the old routing.
+                self._bump_versions({table})
+                rows = len(heap)
+            span.set_attribute("table", table)
+            span.set_attribute("shard_count", spec.count if spec else 1)
         metrics.get_registry().inc("rdbms.resharded")
         return {
             "table": table,
@@ -953,7 +930,6 @@ class Database:
         with self._txn_lock:
             self._txn_counter += 1
             txn_id = self._txn_counter
-        self._log(txn_id, "begin")
         txn = Transaction(self, txn_id)
         # Registration is guarded by the mutate lock so a snapshot
         # builder iterating the active set never races a dict resize.
@@ -976,8 +952,7 @@ class Database:
 
         registry = metrics.get_registry()
         with self._mutate_lock:
-            # table -> undo entries of every active writer, in append
-            # order; collected only once some table has to be rebuilt
+            # collected only once some table has to be rebuilt
             undo: dict[str, list[tuple]] | None = None
             snapshots: dict[str, Any] = {}
             for name, heap in self._tables.items():
@@ -985,10 +960,7 @@ class Database:
                 cached = self._snapshot_cache.get(name)
                 if cached is None or cached.version != version:
                     if undo is None:
-                        undo = {}
-                        for txn in self._active_txns.values():
-                            for entry in txn._undo:
-                                undo.setdefault(entry[1], []).append(entry)
+                        undo = self._uncommitted()
                     cached = self._snapshot_cache[name] = TableSnapshot(
                         heap.committed_view(undo.get(name, ())), version)
                     registry.inc("rdbms.mvcc.snapshot_builds")
@@ -1048,13 +1020,11 @@ class Database:
 
     def run_batch(self, works: "list[Callable[[Transaction], Any]]",
                   retries: int | None = None) -> list[Any]:
-        """Run several work items inside ONE transaction (one begin/commit
-        pair, one lock scope), retrying the whole batch on deadlock or
-        lock timeout under the same :class:`RetryPolicy` as :meth:`run`.
+        """Run several work items inside ONE transaction (one lock scope,
+        one WAL record), retrying the whole batch on deadlock or lock
+        timeout under the same :class:`RetryPolicy` as :meth:`run`.
 
-        Returns the per-item results in order.  Use with
-        :meth:`Transaction.insert_many` for bulk loads: a 5,000-fact
-        generate() run becomes a handful of WAL records instead of 15,000.
+        Returns the per-item results in order.
         """
         return self.run(lambda txn: [work(txn) for work in works],
                         retries=retries)
@@ -1062,17 +1032,23 @@ class Database:
     # ----------------------------------------------------------- durability
 
     def checkpoint(self) -> None:
-        """Write a consistent snapshot and truncate the WAL."""
+        """Write a consistent snapshot of committed state and truncate the
+        WAL.  Open writers' rows are rolled back out of it, as out of a
+        read snapshot: they arrive with the commit record, on the new log.
+        """
         if self._wal is None:
             return
         with self._mutate_lock:
+            undo = self._uncommitted()
+            tables = {name: t.committed_view(undo[name]) if name in undo
+                      else t for name, t in self._tables.items()}
             state = {
                 "tables": {
                     name: {
                         "schema": t.schema.to_dict(),
                         "rows": {str(r.rid): r.values for r in t.scan()},
                     }
-                    for name, t in self._tables.items()
+                    for name, t in tables.items()
                 },
                 "indexes": [
                     {"table": t, "column": c,
@@ -1084,13 +1060,13 @@ class Database:
                 # layout (re-encoding rebuilds every zone map from data).
                 "segments": {
                     name: t.segment_layout()
-                    for name, t in self._tables.items() if t.segment_count()
+                    for name, t in tables.items() if t.segment_count()
                 },
                 # Shard specs must be restored BEFORE segment layouts:
                 # 4-entry layout rows are selected by shard membership.
                 "shards": {
                     name: t.shard_spec.to_dict()
-                    for name, t in self._tables.items()
+                    for name, t in tables.items()
                     if t.shard_spec is not None
                 },
             }
@@ -1126,29 +1102,41 @@ class Database:
         new.bulk_load(self._table(table).column_items(column))
         self._indexes[(table, column)] = new
 
-    def _index_insert(self, table: str, row: Row) -> None:
-        for (t, column), index in self._indexes.items():
-            if t == table:
-                index.insert(row.values.get(column), row.rid)
-
-    def _index_update(self, table: str, old: Row, new: Row) -> None:
-        for (t, column), index in self._indexes.items():
-            if t == table:
-                index.update(old.values.get(column), new.values.get(column), new.rid)
-
-    def _index_delete(self, table: str, row: Row) -> None:
-        for (t, column), index in self._indexes.items():
-            if t == table:
-                index.remove(row.values.get(column), row.rid)
+    def _indexes_of(self, table: str) -> list[tuple[str, Index]]:
+        return [(column, index)
+                for (t, column), index in self._indexes.items() if t == table]
 
     def _log(self, txn_id: int, rec_type: str, **payload: Any) -> None:
         if self._wal is not None:
             self._wal.append(txn_id, rec_type, **payload)
 
-    def _end_txn(self, txn: Transaction) -> None:
-        self._locks.release_all(txn.txn_id)
+    @contextmanager
+    def _table_exclusive(self, table: str) -> Iterator[None]:
+        """Hold the EXCLUSIVE lock on ``table`` for a layout or schema
+        change, in a transaction of its own that writes (and so logs)
+        nothing: the change waits for the table's open writers, and none
+        starts until it is done."""
+        txn = self.begin()
+        try:
+            self._locks.acquire(txn.txn_id, (table, None), LockMode.EXCLUSIVE)
+            yield
+            txn.commit()
+        except BaseException:
+            if not txn.finished:
+                txn.abort()
+            raise
 
     # --------------------------------------------------------------- MVCC
+
+    def _uncommitted(self) -> dict[str, list[tuple]]:
+        """Table -> the change-log entries of every open transaction, in
+        append order (mutate lock held): what rolls a table back to its
+        committed state through :meth:`HeapTable.committed_view`."""
+        undo: dict[str, list[tuple]] = {}
+        for txn in self._active_txns.values():
+            for entry in txn._undo:
+                undo.setdefault(entry[1], []).append(entry)
+        return undo
 
     def _bump_versions(self, tables: "set[str] | frozenset[str]") -> None:
         """Advance the committed version of each table (mutate lock held).
@@ -1162,36 +1150,18 @@ class Database:
             self._table_versions[table] = self._version_seq
             self._snapshot_cache.pop(table, None)
 
-    def _mvcc_commit(self, txn: Transaction) -> None:
-        """Atomically make ``txn``'s writes visible to new snapshots."""
-        with self._mutate_lock:
-            self._active_txns.pop(txn.txn_id, None)
-            if txn._tables_written:
-                self._bump_versions(txn._tables_written)
-
-    def _mvcc_forget(self, txn: Transaction) -> None:
-        """Deregister an aborting transaction (mutate lock held: the
-        caller pairs this with applying the undo log in one critical
-        section)."""
-        self._active_txns.pop(txn.txn_id, None)
-
     def _apply_undo(self, entry: tuple) -> None:
-        kind = entry[0]
+        """Take back one change-log entry of an open transaction."""
+        kind, table, rid, before, after = entry
         with self._mutate_lock:
+            heap = self._table(table)
             if kind == "insert":
-                _, table, rid = entry
-                row = self._table(table).delete(rid)
-                self._index_delete(table, row)
+                heap.delete(rid)
             elif kind == "update":
-                _, table, rid, before = entry
-                old, new = self._table(table).update(rid, before)
-                self._index_update(table, old, new)
-            elif kind == "delete":
-                _, table, rid, values = entry
-                row = self._table(table).insert(values, rid=rid)
-                self._index_insert(table, row)
+                heap.update(rid, before)
             else:
-                raise ValueError(f"unknown undo entry {kind!r}")
+                heap.insert(before, rid=rid)
+            _reindex(self._indexes_of(table), rid, after, before)
 
     def _recover(self) -> None:
         """Rebuild state: checkpoint snapshot + committed log suffix."""
@@ -1219,12 +1189,12 @@ class Database:
                 self._indexes[key] = _INDEX_KINDS[idx["kind"]](*key)
 
         records = list(self._wal.records())
+        # only the row records of older logs (_ROW_RECORDS) consult these
         committed = {r.txn_id for r in records if r.rec_type == "commit"}
         aborted = {r.txn_id for r in records if r.rec_type == "abort"}
         max_txn = 0
         for rec in records:
             max_txn = max(max_txn, rec.txn_id)
-            apply_dml = rec.txn_id in committed and rec.txn_id not in aborted
             if rec.rec_type == "create_table":
                 schema = TableSchema.from_dict(rec.payload["schema"])
                 if schema.name not in self._tables:
@@ -1256,29 +1226,15 @@ class Database:
                 if table is not None and table.schema.has_column(key[1]):
                     self._indexes.setdefault(
                         key, _INDEX_KINDS[rec.payload["kind"]](*key))
-            elif rec.rec_type == "insert" and apply_dml:
-                self._tables[rec.payload["table"]].insert(
-                    rec.payload["values"], rid=rec.payload["rid"]
-                )
-            elif rec.rec_type == "insert_many" and apply_dml:
-                table = self._tables[rec.payload["table"]]
-                for entry in rec.payload["rows"]:
-                    table.insert(entry["values"], rid=entry["rid"])
-            elif rec.rec_type == "write_many" and apply_dml:
-                table = self._tables[rec.payload["table"]]
-                for kind, rid, *image in rec.payload["ops"]:
-                    if kind == "insert":
-                        table.insert(image[0], rid=rid)
-                    elif kind == "update":
-                        table.update(rid, image[0])
-                    else:
-                        table.delete(rid)
-            elif rec.rec_type == "update" and apply_dml:
-                self._tables[rec.payload["table"]].update(
-                    rec.payload["rid"], rec.payload["after"]
-                )
-            elif rec.rec_type == "delete" and apply_dml:
-                self._tables[rec.payload["table"]].delete(rec.payload["rid"])
+            elif rec.rec_type == "commit":
+                # A whole transaction, redone at the position it became
+                # durable (an old log's commit marker carries no writes).
+                for table, ops in rec.payload.get("writes", ()):
+                    self._redo(table, ops)
+            elif rec.rec_type in _ROW_RECORDS:
+                if rec.txn_id in committed and rec.txn_id not in aborted:
+                    self._redo(rec.payload["table"],
+                               _ROW_RECORDS[rec.rec_type](rec.payload))
             elif rec.rec_type == "compact":
                 # DDL-style (txn 0): applied unconditionally at its log
                 # position, where the replayed committed row set matches
@@ -1300,3 +1256,29 @@ class Database:
         self._txn_counter = max_txn
         for key in list(self._indexes):
             self._rebuild_index(*key)
+
+    def _redo(self, table: str, ops: Iterable[Sequence]) -> None:
+        """Replay logged writes to one table, in order (recovery: no
+        locks, and the indexes are loaded once the log has been read)."""
+        heap = self._tables[table]
+        for kind, rid, *image in ops:
+            if kind == "insert":
+                heap.insert(image[0], rid=rid)
+            elif kind == "update":
+                heap.update(rid, image[0])
+            else:
+                heap.delete(rid)
+
+
+#: Row records of logs written before a commit record carried its
+#: transaction's writes (framed by begin / commit / abort): type -> its
+#: payload as :meth:`Database._redo` ops.  Read, never written: this is
+#: what opens an existing workspace.
+_ROW_RECORDS: dict[str, Callable[[dict[str, Any]], list]] = {
+    "insert": lambda p: [("insert", p["rid"], p["values"])],
+    "insert_many": lambda p: [("insert", row["rid"], row["values"])
+                              for row in p["rows"]],
+    "update": lambda p: [("update", p["rid"], p["after"])],
+    "delete": lambda p: [("delete", p["rid"])],
+    "write_many": lambda p: p["ops"],
+}

@@ -107,7 +107,13 @@ class LockManager:
             LockTimeoutError: the wait exceeded the configured timeout.
         """
         with self._cond:
-            state = self._locks.setdefault(key, _LockState())
+            state = self._locks.get(key)
+            if state is None:
+                # Nobody holds or waits for the key (every row lock of a
+                # bulk insert): granted outright.
+                self._locks[key] = _LockState({txn_id: {mode}})
+                self._held_by_txn.setdefault(txn_id, set()).add(key)
+                return
             if self._already_holds(state, txn_id, mode):
                 return
             # Wait metrics are recorded only when the request actually
@@ -160,6 +166,12 @@ class LockManager:
         """Keys currently locked by the transaction (test introspection)."""
         with self._cond:
             return set(self._held_by_txn.get(txn_id, set()))
+
+    def holders(self, key: LockKey) -> set[int]:
+        """The transactions holding ``key`` in any mode."""
+        with self._cond:
+            state = self._locks.get(key)
+            return set(state.holders) if state is not None else set()
 
     def lock_count(self) -> int:
         with self._cond:

@@ -43,16 +43,14 @@ class TableSnapshot:
     first-lookups build once.
     """
 
-    __slots__ = ("table", "version", "_lock", "_pk_map",
-                 "_hash_indexes", "_sorted_indexes")
+    __slots__ = ("table", "version", "_lock", "_pk_map", "_indexes")
 
     def __init__(self, table: HeapTable, version: int) -> None:
         self.table = table
         self.version = version
         self._lock = threading.Lock()
         self._pk_map: dict[Any, int] | None = None
-        self._hash_indexes: dict[str, HashIndex] = {}
-        self._sorted_indexes: dict[str, SortedIndex] = {}
+        self._indexes: dict[tuple[str, type[Index]], Index] = {}
 
     def pk_rid(self, key: Any) -> int | None:
         """The rid holding primary key ``key``, or None."""
@@ -65,26 +63,17 @@ class TableSnapshot:
                     self._pk_map = dict(self.table.column_items(pk))
         return self._pk_map.get(key)
 
-    def hash_index(self, column: str) -> HashIndex:
-        index = self._hash_indexes.get(column)
+    def index(self, column: str, kind: type[Index]) -> Index:
+        """The snapshot's own ``kind`` index on ``column``, built on first
+        use."""
+        index = self._indexes.get((column, kind))
         if index is None:
             with self._lock:
-                index = self._hash_indexes.get(column)
+                index = self._indexes.get((column, kind))
                 if index is None:
-                    index = HashIndex(self.table.name, column)
+                    index = kind(self.table.name, column)
                     index.bulk_load(self.table.column_items(column))
-                    self._hash_indexes[column] = index
-        return index
-
-    def sorted_index(self, column: str) -> SortedIndex:
-        index = self._sorted_indexes.get(column)
-        if index is None:
-            with self._lock:
-                index = self._sorted_indexes.get(column)
-                if index is None:
-                    index = SortedIndex(self.table.name, column)
-                    index.bulk_load(self.table.column_items(column))
-                    self._sorted_indexes[column] = index
+                    self._indexes[(column, kind)] = index
         return index
 
 
@@ -139,7 +128,7 @@ class SnapshotTransaction(TransactionReads):
         raise ReadOnlyTransactionError(
             "snapshot transactions are read-only; use Database.run for writes")
 
-    insert = insert_many = update = delete = _read_only
+    insert = insert_many = update = delete = write_many = _read_only
 
     # -------------------------------- TransactionReads hooks (lock-free)
 
@@ -156,13 +145,13 @@ class SnapshotTransaction(TransactionReads):
         rows it must see.  The fallback mirrors the locked path: no
         index on the column in the catalog means a scan.
         """
-        if need_sorted:
-            if self._db.sorted_index(table, column) is None:
-                return None
-            return self._snap(table).sorted_index(column)
-        if self._db._find_index(table, column) is None:
+        db = self._db
+        live = db.sorted_index(table, column) if need_sorted \
+            else db._find_index(table, column)
+        if live is None:
             return None
-        return self._snap(table).hash_index(column)
+        return self._snap(table).index(
+            column, SortedIndex if need_sorted else HashIndex)
 
     def _pk_rid(self, table: str, key: Any) -> int | None:
         return self._snap(table).pk_rid(key)

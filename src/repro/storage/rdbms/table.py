@@ -179,12 +179,13 @@ class HeapTable:
 
     def committed_view(self, undo_entries: Sequence[tuple]) -> "HeapTable":
         """A table nobody writes to, holding this one's committed state —
-        what a snapshot reads.  ``undo_entries`` are the undo records of
-        every active uncommitted transaction *for this table*, in append
-        order (``(kind, table, rid[, before values])``; X locks give each
-        rid one uncommitted writer, so different transactions' entries
-        never overlap).  Call with writers kept out (the database's mutate
-        lock).
+        what a snapshot reads.  ``undo_entries`` are the change-log
+        entries of every active uncommitted transaction *for this table*,
+        in append order (``(kind, table, rid, before, after)`` as
+        :class:`~repro.storage.rdbms.engine.Transaction` keeps them; X
+        locks give each rid one uncommitted writer, so different
+        transactions' entries never overlap).  Call with writers kept out
+        (the database's mutate lock).
 
         The tail is a shallow copy (value dicts are never mutated in
         place) with the entries applied in reverse, which rolls it back to
@@ -199,11 +200,11 @@ class HeapTable:
         """
         view = HeapTable(self._schema)
         rows = view._rows = dict(self._rows)
-        for kind, _, rid, *before in reversed(undo_entries):
+        for kind, _, rid, before, _ in reversed(undo_entries):
             if kind == "insert":
                 rows.pop(rid, None)
             else:  # update / delete
-                rows[rid] = before[0]
+                rows[rid] = before
         view._next_rid = self._next_rid
         view._segments = list(self._segments)
         view._dead = {segment: list(dead)
@@ -269,49 +270,17 @@ class HeapTable:
             if key in self._pk_index:
                 raise SchemaError(f"duplicate primary key {key!r}")
         if rid is None:
-            rid = self._next_rid
-        if rid in self._rows or self._segment_of(rid) is not None:
+            rid = self._next_rid  # above every rid ever stored: free
+        elif rid in self._rows or self._segment_of(rid) is not None:
             raise SchemaError(f"row id {rid} already in use")
-        self._next_rid = max(self._next_rid, rid + 1)
+        if rid >= self._next_rid:
+            self._next_rid = rid + 1
         self._rows[rid] = row_values
         if pk is not None:
             self._pk_index[row_values[pk]] = rid
         if self._shard_spec is not None:
             self._shard_rids[self._shard_of_values(row_values)].add(rid)
         return Row(rid=rid, values=dict(row_values))
-
-    def insert_many(self, values_list: list[dict[str, Any]]) -> list[Row]:
-        """Insert a batch of rows atomically; returns the stored rows.
-
-        All rows are validated (schema + primary-key uniqueness, including
-        duplicates *within* the batch) before any row is stored, so a
-        failure leaves the table untouched.
-
-        Raises:
-            SchemaError: on schema or primary-key violations.
-        """
-        validated = [self._schema.validate_row(v) for v in values_list]
-        pk = self._schema.primary_key
-        if pk is not None:
-            batch_keys: set[Any] = set()
-            for row_values in validated:
-                key = row_values[pk]
-                if key is None:
-                    raise SchemaError(f"primary key {pk!r} may not be NULL")
-                if key in self._pk_index or key in batch_keys:
-                    raise SchemaError(f"duplicate primary key {key!r}")
-                batch_keys.add(key)
-        rows: list[Row] = []
-        for row_values in validated:
-            rid = self._next_rid
-            self._next_rid += 1
-            self._rows[rid] = row_values
-            if pk is not None:
-                self._pk_index[row_values[pk]] = rid
-            if self._shard_spec is not None:
-                self._shard_rids[self._shard_of_values(row_values)].add(rid)
-            rows.append(Row(rid=rid, values=dict(row_values)))
-        return rows
 
     def _current(self, rid: int,
                  ) -> tuple[dict[str, Any], tuple[Segment, int] | None]:

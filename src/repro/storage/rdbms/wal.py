@@ -1,20 +1,17 @@
 """Write-ahead logging and checkpointing.
 
 The log is a JSONL file of records, each with a log sequence number (LSN),
-a transaction id, and a type:
+a transaction id, and a type.  Written:
 
-* ``begin`` / ``commit`` / ``abort`` — transaction lifecycle,
-* ``insert`` / ``delete`` / ``update`` — logical row operations carrying
-  before/after images,
-* ``insert_many`` — one record for a whole batch of inserted rows (the
-  bulk-load fast path: rids + values for every row in the batch),
-* ``write_many`` — one record for a batch of mixed writes to one table
-  (a streaming delta's upserts and deletes), replayed in order:
-  ``ops`` is a list of ``["insert", rid, values]``, ``["update", rid,
-  changed columns]`` and ``["delete", rid]``; like every row record it
-  takes effect only if its transaction's ``commit`` made it to the log,
-  so a batch is recovered whole or not at all,
-* ``create_table`` / ``alter_schema`` — DDL,
+* ``commit`` — one committed transaction, whole: its id and ``writes``,
+  everything it wrote as runs of ``[table, ops]`` in write order, each op
+  ``["insert", rid, values]``, ``["update", rid, changed columns]`` or
+  ``["delete", rid]``.  The only record a transaction appends (nothing at
+  begin, at a write or at abort; nothing at all if it wrote no row),
+  flushed — fsynced under ``sync`` — before the transaction becomes
+  visible or releases a lock: one line, one durability point,
+* ``create_table`` / ``drop_table`` / ``alter_schema`` / ``create_index``
+  — DDL (txn 0); ``alter_schema`` carries the migrated rows,
 * ``compact`` — a columnar freeze of a table's committed tail rows
   (txn 0, DDL-style: replay re-runs the deterministic freeze at the same
   log position, reproducing the segment layout),
@@ -24,12 +21,18 @@ a transaction id, and a type:
 * ``checkpoint`` — marker written after a consistent snapshot of all tables
   has been dumped to the checkpoint file.
 
-Recovery (see :meth:`repro.storage.rdbms.engine.Database.recover`) loads the
-latest checkpoint, then replays logical operations of *committed*
-transactions in LSN order; operations of transactions without a commit
-record are discarded (redo-only recovery over a rebuilt state, which is
-correct because recovery always reconstructs from the checkpoint rather
-than trusting the crashed in-memory image).
+Only read, in logs written before commit records carried the writes:
+``begin`` / ``abort`` framing, a ``commit`` without ``writes``, and the row
+records ``insert`` / ``insert_many`` / ``update`` / ``delete`` /
+``write_many``, each redone at its own position if its transaction's
+``commit`` is on the log and no ``abort`` is.  A log may start in that
+format and continue in this one.
+
+Recovery (:meth:`repro.storage.rdbms.engine.Database._recover`) loads the
+latest checkpoint, then redoes the records in LSN order over that rebuilt
+state (it never trusts the crashed in-memory image).  A record torn at any
+byte is an unparseable suffix, which :meth:`WriteAheadLog.records` drops —
+so a transaction is recovered whole or not at all by construction.
 """
 
 from __future__ import annotations
@@ -55,9 +58,10 @@ class LogRecord:
     payload: dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> str:
+        # payloads are trees of validated scalars: no cycle to look for
         return json.dumps(
-            {"lsn": self.lsn, "txn": self.txn_id, "type": self.rec_type, **self.payload}
-        )
+            {"lsn": self.lsn, "txn": self.txn_id, "type": self.rec_type,
+             **self.payload}, check_circular=False)
 
     @staticmethod
     def from_json(line: str) -> "LogRecord":
@@ -76,8 +80,9 @@ class WriteAheadLog:
 
         Args:
             directory: where ``wal.jsonl`` and ``checkpoint.json`` live.
-            sync: fsync after every append (slow but durable); benchmarks
-                toggle this to show the durability/throughput trade-off.
+            sync: fsync after every append, i.e. at each commit and DDL
+                statement (slow but durable); benchmarks toggle this to
+                show the durability/throughput trade-off.
         """
         self._dir = directory
         self._sync = sync
@@ -112,37 +117,19 @@ class WriteAheadLog:
         transaction's commit record followed by valid data) and counted
         in the ``recovery.truncated_records`` telemetry counter.  (Reopen
         already truncates such a tail from the file — see
-        :meth:`_recover_next_lsn` — so this path is a second line of
-        defense for logs read without reopening.)  Corruption *followed
-        by* valid records indicates real damage and raises.
+        :meth:`_recover_next_lsn` — so this is for logs read without
+        reopening.)  Corruption *followed by* valid records indicates
+        real damage and raises.
 
         Raises:
             ValueError: corrupted record in the middle of the log.
         """
-        if not os.path.exists(self._path):
-            return
-        with open(self._path, "r", encoding="utf-8") as f:
-            lines = [l.strip() for l in f]
-        non_empty = [l for l in lines if l]
-        parsed: list[LogRecord] = []
-        bad_from: int | None = None  # start of the (candidate) corrupt suffix
-        for index, line in enumerate(non_empty):
-            try:
-                record = LogRecord.from_json(line)
-            except (json.JSONDecodeError, KeyError) as exc:
-                if bad_from is None:
-                    bad_from = index
-                last_error = exc
-            else:
-                if bad_from is not None:
-                    raise ValueError(
-                        f"corrupted WAL record at position {bad_from}"
-                    ) from last_error
-                parsed.append(record)
-        if bad_from is not None:
-            truncated = len(non_empty) - bad_from
-            metrics.get_registry().inc("recovery.truncated_records",
-                                       truncated)
+        parsed, _, bad, midlog = self._scan()
+        if midlog:
+            raise ValueError(
+                f"corrupted WAL record at position {len(parsed)}")
+        if bad:
+            metrics.get_registry().inc("recovery.truncated_records", bad)
         yield from parsed
 
     def write_checkpoint(self, state: dict[str, Any]) -> None:
@@ -192,34 +179,37 @@ class WriteAheadLog:
         after it really is mid-log damage, so the file is left untouched
         for :meth:`records` to report.
         """
-        last = -1
-        if not os.path.exists(self._path):
-            return 0
-        with open(self._path, "rb") as f:
-            data = f.read()
-        good_end = 0  # byte offset just past the last parseable record
-        offset = 0
-        bad = 0
-        midlog = False
-        for raw in data.splitlines(keepends=True):
-            offset += len(raw)
-            line = raw.decode("utf-8", "replace").strip()
-            if not line:
-                if not bad:
-                    good_end = offset
-                continue
-            try:
-                lsn = json.loads(line)["lsn"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                bad += 1
-                continue
-            if bad:
-                midlog = True  # valid data after corruption: real damage
-                break
-            last = lsn
-            good_end = offset
-        if bad and not midlog and good_end < len(data):
+        parsed, good_end, bad, midlog = self._scan()
+        if bad and not midlog:
             with open(self._path, "r+b") as f:
                 f.truncate(good_end)
             metrics.get_registry().inc("recovery.truncated_records", bad)
-        return last + 1
+        return parsed[-1].lsn + 1 if parsed else 0
+
+    def _scan(self) -> tuple[list[LogRecord], int, int, bool]:
+        """Parse the file: the records before the first unparseable line,
+        the byte offset just past the last of them, how many unparseable
+        lines follow, and whether a valid record follows those (mid-log
+        damage, where the scan stops, rather than a torn suffix)."""
+        if not os.path.exists(self._path):
+            return [], 0, 0, False
+        with open(self._path, "rb") as f:
+            data = f.read()
+        parsed: list[LogRecord] = []
+        good_end = offset = bad = 0
+        for raw in data.splitlines(keepends=True):
+            offset += len(raw)
+            line = raw.decode("utf-8", "replace").strip()
+            try:
+                record = LogRecord.from_json(line) if line else None
+            except (ValueError, KeyError, TypeError, AttributeError):
+                bad += 1
+                continue
+            if bad:
+                if record is not None:
+                    return parsed, good_end, bad, True
+                continue
+            if record is not None:
+                parsed.append(record)
+            good_end = offset
+        return parsed, good_end, bad, False

@@ -6,7 +6,6 @@ import time
 import pytest
 
 from repro.storage.rdbms.engine import Database
-from repro.storage.rdbms.table import HeapTable
 from repro.storage.rdbms.types import Column, ColumnType, SchemaError, TableSchema
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 
@@ -29,27 +28,40 @@ def _rows(n, start=0):
 # ------------------------------------------------------------- heap table
 
 
+def _heap():
+    """A database with the table, and the heap behind it."""
+    db = Database()
+    db.create_table(_schema())
+    return db, db._table("items")
+
+
 def test_heap_insert_many_assigns_rids_in_order():
-    table = HeapTable(_schema())
-    rows = table.insert_many(_rows(5))
+    db, table = _heap()
+    rows = db.run(lambda t: t.insert_many("items", _rows(5)))
     assert [r.rid for r in rows] == [0, 1, 2, 3, 4]
     assert len(table) == 5
     assert table.get_by_pk(3).values["label"] == "row-3"
 
 
 def test_heap_insert_many_is_atomic_on_pk_violation():
-    table = HeapTable(_schema())
-    table.insert({"id": 2, "label": "existing"})
+    db, table = _heap()
+    txn = db.begin()
+    txn.insert("items", {"id": 2, "label": "existing"})
     with pytest.raises(SchemaError):
-        table.insert_many([{"id": 10, "label": "a"}, {"id": 2, "label": "dup"}])
+        txn.insert_many("items", [{"id": 10, "label": "a"},
+                                  {"id": 2, "label": "dup"}])
     with pytest.raises(SchemaError):  # duplicate within the batch itself
-        table.insert_many([{"id": 11, "label": "a"}, {"id": 11, "label": "b"}])
+        txn.insert_many("items", [{"id": 11, "label": "a"},
+                                  {"id": 11, "label": "b"}])
     assert len(table) == 1  # nothing from either failed batch landed
+    assert table.get_by_pk(10) is None and table.get_by_pk(11) is None
+    txn.commit()
 
 
 def test_heap_insert_many_empty():
-    table = HeapTable(_schema())
-    assert table.insert_many([]) == []
+    db, table = _heap()
+    assert db.run(lambda t: t.insert_many("items", [])) == []
+    assert len(table) == 0
 
 
 # ------------------------------------------------------------ transaction
@@ -164,7 +176,8 @@ def test_write_many_is_all_or_nothing(tmp_path, bad, error):
     assert _labels(db) == before and seen == []
     assert [h.rid for h in
             db.run(lambda t: t.lookup("items", "label", "row-0"))] == [0]
-    assert all(r.rec_type != "write_many" for r in _wal_records(db))
+    assert [r.rec_type for r in _wal_records(db)] == [
+        "create_table", "create_index", "commit"]    # the seed's, no other
     assert _labels(Database(str(tmp_path))) == before
 
 
@@ -198,7 +211,7 @@ def test_write_many_of_nothing_but_unchanged_rows_writes_nothing(tmp_path):
         results = db.run(lambda t: t.write_many("items", [
             ("update", rid, {"label": f"row-{rid}"}) for rid in range(4)]))
     assert results == [None] * 4 and commits == []
-    assert registry.get("rdbms.wal.records") == 2          # begin, commit
+    assert registry.get("rdbms.wal.records") == 0
     heap = db._table("items")
     assert (heap.tail_size, heap.dead_rows) == (0, 0)      # nothing thawed
 
@@ -215,11 +228,9 @@ def test_insert_many_writes_one_wal_record_per_batch(tmp_path):
     db.create_table(_schema())
     db.run(lambda t: t.insert_many("items", _rows(50)))
     records = _wal_records(db)
-    inserts = [r for r in records if r.rec_type == "insert"]
-    batches = [r for r in records if r.rec_type == "insert_many"]
-    assert inserts == []
-    assert len(batches) == 1
-    assert len(batches[0].payload["rows"]) == 50
+    assert [r.rec_type for r in records] == ["create_table", "commit"]
+    [[table, ops]] = records[1].payload["writes"]
+    assert table == "items" and len(ops) == 50
     db.close()
 
 
@@ -266,9 +277,9 @@ def test_batch_path_writes_fewer_wal_records_than_per_row(tmp_path):
     batched_records = len(_wal_records(batched))
     batched.close()
 
-    # per-row: begin+insert+commit per fact; batched: 3 records total
-    assert per_row_records >= 3 * n
-    assert batched_records <= 5
+    # per-row: one commit record per fact; batched: one in all (+ the DDL)
+    assert per_row_records == n + 1
+    assert batched_records == 2
 
 
 # -------------------------------------------------------- telemetry metrics
@@ -282,9 +293,8 @@ def test_insert_many_records_wal_and_batch_metrics(tmp_path):
         db.run(lambda t: t.insert_many("items", _rows(50)))
         db.close()
     # the batch is one WAL record — metrics agree with the log itself
-    assert registry.get("rdbms.wal.records.insert_many") == 1
-    assert registry.get("rdbms.wal.records.insert") == 0
-    assert registry.get("rdbms.wal.records") >= 3  # begin + batch + commit
+    assert registry.get("rdbms.wal.records.commit") == 1
+    assert registry.get("rdbms.wal.records") == 2  # create_table + the batch
     assert registry.get("rdbms.wal.bytes") > 0
     assert registry.get("rdbms.rows.inserted") == 50
     assert registry.get("rdbms.txn.commits") == 1

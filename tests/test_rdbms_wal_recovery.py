@@ -250,7 +250,8 @@ def test_midlog_corruption_raises(tmp_path):
     db.close()
     wal_path = tmp_path / "wal.jsonl"
     lines = wal_path.read_text().splitlines()
-    lines[1] = "GARBAGE NOT JSON"
+    assert len(lines) == 2                      # create_table, the commit
+    lines[0] = "GARBAGE NOT JSON"
     wal_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         Database(str(tmp_path))
@@ -347,17 +348,16 @@ def test_committed_batch_record_replays_like_the_single_row_calls(
     registry = MetricsRegistry()
     with use_registry(registry):
         results = batched.run(lambda t: t.write_many("t", BATCH))
-    assert registry.get("rdbms.wal.records") == 3
-    assert registry.get("rdbms.wal.records.write_many") == 1
+    assert registry.get("rdbms.wal.records") == 1
+    assert registry.get("rdbms.wal.records.commit") == 1
     assert [r and r.rid for r in results] == [6, 1, 5, None, 3, 4, 7, 6]
     single = _seeded(tmp_path / "single", frozen)
     single.run(lambda t: _single_row_calls(t, BATCH))
     assert _contents(batched) == _contents(single)
-    record = [r for r in batched._wal.records()
-              if r.rec_type == "write_many"][0]
-    assert record.payload["ops"][1] == ["update", 1, {"value": "one"}]
-    assert ["update", 2, {}] not in record.payload["ops"]
-    assert len(record.payload["ops"]) == len(BATCH) - 1
+    [[table, ops]] = list(batched._wal.records())[-1].payload["writes"]
+    assert table == "t" and ops[1] == ["update", 1, {"value": "one"}]
+    assert ["update", 2, {}] not in ops
+    assert len(ops) == len(BATCH) - 1
     # crash: no close/checkpoint; reopen from the log
     recovered = Database(str(tmp_path / "batched"))
     assert _contents(recovered) == _contents(batched)
@@ -377,7 +377,8 @@ def test_uncommitted_or_aborted_batch_record_leaves_no_trace(
     if ending == "aborted":
         txn.abort()
         assert _contents(db) == before
-    assert [r.rec_type for r in db._wal.records()].count("write_many") == 1
+    assert [r.rec_type for r in db._wal.records()] == [
+        "create_table", "create_index", "commit", "compact"]   # the seed's
     assert _contents(Database(str(tmp_path))) == before
 
 
@@ -392,13 +393,10 @@ def test_batch_record_torn_at_any_byte_recovers_to_before_the_transaction(
     whole = wal_path.read_bytes()
     lines = whole[len(prefix):].splitlines(keepends=True)
     assert [LogRecord.from_json(line.decode()).rec_type for line in lines] \
-        == ["begin", "write_many", "commit"]
-    start = len(prefix) + len(lines[0])
-    for cut in range(start, start + len(lines[1]) + 1):
+        == ["commit"]
+    # the record counts once its last byte (bar the newline) is there
+    for cut in range(len(prefix), len(whole) - 1):
         wal_path.write_bytes(whole[:cut])
         assert _contents(Database(str(tmp_path / "db"))) == before, cut
-    # only the commit record makes the batch count
-    wal_path.write_bytes(whole[:start + len(lines[1]) + len(lines[2]) - 2])
-    assert _contents(Database(str(tmp_path / "db"))) == before
     wal_path.write_bytes(whole)
     assert _contents(Database(str(tmp_path / "db"))) != before

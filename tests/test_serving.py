@@ -71,9 +71,13 @@ def test_snapshot_transactions_are_read_only():
         with pytest.raises(ReadOnlyTransactionError):
             snap.insert("accounts", {"id": 99, "balance": 1})
         with pytest.raises(ReadOnlyTransactionError):
+            snap.insert_many("accounts", [{"id": 99, "balance": 1}])
+        with pytest.raises(ReadOnlyTransactionError):
             snap.update("accounts", 0, {"balance": 1})
         with pytest.raises(ReadOnlyTransactionError):
             snap.delete("accounts", 0)
+        with pytest.raises(ReadOnlyTransactionError):
+            snap.write_many("accounts", [("delete", 0)])
 
 
 def test_snapshot_index_lookups_match_scans():

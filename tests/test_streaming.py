@@ -275,8 +275,8 @@ def test_must_and_cannot_link_propagate_to_fused_rows():
 # ------------------------------------------ a delta costs what it changed
 
 
-def test_an_edit_that_only_moves_spans_writes_and_notifies_nothing():
-    db = Database()
+def test_an_edit_that_only_moves_spans_writes_and_notifies_nothing(tmp_path):
+    db = Database(str(tmp_path))
     pipe = pipeline_over(db)
     manager = ContinuousQueryManager(db)
     received = []
@@ -296,7 +296,7 @@ def test_an_edit_that_only_moves_spans_writes_and_notifies_nothing():
     assert written == 0 and received == []
     assert registry.get("dge.fused_rows_unchanged") == 2
     assert registry.get("dge.fused_rows_written") == 0
-    assert registry.get("rdbms.wal.records.write_many") == 0
+    assert registry.get("rdbms.wal.records") == 0
     assert registry.get("er.name_comparisons") == 0
     assert pipe.stats.fused_rows_unchanged == 2
     assert fused_json(pipe.fused_values()) != before      # the spans did move
@@ -329,8 +329,7 @@ def test_an_edit_keeps_mention_ids_and_lands_as_one_wal_record(tmp_path):
     assert written == 3
     assert pipe.fusion.groups_refreshed - refreshed == 2
     assert registry.get("er.name_comparisons") == 0    # blocks j / r apart
-    assert registry.get("rdbms.wal.records") == 3      # begin, batch, commit
-    assert registry.get("rdbms.wal.records.write_many") == 1
+    assert registry.get("rdbms.wal.records") == 1      # the delta's commit
     assert_table_holds_the_fused_values(pipe)
     recovered = Database(str(tmp_path))
     assert sorted(r.values.items() for r in recovered.begin().scan(
@@ -338,7 +337,7 @@ def test_an_edit_keeps_mention_ids_and_lands_as_one_wal_record(tmp_path):
             "fused_facts"))
 
 
-def test_a_fresh_pipeline_clears_the_table_in_three_wal_records(tmp_path):
+def test_a_fresh_pipeline_clears_the_table_in_one_wal_record(tmp_path):
     db = Database(str(tmp_path))
     pipe = pipeline_over(db)
     pipe.process(DocDelta(added=tuple(
@@ -348,7 +347,7 @@ def test_a_fresh_pipeline_clears_the_table_in_three_wal_records(tmp_path):
     with use_registry(registry):
         pipeline_over(db)
     assert db.table_size("fused_facts") == 0
-    assert registry.get("rdbms.wal.records") == 3
+    assert registry.get("rdbms.wal.records") == 1
     assert Database(str(tmp_path)).table_size("fused_facts") == 0
 
 
