@@ -18,6 +18,9 @@ Checked invariants:
     and across a disk-cache close/reopen (which must then hit on every
     document).
 
+The three are recorded as a ``gates`` list in the result file (the
+wall-clock one only by a full run), for ``check_gates.py``.
+
 Run standalone (writes ``results/BENCH_e17.json``)::
 
     PYTHONPATH=src python benchmarks/bench_e17_cache_churn.py
@@ -35,7 +38,7 @@ import sys
 import tempfile
 import time
 
-from _tables import write_table
+from _tables import assert_gates, gate, write_table
 
 from repro.cache.store import DiskExtractionCache
 from repro.cluster.simulator import ClusterConfig, SimulatedCluster
@@ -121,6 +124,7 @@ def bench_churn_sweep(num_docs: int, base_dir: str) -> list[dict]:
             "num_docs": num_docs,
             "churn_rate": rate,
             "changed_docs": changed_docs,
+            "changed_chars": changed_chars,
             "cold_chars": cold_chars,
             "warm_chars": warm.stats.total_chars_scanned,
             "warm_work_fraction": warm.stats.total_chars_scanned / cold_chars,
@@ -224,6 +228,19 @@ def run_bench(num_docs: int = 400, repeats: int = 3,
           speedup["speedup"]]],
     )
 
+    # The invariants asserted above, machine-readable (check_gates.py); the
+    # wall-clock one is left out of --smoke, which times a single tiny run.
+    gates = [] if smoke else [
+        gate("warm_speedup_at_10pct_churn", speedup["speedup"], ">=",
+             min_speedup)]
+    gates += [
+        gate(f"warm_chars_minus_churned_chars:{s['num_docs']}docs@"
+             f"{s['churn_rate']}", s["warm_chars"] - s["changed_chars"],
+             "==", 0)
+        for s in sweep]
+    gates += [gate(name, int(determinism[name]), "==", 1)
+              for name in ("backends_identical", "cluster_identical",
+                           "reopen_all_hits")]
     payload = {
         "experiment": "e17_cache_churn",
         "smoke": smoke,
@@ -232,17 +249,14 @@ def run_bench(num_docs: int = 400, repeats: int = 3,
         "churn_sweep": sweep,
         "speedup": speedup,
         "determinism": determinism,
+        "gates": gates,
     }
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(JSON_PATH, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
     print(f"\nwrote {JSON_PATH}")
 
-    if not smoke:
-        assert speedup["speedup"] >= min_speedup, (
-            f"warm run after 10% churn is only {speedup['speedup']:.2f}x "
-            f"faster than cold; the bar is {min_speedup:.1f}x"
-        )
+    assert_gates(gates)
     return payload
 
 

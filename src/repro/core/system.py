@@ -453,12 +453,11 @@ class StructureManagementSystem:
             if violations:
                 flagged += 1
                 confidence *= 0.5
-            batch.append({
-                "fact_id": self._fact_counter,
-                **fact_row(str(row.get("entity", "")), str(row["attribute"]),
-                           row["value"], confidence),
-                "doc_id": str(row.get("doc_id", "")),
-            })
+            values = fact_row(str(row.get("entity", "")),
+                              str(row["attribute"]), row["value"], confidence)
+            values["fact_id"] = self._fact_counter
+            values["doc_id"] = str(row.get("doc_id", ""))
+            batch.append(values)
             self._fact_counter += 1
         if not batch:
             return [], 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import statistics
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -9,8 +10,14 @@ from typing import Any, Sequence
 from repro.debugger.constraints import (
     Constraint,
     ConstraintViolation,
+    DomainConstraint,
+    RangeConstraint,
+    TypeConstraint,
     learn_constraints,
 )
+
+# Exactly these classes (a subclass may read more of the fact).
+_SINGLE_ATTRIBUTE = (RangeConstraint, TypeConstraint, DomainConstraint)
 
 
 @dataclass(frozen=True)
@@ -34,6 +41,11 @@ class SemanticDebugger:
 
     def __init__(self) -> None:
         self._constraints: list[Constraint] = []
+        # The same constraints with their registration positions, split by
+        # what a fact must hold for them to speak: a range, type or domain
+        # constraint is silent about a fact without its attribute.
+        self._by_attribute: dict[str, list[tuple[int, Constraint]]] = {}
+        self._any_fact: list[tuple[int, Constraint]] = []
         self.alerts: list[Alert] = []
         self.facts_checked = 0
         self.facts_flagged = 0
@@ -41,12 +53,19 @@ class SemanticDebugger:
     def learn(self, facts: Sequence[dict[str, Any]], **learn_kwargs: Any) -> int:
         """Learn constraints from trusted facts; returns how many."""
         learned = learn_constraints(facts, **learn_kwargs)
-        self._constraints.extend(learned)
+        for constraint in learned:
+            self.add_constraint(constraint)
         return len(learned)
 
     def add_constraint(self, constraint: Constraint) -> None:
         """Add developer-supplied domain knowledge."""
+        entry = (len(self._constraints), constraint)
         self._constraints.append(constraint)
+        if type(constraint) in _SINGLE_ATTRIBUTE:
+            self._by_attribute.setdefault(
+                constraint.attribute, []).append(entry)
+        else:
+            self._any_fact.append(entry)
 
     @property
     def constraints(self) -> list[Constraint]:
@@ -54,10 +73,17 @@ class SemanticDebugger:
 
     def check(self, fact: dict[str, Any],
               context: str = "") -> list[ConstraintViolation]:
-        """Screen one fact; violations also become alerts."""
+        """Screen one fact against the constraints on its attributes and
+        those on whole facts, in registration order; violations also
+        become alerts."""
         self.facts_checked += 1
+        groups = [self._by_attribute[attribute] for attribute in fact
+                  if attribute in self._by_attribute]
+        if self._any_fact:
+            groups.append(self._any_fact)
         violations: list[ConstraintViolation] = []
-        for constraint in self._constraints:
+        for _, constraint in (groups[0] if len(groups) == 1
+                              else heapq.merge(*groups)):
             violations.extend(constraint.check(fact))
         if violations:
             self.facts_flagged += 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.docmodel.document import Document, Span, Token
 
@@ -32,6 +33,17 @@ _ABBREVIATIONS = frozenset(
 _SENTENCE_END_RE = re.compile(r"([.!?])(\s+)")
 
 
+def scan(text: str, start: int = 0,
+         end: int | None = None) -> Iterator[re.Match[str]]:
+    """The tokens of ``text[start:end]``, left to right, as the regex's own
+    matches: ``span()`` is the absolute range, ``group()`` the text,
+    ``lastgroup`` the kind.  Nothing is built per token, so a consumer that
+    keeps few of them (a gazetteer) pays for the characters, not the tokens;
+    :class:`Tokenizer` wraps the same scan in :class:`Token` objects.
+    """
+    return _TOKEN_RE.finditer(text, start, len(text) if end is None else end)
+
+
 @dataclass
 class Tokenizer:
     """Regex tokenizer producing :class:`Token` objects with spans.
@@ -49,12 +61,11 @@ class Tokenizer:
 
     def tokenize_range(self, doc: Document, start: int, end: int) -> list[Token]:
         """Tokenize only ``doc.text[start:end]``, keeping absolute offsets."""
-        tokens: list[Token] = []
-        for match in _TOKEN_RE.finditer(doc.text, start, end):
-            kind = match.lastgroup or "punct"
-            span = Span(doc.doc_id, match.start(), match.end(), match.group())
-            tokens.append(Token(span=span, kind=kind))
-        return tokens
+        return [
+            Token(span=Span(doc.doc_id, *match.span(), match.group()),
+                  kind=match.lastgroup or "punct")
+            for match in scan(doc.text, start, end)
+        ]
 
     def normalize(self, token: Token) -> str:
         """Canonical matching form of a token (lowercased words)."""

@@ -7,11 +7,12 @@ document length regardless of dictionary size.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.docmodel.document import Document, Span, Token
-from repro.docmodel.tokenize import Tokenizer
+from repro.docmodel.document import Document, Span
+from repro.docmodel.tokenize import scan
 from repro.extraction.base import Extraction, Extractor
 
 
@@ -44,70 +45,61 @@ class DictionaryExtractor(Extractor):
     name: str = "dictionary"
     cost_per_char: float = 0.5
 
+    # 1: phrases are tokenised as pages are ("St. Louis" is three tokens).
+    version = 1
+
     def __post_init__(self) -> None:
         if not isinstance(self.phrases, dict):
             self.phrases = {p: p for p in self.phrases}
-        self._tokenizer = Tokenizer()
         self._root = _TrieNode()
         for phrase, canonical in self.phrases.items():
-            tokens = [self._fold(t) for t in phrase.split()]
-            if not tokens:
+            words = self._words(scan(phrase))
+            if not words:
                 continue
             node = self._root
-            for token in tokens:
-                node = node.children.setdefault(token, _TrieNode())
+            for word in words:
+                node = node.children.setdefault(word, _TrieNode())
             node.terminal_value = canonical
 
     def extract(self, doc: Document) -> list[Extraction]:
-        tokens = self._tokenizer.tokenize(doc)
+        text = doc.text
+        tokens = list(scan(text))
+        words = self._words(tokens)
+        first, longest = self._root.children, self.longest_match
         out: list[Extraction] = []
-        i = 0
-        while i < len(tokens):
-            match = self._match_at(tokens, i)
-            if match is None:
-                i += 1
+        resume = 0  # tokens before it belong to the last longest match
+        for i in [i for i, word in enumerate(words) if word in first]:
+            if i < resume:
                 continue
-            end_index, canonical = match
-            span = Span(
-                doc.doc_id,
-                tokens[i].span.start,
-                tokens[end_index].span.end,
-                doc.text[tokens[i].span.start : tokens[end_index].span.end],
-            )
+            node, last, canonical = self._root, i, None
+            for j in range(i, len(words)):
+                node = node.children.get(words[j])
+                if node is None:
+                    break
+                if node.terminal_value is not None:
+                    last, canonical = j, node.terminal_value
+                    if not longest:
+                        break
+            if canonical is None:
+                continue
+            start, end = tokens[i].start(), tokens[last].end()
             out.append(
                 Extraction(
                     entity=canonical,
                     attribute=self.attribute,
                     value=canonical,
-                    span=span,
+                    span=Span(doc.doc_id, start, end, text[start:end]),
                     confidence=self.confidence,
                     extractor=self.name,
                 )
             )
-            i = end_index + 1 if self.longest_match else i + 1
+            if longest:
+                resume = last + 1
         return out
 
-    # ------------------------------------------------------------ internals
-
-    def _match_at(self, tokens: list[Token], start: int) -> tuple[int, str] | None:
-        node = self._root
-        best: tuple[int, str] | None = None
-        j = start
-        while j < len(tokens):
-            word = self._fold_token(tokens[j])
-            child = node.children.get(word)
-            if child is None:
-                break
-            node = child
-            if node.terminal_value is not None:
-                best = (j, node.terminal_value)
-                if not self.longest_match:
-                    break
-            j += 1
-        return best
-
-    def _fold(self, text: str) -> str:
-        return text if self.case_sensitive else text.lower()
-
-    def _fold_token(self, token: Token) -> str:
-        return self._fold(token.text)
+    def _words(self, tokens: Iterable[re.Match[str]]) -> list[str]:
+        """The matching form of each token: its text, case-folded unless
+        ``case_sensitive``."""
+        if self.case_sensitive:
+            return [token.group() for token in tokens]
+        return [token.group().lower() for token in tokens]

@@ -11,6 +11,7 @@ discipline of CPSL-style IE systems.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -18,6 +19,17 @@ from repro.docmodel.document import Document, Span
 from repro.docmodel.tokenize import SentenceSplitter
 from repro.extraction.base import Extraction, Extractor
 from repro.extraction.dictionary import DictionaryExtractor
+
+_WORD_RE = re.compile(r"\w+")
+
+
+def _trigger_regex(trigger: str) -> re.Pattern[str]:
+    """``trigger`` as a keyword: case-insensitive, and word-bounded on the
+    sides where it has a word character ("C++" is followed by a space,
+    which ``\\b`` after the "+" would never accept)."""
+    lead = r"\b" if re.match(r"\w", trigger) else ""
+    trail = r"\b" if re.search(r"\w\Z", trigger) else ""
+    return re.compile(lead + re.escape(trigger) + trail, re.IGNORECASE)
 
 
 @dataclass
@@ -43,10 +55,7 @@ class ContextRule:
 
     def __post_init__(self) -> None:
         self._compiled = re.compile(self.value_pattern)
-        self._trigger_res = [
-            re.compile(r"\b" + re.escape(t) + r"\b", re.IGNORECASE)
-            for t in self.triggers
-        ]
+        self._trigger_res = [_trigger_regex(t) for t in self.triggers]
 
     def matches_context(self, sentence: str) -> bool:
         return all(t.search(sentence) for t in self._trigger_res)
@@ -81,8 +90,30 @@ class RuleCascadeExtractor(Extractor):
     name: str = "rule-cascade"
     cost_per_char: float = 2.0
 
+    # 1: a trigger is word-bounded only where it has a word character.
+    version = 1
+
     def __post_init__(self) -> None:
         self._splitter = SentenceSplitter()
+        # The cascade in firing order, decided once: each rule with the
+        # words a sentence must hold for it to fire and the trigger regexes
+        # those words do not settle (see _firing).
+        self._cascade: list[tuple[ContextRule, frozenset[str],
+                                  list[re.Pattern[str]]]] = []
+        for rule in sorted(self.rules, key=lambda r: r.priority):
+            words: set[str] = set()
+            unsettled = []
+            for trigger, regex in zip(rule.triggers, rule._trigger_res):
+                if trigger.isascii():
+                    lowered = trigger.lower()
+                    runs = _WORD_RE.findall(lowered)
+                    words.update(runs)
+                    if runs == [lowered]:
+                        continue  # one whole word: membership settles it
+                unsettled.append(regex)
+            self._cascade.append((rule, frozenset(words), unsettled))
+        self._vocabulary = frozenset().union(
+            *(words for _, words, _ in self._cascade))
 
     def prefilter_terms(self) -> list[list[str]] | None:
         """A rule only fires on sentences containing all its triggers, so a
@@ -91,20 +122,17 @@ class RuleCascadeExtractor(Extractor):
         return groups or None
 
     def extract(self, doc: Document) -> list[Extraction]:
-        entity_mentions = (
-            self.entity_dictionary.extract(doc) if self.entity_dictionary else []
-        )
+        sentences = self._splitter.split(doc)
+        mentions = self._mentions_by_sentence(doc, sentences)
         out: list[Extraction] = []
-        claimed: list[Span] = []
-        for sentence_span in self._splitter.split(doc):
+        for index, sentence_span in enumerate(sentences):
             sentence = sentence_span.text
-            for rule in sorted(self.rules, key=lambda r: r.priority):
-                if not rule.matches_context(sentence):
-                    continue
+            # values lie inside their sentence, so only they can overlap
+            claimed: list[Span] = []
+            for rule in self._firing(sentence):
                 for rel_start, rel_end, raw in rule.find_values(sentence):
-                    abs_start = sentence_span.start + rel_start
-                    abs_end = sentence_span.start + rel_end
-                    span = Span(doc.doc_id, abs_start, abs_end, raw)
+                    span = Span(doc.doc_id, sentence_span.start + rel_start,
+                                sentence_span.start + rel_end, raw)
                     if self.suppress_overlaps and any(
                         span.overlaps(c) for c in claimed
                     ):
@@ -114,7 +142,10 @@ class RuleCascadeExtractor(Extractor):
                         value = rule.normalizer(raw)
                         if value is None:
                             continue
-                    entity = self._nearest_entity(entity_mentions, sentence_span, span)
+                    nearby = mentions.get(index)
+                    entity = min(
+                        nearby, key=lambda m: abs(m.span.start - span.start)
+                    ).entity if nearby else ""
                     out.append(
                         Extraction(
                             entity=entity,
@@ -128,14 +159,36 @@ class RuleCascadeExtractor(Extractor):
                     claimed.append(span)
         return out
 
-    @staticmethod
-    def _nearest_entity(mentions: list[Extraction], sentence: Span,
-                        value_span: Span) -> str:
-        in_sentence = [m for m in mentions if sentence.contains(m.span)]
-        if not in_sentence:
-            return ""
-        nearest = min(
-            in_sentence,
-            key=lambda m: abs(m.span.start - value_span.start),
-        )
-        return nearest.entity
+    def _firing(self, sentence: str) -> list[ContextRule]:
+        """The rules whose triggers all occur in ``sentence``, in cascade
+        order — what ``rule.matches_context`` says of each, from one scan.
+
+        Between ASCII strings ``re.IGNORECASE`` is equality of the
+        lowercased forms and ``\\b`` delimits runs of ``[A-Za-z0-9_]``, so a
+        one-word trigger occurs exactly when it is one of the sentence's
+        words, and every word inside a longer trigger must be one of them
+        too (its regex then decides).  A sentence or trigger outside ASCII
+        ("ſ" matches "s", "İ" matches "i") is left to the regexes.
+        """
+        if not sentence.isascii():
+            return [rule for rule, _, _ in self._cascade
+                    if rule.matches_context(sentence)]
+        present = self._vocabulary.intersection(
+            _WORD_RE.findall(sentence.lower()))
+        return [rule for rule, words, unsettled in self._cascade
+                if words <= present
+                and all(regex.search(sentence) for regex in unsettled)]
+
+    def _mentions_by_sentence(self, doc: Document, sentences: list[Span]
+                              ) -> dict[int, list[Extraction]]:
+        """The dictionary's mentions lying inside each sentence (keyed by
+        its index), in the order the dictionary gave them."""
+        inside: dict[int, list[Extraction]] = {}
+        if self.entity_dictionary is None:
+            return inside
+        starts = [sentence.start for sentence in sentences]
+        for mention in self.entity_dictionary.extract(doc):
+            index = bisect_right(starts, mention.span.start) - 1
+            if index >= 0 and sentences[index].contains(mention.span):
+                inside.setdefault(index, []).append(mention)
+        return inside

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 
@@ -28,8 +29,8 @@ class ColumnType(enum.Enum):
         Raises:
             SchemaError: if the value does not fit the type.
         """
-        if value is None:
-            return None
+        if value is None or type(value) is _EXACT[self._value_]:
+            return value  # what nearly every stored cell is
         if self is ColumnType.INT:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise SchemaError(f"expected int, got {value!r}")
@@ -47,6 +48,9 @@ class ColumnType(enum.Enum):
                 raise SchemaError(f"expected bool, got {value!r}")
             return value
         raise SchemaError(f"unknown column type {self!r}")
+
+
+_EXACT = {"int": int, "float": float, "text": str, "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,10 @@ class TableSchema:
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
 
+    @cached_property
+    def _known(self) -> frozenset[str]:
+        return frozenset(c.name for c in self.columns)
+
     def column(self, name: str) -> Column:
         """Look up a column by name.
 
@@ -109,7 +117,7 @@ class TableSchema:
         raise SchemaError(f"table {self.name!r} has no column {name!r}")
 
     def has_column(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
+        return name in self._known
 
     def validate_row(self, values: dict[str, Any]) -> dict[str, Any]:
         """Validate and normalize a full row dict.
@@ -120,16 +128,13 @@ class TableSchema:
             SchemaError: on unknown columns, type errors, or NOT NULL
                 violations.
         """
-        known = set(self.column_names)
-        unknown = set(values) - known
-        if unknown:
+        if not values.keys() <= self._known:
             raise SchemaError(
-                f"unknown column(s) {sorted(unknown)} for table {self.name!r}"
+                f"unknown column(s) {sorted(values.keys() - self._known)} "
+                f"for table {self.name!r}"
             )
-        row: dict[str, Any] = {}
-        for col in self.columns:
-            row[col.name] = col.validate(values.get(col.name))
-        return row
+        get = values.get
+        return {col.name: col.validate(get(col.name)) for col in self.columns}
 
     def with_column(self, column: Column) -> "TableSchema":
         """A copy of this schema with one more column (schema evolution)."""

@@ -11,6 +11,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 
@@ -20,8 +21,7 @@ def index_tokens(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-@dataclass(frozen=True)
-class Posting:
+class Posting(NamedTuple):
     """One document's entry in a term's posting list."""
 
     doc_id: str
