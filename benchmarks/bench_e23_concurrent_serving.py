@@ -19,6 +19,12 @@ Checked invariants (recorded as machine-readable ``gates``):
     reader completes instantly even against a held X lock;
   * **reader p99 ≤ 2× idle** — reader tail latency with the mutator
     running vs the same reader pool idle (non-smoke only);
+  * **no cliff after a commit** — on an indexed table at two sizes a
+    decade apart, with a one-row commit between every read, the first
+    read after a commit costs ≤ 2× a warm read at each size and the
+    larger size ≤ 2× the smaller (the snapshot's indexes are carried
+    across the commit, not reloaded from the table: it was ~110× and
+    linear in table size; the larger size non-smoke only);
   * **graceful drain** — ``system.close()`` under a live query load
     drains in-flight queries, sheds new arrivals with typed errors, and
     a post-drain reopen of the same workspace recovers a consistent
@@ -207,6 +213,56 @@ def bench_mixed_workload(reads_per_reader: int, readers: int) -> dict:
     }
 
 
+CLIFF_GROUP_ROWS = 60  # what one read returns, at either size
+
+
+def bench_commit_cliff(rows: int, reads: int) -> dict:
+    """Warm indexed read vs the first read after a one-row commit."""
+    db = Database()
+    db.create_table(TableSchema(
+        "events",
+        (Column("id", ColumnType.INT, nullable=False),
+         Column("grp", ColumnType.INT),
+         Column("v", ColumnType.INT)),
+        primary_key="id",
+    ))
+    groups = rows // CLIFF_GROUP_ROWS
+    for at in range(0, rows, 50_000):
+        db.run(lambda t: t.insert_many("events", [
+            {"id": i, "grp": i % groups, "v": 0}
+            for i in range(at, min(at + 50_000, rows))]))
+    db.create_index("events", "grp")
+    db.compact("events")
+    rng = random.Random(rows)
+
+    def read() -> float:
+        grp = rng.randrange(groups)
+        t0 = time.perf_counter()
+        found = execute_sql(db, f"SELECT id, v FROM events WHERE grp = {grp}")
+        seconds = time.perf_counter() - t0
+        assert len(found) == CLIFF_GROUP_ROWS
+        return seconds
+
+    read()  # loads the snapshot's index once: the cold start
+    warm, after_commit = [], []
+    for n in range(reads):
+        key = rng.randrange(rows)
+        execute_sql(db, f"UPDATE events SET v = {n + 1} WHERE id = {key}")
+        after_commit.append(read())
+        warm.append(read())  # the same table state, nothing committed since
+        assert execute_sql(
+            db, f"SELECT v FROM events WHERE id = {key}") == [{"v": n + 1}]
+    warm.sort()
+    after_commit.sort()
+    return {
+        "rows": rows,
+        "reads": reads,
+        "warm_read_seconds": warm[len(warm) // 2],
+        "first_read_after_commit_seconds":
+            after_commit[len(after_commit) // 2],
+    }
+
+
 def bench_graceful_drain(queries_per_worker: int) -> dict:
     """Close the system under a live query load; reopen and recheck."""
     workspace = tempfile.mkdtemp(prefix="e23-serving-")
@@ -279,6 +335,8 @@ def _gate(name: str, actual: float, op: str, threshold: float) -> dict:
 def run_bench(reads_per_reader: int = 300, readers: int = 2,
               queries_per_worker: int = 200, smoke: bool = False) -> dict:
     mixed = bench_mixed_workload(reads_per_reader, readers)
+    cliff = [bench_commit_cliff(rows, 40 if smoke else 200)
+             for rows in ((60_000,) if smoke else (60_000, 600_000))]
     drain = bench_graceful_drain(queries_per_worker)
 
     gates = [
@@ -298,6 +356,17 @@ def run_bench(reads_per_reader: int = 300, readers: int = 2,
     if not smoke:
         gates.append(_gate("p99_degradation", mixed["p99_degradation"],
                            "<=", 2.0))
+    for arm in cliff:
+        arm["after_commit_over_warm"] = (
+            arm["first_read_after_commit_seconds"] / arm["warm_read_seconds"])
+        gates.append(_gate(
+            f"first_read_after_commit_over_warm_{arm['rows'] // 1000}k",
+            arm["after_commit_over_warm"], "<=", 2.0))
+    if len(cliff) > 1:
+        gates.append(_gate(
+            "first_read_after_commit_larger_over_smaller",
+            cliff[-1]["first_read_after_commit_seconds"]
+            / cliff[0]["first_read_after_commit_seconds"], "<=", 2.0))
 
     write_table(
         "e23_concurrent_serving",
@@ -311,6 +380,11 @@ def run_bench(reads_per_reader: int = 300, readers: int = 2,
          ["inconsistent reads", mixed["mixed_inconsistent_reads"]],
          ["reader lock waits", mixed["reader_lock_waits"]],
          ["oracle identical", mixed["oracle_identical"]],
+         *([f"{arm['rows'] // 1000}k rows: warm / first read after a "
+            "commit (ms)",
+            f"{arm['warm_read_seconds'] * 1e3:.3f} / "
+            f"{arm['first_read_after_commit_seconds'] * 1e3:.3f}"]
+           for arm in cliff),
          ["drain clean", drain["drained_clean"]],
          ["reopen consistent", drain["reopen_consistent"]]],
     )
@@ -320,6 +394,7 @@ def run_bench(reads_per_reader: int = 300, readers: int = 2,
         "smoke": smoke,
         "cpu_count": os.cpu_count(),
         "mixed_workload": mixed,
+        "commit_cliff": cliff,
         "graceful_drain": drain,
         "gates": gates,
     }
@@ -374,6 +449,11 @@ def main(argv: list[str] | None = None) -> int:
           f"({mixed['p99_degradation']:.2f}x), "
           f"{mixed['committed_transfers']} transfers committed, "
           f"reader lock waits {mixed['reader_lock_waits']:.0f}")
+    for arm in payload["commit_cliff"]:
+        print(f"{arm['rows']} rows: warm read "
+              f"{arm['warm_read_seconds'] * 1000:.3f} ms, first read after "
+              f"a commit {arm['first_read_after_commit_seconds'] * 1000:.3f} "
+              f"ms ({arm['after_commit_over_warm']:.2f}x)")
     drain = payload["graceful_drain"]
     print(f"drain: {drain['queries_served']} served / "
           f"{drain['queries_shed']} shed, clean={drain['drained_clean']}, "

@@ -345,7 +345,7 @@ class Transaction(TransactionReads):
             if tables and db._wal is not None:  # no log: skip serializing
                 db._log(self.txn_id, "commit", writes=self._logged_writes())
             db._active_txns.pop(self.txn_id, None)
-            db._bump_versions(tables)
+            db._bump_versions(tables, self._undo)
         self.finished = True
         db._locks.release_all(self.txn_id)
         metrics.get_registry().inc("rdbms.txn.commits")
@@ -631,8 +631,8 @@ class Database:
         #: reuse a version number.
         self._table_versions: dict[str, int] = {}
         self._version_seq = 0
-        #: Per-table snapshot cache keyed by committed version: only the
-        #: first reader after a commit pays the O(tail) copy.
+        #: Per-table snapshot cache: only the first reader after a commit
+        #: (or a change of layout) pays the O(tail) copy.
         self._snapshot_cache: dict[str, Any] = {}
         #: Retry policy for :meth:`run` (deadlock / lock-timeout victims).
         self.txn_retry: RetryPolicy = TXN_RETRY
@@ -821,8 +821,9 @@ class Database:
         it and replay re-freezes the identical layout, or it did not and
         the rows are simply still in the tail.
 
-        Compaction changes layout, not data, so commit listeners do NOT
-        fire — cached query results and statistics stay valid.
+        Compaction changes layout, not data: commit listeners do NOT
+        fire and the table's version stays, so cached query results,
+        statistics and a snapshot's indexes stay valid.
 
         Returns a summary dict (segments created, rows frozen, totals).
         """
@@ -835,10 +836,7 @@ class Database:
                 if frozen:
                     self._log(0, "compact", table=table, max_rid=max_rid,
                               target_rows=target_rows)
-                    # Layout-only change: data is identical, but the
-                    # cached snapshot's unit structure is stale, so
-                    # version it out (readers rebuild, rows unchanged).
-                    self._bump_versions({table})
+                    self._relaid(table)
                 segment_count = heap.segment_count()
             span.set_attribute("table", table)
             span.set_attribute("segments_created", created)
@@ -860,8 +858,9 @@ class Database:
         position, where routing (seed-stable, see
         :mod:`repro.storage.rdbms.sharding`) reproduces the identical
         shard membership.  Existing segments are melted — re-compact to
-        freeze per-shard segments.  Commit listeners do NOT fire: row
-        data is untouched, so cached results and statistics stay valid.
+        freeze per-shard segments.  Commit listeners do NOT fire and the
+        table's version stays: row data is untouched, so cached results,
+        statistics and a snapshot's indexes stay valid.
 
         Returns a summary dict.
         """
@@ -874,9 +873,7 @@ class Database:
                 heap.set_shard_spec(spec)
                 self._log(0, "reshard", table=table, shard_key=shard_key,
                           shard_count=spec.count if spec else 1)
-                # Layout-only: invalidate cached snapshots so readers
-                # never serve per-shard units of the old routing.
-                self._bump_versions({table})
+                self._relaid(table)
                 rows = len(heap)
             span.set_attribute("table", table)
             span.set_attribute("shard_count", spec.count if spec else 1)
@@ -956,13 +953,13 @@ class Database:
             undo: dict[str, list[tuple]] | None = None
             snapshots: dict[str, Any] = {}
             for name, heap in self._tables.items():
-                version = self._table_versions.get(name, 0)
                 cached = self._snapshot_cache.get(name)
-                if cached is None or cached.version != version:
+                if cached is None or cached.pending:
                     if undo is None:
                         undo = self._uncommitted()
                     cached = self._snapshot_cache[name] = TableSnapshot(
-                        heap.committed_view(undo.get(name, ())), version)
+                        heap.committed_view(undo.get(name, ())),
+                        self._table_versions.get(name, 0), cached)
                     registry.inc("rdbms.mvcc.snapshot_builds")
                 else:
                     registry.inc("rdbms.mvcc.snapshot_reuses")
@@ -1138,17 +1135,30 @@ class Database:
                 undo.setdefault(entry[1], []).append(entry)
         return undo
 
-    def _bump_versions(self, tables: "set[str] | frozenset[str]") -> None:
+    def _bump_versions(self, tables: "set[str] | frozenset[str]",
+                       log: Sequence[tuple] | None = None) -> None:
         """Advance the committed version of each table (mutate lock held).
 
         Versions come from one database-wide monotonic sequence, so no
         two distinct committed states of any table — even across a
-        drop/recreate — ever share a version number.
+        drop/recreate — ever share a version number.  The cached
+        snapshot keeps the committing transaction's ``log`` to carry its
+        indexes by; without one (DDL), or owing too much, it is dropped.
         """
         for table in tables:
             self._version_seq += 1
             self._table_versions[table] = self._version_seq
-            self._snapshot_cache.pop(table, None)
+            cached = self._snapshot_cache.get(table)
+            if cached is not None and (log is None or not cached.owe(log)):
+                del self._snapshot_cache[table]
+
+    def _relaid(self, table: str) -> None:
+        """``table``'s rows moved (mutate lock held), rids and values as
+        they were: the next reader needs a new view, and nothing else —
+        the data version, and so every cached result, stands."""
+        cached = self._snapshot_cache.get(table)
+        if cached is not None:
+            cached.owe(())
 
     def _apply_undo(self, entry: tuple) -> None:
         """Take back one change-log entry of an open transaction."""

@@ -12,60 +12,99 @@ write-path structural mutation holds — so the copy can never observe a
 half-applied write.  Cross-table consistency comes from resolving *all*
 tables at ``begin_snapshot()`` time under one lock hold.
 
-A per-table snapshot is cached keyed by the table's committed version
-(bumped atomically at every commit/DDL that touches it), so only the
-first reader after a commit pays the O(tail) copy; subsequent readers
-share the same view.  Secondary-index lookups build per-snapshot lazy
-indexes (the live indexes reflect *uncommitted* writer state and cannot
-serve a consistent snapshot), reusing the exact
+A per-table snapshot is cached until something separates it from the
+table: only the first reader after a commit pays the O(tail) copy, later
+ones share the view.  Secondary-index lookups read per-snapshot indexes
+(the live ones reflect *uncommitted* writer state and cannot serve a
+consistent snapshot) with the exact
 :class:`~repro.storage.rdbms.index.HashIndex` /
-:class:`~repro.storage.rdbms.index.SortedIndex` semantics so results are
-row-identical to the locked path.
+:class:`~repro.storage.rdbms.index.SortedIndex` semantics, so results are
+row-identical to the locked path.  An index is loaded from the view the
+first time a snapshot is asked for it; after that it is **carried**: a
+superseded snapshot hands its successor what it has built, advanced by
+the change logs committed in between (:meth:`Index.carry`), or as it is
+across a change of layout.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any
+from typing import Any, Iterator, Sequence
 
 from repro.errors import CancellationToken, ReadOnlyTransactionError
 from repro.storage.rdbms.engine import TransactionReads
-from repro.storage.rdbms.index import HashIndex, Index, SortedIndex
+from repro.storage.rdbms.index import (HashIndex, Index, Move, SortedIndex,
+                                       UniqueMap)
 from repro.storage.rdbms.table import HeapTable
+from repro.telemetry import metrics
+
+def _moves(entries: Sequence[tuple], column: str) -> Iterator[Move]:
+    """Change-log entries as one column's index sees them: those that
+    changed its value."""
+    for _, _, rid, before, after in entries:
+        old = before[column] if before else None
+        value = after[column] if after else None
+        if old != value:
+            yield old, value, rid
 
 
 class TableSnapshot:
-    """One table's committed view plus lazy per-snapshot indexes.
+    """One table's committed view plus the indexes read through it.
 
     The view is a :class:`HeapTable` that is never mutated, so every read
-    method works unchanged.  Shared across all readers at the same
-    committed version; index builds are locked so concurrent
-    first-lookups build once.
+    method works unchanged.  Shared across all readers until a commit or
+    a change of layout supersedes it; index builds are locked so
+    concurrent first-lookups build once.  Given the ``predecessor`` it
+    supersedes (mutate lock held), it starts with that one's indexes.
     """
 
-    __slots__ = ("table", "version", "_lock", "_pk_map", "_indexes")
+    __slots__ = ("table", "version", "pending", "_room", "_lock", "_indexes")
 
-    def __init__(self, table: HeapTable, version: int) -> None:
+    def __init__(self, table: HeapTable, version: int,
+                 predecessor: "TableSnapshot | None" = None) -> None:
         self.table = table
         self.version = version
+        #: The backlog (mutate lock held): what happened to the table
+        #: since this view was built — one change log per transaction
+        #: committed, an empty one per change of layout.  Non-empty means
+        #: the next reader needs a new view.
+        self.pending: list[Sequence[tuple]] = []
+        self._room = len(table)  # rows the backlog may still grow by
         self._lock = threading.Lock()
-        self._pk_map: dict[Any, int] | None = None
-        self._indexes: dict[tuple[str, type[Index]], Index] = {}
+        #: per (column, kind): an index, or the primary key's UniqueMap
+        self._indexes: dict[tuple[str, type], Any] = {}
+        if predecessor is not None:
+            self._carry(predecessor)
+
+    def owe(self, log: Sequence[tuple]) -> bool:
+        """Add ``log`` to the backlog (mutate lock held).  False once the
+        backlog holds more rows than the table did: carrying would cost
+        more than loading, and the reader to load for may never come."""
+        self.pending.append(log)
+        self._room -= len(log)
+        return self._room >= 0
+
+    def _carry(self, predecessor: "TableSnapshot") -> None:
+        name = self.table.name
+        entries = [entry for log in predecessor.pending for entry in log
+                   if entry[1] == name]
+        # a reader may be adding to the predecessor's: copy in one step
+        self._indexes = dict(predecessor._indexes)
+        if entries:
+            self._indexes = {
+                key: index.carry(_moves(entries, key[0]))
+                for key, index in self._indexes.items()}
+        metrics.get_registry().inc("rdbms.mvcc.index_carries",
+                                   len(self._indexes))
 
     def pk_rid(self, key: Any) -> int | None:
         """The rid holding primary key ``key``, or None."""
         pk = self.table.schema.primary_key
-        if pk is None:
-            return None
-        if self._pk_map is None:
-            with self._lock:
-                if self._pk_map is None:
-                    self._pk_map = dict(self.table.column_items(pk))
-        return self._pk_map.get(key)
+        return None if pk is None else self.index(pk, UniqueMap).get(key)
 
-    def index(self, column: str, kind: type[Index]) -> Index:
-        """The snapshot's own ``kind`` index on ``column``, built on first
-        use."""
+    def index(self, column: str, kind: type) -> Any:
+        """The snapshot's own ``kind`` index (or pk map) on ``column``,
+        loaded from the view on first use unless it was carried here."""
         index = self._indexes.get((column, kind))
         if index is None:
             with self._lock:
@@ -74,6 +113,7 @@ class TableSnapshot:
                     index = kind(self.table.name, column)
                     index.bulk_load(self.table.column_items(column))
                     self._indexes[(column, kind)] = index
+                    metrics.get_registry().inc("rdbms.mvcc.index_builds")
         return index
 
 

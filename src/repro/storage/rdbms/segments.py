@@ -26,10 +26,11 @@ consumer that makes the layout pay off.
 from __future__ import annotations
 
 import bisect
+import math
 from array import array
 from itertools import repeat
-from operator import itemgetter
-from typing import Any, Iterator, Sequence
+from operator import is_, itemgetter
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.storage.rdbms.types import ColumnType, TableSchema
 
@@ -97,7 +98,7 @@ class ColumnSegment:
     # ------------------------------------------------------------ encoding
 
     @staticmethod
-    def encode(name: str, col_type: ColumnType, values: list[Any],
+    def encode(name: str, col_type: ColumnType, values: Sequence[Any],
                dict_max: int = DICT_MAX_ENTRIES) -> "ColumnSegment":
         """Pick and apply the best encoding for ``values``.
 
@@ -105,58 +106,53 @@ class ColumnSegment:
         or ``None``); encoding never changes a value, only its layout.
         """
         count = len(values)
+        null_count = values.count(None)
         nulls: bytearray | None = None
-        null_count = 0
-        for i, v in enumerate(values):
-            if v is None:
-                if nulls is None:
-                    nulls = bytearray((count + 7) // 8)
-                nulls[i >> 3] |= 1 << (i & 7)
-                null_count += 1
-        non_null = [v for v in values if v is not None]
+        non_null = values
+        if null_count:
+            # one 0/1 byte per position, then position i's to bit i & 7
+            # of byte i >> 3 - eight strides ORed as big integers
+            flags = bytes(map(is_, values, repeat(None)))
+            packed = 0
+            for bit in range(8):
+                packed |= int.from_bytes(flags[bit::8], "little") << bit
+            nulls = bytearray(packed.to_bytes((count + 7) // 8, "little"))
+            non_null = [v for v in values if v is not None]
         min_value = min(non_null) if non_null else None
         max_value = max(non_null) if non_null else None
 
-        def raw() -> "ColumnSegment":
-            return ColumnSegment(name, "raw", list(values), None, nulls,
+        def done(encoding: str, data: Any,
+                 dictionary: list[str] | None = None) -> "ColumnSegment":
+            return ColumnSegment(name, encoding, data, dictionary, nulls,
                                  null_count, count, min_value, max_value)
 
+        def filled(placeholder: Any) -> Sequence[Any]:
+            # NULL slots hold a placeholder: the buffer stays rectangular
+            return [placeholder if v is None else v for v in values] \
+                if null_count else values
+
         if col_type is ColumnType.INT:
-            if any(not (_INT64_MIN <= v <= _INT64_MAX) for v in non_null):
-                return raw()
-            data = array("q", (0 if v is None else v for v in values))
-            return ColumnSegment(name, "int", data, None, nulls,
-                                 null_count, count, min_value, max_value)
+            if non_null and (min_value < _INT64_MIN or max_value > _INT64_MAX):
+                return done("raw", list(values))
+            return done("int", array("q", filled(0)))
         if col_type is ColumnType.FLOAT:
-            if any(v != v for v in non_null):
+            if any(map(math.isnan, non_null)):
                 # NaN poisons min()/max(); publish no bounds rather than
                 # bounds a zone-map prune could wrongly trust.
                 min_value = max_value = None
-            data = array("d", (0.0 if v is None else v for v in values))
-            return ColumnSegment(name, "float", data, None, nulls,
-                                 null_count, count, min_value, max_value)
+            return done("float", array("d", filled(0.0)))
         if col_type is ColumnType.BOOL:
-            data = array("b", (0 if not v else 1 for v in values))
-            return ColumnSegment(name, "bool", data, None, nulls,
-                                 null_count, count, min_value, max_value)
+            return done("bool", array("b", map(bool, values)))
         if col_type is ColumnType.TEXT:
-            codes_by_value: dict[str, int] = {}
-            codes = array("i")
-            for v in values:
-                if v is None:
-                    codes.append(-1)
-                    continue
-                code = codes_by_value.get(v)
-                if code is None:
-                    if len(codes_by_value) >= dict_max:
-                        return raw()  # dictionary overflow
-                    code = len(codes_by_value)
-                    codes_by_value[v] = code
-                codes.append(code)
-            dictionary = list(codes_by_value)
-            return ColumnSegment(name, "dict", codes, dictionary, nulls,
-                                 null_count, count, min_value, max_value)
-        return raw()
+            # codes in first-occurrence order, NULL's last
+            code_of = {v: code for code, v in
+                       enumerate(dict.fromkeys(non_null))}
+            if len(code_of) <= dict_max:
+                dictionary = list(code_of)
+                code_of[None] = -1
+                return done("dict", array("i", map(code_of.__getitem__,
+                                                   values)), dictionary)
+        return done("raw", list(values))  # also: dictionary overflow
 
     # ------------------------------------------------------------ decoding
 
@@ -265,19 +261,38 @@ class Segment:
         self.shard = shard
 
     @staticmethod
+    def from_columns(schema: TableSchema, rids: Sequence[int],
+                     columns: Iterable[Sequence[Any]],
+                     chunk_rows: int | None = None,
+                     dict_max: int = DICT_MAX_ENTRIES,
+                     shard: int | None = None) -> "list[Segment]":
+        """Freeze ascending ``rids`` and, per schema column in order, the
+        values of those rows into segments of ``chunk_rows`` rows (None:
+        one, even of no rows).  ``columns`` may be lazy: one column is
+        held at a time."""
+        step = chunk_rows or max(len(rids), 1)
+        starts = range(0, max(len(rids), 1), step)
+        encoded: list[dict[str, ColumnSegment]] = [{} for _ in starts]
+        for col, values in zip(schema.columns, columns):
+            for into, start in zip(encoded, starts):
+                into[col.name] = ColumnSegment.encode(
+                    col.name, col.col_type, values[start:start + step],
+                    dict_max=dict_max)
+        return [Segment(schema, array("q", rids[start:start + step]), into,
+                        shard=shard) for into, start in zip(encoded, starts)]
+
+    @staticmethod
     def from_rows(schema: TableSchema,
                   items: list[tuple[int, dict[str, Any]]],
                   dict_max: int = DICT_MAX_ENTRIES,
                   shard: int | None = None) -> "Segment":
         """Freeze ``(rid, values)`` pairs into a segment (rid-sorted)."""
         items = sorted(items, key=lambda kv: kv[0])
-        rids = array("q", (rid for rid, _ in items))
-        columns: dict[str, ColumnSegment] = {}
-        for col in schema.columns:
-            values = [values_dict.get(col.name) for _, values_dict in items]
-            columns[col.name] = ColumnSegment.encode(
-                col.name, col.col_type, values, dict_max=dict_max)
-        return Segment(schema, rids, columns, shard=shard)
+        return Segment.from_columns(
+            schema, [rid for rid, _ in items],
+            ([values.get(name) for _, values in items]
+             for name in schema.column_names),
+            dict_max=dict_max, shard=shard)[0]
 
     # -------------------------------------------------------------- access
 

@@ -85,6 +85,14 @@ def _live_between(dead: Sequence[int], start: int, stop: int) -> Sequence[int]:
     return live
 
 
+def _column(units: list[ScanUnit], name: str) -> Sequence[Any]:
+    """One column's values over ``units``, in order — no row is built."""
+    parts = [[values.get(name) for _, values in unit] if kind == "rows"
+             else unit.gather((name,), selected)[0]
+             for kind, unit, selected in units]
+    return parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
+
+
 def unit_len(kind: str, unit: Any, selected: Sequence[int] | None) -> int:
     """Rows one scan unit stands for."""
     return len(unit) if kind == "rows" else len(selected)
@@ -234,7 +242,9 @@ class HeapTable:
     @property
     def dead_rows(self) -> int:
         """Frozen positions marked dead and not yet compacted away."""
-        return sum(map(len, self._dead.values()))
+        # the planner asks without a lock: list the vectors in one step,
+        # before a writer can add or drop one
+        return sum(map(len, list(self._dead.values())))
 
     @property
     def segments(self) -> list[Segment]:
@@ -426,51 +436,59 @@ class HeapTable:
         dead position (or a tail row inside its rid range) is rewritten —
         its live rows and those tail rows join the run being frozen — and
         an untouched segment ends the run, so no new segment's rid range
-        reaches across an existing one's.  Each run is cut into chunks of
-        ``target_rows``.  Deterministic, so WAL replay of a ``compact``
-        record over the same table state reproduces the layout.  Returns
+        reaches across an existing one's.  A run is built a column at a
+        time over :meth:`_interleave`'s rid-order merge (no row dict is
+        made) and cut into chunks of ``target_rows``.
+        Deterministic, so WAL replay of a ``compact`` record over the
+        same table state reproduces the layout.  Returns
         ``(segments_created, rows_frozen, max_rid_used)``.
         """
         if target_rows < 1:
             raise ValueError("target_rows must be >= 1")
         if max_rid is None:
             max_rid = self._next_rid - 1
-        rows = self._rows
+        names = self._schema.column_names
         rewritten: list[Segment] = []
         fresh: list[Segment] = []
-        taken: list[int] = []  # tail rids that went into ``fresh``
         frozen = 0
         for shard, segments, tail in self._groups():
             del tail[bisect_right(tail, max_rid):]
-            taken += tail
-            runs: list[list[tuple[int, dict[str, Any]]]] = [[]]
+            # per run: the segments it rewrites and the tail rids it takes
+            runs: list[tuple[list[Segment], list[int]]] = [([], [])]
             at = 0
             for segment in segments:
                 first = bisect_left(tail, segment.min_rid, at)
                 end = bisect_right(tail, segment.max_rid, first)
-                runs[-1] += [(rid, rows[rid]) for rid in tail[at:end]]
+                runs[-1][1].extend(tail[at:end])
                 if end > first or segment in self._dead:
-                    runs[-1] += segment.rows_at(self.live_positions(segment))
-                    rewritten.append(segment)
+                    runs[-1][0].append(segment)
                 else:
-                    runs.append([])
+                    runs.append(([], []))
                 at = end
-            runs[-1] += [(rid, rows[rid]) for rid in tail[at:]]
+            runs[-1][1].extend(tail[at:])
             for run in runs:
-                run.sort(key=itemgetter(0))
-                fresh += [Segment.from_rows(self._schema,
-                                            run[start:start + target_rows],
-                                            shard=shard)
-                          for start in range(0, len(run), target_rows)]
-                frozen += len(run)
+                units = list(self._interleave(*run))
+                rids = list(chain.from_iterable(
+                    map(itemgetter(0), unit) if kind == "rows"
+                    else take(unit.rids, selected)
+                    for kind, unit, selected in units))
+                if rids:
+                    fresh += Segment.from_columns(
+                        self._schema, rids,
+                        (_column(units, name) for name in names),
+                        target_rows, shard=shard)
+                    frozen += len(rids)
+            rewritten += [segment for run in runs for segment in run[0]]
         # Everything new is built: only now does the old layout go.
         for segment in rewritten:
             self._segments.remove(segment)
             self._dead.pop(segment, None)
         if rewritten:
             self._publish_dead_rows()
-        for rid in taken:
-            del rows[rid]
+        # a new dict, not deletions from the old one: what is left of a
+        # dict costs every copy and scan of the tail what it once held
+        self._rows = {rid: values for rid, values in self._rows.items()
+                      if rid > max_rid}
         self._segments += fresh
         self._directory = None
         if frozen:
@@ -629,28 +647,31 @@ class HeapTable:
         rids = sorted(self._rows)  # once: each entry bisects its range
         spec = self._shard_spec
         restored: dict[int | None, list[tuple[int, int]]] = {}
-        for min_rid, max_rid, count, *tag in layout:
-            shard = tag[0] if tag else None
-            if (shard is None) != (spec is None) \
-                    or (spec is not None and shard >= spec.count):
-                return False
-            chunk = rids[bisect_left(rids, min_rid):
-                         bisect_right(rids, max_rid)]
-            if shard is not None:
-                members = self._shard_rids[shard]
-                chunk = [rid for rid in chunk if rid in members]
-            ranges = restored.setdefault(shard, [])
-            if len(chunk) != count or any(
-                    lo <= max_rid and min_rid <= hi for lo, hi in ranges):
-                return False
-            if not chunk:
-                continue
-            ranges.append((min_rid, max_rid))
-            self._segments.append(Segment.from_rows(
-                self._schema, [(rid, self._rows.pop(rid)) for rid in chunk],
-                shard=shard))
-            self._directory = None
-        return True
+        try:
+            for min_rid, max_rid, count, *tag in layout:
+                shard = tag[0] if tag else None
+                if (shard is None) != (spec is None) \
+                        or (spec is not None and shard >= spec.count):
+                    return False
+                chunk = rids[bisect_left(rids, min_rid):
+                             bisect_right(rids, max_rid)]
+                if shard is not None:
+                    members = self._shard_rids[shard]
+                    chunk = [rid for rid in chunk if rid in members]
+                ranges = restored.setdefault(shard, [])
+                if len(chunk) != count or any(
+                        lo <= max_rid and min_rid <= hi for lo, hi in ranges):
+                    return False
+                if not chunk:
+                    continue
+                ranges.append((min_rid, max_rid))
+                self._segments.append(Segment.from_rows(
+                    self._schema, [(rid, self._rows.pop(rid)) for rid in chunk],
+                    shard=shard))
+                self._directory = None
+            return True
+        finally:
+            self._rows = dict(self._rows)  # see compact: no leftovers
 
     # ---------------------------------------------------------------- reads
 

@@ -162,7 +162,11 @@ def render_report(summary: dict[str, Any],
                 "",
                 f"mvcc snapshots: read_txns="
                 f"{all_counters.get('rdbms.mvcc.read_txns', 0.0):.0f} "
-                f"builds={builds:.0f} reuses={reuses:.0f} ({rate})",
+                f"builds={builds:.0f} reuses={reuses:.0f} ({rate}) "
+                f"index_builds="
+                f"{all_counters.get('rdbms.mvcc.index_builds', 0.0):.0f} "
+                f"index_carries="
+                f"{all_counters.get('rdbms.mvcc.index_carries', 0.0):.0f}",
             ]
         if family_present("serving"):
             lines += [
@@ -311,7 +315,10 @@ def render_top(previous: dict[str, Any] | None, current: dict[str, Any],
     if snap_builds or snap_reuses or delta("rdbms.mvcc.read_txns"):
         lines.append(f"  {'mvcc snapshots':<18} "
                      f"{rate(delta('rdbms.mvcc.read_txns'))} reads  "
-                     f"(builds {snap_builds:.0f} / reuses {snap_reuses:.0f})")
+                     f"(builds {snap_builds:.0f} / reuses {snap_reuses:.0f}"
+                     f" / indexes loaded "
+                     f"{delta('rdbms.mvcc.index_builds'):.0f}, carried "
+                     f"{delta('rdbms.mvcc.index_carries'):.0f})")
     admitted = delta("serving.admitted")
     rejected = delta("serving.rejected")
     timed_out = delta("serving.timed_out")

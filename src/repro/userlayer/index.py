@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -48,6 +49,8 @@ class InvertedIndex:
     b: float = 0.75
     _postings: dict[str, list[Posting]] = field(default_factory=dict)
     _doc_lengths: dict[str, int] = field(default_factory=dict)
+    #: doc id -> its distinct terms: what :meth:`remove` has to visit
+    _doc_terms: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def add(self, doc_id: str, text: str) -> None:
         """Index one document (re-adding an ID raises).
@@ -59,15 +62,18 @@ class InvertedIndex:
             raise ValueError(f"document {doc_id!r} already indexed")
         tokens = index_tokens(text)
         self._doc_lengths[doc_id] = len(tokens)
-        for term, tf in Counter(tokens).items():
+        counts = Counter(map(sys.intern, tokens))  # one str per term, shared
+        self._doc_terms[doc_id] = tuple(counts)
+        for term, tf in counts.items():
             self._postings.setdefault(term, []).append(Posting(doc_id, tf))
 
     def remove(self, doc_id: str) -> None:
-        """Drop one document from the index."""
+        """Drop one document from the index: only the posting lists of its
+        own terms are touched."""
         if doc_id not in self._doc_lengths:
             raise KeyError(doc_id)
         del self._doc_lengths[doc_id]
-        for term in list(self._postings):
+        for term in self._doc_terms.pop(doc_id):
             remaining = [p for p in self._postings[term] if p.doc_id != doc_id]
             if remaining:
                 self._postings[term] = remaining

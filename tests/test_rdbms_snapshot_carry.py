@@ -1,0 +1,413 @@
+"""A snapshot's indexes and pk map are carried to the next snapshot, not
+reloaded from the table (DESIGN.md §15): after every step of a random
+script a fresh snapshot must answer exactly as one built from scratch,
+and the snapshot pinned before the step exactly as it did — nothing it
+reads may have been written to."""
+
+import sys
+import threading
+import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.system import FACTS_TABLE, StructureManagementSystem
+from repro.storage.rdbms.engine import Database
+from repro.storage.rdbms.index import HashIndex, SortedIndex
+from repro.storage.rdbms.mvcc import SnapshotTransaction, TableSnapshot
+from repro.storage.rdbms.types import (Column, ColumnType, SchemaError,
+                                       TableSchema)
+from repro.telemetry.metrics import MetricsRegistry, use_registry
+
+IDS = range(12)              # what a step may insert or move a row to
+OPEN_IDS = range(100, 106)   # what the writer left open inserts
+GRPS = ["a", "b", "c", None]
+QTYS = [None, -2, -1, 0, 1, 2]
+BOUNDS = [(low, high, include_low, include_high)
+          for low in (None, -1, 0) for high in (None, 0, 2)
+          for include_low in (True, False) for include_high in (True, False)]
+
+
+def _schema(extra=False):
+    columns = (Column("id", ColumnType.INT, nullable=False),
+               Column("grp", ColumnType.TEXT),      # hash index
+               Column("qty", ColumnType.INT),       # sorted index
+               Column("note", ColumnType.TEXT))     # no index
+    if extra:
+        columns += (Column("extra", ColumnType.INT),)
+    return TableSchema("t", columns, primary_key="id")
+
+
+def answers(txn):
+    """Everything a reader can ask the indexes and the pk map of ``t``."""
+    def rows(found):
+        return [(row.rid, row.values) for row in found]
+
+    # (not asked for NULL: a scan finds NULL = NULL and an index holds no
+    # NULLs, so that answer changes when create_index runs - as before)
+    out = [rows(txn.lookup("t", "grp", grp)) for grp in GRPS if grp]
+    out += [rows(txn.lookup("t", "qty", qty)) for qty in QTYS
+            if qty is not None]
+    out += [rows(txn.range_lookup("t", "qty", *bounds)) for bounds in BOUNDS]
+    for key in [*IDS, *OPEN_IDS]:
+        row = txn.get_by_pk("t", key)
+        out.append(row and (row.rid, row.values))
+    out.append(rows(txn.scan("t")))
+    return out
+
+
+def from_scratch(db):
+    """A snapshot of ``db`` now with nothing carried into it: the view
+    builder and ``bulk_load`` only."""
+    with db._mutate_lock:
+        undo = db._uncommitted()
+        return SnapshotTransaction(db, {
+            name: TableSnapshot(heap.committed_view(undo.get(name, ())),
+                                db._table_versions.get(name, 0))
+            for name, heap in db._tables.items()})
+
+
+row_st = st.tuples(st.sampled_from(GRPS), st.sampled_from(QTYS),
+                   st.sampled_from(["x", "y", None]))
+pick_st = st.integers(0, 1000)
+step_st = st.one_of(
+    st.tuples(st.just("insert"), st.sampled_from(IDS), row_st),
+    st.tuples(st.just("update"), pick_st, row_st,
+              st.sampled_from(["grp", "qty", "note", "id", "all"]),
+              st.sampled_from(IDS)),
+    st.tuples(st.just("delete"), pick_st),
+    st.tuples(st.just("reinsert"), pick_st, row_st),
+    st.tuples(st.just("abort"), pick_st, row_st),
+    st.tuples(st.just("landing"), row_st),
+    st.tuples(st.just("open"), pick_st, row_st),
+    st.tuples(st.just("close"), st.booleans()),
+    st.tuples(st.just("compact"), st.integers(2, 5)),
+    st.tuples(st.just("reshard"), st.sampled_from([None, "grp", "id"]),
+              st.integers(2, 3)),
+    st.tuples(st.just("alter")),
+    st.tuples(st.just("create_index"), st.sampled_from(["grp", "qty"])),
+)
+
+
+class Script:
+    """Applies steps to one database; what it cannot do now it skips."""
+
+    def __init__(self, sharded, indexed):
+        self.db = Database()
+        self.db.create_table(_schema(), shard_key="grp" if sharded else None,
+                             shard_count=3 if sharded else 1)
+        self.writer = None        # the transaction left open, if any
+        self.busy = set()         # rids it wrote: everyone else keeps off
+        self.free_ids = list(OPEN_IDS)
+        for column in ("grp", "qty") if indexed else ():
+            self.create_index(column)
+
+    def create_index(self, column):
+        if self.db._find_index("t", column) is None:
+            self.db.create_index(
+                "t", column, "sorted" if column == "qty" else "hash")
+
+    def _rid(self, pick):
+        """A committed row nobody holds a lock on, or None."""
+        with from_scratch(self.db) as snap:
+            rids = [row.rid for row in snap.scan("t")
+                    if row.rid not in self.busy]
+        return rids[pick % len(rids)] if rids else None
+
+    def _values(self, key, row):
+        values = dict(zip(("grp", "qty", "note"), row), id=key)
+        if self.db.schema("t").has_column("extra"):
+            values["extra"] = key
+        return values
+
+    def apply(self, step):
+        kind, db = step[0], self.db
+        if kind == "insert":
+            self._run(lambda t: t.insert("t", self._values(step[1], step[2])))
+        elif kind == "update":
+            rid = self._rid(step[1])
+            changes = self._values(step[4], step[2])
+            if step[3] != "all":
+                changes = {step[3]: changes[step[3]]}
+            else:
+                del changes["id"]
+            if rid is not None:
+                self._run(lambda t: t.update("t", rid, changes))
+        elif kind == "delete":
+            rid = self._rid(step[1])
+            if rid is not None:
+                self._run(lambda t: t.delete("t", rid))
+        elif kind == "reinsert":     # one pk leaves and returns in one txn
+            rid = self._rid(step[1])
+            if rid is not None:
+                def work(t):
+                    key = t.delete("t", rid).values["id"]
+                    t.insert("t", self._values(key, step[2]))
+                self._run(work)
+        elif kind == "abort":
+            rid = self._rid(step[1])
+            txn = db.begin()
+            if rid is not None:
+                txn.update("t", rid, {"grp": step[2][0], "qty": step[2][1]})
+                txn.delete("t", rid)
+            txn.abort()
+        elif kind == "landing":      # more rows than the table holds
+            taken = {row.values["id"] for row in from_scratch(db).scan("t")}
+            keys = [1000 + n for n in range(len(taken) + 3)]
+            self._run(lambda t: t.insert_many(
+                "t", [self._values(key, step[1]) for key in keys]))
+            self._run(lambda t: [t.delete("t", t.get_by_pk("t", key).rid)
+                                 for key in keys])
+        elif kind == "open" and self.writer is None and self.free_ids:
+            self.writer = db.begin()
+            rid = self._rid(step[1])
+            if rid is not None:      # a committed row changed, not yet so
+                self.writer.update("t", rid, {"grp": step[2][0],
+                                              "qty": step[2][1]})
+                self.busy.add(rid)
+            row = self.writer.insert(
+                "t", self._values(self.free_ids.pop(), step[2]))
+            self.busy.add(row.rid)
+        elif kind == "close" and self.writer is not None:
+            self.writer.commit() if step[1] else self.writer.abort()
+            self.writer, self.busy = None, set()
+        elif self.writer is not None:
+            return                   # the rest wait for every open writer
+        elif kind == "compact":
+            db.compact("t", target_rows=step[1])
+        elif kind == "reshard":
+            db.reshard("t", step[1], step[2])
+        elif kind == "alter":
+            extra = not db.schema("t").has_column("extra")
+            db.alter_table("t", _schema(extra), lambda values: {
+                **{k: v for k, v in values.items() if k != "extra"},
+                **({"extra": values["id"]} if extra else {})})
+        elif kind == "create_index":
+            self.create_index(step[1])
+
+    def _run(self, work):
+        try:
+            self.db.run(work)
+        except SchemaError:
+            pass                     # a taken primary key: an abort
+
+
+@given(sharded=st.booleans(), indexed=st.booleans(),
+       steps=st.lists(step_st, min_size=1, max_size=30))
+@settings(max_examples=120, deadline=None)
+def test_carried_indexes_equal_rebuilt_ones_and_pinned_snapshots_stand(
+        sharded, indexed, steps):
+    script = Script(sharded, indexed)
+    pinned = script.db.begin_snapshot()
+    stood = answers(pinned)
+    for step in steps:
+        script.apply(step)
+        fresh = script.db.begin_snapshot()
+        got = answers(fresh)
+        assert got == answers(from_scratch(script.db)), step
+        assert answers(pinned) == stood, step
+        pinned, stood = fresh, got
+    if script.writer is not None:
+        script.writer.abort()
+
+
+def test_a_commit_carries_and_a_landing_or_ddl_drops():
+    script = Script(sharded=False, indexed=True)
+    for key in range(6):
+        script.apply(("insert", key, ("a", key % 3, "x")))
+    registry = MetricsRegistry()
+
+    def counted(step):
+        """(indexes loaded from the table, indexes carried) by ``step`` and
+        the read of all three access paths behind it."""
+        builds = registry.get("rdbms.mvcc.index_builds")
+        carries = registry.get("rdbms.mvcc.index_carries")
+        script.apply(step)
+        answers(script.db.begin_snapshot())
+        return (registry.get("rdbms.mvcc.index_builds") - builds,
+                registry.get("rdbms.mvcc.index_carries") - carries)
+
+    with use_registry(registry):
+        answers(script.db.begin_snapshot())
+        # hash on grp, hash on qty (equality reads), sorted on qty, pk map
+        assert registry.get("rdbms.mvcc.index_builds") == 4
+        assert counted(("update", 0, ("b", 2, "y"), "all", 0)) == (0, 4)
+        assert counted(("compact", 2)) == (0, 4)
+        assert counted(("reshard", "grp", 2)) == (0, 4)
+        assert counted(("abort", 0, ("c", 1, None))) == (0, 0)  # no new view
+        assert counted(("landing", ("c", 1, None))) == (4, 0)
+        assert counted(("alter",)) == (4, 0)
+
+
+def test_an_overlay_folds_before_it_outgrows_its_base():
+    for kind, base_of, overlay_of in (
+            (HashIndex, lambda i: i._buckets, lambda i: len(i._changed)),
+            (SortedIndex, lambda i: i._pairs,
+             lambda i: len(i._added) + len(i._removed))):
+        index = kind("t", "c")
+        index.bulk_load((value, value) for value in range(40))
+        base = base_of(index)
+        carried, folds = index, 0
+        for rid in range(40):
+            older = carried
+            carried = carried.carry([(rid, rid + 100, rid)])
+            folds += base_of(carried) is not base_of(older)
+            assert overlay_of(carried) * 4 <= len(base_of(carried))
+        assert 2 <= folds <= 12          # not per carry, and not never
+        assert [carried.lookup(v) for v in (0, 100, 139)] == [[], [0], [39]]
+        assert index.lookup(0) == [0] and len(index) == 40   # left as it was
+        assert base_of(index) is base
+
+
+def test_readers_beside_a_committing_compacting_writer_stay_consistent():
+    """Time-bounded stress, more threads than cores, short switch interval:
+    whatever a reader's snapshot was carried from, its indexes, its pk map
+    and its scan must describe one state, and the planner's unlocked
+    questions to the live table (``table_size``) must not trip over the
+    writer."""
+    script = Script(sharded=False, indexed=True)
+    script.db.run(lambda t: t.insert_many(
+        "t", [script._values(key, ("abc"[key % 3], key % 3, "x"))
+              for key in range(60)]))
+    script.db.compact("t", target_rows=16)
+    stop, errors = threading.Event(), []
+
+    def reader():
+        while not stop.is_set():
+            try:
+                script.db.table_size("t")
+                with script.db.begin_snapshot() as snap:
+                    rows = snap.scan("t")
+                    for grp in "abc":
+                        assert [r.rid for r in snap.lookup("t", "grp", grp)] \
+                            == [r.rid for r in rows if r.values["grp"] == grp]
+                    assert sorted(r.rid for r in snap.range_lookup(
+                        "t", "qty", 1, None)) == [
+                        r.rid for r in rows if (r.values["qty"] or 0) >= 1]
+                    for row in rows[::7]:
+                        assert snap.get_by_pk("t", row.values["id"]) == row
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+                stop.set()
+
+    def writer():
+        n = 0
+        try:
+            while not stop.is_set():
+                n += 1
+                script.apply(("update", n * 7, ("abc"[n % 3], n % 4 - 1, "y"),
+                              ("grp", "qty", "all")[n % 3], 0))
+                if n % 3 == 0:
+                    script.apply(("reinsert", n, ("b", 2, None)))
+                if n % 5 == 0:
+                    script.apply(("compact", 16))
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=reader) for _ in range(3)]
+    threads.append(threading.Thread(target=writer))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        time.sleep(1.5)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[0]
+
+
+# ------------------------------------------- layout is not data: the caches
+
+
+def _facts(system, entities=20):
+    rows = [{"fact_id": e * 10 + a, "entity": f"entity_{e:03d}",
+             "attribute": f"attr_{a}", "value_text": None,
+             "value_num": float(e * 10 + a), "confidence": 0.5,
+             "doc_id": f"doc_{e}"}
+            for e in range(entities) for a in range(10)]
+    system.db.run(lambda t: t.insert_many(FACTS_TABLE, rows))
+    return len(rows)
+
+
+def test_compact_and_reshard_leave_the_result_cache_valid():
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        system = StructureManagementSystem()
+        _facts(system)
+        select = ("SELECT fact_id, value_num FROM facts "
+                  "WHERE entity = 'entity_003'")
+        first = system.query(select)
+        assert system.query(select) == first
+        assert (registry.get("planner.cache.misses"),
+                registry.get("planner.cache.hits")) == (1, 1)
+        version = system.db.begin_snapshot().version_of(FACTS_TABLE)
+        assert system.compact()["rows_frozen"] == 200
+        assert system.query(select) == first
+        system.reshard(FACTS_TABLE, "attribute", 3)
+        assert system.query(select) == first
+        assert (registry.get("planner.cache.misses"),
+                registry.get("planner.cache.hits")) == (1, 3)
+        assert system.db.begin_snapshot().version_of(FACTS_TABLE) == version
+        # and a reader still sees the new layout, not a stale view
+        with system.db.begin_snapshot() as snap:
+            assert snap.shard_spec(FACTS_TABLE).count == 3
+        system.query("UPDATE facts SET value_num = 0.5 WHERE fact_id = 30")
+        assert system.query(select) != first
+        assert registry.get("planner.cache.misses") == 2
+        system.close()
+
+
+def test_serve_mixed_write_script_reloads_no_index_after_warm_up():
+    """The e2e ``serve_mixed`` script at smoke size: an insert, an update
+    and a delete about one entity in turn, the probe read behind each, a
+    compaction every fifth commit, the four query classes in between."""
+    reads = [
+        "SELECT fact_id, attribute, value_num FROM facts "
+        "WHERE entity = 'entity_000'",
+        "SELECT entity, attribute, value_num FROM facts WHERE fact_id = 77",
+        "SELECT entity, value_num FROM facts WHERE attribute = 'attr_3' "
+        "AND value_num > 100 ORDER BY value_num DESC LIMIT 10",
+        "SELECT attribute, COUNT(*) AS n, AVG(value_num) AS a FROM facts "
+        "WHERE confidence > 0.4 GROUP BY attribute",
+    ]
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        system = StructureManagementSystem()
+        next_id = _facts(system, entities=100)
+        system.compact()
+        for sql in reads:
+            system.query(sql)                       # warm-up
+        builds = registry.get("rdbms.mvcc.index_builds")
+        assert builds == 3                          # entity, attribute, pk
+        mine = list(range(10))                      # entity_000's fact ids
+        for commit in range(30):
+            kind = ("insert", "update", "delete")[commit % 3]
+            if kind == "insert" or len(mine) < 4:
+                mine.append(next_id)
+                system.query(
+                    "INSERT INTO facts (fact_id, entity, attribute, value_num,"
+                    f" confidence, doc_id) VALUES ({next_id}, 'entity_000', "
+                    f"'extra_{next_id}', {commit}.5, 0.5, 'writer')")
+                next_id += 1
+            elif kind == "update":
+                system.query(f"UPDATE facts SET value_num = {commit}.25 "
+                             f"WHERE fact_id = {mine[len(mine) // 2]}")
+            else:
+                system.query(
+                    f"DELETE FROM facts WHERE fact_id = {mine.pop(0)}")
+            probe = system.query(reads[0])
+            assert sorted(row["fact_id"] for row in probe) == sorted(mine)
+            if commit % 5 == 4:
+                system.compact()
+            for sql in reads:
+                system.query(sql)
+        assert registry.get("rdbms.mvcc.index_builds") == builds
+        assert registry.get("rdbms.mvcc.index_carries") >= 3 * 36
+        assert registry.get("rdbms.mvcc.snapshot_builds") >= 36
+        system.close()

@@ -41,6 +41,35 @@ def test_remove_document():
         index.remove("a")
 
 
+def test_remove_visits_only_the_documents_own_posting_lists():
+    class Counting(dict):
+        visited = 0
+
+        def __getitem__(self, term):
+            Counting.visited += 1
+            return super().__getitem__(term)
+
+    texts = {f"fact{i}": f"entity_{i} attr_{i % 7} value {i} shared Shared"
+             for i in range(60)}
+    index = InvertedIndex(_postings=Counting())
+    for doc_id, text in texts.items():
+        index.add(doc_id, text)
+    assert len(index.terms()) > 100
+    for i in (3, 31, 59, 10):        # first of a list, middle, last
+        Counting.visited = 0
+        index.remove(f"fact{i}")
+        assert Counting.visited == 5  # entity, attr, value, i, shared
+        del texts[f"fact{i}"]
+    index.add("fact31", "entity_31 now says something else")
+    texts["fact31"] = "entity_31 now says something else"
+    rebuilt = InvertedIndex()
+    for doc_id in sorted(texts, key=lambda d: (d == "fact31", int(d[4:]))):
+        rebuilt.add(doc_id, texts[doc_id])
+    assert index._postings == rebuilt._postings   # posting order too
+    for query in ("shared", "attr_3 value", "entity_31", "59", "else 12"):
+        assert index.search(query, k=100) == rebuilt.search(query, k=100)
+
+
 def test_idf_prefers_rare_terms():
     index = InvertedIndex()
     for i in range(10):
