@@ -45,10 +45,10 @@ def _fmt(cell: object) -> str:
 
 def gate(name: str, actual: float, op: str, threshold: float) -> dict:
     """One machine-readable pass/fail claim for a result file's ``gates``
-    list (``op`` is ``>=``, ``<=`` or ``==``); ``check_gates.py``
+    list (``op`` is ``>=``, ``<=``, ``<`` or ``==``); ``check_gates.py``
     re-validates it."""
     ok = {">=": actual >= threshold, "<=": actual <= threshold,
-          "==": actual == threshold}[op]
+          "<": actual < threshold, "==": actual == threshold}[op]
     return {"name": name, "actual": actual, "op": op,
             "threshold": threshold, "pass": ok}
 

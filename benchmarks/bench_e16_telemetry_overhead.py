@@ -8,11 +8,16 @@ telemetry off (the default no-op tracer) and with telemetry fully on
 (spans streamed to a JSONL file plus the metrics snapshot) — and gates on
 the relative overhead.
 
-Checked invariants:
-  * min-of-N wall-clock overhead of full telemetry is <= 10%;
-  * with telemetry enabled, sorted query output is byte-identical across
-    the serial / thread / process execution backends (enabling
-    observability must not perturb the determinism contract);
+Checked invariants (recorded as ``gates``; ``check_gates.py``
+re-validates them):
+  * sorted query output is byte-identical with telemetry on and off, in
+    every repeat of the overhead workload;
+  * with telemetry enabled, sorted query output and the WAL record count
+    are identical across the serial / thread / process execution
+    backends (enabling observability must not perturb the determinism
+    contract);
+  * min-of-N wall-clock overhead of full telemetry is < 10% (full runs
+    only: ``--smoke`` times too little to judge);
   * the instrumented run actually produced a span tree and a metrics
     snapshot covering all four layers (no silently-disabled telemetry).
 
@@ -33,7 +38,7 @@ import sys
 import tempfile
 import time
 
-from _tables import write_table
+from _tables import assert_gates, gate, write_table
 
 from repro import telemetry
 from repro.core.system import StructureManagementSystem
@@ -99,13 +104,15 @@ def bench_overhead(num_docs: int, repeats: int, base_dir: str) -> dict:
     plain_times: list[float] = []
     instrumented_times: list[float] = []
     spans, snapshot = [], None
+    identical = True
     for i in range(repeats):
-        seconds, _, _, _ = _timed_run(docs, base_dir, f"plain{i}",
-                                      instrumented=False)
+        seconds, plain_rows, _, _ = _timed_run(docs, base_dir, f"plain{i}",
+                                               instrumented=False)
         plain_times.append(seconds)
-        seconds, _, spans, snapshot = _timed_run(docs, base_dir, f"tel{i}",
-                                                 instrumented=True)
+        seconds, rows, spans, snapshot = _timed_run(
+            docs, base_dir, f"tel{i}", instrumented=True)
         instrumented_times.append(seconds)
+        identical &= _canonical(rows) == _canonical(plain_rows)
 
     # telemetry must have actually recorded the pipeline
     span_names = {s.name for s in spans}
@@ -126,6 +133,7 @@ def bench_overhead(num_docs: int, repeats: int, base_dir: str) -> dict:
         "baseline_seconds": baseline,
         "instrumented_seconds": instrumented,
         "overhead_fraction": (instrumented - baseline) / baseline,
+        "telemetry_on_identical": identical,
         "span_count": len(spans),
         "metric_count": len(counters),
     }
@@ -153,18 +161,12 @@ def bench_determinism(num_docs: int, workers: int, base_dir: str) -> dict:
         outputs[spec] = _canonical(rows)
         wal_records[spec] = registry.get("rdbms.wal.records")
 
-    assert outputs["thread"] == outputs["serial"], \
-        "thread backend output differs from serial with telemetry on"
-    assert outputs["process"] == outputs["serial"], \
-        "process backend output differs from serial with telemetry on"
-    assert wal_records["thread"] == wal_records["serial"]
-    assert wal_records["process"] == wal_records["serial"]
     return {
         "num_docs": num_docs,
         "workers": workers,
         "output_bytes": len(outputs["serial"]),
-        "outputs_identical": True,
-        "wal_records_identical": True,
+        "outputs_identical": len(set(outputs.values())) == 1,
+        "wal_records_identical": len(set(wal_records.values())) == 1,
     }
 
 
@@ -186,6 +188,17 @@ def run_bench(num_docs: int = 200, repeats: int = 5,
           overhead["overhead_fraction"]]],
     )
 
+    # identity holds at any size; the wall-clock gate is left out of
+    # --smoke, which times a few tiny runs
+    gates = [gate(name, int(flag), "==", 1) for name, flag in (
+        ("output_identical_telemetry_on_vs_off",
+         overhead["telemetry_on_identical"]),
+        ("backend_outputs_identical", determinism["outputs_identical"]),
+        ("backend_wal_records_identical",
+         determinism["wal_records_identical"]))]
+    if not smoke:
+        gates.append(gate("telemetry_overhead_fraction",
+                          overhead["overhead_fraction"], "<", max_overhead))
     payload = {
         "experiment": "e16_telemetry_overhead",
         "smoke": smoke,
@@ -193,17 +206,14 @@ def run_bench(num_docs: int = 200, repeats: int = 5,
         "max_overhead_fraction": max_overhead,
         "overhead": overhead,
         "determinism": determinism,
+        "gates": gates,
     }
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(JSON_PATH, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
     print(f"\nwrote {JSON_PATH}")
 
-    if not smoke:
-        assert overhead["overhead_fraction"] <= max_overhead, (
-            f"telemetry overhead {overhead['overhead_fraction']:.1%} exceeds "
-            f"the {max_overhead:.0%} acceptance bar"
-        )
+    assert_gates(gates)
     return payload
 
 
@@ -214,9 +224,11 @@ def test_e16_smoke(tmp_path):
     """Small-scale E16: telemetry records, determinism holds; no gate."""
     overhead = bench_overhead(num_docs=20, repeats=1, base_dir=str(tmp_path))
     assert overhead["span_count"] > 0
+    assert overhead["telemetry_on_identical"]
     determinism = bench_determinism(num_docs=12, workers=2,
                                     base_dir=str(tmp_path))
     assert determinism["outputs_identical"]
+    assert determinism["wal_records_identical"]
 
 
 # ----------------------------------------------------------------- main

@@ -557,15 +557,10 @@ class StreamingPipeline:
     # ------------------------------------------------------------- oracles
 
     def oracle_clusters(self) -> list[EntityCluster]:
-        """Batch re-resolution of the live mention set (identity gate)."""
-        batch = EntityResolver(
-            threshold=self.resolver.resolver.threshold,
-            blocking_key=self.resolver.resolver.blocking_key,
-            attribute_weight=self.resolver.resolver.attribute_weight,
-            scorer=self.resolver.resolver.scorer,
-        )
-        return batch.resolve(self.resolver.mentions(),
-                             self.resolver.constraints)
+        """Batch re-resolution of the live mention set (identity gate),
+        by the pipeline's own :class:`EntityResolver`."""
+        return self.resolver.resolver.resolve(self.resolver.mentions(),
+                                              self.resolver.constraints)
 
     def oracle_fused(self) -> list[FusedValue]:
         """From-scratch re-extraction-to-fusion over the live state."""
@@ -577,7 +572,6 @@ class StreamingPipeline:
         for mention_id, raw in self._raw.items():
             tagged.extend(replace(e, entity=canonical[mention_id])
                           for e in raw)
-        tagged.sort(key=canonical_extraction_sort_key)
         return fuse_extractions(tagged, self.fusion.strategy)
 
     def fused_values(self) -> list[FusedValue]:

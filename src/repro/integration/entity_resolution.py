@@ -455,34 +455,36 @@ class IncrementalEntityResolver:
 
     def add_must(self, a: int, b: int) -> DeltaResolveStats:
         """Record a must-link answer and re-close the affected components."""
-        seed = self._closure({a, b} & set(self._mentions))
-        self.constraints.add_must(a, b)
-        self._cannot_of.get(a, set()).discard(b)
-        self._cannot_of.get(b, set()).discard(a)
-        self._must_of.setdefault(a, set()).add(b)
-        self._must_of.setdefault(b, set()).add(a)
-        if a in self._mentions and b in self._mentions:
-            self._adj.setdefault(a, set()).add(b)
-            self._adj.setdefault(b, set()).add(a)
-        dirty = self._closure(seed | ({a, b} & set(self._mentions)))
-        splits = self._recluster(dirty, gone=set())
-        return DeltaResolveStats(dirty_mentions=len(dirty),
-                                 clusters_split=splits)
+        return self._constrain(a, b, must=True)
 
     def add_cannot(self, a: int, b: int) -> DeltaResolveStats:
         """Record a cannot-link answer and re-close the affected components."""
-        seed = self._closure({a, b} & set(self._mentions))
-        had_must = _norm(a, b) in self.constraints.must_link
-        self.constraints.add_cannot(a, b)
-        self._must_of.get(a, set()).discard(b)
-        self._must_of.get(b, set()).discard(a)
-        self._cannot_of.setdefault(a, set()).add(b)
-        self._cannot_of.setdefault(b, set()).add(a)
-        if had_must and self._scores.get(
-                _norm(a, b), (None, -1.0))[1] < self.resolver.threshold:
-            self._adj.get(a, set()).discard(b)
-            self._adj.get(b, set()).discard(a)
-        dirty = self._closure(seed | ({a, b} & set(self._mentions)))
+        return self._constrain(a, b, must=False)
+
+    def _constrain(self, a: int, b: int, must: bool) -> DeltaResolveStats:
+        """Make ``a`` and ``b`` a must-link (``must``) or a cannot-link —
+        either replaces the other — and re-cluster the closure of the two
+        in the old link graph and in the new."""
+        live = {a, b} & self._mentions.keys()
+        seed = self._closure(live)
+        if must:
+            self.constraints.add_must(a, b)
+            links, unlinks = self._must_of, self._cannot_of
+        else:
+            self.constraints.add_cannot(a, b)
+            links, unlinks = self._cannot_of, self._must_of
+        for x, y in ((a, b), (b, a)):
+            unlinks.get(x, set()).discard(y)
+            links.setdefault(x, set()).add(y)
+        if len(live) == 2:  # the edge stands on a must-link or its score
+            linked = must or self._scores.get(
+                _norm(a, b), (None, -1.0))[1] >= self.resolver.threshold
+            for x, y in ((a, b), (b, a)):
+                if linked:
+                    self._adj[x].add(y)
+                else:
+                    self._adj[x].discard(y)
+        dirty = self._closure(seed | live)
         splits = self._recluster(dirty, gone=set())
         return DeltaResolveStats(dirty_mentions=len(dirty),
                                  clusters_split=splits)

@@ -63,8 +63,8 @@ def canonical_extraction_sort_key(extraction: Extraction) -> tuple:
     """A deterministic total order over extractions.
 
     Fusion output depends on member order inside a group (max-confidence
-    ties, vote ties, span tuples), so incremental maintenance and its
-    from-scratch oracle must both feed members in one canonical order.
+    ties, vote ties, span tuples), so batch fusion, incremental
+    maintenance and its oracle all fuse members in this one order.
     """
     span = extraction.span
     return (
@@ -118,6 +118,10 @@ def fuse_extractions(extractions: Sequence[Extraction],
                      strategy: str = "weighted_vote") -> list[FusedValue]:
     """Fuse extractions into one value per (entity, attribute).
 
+    Each group's members are fused in canonical order
+    (:func:`canonical_extraction_sort_key`), so the output depends on the
+    set of extractions only — not on how they were produced or ordered.
+
     Args:
         extractions: input extractions (any order).
         strategy: ``max_confidence`` | ``weighted_vote`` | ``numeric_median``.
@@ -128,13 +132,14 @@ def fuse_extractions(extractions: Sequence[Extraction],
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown fusion strategy {strategy!r}")
     groups: dict[tuple[str, str], list[Extraction]] = {}
-    for extraction in extractions:
+    # the key leads with (entity, attribute): groups come out in key order
+    for extraction in sorted(extractions, key=canonical_extraction_sort_key):
         groups.setdefault((extraction.entity, extraction.attribute), []).append(
             extraction
         )
     return [
         _fuse_group(entity, attribute, members, strategy)
-        for (entity, attribute), members in sorted(groups.items())
+        for (entity, attribute), members in groups.items()
     ]
 
 
@@ -212,8 +217,8 @@ class FusionState:
     retractable accumulators (:class:`_GroupState`), marks a group dirty
     on every add/retract, and on :meth:`refresh` re-fuses *only the dirty
     groups* — O(changed mentions), never O(corpus).  :meth:`fused` is
-    byte-identical to ``fuse_extractions`` over the same live extractions
-    fed in canonical order (``canonical_extraction_sort_key``).
+    byte-identical to ``fuse_extractions`` over the same live extractions,
+    in any order: both fuse a group's members in canonical order.
     """
 
     def __init__(self, strategy: str = "weighted_vote") -> None:

@@ -12,6 +12,8 @@ loses no committed work — experiment E11 exercises exactly this.
 from __future__ import annotations
 
 import threading
+import weakref
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain, groupby
@@ -111,9 +113,10 @@ class TransactionReads:
     ``_check_active``:
 
     * ``_heap(table)`` — the table to read;
-    * ``_index(table, column, need_sorted=False)`` — the index to probe,
-      or None: the column has none (of the needed kind) and the read
-      falls back to a scan;
+    * ``_probe(table, column, probe, need_sorted=False)`` — what
+      ``probe(index)`` (ascending rids) finds in the column's index, or
+      None: the column has none (of the needed kind) and the read falls
+      back to a scan;
     * ``_pk_rid(table, key)`` — the rid holding a primary key, or None.
 
     What is defined here reads without locks; the 2PL transaction
@@ -194,11 +197,11 @@ class TransactionReads:
                      value: Any) -> list[ScanUnit]:
         """Index-assisted equality lookup; falls back to a scan."""
         self._check_active()
-        index = self._index(table, column)
-        if index is None:
+        rids = self._probe(table, column, lambda index: index.lookup(value))
+        if rids is None:
             return self._scan_fallback(
                 table, lambda v: v.get(column) == value)
-        return self._fetch(table, index.lookup(value), "rdbms.index.lookups")
+        return self._fetch(table, rids, "rdbms.index.lookups")
 
     def range_units(self, table: str, column: str, low: Any = None,
                     high: Any = None, include_low: bool = True,
@@ -207,8 +210,10 @@ class TransactionReads:
         filtered scan would produce); falls back to a scan when no sorted
         index exists on the column."""
         self._check_active()
-        index = self._index(table, column, need_sorted=True)
-        if index is None:
+        rids = self._probe(table, column, lambda index: sorted(
+            index.range(low, high, include_low, include_high)),
+            need_sorted=True)
+        if rids is None:
 
             def in_range(values: dict[str, Any]) -> bool:
                 value = values.get(column)
@@ -223,7 +228,6 @@ class TransactionReads:
                 return True
 
             return self._scan_fallback(table, in_range)
-        rids = sorted(index.range(low, high, include_low, include_high))
         return self._fetch(table, rids, "rdbms.index.range_scans")
 
     def pk_units(self, table: str, key: Any) -> list[ScanUnit]:
@@ -293,8 +297,9 @@ class Transaction(TransactionReads):
         #: The change log: ``(kind, table, rid, before, after)`` per row
         #: written, in write order (``before`` is None for an insert,
         #: ``after`` for a delete).  Abort applies it in reverse, a
-        #: snapshot rolls its view back with it, commit writes it to the
-        #: WAL and folds it into the :class:`CommitDelta`.
+        #: snapshot rolls its view back with it and corrects its index
+        #: reads by its rids, commit writes it to the WAL and folds it
+        #: into the :class:`CommitDelta`.
         self._undo: list[tuple] = []
         self.finished = False
         #: Optional cooperative-cancellation token checked at every
@@ -563,14 +568,16 @@ class Transaction(TransactionReads):
     def _heap(self, table: str) -> HeapTable:
         return self._db._table(table)
 
-    def _index(self, table: str, column: str,
-               need_sorted: bool = False) -> Index | None:
+    def _probe(self, table: str, column: str,
+               probe: Callable[[Index], list[int]],
+               need_sorted: bool = False) -> list[int] | None:
         db = self._db
         index = db.sorted_index(table, column) if need_sorted \
             else db._find_index(table, column)
-        if index is not None:
-            self._enter(table, None, LockMode.INTENTION_SHARED)
-        return index
+        if index is None:
+            return None
+        self._enter(table, None, LockMode.INTENTION_SHARED)
+        return probe(index)
 
     def _pk_rid(self, table: str, key: Any) -> int | None:
         self._enter(table, None, LockMode.INTENTION_SHARED)
@@ -634,6 +641,13 @@ class Database:
         #: Per-table snapshot cache: only the first reader after a commit
         #: (or a change of layout) pays the O(tail) copy.
         self._snapshot_cache: dict[str, Any] = {}
+        #: Per table: weak references to the attached snapshots (those
+        #: reading the live indexes), and ``(version, rids written)`` of
+        #: each commit since the oldest of them — what corrects their
+        #: index reads (:meth:`_written_since`) — with its row count.
+        self._readers: dict[str, list[weakref.ref]] = {}
+        self._history: dict[str, deque[tuple[int, list[int]]]] = {}
+        self._history_rows: dict[str, int] = {}
         #: Retry policy for :meth:`run` (deadlock / lock-timeout victims).
         self.txn_retry: RetryPolicy = TXN_RETRY
         #: When set, any commit that leaves a table's row-store tail at or
@@ -721,8 +735,8 @@ class Database:
             if name not in self._tables:
                 raise SchemaError(f"no table {name!r}")
             del self._tables[name]
+            self._bump_versions({name})
             self._table_versions.pop(name, None)
-            self._snapshot_cache.pop(name, None)
             self._drop_indexes(name)
             self._log(0, "drop_table", table=name)
         self._notify(CommitDelta(ddl=frozenset({name})))
@@ -822,8 +836,8 @@ class Database:
         the rows are simply still in the tail.
 
         Compaction changes layout, not data: commit listeners do NOT
-        fire and the table's version stays, so cached query results,
-        statistics and a snapshot's indexes stay valid.
+        fire and the table's version stays, so cached query results and
+        statistics stay valid; only the cached view goes.
 
         Returns a summary dict (segments created, rows frozen, totals).
         """
@@ -836,7 +850,7 @@ class Database:
                 if frozen:
                     self._log(0, "compact", table=table, max_rid=max_rid,
                               target_rows=target_rows)
-                    self._relaid(table)
+                    self._snapshot_cache.pop(table, None)
                 segment_count = heap.segment_count()
             span.set_attribute("table", table)
             span.set_attribute("segments_created", created)
@@ -859,8 +873,8 @@ class Database:
         :mod:`repro.storage.rdbms.sharding`) reproduces the identical
         shard membership.  Existing segments are melted — re-compact to
         freeze per-shard segments.  Commit listeners do NOT fire and the
-        table's version stays: row data is untouched, so cached results,
-        statistics and a snapshot's indexes stay valid.
+        table's version stays: row data is untouched, so cached results
+        and statistics stay valid; only the cached view goes.
 
         Returns a summary dict.
         """
@@ -873,7 +887,7 @@ class Database:
                 heap.set_shard_spec(spec)
                 self._log(0, "reshard", table=table, shard_key=shard_key,
                           shard_count=spec.count if spec else 1)
-                self._relaid(table)
+                self._snapshot_cache.pop(table, None)
                 rows = len(heap)
             span.set_attribute("table", table)
             span.set_attribute("shard_count", spec.count if spec else 1)
@@ -954,12 +968,15 @@ class Database:
             snapshots: dict[str, Any] = {}
             for name, heap in self._tables.items():
                 cached = self._snapshot_cache.get(name)
-                if cached is None or cached.pending:
+                if cached is None:
                     if undo is None:
                         undo = self._uncommitted()
                     cached = self._snapshot_cache[name] = TableSnapshot(
                         heap.committed_view(undo.get(name, ())),
-                        self._table_versions.get(name, 0), cached)
+                        self._table_versions.get(name, 0))
+                    cached.attached = True
+                    self._readers.setdefault(name, []).append(
+                        weakref.ref(cached))
                     registry.inc("rdbms.mvcc.snapshot_builds")
                 else:
                     registry.inc("rdbms.mvcc.snapshot_reuses")
@@ -1137,28 +1154,76 @@ class Database:
 
     def _bump_versions(self, tables: "set[str] | frozenset[str]",
                        log: Sequence[tuple] | None = None) -> None:
-        """Advance the committed version of each table (mutate lock held).
+        """Advance the committed version of each table and drop its
+        cached view (mutate lock held).
 
         Versions come from one database-wide monotonic sequence, so no
         two distinct committed states of any table — even across a
-        drop/recreate — ever share a version number.  The cached
-        snapshot keeps the committing transaction's ``log`` to carry its
-        indexes by; without one (DDL), or owing too much, it is dropped.
+        drop/recreate — ever share a version number.  While an attached
+        snapshot is older than the commit whose change ``log`` this is,
+        the rids it wrote join the table's history, which keeps what the
+        oldest attached snapshot needs and no more than
+        :meth:`_history_bound` rows, trimmed from the front.  The attached
+        snapshots DDL (no ``log``) or that bound leave without their
+        history are detached: they load indexes of their own from their
+        views (:mod:`~repro.storage.rdbms.mvcc`).
         """
         for table in tables:
             self._version_seq += 1
             self._table_versions[table] = self._version_seq
-            cached = self._snapshot_cache.get(table)
-            if cached is not None and (log is None or not cached.owe(log)):
-                del self._snapshot_cache[table]
+            self._snapshot_cache.pop(table, None)
+            snaps = [snap for snap in (ref() for ref in
+                                       self._readers.pop(table, ()))
+                     if snap is not None and snap.attached]
+            history = self._history.pop(table, deque())
+            rows = self._history_rows.pop(table, 0)
+            floor = float("inf") if log is None else 0  # older ones detach
+            if log is not None and snaps:
+                oldest = min(snap.version for snap in snaps)
+                while history and history[0][0] <= oldest:
+                    rows -= len(history.popleft()[1])
+                rids = [rid for _, name, rid, _, _ in log if name == table]
+                history.append((self._version_seq, rids))
+                rows += len(rids)
+                bound = self._history_bound(table)
+                while rows > bound:
+                    floor, rids = history.popleft()
+                    rows -= len(rids)
+            for snap in snaps:
+                snap.attached = snap.version >= floor
+            snaps = [snap for snap in snaps if snap.attached]
+            if snaps:
+                self._readers[table] = [weakref.ref(snap) for snap in snaps]
+                self._history[table] = history
+                self._history_rows[table] = rows
+        metrics.get_registry().set_gauge(
+            "rdbms.mvcc.history_rows", sum(self._history_rows.values()))
 
-    def _relaid(self, table: str) -> None:
-        """``table``'s rows moved (mutate lock held), rids and values as
-        they were: the next reader needs a new view, and nothing else —
-        the data version, and so every cached result, stands."""
-        cached = self._snapshot_cache.get(table)
-        if cached is not None:
-            cached.owe(())
+    def _history_bound(self, table: str) -> int:
+        """The most rows of D (the history, and apart from it the open
+        change logs) an attached snapshot of ``table`` is corrected by.
+        Correcting costs a probe ~1 µs per row of D, loading an index of
+        its own ~0.2–0.6 µs per row of the table, once: a 32nd of the
+        table keeps a probe under a fifth of a load."""
+        return 64 + len(self._tables[table]) // 32
+
+    def _written_since(self, table: str, version: int) -> set[int] | None:
+        """D: the rids of ``table`` in the change logs of the open
+        transactions and of those committed after ``version`` (mutate
+        lock held) — the rows where the live indexes and an attached
+        snapshot at ``version`` may disagree.  None when the open change
+        logs (all their tables counted) hold more than
+        :meth:`_history_bound` rows: the snapshot is cheaper detached."""
+        logs = [txn._undo for txn in self._active_txns.values() if txn._undo]
+        if logs and sum(map(len, logs)) > self._history_bound(table):
+            return None
+        written = {rid for log in logs
+                   for _, name, rid, _, _ in log if name == table}
+        for at, rids in reversed(self._history.get(table, ())):
+            if at <= version:
+                break
+            written.update(rids)
+        return written
 
     def _apply_undo(self, entry: tuple) -> None:
         """Take back one change-log entry of an open transaction."""

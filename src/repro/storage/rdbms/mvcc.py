@@ -1,110 +1,67 @@
-"""Snapshot-isolation reads: copy-on-write committed snapshots (DESIGN.md §15).
+"""Snapshot-isolation reads over the live indexes (DESIGN.md §15).
 
 Writers keep strict 2PL; readers stop locking entirely.  A
 :class:`SnapshotTransaction` serves every read from a set of
 :class:`TableSnapshot` objects — per table, the committed state at one
-commit point as :meth:`HeapTable.committed_view` builds it (a tail copy
-rolled back past every uncommitted writer, beside the shared immutable
-segments) plus the indexes read through it.
+commit point as :meth:`HeapTable.committed_view` builds it under the
+database's mutate lock, all tables in one hold (a tail copy rolled back
+past every uncommitted writer, beside the shared immutable segments).  A
+view is cached until a commit, a change of layout or DDL supersedes it.
 
-Views are built under the database's mutate lock — the same lock every
-write-path structural mutation holds — so the copy can never observe a
-half-applied write.  Cross-table consistency comes from resolving *all*
-tables at ``begin_snapshot()`` time under one lock hold.
-
-A per-table snapshot is cached until something separates it from the
-table: only the first reader after a commit pays the O(tail) copy, later
-ones share the view.  Secondary-index lookups read per-snapshot indexes
-(the live ones reflect *uncommitted* writer state and cannot serve a
-consistent snapshot) with the exact
-:class:`~repro.storage.rdbms.index.HashIndex` /
-:class:`~repro.storage.rdbms.index.SortedIndex` semantics, so results are
-row-identical to the locked path.  An index is loaded from the view the
-first time a snapshot is asked for it; after that it is **carried**: a
-superseded snapshot hands its successor what it has built, advanced by
-the change logs committed in between (:meth:`Index.carry`), or as it is
-across a change of layout.
+There is one index per indexed column and one pk map per table, the live
+ones, which writers change before they commit.  A snapshot probes them
+and corrects the answer by D, the rids in the change logs of the
+transactions still open or committed after its version
+(:meth:`Database._written_since`): the live rids not in D, plus the rids
+of D whose value in the snapshot's own view satisfies the probe.  Probe
+and D are read under one mutate-lock hold — a write moves an index entry
+before it appends its change-log entry, an abort restores entries before
+it deregisters.  A snapshot the database keeps no D for (DDL, or a D
+past :meth:`Database._history_bound`, 64 rows and a 32nd of the table) is
+*detached*: it loads indexes of its own from its view, on first use.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable
 
 from repro.errors import CancellationToken, ReadOnlyTransactionError
 from repro.storage.rdbms.engine import TransactionReads
-from repro.storage.rdbms.index import (HashIndex, Index, Move, SortedIndex,
-                                       UniqueMap)
+from repro.storage.rdbms.index import HashIndex, Index
 from repro.storage.rdbms.table import HeapTable
 from repro.telemetry import metrics
 
-def _moves(entries: Sequence[tuple], column: str) -> Iterator[Move]:
-    """Change-log entries as one column's index sees them: those that
-    changed its value."""
-    for _, _, rid, before, after in entries:
-        old = before[column] if before else None
-        value = after[column] if after else None
-        if old != value:
-            yield old, value, rid
+#: What a read asks an index: the ascending rids it holds for a predicate.
+Probe = Callable[[Index], list[int]]
 
 
 class TableSnapshot:
-    """One table's committed view plus the indexes read through it.
+    """One table's committed view, and the indexes of its own a detached
+    snapshot loads from it.
 
     The view is a :class:`HeapTable` that is never mutated, so every read
-    method works unchanged.  Shared across all readers until a commit or
-    a change of layout supersedes it; index builds are locked so
-    concurrent first-lookups build once.  Given the ``predecessor`` it
-    supersedes (mutate lock held), it starts with that one's indexes.
+    method works unchanged.  Shared across all readers until something
+    supersedes it.  ``attached`` is set and cleared by the database
+    (mutate lock held): an attached snapshot reads the live indexes, and
+    the database keeps the rids written since its version.  One built by
+    anyone else is detached from the start — the cold path.
     """
 
-    __slots__ = ("table", "version", "pending", "_room", "_lock", "_indexes")
+    __slots__ = ("table", "version", "attached", "_lock", "_indexes",
+                 "__weakref__")
 
-    def __init__(self, table: HeapTable, version: int,
-                 predecessor: "TableSnapshot | None" = None) -> None:
+    def __init__(self, table: HeapTable, version: int) -> None:
         self.table = table
         self.version = version
-        #: The backlog (mutate lock held): what happened to the table
-        #: since this view was built — one change log per transaction
-        #: committed, an empty one per change of layout.  Non-empty means
-        #: the next reader needs a new view.
-        self.pending: list[Sequence[tuple]] = []
-        self._room = len(table)  # rows the backlog may still grow by
+        self.attached = False
         self._lock = threading.Lock()
-        #: per (column, kind): an index, or the primary key's UniqueMap
-        self._indexes: dict[tuple[str, type], Any] = {}
-        if predecessor is not None:
-            self._carry(predecessor)
+        self._indexes: dict[tuple[str, type], Index] = {}
 
-    def owe(self, log: Sequence[tuple]) -> bool:
-        """Add ``log`` to the backlog (mutate lock held).  False once the
-        backlog holds more rows than the table did: carrying would cost
-        more than loading, and the reader to load for may never come."""
-        self.pending.append(log)
-        self._room -= len(log)
-        return self._room >= 0
-
-    def _carry(self, predecessor: "TableSnapshot") -> None:
-        name = self.table.name
-        entries = [entry for log in predecessor.pending for entry in log
-                   if entry[1] == name]
-        # a reader may be adding to the predecessor's: copy in one step
-        self._indexes = dict(predecessor._indexes)
-        if entries:
-            self._indexes = {
-                key: index.carry(_moves(entries, key[0]))
-                for key, index in self._indexes.items()}
-        metrics.get_registry().inc("rdbms.mvcc.index_carries",
-                                   len(self._indexes))
-
-    def pk_rid(self, key: Any) -> int | None:
-        """The rid holding primary key ``key``, or None."""
-        pk = self.table.schema.primary_key
-        return None if pk is None else self.index(pk, UniqueMap).get(key)
-
-    def index(self, column: str, kind: type) -> Any:
-        """The snapshot's own ``kind`` index (or pk map) on ``column``,
-        loaded from the view on first use unless it was carried here."""
+    def index(self, column: str, kind: type[Index]) -> Index:
+        """The snapshot's own ``kind`` index on ``column``, loaded from the
+        view on first use (builds are locked: concurrent first lookups
+        load once)."""
         index = self._indexes.get((column, kind))
         if index is None:
             with self._lock:
@@ -175,28 +132,56 @@ class SnapshotTransaction(TransactionReads):
     def _heap(self, table: str) -> HeapTable:
         return self._snap(table).table
 
-    def _index(self, table: str, column: str,
-               need_sorted: bool = False) -> Index | None:
-        """A per-snapshot lazy index, when the catalog has one.
-
-        The *live* index cannot be consulted: it reflects uncommitted
-        writer state (an in-flight UPDATE moves a rid between buckets
-        before committing), so a snapshot read through it could miss
-        rows it must see.  The fallback mirrors the locked path: no
-        index on the column in the catalog means a scan.
-        """
+    def _probe(self, table: str, column: str, probe: Probe,
+               need_sorted: bool = False) -> list[int] | None:
+        """``probe`` of the column's live index as of this snapshot; None
+        when the catalog has no index there (the read scans, as the
+        locked path does)."""
         db = self._db
         live = db.sorted_index(table, column) if need_sorted \
             else db._find_index(table, column)
         if live is None:
             return None
-        return self._snap(table).index(
-            column, SortedIndex if need_sorted else HashIndex)
+        return self._as_of(table, column, type(live), probe,
+                           lambda: probe(live))
 
     def _pk_rid(self, table: str, key: Any) -> int | None:
-        return self._snap(table).pk_rid(key)
+        pk = self._heap(table).schema.primary_key
+        if pk is None:
+            return None
+
+        def live() -> list[int]:
+            rid = self._db._table(table)._pk_index.get(key)
+            return [] if rid is None else [rid]
+
+        rids = self._as_of(table, pk, HashIndex,
+                           lambda index: index.lookup(key), live)
+        return rids[0] if rids else None
 
     # ---------------------------------------------------------- internals
+
+    def _as_of(self, table: str, column: str, kind: type[Index],
+               probe: Probe, live: Callable[[], list[int]]) -> list[int]:
+        """The rids ``probe`` finds in ``table``'s ``column`` at this
+        snapshot: ``live()`` (the probe of the live structure) corrected
+        by D, or, detached, ``probe`` of the snapshot's own ``kind``
+        index — also once D would cost more than that index (the
+        snapshot detaches for good)."""
+        snap, db = self._snap(table), self._db
+        with db._mutate_lock:
+            written = db._written_since(table, snap.version) \
+                if snap.attached else None
+            snap.attached = written is not None
+            if written is not None:
+                rids = live()
+        if written is None:
+            return probe(snap.index(column, kind))
+        if not written:
+            return rids
+        then = kind(table, column)  # D as the snapshot's view holds it
+        then.bulk_load(snap.table.column_items_of(column, sorted(written)))
+        return sorted([rid for rid in rids if rid not in written]
+                      + probe(then))
 
     def _snap(self, table: str) -> TableSnapshot:
         snap = self._snapshots.get(table)

@@ -204,7 +204,7 @@ class HeapTable:
         tail row for a dead position's rid, so nothing more is undone.
         Shard sets are recomputed over the rolled-back tail.  The pk map
         is left empty: it covers frozen rows too, O(total) to copy, and a
-        snapshot builds its own lazily.
+        snapshot reads the live one (:mod:`repro.storage.rdbms.mvcc`).
         """
         view = HeapTable(self._schema)
         rows = view._rows = dict(self._rows)
@@ -769,6 +769,15 @@ class HeapTable:
                            take(segment.rids, live))
         for rid, values in self._rows.items():
             yield values.get(column), rid
+
+    def column_items_of(self, column: str,
+                        rids: Iterable[int]) -> Iterable[tuple[Any, int]]:
+        """:meth:`column_items` for those of the ascending ``rids`` the
+        table holds, one gather per run of frozen rows (:meth:`locate`)."""
+        rows = self._rows
+        held = [rid for rid in rids
+                if rid in rows or self._segment_of(rid) is not None]
+        return zip(_column(self.locate(held), column), held)
 
     def sharded_scan_units(self) -> list[list[ScanUnit]]:
         """Per-shard vectorizable units for parallel plans (DESIGN.md §14).

@@ -158,6 +158,8 @@ def render_report(summary: dict[str, Any],
             takes = builds + reuses
             rate = (f"{100.0 * reuses / takes:.1f}% reuse rate"
                     if takes else "reuse rate n/a")
+            history = snapshot.get("gauges", {}).get(
+                "rdbms.mvcc.history_rows", 0.0)
             lines += [
                 "",
                 f"mvcc snapshots: read_txns="
@@ -165,8 +167,7 @@ def render_report(summary: dict[str, Any],
                 f"builds={builds:.0f} reuses={reuses:.0f} ({rate}) "
                 f"index_builds="
                 f"{all_counters.get('rdbms.mvcc.index_builds', 0.0):.0f} "
-                f"index_carries="
-                f"{all_counters.get('rdbms.mvcc.index_carries', 0.0):.0f}",
+                f"history_rows={history:.0f}",
             ]
         if family_present("serving"):
             lines += [
@@ -313,12 +314,14 @@ def render_top(previous: dict[str, Any] | None, current: dict[str, Any],
     snap_builds = delta("rdbms.mvcc.snapshot_builds")
     snap_reuses = delta("rdbms.mvcc.snapshot_reuses")
     if snap_builds or snap_reuses or delta("rdbms.mvcc.read_txns"):
+        history = current.get("gauges", {}).get("rdbms.mvcc.history_rows",
+                                                0.0)
         lines.append(f"  {'mvcc snapshots':<18} "
                      f"{rate(delta('rdbms.mvcc.read_txns'))} reads  "
                      f"(builds {snap_builds:.0f} / reuses {snap_reuses:.0f}"
                      f" / indexes loaded "
-                     f"{delta('rdbms.mvcc.index_builds'):.0f}, carried "
-                     f"{delta('rdbms.mvcc.index_carries'):.0f})")
+                     f"{delta('rdbms.mvcc.index_builds'):.0f}, history held "
+                     f"{history:.0f} rows)")
     admitted = delta("serving.admitted")
     rejected = delta("serving.rejected")
     timed_out = delta("serving.timed_out")

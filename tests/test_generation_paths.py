@@ -23,8 +23,8 @@ from repro.cluster.simulator import ClusterConfig, SimulatedCluster
 from repro.core.streaming import DocDelta, StreamingPipeline
 from repro.core.system import StructureManagementSystem
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
-from repro.docmodel.document import Document
-from repro.extraction.base import Extractor, extraction_to_tuple
+from repro.docmodel.document import Document, Span
+from repro.extraction.base import Extraction, Extractor, extraction_to_tuple
 from repro.extraction.infobox import InfoboxExtractor
 from repro.extraction.stage import DEFAULT_DOC_RETRY
 from repro.faults import DeadLetterStore, FaultInjector, FaultyExtractor
@@ -298,6 +298,43 @@ def test_streaming_dead_letters_once_rowsument_and_extractor():
     assert pipe.stats.docs_deadlettered == 1
     # its other extractor still produced: the page stays in the state
     assert docs[0].doc_id in pipe._doc_mentions
+
+
+# ------------------------------------------------------------ fusion order
+
+
+class EntityAttributeValue(Extractor):
+    """Reads a page ``"<entity> <attribute> <int>"`` as one extraction."""
+
+    name = "eav"
+
+    def extract(self, doc):
+        entity, attribute, value = doc.text.split()
+        start = doc.text.rindex(value)
+        return [Extraction(entity, attribute, int(value),
+                           Span(doc.doc_id, start, len(doc.text), value),
+                           confidence=0.9, extractor=self.name)]
+
+
+@pytest.mark.parametrize("strategy", ["weighted_vote", "max_confidence"])
+def test_batch_fusion_depends_on_the_extractions_not_their_order(strategy):
+    """Two pages agree on 7 against one reading 5: inline, on the
+    simulated cluster (which orders rows by ``doc_id``) and with the pages
+    reversed, the fused row names the same supporting span."""
+    docs = [Document(doc_id, f"Paris pop {value}")
+            for doc_id, value in (("d2", 7), ("d1", 5), ("d0", 7))]
+    registry = OperatorRegistry()
+    registry.register_extractor("eav", EntityAttributeValue())
+    program = ('p = docs()\nf = extract(p, "eav")\n'
+               f'g = fuse(f, "{strategy}")\noutput g')
+    arms = [run_program(program, docs, registry, optimize=False).rows,
+            run_program(program, docs, registry, optimize=False,
+                        cluster=SimulatedCluster(
+                            ClusterConfig(num_workers=3, seed=7))).rows,
+            run_program(program, docs[::-1], registry, optimize=False).rows]
+    assert arms[0] == arms[1] == arms[2]
+    assert [(r["value"], r["support"], r["doc_id"]) for r in arms[0]] \
+        == [(7, 2, "d0")]
 
 
 # ------------------------------------------------- the cluster cost model

@@ -1,8 +1,8 @@
-"""A snapshot's indexes and pk map are carried to the next snapshot, not
-reloaded from the table (DESIGN.md §15): after every step of a random
-script a fresh snapshot must answer exactly as one built from scratch,
-and the snapshot pinned before the step exactly as it did — nothing it
-reads may have been written to."""
+"""A snapshot reads the live indexes and pk map, corrected by the rows
+written since it (DESIGN.md §15): after every step of a random script a
+fresh snapshot must answer exactly as one built from scratch — whose
+indexes are its own, loaded from its view — and the snapshot pinned
+before the step exactly as it did."""
 
 import sys
 import threading
@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from repro.core.system import FACTS_TABLE, StructureManagementSystem
 from repro.storage.rdbms.engine import Database
-from repro.storage.rdbms.index import HashIndex, SortedIndex
 from repro.storage.rdbms.mvcc import SnapshotTransaction, TableSnapshot
 from repro.storage.rdbms.types import (Column, ColumnType, SchemaError,
                                        TableSchema)
 from repro.telemetry.metrics import MetricsRegistry, use_registry
+from repro.telemetry.report import render_report, render_top, summarize_trace
 
 IDS = range(12)              # what a step may insert or move a row to
 OPEN_IDS = range(100, 106)   # what the writer left open inserts
@@ -211,52 +211,169 @@ def test_carried_indexes_equal_rebuilt_ones_and_pinned_snapshots_stand(
         script.writer.abort()
 
 
-def test_a_commit_carries_and_a_landing_or_ddl_drops():
+def _table_snapshot(snap):
+    return snap._snapshots["t"]
+
+
+def test_a_pinned_snapshot_reads_the_live_indexes_corrected_by_d():
+    """Updates, deletes and aborts on indexed columns and on the primary
+    key, a writer left open: the pinned snapshot answers as it did, from
+    the live indexes (it never loads one of its own)."""
     script = Script(sharded=False, indexed=True)
+    for key in range(8):
+        script.apply(("insert", key, ("abc"[key % 3], key % 3, "x")))
+    script.db.compact("t", target_rows=3)     # D holds frozen rows too
+    pinned = script.db.begin_snapshot()
+    stood = answers(pinned)
+    for step in [("update", 0, ("c", 2, "y"), "all", 0),    # grp and qty
+                 ("update", 1, ("a", 0, "x"), "id", 11),    # the pk moves
+                 ("delete", 2),
+                 ("reinsert", 3, ("b", -1, None)),          # pk out and in
+                 ("abort", 4, ("a", -2, None)),             # moved, restored
+                 ("insert", 9, ("c", 1, "z")),
+                 ("open", 5, ("b", -2, "z"))]:              # left open
+        script.apply(step)
+        assert answers(pinned) == stood, step
+        assert answers(script.db.begin_snapshot()) \
+            == answers(from_scratch(script.db)), step
+    script.apply(("close", True))
+    assert answers(pinned) == stood
+    assert _table_snapshot(pinned).attached
+    assert _table_snapshot(pinned)._indexes == {}
+
+
+def test_a_reader_probing_while_a_writer_moves_a_rid_and_aborts():
+    """A writer moves rows between index buckets and pk values, then
+    aborts, again and again; readers probe throughout with a short switch
+    interval.  The probe and D are one mutate-lock hold: a reader must
+    never see an entry moved without the change-log entry that says so,
+    or an entry restored and the transaction still registered."""
+    script = Script(sharded=False, indexed=True)
+    script.db.run(lambda t: t.insert_many(
+        "t", [script._values(key, ("abc"[key % 3], key % 3, "x"))
+              for key in range(30)]))
+    script.db.compact("t", target_rows=8)
+    pinned = script.db.begin_snapshot()
+    stood = answers(pinned)
+    stop, errors = threading.Event(), []
+
+    def reader():
+        while not stop.is_set():
+            try:
+                assert answers(pinned) == stood
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+                stop.set()
+
+    def writer():
+        n = 0
+        try:
+            while not stop.is_set():
+                n += 1
+                txn = script.db.begin()
+                rid = txn.get_by_pk("t", n % 30).rid
+                txn.update("t", rid, {"grp": "abc"[(n + 1) % 3],
+                                      "qty": n % 5 - 2})
+                txn.update("t", rid, {"id": 100 + n % 6})
+                if n % 2:
+                    txn.delete("t", rid)
+                txn.abort()
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=reader) for _ in range(2)]
+    threads.append(threading.Thread(target=writer))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        time.sleep(1.0)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[0]
+    assert _table_snapshot(pinned).attached
+
+
+def test_a_snapshot_pinned_past_the_history_bound_or_across_ddl_detaches():
+    script = Script(sharded=False, indexed=False)
     for key in range(6):
         script.apply(("insert", key, ("a", key % 3, "x")))
+    script.create_index("grp")
     registry = MetricsRegistry()
-
-    def counted(step):
-        """(indexes loaded from the table, indexes carried) by ``step`` and
-        the read of all three access paths behind it."""
-        builds = registry.get("rdbms.mvcc.index_builds")
-        carries = registry.get("rdbms.mvcc.index_carries")
-        script.apply(step)
-        answers(script.db.begin_snapshot())
-        return (registry.get("rdbms.mvcc.index_builds") - builds,
-                registry.get("rdbms.mvcc.index_carries") - carries)
-
     with use_registry(registry):
-        answers(script.db.begin_snapshot())
-        # hash on grp, hash on qty (equality reads), sorted on qty, pk map
-        assert registry.get("rdbms.mvcc.index_builds") == 4
-        assert counted(("update", 0, ("b", 2, "y"), "all", 0)) == (0, 4)
-        assert counted(("compact", 2)) == (0, 4)
-        assert counted(("reshard", "grp", 2)) == (0, 4)
-        assert counted(("abort", 0, ("c", 1, None))) == (0, 0)  # no new view
-        assert counted(("landing", ("c", 1, None))) == (4, 0)
-        assert counted(("alter",)) == (4, 0)
+        pinned = script.db.begin_snapshot()
+        stood, snap = answers(pinned), _table_snapshot(pinned)
+        script.apply(("update", 0, ("b", 2, "y"), "all", 0))
+        script.create_index("qty")    # loaded from the live heap: D corrects
+        assert answers(pinned) == stood
+        assert snap.attached
+        assert registry.gauge("rdbms.mvcc.history_rows") == 1
+        # more rows written than the bound (64 and a 32nd of the table):
+        # the history goes, and the snapshot it was kept for loads
+        # indexes of its own
+        script.db.run(lambda t: t.insert_many("t", [
+            script._values(1000 + n, ("c", 1, None)) for n in range(70)]))
+        assert not snap.attached
+        assert registry.gauge("rdbms.mvcc.history_rows") == 0
+        assert answers(pinned) == stood
+        # grp (hash), qty (sorted: equality and range), the pk
+        assert registry.get("rdbms.mvcc.index_builds") == 3
 
+        # one-row commits: the history never holds more than the bound;
+        # the pinned snapshot detaches when its first commit falls off the
+        # front, and what only it needed goes with it
+        pinned = script.db.begin_snapshot()
+        stood, snap = answers(pinned), _table_snapshot(pinned)
+        bound = script.db._history_bound("t")
+        for n in range(bound + 5):
+            script.apply(("update", n, (f"g{n}", 0, None), "grp", 0))
+            if n == 10:
+                later = script.db.begin_snapshot()
+                later_stood = answers(later)
+            assert registry.gauge("rdbms.mvcc.history_rows") <= bound
+            assert snap.attached == (n < bound)
+            assert answers(pinned) == stood
+        assert answers(later) == later_stood
+        assert _table_snapshot(later).attached
+        # the commits after ``later``'s version, one row each
+        assert registry.gauge("rdbms.mvcc.history_rows") == bound - 6
+        del later
 
-def test_an_overlay_folds_before_it_outgrows_its_base():
-    for kind, base_of, overlay_of in (
-            (HashIndex, lambda i: i._buckets, lambda i: len(i._changed)),
-            (SortedIndex, lambda i: i._pairs,
-             lambda i: len(i._added) + len(i._removed))):
-        index = kind("t", "c")
-        index.bulk_load((value, value) for value in range(40))
-        base = base_of(index)
-        carried, folds = index, 0
-        for rid in range(40):
-            older = carried
-            carried = carried.carry([(rid, rid + 100, rid)])
-            folds += base_of(carried) is not base_of(older)
-            assert overlay_of(carried) * 4 <= len(base_of(carried))
-        assert 2 <= folds <= 12          # not per carry, and not never
-        assert [carried.lookup(v) for v in (0, 100, 139)] == [[], [0], [39]]
-        assert index.lookup(0) == [0] and len(index) == 40   # left as it was
-        assert base_of(index) is base
+        # an open writer past the bound: the probe that sees it detaches
+        pinned = script.db.begin_snapshot()
+        stood, snap = answers(pinned), _table_snapshot(pinned)
+        writer = script.db.begin()
+        writer.insert_many("t", [script._values(2000 + n, ("a", 0, None))
+                                 for n in range(bound + 10)])
+        assert snap.attached
+        assert answers(pinned) == stood
+        assert not snap.attached
+        writer.abort()
+        # the detached view (and the indexes it loaded) serves every new
+        # reader until the next commit
+        assert _table_snapshot(script.db.begin_snapshot()) is snap
+        script.apply(("update", 1, ("z", 0, None), "grp", 0))
+
+        pinned = script.db.begin_snapshot()
+        stood, snap = answers(pinned), _table_snapshot(pinned)
+        script.apply(("update", 0, ("c", 1, None), "all", 0))
+        assert snap.attached and answers(pinned) == stood
+        script.apply(("alter",))      # every value rewritten
+        assert not snap.attached
+        assert registry.gauge("rdbms.mvcc.history_rows") == 0
+        assert answers(pinned) == stood
+        assert answers(script.db.begin_snapshot()) \
+            == answers(from_scratch(script.db))
+        del pinned, snap
+        script.apply(("update", 0, ("a", 0, None), "grp", 0))
+        assert not any(script.db._readers.values())
+        assert not any(script.db._history.values())
 
 
 def test_readers_beside_a_committing_compacting_writer_stay_consistent():
@@ -363,10 +480,11 @@ def test_compact_and_reshard_leave_the_result_cache_valid():
         system.close()
 
 
-def test_serve_mixed_write_script_reloads_no_index_after_warm_up():
+def test_serve_mixed_write_script_loads_no_snapshot_index():
     """The e2e ``serve_mixed`` script at smoke size: an insert, an update
     and a delete about one entity in turn, the probe read behind each, a
-    compaction every fifth commit, the four query classes in between."""
+    compaction every fifth commit, the four query classes in between —
+    beside a snapshot pinned before it all, which answers as it did."""
     reads = [
         "SELECT fact_id, attribute, value_num FROM facts "
         "WHERE entity = 'entity_000'",
@@ -381,10 +499,19 @@ def test_serve_mixed_write_script_reloads_no_index_after_warm_up():
         system = StructureManagementSystem()
         next_id = _facts(system, entities=100)
         system.compact()
+        pinned = system.db.begin_snapshot()
+
+        def pinned_reads():
+            return ([r.values for r in pinned.lookup(
+                        FACTS_TABLE, "entity", "entity_000")],
+                    [r.values for r in pinned.lookup(
+                        FACTS_TABLE, "attribute", "attr_3")],
+                    [pinned.get_by_pk(FACTS_TABLE, key).values
+                     for key in range(10)])
+
+        stood = pinned_reads()
         for sql in reads:
             system.query(sql)                       # warm-up
-        builds = registry.get("rdbms.mvcc.index_builds")
-        assert builds == 3                          # entity, attribute, pk
         mine = list(range(10))                      # entity_000's fact ids
         for commit in range(30):
             kind = ("insert", "update", "delete")[commit % 3]
@@ -393,7 +520,7 @@ def test_serve_mixed_write_script_reloads_no_index_after_warm_up():
                 system.query(
                     "INSERT INTO facts (fact_id, entity, attribute, value_num,"
                     f" confidence, doc_id) VALUES ({next_id}, 'entity_000', "
-                    f"'extra_{next_id}', {commit}.5, 0.5, 'writer')")
+                    f"'attr_3', {commit}.5, 0.5, 'writer')")
                 next_id += 1
             elif kind == "update":
                 system.query(f"UPDATE facts SET value_num = {commit}.25 "
@@ -407,7 +534,28 @@ def test_serve_mixed_write_script_reloads_no_index_after_warm_up():
                 system.compact()
             for sql in reads:
                 system.query(sql)
-        assert registry.get("rdbms.mvcc.index_builds") == builds
-        assert registry.get("rdbms.mvcc.index_carries") >= 3 * 36
+        assert pinned_reads() == stood
+        assert registry.get("rdbms.mvcc.index_builds") == 0
+        assert registry.gauge("rdbms.mvcc.history_rows") == 30
         assert registry.get("rdbms.mvcc.snapshot_builds") >= 36
         system.close()
+
+
+def test_stats_and_top_show_a_pinned_snapshot_holding_history():
+    script = Script(sharded=False, indexed=True)
+    for key in range(6):
+        script.apply(("insert", key, ("a", key % 3, "x")))
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        pinned = script.db.begin_snapshot()
+        answers(pinned)
+        for key in range(3):
+            script.apply(("update", key, ("b", 1, None), "grp", 0))
+        frame = registry.snapshot()
+        assert "index_builds=0 history_rows=3" in render_report(
+            summarize_trace([]), frame)
+        assert "indexes loaded 0, history held 3 rows" in render_top(
+            None, frame)
+        del pinned
+        script.apply(("update", 0, ("c", 1, None), "grp", 0))
+        assert "history held 0 rows" in render_top(None, registry.snapshot())
