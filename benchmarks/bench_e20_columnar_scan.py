@@ -29,7 +29,11 @@ list in ``BENCH_e20.json`` and re-validated by ``benchmarks/check_gates.py``):
     faster than at the parent commit, the GROUP BY right after it >= 5x
     faster and <= 1.5x its time on the untouched segment, no row is
     melted; COMPACT after 10 scattered updates on 16 segments rewrites
-    <= 10 of them and freezes no more rows than they hold.
+    <= 10 of them and freezes no more rows than they hold;
+  * a GROUP BY over a key of 4,000 values, filtered by LIKE / IN on the
+    key's own dictionary column, is no slower than at the parent commit
+    (``PARENT_SECONDS``), compacted and with the segment cut into six
+    stretches by writes; a FLOAT-filtered case is reported, not gated.
 
 Run standalone (writes ``results/BENCH_e20.json``)::
 
@@ -45,6 +49,7 @@ import argparse
 import json
 import os
 import random
+import resource
 import shutil
 import sys
 import tempfile
@@ -171,10 +176,45 @@ PARENT_SECONDS.update({
     "group_by_after_update": 0.1424,
 })
 
+#: What the high-cardinality GROUP BY cases cost at the parent commit
+#: (276a4d1: a per-query bucket loop over the selected positions) —
+#: :func:`bench_high_cardinality` run against that commit's ``src/`` on
+#: the same box, the median of three fresh processes, each a min of 3.
+PARENT_SECONDS.update({
+    "high_card_like_compacted": 0.00460,
+    "high_card_in_compacted": 0.00959,
+    "high_card_range_compacted": 0.0402,
+    "high_card_like_after_writes": 0.00922,
+    "high_card_in_after_writes": 0.0353,
+    "high_card_range_after_writes": 0.0871,
+})
+
 PK_PROBES = 200
 
 #: One default-sized segment: the table the write cases run on.
 WRITE_TABLE_ROWS = 65_536
+
+#: Distinct keys of the high-cardinality arm's TEXT column (still
+#: dictionary-encoded: at most ``DICT_MAX_ENTRIES``).
+HIGH_CARD_KEYS = 4_000
+
+
+def high_card_cases() -> list[dict]:
+    """Grouped aggregates over a key of :data:`HIGH_CARD_KEYS` values:
+    two filtered on the key's own dictionary column (LIKE, IN), one on a
+    FLOAT column that keeps about half the rows of every group."""
+    cities = ", ".join(f"'c{i:04d}'" for i in range(0, HIGH_CARD_KEYS, 40))
+    return [
+        {"name": "like", "sql": "SELECT city, COUNT(*), AVG(amount) "
+                                "FROM places WHERE city LIKE 'c00%' "
+                                "GROUP BY city"},
+        {"name": "in", "sql": "SELECT city, COUNT(*), AVG(amount) "
+                              f"FROM places WHERE city IN ({cities}) "
+                              "GROUP BY city"},
+        {"name": "range", "sql": "SELECT city, COUNT(*), AVG(amount), "
+                                 "MAX(qty) FROM places WHERE amount > 500.0 "
+                                 "GROUP BY city"},
+    ]
 
 
 def late_cases(num_rows: int) -> list[dict]:
@@ -290,6 +330,48 @@ def bench_writes_beside_segments(repeats: int,
     }
 
 
+def bench_high_cardinality(repeats: int,
+                           num_rows: int = WRITE_TABLE_ROWS) -> list[dict]:
+    """Seconds per :func:`high_card_cases` statement (min of
+    ``repeats``) on a one-segment table of ``num_rows``: compacted, then
+    after five UPDATEs and one DELETE of frozen rows (the segment folds
+    as six stretches around the tail rows, past a dead position).  Rows
+    identical to the naive interpreter."""
+    rng = random.Random(26)
+    db = Database()
+    db.create_table(TableSchema(
+        "places",
+        (Column("id", ColumnType.INT, nullable=False),
+         Column("city", ColumnType.TEXT),
+         Column("amount", ColumnType.FLOAT),
+         Column("qty", ColumnType.INT)),
+        primary_key="id"))
+    db.run(lambda txn: txn.insert_many("places", [
+        {"id": i, "city": f"c{rng.randrange(HIGH_CARD_KEYS):04d}",
+         "amount": rng.random() * 1000.0,
+         "qty": rng.randrange(100) if rng.random() > 0.05 else None}
+        for i in range(num_rows)]))
+    db.compact("places")
+    out = []
+    for layout in ("compacted", "after_writes"):
+        if layout == "after_writes":
+            for k in range(5):
+                execute_sql(db, "UPDATE places SET amount = 1.5 WHERE id = "
+                                f"{(2 * k + 1) * num_rows // 11}")
+            execute_sql(db, f"DELETE FROM places WHERE id = {num_rows // 2}")
+        for case in high_card_cases():
+            sql = case["sql"]
+            assert json.dumps(execute_sql(db, sql), sort_keys=True) == \
+                json.dumps(execute_sql(db, sql, use_planner=False),
+                           sort_keys=True), f"rows differ on: {sql}"
+            name = f"high_card_{case['name']}_{layout}"
+            seconds = _time(lambda: execute_sql(db, sql), repeats)
+            out.append({"name": name, "seconds": seconds,
+                        "parent_seconds": PARENT_SECONDS[name],
+                        "speedup_over_parent": PARENT_SECONDS[name] / seconds})
+    return out
+
+
 def _time(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -346,6 +428,28 @@ def bench_zone_map_skip(db: Database) -> dict:
         "skip_fraction": skipped / (scanned + skipped)
         if scanned + skipped else 0.0,
     }
+
+
+def memory_mb(db: Database) -> dict:
+    """What the events table's segments hold, in MiB: their column
+    buffers, and the group orders the GROUP BY statements built on them
+    (positions, inverses, column copies and null flags — each a typed
+    buffer, counted by its size); plus the process's peak RSS."""
+    columns = orders = 0
+    for segment in db._table("events").segments:
+        columns += sum(sys.getsizeof(col.data)
+                       for col in segment.columns.values())
+        for order in segment._group_orders.values():
+            orders += sys.getsizeof(order.positions) \
+                + sys.getsizeof(order._rank or b"")
+            for name, (data, nulls) in order._copies.items():
+                if data is not segment.columns[name].data:
+                    orders += sys.getsizeof(data)
+                orders += sys.getsizeof(nulls or b"")
+    return {"column_buffers": columns / 2 ** 20,
+            "group_orders": orders / 2 ** 20,
+            "peak_rss": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            / 1024}
 
 
 def check_identity(db: Database) -> int:
@@ -415,11 +519,14 @@ def run_bench(num_rows: int = 1_000_000, repeats: int = 3,
 
     late = bench_late_materialization(db, num_rows, repeats)
     queries = bench_aggregates(db, repeats)
+    memory = memory_mb(db)  # after the GROUP BYs on both keys
     skip = bench_zone_map_skip(db)
     identity_count = check_identity(db)
     crash = check_crash_consistency(min(num_rows, 20_000))
     writes = bench_writes_beside_segments(
         repeats, min(num_rows, WRITE_TABLE_ROWS))
+    high_card = bench_high_cardinality(repeats,
+                                       min(num_rows, WRITE_TABLE_ROWS))
 
     write_table(
         "e20_columnar_scan",
@@ -436,6 +543,14 @@ def run_bench(num_rows: int = 1_000_000, repeats: int = 3,
         [["segments scanned", skip["segments_scanned"]],
          ["segments skipped", skip["segments_skipped"]],
          ["skip fraction", skip["skip_fraction"]]],
+    )
+    write_table(
+        "e20_memory",
+        f"E20: memory after the GROUP BY statements, MiB ({num_rows} rows)",
+        ["metric", "MiB"],
+        [["segment column buffers", memory["column_buffers"]],
+         ["group orders (2 keys)", memory["group_orders"]],
+         ["peak RSS", memory["peak_rss"]]],
     )
 
     write_table(
@@ -462,6 +577,16 @@ def run_bench(num_rows: int = 1_000_000, repeats: int = 3,
           writes["group_by_untouched_seconds"], "-"]],
     )
 
+    write_table(
+        "e20_high_cardinality",
+        f"E20: GROUP BY a key of {HIGH_CARD_KEYS} values vs the parent "
+        f"commit ({min(num_rows, WRITE_TABLE_ROWS)} rows in one segment, "
+        f"min of {repeats}; parent numbers are for {WRITE_TABLE_ROWS})",
+        ["case", "parent s", "this tree s", "speedup"],
+        [[c["name"], c["parent_seconds"], c["seconds"],
+          c["speedup_over_parent"]] for c in high_card],
+    )
+
     gates = []
     if not smoke:
         gates = [gate(f"speedup:{q['name']}", q["speedup"], ">=", q["gate"])
@@ -479,6 +604,10 @@ def run_bench(num_rows: int = 1_000_000, repeats: int = 3,
             gate("group_by_after_update_vs_untouched",
                  writes["group_by_vs_untouched"], "<=", 1.5),
         ]
+        # the key's own dictionary filtered: no worse than the parent
+        gates += [gate(f"speedup_over_parent:{c['name']}",
+                       c["speedup_over_parent"], ">=", 1.0)
+                  for c in high_card if "_range_" not in c["name"]]
     # counts, not stopwatches: gated at every scale
     gates += [
         gate("compact_segments_rewritten",
@@ -495,9 +624,11 @@ def run_bench(num_rows: int = 1_000_000, repeats: int = 3,
         "num_rows": num_rows,
         "segments_created": summary["segments_created"],
         "queries": queries,
+        "memory_mb": memory,
         "zone_map_skip": skip,
         "late_materialization": late,
         "writes_beside_segments": writes,
+        "high_cardinality": high_card,
         "identity_queries_checked": identity_count,
         "crash_consistency": crash,
         "gates": gates,

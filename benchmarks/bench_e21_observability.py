@@ -5,20 +5,29 @@ slow-query log, and cardinality feedback are *free when off* and cheap
 when on — and the numbers they report are exact, not approximations of
 row flow.
 
-Checked invariants:
+Checked invariants (recorded as ``gates``; ``check_gates.py``
+re-validates them):
   * EXPLAIN ANALYZE actual row counts match the naive-interpreter oracle
-    exactly on the E19 query mix (both the annotated top operator and the
-    Execution summary line);
+    exactly on every statement of the E19 query mix plus a grouped
+    aggregate (both the annotated top operator and the Execution summary
+    line) — exact, gated at every scale;
+  * with the threshold at 0 the slow-query log captures 100% of issued
+    statements; with it effectively infinite it captures none — exact;
+  * a deliberately stale-stats misestimation (q-error >= 4) produces a
+    feedback entry, triggers a targeted re-ANALYZE of the offending
+    column, and the re-planned estimate lands within 2x of the actual —
+    exact;
   * running the mix with the slow-query log attached (threshold high
     enough that nothing captures) costs < 2% over running it with
-    observability off entirely (min-of-N wall-clock);
-  * EXPLAIN ANALYZE (full per-operator instrumentation) costs < 15%
-    over the plain planned execution of the same statements;
-  * with the threshold at 0 the slow-query log captures 100% of issued
-    statements; with it effectively infinite it captures none;
-  * a deliberately stale-stats misestimation (> 4x q-error) produces a
-    feedback entry, triggers a targeted re-ANALYZE of the offending
-    column, and the re-planned estimate lands within 2x of the actual.
+    observability off entirely, and EXPLAIN ANALYZE (full per-operator
+    instrumentation) costs < 15% over the plain planned execution of the
+    same statements.  Both compare the medians of >= 7 interleaved rounds
+    (each round times every arm on every statement, GC paused); an A/A
+    arm (observability off, timed twice per round) gives the noise floor.
+    A timing gate whose floor exceeds its bound cannot be judged on this
+    machine: it is recorded with its floor under ``timing_unresolved``,
+    never with a loosened bound.  ``--smoke`` records the exact gates
+    only.
 
 Run standalone (writes ``results/BENCH_e21.json``)::
 
@@ -35,10 +44,11 @@ import gc
 import json
 import os
 import re
+import statistics
 import sys
 import time
 
-from _tables import write_table
+from _tables import assert_gates, gate, write_table
 
 from bench_e19_query_serving import SCORE_MAX, build_db, workloads
 from repro.storage.rdbms.qcache import QueryResultCache
@@ -66,20 +76,12 @@ def bench_mix(num_items: int) -> list[str]:
     ]
 
 
-def _time(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
 # ----------------------------------------------------- ANALYZE accuracy
 
 
 def check_analyze_accuracy(db, mix: list[str]) -> list[dict]:
-    """EXPLAIN ANALYZE actuals vs the naive interpreter, per query."""
+    """EXPLAIN ANALYZE actuals vs the naive interpreter, per query: the
+    top operator's ``actual rows=`` and the Execution line's count."""
     out = []
     for sql in mix:
         oracle = execute_sql(db, sql, use_planner=False)
@@ -96,17 +98,9 @@ def check_analyze_accuracy(db, mix: list[str]) -> list[dict]:
             m = _EXECUTION.match(line)
             if m:
                 summary = int(m.group(1))
-        assert top_actual is not None, f"no actuals in plan for: {sql}"
-        assert summary is not None, f"no Execution line for: {sql}"
-        assert top_actual == len(oracle), (
-            f"top operator reported {top_actual} rows, oracle returned "
-            f"{len(oracle)} for: {sql}"
-        )
-        assert summary == len(oracle), (
-            f"Execution line reported {summary} rows, oracle returned "
-            f"{len(oracle)} for: {sql}"
-        )
         out.append({"sql": sql, "rows": len(oracle),
+                    "top_actual": top_actual, "summary": summary,
+                    "exact": top_actual == summary == len(oracle),
                     "plan": "\n".join(lines)})
     return out
 
@@ -114,61 +108,73 @@ def check_analyze_accuracy(db, mix: list[str]) -> list[dict]:
 # ------------------------------------------------------------- overhead
 
 
-def bench_overhead(db, mix: list[str], repeats: int) -> dict:
-    """Observability-off vs slowlog-attached vs EXPLAIN ANALYZE.
+def bench_overhead(db, mix: list[str], rounds: int) -> dict:
+    """Observability-off vs slowlog-attached vs EXPLAIN ANALYZE, plus an
+    A/A arm (observability off, a second time) for the noise floor.
 
-    Per-(variant, query) *floors* — the min over interleaved rounds with
-    GC paused — are the comparison basis: a query's best-case time is a
-    stable property of the code path, where whole-mix wall clocks on a
-    shared machine jitter by more than the gates under test.
+    Rounds interleave: each round times every arm on every statement of
+    the mix (the arm that goes first rotates), GC paused, and sums an
+    arm's times into its round total.
+    An arm's time is the median of its round totals; an overhead is one
+    median over another, minus 1; the floor is the A/A arm's distance
+    from the off arm, in the same units.
     """
     plain_cache = QueryResultCache(db)
+    again_cache = QueryResultCache(db)
     watched_cache = QueryResultCache(
         db, slowlog=SlowQueryLog(threshold_seconds=1e9))
 
     def clear_caches():
         plain_cache.clear()   # measure execution, not cache hits
+        again_cache.clear()
         watched_cache.clear()
 
-    variants = {
+    arms = {
         "off": lambda sql: plain_cache.execute(sql),
+        "off_again": lambda sql: again_cache.execute(sql),
         "watched": lambda sql: watched_cache.execute(sql),
         "plain": lambda sql: execute_sql(db, sql),
         "analyze": lambda sql: execute_sql(db, f"EXPLAIN ANALYZE {sql}"),
     }
-    floors = {name: [float("inf")] * len(mix) for name in variants}
-    # one untimed warm-up pass per variant
-    for fn in variants.values():
+    totals: dict[str, list[float]] = {name: [] for name in arms}
+    # one untimed warm-up pass per arm
+    for fn in arms.values():
         for sql in mix:
             clear_caches()
             fn(sql)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(repeats):
+        names = list(arms)
+        for r in range(rounds):
+            spent = dict.fromkeys(arms, 0.0)
             for i, sql in enumerate(mix):
-                for name, fn in variants.items():
+                # rotate which arm runs first on a statement: the first
+                # run after another statement is the slow one
+                turn = (r + i) % len(names)
+                for name in names[turn:] + names[:turn]:
+                    fn = arms[name]
                     clear_caches()
                     started = time.perf_counter()
                     fn(sql)
-                    elapsed = time.perf_counter() - started
-                    if elapsed < floors[name][i]:
-                        floors[name][i] = elapsed
+                    spent[name] += time.perf_counter() - started
+            for name, seconds in spent.items():
+                totals[name].append(seconds)
     finally:
         if gc_was_enabled:
             gc.enable()
-    off_s = sum(floors["off"])
-    watched_s = sum(floors["watched"])
-    plain_s = sum(floors["plain"])
-    analyze_s = sum(floors["analyze"])
+    median = {name: statistics.median(values)
+              for name, values in totals.items()}
     return {
-        "off_seconds": off_s,
-        "watched_seconds": watched_s,
-        "watched_overhead": (watched_s - off_s) / off_s if off_s else 0.0,
-        "plain_seconds": plain_s,
-        "analyze_seconds": analyze_s,
-        "analyze_overhead": (analyze_s - plain_s) / plain_s
-        if plain_s else 0.0,
+        "rounds": rounds,
+        "off_seconds": median["off"],
+        "off_again_seconds": median["off_again"],
+        "noise_floor": abs(median["off_again"] / median["off"] - 1.0),
+        "watched_seconds": median["watched"],
+        "watched_overhead": median["watched"] / median["off"] - 1.0,
+        "plain_seconds": median["plain"],
+        "analyze_seconds": median["analyze"],
+        "analyze_overhead": median["analyze"] / median["plain"] - 1.0,
     }
 
 
@@ -186,13 +192,6 @@ def check_slowlog(db, mix: list[str]) -> dict:
         none_cache.execute(sql)
     captured = len(capture_all.entries())
     missed = len(capture_none.entries())
-    assert captured == len(mix), (
-        f"slow-query log captured {captured} of {len(mix)} statements "
-        f"at threshold 0"
-    )
-    assert missed == 0, (
-        f"slow-query log captured {missed} statements below threshold"
-    )
     # One annotated capture: the entry must carry an ANALYZE plan.
     annotated = SlowQueryLog(threshold_seconds=0.0)
     annotated.observe(db, mix[0], seconds=1.0, rows=0)
@@ -248,20 +247,13 @@ def check_feedback() -> dict:
         fdb, "SELECT COUNT(*) AS n FROM events WHERE kind = 'hot'"
     )[0]["n"]
     ratio_before = q_error(est_before, actual)
-    assert ratio_before > FEEDBACK_RATIO_GATE, (
-        f"scenario failed to misestimate: q-error {ratio_before:.1f} "
-        f"<= {FEEDBACK_RATIO_GATE}"
-    )
     entries = [e.as_dict() for e in stats.feedback.entries()]
-    assert any(e["column"] == "kind" and e["misestimates"] >= 1
-               for e in entries), "no feedback entry recorded"
     est_after = hot_estimate()  # stats() saw the pending column, re-analyzed
     ratio_after = q_error(est_after, actual)
-    assert ratio_after <= CORRECTED_WITHIN, (
-        f"estimate still off {ratio_after:.1f}x after targeted "
-        f"re-ANALYZE (was {ratio_before:.1f}x)"
-    )
     return {
+        "feedback_recorded": any(
+            e["column"] == "kind" and e["misestimates"] >= 1
+            for e in entries),
         "actual_rows": actual,
         "estimate_before": est_before,
         "estimate_after": est_after,
@@ -274,22 +266,25 @@ def check_feedback() -> dict:
 # ------------------------------------------------------------------ run
 
 
-def run_bench(num_items: int = 20_000, repeats: int = 5,
+def run_bench(num_items: int = 20_000, rounds: int = 7,
               smoke: bool = False) -> dict:
     db = build_db(num_items)
     mix = bench_mix(num_items)
 
     accuracy = check_analyze_accuracy(db, mix)
-    overhead = bench_overhead(db, mix, repeats)
+    overhead = bench_overhead(db, mix, rounds)
     slowlog = check_slowlog(db, mix)
     feedback = check_feedback()
 
     write_table(
         "e21_observability",
-        f"E21: observability overhead ({num_items} items, "
-        f"min of {repeats})",
+        f"E21: observability overhead ({num_items} items, median of "
+        f"{rounds} interleaved rounds; A/A noise floor "
+        f"{100 * overhead['noise_floor']:.2f}%)",
         ["variant", "seconds", "overhead"],
         [["observability off", overhead["off_seconds"], "-"],
+         ["observability off (A/A)", overhead["off_again_seconds"],
+          f"{100 * overhead['noise_floor']:.2f}%"],
          ["slowlog attached", overhead["watched_seconds"],
           f"{100 * overhead['watched_overhead']:.2f}%"],
          ["plain planned", overhead["plain_seconds"], "-"],
@@ -297,34 +292,58 @@ def run_bench(num_items: int = 20_000, repeats: int = 5,
           f"{100 * overhead['analyze_overhead']:.2f}%"]],
     )
 
+    # exact gates hold at any size; the timing ones are left out of
+    # --smoke, which times one round of a tiny mix
+    gates = [gate(f"analyze_rows_exact[{i}]", int(a["exact"]), "==", 1)
+             for i, a in enumerate(accuracy)]
+    gates += [
+        gate("slowlog_captured_at_zero_minus_issued",
+             slowlog["captured_at_zero"] - slowlog["issued"], "==", 0),
+        gate("slowlog_captured_below_threshold",
+             slowlog["captured_below_threshold"], "==", 0),
+        gate("feedback_recorded", int(feedback["feedback_recorded"]),
+             "==", 1),
+        gate("feedback_q_error_before", feedback["q_error_before"], ">=",
+             FEEDBACK_RATIO_GATE),
+        gate("feedback_q_error_after", feedback["q_error_after"], "<=",
+             CORRECTED_WITHIN),
+    ]
+    unresolved = []
+    if not smoke:
+        floor = overhead["noise_floor"]
+        for name, actual, bound in (
+                ("slowlog_attached_overhead", overhead["watched_overhead"],
+                 OFF_OVERHEAD_GATE),
+                ("explain_analyze_overhead", overhead["analyze_overhead"],
+                 ANALYZE_OVERHEAD_GATE)):
+            entry = dict(gate(name, actual, "<", bound), noise_floor=floor)
+            (gates if floor <= bound else unresolved).append(entry)
+
     payload = {
         "experiment": "e21_observability",
         "smoke": smoke,
         "cpu_count": os.cpu_count(),
         "num_items": num_items,
-        "accuracy": [{"sql": a["sql"], "rows": a["rows"]}
+        "accuracy": [{k: a[k] for k in ("sql", "rows", "top_actual",
+                                        "summary", "exact")}
                      for a in accuracy],
         "overhead": overhead,
         "slowlog": slowlog,
         "feedback": {k: v for k, v in feedback.items()
                      if k != "feedback_entries"},
+        "gates": gates,
+        "timing_unresolved": unresolved,
     }
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(JSON_PATH, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
     print(f"\nwrote {JSON_PATH}")
+    for entry in unresolved:
+        print(f"unresolved: {entry['name']} {100 * entry['actual']:+.2f}% "
+              f"against < {100 * entry['threshold']:.0f}%, noise floor "
+              f"{100 * entry['noise_floor']:.2f}%")
 
-    if not smoke:
-        assert overhead["watched_overhead"] < OFF_OVERHEAD_GATE, (
-            f"slow-query log adds "
-            f"{100 * overhead['watched_overhead']:.2f}% with nothing "
-            f"capturing; the bar is {100 * OFF_OVERHEAD_GATE:.0f}%"
-        )
-        assert overhead["analyze_overhead"] < ANALYZE_OVERHEAD_GATE, (
-            f"EXPLAIN ANALYZE adds "
-            f"{100 * overhead['analyze_overhead']:.2f}%; the bar is "
-            f"{100 * ANALYZE_OVERHEAD_GATE:.0f}%"
-        )
+    assert_gates(gates)
     return payload
 
 
@@ -332,13 +351,10 @@ def run_bench(num_items: int = 20_000, repeats: int = 5,
 
 
 def test_e21_smoke():
-    """Small-scale E21: accuracy/slowlog/feedback invariants, no gates."""
-    payload = run_bench(num_items=2000, repeats=1, smoke=True)
-    assert payload["slowlog"]["captured_at_zero"] == \
-        payload["slowlog"]["issued"]
+    """Small-scale E21: the exact gates (accuracy, slowlog, feedback)."""
+    payload = run_bench(num_items=2000, rounds=1, smoke=True)
+    assert payload["gates"] and all(g["pass"] for g in payload["gates"])
     assert payload["slowlog"]["captured_below_threshold"] == 0
-    assert payload["feedback"]["q_error_before"] > FEEDBACK_RATIO_GATE
-    assert payload["feedback"]["q_error_after"] <= CORRECTED_WITHIN
 
 
 # ----------------------------------------------------------------- main
@@ -348,15 +364,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--items", type=int, default=20_000,
                         help="rows in the items table")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="timing repeats (min is reported)")
+    parser.add_argument("--rounds", type=int, default=7,
+                        help="interleaved timing rounds (medians are "
+                             "compared; at least 7 for the timing gates)")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny workload, no timing assertions")
     args = parser.parse_args(argv)
     if args.smoke:
         args.items = min(args.items, 2000)
-        args.repeats = 1
-    payload = run_bench(num_items=args.items, repeats=args.repeats,
+        args.rounds = 1
+    elif args.rounds < 7:
+        parser.error("--rounds must be at least 7 outside --smoke")
+    payload = run_bench(num_items=args.items, rounds=args.rounds,
                         smoke=args.smoke)
     o = payload["overhead"]
     print(f"slowlog attached (nothing capturing): "

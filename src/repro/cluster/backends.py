@@ -92,11 +92,6 @@ def _chunk(items: Sequence[Any], size: int) -> list[Sequence[Any]]:
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
-def _apply_chunk(fn: Callable[[Any], Any], chunk: Sequence[Any]) -> list[Any]:
-    """Worker-side loop; module-level so process pools can pickle it."""
-    return [fn(item) for item in chunk]
-
-
 def _apply_chunk_metered(
     fn: Callable[[Any], Any], chunk: Sequence[Any],
 ) -> tuple[list[Any], dict[str, Any]]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.docmodel.document import Document, Span
@@ -36,12 +36,6 @@ class Extraction:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
         if not self.attribute:
             raise ValueError("attribute must be non-empty")
-
-    def with_entity(self, entity: str) -> "Extraction":
-        return replace(self, entity=entity)
-
-    def with_confidence(self, confidence: float) -> "Extraction":
-        return replace(self, confidence=confidence)
 
     def key(self) -> tuple[str, str, Any]:
         """Identity for dedup: (entity, attribute, value)."""

@@ -122,6 +122,3 @@ class TaskQueue:
 
     def task(self, task_id: str) -> HiTask:
         return self._tasks[task_id]
-
-    def all_task_ids(self) -> list[str]:
-        return list(self._tasks)

@@ -899,13 +899,6 @@ class Database:
             "rows": rows,
         }
 
-    def shard_specs(self) -> dict[str, dict[str, Any]]:
-        """Table name -> shard spec dict (``repro stats`` reporting)."""
-        with self._mutate_lock:
-            return {name: t.shard_spec.to_dict()
-                    for name, t in self._tables.items()
-                    if t.shard_spec is not None}
-
     def _maybe_auto_compact(self, tables: set[str]) -> None:
         threshold = self.auto_compact_rows
         if not threshold:

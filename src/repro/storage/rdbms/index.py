@@ -150,13 +150,5 @@ class SortedIndex(Index):
                 if include_high else bisect.bisect_left(pairs, (high, -1))
         return map(itemgetter(1), pairs[start:stop])
 
-    def min_value(self) -> Any:
-        """Smallest indexed value, or None if empty."""
-        return self._pairs[0][0] if self._pairs else None
-
-    def max_value(self) -> Any:
-        """Largest indexed value, or None if empty."""
-        return self._pairs[-1][0] if self._pairs else None
-
     def __len__(self) -> int:
         return len(self._pairs)

@@ -281,9 +281,9 @@ def exchange(txn: Transaction, shards: list[int], fans: list[Any],
     total_rows = 0
     for shard in shards:
         unit_lists = [
-            list(_planner.select_units(layout[shard], fan.pred,
-                                       prof=fan.shard_scan.profile,
-                                       select=False))
+            list(_planner.prune_units(layout[shard], fan.pred,
+                                      prof=fan.shard_scan.profile,
+                                      count=False))
             for fan, layout in zip(fans, layouts)]
         if not all(unit_lists):
             continue  # an empty fanned input scans / joins to nothing

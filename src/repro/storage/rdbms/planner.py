@@ -48,7 +48,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from collections import defaultdict
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
@@ -242,75 +242,72 @@ def _zone_map_prunes(segment: Segment, conjunct: Any) -> bool:
     return False
 
 
-def _conjunct_bitmap(segment: Segment, conjunct: Any,
-                     positions: Sequence[int] | None = None) -> list[bool]:
-    """Selection bitmap of one kernel conjunct over one segment: one bit
-    per row, or — given ``positions`` — one per listed position, reading
-    nothing else.
+def _conjunct_bitmap(col: Any, conjunct: Any, data: Sequence[Any],
+                     null_flags: Callable[[], Sequence[int] | None],
+                     ) -> bytearray:
+    """Selection bitmap of one kernel conjunct over ``data``, stored
+    cells of the column segment ``col`` in any order; ``null_flags()``
+    gives their null flags (None: no NULLs), asked only when needed.
+    One byte, 0 or 1, per cell: counting, finding and slicing the
+    bitmap run in C.
 
     Matches :func:`repro.storage.rdbms.sql.eval_predicate` exactly on
-    every position.  May raise TypeError on incomparable operands — the
+    every cell.  May raise TypeError on incomparable operands — the
     caller falls back to row-at-a-time evaluation for the segment, which
     reproduces the naive error surface.
     """
     cmp = _normalized_comparison(conjunct)
     if cmp is not None:
-        column = cmp[0]
-    elif isinstance(conjunct, (LikePredicate, NullPredicate, InPredicate)):
-        column = conjunct.column
-    else:
-        raise SqlError(f"cannot vectorize conjunct {conjunct!r}")
-    col = segment.columns[column.name]
-    data = col.data if positions is None else take(col.data, positions)
-    if cmp is not None:
         _, op, lit = cmp
         fn = _COMPARE_FN[op]
         if lit is None:
-            return [False] * len(data)
+            return bytearray(len(data))
         if col.encoding == "dict":
             # NULL's code, -1, indexes the verdict appended last.
             matches = [fn(entry, lit) for entry in col.dictionary] + [False]
-            return list(map(matches.__getitem__, data))
+            return bytearray(map(matches.__getitem__, data))
         if col.encoding == "raw":
-            return [v is not None and fn(v, lit) for v in data]
-        flags = col.null_flags(positions)
+            return bytearray([v is not None and fn(v, lit) for v in data])
+        flags = null_flags()
         if flags is None:
-            return list(map(fn, data, repeat(lit)))
-        return [not null and fn(v, lit) for null, v in zip(flags, data)]
+            return bytearray(map(fn, data, repeat(lit)))
+        return bytearray([not null and fn(v, lit)
+                          for null, v in zip(flags, data)])
     if isinstance(conjunct, NullPredicate):
-        flags = col.null_flags(positions)
+        flags = null_flags()
         if flags is None:
-            return [conjunct.negated] * len(data)
+            return bytearray([conjunct.negated]) * len(data)
         if conjunct.negated:
-            return [not f for f in flags]
-        return flags
+            return bytearray(map(operator.not_, flags))
+        return bytearray(flags)
     negated = conjunct.negated
     if isinstance(conjunct, LikePredicate):
         if col.encoding == "dict":
             regex = _like_to_regex(conjunct.pattern)
             matches = [bool(regex.match(entry)) != negated
                        for entry in col.dictionary] + [negated]
-            return list(map(matches.__getitem__, data))
+            return bytearray(map(matches.__getitem__, data))
         if col.encoding == "raw":
             regex = _like_to_regex(conjunct.pattern)
-            return [(bool(regex.match(v)) != negated) if isinstance(v, str)
-                    else negated for v in data]
+            return bytearray([(bool(regex.match(v)) != negated)
+                              if isinstance(v, str) else negated
+                              for v in data])
         # Typed numeric/bool buffers never hold strings: LIKE on a
         # non-string value evaluates to the negation flag, NULL included.
-        return [negated] * len(data)
+        return bytearray([negated]) * len(data)
     values = conjunct.values
     null_result = (None in values) != negated
     if col.encoding == "dict":
         matches = [(entry in values) != negated
                    for entry in col.dictionary] + [null_result]
-        return list(map(matches.__getitem__, data))
+        return bytearray(map(matches.__getitem__, data))
     if col.encoding == "raw":
-        return [(v in values) != negated for v in data]
-    flags = col.null_flags(positions)
+        return bytearray([(v in values) != negated for v in data])
+    flags = null_flags()
     if flags is None:
-        return [(v in values) != negated for v in data]
-    return [null_result if null else (v in values) != negated
-            for null, v in zip(flags, data)]
+        return bytearray([(v in values) != negated for v in data])
+    return bytearray([null_result if null else (v in values) != negated
+                      for null, v in zip(flags, data)])
 
 
 # ------------------------------------------------------ predicate rendering
@@ -375,7 +372,7 @@ class OperatorProfile:
 
     __slots__ = ("rows", "loops", "seconds",
                  "segments_scanned", "segments_skipped", "rows_masked",
-                 "index_probes", "shards_total", "shards_pruned")
+                 "index_probes", "shards_total", "shards_pruned", "groups")
 
     def __init__(self) -> None:
         self.rows = 0
@@ -387,6 +384,7 @@ class OperatorProfile:
         self.index_probes = 0
         self.shards_total = 0
         self.shards_pruned = 0
+        self.groups = 0  # group slices an aggregate folded off segments
 
     def timed(self, fn: Callable[..., Any], *args: Any) -> Any:
         """Run one blocking step under an exact timer pair."""
@@ -430,6 +428,8 @@ class OperatorProfile:
                          f"pruned={self.segments_skipped}")
         if self.rows_masked:
             parts.append(f"masked={self.rows_masked}")
+        if self.groups:
+            parts.append(f"groups={self.groups}")
         if self.shards_total:
             parts.append(
                 f"shards={self.shards_total - self.shards_pruned}"
@@ -664,7 +664,11 @@ def _segment_selection(segment: Segment, vector_conjuncts: list[Any],
         positions = None
     try:
         for conjunct in vector_conjuncts:
-            bits = _conjunct_bitmap(segment, conjunct, positions)
+            col = segment.columns[_conjunct_column(conjunct).name]
+            bits = _conjunct_bitmap(
+                col, conjunct, col.data if positions is None
+                else take(col.data, positions),
+                lambda: col.null_flags(positions))
             positions = list(compress(
                 range(segment.count) if positions is None else positions,
                 bits))
@@ -709,27 +713,25 @@ def filter_unit(kind: str, unit: Any, selected: Sequence[int] | None,
     return "rows", keep, None
 
 
-def select_units(units: Iterable[ScanUnit], pred: ScanPredicate,
-                 guard: CancellationToken | None = None,
-                 prof: OperatorProfile | None = None, select: bool = True,
-                 ) -> Iterator[ScanUnit]:
-    """The scan kernel: a table's scan units narrowed to the rows
-    matching ``pred``, polling ``guard`` once per unit.
+def prune_units(units: Iterable[ScanUnit], pred: ScanPredicate,
+                guard: CancellationToken | None = None,
+                prof: OperatorProfile | None = None, count: bool = True,
+                ) -> Iterator[ScanUnit]:
+    """A table's scan units minus the segments the zone maps prove
+    empty (``segments.skipped``), polling ``guard`` once per unit.
 
-    A segment the zone maps prove empty is dropped (``segments.skipped``);
-    a scanned one goes through :func:`filter_unit`, like every rows unit.
     A segment arrives as one stretch of live positions or, around tail
     rows that replaced some of its rows, several in a row: it is pruned
-    and counted once.  Units nothing survives in are not yielded.
-    ``select=False`` stops after the prune (the fan-out coordinator keeps
-    empty segments out of task payloads; its workers select and count).
+    and counted once.  ``count=False`` leaves the counting of what is
+    scanned to the fan-out workers (the coordinator only keeps empty
+    segments out of task payloads).
     """
     registry = metrics.get_registry()
     # The latest segment, whether it was pruned, and the first of its
     # positions no stretch has reached yet (EXPLAIN ANALYZE's masked=
     # counts the live-position gaps: the dead positions scanned past).
     segment, pruned, reached = None, True, 0
-    count_masked = select and prof is not None
+    count_masked = count and prof is not None
     for kind, unit, selected in units:
         if guard is not None:
             guard.check()
@@ -743,7 +745,7 @@ def select_units(units: Iterable[ScanUnit], pred: ScanPredicate,
                     registry.inc("segments.skipped")
                     if prof is not None:
                         prof.segments_skipped += 1
-                elif select:
+                elif count:
                     registry.inc("segments.scanned")
                     if prof is not None:
                         prof.segments_scanned += 1
@@ -752,14 +754,21 @@ def select_units(units: Iterable[ScanUnit], pred: ScanPredicate,
             if count_masked:
                 prof.rows_masked += selected[-1] + 1 - reached - len(selected)
                 reached = selected[-1] + 1
-        if not select:
-            yield kind, unit, selected
-            continue
-        out = filter_unit(kind, unit, selected, pred, guard)
-        if unit_len(*out):
-            yield out
+        yield kind, unit, selected
     if count_masked and not pruned:
         prof.rows_masked += segment.count - reached
+
+
+def select_units(units: Iterable[ScanUnit], pred: ScanPredicate,
+                 guard: CancellationToken | None = None,
+                 prof: OperatorProfile | None = None) -> Iterator[ScanUnit]:
+    """The scan kernel: a table's scan units narrowed to the rows
+    matching ``pred`` — :func:`prune_units`, then :func:`filter_unit` on
+    every unit left.  Units nothing survives in are not yielded."""
+    for unit in prune_units(units, pred, guard, prof):
+        out = filter_unit(*unit, pred, guard)
+        if unit_len(*out):
+            yield out
 
 
 def scan_rows(units: Iterable[ScanUnit], pred: ScanPredicate,
@@ -776,16 +785,19 @@ def fold_units(units: Iterable[ScanUnit], pred: ScanPredicate,
                state: "AggState", guard: CancellationToken | None = None,
                prof: OperatorProfile | None = None) -> int:
     """The scan kernel for the aggregate: fold every matching row into
-    ``state`` — segments column-at-a-time, tail rows one by one.
-    Returns the rows folded."""
+    ``state`` — a segment one group slice at a time, evaluating the kernel
+    conjuncts itself (fallback conjuncts select its rows first), tail rows
+    one by one.  Returns the rows folded."""
     n = 0
-    segment, cells = None, {}  # the segment being folded, decoded columns
-    for kind, unit, selected in select_units(units, pred, guard, prof):
+    for kind, unit, selected in prune_units(units, pred, guard, prof):
+        if kind == "segment" and pred.fallback is None:
+            folded = state.add_segment(unit, selected, pred.vector)
+            if folded is not None:
+                n += folded
+                continue
+        kind, unit, selected = filter_unit(kind, unit, selected, pred, guard)
         if kind == "segment":
-            if unit is not segment:
-                segment, cells = unit, {}
-            state.add_segment(unit, selected, cells)
-            n += len(selected)
+            n += state.add_segment(unit, selected)
         else:
             for _, values in unit:
                 state.add_row(values)
@@ -1017,12 +1029,16 @@ class IndexNestedLoopJoin(PlanNode):
 # --------------------------------------------------------------- aggregate
 
 
-def _column_cells(col: Any, cells: dict[Any, Sequence[Any]]) -> Sequence[Any]:
-    """One column's decoded values, decoded at most once per ``cells``."""
-    values = cells.get(col.name)
-    if values is None:
-        values = cells[col.name] = col.cells()
-    return values
+def _gaps(positions: Sequence[int], i: int = 0, j: int = -1) -> list[int]:
+    """What the ascending ``positions[i:j + 1]`` skip between their ends,
+    by bisection: a stretch costs its gaps, not its length."""
+    j %= len(positions)
+    if positions[j] - positions[i] == j - i:
+        return []
+    if j - i == 1:
+        return list(range(positions[i] + 1, positions[j]))
+    mid = (i + j) // 2
+    return _gaps(positions, i, mid) + _gaps(positions, mid, j)
 
 
 class AggState:
@@ -1047,12 +1063,20 @@ class AggState:
         self.stmt = stmt
         #: group key -> one accumulator per aggregate item
         self.groups: dict[tuple, list[list[Any]]] = {}
+        #: group slices folded off segments (EXPLAIN ANALYZE's groups=)
+        self.slices = 0
         self._group_names = [g.name for g in stmt.group_by]
         self._agg_items = [
             (item.key(), item.expr.func,
              item.expr.column.name if item.expr.column is not None else None)
             for item in stmt.items if isinstance(item.expr, AggregateExpr)
         ]
+        #: the segment folded last and its kernels' verdicts: its stretches
+        #: arrive one after another (a pickled state leaves them behind)
+        self._verdicts: tuple[Segment, bytearray] | None = None
+
+    def __getstate__(self) -> dict[str, Any]:
+        return dict(self.__dict__, _verdicts=None)
 
     # ------------------------------------------------------------ gating
 
@@ -1148,102 +1172,121 @@ class AggState:
                 acc[1] += 1
 
     def add_segment(self, segment: Segment, selected: Sequence[int],
-                    cells: dict[Any, Sequence[Any]]) -> None:
-        """Fold the selected positions of one segment, column-at-a-time.
+                    vector: Sequence[Any] = ()) -> int | None:
+        """Fold the ascending positions ``selected`` of one segment that
+        pass the kernel conjuncts ``vector``; returns the rows folded, or
+        None when a kernel hit incomparable operands (nothing is folded).
 
-        ``cells`` holds the segment's decoded columns from one call to
-        the next (a segment written to since it froze arrives as several
-        stretches of positions; a column decodes once for all of them).
+        A group is a slice of :meth:`Segment.group_order`, cut to the
+        ends of ``selected``.  The kernels run once per segment, over the
+        whole order, and only the groups they keep a row of are visited:
+        a slice clears what ``selected`` skips and folds the rest in
+        position order, continuing the row fold's exact left-to-right
+        chain.  Groups enter :attr:`groups` in the order of their first
+        row.
         """
-        if not self._group_names:
-            self._fold(segment, self._accs_for(()), selected, cells)
-            return
-        # Bucket on what the segment stores — a dictionary column's codes
-        # stand in for its strings one to one (NULL is code -1) — and
-        # decode one key per group afterwards, off its first row.
-        key_cols = [segment.columns[name] for name in self._group_names]
-        group_cols = [take(col.data if col.encoding == "dict"
-                           else _column_cells(col, cells), selected)
-                      for col in key_cols]
-        # Partition positions by group key.  The per-row cost is one
-        # C-built key (buffer element or zip tuple) plus one dict probe;
-        # buckets keep first-occurrence order, matching the insertion
-        # order the naive per-row fold would produce.
-        buckets: dict[Any, list[int]] = defaultdict(list)
-        keys: Any = group_cols[0] if len(group_cols) == 1 \
-            else zip(*group_cols)
-        for pos, key in zip(selected, keys):
-            buckets[key].append(pos)
-        for bucket in buckets.values():
-            accs = self._accs_for(
-                tuple(col.value_at(bucket[0]) for col in key_cols))
-            self._fold(segment, accs, bucket, cells)
-
-    def _fold(self, segment: Segment, accs: list[list[Any]],
-              bucket: Sequence[int], cells: dict[Any, Sequence[Any]]) -> None:
-        """Fold one group's rows — the ascending positions ``bucket`` —
-        off the column buffers: take() gathers at C speed (a slice for a
-        stretch of consecutive positions), and sum(vals, start) /
-        min(vals) / max(vals) replay the exact left-to-right,
-        strict-inequality fold of the row path."""
-        n = len(bucket)
-        full = n == segment.count
-        present: dict[str, Sequence[Any]] = {}  # column -> non-NULL values
-        for acc, (_, func, colname) in zip(accs, self._agg_items):
-            if colname is None:  # count(*)
-                acc[0] += n
+        if not selected:
+            return 0
+        order = segment.group_order(self._group_names)
+        positions, bounds = order.positions, order.bounds
+        bits = None  # the kernels' verdicts, one byte per row of the order
+        if vector:
+            if self._verdicts is None or self._verdicts[0] is not segment:
+                try:
+                    for conjunct in vector:
+                        name = _conjunct_column(conjunct).name
+                        data, nulls = order.column(name)
+                        more = _conjunct_bitmap(segment.columns[name],
+                                                conjunct, data, lambda: nulls)
+                        bits = more if bits is None \
+                            else bytearray(map(operator.and_, bits, more))
+                except TypeError:
+                    return None
+                self._verdicts = segment, bits
+            bits = self._verdicts[1]
+        start, stop = selected[0], selected[-1] + 1
+        cut = start > 0 or stop < segment.count
+        skipped = _gaps(selected)
+        if skipped:
+            skipped = sorted(map(order.rank().__getitem__, skipped))
+        slices = []  # (first position kept, lo, hi, flags or None)
+        g, groups = 0, len(bounds) - 1
+        while g < groups:
+            lo, hi = bounds[g], bounds[g + 1]
+            if cut:  # the group's slice, cut to the stretch's ends
+                lo = bisect_left(positions, start, lo, hi)
+                hi = bisect_left(positions, stop, lo, hi)
+            at = lo if bits is None else bits.find(True, lo, hi)
+            if at < 0:
+                at = bits.find(True, hi)  # on to the next group kept
+                if at < 0:
+                    break
+                g = max(g + 1, bisect_right(bounds, at) - 1)
                 continue
-            col = segment.columns[colname]
-            if func in ("min", "max"):
-                pick = min if func == "min" else max
-                if full and col.encoding != "float":
-                    # (FLOAT bounds are not trustworthy under NaN)
+            g += 1
+            keep = None if bits is None else bits[lo:hi]
+            i, j = bisect_left(skipped, lo), bisect_left(skipped, hi)
+            if i < j:
+                keep = keep or bytearray([True]) * (hi - lo)
+                for at in skipped[i:j]:
+                    keep[at - lo] = False
+                at = keep.find(True)
+                at = hi if at < 0 else lo + at
+            if at < hi:
+                slices.append((positions[at], lo, hi, keep))
+        slices.sort()
+        key_cols = [segment.columns[name] for name in self._group_names]
+        # per aggregate: function, column, its cells, their null flags
+        folds = [(func, None, None, None) if name is None else
+                 (func, segment.columns[name], *order.column(name))
+                 for _, func, name in self._agg_items]
+        folded = 0
+        for pos, lo, hi, keep in slices:
+            accs = self._accs_for(tuple([col.value_at(pos)
+                                         for col in key_cols]))
+            n = hi - lo if keep is None else keep.count(True)  # rows kept
+            folded += n
+            whole = keep is None and hi - lo == segment.count
+            for acc, (func, col, data, nulls) in zip(accs, folds):
+                if col is None:  # COUNT(*)
+                    acc[0] += n
+                    continue
+                if whole and func in ("min", "max") \
+                        and col.encoding != "float":  # (NaN: no bounds)
                     vals = [v for v in (col.min_value if func == "min"
                                         else col.max_value,) if v is not None]
-                else:
-                    vals = present.get(colname)
-                    if vals is None:
-                        vals = take(_column_cells(col, cells), bucket)
-                        if col.null_count:
-                            vals = [v for v in vals if v is not None]
-                        present[colname] = vals
-                # The builtins keep the first extremum under ``<`` / ``>``:
-                # seeded with the running one they continue the row fold.
-                if acc[0]:
-                    acc[1] = pick(chain((acc[1],), vals))
-                elif len(vals):
-                    acc[0], acc[1] = True, pick(vals)
-                continue
-            # count / sum / avg: NULL placeholder slots of a typed
-            # integer buffer are 0 and never change a sum, so only the
-            # number of NULLs among the rows is needed; a float column
-            # must step over them to keep its addition chain.
-            if col.null_count == 0 or col.encoding in ("int", "bool") \
-                    or func == "count":
-                nulls = 0
-                if full:
-                    nulls = col.null_count
-                elif col.null_count:
-                    flags = cells.get((colname, "nulls"))
-                    if flags is None:
-                        flags = cells[colname, "nulls"] = col.null_flags()
-                    nulls = sum(take(flags, bucket))
+                    m = len(vals)
+                elif keep is None and nulls is not None and func != "min" \
+                        and func != "max" and col.encoding in ("int", "bool"):
+                    # NULL slots of a typed integer buffer hold 0: sum as is
+                    vals = data[lo:hi]
+                    m = hi - lo - (col.null_count if whole
+                                   else nulls[lo:hi].count(True))
+                else:  # the rows kept, NULLs left out
+                    mask = keep if nulls is None else bytearray(map(
+                        operator.gt, keep or repeat(True), nulls[lo:hi]))
+                    vals = data[lo:hi] if mask is None \
+                        else compress(data[lo:hi], mask)
+                    m = n if nulls is None else mask.count(True)
                 if func == "count":
-                    acc[0] += n - nulls
-                else:
-                    acc[0] = sum(take(col.data, bucket), acc[0])
-                    acc[1] += n - nulls
-                continue
-            vals = present.get(colname)
-            if vals is None:
-                vals = present[colname] = [
-                    v for v in take(_column_cells(col, cells), bucket)
-                    if v is not None]
-            acc[0] = sum(vals, acc[0])
-            acc[1] += len(vals)
+                    acc[0] += m
+                elif func in ("sum", "avg"):
+                    acc[0] = sum(vals, acc[0])
+                    acc[1] += m
+                elif m:  # the builtins keep the first extremum
+                    if col.encoding in ("dict", "bool") and not whole:
+                        vals = list(map(bool, vals) if col.dictionary is None
+                                    else map(col.dictionary.__getitem__, vals))
+                    pick = min if func == "min" else max
+                    acc[1] = pick(chain((acc[1],), vals)) if acc[0] \
+                        else pick(vals)
+                    acc[0] = True
+        self.slices += len(slices)
+        return folded
 
     def merge(self, other: "AggState") -> None:
         """Fold another state of the same statement into this one."""
+        self.slices += other.slices
         for key, accs in other.groups.items():
             dst = self.groups.get(key)
             if dst is None:
@@ -1335,6 +1378,7 @@ class Aggregate(PlanNode):
         self.child.fold(txn, state)
         if self.profile is not None:
             self.profile.absorb_scan(self.child.profile)
+            self.profile.groups += state.slices
         return state.finalize()
 
     def children(self) -> list[PlanNode]:

@@ -17,7 +17,8 @@ commit listener still evicts eagerly, but purely as memory hygiene.
 
 Only SELECTs are cached; every other statement (DML, DDL, EXPLAIN)
 passes straight through to the executor.  Rows are defensively copied in
-both directions, so callers may mutate what they get back.
+both directions, so callers may mutate what they get back.  A repeated
+SELECT text is neither lexed nor parsed again (DESIGN.md §11).
 
 This is also the observability funnel: every ``system.query`` and
 exploration-session statement flows through :meth:`execute`, so when a
@@ -34,6 +35,7 @@ from time import perf_counter
 from typing import Any
 
 from repro.errors import CancellationToken
+from repro.storage.rdbms import sql as sqlmod
 from repro.storage.rdbms.engine import Database
 from repro.telemetry import metrics
 
@@ -58,6 +60,8 @@ class QueryResultCache:
         self._entries: OrderedDict[
             str, tuple[tuple[str, ...], dict[str, int], list[dict[str, Any]]]
         ] = OrderedDict()
+        # raw SELECT text -> (parsed statement, normalized sql)
+        self._statements: OrderedDict[str, tuple[Any, str]] = OrderedDict()
         # Ensure the statistics manager registers its listener first, so
         # versions are already bumped when our eviction listener runs.
         self._stats = db.statistics()
@@ -75,24 +79,38 @@ class QueryResultCache:
 
         Raises:
             SqlError: on parse or execution errors.
+            QueryError: as :func:`~repro.storage.rdbms.sql.execute_sql`.
         """
-        if self.slowlog is None:
-            return self._execute(sql, guard)
-        t0 = perf_counter()
-        rows = self._execute(sql, guard)
+        with sqlmod.query_errors(sql):
+            if self.slowlog is None:
+                return self._execute(sql, guard)
+            t0 = perf_counter()
+            rows = self._execute(sql, guard)
         self.slowlog.observe(self._db, sql, perf_counter() - t0, len(rows))
         return rows
 
     def _execute(self, sql: str,
                  guard: CancellationToken | None = None,
                  ) -> list[dict[str, Any]]:
-        from repro.storage.rdbms import sql as sqlmod
-
-        stmt = sqlmod.parse_sql(sql)
-        if not isinstance(stmt, sqlmod.SelectStatement):
-            return sqlmod.execute_statement(self._db, stmt, guard=guard)
+        # A SELECT's statement and key are memoized by its text (LRU,
+        # ``capacity`` texts; executing never changes a statement); a
+        # new text is lexed once, for both.
+        with self._lock:
+            parsed = self._statements.get(sql)
+            if parsed is not None:
+                self._statements.move_to_end(sql)
+        if parsed is None:
+            tokens = sqlmod._lex(sql)
+            stmt = sqlmod.parse_sql(tokens)
+            if not isinstance(stmt, sqlmod.SelectStatement):
+                return sqlmod.execute_statement(self._db, stmt, guard=guard)
+            parsed = stmt, sqlmod.normalize_sql(tokens)
+            with self._lock:
+                self._statements[sql] = parsed
+                if len(self._statements) > self._capacity:
+                    self._statements.popitem(last=False)
+        stmt, key = parsed
         registry = metrics.get_registry()
-        key = sqlmod.normalize_sql(sql)
         tables = tuple(
             t for t in (stmt.table, stmt.join_table) if t is not None)
 

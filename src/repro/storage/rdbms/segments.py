@@ -28,11 +28,13 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
-from itertools import repeat
+from collections import defaultdict
+from itertools import accumulate, repeat
 from operator import is_, itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.storage.rdbms.types import ColumnType, TableSchema
+from repro.telemetry import metrics
 
 #: Rows per segment produced by compaction (the vectorized executor's
 #: working-set unit; also the zone-map granularity).
@@ -240,6 +242,68 @@ class ColumnSegment:
         }
 
 
+class GroupOrder:
+    """A segment's positions stably sorted by a key (DESIGN.md §12):
+    ``positions[bounds[g]:bounds[g + 1]]`` are group ``g``'s, ascending.
+    A key is what the segment stores (a dictionary code stands for its
+    string), compared as a dict key, like the rows it stands for:
+    ``-0.0`` joins ``0.0``, each NaN is a group.  No key: one group.
+    A ``lasting`` order keeps the columns it copies typed, like the
+    segment (a FLOAT column costs 8 bytes a row, its null flags one);
+    a fan-out task's throwaway order keeps what one gather gives."""
+
+    __slots__ = ("positions", "bounds", "_columns", "_lasting", "_copies",
+                 "_rank")
+
+    def __init__(self, columns: dict[str, ColumnSegment],
+                 names: Sequence[str], count: int, lasting: bool) -> None:
+        self._columns = columns
+        self._lasting = lasting
+        self._copies: dict[str, tuple[Sequence[Any], Any]] = {}
+        self.positions: Sequence[int] = range(count)
+        self.bounds = [0, count]
+        self._rank: array | None = None
+        if names:
+            keys = [columns[name].data if columns[name].encoding == "dict"
+                    else columns[name].cells() for name in names]
+            groups: dict[Any, list[int]] = defaultdict(list)
+            for pos, key in enumerate(keys[0] if len(keys) == 1
+                                      else zip(*keys)):
+                groups[key].append(pos)
+            if len(groups) > 1:  # (one group: the stored order)
+                self.positions = positions = array("i")
+                for group in groups.values():
+                    positions.fromlist(group)
+                self.bounds = list(accumulate(map(len, groups.values()),
+                                              initial=0))
+
+    def column(self, name: str) -> tuple[Sequence[Any], Any]:
+        """One column's stored cells in this order (copied once) and
+        their null flags (None: no NULLs)."""
+        copy = self._copies.get(name)
+        if copy is None:
+            col = self._columns[name]
+            data, flags = col.data, col.null_flags()
+            if not isinstance(self.positions, range):  # (else: as stored)
+                gather = itemgetter(*self.positions)  # (two groups or more)
+                data, flags = gather(data), flags and gather(flags)
+                if self._lasting and col.encoding != "raw":
+                    data = array(col.data.typecode, data)
+            if self._lasting:
+                flags = flags and bytearray(flags)
+            copy = self._copies[name] = data, flags
+        return copy
+
+    def rank(self) -> array:
+        """Where each position sits in :attr:`positions`."""
+        if self._rank is None:  # published whole: readers share the order
+            rank = array("i", self.positions)
+            for at, pos in enumerate(self.positions):
+                rank[pos] = at
+            self._rank = rank
+        return self._rank
+
+
 class Segment:
     """An immutable, rid-sorted slice of a table in columnar layout.
 
@@ -247,9 +311,13 @@ class Segment:
     table's segments hold rows of exactly one shard, so parallel plans can
     hand whole segments to per-shard worker tasks without re-routing rows.
     ``None`` means the table was unsharded when the segment was frozen.
+    Group orders are cached on the segment.  A pickle — a fan-out task's
+    copy, gone with the task — leaves them out, and its own are not
+    lasting.
     """
 
-    __slots__ = ("schema", "rids", "columns", "count", "shard")
+    __slots__ = ("schema", "rids", "columns", "count", "shard",
+                 "_group_orders", "_lasting")
 
     def __init__(self, schema: TableSchema, rids: array,
                  columns: dict[str, ColumnSegment],
@@ -259,6 +327,22 @@ class Segment:
         self.columns = columns
         self.count = len(rids)
         self.shard = shard
+        self._group_orders: dict[tuple[str, ...], GroupOrder] = {}
+        self._lasting = True
+
+    def __reduce__(self) -> tuple:
+        return (Segment, (self.schema, self.rids, self.columns, self.shard),
+                (None, {"_lasting": False}))
+
+    def group_order(self, names: Sequence[str]) -> GroupOrder:
+        """The cached :class:`GroupOrder` of the key ``names``."""
+        key = tuple(names)
+        order = self._group_orders.get(key)
+        if order is None:
+            order = self._group_orders[key] = GroupOrder(
+                self.columns, key, self.count, self._lasting)
+            metrics.get_registry().inc("segments.group_orders_built")
+        return order
 
     @staticmethod
     def from_columns(schema: TableSchema, rids: Sequence[int],

@@ -33,9 +33,10 @@ import functools
 import heapq
 import itertools
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.errors import (CancellationToken, QueryDeadlockError, QueryError,
                           QueryLockTimeoutError, StaleSnapshotError)
@@ -302,8 +303,8 @@ _TYPE_MAP = {
 
 
 class _Parser:
-    def __init__(self, sql: str) -> None:
-        self._tokens = _lex(sql)
+    def __init__(self, tokens: list[_Token]) -> None:
+        self._tokens = tokens
         self._pos = 0
 
     # -- token plumbing
@@ -679,25 +680,25 @@ class _Parser:
         raise SqlError(f"expected literal, got {token.text!r}")
 
 
-def parse_sql(sql: str):
-    """Parse one SQL statement into its AST node.
+def parse_sql(sql: str | list[_Token]):
+    """Parse one SQL statement (its text or its tokens) into its AST node.
 
     Raises:
         SqlError: on syntax errors.
     """
-    return _Parser(sql).parse()
+    return _Parser(_lex(sql) if isinstance(sql, str) else sql).parse()
 
 
-def normalize_sql(sql: str) -> str:
-    """Canonical text for a statement: whitespace collapsed, keywords
-    uppercased, literals re-rendered.  Two statements that tokenize the
-    same normalize the same — this is the result cache's key.
+def normalize_sql(sql: str | list[_Token]) -> str:
+    """Canonical text for a statement (text or tokens): whitespace
+    collapsed, keywords uppercased, literals re-rendered.  Two statements
+    that tokenize the same normalize the same — the result cache's key.
 
     Raises:
         SqlError: on lexing errors.
     """
     parts: list[str] = []
-    for token in _lex(sql):
+    for token in _lex(sql) if isinstance(sql, str) else sql:
         if token.kind == "eof":
             break
         if token.kind == "keyword":
@@ -1251,8 +1252,17 @@ def execute_sql(db: Database, sql: str, txn: Transaction | None = None,
         QueryLockTimeoutError: retries exhausted on lock-wait timeouts.
         QueryTimeoutError: the guard's deadline passed mid-execution.
     """
-    try:
+    with query_errors(sql):
         return execute_statement(db, parse_sql(sql), txn, use_planner, guard)
+
+
+@contextmanager
+def query_errors(sql: str) -> Iterator[None]:
+    """Name ``sql`` in the query errors raised inside, and raise the lock
+    manager's deadlock / lock-wait timeout as :class:`QueryDeadlockError`
+    / :class:`QueryLockTimeoutError`: what every entry point raises."""
+    try:
+        yield
     except QueryError as exc:
         if exc.sql is None:
             exc.sql = sql

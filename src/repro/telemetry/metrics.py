@@ -164,10 +164,6 @@ class MetricsRegistry:
             histogram = self._histograms.get(name)
             return histogram.to_dict() if histogram is not None else None
 
-    def counter_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._counters)
-
     # ------------------------------------------------------------ aggregation
 
     def snapshot(self) -> dict[str, Any]:

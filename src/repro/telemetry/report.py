@@ -195,7 +195,9 @@ def render_report(summary: dict[str, Any],
                 f"frozen_rows="
                 f"{all_counters.get('segments.rows_frozen', 0.0):.0f} "
                 f"masked_rows="
-                f"{all_counters.get('segments.rows_masked', 0.0):.0f}",
+                f"{all_counters.get('segments.rows_masked', 0.0):.0f} "
+                f"group_orders_built="
+                f"{all_counters.get('segments.group_orders_built', 0.0):.0f}",
             ]
             # per table: frozen rows deleted or superseded since they
             # froze, waiting for the next compaction

@@ -192,10 +192,6 @@ class ContinuousQueryManager:
                 return list(self.inbox)
             return [n for n in self.inbox if n.query_id == query_id]
 
-    def clear_inbox(self) -> None:
-        with self._lock:
-            self.inbox.clear()
-
     def seen_size(self, query_id: str) -> int:
         """Current refcounted seen-set cardinality for one query."""
         with self._lock:

@@ -79,15 +79,6 @@ def test_sorted_remove():
     index.remove(99, 5)  # unknown pair: silent
 
 
-def test_sorted_min_max():
-    index = SortedIndex("t", "c")
-    assert index.min_value() is None
-    for rid, value in enumerate([3, 1, 2]):
-        index.insert(value, rid)
-    assert index.min_value() == 1
-    assert index.max_value() == 3
-
-
 def test_sorted_ignores_none():
     index = SortedIndex("t", "c")
     index.insert(None, 1)

@@ -3,14 +3,22 @@ vectorized execution, zone-map skipping, WAL/checkpoint recovery, and the
 reopen regression."""
 
 import json
+import pickle
+import sys
+import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.cluster.backends import SerialBackend
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.segments import Segment
 from repro.storage.rdbms.sql import SqlError, execute_sql
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry import metrics
+from repro.telemetry.metrics import MetricsRegistry, use_registry
+from repro.telemetry.report import render_report, summarize_trace
 
 
 def _schema():
@@ -289,6 +297,239 @@ def test_parity_with_segments_plus_tail():
         slow = execute_sql(db, sql, use_planner=False)
         assert json.dumps(fast, sort_keys=True) == \
             json.dumps(slow, sort_keys=True), sql
+
+
+# ------------------------------------ grouped aggregates over group orders
+
+_NAN = float("nan")
+_GROUPED_SCHEMA = TableSchema(
+    "g",
+    (Column("id", ColumnType.INT, nullable=False),
+     Column("s", ColumnType.TEXT),    # dictionary-encoded key
+     Column("r", ColumnType.INT),     # raw past int64, typed otherwise
+     Column("f", ColumnType.FLOAT),   # -0.0 joins 0.0, NaN keys stay apart
+     Column("b", ColumnType.BOOL),
+     Column("v", ColumnType.INT),     # operands
+     Column("w", ColumnType.FLOAT)),
+    primary_key="id",
+)
+_grouped_rows = st.lists(st.fixed_dictionaries({
+    "s": st.sampled_from([None, "a", "b", "c"]),
+    "r": st.sampled_from([None, 5, 2 ** 70, -(2 ** 70)]),
+    "f": st.sampled_from([None, 0.0, -0.0, 1.5, _NAN]),
+    "b": st.sampled_from([None, True, False]),
+    "v": st.one_of(st.none(), st.integers(-50, 50)),
+    "w": st.one_of(st.none(), st.sampled_from([_NAN, -0.0]),
+                   st.floats(-100, 100)),
+}), max_size=40)
+_KERNEL_CONJUNCTS = ["v > 0", "w <= 10.5", "s IN ('a', 'c')", "f IS NOT NULL",
+                     "s LIKE 'b%'", "r = 5", "b = TRUE", "v != 3"]
+_FALLBACK_CONJUNCTS = ["(v > 10 OR s = 'a')", "NOT (w < 0.0)", "v < id"]
+
+
+@st.composite
+def _grouped_query(draw):
+    keys = draw(st.lists(st.sampled_from("srfb"), min_size=1, max_size=2,
+                         unique=True))
+    aggs = draw(st.lists(st.sampled_from(
+        ["COUNT(*)", "COUNT(v)", "COUNT(s)", "SUM(v)", "SUM(w)", "AVG(v)",
+         "AVG(w)", "MIN(v)", "MAX(w)", "MIN(s)", "MAX(b)", "SUM(r)"]),
+        min_size=1, max_size=4, unique=True))
+    where = draw(st.lists(st.sampled_from(
+        _KERNEL_CONJUNCTS + _FALLBACK_CONJUNCTS), max_size=2, unique=True))
+    sql = f"SELECT {', '.join(keys + aggs)} FROM g"
+    if where:
+        sql += " WHERE " + " AND ".join(where)
+    return sql + " GROUP BY " + ", ".join(keys)
+
+
+@given(rows=_grouped_rows, target_rows=st.integers(1, 16),
+       fanned=st.booleans(), update=st.booleans(), delete=st.booleans(),
+       queries=st.lists(_grouped_query(), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_grouped_aggregates_match_naive_oracle(rows, target_rows, fanned,
+                                               update, delete, queries):
+    db = Database()
+    db.create_table(_GROUPED_SCHEMA)
+    db.run(lambda t: t.insert_many(
+        "g", [{"id": i, **row} for i, row in enumerate(rows)]))
+    heap = db._table("g")
+    heap.compact(target_rows=target_rows)  # several segments
+    if fanned:  # as a fan-out task gets them: throwaway, untyped orders
+        heap._segments[:] = pickle.loads(pickle.dumps(heap._segments))
+    if update and rows:  # a tail row inside a segment's rid range
+        execute_sql(db, f"UPDATE g SET v = 7, w = 2.5 WHERE id = "
+                        f"{len(rows) // 2}")
+    if delete and len(rows) > 1:  # a dead position
+        execute_sql(db, f"DELETE FROM g WHERE id = {len(rows) // 3}")
+    for sql in queries:
+        assert json.dumps(execute_sql(db, sql)) == json.dumps(
+            execute_sql(db, sql, use_planner=False)), sql
+
+
+@given(rows=_grouped_rows, queries=st.lists(_grouped_query(), min_size=1,
+                                            max_size=4))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_grouped_aggregates_on_a_sharded_table_match_naive_oracle(rows,
+                                                                  queries):
+    db = Database()
+    db.create_table(_GROUPED_SCHEMA, shard_key="s", shard_count=3)
+    db.run(lambda t: t.insert_many(
+        "g", [{"id": i, **row} for i, row in enumerate(rows)]))
+    db.compact("g")
+    db.exec_backend = SerialBackend()
+    for sql in queries:
+        assert json.dumps(execute_sql(db, sql)) == json.dumps(
+            execute_sql(db, sql, use_planner=False)), sql
+
+
+def test_groups_enter_in_the_order_of_their_first_selected_row():
+    # NaN keys compare unordered, so the output order of these groups is
+    # the order they were first met in: the 1.5 group's first row fails
+    # the WHERE, so the NaN group comes first, as row by row.
+    db = Database()
+    db.create_table(_GROUPED_SCHEMA)
+    db.run(lambda t: t.insert_many("g", [
+        {"id": 0, "f": 1.5, "v": -1}, {"id": 1, "f": _NAN, "v": 5},
+        {"id": 2, "f": 1.5, "v": 5}, {"id": 3, "f": -0.0, "v": 2},
+        {"id": 4, "f": 0.0, "v": 3}]))
+    db.compact("g")
+    sql = "SELECT f, COUNT(*), SUM(v) FROM g WHERE v > 0 GROUP BY f"
+    got = execute_sql(db, sql)
+    assert json.dumps(got) == json.dumps(execute_sql(db, sql,
+                                                     use_planner=False))
+    assert json.dumps([r["f"] for r in got]) == "[NaN, -0.0, 1.5]"
+
+
+def test_a_group_order_is_built_once_per_segment_and_key():
+    db = Database()
+    _load(db, 300)
+    db._table("t").compact(target_rows=100)  # three segments
+    sql = "SELECT s, COUNT(*), SUM(v) FROM t WHERE v > {} GROUP BY s"
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        for bound in range(5):
+            execute_sql(db, sql.format(bound))
+        lines = [r["plan"] for r in execute_sql(db, f"EXPLAIN ANALYZE "
+                                                    f"{sql.format(0)}")]
+    assert registry.get("segments.group_orders_built") == 3
+    assert "group_orders_built=3" in render_report(summarize_trace([]),
+                                                   registry.snapshot())
+    # one slice per group per segment: g0..g4 and NULL
+    assert "groups=18" in lines[0] and "VectorizedAggregate" in lines[0]
+
+
+def test_readers_sharing_a_new_group_order_agree_with_the_oracle():
+    # Threads race to build a segment's group order, its column copies
+    # and its rank (dead positions need it) at a 10 µs switch interval:
+    # a reader that saw a half-built one would fold the wrong rows.
+    db = Database()
+    _load(db, 20_000)
+    sqls = [f"SELECT s, b, COUNT(*), SUM(v), MIN(f) FROM t WHERE v > {k} "
+            "GROUP BY s, b" for k in range(3)]
+    for round_ in range(4):
+        db.compact("t")  # a fresh segment: nothing built yet
+        execute_sql(db, f"DELETE FROM t WHERE id = {5000 + round_}")
+        execute_sql(db, f"INSERT INTO t (id, v, f, s, b) VALUES "
+                        f"({5000 + round_}, 1, 0.5, 'g1', TRUE)")
+        want = [json.dumps(execute_sql(db, sql, use_planner=False))
+                for sql in sqls]
+        got: list[list[str]] = [[] for _ in range(6)]
+        start = threading.Barrier(6)
+
+        def read(slot):
+            start.wait(timeout=30)
+            for sql in sqls:
+                got[slot].append(json.dumps(execute_sql(db, sql)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read, args=(slot,))
+                       for slot in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(rows == want for rows in got)
+
+
+def test_segments_pickle_without_their_group_orders():
+    db = Database()
+    _load(db, 50)
+    db.compact("t")
+    segment = db._table("t").segments[0]
+    segment.group_order(["s"])
+    copy = pickle.loads(pickle.dumps(segment))
+    assert copy._group_orders == {}
+    assert list(copy.iter_rows()) == list(segment.iter_rows())
+
+
+def test_a_lasting_group_order_copies_columns_typed():
+    # A copy kept for the segment's life costs what the column does:
+    # 8 bytes a FLOAT row, one byte a null flag, not a list of objects.
+    db = Database()
+    _load(db, 200)
+    db.compact("t")
+    segment = db._table("t").segments[0]
+    for order in (segment.group_order(["s"]),
+                  pickle.loads(pickle.dumps(segment)).group_order(["s"])):
+        data, nulls = order.column("v")
+        cells = [segment.columns["v"].value_at(p) for p in order.positions]
+        assert [None if null else v for v, null in zip(data, nulls)] == cells
+        assert order.column("f")[1] is None  # no NULLs: no flags
+    lasting = segment.group_order(["s"])
+    assert lasting.column("f")[0].typecode == "d"
+    assert lasting.column("v")[0].typecode == "q"
+    assert isinstance(lasting.column("v")[1], bytearray)
+
+
+def test_a_kernel_runs_once_per_segment_not_once_per_group(monkeypatch):
+    # A dictionary column's kernel builds a verdict per dictionary entry
+    # (a regex match each, for LIKE): per group slice, that would cost
+    # groups x dictionary for every stretch of the segment.
+    from repro.storage.rdbms import planner
+
+    db = Database()
+    db.create_table(_schema())
+    db.run(lambda t: t.insert_many("t", [
+        {**_row(i), "s": f"k{i % 150:03d}"} for i in range(600)]))
+    db.compact("t")
+    for rid in (100, 400):  # tail rows inside the segment: three stretches
+        execute_sql(db, f"UPDATE t SET v = 1 WHERE id = {rid}")
+    execute_sql(db, "DELETE FROM t WHERE id = 250")  # a dead position
+    calls = []
+    real = planner._conjunct_bitmap
+    monkeypatch.setattr(planner, "_conjunct_bitmap",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    sql = ("SELECT s, COUNT(*), SUM(v) FROM t WHERE s LIKE 'k1%' AND v > 3 "
+           "GROUP BY s")
+    got = execute_sql(db, sql)
+    assert len(calls) == 2  # one segment, two kernel conjuncts
+    assert json.dumps(got) == json.dumps(execute_sql(db, sql,
+                                                     use_planner=False))
+
+
+def test_an_aggregate_state_pickles_without_the_segment_it_folded():
+    from repro.storage.rdbms import planner
+    from repro.storage.rdbms.sql import parse_sql
+
+    db = Database()
+    _load(db, 200)
+    db.compact("t")
+    segment = db._table("t").segments[0]
+    stmt = parse_sql("SELECT s, COUNT(*) FROM t WHERE v > 3 GROUP BY s")
+    pred = planner.ScanPredicate([stmt.where], _schema(), "t")
+    state = planner.AggState(stmt)
+    planner.fold_units([("segment", segment, range(segment.count))], pred,
+                       state)
+    copy = pickle.loads(pickle.dumps(state))  # a fan-out task's answer
+    assert copy._verdicts is None and copy.finalize() == state.finalize()
 
 
 def test_sum_type_error_parity_on_text_column():

@@ -2,6 +2,7 @@
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -9,9 +10,10 @@ from repro.cluster.backends import SerialBackend
 from repro.core.serving import ServingGate
 from repro.core.system import StructureManagementSystem
 from repro.errors import (AdmissionRejected, CancellationToken,
+                          QueryDeadlockError, QueryLockTimeoutError,
                           QueryTimeoutError, ReadOnlyTransactionError)
 from repro.storage.rdbms.engine import Database
-from repro.storage.rdbms.lockmgr import LockManager
+from repro.storage.rdbms.lockmgr import DeadlockError, LockManager
 from repro.storage.rdbms.qcache import QueryResultCache
 from repro.storage.rdbms.sql import SqlError, execute_sql
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
@@ -351,6 +353,77 @@ def test_cli_exit_codes_distinguish_timeout_from_failure(tmp_path,
 
     monkeypatch.setattr(cli, "cmd_sql", boom)
     assert cli.main(["--workspace", ws, "sql", "SELECT 1"]) == 4
+
+
+_UPDATE = "UPDATE kv SET v = 3 WHERE k = 1"
+
+
+def _one_attempt_kv(system):
+    """A one-row ``kv`` table; a writer gets one attempt."""
+    if "kv" not in system.db.table_names():
+        system.query("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
+        system.query("INSERT INTO kv (k, v) VALUES (1, 1)")
+    system.db.txn_retry = replace(system.db.txn_retry, max_attempts=1)
+
+
+def _hold_row_lock(system):
+    """Row k = 1 X-locked by an open writer; a lock wait times out after
+    50 ms."""
+    _one_attempt_kv(system)
+    system.db._locks = LockManager(timeout=0.05)
+    holder = system.db.begin()
+    holder.update("kv", holder.get_by_pk("kv", 1).rid, {"v": 2})
+    return holder
+
+
+def _deadlocking(system, monkeypatch):
+    """Every lock request picked as a deadlock victim."""
+    def acquire(txn_id, key, mode):
+        raise DeadlockError(f"txn {txn_id} deadlocked on {key}")
+
+    _one_attempt_kv(system)
+    monkeypatch.setattr(system.db._locks, "acquire", acquire)
+
+
+def test_system_query_maps_lock_errors_and_names_the_sql(monkeypatch):
+    system = StructureManagementSystem()
+    holder = _hold_row_lock(system)
+    with pytest.raises(QueryLockTimeoutError) as info:
+        system.query(_UPDATE)
+    assert info.value.sql == _UPDATE
+    holder.abort()
+    _deadlocking(system, monkeypatch)
+    with pytest.raises(QueryDeadlockError) as info:
+        system.query(_UPDATE)
+    assert info.value.sql == _UPDATE
+
+
+def test_cli_exit_codes_for_lock_timeout_and_deadlock(tmp_path, monkeypatch,
+                                                       capsys):
+    from repro import cli
+
+    ws = str(tmp_path / "ws")
+    build = cli._build_system
+
+    def holding(*args, **kwargs):
+        system = build(*args, **kwargs)
+        _hold_row_lock(system)
+        return system
+
+    monkeypatch.setattr(cli, "_build_system", holding)
+    assert cli.main(["--workspace", ws, "sql", _UPDATE]) == \
+        cli.EXIT_QUERY_TIMEOUT
+    assert "repro: query timed out:" in capsys.readouterr().err
+
+    def deadlocking(*args, **kwargs):
+        system = build(*args, **kwargs)
+        _deadlocking(system, monkeypatch)
+        return system
+
+    monkeypatch.setattr(cli, "_build_system", deadlocking)
+    assert cli.main(["--workspace", str(tmp_path / "ws2"), "sql",
+                     _UPDATE]) == cli.EXIT_EXECUTION_FAILURE
+    assert f"(sql: {_UPDATE!r})" in capsys.readouterr().err
 
 
 def test_sql_error_still_raised_for_bad_statements():
