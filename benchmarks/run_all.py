@@ -1,6 +1,9 @@
-"""One-shot gate: smoke-run E15, run the E16–E24 benches, then tier-1 tests.
+"""One-shot gate: run E5, smoke-run E15, run the E16–E24 benches, then tier-1 tests.
 
-Intended as the pre-merge check — it exercises the real-parallelism path
+Intended as the pre-merge check — it runs the snapshot-store bench (E5:
+fails unless the diff store is >= 13.5x smaller than full copies after 30
+daily crawls, every version 0 checks out identical to its page, and an
+unchanged re-commit writes nothing), exercises the real-parallelism path
 end to end (small workload, equality invariants enforced, no timing
 assertions), runs the full telemetry-overhead bench (E16: fails when
 end-to-end instrumentation costs more than 10%), runs the full extraction
@@ -80,6 +83,8 @@ def build_steps(smoke: bool) -> list[tuple[str, str, list[str]]]:
     drops its timing gates (identity invariants are still enforced)."""
     flag = ("--smoke",) if smoke else ()
     return [
+        ("E5", "E5 snapshot-store bench (space ratio + identity + dedup gates)",
+         _bench("bench_e5_snapshot_store.py")),
         ("E15", "E15 parallel-backend bench (smoke)",
          _bench("bench_e15_parallel_backend.py", "--smoke")),
         ("E16", "E16 telemetry-overhead bench (<=10% gate)",
@@ -110,7 +115,7 @@ def build_steps(smoke: bool) -> list[tuple[str, str, list[str]]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", metavar="STEP", default=None,
-                        help="run one step by key: E15..E24, 'gates', "
+                        help="run one step by key: E5, E15..E24, 'gates', "
                              "or 'tests'")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny workloads everywhere, no timing gates")

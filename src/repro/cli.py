@@ -19,8 +19,8 @@ Subcommands operate on a workspace directory (created on first use):
 * ``explain <entity> <attribute>`` — provenance of stored facts;
 * ``stream [--query SQL] [--follow]`` — the streaming DGE loop: seed from
   the corpus, then (with ``--follow``) incrementally re-extract/re-resolve/
-  re-fuse changed documents, pushing standing-query notifications from the
-  fused-row deltas;
+  re-fuse the pages the raw store wrote since the last poll, pushing
+  standing-query notifications from the fused-row deltas;
 * ``slowlog list|show|clear`` — the workspace's slow-query log;
 * ``top <telemetry.jsonl>`` — periodic operations view (qps, cache hit
   rates, WAL throughput, lock waits, slow-query tail);
@@ -383,18 +383,18 @@ def cmd_stream(args: argparse.Namespace) -> int:
     Each invocation cold-starts the pipeline: ``fused_facts`` is rebuilt
     from the current corpus (cheap — extraction hits the persistent cache),
     and any ``--query`` standing queries fire on the fused rows as they
-    land.  With ``--follow``, the command then keeps diffing the snapshot
-    store and pushes only the changed documents through incremental
+    land.  With ``--follow``, the command then follows the raw store's log
+    and pushes only the pages written since the last round through incremental
     extraction -> entity resolution -> fusion, tailing notifications as
     they fire — the O(delta) path.
     """
-    from repro.core.streaming import CorpusDeltaSource
+    from repro.core.streaming import DocDelta
     from repro.userlayer.monitoring import ContinuousQuery
 
     system = _build_system(args.workspace, args.builtin, cache=args.cache)
     try:
         pipeline = system.streaming_pipeline(queue_size=args.queue_size)
-        source = CorpusDeltaSource()
+        store, cursor = system.storage.raw, 0
         for i, sql in enumerate(args.query or []):
             system.monitoring.register(ContinuousQuery(
                 f"stream-{i}", sql,
@@ -407,7 +407,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
             while rounds is None or done < rounds:
                 if done:
                     time.sleep(args.interval)
-                delta = source.diff_store(system.storage.raw)
+                added, changed, cursor = store.changes_since(cursor)
+                delta = DocDelta(tuple(map(store.checkout, added)),
+                                 tuple(map(store.checkout, changed)))
                 if len(delta):
                     written = pipeline.process(delta)
                     stats = pipeline.stats
@@ -527,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="standing query over fused_facts; notifications "
                         "print as they fire (repeatable)")
     p.add_argument("--follow", action="store_true",
-                   help="keep polling the corpus for new snapshots")
+                   help="keep following the raw store's log of pages")
     p.add_argument("--interval", type=float, default=2.0,
                    help="seconds between --follow polls (default 2)")
     p.add_argument("--rounds", type=int, default=None,

@@ -1,6 +1,8 @@
 """Streaming DGE: the connected incremental loop as a long-running pipeline.
 
-Corpus delta (snapshot-store / corpus diffs) -> incremental extraction
+Corpus delta (the pages the raw store names in
+:meth:`~repro.storage.snapshots.SnapshotStore.changes_since`, or any
+:class:`DocDelta`) -> incremental extraction
 (the shared :func:`~repro.extraction.stage.run_stage`: content-addressed
 cache, per-document retry, quarantine) -> incremental entity resolution
 (:class:`~repro.integration.entity_resolution.IncrementalEntityResolver`)
@@ -57,7 +59,6 @@ from repro.integration.fusion import (
 )
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
-from repro.storage.snapshots import SnapshotStore
 from repro.telemetry import metrics
 
 FUSED_TABLE = "fused_facts"
@@ -76,54 +77,6 @@ class DocDelta:
 
     def __len__(self) -> int:
         return len(self.added) + len(self.changed) + len(self.removed)
-
-    def doc_ids(self) -> list[str]:
-        return ([d.doc_id for d in self.added]
-                + [d.doc_id for d in self.changed]
-                + list(self.removed))
-
-
-class CorpusDeltaSource:
-    """Turns successive corpus states into :class:`DocDelta` batches.
-
-    Tracks each document's *content hash* rather than its snapshot
-    version — the snapshot store commits a new version on every re-ingest
-    even when the text is unchanged, so version numbers overstate churn.
-    """
-
-    def __init__(self) -> None:
-        self._hashes: dict[str, str] = {}
-
-    def diff(self, docs: Iterable[Document]) -> DocDelta:
-        """Delta from the last observed state to ``docs`` (the full view)."""
-        added: list[Document] = []
-        changed: list[Document] = []
-        present: set[str] = set()
-        for doc in sorted(docs, key=lambda d: d.doc_id):
-            present.add(doc.doc_id)
-            digest = doc.content_hash()
-            old = self._hashes.get(doc.doc_id)
-            if old is None:
-                added.append(doc)
-            elif old != digest:
-                changed.append(doc)
-            self._hashes[doc.doc_id] = digest
-        removed = sorted(set(self._hashes) - present)
-        for doc_id in removed:
-            del self._hashes[doc_id]
-        return DocDelta(tuple(added), tuple(changed), tuple(removed))
-
-    def diff_store(self, store: SnapshotStore) -> DocDelta:
-        """Delta against the latest version of every document in ``store``."""
-        return self.diff(store.checkout(doc_id) for doc_id in store.doc_ids())
-
-    def state(self) -> dict[str, str]:
-        """Serializable tracked state (doc id -> content hash)."""
-        return dict(self._hashes)
-
-    def restore(self, state: dict[str, str]) -> None:
-        """Resume from a previously saved :meth:`state` snapshot."""
-        self._hashes = dict(state)
 
 
 @dataclass(frozen=True)

@@ -285,7 +285,8 @@ class StructureManagementSystem:
         """Take in (a snapshot of) unstructured data.
 
         Pages are committed to the raw snapshot store (when a workspace is
-        configured) and indexed for keyword search.  The dedup check and
+        configured; a page whose text is unchanged writes nothing) and
+        indexed for keyword search.  The dedup check and
         index build are batched: one pass decides which pages are new, one
         ``index_corpus`` call indexes them all (O(n) total rather than a
         per-document index call).  Returns page count.
@@ -740,11 +741,6 @@ class StructureManagementSystem:
     def fact_count(self) -> int:
         rows = self.query(f"SELECT COUNT(*) AS n FROM {FACTS_TABLE}")
         return int(rows[0]["n"])
-
-    @property
-    def extraction_cache(self) -> ExtractionCache | None:
-        """The resolved extraction cache (None when caching is off)."""
-        return self._cache
 
     def streaming_pipeline(self, extractor_names: Sequence[str] | None = None,
                            strategy: str = "weighted_vote",

@@ -5,11 +5,12 @@ intermediate structured data, in which case such data can best be kept in
 the file systems."*
 
 :class:`RecordFileStore` is a log-structured store: records (JSON-encodable
-dicts) are appended to segment files; reads are full sequential scans.  It
-supports segment rotation, tombstone deletes, and compaction.  It is the
-device of choice for extraction intermediates (experiment E13 quantifies the
-paper's device-choice argument by comparing it to the RDBMS for scan-heavy
-workloads).
+dicts) are appended to segment files; reads are sequential scans, or seeks
+by record id.  It supports segment rotation, tombstone deletes, and
+compaction.  It is the device of choice for extraction intermediates
+(experiment E13 quantifies the paper's device-choice argument by comparing
+it to the RDBMS for scan-heavy workloads) and the log under the raw page
+store (:class:`~repro.storage.snapshots.SnapshotStore`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import json
 import os
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
+
+from repro.telemetry import metrics
 
 _TOMBSTONE_KEY = "__deleted__"
 
@@ -35,7 +38,10 @@ class RecordFileStore:
 
     Layout: ``<root>/seg-<NNNN>.jsonl``; each line is
     ``{"id": int, ...payload}`` or a tombstone ``{"id": int, "__deleted__": true}``.
-    Record IDs are monotonically increasing across segments.
+    Record IDs are monotonically increasing across segments.  A line is a
+    record once its newline is written: reads skip a torn last line (only a
+    ``tolerant`` scan counts it, in ``corrupt_lines``) and a handle's first
+    write cuts it (``recovery.truncated_records``).
     """
 
     def __init__(self, root: str, segment_max_records: int = 10_000,
@@ -61,7 +67,12 @@ class RecordFileStore:
         self._tolerant = tolerant
         self.corrupt_lines = 0
         os.makedirs(root, exist_ok=True)
-        self._next_id: int | None = None  # recovered by the first write
+        # Live id -> (segment, offset), once follow() or get() has run; the
+        # highest id read or written, and (segment, offset, lines) past it.
+        self._where: dict[int, tuple[int, int]] | None = None
+        self._top = -1
+        self._end = (0, 0, 0)
+        self._recovered = False
 
     # ------------------------------------------------------------------ API
 
@@ -84,9 +95,9 @@ class RecordFileStore:
         if any(_TOMBSTONE_KEY in p for p in payloads):
             raise ValueError(f"{_TOMBSTONE_KEY!r} is reserved")
         self._recover()
-        ids = list(range(self._next_id, self._next_id + len(payloads)))
+        ids = list(range(self._top + 1, self._top + 1 + len(payloads)))
         self._write_lines([{"id": i, **p} for i, p in zip(ids, payloads)])
-        self._next_id += len(payloads)
+        self._top += len(payloads)
         return ids
 
     def delete(self, record_id: int) -> None:
@@ -94,20 +105,57 @@ class RecordFileStore:
         self._recover()
         self._write_lines([{"id": record_id, _TOMBSTONE_KEY: True}])
 
+    def get(self, ids: list[int]) -> list[Record]:
+        """The live records with these IDs, one seek each.  A handle that
+        lacks the position of one (it has not followed the log, or another
+        handle wrote the record) first reads every position in one pass.
+
+        Raises:
+            KeyError: an ID that is not a live record.
+        """
+        if self._where is None or not all(rid in self._where for rid in ids):
+            self._where = {}
+            for index, start, _, line in self._read():
+                if line is not None:
+                    self._place(index, start, line)
+        records = []
+        for rid in ids:
+            segment, offset = self._where[rid]
+            with open(self._segment_path(segment), "rb") as f:
+                f.seek(offset)
+                line = json.loads(f.readline())
+            del line["id"]
+            records.append(Record(record_id=rid, payload=line))
+        return records
+
+    def follow(self) -> Iterator[Record]:
+        """Live records appended by other handles since this one last read
+        (the whole log on the first call), oldest first.  From its first
+        call on, the handle keeps the records' positions for :meth:`get`."""
+        if self._where is None:
+            self._where = {}
+        for index, start, line in self._advance():
+            self._place(index, start, line)
+            rid = line.pop("id")
+            if not line.get(_TOMBSTONE_KEY):
+                yield Record(record_id=rid, payload=line)
+
     def scan(self) -> Iterator[Record]:
         """Sequentially yield all live records, oldest first."""
-        deleted: set[int] = set()
         records: dict[int, dict[str, Any]] = {}
-        for line in self._scan_lines():
+        corrupt = 0
+        for _, _, _, line in self._read():
+            if line is None:  # in a strict store, only a torn last line
+                corrupt += self._tolerant
+                continue
             rid = line.pop("id")
             if line.get(_TOMBSTONE_KEY):
-                deleted.add(rid)
                 records.pop(rid, None)
             else:
                 records[rid] = line
+        self.corrupt_lines = corrupt
         for rid in sorted(records):
-            if rid not in deleted:
-                yield Record(record_id=rid, payload=records[rid])
+            yield Record(record_id=rid, payload=records[rid])
 
     def scan_where(self, predicate: Callable[[dict[str, Any]], bool]) -> Iterator[Record]:
         """Sequential scan with a payload filter."""
@@ -123,10 +171,9 @@ class RecordFileStore:
         """Rewrite all segments dropping tombstones; returns live count."""
         self._recover()
         live = list(self.scan())
-        for name in self._segment_names():
-            os.remove(os.path.join(self._root, name))
-        self._active_segment = 0
-        self._active_count = 0
+        for index in self._segments():
+            os.remove(self._segment_path(index))
+        self._where, self._end = None, (0, 0, 0)
         self._write_lines([{"id": r.record_id, **r.payload} for r in live])
         return len(live)
 
@@ -137,85 +184,107 @@ class RecordFileStore:
         cache's ``clear`` uses it).  Record IDs restart at 0.  Returns the
         number of segment files removed.
         """
-        names = self._segment_names()
-        for name in names:
-            os.remove(os.path.join(self._root, name))
-        self._next_id = 0
-        self._active_segment = 0
-        self._active_count = 0
-        return len(names)
+        indexes = self._segments()
+        for index in indexes:
+            os.remove(self._segment_path(index))
+        self._where, self._top, self._end = None, -1, (0, 0, 0)
+        return len(indexes)
 
     def total_bytes(self) -> int:
         """Total on-disk size of all segments."""
-        return sum(
-            os.path.getsize(os.path.join(self._root, name))
-            for name in self._segment_names()
-        )
+        return sum(os.path.getsize(self._segment_path(index))
+                   for index in self._segments())
 
     def segment_count(self) -> int:
-        return len(self._segment_names())
+        return len(self._segments())
 
     # ------------------------------------------------------------ internals
 
-    def _segment_names(self) -> list[str]:
+    def _segments(self) -> list[int]:
         return sorted(
-            name for name in os.listdir(self._root)
+            int(name[4:-6]) for name in os.listdir(self._root)
             if name.startswith("seg-") and name.endswith(".jsonl")
         )
 
     def _segment_path(self, index: int) -> str:
         return os.path.join(self._root, f"seg-{index:04d}.jsonl")
 
-    def _scan_lines(self) -> Iterator[dict[str, Any]]:
-        errors = "replace" if self._tolerant else "strict"
-        corrupt = 0
-        for name in self._segment_names():
-            with open(os.path.join(self._root, name), "r", encoding="utf-8",
-                      errors=errors) as f:
+    def _read(self, segment: int = 0, offset: int = 0,
+              ) -> Iterator[tuple[int, int, int | None, Any]]:
+        """(segment, offset, next offset, parsed line) per non-blank line
+        from ``offset`` in ``segment`` on; the line is None where a tolerant
+        store cannot use it, and a torn last line ends it as (…, None, None)."""
+        indexes = self._segments()
+        for index in (i for i in indexes if i >= segment):
+            with open(self._segment_path(index), "rb") as f:
+                start = offset if index == segment else 0
+                f.seek(start)
                 for raw in f:
-                    raw = raw.strip()
-                    if not raw:
-                        continue
-                    if not self._tolerant:
-                        yield json.loads(raw)
-                        continue
-                    try:
-                        line = json.loads(raw)
-                    except json.JSONDecodeError:
-                        corrupt += 1
-                        continue
-                    if not isinstance(line, dict) or "id" not in line:
-                        corrupt += 1
-                        continue
-                    yield line
-        self.corrupt_lines = corrupt
+                    if not raw.endswith(b"\n") and index == indexes[-1]:
+                        yield index, start, None, None
+                        return
+                    if raw.strip():
+                        yield index, start, start + len(raw), self._parse(raw)
+                    start += len(raw)
+
+    def _parse(self, raw: bytes) -> dict[str, Any] | None:
+        if not self._tolerant:
+            return json.loads(raw)
+        try:
+            line = json.loads(raw.decode("utf-8", errors="replace"))
+        except json.JSONDecodeError:
+            return None
+        return line if isinstance(line, dict) and "id" in line else None
+
+    def _advance(self) -> Iterator[tuple[int, int, dict[str, Any]]]:
+        """(segment, offset, line) per usable line past this handle's end,
+        moving the end and the highest id over each."""
+        for index, start, stop, line in self._read(*self._end[:2]):
+            if stop is None:
+                return
+            count = self._end[2] + 1 if index == self._end[0] else 1
+            self._end = (index, stop, count)
+            if line is not None:
+                self._top = max(self._top, line["id"])
+                yield index, start, line
+
+    def _place(self, segment: int, offset: int, line: dict[str, Any]) -> None:
+        if line.get(_TOMBSTONE_KEY):
+            self._where.pop(line["id"], None)
+        else:
+            self._where[line["id"]] = (segment, offset)
 
     def _write_lines(self, objs: list[dict[str, Any]]) -> None:
-        lines = [json.dumps(obj) + "\n" for obj in objs]
-        while lines:
-            if self._active_count >= self._segment_max:
-                self._active_segment += 1
-                self._active_count = 0
-            chunk = lines[:self._segment_max - self._active_count]
-            path = self._segment_path(self._active_segment)
-            with open(path, "a", encoding="utf-8") as f:
+        # json.dumps escapes non-ASCII, so these are the lines' bytes
+        lines = [(json.dumps(obj) + "\n").encode("ascii") for obj in objs]
+        done = 0
+        while done < len(lines):
+            segment, offset, count = self._end
+            if count >= self._segment_max:
+                segment, offset, count = segment + 1, 0, 0
+            chunk = lines[done:done + self._segment_max - count]
+            with open(self._segment_path(segment), "ab") as f:
                 f.writelines(chunk)
-            self._active_count += len(chunk)
-            del lines[:len(chunk)]
+            for obj, line in zip(objs[done:], chunk):
+                if self._where is not None:
+                    self._place(segment, offset, obj)
+                offset += len(line)
+            done += len(chunk)
+            self._end = (segment, offset, count + len(chunk))
 
     def _recover(self) -> None:
-        """Rebuild next-ID and active-segment state from the segments
-        (once, before the first write: opening a store reads nothing)."""
-        if self._next_id is not None:
+        """Before this handle's first write: read the rest of the log and
+        cut a torn last line, so the next append starts a line of its own."""
+        if self._recovered:
             return
-        self._next_id = self._active_segment = self._active_count = 0
-        names = self._segment_names()
-        if not names:
-            return
-        self._next_id = 1 + max(
-            (line["id"] for line in self._scan_lines()), default=-1)
-        self._active_segment = int(names[-1][4:-6])
-        errors = "replace" if self._tolerant else "strict"
-        with open(os.path.join(self._root, names[-1]), "r", encoding="utf-8",
-                  errors=errors) as f:
-            self._active_count = sum(1 for raw in f if raw.strip())
+        for _ in self._advance():
+            pass
+        indexes = self._segments()
+        if indexes:
+            if self._end[0] != indexes[-1]:  # no whole line in the last one
+                self._end = (indexes[-1], 0, 0)
+            path = self._segment_path(indexes[-1])
+            if os.path.getsize(path) > self._end[1]:
+                os.truncate(path, self._end[1])
+                metrics.get_registry().inc("recovery.truncated_records")
+        self._recovered = True

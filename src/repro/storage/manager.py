@@ -30,18 +30,11 @@ class StorageManager:
             and for user contributions.
     """
 
-    def __init__(self, root: str, durable: bool = True,
-                 keyframe_every: int = 20) -> None:
-        self._root = root
+    def __init__(self, root: str, durable: bool = True) -> None:
         os.makedirs(root, exist_ok=True)
-        self.raw = SnapshotStore(os.path.join(root, "raw"),
-                                 keyframe_every=keyframe_every)
+        self.raw = SnapshotStore(os.path.join(root, "raw"))
         self.intermediate = RecordFileStore(os.path.join(root, "intermediate"))
         self.final = Database(os.path.join(root, "final") if durable else None)
-
-    @property
-    def root(self) -> str:
-        return self._root
 
     def close(self) -> None:
         """Release file handles (the final DB's WAL)."""

@@ -7,10 +7,11 @@ the snapshots, to save space."*
 
 :class:`SnapshotStore` implements exactly that: per document it keeps a chain
 of line-level deltas with periodic full keyframes (so checkout cost stays
-bounded).  :class:`FullCopyStore` is the naive comparator that stores every
-snapshot in full; experiment E5 measures the space ratio between the two.
+bounded) in one append-only log; an unchanged page stores nothing.
+:class:`FullCopyStore` is the naive comparator that stores every snapshot in
+full; experiment E5 measures the space ratio between the two.
 
-Both stores persist to a directory as JSON so that on-disk size is a real,
+Both stores persist to a directory so that on-disk size is a real,
 measurable quantity.
 """
 
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.docmodel.document import Document, DocumentMetadata
+from repro.storage.filestore import Record, RecordFileStore
 
 _OP_EQUAL = "="
 _OP_INSERT = "+"
@@ -94,40 +96,43 @@ def apply_delta(old_lines: list[str], delta: list[list]) -> list[str]:
 class SnapshotStore:
     """Diff-based versioned document store with periodic keyframes.
 
-    Layout: ``<root>/<doc_id>/v<NNNN>.json``; each file is either a keyframe
-    (full line list) or a delta against the previous version.  A keyframe is
-    written every ``keyframe_every`` versions so checkout replays at most
-    that many deltas.
+    One version of a page is one record of a ``RecordFileStore`` log:
+    ``{"doc", "v", "hash"}`` then ``"lines"`` (every ``keyframe_every``-th
+    version) or a ``"delta"``.  The head map (page -> record ids, latest
+    hash) is one pass over the log on first use.  Handles may commit in
+    turn, not at the same instant; readers follow :meth:`changes_since`.
     """
 
     def __init__(self, root: str, keyframe_every: int = 20) -> None:
         if keyframe_every < 1:
             raise ValueError("keyframe_every must be >= 1")
+        if os.path.isdir(root) and any(e.is_dir() for e in os.scandir(root)):
+            raise ValueError(f"{root} holds one directory per page, an older "
+                             "layout: ingest the pages into a new workspace")
         self._root = root
+        self._log = RecordFileStore(root)
         self._keyframe_every = keyframe_every
-        os.makedirs(root, exist_ok=True)
+        self._chains: dict[str, list[int]] | None = None
+        self._hashes: dict[str, str] = {}
+        self._cursor = 0  # the next record id
 
     # ------------------------------------------------------------------ API
 
     def commit(self, doc: Document) -> int:
-        """Store a new version of ``doc``; returns the new version number."""
-        doc_dir = self._doc_dir(doc.doc_id, create=True)
-        latest = self.latest_version(doc.doc_id)
-        version = 0 if latest is None else latest + 1
-        new_lines = doc.lines()
+        """Store ``doc`` as a new version unless its text equals the latest
+        stored one; returns the version that holds the text.  Takes in
+        what other handles have appended first."""
+        digest = doc.content_hash()
+        version = len(self._take_in().get(doc.doc_id, ()))
+        if version and self._hashes[doc.doc_id] == digest:
+            return version - 1
+        record: dict = {"doc": doc.doc_id, "v": version, "hash": digest}
         if version % self._keyframe_every == 0:
-            payload = {"keyframe": True, "lines": new_lines}
+            record["lines"] = doc.lines()
         else:
-            old_lines = self._materialize(doc.doc_id, version - 1)
-            payload = {
-                "keyframe": False,
-                "delta": compute_delta(old_lines, new_lines),
-            }
-        path = self._version_path(doc.doc_id, version)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(payload, f)
-        os.replace(tmp, path)
+            record["delta"] = compute_delta(
+                self._materialize(doc.doc_id, version - 1), doc.lines())
+        self._fold(Record(self._log.append(record), record))
         return version
 
     def checkout(self, doc_id: str, version: int | None = None) -> Document:
@@ -139,101 +144,96 @@ class SnapshotStore:
         latest = self.latest_version(doc_id)
         if latest is None:
             raise KeyError(doc_id)
-        if version is None:
-            version = latest
-        if version < 0 or version > latest:
+        version = latest if version is None else version
+        if not 0 <= version <= latest:
             raise KeyError(f"{doc_id}@{version}")
-        lines = self._materialize(doc_id, version)
-        return Document(
-            doc_id=doc_id,
-            text="".join(lines),
-            metadata=DocumentMetadata(source=f"snapshot:{doc_id}@{version}"),
-        )
+        return Document(doc_id=doc_id,
+                        text="".join(self._materialize(doc_id, version)),
+                        metadata=DocumentMetadata(source=f"snapshot:{doc_id}@{version}"))
 
     def latest_version(self, doc_id: str) -> int | None:
         """Highest stored version number, or None if the doc is unknown."""
-        doc_dir = self._doc_dir(doc_id, create=False)
-        if not os.path.isdir(doc_dir):
-            return None
-        versions = [
-            int(name[1:-5])
-            for name in os.listdir(doc_dir)
-            if name.startswith("v") and name.endswith(".json")
-        ]
-        return max(versions) if versions else None
+        chain = self._heads().get(doc_id)
+        return None if chain is None else len(chain) - 1
 
     def doc_ids(self) -> list[str]:
         """IDs of all stored documents."""
-        return sorted(
-            name for name in os.listdir(self._root)
-            if os.path.isdir(os.path.join(self._root, name))
-        )
+        return sorted(self._heads())
 
     def history(self, doc_id: str) -> Iterator[SnapshotInfo]:
         """Yield per-version storage info, oldest first."""
-        latest = self.latest_version(doc_id)
-        if latest is None:
-            return
-        for version in range(latest + 1):
-            path = self._version_path(doc_id, version)
-            with open(path, "r", encoding="utf-8") as f:
-                payload = json.load(f)
+        for record in self._log.get(self._heads().get(doc_id, [])):
             yield SnapshotInfo(
                 doc_id=doc_id,
-                version=version,
-                is_keyframe=payload["keyframe"],
-                byte_size=os.path.getsize(path),
+                version=record.payload["v"],
+                is_keyframe="lines" in record.payload,
+                byte_size=len(json.dumps(
+                    {"id": record.record_id, **record.payload})) + 1,
             )
 
     def total_bytes(self) -> int:
         """Total on-disk size of all stored versions (E5's metric)."""
-        total = 0
-        for dirpath, _, filenames in os.walk(self._root):
-            for name in filenames:
-                if name.endswith(".json"):
-                    total += os.path.getsize(os.path.join(dirpath, name))
-        return total
+        return self._log.total_bytes()
+
+    def changes_since(self, cursor: int) -> tuple[list[str], list[str], int]:
+        """The corpus delta since record id ``cursor``: ``(added, changed,
+        next cursor)`` — pages first stored since, older pages with a
+        version written since, and the cursor to pass next.  Takes in what
+        other handles have appended."""
+        chains = self._take_in()
+        added = [d for d, ids in chains.items() if ids[0] >= cursor]
+        changed = [d for d, ids in chains.items() if ids[0] < cursor <= ids[-1]]
+        return sorted(added), sorted(changed), self._cursor
 
     # ------------------------------------------------------------ internals
 
+    def _heads(self) -> dict[str, list[int]]:
+        return self._take_in() if self._chains is None else self._chains
+
+    def _take_in(self) -> dict[str, list[int]]:
+        """The head map, with the log's records beyond it folded in; a
+        failed pass is forgotten, so a log this store cannot read raises on
+        every use."""
+        if self._chains is None:
+            self._chains = {}
+        try:
+            for record in self._log.follow():
+                self._fold(record)
+        except BaseException:
+            self._chains, self._log = None, RecordFileStore(self._root)
+            raise
+        return self._chains
+
+    def _fold(self, record: Record) -> None:
+        """Make ``record`` the latest version of its page in the head map."""
+        page = record.payload
+        chain = self._chains.setdefault(page["doc"], [])
+        if page["v"] != len(chain):
+            raise ValueError(f"raw log record {record.record_id} stores "
+                             f"{page['doc']}@{page['v']} after version "
+                             f"{len(chain) - 1}")
+        chain.append(record.record_id)
+        self._hashes[page["doc"]] = page["hash"]
+        self._cursor = record.record_id + 1
+
     def _materialize(self, doc_id: str, version: int) -> list[str]:
-        keyframe_version = (version // self._keyframe_every) * self._keyframe_every
-        path = self._version_path(doc_id, keyframe_version)
-        if not os.path.exists(path):
-            raise KeyError(f"{doc_id}@{keyframe_version}")
-        with open(path, "r", encoding="utf-8") as f:
-            payload = json.load(f)
-        if not payload["keyframe"]:
-            raise ValueError(f"expected keyframe at {doc_id}@{keyframe_version}")
-        lines: list[str] = payload["lines"]
-        for v in range(keyframe_version + 1, version + 1):
-            vpath = self._version_path(doc_id, v)
-            if not os.path.exists(vpath):
-                raise KeyError(f"{doc_id}@{v}")
-            with open(vpath, "r", encoding="utf-8") as f:
-                vpayload = json.load(f)
-            if vpayload["keyframe"]:
-                lines = vpayload["lines"]
-            else:
-                lines = apply_delta(lines, vpayload["delta"])
+        first = version - version % self._keyframe_every
+        records = self._log.get(self._chains[doc_id][first:version + 1])
+        keyframe = records[0].payload
+        if "lines" not in keyframe:
+            raise ValueError(f"expected keyframe at {doc_id}@{first}")
+        lines: list[str] = keyframe["lines"]
+        for record in records[1:]:
+            lines = apply_delta(lines, record.payload["delta"])
         return lines
-
-    def _doc_dir(self, doc_id: str, create: bool) -> str:
-        safe = doc_id.replace(os.sep, "_")
-        path = os.path.join(self._root, safe)
-        if create:
-            os.makedirs(path, exist_ok=True)
-        return path
-
-    def _version_path(self, doc_id: str, version: int) -> str:
-        return os.path.join(self._doc_dir(doc_id, create=False), f"v{version:04d}.json")
 
 
 class FullCopyStore:
     """Naive comparator: stores every snapshot in full.
 
     Same API subset as :class:`SnapshotStore` (commit / checkout /
-    total_bytes) so E5 can swap the two.
+    total_bytes) so E5 can swap the two.  ``<root>/<doc_id>/v<NNNN>.txt``:
+    a doc id that is not a valid file name raises ``ValueError``.
     """
 
     def __init__(self, root: str) -> None:
@@ -241,42 +241,34 @@ class FullCopyStore:
         os.makedirs(root, exist_ok=True)
 
     def commit(self, doc: Document) -> int:
-        doc_dir = os.path.join(self._root, doc.doc_id.replace(os.sep, "_"))
-        os.makedirs(doc_dir, exist_ok=True)
-        existing = [
-            int(name[1:-4]) for name in os.listdir(doc_dir)
-            if name.startswith("v") and name.endswith(".txt")
-        ]
-        version = max(existing) + 1 if existing else 0
-        path = os.path.join(doc_dir, f"v{version:04d}.txt")
-        with open(path, "w", encoding="utf-8") as f:
+        os.makedirs(self._path(doc.doc_id), exist_ok=True)
+        version = self._versions(doc.doc_id)
+        with open(self._path(doc.doc_id, version), "w", encoding="utf-8") as f:
             f.write(doc.text)
         return version
 
     def checkout(self, doc_id: str, version: int | None = None) -> Document:
-        doc_dir = os.path.join(self._root, doc_id.replace(os.sep, "_"))
-        if not os.path.isdir(doc_dir):
-            raise KeyError(doc_id)
-        versions = sorted(
-            int(name[1:-4]) for name in os.listdir(doc_dir)
-            if name.startswith("v") and name.endswith(".txt")
-        )
-        if not versions:
-            raise KeyError(doc_id)
-        if version is None:
-            version = versions[-1]
-        path = os.path.join(doc_dir, f"v{version:04d}.txt")
-        if not os.path.exists(path):
+        count = self._versions(doc_id)
+        version = count - 1 if version is None else version
+        if not 0 <= version < count:
             raise KeyError(f"{doc_id}@{version}")
-        with open(path, "r", encoding="utf-8") as f:
+        with open(self._path(doc_id, version), "r", encoding="utf-8") as f:
             text = f.read()
         return Document(doc_id=doc_id, text=text,
                         metadata=DocumentMetadata(source=f"fullcopy:{doc_id}@{version}"))
 
     def total_bytes(self) -> int:
-        total = 0
-        for dirpath, _, filenames in os.walk(self._root):
-            for name in filenames:
-                if name.endswith(".txt"):
-                    total += os.path.getsize(os.path.join(dirpath, name))
-        return total
+        return sum(os.path.getsize(os.path.join(dirpath, name))
+                   for dirpath, _, names in os.walk(self._root)
+                   for name in names)
+
+    def _versions(self, doc_id: str) -> int:
+        doc_dir = self._path(doc_id)
+        return len(os.listdir(doc_dir)) if os.path.isdir(doc_dir) else 0
+
+    def _path(self, doc_id: str, version: int | None = None) -> str:
+        if os.sep in doc_id or doc_id in {"", ".", ".."}:
+            raise ValueError(f"doc_id {doc_id!r} is not a valid file name")
+        doc_dir = os.path.join(self._root, doc_id)
+        return doc_dir if version is None else os.path.join(
+            doc_dir, f"v{version:04d}.txt")

@@ -192,11 +192,6 @@ class ContinuousQueryManager:
                 return list(self.inbox)
             return [n for n in self.inbox if n.query_id == query_id]
 
-    def seen_size(self, query_id: str) -> int:
-        """Current refcounted seen-set cardinality for one query."""
-        with self._lock:
-            return len(self._seen.get(query_id, ()))
-
     # ------------------------------------------------------------ delivery
 
     def _deliver(self, query: ContinuousQuery, row: dict[str, Any]) -> None:

@@ -4,8 +4,12 @@ import os
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
+from repro.docmodel.corpus import DirectoryCorpus
+from repro.docmodel.document import Document
+from repro.storage.snapshots import SnapshotStore
 
 
 @pytest.fixture
@@ -67,3 +71,27 @@ def test_stream_follow_polls_quietly_when_unchanged(workspace, capsys):
     # round 0 seeds; rounds 1-2 see an unchanged corpus and stay silent
     assert sum(l.startswith("seed: ") for l in out.splitlines()) == 1
     assert "delta: " not in out
+
+
+def test_stream_follow_processes_only_what_the_store_wrote(
+        workspace, capsys, monkeypatch):
+    """Between polls another handle re-ingests the unchanged pages (0 docs
+    to process), then edits one page (exactly 1)."""
+    ws, pages, truth = workspace
+    capsys.readouterr()
+    corpus = sorted(DirectoryCorpus(str(pages)), key=lambda d: d.doc_id)
+    edited = Document(corpus[0].doc_id, corpus[0].text + "An edit.\n")
+    writes = iter([corpus, [edited]])
+
+    def between_polls(seconds):
+        store = SnapshotStore(os.path.join(ws, "raw"))
+        for doc in next(writes):
+            store.commit(doc)
+
+    monkeypatch.setattr(cli.time, "sleep", between_polls)
+    code = main(["--workspace", ws, "stream", "--follow", "--rounds", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    rounds = [l.split(" doc(s)")[0] for l in out.splitlines()
+              if l.startswith(("seed: ", "delta: "))]
+    assert rounds == [f"seed: +{len(truth)} ~0 -0", "delta: +0 ~1 -0"]

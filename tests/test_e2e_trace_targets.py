@@ -13,7 +13,7 @@ import pytest
 from repro.core.system import StructureManagementSystem
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
 from repro.extraction.infobox import InfoboxExtractor
-from repro.core.streaming import CorpusDeltaSource
+from repro.core.streaming import DocDelta
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 
 _E2E = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "e2e")
@@ -55,7 +55,7 @@ def test_generation_counters_the_ledger_reads_are_still_recorded():
         system.ingest(corpus)
         system.generate('p = docs()\nf = extract(p, "infobox")\noutput f')
         pipeline = system.streaming_pipeline()
-        pipeline.process(CorpusDeltaSource().diff(system.corpus))
+        pipeline.process(DocDelta(added=tuple(system.corpus)))
         system.close()
     recorded = set(registry.snapshot()["counters"])
     # event counters only appear once such an event has happened (a

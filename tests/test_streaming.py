@@ -20,14 +20,11 @@ from repro.docmodel.document import Document, Span
 from repro.errors import CancellationToken, QueryTimeoutError
 from repro.extraction.base import Extraction
 from repro.faults.deadletter import DeadLetterStore
-from repro.core.streaming import (
-    CorpusDeltaSource,
-    DocDelta,
-    StreamingPipeline,
-)
+from repro.core.streaming import DocDelta, StreamingPipeline
 from repro.core.system import fact_row
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.sql import execute_sql
+from repro.storage.snapshots import SnapshotStore
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.userlayer.monitoring import ContinuousQuery, ContinuousQueryManager
 
@@ -124,44 +121,50 @@ def assert_table_holds_the_fused_values(pipe):
 # --------------------------------------------------------- delta source
 
 
-def test_corpus_delta_source_tracks_content_hashes():
-    source = CorpusDeltaSource()
-    a = Document("a", "one")
-    b = Document("b", "two")
-    first = source.diff([a, b])
-    assert [d.doc_id for d in first.added] == ["a", "b"]
-    assert not first.changed and not first.removed
-    # same content: empty delta even though object identity differs
-    assert len(source.diff([Document("a", "one"), b])) == 0
-    # change one, remove the other
-    delta = source.diff([Document("b", "two!")])
-    assert [d.doc_id for d in delta.changed] == ["b"]
-    assert delta.removed == ("a",)
-    assert delta.doc_ids() == ["b", "a"]
-
-
-def test_corpus_delta_source_state_roundtrip():
-    source = CorpusDeltaSource()
-    source.diff([Document("a", "one"), Document("b", "two")])
-    clone = CorpusDeltaSource()
-    clone.restore(source.state())
-    assert len(clone.diff([Document("a", "one"), Document("b", "two")])) == 0
-    delta = clone.diff([Document("a", "one*")])
-    assert [d.doc_id for d in delta.changed] == ["a"]
-    assert delta.removed == ("b",)
-
-
-def test_diff_store_reads_latest_snapshots(tmp_path):
-    from repro.storage.snapshots import SnapshotStore
+def test_changes_since_names_pages_by_content_hash(tmp_path):
     store = SnapshotStore(str(tmp_path))
     store.commit(Document("a", "one"))
-    source = CorpusDeltaSource()
-    assert [d.doc_id for d in source.diff_store(store).added] == ["a"]
-    # re-committing identical text bumps the version but not the hash
+    store.commit(Document("b", "two"))
+    added, changed, cursor = store.changes_since(0)
+    assert (added, changed) == (["a", "b"], [])
+    # same content: an empty delta even though the objects differ
     store.commit(Document("a", "one"))
-    assert len(source.diff_store(store)) == 0
-    store.commit(Document("a", "two"))
-    assert [d.doc_id for d in source.diff_store(store).changed] == ["a"]
+    assert store.changes_since(cursor) == ([], [], cursor)
+    store.commit(Document("b", "two!"))
+    store.commit(Document("c", "three"))
+    added, changed, later = store.changes_since(cursor)
+    assert (added, changed, later) == (["c"], ["b"], cursor + 2)
+    # from the start, a changed page is still one page, added
+    assert store.changes_since(0)[:2] == (["a", "b", "c"], [])
+
+
+def test_changes_since_cursor_is_one_integer_across_a_reopen(tmp_path):
+    store = SnapshotStore(str(tmp_path))
+    store.commit(Document("a", "one"))
+    store.commit(Document("b", "two"))
+    _, _, cursor = store.changes_since(0)
+    reopened = SnapshotStore(str(tmp_path))
+    for doc in (Document("a", "one"), Document("b", "two")):
+        reopened.commit(doc)
+    assert reopened.changes_since(cursor) == ([], [], cursor)
+    reopened.commit(Document("a", "one*"))
+    assert SnapshotStore(str(tmp_path)).changes_since(cursor)[:2] == (
+        [], ["a"])
+
+
+def test_changes_since_follows_another_writer(tmp_path):
+    follower = SnapshotStore(str(tmp_path))
+    assert follower.changes_since(0) == ([], [], 0)
+    writer = SnapshotStore(str(tmp_path))
+    writer.commit(Document("a", "one"))
+    added, _, cursor = follower.changes_since(0)
+    assert added == ["a"]
+    writer.commit(Document("a", "one"))  # unchanged: nothing written
+    assert follower.changes_since(cursor) == ([], [], cursor)
+    writer.commit(Document("a", "two"))
+    assert follower.changes_since(cursor)[:2] == ([], ["a"])
+    assert follower.checkout("a").text == "two"
+    assert follower.checkout("a", 0).text == "one"
 
 
 # ------------------------------------------------------- pipeline basics
