@@ -177,11 +177,11 @@ def bench_crash_recovery(base_dir: str, num_txns: int = 50) -> dict:
         db.run(lambda t, i=i: t.insert("t", {"id": i, "value": f"v{i}"}))
     db.close()
     # a crash mid-burst: garbage, a wrong-shape record, and a torn write
-    with open(os.path.join(wal_dir, "wal.jsonl"), "a",
+    with open(os.path.join(wal_dir, "wal", "seg-0000.jsonl"), "a",
               encoding="utf-8") as f:
         f.write("GARBAGE NOT JSON\n")
-        f.write('{"no_lsn_key": true}\n')
-        f.write('{"lsn": 99999, "txn": 9, "type": "ins')
+        f.write('{"no_id_key": true}\n')
+        f.write('{"id": 99999, "txn": 9, "type": "ins')
     registry = MetricsRegistry()
     with use_registry(registry):
         recovered = Database(wal_dir)

@@ -477,9 +477,10 @@ def check_crash_consistency(num_rows: int) -> dict:
             use_planner=False)
         segments_before = db._table("events").segment_count()
         # simulated crash: torn half-record at the log tail, no close()
-        with open(os.path.join(workdir, "wal.jsonl"), "a",
+        wal_dir = os.path.join(workdir, "wal")
+        with open(os.path.join(wal_dir, max(os.listdir(wal_dir))), "a",
                   encoding="utf-8") as f:
-            f.write('{"lsn": 999999, "txn": 7, "type": "ins')
+            f.write('{"id": 999999, "txn": 7, "type": "ins')
         db2 = Database(workdir)
         after = execute_sql(
             db2, "SELECT * FROM events ORDER BY event_id",

@@ -229,6 +229,10 @@ class DiskExtractionCache(ExtractionCache):
             self._store.clear()
             self._index.clear()
 
+    def close(self) -> None:
+        with self._lock:
+            self._store.close()
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._index)

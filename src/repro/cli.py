@@ -53,7 +53,7 @@ from repro.extraction.infobox import InfoboxExtractor
 from repro.extraction.links import LinkExtractor
 from repro.telemetry.report import load_telemetry, render_prometheus, \
     render_report, render_top, summarize_trace
-from repro.telemetry.slowlog import SlowQueryLog
+from repro.telemetry.slowlog import workspace_slowlog
 from repro.userlayer.visualize import table
 
 #: Exit code for execution failures (dead backend, exhausted retries, a
@@ -233,14 +233,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _workspace_slowlog(workspace: str) -> SlowQueryLog:
-    """A read-only handle on the workspace's slow-query log file."""
-    return SlowQueryLog(path=os.path.join(workspace, "slowlog.jsonl"))
-
-
 def cmd_slowlog(args: argparse.Namespace) -> int:
     """Inspect or clear the workspace's slow-query log."""
-    log = _workspace_slowlog(args.workspace)
+    log = workspace_slowlog(args.workspace)
     try:
         if args.action == "clear":
             dropped = log.clear()
@@ -296,7 +291,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     With a workspace slow-query log present, the tail rides along.
     """
     previous = None
-    slowlog_path = os.path.join(args.workspace, "slowlog.jsonl")
     for frame in range(args.count):
         if frame:
             time.sleep(args.interval)
@@ -308,8 +302,8 @@ def cmd_top(args: argparse.Namespace) -> int:
             return 1
         snapshot = snapshot or {}
         slow_entries = None
-        if os.path.exists(slowlog_path):
-            log = SlowQueryLog(path=slowlog_path)
+        if os.path.isdir(os.path.join(args.workspace, "slowlog")):
+            log = workspace_slowlog(args.workspace)
             slow_entries = log.tail(limit=5)
             log.close()
         print(render_top(previous, snapshot,

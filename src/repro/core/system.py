@@ -31,7 +31,7 @@ from repro.storage.rdbms.qcache import QueryResultCache
 from repro.storage.rdbms.sql import execute_sql
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry import current_session, metrics
-from repro.telemetry.slowlog import SlowQueryLog
+from repro.telemetry.slowlog import SlowQueryLog, workspace_slowlog
 from repro.telemetry.tracing import get_tracer
 from repro.uncertainty.provenance import ProvenanceGraph
 from repro.userlayer.accounts import UserManager
@@ -165,7 +165,7 @@ class StructureManagementSystem:
             (None disables auto-compaction; ``compact()`` still works).
         slow_query_seconds: statements taking at least this long (wall
             time, cache hits included) are captured in the slow-query
-            log — persisted to ``<workspace>/slowlog.jsonl`` when a
+            log — persisted to ``<workspace>/slowlog/`` when a
             workspace is configured, in memory otherwise.  None disables
             slow-query logging entirely (no timing on the query path).
         max_concurrent_queries: queries allowed to execute at once
@@ -229,14 +229,12 @@ class StructureManagementSystem:
         # planner's statistics).  The cache is also the observability
         # funnel: the slow-query log times every statement flowing
         # through it (None disables timing entirely).
+        self.slowlog: SlowQueryLog | None = None
         if self.slow_query_seconds is not None:
-            self.slowlog: SlowQueryLog | None = SlowQueryLog(
-                path=os.path.join(self.workspace, "slowlog.jsonl")
-                if self.workspace is not None else None,
-                threshold_seconds=self.slow_query_seconds,
-            )
-        else:
-            self.slowlog = None
+            threshold = self.slow_query_seconds
+            self.slowlog = SlowQueryLog(threshold_seconds=threshold) \
+                if self.workspace is None else workspace_slowlog(
+                    self.workspace, threshold_seconds=threshold)
         self.query_cache = QueryResultCache(self.db, slowlog=self.slowlog)
         # Standing queries fire on *any* committed write — the manager
         # subscribes to the row-level commit delta stream on its first
@@ -793,6 +791,7 @@ class StructureManagementSystem:
             self._cache.close()
         if self.slowlog is not None:
             self.slowlog.close()
+        self.deadletter.close()
         session = current_session()
         if session is not None:
             session.flush()

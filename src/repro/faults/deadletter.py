@@ -4,26 +4,22 @@ A document whose extraction still fails after the retry budget is
 *quarantined* rather than allowed to fail the whole ``generate()`` run:
 the executor emits a poison marker, the system appends a
 :class:`DeadLetterEntry` here, and the run completes for every other
-document.  The store is a single JSONL file under the workspace
-(``<workspace>/deadletter/entries.jsonl``) so quarantined documents
-survive process restarts and can be inspected / re-driven later via
-``repro deadletter list|retry|clear``.
-
-The reader uses the same tolerant tail-scan contract as the WAL: a
-truncated final line (crash mid-append) is dropped silently instead of
-poisoning the poison store.
+document.  The store is a tolerant
+:class:`~repro.storage.filestore.RecordFileStore` log under the workspace
+(``<workspace>/deadletter/``), fsynced at every write, so quarantined
+documents survive process restarts and can be inspected / re-driven later
+via ``repro deadletter list|retry|clear``.  A removal is a tombstone; a
+torn last append is cut by the next write, never glued to it.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
+from repro.storage.filestore import RecordFileStore, refuse_older_log
 from repro.telemetry import metrics
-
-_FILENAME = "entries.jsonl"
 
 
 @dataclass
@@ -36,43 +32,29 @@ class DeadLetterEntry:
     error_type: str = ""
     attempts: int = 1
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, line: str) -> "DeadLetterEntry":
-        payload = json.loads(line)
-        return cls(
-            doc_id=payload["doc_id"],
-            extractor=payload.get("extractor", ""),
-            error=payload.get("error", ""),
-            error_type=payload.get("error_type", ""),
-            attempts=int(payload.get("attempts", 1)),
-        )
-
-
-@dataclass
 class DeadLetterStore:
-    """Append-only quarantine log, persistent when given a directory.
+    """Quarantine log, persistent when given a directory.
 
     Args:
-        root: directory for the JSONL file; ``None`` keeps entries in
-            memory only (workspace-less systems still get quarantine,
-            just not across restarts).
+        root: directory of the log; ``None`` keeps entries in memory only
+            (workspace-less systems still get quarantine, just not across
+            restarts).
+
+    Raises:
+        ValueError: ``root`` holds an ``entries.jsonl``, the one-file log
+            of an older layout.
     """
 
-    root: str | None = None
-    _memory: list[DeadLetterEntry] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.root is not None:
-            os.makedirs(self.root, exist_ok=True)
-
-    @property
-    def _path(self) -> str | None:
-        if self.root is None:
-            return None
-        return os.path.join(self.root, _FILENAME)
+    def __init__(self, root: str | None = None) -> None:
+        self.root = root
+        self._memory: list[DeadLetterEntry] = []
+        self._log: RecordFileStore | None = None
+        if root is not None:
+            refuse_older_log(os.path.join(root, "entries.jsonl"))
+            self._log = RecordFileStore(root, tolerant=True, sync=True)
+        # live entries behind the deadletter.size gauge, once counted
+        self._size: int | None = None if root is not None else 0
 
     # --------------------------------------------------------------- writes
 
@@ -83,67 +65,54 @@ class DeadLetterStore:
         entries = list(entries)
         if not entries:
             return
-        path = self._path
-        if path is None:
+        if self._log is None:
             self._memory.extend(entries)
         else:
-            with open(path, "a", encoding="utf-8") as f:
-                for entry in entries:
-                    f.write(entry.to_json() + "\n")
-                f.flush()
-                os.fsync(f.fileno())
-        registry = metrics.get_registry()
-        registry.inc("deadletter.quarantined", len(entries))
-        registry.set_gauge("deadletter.size", float(len(self.entries())))
+            self._log.append_many([asdict(entry) for entry in entries])
+        metrics.get_registry().inc("deadletter.quarantined", len(entries))
+        self._resize(len(entries))
 
     def clear(self) -> int:
         """Drop all entries; returns how many were dropped."""
-        count = len(self.entries())
-        if self._path is None:
+        count = len(self)
+        if self._log is None:
             self._memory.clear()
-        elif os.path.exists(self._path):
-            os.remove(self._path)
-        metrics.get_registry().set_gauge("deadletter.size", 0.0)
+        else:
+            self._log.clear()
+        self._resize(-count)
         return count
 
     def remove(self, doc_ids: Iterable[str]) -> int:
         """Drop entries for ``doc_ids`` (used after a successful retry)."""
         drop = set(doc_ids)
-        kept = [e for e in self.entries() if e.doc_id not in drop]
-        removed = len(self.entries()) - len(kept)
+        if self._log is None:
+            kept = [e for e in self._memory if e.doc_id not in drop]
+            removed = len(self._memory) - len(kept)
+            self._memory = kept
+        else:
+            ids = [r.record_id for r in self._log.scan()
+                   if r.payload.get("doc_id") in drop]
+            self._log.delete(*ids)
+            removed = len(ids)
         if removed:
-            if self._path is None:
-                self._memory = kept
-            else:
-                tmp = self._path + ".tmp"
-                with open(tmp, "w", encoding="utf-8") as f:
-                    for entry in kept:
-                        f.write(entry.to_json() + "\n")
-                    f.flush()
-                    os.fsync(f.fileno())
-                os.replace(tmp, self._path)
-            metrics.get_registry().set_gauge("deadletter.size", float(len(kept)))
+            self._resize(-removed)
         return removed
+
+    def close(self) -> None:
+        if self._log is not None:
+            self._log.close()
 
     # ---------------------------------------------------------------- reads
 
     def entries(self) -> list[DeadLetterEntry]:
-        path = self._path
-        if path is None:
+        if self._log is None:
             return list(self._memory)
-        if not os.path.exists(path):
-            return []
         out: list[DeadLetterEntry] = []
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    out.append(DeadLetterEntry.from_json(line))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    # Torn final append during a crash; drop it.
-                    continue
+        for record in self._log.scan():
+            try:
+                out.append(DeadLetterEntry(**record.payload))
+            except TypeError:  # a record of another shape
+                continue
         return out
 
     def doc_ids(self) -> list[str]:
@@ -151,3 +120,9 @@ class DeadLetterStore:
 
     def __len__(self) -> int:
         return len(self.entries())
+
+    def _resize(self, change: int) -> None:
+        """Move the ``deadletter.size`` gauge by ``change`` entries (a
+        handle reads the log for it once, the first time)."""
+        self._size = len(self) if self._size is None else self._size + change
+        metrics.get_registry().set_gauge("deadletter.size", float(self._size))

@@ -154,29 +154,20 @@ def _agrees(value: Any, chosen: Any, strategy: str) -> bool:
 
 @dataclass
 class _GroupState:
-    """Retractable per-group accumulators for one (entity, attribute).
+    """The extraction multiset of one (entity, attribute) group.
 
-    The exactly-invertible folds — member count, per-value vote counts,
-    the confidence multiset backing max-confidence — update in place on
-    add *and* retract (integer arithmetic, no drift).  The float folds
-    (weighted vote sums, fused confidence) are **not** invertible under
-    floating-point subtraction: retracting a confidence can leave the
-    accumulator a few ULPs away from the value a fresh fold would
-    produce, breaking byte-identity with the from-scratch oracle.  Those
-    are rebuilt per dirty group from ``members`` in canonical order — the
-    per-entity rebuild fallback, O(group size), not O(corpus).
+    A dirty group is re-fused from ``members`` in canonical order — the
+    float folds (vote sums, fused confidence) are not invertible under
+    floating-point subtraction, so nothing is kept incrementally but the
+    multiset itself: O(group size) per refresh, not O(corpus).
     """
 
     members: Counter = field(default_factory=Counter)
     count: int = 0
-    value_votes: Counter = field(default_factory=Counter)
-    conf_multiset: Counter = field(default_factory=Counter)
 
     def add(self, extraction: Extraction) -> None:
         self.members[extraction] += 1
         self.count += 1
-        self.value_votes[_value_key(extraction.value)] += 1
-        self.conf_multiset[extraction.confidence] += 1
 
     def retract(self, extraction: Extraction) -> None:
         have = self.members.get(extraction, 0)
@@ -187,16 +178,6 @@ class _GroupState:
         else:
             self.members[extraction] = have - 1
         self.count -= 1
-        vkey = _value_key(extraction.value)
-        self.value_votes[vkey] -= 1
-        if not self.value_votes[vkey]:
-            del self.value_votes[vkey]
-        self.conf_multiset[extraction.confidence] -= 1
-        if not self.conf_multiset[extraction.confidence]:
-            del self.conf_multiset[extraction.confidence]
-
-    def max_confidence(self) -> float:
-        return max(self.conf_multiset) if self.conf_multiset else 0.0
 
     def sorted_members(self) -> list[Extraction]:
         out: list[Extraction] = []
@@ -206,19 +187,15 @@ class _GroupState:
         return out
 
 
-def _value_key(value: Any) -> tuple[str, str]:
-    return (type(value).__name__, repr(value))
-
-
 class FusionState:
     """Fusion under retraction: fused values maintained across deltas.
 
-    Holds the extraction multiset per (entity, attribute) group with
-    retractable accumulators (:class:`_GroupState`), marks a group dirty
-    on every add/retract, and on :meth:`refresh` re-fuses *only the dirty
-    groups* — O(changed mentions), never O(corpus).  :meth:`fused` is
-    byte-identical to ``fuse_extractions`` over the same live extractions,
-    in any order: both fuse a group's members in canonical order.
+    Holds the extraction multiset per (entity, attribute) group
+    (:class:`_GroupState`), marks a group dirty on every add/retract, and
+    on :meth:`refresh` re-fuses *only the dirty groups* — O(changed
+    mentions), never O(corpus).  :meth:`fused` is byte-identical to
+    ``fuse_extractions`` over the same live extractions, in any order:
+    both fuse a group's members in canonical order.
     """
 
     def __init__(self, strategy: str = "weighted_vote") -> None:
@@ -228,8 +205,6 @@ class FusionState:
         self._groups: dict[tuple[str, str], _GroupState] = {}
         self._fused: dict[tuple[str, str], FusedValue] = {}
         self._dirty: set[tuple[str, str]] = set()
-        self.adds = 0
-        self.retracts = 0
         self.groups_refreshed = 0
 
     def __len__(self) -> int:
@@ -241,7 +216,6 @@ class FusionState:
             key = (extraction.entity, extraction.attribute)
             self._groups.setdefault(key, _GroupState()).add(extraction)
             self._dirty.add(key)
-            self.adds += 1
 
     def retract(self, extractions: Iterable[Extraction]) -> None:
         """Remove previously-added extractions; their groups go dirty.
@@ -256,7 +230,6 @@ class FusionState:
                 raise KeyError(f"cannot retract from absent group {key!r}")
             group.retract(extraction)
             self._dirty.add(key)
-            self.retracts += 1
             if not group.count:
                 del self._groups[key]
 

@@ -9,8 +9,10 @@ dicts) are appended to segment files; reads are sequential scans, or seeks
 by record id.  It supports segment rotation, tombstone deletes, and
 compaction.  It is the device of choice for extraction intermediates
 (experiment E13 quantifies the paper's device-choice argument by comparing
-it to the RDBMS for scan-heavy workloads) and the log under the raw page
-store (:class:`~repro.storage.snapshots.SnapshotStore`).
+it to the RDBMS for scan-heavy workloads) and the one format of every
+durable log a workspace keeps: the raw page store
+(:class:`~repro.storage.snapshots.SnapshotStore`), the lineage records, the
+WAL, the dead-letter store, the slow-query log and the extraction cache.
 """
 
 from __future__ import annotations
@@ -23,6 +25,20 @@ from typing import Any, Callable, Iterator
 from repro.telemetry import metrics
 
 _TOMBSTONE_KEY = "__deleted__"
+#: ``json.dumps`` without the cycle check: payloads are trees of JSON values
+_encode = json.JSONEncoder(check_circular=False).encode
+
+
+def refuse_older_log(path: str) -> None:
+    """Raise if ``path`` — a one-file log of an older workspace layout —
+    exists: this version reads segment logs only, and does not migrate.
+
+    Raises:
+        ValueError: naming the file.
+    """
+    if os.path.exists(path):
+        raise ValueError(f"{path} is a log of an older layout, which this "
+                         "version neither reads nor migrates")
 
 
 @dataclass(frozen=True)
@@ -39,40 +55,54 @@ class RecordFileStore:
     Layout: ``<root>/seg-<NNNN>.jsonl``; each line is
     ``{"id": int, ...payload}`` or a tombstone ``{"id": int, "__deleted__": true}``.
     Record IDs are monotonically increasing across segments.  A line is a
-    record once its newline is written: reads skip a torn last line (only a
-    ``tolerant`` scan counts it, in ``corrupt_lines``) and a handle's first
-    write cuts it (``recovery.truncated_records``).
+    record once its newline is written.  The lines of the last segment
+    that are not records (torn, not JSON, no id) and no record follows are
+    the *torn suffix*: reads skip it (only a ``tolerant`` scan counts it,
+    in ``corrupt_lines``) and the next write cuts it, counting its lines in
+    ``recovery.truncated_records``.  A line that is not a record but has
+    one after it is damage: a strict store raises, a tolerant one skips it.
+
+    A handle keeps the segment it appends to open.  Handles on one root
+    may write in turn, not at the same instant: a write first takes in
+    what other handles appended.
     """
 
     def __init__(self, root: str, segment_max_records: int = 10_000,
-                 tolerant: bool = False) -> None:
+                 tolerant: bool = False, sync: bool = False) -> None:
         """Create or reopen a store at ``root``.
 
         Args:
             root: segment directory.
             segment_max_records: records per segment before rotation.
-            tolerant: skip unparseable or id-less segment lines during
-                scans instead of raising (invalid UTF-8 bytes are
-                decoded with replacement characters first, so flipped
-                bytes surface as JSON errors rather than aborting the
-                read), counting them in :attr:`corrupt_lines` — the
-                count from the most recent complete scan.  Crash-safe
-                readers — the extraction cache — opt in; the strict
-                default keeps silent data loss impossible elsewhere.
+            tolerant: skip damaged segment lines during scans instead of
+                raising (invalid UTF-8 bytes are decoded with replacement
+                characters first, so flipped bytes surface as JSON errors
+                rather than aborting the read), counting them in
+                :attr:`corrupt_lines` — the count from the most recent
+                complete scan.  Crash-safe readers — the extraction cache,
+                the dead-letter store, the slow-query log — opt in; the
+                strict default keeps silent data loss impossible elsewhere.
+            sync: fsync after every write (durable but slow).
         """
         if segment_max_records < 1:
             raise ValueError("segment_max_records must be >= 1")
         self._root = root
         self._segment_max = segment_max_records
         self._tolerant = tolerant
+        self._sync = sync
         self.corrupt_lines = 0
+        #: bytes this handle has appended
+        self.appended_bytes = 0
         os.makedirs(root, exist_ok=True)
         # Live id -> (segment, offset), once follow() or get() has run; the
-        # highest id read or written, and (segment, offset, lines) past it.
+        # highest id read or written, and (segment, offset, lines) past it;
+        # the lines of the torn suffix past it; the segment open to append.
         self._where: dict[int, tuple[int, int]] | None = None
         self._top = -1
         self._end = (0, 0, 0)
-        self._recovered = False
+        self._torn = 0
+        self._file = None
+        self._file_segment = -1
 
     # ------------------------------------------------------------------ API
 
@@ -85,7 +115,7 @@ class RecordFileStore:
         return self.append_many([payload])[0]
 
     def append_many(self, payloads: list[dict[str, Any]]) -> list[int]:
-        """Append a batch (one ``open()`` per segment touched); returns
+        """Append a batch (one write per segment touched); returns
         assigned IDs in order.
 
         Raises:
@@ -94,16 +124,17 @@ class RecordFileStore:
         """
         if any(_TOMBSTONE_KEY in p for p in payloads):
             raise ValueError(f"{_TOMBSTONE_KEY!r} is reserved")
-        self._recover()
+        self.catch_up()
         ids = list(range(self._top + 1, self._top + 1 + len(payloads)))
         self._write_lines([{"id": i, **p} for i, p in zip(ids, payloads)])
         self._top += len(payloads)
         return ids
 
-    def delete(self, record_id: int) -> None:
-        """Mark a record deleted (tombstone; reclaimed by :meth:`compact`)."""
-        self._recover()
-        self._write_lines([{"id": record_id, _TOMBSTONE_KEY: True}])
+    def delete(self, *record_ids: int) -> None:
+        """Mark records deleted (tombstones; reclaimed by :meth:`compact`)."""
+        self.catch_up()
+        self._write_lines([{"id": rid, _TOMBSTONE_KEY: True}
+                           for rid in record_ids])
 
     def get(self, ids: list[int]) -> list[Record]:
         """The live records with these IDs, one seek each.  A handle that
@@ -145,7 +176,7 @@ class RecordFileStore:
         records: dict[int, dict[str, Any]] = {}
         corrupt = 0
         for _, _, _, line in self._read():
-            if line is None:  # in a strict store, only a torn last line
+            if line is None:  # in a strict store, only the torn suffix
                 corrupt += self._tolerant
                 continue
             rid = line.pop("id")
@@ -169,11 +200,10 @@ class RecordFileStore:
 
     def compact(self) -> int:
         """Rewrite all segments dropping tombstones; returns live count."""
-        self._recover()
+        self.catch_up()
         live = list(self.scan())
-        for index in self._segments():
-            os.remove(self._segment_path(index))
-        self._where, self._end = None, (0, 0, 0)
+        self._drop(self._segments())
+        self._end = (0, 0, 0)
         self._write_lines([{"id": r.record_id, **r.payload} for r in live])
         return len(live)
 
@@ -185,10 +215,26 @@ class RecordFileStore:
         number of segment files removed.
         """
         indexes = self._segments()
-        for index in indexes:
-            os.remove(self._segment_path(index))
-        self._where, self._top, self._end = None, -1, (0, 0, 0)
+        self._drop(indexes)
+        self._top, self._end = -1, (0, 0, 0)
         return len(indexes)
+
+    def rotate(self) -> int:
+        """Start a new segment with the next append; returns the highest
+        record id before it (-1: none)."""
+        self.catch_up()
+        if self._end[2]:
+            self._end = (self._end[0] + 1, 0, 0)
+        return self._top
+
+    def drop_sealed_segments(self) -> None:
+        """Delete every segment before the one this handle appends to —
+        after :meth:`rotate` and an append, those that hold no record above
+        the id it returned.  That segment is fsynced first: the deletion
+        must not reach the disk before the records after it."""
+        if self._file is not None:
+            os.fsync(self._file.fileno())
+        self._drop([i for i in self._segments() if i < self._end[0]])
 
     def total_bytes(self) -> int:
         """Total on-disk size of all segments."""
@@ -197,6 +243,35 @@ class RecordFileStore:
 
     def segment_count(self) -> int:
         return len(self._segments())
+
+    def close(self) -> None:
+        """Close the open segment (the next append reopens it)."""
+        if self._file is not None:
+            self._file.close()
+            self._file, self._file_segment = None, -1
+
+    def catch_up(self) -> None:
+        """What every write does first: unless the open segment is where
+        this handle last wrote, still the size it left it and not full,
+        read the rest of the log (other handles' appends) and cut a torn
+        suffix, so the next append starts a line of its own."""
+        f = self._file
+        if f is not None and self._file_segment == self._end[0] \
+                and self._end[2] < self._segment_max \
+                and os.fstat(f.fileno()).st_size == self._end[1]:
+            return
+        for _ in self._advance():
+            pass
+        indexes = self._segments()
+        if not indexes or self._end[0] > indexes[-1]:  # a rotation is due
+            return
+        if self._end[0] < indexes[-1]:  # no record in the last segment
+            self._end = (indexes[-1], 0, 0)
+        path = self._segment_path(indexes[-1])
+        if os.path.getsize(path) > self._end[1]:
+            os.truncate(path, self._end[1])
+            metrics.get_registry().inc("recovery.truncated_records",
+                                       self._torn)
 
     # ------------------------------------------------------------ internals
 
@@ -212,36 +287,64 @@ class RecordFileStore:
     def _read(self, segment: int = 0, offset: int = 0,
               ) -> Iterator[tuple[int, int, int | None, Any]]:
         """(segment, offset, next offset, parsed line) per non-blank line
-        from ``offset`` in ``segment`` on; the line is None where a tolerant
-        store cannot use it, and a torn last line ends it as (…, None, None)."""
+        from ``offset`` in ``segment`` on.  The line is None where it is not
+        a record: damage a tolerant store skips, and the torn suffix, whose
+        lines end the read with next offset None too.
+
+        Raises:
+            json.JSONDecodeError: damage in a strict store.
+        """
         indexes = self._segments()
         for index in (i for i in indexes if i >= segment):
+            last = index == indexes[-1]
+            damage: list[tuple[int, int]] = []  # no record after them yet
             with open(self._segment_path(index), "rb") as f:
                 start = offset if index == segment else 0
                 f.seek(start)
                 for raw in f:
-                    if not raw.endswith(b"\n") and index == indexes[-1]:
-                        yield index, start, None, None
-                        return
-                    if raw.strip():
-                        yield index, start, start + len(raw), self._parse(raw)
-                    start += len(raw)
+                    stop = start + len(raw)
+                    whole = raw.endswith(b"\n") or not last
+                    line = self._parse(raw) if whole else None
+                    if line is not None:
+                        yield from self._damaged(index, damage)
+                        damage = []
+                        yield index, start, stop, line
+                    elif raw.strip():
+                        damage.append((start, stop))
+                    start = stop
+            if last:
+                for start, _ in damage:
+                    yield index, start, None, None
+            else:
+                yield from self._damaged(index, damage)
+
+    def _damaged(self, segment: int, damage: list[tuple[int, int]],
+                 ) -> Iterator[tuple[int, int, int, None]]:
+        """Damage a record follows: skipped in a tolerant store."""
+        if damage and not self._tolerant:
+            raise json.JSONDecodeError(
+                f"{self._segment_path(segment)}: the line at byte "
+                f"{damage[0][0]} is not a record, and records follow", "", 0)
+        for start, stop in damage:
+            yield segment, start, stop, None
 
     def _parse(self, raw: bytes) -> dict[str, Any] | None:
-        if not self._tolerant:
-            return json.loads(raw)
         try:
-            line = json.loads(raw.decode("utf-8", errors="replace"))
-        except json.JSONDecodeError:
+            line = json.loads(raw.decode("utf-8", errors="replace")
+                              if self._tolerant else raw)
+        except ValueError:
             return None
         return line if isinstance(line, dict) and "id" in line else None
 
     def _advance(self) -> Iterator[tuple[int, int, dict[str, Any]]]:
-        """(segment, offset, line) per usable line past this handle's end,
-        moving the end and the highest id over each."""
+        """(segment, offset, line) per record past this handle's end,
+        moving the end and the highest id over each; counts the lines of
+        the torn suffix, which the end stops before."""
+        self._torn = 0
         for index, start, stop, line in self._read(*self._end[:2]):
             if stop is None:
-                return
+                self._torn += 1
+                continue
             count = self._end[2] + 1 if index == self._end[0] else 1
             self._end = (index, stop, count)
             if line is not None:
@@ -255,36 +358,34 @@ class RecordFileStore:
             self._where[line["id"]] = (segment, offset)
 
     def _write_lines(self, objs: list[dict[str, Any]]) -> None:
-        # json.dumps escapes non-ASCII, so these are the lines' bytes
-        lines = [(json.dumps(obj) + "\n").encode("ascii") for obj in objs]
+        # the encoder escapes non-ASCII, so these are the lines' bytes
+        lines = [(_encode(obj) + "\n").encode("ascii") for obj in objs]
         done = 0
         while done < len(lines):
             segment, offset, count = self._end
             if count >= self._segment_max:
                 segment, offset, count = segment + 1, 0, 0
             chunk = lines[done:done + self._segment_max - count]
-            with open(self._segment_path(segment), "ab") as f:
-                f.writelines(chunk)
-            for obj, line in zip(objs[done:], chunk):
-                if self._where is not None:
-                    self._place(segment, offset, obj)
-                offset += len(line)
+            if self._file_segment != segment:
+                self.close()
+                self._file = open(self._segment_path(segment), "ab")
+                self._file_segment = segment
+            data = b"".join(chunk)
+            self._file.write(data)
+            self._file.flush()
+            if self._sync:
+                os.fsync(self._file.fileno())
+            if self._where is not None:
+                start = offset
+                for obj, line in zip(objs[done:], chunk):
+                    self._place(segment, start, obj)
+                    start += len(line)
             done += len(chunk)
-            self._end = (segment, offset, count + len(chunk))
+            self._end = (segment, offset + len(data), count + len(chunk))
+            self.appended_bytes += len(data)
 
-    def _recover(self) -> None:
-        """Before this handle's first write: read the rest of the log and
-        cut a torn last line, so the next append starts a line of its own."""
-        if self._recovered:
-            return
-        for _ in self._advance():
-            pass
-        indexes = self._segments()
-        if indexes:
-            if self._end[0] != indexes[-1]:  # no whole line in the last one
-                self._end = (indexes[-1], 0, 0)
-            path = self._segment_path(indexes[-1])
-            if os.path.getsize(path) > self._end[1]:
-                os.truncate(path, self._end[1])
-                metrics.get_registry().inc("recovery.truncated_records")
-        self._recovered = True
+    def _drop(self, indexes: list[int]) -> None:
+        self.close()
+        for index in indexes:
+            os.remove(self._segment_path(index))
+        self._where = None

@@ -37,7 +37,9 @@ class StorageManager:
         self.final = Database(os.path.join(root, "final") if durable else None)
 
     def close(self) -> None:
-        """Release file handles (the final DB's WAL)."""
+        """Release file handles (each log's open segment)."""
+        self.raw.close()
+        self.intermediate.close()
         self.final.close()
 
     def disk_usage(self) -> dict[str, int]:

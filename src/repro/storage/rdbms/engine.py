@@ -1039,9 +1039,10 @@ class Database:
     # ----------------------------------------------------------- durability
 
     def checkpoint(self) -> None:
-        """Write a consistent snapshot of committed state and truncate the
-        WAL.  Open writers' rows are rolled back out of it, as out of a
-        read snapshot: they arrive with the commit record, on the new log.
+        """Write a consistent snapshot of committed state, with the LSN it
+        covers, and delete the WAL segments it covers.  Open writers' rows
+        are rolled back out of it, as out of a read snapshot: they arrive
+        with the commit record, past that LSN.
         """
         if self._wal is None:
             return
@@ -1062,7 +1063,7 @@ class Database:
                      "kind": "sorted" if isinstance(i, SortedIndex) else "hash"}
                     for (t, c), i in self._indexes.items()
                 ],
-                # Segment layout survives WAL truncation: the snapshot rows
+                # Segment layout outlives the covered WAL: the snapshot rows
                 # above include frozen rows, and reopen re-freezes this
                 # layout (re-encoding rebuilds every zone map from data).
                 "segments": {
@@ -1232,10 +1233,13 @@ class Database:
             _reindex(self._indexes_of(table), rid, after, before)
 
     def _recover(self) -> None:
-        """Rebuild state: checkpoint snapshot + committed log suffix."""
+        """Rebuild state: checkpoint snapshot + the log records after the
+        LSN it covers."""
         assert self._wal is not None
         snapshot = self._wal.read_checkpoint()
+        covered = -1
         if snapshot is not None:
+            covered = snapshot["lsn"]
             for name, tdata in snapshot["tables"].items():
                 table = HeapTable(TableSchema.from_dict(tdata["schema"]))
                 for rid_str, values in tdata["rows"].items():
@@ -1256,13 +1260,11 @@ class Database:
                 # loaded below, once the log suffix has been replayed
                 self._indexes[key] = _INDEX_KINDS[idx["kind"]](*key)
 
-        records = list(self._wal.records())
-        # only the row records of older logs (_ROW_RECORDS) consult these
-        committed = {r.txn_id for r in records if r.rec_type == "commit"}
-        aborted = {r.txn_id for r in records if r.rec_type == "abort"}
         max_txn = 0
-        for rec in records:
+        for rec in self._wal.records():
             max_txn = max(max_txn, rec.txn_id)
+            if rec.lsn <= covered:
+                continue
             if rec.rec_type == "create_table":
                 schema = TableSchema.from_dict(rec.payload["schema"])
                 if schema.name not in self._tables:
@@ -1296,13 +1298,9 @@ class Database:
                         key, _INDEX_KINDS[rec.payload["kind"]](*key))
             elif rec.rec_type == "commit":
                 # A whole transaction, redone at the position it became
-                # durable (an old log's commit marker carries no writes).
-                for table, ops in rec.payload.get("writes", ()):
+                # durable.
+                for table, ops in rec.payload["writes"]:
                     self._redo(table, ops)
-            elif rec.rec_type in _ROW_RECORDS:
-                if rec.txn_id in committed and rec.txn_id not in aborted:
-                    self._redo(rec.payload["table"],
-                               _ROW_RECORDS[rec.rec_type](rec.payload))
             elif rec.rec_type == "compact":
                 # DDL-style (txn 0): applied unconditionally at its log
                 # position, where the replayed committed row set matches
@@ -1336,17 +1334,3 @@ class Database:
                 heap.update(rid, image[0])
             else:
                 heap.delete(rid)
-
-
-#: Row records of logs written before a commit record carried its
-#: transaction's writes (framed by begin / commit / abort): type -> its
-#: payload as :meth:`Database._redo` ops.  Read, never written: this is
-#: what opens an existing workspace.
-_ROW_RECORDS: dict[str, Callable[[dict[str, Any]], list]] = {
-    "insert": lambda p: [("insert", p["rid"], p["values"])],
-    "insert_many": lambda p: [("insert", row["rid"], row["values"])
-                              for row in p["rows"]],
-    "update": lambda p: [("update", p["rid"], p["after"])],
-    "delete": lambda p: [("delete", p["rid"])],
-    "write_many": lambda p: p["ops"],
-}

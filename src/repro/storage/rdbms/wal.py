@@ -1,7 +1,8 @@
 """Write-ahead logging and checkpointing.
 
-The log is a JSONL file of records, each with a log sequence number (LSN),
-a transaction id, and a type.  Written:
+The log is a :class:`~repro.storage.filestore.RecordFileStore` under
+``<directory>/wal/``: a record's id is its log sequence number (LSN), its
+payload ``{"txn": id, "type": kind, ...}``.  Written:
 
 * ``commit`` — one committed transaction, whole: its id and ``writes``,
   everything it wrote as runs of ``[table, ops]`` in write order, each op
@@ -18,21 +19,18 @@ a transaction id, and a type.  Written:
 * ``reshard`` — a shard-layout change (txn 0, DDL-style like ``compact``:
   routing is seed-stable, so replaying the spec at the same log position
   reproduces the identical shard membership),
-* ``checkpoint`` — marker written after a consistent snapshot of all tables
-  has been dumped to the checkpoint file.
+* ``checkpoint`` — the first record of the segment a checkpoint starts.
 
-Only read, in logs written before commit records carried the writes:
-``begin`` / ``abort`` framing, a ``commit`` without ``writes``, and the row
-records ``insert`` / ``insert_many`` / ``update`` / ``delete`` /
-``write_many``, each redone at its own position if its transaction's
-``commit`` is on the log and no ``abort`` is.  A log may start in that
-format and continue in this one.
-
-Recovery (:meth:`repro.storage.rdbms.engine.Database._recover`) loads the
-latest checkpoint, then redoes the records in LSN order over that rebuilt
-state (it never trusts the crashed in-memory image).  A record torn at any
-byte is an unparseable suffix, which :meth:`WriteAheadLog.records` drops —
-so a transaction is recovered whole or not at all by construction.
+A checkpoint (:meth:`WriteAheadLog.write_checkpoint`) writes a consistent
+snapshot of all tables and the LSN it covers to ``checkpoint.json`` (tmp,
+fsync, rename), starts a new segment with a ``checkpoint`` record, then
+deletes the segments before it.  Recovery
+(:meth:`repro.storage.rdbms.engine.Database._recover`) loads the snapshot,
+then redoes the records past its LSN in LSN order over that rebuilt state
+(it never trusts the crashed in-memory image) — so a crash anywhere in a
+checkpoint reopens: covered segments left behind are skipped.  A record
+torn at any byte is the log's torn suffix, which the store drops — so a
+transaction is recovered whole or not at all by construction.
 """
 
 from __future__ import annotations
@@ -42,10 +40,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.storage.filestore import RecordFileStore, refuse_older_log
 from repro.telemetry import metrics
 
-LOG_FILE = "wal.jsonl"
+LOG_DIR = "wal"
 CHECKPOINT_FILE = "checkpoint.json"
+#: Records per WAL segment.
+SEGMENT_RECORDS = 10_000
 
 
 @dataclass(frozen=True)
@@ -57,101 +58,77 @@ class LogRecord:
     rec_type: str
     payload: dict[str, Any] = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        # payloads are trees of validated scalars: no cycle to look for
-        return json.dumps(
-            {"lsn": self.lsn, "txn": self.txn_id, "type": self.rec_type,
-             **self.payload}, check_circular=False)
-
-    @staticmethod
-    def from_json(line: str) -> "LogRecord":
-        data = json.loads(line)
-        lsn = data.pop("lsn")
-        txn = data.pop("txn")
-        rec_type = data.pop("type")
-        return LogRecord(lsn=lsn, txn_id=txn, rec_type=rec_type, payload=data)
-
 
 class WriteAheadLog:
-    """Append-only JSONL write-ahead log with checkpoint support."""
+    """Segmented write-ahead log with checkpoint support."""
 
     def __init__(self, directory: str, sync: bool = False) -> None:
         """Create or reopen a WAL in ``directory``.
 
         Args:
-            directory: where ``wal.jsonl`` and ``checkpoint.json`` live.
+            directory: where ``wal/`` and ``checkpoint.json`` live.
             sync: fsync after every append, i.e. at each commit and DDL
                 statement (slow but durable); benchmarks toggle this to
                 show the durability/throughput trade-off.
+
+        Raises:
+            ValueError: ``directory`` holds a ``wal.jsonl``, the one-file
+                log of an older layout.
         """
+        refuse_older_log(os.path.join(directory, "wal.jsonl"))
         self._dir = directory
-        self._sync = sync
-        os.makedirs(directory, exist_ok=True)
-        self._path = os.path.join(directory, LOG_FILE)
-        self._next_lsn = self._recover_next_lsn()
-        self._file = open(self._path, "a", encoding="utf-8")
+        self._log = RecordFileStore(os.path.join(directory, LOG_DIR),
+                                    segment_max_records=SEGMENT_RECORDS,
+                                    sync=sync)
 
     # ------------------------------------------------------------------ API
 
     def append(self, txn_id: int, rec_type: str, **payload: Any) -> LogRecord:
         """Append one record and return it (LSN assigned here)."""
-        record = LogRecord(self._next_lsn, txn_id, rec_type, payload)
-        self._next_lsn += 1
-        line = record.to_json()
-        self._file.write(line + "\n")
-        self._file.flush()
-        if self._sync:
-            os.fsync(self._file.fileno())
+        log = self._log
+        before = log.appended_bytes
+        [lsn] = log.append_many([{"txn": txn_id, "type": rec_type, **payload}])
         registry = metrics.get_registry()
         registry.inc("rdbms.wal.records")
         registry.inc(f"rdbms.wal.records.{rec_type}")
-        registry.inc("rdbms.wal.bytes", len(line) + 1)
-        return record
+        registry.inc("rdbms.wal.bytes", log.appended_bytes - before)
+        return LogRecord(lsn, txn_id, rec_type, payload)
 
     def records(self) -> Iterator[LogRecord]:
-        """Replay all records currently on disk, in LSN order.
-
-        A corrupt *suffix* — one or more unparseable trailing records, as
-        a crash mid-append or a partially synced page leaves behind — is
-        tolerated: the bad tail is dropped (it cannot contain a committed
-        transaction's commit record followed by valid data) and counted
-        in the ``recovery.truncated_records`` telemetry counter.  (Reopen
-        already truncates such a tail from the file — see
-        :meth:`_recover_next_lsn` — so this is for logs read without
-        reopening.)  Corruption *followed by* valid records indicates
-        real damage and raises.
+        """All records on disk, in LSN order; once read, the torn suffix is
+        cut from the file (and counted in ``recovery.truncated_records``).
 
         Raises:
-            ValueError: corrupted record in the middle of the log.
+            ValueError: a damaged record with records after it.
         """
-        parsed, _, bad, midlog = self._scan()
-        if midlog:
-            raise ValueError(
-                f"corrupted WAL record at position {len(parsed)}")
-        if bad:
-            metrics.get_registry().inc("recovery.truncated_records", bad)
-        yield from parsed
+        for record in self._log.scan():
+            payload = record.payload
+            yield LogRecord(record.record_id, payload.pop("txn"),
+                            payload.pop("type"), payload)
+        self._log.catch_up()
 
     def write_checkpoint(self, state: dict[str, Any]) -> None:
-        """Dump a consistent snapshot and truncate the log.
+        """Dump a consistent snapshot covering every record so far, then
+        start a new segment and delete the ones it covers.
 
-        The snapshot is written atomically (tmp + rename) *before* the log
-        is truncated, so a crash between the two steps leaves a recoverable
-        state (old log + new checkpoint replays to the same result because
-        replay is idempotent over the snapshot).
+        The snapshot is written atomically (tmp + fsync + rename) before
+        anything else, so a crash at any step leaves either the old
+        snapshot and the whole log or the new snapshot beside records it
+        covers, which replay skips by LSN.
         """
+        covered = self._log.rotate()
         tmp = os.path.join(self._dir, CHECKPOINT_FILE + ".tmp")
         with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(state, f)
+            json.dump({"lsn": covered, **state}, f)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, os.path.join(self._dir, CHECKPOINT_FILE))
-        self._file.close()
-        self._file = open(self._path, "w", encoding="utf-8")
         self.append(0, "checkpoint")
+        self._log.drop_sealed_segments()
 
     def read_checkpoint(self) -> dict[str, Any] | None:
-        """Latest checkpoint snapshot, or None."""
+        """Latest checkpoint snapshot (its ``lsn`` the last record it
+        covers), or None."""
         path = os.path.join(self._dir, CHECKPOINT_FILE)
         if not os.path.exists(path):
             return None
@@ -159,57 +136,8 @@ class WriteAheadLog:
             return json.load(f)
 
     def close(self) -> None:
-        if not self._file.closed:
-            self._file.close()
+        self._log.close()
 
     def size_bytes(self) -> int:
         """Current on-disk log size."""
-        return os.path.getsize(self._path) if os.path.exists(self._path) else 0
-
-    # ------------------------------------------------------------ internals
-
-    def _recover_next_lsn(self) -> int:
-        """Next LSN — and truncate a torn/corrupt *suffix* on reopen.
-
-        A crash mid-append leaves unparseable trailing lines.  They must
-        be physically removed before this handle appends again: leaving
-        them in place would strand the new (valid) records *behind*
-        corruption, which the next recovery correctly treats as mid-log
-        damage and refuses to replay.  A bad line with valid records
-        after it really is mid-log damage, so the file is left untouched
-        for :meth:`records` to report.
-        """
-        parsed, good_end, bad, midlog = self._scan()
-        if bad and not midlog:
-            with open(self._path, "r+b") as f:
-                f.truncate(good_end)
-            metrics.get_registry().inc("recovery.truncated_records", bad)
-        return parsed[-1].lsn + 1 if parsed else 0
-
-    def _scan(self) -> tuple[list[LogRecord], int, int, bool]:
-        """Parse the file: the records before the first unparseable line,
-        the byte offset just past the last of them, how many unparseable
-        lines follow, and whether a valid record follows those (mid-log
-        damage, where the scan stops, rather than a torn suffix)."""
-        if not os.path.exists(self._path):
-            return [], 0, 0, False
-        with open(self._path, "rb") as f:
-            data = f.read()
-        parsed: list[LogRecord] = []
-        good_end = offset = bad = 0
-        for raw in data.splitlines(keepends=True):
-            offset += len(raw)
-            line = raw.decode("utf-8", "replace").strip()
-            try:
-                record = LogRecord.from_json(line) if line else None
-            except (ValueError, KeyError, TypeError, AttributeError):
-                bad += 1
-                continue
-            if bad:
-                if record is not None:
-                    return parsed, good_end, bad, True
-                continue
-            if record is not None:
-                parsed.append(record)
-            good_end = offset
-        return parsed, good_end, bad, False
+        return self._log.total_bytes()

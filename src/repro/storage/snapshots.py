@@ -175,6 +175,9 @@ class SnapshotStore:
         """Total on-disk size of all stored versions (E5's metric)."""
         return self._log.total_bytes()
 
+    def close(self) -> None:
+        self._log.close()
+
     def changes_since(self, cursor: int) -> tuple[list[str], list[str], int]:
         """The corpus delta since record id ``cursor``: ``(added, changed,
         next cursor)`` — pages first stored since, older pages with a

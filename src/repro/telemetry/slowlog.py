@@ -20,20 +20,21 @@ side-effect free, so the re-run buys exact per-operator actuals and a
 per-query telemetry counter delta without taxing the fast path.  DML
 statements are logged without a plan.
 
-Entries append to ``<workspace>/slowlog.jsonl`` when a path is given
-(surviving reopen) and to memory otherwise.
+Entries append to a tolerant
+:class:`~repro.storage.filestore.RecordFileStore` log when a directory is
+given (``<workspace>/slowlog/``, surviving reopen) and to memory otherwise.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 
+from repro.storage.filestore import RecordFileStore, refuse_older_log
 from repro.telemetry import metrics
 
-__all__ = ["SlowQueryLog"]
+__all__ = ["SlowQueryLog", "workspace_slowlog"]
 
 
 class SlowQueryLog:
@@ -42,14 +43,19 @@ class SlowQueryLog:
     def __init__(self, path: str | None = None,
                  threshold_seconds: float = 1.0,
                  annotate: bool = True) -> None:
-        self.path = path
+        """Create or reopen a log.
+
+        Args:
+            path: directory of the log; ``None`` keeps entries in memory.
+            threshold_seconds: the capture threshold.
+            annotate: re-run a captured SELECT under ``EXPLAIN ANALYZE``.
+        """
         self.threshold_seconds = float(threshold_seconds)
         self.annotate = annotate
         self._lock = threading.Lock()
         self._memory: list[dict] = []
-        self._fh = None
-        if path is not None:
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        self._log = None if path is None \
+            else RecordFileStore(path, tolerant=True)
 
     # ------------------------------------------------------------------
     # capture path
@@ -133,34 +139,17 @@ class SlowQueryLog:
     # storage
 
     def _append(self, entry: dict) -> None:
-        line = json.dumps(entry, sort_keys=True)
         with self._lock:
-            self._memory.append(entry)
-            if self.path is not None:
-                if self._fh is None:
-                    self._fh = open(self.path, "a", encoding="utf-8")
-                self._fh.write(line + "\n")
-                self._fh.flush()
+            if self._log is None:
+                self._memory.append(entry)
+            else:
+                self._log.append(entry)
 
     def entries(self, limit: int | None = None) -> list[dict]:
         """All captured entries, oldest first (tail ``limit`` if given)."""
-        if self.path is not None and os.path.exists(self.path):
-            out = []
-            with self._lock:
-                if self._fh is not None:
-                    self._fh.flush()
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for raw in fh:
-                    raw = raw.strip()
-                    if not raw:
-                        continue
-                    try:
-                        out.append(json.loads(raw))
-                    except (ValueError, UnicodeDecodeError):
-                        continue
-        else:
-            with self._lock:
-                out = list(self._memory)
+        with self._lock:
+            out = list(self._memory) if self._log is None \
+                else [record.payload for record in self._log.scan()]
         if limit is not None:
             out = out[-limit:]
         return out
@@ -174,20 +163,22 @@ class SlowQueryLog:
         removed = len(self.entries())
         with self._lock:
             self._memory.clear()
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-            if self.path is not None and os.path.exists(self.path):
-                os.remove(self.path)
+            if self._log is not None:
+                self._log.clear()
         return removed
 
-    def flush(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-
     def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+        if self._log is not None:
+            with self._lock:
+                self._log.close()
+
+
+def workspace_slowlog(workspace: str, **options) -> SlowQueryLog:
+    """The slow-query log of a workspace, ``<workspace>/slowlog/``.
+
+    Raises:
+        ValueError: the workspace holds a ``slowlog.jsonl``, the one-file
+            log of an older layout.
+    """
+    refuse_older_log(os.path.join(workspace, "slowlog.jsonl"))
+    return SlowQueryLog(path=os.path.join(workspace, "slowlog"), **options)

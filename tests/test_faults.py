@@ -254,10 +254,55 @@ def test_deadletter_store_tolerates_torn_tail(tmp_path):
     root = str(tmp_path / "dl")
     store = DeadLetterStore(root)
     store.add(DeadLetterEntry("doc-1", "infobox", "boom"))
-    with open(os.path.join(root, "entries.jsonl"), "a",
+    with open(os.path.join(root, "seg-0000.jsonl"), "a",
               encoding="utf-8") as f:
         f.write('{"doc_id": "doc-2", "extr')  # crash mid-append
     assert DeadLetterStore(root).doc_ids() == ["doc-1"]
+
+
+def test_deadletter_append_after_a_torn_tail_is_kept(tmp_path):
+    root = str(tmp_path / "dl")
+    DeadLetterStore(root).add_many([
+        DeadLetterEntry("doc-1", "infobox", "boom"),
+        DeadLetterEntry("doc-2", "infobox", "kaput")])
+    [name] = os.listdir(root)  # the one file the store wrote
+    path = os.path.join(root, name)
+    with open(path, "rb") as f:
+        data = f.read()
+    with open(path, "wb") as f:
+        f.write(data[:-10])  # a crash mid-append of doc-2
+    DeadLetterStore(root).add(DeadLetterEntry("doc-3", "infobox", "again"))
+    assert DeadLetterStore(root).doc_ids() == ["doc-1", "doc-3"]
+
+
+def test_deadletter_cut_at_every_byte_of_its_last_entry(tmp_path):
+    base = str(tmp_path / "base")
+    DeadLetterStore(base).add_many([
+        DeadLetterEntry("doc-1", "infobox", "boom", "ValueError", 3),
+        DeadLetterEntry("doc-2", "infobox", "kaput")])
+    with open(os.path.join(base, "seg-0000.jsonl"), "rb") as f:
+        data = f.read()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    for cut in range(last, len(data) + 1):
+        root = str(tmp_path / f"cut{cut}")
+        os.makedirs(root)
+        with open(os.path.join(root, "seg-0000.jsonl"), "wb") as f:
+            f.write(data[:cut])
+        kept = ["doc-1", "doc-2"] if cut == len(data) else ["doc-1"]
+        store = DeadLetterStore(root)
+        assert store.doc_ids() == kept, cut
+        store.add(DeadLetterEntry("doc-3", "infobox", "again"))
+        assert store.remove(["doc-1"]) == 1
+        assert DeadLetterStore(root).doc_ids() == kept[1:] + ["doc-3"], cut
+
+
+def test_a_one_file_deadletter_store_is_refused(tmp_path):
+    root = tmp_path / "dl"
+    root.mkdir()
+    (root / "entries.jsonl").write_text(
+        '{"doc_id": "doc-1", "extractor": "infobox", "error": "boom"}\n')
+    with pytest.raises(ValueError, match="entries.jsonl"):
+        DeadLetterStore(str(root))
 
 
 def test_deadletter_store_maintains_size_gauge(tmp_path):

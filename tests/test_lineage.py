@@ -247,6 +247,5 @@ def test_workspace_holds_only_the_documented_entries(tmp_path):
     system.generate(CITY_PROGRAM)
     system.close()
     entries = set(os.listdir(workspace))
-    # slowlog.jsonl appears with the first statement over the threshold
-    assert entries - {"slowlog.jsonl"} == {
-        "raw", "intermediate", "final", "deadletter"}
+    assert entries == {
+        "raw", "intermediate", "final", "deadletter", "slowlog"}

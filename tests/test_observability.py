@@ -3,6 +3,7 @@ log, cardinality feedback, Prometheus export, and the ``repro top`` /
 ``slowlog`` CLI surface."""
 
 import json
+import os
 import re
 
 import pytest
@@ -12,7 +13,7 @@ from repro.cli import main as cli_main
 from repro.core.system import StructureManagementSystem
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.qcache import QueryResultCache
-from repro.storage.rdbms.sql import SqlError, execute_sql
+from repro.storage.rdbms.sql import SqlError, execute_sql, normalize_sql
 from repro.telemetry import metrics
 from repro.telemetry.feedback import CardinalityFeedback, q_error
 from repro.telemetry.metrics import MetricsRegistry
@@ -260,7 +261,7 @@ def test_slowlog_entry_carries_annotated_plan_and_versions(db):
 
 
 def test_slowlog_persists_and_clears(tmp_path, db):
-    path = str(tmp_path / "slow.jsonl")
+    path = str(tmp_path / "slow")
     log = SlowQueryLog(path=path, threshold_seconds=0.0, annotate=False)
     log.observe(db, "SELECT COUNT(*) AS n FROM items", 2.0, 1)
     log.close()
@@ -268,17 +269,47 @@ def test_slowlog_persists_and_clears(tmp_path, db):
     assert len(reopened.entries()) == 1
     assert reopened.clear() == 1
     assert reopened.entries() == []
-    assert not (tmp_path / "slow.jsonl").exists()
+    assert not (tmp_path / "slow" / "seg-0000.jsonl").exists()
 
 
 def test_slowlog_tolerates_corrupt_lines(tmp_path, db):
-    path = str(tmp_path / "slow.jsonl")
+    path = str(tmp_path / "slow")
     log = SlowQueryLog(path=path, threshold_seconds=0.0, annotate=False)
     log.observe(db, "SELECT COUNT(*) AS n FROM items", 2.0, 1)
     log.close()
-    with open(path, "a", encoding="utf-8") as f:
+    with open(os.path.join(path, "seg-0000.jsonl"), "a",
+              encoding="utf-8") as f:
         f.write("{not json\n")
     assert len(SlowQueryLog(path=path).entries()) == 1
+
+
+def test_slowlog_append_after_a_torn_tail_is_kept(tmp_path, db):
+    path = str(tmp_path / "slow")
+    first, torn, after = (f"SELECT {f}(item_id) AS m FROM items"
+                          for f in ("COUNT", "MAX", "MIN"))
+    log = SlowQueryLog(path=path, threshold_seconds=0.0, annotate=False)
+    log.observe(db, first, 2.0, 1)
+    log.observe(db, torn, 2.0, 1)
+    log.close()
+    [file] = [os.path.join(d, name) for d, _, names in os.walk(tmp_path)
+              for name in names]  # the one file the log wrote
+    with open(file, "rb") as f:
+        data = f.read()
+    with open(file, "wb") as f:
+        f.write(data[:-10])  # a crash mid-append of the second entry
+    reopened = SlowQueryLog(path=path, threshold_seconds=0.0, annotate=False)
+    reopened.observe(db, after, 2.0, 1)
+    reopened.close()
+    assert [e["sql"] for e in SlowQueryLog(path=path).entries()] == [
+        normalize_sql(first), normalize_sql(after)]
+
+
+def test_a_one_file_slowlog_is_refused(tmp_path):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    (ws / "slowlog.jsonl").write_text('{"sql": "SELECT 1", "seconds": 2.0}\n')
+    with pytest.raises(ValueError, match="slowlog.jsonl"):
+        StructureManagementSystem(workspace=str(ws))
 
 
 def test_qcache_observes_through_slowlog(db):
@@ -296,7 +327,7 @@ def test_system_slow_queries_and_workspace_persistence(tmp_path):
     entries = system.slow_queries()
     assert len(entries) == 1 and "plan" in entries[0]
     system.close()
-    assert (tmp_path / "ws" / "slowlog.jsonl").exists()
+    assert (tmp_path / "ws" / "slowlog" / "seg-0000.jsonl").exists()
 
     disabled = StructureManagementSystem(slow_query_seconds=None)
     disabled.query("SELECT COUNT(*) AS n FROM facts")

@@ -254,7 +254,6 @@ def test_uncommitted_insert_many_not_recovered(tmp_path):
     txn = db.begin()
     txn.insert_many("items", _rows(5))
     # no commit — simulate a crash by abandoning the object
-    db._wal._file.flush()
     db.close()
 
     recovered = Database(str(tmp_path))

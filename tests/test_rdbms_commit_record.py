@@ -1,13 +1,15 @@
-"""A transaction is one WAL record: crash at every byte, record counts,
-logs written before that format, writes that change nothing, and DDL
-kept off open writers.
+"""A transaction is one WAL record: crash at every byte (of a log that
+crosses segments and a checkpoint), record counts, writes that change
+nothing, and DDL kept off open writers.
 """
 
 import copy
+import shutil
 import threading
 
 import pytest
 
+from repro.storage.rdbms import wal
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.qcache import QueryResultCache
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
@@ -210,32 +212,47 @@ def _script(db, model):
     ]
 
 
-def test_wal_cut_at_every_byte_reopens_to_the_last_whole_record(tmp_path):
+def _segments(directory):
+    """The WAL's segment files: name -> bytes."""
+    return {path.name: path.read_bytes()
+            for path in (directory / "wal").iterdir()}
+
+
+def test_wal_cut_at_every_byte_reopens_to_the_last_whole_record(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(wal, "SEGMENT_RECORDS", 4)  # the log crosses segments
     live = tmp_path / "live"
     db = Database(str(live))
     model = _Model()
-    #: per log: [the checkpoint file it sits on (None: no file), its bytes,
-    #: [(its size once a step was done, the model's state then), ...]]
-    logs = [[None, b"", [(0, model.state())]]]
+    #: the log as one byte stream — every segment written, in order, the
+    #: ones the checkpoint deleted included: [(its length once a step was
+    #: done, the model's state then), ...]
+    history = [(0, model.state())]
+    covered = {}  # the segments the checkpoint deleted: name -> bytes
     whats = []
     for what, expected_records, step in _script(db, model):
         if what == CHECKPOINT:
-            logs[-1][1] = (live / "wal.jsonl").read_bytes()
+            covered = _segments(live)
         registry = MetricsRegistry()
         with use_registry(registry):
             step()
         assert registry.get("rdbms.wal.records") == expected_records, what
         assert _state(db) == model.state(), what
         if what == CHECKPOINT:      # committed rows only, whoever is open
-            logs.append([(live / "checkpoint.json").read_bytes(), b"",
-                         [(0, model.state())]])
+            checkpoint = (live / "checkpoint.json").read_bytes()
+            assert not covered.keys() & _segments(live).keys()
         if expected_records:
-            logs[-1][2].append((db.wal_size_bytes(), model.state()))
+            history.append((sum(map(len, covered.values()))
+                            + db.wal_size_bytes(), model.state()))
             whats.append(what)
     db.close()
-    logs[-1][1] = (live / "wal.jsonl").read_bytes()
-    records = [line for _, whole, _ in logs
-               for line in whole.splitlines() if line]
+    segments = {**covered, **_segments(live)}
+    layout, size = [], 0  # (name, stream offset it starts at, bytes)
+    for name in sorted(segments):
+        layout.append((name, size, segments[name]))
+        size += len(segments[name])
+    assert len(segments) > len(covered) > 1   # several on both sides
+    records = [line for _, _, data in layout for line in data.splitlines()]
     assert len(records) == len(whats) == 22
     # every committed writing transaction is one "commit" line, DDL as before
     assert [b'"type": "commit"' in line for line in records] == [
@@ -246,117 +263,44 @@ def test_wal_cut_at_every_byte_reopens_to_the_last_whole_record(tmp_path):
     assert not any(b'"begin"' in line or b'"abort"' in line
                    for line in records)
 
-    for n, (checkpoint, whole, history) in enumerate(logs):
-        crashed = tmp_path / f"crashed{n}"
-        crashed.mkdir()
-        if checkpoint is not None:
-            (crashed / "checkpoint.json").write_bytes(checkpoint)
-        at = 0  # history[at]: the last state whose record is whole at ``cut``
-        for cut in range(len(whole) + 1):
-            # a record counts once its last byte is there, newline or not
-            while at + 1 < len(history) and history[at + 1][0] - 1 <= cut:
-                at += 1
-            (crashed / "wal.jsonl").write_bytes(whole[:cut])
-            reopened = Database(str(crashed))
-            assert _state(reopened) == history[at][1], (n, cut)
-            reopened.close()
-        assert at == len(history) - 1
-
-
-# ------------------------------------- logs written before this format
-
-#: Written by the tree before commit records carried the writes: every
-#: record type it had — transaction 5 aborted, 6 the lock holder of a
-#: compaction, 9 and 10 interleaved, 11 still open at the crash.
-OLD_LOG = """\
-{"lsn": 0, "txn": 0, "type": "create_table", "schema": {"name": "t", "columns": [{"name": "id", "type": "int", "nullable": false}, {"name": "value", "type": "text", "nullable": true}], "primary_key": "id"}}
-{"lsn": 1, "txn": 0, "type": "create_table", "schema": {"name": "u", "columns": [{"name": "id", "type": "int", "nullable": false}, {"name": "value", "type": "text", "nullable": true}], "primary_key": "id"}}
-{"lsn": 2, "txn": 0, "type": "create_index", "table": "t", "column": "value", "kind": "hash"}
-{"lsn": 3, "txn": 1, "type": "begin"}
-{"lsn": 4, "txn": 1, "type": "insert", "table": "t", "rid": 0, "values": {"id": 1, "value": "a"}}
-{"lsn": 5, "txn": 1, "type": "commit"}
-{"lsn": 6, "txn": 2, "type": "begin"}
-{"lsn": 7, "txn": 2, "type": "insert_many", "table": "t", "rows": [{"rid": 1, "values": {"id": 2, "value": "v2"}}, {"rid": 2, "values": {"id": 3, "value": "v3"}}, {"rid": 3, "values": {"id": 4, "value": "v4"}}, {"rid": 4, "values": {"id": 5, "value": "v5"}}]}
-{"lsn": 8, "txn": 2, "type": "commit"}
-{"lsn": 9, "txn": 3, "type": "begin"}
-{"lsn": 10, "txn": 3, "type": "update", "table": "t", "rid": 0, "before": {"id": 1, "value": "a"}, "after": {"id": 1, "value": "a2"}}
-{"lsn": 11, "txn": 3, "type": "commit"}
-{"lsn": 12, "txn": 4, "type": "begin"}
-{"lsn": 13, "txn": 4, "type": "delete", "table": "t", "rid": 1, "values": {"id": 2, "value": "v2"}}
-{"lsn": 14, "txn": 4, "type": "commit"}
-{"lsn": 15, "txn": 5, "type": "begin"}
-{"lsn": 16, "txn": 5, "type": "insert", "table": "t", "rid": 5, "values": {"id": 9, "value": "never"}}
-{"lsn": 17, "txn": 5, "type": "update", "table": "t", "rid": 0, "before": {"id": 1, "value": "a2"}, "after": {"id": 1, "value": "never"}}
-{"lsn": 18, "txn": 5, "type": "abort"}
-{"lsn": 19, "txn": 6, "type": "begin"}
-{"lsn": 20, "txn": 0, "type": "compact", "table": "t", "max_rid": 5, "target_rows": 2}
-{"lsn": 21, "txn": 6, "type": "commit"}
-{"lsn": 22, "txn": 7, "type": "begin"}
-{"lsn": 23, "txn": 7, "type": "write_many", "table": "t", "ops": [["insert", 6, {"id": 6, "value": "six"}], ["update", 2, {"value": "frozen, rewritten"}], ["delete", 3]]}
-{"lsn": 24, "txn": 7, "type": "commit"}
-{"lsn": 25, "txn": 8, "type": "begin"}
-{"lsn": 26, "txn": 8, "type": "insert", "table": "u", "rid": 0, "values": {"id": 1, "value": "u1"}}
-{"lsn": 27, "txn": 8, "type": "update", "table": "t", "rid": 4, "before": {"id": 5, "value": "v5"}, "after": {"id": 5, "value": "five"}}
-{"lsn": 28, "txn": 8, "type": "commit"}
-{"lsn": 29, "txn": 9, "type": "begin"}
-{"lsn": 30, "txn": 9, "type": "insert", "table": "u", "rid": 1, "values": {"id": 2, "value": "from a"}}
-{"lsn": 31, "txn": 10, "type": "begin"}
-{"lsn": 32, "txn": 10, "type": "insert", "table": "u", "rid": 2, "values": {"id": 3, "value": "from b"}}
-{"lsn": 33, "txn": 10, "type": "commit"}
-{"lsn": 34, "txn": 9, "type": "delete", "table": "u", "rid": 0, "values": {"id": 1, "value": "u1"}}
-{"lsn": 35, "txn": 9, "type": "commit"}
-{"lsn": 36, "txn": 11, "type": "begin"}
-{"lsn": 37, "txn": 11, "type": "insert", "table": "u", "rid": 3, "values": {"id": 4, "value": "lost"}}
-{"lsn": 38, "txn": 11, "type": "update", "table": "t", "rid": 0, "before": {"id": 1, "value": "a2"}, "after": {"id": 1, "value": "lost"}}
-"""
-
-#: What the tree that wrote OLD_LOG recovers it to: ``(rid, values)``.
-OLD_LOG_TABLES = {
-    "t": [(0, {"id": 1, "value": "a2"}),
-          (2, {"id": 3, "value": "frozen, rewritten"}),
-          (4, {"id": 5, "value": "five"}),
-          (6, {"id": 6, "value": "six"})],
-    "u": [(1, {"id": 2, "value": "from a"}),
-          (2, {"id": 3, "value": "from b"})],
-}
+    boundary = sum(map(len, covered.values()))
+    marker_end = history[whats.index(CHECKPOINT) + 1][0]
+    crashed = tmp_path / "crashed"
+    at = 0  # history[at]: the last state whose record is whole at ``cut``
+    for cut in range(size + 1):
+        # a record counts once its newline is there
+        while at + 1 < len(history) and history[at + 1][0] <= cut:
+            at += 1
+        # what a crash can leave: the segment the next byte goes to
+        # opened or not; the checkpoint file renamed or not, at its
+        # boundary; the segments it covers deleted or not, once its
+        # record is whole
+        files = {name: data[:cut - start]
+                 for name, start, data in layout if start <= cut}
+        layouts = [files]
+        if not all(files.values()):
+            layouts.append({n: data for n, data in files.items() if data})
+        if cut >= marker_end:
+            layouts.append({n: data for n, data in files.items()
+                            if n not in covered})
+        on_disk = [checkpoint] * (cut >= boundary) + [None] * (cut <= boundary)
+        for wal_files in layouts:
+            for checkpoint_file in on_disk:
+                shutil.rmtree(crashed, ignore_errors=True)
+                (crashed / "wal").mkdir(parents=True)
+                for name, data in wal_files.items():
+                    (crashed / "wal" / name).write_bytes(data)
+                if checkpoint_file is not None:
+                    (crashed / "checkpoint.json").write_bytes(checkpoint_file)
+                reopened = Database(str(crashed))
+                assert _state(reopened) == history[at][1], (cut, wal_files)
+                reopened.close()
+    assert at == len(history) - 1
 
 
 def _tables(db):
     return {name: db.run(lambda t: [(r.rid, r.values) for r in t.scan(name)])
             for name in db.table_names()}
-
-
-def test_a_log_in_the_old_format_recovers_and_continues_in_the_new(tmp_path):
-    wal_path = tmp_path / "wal.jsonl"
-    wal_path.write_text(OLD_LOG)
-    for rec_type in ("begin", "insert", "insert_many", "write_many",
-                     "update", "delete", "commit", "abort", "compact"):
-        assert f'"type": "{rec_type}"' in OLD_LOG
-    db = Database(str(tmp_path))
-    assert _tables(db) == OLD_LOG_TABLES
-    assert db._table("t").segment_layout() == [[0, 2, 2], [3, 4, 1]]
-    assert db.run(lambda t: [r.rid for r in t.lookup("t", "value", "five")]) \
-        == [4]                                    # through the replayed index
-
-    def more(txn):
-        assert txn.txn_id > 11                    # past every old transaction
-        txn.insert("u", {"id": 4, "value": "new format"})
-        txn.update("t", 0, {"value": "a3"})
-        return txn.insert("t", {"id": 7, "value": "seven"}).rid
-
-    assert db.run(more) == 7
-    db.close()
-    appended = wal_path.read_text()
-    assert appended.startswith(OLD_LOG)           # never rewritten
-    [line] = appended[len(OLD_LOG):].splitlines()
-    assert '"lsn": 39' in line and '"type": "commit"' in line
-    both = copy.deepcopy(OLD_LOG_TABLES)
-    both["t"][0] = (0, {"id": 1, "value": "a3"})
-    both["t"].append((7, {"id": 7, "value": "seven"}))
-    both["u"].append((3, {"id": 4, "value": "new format"}))
-    reopened = Database(str(tmp_path))
-    assert _tables(reopened) == both
-    assert reopened._table("t").segment_layout() == [[0, 2, 2], [3, 4, 1]]
 
 
 # ------------------------------------------- a write that changes nothing

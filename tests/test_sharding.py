@@ -662,7 +662,8 @@ def test_torn_reshard_wal_record_recovers_consistently(tmp_path):
     _load(db, 200)
     db.close()
     # crash mid-append of the reshard record: a torn JSON tail
-    with open(tmp_path / "wal.jsonl", "a", encoding="utf-8") as f:
+    with open(tmp_path / "wal" / "seg-0000.jsonl", "a",
+              encoding="utf-8") as f:
         f.write('{"lsn": 9999, "txn": 0, "type": "reshard", "table": "ev"')
     db2 = Database(str(tmp_path))
     db2.exec_backend = SerialBackend()

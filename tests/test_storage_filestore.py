@@ -106,6 +106,19 @@ def test_append_many_rejecting_a_payload_writes_nothing(tmp_path):
     assert store.count() == 0 and store.append({"v": 2}) == 0
 
 
+@pytest.mark.parametrize("segment_max_records", [2, 100])
+def test_handles_appending_in_turn_never_reuse_an_id(
+        tmp_path, segment_max_records):
+    first, second = (RecordFileStore(str(tmp_path),
+                                     segment_max_records=segment_max_records)
+                     for _ in range(2))
+    ids = []
+    for i, handle in enumerate([first, second, first, first, second, first]):
+        ids += handle.append_many([{"v": i}, {"v": i}])
+    assert ids == list(range(12))
+    assert [r.record_id for r in RecordFileStore(str(tmp_path)).scan()] == ids
+
+
 def test_reopened_store_recovers_on_its_first_write_whatever_it_is(tmp_path):
     store = RecordFileStore(str(tmp_path), segment_max_records=3)
     ids = store.append_many([{"v": i} for i in range(5)])
