@@ -599,7 +599,13 @@ class StructureManagementSystem:
                 {**r, "attribute": stored.get(r["fact_id"], r["attribute"])}
                 for r in self._lineage_records())
             self._facts_indexed = True
-        return self.search.search_facts(query, k=k)
+        hits = self.search.search_facts(query, k=k)
+        with self.db.begin_snapshot() as snap:  # the index may be behind
+            rows = [snap.get_by_pk(FACTS_TABLE, hit["fact_id"])
+                    for hit in hits]
+        return [{"entity": row["entity"], "attribute": row["attribute"],
+                 "value": row["value_text"] if row["value_num"] is None
+                 else row["value_num"]} for row in rows if row is not None]
 
     def translator(self) -> QueryTranslator:
         """A translator reflecting the currently stored structure."""
@@ -633,10 +639,16 @@ class StructureManagementSystem:
         )
 
     def explain(self, entity: str, attribute: str) -> str:
-        """Provenance explanation for stored facts about (entity, attr)."""
+        """Provenance explanation for the facts stored now under (entity,
+        attr): their lineage records, by fact id, under that name (a
+        record keeps the name its fact landed under)."""
+        with self.db.begin_snapshot() as snap:
+            ids = {row["fact_id"] for row in
+                   snap.lookup(FACTS_TABLE, "entity", entity)
+                   if row["attribute"] == attribute}
         graph = _record_fact_provenance(
-            r for r in self._lineage_records()
-            if r["entity"] == entity and r["attribute"] == attribute)
+            {**r, "entity": entity, "attribute": attribute}
+            for r in self._lineage_records() if r["fact_id"] in ids)
         return "\n\n".join(
             graph.explain(n.node_id).render() for n in graph.facts()
         ) or f"no recorded provenance for {entity}.{attribute}"

@@ -673,11 +673,11 @@ class Database:
         This is how standing-query evaluation hooks the *batched* write
         paths (``insert_many`` / ``run_batch``) as well as single-row
         stores: any committed transaction that touched rows notifies,
-        whatever API produced the writes.  The statistics manager and the
-        query-result cache key their versions off the same stream, which
-        is why schema changes notify too.  The table-names form of
-        :meth:`add_delta_listener`: both kinds run from one list, in
-        registration order, outside all engine locks, and must not raise.
+        whatever API produced the writes.  The query-result cache evicts
+        off the same stream, which is why schema changes notify too.  The
+        table-names form of :meth:`add_delta_listener`: both kinds run
+        from one list, in registration order, outside all engine locks,
+        and must not raise.
         """
         self._listeners.append(
             lambda delta: listener(frozenset(delta.tables) | delta.ddl))
@@ -809,7 +809,7 @@ class Database:
 
     def statistics(self):
         """The database's :class:`~repro.storage.rdbms.stats.StatisticsManager`
-        (created lazily; one per database, versioned off the commit stream)."""
+        (created lazily; one per database, reading committed snapshots)."""
         if self._stats_manager is None:
             from repro.storage.rdbms.stats import StatisticsManager
 

@@ -62,9 +62,6 @@ class QueryResultCache:
         ] = OrderedDict()
         # raw SELECT text -> (parsed statement, normalized sql)
         self._statements: OrderedDict[str, tuple[Any, str]] = OrderedDict()
-        # Ensure the statistics manager registers its listener first, so
-        # versions are already bumped when our eviction listener runs.
-        self._stats = db.statistics()
         db.add_commit_listener(self._on_commit)
 
     # ------------------------------------------------------------- serving

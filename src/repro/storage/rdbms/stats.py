@@ -4,33 +4,28 @@ The planner's cost model needs three things per table: how many rows it
 has, how selective an equality predicate on a column is (≈ 1 / distinct
 values), and how selective a range predicate is (read off a small
 equal-depth histogram).  :class:`StatisticsManager` owns those numbers
-for one :class:`~repro.storage.rdbms.engine.Database`:
+for one :class:`~repro.storage.rdbms.engine.Database`.  Every pass over
+a table reads a committed snapshot (:meth:`Database.begin_snapshot`): it
+holds no engine lock past the snapshot's begin, never counts an open
+writer's rows, and is stamped with the snapshot's version of the table —
+the database's own commit version, which the query-result cache keys on
+too:
 
-* a **version counter** per table, bumped by a commit listener on every
-  data-writing commit and schema change — this is what invalidates both
-  stale statistics and the query-result cache;
-* **incremental maintenance**: when a table has drifted only a little
-  since the last full pass, the (always exact) live row count is folded
-  in and the distributions are kept — no scan;
-* a **full ANALYZE fallback**: once the drift exceeds
-  ``staleness_fraction`` of the analyzed row count (or the table was
-  never analyzed), one full scan rebuilds distinct counts, min/max, and
-  the histograms;
-* a **sampled ANALYZE** for big tables: above ``sample_threshold`` rows
-  the pass reads a fixed-size uniform sample (deterministically seeded
-  on table name + row count, so repeated runs agree) for histograms and
-  distinct counts, while null counts and min/max stay *exact* — they
-  come from columnar-segment zone maps plus a walk of the (small)
-  row-store tail.
-
+* **incremental maintenance**: a drift of at most
+  :data:`STALENESS_FRACTION` of the analyzed row count folds the live
+  row count in and keeps the distributions (no pass, no lock);
+* **one column pass** otherwise (:func:`_column_pass`): the values of
+  the columns asked for, gathered off the snapshot's scan units (no row
+  is built) — every row, or above :data:`SAMPLE_THRESHOLD` rows a seeded
+  sample, with null counts and min/max kept exact by the zone maps;
 * **cardinality feedback**: the SQL layer reports estimated-vs-actual
   row counts after planned executions (exact per-operator actuals under
   ``EXPLAIN ANALYZE``, cheap result-derived counts otherwise) through
   :meth:`StatisticsManager.record_predicate_feedback`; a misestimate
   beyond the feedback ratio marks the offending columns pending, and the
-  next ``stats()`` call runs a *targeted* re-ANALYZE of just those
-  columns — the optimizer heals itself from its own telemetry without
-  waiting for drift.
+  next ``stats()`` call runs the pass over just those columns — the
+  optimizer heals itself from its own telemetry without waiting for
+  drift.
 
 Statistics are advisory: plans stay *correct* on arbitrarily stale
 numbers (residual filters re-check every predicate), only their cost
@@ -40,12 +35,16 @@ ranking degrades.
 from __future__ import annotations
 
 import bisect
+import heapq
 import random
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, field, replace
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.storage.rdbms.segments import take
+from repro.storage.rdbms.table import HeapTable, gather_column
 from repro.telemetry import metrics
 from repro.telemetry.feedback import CardinalityFeedback
 
@@ -67,6 +66,16 @@ DEFAULT_RANGE_SELECTIVITY = 0.3
 #: Floor so no estimate ever reaches exactly zero rows (a zero-cost plan
 #: would win every comparison regardless of reality).
 MIN_SELECTIVITY = 1e-4
+
+#: Drift, as a fraction of the analyzed row count, that ``stats()``
+#: absorbs by folding in the row count instead of a new pass.
+STALENESS_FRACTION = 0.25
+
+#: Tables above this many rows are analyzed from a sample ...
+SAMPLE_THRESHOLD = 100_000
+
+#: ... of this many positions.
+SAMPLE_SIZE = 20_000
 
 
 @dataclass
@@ -158,7 +167,7 @@ class TableStats:
         return self.columns.get(name)
 
 
-def _build_column_stats(values: list[Any]) -> ColumnStats:
+def _build_column_stats(values: Sequence[Any]) -> ColumnStats:
     """Summarize one column's values (including ``None`` entries)."""
     total = len(values)
     non_null = [v for v in values if v is not None]
@@ -196,179 +205,126 @@ def _build_column_stats(values: list[Any]) -> ColumnStats:
     return stats
 
 
+def _tail(view: HeapTable) -> list[tuple[int, dict[str, Any]]]:
+    """The row-store tail of ``view``, ``(rid, values)`` in rid order: the
+    rows units of its scan (a sharded table's shard by shard, merged)."""
+    shards = view.sharded_scan_units() if view.shard_spec is not None \
+        else [view.scan_units()]
+    return list(heapq.merge(*(
+        [pair for kind, unit, _ in units if kind == "rows" for pair in unit]
+        for units in shards), key=itemgetter(0)))
+
+
+def _column_pass(view: HeapTable, names: Sequence[str],
+                 seed: str | None = None) -> dict[str, ColumnStats]:
+    """The one pass over a committed ``view``: ``names``' values, gathered
+    off its scan units, summarized — every row in rid order, or, given a
+    ``seed``, :data:`SAMPLE_SIZE` positions of the segments (in table
+    order) and then the tail (in rid order), with exact null counts and
+    bounds.  A segment's zone maps cover its dead positions too: the
+    bounds stay valid (wider at worst), the null counts give theirs back.
+    """
+    if seed is None:
+        units = list(view.scan_units())
+        return {name: _build_column_stats(gather_column(units, name))
+                for name in names}
+    count = len(view)
+    positions = sorted(random.Random(seed).sample(
+        range(count), min(SAMPLE_SIZE, count)))
+    segments = [s for s in view.segments if s.count]
+    tail = _tail(view)
+    picked: list[tuple[str, Any, Any]] = []
+    base = 0
+    for segment in segments:
+        live = view.live_positions(segment)
+        at = positions[bisect.bisect_left(positions, base):
+                       bisect.bisect_left(positions, base + len(live))]
+        picked.append(("segment", segment, take(live, [p - base for p in at])))
+        base += len(live)
+    picked.append(("rows", [tail[p - base] for p in
+                            positions[bisect.bisect_left(positions, base):]],
+                   None))
+    columns: dict[str, ColumnStats] = {}
+    for name in names:
+        sample = gather_column(picked, name)
+        cs = columns[name] = _build_column_stats(sample)
+        zones = [s.columns[name] for s in segments]
+        present = [v for v in (values.get(name) for _, values in tail)
+                   if v is not None]
+        cs.total = count
+        cs.null_count = len(tail) - len(present) + sum(
+            zone.null_count - sum(map(zone.is_null, view.dead_positions(s)))
+            for s, zone in zip(segments, zones))
+        lows = [z.min_value for z in zones if z.min_value is not None]
+        if lows or present:  # (a zone map has both bounds or neither)
+            cs.min_value = min(lows + present)
+            cs.max_value = max([z.max_value for z in zones
+                                if z.max_value is not None] + present)
+        seen = len(sample) - sample.count(None)
+        if cs.distinct and cs.distinct >= seen / 10:
+            # High-cardinality sample: scale the distinct count up by the
+            # sampling fraction (capped at the non-null total).  Low-
+            # cardinality samples are kept as-is — a uniform sample of
+            # 20k rows almost surely saw every value of a small domain.
+            non_null = count - cs.null_count
+            frac = seen / max(non_null, 1)
+            cs.distinct = min(non_null,
+                              max(cs.distinct, round(cs.distinct / frac)))
+    return columns
+
+
 class StatisticsManager:
-    """Per-table statistics, versioned by the commit-listener stream.
+    """Per-table statistics, each read from a committed snapshot.
 
     Obtained via :meth:`Database.statistics`; one instance per database.
-    Thread-safe: the version map and the stats cache are guarded by one
-    lock, and ANALYZE scans copy rows under the engine's mutate lock.
+    Thread-safe: the stats cache is guarded by one lock; a pass reads a
+    snapshot nobody writes to, outside every lock.
     """
 
-    def __init__(self, db: "Database",
-                 staleness_fraction: float = 0.25,
-                 sample_threshold: int = 100_000,
-                 sample_size: int = 20_000,
-                 feedback_ratio: float = 4.0) -> None:
+    def __init__(self, db: "Database") -> None:
         self._db = db
-        self._staleness = staleness_fraction
-        self._sample_threshold = sample_threshold
-        self._sample_size = sample_size
-        self.feedback = CardinalityFeedback(ratio_threshold=feedback_ratio)
+        self.feedback = CardinalityFeedback()
         self._lock = threading.Lock()
-        self._versions: dict[str, int] = {}
         self._stats: dict[str, TableStats] = {}
-        db.add_commit_listener(self._on_commit)
-
-    # ------------------------------------------------------------ versions
-
-    def _on_commit(self, tables: frozenset[str]) -> None:
-        with self._lock:
-            for table in tables:
-                self._versions[table] = self._versions.get(table, 0) + 1
 
     def version(self, table: str) -> int:
-        """Monotone counter: bumps on every commit/schema change of
-        ``table``.  The result cache keys on this."""
-        with self._lock:
-            return self._versions.get(table, 0)
+        """The table's committed version — what a snapshot begun now
+        holds for it, and what the result cache keys on: it grows at
+        every commit and schema change of ``table``, from one sequence
+        for the whole database (0: no such table)."""
+        return self._db._table_versions.get(table, 0)
 
     # --------------------------------------------------------------- stats
 
     def analyze(self, table: str) -> TableStats:
-        """Statistics pass: full scan, or sampled above the threshold.
+        """The column pass over every column of ``table`` as a snapshot
+        begun now holds it — sampled above :data:`SAMPLE_THRESHOLD` rows.
 
         Raises:
             KeyError: unknown table.
         """
-        db = self._db
-        with self._lock:
-            version = self._versions.get(table, 0)
-        with db._mutate_lock:
-            schema = db.schema(table)
-            heap = db._table(table)
-            count = len(heap)
-            if count > self._sample_threshold:
-                stats = self._analyze_sampled(table, heap, schema, count,
-                                              version)
-                with self._lock:
-                    self._stats[table] = stats
-                metrics.get_registry().inc("planner.analyze.sampled")
-                return stats
-            columns: dict[str, list[Any]] = {c: [] for c in schema.column_names}
-            for row in heap.scan():
-                for name in columns:
-                    columns[name].append(row.values.get(name))
+        snapshot = self._db.begin_snapshot()
+        view = snapshot._heap(table)
+        count = len(view)
+        sampled = count > SAMPLE_THRESHOLD
         stats = TableStats(
-            table=table, row_count=count, analyzed_rows=count, version=version,
-            columns={name: _build_column_stats(vals)
-                     for name, vals in columns.items()},
-        )
+            table=table, row_count=count, analyzed_rows=count,
+            version=snapshot.version_of(table), columns=_column_pass(
+                view, view.schema.column_names,
+                f"analyze:{table}:{count}" if sampled else None))
         with self._lock:
             self._stats[table] = stats
-        metrics.get_registry().inc("planner.analyze.full")
+        metrics.get_registry().inc(
+            "planner.analyze.sampled" if sampled else "planner.analyze.full")
         return stats
-
-    def _analyze_sampled(self, table: str, heap: Any, schema: Any,
-                         count: int, version: int) -> TableStats:
-        """One sampled pass (caller holds the engine mutate lock).
-
-        Histograms and distinct counts come from ``sample_size`` uniformly
-        sampled positions; null counts and min/max are exact (zone maps
-        per segment, value walk over the tail).  The RNG seed is derived
-        from the table name and row count, so the same table state always
-        yields the same sample.
-        """
-        rng = random.Random(f"analyze:{table}:{count}")
-        k = min(self._sample_size, count)
-        positions = sorted(rng.sample(range(count), k))
-        names = list(schema.column_names)
-        samples: dict[str, list[Any]] = {name: [] for name in names}
-        null_counts = {name: 0 for name in names}
-        bounds: dict[str, list[Any]] = {name: [None, None] for name in names}
-
-        def fold(mm: list[Any], lo: Any, hi: Any) -> None:
-            try:
-                if lo is not None and (mm[0] is None or lo < mm[0]):
-                    mm[0] = lo
-                if hi is not None and (mm[1] is None or hi > mm[1]):
-                    mm[1] = hi
-            except TypeError:
-                pass  # mixed incomparable types: bounds stay partial
-
-        pos_index = 0
-        base = 0
-        # Enumerate segments + tail directly rather than via scan_units():
-        # sampling needs a deterministic enumeration of every row, not
-        # global rid order, and scan_units() collapses sharded tables
-        # (whose per-shard rid ranges interleave) into one merged
-        # decoded-rows unit — losing the zone-map fast path entirely.
-        units: list[tuple[str, Any]] = [
-            ("segment", s) for s in heap.segments if s.count]
-        if heap.tail_size:
-            units.append(("rows", heap._tail_rows()))
-        for kind, unit in units:
-            if kind == "segment":
-                # Zone maps cover the dead positions too: bounds stay
-                # valid (wider at worst), null counts give theirs back.
-                dead = heap.dead_positions(unit)
-                live = heap.live_positions(unit)
-                for name in names:
-                    col = unit.columns[name]
-                    null_counts[name] += col.null_count \
-                        - sum(map(col.is_null, dead))
-                    fold(bounds[name], col.min_value, col.max_value)
-                end = base + len(live)
-                while pos_index < k and positions[pos_index] < end:
-                    p = live[positions[pos_index] - base]
-                    for name in names:
-                        samples[name].append(unit.columns[name].value_at(p))
-                    pos_index += 1
-                base = end
-                continue
-            for _, values in unit:
-                for name in names:
-                    v = values.get(name)
-                    if v is None:
-                        null_counts[name] += 1
-                    else:
-                        fold(bounds[name], v, v)
-                if pos_index < k and positions[pos_index] == base:
-                    for name in names:
-                        samples[name].append(values.get(name))
-                    pos_index += 1
-                base += 1
-        columns: dict[str, ColumnStats] = {}
-        for name in names:
-            cs = _build_column_stats(samples[name])
-            sample_non_null = sum(1 for v in samples[name] if v is not None)
-            cs.total = count
-            cs.null_count = null_counts[name]
-            non_null_total = count - null_counts[name]
-            if bounds[name][0] is not None:
-                cs.min_value = bounds[name][0]
-            if bounds[name][1] is not None:
-                cs.max_value = bounds[name][1]
-            if cs.distinct and sample_non_null:
-                if cs.distinct >= sample_non_null / 10:
-                    # High-cardinality sample: scale the distinct count up
-                    # by the sampling fraction (capped at the non-null
-                    # total).  Low-cardinality samples are kept as-is —
-                    # a uniform sample of 20k rows almost surely saw
-                    # every value of a small domain.
-                    frac = sample_non_null / max(non_null_total, 1)
-                    cs.distinct = min(
-                        non_null_total,
-                        max(cs.distinct, round(cs.distinct / frac)))
-            columns[name] = cs
-        return TableStats(table=table, row_count=count, analyzed_rows=count,
-                          version=version, columns=columns)
 
     def stats(self, table: str) -> TableStats:
         """Current statistics, refreshed as cheaply as staleness allows.
 
-        Unchanged version → cached as-is.  Small drift → exact live row
-        count folded in, distributions reused (incremental path).  Large
-        drift or never analyzed → full :meth:`analyze`.
+        Unchanged version → cached as-is.  Small drift → the live row
+        count folded in, distributions reused (incremental path: no
+        snapshot and no lock, it runs for the first plan after every
+        commit).  Large drift or never analyzed → :meth:`analyze`.
 
         Raises:
             KeyError: unknown table.
@@ -379,20 +335,20 @@ class StatisticsManager:
             if refreshed is not None:
                 return refreshed
         with self._lock:
-            version = self._versions.get(table, 0)
             cached = self._stats.get(table)
+        version = self.version(table)
         if cached is not None and cached.version == version:
             return cached
-        live_rows = self._db.table_size(table)
-        if cached is not None and cached.analyzed_rows > 0:
-            drift = abs(live_rows - cached.analyzed_rows)
-            if drift <= self._staleness * cached.analyzed_rows:
-                with self._lock:
-                    cached.row_count = live_rows
-                    cached.version = version
-                metrics.get_registry().inc("planner.analyze.incremental")
-                return cached
-        return self.analyze(table)
+        rows = self._db.table_size(table)
+        if cached is None or cached.analyzed_rows <= 0 or \
+                abs(rows - cached.analyzed_rows) \
+                > STALENESS_FRACTION * cached.analyzed_rows:
+            return self.analyze(table)
+        stats = replace(cached, row_count=rows, version=version)
+        with self._lock:
+            self._stats[table] = stats
+        metrics.get_registry().inc("planner.analyze.incremental")
+        return stats
 
     # ------------------------------------------------------------ feedback
 
@@ -403,8 +359,7 @@ class StatisticsManager:
         cardinality, attributed to the (column, shape) pairs of the
         predicate.  Crossing the feedback ratio marks the columns
         pending; the next ``stats()`` call re-analyzes just them."""
-        with self._lock:
-            version = self._versions.get(table, 0)
+        version = self.version(table)
         registry = metrics.get_registry()
         for column, shape in keys:
             if self.feedback.record(table, column, shape,
@@ -414,58 +369,39 @@ class StatisticsManager:
 
     def _feedback_reanalyze(self, table: str,
                             pending: tuple[str, ...]) -> TableStats | None:
-        """Targeted re-ANALYZE of the pending columns of ``table``.
+        """The column pass over just the pending columns of ``table``.
 
-        One scan collects only the offending columns and splices their
-        rebuilt :class:`ColumnStats` into the cached table statistics
-        (other columns keep their distributions).  Returns None when a
-        full ANALYZE is the right tool instead — never-analyzed table,
-        unknown table, or no pending column actually in the schema —
-        after clearing the pending marks so ``stats()`` proceeds.
+        Their rebuilt :class:`ColumnStats` are spliced into the cached
+        table statistics (other columns keep their distributions).
+        Returns None when a full ANALYZE is the right tool instead —
+        never-analyzed table, unknown table, or no pending column actually
+        in the schema — after clearing the pending marks so ``stats()``
+        proceeds.
         """
-        db = self._db
+        snapshot = self._db.begin_snapshot()
+        version = snapshot.version_of(table)
         with self._lock:
-            version = self._versions.get(table, 0)
-            cached = self._stats.get(table)
+            analyzed = table in self._stats
         try:
-            schema = db.schema(table)
+            view = snapshot._heap(table)
         except KeyError:
+            view = None
+        targets = [c for c in pending
+                   if view is not None and view.schema.has_column(c)]
+        if not analyzed or not targets:
             self.feedback.resolve(table, pending, version)
             return None
-        targets = [c for c in pending if schema.has_column(c)]
-        if cached is None or not targets:
-            self.feedback.resolve(table, pending, version)
-            return None
-        with db._mutate_lock:
-            heap = db._table(table)
-            count = len(heap)
-            collected: dict[str, list[Any]] = {c: [] for c in targets}
-            for row in heap.scan():
-                values = row.values
-                for name in targets:
-                    collected[name].append(values.get(name))
-        rebuilt = {name: _build_column_stats(vals)
-                   for name, vals in collected.items()}
+        rebuilt = _column_pass(view, targets)
         with self._lock:
-            cached = self._stats.get(table)
-            if cached is None:
-                stats = None
-            else:
-                columns = dict(cached.columns)
-                columns.update(rebuilt)
-                stats = TableStats(table=table, row_count=count,
-                                   analyzed_rows=count, version=version,
-                                   columns=columns)
-                self._stats[table] = stats
+            stats = self._stats[table] = TableStats(
+                table=table, row_count=len(view), analyzed_rows=len(view),
+                version=version,
+                columns={**self._stats[table].columns, **rebuilt})
         self.feedback.resolve(table, pending, version)
         metrics.get_registry().inc("planner.analyze.feedback")
         return stats
 
     # --------------------------------------------------------- estimation
-
-    def row_count(self, table: str) -> int:
-        """Exact live row count (always current, never estimated)."""
-        return self._db.table_size(table)
 
     def eq_selectivity(self, table: str, column: str,
                        value: Any = None) -> float:

@@ -85,7 +85,7 @@ def _live_between(dead: Sequence[int], start: int, stop: int) -> Sequence[int]:
     return live
 
 
-def _column(units: list[ScanUnit], name: str) -> Sequence[Any]:
+def gather_column(units: list[ScanUnit], name: str) -> Sequence[Any]:
     """One column's values over ``units``, in order — no row is built."""
     parts = [[values.get(name) for _, values in unit] if kind == "rows"
              else unit.gather((name,), selected)[0]
@@ -143,10 +143,7 @@ class HeapTable:
         #: lazily built by :meth:`_segment_directory`; reset to None by
         #: whatever changes ``_segments``
         self._directory: tuple[list[int], list[Segment]] | None = None
-        # Shard membership covers *all* rids (tail + frozen); compaction
-        # moves rows between regions without changing shards.
         self._shard_spec: ShardSpec | None = None
-        self._shard_rids: list[set[int]] = []
         if shard_spec is not None:
             self.set_shard_spec(shard_spec)
 
@@ -173,17 +170,6 @@ class HeapTable:
                 f"shard key {spec.key!r} is not a column of {self.name!r}")
         self.melt_all()
         self._shard_spec = spec
-        self._shard_rids = self._route_tail()
-
-    def _route_tail(self) -> list[set[int]]:
-        """The tail's rids per shard of the current spec ([] unsharded)."""
-        spec = self._shard_spec
-        if spec is None:
-            return []
-        sets: list[set[int]] = [set() for _ in range(spec.count)]
-        for rid, values in self._rows.items():
-            sets[spec.shard_of(values.get(spec.key))].add(rid)
-        return sets
 
     def committed_view(self, undo_entries: Sequence[tuple]) -> "HeapTable":
         """A table nobody writes to, holding this one's committed state —
@@ -202,9 +188,9 @@ class HeapTable:
         marked dead, but the reversed entry has put that row's committed
         values into the tail copy under the same rid, and readers take the
         tail row for a dead position's rid, so nothing more is undone.
-        Shard sets are recomputed over the rolled-back tail.  The pk map
-        is left empty: it covers frozen rows too, O(total) to copy, and a
-        snapshot reads the live one (:mod:`repro.storage.rdbms.mvcc`).
+        The pk map is left empty: it covers frozen rows too, O(total) to
+        copy, and a snapshot reads the live one
+        (:mod:`repro.storage.rdbms.mvcc`).
         """
         view = HeapTable(self._schema)
         rows = view._rows = dict(self._rows)
@@ -218,7 +204,6 @@ class HeapTable:
         view._dead = {segment: list(dead)
                       for segment, dead in self._dead.items()}
         view._shard_spec = self._shard_spec
-        view._shard_rids = view._route_tail()
         return view
 
     def _shard_of_values(self, values: dict[str, Any]) -> int:
@@ -288,8 +273,6 @@ class HeapTable:
         self._rows[rid] = row_values
         if pk is not None:
             self._pk_index[row_values[pk]] = rid
-        if self._shard_spec is not None:
-            self._shard_rids[self._shard_of_values(row_values)].add(rid)
         return Row(rid=rid, values=dict(row_values))
 
     def _current(self, rid: int,
@@ -346,12 +329,6 @@ class HeapTable:
         if frozen is not None:
             self._mark_dead(*frozen)
         self._rows[rid] = new_values
-        if self._shard_spec is not None:
-            old_shard = self._shard_of_values(old_values)
-            new_shard = self._shard_of_values(new_values)
-            if old_shard != new_shard:
-                self._shard_rids[old_shard].discard(rid)
-                self._shard_rids[new_shard].add(rid)
         return Row(rid, old_values), Row(rid, dict(new_values))
 
     def delete(self, rid: int) -> Row:
@@ -369,8 +346,6 @@ class HeapTable:
         pk = self._schema.primary_key
         if pk is not None:
             self._pk_index.pop(values[pk], None)
-        if self._shard_spec is not None:
-            self._shard_rids[self._shard_of_values(values)].discard(rid)
         return Row(rid, values)
 
     def replace_schema(self, schema: TableSchema,
@@ -475,7 +450,7 @@ class HeapTable:
                 if rids:
                     fresh += Segment.from_columns(
                         self._schema, rids,
-                        (_column(units, name) for name in names),
+                        (gather_column(units, name) for name in names),
                         target_rows, shard=shard)
                     frozen += len(rids)
             rewritten += [segment for run in runs for segment in run[0]]
@@ -617,13 +592,14 @@ class HeapTable:
         checkpoints stay readable.
         """
         layout = []
-        tail = sorted(self._rows)
+        rows = self._rows
+        tail = sorted(rows)
         for s in self._segments:
             inside = tail[bisect_left(tail, s.min_rid):
                           bisect_right(tail, s.max_rid)]
             if s.shard is not None:
                 inside = [rid for rid in inside
-                          if rid in self._shard_rids[s.shard]]
+                          if self._shard_of_values(rows[rid]) == s.shard]
             count = len(self.live_positions(s)) + len(inside)
             if count:
                 layout.append([s.min_rid, s.max_rid, count] if s.shard is None
@@ -644,7 +620,8 @@ class HeapTable:
         The shard spec must already be applied (recovery order): 4-entry
         layouts select rows by rid range *and* shard membership.
         """
-        rids = sorted(self._rows)  # once: each entry bisects its range
+        rows = self._rows
+        rids = sorted(rows)  # once: each entry bisects its range
         spec = self._shard_spec
         restored: dict[int | None, list[tuple[int, int]]] = {}
         try:
@@ -655,9 +632,9 @@ class HeapTable:
                     return False
                 chunk = rids[bisect_left(rids, min_rid):
                              bisect_right(rids, max_rid)]
-                if shard is not None:
-                    members = self._shard_rids[shard]
-                    chunk = [rid for rid in chunk if rid in members]
+                if shard is not None:  # (a rid not in rows: frozen above)
+                    chunk = [rid for rid in chunk if rid in rows
+                             and self._shard_of_values(rows[rid]) == shard]
                 ranges = restored.setdefault(shard, [])
                 if len(chunk) != count or any(
                         lo <= max_rid and min_rid <= hi for lo, hi in ranges):
@@ -754,11 +731,6 @@ class HeapTable:
                   for units in self.sharded_scan_units())
         yield "rows", list(heapq.merge(*shards, key=itemgetter(0))), None
 
-    def _tail_rows(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        """The tail's ``(rid, values)`` in rid order, by reference."""
-        return chain.from_iterable(
-            unit for _, unit, _ in self._tail_units(sorted(self._rows)))
-
     def column_items(self, column: str) -> Iterator[tuple[Any, int]]:
         """``(value, rid)`` of every row for one column, in no particular
         order — what an index or a pk map loads, without decoding (or
@@ -777,7 +749,7 @@ class HeapTable:
         rows = self._rows
         held = [rid for rid in rids
                 if rid in rows or self._segment_of(rid) is not None]
-        return zip(_column(self.locate(held), column), held)
+        return zip(gather_column(self.locate(held), column), held)
 
     def sharded_scan_units(self) -> list[list[ScanUnit]]:
         """Per-shard vectorizable units for parallel plans (DESIGN.md §14).

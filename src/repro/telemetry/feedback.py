@@ -9,11 +9,12 @@ predicate shape)`` key.  ``StatisticsManager`` consults the pending set
 on its next ``stats()`` call and runs a *targeted* re-ANALYZE of just
 the offending columns instead of waiting for drift-based refresh.
 
-Entries carry the table version (from the commit-listener stream) at
-which they were last resolved: a misestimate that survives its own
-re-ANALYZE — e.g. a correlated predicate a per-column histogram cannot
-capture — does not re-trigger until new commits change the table, so
-the feedback loop converges instead of re-analyzing on every query.
+Entries carry the table's commit version at which they were last
+resolved (the version of the snapshot the re-ANALYZE read): a
+misestimate that survives its own re-ANALYZE — e.g. a correlated
+predicate a per-column histogram cannot capture — does not re-trigger
+until new commits change the table, so the feedback loop converges
+instead of re-analyzing on every query.
 
 This module is deliberately dependency-free (no planner/stats imports):
 it is a pure data structure so either side can own one without cycles.

@@ -56,7 +56,7 @@ class KeywordSearchEngine:
         count = 0
         for fact in facts:
             fact = dict(fact)
-            fact_id = f"fact:{fact.pop('fact_id')}"
+            fact_id = f"fact:{fact['fact_id']}"
             if fact_id in self._facts:
                 self._fact_index.remove(fact_id)
             rendered = " ".join(
@@ -78,7 +78,8 @@ class KeywordSearchEngine:
         ]
 
     def search_facts(self, query: str, k: int = 10) -> list[dict[str, Any]]:
-        """Top-k structured facts for a keyword query."""
+        """Top-k structured facts for a keyword query, as indexed (with
+        their ``fact_id``)."""
         hits = self._fact_index.search(query, k=k)
         return [self._facts[h.doc_id] for h in hits]
 

@@ -152,3 +152,39 @@ def test_unify_attributes_reindexes_the_facts_it_rewrote(tmp_path):
     reopened = StructureManagementSystem(workspace=workspace)
     check(reopened)       # an index built on first use reads ``facts``
     reopened.close()
+
+
+@pytest.mark.parametrize("with_workspace", [False, True])
+def test_explain_follows_a_fact_renamed_by_unify_attributes(
+        tmp_path, with_workspace):
+    sys_ = StructureManagementSystem(
+        workspace=str(tmp_path / "ws") if with_workspace else None)
+    sys_.users.register("pat", "pw")
+    for n, town in enumerate(("Town1", "Town2", "Town3")):
+        sys_.contribute("pat", town, "july_temperature", 70.0 + n)
+        sys_.contribute("pat", town, "jul_temp", 70.5 + n)
+    before = sys_.explain("Town1", "july_temperature")
+    assert before.startswith("[fact] Town1.july_temperature = 70.0")
+    sys_.unify_attributes(["july_temperature"], ["jul_temp"])
+    # the renamed fact explains under its stored name, next to the fact
+    # that was there all along; the old name explains nothing
+    after = sys_.explain("Town1", "jul_temp")
+    assert after.count("[fact] Town1.jul_temp = ") == 2
+    assert before.replace("july_temperature", "jul_temp") in after
+    assert sys_.explain("Town1", "july_temperature").startswith(
+        "no recorded provenance")
+    sys_.close()
+
+
+def test_keyword_facts_drops_deleted_facts_and_reports_stored_ones(system):
+    sys_, _ = system
+    sys_.users.register("pat", "pw")
+    sys_.contribute("pat", "Town1", "nickname", "Old Town")
+    sys_.contribute("pat", "Town2", "nickname", "Old Harbor")
+    assert len(sys_.keyword_facts("Old nickname", k=5)) == 2
+    sys_.query(f"DELETE FROM {FACTS_TABLE} WHERE entity = 'Town1'")
+    sys_.query(f"UPDATE {FACTS_TABLE} SET value_text = 'New Harbor' "
+               "WHERE entity = 'Town2'")
+    assert sys_.keyword_facts("Old nickname", k=5) == [
+        {"entity": "Town2", "attribute": "nickname", "value": "New Harbor"}]
+    assert sys_.keyword_facts("Town1", k=5) == []

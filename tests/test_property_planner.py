@@ -353,16 +353,16 @@ def test_late_materialization_joins_match_naive(rows, dims, state, where,
                   f"{where}{order}", locked)
 
 
-def test_sampled_analyze_plans_over_segments_and_a_tail():
-    # ROADMAP item 0: above sample_threshold ANALYZE samples segments and
+def test_sampled_analyze_plans_over_segments_and_a_tail(monkeypatch):
+    # ROADMAP item 0: above SAMPLE_THRESHOLD ANALYZE samples segments and
     # tail directly; with a tail present every planned query crashed.
-    from repro.storage.rdbms.stats import StatisticsManager
+    from repro.storage.rdbms import stats
 
+    monkeypatch.setattr(stats, "SAMPLE_THRESHOLD", 5)
+    monkeypatch.setattr(stats, "SAMPLE_SIZE", 8)
     rows = [(_NAMES[i % 5], i % 7 - 3, None if i % 4 == 0 else i % 3,
              float(i)) for i in range(40)]
     db = _late_db(rows, "mixed")
-    db._stats_manager = StatisticsManager(db, sample_threshold=5,
-                                          sample_size=8)
     registry = metrics.get_registry()
     before = registry.get("planner.analyze.sampled")
     for where in ("name = 'alpha'", "qty >= 1", "rid = 30", "score > 12"):

@@ -1,13 +1,19 @@
 """Tests for table statistics (repro.storage.rdbms.stats)."""
 
+import random
+import threading
+
 import pytest
 
+from repro.storage.rdbms import stats as stats_module
 from repro.storage.rdbms.engine import Database
+from repro.storage.rdbms.segments import Segment, take
 from repro.storage.rdbms.sql import execute_sql
 from repro.storage.rdbms.stats import (
     DEFAULT_EQ_SELECTIVITY,
     DEFAULT_RANGE_SELECTIVITY,
     HISTOGRAM_BUCKETS,
+    TableStats,
     _build_column_stats,
 )
 from repro.telemetry import metrics
@@ -66,11 +72,13 @@ def test_version_bumps_on_commit_and_ddl(db):
     before = manager.version("item")
     execute_sql(db, "INSERT INTO item (item_id, cat, score) "
                     "VALUES (1000, 'cat0', 1)")
-    assert manager.version("item") == before + 1
+    assert manager.version("item") > before
     execute_sql(db, "CREATE TABLE other (x INT PRIMARY KEY)")
-    assert manager.version("other") >= 1  # DDL notifies too
+    created = manager.version("other")
+    assert created > manager.version("item")  # DDL bumps too
     db.drop_table("other")
-    assert manager.version("other") >= 2
+    execute_sql(db, "CREATE TABLE other (x INT PRIMARY KEY)")
+    assert manager.version("other") > created  # never a version reused
 
 
 def test_incremental_refresh_under_small_drift(db):
@@ -129,3 +137,186 @@ def test_empty_table_stats():
     assert stats.row_count == 0
     assert db.statistics().eq_selectivity("empty", "x") \
         == DEFAULT_EQ_SELECTIVITY
+
+
+# ------------------------------------------- passes over committed snapshots
+
+
+def _layered_db():
+    """``t`` frozen in several segments, written to since (dead positions,
+    new versions in the tail between stretches) and grown by tail rows."""
+    database = Database()
+    execute_sql(database, "CREATE TABLE t (id INT PRIMARY KEY, grp TEXT, "
+                          "qty INT, score FLOAT)")
+    database.run(lambda txn: txn.insert_many("t", [
+        {"id": i, "grp": None if i % 7 == 0 else f"g{i % 5}",
+         "qty": None if i % 4 == 0 else i % 9, "score": i * 0.5}
+        for i in range(300)]))
+    database.compact("t", target_rows=64)
+    execute_sql(database, "UPDATE t SET qty = 40, grp = 'hot' "
+                          "WHERE id >= 100 AND id < 130")
+    execute_sql(database, "DELETE FROM t WHERE id >= 200 AND id < 215")
+    execute_sql(database, "UPDATE t SET score = 999.5 WHERE id = 3")
+    database.run(lambda txn: txn.insert_many("t", [
+        {"id": i, "grp": "tail", "qty": None, "score": -1.0}
+        for i in range(300, 340)]))
+    return database
+
+
+def _reference(database, table, names=None, sample=None):
+    """The statistics a pass must produce, restated over the rows
+    ``txn.scan()`` returns: every row in rid order; or ``sample``
+    positions of the segments' live rows (in table order) followed by the
+    tail rows (in rid order), with exact null counts and bounds folded
+    from the segments' zone maps and the tail's values."""
+    with database.begin() as txn:
+        rows = {row.rid: row.values for row in txn.scan(table)}
+    heap = database._table(table)
+    names = names or heap.schema.column_names
+    if sample is None:
+        return {name: _build_column_stats([v[name] for v in rows.values()])
+                for name in names}
+    segments = [s for s in heap.segments if s.count]
+    frozen = [rid for s in segments
+              for rid in take(s.rids, heap.live_positions(s))]
+    tail = sorted(set(rows) - set(frozen))
+    order = frozen + tail
+    count = len(order)
+    positions = sorted(random.Random(f"analyze:{table}:{count}").sample(
+        range(count), min(sample, count)))
+    picked = [rows[order[p]] for p in positions]
+    columns = {}
+    for name in names:
+        values = [v[name] for v in picked]
+        stats = _build_column_stats(values)
+        nulls = sum(1 for v in rows.values() if v[name] is None)
+        bounds = [v for s in segments for v in (s.columns[name].min_value,
+                                                s.columns[name].max_value)]
+        bounds = [v for v in bounds + [rows[rid][name] for rid in tail]
+                  if v is not None]
+        stats.total, stats.null_count = count, nulls
+        stats.min_value, stats.max_value = min(bounds), max(bounds)
+        seen = len(values) - values.count(None)
+        if stats.distinct >= seen / 10:
+            stats.distinct = min(count - nulls, max(stats.distinct, round(
+                stats.distinct * (count - nulls) / seen)))
+        columns[name] = stats
+    return columns
+
+
+def _hot_misestimate(manager, table, column):
+    """Mark ``column`` pending: the next ``stats()`` re-analyzes it."""
+    assert manager.feedback.record(table, column, "eq", 1.0, 1000,
+                                   manager.version(table))
+
+
+def test_passes_equal_a_reference_built_from_scanned_rows(monkeypatch):
+    database = _layered_db()
+    manager = database.statistics()
+    count = database.table_size("t")
+    version = manager.version("t")
+    assert database._table("t").dead_rows and database._table("t").tail_size
+
+    def expect(columns, rows=count):
+        return TableStats(table="t", row_count=rows, analyzed_rows=rows,
+                          version=manager.version("t"), columns=columns)
+
+    assert manager.analyze("t") == expect(_reference(database, "t"))
+    monkeypatch.setattr(stats_module, "SAMPLE_THRESHOLD", 50)
+    monkeypatch.setattr(stats_module, "SAMPLE_SIZE", 64)
+    sampled = manager.analyze("t")
+    assert sampled == expect(_reference(database, "t", sample=64))
+    assert sampled.version == version
+    # targeted: the pending column is rebuilt at the new state (one row
+    # more: incremental drift), the others keep the sampled pass's
+    execute_sql(database, "INSERT INTO t (id, grp, qty, score) "
+                          "VALUES (1000, 'hot', 40, 2.0)")
+    _hot_misestimate(manager, "t", "grp")
+    columns = dict(sampled.columns)
+    columns.update(_reference(database, "t", names=["grp"]))
+    assert manager.stats("t") == expect(columns, count + 1)
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_statistics_count_committed_rows_only(monkeypatch, sampled):
+    database = _layered_db()
+    manager = database.statistics()
+    if sampled:  # the sample is every row: distinct counts stay exact
+        monkeypatch.setattr(stats_module, "SAMPLE_THRESHOLD", 50)
+        monkeypatch.setattr(stats_module, "SAMPLE_SIZE", 10_000)
+    committed = _reference(database, "t")
+    count = database.table_size("t")
+    manager.analyze("t")
+    writer = database.begin()           # inserted, updated, deleted rows
+    writer.insert_many("t", [{"id": 5000 + i, "grp": "new", "qty": None,
+                              "score": 1.0} for i in range(25)])
+    for row in writer.lookup("t", "grp", "g1")[:20]:
+        writer.update("t", row.rid, {"grp": None, "qty": None})
+    for row in writer.lookup("t", "grp", "g2")[:10]:
+        writer.delete("t", row.rid)
+    assert database.table_size("t") == count + 15
+
+    def assert_committed(stats, names):
+        assert stats.row_count == count
+        for name in names:
+            got, want = stats.columns[name], committed[name]
+            assert (got.total, got.null_count, got.distinct) == \
+                (want.total, want.null_count, want.distinct), name
+
+    analyzed = manager.analyze("t")
+    assert_committed(analyzed, committed)
+    _hot_misestimate(manager, "t", "grp")
+    _hot_misestimate(manager, "t", "qty")
+    registry = metrics.get_registry()
+    before = registry.get("planner.analyze.feedback")
+    assert_committed(manager.stats("t"), ["grp", "qty"])
+    assert registry.get("planner.analyze.feedback") == before + 1
+    writer.abort()
+
+
+def _free_elsewhere(lock):
+    """Whether another thread can take ``lock`` right now."""
+    got = []
+
+    def probe():
+        got.append(lock.acquire(blocking=False))
+        if got[0]:
+            lock.release()
+
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join()
+    return got[0]
+
+
+@pytest.mark.parametrize("kind", ["full", "sampled", "feedback"])
+def test_a_pass_leaves_the_writers_lock_free(monkeypatch, kind):
+    database = _layered_db()
+    manager = database.statistics()
+    manager.analyze("t")
+    if kind == "sampled":
+        monkeypatch.setattr(stats_module, "SAMPLE_THRESHOLD", 50)
+    if kind == "feedback":  # the targeted pass
+        _hot_misestimate(manager, "t", "grp")
+    probes = []
+    lock = database._mutate_lock
+    real_gather, real_build = Segment.gather, stats_module._build_column_stats
+
+    def gather(segment, names, positions):
+        probes.append(_free_elsewhere(lock))
+        return real_gather(segment, names, positions)
+
+    def build(values):
+        probes.append(_free_elsewhere(lock))
+        return real_build(values)
+
+    monkeypatch.setattr(Segment, "gather", gather)
+    monkeypatch.setattr(stats_module, "_build_column_stats", build)
+    registry = metrics.get_registry()
+    before = registry.get(f"planner.analyze.{kind}")
+    if kind == "feedback":
+        manager.stats("t")
+    else:
+        manager.analyze("t")
+    assert registry.get(f"planner.analyze.{kind}") == before + 1
+    assert probes and all(probes)

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import chain, starmap
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.storage.rdbms.sharding import (
     shard_of_value,
 )
 from repro.storage.rdbms.sql import SqlError, execute_sql
+from repro.storage.rdbms.table import unit_rows
 from repro.storage.rdbms.types import Column, ColumnType, SchemaError, TableSchema
 from repro.telemetry import metrics
 
@@ -186,12 +188,13 @@ def test_shard_membership_tracks_insert_update_delete():
     spec = heap.shard_spec
 
     def assert_membership():
+        # a row is in the shard its values route to, and in no other
         seen = set()
-        for shard, rids in enumerate(heap._shard_rids):
-            for rid in rids:
+        for shard, units in enumerate(heap.sharded_scan_units()):
+            for rid, values in chain.from_iterable(starmap(unit_rows, units)):
                 assert rid not in seen
                 seen.add(rid)
-                assert spec.shard_of(heap._rows[rid]["region"]) == shard
+                assert spec.shard_of(values["region"]) == shard
         assert seen == set(heap._rows)
 
     assert_membership()

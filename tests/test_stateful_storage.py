@@ -25,10 +25,10 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
 from repro.cluster.backends import SerialBackend
+from repro.storage.rdbms import stats as stats_module
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.index import HashIndex
 from repro.storage.rdbms.sql import execute_sql
-from repro.storage.rdbms.stats import StatisticsManager
 from repro.storage.rdbms.types import (Column, ColumnType, SchemaError,
                                        TableSchema)
 from repro.telemetry import metrics
@@ -159,9 +159,6 @@ class StorageMachine(RuleBasedStateMachine):
         """What a reopened database does not bring back by itself."""
         db = self.db
         db.exec_backend = SerialBackend()    # "s" plans the fan-out paths
-        # every table counts as large: ANALYZE takes the sampled path
-        db._stats_manager = StatisticsManager(db, sample_threshold=4,
-                                              sample_size=6)
 
     def teardown(self):
         if self.txn is not None:
@@ -444,3 +441,10 @@ class StorageMachine(RuleBasedStateMachine):
 StorageMachine.TestCase.settings = settings(
     max_examples=20, stateful_step_count=30, deadline=None)
 test_storage_state_machine = StorageMachine.TestCase
+
+
+@pytest.fixture(autouse=True)
+def _every_table_samples(monkeypatch):
+    """Every table counts as large: ANALYZE takes the sampled path."""
+    monkeypatch.setattr(stats_module, "SAMPLE_THRESHOLD", 4)
+    monkeypatch.setattr(stats_module, "SAMPLE_SIZE", 6)

@@ -131,8 +131,8 @@ def test_engine_fact_search():
          "value": 85.0},
     ])
     facts = engine.search_facts("madison sep_temp")
-    assert facts[0] == {"entity": "Madison", "attribute": "sep_temp",
-                        "value": 70.0}
+    assert facts[0] == {"fact_id": 7, "entity": "Madison",
+                        "attribute": "sep_temp", "value": 70.0}
     assert engine.fact_count() == 2
     # the same fact_id again replaces what was indexed under it
     engine.index_facts([{"fact_id": 7, "entity": "Madison",
