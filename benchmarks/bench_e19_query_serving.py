@@ -1,7 +1,7 @@
 """E19 — query serving: cost-based planner + result cache vs naive execution.
 
 The serving-path claim of the PR: with table statistics, secondary
-indexes, and a commit-invalidated result cache, the structured store
+indexes, and a snapshot-versioned result cache, the structured store
 answers the exploration-session workload (point lookups, range scans,
 selective joins, top-k) far faster than the naive interpreter — while
 returning *identical* rows in *identical* order for every query.
@@ -13,7 +13,7 @@ Checked invariants (the timing bars are recorded as a ``gates`` list in
   * at 100k rows the planner is >= 5x faster on the selective join and
     >= 3x on the 2% range scan (min-of-N wall-clock);
   * a warm result-cache hit is >= 10x faster than the cold execution it
-    memoizes, and a commit drops the cached entry (no stale reads).  The
+    memoizes, and after a commit the entry misses (no stale reads).  The
     gated statement is the selective join; the 2% range read it used to
     be is still reported (``range_read``) but no longer gated — since
     late materialization (PR 16) executing it costs only ~6x a copy of
@@ -165,7 +165,7 @@ def bench_result_cache(db: Database, num_items: int, repeats: int) -> dict:
     cold_s, warm_s = cold_and_warm(sql)
     range_cold_s, range_warm_s = cold_and_warm(statements["range scan (~2%)"])
 
-    # No stale reads: a commit to items must evict and recompute.
+    # No stale reads: after a commit to items the entry must miss.
     before = cache.execute("SELECT COUNT(*) AS n FROM items")[0]["n"]
     execute_sql(db, f"INSERT INTO items (item_id, category, score, value) "
                     f"VALUES ({num_items + 1}, 'cat_0', 1, 0.5)")

@@ -6,7 +6,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Iterable, Sequence
 
 from repro.cache.store import ExtractionCache, make_cache
@@ -26,9 +26,10 @@ from repro.lang.parser import parse_program
 from repro.lang.plan import LogicalPlan
 from repro.lang.registry import OperatorRegistry
 from repro.storage.manager import StorageManager
-from repro.storage.rdbms.engine import Database
+from repro.storage.rdbms.engine import CommitDelta, Database
 from repro.storage.rdbms.qcache import QueryResultCache
 from repro.storage.rdbms.sql import execute_sql
+from repro.storage.rdbms.table import ScanUnit, gather_column
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry import current_session, metrics
 from repro.telemetry.slowlog import SlowQueryLog, workspace_slowlog
@@ -224,11 +225,11 @@ class StructureManagementSystem:
         register_builtin_forms(self.forms, table=FACTS_TABLE)
         self.monitoring = ContinuousQueryManager(self.db)
         # Serving-path result cache: SELECTs repeated between commits are
-        # answered from memory; any commit or schema change to a table a
-        # cached statement reads evicts it (same listener stream as the
-        # planner's statistics).  The cache is also the observability
-        # funnel: the slow-query log times every statement flowing
-        # through it (None disables timing entirely).
+        # answered from memory; an entry serves only readers whose
+        # snapshot has the versions it was read at, so any commit or
+        # schema change to a table it reads makes it miss.  The cache is
+        # also the observability funnel: the slow-query log times every
+        # statement flowing through it (None disables timing entirely).
         self.slowlog: SlowQueryLog | None = None
         if self.slow_query_seconds is not None:
             threshold = self.slow_query_seconds
@@ -243,11 +244,10 @@ class StructureManagementSystem:
         # generate()/contribute() notify too, without a full re-run.
         self._corpus = InMemoryCorpus()
         self._fact_counter = 0
-        # Lineage records (see _land) when there is no workspace; lineage
-        # a workspace already holds is fact-indexed on first use, not here.
+        # Lineage records (see _land) when there is no workspace.
         self._lineage: list[dict[str, Any]] = []
-        self._facts_indexed = self.storage is None \
-            or not self.storage.intermediate.segment_count()
+        self._facts_lock = threading.Lock()  # the keyword fact index
+        self._facts_indexed = self._facts_followed = False
         self._cluster = (
             SimulatedCluster(self.cluster_config) if self.use_cluster else None
         )
@@ -335,9 +335,8 @@ class StructureManagementSystem:
 
         The pipeline result is screened by the semantic debugger (facts
         it flags are *kept* but flagged — a human decides; their
-        confidence is halved), written to the final RDBMS, its lineage
-        appended to the intermediate file store, and fact-indexed for
-        search.
+        confidence is halved), written to the final RDBMS and its lineage
+        appended to the intermediate file store.
         """
         return self._generate(program_source, list(self._corpus), optimize,
                               learn_constraints_first)
@@ -429,9 +428,9 @@ class StructureManagementSystem:
         Screen with the semantic debugger (a flagged fact is *kept*, its
         confidence halved), insert the batch in one transaction (one
         WAL record, one table lock; the commit delta notifies standing
-        queries), append one lineage record per fact
-        to the intermediate file store (a list without a workspace),
-        index for search.  ``rows`` are pipeline tuples; ``feedback``
+        queries and the keyword fact index), append one lineage record
+        per fact to the intermediate file store (a list without a
+        workspace).  ``rows`` are pipeline tuples; ``feedback``
         marks a user contribution — its provenance source is a feedback
         node.  The lineage record (the row plus the stored ``entity`` /
         ``attribute``, ``fact_id``, ``stored_confidence``, ``feedback``)
@@ -472,8 +471,6 @@ class StructureManagementSystem:
             self._lineage.extend(records)
         else:
             self.storage.intermediate.append_many(records)
-        if self._facts_indexed:
-            self._index_facts(records)
         return [v["fact_id"] for v in batch], flagged
 
     def _lineage_records(self) -> Iterable[dict[str, Any]]:
@@ -483,13 +480,6 @@ class StructureManagementSystem:
             return self._lineage
         return (r.payload for r in self.storage.intermediate.scan()
                 if "fact_id" in r.payload)
-
-    def _index_facts(self, records: Iterable[dict[str, Any]]) -> None:
-        self.search.index_facts([
-            {key: r[key]
-             for key in ("fact_id", "entity", "attribute", "value")}
-            for r in records
-        ])
 
     @property
     def provenance(self) -> ProvenanceGraph:
@@ -589,23 +579,57 @@ class StructureManagementSystem:
         return self.search.search(query, k=k)
 
     def keyword_facts(self, query: str, k: int = 5) -> list[dict[str, Any]]:
-        """Keyword search over the derived structure."""
-        if not self._facts_indexed:  # reopened workspace, first use
-            # a record keeps the attribute its fact landed under; ``facts``
-            # has the one unify_attributes() may have given it since
-            stored = {r["fact_id"]: r["attribute"] for r in self.query(
-                f"SELECT fact_id, attribute FROM {FACTS_TABLE}")}
-            self._index_facts(
-                {**r, "attribute": stored.get(r["fact_id"], r["attribute"])}
-                for r in self._lineage_records())
-            self._facts_indexed = True
-        hits = self.search.search_facts(query, k=k)
-        with self.db.begin_snapshot() as snap:  # the index may be behind
+        """Keyword search over the derived structure.  The fact index is
+        built by the first call, from one committed snapshot of ``facts``,
+        and kept by the ``facts`` commit deltas from then on, whoever
+        wrote them (:meth:`_on_facts_delta`)."""
+        with self._facts_lock:
+            if not self._facts_indexed:
+                if not self._facts_followed:
+                    self.db.add_delta_listener(self._on_facts_delta)
+                    self._facts_followed = True
+                with self.db.begin_snapshot() as snap:
+                    self._index_facts(list(snap.scan_units(FACTS_TABLE)))
+                self._facts_indexed = True
+            hits = self.search.search_facts(query, k=k)
+        with self.db.begin_snapshot() as snap:  # a commit may race the index
             rows = [snap.get_by_pk(FACTS_TABLE, hit["fact_id"])
                     for hit in hits]
         return [{"entity": row["entity"], "attribute": row["attribute"],
                  "value": row["value_text"] if row["value_num"] is None
                  else row["value_num"]} for row in rows if row is not None]
+
+    def _on_facts_delta(self, delta: CommitDelta) -> None:
+        """Index each fact id a ``facts`` commit wrote as its committed
+        row, or drop it; DDL clears the index for the next search.  The
+        rows are read, not taken from the delta: a delta does not order a
+        transaction's writes, and the listeners of two commits to one row
+        may run out of commit order (the last to run reads the last)."""
+        with self._facts_lock:
+            if FACTS_TABLE in delta.ddl:
+                self.search.clear_facts()
+                self._facts_indexed = False
+            change = delta.tables.get(FACTS_TABLE)
+            if change is None or not self._facts_indexed:
+                return
+            with self.db.begin_snapshot() as snap:
+                found = {fact_id: snap.pk_units(FACTS_TABLE, fact_id)
+                         for fact_id in {row["fact_id"] for row in chain(
+                             change.inserted, change.deleted,
+                             *change.updated)}}
+                self._index_facts([u for units in found.values()
+                                   for u in units])
+            self.search.remove_facts(
+                fact_id for fact_id, units in found.items() if not units)
+
+    def _index_facts(self, units: list[ScanUnit]) -> None:
+        """Index the ``facts`` rows of scan ``units``, read as columns."""
+        columns = [gather_column(units, name) for name in (
+            "fact_id", "entity", "attribute", "value_text", "value_num")]
+        self.search.index_facts(
+            {"fact_id": fact_id, "entity": entity, "attribute": attribute,
+             "value": text if num is None else num}
+            for fact_id, entity, attribute, text, num in zip(*columns))
 
     def translator(self) -> QueryTranslator:
         """A translator reflecting the currently stored structure."""
@@ -710,7 +734,6 @@ class StructureManagementSystem:
         matcher = SchemaMatcher(threshold=threshold, name_weight=name_weight,
                                 instance_weight=1.0 - name_weight)
         out: list[tuple[str, str, int]] = []
-        renamed: dict[int, str] = {}  # fact id -> its new attribute
         for match in matcher.match(left, right):
             # Parameterized rewrite through the transaction API (the SQL
             # string path would need quote-escaping for attribute names
@@ -719,16 +742,9 @@ class StructureManagementSystem:
                 hits = t.lookup(FACTS_TABLE, "attribute", source)
                 for hit in hits:
                     t.update(FACTS_TABLE, hit.rid, {"attribute": target})
-                return [hit.values["fact_id"] for hit in hits]
+                return len(hits)
 
-            fact_ids = self.db.run(rewrite)
-            renamed.update(dict.fromkeys(fact_ids, match.right))
-            out.append((match.left, match.right, len(fact_ids)))
-        if renamed and self._facts_indexed:
-            # (an index not built yet reads ``facts`` when it is)
-            self._index_facts(
-                {**r, "attribute": renamed[r["fact_id"]]}
-                for r in self._lineage_records() if r["fact_id"] in renamed)
+            out.append((match.left, match.right, self.db.run(rewrite)))
         return out
 
     def explain_program(self, program_source: str) -> str:

@@ -14,7 +14,7 @@ This subpackage is that device: a small but real relational engine with
 * a SQL subset used by the user layer (:mod:`repro.storage.rdbms.sql`),
 * per-table statistics (:mod:`repro.storage.rdbms.stats`) feeding the
   cost-based planner (:mod:`repro.storage.rdbms.planner`), and
-* a commit-invalidated query-result cache
+* a snapshot-versioned query-result cache
   (:mod:`repro.storage.rdbms.qcache`).
 """
 

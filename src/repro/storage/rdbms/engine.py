@@ -665,35 +665,20 @@ class Database:
 
     # ------------------------------------------------------------ listeners
 
-    def add_commit_listener(
-            self, listener: Callable[[frozenset[str]], None]) -> None:
-        """Call ``listener(tables_written)`` after every data-writing commit
-        and after every schema change (create/drop/alter table).
-
-        This is how standing-query evaluation hooks the *batched* write
-        paths (``insert_many`` / ``run_batch``) as well as single-row
-        stores: any committed transaction that touched rows notifies,
-        whatever API produced the writes.  The query-result cache evicts
-        off the same stream, which is why schema changes notify too.  The
-        table-names form of :meth:`add_delta_listener`: both kinds run
-        from one list, in registration order, outside all engine locks,
-        and must not raise.
-        """
-        self._listeners.append(
-            lambda delta: listener(frozenset(delta.tables) | delta.ddl))
-
     def add_delta_listener(
             self, listener: Callable[[CommitDelta], None]) -> None:
         """Call ``listener(delta)`` with the row-level changes of every
         committed transaction that wrote rows, in commit order.
 
-        Unlike :meth:`add_commit_listener` (which reports only *which*
-        tables changed), delta listeners see the changed rows themselves —
-        the foundation for O(delta) standing-query evaluation (folded
-        from the transaction's change log at commit).  Schema changes
-        arrive as a :class:`CommitDelta` whose ``ddl`` set names the
-        affected tables (treat that as a wholesale resync signal).
-        Listeners run outside all engine locks and must not raise.
+        Any committed transaction that touched rows notifies, whatever
+        API produced the writes (``insert_many``, ``run_batch``, SQL):
+        this is how standing queries and the keyword fact index follow
+        the data, in O(delta).  The delta is folded from the change log
+        at commit, and only when some listener is registered.  Schema
+        changes arrive as a :class:`CommitDelta` whose ``ddl`` set names
+        the affected tables (treat that as a wholesale resync signal).
+        Listeners run in registration order, outside all engine locks,
+        and must not raise.
         """
         self._listeners.append(listener)
 
@@ -835,8 +820,8 @@ class Database:
         it and replay re-freezes the identical layout, or it did not and
         the rows are simply still in the tail.
 
-        Compaction changes layout, not data: commit listeners do NOT
-        fire and the table's version stays, so cached query results and
+        Compaction changes layout, not data: delta listeners are NOT
+        told and the table's version stays, so cached query results and
         statistics stay valid; only the cached view goes.
 
         Returns a summary dict (segments created, rows frozen, totals).
@@ -872,7 +857,7 @@ class Database:
         position, where routing (seed-stable, see
         :mod:`repro.storage.rdbms.sharding`) reproduces the identical
         shard membership.  Existing segments are melted — re-compact to
-        freeze per-shard segments.  Commit listeners do NOT fire and the
+        freeze per-shard segments.  Delta listeners are NOT told and the
         table's version stays: row data is untouched, so cached results
         and statistics stay valid; only the cached view goes.
 

@@ -12,8 +12,10 @@ recorded versions are *equal* to that snapshot's versions.  Because a
 miss executes against the very snapshot whose versions it stores, a
 cached entry always describes exactly the committed state named by its
 key — a commit racing an in-flight lookup can therefore never produce a
-stale hit; at worst it turns a would-be hit into an extra miss.  The
-commit listener still evicts eagerly, but purely as memory hygiene.
+stale hit; at worst it turns a would-be hit into an extra miss.  Nothing
+is evicted on commit: an entry a commit made stale misses until the same
+statement replaces it or the LRU pushes it out, and ``capacity`` bounds
+the entries either way.
 
 Only SELECTs are cached; every other statement (DML, DDL, EXPLAIN)
 passes straight through to the executor.  Rows are defensively copied in
@@ -56,13 +58,11 @@ class QueryResultCache:
         self._capacity = capacity
         self.slowlog = slowlog
         self._lock = threading.Lock()
-        # normalized sql -> (tables, {table: snapshot version}, rows)
+        # normalized sql -> ({table: snapshot version}, rows)
         self._entries: OrderedDict[
-            str, tuple[tuple[str, ...], dict[str, int], list[dict[str, Any]]]
-        ] = OrderedDict()
+            str, tuple[dict[str, int], list[dict[str, Any]]]] = OrderedDict()
         # raw SELECT text -> (parsed statement, normalized sql)
         self._statements: OrderedDict[str, tuple[Any, str]] = OrderedDict()
-        db.add_commit_listener(self._on_commit)
 
     # ------------------------------------------------------------- serving
 
@@ -115,10 +115,10 @@ class QueryResultCache:
             versions = {t: snap.version_of(t) for t in tables}
             with self._lock:
                 entry = self._entries.get(key)
-                if entry is not None and entry[1] == versions:
+                if entry is not None and entry[0] == versions:
                     self._entries.move_to_end(key)
                     registry.inc("planner.cache.hits")
-                    return [dict(r) for r in entry[2]]
+                    return [dict(r) for r in entry[1]]
             registry.inc("planner.cache.misses")
             # Executing against the pinned snapshot makes the stored
             # rows correspond exactly to the stored versions; a
@@ -126,29 +126,13 @@ class QueryResultCache:
             # makes the entry miss for post-commit readers.
             rows = sqlmod.execute_statement(self._db, stmt, txn=snap)
             with self._lock:
-                self._entries[key] = (
-                    tables, versions, [dict(r) for r in rows])
+                self._entries[key] = (versions, [dict(r) for r in rows])
                 self._entries.move_to_end(key)
                 while len(self._entries) > self._capacity:
                     self._entries.popitem(last=False)
             return [dict(r) for r in rows]
 
         return sqlmod._run_snapshot_read(self._db, guard, read)
-
-    # -------------------------------------------------------- invalidation
-
-    def _on_commit(self, changed: frozenset[str]) -> None:
-        # Memory hygiene only: correctness never depends on this running
-        # (hits are validated against the reader's own snapshot).
-        evicted = 0
-        with self._lock:
-            stale = [key for key, (tables, _, _) in self._entries.items()
-                     if any(t in changed for t in tables)]
-            for key in stale:
-                del self._entries[key]
-                evicted += 1
-        if evicted:
-            metrics.get_registry().inc("planner.cache.invalidations", evicted)
 
     # ------------------------------------------------------------ plumbing
 
@@ -161,12 +145,10 @@ class QueryResultCache:
             return len(self._entries)
 
     def stats(self) -> dict[str, int]:
-        """Current hit/miss/invalidation counters plus entry count."""
+        """Current hit/miss counters plus entry count."""
         registry = metrics.get_registry()
         return {
             "entries": len(self),
             "hits": int(registry.get("planner.cache.hits")),
             "misses": int(registry.get("planner.cache.misses")),
-            "invalidations": int(
-                registry.get("planner.cache.invalidations")),
         }

@@ -120,7 +120,7 @@ def render_report(summary: dict[str, Any],
 
         def family_present(prefix: str) -> bool:
             """A counter family exists even when its lookups are zero
-            (e.g. only evictions or invalidations incremented) — the
+            (e.g. only evictions incremented) — the
             line must then print ``n/a``, never divide by zero."""
             return any(name == prefix or name.startswith(prefix + ".")
                        for name in all_counters)
@@ -148,8 +148,6 @@ def render_report(summary: dict[str, Any],
                 "",
                 f"query result cache: hits={query_hits:.0f} "
                 f"misses={all_counters.get('planner.cache.misses', 0.0):.0f} "
-                f"invalidations="
-                f"{all_counters.get('planner.cache.invalidations', 0.0):.0f} "
                 f"({rate})",
             ]
         if family_present("rdbms.mvcc"):

@@ -67,14 +67,17 @@ class InvertedIndex:
         for term, tf in counts.items():
             self._postings.setdefault(term, []).append(Posting(doc_id, tf))
 
-    def remove(self, doc_id: str) -> None:
-        """Drop one document from the index: only the posting lists of its
-        own terms are touched."""
-        if doc_id not in self._doc_lengths:
-            raise KeyError(doc_id)
-        del self._doc_lengths[doc_id]
-        for term in self._doc_terms.pop(doc_id):
-            remaining = [p for p in self._postings[term] if p.doc_id != doc_id]
+    def remove(self, *doc_ids: str) -> None:
+        """Drop documents from the index (a KeyError for one not indexed
+        removes none): each posting list of their terms is filtered once,
+        however many of them share it."""
+        gone = set(doc_ids)
+        terms = set().union(*[self._doc_terms[doc_id] for doc_id in gone])
+        for doc_id in gone:
+            del self._doc_lengths[doc_id], self._doc_terms[doc_id]
+        for term in terms:
+            remaining = [p for p in self._postings[term]
+                         if p.doc_id not in gone]
             if remaining:
                 self._postings[term] = remaining
             else:

@@ -8,7 +8,7 @@ by :mod:`repro.baselines`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.docmodel.document import Document
 from repro.userlayer.index import InvertedIndex, SearchHit
@@ -49,23 +49,29 @@ class KeywordSearchEngine:
             count += 1
         return count
 
-    def index_facts(self, facts: Sequence[dict[str, Any]]) -> int:
+    def index_facts(self, facts: Iterable[dict[str, Any]]) -> int:
         """Index structured facts as searchable pseudo-documents, each
-        under its ``fact_id``; a fact indexed under that id before (it has
-        been rewritten since) is replaced."""
-        count = 0
-        for fact in facts:
-            fact = dict(fact)
-            fact_id = f"fact:{fact['fact_id']}"
-            if fact_id in self._facts:
-                self._fact_index.remove(fact_id)
+        under its ``fact_id``; facts indexed under those ids before (they
+        have been rewritten since) are replaced, in one removal."""
+        batch = {f"fact:{fact['fact_id']}": dict(fact) for fact in facts}
+        self._fact_index.remove(*batch.keys() & self._facts.keys())
+        for fact_id, fact in batch.items():
             rendered = " ".join(
                 str(fact.get(k, "")) for k in ("entity", "attribute", "value")
             )
             self._facts[fact_id] = fact
             self._fact_index.add(fact_id, rendered)
-            count += 1
-        return count
+        return len(batch)
+
+    def remove_facts(self, fact_ids: Iterable[Any]) -> None:
+        """Drop the indexed ones of ``fact_ids``, in one removal."""
+        gone = {f"fact:{fact_id}" for fact_id in fact_ids} & self._facts.keys()
+        self._fact_index.remove(*gone)
+        for fact_id in gone:
+            del self._facts[fact_id]
+
+    def clear_facts(self) -> None:
+        self._fact_index, self._facts = InvertedIndex(), {}
 
     # ------------------------------------------------------------- queries
 

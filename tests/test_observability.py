@@ -378,12 +378,13 @@ def test_render_top_cumulative_and_delta():
 def test_report_hit_rate_divide_by_zero_guard():
     # family present with zero lookups: the line prints, rate reads n/a
     summary = summarize_trace([])
-    snapshot = {"counters": {"planner.cache.invalidations": 3.0,
+    snapshot = {"counters": {"planner.cache.hits": 0.0,
                              "cache.evictions": 1.0,
                              "segments.rows_frozen": 10.0},
                 "gauges": {}, "histograms": {}}
     text = render_report(summary, snapshot)
     assert "hit rate n/a" in text
+    assert "query result cache: hits=0 misses=0 (hit rate n/a)" in text
     assert "zone-map skip rate n/a" in text
 
 

@@ -1,4 +1,9 @@
-"""Tests for the commit-invalidated query result cache."""
+"""Tests for the snapshot-versioned query result cache.
+
+Nothing is evicted on commit: an entry serves only a reader whose snapshot
+has the table versions it was read at, so after a commit or DDL the next
+read misses and returns the new rows, and ``capacity`` bounds the entries.
+"""
 
 import pytest
 
@@ -33,6 +38,10 @@ def _hits():
     return metrics.get_registry().get("planner.cache.hits")
 
 
+def _misses():
+    return metrics.get_registry().get("planner.cache.misses")
+
+
 def test_repeat_select_hits_cache(db, cache):
     sql = "SELECT * FROM city WHERE state = 'wi'"
     first = cache.execute(sql)
@@ -57,8 +66,13 @@ def test_commit_invalidates_affected_table(db, cache):
     assert cache.execute(sql) == [{"n": 3}]
     execute_sql(db, "INSERT INTO city (name, state, pop) "
                     "VALUES ('portland', 'or', 650000)")
-    assert len(cache) == 0  # eagerly evicted by the commit listener
+    assert len(cache) == 1  # kept, but stale: its version is behind
+    misses, hits = _misses(), _hits()
     assert cache.execute(sql) == [{"n": 4}]
+    assert (_misses(), _hits()) == (misses + 1, hits)
+    assert len(cache) == 1  # the new rows replaced the stale entry
+    assert cache.execute(sql) == [{"n": 4}]
+    assert _hits() == hits + 1
 
 
 def test_update_and_delete_invalidate(db, cache):
@@ -83,10 +97,18 @@ def test_unrelated_table_commit_keeps_entries(db, cache):
 
 def test_ddl_invalidates(db, cache):
     execute_sql(db, "CREATE TABLE tmp (x INT PRIMARY KEY)")
-    cache.execute("SELECT * FROM tmp")
-    assert len(cache) == 1
-    db.drop_table("tmp")  # schema changes notify the same listener stream
-    assert len(cache) == 0
+    execute_sql(db, "INSERT INTO tmp (x) VALUES (1)")
+    assert cache.execute("SELECT * FROM tmp") == [{"x": 1}]
+    # a dropped and recreated table never reuses a version: the entry for
+    # the old table's rows misses
+    db.drop_table("tmp")
+    execute_sql(db, "CREATE TABLE tmp (x INT PRIMARY KEY)")
+    misses = _misses()
+    assert cache.execute("SELECT * FROM tmp") == []
+    assert _misses() == misses + 1
+    execute_sql(db, "INSERT INTO tmp (x) VALUES (2)")
+    assert cache.execute("SELECT * FROM tmp") == [{"x": 2}]
+    assert _misses() == misses + 2
 
 
 def test_join_entry_invalidated_by_either_table(db, cache):
@@ -95,9 +117,12 @@ def test_join_entry_invalidated_by_either_table(db, cache):
     sql = ("SELECT city.name, st.label FROM city "
            "JOIN st ON city.state = st.state")
     assert len(cache.execute(sql)) == 2
+    misses = _misses()
     execute_sql(db, "UPDATE st SET label = 'WI' WHERE state = 'wi'")
-    assert len(cache) == 0
     assert cache.execute(sql)[0]["st.label"] == "WI"
+    execute_sql(db, "UPDATE city SET pop = 1 WHERE name = 'madison'")
+    assert len(cache.execute(sql)) == 2
+    assert _misses() == misses + 2
 
 
 def test_dml_passes_through_uncached(db, cache):
@@ -127,11 +152,14 @@ def test_lru_eviction_at_capacity(db, cache):
 
 
 def test_clear_and_stats(db, cache):
-    cache.execute("SELECT * FROM city")
+    for i in range(6):  # capacity is 4, each a new entry past a commit
+        cache.execute(f"SELECT * FROM city LIMIT {i + 1}")
+        execute_sql(db, f"INSERT INTO city (name, state, pop) "
+                        f"VALUES ('town{i}', 'xx', {i})")
+        assert len(cache) == min(i + 1, 4)
     cache.clear()
     assert len(cache) == 0
-    stats = cache.stats()
-    assert {"hits", "misses", "invalidations"} <= set(stats)
+    assert set(cache.stats()) == {"entries", "hits", "misses"}
 
 
 def test_system_query_path_uses_cache():

@@ -205,7 +205,7 @@ def test_write_many_of_nothing_but_unchanged_rows_writes_nothing(tmp_path):
     db.run(lambda t: t.insert_many("items", _rows(4)))
     db.compact("items", target_rows=4)
     commits = []
-    db.add_commit_listener(commits.append)
+    db.add_delta_listener(commits.append)
     registry = MetricsRegistry()
     with use_registry(registry):
         results = db.run(lambda t: t.write_many("items", [

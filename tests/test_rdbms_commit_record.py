@@ -316,7 +316,7 @@ def test_a_single_row_update_that_changes_nothing_is_dropped(tmp_path, how):
     assert cache.execute(select) == [{"value": "a"}]
     version = db._table_versions["t"]
     seen = []
-    db.add_commit_listener(seen.append)
+    db.add_delta_listener(seen.append)
     registry = MetricsRegistry()
     with use_registry(registry):
         if how == "api":
@@ -327,15 +327,18 @@ def test_a_single_row_update_that_changes_nothing_is_dropped(tmp_path, how):
                 == [{"updated": 1}]               # rows matched, as before
         assert cache.execute(select) == [{"value": "a"}]
     assert registry.get("rdbms.wal.records") == 0
-    assert registry.get("planner.cache.invalidations") == 0
     assert registry.get("planner.cache.hits") == 1
+    assert registry.get("planner.cache.misses") == 0
     assert db._table_versions["t"] == version and seen == []
     # one that does change something still does all three
     with use_registry(registry):
         db.run(lambda t: t.update("t", rid, {"value": "b"}))
+        assert cache.execute(select) == [{"value": "b"}]
     assert registry.get("rdbms.wal.records") == 1
-    assert registry.get("planner.cache.invalidations") == 1
-    assert db._table_versions["t"] > version and seen == [frozenset({"t"})]
+    assert registry.get("planner.cache.misses") == 1
+    assert db._table_versions["t"] > version
+    assert [delta.tables["t"].updated for delta in seen] == [
+        (({"id": 1, "value": "a"}, {"id": 1, "value": "b"}),)]
 
 
 # ---------------------------------------------- DDL and an open writer
