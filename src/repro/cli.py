@@ -8,9 +8,9 @@ Subcommands operate on a workspace directory (created on first use):
 
 * ``ingest <dir>`` — ingest every ``*.txt`` page of a directory as a new
   snapshot of the corpus;
-* ``generate <program.xlog>`` — run a declarative IE program (extractors
-  must be registered programmatically or via the built-in set, see
-  ``--builtin``);
+* ``generate <program.xlog>`` — run a declarative IE program and land
+  the difference from its last run (extractors must be registered
+  programmatically or via the built-in set, see ``--builtin``);
 * ``sql "<query>"`` — structured querying over the derived facts;
 * ``search "<keywords>"`` — keyword search over the raw pages;
 * ``suggest "<keywords>"`` — show structured reformulation candidates;
@@ -103,7 +103,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
         system.close()
         return 0
     report = system.generate(source, optimize=not args.no_optimize)
-    print(f"stored {report.facts_stored} facts "
+    print(f"stored {report.facts_stored} facts, "
+          f"retracted {report.facts_retracted}, "
+          f"{report.facts_unchanged} unchanged "
           f"({report.facts_flagged} flagged); "
           f"scanned {report.chars_scanned} chars; "
           f"asked {report.hi_questions} HI questions")
@@ -544,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inspect, retry, or clear quarantined documents")
     p.add_argument("action", choices=["list", "retry", "clear"])
     p.add_argument("--program", default=None,
-                   help="xlog program file for 'retry'")
+                   help="xlog program file 'retry' re-runs over the corpus")
     p.add_argument("--limit", type=int, default=50)
     p.set_defaults(fn=cmd_deadletter)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import signal
 import threading
@@ -44,6 +46,15 @@ from repro.userlayer.session import ExplorationSession
 from repro.userlayer.translate import QueryTranslator
 
 FACTS_TABLE = "facts"
+# One row per program (the hash of its plan): the ids of the facts it
+# landed, as a JSON list.  A sibling of ``facts`` rather than a column,
+# so ``SELECT *`` keeps the facts' seven columns and a reopen replays one
+# row per landing.  Contributions and raw-SQL rows are in no list, so no
+# landing touches them.
+PROGRAM_FACTS_TABLE = "program_facts"
+# The cells that make two stored facts the same fact (fact_id aside).
+_FACT_CELLS = ("entity", "attribute", "value_text", "value_num",
+               "confidence", "doc_id")
 
 
 def facts_schema() -> TableSchema:
@@ -82,12 +93,15 @@ def fact_row(entity: str, attribute: str, value: Any,
     }
 
 
-def _record_fact_provenance(records: Iterable[dict[str, Any]]
-                            ) -> ProvenanceGraph:
-    """The lineage graph of ``records`` (what ``_land`` appended): the one
-    builder behind ``explain()`` and ``system.provenance``."""
+def _record_fact_provenance(records: Iterable[dict[str, Any]],
+                            fact_ids: set[int]) -> ProvenanceGraph:
+    """The lineage graph of ``fact_ids`` (from what ``_land`` appended):
+    the one builder behind ``explain()`` and ``system.provenance``."""
     graph = ProvenanceGraph()
-    for record in records:
+    # the last record under an id is its fact's: a retraction frees an
+    # id, which a reopened system can assign again
+    for record in {r["fact_id"]: r for r in records
+                   if r["fact_id"] in fact_ids}.values():
         feedback = record.get("feedback")
         sources = []
         if feedback is None:
@@ -116,7 +130,13 @@ class GenerationReport:
     parallel execution when an execution backend is configured.
     """
 
+    #: A run lands the difference from what its program landed before:
+    #: the facts it inserted, the ones it deleted (no longer derived) and
+    #: the ones it kept as they were.
     facts_stored: int
+    facts_retracted: int
+    facts_unchanged: int
+    #: The debugger's flags over the whole output.
     facts_flagged: int
     intermediate_records: int
     hi_questions: int
@@ -269,13 +289,25 @@ class StructureManagementSystem:
             self.db.create_table(facts_schema())
             self.db.create_index(FACTS_TABLE, "entity")
             self.db.create_index(FACTS_TABLE, "attribute")
+            self.db.create_table(TableSchema(PROGRAM_FACTS_TABLE, (
+                Column("program", ColumnType.TEXT, nullable=False),
+                Column("fact_ids", ColumnType.TEXT, nullable=False)),
+                primary_key="program"))
+        elif PROGRAM_FACTS_TABLE not in self.db.table_names():
+            raise ValueError(f"no {PROGRAM_FACTS_TABLE!r} table beside "
+                             f"{FACTS_TABLE!r}: an older layout, which this "
+                             "version neither reads nor migrates")
         else:
             # Reopened workspace (recovery brought the indexes back):
-            # continue fact ids after the stored max
-            existing = self.query(
-                f"SELECT MAX(fact_id) AS m FROM {FACTS_TABLE}"
-            )[0]["m"]
-            self._fact_counter = (existing + 1) if existing is not None else 0
+            # continue fact ids after any stored one (a program's list can
+            # name a fact raw SQL deleted)
+            top = [self.query(
+                f"SELECT MAX(fact_id) AS m FROM {FACTS_TABLE}")[0]["m"]]
+            for row in self.query(
+                    f"SELECT fact_ids FROM {PROGRAM_FACTS_TABLE}"):
+                top += json.loads(row["fact_ids"])
+            self._fact_counter = max([m + 1 for m in top if m is not None],
+                                     default=0)
 
     # ------------------------------------------------------------ ingestion
 
@@ -329,25 +361,24 @@ class StructureManagementSystem:
 
     # ----------------------------------------------------------- generation
 
-    def generate(self, program_source: str, optimize: bool = True,
-                 learn_constraints_first: bool = True) -> GenerationReport:
-        """Run a declarative IE+II+HI program and store its output facts.
+    def generate(self, program_source: str,
+                 optimize: bool = True) -> GenerationReport:
+        """Run a declarative IE+II+HI program over the corpus; its stored
+        facts become what it derives now.
 
         The pipeline result is screened by the semantic debugger (facts
         it flags are *kept* but flagged — a human decides; their
-        confidence is halved), written to the final RDBMS and its lineage
-        appended to the intermediate file store.
+        confidence is halved) and landed as the difference from the
+        program's last run (:meth:`_land`).
         """
-        return self._generate(program_source, list(self._corpus), optimize,
-                              learn_constraints_first)
-
-    def _generate(self, program_source: str, docs: list[Document],
-                  optimize: bool = True,
-                  learn_constraints_first: bool = True) -> GenerationReport:
-        """:meth:`generate` over an explicit document list."""
         with get_tracer().span("system.generate") as span:
+            docs = list(self._corpus)
             ops, output = parse_program(program_source)
             plan = LogicalPlan.from_ops(ops, output)
+            # the program's identity: a hash of its *unoptimized* plan, so
+            # whitespace, comments and optimize= do not split its facts
+            program = hashlib.blake2b(plan.render().encode(),
+                                      digest_size=8).hexdigest()
             if optimize:
                 plan = Optimizer(self.registry).optimize(plan, docs[:50])
             executor = Executor(self.registry, cluster=self._cluster,
@@ -358,8 +389,7 @@ class StructureManagementSystem:
                 DeadLetterEntry(**f) for f in result.failed_docs)
 
             rows = [r for r in result.rows if r.get("attribute")]
-            if learn_constraints_first and rows \
-                    and not self.debugger.constraints:
+            if rows and not self.debugger.constraints:
                 trusted = [
                     {r["attribute"]: r["value"]}
                     for r in rows
@@ -368,7 +398,7 @@ class StructureManagementSystem:
                 if trusted:
                     self.debugger.learn(trusted)
 
-            fact_ids, flagged_count = self._land(rows)
+            fact_ids, retracted, flagged_count = self._land(rows, program)
             stored = len(fact_ids)
             self.monitor.record_batch(processed=max(len(rows), 1),
                                       errors=flagged_count)
@@ -381,6 +411,8 @@ class StructureManagementSystem:
             span.set_attribute("failed_docs", len(result.failed_docs))
             return GenerationReport(
                 facts_stored=stored,
+                facts_retracted=retracted,
+                facts_unchanged=len(rows) - stored,
                 facts_flagged=flagged_count,
                 intermediate_records=len(rows),
                 hi_questions=result.stats.hi_questions,
@@ -400,48 +432,47 @@ class StructureManagementSystem:
                          optimize: bool = True) -> tuple[int, int]:
         """Re-drive quarantined documents through a program.
 
-        Quarantined documents still present in the corpus are re-run
-        through the generation routine (over just those documents; the
-        corpus itself is untouched, so a concurrent ``ingest()`` is
-        safe).  Documents that now succeed leave the dead-letter store
-        and their facts are stored; documents that fail again are
-        re-quarantined.  Entries whose documents are no longer in the
-        corpus are left untouched.
+        The entries whose documents are still in the corpus leave the
+        dead-letter store and the program runs again (:meth:`generate`);
+        the documents that fail again are re-quarantined.  Entries whose
+        documents are no longer in the corpus are left untouched.
 
         Returns:
             ``(retried, still_failed)`` counts.
         """
         ids = set(self.deadletter.doc_ids())
-        docs = [d for d in self._corpus if d.doc_id in ids]
-        if not docs:
+        retried = {d.doc_id for d in self._corpus if d.doc_id in ids}
+        if not retried:
             return (0, 0)
-        # The run re-adds whatever fails again, so clear the attempted
-        # entries first — a success must not linger in quarantine.
-        self.deadletter.remove([d.doc_id for d in docs])
-        report = self._generate(program_source, docs, optimize=optimize)
-        return (len(docs), report.failed_docs)
+        self.deadletter.remove(sorted(retried))
+        report = self.generate(program_source, optimize=optimize)
+        return (len(retried), len(retried & set(report.failed_doc_ids)))
 
-    def _land(self, rows: Sequence[dict[str, Any]],
-              feedback: str | None = None) -> tuple[list[int], int]:
+    def _land(self, rows: Sequence[dict[str, Any]], program: str | None = None,
+              feedback: str | None = None) -> tuple[list[int], int, int]:
         """The one landing path of a generated fact, whatever made it.
 
         Screen with the semantic debugger (a flagged fact is *kept*, its
-        confidence halved), insert the batch in one transaction (one
-        WAL record, one table lock; the commit delta notifies standing
-        queries and the keyword fact index), append one lineage record
-        per fact to the intermediate file store (a list without a
-        workspace).  ``rows`` are pipeline tuples; ``feedback``
-        marks a user contribution — its provenance source is a feedback
-        node.  The lineage record (the row plus the stored ``entity`` /
-        ``attribute``, ``fact_id``, ``stored_confidence``, ``feedback``)
-        is the one durable form of provenance; a crash before the append
-        leaves facts with no recorded provenance, never another fact's.
+        confidence halved).  In one transaction (one WAL record; the
+        commit delta notifies standing queries and the keyword fact
+        index), compare the rows with what ``program`` landed before, as
+        multisets of ``facts`` cells: delete the stored facts the rows no
+        longer hold, insert the rows not yet stored (all of them when
+        there is no ``program``); an empty difference writes nothing.
+        Append one lineage record per inserted fact to the intermediate
+        file store (a list without a workspace).  ``rows`` are pipeline
+        tuples; ``feedback`` marks a user contribution — its provenance
+        source is a feedback node.  The lineage record (the row plus the
+        stored ``entity`` / ``attribute``, ``fact_id``,
+        ``stored_confidence``, ``feedback``) is the one durable form of
+        provenance; a crash before the append leaves facts with no
+        recorded provenance, never another fact's.
 
         Returns:
-            (assigned fact ids, number of facts flagged).
+            (inserted fact ids, facts retracted, facts flagged).
         """
         flagged = 0
-        batch: list[dict[str, Any]] = []
+        batch: list[tuple[dict[str, Any], dict[str, Any]]] = []
         for row in rows:
             violations = self.debugger.check(
                 {row["attribute"]: row["value"]},
@@ -453,25 +484,49 @@ class StructureManagementSystem:
                 confidence *= 0.5
             values = fact_row(str(row.get("entity", "")),
                               str(row["attribute"]), row["value"], confidence)
-            values["fact_id"] = self._fact_counter
             values["doc_id"] = str(row.get("doc_id", ""))
-            batch.append(values)
-            self._fact_counter += 1
-        if not batch:
-            return [], 0
-        self.db.run(lambda t: t.insert_many(FACTS_TABLE, batch))
+            batch.append((row, values))
+
+        def land(t: Any) -> tuple[list, int]:
+            stored: dict[tuple, list] = {}  # cells -> facts
+            link = t.get_by_pk(PROGRAM_FACTS_TABLE, program)
+            for fact_id in json.loads(link["fact_ids"]) if link else ():
+                fact = t.get_by_pk(FACTS_TABLE, fact_id)
+                if fact is not None:  # else deleted by raw SQL
+                    stored.setdefault(tuple(
+                        fact[c] for c in _FACT_CELLS), []).append(fact)
+            kept, fresh = [], []
+            for row, values in batch:
+                same = stored.get(tuple(values[c] for c in _FACT_CELLS))
+                if same:  # unchanged: keeps its fact_id and lineage
+                    kept.append(same.pop(0)["fact_id"])
+                else:
+                    values["fact_id"] = self._fact_counter
+                    self._fact_counter += 1
+                    fresh.append((row, values))
+            gone = [fact for facts in stored.values() for fact in facts]
+            t.write_many(FACTS_TABLE, [("delete", f.rid) for f in gone]
+                         + [("insert", v) for _, v in fresh])
+            ids = json.dumps(sorted(kept + [v["fact_id"] for _, v in fresh]))
+            if program:  # an update to the same list writes nothing
+                t.write_many(PROGRAM_FACTS_TABLE, [
+                    ("update", link.rid, {"fact_ids": ids}) if link
+                    else ("insert", {"program": program, "fact_ids": ids})])
+            return fresh, len(gone)
+
+        fresh, retracted = self.db.run(land)
         extra = {} if feedback is None else {"feedback": feedback}
         records = [
             {**row, "entity": v["entity"], "attribute": v["attribute"],
              "fact_id": v["fact_id"], "stored_confidence": v["confidence"],
              **extra}
-            for row, v in zip(rows, batch)
+            for row, v in fresh
         ]
         if self.storage is None:
             self._lineage.extend(records)
         else:
             self.storage.intermediate.append_many(records)
-        return [v["fact_id"] for v in batch], flagged
+        return [v["fact_id"] for _, v in fresh], retracted, flagged
 
     def _lineage_records(self) -> Iterable[dict[str, Any]]:
         """What :meth:`_land` appended, in landing order (other records
@@ -483,9 +538,11 @@ class StructureManagementSystem:
 
     @property
     def provenance(self) -> ProvenanceGraph:
-        """The lineage graph of every landed fact: a view built from the
-        lineage records on each access (hold on to the result)."""
-        return _record_fact_provenance(self._lineage_records())
+        """The lineage graph of the facts stored now: a view built from
+        their lineage records on each access (hold on to the result)."""
+        ids = {r["fact_id"] for r in self.query(
+            f"SELECT fact_id FROM {FACTS_TABLE}")}
+        return _record_fact_provenance(self._lineage_records(), ids)
 
     # ------------------------------------------------------------- queries
 
@@ -671,8 +728,8 @@ class StructureManagementSystem:
                    snap.lookup(FACTS_TABLE, "entity", entity)
                    if row["attribute"] == attribute}
         graph = _record_fact_provenance(
-            {**r, "entity": entity, "attribute": attribute}
-            for r in self._lineage_records() if r["fact_id"] in ids)
+            ({**r, "entity": entity, "attribute": attribute}
+             for r in self._lineage_records() if r["fact_id"] in ids), ids)
         return "\n\n".join(
             graph.explain(n.node_id).render() for n in graph.facts()
         ) or f"no recorded provenance for {entity}.{attribute}"
@@ -695,7 +752,7 @@ class StructureManagementSystem:
         if not self.users.exists(user):
             raise ValueError(f"unknown user {user!r}; register first")
         reputation = self.users.user_reputation(user)
-        fact_ids, _ = self._land(
+        fact_ids, _, _ = self._land(
             [{"entity": entity, "attribute": attribute, "value": value,
               # rep 0.5 -> 0.75, rep 1 -> 1.0
               "confidence": 0.5 + 0.5 * reputation,

@@ -11,7 +11,7 @@ combination the DGE model calls for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.integration.similarity import name_similarity
 from repro.telemetry import metrics
@@ -95,6 +95,42 @@ class _UnionFind:
         self._parent[rb] = ra
         if self._rank[ra] == self._rank[rb]:
             self._rank[ra] += 1
+
+
+def constrained_merge(ids: Sequence[int],
+                      must: Iterable[tuple[int, int]],
+                      cannot: Iterable[tuple[int, int]],
+                      pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Partition mention ``ids`` under HI constraints: the merge step of
+    both resolvers (batch and incremental).
+
+    Must-link pairs are merged first; then each of ``pairs`` (the linked
+    candidates in canonical order: descending score, then the normalized
+    id pair) is merged unless the union would bring a cannot-link pair
+    into one group — so human "not the same" answers sever transitive
+    bridges.  Constraint pairs naming an id outside ``ids`` are ignored.
+
+    Returns:
+        The groups, members in ``ids`` order, by first member.
+    """
+    index_of = {mid: i for i, mid in enumerate(ids)}
+    uf = _UnionFind(len(ids))
+    for a, b in must:
+        if a in index_of and b in index_of:
+            uf.union(index_of[a], index_of[b])
+    vetoes = [(index_of[a], index_of[b]) for a, b in cannot
+              if a in index_of and b in index_of]
+    find = uf.find
+    for a, b in pairs:
+        ri, rj = find(index_of[a]), find(index_of[b])
+        if ri == rj or vetoes and any({find(x), find(y)} == {ri, rj}
+                                      for x, y in vetoes):
+            continue
+        uf.union(ri, rj)
+    groups: dict[int, list[int]] = {}
+    for i, mid in enumerate(ids):
+        groups.setdefault(find(i), []).append(mid)
+    return list(groups.values())
 
 
 def default_blocking_key(mention: Mention) -> Hashable:
@@ -216,53 +252,16 @@ class EntityResolver:
         precisely how HI feedback repairs over-merging.
         """
         constraints = constraints or MatchConstraints()
-        index_of = {m.mention_id: i for i, m in enumerate(mentions)}
-        uf = _UnionFind(len(mentions))
-        cannot_indexed = [
-            (index_of[a], index_of[b])
-            for a, b in constraints.cannot_link
-            if a in index_of and b in index_of
-        ]
-
-        def would_violate(i: int, j: int) -> bool:
-            ri, rj = uf.find(i), uf.find(j)
-            if ri == rj:
-                return False
-            for a, b in cannot_indexed:
-                ra, rb = uf.find(a), uf.find(b)
-                if {ra, rb} == {ri, rj}:
-                    return True
-            return False
-
-        for a, b in constraints.must_link:
-            if a in index_of and b in index_of:
-                uf.union(index_of[a], index_of[b])
-        for pair in self.candidate_pairs(mentions):
-            key = _norm(pair.left, pair.right)
-            if key in constraints.must_link:
-                continue  # already merged
-            if pair.score < self.threshold:
-                continue
-            i, j = index_of[pair.left], index_of[pair.right]
-            if key in constraints.cannot_link or would_violate(i, j):
-                continue
-            uf.union(i, j)
-        groups: dict[int, list[Mention]] = {}
-        for mention in mentions:
-            groups.setdefault(uf.find(index_of[mention.mention_id]), []).append(mention)
-        clusters: list[EntityCluster] = []
-        for cluster_id, members in enumerate(
-            sorted(groups.values(), key=lambda ms: min(m.mention_id for m in ms))
-        ):
-            canonical = max(members, key=lambda m: (len(m.name), m.name)).name
-            clusters.append(
-                EntityCluster(
-                    cluster_id=cluster_id,
-                    mention_ids=tuple(sorted(m.mention_id for m in members)),
-                    canonical_name=canonical,
-                )
-            )
-        return clusters
+        by_id = {m.mention_id: m for m in mentions}
+        groups = constrained_merge(
+            list(by_id), constraints.must_link, constraints.cannot_link,
+            (_norm(p.left, p.right) for p in self.candidate_pairs(mentions)
+             if p.score >= self.threshold))
+        return [EntityCluster(
+            cluster_id=cluster_id, mention_ids=tuple(sorted(members)),
+            canonical_name=max((by_id[m] for m in members),
+                               key=lambda m: (len(m.name), m.name)).name)
+            for cluster_id, members in enumerate(sorted(groups, key=min))]
 
     def uncertain_pairs(self, mentions: Sequence[Mention],
                         band: float = 0.15, limit: int | None = None) -> list[MentionPair]:
@@ -614,30 +613,6 @@ class IncrementalEntityResolver:
             return 0
 
         ids = sorted(dirty)
-        index_of = {mid: i for i, mid in enumerate(ids)}
-        uf = _UnionFind(len(ids))
-        must = self.constraints.must_link
-        cannot = self.constraints.cannot_link
-        cannot_indexed = [
-            (index_of[a], index_of[b])
-            for a in ids for b in self._cannot_of.get(a, ())
-            if a < b and b in index_of
-        ]
-
-        def would_violate(i: int, j: int) -> bool:
-            ri, rj = uf.find(i), uf.find(j)
-            if ri == rj:
-                return False
-            for a, b in cannot_indexed:
-                ra, rb = uf.find(a), uf.find(b)
-                if {ra, rb} == {ri, rj}:
-                    return True
-            return False
-
-        for a in ids:
-            for b in self._must_of.get(a, ()):
-                if a < b and b in index_of:
-                    uf.union(index_of[a], index_of[b])
         threshold = self.resolver.threshold
         candidates = []
         for mid in ids:
@@ -649,19 +624,13 @@ class IncrementalEntityResolver:
                 if scored is not None and scored[1] >= threshold:
                     candidates.append((-scored[1], key))
         candidates.sort()
-        for _, key in candidates:
-            if key in must:
-                continue  # already merged
-            i, j = index_of[key[0]], index_of[key[1]]
-            if key in cannot or would_violate(i, j):
-                continue
-            uf.union(i, j)
-
-        roots: dict[int, set[int]] = {}
-        for mid in ids:
-            roots.setdefault(uf.find(index_of[mid]), set()).add(mid)
+        groups = constrained_merge(
+            ids,
+            [(a, b) for a in ids for b in self._must_of.get(a, ()) if a < b],
+            [(a, b) for a in ids for b in self._cannot_of.get(a, ()) if a < b],
+            (key for _, key in candidates))
         new_reps: dict[int, int] = {}
-        for group in roots.values():
+        for group in map(set, groups):
             rep = min(group)
             self._members[rep] = group
             best = max((self._mentions[m] for m in group),

@@ -117,7 +117,7 @@ def test_debugger_flags_corrupted_extraction():
            for t in truth for i, m in enumerate(MONTHS)]
         + [{"population": float(t.population)} for t in truth]
     )
-    report = system.generate(PROGRAM, learn_constraints_first=False)
+    report = system.generate(PROGRAM)
     corrupted_infobox_cities = [
         t for t in truth
         if t.corrupted_month is not None and t.style in ("infobox",
@@ -141,7 +141,7 @@ def test_flagged_facts_get_halved_confidence():
         {f"{m[:3]}_temp": t.monthly_temps[i]}
         for t in truth for i, m in enumerate(MONTHS)
     ])
-    system.generate(PROGRAM, learn_constraints_first=False)
+    system.generate(PROGRAM)
     corrupted = next(
         t for t in truth
         if t.corrupted_month is not None and t.style == "infobox"

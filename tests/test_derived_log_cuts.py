@@ -79,10 +79,12 @@ def base(tmp_path_factory):
     explanation))."""
     workspace = str(tmp_path_factory.mktemp("base") / "ws")
     system = _system(workspace, cache=os.path.join(workspace, "cache"))
-    system._generate(PROGRAM, CORPUS)
+    system.ingest(CORPUS)
+    system.generate(PROGRAM)
     sizes = {name: os.path.getsize(os.path.join(workspace, name))
              for name in (LINEAGE, CACHE)}
-    system._generate(PROGRAM, [TINY])
+    system.ingest([TINY])
+    system.generate(PROGRAM)    # lands Tinyville's facts only
     rows = system.query("SELECT fact_id, entity, attribute FROM facts")
     assert len({(r["entity"], r["attribute"]) for r in rows}) == len(rows)
     facts = {r["fact_id"]: (r["entity"], r["attribute"],
@@ -113,9 +115,11 @@ def test_a_cut_in_the_last_landings_lineage_records(base, tmp_path):
             assert system.explain(entity, attribute) == (
                 explanation if n < kept
                 else f"no recorded provenance for {entity}.{attribute}")
+        system.load_stored_pages()
+        system.ingest([NEXT])
         registry = MetricsRegistry()
         with use_registry(registry):
-            system._generate(PROGRAM, [NEXT])   # the next landing
+            system.generate(PROGRAM)   # the next landing: Nextville's
         torn = cut not in (start, *ends)
         assert registry.get("recovery.truncated_records") == int(torn)
         assert system.explain("Nextville", "population").startswith(
@@ -156,11 +160,13 @@ def test_a_cut_in_the_last_cache_put(base, tmp_path):
         states.setdefault(len(index), data[:cut])
     assert len(states) == 2
     cold = _system()
-    cold._generate(PROGRAM, [*CORPUS, TINY])
+    cold.ingest([*CORPUS, TINY])
+    cold.generate(PROGRAM)
     for n, (kept, state) in enumerate(states.items()):
         _restore(str(tmp_path / f"state{n}"), {"seg-0000.jsonl": state})
         warm = _system(cache=str(tmp_path / f"state{n}"))
-        report = warm._generate(PROGRAM, [*CORPUS, TINY])
+        warm.ingest([*CORPUS, TINY])
+        report = warm.generate(PROGRAM)
         assert report.cache_hits == kept
         assert _landed(warm) == _landed(cold)
         warm.close()

@@ -35,6 +35,8 @@ from repro.extraction.normalize import (MONTHS, normalize_number,
                                         normalize_temperature)
 from repro.extraction.rules import ContextRule, RuleCascadeExtractor
 from repro.integration.entity_resolution import EntityResolver
+from repro.lang.parser import parse_program
+from repro.lang.plan import LogicalPlan
 
 # ------------------------------------------------------------- references
 
@@ -422,6 +424,12 @@ def test_city_program_lands_the_same_rows_and_lineage():
         "facts_sha256": _sha256(facts),
         "lineage_sha256": _sha256(list(system._lineage_records())),
     } == GOLDEN_CITY_RUN
+    # which program landed each fact is kept beside ``facts``, under the
+    # hash of its unoptimized plan
+    plan = LogicalPlan.from_ops(*parse_program(CITY_PROGRAM)).render()
+    assert system.query("SELECT * FROM program_facts") == [{
+        "program": hashlib.blake2b(plan.encode(), digest_size=8).hexdigest(),
+        "fact_ids": json.dumps(sorted(r["fact_id"] for r in facts))}]
     system.close()
 
 

@@ -582,7 +582,8 @@ def test_retry_deadletter_never_swaps_the_corpus(tmp_path):
 
     armed = True
     assert system.retry_deadletter(PROGRAM) == (1, 0)
-    assert observed == [len(corpus) - 1]  # system.corpus told the truth
+    # system.corpus told the truth: the whole corpus, then the page too
+    assert observed == [len(corpus) - 1] + [len(corpus)] * (len(corpus) - 2)
     assert late.doc_id in {d.doc_id for d in system.corpus}
     assert len(system.corpus) == len(corpus)
     system.close()

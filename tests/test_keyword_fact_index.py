@@ -273,7 +273,8 @@ def test_keyword_facts_equal_a_rebuild_after_any_mix_of_writers(
             if kind == "contribute":
                 system.contribute("pat", *step[1:])
             elif kind == "generate":
-                system._generate(INFOBOX_PROGRAM, [DOCS[i] for i in step[1]])
+                system.ingest([DOCS[i] for i in step[1]])
+                system.generate(INFOBOX_PROGRAM)
             elif kind == "unify":
                 system.unify_attributes(
                     [f"{m}_temperature" for m in MONTHS],

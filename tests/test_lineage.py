@@ -205,12 +205,15 @@ def test_failed_lineage_append_never_borrows_another_facts_lineage(
     monkeypatch.setattr(store, "append_many", real_append)
     lost = _pairs(system)
     assert lost  # the insert committed before the append failed
+    landed = system.fact_count()
     for entity, attribute in lost:
         assert system.explain(entity, attribute) == \
             f"no recorded provenance for {entity}.{attribute}"
 
-    report = system._generate(INFOBOX_PROGRAM, second)
+    system.ingest(second)
+    report = system.generate(INFOBOX_PROGRAM)
     assert report.facts_stored > 0
+    assert report.facts_unchanged == landed  # kept, lineage or not
     for entity, attribute in _pairs(system):
         explanation = system.explain(entity, attribute)
         if (entity, attribute) in lost:

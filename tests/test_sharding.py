@@ -10,13 +10,18 @@ checkpoint recovery of shard layouts including a torn ``reshard`` record.
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from itertools import chain, starmap
 
 import pytest
 
-from repro.cluster.backends import ProcessPoolBackend, SerialBackend
+from repro.cluster.backends import (
+    ProcessPoolBackend,
+    SerialBackend,
+    ThreadPoolBackend,
+)
 from repro.storage.rdbms import parallel
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.sharding import (
@@ -629,6 +634,65 @@ def test_process_backend_executes_sharded_plans():
                 _canon(execute_sql(oracle, sql, use_planner=False)), sql
     finally:
         backend.close()
+
+
+POOL_STATEMENTS = [
+    "SELECT * FROM ev WHERE qty > 50",                         # filtered scan
+    "SELECT region, count(*), sum(qty) FROM ev GROUP BY region",  # merged
+    "SELECT * FROM ev LIMIT 7",                                # early exit
+]
+
+
+@pytest.mark.parametrize("pool", [ThreadPoolBackend, ProcessPoolBackend])
+def test_a_pool_streams_sharded_plans_like_the_oracle(pool, monkeypatch):
+    # 400 rows would run inline (total_rows * 2 <= CHUNK_TARGET_ROWS):
+    # small chunks send every statement through the pool's map_stream
+    monkeypatch.setattr(parallel, "CHUNK_TARGET_ROWS", 16)
+    streams = []
+    real_stream = pool.map_stream
+    monkeypatch.setattr(pool, "map_stream", lambda self, fn, items: (
+        streams.append(len(items)) or real_stream(self, fn, items)))
+    backend = pool(max_workers=2)
+    try:
+        db = _sharded_db(shards=4, n=400, backend=backend)
+        oracle = _oracle_db(n=400)
+        for sql in POOL_STATEMENTS:
+            assert _canon(execute_sql(db, sql)) == \
+                _canon(execute_sql(oracle, sql, use_planner=False)), sql
+    finally:
+        backend.close()
+    assert len(streams) == len(POOL_STATEMENTS) and min(streams) > 1
+
+
+def test_a_worker_killed_mid_stream_costs_no_rows(monkeypatch):
+    monkeypatch.setattr(parallel, "CHUNK_TARGET_ROWS", 16)
+    real_stream = ProcessPoolBackend.map_stream
+    killed = []
+
+    def kill_after_first(self, fn, items):
+        stream = real_stream(self, fn, items)
+        yield next(stream)
+        victim = next(iter(self._pool._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join()
+        killed.append(victim.pid)
+        yield from stream
+
+    monkeypatch.setattr(ProcessPoolBackend, "map_stream", kill_after_first)
+    backend = ProcessPoolBackend(max_workers=2)
+    registry = metrics.MetricsRegistry()
+    try:
+        # uncompacted: ~28 chunks, far more than the submit-ahead window
+        db = _sharded_db(shards=4, n=400, compact=False, backend=backend)
+        sql = POOL_STATEMENTS[0]
+        with metrics.use_registry(registry):
+            rows = execute_sql(db, sql)
+    finally:
+        backend.close()
+    assert len(killed) == 1
+    assert registry.get("backend.pool_rebuilds") >= 1  # the pool broke
+    assert _canon(rows) == _canon(
+        execute_sql(_oracle_db(n=400), sql, use_planner=False))
 
 
 # ------------------------------------------------------------- persistence
