@@ -18,6 +18,13 @@ a sequence of assignments over streams of tuples:
     good   = ask(fused, "validate", where = confidence < 0.8, redundancy = 5)
     output good
 
+Predicates (``filter``, ``ask(where=...)``) are SQL predicates: the SQL
+layer's :func:`~repro.storage.rdbms.sql.parse_predicate` parses them —
+so LIKE, IN and IS NULL work too — and its ``eval_predicate`` evaluates
+their leaves, under xlog's tuple semantics (:func:`repro.lang.ast.
+eval_expr`: a missing field reads NULL, a comparison with NULL or of
+incomparable values is false).
+
 Pipeline: :func:`parse_program` → :class:`LogicalPlan` →
 :class:`Optimizer` (rule-based rewrites + cost model) →
 :class:`Executor` (optionally running extraction on the simulated

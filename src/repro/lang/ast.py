@@ -1,4 +1,5 @@
-"""AST for the xlog language: operators and predicate expressions.
+"""AST for the xlog language: operators, and the tuple semantics of their
+SQL predicates.
 
 Tuple streams are lists of dicts; document streams are lists of
 :class:`~repro.docmodel.document.Document`.  Extract ops turn a document
@@ -11,111 +12,72 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-
-# ------------------------------------------------------------- expressions
-
-
-@dataclass(frozen=True)
-class FieldRef:
-    """Reference to a tuple field by name."""
-
-    name: str
+from repro.storage.rdbms.planner import column_refs
+from repro.storage.rdbms.sql import (BoolOp, ColumnRef, Comparison,
+                                     InPredicate, LikePredicate, Literal,
+                                     SqlError, eval_predicate)
 
 
-@dataclass(frozen=True)
-class Const:
-    """A literal value."""
-
-    value: Any
-
-
-@dataclass(frozen=True)
-class Compare:
-    """Binary comparison: one of = != < <= > >=."""
-
-    op: str
-    left: Any
-    right: Any
+# ------------------------------------------------------------- predicates
+#
+# A predicate is a SQL predicate (:func:`repro.storage.rdbms.sql.
+# parse_predicate`); only xlog's tuple semantics live here.
 
 
-@dataclass(frozen=True)
-class Logic:
-    """and / or / not over sub-expressions."""
+def eval_expr(node: Any, row: dict[str, Any],
+              fields: set[str] | None = None) -> bool:
+    """Evaluate a predicate against one tuple.
 
-    op: str
-    operands: tuple[Any, ...]
-
-
-def eval_expr(node: Any, row: dict[str, Any]) -> Any:
-    """Evaluate a predicate expression against one tuple.
-
-    Comparisons involving a missing/None field are False (so filters never
-    crash on heterogeneous tuples).
+    A field the tuple lacks reads NULL, and a comparison with NULL or of
+    incomparable values is false (also under NOT), so filters never crash
+    on heterogeneous tuples.  ``fields`` is :func:`expr_fields` of
+    ``node``, for a caller that evaluates many tuples.
     """
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, FieldRef):
-        return row.get(node.name)
-    if isinstance(node, Compare):
-        left = eval_expr(node.left, row)
-        right = eval_expr(node.right, row)
-        if left is None or right is None:
-            return False
-        try:
-            if node.op == "=":
-                return left == right
-            if node.op == "!=":
-                return left != right
-            if node.op == "<":
-                return left < right
-            if node.op == "<=":
-                return left <= right
-            if node.op == ">":
-                return left > right
-            if node.op == ">=":
-                return left >= right
-        except TypeError:
-            return False
-        raise ValueError(f"unknown comparison {node.op!r}")
-    if isinstance(node, Logic):
+    if fields is None:
+        fields = expr_fields(node)
+    if not row.keys() >= fields:
+        row = dict.fromkeys(fields) | row
+    return _truth(node, row)
+
+
+def _truth(node: Any, row: dict[str, Any]) -> bool:
+    if isinstance(node, BoolOp):
         if node.op == "and":
-            return all(eval_expr(o, row) for o in node.operands)
+            return all(_truth(o, row) for o in node.operands)
         if node.op == "or":
-            return any(eval_expr(o, row) for o in node.operands)
-        if node.op == "not":
-            return not eval_expr(node.operands[0], row)
-        raise ValueError(f"unknown logic op {node.op!r}")
-    raise ValueError(f"cannot evaluate expression node {node!r}")
+            return any(_truth(o, row) for o in node.operands)
+        return not _truth(node.operands[0], row)
+    try:
+        return eval_predicate(node, row)
+    except SqlError:  # incomparable values
+        return False
 
 
 def expr_fields(node: Any) -> set[str]:
-    """All field names an expression references."""
-    if isinstance(node, FieldRef):
-        return {node.name}
-    if isinstance(node, Compare):
-        return expr_fields(node.left) | expr_fields(node.right)
-    if isinstance(node, Logic):
-        out: set[str] = set()
-        for operand in node.operands:
-            out |= expr_fields(operand)
-        return out
-    return set()
+    """All field names a predicate references."""
+    return {ref.name for ref in column_refs(node)}
 
 
 def render_expr(node: Any) -> str:
-    """Back to (approximate) source form, for plan display."""
-    if isinstance(node, Const):
+    """Back to xlog source form, for plan display (and program identity)."""
+    if isinstance(node, Literal):
         return repr(node.value)
-    if isinstance(node, FieldRef):
-        return node.name
-    if isinstance(node, Compare):
+    if isinstance(node, ColumnRef):
+        return node.key()
+    if isinstance(node, Comparison):
         return f"{render_expr(node.left)} {node.op} {render_expr(node.right)}"
-    if isinstance(node, Logic):
+    if isinstance(node, BoolOp):
         if node.op == "not":
             return f"not ({render_expr(node.operands[0])})"
         joiner = f" {node.op} "
         return "(" + joiner.join(render_expr(o) for o in node.operands) + ")"
-    return repr(node)
+    negation = "not " if node.negated else ""
+    if isinstance(node, LikePredicate):
+        return f"{node.column.key()} {negation}like {node.pattern!r}"
+    if isinstance(node, InPredicate):
+        values = ", ".join(map(repr, node.values))
+        return f"{node.column.key()} {negation}in ({values})"
+    return f"{node.column.key()} is {negation}null"
 
 
 # ---------------------------------------------------------------- operators

@@ -60,8 +60,10 @@ from repro.lang.ast import (
     SelectOp,
     UnionOp,
     eval_expr,
+    expr_fields,
 )
-from repro.lang.optimizer import Optimizer, doc_passes_keyword_groups
+from repro.lang.optimizer import (SAMPLE_SIZE, Optimizer,
+                                  doc_passes_keyword_groups)
 from repro.lang.parser import parse_program
 from repro.lang.plan import LogicalPlan
 from repro.lang.registry import OperatorRegistry
@@ -109,10 +111,6 @@ class ExecutionStats:
         return int(self.registry.get("executor.hi_questions"))
 
     @property
-    def wall_seconds(self) -> float:
-        return self.registry.gauge("executor.wall_seconds")
-
-    @property
     def cluster_makespan(self) -> float:
         return self.registry.get("executor.cluster_makespan")
 
@@ -127,10 +125,6 @@ class ExecutionStats:
     @property
     def cache_misses(self) -> int:
         return int(self.registry.get("cache.misses"))
-
-    @property
-    def docs_failed(self) -> int:
-        return int(self.registry.get("executor.docs_failed"))
 
     @property
     def total_chars_scanned(self) -> int:
@@ -298,8 +292,9 @@ class Executor:
             return self._eval_extract(op, streams[op.inputs[0]], stats,
                                       failed_docs)
         if isinstance(op, FilterOp):
-            rows = streams[op.inputs[0]]
-            return [r for r in rows if eval_expr(op.predicate, r)]
+            fields = expr_fields(op.predicate)
+            return [r for r in streams[op.inputs[0]]
+                    if eval_expr(op.predicate, r, fields)]
         if isinstance(op, SelectOp):
             rows = streams[op.inputs[0]]
             return [{f: r.get(f) for f in op.fields} for r in rows]
@@ -465,9 +460,10 @@ class Executor:
         if crowd is None:
             raise RuntimeError("program uses ask() but no crowd is registered")
         oracle = self._registry.hi_truth_oracle
+        fields = expr_fields(op.where) if op.where is not None else None
         out: list[dict[str, Any]] = []
         for i, row in enumerate(rows):
-            if op.where is not None and not eval_expr(op.where, row):
+            if op.where is not None and not eval_expr(op.where, row, fields):
                 out.append(row)
                 continue
             truth = (
@@ -507,7 +503,8 @@ def run_program(source: str, corpus: Sequence[Document],
     if optimize:
         # islice: the optimizer only probes a small sample — don't
         # materialize the whole (possibly lazily streamed) corpus for it.
-        plan = Optimizer(registry).optimize(plan, list(islice(corpus, 50)))
+        plan = Optimizer(registry).optimize(
+            plan, list(islice(corpus, SAMPLE_SIZE)))
     return Executor(registry, cluster=cluster, backend=backend,
                     cache=cache, retry=retry,
                     fail_fast=fail_fast).execute(plan, corpus)

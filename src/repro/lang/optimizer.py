@@ -26,9 +26,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.docmodel.document import Document
-from repro.lang.ast import DocFilterOp, ExtractOp, FilterOp, Logic
+from repro.lang.ast import DocFilterOp, ExtractOp, FilterOp
 from repro.lang.plan import LogicalPlan
 from repro.lang.registry import OperatorRegistry
+from repro.storage.rdbms.sql import BoolOp
+
+SAMPLE_SIZE = 50  # documents sampled to estimate filter selectivity
+DOCFILTER_COST_PER_CHAR = 0.05  # cost of the keyword pre-scan (cheap)
 
 
 def doc_passes_keyword_groups(doc: Document, groups: list[list[str]]) -> bool:
@@ -40,6 +44,11 @@ def doc_passes_keyword_groups(doc: Document, groups: list[list[str]]) -> bool:
     """
     lowered = doc.text_lower
     return any(all(kw.lower() in lowered for kw in group) for group in groups)
+
+
+def _pass_rate(sample: Sequence[Document], groups: list[list[str]]) -> float:
+    """Share of a (non-empty) sample passing a keyword pre-filter."""
+    return sum(doc_passes_keyword_groups(d, groups) for d in sample) / len(sample)
 
 
 @dataclass
@@ -61,13 +70,9 @@ class Optimizer:
 
     Args:
         registry: resolves extractor names for prefilter terms and costs.
-        sample_size: documents sampled to estimate filter selectivity.
-        docfilter_cost_per_char: cost of the keyword pre-scan (cheap).
     """
 
     registry: OperatorRegistry
-    sample_size: int = 50
-    docfilter_cost_per_char: float = 0.05
 
     def optimize(self, plan: LogicalPlan,
                  corpus_sample: Sequence[Document] = ()) -> LogicalPlan:
@@ -99,7 +104,7 @@ class Optimizer:
                 estimate.details[op.name] = cost
             elif isinstance(op, DocFilterOp):
                 sel = selectivity.get(op.inputs[0], 1.0)
-                cost = self.docfilter_cost_per_char * avg_chars * sel
+                cost = DOCFILTER_COST_PER_CHAR * avg_chars * sel
                 estimate.docfilter_cost += cost
                 estimate.details[op.name] = cost
         return estimate
@@ -120,14 +125,11 @@ class Optimizer:
             ):
                 continue  # already filtered identically
             if corpus_sample:
-                sample = list(corpus_sample)[: self.sample_size]
-                passing = sum(
-                    1 for d in sample if doc_passes_keyword_groups(d, groups)
-                )
-                selectivity = passing / len(sample)
+                sample = list(corpus_sample)[:SAMPLE_SIZE]
+                selectivity = _pass_rate(sample, groups)
                 avg_chars = sum(len(d.text) for d in sample) / len(sample)
                 saved = extractor.cost_per_char * avg_chars * (1.0 - selectivity)
-                added = self.docfilter_cost_per_char * avg_chars
+                added = DOCFILTER_COST_PER_CHAR * avg_chars
                 if saved <= added:
                     continue  # not worth it (filter passes ~everything)
             counter += 1
@@ -152,7 +154,7 @@ class Optimizer:
                 consumers = plan.consumers_of(upstream.name)
                 if len(consumers) != 1 or upstream.name == plan.output:
                     continue  # shared or output stream: leave alone
-                op.predicate = Logic("and", (upstream.predicate, op.predicate))
+                op.predicate = BoolOp("and", (upstream.predicate, op.predicate))
                 op.inputs = [upstream.inputs[0]]
                 del plan.ops[upstream.name]
                 changed = True
@@ -163,22 +165,14 @@ class Optimizer:
     def _stream_selectivities(self, plan: LogicalPlan,
                               corpus_sample: Sequence[Document]) -> dict[str, float]:
         """Fraction of documents flowing through each doc-stream variable."""
-        sample = list(corpus_sample)[: self.sample_size]
+        sample = list(corpus_sample)[:SAMPLE_SIZE]
         selectivity: dict[str, float] = {}
         for op in plan.topological():
             if not plan.is_doc_stream(op.name):
                 continue
             if isinstance(op, DocFilterOp):
-                upstream_sel = selectivity.get(op.inputs[0], 1.0)
-                if sample:
-                    passing = sum(
-                        1 for d in sample
-                        if doc_passes_keyword_groups(d, op.keyword_groups)
-                    )
-                    own = passing / len(sample)
-                else:
-                    own = 1.0
-                selectivity[op.name] = upstream_sel * own
+                own = _pass_rate(sample, op.keyword_groups) if sample else 1.0
+                selectivity[op.name] = selectivity.get(op.inputs[0], 1.0) * own
             else:
                 selectivity[op.name] = 1.0
         return selectivity

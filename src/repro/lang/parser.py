@@ -7,8 +7,10 @@ A program is a sequence of lines::
     # comments and blank lines are skipped
 
 Supported ops and their signatures are documented on the AST classes.
-Predicate arguments use Python-like syntax: field names, literals,
-comparisons, ``and`` / ``or`` / ``not``, parentheses.
+Predicate arguments (``filter``, ``ask(where=...)``) are SQL predicates,
+parsed by :func:`repro.storage.rdbms.sql.parse_predicate`: comparisons,
+LIKE, IN, IS [NOT] NULL, ``and`` / ``or`` / ``not``, parentheses, string
+literals in either quote, ``none`` / ``null``.
 """
 
 from __future__ import annotations
@@ -18,146 +20,32 @@ from typing import Any
 
 from repro.lang.ast import (
     AskOp,
-    Compare,
-    Const,
     DedupOp,
     DocFilterOp,
     DocsOp,
     ExtractOp,
-    FieldRef,
     FilterOp,
     FuseOp,
     JoinOp,
     LimitOp,
-    Logic,
     Op,
     ResolveOp,
     SelectOp,
     UnionOp,
 )
+from repro.storage.rdbms.sql import SqlError, parse_predicate
 
 
 class ParseError(Exception):
     """Raised on malformed programs."""
 
 
-_EXPR_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<string>"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')
-      | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-      | (?P<op><=|>=|!=|=|<|>|\(|\))
-      | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
-    )""",
-    re.VERBOSE,
-)
-
-
-class _ExprParser:
-    """Recursive-descent parser for predicate expressions."""
-
-    def __init__(self, text: str) -> None:
-        self._tokens = self._lex(text)
-        self._pos = 0
-
-    @staticmethod
-    def _lex(text: str) -> list[tuple[str, Any]]:
-        tokens: list[tuple[str, Any]] = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            match = _EXPR_TOKEN_RE.match(text, pos)
-            if match is None or match.end() == pos:
-                raise ParseError(f"cannot tokenize expression at {text[pos:pos+15]!r}")
-            pos = match.end()
-            if match.group("string") is not None:
-                raw = match.group("string")
-                tokens.append(("const", raw[1:-1]))
-            elif match.group("number") is not None:
-                raw = match.group("number")
-                is_float = "." in raw or "e" in raw.lower()
-                tokens.append(("const", float(raw) if is_float else int(raw)))
-            elif match.group("op") is not None:
-                tokens.append(("op", match.group("op")))
-            else:
-                word = match.group("word")
-                lowered = word.lower()
-                if lowered in ("and", "or", "not"):
-                    tokens.append(("logic", lowered))
-                elif lowered == "true":
-                    tokens.append(("const", True))
-                elif lowered == "false":
-                    tokens.append(("const", False))
-                elif lowered in ("none", "null"):
-                    tokens.append(("const", None))
-                else:
-                    tokens.append(("field", word))
-        tokens.append(("eof", None))
-        return tokens
-
-    def parse(self) -> Any:
-        node = self._parse_or()
-        if self._tokens[self._pos][0] != "eof":
-            raise ParseError(
-                f"trailing tokens in expression: {self._tokens[self._pos][1]!r}"
-            )
-        return node
-
-    def _parse_or(self) -> Any:
-        operands = [self._parse_and()]
-        while self._at("logic", "or"):
-            self._pos += 1
-            operands.append(self._parse_and())
-        return operands[0] if len(operands) == 1 else Logic("or", tuple(operands))
-
-    def _parse_and(self) -> Any:
-        operands = [self._parse_not()]
-        while self._at("logic", "and"):
-            self._pos += 1
-            operands.append(self._parse_not())
-        return operands[0] if len(operands) == 1 else Logic("and", tuple(operands))
-
-    def _parse_not(self) -> Any:
-        if self._at("logic", "not"):
-            self._pos += 1
-            return Logic("not", (self._parse_not(),))
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> Any:
-        left = self._parse_atom()
-        kind, value = self._tokens[self._pos]
-        if kind == "op" and value in ("=", "!=", "<", "<=", ">", ">="):
-            self._pos += 1
-            right = self._parse_atom()
-            return Compare(value, left, right)
-        return left
-
-    def _parse_atom(self) -> Any:
-        kind, value = self._tokens[self._pos]
-        if kind == "op" and value == "(":
-            self._pos += 1
-            node = self._parse_or()
-            kind, value = self._tokens[self._pos]
-            if kind != "op" or value != ")":
-                raise ParseError("expected ')'")
-            self._pos += 1
-            return node
-        if kind == "const":
-            self._pos += 1
-            return Const(value)
-        if kind == "field":
-            self._pos += 1
-            return FieldRef(value)
-        raise ParseError(f"unexpected token {value!r} in expression")
-
-    def _at(self, kind: str, value: Any) -> bool:
-        return self._tokens[self._pos] == (kind, value)
-
-
 def parse_expression(text: str) -> Any:
-    """Parse a predicate expression string into AST nodes."""
-    return _ExprParser(text).parse()
+    """Parse a predicate: a SQL predicate (:func:`parse_predicate`)."""
+    try:
+        return parse_predicate(text)
+    except SqlError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 _ASSIGN_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*=\s*([A-Za-z_]+)\s*\((.*)\)\s*$")
@@ -209,14 +97,18 @@ def _int_arg(arg: str, context: str) -> int:
         raise ParseError(f"{context}: expected an integer, got {arg!r}") from exc
 
 
-def _kwargs_of(args: list[str]) -> tuple[list[str], dict[str, str]]:
+_OPERATOR_KEYWORDS = {"join": ("on",), "ask": ("where", "redundancy")}
+
+
+def _kwargs_of(op_name: str,
+               args: list[str]) -> tuple[list[str], dict[str, str]]:
+    """Split an operator's own ``name = value`` keywords from the rest; any
+    other ``name = ...`` argument is positional (a predicate)."""
     positional: list[str] = []
     keyword: dict[str, str] = {}
     for arg in args:
         match = re.match(r"^([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.+)$", arg)
-        # An '=' inside a predicate is not a kwarg; only treat as kwarg when
-        # the key is a known parameter name.
-        if match and match.group(1) in ("where", "redundancy", "on", "n"):
+        if match and match.group(1) in _OPERATOR_KEYWORDS.get(op_name, ()):
             keyword[match.group(1)] = match.group(2).strip()
         else:
             positional.append(arg)
@@ -263,7 +155,7 @@ def parse_program(source: str) -> tuple[list[Op], str]:
 
 def _build_op(name: str, op_name: str, args: list[str], line_no: int) -> Op:
     ctx = f"line {line_no}"
-    positional, kwargs = _kwargs_of(args)
+    positional, kwargs = _kwargs_of(op_name, args)
     if op_name == "docs":
         if positional or kwargs:
             raise ParseError(f"{ctx}: docs() takes no arguments")

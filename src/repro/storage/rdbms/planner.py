@@ -73,6 +73,7 @@ from repro.storage.rdbms.sql import (
     NullPredicate,
     SelectStatement,
     SqlError,
+    _COMPARE_FN,
     _Executor,
     _feedback_keys,
     _like_to_regex,
@@ -133,12 +134,6 @@ def column_refs(node: Any) -> list[ColumnRef]:
 
 
 _FLIPPED_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-_COMPARE_FN = {
-    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
-    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-}
-
 
 def _normalized_comparison(conjunct: Any) -> tuple[ColumnRef, str, Any] | None:
     """``col <op> literal`` in either orientation → (ref, op, literal)."""

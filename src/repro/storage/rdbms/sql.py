@@ -18,6 +18,9 @@ Supported statements (enough for the paper's exploitation scenarios — the
 
 Predicates: comparisons (=, !=, <>, <, <=, >, >=), AND/OR/NOT, ``LIKE`` with
 ``%``/``_`` wildcards, ``IS [NOT] NULL``, ``IN (v1, v2, ...)``, parentheses.
+String literals take either quote, a doubled quote escaping itself
+(``'it''s'``, ``"a ""b"" c"``); ``NULL`` and ``NONE`` are the null
+literal.  :func:`parse_predicate` parses a bare predicate.
 
 Execution goes through the cost-based planner in
 :mod:`repro.storage.rdbms.planner` by default (index lookups, range
@@ -32,6 +35,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import operator
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -55,7 +59,7 @@ class SqlError(Exception):
 _SQL_TOKEN_RE = re.compile(
     r"""
     \s*(?:
-        (?P<string>'(?:[^']|'')*')
+        (?P<string>'(?:[^']|'')*'|"(?:[^"]|"")*")
       | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
       | (?P<op><=|>=|!=|<>|=|<|>|\(|\)|,|\*|\.)
       | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
@@ -71,7 +75,7 @@ _KEYWORDS = frozenset(
         "set", "delete", "create", "table", "primary", "key", "asc", "desc",
         "join", "on", "count", "sum", "avg", "min", "max", "true", "false",
         "distinct", "as", "having", "explain", "analyze", "alter", "compact",
-        "shard", "shards", "reshard",
+        "shard", "shards", "reshard", "none",
     }
 )
 
@@ -96,7 +100,9 @@ def _lex(sql: str) -> list[_Token]:
         pos = match.end()
         if match.group("string") is not None:
             raw = match.group("string")
-            tokens.append(_Token("string", raw[1:-1].replace("''", "'"), raw))
+            quote = raw[0]
+            tokens.append(_Token("string", raw[1:-1].replace(quote * 2, quote),
+                                 raw))
         elif match.group("number") is not None:
             raw = match.group("number")
             is_float = "." in raw or "e" in raw.lower()
@@ -663,7 +669,8 @@ class _Parser:
         token = self._peek()
         if token.kind in ("string", "number"):
             return self._parse_literal()
-        if token.kind == "keyword" and token.value in ("true", "false", "null"):
+        if token.kind == "keyword" and token.value in ("true", "false", "null",
+                                                       "none"):
             return self._parse_literal()
         return self._parse_column_ref()
 
@@ -675,9 +682,24 @@ class _Parser:
             return Literal(True)
         if token.kind == "keyword" and token.value == "false":
             return Literal(False)
-        if token.kind == "keyword" and token.value == "null":
+        if token.kind == "keyword" and token.value in ("null", "none"):
             return Literal(None)
         raise SqlError(f"expected literal, got {token.text!r}")
+
+
+def parse_predicate(text: str):
+    """Parse a bare predicate — the body of a WHERE clause — into its
+    ``Comparison`` / ``BoolOp`` / ... nodes (xlog's filter and ask
+    predicates are these).
+
+    Raises:
+        SqlError: on syntax errors, including trailing tokens.
+    """
+    parser = _Parser(_lex(text))
+    node = parser._parse_or()
+    if parser._peek().kind != "eof":
+        raise SqlError(f"unexpected {parser._peek().text!r} after predicate")
+    return node
 
 
 def parse_sql(sql: str | list[_Token]):
@@ -741,9 +763,26 @@ def _like_to_regex(pattern: str) -> re.Pattern:
     return re.compile("^" + "".join(out) + "$", re.IGNORECASE)
 
 
+_COMPARE_FN = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
 def eval_predicate(node: Any, row: dict[str, Any]) -> bool:
     """Evaluate a parsed predicate against a row dict (SQL three-valued
     logic simplified: comparisons with NULL are false)."""
+    if isinstance(node, Comparison):
+        left, right = node.left, node.right
+        left = left.value if isinstance(left, Literal) else _resolve(row, left)
+        right = right.value if isinstance(right, Literal) \
+            else _resolve(row, right)
+        if left is None or right is None:
+            return False
+        try:
+            return _COMPARE_FN[node.op](left, right)
+        except TypeError as exc:
+            raise SqlError(f"type error comparing {left!r} {node.op} {right!r}") from exc
     if node is None:
         return True
     if isinstance(node, BoolOp):
@@ -752,26 +791,6 @@ def eval_predicate(node: Any, row: dict[str, Any]) -> bool:
         if node.op == "or":
             return any(eval_predicate(n, row) for n in node.operands)
         return not eval_predicate(node.operands[0], row)
-    if isinstance(node, Comparison):
-        left = _operand_value(node.left, row)
-        right = _operand_value(node.right, row)
-        if left is None or right is None:
-            return False
-        try:
-            if node.op == "=":
-                return left == right
-            if node.op == "!=":
-                return left != right
-            if node.op == "<":
-                return left < right
-            if node.op == "<=":
-                return left <= right
-            if node.op == ">":
-                return left > right
-            if node.op == ">=":
-                return left >= right
-        except TypeError as exc:
-            raise SqlError(f"type error comparing {left!r} {node.op} {right!r}") from exc
     if isinstance(node, LikePredicate):
         value = _resolve(row, node.column)
         if not isinstance(value, str):
@@ -785,14 +804,6 @@ def eval_predicate(node: Any, row: dict[str, Any]) -> bool:
         value = _resolve(row, node.column)
         return (value in node.values) != node.negated
     raise SqlError(f"cannot evaluate predicate node {node!r}")
-
-
-def _operand_value(operand: Any, row: dict[str, Any]) -> Any:
-    if isinstance(operand, Literal):
-        return operand.value
-    if isinstance(operand, ColumnRef):
-        return _resolve(row, operand)
-    raise SqlError(f"bad operand {operand!r}")
 
 
 def _feedback_keys(where: Any) -> list[tuple[str, str]]:

@@ -225,3 +225,70 @@ def test_explain_sql_plan(capsys, pages_dir, workspace, tmp_path):
     code, _ = _run(capsys, "--workspace", workspace, "explain",
                    "a", "b", "c")
     assert code == 2
+
+
+def _generated(capsys, pages_dir, workspace, tmp_path, *flags):
+    _run(capsys, "--workspace", workspace, "ingest", pages_dir)
+    program = tmp_path / "p.xlog"
+    program.write_text('p = docs()\nf = extract(p, "infobox")\noutput f\n')
+    code, out = _run(capsys, "--workspace", workspace, *flags, "generate",
+                     str(program))
+    assert code == 0
+    return out
+
+
+def test_compact_default_table_and_unknown_table(capsys, pages_dir,
+                                                 workspace, tmp_path):
+    _generated(capsys, pages_dir, workspace, tmp_path)
+    code, out = _run(capsys, "--workspace", workspace, "compact")
+    assert code == 0
+    assert out.startswith("compacted facts: ")
+    assert "new segment(s);" in out and "segment(s) total" in out
+    code, out = _run(capsys, "--workspace", workspace, "compact")
+    assert code == 0 and ": 0 rows frozen into 0 new segment(s)" in out
+
+    code = main(["--workspace", workspace, "compact", "nosuch"])
+    assert code == 2
+    assert "unknown table 'nosuch'" in capsys.readouterr().err
+
+
+def test_reshard_by_none_and_missing_by(capsys, pages_dir, workspace,
+                                        tmp_path):
+    _generated(capsys, pages_dir, workspace, tmp_path)
+    code, out = _run(capsys, "--workspace", workspace, "reshard",
+                     "--by", "attribute", "--shards", "2")
+    assert code == 0
+    assert out.startswith("resharded facts: ")
+    assert "rows by (attribute) into 2 shard(s)" in out
+    rows = int(out.split(": ")[1].split()[0])
+    assert rows > 0
+
+    code, out = _run(capsys, "--workspace", workspace, "reshard", "--none")
+    assert code == 0 and out.strip() == f"unsharded facts: {rows} rows"
+
+    code = main(["--workspace", workspace, "reshard"])
+    assert code == 2
+    assert "reshard requires --by" in capsys.readouterr().err
+    code = main(["--workspace", workspace, "reshard", "nosuch", "--by", "x"])
+    assert code == 2
+    assert "unknown table 'nosuch'" in capsys.readouterr().err
+
+
+def test_cache_stats_and_clear(capsys, pages_dir, workspace, tmp_path):
+    cache = str(tmp_path / "cache")
+    _generated(capsys, pages_dir, workspace, tmp_path, "--cache", cache)
+    code, out = _run(capsys, "--workspace", workspace, "--cache", cache,
+                     "cache", "stats")
+    assert code == 0
+    stats = dict(line.split(None, 1) for line in out.splitlines())
+    assert {"kind", "root", "entries", "segments", "disk_bytes"} <= set(stats)
+    assert int(stats["entries"]) == 2  # one per page
+
+    code, out = _run(capsys, "--workspace", workspace, "--cache", cache,
+                     "cache", "clear")
+    assert code == 0 and out.strip() == f"cleared 2 cached entries under {cache}"
+    code, out = _run(capsys, "--workspace", workspace, "--cache", cache,
+                     "cache", "stats")
+    assert code == 0
+    assert dict(line.split(None, 1) for line in out.splitlines())[
+        "entries"] == "0"

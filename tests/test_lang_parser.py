@@ -4,16 +4,12 @@ import pytest
 
 from repro.lang.ast import (
     AskOp,
-    Compare,
-    Const,
     DocsOp,
     ExtractOp,
-    FieldRef,
     FilterOp,
     FuseOp,
     JoinOp,
     LimitOp,
-    Logic,
     ResolveOp,
     SelectOp,
     UnionOp,
@@ -22,6 +18,7 @@ from repro.lang.ast import (
     render_expr,
 )
 from repro.lang.parser import ParseError, parse_expression, parse_program
+from repro.storage.rdbms.sql import BoolOp, Comparison
 
 PROGRAM = """
 # extract temperatures, curate them, publish
@@ -49,7 +46,7 @@ def test_parse_extract_and_filter_details():
     extract = next(o for o in ops if isinstance(o, ExtractOp))
     assert extract.extractor == "temp_rules"
     filter_op = next(o for o in ops if isinstance(o, FilterOp))
-    assert isinstance(filter_op.predicate, Logic)
+    assert isinstance(filter_op.predicate, BoolOp)
     assert expr_fields(filter_op.predicate) == {"confidence", "value"}
 
 
@@ -100,7 +97,7 @@ def test_comments_and_blank_lines_ignored():
 
 def test_expression_comparisons():
     expr = parse_expression("confidence >= 0.5")
-    assert isinstance(expr, Compare)
+    assert isinstance(expr, Comparison)
     assert eval_expr(expr, {"confidence": 0.7}) is True
     assert eval_expr(expr, {"confidence": 0.3}) is False
     assert eval_expr(expr, {}) is False  # missing field is never a match

@@ -1,5 +1,9 @@
 """Serving-layer tests: MVCC snapshots, admission, deadlines, shutdown."""
 
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -333,6 +337,66 @@ def test_session_statements_respect_deadline():
         time.sleep(0.001)
         with pytest.raises(QueryTimeoutError):
             session.structured("SELECT * FROM facts")
+    finally:
+        system.close()
+
+
+def test_system_deadline_times_out_a_slow_query_and_sessions_inherit_it():
+    system = StructureManagementSystem(query_deadline_seconds=0.001)
+    try:
+        execute_sql(system.db, "CREATE TABLE big (id INT PRIMARY KEY, grp INT)")
+        system.db.run(lambda t: t.insert_many(
+            "big", [{"id": i, "grp": i % 7} for i in range(20_000)]))
+        slow = "SELECT grp, COUNT(*) AS n FROM big WHERE id >= 0 GROUP BY grp"
+        with pytest.raises(QueryTimeoutError) as info:
+            system.query(slow)
+        assert info.value.sql == slow
+        assert len(system.query(slow, deadline_seconds=60.0)) == 7
+
+        session = system.session("alice")
+        assert session.deadline_seconds == 0.001
+        with pytest.raises(QueryTimeoutError):
+            session.structured(slow.replace("id >= 0", "id >= 1"))
+    finally:
+        system.close()
+
+
+_SIGTERM_CHILD = """
+import sys, time
+from repro.core.system import StructureManagementSystem
+from repro.docmodel.document import Document
+from repro.extraction.infobox import InfoboxExtractor
+
+system = StructureManagementSystem(workspace=sys.argv[1])
+system.registry.register_extractor("infobox", InfoboxExtractor())
+system.ingest([Document("madison", "{{Infobox city | name = Madison "
+                                   "| sep_temp = 70 | population = 233209 }}")])
+system.generate('p = docs()\\nf = extract(p, "infobox")\\noutput f')
+system.install_signal_handlers()
+print(system.query("SELECT COUNT(*) AS n FROM facts")[0]["n"], flush=True)
+time.sleep(60)
+"""
+
+
+def test_sigterm_drains_exits_143_and_the_workspace_reopens(tmp_path):
+    workspace = str(tmp_path / "ws")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    child = subprocess.Popen(
+        [sys.executable, "-c", _SIGTERM_CHILD, workspace],
+        stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    try:
+        facts = int(child.stdout.readline())
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=60) == 128 + signal.SIGTERM == 143
+    finally:
+        child.kill()
+        child.stdout.close()
+    assert facts > 0
+    system = StructureManagementSystem(workspace=workspace)
+    try:
+        assert system.query("SELECT COUNT(*) AS n FROM facts") == [
+            {"n": facts}]
     finally:
         system.close()
 
