@@ -41,6 +41,8 @@ import time
 from _tables import assert_gates, gate, write_table
 
 from repro import telemetry
+from repro.cluster.backends import make_backend
+from repro.cluster.simulator import SimulatedCluster
 from repro.core.system import StructureManagementSystem
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
 from repro.extraction.infobox import InfoboxExtractor
@@ -61,8 +63,9 @@ def _canonical(rows: list[dict]) -> bytes:
 
 def _run_pipeline(docs, workspace: str, backend: str | None = None):
     """One full ingest -> generate -> query run in a fresh workspace."""
-    system = StructureManagementSystem(workspace=workspace, use_cluster=True,
-                                       backend=backend)
+    system = StructureManagementSystem(
+        workspace=workspace,
+        backend=SimulatedCluster(backend=make_backend(backend)))
     system.registry.register_extractor("infobox", InfoboxExtractor())
     system.ingest(docs)
     report = system.generate(PROGRAM)

@@ -87,11 +87,11 @@ def _changed_chars(day0: list[Document], day1: list[Document]) -> tuple[int, int
     return len(changed), sum(len(d.text) for d in changed)
 
 
-def _run(docs, cache=None, backend=None, cluster=None):
+def _run(docs, cache=None, backend=None):
     """One isolated executor run (fresh ambient registry)."""
     with use_registry(MetricsRegistry()):
         return run_program(PROGRAM, docs, _registry(), cache=cache,
-                           backend=backend, cluster=cluster)
+                           backend=backend)
 
 
 def bench_churn_sweep(num_docs: int, base_dir: str) -> list[dict]:
@@ -175,12 +175,12 @@ def bench_determinism(num_docs: int, base_dir: str) -> dict:
         assert result.rows == baseline.rows, \
             f"{spec} backend output differs with a warm cache"
 
-    cluster_plain = _run(day1, cluster=SimulatedCluster(
+    cluster_plain = _run(day1, backend=SimulatedCluster(
         ClusterConfig(num_workers=3, seed=7)))
-    cluster_warm = _run(day1, cache=cache, cluster=SimulatedCluster(
+    cluster_warm = _run(day1, cache=cache, backend=SimulatedCluster(
         ClusterConfig(num_workers=3, seed=7)))
-    assert cluster_warm.rows == cluster_plain.rows, \
-        "cluster-path output differs with a warm cache"
+    assert cluster_warm.rows == cluster_plain.rows == baseline.rows, \
+        "cluster-backend output differs from inline or with a warm cache"
 
     cache.close()
     reopened = DiskExtractionCache(root)

@@ -6,37 +6,43 @@ inline, on a thread pool, or on a process pool.  The paper's premise — "IE
 is computation intensive ... we need parallel processing in the physical
 layer" — is therefore realized twice: the simulator answers "how would this
 scale on a cluster?", a backend answers "how fast does it run on this
-machine right now?".
+machine right now?".  The simulator is itself a backend
+(:class:`~repro.cluster.simulator.SimulatedCluster`) whose real work runs
+on one of these.
 
-All backends preserve input order: ``backend.map(fn, items)`` returns
-``[fn(items[0]), fn(items[1]), ...]`` regardless of which worker finished
-first, so serial, thread, and process execution produce byte-identical
-output streams (the determinism contract documented in DESIGN.md).
+Every backend runs work one way, :meth:`~_PoolBackend.map_stream`:
+``backend.map_stream(fn, items)`` yields ``fn(items[0]), fn(items[1]),
+...`` in input order regardless of which worker finished first, so serial,
+thread, and process execution produce byte-identical output streams (the
+determinism contract documented in DESIGN.md); ``backend.map`` is the
+list of that stream.  The serial backend's "pool" runs a task in the
+caller's thread when its result is consumed, so it is fully demand-driven.
 
 The process backend requires picklable callables and items.  Plan-level
 callables in :mod:`repro.lang.executor` are module-level dataclasses for
 exactly this reason; ad-hoc lambdas raise :class:`BackendError` with a
 hint instead of a bare ``PicklingError``.
 
-Telemetry: pool backends run every chunk under a fresh worker-local
-:class:`~repro.telemetry.metrics.MetricsRegistry` and merge its snapshot
+Telemetry: every chunk runs under a fresh worker-local
+:class:`~repro.telemetry.metrics.MetricsRegistry` whose snapshot is merged
 back into the caller's ambient registry, so metrics recorded inside
 payloads (``extraction.docs`` etc.) aggregate to identical totals on
 serial, thread, and process backends — counters are commutative, and
-snapshots are merged in submission order.  A failed chunk attempt never
-returns its snapshot, so retried work is counted exactly once: by the
-attempt whose results are actually used.
+snapshots are merged in submission order.  Every attempt that returns
+merges what it recorded, a failed item's included; an attempt whose
+worker died returns nothing and so records nothing.
 
 Fault tolerance: every backend runs under a
-:class:`~repro.faults.retry.RetryPolicy`.  Failed chunks are retried for
-up to ``max_attempts`` rounds (with deterministic backoff between
-rounds); a dead process pool (``BrokenProcessPool`` after a worker
-called ``os._exit`` or segfaulted) is rebuilt and the unfinished chunks
-resubmitted.  Chunks that still fail are *isolated* — re-run one item at
-a time so a single poison payload cannot take its chunk-mates down with
-it.  A persistently failing item is routed to the caller's
-``on_item_failure(item, exc)`` callback (the executor uses this to emit
-quarantine markers) or, absent a callback, raises :class:`BackendError`.
+:class:`~repro.faults.retry.RetryPolicy` of ``max_attempts`` N.  Items
+are submitted in chunks under a bounded window; an item that raised in its
+chunk — or every item of a chunk whose worker died — is *isolated*: re-run
+alone, so one poison payload cannot take its chunk-mates down with it, for
+the rest of its budget of N attempts (deterministic backoff between
+attempts).  A dead process pool (``BrokenProcessPool`` after a worker
+called ``os._exit`` or segfaulted) is rebuilt first.  A persistently
+failing item is routed to the caller's ``on_item_failure(item, exc)``
+callback (the extraction stage uses this to emit quarantine markers) or,
+absent a callback, raises :class:`BackendError`.
 """
 
 from __future__ import annotations
@@ -48,10 +54,15 @@ from collections import deque
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import Executor as _FuturesExecutor
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.faults.retry import DEFAULT_RETRY, RetryPolicy
 from repro.telemetry import metrics
+
+#: ``on_item_failure(item, exc)``: a substitute result for an item that
+#: failed its whole retry budget.
+OnItemFailure = Callable[[Any, BaseException], Any]
 
 
 class BackendError(RuntimeError):
@@ -60,121 +71,108 @@ class BackendError(RuntimeError):
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
-    """Uniform map-style execution surface.
+    """Uniform map-style execution surface, and the base every backend
+    here subclasses: each defines :meth:`map_stream`, its one routine,
+    and inherits the rest.
 
     Attributes:
         name: short identifier reported in stats (``serial`` / ``thread``
-            / ``process``).
+            / ``process`` / ``cluster+<inner>``).
         max_workers: degree of real parallelism (1 for serial).
     """
 
     name: str
     max_workers: int
 
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any],
-            chunk_size: int | None = None,
-            on_item_failure: Callable[[Any, BaseException], Any] | None = None,
-            ) -> list[Any]:
-        """Apply ``fn`` to every item; results in input order.
+    def map_stream(self, fn: Callable[[Any], Any], items: Sequence[Any], *,
+                   chunk_size: int | None = None,
+                   on_item_failure: OnItemFailure | None = None,
+                   ) -> Iterator[Any]:
+        """Apply ``fn`` to every item; results lazily, in input order.
 
         ``on_item_failure(item, exc)``, when given, supplies a substitute
         result for an item that still fails after the backend's retry
         budget; without it such an item raises :class:`BackendError`.
         """
-        ...
+        raise NotImplementedError
+
+    def map(self, fn: Callable[[Any], Any], items: Sequence[Any], *,
+            chunk_size: int | None = None,
+            on_item_failure: OnItemFailure | None = None) -> list[Any]:
+        """Apply ``fn`` to every item; results in input order."""
+        return list(self.map_stream(fn, items, chunk_size=chunk_size,
+                                    on_item_failure=on_item_failure))
 
     def close(self) -> None:
         """Release pool resources (idempotent)."""
-        ...
 
-
-def _chunk(items: Sequence[Any], size: int) -> list[Sequence[Any]]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _apply_chunk_metered(
-    fn: Callable[[Any], Any], chunk: Sequence[Any],
-) -> tuple[list[Any], dict[str, Any]]:
-    """Worker-side loop that captures payload metrics.
-
-    Runs the chunk under a fresh worker-local registry (installed as this
-    worker thread/process's ambient registry) and returns its snapshot
-    alongside the results, for the caller to merge.
-    """
-    registry = metrics.MetricsRegistry()
-    metrics.push_registry(registry)
-    try:
-        out = [fn(item) for item in chunk]
-    finally:
-        metrics.pop_registry()
-    return out, registry.snapshot()
-
-
-class SerialBackend:
-    """Default backend: runs everything inline, fully deterministic."""
-
-    name = "serial"
-    max_workers = 1
-
-    def __init__(self, retry: RetryPolicy | None = None) -> None:
-        self.retry = retry if retry is not None else DEFAULT_RETRY
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any],
-            chunk_size: int | None = None,
-            on_item_failure: Callable[[Any, BaseException], Any] | None = None,
-            ) -> list[Any]:
-        out: list[Any] = []
-        for index, item in enumerate(items):
-            try:
-                out.append(self.retry.run(lambda it=item: fn(it),
-                                          salt=f"serial:{index}"))
-            except Exception as exc:
-                if on_item_failure is None:
-                    raise BackendError(
-                        f"task failed after {self.retry.max_attempts} "
-                        f"attempt(s): {exc}"
-                    ) from exc
-                out.append(on_item_failure(item, exc))
-        return out
-
-    def map_stream(self, fn: Callable[[Any], Any], items: Sequence[Any],
-                   window: int | None = None,
-                   ) -> "Iterator[Any]":
-        """Lazy :meth:`map`: items run only as results are consumed.
-
-        The serial backend is fully demand-driven — an abandoned iterator
-        (e.g. a LIMIT that stopped early) never executes the remaining
-        items.  ``window`` is accepted for interface parity.
-        """
-        def gen() -> "Iterator[Any]":
-            for index, item in enumerate(items):
-                try:
-                    yield self.retry.run(lambda it=item: fn(it),
-                                         salt=f"serial:{index}")
-                except Exception as exc:
-                    raise BackendError(
-                        f"task failed after {self.retry.max_attempts} "
-                        f"attempt(s): {exc}"
-                    ) from exc
-        return gen()
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "SerialBackend":
+    def __enter__(self) -> "ExecutionBackend":
         return self
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
 
-class _PoolBackend:
-    """Shared chunked-submission logic for thread/process pools.
+def _chunk(items: Sequence[Any], size: int) -> list[Sequence[Any]]:
+    return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+@dataclass(frozen=True)
+class _Failed:
+    """An item's outcome when ``fn`` raised (picklable, crosses pools)."""
+
+    exc: BaseException
+
+
+def _run_chunk(fn: Callable[[Any], Any],
+               chunk: Sequence[Any]) -> tuple[list[Any], dict[str, Any]]:
+    """Worker side: every item of a chunk, under a fresh worker-local
+    registry installed as this worker's ambient one; returns one outcome
+    per item (its result, or :class:`_Failed`) and the registry's
+    snapshot, for the caller to merge."""
+    registry = metrics.MetricsRegistry()
+    metrics.push_registry(registry)
+    try:
+        out = []
+        for item in chunk:
+            try:
+                out.append(fn(item))
+            except Exception as exc:
+                out.append(_Failed(exc))
+    finally:
+        metrics.pop_registry()
+    return out, registry.snapshot()
+
+
+class _Deferred:
+    """A serial "future": the task runs when its result is asked for."""
+
+    def __init__(self, fn: Callable[..., Any], args: tuple) -> None:
+        self._call = (fn, args)
+
+    def result(self) -> Any:
+        fn, args = self._call
+        return fn(*args)
+
+
+class _InlinePool:
+    """The serial backend's pool: runs each task in the caller's thread,
+    in the order results are consumed."""
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> _Deferred:
+        return _Deferred(fn, args)
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
+
+
+class _PoolBackend(ExecutionBackend):
+    """The one execution routine, over a pool of workers.
 
     Tasks are submitted as chunks (``max(len(items) // (workers * 4), 1)``
     items each by default) so per-task overhead — especially pickling for
-    process pools — amortizes over many items, and results are reassembled
-    in submission order.
+    process pools — amortizes over many items; at most ``2 * max_workers``
+    chunks are in flight, and results are yielded in submission order.
     """
 
     name = "pool"
@@ -185,199 +183,107 @@ class _PoolBackend:
         if self.max_workers < 1:
             raise BackendError("max_workers must be >= 1")
         self.retry = retry if retry is not None else DEFAULT_RETRY
-        self._pool: _FuturesExecutor | None = None
+        self._pool: Any = None
 
-    # ------------------------------------------------------------------ API
+    def map_stream(self, fn: Callable[[Any], Any], items: Sequence[Any], *,
+                   chunk_size: int | None = None,
+                   on_item_failure: OnItemFailure | None = None,
+                   ) -> Iterator[Any]:
+        """Apply ``fn`` to every item; results lazily, in input order.
 
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any],
-            chunk_size: int | None = None,
-            on_item_failure: Callable[[Any, BaseException], Any] | None = None,
-            ) -> list[Any]:
-        items = list(items)
-        if not items:
-            return []
-        self._check_payload(fn, items[0])
-        if chunk_size is None:
-            chunk_size = max(len(items) // (self.max_workers * 4), 1)
-        chunks = _chunk(items, chunk_size)
-        parent_registry = metrics.get_registry()
-        results: list[list[Any] | None] = [None] * len(chunks)
-        pending = list(range(len(chunks)))
-        # Chunk-level retry rounds: resubmit failed chunks wholesale
-        # (covers transient errors and dead pools) before falling back to
-        # per-item isolation below.
-        for round_no in range(1, self.retry.max_attempts + 1):
-            pending = self._run_round(fn, chunks, results, pending,
-                                      parent_registry)
-            if not pending:
-                break
-            if round_no < self.retry.max_attempts:
-                parent_registry.inc("tasks.retried", len(pending))
-                time.sleep(self.retry.delay_for(round_no, salt=self.name))
-        # Chunks that failed every round: isolate item-by-item so one
-        # poison payload cannot sink its chunk-mates.
-        for index in pending:
-            results[index] = self._isolate_chunk(
-                fn, chunks[index], on_item_failure, parent_registry
-            )
-        out: list[Any] = []
-        for chunk_results in results:  # chunk order == input order
-            out.extend(chunk_results or [])
-        return out
-
-    def map_stream(self, fn: Callable[[Any], Any], items: Sequence[Any],
-                   window: int | None = None,
-                   ) -> "Iterator[Any]":
-        """Streaming :meth:`map` with a bounded submit-ahead window.
-
-        At most ``window`` tasks (default ``2 * max_workers``) are in
-        flight or buffered at once; results are yielded in input order as
-        they are consumed, and abandoning the iterator (LIMIT early-exit)
-        stops further submission.  One item per task — callers pass
-        coarse chunk payloads.  Failed tasks fall back to the per-item
-        retry/rebuild path; worker metric snapshots merge into the
-        caller's registry in consumption order.
+        Abandoning the iterator (LIMIT early-exit) stops further
+        submission.  Worker metric snapshots merge into the caller's
+        registry in consumption order.
         """
         items = list(items)
-        parent_registry = metrics.get_registry()
-
-        def gen() -> "Iterator[Any]":
-            if not items:
-                return
+        if items:
             self._check_payload(fn, items[0])
-            in_flight = max(window or 2 * self.max_workers, 1)
-            pending: deque[tuple[int, Any]] = deque()
-            indices = iter(range(len(items)))
-
-            def submit_next() -> bool:
-                try:
-                    index = next(indices)
-                except StopIteration:
-                    return False
-                try:
-                    future = self._ensure_pool().submit(
-                        _apply_chunk_metered, fn, [items[index]])
-                except Exception:  # pool broken at submit time
-                    future = None
-                pending.append((index, future))
-                return True
-
-            for _ in range(in_flight):
-                if not submit_next():
-                    break
-            while pending:
-                index, future = pending.popleft()
-                try:
-                    if future is None:
-                        raise BrokenExecutor("submit failed")
-                    item_results, snapshot = future.result()
-                    result = item_results[0]
-                except Exception:
-                    if future is None:
-                        self._rebuild_pool()
-                    try:
-                        result, snapshot = self._run_single(fn, items[index])
-                    except Exception as exc:
-                        raise BackendError(
-                            f"task failed after {self.retry.max_attempts} "
-                            f"attempt(s) on backend {self.name!r}: {exc}"
-                        ) from exc
-                parent_registry.merge(snapshot)
-                submit_next()
-                yield result
-        return gen()
+        size = chunk_size or max(len(items) // (self.max_workers * 4), 1)
+        return self._stream(fn, _chunk(items, size), on_item_failure,
+                            metrics.get_registry())
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    def __enter__(self) -> "_PoolBackend":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
     # ------------------------------------------------------------ internals
 
-    def _run_round(self, fn: Callable[[Any], Any],
-                   chunks: list[Sequence[Any]],
-                   results: list[list[Any] | None],
-                   pending: list[int],
-                   parent_registry: metrics.MetricsRegistry) -> list[int]:
-        """Run one submission round; returns indices of chunks that failed.
+    def _stream(self, fn: Callable[[Any], Any], chunks: list[Sequence[Any]],
+                on_item_failure: OnItemFailure | None,
+                parent: metrics.MetricsRegistry) -> Iterator[Any]:
+        pending: deque[tuple[Sequence[Any], Any, Any]] = deque()
+        queued = iter(chunks)
 
-        A broken pool (worker death) fails every chunk that has not yet
-        returned a result; the pool is rebuilt so the next round — or the
-        isolation pass — runs on healthy workers.
-        """
+        def submit_next() -> None:
+            chunk = next(queued, None)
+            if chunk is not None:
+                pending.append((chunk, *self._submit(fn, chunk)))
+
+        for _ in range(2 * self.max_workers):
+            submit_next()
+        while pending:
+            chunk, future, pool = pending.popleft()
+            outcomes = self._collect(future, pool, parent)
+            if isinstance(outcomes, Exception):  # no item's fate is known
+                outcomes = [_Failed(outcomes)] * len(chunk)
+            submit_next()
+            for item, outcome in zip(chunk, outcomes):
+                if isinstance(outcome, _Failed):
+                    outcome = self._isolate(fn, item, outcome.exc,
+                                            on_item_failure, parent)
+                yield outcome
+
+    def _submit(self, fn: Callable[[Any], Any],
+                chunk: Sequence[Any]) -> tuple[Any, Any]:
+        """``(future, pool)``; the error instead of a future when the
+        pool refused the task (broken or shut down)."""
         pool = self._ensure_pool()
-        futures = {}
         try:
-            for index in pending:
-                futures[index] = pool.submit(
-                    _apply_chunk_metered, fn, chunks[index]
-                )
-        except Exception:  # pool broken/shut down at submit time
-            self._rebuild_pool()
-            return list(pending)
-        failed: list[int] = []
-        broken = False
-        for index in pending:  # submission order == input order
-            try:
-                chunk_results, snapshot = futures[index].result()
-            except BrokenExecutor:
-                broken = True
-                failed.append(index)
-            except Exception:
-                failed.append(index)
-            else:
-                results[index] = chunk_results
-                parent_registry.merge(snapshot)
-        if broken:
-            self._rebuild_pool()
-        return failed
+            return pool.submit(_run_chunk, fn, chunk), pool
+        except Exception as exc:
+            return exc, pool
 
-    def _isolate_chunk(self, fn: Callable[[Any], Any],
-                       chunk: Sequence[Any],
-                       on_item_failure: Callable[[Any, BaseException], Any]
-                       | None,
-                       parent_registry: metrics.MetricsRegistry) -> list[Any]:
-        """Re-run a persistently failing chunk one item at a time."""
-        out: list[Any] = []
-        for item in chunk:
-            try:
-                result, snapshot = self._run_single(fn, item)
-            except Exception as exc:
-                if on_item_failure is None:
-                    raise BackendError(
-                        f"task failed after {self.retry.max_attempts} "
-                        f"attempt(s) on backend {self.name!r}: {exc}"
-                    ) from exc
-                out.append(on_item_failure(item, exc))
-            else:
-                out.append(result)
-                parent_registry.merge(snapshot)
-        return out
+    def _collect(self, future: Any, pool: Any,
+                 parent: metrics.MetricsRegistry) -> list[Any] | Exception:
+        """A chunk's outcomes, its snapshot merged; the error when the
+        chunk returned nothing (a dead worker, an unpicklable result).
+        A pool that refused the task or lost a worker is rebuilt, unless
+        an earlier failure already replaced it."""
+        refused = isinstance(future, Exception)
+        try:
+            if refused:
+                raise future
+            outcomes, snapshot = future.result()
+        except Exception as exc:
+            if (refused or isinstance(exc, BrokenExecutor)) \
+                    and pool is self._pool:
+                self._rebuild_pool()
+            return exc
+        parent.merge(snapshot)
+        return outcomes
 
-    def _run_single(self, fn: Callable[[Any], Any],
-                    item: Any) -> tuple[Any, dict[str, Any]]:
-        """One item, with its own retry budget and pool-rebuild handling."""
-        last_exc: BaseException = BackendError("no attempt ran")
-        for attempt in range(1, self.retry.max_attempts + 1):
-            pool = self._ensure_pool()
-            try:
-                future = pool.submit(_apply_chunk_metered, fn, [item])
-                item_results, snapshot = future.result()
-                return item_results[0], snapshot
-            except Exception as exc:
-                last_exc = exc
-                if isinstance(exc, BrokenExecutor):
-                    self._rebuild_pool()
-            if attempt < self.retry.max_attempts:
-                metrics.get_registry().inc("tasks.retried")
-                time.sleep(self.retry.delay_for(attempt, salt="isolate"))
-        raise last_exc
+    def _isolate(self, fn: Callable[[Any], Any], item: Any,
+                 exc: BaseException, on_item_failure: OnItemFailure | None,
+                 parent: metrics.MetricsRegistry) -> Any:
+        """Re-run an item that failed in its chunk (attempt 1) alone, for
+        the rest of its budget; then ``on_item_failure`` or raise."""
+        for attempt in range(1, self.retry.max_attempts):
+            parent.inc("tasks.retried")
+            time.sleep(self.retry.delay_for(attempt, salt=self.name))
+            future, pool = self._submit(fn, [item])
+            outcomes = self._collect(future, pool, parent)
+            if isinstance(outcomes, Exception):
+                exc = outcomes
+            elif isinstance(outcomes[0], _Failed):
+                exc = outcomes[0].exc
+            else:
+                return outcomes[0]
+        if on_item_failure is None:
+            raise BackendError(
+                f"task failed after {self.retry.max_attempts} attempt(s) "
+                f"on backend {self.name!r}: {exc}") from exc
+        return on_item_failure(item, exc)
 
     def _rebuild_pool(self) -> None:
         """Discard a (possibly broken) pool; next use builds a fresh one."""
@@ -389,16 +295,28 @@ class _PoolBackend:
             self._pool = None
         metrics.get_registry().inc("backend.pool_rebuilds")
 
-    def _ensure_pool(self) -> _FuturesExecutor:
+    def _ensure_pool(self) -> Any:
         if self._pool is None:
             self._pool = self._make_pool()
         return self._pool
 
-    def _make_pool(self) -> _FuturesExecutor:
+    def _make_pool(self) -> Any:
         raise NotImplementedError
 
     def _check_payload(self, fn: Callable[[Any], Any], sample: Any) -> None:
         """Hook: process pools validate picklability up front."""
+
+
+class SerialBackend(_PoolBackend):
+    """Default backend: runs everything inline, fully deterministic."""
+
+    name = "serial"
+
+    def __init__(self, retry: RetryPolicy | None = None) -> None:
+        super().__init__(1, retry)
+
+    def _make_pool(self) -> _InlinePool:
+        return _InlinePool()
 
 
 class ThreadPoolBackend(_PoolBackend):

@@ -4,17 +4,16 @@ A job is defined by a map function ``(item) -> [(key, value), ...]``, an
 optional combiner, and a reduce function ``(key, [values]) -> result``.
 Input items are split into map tasks of ``split_size`` items; map outputs
 are shuffled by ``hash(key) % num_reducers`` into reduce partitions; reduce
-tasks then run per partition.  Both waves are scheduled on the
-:class:`~repro.cluster.simulator.SimulatedCluster`, and the job's simulated
-makespan is map-makespan + shuffle cost + reduce-makespan.
+tasks then run per partition.  Both waves are one
+:meth:`~repro.cluster.simulator.SimulatedCluster.wave` each, and the job's
+simulated makespan is map-makespan + reduce-makespan.
 
-When an :class:`~repro.cluster.backends.ExecutionBackend` is supplied, the
-*real* work of each wave (running map/combine/reduce payloads) fans out on
-that backend first — threads or processes for actual wall-clock
-parallelism — and the simulator then schedules the same tasks against
-precomputed results.  The simulated makespan is byte-identical with and
-without a backend (the cost model sees the same tasks in the same order);
-the backend only changes how fast the wave really runs, reported as
+The *real* work of each wave (running map/combine/reduce payloads) runs
+on the cluster's inner backend first — threads or processes for actual
+wall-clock parallelism — and the simulator then schedules the wave's
+tasks.  The simulated makespan is byte-identical whatever the inner
+backend (the cost model sees the same tasks in the same order); the
+backend only changes how fast the wave really runs, reported as
 ``real_seconds``.
 """
 
@@ -25,8 +24,9 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
-from repro.cluster.backends import ExecutionBackend, _chunk
-from repro.cluster.simulator import ClusterConfig, SimulatedCluster, Task, TaskResult
+from repro.cluster.backends import _chunk
+from repro.cluster.simulator import (REDUCE_COST_PER_RECORD, ClusterConfig,
+                                     SimulatedCluster)
 from repro.telemetry import metrics, tracing
 
 MapFn = Callable[[Any], Iterable[tuple[Hashable, Any]]]
@@ -56,7 +56,7 @@ class MapReduceJob:
     split_size: int = 100
     num_reducers: int = 4
     map_cost_per_item: float = 1.0
-    reduce_cost_per_value: float = 0.1
+    reduce_cost_per_value: float = REDUCE_COST_PER_RECORD
 
 
 @dataclass
@@ -68,10 +68,8 @@ class MapReduceResult:
         map_makespan: simulated time of the map wave.
         reduce_makespan: simulated time of the reduce wave.
         shuffle_records: number of (key, value) pairs shuffled.
-        backend_name: which execution backend ran the real work
-            (``inline`` when no backend was supplied).
-        real_seconds: wall-clock seconds the backend spent executing wave
-            payloads (0.0 inline — payloads run inside the simulator).
+        backend_name: the inner backend that ran the real work.
+        real_seconds: wall-clock seconds it spent executing wave payloads.
         map_tasks: map tasks in the map wave.
         reduce_tasks: reduce tasks in the reduce wave (empty partitions
             are not scheduled).
@@ -82,10 +80,10 @@ class MapReduceResult:
     map_makespan: float
     reduce_makespan: float
     shuffle_records: int
-    backend_name: str = "inline"
-    real_seconds: float = 0.0
-    map_tasks: int = 0
-    reduce_tasks: int = 0
+    backend_name: str
+    real_seconds: float
+    map_tasks: int
+    reduce_tasks: int
     makespan: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -138,27 +136,6 @@ class _ReducePartitionPayload:
         }
 
 
-def _emit_task_spans(tracer: Any, wave: str,
-                     results: list[TaskResult]) -> None:
-    """Per-task child spans carrying the simulator's scheduling outcome.
-
-    Real durations of individual simulated tasks are not observable (the
-    wave runs them inside ``cluster.run``), so the span's value is its
-    attributes: assigned worker, attempts, simulated start/end.
-    """
-    for result in results:
-        with tracer.span(
-            f"mapreduce.task.{wave}",
-            task_id=result.task_id,
-            worker=result.worker,
-            attempts=result.attempts,
-            simulated_start=result.start_time,
-            simulated_end=result.end_time,
-            speculated=result.speculated,
-        ):
-            pass
-
-
 def _approx_record_bytes(key: Hashable, value: Any) -> int:
     """Cheap size proxy for one shuffled (key, value) record."""
     return len(repr(key)) + len(repr(value))
@@ -166,14 +143,13 @@ def _approx_record_bytes(key: Hashable, value: Any) -> int:
 
 def run_mapreduce(job: MapReduceJob, items: Sequence[Any],
                   cluster: SimulatedCluster | None = None,
-                  config: ClusterConfig | None = None,
-                  backend: ExecutionBackend | None = None) -> MapReduceResult:
+                  config: ClusterConfig | None = None) -> MapReduceResult:
     """Run a Map-Reduce job over ``items``.
 
     Provide either an existing ``cluster`` or a ``config`` (defaults to a
-    4-worker cluster).  With a ``backend``, wave payloads execute on it for
-    real wall-clock parallelism before the simulator schedules the (now
-    precomputed) tasks — simulated makespans are unaffected.
+    4-worker cluster).  Each wave's payloads run for real on the cluster's
+    inner backend, then :meth:`SimulatedCluster.wave` schedules the wave's
+    tasks — so simulated makespans do not depend on the inner backend.
 
     Emits a ``mapreduce.job`` span with per-wave and per-task children,
     plus ``mapreduce.*`` metrics (task counts, shuffle records; shuffle
@@ -182,49 +158,36 @@ def run_mapreduce(job: MapReduceJob, items: Sequence[Any],
 
     Raises:
         repro.cluster.simulator.TaskFailedError: a task exhausted retries.
-        repro.cluster.backends.BackendError: a process backend was given
-            unpicklable map/combine/reduce functions.
+        repro.cluster.backends.BackendError: a payload failed on the inner
+            backend (a process backend also refuses unpicklable
+            map/combine/reduce functions).
     """
     if cluster is None:
-        cluster = SimulatedCluster(config or ClusterConfig())
-
-    tracer = tracing.get_tracer()
+        cluster = SimulatedCluster(config)
+    backend = cluster.backend
     registry = metrics.get_registry()
-    with tracer.span(
+    real_seconds = 0.0
+
+    def wave(name: str, payload: Callable[[Any], Any],
+             inputs: list[Any], costs: list[float]) -> tuple[list[Any], float]:
+        nonlocal real_seconds
+        started = time.perf_counter()
+        outputs = backend.map(payload, inputs, chunk_size=1)
+        real_seconds += time.perf_counter() - started
+        return outputs, cluster.wave(name, costs)
+
+    with tracing.get_tracer().span(
         "mapreduce.job",
         items=len(items),
         split_size=job.split_size,
         num_reducers=job.num_reducers,
-        backend=backend.name if backend is not None else "inline",
+        backend=backend.name,
     ) as job_span:
         splits = _chunk(items, job.split_size)
-        real_seconds = 0.0
-
-        map_payload = _MapSplitPayload(job.map_fn, job.combine_fn)
-        with tracer.span("mapreduce.wave.map", tasks=len(splits)) as map_span:
-            map_outputs: list[list[tuple[Hashable, Any]]] | None = None
-            if backend is not None:
-                started = time.perf_counter()
-                map_outputs = backend.map(map_payload, splits, chunk_size=1)
-                real_seconds += time.perf_counter() - started
-
-            def make_map_task(index: int, split: Sequence[Any]) -> Task:
-                if map_outputs is not None:
-                    precomputed = map_outputs[index]
-                    run: Callable[[], list[tuple[Hashable, Any]]] = (
-                        lambda: precomputed
-                    )
-                else:
-                    run = lambda: map_payload(split)
-                return Task(task_id=f"map-{index}", fn=run,
-                            cost=max(len(split) * job.map_cost_per_item, 1e-9))
-
-            map_tasks = [make_map_task(i, s) for i, s in enumerate(splits)]
-            map_results, map_makespan = cluster.run(map_tasks)
-            map_span.set_attribute("simulated_makespan", map_makespan)
-            if tracing.enabled():
-                _emit_task_spans(tracer, "map", map_results)
-        registry.inc("mapreduce.tasks.map", len(map_tasks))
+        map_outputs, map_makespan = wave(
+            "map", _MapSplitPayload(job.map_fn, job.combine_fn), splits,
+            [max(len(split) * job.map_cost_per_item, 1e-9)
+             for split in splits])
 
         # Shuffle: partition by hash(key) % num_reducers.
         partitions: list[dict[Hashable, list[Any]]] = [
@@ -233,8 +196,8 @@ def run_mapreduce(job: MapReduceJob, items: Sequence[Any],
         shuffle_records = 0
         shuffle_bytes = 0
         size_records = tracing.enabled()
-        for result in map_results:
-            for key, value in result.value:
+        for pairs in map_outputs:
+            for key, value in pairs:
                 shuffle_records += 1
                 if size_records:
                     shuffle_bytes += _approx_record_bytes(key, value)
@@ -245,39 +208,15 @@ def run_mapreduce(job: MapReduceJob, items: Sequence[Any],
             registry.inc("mapreduce.shuffle.bytes", shuffle_bytes)
 
         live_partitions = [p for p in partitions if p]
-        reduce_payload = _ReducePartitionPayload(job.reduce_fn)
-        with tracer.span("mapreduce.wave.reduce",
-                         tasks=len(live_partitions)) as reduce_span:
-            reduce_outputs: list[dict[Hashable, Any]] | None = None
-            if backend is not None:
-                started = time.perf_counter()
-                reduce_outputs = backend.map(reduce_payload,
-                                             live_partitions, chunk_size=1)
-                real_seconds += time.perf_counter() - started
-
-            def make_reduce_task(index: int,
-                                 partition: dict[Hashable, list[Any]]) -> Task:
-                if reduce_outputs is not None:
-                    precomputed = reduce_outputs[index]
-                    run: Callable[[], dict[Hashable, Any]] = lambda: precomputed
-                else:
-                    run = lambda: reduce_payload(partition)
-                n_values = sum(len(v) for v in partition.values())
-                return Task(task_id=f"reduce-{index}", fn=run,
-                            cost=max(n_values * job.reduce_cost_per_value, 1e-9))
-
-            reduce_tasks = [
-                make_reduce_task(i, p) for i, p in enumerate(live_partitions)
-            ]
-            reduce_results, reduce_makespan = cluster.run(reduce_tasks)
-            reduce_span.set_attribute("simulated_makespan", reduce_makespan)
-            if tracing.enabled():
-                _emit_task_spans(tracer, "reduce", reduce_results)
-        registry.inc("mapreduce.tasks.reduce", len(reduce_tasks))
+        reduce_outputs, reduce_makespan = wave(
+            "reduce", _ReducePartitionPayload(job.reduce_fn), live_partitions,
+            [max(sum(len(v) for v in partition.values())
+                 * job.reduce_cost_per_value, 1e-9)
+             for partition in live_partitions])
 
         output: dict[Hashable, Any] = {}
-        for result in reduce_results:
-            output.update(result.value)
+        for reduced in reduce_outputs:
+            output.update(reduced)
         job_span.set_attribute("shuffle_records", shuffle_records)
         job_span.set_attribute("simulated_makespan",
                                map_makespan + reduce_makespan)
@@ -286,8 +225,8 @@ def run_mapreduce(job: MapReduceJob, items: Sequence[Any],
             map_makespan=map_makespan,
             reduce_makespan=reduce_makespan,
             shuffle_records=shuffle_records,
-            backend_name=backend.name if backend is not None else "inline",
+            backend_name=backend.name,
             real_seconds=real_seconds,
-            map_tasks=len(map_tasks),
-            reduce_tasks=len(reduce_tasks),
+            map_tasks=len(splits),
+            reduce_tasks=len(live_partitions),
         )

@@ -37,12 +37,12 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Collection, Iterable
 
-from repro.cache.store import ExtractionCache, Rows
+from repro.cache.store import ExtractionCache
 from repro.core.system import fact_row
 from repro.docmodel.document import Document
 from repro.errors import CancellationToken
 from repro.extraction.base import Extraction, Extractor, tuple_to_extraction
-from repro.extraction.stage import DEFAULT_DOC_RETRY, ExtractPayload, run_stage
+from repro.extraction.stage import DEFAULT_DOC_RETRY, run_stage
 from repro.faults.deadletter import DeadLetterEntry, DeadLetterStore
 from repro.integration.entity_resolution import (
     EntityCluster,
@@ -191,15 +191,6 @@ class StreamingPipeline:
 
     # ------------------------------------------------------ stage 1: extract
 
-    def _fan_out(self, payload: ExtractPayload,
-                 docs: list[Document]) -> list[Rows]:
-        """The stage's misses, inline, cancellable between documents."""
-        out = []
-        for doc in docs:
-            self._check_cancelled()
-            out.append(payload(doc))
-        return out
-
     def _extract(self, delta: DocDelta) -> _ExtractedDelta:
         """Every extractor over the delta's documents: one
         :func:`run_stage` call per extractor, so streaming shares batch
@@ -214,8 +205,8 @@ class StreamingPipeline:
             registry.inc("dge.docs_in", len(docs))
         per_doc: list[list[Extraction] | None] = [None] * len(docs)
         for name in sorted(self.extractors):
-            result = run_stage(self.extractors[name], docs, self._fan_out,
-                               cache=self.cache, retry=DEFAULT_DOC_RETRY)
+            result = run_stage(self.extractors[name], docs, cache=self.cache,
+                               retry=DEFAULT_DOC_RETRY, token=self.token)
             for i, rows in enumerate(result.rows):
                 if rows is not None:
                     if per_doc[i] is None:

@@ -15,7 +15,6 @@ from repro.cache.store import ExtractionCache, make_cache
 from repro.core.serving import ServingGate
 from repro.errors import CancellationToken, QueryTimeoutError
 from repro.cluster.backends import ExecutionBackend, make_backend
-from repro.cluster.simulator import ClusterConfig, SimulatedCluster
 from repro.debugger.semantic import SemanticDebugger, SystemMonitor
 from repro.docmodel.corpus import Corpus, InMemoryCorpus
 from repro.docmodel.document import Document
@@ -125,9 +124,10 @@ def _record_fact_provenance(records: Iterable[dict[str, Any]],
 class GenerationReport:
     """Outcome of one data-generation run.
 
-    ``cluster_makespan`` is *simulated* time (the E7 cost model);
-    ``backend_name`` / ``real_parallel_seconds`` report *real* wall-clock
-    parallel execution when an execution backend is configured.
+    ``cluster_makespan`` is *simulated* time (the E7 cost model, when the
+    backend is a simulated cluster); ``backend_name`` /
+    ``real_parallel_seconds`` report *real* wall-clock parallel execution
+    when an execution backend is configured.
     """
 
     #: A run lands the difference from what its program landed before:
@@ -159,14 +159,11 @@ class StructureManagementSystem:
         workspace: directory for all stores; None keeps everything
             in memory (no raw snapshot store in that case).
         registry: extractors/resolvers/crowd used by programs.
-        use_cluster: run extraction waves on a simulated cluster.
-        cluster_config: cluster shape when ``use_cluster``.
-        backend: real execution backend for extraction — ``"serial"``,
+        backend: execution backend for extraction — ``"serial"``,
             ``"thread"``, ``"process"``, an :class:`ExecutionBackend`
-            instance, or None (inline, the default).  Independent of
-            ``use_cluster``: the cluster simulates cost/failure, the
-            backend adds real wall-clock parallelism; output is identical
-            either way.
+            instance (a :class:`~repro.cluster.simulator.SimulatedCluster`
+            simulates cost/failure over the inner backend it is given), or
+            None (inline, the default); output is identical either way.
         backend_workers: pool size for thread/process backends
             (default: CPU count, capped at 8).
         cache: extraction cache — ``None`` (off), ``"memory"`` (in-process
@@ -205,8 +202,6 @@ class StructureManagementSystem:
 
     workspace: str | None = None
     registry: OperatorRegistry = field(default_factory=OperatorRegistry)
-    use_cluster: bool = False
-    cluster_config: ClusterConfig = field(default_factory=ClusterConfig)
     backend: str | ExecutionBackend | None = None
     backend_workers: int | None = None
     cache: ExtractionCache | str | None = None
@@ -268,9 +263,6 @@ class StructureManagementSystem:
         self._lineage: list[dict[str, Any]] = []
         self._facts_lock = threading.Lock()  # the keyword fact index
         self._facts_indexed = self._facts_followed = False
-        self._cluster = (
-            SimulatedCluster(self.cluster_config) if self.use_cluster else None
-        )
         backend_retry = RetryPolicy(max_attempts=1) if self.fail_fast \
             else None
         self._backend = make_backend(self.backend,
@@ -381,9 +373,9 @@ class StructureManagementSystem:
                                       digest_size=8).hexdigest()
             if optimize:
                 plan = Optimizer(self.registry).optimize(plan, docs[:50])
-            executor = Executor(self.registry, cluster=self._cluster,
-                                backend=self._backend, cache=self._cache,
-                                retry=self.retry, fail_fast=self.fail_fast)
+            executor = Executor(self.registry, backend=self._backend,
+                                cache=self._cache, retry=self.retry,
+                                fail_fast=self.fail_fast)
             result: ExecutionResult = executor.execute(plan, docs)
             self.deadletter.add_many(
                 DeadLetterEntry(**f) for f in result.failed_docs)

@@ -75,6 +75,13 @@ def tuple_to_extraction(row: dict[str, Any]) -> Extraction:
     )
 
 
+def scan_cost(extractor: Any, chars: float) -> float:
+    """Simulated work units for ``extractor`` to scan ``chars``
+    characters: the one extraction cost formula, read by the optimizer's
+    estimates and the simulated cluster's task costs."""
+    return extractor.cost_per_char * chars
+
+
 class Extractor(ABC):
     """Base class for all IE operators.
 

@@ -3,10 +3,11 @@
 Program-driven generation (``lang.executor.Executor`` — a whole pipeline
 in one shot, or one program per demand over a shared cache) and the
 streaming pipeline (``core.streaming.StreamingPipeline._extract``) both
-call :func:`run_stage`; they differ only in the *fan-out* they hand it — how
-the misses physically run (an inline loop, ``ExecutionBackend.map``, a
-Map-Reduce wave on the simulated cluster) — the way MiniHive's LOCAL /
-HDFS / MOCK are environments of one task graph, not three compilers.
+call :func:`run_stage`; they differ only in the *backend* they hand it —
+where the misses physically run (``ExecutionBackend.map_stream`` on a
+serial, thread or process pool, or as a Map-Reduce job on the simulated
+cluster; None is an inline loop) — the way MiniHive's LOCAL / HDFS / MOCK
+are environments of one task graph, not three compilers.
 
 What the stage owns, so no caller re-implements it:
 
@@ -17,9 +18,9 @@ What the stage owns, so no caller re-implements it:
   quarantined documents excluded: a failure is retried, not remembered);
 * the fault contract — :class:`ExtractPayload` retries *inside* whatever
   worker it landed on, a document still failing after the budget becomes
-  a poison marker (picklable, travels through backends and map-reduce
-  like a row) that the stage strips into ``failures``; ``fail_fast``
-  propagates the first error instead;
+  a poison marker (picklable, travels through backends like a row) that
+  the stage strips into ``failures``; ``fail_fast`` propagates the first
+  error instead;
 * the ``extraction.*`` counters, recorded wherever the payload runs
   (backends merge worker-local registries back).
 
@@ -30,12 +31,14 @@ imports ``extraction.base``, so this module is imported by path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.cache.fingerprint import extractor_fingerprint
 from repro.cache.store import ExtractionCache, Rows, document_key
+from repro.cluster.backends import ExecutionBackend
 from repro.docmodel.document import Document
-from repro.extraction.base import extraction_to_tuple
+from repro.errors import CancellationToken
+from repro.extraction.base import extraction_to_tuple, scan_cost
 from repro.faults.retry import RetryPolicy
 from repro.telemetry import metrics
 from repro.telemetry.tracing import get_tracer
@@ -86,6 +89,12 @@ class ExtractPayload:
                      sum(1 for r in rows if r["confidence"] >= 0.9))
         return rows
 
+    def unit_cost(self, docs: Sequence[Document]) -> float:
+        """Simulated work units per document over ``docs`` (their mean
+        length scanned): what a simulated cluster charges a map task."""
+        return scan_cost(self.extractor,
+                         sum(len(d.text) for d in docs) / len(docs))
+
     def quarantine(self, doc: Document, exc: BaseException) -> Rows:
         """Poison marker in place of a failed document's rows.
 
@@ -102,11 +111,6 @@ class ExtractPayload:
             "attempts": self.retry.max_attempts if self.retry is not None
             else 1,
         }]
-
-
-#: How the misses physically run: ``fan_out(payload, docs)`` returns one
-#: row list per document, in input order.
-FanOut = Callable[[ExtractPayload, list[Document]], list[Rows]]
 
 
 @dataclass
@@ -128,14 +132,17 @@ class StageResult:
 
 
 def run_stage(extractor: Any, docs: Sequence[Document],
-              fan_out: FanOut | None = None,
+              backend: ExecutionBackend | None = None,
               cache: ExtractionCache | None = None,
               retry: RetryPolicy | None = None,
-              fail_fast: bool = False) -> StageResult:
-    """Extract ``docs`` with ``extractor``: cache hits, else ``fan_out``.
+              fail_fast: bool = False,
+              token: CancellationToken | None = None) -> StageResult:
+    """Extract ``docs`` with ``extractor``: cache hits, else the backend.
 
     Args:
-        fan_out: runs the payload over the misses; None is the inline loop.
+        backend: runs the payload over the misses (a document it cannot
+            extract is quarantined); None is an inline loop that checks
+            ``token`` between documents.
         cache: content-addressed store consulted before and filled after.
         retry: per-document budget (None: one attempt).
         fail_fast: the first extraction error propagates, nothing is
@@ -154,12 +161,16 @@ def run_stage(extractor: Any, docs: Sequence[Document],
             span.set_attribute("hits", len(docs) - len(misses))
             span.set_attribute("misses", len(misses))
     miss_docs = [docs[i] for i in misses]
-    if not miss_docs:
-        fresh: list[Rows] = []
-    elif fan_out is None:
-        fresh = [payload(doc) for doc in miss_docs]
+    if backend is not None and miss_docs:
+        fresh = backend.map(
+            payload, miss_docs,
+            on_item_failure=None if fail_fast else payload.quarantine)
     else:
-        fresh = fan_out(payload, miss_docs)
+        fresh = []
+        for doc in miss_docs:
+            if token is not None:
+                token.check()
+            fresh.append(payload(doc))
     failures: list[dict[str, Any]] = []
     for i, doc_rows in zip(misses, fresh):
         if doc_rows and doc_rows[0].get(_POISON_KEY):

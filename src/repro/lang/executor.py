@@ -3,17 +3,16 @@
 Evaluates operators in dependency order, materializing each stream.
 An extract operator is one call of the shared extraction stage
 (:func:`repro.extraction.stage.run_stage` — cache protocol, per-document
-retry, quarantine); this module only chooses the stage's *fan-out*: the
-inline loop, ``ExecutionBackend.map`` for real parallelism, or a
-Map-Reduce wave on the simulated cluster (the physical-layer
-integration).
+retry, quarantine) on the executor's backend: None for the stage's inline
+loop, a serial / thread / process backend for real parallelism, or the
+simulated cluster (the physical-layer integration).
 
 All work accounting flows through one per-execution
 :class:`~repro.telemetry.metrics.MetricsRegistry`: operators record
 ``executor.*`` counters (characters scanned per extractor, rows per
 operator, HI questions asked), the stage's payload records
 ``extraction.*`` counters even when it runs on worker processes (the
-backends merge worker-local registries back), and nested map-reduce /
+backends merge worker-local registries back), and nested cluster /
 RDBMS work lands in the same registry because it is installed as the
 ambient registry for the duration of the run.  :class:`ExecutionStats` is
 a thin read view over that registry, keeping the attribute API the
@@ -32,11 +31,9 @@ from typing import Any, Sequence
 
 from repro.cache.store import ExtractionCache, Rows
 from repro.cluster.backends import ExecutionBackend, make_backend
-from repro.cluster.mapreduce import MapReduceJob, run_mapreduce
-from repro.cluster.simulator import SimulatedCluster
 from repro.docmodel.document import Document
 from repro.extraction.base import tuple_to_extraction
-from repro.extraction.stage import DEFAULT_DOC_RETRY, ExtractPayload, run_stage
+from repro.extraction.stage import DEFAULT_DOC_RETRY, run_stage
 from repro.faults.retry import RetryPolicy
 from repro.hi.aggregate import aggregate_majority
 from repro.hi.tasks import ValidateValueTask
@@ -80,9 +77,8 @@ class ExecutionStats:
     missing-key-is-zero semantics.
 
     ``backend_name`` / ``real_parallel_seconds`` / ``wave_task_counts``
-    describe *real* parallel execution (E15); ``cluster_makespan`` remains
-    the *simulated* cost model (E7).  The two are independent and can be
-    reported side by side.
+    describe *real* parallel execution (E15); ``cluster_makespan`` is the
+    *simulated* cost model (E7) a cluster backend accumulates.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None,
@@ -112,7 +108,7 @@ class ExecutionStats:
 
     @property
     def cluster_makespan(self) -> float:
-        return self.registry.get("executor.cluster_makespan")
+        return self.registry.get("cluster.makespan")
 
     @property
     def real_parallel_seconds(self) -> float:
@@ -129,24 +125,6 @@ class ExecutionStats:
     @property
     def total_chars_scanned(self) -> int:
         return int(sum(self.chars_scanned.values()))
-
-
-@dataclass(frozen=True)
-class _ByPosition:
-    """Map-function form of a per-item payload for the Map-Reduce path:
-    ``(position, item)`` in, ``(position, value)`` pairs out — keyed by
-    input position, so repeated ``doc_id``s stay separate documents."""
-
-    payload: Any
-
-    def __call__(self, item: tuple[int, Any]) -> list[tuple[int, Any]]:
-        position, doc = item
-        return [(position, row) for row in self.payload(doc)]
-
-
-def _values_reduce(key: Any, values: list[Any]) -> list[Any]:
-    """Identity reduce (picklable module-level replacement for a lambda)."""
-    return values
 
 
 @dataclass
@@ -170,21 +148,18 @@ class Executor:
 
     Args:
         registry: name bindings for extractors/resolvers/crowd.
-        cluster: when given, extract operators run as map waves on the
-            simulated cluster and the job makespans accumulate in
-            ``stats.cluster_makespan``.
-        backend: real execution backend (``"serial"`` / ``"thread"`` /
-            ``"process"``, an :class:`ExecutionBackend`, or None for
-            inline).  Extraction payloads fan out on it — combined with a
-            cluster they run inside the simulated waves; without one they
-            run as a plain parallel map.  Output is identical across
-            backends (the determinism contract).  A backend named by
-            string is built here and closed when each run ends; an
-            instance stays the caller's to close.
+        backend: execution backend (``"serial"`` / ``"thread"`` /
+            ``"process"``, an :class:`ExecutionBackend` — a
+            :class:`~repro.cluster.simulator.SimulatedCluster` among them,
+            whose job makespans accumulate in ``stats.cluster_makespan``
+            — or None for inline).  Extraction payloads run on it; output
+            is identical across backends (the determinism contract).  A
+            backend named by string is built here and closed when each
+            run ends; an instance stays the caller's to close.
         cache: content-addressed extraction cache.  The stage partitions
             each extract operator's documents into hits and misses against
             ``(document key, extractor fingerprint)``; only the misses
-            are extracted (on whichever fan-out is configured) and
+            are extracted (on whichever backend is configured) and
             fresh results are written back.  Output — including its byte
             order — is identical with and without the cache; the
             ``executor.*`` work counters then measure only extraction
@@ -200,13 +175,11 @@ class Executor:
     """
 
     def __init__(self, registry: OperatorRegistry,
-                 cluster: SimulatedCluster | None = None,
                  backend: str | ExecutionBackend | None = None,
                  cache: ExtractionCache | None = None,
                  retry: RetryPolicy | None = None,
                  fail_fast: bool = False) -> None:
         self._registry = registry
-        self._cluster = cluster
         self._fail_fast = fail_fast
         self._retry = retry if retry is not None \
             else (None if fail_fast else DEFAULT_DOC_RETRY)
@@ -365,20 +338,19 @@ class Executor:
     def _eval_extract(self, op: ExtractOp, docs: list[Document],
                       stats: ExecutionStats,
                       failed_docs: list[dict[str, Any]]) -> Rows:
-        """One extract operator = one :func:`run_stage` call; this
-        executor only picks the fan-out and does the ``executor.*``
-        accounting (work counters measure the misses, i.e. extraction
-        actually performed)."""
+        """One extract operator = one :func:`run_stage` call on the
+        executor's backend, plus the ``executor.*`` accounting (work
+        counters measure the misses, i.e. extraction actually
+        performed)."""
         extractor = self._registry.extractor(op.extractor)
         registry = stats.registry
-        if self._cluster is not None:
-            fan_out = self._cluster_wave
-        elif self._backend is not None:
-            fan_out = self._backend_map
-        else:
-            fan_out = None  # the stage's inline loop
-        result = run_stage(extractor, docs, fan_out, cache=self._cache,
+        started = time.perf_counter()
+        result = run_stage(extractor, docs, self._backend, cache=self._cache,
                            retry=self._retry, fail_fast=self._fail_fast)
+        if self._backend is not None and result.misses:
+            registry.inc("executor.real_parallel_seconds",
+                         time.perf_counter() - started)
+            registry.inc("executor.wave_tasks.map", len(result.misses))
         key = f"{op.extractor}@{op.name}"
         registry.inc(f"executor.chars_scanned.{key}",
                      sum(len(docs[i].text) for i in result.misses))
@@ -386,50 +358,8 @@ class Executor:
         for failure in result.failures:
             failed_docs.append({**failure, "extractor": op.extractor})
             registry.inc("executor.docs_failed")
-        rows = [row for per_doc in result.rows if per_doc is not None
+        return [row for per_doc in result.rows if per_doc is not None
                 for row in per_doc]
-        if self._cluster is not None:
-            rows.sort(key=lambda r: (r["doc_id"], r["span_start"],
-                                     r["attribute"]))
-        return rows
-
-    def _backend_map(self, payload: ExtractPayload,
-                     docs: list[Document]) -> list[Rows]:
-        """Fan-out: a plain parallel map (input order preserved)."""
-        registry = metrics.get_registry()
-        started = time.perf_counter()
-        per_doc = self._backend.map(
-            payload, docs,
-            on_item_failure=None if self._fail_fast else payload.quarantine)
-        registry.inc("executor.real_parallel_seconds",
-                     time.perf_counter() - started)
-        registry.inc("executor.wave_tasks.map", len(docs))
-        return per_doc
-
-    def _cluster_wave(self, payload: ExtractPayload,
-                      docs: list[Document]) -> list[Rows]:
-        """Fan-out: one Map-Reduce wave on the simulated cluster (real
-        work on the backend, when there is one), keyed by input position
-        — ``output[i]`` is document ``i``'s rows in emission order (map
-        preserves it, the identity reduce keeps it)."""
-        registry = metrics.get_registry()
-        total_chars = sum(len(d.text) for d in docs)
-        job = MapReduceJob(
-            map_fn=_ByPosition(payload),
-            reduce_fn=_values_reduce,
-            split_size=max(
-                len(docs) // (len(self._cluster.worker_speeds()) * 4), 1),
-            num_reducers=1,
-            map_cost_per_item=payload.extractor.cost_per_char
-            * (total_chars / len(docs)),
-        )
-        result = run_mapreduce(job, list(enumerate(docs)),
-                               cluster=self._cluster, backend=self._backend)
-        registry.inc("executor.cluster_makespan", result.makespan)
-        registry.inc("executor.real_parallel_seconds", result.real_seconds)
-        registry.inc("executor.wave_tasks.map", result.map_tasks)
-        registry.inc("executor.wave_tasks.reduce", result.reduce_tasks)
-        return [result.output.get(i, []) for i in range(len(docs))]
 
     def _eval_resolve(self, op: ResolveOp, rows: list[dict[str, Any]],
                       stats: ExecutionStats) -> list[dict[str, Any]]:
@@ -492,7 +422,6 @@ class Executor:
 
 def run_program(source: str, corpus: Sequence[Document],
                 registry: OperatorRegistry, optimize: bool = True,
-                cluster: SimulatedCluster | None = None,
                 backend: str | ExecutionBackend | None = None,
                 cache: ExtractionCache | None = None,
                 retry: RetryPolicy | None = None,
@@ -505,6 +434,5 @@ def run_program(source: str, corpus: Sequence[Document],
         # materialize the whole (possibly lazily streamed) corpus for it.
         plan = Optimizer(registry).optimize(
             plan, list(islice(corpus, SAMPLE_SIZE)))
-    return Executor(registry, cluster=cluster, backend=backend,
-                    cache=cache, retry=retry,
+    return Executor(registry, backend=backend, cache=cache, retry=retry,
                     fail_fast=fail_fast).execute(plan, corpus)

@@ -15,9 +15,11 @@ actually pays off:
   (one pass instead of two).
 
 The cost model estimates per-extractor work as
-``cost_per_char × expected characters scanned``; document-filter
-selectivity is estimated on a corpus sample.  Experiment E6 measures
-naive vs optimized execution.
+``cost_per_char × expected characters scanned``
+(:func:`~repro.extraction.base.scan_cost`, which the simulated cluster's
+task costs read too); document-filter selectivity is estimated on a
+corpus sample, and a rewrite is kept only when it lowers the estimate.
+Experiment E6 measures naive vs optimized execution.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.docmodel.document import Document
+from repro.extraction.base import scan_cost
 from repro.lang.ast import DocFilterOp, ExtractOp, FilterOp
 from repro.lang.plan import LogicalPlan
 from repro.lang.registry import OperatorRegistry
@@ -99,7 +102,7 @@ class Optimizer:
             if isinstance(op, ExtractOp):
                 extractor = self.registry.extractor(op.extractor)
                 sel = selectivity.get(op.inputs[0], 1.0)
-                cost = extractor.cost_per_char * avg_chars * sel
+                cost = scan_cost(extractor, avg_chars) * sel
                 estimate.extract_cost += cost
                 estimate.details[op.name] = cost
             elif isinstance(op, DocFilterOp):
@@ -124,20 +127,18 @@ class Optimizer:
                 upstream.keyword_groups == groups
             ):
                 continue  # already filtered identically
-            if corpus_sample:
-                sample = list(corpus_sample)[:SAMPLE_SIZE]
-                selectivity = _pass_rate(sample, groups)
-                avg_chars = sum(len(d.text) for d in sample) / len(sample)
-                saved = extractor.cost_per_char * avg_chars * (1.0 - selectivity)
-                added = DOCFILTER_COST_PER_CHAR * avg_chars
-                if saved <= added:
-                    continue  # not worth it (filter passes ~everything)
-            counter += 1
             prefilter = DocFilterOp(
-                name=f"__prefilter_{op.name}_{counter}",
+                name=f"__prefilter_{op.name}_{counter + 1}",
                 inputs=[op.inputs[0]],
                 keyword_groups=groups,
             )
+            if corpus_sample:
+                filtered = plan.clone()
+                filtered.insert_before(op.name, prefilter)
+                if self.estimate_cost(filtered, corpus_sample).total \
+                        >= self.estimate_cost(plan, corpus_sample).total:
+                    continue  # not worth it (filter passes ~everything)
+            counter += 1
             plan.insert_before(op.name, prefilter)
 
     @staticmethod

@@ -300,9 +300,8 @@ def exchange(txn: Transaction, shards: list[int], fans: list[Any],
     # a shard-pruned point query.  Inline is a lazy ``map``, so LIMIT
     # early-exit behaves like the backend path.
     inline = len(tasks) == 1 or total_rows * 2 <= CHUNK_TARGET_ROWS
-    stream = getattr(None if inline else txn._db.exec_backend,
-                     "map_stream", map)
-    results = stream(worker, tasks)
+    results = map(worker, tasks) if inline else \
+        txn._db.exec_backend.map_stream(worker, tasks, chunk_size=1)
     guard = txn.guard
 
     def absorbed() -> Iterator[tuple[Any, dict[str, Any]]]:

@@ -303,21 +303,21 @@ def test_cache_on_simulated_cluster_path_is_deterministic():
     def cluster():
         return SimulatedCluster(ClusterConfig(num_workers=3, seed=7))
 
-    plain = run_program(PROGRAM, corpus, _registry(), cluster=cluster())
-    cold = run_program(PROGRAM, corpus, _registry(), cluster=cluster(),
+    plain = run_program(PROGRAM, corpus, _registry(), backend=cluster())
+    cold = run_program(PROGRAM, corpus, _registry(), backend=cluster(),
                        cache=cache)
-    warm = run_program(PROGRAM, corpus, _registry(), cluster=cluster(),
+    warm = run_program(PROGRAM, corpus, _registry(), backend=cluster(),
                        cache=cache)
     assert cold.rows == warm.rows == plain.rows
     assert warm.stats.cache_hits == len(corpus)
     # Partial warmth: one churned document re-extracts through the wave.
     churned = list(corpus)
     churned[2] = Document(doc_id="d2", text="Replaced in 1987.")
-    partial = run_program(PROGRAM, churned, _registry(), cluster=cluster(),
+    partial = run_program(PROGRAM, churned, _registry(), backend=cluster(),
                           cache=cache)
     assert partial.stats.cache_misses == 1
     assert partial.rows == run_program(
-        PROGRAM, churned, _registry(), cluster=cluster()).rows
+        PROGRAM, churned, _registry(), backend=cluster()).rows
 
 
 def test_disk_cache_hits_across_reopen_via_executor(tmp_path):

@@ -12,14 +12,17 @@ from repro.cluster.simulator import (
 
 
 def _tasks(n, cost=1.0):
-    return [Task(task_id=f"t{i}", fn=lambda i=i: i * 2, cost=cost) for i in range(n)]
+    return [Task(task_id=f"t{i}", cost=cost) for i in range(n)]
 
 
 def test_all_tasks_execute_and_return_values():
+    # every task is scheduled, in order; the cluster as a backend returns
+    # each item's value in input order
     cluster = SimulatedCluster(ClusterConfig(num_workers=3, seed=1))
-    results, makespan = cluster.run(_tasks(10))
-    assert sorted(r.value for r in results) == [i * 2 for i in range(10)]
+    results, makespan = cluster.schedule(_tasks(10))
+    assert [r.task_id for r in results] == [f"t{i}" for i in range(10)]
     assert makespan > 0
+    assert cluster.map(_double, list(range(10))) == [i * 2 for i in range(10)]
 
 
 def test_makespan_decreases_with_more_workers():
@@ -28,7 +31,7 @@ def test_makespan_decreases_with_more_workers():
         cluster = SimulatedCluster(
             ClusterConfig(num_workers=workers, seed=42, heterogeneity=0.0)
         )
-        _, makespan = cluster.run(_tasks(64))
+        _, makespan = cluster.schedule(_tasks(64))
         makespans.append(makespan)
     assert makespans == sorted(makespans, reverse=True)
     # near-linear scaling for embarrassingly parallel equal tasks
@@ -38,8 +41,8 @@ def test_makespan_decreases_with_more_workers():
 def test_deterministic_given_seed():
     a = SimulatedCluster(ClusterConfig(num_workers=4, seed=9, failure_prob=0.2))
     b = SimulatedCluster(ClusterConfig(num_workers=4, seed=9, failure_prob=0.2))
-    _, ma = a.run(_tasks(20))
-    _, mb = b.run(_tasks(20))
+    _, ma = a.schedule(_tasks(20))
+    _, mb = b.schedule(_tasks(20))
     assert ma == mb
     assert a.worker_speeds() == b.worker_speeds()
 
@@ -48,7 +51,7 @@ def test_failures_are_retried():
     cluster = SimulatedCluster(
         ClusterConfig(num_workers=4, seed=3, failure_prob=0.3, max_attempts=10)
     )
-    results, _ = cluster.run(_tasks(30))
+    results, _ = cluster.schedule(_tasks(30))
     assert len(results) == 30
     assert any(r.attempts > 1 for r in results)
 
@@ -58,7 +61,7 @@ def test_task_exhausts_attempts():
         ClusterConfig(num_workers=2, seed=0, failure_prob=0.999, max_attempts=2)
     )
     with pytest.raises(TaskFailedError):
-        cluster.run(_tasks(5))
+        cluster.schedule(_tasks(5))
 
 
 def test_failures_increase_makespan():
@@ -66,8 +69,8 @@ def test_failures_increase_makespan():
     flaky = SimulatedCluster(
         ClusterConfig(num_workers=4, seed=5, failure_prob=0.3, max_attempts=20)
     )
-    _, clean_ms = clean.run(_tasks(40))
-    _, flaky_ms = flaky.run(_tasks(40))
+    _, clean_ms = clean.schedule(_tasks(40))
+    _, flaky_ms = flaky.schedule(_tasks(40))
     assert flaky_ms > clean_ms
 
 
@@ -75,8 +78,8 @@ def test_speculative_execution_beats_stragglers():
     base = dict(num_workers=4, seed=7, straggler_prob=0.3, straggler_factor=8.0)
     with_spec = SimulatedCluster(ClusterConfig(**base, speculative_execution=True))
     without = SimulatedCluster(ClusterConfig(**base, speculative_execution=False))
-    _, ms_with = with_spec.run(_tasks(40))
-    _, ms_without = without.run(_tasks(40))
+    _, ms_with = with_spec.schedule(_tasks(40))
+    _, ms_without = without.schedule(_tasks(40))
     assert ms_with < ms_without
 
 
@@ -85,6 +88,10 @@ def test_invalid_config_rejected():
         ClusterConfig(num_workers=0)
     with pytest.raises(ValueError):
         ClusterConfig(failure_prob=1.0)
+
+
+def _double(x):
+    return x * 2
 
 
 def _wordcount_job(**kwargs):

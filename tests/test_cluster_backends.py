@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import zlib
+from dataclasses import dataclass
 
 import pytest
 
@@ -19,6 +21,8 @@ from repro.cluster.mapreduce import (
     run_mapreduce,
 )
 from repro.cluster.simulator import ClusterConfig, SimulatedCluster
+from repro.faults import FaultInjector
+from repro.faults.retry import RetryPolicy
 
 
 def _double(x):
@@ -105,9 +109,8 @@ def _wordcount(lines, backend=None, combine=False, seed=1):
         split_size=5,
         num_reducers=3,
     )
-    return run_mapreduce(job, lines,
-                         config=ClusterConfig(num_workers=4, seed=seed),
-                         backend=backend)
+    return run_mapreduce(job, lines, cluster=SimulatedCluster(
+        ClusterConfig(num_workers=4, seed=seed), backend))
 
 
 def test_mapreduce_output_identical_across_backends():
@@ -119,6 +122,7 @@ def test_mapreduce_output_identical_across_backends():
             assert result.output == inline.output
             assert result.shuffle_records == inline.shuffle_records
             assert result.backend_name == spec
+    assert inline.backend_name == "serial"  # the cluster's default
 
 
 def test_mapreduce_backend_does_not_change_simulated_makespan():
@@ -138,10 +142,9 @@ def test_mapreduce_reports_wave_task_counts_and_real_seconds():
     assert result.map_tasks == 4  # 20 lines / split_size 5
     assert 1 <= result.reduce_tasks <= 3
     assert result.real_seconds >= 0.0
-    inline = _wordcount(lines)
-    assert inline.backend_name == "inline"
-    assert inline.real_seconds == 0.0
-    assert inline.map_tasks == 4
+    default = _wordcount(lines)
+    assert default.backend_name == "serial"
+    assert default.map_tasks == 4
 
 
 def test_combiner_reduces_shuffle_records_under_backend():
@@ -202,12 +205,77 @@ def test_partition_assignment_identical_across_processes():
 
 
 def test_mapreduce_with_cluster_instance_and_backend():
-    # run_mapreduce accepts an existing cluster plus a backend; the cluster
-    # keeps accumulating its attempts log across jobs.
-    cluster = SimulatedCluster(ClusterConfig(num_workers=2, seed=8))
+    # run_mapreduce accepts an existing cluster over an inner backend; the
+    # cluster keeps accumulating its attempts log across jobs.
     job = MapReduceJob(map_fn=_word_map, reduce_fn=_sum_reduce, split_size=2)
-    with make_backend("thread", max_workers=2) as backend:
-        result = run_mapreduce(job, ["a a", "b"], cluster=cluster,
-                               backend=backend)
+    with SimulatedCluster(ClusterConfig(num_workers=2, seed=8),
+                          make_backend("thread", max_workers=2)) as cluster:
+        result = run_mapreduce(job, ["a a", "b"], cluster=cluster)
+        assert cluster.backend._pool is not None
     assert result.output == {"a": 2, "b": 1}
     assert cluster.attempts_log
+    assert cluster.backend._pool is None  # closed with the cluster
+
+
+# ------------------------------------------------- one retry budget, N runs
+
+
+def _attempts(injector, key):
+    """How often ``injector`` has been checked for ``key`` (its durable
+    per-key count, which survives worker processes)."""
+    path = os.path.join(injector.state_dir,
+                        f"{zlib.crc32(key.encode('utf-8')):08x}.attempts")
+    if not os.path.exists(path):
+        return 0
+    with open(path, encoding="utf-8") as f:
+        return int(f.read())
+
+
+@dataclass(frozen=True)
+class _Checked:
+    """Picklable payload: one injector check per item, then the item."""
+
+    injector: FaultInjector
+
+    def __call__(self, item):
+        self.injector.check(item)
+        return item
+
+
+@pytest.mark.parametrize("routine", ["map", "map_stream"])
+@pytest.mark.parametrize("spec", ["serial", "thread", "process"])
+@pytest.mark.parametrize("attempts", [1, 3])
+def test_a_failing_item_runs_exactly_max_attempts_times(tmp_path, attempts,
+                                                        spec, routine):
+    injector = FaultInjector(keys={"poison"}, fail_attempts=10**9,
+                             state_dir=str(tmp_path / f"{spec}-{routine}"))
+    retry = RetryPolicy(max_attempts=attempts, base_delay=0.0)
+    items = ["a", "b", "poison", "c", "d"]
+    with make_backend(spec, max_workers=2, retry=retry) as backend:
+        run = getattr(backend, routine)
+        with pytest.raises(BackendError, match=f"{attempts} attempt"):
+            list(run(_Checked(injector), items, chunk_size=2))
+    assert _attempts(injector, "poison") == attempts
+
+
+def _fails_on_two(x):
+    if x == 2:
+        raise ValueError("two")
+    return x * 10
+
+
+@pytest.mark.parametrize("spec", ["serial", "thread", "process"])
+def test_map_stream_routes_a_persistent_failure_to_on_item_failure(spec):
+    failed = []
+
+    def substitute(item, exc):
+        failed.append((item, type(exc).__name__, str(exc)))
+        return -item
+
+    retry = RetryPolicy(max_attempts=2, base_delay=0.0)
+    with make_backend(spec, max_workers=2, retry=retry) as backend:
+        out = list(backend.map_stream(_fails_on_two, [1, 2, 3, 4],
+                                      chunk_size=2,
+                                      on_item_failure=substitute))
+    assert out == [10, -2, 30, 40]
+    assert failed == [(2, "ValueError", "two")]

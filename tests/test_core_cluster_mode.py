@@ -1,6 +1,6 @@
-"""Tests for running the system with the simulated cluster enabled."""
+"""Tests for running the system on the simulated cluster backend."""
 
-from repro.cluster.simulator import ClusterConfig
+from repro.cluster.simulator import ClusterConfig, SimulatedCluster
 from repro.core.system import FACTS_TABLE, StructureManagementSystem
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
 from repro.extraction.infobox import InfoboxExtractor
@@ -8,13 +8,13 @@ from repro.extraction.infobox import InfoboxExtractor
 PROGRAM = 'p = docs()\nf = extract(p, "infobox")\noutput f'
 
 
-def _system(use_cluster, workers=4):
+def _system(on_cluster, workers=4):
     corpus, truth = generate_city_corpus(
         CityCorpusConfig(num_cities=12, seed=53, styles=("infobox",))
     )
     system = StructureManagementSystem(
-        use_cluster=use_cluster,
-        cluster_config=ClusterConfig(num_workers=workers, seed=2),
+        backend=SimulatedCluster(ClusterConfig(num_workers=workers, seed=2))
+        if on_cluster else None,
     )
     system.registry.register_extractor("infobox", InfoboxExtractor())
     system.ingest(corpus)
@@ -22,8 +22,8 @@ def _system(use_cluster, workers=4):
 
 
 def test_cluster_mode_produces_same_facts_as_inline():
-    inline, _ = _system(use_cluster=False)
-    clustered, _ = _system(use_cluster=True)
+    inline, _ = _system(on_cluster=False)
+    clustered, _ = _system(on_cluster=True)
     inline.generate(PROGRAM)
     report = clustered.generate(PROGRAM)
     assert report.cluster_makespan > 0
@@ -41,14 +41,14 @@ def test_cluster_mode_produces_same_facts_as_inline():
 
 
 def test_inline_mode_reports_zero_makespan():
-    system, _ = _system(use_cluster=False)
+    system, _ = _system(on_cluster=False)
     report = system.generate(PROGRAM)
     assert report.cluster_makespan == 0.0
 
 
 def test_more_workers_lower_simulated_makespan():
-    small, _ = _system(use_cluster=True, workers=1)
-    large, _ = _system(use_cluster=True, workers=8)
+    small, _ = _system(on_cluster=True, workers=1)
+    large, _ = _system(on_cluster=True, workers=8)
     makespan_small = small.generate(PROGRAM).cluster_makespan
     makespan_large = large.generate(PROGRAM).cluster_makespan
     assert makespan_large < makespan_small

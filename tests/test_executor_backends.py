@@ -1,16 +1,18 @@
 """Determinism contract of execution backends at the plan/system level:
-serial == thread == process output, with and without the simulated cluster.
+serial == thread == process output, and the simulated cluster over each.
 """
 
+import os
 from collections import Counter
 
 import pytest
 
-from repro.cluster.backends import make_backend
-from repro.cluster.simulator import ClusterConfig
+from repro.cluster.backends import BackendError, make_backend
+from repro.cluster.simulator import ClusterConfig, SimulatedCluster
 from repro.core.system import FACTS_TABLE, StructureManagementSystem
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
 from repro.extraction.infobox import InfoboxExtractor
+from repro.faults import FaultInjector, FaultyExtractor, InjectedFault
 from repro.lang.executor import run_program
 from repro.lang.registry import OperatorRegistry
 
@@ -30,9 +32,8 @@ def _registry():
     return registry
 
 
-def _run(backend=None, cluster=None):
-    return run_program(PROGRAM, _corpus(), _registry(), backend=backend,
-                       cluster=cluster)
+def _run(backend=None):
+    return run_program(PROGRAM, _corpus(), _registry(), backend=backend)
 
 
 # --------------------------------------------------------- executor level
@@ -75,11 +76,11 @@ def test_stats_counters_are_counters():
 # ----------------------------------------------------------- system level
 
 
-def _system_facts(backend, use_cluster=False):
-    system = StructureManagementSystem(
-        backend=backend, backend_workers=3, use_cluster=use_cluster,
-        cluster_config=ClusterConfig(num_workers=4, seed=2),
-    )
+def _system_facts(backend, on_cluster=False):
+    if on_cluster:
+        backend = SimulatedCluster(ClusterConfig(num_workers=4, seed=2),
+                                   make_backend(backend, max_workers=3))
+    system = StructureManagementSystem(backend=backend, backend_workers=3)
     system.registry.register_extractor("infobox", InfoboxExtractor())
     system.ingest(_corpus())
     report = system.generate(PROGRAM)
@@ -105,12 +106,12 @@ def test_system_backend_facts_identical_to_inline():
 
 def test_system_backend_combines_with_cluster():
     base, _ = _system_facts(None)
-    facts, report = _system_facts("thread", use_cluster=True)
+    facts, report = _system_facts("thread", on_cluster=True)
     assert facts == base
     assert report.cluster_makespan > 0  # simulated model still reported
-    assert report.backend_name == "thread"
+    assert report.backend_name == "cluster+thread"
     # and the simulated makespan matches the no-backend cluster run
-    _, inline_report = _system_facts(None, use_cluster=True)
+    _, inline_report = _system_facts(None, on_cluster=True)
     assert report.cluster_makespan == inline_report.cluster_makespan
 
 
@@ -163,3 +164,37 @@ def test_backend_instance_passed_in_stays_open():
         assert backend._pool is not None  # the caller's to close
         assert _backend_threads()
     assert backend._pool is None
+
+
+# ------------------------------------------------ the cluster is a backend
+
+
+@pytest.mark.parametrize("inner", ["serial", "thread", "process"])
+def test_cluster_backend_rows_equal_inline_rows_in_order(inner):
+    inline = _run()
+    with SimulatedCluster(ClusterConfig(num_workers=3, seed=7),
+                          make_backend(inner, max_workers=2)) as cluster:
+        result = _run(backend=cluster)
+    assert result.rows == inline.rows
+    assert result.stats.backend_name == f"cluster+{inner}"
+    assert result.stats.cluster_makespan > 0
+
+
+@pytest.mark.parametrize("backend", [None, "serial", "thread", "process",
+                                     "cluster"])
+def test_fail_fast_extracts_a_failing_document_once(tmp_path, backend):
+    corpus = _corpus(6)
+    poison = corpus[3].doc_id
+    injector = FaultInjector(keys={poison}, fail_attempts=10**9,
+                             state_dir=str(tmp_path / "attempts"))
+    registry = OperatorRegistry()
+    registry.register_extractor(
+        "infobox", FaultyExtractor(InfoboxExtractor(), injector))
+    if backend == "cluster":
+        backend = SimulatedCluster(ClusterConfig(num_workers=3, seed=7))
+    with pytest.raises((BackendError, InjectedFault)):
+        run_program(PROGRAM, corpus, registry, backend=backend,
+                    fail_fast=True)
+    with open(os.path.join(injector.state_dir, os.listdir(
+            injector.state_dir)[0]), encoding="utf-8") as f:
+        assert int(f.read()) == 1

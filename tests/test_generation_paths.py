@@ -3,7 +3,7 @@
 Batch (``Executor`` inline / serial / thread / cluster / cluster+backend),
 streaming (``StreamingPipeline._extract``) and on-demand (a program run by
 ``system.generate()``, read back from what it landed) generation are
-fan-outs of one stage, so for the same corpus and extractor they must
+backends of one stage, so for the same corpus and extractor they must
 agree on: the per-document extraction tuples, the cache entries they read
 and write, what heals, what is quarantined (and with how many attempts),
 and what a repeated ``doc_id`` means.
@@ -19,6 +19,7 @@ from repro.cache.store import (
     LRUExtractionCache,
     document_key,
 )
+from repro.cluster.backends import make_backend
 from repro.cluster.simulator import ClusterConfig, SimulatedCluster
 from repro.core.streaming import DocDelta, StreamingPipeline
 from repro.core.system import StructureManagementSystem
@@ -69,9 +70,8 @@ def _corpus(n=10):
 
 def _canonical(rows):
     """Rows carry their ``doc_id``, so a flat list sorted by document is
-    the per-document comparison (a repeated id doubles its rows).  Within
-    a document the order is emission order inline and (span_start,
-    attribute) on the cluster arms; compare on the latter."""
+    the per-document comparison (a repeated id doubles its rows); within a
+    document, rows compare in (span_start, attribute) order."""
     return sorted(rows, key=lambda r: (r["doc_id"], r["span_start"],
                                        r["attribute"]))
 
@@ -85,12 +85,13 @@ def run_path(path, extractor, docs, cache=None):
     if path in EXECUTOR_ARMS:
         registry = OperatorRegistry()
         registry.register_extractor(NAME, extractor)
-        cluster = SimulatedCluster(ClusterConfig(num_workers=3, seed=7)) \
-            if path.startswith("cluster") else None
-        backend = {"serial": "serial", "thread": "thread",
-                   "cluster+serial": "serial"}.get(path)
+        backend = {"serial": "serial", "thread": "thread"}.get(path)
+        if path.startswith("cluster"):
+            backend = SimulatedCluster(
+                ClusterConfig(num_workers=3, seed=7),
+                make_backend("serial") if path == "cluster+serial" else None)
         result = run_program(PROGRAM, docs, registry, optimize=False,
-                             cluster=cluster, backend=backend, cache=cache)
+                             backend=backend, cache=cache)
         return _canonical(result.rows), [
             (f["doc_id"], f["extractor"], f["attempts"])
             for f in result.failed_docs]
@@ -324,8 +325,8 @@ class EntityAttributeValue(Extractor):
 @pytest.mark.parametrize("strategy", ["weighted_vote", "max_confidence"])
 def test_batch_fusion_depends_on_the_extractions_not_their_order(strategy):
     """Two pages agree on 7 against one reading 5: inline, on the
-    simulated cluster (which orders rows by ``doc_id``) and with the pages
-    reversed, the fused row names the same supporting span."""
+    simulated cluster and with the pages reversed, the fused row names the
+    same supporting span."""
     docs = [Document(doc_id, f"Paris pop {value}")
             for doc_id, value in (("d2", 7), ("d1", 5), ("d0", 7))]
     registry = OperatorRegistry()
@@ -334,7 +335,7 @@ def test_batch_fusion_depends_on_the_extractions_not_their_order(strategy):
                f'g = fuse(f, "{strategy}")\noutput g')
     arms = [run_program(program, docs, registry, optimize=False).rows,
             run_program(program, docs, registry, optimize=False,
-                        cluster=SimulatedCluster(
+                        backend=SimulatedCluster(
                             ClusterConfig(num_workers=3, seed=7))).rows,
             run_program(program, docs[::-1], registry, optimize=False).rows]
     assert arms[0] == arms[1] == arms[2]
@@ -364,8 +365,8 @@ def test_cluster_makespan_equals_the_parent_commits_value(config, golden,
     registry.register_extractor("infobox", InfoboxExtractor())
     result = run_program(
         _MAKESPAN_PROGRAM, corpus, registry,
-        cluster=SimulatedCluster(config),
-        cache=LRUExtractionCache() if arm == "cache" else None,
-        backend="serial" if arm == "backend" else None)
+        backend=SimulatedCluster(
+            config, make_backend("serial") if arm == "backend" else None),
+        cache=LRUExtractionCache() if arm == "cache" else None)
     assert result.stats.cluster_makespan == golden
     assert len(result.rows) == 168

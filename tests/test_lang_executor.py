@@ -174,7 +174,7 @@ def test_cluster_execution_matches_inline():
     inline = run_program(program, CORPUS, registry, optimize=False)
     cluster = SimulatedCluster(ClusterConfig(num_workers=3, seed=2))
     parallel = run_program(program, CORPUS, registry, optimize=False,
-                           cluster=cluster)
+                           backend=cluster)
     key = lambda r: (r["doc_id"], r["attribute"], r["value"])
     assert sorted(map(key, inline.rows)) == sorted(map(key, parallel.rows))
     assert parallel.stats.cluster_makespan > 0

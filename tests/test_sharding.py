@@ -22,6 +22,7 @@ from repro.cluster.backends import (
     SerialBackend,
     ThreadPoolBackend,
 )
+from repro.cluster.simulator import SimulatedCluster
 from repro.storage.rdbms import parallel
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.sharding import (
@@ -349,10 +350,10 @@ class _CountingBackend(SerialBackend):
         self.executed = 0
         self.submitted = 0
 
-    def map_stream(self, fn, items, window=None):
+    def map_stream(self, fn, items, **options):
         items = list(items)
         self.submitted += len(items)
-        inner = super().map_stream(fn, items, window)
+        inner = super().map_stream(fn, items, **options)
 
         def gen():
             for result in inner:
@@ -650,8 +651,8 @@ def test_a_pool_streams_sharded_plans_like_the_oracle(pool, monkeypatch):
     monkeypatch.setattr(parallel, "CHUNK_TARGET_ROWS", 16)
     streams = []
     real_stream = pool.map_stream
-    monkeypatch.setattr(pool, "map_stream", lambda self, fn, items: (
-        streams.append(len(items)) or real_stream(self, fn, items)))
+    monkeypatch.setattr(pool, "map_stream", lambda self, fn, items, **kw: (
+        streams.append(len(items)) or real_stream(self, fn, items, **kw)))
     backend = pool(max_workers=2)
     try:
         db = _sharded_db(shards=4, n=400, backend=backend)
@@ -664,13 +665,28 @@ def test_a_pool_streams_sharded_plans_like_the_oracle(pool, monkeypatch):
     assert len(streams) == len(POOL_STATEMENTS) and min(streams) > 1
 
 
+def test_the_simulated_cluster_streams_sharded_plans_like_the_oracle(
+        monkeypatch):
+    # the cluster is a backend like any other: the exchange runs each
+    # statement's shard tasks as one simulated job over its inner backend
+    monkeypatch.setattr(parallel, "CHUNK_TARGET_ROWS", 16)
+    registry = metrics.MetricsRegistry()
+    db = _sharded_db(shards=4, n=400, backend=SimulatedCluster())
+    oracle = _oracle_db(n=400)
+    with metrics.use_registry(registry):
+        for sql in POOL_STATEMENTS:
+            assert _canon(execute_sql(db, sql)) == \
+                _canon(execute_sql(oracle, sql, use_planner=False)), sql
+    assert registry.get("cluster.makespan") > 0
+
+
 def test_a_worker_killed_mid_stream_costs_no_rows(monkeypatch):
     monkeypatch.setattr(parallel, "CHUNK_TARGET_ROWS", 16)
     real_stream = ProcessPoolBackend.map_stream
     killed = []
 
-    def kill_after_first(self, fn, items):
-        stream = real_stream(self, fn, items)
+    def kill_after_first(self, fn, items, **options):
+        stream = real_stream(self, fn, items, **options)
         yield next(stream)
         victim = next(iter(self._pool._processes.values()))
         os.kill(victim.pid, signal.SIGKILL)

@@ -11,6 +11,7 @@ from repro.cluster.backends import (
     SerialBackend,
     ThreadPoolBackend,
 )
+from repro.cluster.simulator import SimulatedCluster
 from repro.core.system import StructureManagementSystem
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
 from repro.extraction.infobox import InfoboxExtractor
@@ -260,7 +261,7 @@ def test_end_to_end_span_tree_and_metrics(tmp_path):
         session = telemetry.enable(jsonl_path=path)
         try:
             system = StructureManagementSystem(
-                workspace=str(tmp_path / "ws"), use_cluster=True
+                workspace=str(tmp_path / "ws"), backend=SimulatedCluster()
             )
             system.registry.register_extractor("infobox", InfoboxExtractor())
             system.ingest(corpus)
