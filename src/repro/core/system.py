@@ -29,7 +29,6 @@ from repro.lang.registry import OperatorRegistry
 from repro.storage.manager import StorageManager
 from repro.storage.rdbms.engine import CommitDelta, Database
 from repro.storage.rdbms.qcache import QueryResultCache
-from repro.storage.rdbms.sql import execute_sql
 from repro.storage.rdbms.table import ScanUnit, gather_column
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry import current_session, metrics
@@ -308,30 +307,20 @@ class StructureManagementSystem:
 
         Pages are committed to the raw snapshot store (when a workspace is
         configured; a page whose text is unchanged writes nothing) and
-        indexed for keyword search.  The dedup check and
-        index build are batched: one pass decides which pages are new, one
-        ``index_corpus`` call indexes them all (O(n) total rather than a
-        per-document index call).  Returns page count.
+        indexed for keyword search in one ``index_corpus`` call, which
+        re-indexes an edited page and keeps the last of a doc_id repeated
+        in the batch, like the corpus.  Returns page count.
         """
         with get_tracer().span("system.ingest") as span:
             docs = list(corpus)
-            new_docs: list[Document] = []
-            seen_in_batch: set[str] = set()
             for doc in docs:
                 self._corpus.add(doc)
                 if self.storage is not None:
                     self.storage.raw.commit(doc)
-                # reingest-safe: skip pages already indexed, and index only
-                # the first occurrence of a doc_id repeated within this batch
-                if doc.doc_id not in seen_in_batch \
-                        and not self.search.has_document(doc.doc_id):
-                    seen_in_batch.add(doc.doc_id)
-                    new_docs.append(doc)
-            if new_docs:
-                self.search.index_corpus(new_docs)
+            indexed = self.search.index_corpus(docs)
             metrics.get_registry().inc("system.pages.ingested", len(docs))
             span.set_attribute("pages", len(docs))
-            span.set_attribute("new_pages", len(new_docs))
+            span.set_attribute("new_pages", indexed)
             return len(docs)
 
     def load_stored_pages(self) -> int:
@@ -343,8 +332,7 @@ class StructureManagementSystem:
         docs = [store.checkout(doc_id) for doc_id in store.doc_ids()]
         for doc in docs:
             self._corpus.add(doc)
-        self.search.index_corpus(
-            [d for d in docs if not self.search.has_document(d.doc_id)])
+        self.search.index_corpus(docs)
         return len(docs)
 
     @property
@@ -602,16 +590,17 @@ class StructureManagementSystem:
     def explain_sql(self, sql: str) -> str:
         """The planner's physical plan for a SELECT, as text.
 
-        Accepts either ``EXPLAIN SELECT ...`` or a bare ``SELECT ...``.
+        Accepts either ``EXPLAIN SELECT ...`` or a bare ``SELECT ...``;
+        the statement runs through :meth:`query`, admitted like any other.
 
         Raises:
             SqlError: on parse errors or non-SELECT input.
+            AdmissionRejected: the server is saturated or draining.
         """
         stripped = sql.lstrip()
         if not stripped.lower().startswith("explain"):
             sql = f"EXPLAIN {sql}"
-        rows = execute_sql(self.db, sql)
-        return "\n".join(r["plan"] for r in rows)
+        return "\n".join(r["plan"] for r in self.query(sql))
 
     def slow_queries(self, limit: int | None = None) -> list[dict[str, Any]]:
         """Captured slow-query entries, oldest first.
@@ -705,10 +694,9 @@ class StructureManagementSystem:
     def session(self, user: str = "anonymous") -> ExplorationSession:
         """Start an iterative exploration session."""
         return ExplorationSession(
-            search=self.search, translator=self.translator(), db=self.db,
-            user=user, cache=self.query_cache,
+            search=self.search, translator=self.translator(),
+            query=self.query, user=user,
             deadline_seconds=self.query_deadline_seconds,
-            shutdown=self._shutdown,
         )
 
     def explain(self, entity: str, attribute: str) -> str:

@@ -334,15 +334,17 @@ class ParallelScan(_planner.PlanNode):
     worker result, so a LIMIT abandons the merge without materializing
     the table.  An aggregate directly on top folds
     instead: one task per shard fills a partial ``AggState``, merged in
-    shard order.
+    shard order — or, for a statement ``AggState.mergeable`` rejects,
+    the serial fold over the rid-ordered rows.
     """
 
     plan_counter = "planner.plans.parallel_scan"
 
     def __init__(self, table: str, pred: _planner.ScanPredicate,
-                 spec: ShardSpec, shards: list[int]) -> None:
+                 spec: ShardSpec, shards: list[int], schema: Any) -> None:
         self.table = table
         self.pred = pred
+        self.schema = schema
         self.spec = spec
         self.shards = shards  # live (un-pruned) shards, ascending
         self.shard_scan = ShardScan(table, spec.count, len(shards))
@@ -391,6 +393,8 @@ class ParallelScan(_planner.PlanNode):
             yield "rows", batch, None
 
     def _fold(self, txn: Transaction, state: _planner.AggState) -> int:
+        if not _planner.AggState.mergeable(state.stmt, self.schema):
+            return super()._fold(txn, state)
         _, stream = exchange(
             txn, self.shards, [self],
             lambda shard, units: ShardTask(shard, units[0], self.pred,
@@ -405,8 +409,6 @@ class ParallelScan(_planner.PlanNode):
 
     def fold_plan(self, stmt: SelectStatement,
                   schema: Any) -> tuple[str, str] | None:
-        # Not mergeable (FLOAT sums / keys / extrema): the aggregate
-        # replays the serial fold over this scan's rid-ordered rows.
         if not _planner.AggState.mergeable(stmt, schema):
             return None
         return "ParallelAggregate", "planner.plans.parallel_agg"
@@ -442,7 +444,7 @@ def plan_parallel_scan(planner: "_planner.Planner", table: str,
     shards = allowed_shards(conjuncts, spec, table)
     node = ParallelScan(
         table, _planner.ScanPredicate(conjuncts, heap.schema, table),
-        spec, shards)
+        spec, shards, heap.schema)
     # A path that consumed no conjunct estimated the unfiltered table.
     node.est_rows = chosen.est_rows if chosen.consumed \
         else planner._filtered_estimate(table, chosen.est_rows, conjuncts)

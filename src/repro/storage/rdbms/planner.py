@@ -74,7 +74,6 @@ from repro.storage.rdbms.sql import (
     SelectStatement,
     SqlError,
     _COMPARE_FN,
-    _Executor,
     _feedback_keys,
     _like_to_regex,
     _resolve,
@@ -439,8 +438,9 @@ class PlanNode:
     """A physical operator: ``units(txn)`` streams its rows as scan units
     (nothing decoded, tail rows by reference), ``rows(txn)`` the same
     rows as ``(rid, values)`` pairs for consumers that need whole rows
-    (joins, the reference aggregate fold, DML matching), ``render()``
-    the EXPLAIN subtree.
+    (joins, DML matching), ``fold(txn, state)`` folds them into an
+    aggregate stage's :class:`AggState`, ``render()`` the EXPLAIN
+    subtree.
 
     An operator implements ``_units``; the public entry points own the
     :class:`OperatorProfile` accounting — one ``profile is None`` test
@@ -466,14 +466,14 @@ class PlanNode:
         for unit in self.units(txn):
             yield from unit_rows(*unit)
 
-    def fold(self, txn: Transaction, state: "AggState") -> None:
-        """Fold this scan's units into ``state`` without building row
-        dicts — for nodes whose :meth:`fold_plan` accepted the statement."""
+    def fold(self, txn: Transaction, state: "AggState") -> int:
+        """Fold this node's rows into ``state``; returns how many."""
         prof = self.profile
         if prof is None:
-            self._fold(txn, state)
-        else:
-            prof.rows += prof.timed(self._fold, txn, state)
+            return self._fold(txn, state)
+        n = prof.timed(self._fold, txn, state)
+        prof.rows += n
+        return n
 
     def _units(self, txn: Transaction) -> Iterator[ScanUnit]:
         """The operator's rows as scan units, in output order.  Always a
@@ -482,13 +482,16 @@ class PlanNode:
         raise NotImplementedError
 
     def _fold(self, txn: Transaction, state: "AggState") -> int:
-        """Fold into ``state``; returns the number of rows folded."""
-        raise NotImplementedError
+        """Fold into ``state``; returns the number of rows folded.  A
+        node without a kernel of its own folds its units as they come:
+        rows units row by row, segment positions off the columns."""
+        return sum(state.add_unit(*unit) for unit in self._units(txn))
 
     def fold_plan(self, stmt: SelectStatement,
                   schema: Any) -> tuple[str, str] | None:
-        """``(EXPLAIN name, plan counter)`` of the aggregate stage that
-        can :meth:`fold` this node, or None: it must consume rows."""
+        """``(EXPLAIN name, plan counter)`` of the aggregate stage when
+        this node folds ``stmt`` with a kernel of its own, or None: the
+        stage is a plain ``Aggregate`` over the base fold."""
         return None
 
     def feedback_keys(self) -> list[tuple[str, str]]:
@@ -790,13 +793,7 @@ def fold_units(units: Iterable[ScanUnit], pred: ScanPredicate,
             if folded is not None:
                 n += folded
                 continue
-        kind, unit, selected = filter_unit(kind, unit, selected, pred, guard)
-        if kind == "segment":
-            n += state.add_segment(unit, selected)
-        else:
-            for _, values in unit:
-                state.add_row(values)
-            n += len(unit)
+        n += state.add_unit(*filter_unit(kind, unit, selected, pred, guard))
     return n
 
 
@@ -829,8 +826,6 @@ class SegmentScan(PlanNode):
 
     def fold_plan(self, stmt: SelectStatement,
                   schema: Any) -> tuple[str, str] | None:
-        if not AggState.supports(stmt, schema):
-            return None
         return "VectorizedAggregate", "planner.plans.vectorized_agg"
 
     def feedback_keys(self) -> list[tuple[str, str]]:
@@ -1042,7 +1037,10 @@ class AggState:
     a segment's column buffers (:meth:`add_segment`), or from another
     state (:meth:`merge`, the per-shard partials of a fanned-out scan).
 
-    :meth:`finalize` is element-identical to the naive ``_aggregate``:
+    :meth:`finalize` is element-identical to the naive ``_aggregate``,
+    and a fold raises what it raises (a name resolves like ``_resolve``;
+    SUM over TEXT adds strings, never dictionary codes; a select item
+    neither aggregated nor grouped fails once a group exists):
 
     * float SUM/AVG carry the running accumulator across units (``sum``
       with a ``start``), so the addition chain is the same left-to-right
@@ -1061,11 +1059,18 @@ class AggState:
         #: group slices folded off segments (EXPLAIN ANALYZE's groups=)
         self.slices = 0
         self._group_names = [g.name for g in stmt.group_by]
+        #: (output key, function, column; None for COUNT(*)) per aggregate
         self._agg_items = [
-            (item.key(), item.expr.func,
-             item.expr.column.name if item.expr.column is not None else None)
+            (item.key(), item.expr.func, item.expr.column)
             for item in stmt.items if isinstance(item.expr, AggregateExpr)
         ]
+        self._names = {*self._group_names, *(
+            ref.name for _, _, ref in self._agg_items if ref is not None)}
+        #: a select item the naive fold rejects in every group it emits
+        self._ungrouped = next((
+            item for item in stmt.items
+            if not isinstance(item.expr, AggregateExpr)
+            and item.expr.name not in self._group_names), None)
         #: the segment folded last and its kernels' verdicts: its stretches
         #: arrive one after another (a pickled state leaves them behind)
         self._verdicts: tuple[Segment, bytearray] | None = None
@@ -1073,56 +1078,29 @@ class AggState:
     def __getstate__(self) -> dict[str, Any]:
         return dict(self.__dict__, _verdicts=None)
 
-    # ------------------------------------------------------------ gating
-
-    @staticmethod
-    def supports(stmt: SelectStatement, schema: Any) -> bool:
-        """True when the aggregate stage can fold into an AggState; False
-        keeps the reference row fold and its error surface (SUM over
-        TEXT raising TypeError, a non-grouped column raising SqlError)."""
-        for g in stmt.group_by:
-            if g.table not in (None, stmt.table) \
-                    or not schema.has_column(g.name):
-                return False
-        for item in stmt.items:
-            expr = item.expr
-            if isinstance(expr, AggregateExpr):
-                if expr.column is None:
-                    continue  # COUNT(*)
-                ref = expr.column
-                if ref.table not in (None, stmt.table) \
-                        or not schema.has_column(ref.name):
-                    return False
-                if expr.func in ("sum", "avg"):
-                    col_type = schema.column(ref.name).col_type
-                    if col_type not in (ColumnType.INT, ColumnType.FLOAT,
-                                        ColumnType.BOOL):
-                        return False
-            elif isinstance(expr, ColumnRef):
-                # Naive emits these only as group keys (or raises).
-                if not (stmt.group_by
-                        and any(g.name == expr.name for g in stmt.group_by)):
-                    return False
-            else:
-                return False
-        return True
-
     @staticmethod
     def mergeable(stmt: SelectStatement, schema: Any) -> bool:
         """True when folding partitions separately and :meth:`merge`-ing
-        them is exact: :meth:`supports`, and no FLOAT group key
+        them is exact.  The statements whose fold raises — an unknown
+        column, SUM/AVG over TEXT, a select item neither aggregated nor
+        grouped — keep the serial fold, and so do FLOAT group keys
         (``-0.0``/NaN key objects depend on which partition inserts
         first), FLOAT SUM/AVG (float addition is non-associative; the
-        serial fold order is the oracle) or FLOAT MIN/MAX (NaN makes
+        serial fold order is the oracle) and FLOAT MIN/MAX (NaN makes
         first-value-wins order-dependent).  COUNT takes anything; INT/BOOL
         sums are exact; INT/BOOL/TEXT extrema are total orders."""
-        folded = list(stmt.group_by) + [
-            item.expr.column for item in stmt.items
-            if isinstance(item.expr, AggregateExpr)
-            and item.expr.func != "count"]
-        return AggState.supports(stmt, schema) and not any(
-            schema.column(ref.name).col_type == ColumnType.FLOAT
-            for ref in folded)
+        state = AggState(stmt)
+        operands = [(name, "group") for name in state._group_names] + [
+            (ref.name, func) for _, func, ref in state._agg_items
+            if ref is not None]
+        for name, func in operands:
+            if not schema.has_column(name):
+                return False
+            col_type = schema.column(name).col_type
+            if func != "count" and (col_type == ColumnType.FLOAT or (
+                    func in ("sum", "avg") and col_type == ColumnType.TEXT)):
+                return False
+        return state._ungrouped is None
 
     # ----------------------------------------------------- accumulation
 
@@ -1137,22 +1115,26 @@ class AggState:
     def _accs_for(self, key: tuple) -> list[list[Any]]:
         accs = self.groups.get(key)
         if accs is None:
+            if self._ungrouped is not None:
+                raise SqlError(f"column {self._ungrouped.key()!r} "
+                               "must appear in GROUP BY")
             accs = self.groups[key] = [self._new_acc(func)
                                        for _, func, _ in self._agg_items]
         return accs
 
     def add_row(self, row: dict[str, Any]) -> None:
-        key = tuple(row.get(name) for name in self._group_names)
-        accs = self._accs_for(key)
-        for acc, (_, func, colname) in zip(accs, self._agg_items):
-            if func == "count":
-                if colname is None or row.get(colname) is not None:
-                    acc[0] += 1
+        accs = self._accs_for(
+            tuple([_resolve(row, ref) for ref in self.stmt.group_by]))
+        for acc, (_, func, ref) in zip(accs, self._agg_items):
+            if ref is None:  # COUNT(*)
+                acc[0] += 1
                 continue
-            v = row.get(colname)
+            v = _resolve(row, ref)
             if v is None:
                 continue
-            if func == "min":
+            if func == "count":
+                acc[0] += 1
+            elif func == "min":
                 if not acc[0]:
                     acc[0], acc[1] = True, v
                 elif v < acc[1]:
@@ -1162,15 +1144,25 @@ class AggState:
                     acc[0], acc[1] = True, v
                 elif v > acc[1]:
                     acc[1] = v
-            else:  # sum / avg
-                acc[0] += v
+            else:  # sum / avg (not +=: TEXT raises the naive sum's error)
+                acc[0] = acc[0] + v
                 acc[1] += 1
+
+    def add_unit(self, kind: str, unit: Any,
+                 selected: Sequence[int] | None) -> int:
+        """Fold every row of one scan unit; returns how many."""
+        if kind == "segment":
+            return self.add_segment(unit, selected)
+        for _, values in unit:
+            self.add_row(values)
+        return len(unit)
 
     def add_segment(self, segment: Segment, selected: Sequence[int],
                     vector: Sequence[Any] = ()) -> int | None:
         """Fold the ascending positions ``selected`` of one segment that
         pass the kernel conjuncts ``vector``; returns the rows folded, or
-        None when a kernel hit incomparable operands (nothing is folded).
+        None when a kernel hit incomparable operands or a named column is
+        missing (nothing is folded: the caller selects the rows first).
 
         A group is a slice of :meth:`Segment.group_order`, cut to the
         ends of ``selected``.  The kernels run once per segment, over the
@@ -1182,6 +1174,12 @@ class AggState:
         """
         if not selected:
             return 0
+        if not self._names <= segment.columns.keys():
+            if vector:
+                return None
+            for _, values in segment.rows_at(selected):
+                self.add_row(values)
+            return len(selected)
         order = segment.group_order(self._group_names)
         positions, bounds = order.positions, order.bounds
         bits = None  # the kernels' verdicts, one byte per row of the order
@@ -1232,9 +1230,9 @@ class AggState:
         slices.sort()
         key_cols = [segment.columns[name] for name in self._group_names]
         # per aggregate: function, column, its cells, their null flags
-        folds = [(func, None, None, None) if name is None else
-                 (func, segment.columns[name], *order.column(name))
-                 for _, func, name in self._agg_items]
+        folds = [(func, None, None, None) if ref is None else
+                 (func, segment.columns[ref.name], *order.column(ref.name))
+                 for _, func, ref in self._agg_items]
         folded = 0
         for pos, lo, hi, keep in slices:
             accs = self._accs_for(tuple([col.value_at(pos)
@@ -1266,6 +1264,8 @@ class AggState:
                 if func == "count":
                     acc[0] += m
                 elif func in ("sum", "avg"):
+                    if col.dictionary is not None:  # TEXT: raises, as naive
+                        vals = map(col.dictionary.__getitem__, vals)
                     acc[0] = sum(vals, acc[0])
                     acc[1] += m
                 elif m:  # the builtins keep the first extremum
@@ -1328,19 +1328,13 @@ class AggState:
         return out
 
 
-#: The reference interpreter's fold: what every :class:`AggState` must
-#: equal, and what runs for statements :meth:`AggState.supports` rejects.
-_reference_fold = _Executor(None, None)._aggregate  # type: ignore[arg-type]
-
-
 class Aggregate(PlanNode):
-    """The aggregate stage (GROUP BY + COUNT/SUM/AVG/MIN/MAX).
-
-    A child that can fold its scan units (:meth:`PlanNode.fold_plan`)
-    fills one :class:`AggState` without building row dicts — columnar
-    over a :class:`SegmentScan`, per-shard partials merged over a
-    fanned-out scan — and EXPLAIN names the stage after it.  Any other
-    child's rows run through the reference interpreter's fold.
+    """The aggregate stage (GROUP BY + COUNT/SUM/AVG/MIN/MAX): its child
+    folds one :class:`AggState` (:meth:`PlanNode.fold`) and EXPLAIN
+    names the stage after the fold — ``VectorizedAggregate`` straight
+    off a :class:`SegmentScan`'s column buffers, ``ParallelAggregate``
+    for per-shard partials merged over a fanned-out scan, ``Aggregate``
+    for any other child's units, folded as they come.
     """
 
     est_rows = None  # group counts are not estimated
@@ -1349,10 +1343,9 @@ class Aggregate(PlanNode):
                  child: PlanNode) -> None:
         self.stmt = stmt
         self.child = child
-        folded = child.fold_plan(stmt, schema)
-        self.folds = folded is not None
-        self.name, self.plan_counter = folded or ("Aggregate", None)
-        #: rows the reference fold consumed, for cardinality feedback
+        self.name, self.plan_counter = child.fold_plan(stmt, schema) \
+            or ("Aggregate", None)
+        #: rows a plain ``Aggregate`` folded, for cardinality feedback
         self.source_rows: int | None = None
 
     def execute(self, txn: Transaction) -> list[dict[str, Any]]:
@@ -1365,12 +1358,10 @@ class Aggregate(PlanNode):
         return out
 
     def _execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        if not self.folds:
-            rows = [values for _, values in self.child.rows(txn)]
-            self.source_rows = len(rows)
-            return _reference_fold(self.stmt, rows)
         state = AggState(self.stmt)
-        self.child.fold(txn, state)
+        folded = self.child.fold(txn, state)
+        if self.plan_counter is None:
+            self.source_rows = folded
         if self.profile is not None:
             self.profile.absorb_scan(self.child.profile)
             self.profile.groups += state.slices
@@ -1913,11 +1904,17 @@ class Planner:
     # -------------------------------------------------------------- SELECT
 
     def plan_select(self, stmt: SelectStatement) -> SelectPlan:
-        """Physical plan for a SELECT's row-sourcing (and EXPLAIN tree)."""
+        """Physical plan for a SELECT's row-sourcing (and EXPLAIN tree).
+
+        Raises:
+            SqlError: HAVING without GROUP BY or aggregates.
+        """
         registry = metrics.get_registry()
         conjuncts = split_conjuncts(stmt.where)
         aggregate_stage = bool(stmt.group_by) or any(
             isinstance(i.expr, AggregateExpr) for i in stmt.items)
+        if not aggregate_stage and stmt.having is not None:
+            raise SqlError("HAVING requires GROUP BY or aggregates")
         if stmt.join_table is None:
             node, residual = self.plan_access(
                 stmt.table, conjuncts, prefer_columnar=aggregate_stage)

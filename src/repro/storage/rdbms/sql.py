@@ -872,11 +872,12 @@ def order_key(stmt: SelectStatement) -> str:
 
 
 class _Executor:
-    def __init__(self, db: Database, txn: Transaction,
-                 use_planner: bool = True) -> None:
+    """Runs statements inside one transaction through the cost-based
+    planner (:mod:`repro.storage.rdbms.planner`)."""
+
+    def __init__(self, db: Database, txn: Transaction) -> None:
         self._db = db
         self._txn = txn
-        self._use_planner = use_planner
 
     def execute(self, stmt) -> list[dict[str, Any]]:
         if isinstance(stmt, SelectStatement):
@@ -906,15 +907,12 @@ class _Executor:
     def _matching_rids(self, table: str, where) -> list[int]:
         """Rids of the rows of ``table`` a DML statement's WHERE selects.
 
-        With the planner enabled, the access path (index lookup, range
-        scan, or full scan) is chosen by cost; the full predicate is
-        still re-checked on every candidate, so a stale plan can only
-        cost time, never rows.  The list is complete before the first
-        row is written.
+        The access path (index lookup, range scan, or full scan — what a
+        statement without WHERE gets on a heap table) is chosen by cost;
+        the full predicate is still re-checked on every candidate, so a
+        stale plan can only cost time, never rows.  The list is complete
+        before the first row is written.
         """
-        if not (self._use_planner and where is not None):
-            return [row["__rid__"]
-                    for row in self._matching_rows(table, where)]
         from repro.storage.rdbms import planner as _planner
 
         conjuncts = _planner.split_conjuncts(where)
@@ -927,61 +925,23 @@ class _Executor:
         return [rid for rid, values in candidates
                 if eval_predicate(where, values)]
 
-    def _matching_rows(self, table: str, where) -> list[dict[str, Any]]:
-        """Reference interpreter: rows of ``table`` satisfying ``where``
-        (each with ``__rid__``), via one top-level indexed equality or a
-        full scan."""
-        lookup = _equality_lookup(where) if where is not None else None
-        if lookup is not None and self._db._find_index(table, lookup[0]) is not None:
-            candidates = self._txn.lookup(table, lookup[0], lookup[1])
-        else:
-            candidates = self._txn.scan(table)
-        rows = []
-        for r in candidates:
-            row = dict(r.values)
-            row["__rid__"] = r.rid
-            if eval_predicate(where, row):
-                rows.append(row)
-        return rows
-
     def _select(self, stmt: SelectStatement,
                 plan: Any = None) -> list[dict[str, Any]]:
-        has_aggregates = any(isinstance(i.expr, Aggregate) for i in stmt.items)
-        aggregate_stage = bool(stmt.group_by) or has_aggregates
-        if not aggregate_stage and stmt.having is not None:
-            raise SqlError("HAVING requires GROUP BY or aggregates")
-        if self._use_planner:
-            from repro.storage.rdbms import planner as _planner
+        from repro.storage.rdbms import planner as _planner
 
-            tracer = get_tracer()
-            if plan is None:
-                with tracer.span("rdbms.plan"):
-                    plan = _planner.Planner(self._db).plan_select(stmt)
-            with tracer.span("rdbms.exec") as span:
-                result = plan.execute(self._txn)
-                span.set_attribute("rows", len(result))
-            if aggregate_stage:
-                source_count = plan.root.source_rows
-            else:
-                source_count = len(result) if stmt.limit is None else None
-            self._record_feedback(stmt, plan, source_count)
-            return result
-        rows = self._source_rows(stmt)
-        rows = [r for r in rows if eval_predicate(stmt.where, r)]
-        if aggregate_stage:
-            result = self._aggregate(stmt, rows)
-            if stmt.having is not None:
-                result = [r for r in result if eval_predicate(stmt.having, r)]
-        elif stmt.star:
-            result = [
-                {k: v for k, v in r.items() if k != "__rid__"} for r in rows
-            ]
+        tracer = get_tracer()
+        if plan is None:
+            with tracer.span("rdbms.plan"):
+                plan = _planner.Planner(self._db).plan_select(stmt)
+        with tracer.span("rdbms.exec") as span:
+            result = plan.execute(self._txn)
+            span.set_attribute("rows", len(result))
+        if plan.root is not plan.source:  # the aggregate stage
+            source_count = plan.root.source_rows
         else:
-            result = [
-                {item.key(): _resolve(r, item.expr) for item in stmt.items}
-                for r in rows
-            ]
-        return self._order_and_limit(stmt, result)
+            source_count = len(result) if stmt.limit is None else None
+        self._record_feedback(stmt, plan, source_count)
+        return result
 
     def _record_feedback(self, stmt: SelectStatement, plan,
                          source_count: int | None) -> None:
@@ -1018,6 +978,53 @@ class _Executor:
                     node.table, keys, node.est_rows, prof.rows)
         for child in node.children():
             self._record_operator_feedback(child)
+
+
+class _Interpreter(_Executor):
+    """The reference interpreter (``use_planner=False``): the semantics
+    oracle the planner is tested against."""
+
+    def _matching_rids(self, table: str, where) -> list[int]:
+        return [row["__rid__"] for row in self._matching_rows(table, where)]
+
+    def _matching_rows(self, table: str, where) -> list[dict[str, Any]]:
+        """Reference interpreter: rows of ``table`` satisfying ``where``
+        (each with ``__rid__``), via one top-level indexed equality or a
+        full scan."""
+        lookup = _equality_lookup(where) if where is not None else None
+        if lookup is not None and self._db._find_index(table, lookup[0]) is not None:
+            candidates = self._txn.lookup(table, lookup[0], lookup[1])
+        else:
+            candidates = self._txn.scan(table)
+        rows = []
+        for r in candidates:
+            row = dict(r.values)
+            row["__rid__"] = r.rid
+            if eval_predicate(where, row):
+                rows.append(row)
+        return rows
+
+    def _select(self, stmt: SelectStatement) -> list[dict[str, Any]]:
+        has_aggregates = any(isinstance(i.expr, Aggregate) for i in stmt.items)
+        aggregate_stage = bool(stmt.group_by) or has_aggregates
+        if not aggregate_stage and stmt.having is not None:
+            raise SqlError("HAVING requires GROUP BY or aggregates")
+        rows = self._source_rows(stmt)
+        rows = [r for r in rows if eval_predicate(stmt.where, r)]
+        if aggregate_stage:
+            result = self._aggregate(stmt, rows)
+            if stmt.having is not None:
+                result = [r for r in result if eval_predicate(stmt.having, r)]
+        elif stmt.star:
+            result = [
+                {k: v for k, v in r.items() if k != "__rid__"} for r in rows
+            ]
+        else:
+            result = [
+                {item.key(): _resolve(r, item.expr) for item in stmt.items}
+                for r in rows
+            ]
+        return self._order_and_limit(stmt, result)
 
     def _order_and_limit(self, stmt: SelectStatement,
                          result: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
@@ -1150,7 +1157,7 @@ def _analyze_rows(db: Database, stmt: ExplainStatement,
     with tracer.span("rdbms.plan"):
         plan = _planner.Planner(db).plan_select(select)
     plan.enable_profiling()
-    executor = _Executor(db, txn, use_planner=True)
+    executor = _Executor(db, txn)
     t0 = perf_counter()
     rows = executor._select(select, plan=plan)
     total = perf_counter() - t0
@@ -1227,17 +1234,16 @@ def execute_statement(db: Database, stmt, txn: Transaction | None = None,
             return _analyze_rows(db, stmt, txn)
         return _run_snapshot_read(
             db, guard, lambda snap: _analyze_rows(db, stmt, snap))
+    executor = _Executor if use_planner else _Interpreter
     if txn is not None:
-        return _Executor(db, txn, use_planner).execute(stmt)
+        return executor(db, txn).execute(stmt)
     if isinstance(stmt, SelectStatement):
         # Auto-transaction SELECTs run lock-free on a committed snapshot:
         # they cannot block behind writers, deadlock, or enter the
         # waits-for graph (DESIGN.md §15).
         return _run_snapshot_read(
-            db, guard,
-            lambda snap: _Executor(db, snap, use_planner).execute(stmt))
-    return db.run(lambda t: _Executor(db, t, use_planner).execute(stmt),
-                  guard=guard)
+            db, guard, lambda snap: executor(db, snap).execute(stmt))
+    return db.run(lambda t: executor(db, t).execute(stmt), guard=guard)
 
 
 def execute_sql(db: Database, sql: str, txn: Transaction | None = None,

@@ -41,13 +41,19 @@ class KeywordSearchEngine:
     # ------------------------------------------------------------ indexing
 
     def index_corpus(self, docs: Iterable[Document]) -> int:
-        """Index documents; returns how many were added."""
-        count = 0
-        for doc in docs:
-            self._documents[doc.doc_id] = doc
-            self._doc_index.add(doc.doc_id, doc.text)
-            count += 1
-        return count
+        """Index documents — the last of a doc_id repeated in ``docs``
+        wins; an indexed page whose text changed is re-indexed (its old
+        postings go in one removal), an unchanged one is left as it is.
+        Returns how many were indexed."""
+        batch = {doc.doc_id: doc for doc in docs}
+        changed = {doc_id: doc for doc_id, doc in batch.items()
+                   if doc_id not in self._documents
+                   or self._documents[doc_id].text != doc.text}
+        self._doc_index.remove(*changed.keys() & self._documents.keys())
+        for doc_id, doc in changed.items():
+            self._documents[doc_id] = doc
+            self._doc_index.add(doc_id, doc.text)
+        return len(changed)
 
     def index_facts(self, facts: Iterable[dict[str, Any]]) -> int:
         """Index structured facts as searchable pseudo-documents, each

@@ -13,14 +13,9 @@ queries, added refinements — and exposes transitions between modes.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
-from repro.errors import CancellationToken
-from repro.storage.rdbms.engine import Database
-from repro.storage.rdbms.qcache import QueryResultCache
-from repro.storage.rdbms.sql import execute_sql
 from repro.userlayer.search import DocumentResult, KeywordSearchEngine
 from repro.userlayer.translate import QueryTranslator, TranslationCandidate
 
@@ -41,36 +36,26 @@ class ExplorationSession:
     Args:
         search: keyword-search service.
         translator: keyword→structured translation service.
-        db: the final structured store (for running chosen queries).
-        cache: optional shared result cache — when set, the session's
-            SELECTs are served through it (repeated exploration steps
-            between commits hit memory).
-        deadline_seconds: per-statement deadline; every statement the
-            session runs is cooperatively cancelled past it
-            (:class:`~repro.errors.QueryTimeoutError`).  None disables.
-        shutdown: optional shared shutdown event (the serving layer's
-            drain signal); a set event cancels in-flight statements.
+        query: runs one SQL statement — ``query(sql,
+            deadline_seconds=None)``, the system's
+            :meth:`~repro.core.system.StructureManagementSystem.query`:
+            every statement the session runs is admitted, cached,
+            deadlined, drained on close and counted like any other query.
+        deadline_seconds: per-statement deadline override passed to
+            ``query`` (None: the query callable's default).
     """
 
     search: KeywordSearchEngine
     translator: QueryTranslator
-    db: Database
+    query: Callable[..., list[dict[str, Any]]]
     user: str = "anonymous"
-    cache: QueryResultCache | None = None
     deadline_seconds: float | None = None
-    shutdown: threading.Event | None = None
     history: list[SessionStep] = field(default_factory=list)
     _last_candidates: list[TranslationCandidate] = field(default_factory=list)
     _last_sql: str | None = None
 
     def _run_sql(self, sql: str) -> list[dict[str, Any]]:
-        guard: CancellationToken | None = None
-        if self.deadline_seconds is not None or self.shutdown is not None:
-            guard = CancellationToken.after(
-                self.deadline_seconds, event=self.shutdown, sql=sql)
-        if self.cache is not None:
-            return self.cache.execute(sql, guard=guard)
-        return execute_sql(self.db, sql, guard=guard)
+        return self.query(sql, deadline_seconds=self.deadline_seconds)
 
     # -------------------------------------------------------------- modes
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.system import FACTS_TABLE, StructureManagementSystem
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
+from repro.docmodel.document import Document
 from repro.extraction.infobox import InfoboxExtractor
 from repro.extraction.normalize import MONTHS, normalize_temperature
 from repro.extraction.rules import ContextRule, RuleCascadeExtractor
@@ -49,6 +50,36 @@ def test_ingest_indexes_pages(city_system):
     assert system.search.corpus_size() == 16
     hits = system.keyword(f"{truth[0].name} climate")
     assert hits
+
+
+def test_reingesting_an_edited_page_reindexes_it():
+    system = StructureManagementSystem()
+    system.ingest([Document("p1", "Madison is a city with lakes")])
+    system.ingest([Document("p1", "Springfield has a nuclear plant")])
+    assert [(r.doc_id, r.snippet) for r in system.keyword("nuclear")] == [
+        ("p1", "Springfield has a nuclear plant")]
+    assert system.keyword("lakes") == []
+    system.close()
+
+
+def test_the_last_of_a_doc_id_repeated_in_one_batch_is_indexed():
+    system = StructureManagementSystem()
+    system.ingest([Document("p1", "Madison is a city with lakes"),
+                   Document("p1", "Springfield has a nuclear plant")])
+    assert system.corpus.get("p1").text == "Springfield has a nuclear plant"
+    assert [r.doc_id for r in system.keyword("nuclear")] == ["p1"]
+    assert system.keyword("lakes") == []
+    system.close()
+
+
+def test_loading_stored_pages_reindexes_an_edited_page(tmp_path):
+    system = StructureManagementSystem(workspace=str(tmp_path / "ws"))
+    system.ingest([Document("p1", "Madison is a city with lakes")])
+    system.storage.raw.commit(Document("p1", "Springfield has a plant"))
+    assert system.load_stored_pages() == 1
+    assert [r.doc_id for r in system.keyword("springfield")] == ["p1"]
+    assert system.keyword("lakes") == []
+    system.close()
 
 
 def test_generate_stores_queryable_facts(city_system):

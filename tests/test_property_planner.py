@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.rdbms.engine import Database
-from repro.storage.rdbms.sql import execute_sql
+from repro.storage.rdbms.sql import SqlError, execute_sql
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry import metrics
 
@@ -370,3 +370,203 @@ def test_sampled_analyze_plans_over_segments_and_a_tail(monkeypatch):
                   "LIMIT 5", locked=False)
     assert registry.get("planner.analyze.sampled") > before
     assert db._table("t").tail_size and db._table("t").segment_count()
+
+
+# --------------------------------------------- aggregates over every child
+#
+# The aggregate stage folds one AggState over whatever child the planner
+# picks (DESIGN.md §12).  Sixty-four filler rows with unique names and
+# large qty values make each WHERE below plan the child it names whatever
+# the generated rows are; the statements include the shapes whose fold
+# raises, which must fail exactly like the naive interpreter's.
+
+_FILLER = 64
+
+_AGG_PATHS = [  # (layout, WHERE, the child the aggregate stage folds)
+    ("heap", "", "FullScan"),
+    ("heap", " WHERE score > {n}", "Filter"),
+    ("indexed", " WHERE name = '{name}'", "IndexLookup"),
+    ("indexed", " WHERE rid = {k}", "PkLookup"),
+    ("indexed", " WHERE qty <= {n}", "RangeScan"),
+    ("mixed", " WHERE score > {n}", "SegmentScan"),
+    ("sharded", " WHERE score > {n}", "ParallelScan"),
+]
+
+_AGG_STATEMENTS = [
+    "SELECT COUNT(*) AS n, MIN(qty) AS lo, MAX(name) AS hi FROM t{where}",
+    "SELECT name, COUNT(opt) AS n, SUM(qty) AS s FROM t{where} GROUP BY name",
+    # FLOAT operands: a sharded scan folds serially instead of merging
+    "SELECT opt, AVG(score) AS a, MAX(score) AS hi FROM t{where} "
+    "GROUP BY opt",
+    "SELECT t.name, SUM(t.qty) AS s, AVG(opt) AS a FROM t{where} "
+    "GROUP BY t.name",
+    "SELECT SUM(name) AS s FROM t{where}",
+    "SELECT opt, AVG(name) AS a FROM t{where} GROUP BY opt",
+    "SELECT name, qty, COUNT(*) AS n FROM t{where} GROUP BY name",
+    "SELECT COUNT(nope) AS n FROM t{where}",
+    "SELECT nope, COUNT(*) AS n FROM t{where} GROUP BY nope",
+]
+
+
+def _paths_db(rows, layout, dims=None, filler=_FILLER):
+    """``t`` holding ``rows`` (late_rows_strategy tuples) plus ``filler``
+    rows in one of the layouts: ``heap`` and ``indexed`` (hash on name,
+    sorted on qty) keep every row in the tail, ``mixed`` freezes all but
+    the last third of the generated rows, ``sharded`` spreads them over
+    three shards fanned out on a thread backend.  With ``dims``, ``d``
+    holds a filler row per filler name too, and is indexed on both its
+    columns in the ``indexed`` layout."""
+    from repro.cluster.backends import ThreadPoolBackend
+
+    db = Database()
+    schema = TableSchema(
+        "t",
+        (Column("rid", ColumnType.INT, nullable=False),
+         Column("name", ColumnType.TEXT),
+         Column("qty", ColumnType.INT),
+         Column("opt", ColumnType.INT),
+         Column("score", ColumnType.FLOAT)),
+        primary_key="rid",
+    )
+    if layout == "sharded":
+        db.create_table(schema, shard_key="name", shard_count=3)
+        db.exec_backend = ThreadPoolBackend(max_workers=2)
+    else:
+        db.create_table(schema)
+    filled = [(f"f{i:02d}", 100 + i, None if i % 4 == 0 else i % 3,
+               i - 30.5) for i in range(filler)]
+    cut = len(rows) * 2 // 3 if layout == "mixed" else len(rows)
+    for frozen, chunk in ((True, rows[:cut] + filled), (False, rows[cut:])):
+        start = len(db._table("t"))
+        db.run(lambda txn, chunk=chunk, start=start: txn.insert_many("t", [
+            {"rid": start + i, "name": name, "qty": qty, "opt": opt,
+             "score": score}
+            for i, (name, qty, opt, score) in enumerate(chunk)]))
+        if frozen and layout == "mixed":
+            db.compact("t")
+    if dims is not None:
+        _load_dims(db, dims + [(name, i % 10) for i, (name, *_)
+                               in enumerate(filled)], layout == "indexed")
+    if layout == "indexed":
+        if dims is not None:
+            db.create_index("d", "grp", "hash")
+        db.create_index("t", "name", "hash")
+        db.create_index("t", "qty", "sorted")
+    return db
+
+
+def _outcome(db, sql, use_planner=True):
+    """The result rows with their key order, or the error raised."""
+    try:
+        rows = execute_sql(db, sql, use_planner=use_planner)
+    except (SqlError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    return [list(r.items()) for r in rows]
+
+
+def _folds_over(db, sql):
+    """The operator right below the aggregate stage."""
+    return execute_sql(db, f"EXPLAIN {sql}")[1]["plan"].split("(")[0].strip()
+
+
+@given(
+    rows=late_rows_strategy,
+    path=st.sampled_from(_AGG_PATHS),
+    n=st.integers(-5, 5), k=st.integers(0, 24),
+    name=st.sampled_from(_NAMES),
+)
+@settings(max_examples=120, deadline=None)
+def test_aggregates_match_naive_over_every_child(rows, path, n, k, name):
+    layout, where, child = path
+    db = _paths_db(rows, layout)
+    try:
+        where = where.format(n=n, k=k, name=name)
+        for statement in _AGG_STATEMENTS:
+            sql = statement.format(where=where)
+            assert _folds_over(db, sql) == child, sql
+            assert _outcome(db, sql) == _outcome(db, sql, False), sql
+        if layout == "mixed" and len(rows) >= 3:
+            assert db._table("t").tail_size
+    finally:
+        if db.exec_backend is not None:
+            db.exec_backend.close()
+
+
+@given(
+    rows=late_rows_strategy,
+    dims=dim_strategy,
+    join=st.sampled_from([("heap", "", "HashJoin"),
+                          ("indexed", " WHERE t.rid = {k}",
+                           "IndexNestedLoopJoin")]),
+    k=st.integers(0, 24),
+)
+@settings(max_examples=60, deadline=None)
+def test_join_aggregates_match_naive_over_both_joins(rows, dims, join, k):
+    layout, where, child = join
+    db = _paths_db(rows, layout, dims)
+    where = where.format(k=k)
+    for statement in [
+        "SELECT grp, COUNT(*) AS n, SUM(t.qty) AS s, MIN(d.name) AS lo "
+        "FROM t JOIN d ON t.name = d.name{where} GROUP BY grp",
+        # an unqualified name both sides hold resolves to the left one
+        "SELECT COUNT(*) AS n, MAX(name) AS hi, AVG(score) AS a "
+        "FROM t JOIN d ON t.name = d.name{where}",
+        "SELECT grp, qty, COUNT(*) AS n FROM t JOIN d ON t.name = d.name"
+        "{where} GROUP BY grp",
+        # joined on another column, the two names differ
+        "SELECT d.name, COUNT(*) AS n, MAX(t.name) AS t, MIN(d.name) AS d, "
+        "MIN(name) AS bare FROM t JOIN d ON t.opt = d.grp{where} "
+        "GROUP BY d.name",
+    ]:
+        sql = statement.format(where=where)
+        assert _folds_over(db, sql) == child, sql
+        assert _outcome(db, sql) == _outcome(db, sql, False), sql
+
+
+def test_aggregates_over_an_empty_table_match_naive():
+    for layout in ("heap", "indexed", "sharded"):
+        db = _paths_db([], layout, filler=0)
+        for sql in ["SELECT COUNT(*) AS n, SUM(qty) AS s, MIN(name) AS lo "
+                    "FROM t",
+                    "SELECT name, COUNT(*) AS n, AVG(score) AS a FROM t "
+                    "GROUP BY name",
+                    "SELECT name, qty, COUNT(*) AS n FROM t GROUP BY name",
+                    "SELECT qty, COUNT(*) AS n FROM t"]:
+            assert _outcome(db, sql) == _outcome(db, sql, False), sql
+        if db.exec_backend is not None:
+            db.exec_backend.close()
+
+
+def test_which_statements_record_predicate_feedback(monkeypatch):
+    from repro.storage.rdbms.stats import StatisticsManager
+
+    recorded = []
+    real = StatisticsManager.record_predicate_feedback
+    monkeypatch.setattr(
+        StatisticsManager, "record_predicate_feedback",
+        lambda self, table, *args: recorded.append(table)
+        or real(self, table, *args))
+    rows = [(_NAMES[i % 5], i % 7 - 3, i % 3, i / 4) for i in range(12)]
+    join = "FROM t JOIN d ON t.name = d.name WHERE grp = 1 GROUP BY grp"
+    for layout, sql, records in [
+        # an aggregate stage records only over a child without a kernel
+        ("heap", "SELECT COUNT(*) AS n FROM t WHERE score > 0", True),
+        ("indexed", "SELECT name, COUNT(*) AS n FROM t WHERE name = 'f01' "
+                    "GROUP BY name", True),
+        ("mixed", "SELECT COUNT(*) AS n FROM t WHERE score > 0", False),
+        ("sharded", "SELECT name, COUNT(*) AS n FROM t WHERE score > 0 "
+                    "GROUP BY name", False),
+        ("sharded", "SELECT SUM(score) AS s FROM t WHERE score > 0", True),
+        ("heap", "SELECT COUNT(*) AS n FROM t", False),
+        ("heap", f"SELECT grp, COUNT(*) AS n {join}", False),
+        ("heap", "SELECT name FROM t WHERE score > 0", True),
+        ("heap", "SELECT name FROM t WHERE score > 0 LIMIT 3", False),
+        ("heap", "UPDATE t SET opt = 1 WHERE score > 0", True),
+        ("heap", "DELETE FROM t", False),
+    ]:
+        db = _paths_db(rows, layout, dims=[])
+        recorded.clear()
+        execute_sql(db, sql)
+        assert recorded == (["t"] if records else []), (layout, sql)
+        if db.exec_backend is not None:
+            db.exec_backend.close()

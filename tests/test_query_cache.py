@@ -182,7 +182,7 @@ def test_session_shares_system_cache():
     execute_sql(system.db, "CREATE TABLE t (k INT PRIMARY KEY)")
     execute_sql(system.db, "INSERT INTO t (k) VALUES (1)")
     session = system.session("alice")
-    assert session.cache is system.query_cache
+    assert session.query == system.query
     session.structured("SELECT * FROM t")
     before = _hits()
     session.structured("SELECT * FROM t")

@@ -626,10 +626,10 @@ def test_explain_golden_aggregate_over_non_columnar_source():
         "  Filter(v > 10)  [rows~192 cost~300]",
         "    FullScan(t)  [rows~300 cost~300]",
     ]
-    # SUM over TEXT fails the vector gate: the row fold keeps the naive
-    # error surface even though the source is a SegmentScan.
+    # SUM over TEXT folds off the segment too, raising what the naive
+    # fold raises (test_sum_type_error_parity_on_text_column).
     assert _explain(_golden_db(), "SELECT SUM(s) FROM t") == [
-        "Aggregate(group_by=[()], items=[sum(s)])",
+        "VectorizedAggregate(group_by=[()], items=[sum(s)])",
         "  SegmentScan(t, pred=TRUE)  [rows~300 cost~24]",
     ]
 

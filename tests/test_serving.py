@@ -361,6 +361,46 @@ def test_system_deadline_times_out_a_slow_query_and_sessions_inherit_it():
         system.close()
 
 
+def test_session_and_explain_statements_pass_the_admission_gate():
+    system = StructureManagementSystem(max_concurrent_queries=1,
+                                       max_queued_queries=0)
+    try:
+        session = system.session("alice")
+        slot = system.gate.admit("held")
+        with pytest.raises(AdmissionRejected) as info:
+            session.structured("SELECT * FROM facts")
+        assert info.value.reason == "saturated"
+        with pytest.raises(AdmissionRejected):
+            system.explain_sql("SELECT * FROM facts")
+        with slot:
+            pass
+        assert session.structured("SELECT * FROM facts") == []
+    finally:
+        system.close()
+
+
+def test_session_statements_count_as_system_queries():
+    system = StructureManagementSystem()
+    try:
+        session = system.session("alice")
+        registry = metrics.get_registry()
+        before = registry.get("system.queries")
+        session.structured("SELECT * FROM facts")
+        session.browse("facts")
+        assert registry.get("system.queries") == before + 2
+    finally:
+        system.close()
+
+
+def test_closed_system_rejects_session_statements_as_draining():
+    system = StructureManagementSystem()
+    session = system.session("alice")
+    system.close()
+    with pytest.raises(AdmissionRejected) as info:
+        session.structured("SELECT * FROM facts")
+    assert info.value.reason == "draining"
+
+
 _SIGTERM_CHILD = """
 import sys, time
 from repro.core.system import StructureManagementSystem

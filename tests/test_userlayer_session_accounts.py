@@ -31,8 +31,9 @@ def session():
         entities=["Madison", "Chicago"],
         attribute_column="attribute", value_column="value_num",
     )
-    return ExplorationSession(search=search, translator=translator, db=db,
-                              user="tester")
+    return ExplorationSession(
+        search=search, translator=translator, user="tester",
+        query=lambda sql, deadline_seconds=None: execute_sql(db, sql))
 
 
 def test_keyword_mode(session):

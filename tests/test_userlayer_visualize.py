@@ -85,7 +85,7 @@ def test_session_visualize_mode():
     session = ExplorationSession(
         search=KeywordSearchEngine(),
         translator=QueryTranslator(table="facts", entity_column="entity"),
-        db=db,
+        query=lambda sql, deadline_seconds=None: execute_sql(db, sql),
     )
     chart = session.visualize(
         "SELECT entity, AVG(value_num) AS t FROM facts GROUP BY entity",
