@@ -53,7 +53,7 @@ from repro.extraction.infobox import InfoboxExtractor
 from repro.extraction.links import LinkExtractor
 from repro.telemetry.report import load_telemetry, render_prometheus, \
     render_report, render_top, summarize_trace
-from repro.telemetry.slowlog import workspace_slowlog
+from repro.telemetry.slowlog import SlowQueryLog
 from repro.userlayer.visualize import table
 
 #: Exit code for execution failures (dead backend, exhausted retries, a
@@ -237,7 +237,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_slowlog(args: argparse.Namespace) -> int:
     """Inspect or clear the workspace's slow-query log."""
-    log = workspace_slowlog(args.workspace)
+    log = SlowQueryLog(os.path.join(args.workspace, "slowlog"))
     try:
         if args.action == "clear":
             dropped = log.clear()
@@ -305,7 +305,7 @@ def cmd_top(args: argparse.Namespace) -> int:
         snapshot = snapshot or {}
         slow_entries = None
         if os.path.isdir(os.path.join(args.workspace, "slowlog")):
-            log = workspace_slowlog(args.workspace)
+            log = SlowQueryLog(os.path.join(args.workspace, "slowlog"))
             slow_entries = log.tail(limit=5)
             log.close()
         print(render_top(previous, snapshot,

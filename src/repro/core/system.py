@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import signal
 import threading
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from repro.storage.rdbms.qcache import QueryResultCache
 from repro.storage.rdbms.table import ScanUnit, gather_column
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry import current_session, metrics
-from repro.telemetry.slowlog import SlowQueryLog, workspace_slowlog
+from repro.telemetry.slowlog import SlowQueryLog
 from repro.telemetry.tracing import get_tracer
 from repro.uncertainty.provenance import ProvenanceGraph
 from repro.userlayer.accounts import UserManager
@@ -155,8 +154,9 @@ class StructureManagementSystem:
     """End-to-end system object.
 
     Args:
-        workspace: directory for all stores; None keeps everything
-            in memory (no raw snapshot store in that case).
+        workspace: directory for all stores; None keeps every store,
+            page versions included, in memory: the same code on the
+            record log's memory device, and a database without a WAL.
         registry: extractors/resolvers/crowd used by programs.
         backend: execution backend for extraction — ``"serial"``,
             ``"thread"``, ``"process"``, an :class:`ExecutionBackend`
@@ -224,12 +224,8 @@ class StructureManagementSystem:
         )
         self._shutdown = threading.Event()
         self._closed = False
-        if self.workspace is not None:
-            self.storage = StorageManager(self.workspace)
-            self.db: Database = self.storage.final
-        else:
-            self.storage = None  # type: ignore[assignment]
-            self.db = Database()
+        self.storage = StorageManager(self.workspace)
+        self.db: Database = self.storage.final
         self.db.auto_compact_rows = self.auto_compact_rows
         self.search = KeywordSearchEngine()
         self.debugger = SemanticDebugger()
@@ -244,12 +240,9 @@ class StructureManagementSystem:
         # schema change to a table it reads makes it miss.  The cache is
         # also the observability funnel: the slow-query log times every
         # statement flowing through it (None disables timing entirely).
-        self.slowlog: SlowQueryLog | None = None
-        if self.slow_query_seconds is not None:
-            threshold = self.slow_query_seconds
-            self.slowlog = SlowQueryLog(threshold_seconds=threshold) \
-                if self.workspace is None else workspace_slowlog(
-                    self.workspace, threshold_seconds=threshold)
+        self.slowlog = None if self.slow_query_seconds is None else \
+            SlowQueryLog(self.storage.path("slowlog"),
+                         self.slow_query_seconds)
         self.query_cache = QueryResultCache(self.db, slowlog=self.slowlog)
         # Standing queries fire on *any* committed write — the manager
         # subscribes to the row-level commit delta stream on its first
@@ -258,8 +251,6 @@ class StructureManagementSystem:
         # generate()/contribute() notify too, without a full re-run.
         self._corpus = InMemoryCorpus()
         self._fact_counter = 0
-        # Lineage records (see _land) when there is no workspace.
-        self._lineage: list[dict[str, Any]] = []
         self._facts_lock = threading.Lock()  # the keyword fact index
         self._facts_indexed = self._facts_followed = False
         backend_retry = RetryPolicy(max_attempts=1) if self.fail_fast \
@@ -272,10 +263,7 @@ class StructureManagementSystem:
         # §14); None keeps every plan single-threaded.
         self.db.exec_backend = self._backend
         self._cache = make_cache(self.cache)
-        self.deadletter = DeadLetterStore(
-            os.path.join(self.workspace, "deadletter")
-            if self.workspace is not None else None
-        )
+        self.deadletter = DeadLetterStore(self.storage.path("deadletter"))
         if FACTS_TABLE not in self.db.table_names():
             self.db.create_table(facts_schema())
             self.db.create_index(FACTS_TABLE, "entity")
@@ -305,18 +293,17 @@ class StructureManagementSystem:
     def ingest(self, corpus: Corpus | Sequence[Document]) -> int:
         """Take in (a snapshot of) unstructured data.
 
-        Pages are committed to the raw snapshot store (when a workspace is
-        configured; a page whose text is unchanged writes nothing) and
-        indexed for keyword search in one ``index_corpus`` call, which
-        re-indexes an edited page and keeps the last of a doc_id repeated
-        in the batch, like the corpus.  Returns page count.
+        Pages are committed to the raw snapshot store (a page whose text
+        is unchanged writes nothing) and indexed for keyword search in one
+        ``index_corpus`` call, which re-indexes an edited page and keeps
+        the last of a doc_id repeated in the batch, like the corpus.
+        Returns page count.
         """
         with get_tracer().span("system.ingest") as span:
             docs = list(corpus)
             for doc in docs:
                 self._corpus.add(doc)
-                if self.storage is not None:
-                    self.storage.raw.commit(doc)
+                self.storage.raw.commit(doc)
             indexed = self.search.index_corpus(docs)
             metrics.get_registry().inc("system.pages.ingested", len(docs))
             span.set_attribute("pages", len(docs))
@@ -440,13 +427,12 @@ class StructureManagementSystem:
         longer hold, insert the rows not yet stored (all of them when
         there is no ``program``); an empty difference writes nothing.
         Append one lineage record per inserted fact to the intermediate
-        file store (a list without a workspace).  ``rows`` are pipeline
-        tuples; ``feedback`` marks a user contribution — its provenance
-        source is a feedback node.  The lineage record (the row plus the
-        stored ``entity`` / ``attribute``, ``fact_id``,
-        ``stored_confidence``, ``feedback``) is the one durable form of
-        provenance; a crash before the append leaves facts with no
-        recorded provenance, never another fact's.
+        file store.  ``rows`` are pipeline tuples; ``feedback`` marks a
+        user contribution — its provenance source is a feedback node.
+        The lineage record (the row plus the stored ``entity`` /
+        ``attribute``, ``fact_id``, ``stored_confidence``, ``feedback``)
+        is the one durable form of provenance; a crash before the append
+        leaves facts with no recorded provenance, never another fact's.
 
         Returns:
             (inserted fact ids, facts retracted, facts flagged).
@@ -502,17 +488,12 @@ class StructureManagementSystem:
              **extra}
             for row, v in fresh
         ]
-        if self.storage is None:
-            self._lineage.extend(records)
-        else:
-            self.storage.intermediate.append_many(records)
+        self.storage.intermediate.append_many(records)
         return [v["fact_id"] for _, v in fresh], retracted, flagged
 
     def _lineage_records(self) -> Iterable[dict[str, Any]]:
         """What :meth:`_land` appended, in landing order (other records
         of the intermediate store carry no ``fact_id``)."""
-        if self.storage is None:
-            return self._lineage
         return (r.payload for r in self.storage.intermediate.scan()
                 if "fact_id" in r.payload)
 
@@ -860,10 +841,7 @@ class StructureManagementSystem:
         session = current_session()
         if session is not None:
             session.flush()
-        if self.storage is not None:
-            self.storage.close()
-        else:
-            self.db.close()
+        self.storage.close()
 
     def install_signal_handlers(self) -> None:
         """Route SIGTERM to a graceful drain (call from the main thread).

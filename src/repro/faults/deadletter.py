@@ -34,10 +34,10 @@ class DeadLetterEntry:
 
 
 class DeadLetterStore:
-    """Quarantine log, persistent when given a directory.
+    """Quarantine log: one record log, persistent when given a directory.
 
     Args:
-        root: directory of the log; ``None`` keeps entries in memory only
+        root: directory of the log; ``None`` keeps the log in memory
             (workspace-less systems still get quarantine, just not across
             restarts).
 
@@ -47,14 +47,11 @@ class DeadLetterStore:
     """
 
     def __init__(self, root: str | None = None) -> None:
-        self.root = root
-        self._memory: list[DeadLetterEntry] = []
-        self._log: RecordFileStore | None = None
         if root is not None:
             refuse_older_log(os.path.join(root, "entries.jsonl"))
-            self._log = RecordFileStore(root, tolerant=True, sync=True)
+        self._log = RecordFileStore(root, tolerant=True, sync=True)
         # live entries behind the deadletter.size gauge, once counted
-        self._size: int | None = None if root is not None else 0
+        self._size: int | None = None
 
     # --------------------------------------------------------------- writes
 
@@ -65,48 +62,33 @@ class DeadLetterStore:
         entries = list(entries)
         if not entries:
             return
-        if self._log is None:
-            self._memory.extend(entries)
-        else:
-            self._log.append_many([asdict(entry) for entry in entries])
+        self._log.append_many([asdict(entry) for entry in entries])
         metrics.get_registry().inc("deadletter.quarantined", len(entries))
         self._resize(len(entries))
 
     def clear(self) -> int:
         """Drop all entries; returns how many were dropped."""
         count = len(self)
-        if self._log is None:
-            self._memory.clear()
-        else:
-            self._log.clear()
+        self._log.clear()
         self._resize(-count)
         return count
 
     def remove(self, doc_ids: Iterable[str]) -> int:
         """Drop entries for ``doc_ids`` (used after a successful retry)."""
         drop = set(doc_ids)
-        if self._log is None:
-            kept = [e for e in self._memory if e.doc_id not in drop]
-            removed = len(self._memory) - len(kept)
-            self._memory = kept
-        else:
-            ids = [r.record_id for r in self._log.scan()
-                   if r.payload.get("doc_id") in drop]
-            self._log.delete(*ids)
-            removed = len(ids)
-        if removed:
-            self._resize(-removed)
-        return removed
+        ids = [r.record_id for r in self._log.scan()
+               if r.payload.get("doc_id") in drop]
+        self._log.delete(*ids)
+        if ids:
+            self._resize(-len(ids))
+        return len(ids)
 
     def close(self) -> None:
-        if self._log is not None:
-            self._log.close()
+        self._log.close()
 
     # ---------------------------------------------------------------- reads
 
     def entries(self) -> list[DeadLetterEntry]:
-        if self._log is None:
-            return list(self._memory)
         out: list[DeadLetterEntry] = []
         for record in self._log.scan():
             try:

@@ -64,15 +64,16 @@ class RecordFileStore:
 
     A handle keeps the segment it appends to open.  Handles on one root
     may write in turn, not at the same instant: a write first takes in
-    what other handles appended.
+    what other handles appended.  The device pair at the end of this
+    module is the only code that knows where segments live.
     """
 
-    def __init__(self, root: str, segment_max_records: int = 10_000,
+    def __init__(self, root: str | None, segment_max_records: int = 10_000,
                  tolerant: bool = False, sync: bool = False) -> None:
         """Create or reopen a store at ``root``.
 
         Args:
-            root: segment directory.
+            root: segment directory; ``None`` keeps the segments in memory.
             segment_max_records: records per segment before rotation.
             tolerant: skip damaged segment lines during scans instead of
                 raising (invalid UTF-8 bytes are decoded with replacement
@@ -87,22 +88,22 @@ class RecordFileStore:
         if segment_max_records < 1:
             raise ValueError("segment_max_records must be >= 1")
         self._root = root
+        self._device = _Memory() if root is None else _Directory(root)
         self._segment_max = segment_max_records
         self._tolerant = tolerant
         self._sync = sync
         self.corrupt_lines = 0
         #: bytes this handle has appended
         self.appended_bytes = 0
-        os.makedirs(root, exist_ok=True)
         # Live id -> (segment, offset), once follow() or get() has run; the
         # highest id read or written, and (segment, offset, lines) past it;
-        # the lines of the torn suffix past it; the segment open to append.
+        # the lines of the torn suffix past it; the segment this handle
+        # appends to (-1: none since it opened or closed).
         self._where: dict[int, tuple[int, int]] | None = None
         self._top = -1
         self._end = (0, 0, 0)
         self._torn = 0
-        self._file = None
-        self._file_segment = -1
+        self._appending = -1
 
     # ------------------------------------------------------------------ API
 
@@ -151,10 +152,7 @@ class RecordFileStore:
                     self._place(index, start, line)
         records = []
         for rid in ids:
-            segment, offset = self._where[rid]
-            with open(self._segment_path(segment), "rb") as f:
-                f.seek(offset)
-                line = json.loads(f.readline())
+            line = json.loads(self._device.line(*self._where[rid]))
             del line["id"]
             records.append(Record(record_id=rid, payload=line))
         return records
@@ -202,7 +200,7 @@ class RecordFileStore:
         """Rewrite all segments dropping tombstones; returns live count."""
         self.catch_up()
         live = list(self.scan())
-        self._drop(self._segments())
+        self._drop(self._device.segments())
         self._end = (0, 0, 0)
         self._write_lines([{"id": r.record_id, **r.payload} for r in live])
         return len(live)
@@ -212,12 +210,17 @@ class RecordFileStore:
 
         Unlike :meth:`compact` this drops live records too (the extraction
         cache's ``clear`` uses it).  Record IDs restart at 0.  Returns the
-        number of segment files removed.
+        number of segments removed.
         """
-        indexes = self._segments()
+        indexes = self._device.segments()
         self._drop(indexes)
-        self._top, self._end = -1, (0, 0, 0)
+        self.rewind()
         return len(indexes)
+
+    def rewind(self) -> None:
+        """Forget what this handle has read (:meth:`follow` starts over)."""
+        self.close()
+        self._where, self._top, self._end = None, -1, (0, 0, 0)
 
     def rotate(self) -> int:
         """Start a new segment with the next append; returns the highest
@@ -232,57 +235,43 @@ class RecordFileStore:
         after :meth:`rotate` and an append, those that hold no record above
         the id it returned.  That segment is fsynced first: the deletion
         must not reach the disk before the records after it."""
-        if self._file is not None:
-            os.fsync(self._file.fileno())
-        self._drop([i for i in self._segments() if i < self._end[0]])
+        self._device.sync()
+        self._drop([i for i in self._device.segments() if i < self._end[0]])
 
     def total_bytes(self) -> int:
-        """Total on-disk size of all segments."""
-        return sum(os.path.getsize(self._segment_path(index))
-                   for index in self._segments())
+        """Total size of all segments."""
+        return sum(map(self._device.size, self._device.segments()))
 
     def segment_count(self) -> int:
-        return len(self._segments())
+        return len(self._device.segments())
 
     def close(self) -> None:
         """Close the open segment (the next append reopens it)."""
-        if self._file is not None:
-            self._file.close()
-            self._file, self._file_segment = None, -1
+        self._device.close()
+        self._appending = -1
 
     def catch_up(self) -> None:
         """What every write does first: unless the open segment is where
         this handle last wrote, still the size it left it and not full,
         read the rest of the log (other handles' appends) and cut a torn
         suffix, so the next append starts a line of its own."""
-        f = self._file
-        if f is not None and self._file_segment == self._end[0] \
-                and self._end[2] < self._segment_max \
-                and os.fstat(f.fileno()).st_size == self._end[1]:
+        segment, offset, count = self._end
+        if self._appending == segment and count < self._segment_max \
+                and self._device.size(segment) == offset:
             return
         for _ in self._advance():
             pass
-        indexes = self._segments()
+        indexes = self._device.segments()
         if not indexes or self._end[0] > indexes[-1]:  # a rotation is due
             return
         if self._end[0] < indexes[-1]:  # no record in the last segment
             self._end = (indexes[-1], 0, 0)
-        path = self._segment_path(indexes[-1])
-        if os.path.getsize(path) > self._end[1]:
-            os.truncate(path, self._end[1])
+        if self._device.size(indexes[-1]) > self._end[1]:
+            self._device.truncate(indexes[-1], self._end[1])
             metrics.get_registry().inc("recovery.truncated_records",
                                        self._torn)
 
     # ------------------------------------------------------------ internals
-
-    def _segments(self) -> list[int]:
-        return sorted(
-            int(name[4:-6]) for name in os.listdir(self._root)
-            if name.startswith("seg-") and name.endswith(".jsonl")
-        )
-
-    def _segment_path(self, index: int) -> str:
-        return os.path.join(self._root, f"seg-{index:04d}.jsonl")
 
     def _read(self, segment: int = 0, offset: int = 0,
               ) -> Iterator[tuple[int, int, int | None, Any]]:
@@ -294,24 +283,22 @@ class RecordFileStore:
         Raises:
             json.JSONDecodeError: damage in a strict store.
         """
-        indexes = self._segments()
+        indexes = self._device.segments()
         for index in (i for i in indexes if i >= segment):
             last = index == indexes[-1]
             damage: list[tuple[int, int]] = []  # no record after them yet
-            with open(self._segment_path(index), "rb") as f:
-                start = offset if index == segment else 0
-                f.seek(start)
-                for raw in f:
-                    stop = start + len(raw)
-                    whole = raw.endswith(b"\n") or not last
-                    line = self._parse(raw) if whole else None
-                    if line is not None:
-                        yield from self._damaged(index, damage)
-                        damage = []
-                        yield index, start, stop, line
-                    elif raw.strip():
-                        damage.append((start, stop))
-                    start = stop
+            start = offset if index == segment else 0
+            for raw in self._device.lines(index, start):
+                stop = start + len(raw)
+                whole = raw.endswith(b"\n") or not last
+                line = self._parse(raw) if whole else None
+                if line is not None:
+                    yield from self._damaged(index, damage)
+                    damage = []
+                    yield index, start, stop, line
+                elif raw.strip():
+                    damage.append((start, stop))
+                start = stop
             if last:
                 for start, _ in damage:
                     yield index, start, None, None
@@ -323,8 +310,9 @@ class RecordFileStore:
         """Damage a record follows: skipped in a tolerant store."""
         if damage and not self._tolerant:
             raise json.JSONDecodeError(
-                f"{self._segment_path(segment)}: the line at byte "
-                f"{damage[0][0]} is not a record, and records follow", "", 0)
+                f"segment {segment} of {self._root or 'a memory store'}: the "
+                f"line at byte {damage[0][0]} is not a record, and records "
+                "follow", "", 0)
         for start, stop in damage:
             yield segment, start, stop, None
 
@@ -366,15 +354,11 @@ class RecordFileStore:
             if count >= self._segment_max:
                 segment, offset, count = segment + 1, 0, 0
             chunk = lines[done:done + self._segment_max - count]
-            if self._file_segment != segment:
-                self.close()
-                self._file = open(self._segment_path(segment), "ab")
-                self._file_segment = segment
             data = b"".join(chunk)
-            self._file.write(data)
-            self._file.flush()
+            self._device.append(segment, data)
+            self._appending = segment
             if self._sync:
-                os.fsync(self._file.fileno())
+                self._device.sync()
             if self._where is not None:
                 start = offset
                 for obj, line in zip(objs[done:], chunk):
@@ -387,5 +371,94 @@ class RecordFileStore:
     def _drop(self, indexes: list[int]) -> None:
         self.close()
         for index in indexes:
-            os.remove(self._segment_path(index))
+            self._device.remove(index)
         self._where = None
+
+
+class _Directory:
+    """Segments as files ``<root>/seg-NNNN.jsonl``; the appended one open."""
+
+    def __init__(self, root: str) -> None:
+        os.makedirs(root, exist_ok=True)
+        self._root = root
+        self._file, self._open = None, -1  # the open file, its segment
+
+    def segments(self) -> list[int]:
+        return sorted(int(name[4:-6]) for name in os.listdir(self._root)
+                      if name.startswith("seg-") and name.endswith(".jsonl"))
+
+    def lines(self, segment: int, offset: int) -> Iterator[bytes]:
+        with open(self._path(segment), "rb") as f:
+            f.seek(offset)
+            yield from f
+
+    def line(self, segment: int, offset: int) -> bytes:
+        return next(self.lines(segment, offset))
+
+    def size(self, segment: int) -> int:
+        if segment == self._open:
+            return os.fstat(self._file.fileno()).st_size
+        return os.path.getsize(self._path(segment))
+
+    def append(self, segment: int, data: bytes) -> None:
+        if segment != self._open:
+            self.close()
+            self._file, self._open = open(self._path(segment), "ab"), segment
+        self._file.write(data)
+        self._file.flush()
+
+    def truncate(self, segment: int, size: int) -> None:
+        os.truncate(self._path(segment), size)
+
+    def remove(self, segment: int) -> None:
+        os.remove(self._path(segment))
+
+    def sync(self) -> None:
+        if self._file is not None:
+            os.fsync(self._file.fileno())
+
+    def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
+            self._file, self._open = None, -1
+
+    def _path(self, segment: int) -> str:
+        return os.path.join(self._root, f"seg-{segment:04d}.jsonl")
+
+
+class _Memory:
+    """Segments as byte strings: nothing outlives the process."""
+
+    def __init__(self) -> None:
+        self._data: dict[int, bytearray] = {}
+
+    def segments(self) -> list[int]:
+        return sorted(self._data)
+
+    def lines(self, segment: int, offset: int) -> Iterator[bytes]:
+        data = self._data[segment]
+        while offset < len(data):
+            line = self.line(segment, offset)
+            offset += len(line)
+            yield line
+
+    def line(self, segment: int, offset: int) -> bytes:
+        data = self._data[segment]
+        return bytes(data[offset:data.find(b"\n", offset) + 1 or len(data)])
+
+    def size(self, segment: int) -> int:
+        return len(self._data[segment])
+
+    def append(self, segment: int, data: bytes) -> None:
+        self._data.setdefault(segment, bytearray()).extend(data)
+
+    def truncate(self, segment: int, size: int) -> None:
+        del self._data[segment][size:]
+
+    def remove(self, segment: int) -> None:
+        del self._data[segment]
+
+    def close(self) -> None:
+        """Nothing to sync or close: the segments live in this process."""
+
+    sync = close

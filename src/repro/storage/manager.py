@@ -20,7 +20,8 @@ from repro.storage.snapshots import SnapshotStore
 
 
 class StorageManager:
-    """One-stop factory for the storage layer, rooted at a directory.
+    """One-stop factory for the storage layer, rooted at a directory
+    (``None``: every device in memory, the database without a WAL).
 
     Attributes:
         raw: versioned store for crawled/unstructured snapshots.
@@ -30,11 +31,15 @@ class StorageManager:
             and for user contributions.
     """
 
-    def __init__(self, root: str, durable: bool = True) -> None:
-        os.makedirs(root, exist_ok=True)
-        self.raw = SnapshotStore(os.path.join(root, "raw"))
-        self.intermediate = RecordFileStore(os.path.join(root, "intermediate"))
-        self.final = Database(os.path.join(root, "final") if durable else None)
+    def __init__(self, root: str | None) -> None:
+        self.root = root
+        self.raw = SnapshotStore(self.path("raw"))
+        self.intermediate = RecordFileStore(self.path("intermediate"))
+        self.final = Database(self.path("final"))
+
+    def path(self, name: str) -> str | None:
+        """``<root>/<name>``, or None (in memory) without a root."""
+        return None if self.root is None else os.path.join(self.root, name)
 
     def close(self) -> None:
         """Release file handles (each log's open segment)."""

@@ -12,7 +12,7 @@ bounded) in one append-only log; an unchanged page stores nothing.
 full; experiment E5 measures the space ratio between the two.
 
 Both stores persist to a directory so that on-disk size is a real,
-measurable quantity.
+measurable quantity; ``SnapshotStore(None)`` keeps its log in memory.
 """
 
 from __future__ import annotations
@@ -103,13 +103,13 @@ class SnapshotStore:
     turn, not at the same instant; readers follow :meth:`changes_since`.
     """
 
-    def __init__(self, root: str, keyframe_every: int = 20) -> None:
+    def __init__(self, root: str | None, keyframe_every: int = 20) -> None:
         if keyframe_every < 1:
             raise ValueError("keyframe_every must be >= 1")
-        if os.path.isdir(root) and any(e.is_dir() for e in os.scandir(root)):
+        if root is not None and os.path.isdir(root) \
+                and any(e.is_dir() for e in os.scandir(root)):
             raise ValueError(f"{root} holds one directory per page, an older "
                              "layout: ingest the pages into a new workspace")
-        self._root = root
         self._log = RecordFileStore(root)
         self._keyframe_every = keyframe_every
         self._chains: dict[str, list[int]] | None = None
@@ -172,7 +172,7 @@ class SnapshotStore:
             )
 
     def total_bytes(self) -> int:
-        """Total on-disk size of all stored versions (E5's metric)."""
+        """Total size of all stored versions (E5's metric)."""
         return self._log.total_bytes()
 
     def close(self) -> None:
@@ -195,15 +195,16 @@ class SnapshotStore:
 
     def _take_in(self) -> dict[str, list[int]]:
         """The head map, with the log's records beyond it folded in; a
-        failed pass is forgotten, so a log this store cannot read raises on
-        every use."""
+        failed pass is forgotten (the next one re-reads the log from its
+        start), so a log this store cannot read raises on every use."""
         if self._chains is None:
             self._chains = {}
         try:
             for record in self._log.follow():
                 self._fold(record)
         except BaseException:
-            self._chains, self._log = None, RecordFileStore(self._root)
+            self._chains = None
+            self._log.rewind()
             raise
         return self._chains
 

@@ -20,21 +20,20 @@ side-effect free, so the re-run buys exact per-operator actuals and a
 per-query telemetry counter delta without taxing the fast path.  DML
 statements are logged without a plan.
 
-Entries append to a tolerant
-:class:`~repro.storage.filestore.RecordFileStore` log when a directory is
-given (``<workspace>/slowlog/``, surviving reopen) and to memory otherwise.
+Entries append to one tolerant
+:class:`~repro.storage.filestore.RecordFileStore` log, in a directory
+(``<workspace>/slowlog/``, surviving reopen) or, given none, in memory.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
 from repro.storage.filestore import RecordFileStore, refuse_older_log
 from repro.telemetry import metrics
 
-__all__ = ["SlowQueryLog", "workspace_slowlog"]
+__all__ = ["SlowQueryLog"]
 
 
 class SlowQueryLog:
@@ -46,16 +45,20 @@ class SlowQueryLog:
         """Create or reopen a log.
 
         Args:
-            path: directory of the log; ``None`` keeps entries in memory.
+            path: directory of the log; ``None`` keeps the log in memory.
             threshold_seconds: the capture threshold.
             annotate: re-run a captured SELECT under ``EXPLAIN ANALYZE``.
+
+        Raises:
+            ValueError: ``<path>.jsonl`` exists, the one-file log of an
+                older layout.
         """
+        if path is not None:
+            refuse_older_log(path + ".jsonl")
         self.threshold_seconds = float(threshold_seconds)
         self.annotate = annotate
         self._lock = threading.Lock()
-        self._memory: list[dict] = []
-        self._log = None if path is None \
-            else RecordFileStore(path, tolerant=True)
+        self._log = RecordFileStore(path, tolerant=True)
 
     # ------------------------------------------------------------------
     # capture path
@@ -95,7 +98,8 @@ class SlowQueryLog:
                 if plan is not None:
                     entry["plan"] = plan
                     entry["metrics_delta"] = delta
-        self._append(entry)
+        with self._lock:
+            self._log.append(entry)
         registry.inc("slowlog.captured")
         return entry
 
@@ -138,18 +142,10 @@ class SlowQueryLog:
     # ------------------------------------------------------------------
     # storage
 
-    def _append(self, entry: dict) -> None:
-        with self._lock:
-            if self._log is None:
-                self._memory.append(entry)
-            else:
-                self._log.append(entry)
-
     def entries(self, limit: int | None = None) -> list[dict]:
         """All captured entries, oldest first (tail ``limit`` if given)."""
         with self._lock:
-            out = list(self._memory) if self._log is None \
-                else [record.payload for record in self._log.scan()]
+            out = [record.payload for record in self._log.scan()]
         if limit is not None:
             out = out[-limit:]
         return out
@@ -162,23 +158,9 @@ class SlowQueryLog:
         """Drop all entries; returns how many were removed."""
         removed = len(self.entries())
         with self._lock:
-            self._memory.clear()
-            if self._log is not None:
-                self._log.clear()
+            self._log.clear()
         return removed
 
     def close(self) -> None:
-        if self._log is not None:
-            with self._lock:
-                self._log.close()
-
-
-def workspace_slowlog(workspace: str, **options) -> SlowQueryLog:
-    """The slow-query log of a workspace, ``<workspace>/slowlog/``.
-
-    Raises:
-        ValueError: the workspace holds a ``slowlog.jsonl``, the one-file
-            log of an older layout.
-    """
-    refuse_older_log(os.path.join(workspace, "slowlog.jsonl"))
-    return SlowQueryLog(path=os.path.join(workspace, "slowlog"), **options)
+        with self._lock:
+            self._log.close()

@@ -26,6 +26,7 @@ from repro.faults import (
 from repro.lang.executor import run_program
 from repro.lang.registry import OperatorRegistry
 from repro.telemetry.metrics import MetricsRegistry, use_registry
+from tests.devices import on_both_devices
 
 PROGRAM = 'p = docs()\nf = extract(p, "infobox")\noutput f'
 
@@ -225,6 +226,10 @@ def test_faulty_extractor_delegates_and_faults():
 
 
 # ----------------------------------------------------------- dead letters
+# The store tests that take ``root`` run on both devices (a directory, and
+# memory for ``root=None``).  Directory-only: reopen across handles
+# (persists across reopen), torn bytes on disk (torn tail, append after a
+# torn tail, the every-byte cut) and the older-layout refusal.
 
 
 def test_deadletter_store_persists_across_reopen(tmp_path):
@@ -242,8 +247,9 @@ def test_deadletter_store_persists_across_reopen(tmp_path):
     assert len(DeadLetterStore(root)) == 0
 
 
-def test_deadletter_store_memory_mode_without_root():
-    store = DeadLetterStore()
+@on_both_devices
+def test_deadletter_store_memory_mode_without_root(root):
+    store = DeadLetterStore(root)
     store.add(DeadLetterEntry("doc-1", "infobox", "boom"))
     assert store.doc_ids() == ["doc-1"]
     assert store.clear() == 1
@@ -305,10 +311,11 @@ def test_a_one_file_deadletter_store_is_refused(tmp_path):
         DeadLetterStore(str(root))
 
 
-def test_deadletter_store_maintains_size_gauge(tmp_path):
+@on_both_devices
+def test_deadletter_store_maintains_size_gauge(root):
     registry = MetricsRegistry()
     with use_registry(registry):
-        store = DeadLetterStore(str(tmp_path / "dl"))
+        store = DeadLetterStore(root)
         store.add_many([
             DeadLetterEntry("doc-1", "infobox", "a"),
             DeadLetterEntry("doc-2", "infobox", "b"),

@@ -25,6 +25,7 @@ from repro.telemetry.report import (
 )
 from repro.telemetry.slowlog import SlowQueryLog
 from repro.telemetry.tracing import JsonlSpanExporter, Tracer
+from tests.devices import on_both_devices
 
 _ACTUAL = re.compile(r"actual rows=(\d+)")
 
@@ -240,17 +241,23 @@ def test_bare_limit_does_not_poison_feedback(db):
 
 
 # ----------------------------------------------------------- slow queries
+# The log tests that take ``root`` run on both devices (a directory, and
+# memory for ``root=None``).  Directory-only: reopen across handles
+# (persists and clears), torn bytes on disk (corrupt lines, append after a
+# torn tail) and the older-layout refusal.
 
 
-def test_slowlog_threshold_boundary(db):
-    log = SlowQueryLog(threshold_seconds=0.5, annotate=False)
+@on_both_devices
+def test_slowlog_threshold_boundary(root, db):
+    log = SlowQueryLog(root, threshold_seconds=0.5, annotate=False)
     assert not log.observe(db, "SELECT * FROM items", 0.49, 10)
     assert log.observe(db, "SELECT * FROM items", 0.5, 10)
     assert len(log.entries()) == 1
 
 
-def test_slowlog_entry_carries_annotated_plan_and_versions(db):
-    log = SlowQueryLog(threshold_seconds=0.0)
+@on_both_devices
+def test_slowlog_entry_carries_annotated_plan_and_versions(root, db):
+    log = SlowQueryLog(root, threshold_seconds=0.0)
     log.observe(db, "select * from items where cat = 'cat2'", 1.25, 25)
     entry = log.entries()[0]
     assert entry["sql"] == "SELECT * FROM items WHERE cat = 'cat2'"
@@ -312,8 +319,9 @@ def test_a_one_file_slowlog_is_refused(tmp_path):
         StructureManagementSystem(workspace=str(ws))
 
 
-def test_qcache_observes_through_slowlog(db):
-    log = SlowQueryLog(threshold_seconds=0.0, annotate=False)
+@on_both_devices
+def test_qcache_observes_through_slowlog(root, db):
+    log = SlowQueryLog(root, threshold_seconds=0.0, annotate=False)
     cache = QueryResultCache(db, slowlog=log)
     cache.execute("SELECT COUNT(*) AS n FROM items")
     cache.execute("SELECT COUNT(*) AS n FROM items")  # cache hit: also timed

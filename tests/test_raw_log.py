@@ -4,6 +4,13 @@ Covers the log under it (``RecordFileStore``: torn appends, seeks by id,
 following another handle) and the store itself (``SnapshotStore``: a crash
 at every byte of its last records against a dict model, page ids that are
 data rather than paths, the unchanged-page rule, the refused old layout).
+
+The tests that take ``root`` run on both devices (a directory, and memory
+for ``root=None``).  The rest stay directory-only: torn bytes on disk
+(the every-byte cuts, a torn last line, damage), reopen across handles
+(another handle's appends, gets, commits; a reopened lineage log; an
+unchanged re-commit through a second handle), the older-layout refusal,
+and what a workspace directory holds.
 """
 
 import json
@@ -17,6 +24,7 @@ from repro.docmodel.document import Document
 from repro.storage.filestore import RecordFileStore
 from repro.storage.snapshots import FullCopyStore, SnapshotStore
 from repro.telemetry.metrics import MetricsRegistry, use_registry
+from tests.devices import on_both_devices
 
 
 def _files(root):
@@ -89,8 +97,9 @@ def test_damage_before_the_last_line_still_raises_in_a_strict_store(
     assert tolerant.append({"v": 3}) == 3
 
 
-def test_get_seeks_records_by_id(tmp_path):
-    store = RecordFileStore(str(tmp_path), segment_max_records=3)
+@on_both_devices
+def test_get_seeks_records_by_id(root):
+    store = RecordFileStore(root, segment_max_records=3)
     ids = store.append_many([{"v": i} for i in range(8)])
     store.delete(ids[4])
     assert [r.payload for r in store.get([7, 0, 5])] == [
@@ -98,13 +107,35 @@ def test_get_seeks_records_by_id(tmp_path):
     for missing in (4, 99):
         with pytest.raises(KeyError):
             store.get([missing])
+    store.append({"v": 8})
+    assert store.get([8])[0].payload == {"v": 8}
+    assert store.compact() == 8
+    assert [r.payload for r in store.get([8, 0])] == [{"v": 8}, {"v": 0}]
+    assert store.segment_count() == 3
+
+
+def test_get_reads_what_another_handle_appended(tmp_path):
+    store = RecordFileStore(str(tmp_path), segment_max_records=3)
+    store.append_many([{"v": i} for i in range(8)])
     other = RecordFileStore(str(tmp_path), segment_max_records=3)
     assert [r.record_id for r in other.get([6, 1])] == [6, 1]
     store.append({"v": 8})
     assert other.get([8])[0].payload == {"v": 8}
-    assert store.compact() == 8
-    assert [r.payload for r in store.get([8, 0])] == [{"v": 8}, {"v": 0}]
-    assert store.segment_count() == 3
+
+
+@on_both_devices
+def test_follow_yields_each_record_once(root):
+    store = RecordFileStore(root, segment_max_records=2)
+    assert list(store.follow()) == []
+    store.append_many([{"v": 0}, {"v": 1}, {"v": 2}])
+    assert list(store.follow()) == []  # a handle has seen what it wrote
+    store.rewind()
+    assert [(r.record_id, r.payload) for r in store.follow()] == [
+        (0, {"v": 0}), (1, {"v": 1}), (2, {"v": 2})]
+    store.delete(1)
+    assert [r.payload for r in store.get([2, 0])] == [{"v": 2}, {"v": 0}]
+    with pytest.raises(KeyError):
+        store.get([1])
 
 
 def test_follow_yields_what_other_handles_appended(tmp_path):
@@ -301,13 +332,52 @@ def test_a_per_directory_raw_store_is_refused_on_open(tmp_path):
         StructureManagementSystem(workspace=str(tmp_path / "ws"))
 
 
-def test_a_log_the_store_cannot_read_fails_every_time(tmp_path):
-    RecordFileStore(str(tmp_path)).append_many([
+def _unread(store):
+    """Leave ``store`` as a fresh handle on its log finds it: nothing
+    read yet, so the next use folds every record into the head map."""
+    store._chains = None
+    store._log.rewind()
+
+
+@on_both_devices
+def test_a_failed_head_map_pass_keeps_every_page(root, monkeypatch):
+    store = SnapshotStore(root, keyframe_every=2)
+    texts = ["a\n", "a\nb\n", "b\n", "c\nb\n"]
+    for text in texts:
+        store.commit(Document("p", text))
+    store.commit(Document("q", "q\n"))
+    _unread(store)
+    real, calls = SnapshotStore._fold, []
+
+    def fold_failing_once(self, record):
+        calls.append(record.record_id)
+        if len(calls) == 3:
+            raise OSError("injected")
+        real(self, record)
+
+    monkeypatch.setattr(SnapshotStore, "_fold", fold_failing_once)
+    with pytest.raises(OSError, match="injected"):
+        store.doc_ids()
+    assert store.doc_ids() == ["p", "q"]
+    assert [store.checkout("p", v).text for v in range(4)] == texts
+    assert store.changes_since(0) == (["p", "q"], [], 5)
+    assert store.commit(Document("q", "q\n")) == 0
+    assert store.commit(Document("p", "d\n")) == 4
+    assert len(list(store._log.scan())) == 6
+
+
+@on_both_devices
+def test_a_log_the_store_cannot_read_fails_every_time(root):
+    store = SnapshotStore(root)
+    store._log.append_many([
         {"doc": "p", "v": 0, "hash": "h0", "lines": ["a\n"]},
         {"doc": "p", "v": 0, "hash": "h1", "lines": ["b\n"]}])
-    store = SnapshotStore(str(tmp_path))
+    _unread(store)
     for _ in range(2):
         with pytest.raises(ValueError, match="p@0 after version 0"):
             store.doc_ids()
     with pytest.raises(ValueError, match="p@0 after version 0"):
         store.changes_since(0)
+    with pytest.raises(ValueError, match="p@0 after version 0"):
+        store.commit(Document("q", "q\n"))
+    assert [r.payload["hash"] for r in store._log.scan()] == ["h0", "h1"]

@@ -1,45 +1,63 @@
-"""Tests for the append-only record file store."""
+"""Tests for the append-only record file store.
+
+The tests that take ``root`` run on both devices (a directory, and memory
+for ``root=None``).  Directory-only: ``test_reopen_recovers_next_id``,
+``test_handles_appending_in_turn_never_reuse_an_id`` and
+``test_reopened_store_recovers_on_its_first_write_whatever_it_is`` (reopen
+across handles: a memory store is one handle), and
+``test_append_many_across_rotation_matches_per_record_append`` (it
+compares two stores' segment files byte for byte).
+"""
+
+import tracemalloc
 
 import pytest
 
 from repro.storage.filestore import RecordFileStore
+from tests.devices import on_both_devices
 
 
-def test_append_assigns_increasing_ids(tmp_path):
-    store = RecordFileStore(str(tmp_path))
+@on_both_devices
+def test_append_assigns_increasing_ids(root):
+    store = RecordFileStore(root)
     ids = [store.append({"v": i}) for i in range(5)]
     assert ids == [0, 1, 2, 3, 4]
 
 
-def test_scan_returns_in_order(tmp_path):
-    store = RecordFileStore(str(tmp_path))
+@on_both_devices
+def test_scan_returns_in_order(root):
+    store = RecordFileStore(root)
     store.append_many([{"v": i} for i in range(4)])
     assert [r.payload["v"] for r in store.scan()] == [0, 1, 2, 3]
 
 
-def test_delete_tombstones(tmp_path):
-    store = RecordFileStore(str(tmp_path))
+@on_both_devices
+def test_delete_tombstones(root):
+    store = RecordFileStore(root)
     ids = store.append_many([{"v": i} for i in range(3)])
     store.delete(ids[1])
     assert [r.payload["v"] for r in store.scan()] == [0, 2]
     assert store.count() == 2
 
 
-def test_reserved_key_rejected(tmp_path):
-    store = RecordFileStore(str(tmp_path))
+@on_both_devices
+def test_reserved_key_rejected(root):
+    store = RecordFileStore(root)
     with pytest.raises(ValueError):
         store.append({"__deleted__": True})
 
 
-def test_segment_rotation(tmp_path):
-    store = RecordFileStore(str(tmp_path), segment_max_records=3)
+@on_both_devices
+def test_segment_rotation(root):
+    store = RecordFileStore(root, segment_max_records=3)
     store.append_many([{"v": i} for i in range(10)])
     assert store.segment_count() == 4
     assert store.count() == 10
 
 
-def test_compact_drops_tombstones_and_shrinks(tmp_path):
-    store = RecordFileStore(str(tmp_path), segment_max_records=5)
+@on_both_devices
+def test_compact_drops_tombstones_and_shrinks(root):
+    store = RecordFileStore(root, segment_max_records=5)
     ids = store.append_many([{"v": i} for i in range(20)])
     for rid in ids[:15]:
         store.delete(rid)
@@ -59,20 +77,23 @@ def test_reopen_recovers_next_id(tmp_path):
     assert reopened.count() == 3
 
 
-def test_scan_where(tmp_path):
-    store = RecordFileStore(str(tmp_path))
+@on_both_devices
+def test_scan_where(root):
+    store = RecordFileStore(root)
     store.append_many([{"v": i} for i in range(10)])
     evens = list(store.scan_where(lambda p: p["v"] % 2 == 0))
     assert [r.payload["v"] for r in evens] == [0, 2, 4, 6, 8]
 
 
-def test_invalid_segment_size(tmp_path):
+@on_both_devices
+def test_invalid_segment_size(root):
     with pytest.raises(ValueError):
-        RecordFileStore(str(tmp_path), segment_max_records=0)
+        RecordFileStore(root, segment_max_records=0)
 
 
-def test_ids_continue_after_compact(tmp_path):
-    store = RecordFileStore(str(tmp_path))
+@on_both_devices
+def test_ids_continue_after_compact(root):
+    store = RecordFileStore(root)
     ids = store.append_many([{"v": i} for i in range(3)])
     store.delete(ids[0])
     store.compact()
@@ -99,8 +120,9 @@ def test_append_many_across_rotation_matches_per_record_append(tmp_path):
     assert _segment_bytes(tmp_path / "b") == _segment_bytes(tmp_path / "a")
 
 
-def test_append_many_rejecting_a_payload_writes_nothing(tmp_path):
-    store = RecordFileStore(str(tmp_path))
+@on_both_devices
+def test_append_many_rejecting_a_payload_writes_nothing(root):
+    store = RecordFileStore(root)
     with pytest.raises(ValueError):
         store.append_many([{"v": 1}, {"__deleted__": True}])
     assert store.count() == 0 and store.append({"v": 2}) == 0
@@ -128,3 +150,33 @@ def test_reopened_store_recovers_on_its_first_write_whatever_it_is(tmp_path):
     compactor = RecordFileStore(str(tmp_path), segment_max_records=3)
     assert compactor.compact() == 4
     assert compactor.append({"v": "next"}) == 5  # ids are never reused
+
+
+@on_both_devices
+def test_compact_and_clear_remove_the_segments_they_empty(root):
+    store = RecordFileStore(root, segment_max_records=4)
+    ids = store.append_many([{"v": i} for i in range(10)])
+    store.delete(*ids[:6])
+    assert store.segment_count() == 4
+    assert store.compact() == 4
+    assert store.segment_count() == 1
+    assert store.clear() == 1
+    assert (store.segment_count(), store.total_bytes()) == (0, 0)
+    assert store.append({"v": "again"}) == 0
+
+
+def test_reading_one_record_from_memory_copies_that_line():
+    store = RecordFileStore(None)
+    text = "x" * 100_000
+    store.append_many([{"text": text}] * 105)
+    assert store.segment_count() == 1
+    assert store.total_bytes() >= 10 * 2**20
+    store.get([0])  # positions are read once, on the first get
+    tracemalloc.start()
+    try:
+        [record] = store.get([52])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record.payload == {"text": text}
+    assert peak < 2**20

@@ -63,8 +63,8 @@ def test_final_store_survives_reopen(tmp_path):
     reopened.close()
 
 
-def test_non_durable_final_store(tmp_path):
-    manager = StorageManager(str(tmp_path), durable=False)
+def test_non_durable_final_store():
+    manager = StorageManager(None)
     manager.final.create_table(TableSchema(
         "t", (Column("id", ColumnType.INT, nullable=False),),
         primary_key="id",

@@ -1,4 +1,9 @@
-"""Tests for the diff-based snapshot store."""
+"""Tests for the diff-based snapshot store.
+
+The tests that take ``root`` run on both devices (a directory, and memory
+for ``root=None``).  ``test_diff_store_smaller_than_full_copy_on_overlap``
+stays directory-only: it weighs the log against ``FullCopyStore``'s files.
+"""
 
 import pytest
 
@@ -11,6 +16,7 @@ from repro.storage.snapshots import (
     apply_delta,
     compute_delta,
 )
+from tests.devices import on_both_devices
 
 
 def test_delta_roundtrip_basic():
@@ -36,8 +42,9 @@ def test_apply_delta_detects_corruption():
         apply_delta(["a\n"], delta)  # wrong base
 
 
-def test_commit_and_checkout_latest(tmp_path):
-    store = SnapshotStore(str(tmp_path))
+@on_both_devices
+def test_commit_and_checkout_latest(root):
+    store = SnapshotStore(root)
     doc = Document("page", "line1\nline2\n")
     assert store.commit(doc) == 0
     doc2 = Document("page", "line1\nline2 changed\nline3\n")
@@ -46,8 +53,9 @@ def test_commit_and_checkout_latest(tmp_path):
     assert store.checkout("page", 0).text == doc.text
 
 
-def test_checkout_unknown_raises(tmp_path):
-    store = SnapshotStore(str(tmp_path))
+@on_both_devices
+def test_checkout_unknown_raises(root):
+    store = SnapshotStore(root)
     with pytest.raises(KeyError):
         store.checkout("missing")
     store.commit(Document("p", "x"))
@@ -55,8 +63,9 @@ def test_checkout_unknown_raises(tmp_path):
         store.checkout("p", 5)
 
 
-def test_keyframe_interval(tmp_path):
-    store = SnapshotStore(str(tmp_path), keyframe_every=3)
+@on_both_devices
+def test_keyframe_interval(root):
+    store = SnapshotStore(root, keyframe_every=3)
     for i in range(7):
         store.commit(Document("p", f"version {i}\ncommon\n"))
     infos = list(store.history("p"))
@@ -67,9 +76,10 @@ def test_keyframe_interval(tmp_path):
         assert store.checkout("p", i).text == f"version {i}\ncommon\n"
 
 
-def test_invalid_keyframe_interval(tmp_path):
+@on_both_devices
+def test_invalid_keyframe_interval(root):
     with pytest.raises(ValueError):
-        SnapshotStore(str(tmp_path), keyframe_every=0)
+        SnapshotStore(root, keyframe_every=0)
 
 
 def test_diff_store_smaller_than_full_copy_on_overlap(tmp_path):
@@ -85,8 +95,9 @@ def test_diff_store_smaller_than_full_copy_on_overlap(tmp_path):
     assert diff_store.total_bytes() < full_store.total_bytes() / 2
 
 
-def test_multiple_documents_tracked_separately(tmp_path):
-    store = SnapshotStore(str(tmp_path))
+@on_both_devices
+def test_multiple_documents_tracked_separately(root):
+    store = SnapshotStore(root)
     store.commit(Document("a", "A0"))
     store.commit(Document("b", "B0"))
     store.commit(Document("a", "A1"))

@@ -27,6 +27,7 @@ from repro.storage.rdbms.sql import execute_sql
 from repro.storage.snapshots import SnapshotStore
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.userlayer.monitoring import ContinuousQuery, ContinuousQueryManager
+from tests.devices import on_both_devices
 
 
 # ------------------------------------------------------------ test fixtures
@@ -121,8 +122,9 @@ def assert_table_holds_the_fused_values(pipe):
 # --------------------------------------------------------- delta source
 
 
-def test_changes_since_names_pages_by_content_hash(tmp_path):
-    store = SnapshotStore(str(tmp_path))
+@on_both_devices
+def test_changes_since_names_pages_by_content_hash(root):
+    store = SnapshotStore(root)
     store.commit(Document("a", "one"))
     store.commit(Document("b", "two"))
     added, changed, cursor = store.changes_since(0)
