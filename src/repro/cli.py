@@ -95,7 +95,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     system = _build_system(args.workspace, args.builtin,
                            backend=args.backend, workers=args.workers,
                            cache=args.cache, fail_fast=args.fail_fast)
-    system.load_stored_pages()
     with open(args.program, "r", encoding="utf-8") as f:
         source = f.read()
     if args.explain:
@@ -178,7 +177,6 @@ def cmd_reshard(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     """Keyword-search the raw pages; print ranked hits."""
     system = _build_system(args.workspace, args.builtin)
-    system.load_stored_pages()
     for hit in system.keyword(args.query, k=args.limit):
         print(f"{hit.score:8.3f}  {hit.doc_id}  {hit.snippet[:80]}")
     system.close()
@@ -361,7 +359,6 @@ def cmd_deadletter(args: argparse.Namespace) -> int:
             print("deadletter retry needs --program <file.xlog>",
                   file=sys.stderr)
             return 2
-        system.load_stored_pages()
         with open(args.program, "r", encoding="utf-8") as f:
             source = f.read()
         retried, still_failed = system.retry_deadletter(source)

@@ -117,7 +117,7 @@ class StreamingPipeline:
         strategy: fusion strategy for conflicting values.
         cache: optional content-addressed extraction cache; re-ingesting
             an unchanged document costs a lookup, not a scan.
-        deadletter: where poison documents (extractor crashes) go.
+        deadletter: where poison documents go (default: a memory store).
         token: cooperative cancellation for the stage threads.
         queue_size: bound of each inter-stage queue (the backpressure
             knob): a full queue blocks the upstream stage.
@@ -145,7 +145,8 @@ class StreamingPipeline:
             constraints)
         self.fusion = FusionState(strategy)
         self.cache = cache
-        self.deadletter = deadletter
+        self.deadletter = deadletter if deadletter is not None \
+            else DeadLetterStore()
         self.token = token
         self.queue_size = queue_size
         self.fused_table = fused_table
@@ -215,10 +216,9 @@ class StreamingPipeline:
             if result.failures:
                 self.stats.docs_deadlettered += len(result.failures)
                 registry.inc("dge.docs_deadlettered", len(result.failures))
-                if self.deadletter is not None:
-                    self.deadletter.add_many(
-                        DeadLetterEntry(extractor=name, **failure)
-                        for failure in result.failures)
+                self.deadletter.add_many(
+                    DeadLetterEntry(extractor=name, **failure)
+                    for failure in result.failures)
         added: list[tuple[str, tuple[Extraction, ...]]] = []
         changed: list[tuple[str, tuple[Extraction, ...]]] = []
         removed = list(delta.removed)

@@ -15,7 +15,7 @@ from repro.core.serving import ServingGate
 from repro.errors import CancellationToken, QueryTimeoutError
 from repro.cluster.backends import ExecutionBackend, make_backend
 from repro.debugger.semantic import SemanticDebugger, SystemMonitor
-from repro.docmodel.corpus import Corpus, InMemoryCorpus
+from repro.docmodel.corpus import Corpus
 from repro.docmodel.document import Document
 from repro.extraction.base import tuple_to_extraction
 from repro.faults.deadletter import DeadLetterEntry, DeadLetterStore
@@ -153,6 +153,10 @@ class GenerationReport:
 class StructureManagementSystem:
     """End-to-end system object.
 
+    A page lives once, in the raw log: ``corpus`` *is* ``storage.raw``,
+    which generation reads and the page keyword index follows, so a
+    reopened workspace works over its stored pages with no load step.
+
     Args:
         workspace: directory for all stores; None keeps every store,
             page versions included, in memory: the same code on the
@@ -227,7 +231,8 @@ class StructureManagementSystem:
         self.storage = StorageManager(self.workspace)
         self.db: Database = self.storage.final
         self.db.auto_compact_rows = self.auto_compact_rows
-        self.search = KeywordSearchEngine()
+        self.corpus = self.storage.raw
+        self.search = KeywordSearchEngine(self.corpus)
         self.debugger = SemanticDebugger()
         self.monitor = SystemMonitor()
         self.users = UserManager()
@@ -249,7 +254,6 @@ class StructureManagementSystem:
         # registration and evaluates changed rows only, so direct
         # db.run(insert_many)/run_batch writes that never pass through
         # generate()/contribute() notify too, without a full re-run.
-        self._corpus = InMemoryCorpus()
         self._fact_counter = 0
         self._facts_lock = threading.Lock()  # the keyword fact index
         self._facts_indexed = self._facts_followed = False
@@ -291,40 +295,18 @@ class StructureManagementSystem:
     # ------------------------------------------------------------ ingestion
 
     def ingest(self, corpus: Corpus | Sequence[Document]) -> int:
-        """Take in (a snapshot of) unstructured data.
-
-        Pages are committed to the raw snapshot store (a page whose text
-        is unchanged writes nothing) and indexed for keyword search in one
-        ``index_corpus`` call, which re-indexes an edited page and keeps
-        the last of a doc_id repeated in the batch, like the corpus.
+        """Take in (a snapshot of) unstructured data: commit each page
+        to the raw log (a page whose text is unchanged writes nothing; the
+        last of a doc_id repeated in the batch is its latest version).
         Returns page count.
         """
         with get_tracer().span("system.ingest") as span:
             docs = list(corpus)
             for doc in docs:
-                self._corpus.add(doc)
                 self.storage.raw.commit(doc)
-            indexed = self.search.index_corpus(docs)
             metrics.get_registry().inc("system.pages.ingested", len(docs))
             span.set_attribute("pages", len(docs))
-            span.set_attribute("new_pages", indexed)
             return len(docs)
-
-    def load_stored_pages(self) -> int:
-        """Check out the latest version of every stored page into the
-        in-memory corpus and the keyword index — a read: unlike
-        :meth:`ingest` it commits no snapshot version.  Returns page count.
-        """
-        store = self.storage.raw
-        docs = [store.checkout(doc_id) for doc_id in store.doc_ids()]
-        for doc in docs:
-            self._corpus.add(doc)
-        self.search.index_corpus(docs)
-        return len(docs)
-
-    @property
-    def corpus(self) -> InMemoryCorpus:
-        return self._corpus
 
     # ----------------------------------------------------------- generation
 
@@ -339,7 +321,7 @@ class StructureManagementSystem:
         program's last run (:meth:`_land`).
         """
         with get_tracer().span("system.generate") as span:
-            docs = list(self._corpus)
+            docs = list(self.corpus)
             ops, output = parse_program(program_source)
             plan = LogicalPlan.from_ops(ops, output)
             # the program's identity: a hash of its *unoptimized* plan, so
@@ -407,8 +389,7 @@ class StructureManagementSystem:
         Returns:
             ``(retried, still_failed)`` counts.
         """
-        ids = set(self.deadletter.doc_ids())
-        retried = {d.doc_id for d in self._corpus if d.doc_id in ids}
+        retried = {d for d in self.deadletter.doc_ids() if d in self.corpus}
         if not retried:
             return (0, 0)
         self.deadletter.remove(sorted(retried))
@@ -768,7 +749,7 @@ class StructureManagementSystem:
     def explain_program(self, program_source: str) -> str:
         """EXPLAIN for xlog programs: naive and optimized plans with the
         cost model's estimates (developer-facing, Figure 1 Part II)."""
-        docs = list(islice(self._corpus, 50))
+        docs = list(islice(self.corpus, 50))
         ops, output = parse_program(program_source)
         naive = LogicalPlan.from_ops(ops, output)
         optimizer = Optimizer(self.registry)

@@ -88,10 +88,6 @@ class DirectoryCorpus(Corpus):
         self._root = root
         os.makedirs(root, exist_ok=True)
 
-    @property
-    def root(self) -> str:
-        return self._root
-
     def add(self, doc: Document) -> None:
         """Persist a document as ``<root>/<doc_id>.txt``."""
         path = self._path(doc.doc_id)

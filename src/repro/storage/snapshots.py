@@ -20,9 +20,11 @@ from __future__ import annotations
 import difflib
 import json
 import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.docmodel.corpus import Corpus
 from repro.docmodel.document import Document, DocumentMetadata
 from repro.storage.filestore import Record, RecordFileStore
 
@@ -93,14 +95,16 @@ def apply_delta(old_lines: list[str], delta: list[list]) -> list[str]:
     return out
 
 
-class SnapshotStore:
+class SnapshotStore(Corpus):
     """Diff-based versioned document store with periodic keyframes.
 
     One version of a page is one record of a ``RecordFileStore`` log:
     ``{"doc", "v", "hash"}`` then ``"lines"`` (every ``keyframe_every``-th
     version) or a ``"delta"``.  The head map (page -> record ids, latest
-    hash) is one pass over the log on first use.  Handles may commit in
-    turn, not at the same instant; readers follow :meth:`changes_since`.
+    hash) is one pass over the log on first use.  The system's corpus: the
+    latest version of each page, in first-commit order, checked out as
+    iteration reaches it.  Threads may share a handle; handles may commit
+    in turn, not at the same instant; readers follow :meth:`changes_since`.
     """
 
     def __init__(self, root: str | None, keyframe_every: int = 20) -> None:
@@ -112,9 +116,10 @@ class SnapshotStore:
                              "layout: ingest the pages into a new workspace")
         self._log = RecordFileStore(root)
         self._keyframe_every = keyframe_every
+        self._lock = threading.RLock()
         self._chains: dict[str, list[int]] | None = None
         self._hashes: dict[str, str] = {}
-        self._cursor = 0  # the next record id
+        self._pages: list[str] = []  # by record id (ids run 0, 1, 2, ...)
 
     # ------------------------------------------------------------------ API
 
@@ -123,17 +128,18 @@ class SnapshotStore:
         stored one; returns the version that holds the text.  Takes in
         what other handles have appended first."""
         digest = doc.content_hash()
-        version = len(self._take_in().get(doc.doc_id, ()))
-        if version and self._hashes[doc.doc_id] == digest:
-            return version - 1
-        record: dict = {"doc": doc.doc_id, "v": version, "hash": digest}
-        if version % self._keyframe_every == 0:
-            record["lines"] = doc.lines()
-        else:
-            record["delta"] = compute_delta(
-                self._materialize(doc.doc_id, version - 1), doc.lines())
-        self._fold(Record(self._log.append(record), record))
-        return version
+        with self._lock:
+            version = len(self._take_in().get(doc.doc_id, ()))
+            if version and self._hashes[doc.doc_id] == digest:
+                return version - 1
+            record: dict = {"doc": doc.doc_id, "v": version, "hash": digest}
+            if version % self._keyframe_every == 0:
+                record["lines"] = doc.lines()
+            else:
+                record["delta"] = compute_delta(
+                    self._materialize(doc.doc_id, version - 1), doc.lines())
+            self._fold(Record(self._log.append(record), record))
+            return version
 
     def checkout(self, doc_id: str, version: int | None = None) -> Document:
         """Reconstruct a document at ``version`` (default: latest).
@@ -151,18 +157,29 @@ class SnapshotStore:
                         text="".join(self._materialize(doc_id, version)),
                         metadata=DocumentMetadata(source=f"snapshot:{doc_id}@{version}"))
 
+    get = checkout
+
     def latest_version(self, doc_id: str) -> int | None:
         """Highest stored version number, or None if the doc is unknown."""
         chain = self._heads().get(doc_id)
         return None if chain is None else len(chain) - 1
 
+    def __iter__(self) -> Iterator[Document]:
+        return map(self.checkout, self.doc_ids())
+
+    def __len__(self) -> int:
+        return len(self._take_in())
+
     def doc_ids(self) -> list[str]:
-        """IDs of all stored documents."""
-        return sorted(self._heads())
+        """IDs of all stored documents, in first-commit order."""
+        with self._lock:
+            return list(self._take_in())
 
     def history(self, doc_id: str) -> Iterator[SnapshotInfo]:
         """Yield per-version storage info, oldest first."""
-        for record in self._log.get(self._heads().get(doc_id, [])):
+        with self._lock:
+            records = self._log.get(self._heads().get(doc_id, []))
+        for record in records:
             yield SnapshotInfo(
                 doc_id=doc_id,
                 version=record.payload["v"],
@@ -182,47 +199,52 @@ class SnapshotStore:
         """The corpus delta since record id ``cursor``: ``(added, changed,
         next cursor)`` — pages first stored since, older pages with a
         version written since, and the cursor to pass next.  Takes in what
-        other handles have appended."""
-        chains = self._take_in()
-        added = [d for d, ids in chains.items() if ids[0] >= cursor]
-        changed = [d for d, ids in chains.items() if ids[0] < cursor <= ids[-1]]
-        return sorted(added), sorted(changed), self._cursor
+        other handles have appended; costs the records written since."""
+        with self._lock:
+            chains = self._take_in()
+            since = set(self._pages[max(cursor, 0):])
+            return (sorted(d for d in since if chains[d][0] >= cursor),
+                    sorted(d for d in since if chains[d][0] < cursor),
+                    len(self._pages))
 
     # ------------------------------------------------------------ internals
 
     def _heads(self) -> dict[str, list[int]]:
-        return self._take_in() if self._chains is None else self._chains
+        with self._lock:
+            return self._take_in() if self._chains is None else self._chains
 
     def _take_in(self) -> dict[str, list[int]]:
         """The head map, with the log's records beyond it folded in; a
         failed pass is forgotten (the next one re-reads the log from its
         start), so a log this store cannot read raises on every use."""
-        if self._chains is None:
-            self._chains = {}
-        try:
-            for record in self._log.follow():
-                self._fold(record)
-        except BaseException:
-            self._chains = None
-            self._log.rewind()
-            raise
-        return self._chains
+        with self._lock:
+            if self._chains is None:
+                self._chains, self._pages = {}, []
+            try:
+                for record in self._log.follow():
+                    self._fold(record)
+            except BaseException:
+                self._chains = None
+                self._log.rewind()
+                raise
+            return self._chains
 
     def _fold(self, record: Record) -> None:
         """Make ``record`` the latest version of its page in the head map."""
         page = record.payload
         chain = self._chains.setdefault(page["doc"], [])
-        if page["v"] != len(chain):
+        if page["v"] != len(chain) or record.record_id != len(self._pages):
             raise ValueError(f"raw log record {record.record_id} stores "
                              f"{page['doc']}@{page['v']} after version "
-                             f"{len(chain) - 1}")
+                             f"{len(chain) - 1}, record {len(self._pages) - 1}")
         chain.append(record.record_id)
         self._hashes[page["doc"]] = page["hash"]
-        self._cursor = record.record_id + 1
+        self._pages.append(page["doc"])
 
     def _materialize(self, doc_id: str, version: int) -> list[str]:
         first = version - version % self._keyframe_every
-        records = self._log.get(self._chains[doc_id][first:version + 1])
+        with self._lock:
+            records = self._log.get(self._chains[doc_id][first:version + 1])
         keyframe = records[0].payload
         if "lines" not in keyframe:
             raise ValueError(f"expected keyframe at {doc_id}@{first}")

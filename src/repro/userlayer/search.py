@@ -1,16 +1,17 @@
 """Keyword search over documents and structured facts.
 
-:class:`KeywordSearchEngine` is both a user-layer service and — run over
-raw documents only — the IR baseline the paper argues against (re-exported
-by :mod:`repro.baselines`).
+:class:`KeywordSearchEngine` is the user layer's keyword service: BM25 over
+the pages of the raw log, and over the stored facts.  The IR baseline the
+paper argues against is :mod:`repro.baselines`.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.docmodel.document import Document
+from repro.storage.snapshots import SnapshotStore
 from repro.userlayer.index import InvertedIndex, SearchHit
 
 
@@ -24,7 +25,10 @@ class DocumentResult:
 
 
 class KeywordSearchEngine:
-    """BM25 search over a corpus, plus optional fact search.
+    """BM25 search over the pages of a raw log, plus fact search.
+
+    The page index follows ``pages`` (the raw log): a page search first
+    indexes what its ``changes_since`` names; snippets are read from it.
 
     Facts (dicts with fact_id/entity/attribute/value) are indexed as
     pseudo-documents under IDs ``fact:<fact_id>`` so a keyword query can
@@ -32,28 +36,26 @@ class KeywordSearchEngine:
     combined exploitation mode.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, pages: SnapshotStore) -> None:
+        self._pages = pages
+        self._cursor = 0  # the first record of ``pages`` not indexed
+        self._lock = threading.RLock()  # the page index and its cursor
         self._doc_index = InvertedIndex()
         self._fact_index = InvertedIndex()
-        self._documents: dict[str, Document] = {}
         self._facts: dict[str, dict[str, Any]] = {}
 
     # ------------------------------------------------------------ indexing
 
-    def index_corpus(self, docs: Iterable[Document]) -> int:
-        """Index documents — the last of a doc_id repeated in ``docs``
-        wins; an indexed page whose text changed is re-indexed (its old
-        postings go in one removal), an unchanged one is left as it is.
-        Returns how many were indexed."""
-        batch = {doc.doc_id: doc for doc in docs}
-        changed = {doc_id: doc for doc_id, doc in batch.items()
-                   if doc_id not in self._documents
-                   or self._documents[doc_id].text != doc.text}
-        self._doc_index.remove(*changed.keys() & self._documents.keys())
-        for doc_id, doc in changed.items():
-            self._documents[doc_id] = doc
-            self._doc_index.add(doc_id, doc.text)
-        return len(changed)
+    def index_corpus(self) -> None:
+        """Bring the page index up to ``pages``: index the pages written
+        since the cursor (the old postings of edited ones go in one
+        removal)."""
+        with self._lock:
+            added, changed, self._cursor = self._pages.changes_since(
+                self._cursor)
+            self._doc_index.remove(*changed)
+            for doc_id in added + changed:
+                self._doc_index.add(doc_id, self._pages.checkout(doc_id).text)
 
     def index_facts(self, facts: Iterable[dict[str, Any]]) -> int:
         """Index structured facts as searchable pseudo-documents, each
@@ -83,7 +85,9 @@ class KeywordSearchEngine:
 
     def search(self, query: str, k: int = 10) -> list[DocumentResult]:
         """Top-k documents for a keyword query, with snippets."""
-        hits = self._doc_index.search(query, k=k)
+        with self._lock:
+            self.index_corpus()
+            hits = self._doc_index.search(query, k=k)
         return [
             DocumentResult(h.doc_id, h.score, self._snippet(h, query))
             for h in hits
@@ -95,14 +99,10 @@ class KeywordSearchEngine:
         hits = self._fact_index.search(query, k=k)
         return [self._facts[h.doc_id] for h in hits]
 
-    def document(self, doc_id: str) -> Document:
-        return self._documents[doc_id]
-
-    def has_document(self, doc_id: str) -> bool:
-        return doc_id in self._documents
-
     def corpus_size(self) -> int:
-        return len(self._documents)
+        with self._lock:
+            self.index_corpus()
+            return len(self._doc_index)
 
     def fact_count(self) -> int:
         return len(self._facts)
@@ -110,7 +110,7 @@ class KeywordSearchEngine:
     # ------------------------------------------------------------ internals
 
     def _snippet(self, hit: SearchHit, query: str, width: int = 120) -> str:
-        text = self._documents[hit.doc_id].text
+        text = self._pages.checkout(hit.doc_id).text
         lowered = text.lower()
         best_pos = 0
         for term in query.lower().split():

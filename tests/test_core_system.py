@@ -72,11 +72,11 @@ def test_the_last_of_a_doc_id_repeated_in_one_batch_is_indexed():
     system.close()
 
 
-def test_loading_stored_pages_reindexes_an_edited_page(tmp_path):
+def test_a_page_committed_to_the_raw_log_is_reindexed(tmp_path):
     system = StructureManagementSystem(workspace=str(tmp_path / "ws"))
     system.ingest([Document("p1", "Madison is a city with lakes")])
     system.storage.raw.commit(Document("p1", "Springfield has a plant"))
-    assert system.load_stored_pages() == 1
+    assert len(system.corpus) == 1
     assert [r.doc_id for r in system.keyword("springfield")] == ["p1"]
     assert system.keyword("lakes") == []
     system.close()

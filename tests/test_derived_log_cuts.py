@@ -115,7 +115,6 @@ def test_a_cut_in_the_last_landings_lineage_records(base, tmp_path):
             assert system.explain(entity, attribute) == (
                 explanation if n < kept
                 else f"no recorded provenance for {entity}.{attribute}")
-        system.load_stored_pages()
         system.ingest([NEXT])
         registry = MetricsRegistry()
         with use_registry(registry):

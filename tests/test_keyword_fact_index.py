@@ -198,7 +198,7 @@ def test_removing_many_documents_filters_each_posting_list_once():
 
 def _rebuilt(system):
     """An index built from scratch out of ``facts``."""
-    engine = KeywordSearchEngine()
+    engine = KeywordSearchEngine(system.storage.raw)
     engine.index_facts(
         {"fact_id": row["fact_id"], "entity": row["entity"],
          "attribute": row["attribute"],

@@ -111,7 +111,6 @@ def test_a_re_run_over_an_unchanged_corpus_writes_nothing(
     if reopen:
         system.close()
         system = _system(workspace, cache)
-        system.load_stored_pages()
     ids = sorted(r["fact_id"] for r in system.query(
         "SELECT fact_id FROM facts"))
     wal = system.db.wal_size_bytes()
@@ -173,9 +172,7 @@ def _infobox_system(workspace):
 
 def _reopen(system, workspace):
     system.close()
-    system = _system(workspace)
-    system.load_stored_pages()
-    return system
+    return _system(workspace)
 
 
 def test_a_reopen_never_reuses_an_id_a_program_lists(tmp_path):
@@ -251,7 +248,6 @@ def test_any_mix_of_steps_ends_where_a_fresh_system_does(steps):
             else:
                 system.close()
                 system = _system(workspace, constrained=True)
-                system.load_stored_pages()
         for program in dict.fromkeys(ran):  # the corpus may have moved on
             system.generate(program)
         final = list(system.corpus)

@@ -64,7 +64,7 @@ def _drive(workspace):
         "provenance": len(system.provenance),
         "deadletter": system.deadletter.entries(),
         "slow_queries": [_untimed(e) for e in system.slow_queries()],
-        "stored_pages": system.load_stored_pages(),
+        "stored_pages": len(system.corpus),
         "edited_version": system.storage.raw.latest_version(edited.doc_id),
         "edited_text": system.storage.raw.checkout(edited.doc_id).text,
     }

@@ -245,6 +245,13 @@ def test_poison_documents_are_dead_lettered_and_excised():
     assert pipe.stats.docs_deadlettered == 2
 
 
+def test_a_pipeline_built_without_a_dead_letter_store_keeps_poison_pages():
+    pipe = pipeline_over(extractor=PoisonExtractor())
+    pipe.process(DocDelta(added=(Document("bad", "POISON"),)))
+    assert pipe.stats.docs_deadlettered == 1
+    assert [e.doc_id for e in pipe.deadletter.entries()] == ["bad"]
+
+
 def test_cancellation_token_stops_processing():
     event = threading.Event()
     pipe = pipeline_over(token=CancellationToken(event=event))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.docmodel.document import Document
+from repro.storage.snapshots import SnapshotStore
 from repro.userlayer.index import InvertedIndex, index_tokens
 from repro.userlayer.search import KeywordSearchEngine
 
@@ -110,12 +111,18 @@ def test_document_frequency_and_contains():
     assert "a" in index and "zz" not in index
 
 
+def _pages(*docs):
+    pages = SnapshotStore(None)
+    for doc in docs:
+        pages.commit(doc)
+    return pages
+
+
 def test_engine_indexes_corpus_and_snippets():
-    engine = KeywordSearchEngine()
-    engine.index_corpus([
+    engine = KeywordSearchEngine(_pages(
         Document("d1", "x " * 50 + "the september temperature is 70 " + "y " * 50),
         Document("d2", "irrelevant content"),
-    ])
+    ))
     results = engine.search("september temperature")
     assert results[0].doc_id == "d1"
     assert "september" in results[0].snippet.lower()
@@ -123,7 +130,7 @@ def test_engine_indexes_corpus_and_snippets():
 
 
 def test_engine_fact_search():
-    engine = KeywordSearchEngine()
+    engine = KeywordSearchEngine(_pages())
     engine.index_facts([
         {"fact_id": 7, "entity": "Madison", "attribute": "sep_temp",
          "value": 70.0},
@@ -142,9 +149,7 @@ def test_engine_fact_search():
     assert engine.search_facts("september_temp")[0]["entity"] == "Madison"
 
 
-def test_engine_has_document():
-    engine = KeywordSearchEngine()
-    engine.index_corpus([Document("d1", "hello")])
-    assert engine.has_document("d1")
-    assert not engine.has_document("d2")
+def test_engine_finds_a_committed_page_only():
+    engine = KeywordSearchEngine(_pages(Document("d1", "hello")))
+    assert [r.doc_id for r in engine.search("hello")] == ["d1"]
     assert engine.corpus_size() == 1

@@ -5,6 +5,7 @@ import pytest
 from repro.docmodel.document import Document
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.sql import execute_sql
+from repro.storage.snapshots import SnapshotStore
 from repro.userlayer.accounts import AuthenticationError, UserManager
 from repro.userlayer.search import KeywordSearchEngine
 from repro.userlayer.session import ExplorationSession
@@ -20,11 +21,11 @@ def session():
                     "('Madison', 'sep_temp', 70.0), "
                     "('Madison', 'population', 233209.0), "
                     "('Chicago', 'sep_temp', 65.0)")
-    search = KeywordSearchEngine()
-    search.index_corpus([
-        Document("d1", "Madison temperature page"),
-        Document("d2", "Chicago transit page"),
-    ])
+    pages = SnapshotStore(None)
+    for doc in (Document("d1", "Madison temperature page"),
+                Document("d2", "Chicago transit page")):
+        pages.commit(doc)
+    search = KeywordSearchEngine(pages)
     translator = QueryTranslator(
         table="facts", entity_column="entity",
         attributes=["sep_temp", "population"],

@@ -4,6 +4,7 @@ import pytest
 
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.sql import execute_sql
+from repro.storage.snapshots import SnapshotStore
 from repro.userlayer.search import KeywordSearchEngine
 from repro.userlayer.session import ExplorationSession
 from repro.userlayer.translate import QueryTranslator
@@ -83,7 +84,7 @@ def test_session_visualize_mode():
     execute_sql(db, "INSERT INTO facts (entity, value_num) VALUES "
                     "('Madison', 45.0), ('Austin', 68.0), ('Portland', 54.0)")
     session = ExplorationSession(
-        search=KeywordSearchEngine(),
+        search=KeywordSearchEngine(SnapshotStore(None)),
         translator=QueryTranslator(table="facts", entity_column="entity"),
         query=lambda sql, deadline_seconds=None: execute_sql(db, sql),
     )
