@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -41,6 +42,15 @@ def refuse_older_log(path: str) -> None:
                          "version neither reads nor migrates")
 
 
+class UncutWriteError(OSError):
+    """A write that raised could not be cut back out of the log: the
+    handle that made it writes no more."""
+
+    def __init__(self, root: str | None) -> None:
+        super().__init__(f"{root or 'a memory store'}: a failed write could "
+                         "not be taken back; this handle writes no more")
+
+
 @dataclass(frozen=True)
 class Record:
     """One stored record: an auto-assigned ID plus a JSON-able payload."""
@@ -61,6 +71,8 @@ class RecordFileStore:
     in ``corrupt_lines``) and the next write cuts it, counting its lines in
     ``recovery.truncated_records``.  A line that is not a record but has
     one after it is damage: a strict store raises, a tolerant one skips it.
+    A write that raises leaves none of its lines: the handle cuts them
+    back out, or else refuses to write again (:class:`UncutWriteError`).
 
     A handle keeps the segment it appends to open.  Handles on one root
     may write in turn, not at the same instant: a write first takes in
@@ -104,6 +116,8 @@ class RecordFileStore:
         self._end = (0, 0, 0)
         self._torn = 0
         self._appending = -1
+        # why a failed write could not be cut back out (None: none did)
+        self._uncut: OSError | None = None
 
     # ------------------------------------------------------------------ API
 
@@ -222,21 +236,21 @@ class RecordFileStore:
         self.close()
         self._where, self._top, self._end = None, -1, (0, 0, 0)
 
-    def rotate(self) -> int:
-        """Start a new segment with the next append; returns the highest
-        record id before it (-1: none)."""
+    def rotate(self) -> None:
+        """Start a new segment with the next append."""
         self.catch_up()
         if self._end[2]:
             self._end = (self._end[0] + 1, 0, 0)
-        return self._top
 
     def drop_sealed_segments(self) -> None:
         """Delete every segment before the one this handle appends to —
-        after :meth:`rotate` and an append, those that hold no record above
-        the id it returned.  That segment is fsynced first: the deletion
-        must not reach the disk before the records after it."""
+        after :meth:`rotate` and an append, every record before that one.
+        That segment is fsynced first: the deletion must not reach the
+        disk before the record that supersedes it.  The newest go first,
+        so a crash part-way leaves a prefix of the log before it."""
         self._device.sync()
-        self._drop([i for i in self._device.segments() if i < self._end[0]])
+        self._drop([i for i in reversed(self._device.segments())
+                    if i < self._end[0]])
 
     def total_bytes(self) -> int:
         """Total size of all segments."""
@@ -254,7 +268,13 @@ class RecordFileStore:
         """What every write does first: unless the open segment is where
         this handle last wrote, still the size it left it and not full,
         read the rest of the log (other handles' appends) and cut a torn
-        suffix, so the next append starts a line of its own."""
+        suffix, so the next append starts a line of its own.
+
+        Raises:
+            UncutWriteError: a failed write of this handle is not cut.
+        """
+        if self._uncut is not None:
+            raise UncutWriteError(self._root) from self._uncut
         segment, offset, count = self._end
         if self._appending == segment and count < self._segment_max \
                 and self._device.size(segment) == offset:
@@ -348,25 +368,48 @@ class RecordFileStore:
     def _write_lines(self, objs: list[dict[str, Any]]) -> None:
         # the encoder escapes non-ASCII, so these are the lines' bytes
         lines = [(_encode(obj) + "\n").encode("ascii") for obj in objs]
+        end = self._end
         done = 0
-        while done < len(lines):
-            segment, offset, count = self._end
-            if count >= self._segment_max:
-                segment, offset, count = segment + 1, 0, 0
-            chunk = lines[done:done + self._segment_max - count]
-            data = b"".join(chunk)
-            self._device.append(segment, data)
-            self._appending = segment
-            if self._sync:
-                self._device.sync()
-            if self._where is not None:
-                start = offset
-                for obj, line in zip(objs[done:], chunk):
-                    self._place(segment, start, obj)
-                    start += len(line)
-            done += len(chunk)
-            self._end = (segment, offset + len(data), count + len(chunk))
-            self.appended_bytes += len(data)
+        try:
+            while done < len(lines):
+                segment, offset, count = self._end
+                if count >= self._segment_max:
+                    segment, offset, count = segment + 1, 0, 0
+                chunk = lines[done:done + self._segment_max - count]
+                data = b"".join(chunk)
+                self._device.append(segment, data)
+                self._appending = segment
+                if self._sync:
+                    self._device.sync()
+                if self._where is not None:
+                    start = offset
+                    for obj, line in zip(objs[done:], chunk):
+                        self._place(segment, start, obj)
+                        start += len(line)
+                done += len(chunk)
+                self._end = (segment, offset + len(data), count + len(chunk))
+        except BaseException:
+            self._take_back(end)
+            raise
+        self.appended_bytes += sum(map(len, lines))
+
+    def _take_back(self, end: tuple[int, int, int]) -> None:
+        """Cut the log back to ``end``, where a write that raised began.
+
+        Raises:
+            UncutWriteError: the cut failed too.
+        """
+        with suppress(OSError):  # its buffer may hold the rest of the write
+            self.close()
+        self._end, self._where = end, None
+        try:
+            for index in self._device.segments():
+                if index >= end[0]:
+                    self._device.truncate(index, end[1] if index == end[0]
+                                          else 0)
+        except OSError as error:
+            self._uncut = error
+            raise UncutWriteError(self._root) from error
 
     def _drop(self, indexes: list[int]) -> None:
         self.close()
@@ -418,9 +461,9 @@ class _Directory:
             os.fsync(self._file.fileno())
 
     def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file, self._open = None, -1
+        file, self._file, self._open = self._file, None, -1
+        if file is not None:
+            file.close()
 
     def _path(self, segment: int) -> str:
         return os.path.join(self._root, f"seg-{segment:04d}.jsonl")

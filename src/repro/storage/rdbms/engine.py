@@ -4,9 +4,10 @@
 (optionally) the write-ahead log.  :class:`Transaction` is the unit of work:
 all reads and writes go through it, acquiring strict-2PL locks and keeping
 one change log of before/after images that commit writes to the WAL as one
-record.  Recovery reconstructs state from the latest checkpoint plus the
-records on the log, so a "crash" (simply abandoning the in-memory object)
-loses no committed work — experiment E11 exercises exactly this.
+record.  Recovery redoes the records on the log, a checkpoint (every
+table's committed image) among them, so a "crash" (simply abandoning the
+in-memory object) loses no committed work — experiment E11 exercises
+exactly this.
 """
 
 from __future__ import annotations
@@ -62,6 +63,40 @@ def _reindex(indexes: Iterable[tuple[str, Index]], rid: int,
     else:
         for column, index in indexes:
             index.update(old[column], new[column], rid)
+
+
+def _table_image(table: HeapTable) -> dict[str, Any]:
+    """What a ``checkpoint`` record holds of each table and an
+    ``alter_schema`` record of its one: the schema, the shard spec (as a
+    ``create_table`` record carries it), the rows by rid and the segment
+    layout (:meth:`HeapTable.segment_layout`) that reopen re-freezes."""
+    image: dict[str, Any] = {
+        "schema": table.schema.to_dict(),
+        "rows": {str(r.rid): r.values for r in table.scan()},
+        "segments": table.segment_layout(),
+    }
+    if table.shard_spec is not None:
+        image["shard_key"] = table.shard_spec.key
+        image["shard_count"] = table.shard_spec.count
+    return image
+
+
+def _load_table(image: dict[str, Any]) -> HeapTable:
+    """The table :func:`_table_image` made ``image`` of, or an empty one
+    from a ``create_table`` record (recovery)."""
+    key = image.get("shard_key")
+    table = HeapTable(TableSchema.from_dict(image["schema"]),
+                      shard_spec=None if key is None
+                      else ShardSpec(key, image.get("shard_count", 1)))
+    for rid, values in image.get("rows", {}).items():
+        table.insert(values, rid=int(rid))
+    layout = image.get("segments")
+    if layout and not table.restore_segments(layout):
+        # The layout drifted from the rows: the un-restored remainder
+        # stays in the tail (correct, just uncompacted) rather than
+        # serving a segment whose zone maps no longer match its data.
+        metrics.get_registry().inc("segments.invalidated")
+    return table
 
 
 class TransactionAborted(Exception):
@@ -611,7 +646,7 @@ class Database:
     """Top-level engine object.
 
     Args:
-        directory: where the WAL and checkpoints live; ``None`` for a purely
+        directory: where the WAL lives; ``None`` for a purely
             in-memory database (no durability, no recovery).
         sync_wal: fsync at each commit (durable but slow).
 
@@ -730,8 +765,9 @@ class Database:
                     migrate: Callable[[dict[str, Any]], dict[str, Any]]) -> None:
         """Replace a table's schema, migrating each row through ``migrate``.
 
-        Used by the schema-evolution subsystem; logged as a schema event
-        followed by the rewritten rows so recovery replays deterministically.
+        Used by the schema-evolution subsystem; logged as an
+        ``alter_schema`` record holding the migrated table's image, as a
+        checkpoint holds it, so recovery loads what the migration made.
         Runs under the EXCLUSIVE table lock, like :meth:`compact`: it
         waits for the table's open writers, so the record carries
         committed rows only and no commit record straddles it.
@@ -739,15 +775,7 @@ class Database:
         with self._table_exclusive(name), self._mutate_lock:
             table = self._table(name)
             table.replace_schema(new_schema, migrate)
-            rows = {str(r.rid): r.values for r in table.scan()}
-            extra: dict[str, Any] = {}
-            if table.shard_spec is not None:
-                # replace_schema re-routed (or dropped) the shard spec;
-                # log the surviving one so replay rebuilds the same layout.
-                extra["shard_key"] = table.shard_spec.key
-                extra["shard_count"] = table.shard_spec.count
-            self._log(0, "alter_schema", schema=new_schema.to_dict(),
-                      rows=rows, **extra)
+            self._log(0, "alter_schema", **_table_image(table))
             self._drop_indexes(name, new_schema)
             for key in [k for k in self._indexes if k[0] == name]:
                 self._rebuild_index(*key)
@@ -1024,46 +1052,28 @@ class Database:
     # ----------------------------------------------------------- durability
 
     def checkpoint(self) -> None:
-        """Write a consistent snapshot of committed state, with the LSN it
-        covers, and delete the WAL segments it covers.  Open writers' rows
-        are rolled back out of it, as out of a read snapshot: they arrive
-        with the commit record, past that LSN.
+        """Append one ``checkpoint`` record — the committed image of every
+        table (:func:`_table_image`) and ``[table, column, kind]`` per
+        index — as the first record of a new WAL segment, and delete the
+        segments before it.
+
+        The images are read through :meth:`begin_snapshot`, so open
+        writers' rows are rolled back out of them (they arrive with their
+        commit records, after this one); the mutate lock is held through
+        the append, so no commit lands between the images and the record.
+        If the append fails, nothing of it stays in the log and nothing
+        is deleted.
         """
         if self._wal is None:
             return
         with self._mutate_lock:
-            undo = self._uncommitted()
-            tables = {name: t.committed_view(undo[name]) if name in undo
-                      else t for name, t in self._tables.items()}
-            state = {
-                "tables": {
-                    name: {
-                        "schema": t.schema.to_dict(),
-                        "rows": {str(r.rid): r.values for r in t.scan()},
-                    }
-                    for name, t in tables.items()
-                },
-                "indexes": [
-                    {"table": t, "column": c,
-                     "kind": "sorted" if isinstance(i, SortedIndex) else "hash"}
-                    for (t, c), i in self._indexes.items()
-                ],
-                # Segment layout outlives the covered WAL: the snapshot rows
-                # above include frozen rows, and reopen re-freezes this
-                # layout (re-encoding rebuilds every zone map from data).
-                "segments": {
-                    name: t.segment_layout()
-                    for name, t in tables.items() if t.segment_count()
-                },
-                # Shard specs must be restored BEFORE segment layouts:
-                # 4-entry layout rows are selected by shard membership.
-                "shards": {
-                    name: t.shard_spec.to_dict()
-                    for name, t in tables.items()
-                    if t.shard_spec is not None
-                },
-            }
-            self._wal.write_checkpoint(state)
+            snapshot = self.begin_snapshot()
+            self._wal.checkpoint(
+                tables={name: _table_image(snapshot._heap(name))
+                        for name in self._tables},
+                indexes=[[table, column, "sorted"
+                          if isinstance(index, SortedIndex) else "hash"]
+                         for (table, column), index in self._indexes.items()])
 
     def close(self) -> None:
         if self._wal is not None:
@@ -1218,61 +1228,25 @@ class Database:
             _reindex(self._indexes_of(table), rid, after, before)
 
     def _recover(self) -> None:
-        """Rebuild state: checkpoint snapshot + the log records after the
-        LSN it covers."""
+        """Rebuild state: redo every record on the log, in LSN order; a
+        ``checkpoint`` record replaces the tables and indexes so far."""
         assert self._wal is not None
-        snapshot = self._wal.read_checkpoint()
-        covered = -1
-        if snapshot is not None:
-            covered = snapshot["lsn"]
-            for name, tdata in snapshot["tables"].items():
-                table = HeapTable(TableSchema.from_dict(tdata["schema"]))
-                for rid_str, values in tdata["rows"].items():
-                    table.insert(values, rid=int(rid_str))
-                spec_data = snapshot.get("shards", {}).get(name)
-                if spec_data is not None:
-                    table.set_shard_spec(ShardSpec.from_dict(spec_data))
-                layout = snapshot.get("segments", {}).get(name)
-                if layout and not table.restore_segments(layout):
-                    # Checkpoint drifted from the rows we recovered: the
-                    # un-restored remainder stays in the tail (correct,
-                    # just uncompacted) rather than serving a segment
-                    # whose zone maps no longer match its data.
-                    metrics.get_registry().inc("segments.invalidated")
-                self._tables[name] = table
-            for idx in snapshot.get("indexes", []):
-                key = (idx["table"], idx["column"])
-                # loaded below, once the log suffix has been replayed
-                self._indexes[key] = _INDEX_KINDS[idx["kind"]](*key)
-
         max_txn = 0
         for rec in self._wal.records():
             max_txn = max(max_txn, rec.txn_id)
-            if rec.lsn <= covered:
-                continue
-            if rec.rec_type == "create_table":
-                schema = TableSchema.from_dict(rec.payload["schema"])
-                if schema.name not in self._tables:
-                    spec = None
-                    if rec.payload.get("shard_key") is not None:
-                        spec = ShardSpec(rec.payload["shard_key"],
-                                         rec.payload.get("shard_count", 1))
-                    self._tables[schema.name] = HeapTable(
-                        schema, shard_spec=spec)
+            if rec.rec_type in ("create_table", "alter_schema"):
+                table = _load_table(rec.payload)
+                self._tables[table.name] = table
+                self._drop_indexes(table.name, table.schema)
             elif rec.rec_type == "drop_table":
                 self._tables.pop(rec.payload["table"], None)
                 self._drop_indexes(rec.payload["table"])
-            elif rec.rec_type == "alter_schema":
-                schema = TableSchema.from_dict(rec.payload["schema"])
-                table = HeapTable(schema)
-                for rid_str, values in rec.payload["rows"].items():
-                    table.insert(values, rid=int(rid_str))
-                if rec.payload.get("shard_key") is not None:
-                    table.set_shard_spec(
-                        ShardSpec(rec.payload["shard_key"],
-                                  rec.payload.get("shard_count", 1)))
-                self._tables[schema.name] = table
-                self._drop_indexes(schema.name, schema)
+            elif rec.rec_type == "checkpoint":
+                self._tables = {name: _load_table(image) for name, image
+                                in rec.payload["tables"].items()}
+                self._indexes = {(table, column): _INDEX_KINDS[kind](
+                    table, column) for table, column, kind
+                    in rec.payload["indexes"]}
             elif rec.rec_type == "create_index":
                 # DDL-style like compact: skipped when its table or column
                 # is not there at this log position.

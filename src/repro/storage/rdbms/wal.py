@@ -1,4 +1,4 @@
-"""Write-ahead logging and checkpointing.
+"""Write-ahead logging: every durable byte of the engine.
 
 The log is a :class:`~repro.storage.filestore.RecordFileStore` under
 ``<directory>/wal/``: a record's id is its log sequence number (LSN), its
@@ -12,30 +12,29 @@ payload ``{"txn": id, "type": kind, ...}``.  Written:
   flushed — fsynced under ``sync`` — before the transaction becomes
   visible or releases a lock: one line, one durability point,
 * ``create_table`` / ``drop_table`` / ``alter_schema`` / ``create_index``
-  — DDL (txn 0); ``alter_schema`` carries the migrated rows,
+  — DDL (txn 0); ``alter_schema`` carries the migrated table's image,
 * ``compact`` — a columnar freeze of a table's committed tail rows
   (txn 0, DDL-style: replay re-runs the deterministic freeze at the same
   log position, reproducing the segment layout),
 * ``reshard`` — a shard-layout change (txn 0, DDL-style like ``compact``:
   routing is seed-stable, so replaying the spec at the same log position
   reproduces the identical shard membership),
-* ``checkpoint`` — the first record of the segment a checkpoint starts.
+* ``checkpoint`` — the committed image of every table (schema, shard
+  spec, rows by rid, segment layout) and the index list.
 
-A checkpoint (:meth:`WriteAheadLog.write_checkpoint`) writes a consistent
-snapshot of all tables and the LSN it covers to ``checkpoint.json`` (tmp,
-fsync, rename), starts a new segment with a ``checkpoint`` record, then
-deletes the segments before it.  Recovery
-(:meth:`repro.storage.rdbms.engine.Database._recover`) loads the snapshot,
-then redoes the records past its LSN in LSN order over that rebuilt state
-(it never trusts the crashed in-memory image) — so a crash anywhere in a
-checkpoint reopens: covered segments left behind are skipped.  A record
-torn at any byte is the log's torn suffix, which the store drops — so a
-transaction is recovered whole or not at all by construction.
+A checkpoint (:meth:`WriteAheadLog.checkpoint`) is the first record of a
+new segment; once it is written the segments before it are deleted.
+Recovery (:meth:`repro.storage.rdbms.engine.Database._recover`) redoes
+the records in LSN order over an empty database (it never trusts the
+crashed in-memory image), and a ``checkpoint`` record replaces every table
+and index with its image.  A record torn at any byte is the log's torn
+suffix, which the store drops — so a transaction, or a checkpoint, is
+recovered whole or not at all by construction; and segments a crash left
+before a whole checkpoint record are replayed, then superseded by it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -44,7 +43,6 @@ from repro.storage.filestore import RecordFileStore, refuse_older_log
 from repro.telemetry import metrics
 
 LOG_DIR = "wal"
-CHECKPOINT_FILE = "checkpoint.json"
 #: Records per WAL segment.
 SEGMENT_RECORDS = 10_000
 
@@ -60,23 +58,24 @@ class LogRecord:
 
 
 class WriteAheadLog:
-    """Segmented write-ahead log with checkpoint support."""
+    """Segmented write-ahead log; a checkpoint is one of its records."""
 
     def __init__(self, directory: str, sync: bool = False) -> None:
         """Create or reopen a WAL in ``directory``.
 
         Args:
-            directory: where ``wal/`` and ``checkpoint.json`` live.
+            directory: where ``wal/`` lives.
             sync: fsync after every append, i.e. at each commit and DDL
                 statement (slow but durable); benchmarks toggle this to
                 show the durability/throughput trade-off.
 
         Raises:
-            ValueError: ``directory`` holds a ``wal.jsonl``, the one-file
-                log of an older layout.
+            ValueError: ``directory`` holds a ``wal.jsonl`` or a
+                ``checkpoint.json``, the one-file log or checkpoint of an
+                older layout.
         """
-        refuse_older_log(os.path.join(directory, "wal.jsonl"))
-        self._dir = directory
+        for older in ("wal.jsonl", "checkpoint.json"):
+            refuse_older_log(os.path.join(directory, older))
         self._log = RecordFileStore(os.path.join(directory, LOG_DIR),
                                     segment_max_records=SEGMENT_RECORDS,
                                     sync=sync)
@@ -107,33 +106,14 @@ class WriteAheadLog:
                             payload.pop("type"), payload)
         self._log.catch_up()
 
-    def write_checkpoint(self, state: dict[str, Any]) -> None:
-        """Dump a consistent snapshot covering every record so far, then
-        start a new segment and delete the ones it covers.
-
-        The snapshot is written atomically (tmp + fsync + rename) before
-        anything else, so a crash at any step leaves either the old
-        snapshot and the whole log or the new snapshot beside records it
-        covers, which replay skips by LSN.
-        """
-        covered = self._log.rotate()
-        tmp = os.path.join(self._dir, CHECKPOINT_FILE + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump({"lsn": covered, **state}, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, os.path.join(self._dir, CHECKPOINT_FILE))
-        self.append(0, "checkpoint")
+    def checkpoint(self, **image: Any) -> None:
+        """Append ``image`` as a ``checkpoint`` record, the first of a new
+        segment, then delete the segments before it: the record is
+        durable once its newline is, and until then the log reopens to
+        the state before it."""
+        self._log.rotate()
+        self.append(0, "checkpoint", **image)
         self._log.drop_sealed_segments()
-
-    def read_checkpoint(self) -> dict[str, Any] | None:
-        """Latest checkpoint snapshot (its ``lsn`` the last record it
-        covers), or None."""
-        path = os.path.join(self._dir, CHECKPOINT_FILE)
-        if not os.path.exists(path):
-            return None
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
 
     def close(self) -> None:
         self._log.close()

@@ -48,7 +48,7 @@ class _Model:
         return copy.deepcopy(self.tables), sorted(self.indexes)
 
 
-#: The step that starts a new log on top of a checkpoint file.
+#: The step that starts a new log segment with a checkpoint record.
 CHECKPOINT = "checkpoint under the open writers"
 
 
@@ -239,7 +239,6 @@ def test_wal_cut_at_every_byte_reopens_to_the_last_whole_record(
         assert registry.get("rdbms.wal.records") == expected_records, what
         assert _state(db) == model.state(), what
         if what == CHECKPOINT:      # committed rows only, whoever is open
-            checkpoint = (live / "checkpoint.json").read_bytes()
             assert not covered.keys() & _segments(live).keys()
         if expected_records:
             history.append((sum(map(len, covered.values()))
@@ -263,7 +262,6 @@ def test_wal_cut_at_every_byte_reopens_to_the_last_whole_record(
     assert not any(b'"begin"' in line or b'"abort"' in line
                    for line in records)
 
-    boundary = sum(map(len, covered.values()))
     marker_end = history[whats.index(CHECKPOINT) + 1][0]
     crashed = tmp_path / "crashed"
     at = 0  # history[at]: the last state whose record is whole at ``cut``
@@ -272,9 +270,8 @@ def test_wal_cut_at_every_byte_reopens_to_the_last_whole_record(
         while at + 1 < len(history) and history[at + 1][0] <= cut:
             at += 1
         # what a crash can leave: the segment the next byte goes to
-        # opened or not; the checkpoint file renamed or not, at its
-        # boundary; the segments it covers deleted or not, once its
-        # record is whole
+        # opened or not; the segments the checkpoint supersedes deleted
+        # or not, once its record is whole
         files = {name: data[:cut - start]
                  for name, start, data in layout if start <= cut}
         layouts = [files]
@@ -283,18 +280,14 @@ def test_wal_cut_at_every_byte_reopens_to_the_last_whole_record(
         if cut >= marker_end:
             layouts.append({n: data for n, data in files.items()
                             if n not in covered})
-        on_disk = [checkpoint] * (cut >= boundary) + [None] * (cut <= boundary)
         for wal_files in layouts:
-            for checkpoint_file in on_disk:
-                shutil.rmtree(crashed, ignore_errors=True)
-                (crashed / "wal").mkdir(parents=True)
-                for name, data in wal_files.items():
-                    (crashed / "wal" / name).write_bytes(data)
-                if checkpoint_file is not None:
-                    (crashed / "checkpoint.json").write_bytes(checkpoint_file)
-                reopened = Database(str(crashed))
-                assert _state(reopened) == history[at][1], (cut, wal_files)
-                reopened.close()
+            shutil.rmtree(crashed, ignore_errors=True)
+            (crashed / "wal").mkdir(parents=True)
+            for name, data in wal_files.items():
+                (crashed / "wal" / name).write_bytes(data)
+            reopened = Database(str(crashed))
+            assert _state(reopened) == history[at][1], (cut, wal_files)
+            reopened.close()
     assert at == len(history) - 1
 
 

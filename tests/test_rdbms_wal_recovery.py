@@ -9,11 +9,13 @@ import json
 
 import pytest
 
+from repro.storage.rdbms import wal
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.sql import execute_sql
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.storage.rdbms.wal import WriteAheadLog
 from repro.telemetry.metrics import MetricsRegistry, use_registry
+from tests.devices import failing
 
 
 def _schema(name="t"):
@@ -115,10 +117,10 @@ def _rows(db):
 @pytest.mark.parametrize("record", ["written", "not written"])
 def test_a_crash_before_a_checkpoint_deletes_the_log_it_covers(
         tmp_path, record):
-    """A checkpoint renames its file into place, starts a new segment with
-    its record, then deletes the segments it covers.  A crash before the
-    deletion leaves the covered log beside the file: replay skips it
-    instead of redoing it on top of the checkpoint."""
+    """A checkpoint starts a new segment with its record, then deletes the
+    segments before it.  A crash before the deletion leaves that log
+    before the record: replay redoes it, then the record replaces what it
+    built, instead of the log being redone on top of the checkpoint."""
     directory = tmp_path / "db"
     db = Database(str(directory))
     db.create_table(_schema())
@@ -144,11 +146,54 @@ def test_a_crash_before_a_checkpoint_deletes_the_log_it_covers(
         (5, {"id": 9, "value": "after"})]
 
 
+@pytest.mark.parametrize("deleted", [0, 1, 2, 3])
+def test_a_crash_part_way_through_deleting_the_old_log_reopens(
+        tmp_path, monkeypatch, deleted):
+    """A checkpoint deletes the four segments before its record, newest
+    first: a crash after any number of deletions leaves a prefix of the
+    log, which replays before the record replaces what it built."""
+    monkeypatch.setattr(wal, "SEGMENT_RECORDS", 2)
+    db = Database(str(tmp_path))
+    db.create_table(_schema())
+    for i in range(6):
+        db.run(lambda t, i=i: t.insert("t", {"id": i, "value": f"v{i}"}))
+    db.run(lambda t: t.delete("t", 0))
+    checkpointed = _rows(db)
+    with failing(db._wal._log, "remove", after=deleted), \
+            pytest.raises(OSError):
+        db.checkpoint()
+    assert len(list((tmp_path / "wal").iterdir())) == 5 - deleted
+    assert _rows(Database(str(tmp_path))) == checkpointed
+
+
 def test_a_one_file_wal_is_refused(tmp_path):
     (tmp_path / "wal.jsonl").write_text(
         '{"lsn": 0, "txn": 0, "type": "drop_table", "table": "t"}\n')
     with pytest.raises(ValueError, match="wal.jsonl"):
         Database(str(tmp_path))
+
+
+def test_a_checkpoint_file_is_refused(tmp_path):
+    (tmp_path / "checkpoint.json").write_text(
+        '{"lsn": -1, "tables": {}, "indexes": []}')
+    with pytest.raises(ValueError, match="checkpoint.json"):
+        Database(str(tmp_path))
+
+
+@pytest.mark.parametrize("fail", ["write", "sync"])
+def test_a_commit_whose_append_raises_is_not_redone_on_reopen(
+        tmp_path, fail):
+    """The record lands whole and then the device reports a full disk, or
+    its fsync fails: the caller sees the commit fail, and so does reopen."""
+    db = Database(str(tmp_path), sync_wal=True)
+    db.create_table(_schema())
+    db.run(lambda t: t.insert("t", {"id": 1, "value": "a"}))
+    with failing(db._wal._log, fail), pytest.raises(OSError):
+        db.run(lambda t: t.insert("t", {"id": 2, "value": "b"}))
+    db.run(lambda t: t.insert("t", {"id": 3, "value": "c"}))
+    assert [values["id"] for _, values in _rows(db)] == [1, 3]
+    db.close()
+    assert _rows(Database(str(tmp_path))) == _rows(db)
 
 
 def test_recovery_restores_indexes(tmp_path):

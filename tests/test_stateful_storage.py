@@ -32,6 +32,7 @@ from repro.storage.rdbms.sql import execute_sql
 from repro.storage.rdbms.types import (Column, ColumnType, SchemaError,
                                        TableSchema)
 from repro.telemetry import metrics
+from tests.devices import failing
 
 TABLES = ("t", "s")          # "s" is the sharded one
 GROUPS = ["a", "b", "c", None]
@@ -320,7 +321,7 @@ class StorageMachine(RuleBasedStateMachine):
         self.txn = self.working = None
         self.dirty |= touched
         if outcome == "crash":
-            self.crash_and_reopen(checkpoint=False)
+            self.crash_and_reopen(checkpoint=None)
 
     @rule(table=table_st, target_rows=st.integers(2, 8))
     def compact(self, table, target_rows):
@@ -369,13 +370,24 @@ class StorageMachine(RuleBasedStateMachine):
         for table in TABLES:
             self._check_reads(table, model[table], snapshot)
 
-    @rule(checkpoint=st.booleans())
+    @rule(checkpoint=st.sampled_from([None, "whole", "write", "sync"]))
     def crash_and_reopen(self, checkpoint):
+        """Reopen after no checkpoint, a whole one, or one that fails
+        through the device: its append raises (``write``), or the fsync
+        before it deletes the log it supersedes does (``sync``).  A
+        failed checkpoint raises, and the database keeps serving and
+        committing."""
         layouts = None
-        if checkpoint:
+        if checkpoint == "whole":
             self.db.checkpoint()
             layouts = {name: self.db._table(name).segment_layout()
                        for name in TABLES}
+        elif checkpoint is not None:
+            with failing(self.db._wal._log, checkpoint), \
+                    pytest.raises(OSError):
+                self.db.checkpoint()
+            self.write(("insert", "t", 0, ("a", 1, 0.5), ""))
+            self.reads_match_the_model()
         self.pinned.clear()
         invalidated = metrics.get_registry().get("segments.invalidated")
         self.db = Database(self.directory)

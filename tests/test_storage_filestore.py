@@ -13,8 +13,8 @@ import tracemalloc
 
 import pytest
 
-from repro.storage.filestore import RecordFileStore
-from tests.devices import on_both_devices
+from repro.storage.filestore import RecordFileStore, UncutWriteError
+from tests.devices import failing, on_both_devices
 
 
 @on_both_devices
@@ -180,3 +180,41 @@ def test_reading_one_record_from_memory_copies_that_line():
         tracemalloc.stop()
     assert record.payload == {"text": text}
     assert peak < 2**20
+
+
+# ------------------------------------------------- a write that raises
+
+
+@pytest.mark.parametrize("fail", ["write", "sync"])
+@pytest.mark.parametrize("after", [0, 1])  # 1: it fails in a second segment
+@on_both_devices
+def test_an_append_that_raises_leaves_none_of_its_lines(root, fail, after):
+    store = RecordFileStore(root, segment_max_records=3, sync=True)
+    store.append_many([{"v": 0}, {"v": 1}])
+    store.get([0])                            # the handle keeps positions
+    with failing(store, fail, after=after):
+        with pytest.raises(OSError):
+            store.append_many([{"v": i} for i in range(2, 7)])
+        with pytest.raises(OSError):
+            store.delete(0)
+    assert [(r.record_id, r.payload) for r in store.scan()] == [
+        (0, {"v": 0}), (1, {"v": 1})]
+    assert store.append_many([{"v": "next"}, {"v": "then"}]) == [2, 3]
+    assert store.get([1, 3])[1].payload == {"v": "then"}
+    if root is not None:                      # another handle reads the same
+        assert [r.payload["v"] for r in RecordFileStore(root).scan()] == [
+            0, 1, "next", "then"]
+
+
+@on_both_devices
+def test_a_handle_that_cannot_take_a_write_back_writes_no_more(root):
+    store = RecordFileStore(root)
+    store.append({"v": 0})
+    with failing(store, "write", cut=False):
+        with pytest.raises(UncutWriteError):
+            store.append({"v": 1})
+    for write in (lambda: store.append({"v": 2}), lambda: store.delete(0),
+                  store.compact, store.rotate):
+        with pytest.raises(UncutWriteError):
+            write()
+    assert [r.payload["v"] for r in store.scan()] == [0, 1]  # it stayed
