@@ -10,9 +10,12 @@ Reported series:
       serializability check: final counters exactly equal the number of
       committed increments);
   (b) crash-recovery: committed work survives, in-flight work does not;
+      and reopen times — after many one-row commits, after one large
+      commit and a compact, after a checkpoint of that state;
   (c) WAL fsync durability cost.
 """
 
+import statistics
 import threading
 import time
 
@@ -92,6 +95,41 @@ def test_e11_concurrent_edit_throughput(benchmark):
     benchmark(one_edit)
 
 
+def _reopen_ms(directory, opens=5):
+    """Median wall time of opening ``directory``, in milliseconds."""
+    times = []
+    for _ in range(opens):
+        started = time.perf_counter()
+        Database(directory).close()
+        times.append((time.perf_counter() - started) * 1000.0)
+    return round(statistics.median(times), 1)
+
+
+def _reopen_times(tmp_path, rows=20_000, commits=5_000):
+    """Reopen after ``commits`` one-row commits, after one ``rows``-row
+    commit and a compact, and after a checkpoint of that state: the log a
+    reopen redoes, against the one record it loads."""
+    many = str(tmp_path / "one-row-commits")
+    db = Database(many)
+    db.create_table(_edit_table_schema())
+    for i in range(commits):
+        db.run(lambda t, i=i: t.insert(
+            "wiki_facts", {"id": i, "edits": 0, "body": f"fact {i}"}))
+    db.close()
+    bulk = str(tmp_path / "one-commit")
+    db = Database(bulk)
+    db.create_table(_edit_table_schema())
+    db.run(lambda t: t.insert_many("wiki_facts", [
+        {"id": i, "edits": i % 7, "body": f"fact {i}"} for i in range(rows)]))
+    db.compact("wiki_facts")
+    compacted = _reopen_ms(bulk)
+    db.checkpoint()
+    db.close()
+    return [[f"reopen ms after {commits:,} one-row commits", _reopen_ms(many)],
+            [f"reopen ms after one {rows:,}-row commit + compact", compacted],
+            ["reopen ms after a checkpoint of that state", _reopen_ms(bulk)]]
+
+
 def test_e11_crash_recovery(benchmark, tmp_path):
     db = Database(str(tmp_path / "db"))
     db.create_table(_edit_table_schema())
@@ -113,11 +151,13 @@ def test_e11_crash_recovery(benchmark, tmp_path):
     )
     write_table(
         "e11b_recovery",
-        "E11b: crash recovery — committed edits survive, in-flight do not",
+        "E11b: crash recovery — committed edits survive, in-flight do not; "
+        "reopen time (median of 5 opens)",
         ["metric", "value"],
         [["committed edits before crash", committed_edits],
          ["edits after recovery", total],
-         ["in-flight edit visible", "no" if total == committed_edits else "YES"]],
+         ["in-flight edit visible", "no" if total == committed_edits else "YES"],
+         *_reopen_times(tmp_path)],
     )
     assert total == committed_edits
     benchmark(lambda: Database(str(tmp_path / "db")))

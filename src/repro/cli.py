@@ -587,18 +587,29 @@ def main(argv: Sequence[str] | None = None) -> int:
     with ``--fail-fast`` this is the normal way a poisoned run ends.
     Query timeouts (deadline, lock-wait timeout, shutdown cancellation)
     exit :data:`EXIT_QUERY_TIMEOUT` so scripts can retry them blindly.
+    A reader that closes stdout early (``repro sql ... | head``) ends the
+    command quietly, with exit code 0.
     """
     args = build_parser().parse_args(argv)
     try:
         if args.telemetry is None:
-            return args.fn(args)
-        session = telemetry.enable(jsonl_path=args.telemetry)
-        try:
-            return args.fn(args)
-        finally:
-            session.finish()
-            telemetry.disable()
-            print(f"telemetry written to {args.telemetry}", file=sys.stderr)
+            code = args.fn(args)
+        else:
+            session = telemetry.enable(jsonl_path=args.telemetry)
+            try:
+                code = args.fn(args)
+            finally:
+                session.finish()
+                telemetry.disable()
+                print(f"telemetry written to {args.telemetry}",
+                      file=sys.stderr)
+        sys.stdout.flush()  # a closed reader surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, so the flush at exit
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except QueryTimeoutError as exc:
         print(f"repro: query timed out: {exc}", file=sys.stderr)
         return EXIT_QUERY_TIMEOUT

@@ -183,6 +183,16 @@ class RecordFileStore:
             if not line.get(_TOMBSTONE_KEY):
                 yield Record(record_id=rid, payload=line)
 
+    def replay(self) -> Iterator[Record]:
+        """Every record from the first, oldest first, each line parsed
+        once: the handle starts over (:meth:`rewind`) and reads through
+        its own end, so once the last record is read the next write has
+        only the torn suffix left to cut.  Keeps no positions and applies
+        no tombstone: for a log nothing is deleted from, the WAL."""
+        self.rewind()
+        for _, _, line in self._advance():
+            yield Record(record_id=line.pop("id"), payload=line)
+
     def scan(self) -> Iterator[Record]:
         """Sequentially yield all live records, oldest first."""
         records: dict[int, dict[str, Any]] = {}

@@ -88,8 +88,8 @@ def _load_table(image: dict[str, Any]) -> HeapTable:
     table = HeapTable(TableSchema.from_dict(image["schema"]),
                       shard_spec=None if key is None
                       else ShardSpec(key, image.get("shard_count", 1)))
-    for rid, values in image.get("rows", {}).items():
-        table.insert(values, rid=int(rid))
+    table.load([(int(rid), values)
+                for rid, values in image.get("rows", {}).items()])
     layout = image.get("segments")
     if layout and not table.restore_segments(layout):
         # The layout drifted from the rows: the un-restored remainder
@@ -1283,13 +1283,16 @@ class Database:
             self._rebuild_index(*key)
 
     def _redo(self, table: str, ops: Iterable[Sequence]) -> None:
-        """Replay logged writes to one table, in order (recovery: no
-        locks, and the indexes are loaded once the log has been read)."""
+        """Replay logged writes to one table, in order, each run of
+        inserts as one bulk load (recovery: no locks, and the indexes are
+        loaded once the log has been read)."""
         heap = self._tables[table]
-        for kind, rid, *image in ops:
+        for kind, run in groupby(ops, key=itemgetter(0)):
             if kind == "insert":
-                heap.insert(image[0], rid=rid)
+                heap.load([(rid, values) for _, rid, values in run])
             elif kind == "update":
-                heap.update(rid, image[0])
+                for _, rid, changes in run:
+                    heap.update(rid, changes)
             else:
-                heap.delete(rid)
+                for _, rid in run:
+                    heap.delete(rid)

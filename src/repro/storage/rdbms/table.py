@@ -24,8 +24,8 @@ inside a segment's range comes between two stretches of that segment.
 :meth:`scan_units` enumerates a table that way and :meth:`locate` maps
 index-produced rids to the same shape.  Sharing the stored value dicts is
 safe because the table never mutates one in place: every write stores a
-freshly validated dict, so a reader (or a snapshot) holding the old one
-keeps seeing the old values.
+freshly validated dict (a bulk load, dicts its caller hands over), so a
+reader (or a snapshot) holding the old one keeps seeing the old values.
 """
 
 from __future__ import annotations
@@ -251,7 +251,8 @@ class HeapTable:
     def insert(self, values: dict[str, Any], rid: int | None = None) -> Row:
         """Insert a row; returns the stored :class:`Row`.
 
-        ``rid`` may be forced (used by recovery replay); otherwise assigned.
+        ``rid`` may be forced (an abort's undo, :meth:`load`'s row-by-row
+        path); otherwise assigned.
 
         Raises:
             SchemaError: on schema or primary-key violations.
@@ -274,6 +275,52 @@ class HeapTable:
         if pk is not None:
             self._pk_index[row_values[pk]] = rid
         return Row(rid=rid, values=dict(row_values))
+
+    def load(self, rows: Sequence[tuple[int, dict[str, Any]]]) -> None:
+        """Store caller-owned ``(rid, values)`` rows as the same
+        ``insert(values, rid=rid)`` calls in order would (recovery).
+
+        The batch is checked whole (:meth:`_loadable`) and its dicts
+        are stored as they are, no row copied.  A batch that needs a
+        coercion or fails a check goes through :meth:`insert` row by row
+        instead, so the stored values and the first error are
+        :meth:`insert`'s.
+
+        Raises:
+            SchemaError: as :meth:`insert`.
+        """
+        rids = list(map(itemgetter(0), rows))
+        batch = list(map(itemgetter(1), rows))
+        if not rows or not self._loadable(rids, batch):
+            for rid, values in rows:
+                self.insert(values, rid=rid)
+            return
+        self._rows.update(rows)
+        pk = self._schema.primary_key
+        if pk is not None:
+            self._pk_index.update(zip(map(itemgetter(pk), batch), rids))
+        self._next_rid = max(self._next_rid, max(rids) + 1)
+
+    def _loadable(self, rids: list[int],
+                  batch: list[dict[str, Any]]) -> bool:
+        """Whether :meth:`insert` would store each of ``batch`` unchanged
+        under its rid: the schema keeps the dicts as they are
+        (:meth:`TableSchema.stores_as_is`), the primary keys are distinct,
+        not NULL and not held, and the rids distinct and not in use."""
+        if not self._schema.stores_as_is(batch):
+            return False
+        pk = self._schema.primary_key
+        if pk is not None:
+            keys = set(map(itemgetter(pk), batch))
+            if None in keys or len(keys) < len(batch) \
+                    or not self._pk_index.keys().isdisjoint(keys):
+                return False
+        wanted = set(rids)
+        if len(wanted) < len(rids) or not self._rows.keys().isdisjoint(wanted):
+            return False
+        top = max((s.max_rid for s in self._segments if s.count), default=-1)
+        return min(wanted) > top or all(
+            self._segment_of(rid) is None for rid in wanted if rid <= top)
 
     def _current(self, rid: int,
                  ) -> tuple[dict[str, Any], tuple[Segment, int] | None]:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from operator import itemgetter
+from typing import Any, Sequence
 
 
 class SchemaError(Exception):
@@ -72,6 +73,13 @@ class Column:
             raise SchemaError(f"column {self.name!r} is NOT NULL")
         return self.col_type.validate(value)
 
+    @cached_property
+    def stored_types(self) -> frozenset[type]:
+        """The types of the values :meth:`validate` returns as they are:
+        the column type's exact one, and NULL's where it is allowed."""
+        exact = _EXACT[self.col_type.value]
+        return frozenset((exact, type(None)) if self.nullable else (exact,))
+
 
 @dataclass(frozen=True)
 class TableSchema:
@@ -135,6 +143,16 @@ class TableSchema:
             )
         get = values.get
         return {col.name: col.validate(get(col.name)) for col in self.columns}
+
+    def stores_as_is(self, rows: Sequence[dict[str, Any]]) -> bool:
+        """Whether :meth:`validate_row` would return every one of ``rows``
+        equal to itself, keys in the same order: each has the columns'
+        keys in column order, and each column one pass over its cells'
+        types finds only :attr:`Column.stored_types`."""
+        if set(map(tuple, rows)) != {tuple(self.column_names)}:
+            return False
+        return all(set(map(type, map(itemgetter(col.name), rows)))
+                   <= col.stored_types for col in self.columns)
 
     def with_column(self, column: Column) -> "TableSchema":
         """A copy of this schema with one more column (schema evolution)."""

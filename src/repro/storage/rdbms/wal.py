@@ -94,13 +94,14 @@ class WriteAheadLog:
         return LogRecord(lsn, txn_id, rec_type, payload)
 
     def records(self) -> Iterator[LogRecord]:
-        """All records on disk, in LSN order; once read, the torn suffix is
-        cut from the file (and counted in ``recovery.truncated_records``).
+        """All records on disk, in LSN order, each parsed once; once read,
+        the torn suffix is cut from the file (and counted in
+        ``recovery.truncated_records``).
 
         Raises:
             ValueError: a damaged record with records after it.
         """
-        for record in self._log.scan():
+        for record in self._log.replay():
             payload = record.payload
             yield LogRecord(record.record_id, payload.pop("txn"),
                             payload.pop("type"), payload)

@@ -1,10 +1,13 @@
 """Tests for the command-line interface (full workflow over a workspace)."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
+from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
 
 
 @pytest.fixture
@@ -292,3 +295,39 @@ def test_cache_stats_and_clear(capsys, pages_dir, workspace, tmp_path):
     assert code == 0
     assert dict(line.split(None, 1) for line in out.splitlines())[
         "entries"] == "0"
+
+
+@pytest.mark.parametrize("lines_read, limit", [(3, 100_000), (0, 2)])
+def test_sql_into_a_reader_that_closes_early_exits_quietly(
+        capsys, tmp_path, lines_read, limit):
+    """``repro sql ... | head -3``: the reader takes three lines and closes
+    the pipe while a table larger than the pipe holds is being written —
+    or closes it before a short table is written at all."""
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    corpus, _ = generate_city_corpus(CityCorpusConfig(
+        num_cities=100, seed=3, styles=("infobox",)))
+    for doc in corpus:
+        (pages / f"{doc.doc_id}.txt").write_text(doc.text)
+    workspace = str(tmp_path / "ws")
+    program = tmp_path / "extract.xlog"
+    program.write_text('p = docs()\nf = extract(p, "infobox")\noutput f\n')
+    assert main(["--workspace", workspace, "ingest", str(pages)]) == 0
+    assert main(["--workspace", workspace, "generate", str(program)]) == 0
+    capsys.readouterr()
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "--workspace", workspace, "sql",
+         "SELECT * FROM facts", "--limit", str(limit)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    try:
+        head = [child.stdout.readline() for _ in range(lines_read)]
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 0
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert all(line.endswith(b"\n") for line in head)
+    assert err == b""
