@@ -40,7 +40,7 @@ import time
 
 from _tables import assert_gates, gate, write_table
 
-from repro.cache.store import DiskExtractionCache
+from repro.cache.store import LRUExtractionCache
 from repro.cluster.simulator import ClusterConfig, SimulatedCluster
 from repro.datagen.churn import churn_corpus
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
@@ -101,7 +101,7 @@ def bench_churn_sweep(num_docs: int, base_dir: str) -> list[dict]:
     cold_chars = cold.stats.total_chars_scanned
     out = []
     for rate in CHURN_RATES:
-        cache = DiskExtractionCache(
+        cache = LRUExtractionCache(
             os.path.join(base_dir, f"sweep_{num_docs}_{int(rate * 100)}"))
         primed = _run(day0, cache=cache)
         assert primed.rows == cold.rows, "cached cold run changed output"
@@ -143,7 +143,7 @@ def bench_speedup(num_docs: int, repeats: int, churn_rate: float,
         cold = _run(day1)
         cold_times.append(time.perf_counter() - started)
 
-        cache = DiskExtractionCache(os.path.join(base_dir, f"speed{i}"))
+        cache = LRUExtractionCache(os.path.join(base_dir, f"speed{i}"))
         _run(day0, cache=cache)  # prime on day-0 (not timed)
         started = time.perf_counter()
         warm = _run(day1, cache=cache)
@@ -168,7 +168,7 @@ def bench_determinism(num_docs: int, base_dir: str) -> dict:
     baseline = _run(day1)
 
     root = os.path.join(base_dir, "det_cache")
-    cache = DiskExtractionCache(root)
+    cache = LRUExtractionCache(root)
     _run(day0, cache=cache)
     for spec in ("serial", "thread", "process"):
         result = _run(day1, cache=cache, backend=spec)
@@ -183,7 +183,7 @@ def bench_determinism(num_docs: int, base_dir: str) -> dict:
         "cluster-backend output differs from inline or with a warm cache"
 
     cache.close()
-    reopened = DiskExtractionCache(root)
+    reopened = LRUExtractionCache(root)
     warm = _run(day1, cache=reopened)
     assert warm.stats.cache_misses == 0, \
         "reopened disk cache missed documents it had stored"

@@ -42,7 +42,7 @@ import time
 
 from _tables import assert_gates, gate, write_table
 
-from repro.cache.store import DiskExtractionCache
+from repro.cache.store import LRUExtractionCache
 from repro.cluster.backends import make_backend
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
 from repro.docmodel.document import Document
@@ -192,7 +192,7 @@ def bench_crash_recovery(base_dir: str, num_txns: int = 50) -> dict:
     corpus = _corpus(24)
     baseline = _run(corpus, InfoboxExtractor())
     cache_root = os.path.join(base_dir, "crash_cache")
-    cache = DiskExtractionCache(cache_root)
+    cache = LRUExtractionCache(cache_root)
     with use_registry(MetricsRegistry()):
         run_program(PROGRAM, corpus, _registry(InfoboxExtractor()),
                     optimize=False, cache=cache)
@@ -217,7 +217,7 @@ def bench_crash_recovery(base_dir: str, num_txns: int = 50) -> dict:
 
     registry = MetricsRegistry()
     with use_registry(registry):
-        reopened = DiskExtractionCache(cache_root)
+        reopened = LRUExtractionCache(cache_root)
         result = run_program(PROGRAM, corpus, _registry(InfoboxExtractor()),
                              optimize=False, cache=reopened)
     assert reopened.corrupt_entries >= 1, "flipped byte went unnoticed"

@@ -10,9 +10,11 @@ a 1% corpus update only extracts the 1% of documents that changed.
 * :mod:`repro.cache.fingerprint` — stable fingerprints of extractor
   *behaviour* (class, config, patterns, normalizers, cost params, and an
   explicit ``version`` developers bump to force invalidation).
-* :mod:`repro.cache.store` — the :class:`ExtractionCache` interface with
-  an in-memory LRU implementation and a persistent on-disk implementation
-  (JSONL segments, reusing the storage layer's record file store).
+* :mod:`repro.cache.store` — :class:`LRUExtractionCache`, one class: an
+  in-memory LRU of row lists, bounded by ``max_entries``; given a
+  directory, it also appends every entry to a record log there (the
+  storage layer's record file store) and reads back from the log what
+  memory no longer holds, so it persists across processes.
 
 The executor consults the cache per extract operator: documents partition
 into hits and misses, only the misses fan out on the execution backend,
@@ -21,17 +23,9 @@ uncached and across all execution backends (the determinism contract).
 """
 
 from repro.cache.fingerprint import extractor_fingerprint
-from repro.cache.store import (
-    DiskExtractionCache,
-    ExtractionCache,
-    LRUExtractionCache,
-    document_key,
-    make_cache,
-)
+from repro.cache.store import LRUExtractionCache, document_key, make_cache
 
 __all__ = [
-    "DiskExtractionCache",
-    "ExtractionCache",
     "LRUExtractionCache",
     "document_key",
     "extractor_fingerprint",

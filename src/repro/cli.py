@@ -9,8 +9,7 @@ Subcommands operate on a workspace directory (created on first use):
 * ``ingest <dir>`` — ingest every ``*.txt`` page of a directory as a new
   snapshot of the corpus;
 * ``generate <program.xlog>`` — run a declarative IE program and land
-  the difference from its last run (extractors must be registered
-  programmatically or via the built-in set, see ``--builtin``);
+  the difference from its last run (over the built-in extractors, below);
 * ``sql "<query>"`` — structured querying over the derived facts;
 * ``search "<keywords>"`` — keyword search over the raw pages;
 * ``suggest "<keywords>"`` — show structured reformulation candidates;
@@ -27,8 +26,8 @@ Subcommands operate on a workspace directory (created on first use):
 * ``stats <telemetry.jsonl> [--prom|--json]`` — trace/metrics report,
   Prometheus text exposition, or the raw merged snapshot.
 
-The ``--builtin`` extractor set registers the generic wiki extractors
-(infobox, tables, links), which cover the common case of wiki-flavoured
+Every command registers the built-in extractors, the generic wiki ones
+(``infobox``, ``links``), which cover the common case of wiki-flavoured
 corpora without any code.
 """
 
@@ -42,7 +41,7 @@ import time
 from typing import Sequence
 
 from repro import telemetry
-from repro.cache.store import DiskExtractionCache
+from repro.cache.store import LRUExtractionCache
 from repro.cluster.backends import BackendError
 from repro.cluster.simulator import TaskFailedError
 from repro.core.system import FACTS_TABLE, StructureManagementSystem
@@ -66,7 +65,7 @@ EXIT_EXECUTION_FAILURE = 3
 EXIT_QUERY_TIMEOUT = 4
 
 
-def _build_system(workspace: str, builtin: bool,
+def _build_system(workspace: str,
                   backend: str | None = None,
                   workers: int | None = None,
                   cache: str | None = None,
@@ -74,15 +73,14 @@ def _build_system(workspace: str, builtin: bool,
     system = StructureManagementSystem(workspace=workspace, backend=backend,
                                        backend_workers=workers, cache=cache,
                                        fail_fast=fail_fast)
-    if builtin:
-        system.registry.register_extractor("infobox", InfoboxExtractor())
-        system.registry.register_extractor("links", LinkExtractor())
+    system.registry.register_extractor("infobox", InfoboxExtractor())
+    system.registry.register_extractor("links", LinkExtractor())
     return system
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     """Ingest a directory of .txt pages into the workspace."""
-    system = _build_system(args.workspace, args.builtin)
+    system = _build_system(args.workspace)
     corpus = DirectoryCorpus(args.directory)
     count = system.ingest(corpus)
     print(f"ingested {count} pages into {args.workspace}")
@@ -92,9 +90,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     """Run (or EXPLAIN) a declarative IE program file."""
-    system = _build_system(args.workspace, args.builtin,
-                           backend=args.backend, workers=args.workers,
-                           cache=args.cache, fail_fast=args.fail_fast)
+    system = _build_system(args.workspace, backend=args.backend,
+                           workers=args.workers, cache=args.cache,
+                           fail_fast=args.fail_fast)
     with open(args.program, "r", encoding="utf-8") as f:
         source = f.read()
     if args.explain:
@@ -123,8 +121,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_sql(args: argparse.Namespace) -> int:
     """Run a SQL query over the derived facts and print a table."""
-    system = _build_system(args.workspace, args.builtin,
-                           backend=args.backend, workers=args.workers)
+    system = _build_system(args.workspace, backend=args.backend,
+                           workers=args.workers)
     rows = system.query(args.query)
     print(table(rows, limit=args.limit))
     system.close()
@@ -133,7 +131,7 @@ def cmd_sql(args: argparse.Namespace) -> int:
 
 def cmd_compact(args: argparse.Namespace) -> int:
     """Freeze a table's committed rows into columnar segments."""
-    system = _build_system(args.workspace, args.builtin)
+    system = _build_system(args.workspace)
     try:
         summary = system.compact(args.table)
     except KeyError:
@@ -149,7 +147,7 @@ def cmd_compact(args: argparse.Namespace) -> int:
 
 def cmd_reshard(args: argparse.Namespace) -> int:
     """Change a table's hash-partitioning layout."""
-    system = _build_system(args.workspace, args.builtin)
+    system = _build_system(args.workspace)
     try:
         if args.none:
             summary = system.reshard(args.table, None)
@@ -176,7 +174,7 @@ def cmd_reshard(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     """Keyword-search the raw pages; print ranked hits."""
-    system = _build_system(args.workspace, args.builtin)
+    system = _build_system(args.workspace)
     for hit in system.keyword(args.query, k=args.limit):
         print(f"{hit.score:8.3f}  {hit.doc_id}  {hit.snippet[:80]}")
     system.close()
@@ -185,7 +183,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_suggest(args: argparse.Namespace) -> int:
     """Print ranked structured reformulations of keywords."""
-    system = _build_system(args.workspace, args.builtin)
+    system = _build_system(args.workspace)
     translator = system.translator()
     candidates = translator.translate(args.query, k=args.limit)
     if not candidates:
@@ -204,7 +202,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print("explain takes a SQL query or an entity + attribute pair",
               file=sys.stderr)
         return 2
-    system = _build_system(args.workspace, args.builtin)
+    system = _build_system(args.workspace)
     if len(args.target) == 1:
         print(system.explain_sql(args.target[0]))
     else:
@@ -319,7 +317,10 @@ def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or clear the persistent extraction cache."""
     root = args.cache if args.cache is not None \
         else os.path.join(args.workspace, "cache")
-    cache = DiskExtractionCache(root)
+    if not os.path.isdir(root):  # nothing is cached; create nothing
+        print(f"no extraction cache under {root}: 0 entries")
+        return 0
+    cache = LRUExtractionCache(root)
     if args.action == "stats":
         for key, value in cache.stats().items():
             print(f"{key:12} {value}")
@@ -333,9 +334,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 def cmd_deadletter(args: argparse.Namespace) -> int:
     """Inspect, re-drive, or clear quarantined (poison) documents."""
-    system = _build_system(args.workspace, args.builtin,
-                           backend=args.backend, workers=args.workers,
-                           cache=args.cache)
+    system = _build_system(args.workspace, backend=args.backend,
+                           workers=args.workers, cache=args.cache)
     try:
         if args.action == "list":
             entries = system.deadletter.entries()
@@ -384,7 +384,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     from repro.core.streaming import DocDelta
     from repro.userlayer.monitoring import ContinuousQuery
 
-    system = _build_system(args.workspace, args.builtin, cache=args.cache)
+    system = _build_system(args.workspace, cache=args.cache)
     try:
         pipeline = system.streaming_pipeline(queue_size=args.queue_size)
         store, cursor = system.storage.raw, 0
@@ -424,7 +424,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 def cmd_facts(args: argparse.Namespace) -> int:
     """Browse stored facts as a table."""
-    system = _build_system(args.workspace, args.builtin)
+    system = _build_system(args.workspace)
     rows = system.query(
         f"SELECT entity, attribute, value_text, value_num, confidence "
         f"FROM {FACTS_TABLE} ORDER BY entity LIMIT {args.limit}"
@@ -442,8 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--workspace", default="./repro-workspace",
                         help="workspace directory (default ./repro-workspace)")
-    parser.add_argument("--builtin", action="store_true", default=True,
-                        help="register the built-in wiki extractors")
     parser.add_argument("--backend", choices=["serial", "thread", "process"],
                         default=None,
                         help="real parallel execution backend for extraction "

@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Collection, Iterable
 
-from repro.cache.store import ExtractionCache
+from repro.cache.store import LRUExtractionCache
 from repro.core.system import fact_row
 from repro.docmodel.document import Document
 from repro.errors import CancellationToken
@@ -132,7 +132,7 @@ class StreamingPipeline:
         resolver: EntityResolver | None = None,
         constraints: MatchConstraints | None = None,
         strategy: str = "weighted_vote",
-        cache: ExtractionCache | None = None,
+        cache: LRUExtractionCache | None = None,
         deadletter: DeadLetterStore | None = None,
         token: CancellationToken | None = None,
         queue_size: int = 64,

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Any, Iterable, Sequence
 
-from repro.cache.store import ExtractionCache, make_cache
+from repro.cache.store import LRUExtractionCache, make_cache
 from repro.core.serving import ServingGate
 from repro.errors import CancellationToken, QueryTimeoutError
 from repro.cluster.backends import ExecutionBackend, make_backend
@@ -172,7 +172,7 @@ class StructureManagementSystem:
         cache: extraction cache — ``None`` (off), ``"memory"`` (in-process
             LRU), any other string (directory for a persistent on-disk
             cache; survives across system instances), or an
-            :class:`~repro.cache.store.ExtractionCache` instance.  With a
+            :class:`~repro.cache.store.LRUExtractionCache`.  With a
             cache, ``generate()`` re-runs only extract documents whose
             text (or extractor configuration) changed since the cached
             run; output is byte-identical either way.
@@ -207,7 +207,7 @@ class StructureManagementSystem:
     registry: OperatorRegistry = field(default_factory=OperatorRegistry)
     backend: str | ExecutionBackend | None = None
     backend_workers: int | None = None
-    cache: ExtractionCache | str | None = None
+    cache: LRUExtractionCache | str | None = None
     retry: RetryPolicy | None = None
     fail_fast: bool = False
     auto_compact_rows: int | None = None

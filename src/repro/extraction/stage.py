@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.cache.fingerprint import extractor_fingerprint
-from repro.cache.store import ExtractionCache, Rows, document_key
+from repro.cache.store import LRUExtractionCache, Rows, document_key
 from repro.cluster.backends import ExecutionBackend
 from repro.docmodel.document import Document
 from repro.errors import CancellationToken
@@ -133,7 +133,7 @@ class StageResult:
 
 def run_stage(extractor: Any, docs: Sequence[Document],
               backend: ExecutionBackend | None = None,
-              cache: ExtractionCache | None = None,
+              cache: LRUExtractionCache | None = None,
               retry: RetryPolicy | None = None,
               fail_fast: bool = False,
               token: CancellationToken | None = None) -> StageResult:

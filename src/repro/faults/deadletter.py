@@ -8,8 +8,10 @@ document.  The store is a tolerant
 :class:`~repro.storage.filestore.RecordFileStore` log under the workspace
 (``<workspace>/deadletter/``), fsynced at every write, so quarantined
 documents survive process restarts and can be inspected / re-driven later
-via ``repro deadletter list|retry|clear``.  A removal is a tombstone; a
-torn last append is cut by the next write, never glued to it.
+via ``repro deadletter list|retry|clear``.  The store holds one entry per
+(document, extractor): quarantining a pair again replaces its entry.  A
+removal is a tombstone; a torn last append is cut by the next write,
+never glued to it.
 """
 
 from __future__ import annotations
@@ -59,12 +61,22 @@ class DeadLetterStore:
         self.add_many([entry])
 
     def add_many(self, entries: Iterable[DeadLetterEntry]) -> None:
+        """Quarantine ``entries``: one entry per (document, extractor), so
+        a pair already here is replaced — the latest error and attempts
+        win.  The new entries are appended before the old ones are
+        deleted: a crash between the two leaves both, never neither."""
         entries = list(entries)
         if not entries:
             return
-        self._log.append_many([asdict(entry) for entry in entries])
+        latest = {(e.doc_id, e.extractor): e for e in entries}
+        stale = [r.record_id for r in self._log.scan()
+                 if (r.payload.get("doc_id"), r.payload.get("extractor"))
+                 in latest]
+        self._log.append_many([asdict(entry) for entry in latest.values()])
+        if stale:
+            self._log.delete(*stale)
         metrics.get_registry().inc("deadletter.quarantined", len(entries))
-        self._resize(len(entries))
+        self._resize(len(latest) - len(stale))
 
     def clear(self) -> int:
         """Drop all entries; returns how many were dropped."""

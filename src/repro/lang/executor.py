@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Sequence
 
-from repro.cache.store import ExtractionCache, Rows
+from repro.cache.store import LRUExtractionCache, Rows
 from repro.cluster.backends import ExecutionBackend, make_backend
 from repro.docmodel.document import Document
 from repro.extraction.base import tuple_to_extraction
@@ -176,7 +176,7 @@ class Executor:
 
     def __init__(self, registry: OperatorRegistry,
                  backend: str | ExecutionBackend | None = None,
-                 cache: ExtractionCache | None = None,
+                 cache: LRUExtractionCache | None = None,
                  retry: RetryPolicy | None = None,
                  fail_fast: bool = False) -> None:
         self._registry = registry
@@ -423,7 +423,7 @@ class Executor:
 def run_program(source: str, corpus: Sequence[Document],
                 registry: OperatorRegistry, optimize: bool = True,
                 backend: str | ExecutionBackend | None = None,
-                cache: ExtractionCache | None = None,
+                cache: LRUExtractionCache | None = None,
                 retry: RetryPolicy | None = None,
                 fail_fast: bool = False) -> ExecutionResult:
     """Parse, (optionally) optimize, and execute an xlog program."""

@@ -92,9 +92,10 @@ class RecordFileStore:
                 characters first, so flipped bytes surface as JSON errors
                 rather than aborting the read), counting them in
                 :attr:`corrupt_lines` — the count from the most recent
-                complete scan.  Crash-safe readers — the extraction cache,
-                the dead-letter store, the slow-query log — opt in; the
-                strict default keeps silent data loss impossible elsewhere.
+                complete scan or :meth:`follow`.  Crash-safe readers — the
+                extraction cache, the dead-letter store, the slow-query
+                log — opt in; the strict default keeps silent data loss
+                impossible elsewhere.
             sync: fsync after every write (durable but slow).
         """
         if segment_max_records < 1:
@@ -109,12 +110,13 @@ class RecordFileStore:
         self.appended_bytes = 0
         # Live id -> (segment, offset), once follow() or get() has run; the
         # highest id read or written, and (segment, offset, lines) past it;
-        # the lines of the torn suffix past it; the segment this handle
-        # appends to (-1: none since it opened or closed).
+        # the lines of the torn suffix past it and of the damage before it
+        # (as the last read past the end counted them); the segment this
+        # handle appends to (-1: none since it opened or closed).
         self._where: dict[int, tuple[int, int]] | None = None
         self._top = -1
         self._end = (0, 0, 0)
-        self._torn = 0
+        self._torn = self._skipped = 0
         self._appending = -1
         # why a failed write could not be cut back out (None: none did)
         self._uncut: OSError | None = None
@@ -174,7 +176,9 @@ class RecordFileStore:
     def follow(self) -> Iterator[Record]:
         """Live records appended by other handles since this one last read
         (the whole log on the first call), oldest first.  From its first
-        call on, the handle keeps the records' positions for :meth:`get`."""
+        call on, the handle keeps the records' positions for :meth:`get`.
+        A tolerant store counts the damaged lines it read past and those
+        of the torn suffix in :attr:`corrupt_lines`."""
         if self._where is None:
             self._where = {}
         for index, start, line in self._advance():
@@ -182,6 +186,8 @@ class RecordFileStore:
             rid = line.pop("id")
             if not line.get(_TOMBSTONE_KEY):
                 yield Record(record_id=rid, payload=line)
+        if self._tolerant:
+            self.corrupt_lines = self._skipped + self._torn
 
     def replay(self) -> Iterator[Record]:
         """Every record from the first, oldest first, each line parsed
@@ -356,16 +362,19 @@ class RecordFileStore:
 
     def _advance(self) -> Iterator[tuple[int, int, dict[str, Any]]]:
         """(segment, offset, line) per record past this handle's end,
-        moving the end and the highest id over each; counts the lines of
-        the torn suffix, which the end stops before."""
-        self._torn = 0
+        moving the end and the highest id over each; counts the damaged
+        lines it moves past and those of the torn suffix, which the end
+        stops before."""
+        self._torn = self._skipped = 0
         for index, start, stop, line in self._read(*self._end[:2]):
             if stop is None:
                 self._torn += 1
                 continue
             count = self._end[2] + 1 if index == self._end[0] else 1
             self._end = (index, stop, count)
-            if line is not None:
+            if line is None:
+                self._skipped += 1
+            else:
                 self._top = max(self._top, line["id"])
                 yield index, start, line
 

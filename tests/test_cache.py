@@ -7,15 +7,15 @@ to the uncached run on every execution path, across runs and across a
 disk-cache close/reopen.
 """
 
+import gc
+import sys
+import threading
+import types
+
 import pytest
 
 from repro.cache.fingerprint import extractor_fingerprint
-from repro.cache.store import (
-    DiskExtractionCache,
-    LRUExtractionCache,
-    document_key,
-    make_cache,
-)
+from repro.cache.store import LRUExtractionCache, document_key, make_cache
 from repro.cluster.simulator import ClusterConfig, SimulatedCluster
 from repro.core.system import StructureManagementSystem
 from repro.docmodel.document import Document
@@ -145,23 +145,23 @@ def test_lru_eviction_and_counters():
 def test_disk_cache_survives_close_and_reopen(tmp_path):
     root = str(tmp_path / "cache")
     rows = [{"doc_id": "d1", "value": 1.5, "ok": True, "note": None}]
-    cache = DiskExtractionCache(root)
+    cache = LRUExtractionCache(root)
     cache.put("k1", "fp", rows)
     cache.put("k1", "fp2", [])
     cache.close()
 
-    reopened = DiskExtractionCache(root)
+    reopened = LRUExtractionCache(root)
     assert reopened.get("k1", "fp") == rows
     assert reopened.get("k1", "fp2") == []
     stats = reopened.stats()
     assert stats["entries"] == 2 and stats["kind"] == "disk"
     assert reopened.clear() is None
     assert reopened.get("k1", "fp") is None
-    assert DiskExtractionCache(root).stats()["entries"] == 0
+    assert LRUExtractionCache(root).stats()["entries"] == 0
 
 
 def test_disk_cache_refuses_rows_that_json_would_mangle(tmp_path):
-    cache = DiskExtractionCache(str(tmp_path / "cache"))
+    cache = LRUExtractionCache(str(tmp_path / "cache"))
     cache.put("k1", "fp", [{"value": (1, 2)}])  # tuple -> list under JSON
     assert cache.get("k1", "fp") is None  # skipped, not silently stored
 
@@ -172,7 +172,7 @@ def test_disk_cache_skips_corrupt_segment_lines(tmp_path):
     import os
 
     root = str(tmp_path / "cache")
-    cache = DiskExtractionCache(root)
+    cache = LRUExtractionCache(root)
     cache.put("k1", "fp", [{"doc_id": "d1", "value": 1}])
     cache.put("k2", "fp", [{"doc_id": "d2", "value": 2}])
     cache.put("k3", "fp", [{"doc_id": "d3", "value": 3}])
@@ -189,7 +189,7 @@ def test_disk_cache_skips_corrupt_segment_lines(tmp_path):
 
     registry = MetricsRegistry()
     with metrics.use_registry(registry):
-        reopened = DiskExtractionCache(root)
+        reopened = LRUExtractionCache(root)
     assert reopened.get("k1", "fp") == [{"doc_id": "d1", "value": 1}]
     assert reopened.get("k2", "fp") is None  # damaged -> miss
     assert reopened.get("k3", "fp") == [{"doc_id": "d3", "value": 3}]
@@ -203,23 +203,108 @@ def test_disk_cache_tolerates_torn_final_append(tmp_path):
     import os
 
     root = str(tmp_path / "cache")
-    cache = DiskExtractionCache(root)
+    cache = LRUExtractionCache(root)
     cache.put("k1", "fp", [{"doc_id": "d1", "value": 1}])
     cache.close()
     segment = os.path.join(root, sorted(os.listdir(root))[0])
     with open(segment, "a", encoding="utf-8") as f:
         f.write('{"id": 1, "doc": "k2", "ext": "fp", "rows": [{"trunc')
-    reopened = DiskExtractionCache(root)
+    reopened = LRUExtractionCache(root)
     assert reopened.get("k1", "fp") == [{"doc_id": "d1", "value": 1}]
     assert reopened.get("k2", "fp") is None
     assert reopened.corrupt_entries == 1
 
 
+def _row_lists_held(cache):
+    """How many lists of row dicts are reachable from ``cache``."""
+    seen, stack, held = set(), [cache], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, list) and obj and all(
+                isinstance(row, dict) and "doc_id" in row for row in obj):
+            held += 1
+        stack.extend(gc.get_referents(obj))
+    return held
+
+
+def test_a_directory_cache_holds_max_entries_rows_and_reads_the_rest(
+        tmp_path):
+    root = str(tmp_path / "cache")
+    entries = {
+        (f"k{i}", "fp"): [{"doc_id": f"d{i}", "value": i * 0.5, "n": i,
+                           "ok": i % 2 == 0, "note": None if i % 3 else "é"}]
+        * (1 + i % 3)
+        for i in range(200)}
+    cache = LRUExtractionCache(root, max_entries=10)
+    for (key, fp), rows in entries.items():
+        cache.put(key, fp, rows)
+    assert _row_lists_held(cache) <= 10
+    cache.close()
+
+    registry = MetricsRegistry()
+    with metrics.use_registry(registry):
+        reopened = LRUExtractionCache(root, max_entries=10)
+        assert len(reopened) == 200
+        assert _row_lists_held(reopened) <= 10
+        for (key, fp), rows in entries.items():
+            got = reopened.get(key, fp)
+            assert repr(got) == repr(rows), key
+            got[0]["value"] = "mutated"  # a caller's copy
+            assert repr(reopened.get(key, fp)) == repr(rows), key
+        assert _row_lists_held(reopened) <= 10
+    assert registry.get("cache.hits") == 400
+    assert registry.get("cache.misses") == 0
+    assert registry.get("cache.evictions") == 0  # the log forgets nothing
+    reopened.close()
+
+
+def test_threads_sharing_a_directory_cache_read_back_what_was_put(tmp_path):
+    cache = LRUExtractionCache(str(tmp_path / "cache"), max_entries=3)
+
+    def rows_of(key):
+        return [{"doc_id": key, "n": len(key)}]
+
+    errors = []
+
+    def worker(t):
+        try:
+            for i in range(200):
+                cache.put(f"t{t}-{i % 20}", "fp", rows_of(f"t{t}-{i % 20}"))
+                key = f"t{(t + 1) % 8}-{i * 7 % 20}"
+                got = cache.get(key, "fp")
+                if got not in (None, rows_of(key)):
+                    errors.append((key, got))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    cache.close()
+    reopened = LRUExtractionCache(str(tmp_path / "cache"), max_entries=3)
+    assert len(reopened) == 160
+    for key in (f"t{t}-{i}" for t in range(8) for i in range(20)):
+        assert reopened.get(key, "fp") == rows_of(key)
+
+
 def test_make_cache_specs(tmp_path):
     assert make_cache(None) is None
-    assert isinstance(make_cache("memory"), LRUExtractionCache)
+    assert make_cache("memory").stats()["kind"] == "memory"
     disk = make_cache(str(tmp_path / "c"))
-    assert isinstance(disk, DiskExtractionCache)
+    assert isinstance(disk, LRUExtractionCache)
+    assert disk.stats()["kind"] == "disk"
     assert make_cache(disk) is disk
     with pytest.raises(TypeError):
         make_cache(42)
@@ -325,11 +410,11 @@ def test_disk_cache_hits_across_reopen_via_executor(tmp_path):
     corpus = _corpus()
     baseline = run_program(PROGRAM, corpus, _registry())
 
-    first = DiskExtractionCache(root)
+    first = LRUExtractionCache(root)
     cold = run_program(PROGRAM, corpus, _registry(), cache=first)
     first.close()
 
-    second = DiskExtractionCache(root)
+    second = LRUExtractionCache(root)
     warm = run_program(PROGRAM, corpus, _registry(), cache=second)
     assert warm.stats.cache_hits == len(corpus)
     assert warm.stats.cache_misses == 0

@@ -297,6 +297,14 @@ def test_cache_stats_and_clear(capsys, pages_dir, workspace, tmp_path):
         "entries"] == "0"
 
 
+@pytest.mark.parametrize("action", ["stats", "clear"])
+def test_cache_commands_on_a_missing_directory_create_nothing(
+        capsys, workspace, action):
+    code, out = _run(capsys, "--workspace", workspace, "cache", action)
+    assert code == 0 and "0 entries" in out
+    assert not os.path.exists(workspace)
+
+
 @pytest.mark.parametrize("lines_read, limit", [(3, 100_000), (0, 2)])
 def test_sql_into_a_reader_that_closes_early_exits_quietly(
         capsys, tmp_path, lines_read, limit):

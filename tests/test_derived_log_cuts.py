@@ -19,7 +19,7 @@ import shutil
 
 import pytest
 
-from repro.cache.store import DiskExtractionCache
+from repro.cache.store import LRUExtractionCache
 from repro.core.system import StructureManagementSystem
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
 from repro.docmodel.document import Document
@@ -145,15 +145,18 @@ def test_a_cut_in_the_last_cache_put(base, tmp_path):
         _restore(root, {"seg-0000.jsonl": data[:cut]})
         registry = MetricsRegistry()
         with use_registry(registry):
-            cache = DiskExtractionCache(root)
-            index = dict(cache._index)
+            cache = LRUExtractionCache(root)
+            index = _cached(cache, full)
+            assert len(cache) == len(index)
             assert index == (full if cut == len(data) else before)
             cache.put("doc", "ext", [{"v": 1}])   # the next put is kept
             cache.close()
         torn = start < cut < len(data)
         assert registry.get("recovery.truncated_records") == int(torn)
-        again = DiskExtractionCache(root)
-        assert again._index == {**index, ("doc", "ext"): [{"v": 1}]}
+        again = LRUExtractionCache(root)
+        assert len(again) == len(index) + 1
+        assert _cached(again, [*full, ("doc", "ext")]) == {
+            **index, ("doc", "ext"): [{"v": 1}]}
         assert again.corrupt_entries == 0
         again.close()
         states.setdefault(len(index), data[:cut])
@@ -170,6 +173,12 @@ def test_a_cut_in_the_last_cache_put(base, tmp_path):
         assert _landed(warm) == _landed(cold)
         warm.close()
     cold.close()
+
+
+def _cached(cache, keys):
+    """The entries ``cache`` answers among ``keys``: (doc, ext) -> rows."""
+    return {key: rows for key in keys
+            if (rows := cache.get(*key)) is not None}
 
 
 def _files_cache_index(data):

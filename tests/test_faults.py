@@ -302,6 +302,22 @@ def test_deadletter_cut_at_every_byte_of_its_last_entry(tmp_path):
         assert DeadLetterStore(root).doc_ids() == kept[1:] + ["doc-3"], cut
 
 
+@on_both_devices
+def test_quarantining_a_pair_again_replaces_its_entry(root):
+    store = DeadLetterStore(root)
+    store.add(DeadLetterEntry("doc-1", "infobox", "boom", "ValueError", 3))
+    store.add(DeadLetterEntry("doc-1", "links", "other extractor"))
+    store.add_many([DeadLetterEntry("doc-2", "infobox", "a"),
+                    DeadLetterEntry("doc-1", "infobox", "kaput", "KeyError", 2),
+                    DeadLetterEntry("doc-2", "infobox", "b", attempts=4)])
+    assert [(e.doc_id, e.extractor, e.error, e.error_type, e.attempts)
+            for e in store.entries()] == [
+        ("doc-1", "links", "other extractor", "", 1),
+        ("doc-2", "infobox", "b", "", 4),
+        ("doc-1", "infobox", "kaput", "KeyError", 2)]
+    assert len(store) == 3
+
+
 def test_a_one_file_deadletter_store_is_refused(tmp_path):
     root = tmp_path / "dl"
     root.mkdir()
@@ -530,6 +546,23 @@ def test_system_quarantines_to_persistent_deadletter(tmp_path):
     system.close()
     # quarantine survives the restart
     reopened = _system(tmp_path, InfoboxExtractor())
+    assert reopened.deadletter.doc_ids() == [poison]
+    reopened.close()
+
+
+def test_a_page_that_fails_every_run_keeps_one_entry(tmp_path):
+    corpus = _corpus(8)
+    poison = corpus[2].doc_id
+    inj = FaultInjector(mode="error", keys=(poison,), persistent_share=1.0)
+    system = _system(tmp_path, FaultyExtractor(InfoboxExtractor(), inj))
+    system.ingest(corpus)
+    for _ in range(3):
+        assert system.generate(PROGRAM).failed_doc_ids == [poison]
+    system.close()
+    reopened = _system(tmp_path, FaultyExtractor(InfoboxExtractor(), inj))
+    assert reopened.deadletter.doc_ids() == [poison]
+    assert len(reopened.deadletter) == 1
+    assert reopened.retry_deadletter(PROGRAM) == (1, 1)
     assert reopened.deadletter.doc_ids() == [poison]
     reopened.close()
 

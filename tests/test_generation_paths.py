@@ -14,11 +14,7 @@ import os
 import pytest
 
 from repro.cache.fingerprint import extractor_fingerprint
-from repro.cache.store import (
-    DiskExtractionCache,
-    LRUExtractionCache,
-    document_key,
-)
+from repro.cache.store import LRUExtractionCache, document_key
 from repro.cluster.backends import make_backend
 from repro.cluster.simulator import ClusterConfig, SimulatedCluster
 from repro.core.streaming import DocDelta, StreamingPipeline
@@ -158,10 +154,12 @@ def test_repeated_doc_id_returns_each_occurrence_once(path):
 def _make_cache(kind, tmp_path, tag):
     if kind == "lru":
         return LRUExtractionCache()
-    return DiskExtractionCache(str(tmp_path / f"cache-{tag}"))
+    # "disk-1" holds one row list in memory: the other lookups read the log
+    return LRUExtractionCache(str(tmp_path / f"cache-{tag}"),
+                              max_entries=1 if kind == "disk-1" else 100_000)
 
 
-@pytest.mark.parametrize("kind", ["lru", "disk"])
+@pytest.mark.parametrize("kind", ["lru", "disk", "disk-1"])
 @pytest.mark.parametrize("filler", ["inline", "cluster", "streaming",
                                     "on-demand"])
 def test_a_cache_filled_by_one_path_is_all_hits_for_the_others(
@@ -184,7 +182,7 @@ def test_a_cache_filled_by_one_path_is_all_hits_for_the_others(
 
 
 # The two records a parent-commit (00cc226) run wrote for these documents
-# through ``DiskExtractionCache`` — the persisted form of the one codec.
+# through the cache's record log — the persisted form of the one codec.
 _PARENT_DOCS = [
     Document("d1", "{{Infobox city\n| name = Ur\n| population = 1200\n"
                    "| sep_temp = 71.5\n}}\n"),
@@ -211,7 +209,7 @@ def test_disk_cache_written_at_the_parent_commit_is_still_all_hits(
     root = tmp_path / "cache"
     os.makedirs(root)
     (root / "seg-0000.jsonl").write_bytes(_PARENT_SEGMENT)
-    cache = DiskExtractionCache(str(root))
+    cache = LRUExtractionCache(str(root))
     registry = MetricsRegistry()
     with use_registry(registry):
         rows, _ = run_path(path, InfoboxExtractor(), _PARENT_DOCS, cache)
