@@ -17,7 +17,15 @@ Checked invariants (the timing bars are recorded as a ``gates`` list in
     gated statement is the selective join; the 2% range read it used to
     be is still reported (``range_read``) but no longer gated — since
     late materialization (PR 16) executing it costs only ~6x a copy of
-    its own 2,000-row result, which is all a cache hit can save.
+    its own 2,000-row result, which is all a cache hit can save.  The
+    hit pays the shape pass that finds the statement's prepared shape.
+
+Reported, not gated (``prepared_reads``): 2,000 primary-key reads of one
+shape, each with its own literal (every one a result-cache miss), through
+``QueryResultCache`` — the median read and the share of lex + parse +
+plan in the reads' time: per read the shape pass and the binding of the
+literals into the statement and its plan, and once, for the first text,
+lex, parse and prepare.
 
 Run standalone (writes ``results/BENCH_e19.json``)::
 
@@ -33,12 +41,15 @@ import argparse
 import json
 import os
 import random
+import statistics
 import sys
 import time
 
 from _tables import assert_gates, gate, write_table
 
+from repro.storage.rdbms import sql as sqlmod
 from repro.storage.rdbms.engine import Database
+from repro.storage.rdbms.planner import Planner
 from repro.storage.rdbms.qcache import QueryResultCache
 from repro.storage.rdbms.sql import execute_sql
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
@@ -188,11 +199,62 @@ def bench_result_cache(db: Database, num_items: int, repeats: int) -> dict:
     }
 
 
+#: What a served read spends before it executes: finding the statement
+#: (the shape pass; lex and parse for a new shape) and planning it
+#: (prepare for a new shape, bind for every read).
+_FRONT = ((sqlmod, "statement_shape"), (sqlmod, "_lex"),
+          (sqlmod, "parse_sql"), (sqlmod, "statement_key"),
+          (sqlmod, "binds_exactly"), (sqlmod, "bind_literals"),
+          (Planner, "prepare"), (Planner, "bind"))
+
+
+def bench_prepared_reads(db: Database, reads: int) -> dict:
+    """``reads`` point reads of one shape, each with its own literal, so
+    every one misses the result cache: the median read, and the share of
+    the reads' time spent lexing, parsing and planning (reported, not
+    gated)."""
+    cache = QueryResultCache(db)
+    spent, depth = [0.0], [0]
+
+    def timed(fn):
+        def wrapper(*args, **kwargs):
+            if depth[0]:  # inside another timed call: counted there
+                return fn(*args, **kwargs)
+            depth[0] += 1
+            started = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[0] += time.perf_counter() - started
+                depth[0] -= 1
+        return wrapper
+
+    originals = [(owner, name, getattr(owner, name))
+                 for owner, name in _FRONT]
+    for owner, name, fn in originals:
+        setattr(owner, name, timed(fn))
+    try:
+        times = []
+        for key in random.Random(40).sample(range(db.table_size("items")),
+                                            reads):
+            started = time.perf_counter()
+            cache.execute("SELECT item_id, category, score FROM items "
+                          f"WHERE item_id = {key}")
+            times.append(time.perf_counter() - started)
+    finally:
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
+    return {"reads": reads,
+            "median_seconds": statistics.median(times),
+            "lex_parse_plan_share": spent[0] / sum(times)}
+
+
 def run_bench(num_items: int = 100_000, repeats: int = 3,
               smoke: bool = False) -> dict:
     db = build_db(num_items)
     queries = bench_planner(db, num_items, repeats)
     cache = bench_result_cache(db, num_items, repeats)
+    prepared = bench_prepared_reads(db, min(2000, num_items))
 
     write_table(
         "e19_query_serving",
@@ -214,6 +276,14 @@ def run_bench(num_items: int = 100_000, repeats: int = 3,
           cache["range_read"]["warm_seconds"],
           cache["range_read"]["speedup"]]],
     )
+    write_table(
+        "e19_prepared_reads",
+        f"E19: {prepared['reads']} point reads of one shape, each its own "
+        f"literal (result-cache misses; not gated)",
+        ["median read us", "lex + parse + plan share"],
+        [[prepared["median_seconds"] * 1e6,
+          prepared["lex_parse_plan_share"]]],
+    )
 
     gates = []
     if not smoke:
@@ -228,6 +298,7 @@ def run_bench(num_items: int = 100_000, repeats: int = 3,
         "num_items": num_items,
         "queries": queries,
         "result_cache": cache,
+        "prepared_reads": prepared,
         "gates": gates,
     }
     os.makedirs(RESULTS_DIR, exist_ok=True)

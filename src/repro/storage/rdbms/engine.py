@@ -673,6 +673,11 @@ class Database:
         #: reuse a version number.
         self._table_versions: dict[str, int] = {}
         self._version_seq = 0
+        #: Bumped by every change of what a plan is chosen from besides
+        #: the data: tables, schemas, indexes, shard layouts.  A prepared
+        #: SELECT (:meth:`~repro.storage.rdbms.planner.Planner.prepare`)
+        #: is re-prepared when it moved.
+        self.catalog_version = 0
         #: Per-table snapshot cache: only the first reader after a commit
         #: (or a change of layout) pays the O(tail) copy.
         self._snapshot_cache: dict[str, Any] = {}
@@ -741,6 +746,7 @@ class Database:
                 raise SchemaError(f"table {schema.name!r} already exists")
             self._tables[schema.name] = HeapTable(schema, shard_spec=spec)
             self._bump_versions({schema.name})
+            self.catalog_version += 1
             payload: dict[str, Any] = {"schema": schema.to_dict()}
             if spec is not None:
                 payload["shard_key"] = spec.key
@@ -758,6 +764,7 @@ class Database:
             self._bump_versions({name})
             self._table_versions.pop(name, None)
             self._drop_indexes(name)
+            self.catalog_version += 1
             self._log(0, "drop_table", table=name)
         self._notify(CommitDelta(ddl=frozenset({name})))
 
@@ -780,6 +787,7 @@ class Database:
             for key in [k for k in self._indexes if k[0] == name]:
                 self._rebuild_index(*key)
             self._bump_versions({name})
+            self.catalog_version += 1
         self._notify(CommitDelta(ddl=frozenset({name})))
 
     def table_names(self) -> list[str]:
@@ -810,6 +818,7 @@ class Database:
             index = self._indexes[(table, column)] = \
                 _INDEX_KINDS[kind](table, column)
             index.bulk_load(self._table(table).column_items(column))
+            self.catalog_version += 1
             self._log(0, "create_index", table=table, column=column,
                       kind=kind)
 
@@ -898,6 +907,7 @@ class Database:
             with self._mutate_lock:
                 heap = self._table(table)
                 heap.set_shard_spec(spec)
+                self.catalog_version += 1
                 self._log(0, "reshard", table=table, shard_key=shard_key,
                           shard_count=spec.count if spec else 1)
                 self._snapshot_cache.pop(table, None)

@@ -158,11 +158,6 @@ def _range_conjunct(node: Any) -> tuple[ColumnRef, str, Any] | None:
     return cmp if cmp is not None and cmp[1] in _FLIPPED_OP else None
 
 
-def _remove(conjuncts: list[Any], consumed: list[Any]) -> list[Any]:
-    """Conjuncts minus the consumed *instances* (identity, not equality)."""
-    return [c for c in conjuncts if not any(c is used for used in consumed)]
-
-
 # ------------------------------------------------------ vectorized kernels
 
 
@@ -633,19 +628,29 @@ class ScanPredicate:
 
     __slots__ = ("conjuncts", "vector", "fallback", "full")
 
-    def __init__(self, conjuncts: list[Any], schema: Any, table: str) -> None:
+    def __init__(self, conjuncts: list[Any], schema: Any, table: str,
+                 kernel: Sequence[bool] | None = None) -> None:
+        """``kernel``: :meth:`kernel_flags` of the conjuncts, when a
+        prepared statement holds them already."""
+        if kernel is None:
+            kernel = self.kernel_flags(conjuncts, schema, table)
         self.conjuncts = list(conjuncts)
-        self.vector: list[Any] = []
-        fallback: list[Any] = []
+        self.vector = list(compress(conjuncts, kernel))
+        self.fallback = conjoin(
+            [c for c, vector in zip(conjuncts, kernel) if not vector])
+        self.full = conjoin(self.conjuncts)
+
+    @staticmethod
+    def kernel_flags(conjuncts: list[Any], schema: Any,
+                     table: str) -> tuple[bool, ...]:
+        """Per conjunct: True when it runs as a column kernel over
+        ``table`` — it tests one of its columns against constants."""
+        flags = []
         for conjunct in conjuncts:
             ref = _conjunct_column(conjunct)
-            if ref is not None and ref.table in (None, table) \
-                    and schema.has_column(ref.name):
-                self.vector.append(conjunct)
-            else:
-                fallback.append(conjunct)
-        self.fallback = conjoin(fallback)
-        self.full = conjoin(self.conjuncts)
+            flags.append(ref is not None and ref.table in (None, table)
+                         and schema.has_column(ref.name))
+        return tuple(flags)
 
     def feedback_keys(self) -> list[tuple[str, str]]:
         return [key for c in self.conjuncts for key in _feedback_keys(c)]
@@ -1385,6 +1390,43 @@ def _sort_ranks(keys: list[Any]) -> list[Any]:
     return keys
 
 
+_OutputStage = tuple[bool, tuple[tuple[str, str], ...] | None, str | None]
+
+
+def _output_stage(stmt: SelectStatement, schema: Any,
+                  aggregate_stage: bool) -> _OutputStage:
+    """How :class:`SelectPlan`'s output stage reads rows, from the
+    statement and its table's schema alone:
+
+    * ``finished`` — rows reach it as finished result dicts: out of the
+      aggregate stage, joined (``SELECT *`` keeps the joined row as it
+      is), or projected one by one in ``_projected``;
+    * ``items`` — ``(output key, source column)`` per select item when
+      each one names a column of the single source table, so rows can be
+      projected late, straight off the units;
+    * ``order_col`` — the key ORDER BY reads off a row (None: nothing to
+      order by).
+    """
+    order_col = order_key(stmt) if stmt.order_by is not None else None
+    finished = aggregate_stage or stmt.join_table is not None
+    if finished or stmt.star:
+        return finished, None, order_col
+    columns = {name: name for name in schema.column_names}
+    try:
+        items = tuple((item.key(), _resolve(columns, item.expr))
+                      for item in stmt.items)
+    except SqlError:
+        # An unknown column surfaces per row, like the naive projection.
+        return True, None, order_col
+    if order_col is not None:
+        # ORDER BY sees the projected row: the last item under the key
+        # supplies it; with none the key is absent from every row and
+        # the order is a no-op.
+        order_col = next(
+            (src for key, src in reversed(items) if key == order_col), None)
+    return False, items, order_col
+
+
 class SelectPlan:
     """A planned SELECT: the operator tree ``root`` (``source`` is its
     scan/join subtree, WHERE fully applied, below the aggregate stage if
@@ -1401,7 +1443,7 @@ class SelectPlan:
 
     def __init__(self, source: PlanNode, stmt: SelectStatement,
                  use_topk: bool, aggregate: Aggregate | None,
-                 schema: Any) -> None:
+                 output: _OutputStage) -> None:
         self.source = source
         self.root: PlanNode = aggregate or source
         self.stmt = stmt
@@ -1409,34 +1451,7 @@ class SelectPlan:
         #: non-None only under EXPLAIN ANALYZE: actuals of the "output"
         #: pseudo stage (projection + order/limit)
         self.output_profile: OperatorProfile | None = None
-        #: the key ORDER BY reads off a row (None: nothing to order by)
-        self._order_col = order_key(stmt) if stmt.order_by is not None \
-            else None
-        #: ``(output key, source column)`` per select item when each one
-        #: names a column of the single source table, so rows can be
-        #: projected late, straight off the units
-        self._items: list[tuple[str, str]] | None = None
-        #: rows reach the output stage as finished result dicts: out of
-        #: the aggregate stage, joined (``SELECT *`` keeps the joined row
-        #: as it is), or projected one by one in :meth:`_projected`
-        self._finished = aggregate is not None or stmt.join_table is not None
-        if self._finished or stmt.star:
-            return
-        columns = {name: name for name in schema.column_names}
-        try:
-            self._items = [(item.key(), _resolve(columns, item.expr))
-                           for item in stmt.items]
-        except SqlError:
-            # An unknown column surfaces per row, like the naive projection.
-            self._finished = True
-            return
-        if self._order_col is not None:
-            # ORDER BY sees the projected row: the last item under the
-            # key supplies it; with none the key is absent from every row
-            # and the order is a no-op.
-            self._order_col = next(
-                (src for key, src in reversed(self._items)
-                 if key == self._order_col), None)
+        self._finished, self._items, self._order_col = output
 
     # ------------------------------------------------------------ execution
 
@@ -1611,8 +1626,65 @@ class _AccessChoice:
     rank: int  # tie-break: lower rank preferred
 
 
+@dataclass(frozen=True, slots=True)
+class _AccessShape:
+    """What :meth:`Planner.plan_access` reads off the catalog for one
+    table and its conjuncts, by conjunct position: which run as column
+    kernels, which can probe a hash or sorted index or the primary key,
+    and which bound a sorted-index range, per column.  It holds no
+    literal: each bind costs these candidates for its own."""
+
+    table: str
+    kernel: tuple[bool, ...]
+    probes: tuple[tuple[int, str, str], ...]  # (position, column, kind)
+    pk: tuple[int, str] | None  # (position, key column)
+    ranges: tuple[tuple[str, tuple[int, ...]], ...]  # (column, positions)
+
+
+@dataclass(frozen=True, slots=True)
+class _JoinShape:
+    """A join's literal-independent half: each conjunct's side (by
+    position; None stays above the join), the ON columns, each side's
+    access shape over its own conjuncts, and the kind of the index an
+    index-nested-loop probe of each side would use (None: no index)."""
+
+    sides: tuple[str | None, ...]
+    left_col: str
+    right_col: str
+    left: _AccessShape
+    right: _AccessShape
+    left_index: str | None
+    right_index: str | None
+
+
+@dataclass(frozen=True, slots=True)
+class PreparedSelect:
+    """The literal-independent half of a SELECT's plan
+    (:meth:`Planner.prepare`), valid while the database's
+    ``catalog_version`` is ``catalog``.  Immutable: binds on any thread
+    share it, and every node of a bound plan is the bind's own."""
+
+    catalog: int
+    aggregate_stage: bool
+    use_topk: bool
+    schema: Any  # the FROM table's
+    kernel: tuple[bool, ...]  # per WHERE conjunct, over the FROM table
+    access: _AccessShape | None  # a single-table statement's
+    join: _JoinShape | None
+    output: _OutputStage
+
+
 class Planner:
-    """Builds physical plans for SELECT sourcing and DML row matching."""
+    """Builds physical plans for SELECT sourcing and DML row matching.
+
+    Planning is two phases of one planner.  :meth:`prepare` reads the
+    catalog — the conjunct split, what each conjunct can probe, which run
+    as column kernels, the aggregate and output stages — once per
+    statement shape; :meth:`bind` reads a statement's literals, the
+    data's size and the statistics: every selectivity, estimate and
+    cost, the cheapest candidate, the fan-out.  :meth:`plan_select` and
+    :meth:`plan_access` are the two phases in a row.
+    """
 
     def __init__(self, db: Database) -> None:
         self._db = db
@@ -1641,11 +1713,28 @@ class Planner:
             return min(max(total, MIN_SELECTIVITY), 1.0)
         return 0.5
 
+    def _selectivity(self, table: str) -> Callable[[Any], float]:
+        """:meth:`_conjunct_selectivity` over ``table``, asking the
+        statistics once per conjunct however many candidates cost it (for
+        the length of one plan: it keys on the conjunct's identity)."""
+        memo: dict[int, float] = {}
+
+        def selectivity(conjunct: Any) -> float:
+            key = id(conjunct)
+            if key not in memo:
+                memo[key] = self._conjunct_selectivity(table, conjunct)
+            return memo[key]
+
+        return selectivity
+
     def _filtered_estimate(self, table: str, base_rows: float,
-                           conjuncts: Iterable[Any]) -> float:
+                           conjuncts: Iterable[Any],
+                           selectivity: Callable[[Any], float] | None = None,
+                           ) -> float:
+        selectivity = selectivity or self._selectivity(table)
         est = base_rows
         for conjunct in conjuncts:
-            est *= self._conjunct_selectivity(table, conjunct)
+            est *= selectivity(conjunct)
         return max(est, 0.0)
 
     # -------------------------------------------------------- access paths
@@ -1663,66 +1752,102 @@ class Planner:
         Raises:
             KeyError: unknown table.
         """
-        n = float(self._db.table_size(table))
+        node, residual = self._bind_access(
+            self._prepare_access(table, conjuncts), conjuncts,
+            prefer_columnar, self._selectivity(table))
+        return node, [conjuncts[pos] for pos in residual]
+
+    def _prepare_access(self, table: str,
+                        conjuncts: list[Any]) -> _AccessShape:
+        heap = self._db._table(table)
+        schema = heap.schema
+        probes: list[tuple[int, str, str]] = []
+        pk: tuple[int, str] | None = None
+        ranges: dict[str, list[int]] = {}
+        for pos, conjunct in enumerate(conjuncts):
+            eq = _eq_conjunct(conjunct)
+            if eq is not None and eq[1] is not None:
+                column = eq[0].name
+                kind = self._index_kind(table, column)
+                if kind is not None:
+                    probes.append((pos, column, kind))
+                if pk is None and column == schema.primary_key:
+                    pk = pos, column
+            rng = _range_conjunct(conjunct)
+            if rng is not None and rng[2] is not None \
+                    and self._db.sorted_index(table, rng[0].name) is not None:
+                ranges.setdefault(rng[0].name, []).append(pos)
+        return _AccessShape(
+            table, ScanPredicate.kernel_flags(conjuncts, schema, table),
+            tuple(probes), pk,
+            tuple((column, tuple(at)) for column, at in ranges.items()))
+
+    def _index_kind(self, table: str, column: str) -> str | None:
+        index = self._db._find_index(table, column)
+        if index is None:
+            return None
+        return "sorted" if isinstance(index, SortedIndex) else "hash"
+
+    def _bind_access(self, shape: _AccessShape, conjuncts: list[Any],
+                     prefer_columnar: bool,
+                     selectivity: Callable[[Any], float],
+                     ) -> tuple[PlanNode, list[int]]:
+        """The cheapest of ``shape``'s candidates for these conjuncts
+        (by ``(cost, rank)``, the first of equals) and the positions of
+        the conjuncts it leaves to a filter."""
+        table = shape.table
+        heap = self._db._table(table)
+        rows = len(heap)
+        n = float(rows)
         choices: list[_AccessChoice] = [
             _AccessChoice(FullScan(table), [], n, n, rank=2)
         ]
-        heap = self._db._table(table)
-        seg_rows = len(heap) - heap.tail_size
+        seg_rows = rows - heap.tail_size
         if seg_rows:
-            pred = ScanPredicate(conjuncts, heap.schema, table)
+            pred = ScanPredicate(conjuncts, heap.schema, table, shape.kernel)
             discount = _COLUMNAR_DISCOUNT if pred.fallback is None else 1.0
             if prefer_columnar and pred.fallback is None:
                 discount *= 0.5
             cost = heap.tail_size + seg_rows * discount + _PROBE_COST
             choices.append(_AccessChoice(
                 SegmentScan(table, pred), list(conjuncts),
-                self._filtered_estimate(table, n, conjuncts), cost, rank=1,
+                self._filtered_estimate(table, n, conjuncts, selectivity),
+                cost, rank=1,
             ))
-        for conjunct in conjuncts:
-            eq = _eq_conjunct(conjunct)
-            if eq is None or eq[1] is None:
-                continue
-            column = eq[0].name
-            index = self._db._find_index(table, column)
-            if index is None:
-                continue
-            kind = "sorted" if isinstance(index, SortedIndex) else "hash"
-            selectivity = self._stats.eq_selectivity(table, column, eq[1])
-            est = max(n * selectivity, 0.0)
+        for pos, column, kind in shape.probes:
+            conjunct = conjuncts[pos]
+            est = max(n * selectivity(conjunct), 0.0)
             choices.append(_AccessChoice(
-                IndexLookup(table, column, eq[1], kind), [conjunct],
-                est, est + _PROBE_COST, rank=0,
+                IndexLookup(table, column, _eq_conjunct(conjunct)[1], kind),
+                [conjunct], est, est + _PROBE_COST, rank=0,
             ))
-        pk = heap.schema.primary_key
-        for conjunct in conjuncts if pk is not None else ():
-            eq = _eq_conjunct(conjunct)
-            if eq is not None and eq[1] is not None and eq[0].name == pk:
-                # One row per key (NDV = row count), found in one probe;
-                # listed after the indexes, so an index on the key column
-                # that estimates the same single row keeps its plan.
-                est = min(n, 1.0)
-                choices.append(_AccessChoice(
-                    PkLookup(table, pk, eq[1]), [conjunct],
-                    est, est + _PROBE_COST, rank=0,
-                ))
-                break
-        for column, bounds in self._range_bounds(conjuncts).items():
-            index = self._db.sorted_index(table, column)
-            if index is None:
-                continue
-            low, high, include_low, include_high, consumed = bounds
-            selectivity = self._stats.range_selectivity(
-                table, column, low, high, include_low, include_high)
-            est = max(n * selectivity, 0.0)
+        if shape.pk is not None:
+            # One row per key (NDV = row count), found in one probe;
+            # listed after the indexes, so an index on the key column
+            # that estimates the same single row keeps its plan.
+            pos, pk = shape.pk
+            est = min(n, 1.0)
             choices.append(_AccessChoice(
-                RangeScan(table, column, low, high, include_low, include_high),
-                consumed, est, est + _PROBE_COST + math.log2(n + 2), rank=1,
+                PkLookup(table, pk, _eq_conjunct(conjuncts[pos])[1]),
+                [conjuncts[pos]], est, est + _PROBE_COST, rank=0,
+            ))
+        for column, positions in shape.ranges:
+            consumed = [conjuncts[pos] for pos in positions]
+            bounds = self._range_bounds(consumed)
+            if bounds is None:
+                continue
+            est = max(n * self._stats.range_selectivity(
+                table, column, *bounds), 0.0)
+            choices.append(_AccessChoice(
+                RangeScan(table, column, *bounds), consumed,
+                est, est + _PROBE_COST + math.log2(n + 2), rank=1,
             ))
         best = min(choices, key=lambda c: (c.cost, c.rank))
-        node, residual = best.node, _remove(conjuncts, best.consumed)
+        node = best.node
         node.est_rows = best.est_rows
         node.cost = best.cost
+        residual = [pos for pos, conjunct in enumerate(conjuncts)
+                    if not any(conjunct is used for used in best.consumed)]
         fanned = _parallel.plan_parallel_scan(self, table, conjuncts, best)
         if fanned is not None:
             # The fan-out's workers apply the full predicate.
@@ -1731,42 +1856,30 @@ class Planner:
         return node, residual
 
     @staticmethod
-    def _range_bounds(
-        conjuncts: list[Any],
-    ) -> dict[str, tuple[Any, Any, bool, bool, list[Any]]]:
-        """Combined (low, high, incl_low, incl_high, consumed) per column
-        with at least one range conjunct; columns whose bounds cannot be
-        combined (mixed incomparable literal types) are dropped."""
-        grouped: dict[str, list[tuple[str, Any, Any]]] = {}
-        for conjunct in conjuncts:
-            rng = _range_conjunct(conjunct)
-            if rng is None or rng[2] is None:
-                continue
-            grouped.setdefault(rng[0].name, []).append(
-                (rng[1], rng[2], conjunct))
-        out: dict[str, tuple[Any, Any, bool, bool, list[Any]]] = {}
-        for column, entries in grouped.items():
-            low: Any = None
-            high: Any = None
-            include_low = include_high = True
-            consumed: list[Any] = []
-            try:
-                for op, value, conjunct in entries:
-                    if op in (">", ">="):
-                        inclusive = op == ">="
-                        if low is None or value > low or (
-                                value == low and include_low and not inclusive):
-                            low, include_low = value, inclusive
-                    else:
-                        inclusive = op == "<="
-                        if high is None or value < high or (
-                                value == high and include_high and not inclusive):
-                            high, include_high = value, inclusive
-                    consumed.append(conjunct)
-            except TypeError:
-                continue  # incomparable bounds: leave it all to the filter
-            out[column] = (low, high, include_low, include_high, consumed)
-        return out
+    def _range_bounds(conjuncts: list[Any],
+                      ) -> tuple[Any, Any, bool, bool] | None:
+        """Combined (low, high, incl_low, incl_high) of one column's range
+        conjuncts, or None when their literals are incomparable (it is
+        all left to the filter)."""
+        low: Any = None
+        high: Any = None
+        include_low = include_high = True
+        try:
+            for conjunct in conjuncts:
+                _, op, value = _range_conjunct(conjunct)
+                if op in (">", ">="):
+                    inclusive = op == ">="
+                    if low is None or value > low or (
+                            value == low and include_low and not inclusive):
+                        low, include_low = value, inclusive
+                else:
+                    inclusive = op == "<="
+                    if high is None or value < high or (
+                            value == high and include_high and not inclusive):
+                        high, include_high = value, inclusive
+        except TypeError:
+            return None
+        return low, high, include_low, include_high
 
     # --------------------------------------------------------------- joins
 
@@ -1805,39 +1918,49 @@ class Planner:
             left, right = right, left
         return left.name, right.name
 
-    def _plan_join(self, stmt: SelectStatement,
-                   conjuncts: list[Any]) -> tuple[PlanNode, list[Any]]:
+    def _prepare_join(self, stmt: SelectStatement,
+                      conjuncts: list[Any]) -> _JoinShape:
+        left_col, right_col = self.join_columns(stmt)
+        sides = tuple(self._side_of(c, stmt) for c in conjuncts)
+        return _JoinShape(
+            sides, left_col, right_col,
+            self._prepare_access(stmt.table, _on_side(conjuncts, sides,
+                                                      "left")),
+            self._prepare_access(stmt.join_table, _on_side(conjuncts, sides,
+                                                           "right")),
+            self._index_kind(stmt.table, left_col),
+            self._index_kind(stmt.join_table, right_col))
+
+    def _bind_join(self, shape: _JoinShape, stmt: SelectStatement,
+                   conjuncts: list[Any]) -> tuple[PlanNode, list[int]]:
         registry = metrics.get_registry()
         left_table, right_table = stmt.table, stmt.join_table
-        left_col, right_col = self.join_columns(stmt)
-
-        left_conjuncts: list[Any] = []
-        right_conjuncts: list[Any] = []
-        residual: list[Any] = []
-        for conjunct in conjuncts:
-            side = self._side_of(conjunct, stmt)
-            if side == "left":
-                left_conjuncts.append(conjunct)
-            elif side == "right":
-                right_conjuncts.append(conjunct)
-            else:
-                residual.append(conjunct)
+        left_col, right_col = shape.left_col, shape.right_col
+        left_conjuncts = _on_side(conjuncts, shape.sides, "left")
+        right_conjuncts = _on_side(conjuncts, shape.sides, "right")
+        residual = [pos for pos, side in enumerate(shape.sides)
+                    if side is None]
         registry.inc("planner.conjuncts.pushed",
                      len(left_conjuncts) + len(right_conjuncts))
 
-        def side_node(table: str, side_conjuncts: list[Any]) \
+        def side_node(access: _AccessShape, side_conjuncts: list[Any]) \
                 -> tuple[PlanNode, float]:
-            node, side_residual = self.plan_access(table, side_conjuncts)
-            est = self._filtered_estimate(table, node.est_rows, side_residual)
+            table = access.table
+            selectivity = self._selectivity(table)
+            node, kept = self._bind_access(access, side_conjuncts, False,
+                                           selectivity)
+            side_residual = [side_conjuncts[pos] for pos in kept]
+            est = self._filtered_estimate(table, node.est_rows,
+                                          side_residual, selectivity)
             if side_residual:
                 pred = ScanPredicate(side_residual, self._db.schema(table),
-                                     table)
+                                     table, [access.kernel[p] for p in kept])
                 node = Filter(pred, node, role="pushed")
                 node.est_rows, node.cost = est, node.child.cost
             return node, max(est, 0.0)
 
-        left_node, left_est = side_node(left_table, left_conjuncts)
-        right_node, right_est = side_node(right_table, right_conjuncts)
+        left_node, left_est = side_node(shape.left, left_conjuncts)
+        right_node, right_est = side_node(shape.right, right_conjuncts)
 
         build = "right" if right_est <= left_est else "left"
         hash_cost = left_node.cost + right_node.cost + left_est + right_est
@@ -1850,12 +1973,14 @@ class Planner:
         best: PlanNode = hash_join
         inlj_right = self._inlj_candidate(
             stmt, outer=left_node, outer_est=left_est, outer_col=left_col,
-            outer_side="left", inner_table=right_table, inner_col=right_col,
-            inner_conjuncts=right_conjuncts, out_est=out_est)
+            outer_side="left", inner=shape.right, inner_col=right_col,
+            kind=shape.right_index, inner_conjuncts=right_conjuncts,
+            out_est=out_est)
         inlj_left = self._inlj_candidate(
             stmt, outer=right_node, outer_est=right_est, outer_col=right_col,
-            outer_side="right", inner_table=left_table, inner_col=left_col,
-            inner_conjuncts=left_conjuncts, out_est=out_est)
+            outer_side="right", inner=shape.left, inner_col=left_col,
+            kind=shape.left_index, inner_conjuncts=left_conjuncts,
+            out_est=out_est)
         for candidate in (inlj_right, inlj_left):
             if candidate is not None and candidate.cost < best.cost:
                 best = candidate
@@ -1883,19 +2008,18 @@ class Planner:
 
     def _inlj_candidate(self, stmt: SelectStatement, outer: PlanNode,
                         outer_est: float, outer_col: str, outer_side: str,
-                        inner_table: str, inner_col: str,
-                        inner_conjuncts: list[Any],
+                        inner: _AccessShape, inner_col: str,
+                        kind: str | None, inner_conjuncts: list[Any],
                         out_est: float) -> IndexNestedLoopJoin | None:
-        index = self._db._find_index(inner_table, inner_col)
-        if index is None:
+        if kind is None:
             return None
-        kind = "sorted" if isinstance(index, SortedIndex) else "hash"
+        inner_table = inner.table
         inner_rows = float(self._db.table_size(inner_table))
         bucket = inner_rows / max(self._ndv(inner_table, inner_col), 1)
         node = IndexNestedLoopJoin(
             outer, outer_col, inner_table, inner_col,
             ScanPredicate(inner_conjuncts, self._db.schema(inner_table),
-                          inner_table), outer_side,
+                          inner_table, inner.kernel), outer_side,
             left_table=stmt.table, right_table=stmt.join_table, kind=kind)
         node.est_rows = out_est
         node.cost = outer.cost + outer_est * (_PROBE_COST + bucket)
@@ -1903,51 +2027,91 @@ class Planner:
 
     # -------------------------------------------------------------- SELECT
 
-    def plan_select(self, stmt: SelectStatement) -> SelectPlan:
-        """Physical plan for a SELECT's row-sourcing (and EXPLAIN tree).
+    def prepare(self, stmt: SelectStatement) -> PreparedSelect:
+        """The literal-independent half of ``stmt``'s plan, read off the
+        catalog as it is now (its version is read first, so a change
+        racing this call makes the result stale, never wrong).
 
         Raises:
             SqlError: HAVING without GROUP BY or aggregates.
+            KeyError: unknown table.
         """
-        registry = metrics.get_registry()
+        catalog = self._db.catalog_version
         conjuncts = split_conjuncts(stmt.where)
         aggregate_stage = bool(stmt.group_by) or any(
             isinstance(i.expr, AggregateExpr) for i in stmt.items)
         if not aggregate_stage and stmt.having is not None:
             raise SqlError("HAVING requires GROUP BY or aggregates")
+        access = join = None
         if stmt.join_table is None:
-            node, residual = self.plan_access(
-                stmt.table, conjuncts, prefer_columnar=aggregate_stage)
+            access = self._prepare_access(stmt.table, conjuncts)
         else:
-            node, residual = self._plan_join(stmt, conjuncts)
+            join = self._prepare_join(stmt, conjuncts)
+        schema = self._db.schema(stmt.table)
+        use_topk = (stmt.order_by is not None and stmt.limit is not None
+                    and not aggregate_stage)
+        return PreparedSelect(
+            catalog, aggregate_stage, use_topk, schema,
+            access.kernel if access is not None
+            else ScanPredicate.kernel_flags(conjuncts, schema, stmt.table),
+            access, join, _output_stage(stmt, schema, aggregate_stage))
+
+    def bind(self, prepared: PreparedSelect,
+             stmt: SelectStatement) -> SelectPlan:
+        """The physical plan of ``stmt``, a statement of the shape
+        ``prepared`` was prepared from: its estimates, choices, feedback
+        keys, ``planner.plans.*`` counts and EXPLAIN text are those of
+        :meth:`plan_select`, which is :meth:`prepare` then this."""
+        registry = metrics.get_registry()
+        conjuncts = split_conjuncts(stmt.where)
+        selectivity = self._selectivity(stmt.table)
+        if prepared.join is None:
+            node, residual = self._bind_access(
+                prepared.access, conjuncts, prepared.aggregate_stage,
+                selectivity)
+        else:
+            node, residual = self._bind_join(prepared.join, stmt, conjuncts)
         if residual:
+            rest = [conjuncts[pos] for pos in residual]
             est = node.est_rows
             if stmt.join_table is None:
-                est = self._filtered_estimate(stmt.table, est, residual)
+                est = self._filtered_estimate(stmt.table, est, rest,
+                                              selectivity)
             # Over a join every unit is a rows unit (joined dicts): only
             # the predicate's row form runs, whatever the schema says.
             node = Filter(
-                ScanPredicate(residual, self._db.schema(stmt.table),
-                              stmt.table), node)
+                ScanPredicate(rest, prepared.schema, stmt.table,
+                              [prepared.kernel[pos] for pos in residual]),
+                node)
             node.est_rows, node.cost = est, node.child.cost
         aggregate = None
-        if aggregate_stage:
-            aggregate = Aggregate(
-                stmt, self._db._table(stmt.table).schema, node)
+        if prepared.aggregate_stage:
+            aggregate = Aggregate(stmt, prepared.schema, node)
             if aggregate.plan_counter is not None:
                 registry.inc(aggregate.plan_counter)
-        use_topk = (
-            stmt.order_by is not None and stmt.limit is not None
-            and not aggregate_stage
-        )
-        if use_topk:
+        if prepared.use_topk:
             registry.inc("planner.plans.topk")
-        return SelectPlan(node, stmt, use_topk, aggregate,
-                          self._db.schema(stmt.table))
+        return SelectPlan(node, stmt, prepared.use_topk, aggregate,
+                          prepared.output)
+
+    def plan_select(self, stmt: SelectStatement) -> SelectPlan:
+        """Physical plan for a SELECT's row-sourcing (and EXPLAIN tree):
+        :meth:`prepare`, then :meth:`bind`.
+
+        Raises:
+            SqlError: HAVING without GROUP BY or aggregates.
+        """
+        return self.bind(self.prepare(stmt), stmt)
 
     def explain(self, stmt: SelectStatement) -> list[str]:
         """EXPLAIN text lines for a SELECT (plans, does not execute)."""
         return self.plan_select(stmt).render()
+
+
+def _on_side(conjuncts: list[Any], sides: tuple[str | None, ...],
+             side: str) -> list[Any]:
+    """The conjuncts a join pushes to ``side``."""
+    return [c for c, at in zip(conjuncts, sides) if at == side]
 
 
 # parallel.py builds on PlanNode and the kernels above, and the planner

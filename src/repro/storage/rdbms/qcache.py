@@ -3,8 +3,8 @@
 Serving traffic (form submissions, the query translator, dashboards)
 re-runs a small set of SELECT statements far more often than the facts
 table changes.  :class:`QueryResultCache` memoizes SELECT results keyed
-by the *normalized* statement text plus the MVCC snapshot version of
-every table the statement reads (DESIGN.md §15).
+by the statement's canonical shape and literals plus the MVCC snapshot
+version of every table the statement reads (DESIGN.md §15).
 
 Coherence does not depend on eviction timing: a lookup first pins a
 commit-point snapshot, then accepts a cached entry only when the entry's
@@ -19,8 +19,9 @@ the entries either way.
 
 Only SELECTs are cached; every other statement (DML, DDL, EXPLAIN)
 passes straight through to the executor.  Rows are defensively copied in
-both directions, so callers may mutate what they get back.  A repeated
-SELECT text is neither lexed nor parsed again (DESIGN.md §11).
+both directions, so callers may mutate what they get back.  A SELECT
+text of a shape seen before is neither lexed, parsed nor planned again:
+its literals bind into the shape's prepared statement (DESIGN.md §11).
 
 This is also the observability funnel: every ``system.query`` and
 exploration-session statement flows through :meth:`execute`, so when a
@@ -36,18 +37,37 @@ from collections import OrderedDict
 from time import perf_counter
 from typing import Any
 
-from repro.errors import CancellationToken
+from repro.errors import CancellationToken, StaleSnapshotError
+from repro.storage.rdbms import planner as _planner
 from repro.storage.rdbms import sql as sqlmod
 from repro.storage.rdbms.engine import Database
 from repro.telemetry import metrics
 
 
+class _Shape:
+    """One SELECT shape: its statement as first parsed (literals are
+    bound into it), its canonical shape (the result cache's key, with the
+    literals), the tables it reads and its prepared plan."""
+
+    __slots__ = ("stmt", "key", "tables", "prepared")
+
+    def __init__(self, stmt: sqlmod.SelectStatement, key: str) -> None:
+        self.stmt = stmt
+        self.key = key
+        self.tables = tuple(
+            t for t in (stmt.table, stmt.join_table) if t is not None)
+        #: replaced, never changed: a bind reads it once
+        self.prepared: _planner.PreparedSelect | None = None
+
+
 class QueryResultCache:
-    """An LRU of SELECT results, keyed by snapshot version.
+    """An LRU of SELECT results, keyed by snapshot version, over a table
+    of prepared SELECT shapes.
 
     Args:
         db: the database whose snapshots version the entries.
-        capacity: maximum number of cached statements (LRU eviction).
+        capacity: maximum number of cached results, and of prepared
+            shapes (LRU eviction).
         slowlog: optional slow-query log observing every statement's
             wall time; None keeps the pre-observability fast path.
     """
@@ -58,11 +78,12 @@ class QueryResultCache:
         self._capacity = capacity
         self.slowlog = slowlog
         self._lock = threading.Lock()
-        # normalized sql -> ({table: snapshot version}, rows)
+        # (canonical shape, literals) -> ({table: snapshot version}, rows)
         self._entries: OrderedDict[
-            str, tuple[dict[str, int], list[dict[str, Any]]]] = OrderedDict()
-        # raw SELECT text -> (parsed statement, normalized sql)
-        self._statements: OrderedDict[str, tuple[Any, str]] = OrderedDict()
+            tuple[str, tuple[Any, ...]],
+            tuple[dict[str, int], list[dict[str, Any]]]] = OrderedDict()
+        # a SELECT text's shape (statement_shape) -> its prepared shape
+        self._shapes: OrderedDict[str, _Shape] = OrderedDict()
 
     # ------------------------------------------------------------- serving
 
@@ -89,30 +110,42 @@ class QueryResultCache:
     def _execute(self, sql: str,
                  guard: CancellationToken | None = None,
                  ) -> list[dict[str, Any]]:
-        # A SELECT's statement and key are memoized by its text (LRU,
-        # ``capacity`` texts; executing never changes a statement); a
-        # new text is lexed once, for both.
-        with self._lock:
-            parsed = self._statements.get(sql)
-            if parsed is not None:
-                self._statements.move_to_end(sql)
-        if parsed is None:
+        # A text of a known shape is neither lexed nor parsed: its
+        # literals bind into the shape's statement.  A new text is lexed
+        # and parsed once; a SELECT's shape is kept (LRU, ``capacity``
+        # shapes) when every text of it binds into its parse exactly.
+        registry = metrics.get_registry()
+        # Only SELECTs enter the table: another text is not shaped.
+        shaped = sqlmod.statement_shape(sql) \
+            if sql.lstrip()[:6].lower() == "select" else None
+        shape = None
+        if shaped is not None:
+            with self._lock:
+                shape = self._shapes.get(shaped[0])
+                if shape is not None:
+                    self._shapes.move_to_end(shaped[0])
+        if shape is not None:
+            registry.inc("planner.prepared.hits")
+            literals = shaped[1]
+            stmt = None  # bound on a result-cache miss only
+        else:
             tokens = sqlmod._lex(sql)
             stmt = sqlmod.parse_sql(tokens)
             if not isinstance(stmt, sqlmod.SelectStatement):
                 return sqlmod.execute_statement(self._db, stmt, guard=guard)
-            parsed = stmt, sqlmod.normalize_sql(tokens)
-            with self._lock:
-                self._statements[sql] = parsed
-                if len(self._statements) > self._capacity:
-                    self._statements.popitem(last=False)
-        stmt, key = parsed
-        registry = metrics.get_registry()
-        tables = tuple(
-            t for t in (stmt.table, stmt.join_table) if t is not None)
+            registry.inc("planner.prepared.misses")
+            canonical, literals = sqlmod.statement_key(tokens)
+            shape = _Shape(stmt, canonical)
+            if shaped is not None \
+                    and sqlmod.binds_exactly(stmt, shaped[1], literals):
+                with self._lock:
+                    self._shapes[shaped[0]] = shape
+                    if len(self._shapes) > self._capacity:
+                        self._shapes.popitem(last=False)
+        key = shape.key, literals
 
         def read(snap: Any) -> list[dict[str, Any]]:
-            versions = {t: snap.version_of(t) for t in tables}
+            versions = {t: snap.version_of(t) for t in shape.tables}
             with self._lock:
                 entry = self._entries.get(key)
                 if entry is not None and entry[0] == versions:
@@ -120,11 +153,26 @@ class QueryResultCache:
                     registry.inc("planner.cache.hits")
                     return [dict(r) for r in entry[1]]
             registry.inc("planner.cache.misses")
+            nonlocal stmt
+            if stmt is None:
+                stmt = sqlmod.bind_literals(shape.stmt, literals)
+            # DDL, create_index and reshard move the catalog version: the
+            # shape is prepared again.  A commit only re-binds.
+            prepared = shape.prepared
+            if prepared is None \
+                    or prepared.catalog != self._db.catalog_version:
+                prepared = shape.prepared = \
+                    _planner.Planner(self._db).prepare(stmt)
             # Executing against the pinned snapshot makes the stored
             # rows correspond exactly to the stored versions; a
             # commit racing this statement bumps versions and simply
             # makes the entry miss for post-commit readers.
-            rows = sqlmod.execute_statement(self._db, stmt, txn=snap)
+            try:
+                rows = sqlmod.execute_statement(self._db, stmt, txn=snap,
+                                                prepared=prepared)
+            except StaleSnapshotError:
+                shape.prepared = None  # the retry prepares again
+                raise
             with self._lock:
                 self._entries[key] = (versions, [dict(r) for r in rows])
                 self._entries.move_to_end(key)
@@ -137,6 +185,7 @@ class QueryResultCache:
     # ------------------------------------------------------------ plumbing
 
     def clear(self) -> None:
+        """Drop every cached result (the prepared shapes stay)."""
         with self._lock:
             self._entries.clear()
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 import operator
 import re
 from contextlib import contextmanager
@@ -714,24 +715,142 @@ def parse_sql(sql: str | list[_Token]):
 def normalize_sql(sql: str | list[_Token]) -> str:
     """Canonical text for a statement (text or tokens): whitespace
     collapsed, keywords uppercased, literals re-rendered.  Two statements
-    that tokenize the same normalize the same — the result cache's key.
+    that tokenize the same normalize the same — the slow-query log's
+    text.
 
     Raises:
         SqlError: on lexing errors.
     """
+    return _render_tokens(_lex(sql) if isinstance(sql, str) else sql, False)
+
+
+def _render_tokens(tokens: list[_Token], slots: bool) -> str:
+    """The tokens' canonical text; ``slots`` renders each string or
+    number literal as its typed slot (``?s`` / ``?i`` / ``?f``)."""
     parts: list[str] = []
-    for token in _lex(sql) if isinstance(sql, str) else sql:
+    for token in tokens:
         if token.kind == "eof":
             break
         if token.kind == "keyword":
             parts.append(token.value.upper())
+        elif slots and token.kind in ("string", "number"):
+            parts.append(_SLOTS[type(token.value)])
         elif token.kind == "string":
             parts.append("'" + str(token.value).replace("'", "''") + "'")
         elif token.kind == "number":
-            parts.append(repr(token.value))
+            # repr(1e400) is ``inf``, which reads as an identifier
+            parts.append(repr(token.value) if math.isfinite(token.value)
+                         else token.text)
         else:
             parts.append(token.text)
     return " ".join(parts)
+
+
+# ------------------------------------------------------------ statement shape
+
+#: A text's literals found in one pass, tokenized exactly as :func:`_lex`
+#: does: ``text`` runs hold everything else (a word swallows its digits,
+#: a sign not before a digit is no number).  A ``?`` outside a string
+#: (it would read as a slot) or a quote that opens no string is ``bad``:
+#: the text cannot lex.
+_SHAPE_RE = re.compile(
+    r"""
+      (?P<text>(?:[A-Za-z_][A-Za-z_0-9]*|[^'"?+\-\dA-Za-z_]+|[+-](?!\d))+)
+    | (?P<string>'(?:[^']|'')*'|"(?:[^"]|"")*")
+    | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_SLOTS = {str: "?s", int: "?i", float: "?f"}
+
+
+def statement_shape(sql: str) -> tuple[str, tuple[Any, ...]] | None:
+    """``(shape, literals)``: the text with each string or number literal
+    replaced by its typed slot, and the literals' values in text order —
+    or None when the text cannot lex.  Texts of one shape lex to the same
+    tokens but for the literals' values."""
+    parts: list[str] = []
+    literals: list[Any] = []
+    for text, string, number, _ in _SHAPE_RE.findall(sql):
+        if text:
+            parts.append(text)
+            continue
+        if string:
+            value: Any = string[1:-1].replace(string[0] * 2, string[0])
+        elif number:
+            value = float(number) if "." in number or "e" in number.lower() \
+                else int(number)
+        else:
+            return None
+        parts.append(_SLOTS[type(value)])
+        literals.append(value)
+    return "".join(parts), tuple(literals)
+
+
+def statement_key(tokens: list[_Token]) -> tuple[str, tuple[Any, ...]]:
+    """A statement's canonical shape and its literals' values: equal keys
+    are equal statements however they were spaced, cased or quoted."""
+    return _render_tokens(tokens, True), tuple(
+        [t.value for t in tokens if t.kind in ("string", "number")])
+
+
+def _is_slot(value: Any) -> bool:
+    """A literal spelled as a string or number token; TRUE, FALSE and
+    NULL are keywords, part of the shape."""
+    return value is not None and value is not True and value is not False
+
+
+def _rebind(node: Any, values: Iterator[Any]) -> Any:
+    """``node`` with each slot literal replaced by the next of
+    ``values``, in text order."""
+    if isinstance(node, Comparison):
+        return Comparison(node.op, _rebind(node.left, values),
+                          _rebind(node.right, values))
+    if isinstance(node, Literal):
+        return Literal(next(values)) if _is_slot(node.value) else node
+    if isinstance(node, BoolOp):
+        return BoolOp(node.op,
+                      tuple([_rebind(n, values) for n in node.operands]))
+    if isinstance(node, LikePredicate):
+        return LikePredicate(node.column, next(values), node.negated)
+    if isinstance(node, InPredicate):
+        return InPredicate(node.column, tuple([
+            next(values) if _is_slot(v) else v for v in node.values]),
+            node.negated)
+    return node
+
+
+def bind_literals(stmt: SelectStatement,
+                  literals: Iterable[Any]) -> SelectStatement:
+    """A new statement: ``stmt`` with its slot literals, in text order,
+    replaced by ``literals``.  Only the WHERE and HAVING trees are new;
+    the literal-free parts are shared, and nothing mutates them."""
+    values = iter(literals)
+    where = _rebind(stmt.where, values)
+    having = _rebind(stmt.having, values)
+    return SelectStatement(
+        stmt.items, stmt.star, stmt.table, stmt.join_table, stmt.join_left,
+        stmt.join_right, where, stmt.group_by, having, stmt.order_by,
+        stmt.order_desc, None if stmt.limit is None else next(values))
+
+
+def binds_exactly(stmt: SelectStatement, found: tuple[Any, ...],
+                  literals: tuple[Any, ...]) -> bool:
+    """True when ``found`` (a text's literals, as :func:`statement_shape`
+    found them) are its literal tokens' values ``literals``, type for
+    type, and binding them into ``stmt`` (the text's parse) gives
+    ``stmt`` back: every text of the shape then binds into ``stmt`` as
+    its own parse."""
+    if [(type(v), v) for v in found] != [(type(v), v) for v in literals]:
+        return False
+    values = iter(found)
+    try:
+        bound = bind_literals(stmt, values)
+    except StopIteration:
+        return False
+    return next(values, values) is values and repr(bound) == repr(stmt)
 
 
 # ----------------------------------------------------------------- evaluator
@@ -875,9 +994,13 @@ class _Executor:
     """Runs statements inside one transaction through the cost-based
     planner (:mod:`repro.storage.rdbms.planner`)."""
 
-    def __init__(self, db: Database, txn: Transaction) -> None:
+    def __init__(self, db: Database, txn: Transaction,
+                 prepared: Any = None) -> None:
         self._db = db
         self._txn = txn
+        #: the SELECT's :class:`~repro.storage.rdbms.planner.PreparedSelect`
+        #: when its shape was prepared already: planning only binds
+        self._prepared = prepared
 
     def execute(self, stmt) -> list[dict[str, Any]]:
         if isinstance(stmt, SelectStatement):
@@ -932,7 +1055,9 @@ class _Executor:
         tracer = get_tracer()
         if plan is None:
             with tracer.span("rdbms.plan"):
-                plan = _planner.Planner(self._db).plan_select(stmt)
+                planner = _planner.Planner(self._db)
+                plan = planner.plan_select(stmt) if self._prepared is None \
+                    else planner.bind(self._prepared, stmt)
         with tracer.span("rdbms.exec") as span:
             result = plan.execute(self._txn)
             span.set_attribute("rows", len(result))
@@ -1197,8 +1322,9 @@ def _run_snapshot_read(db: Database, guard: CancellationToken | None,
 def execute_statement(db: Database, stmt, txn: Transaction | None = None,
                       use_planner: bool = True,
                       guard: CancellationToken | None = None,
-                      ) -> list[dict[str, Any]]:
-    """Execute one already-parsed statement (see :func:`execute_sql`)."""
+                      prepared: Any = None) -> list[dict[str, Any]]:
+    """Execute one already-parsed statement (see :func:`execute_sql`);
+    a SELECT whose shape is ``prepared`` is planned by binding it."""
     if guard is not None:
         guard.check()
     if isinstance(stmt, CreateTableStatement):
@@ -1236,13 +1362,13 @@ def execute_statement(db: Database, stmt, txn: Transaction | None = None,
             db, guard, lambda snap: _analyze_rows(db, stmt, snap))
     executor = _Executor if use_planner else _Interpreter
     if txn is not None:
-        return executor(db, txn).execute(stmt)
+        return executor(db, txn, prepared).execute(stmt)
     if isinstance(stmt, SelectStatement):
         # Auto-transaction SELECTs run lock-free on a committed snapshot:
         # they cannot block behind writers, deadlock, or enter the
         # waits-for graph (DESIGN.md §15).
         return _run_snapshot_read(
-            db, guard, lambda snap: executor(db, snap).execute(stmt))
+            db, guard, lambda snap: executor(db, snap, prepared).execute(stmt))
     return db.run(lambda t: executor(db, t).execute(stmt), guard=guard)
 
 

@@ -150,6 +150,16 @@ def render_report(summary: dict[str, Any],
                 f"misses={all_counters.get('planner.cache.misses', 0.0):.0f} "
                 f"({rate})",
             ]
+        if family_present("planner.prepared"):
+            # A hit is a SELECT text of a known shape: bound, not lexed,
+            # parsed or prepared.
+            shape_hits = all_counters.get("planner.prepared.hits", 0.0)
+            shape_misses = all_counters.get("planner.prepared.misses", 0.0)
+            lookups = shape_hits + shape_misses
+            rate = (f"{100.0 * shape_hits / lookups:.1f}% hit rate"
+                    if lookups else "hit rate n/a")
+            lines.append(f"prepared statements: hits={shape_hits:.0f} "
+                         f"misses={shape_misses:.0f} ({rate})")
         if family_present("rdbms.mvcc"):
             builds = all_counters.get("rdbms.mvcc.snapshot_builds", 0.0)
             reuses = all_counters.get("rdbms.mvcc.snapshot_reuses", 0.0)
@@ -304,6 +314,9 @@ def render_top(previous: dict[str, Any] | None, current: dict[str, Any],
     lines.append(hit_line("result cache",
                           delta("planner.cache.hits"),
                           delta("planner.cache.misses")))
+    lines.append(hit_line("prepared shapes",
+                          delta("planner.prepared.hits"),
+                          delta("planner.prepared.misses")))
     lines.append(hit_line("extraction cache",
                           delta("cache.hits"), delta("cache.misses")))
     wal_bytes = delta("rdbms.wal.bytes")

@@ -1,5 +1,7 @@
-"""The result cache's statement memo (DESIGN.md §11): a SELECT text is
-lexed once and parsed once; a repeated text is neither."""
+"""The result cache's table of prepared shapes (DESIGN.md §11): a SELECT
+text of a new shape is lexed once and parsed once; a repeated text, or a
+new text of a known shape, is neither — its literals bind into the
+shape's statement."""
 
 import pytest
 
@@ -16,6 +18,20 @@ SELECTS = [
     "'tx') ORDER BY pop LIMIT 5",
     "SELECT city.name, st.label FROM city JOIN st ON city.state = st.state "
     "WHERE NOT (pop < 10) OR name LIKE 'm%'",
+]
+
+#: per SELECT, texts of its shape with other literals
+OTHER_TEXTS = [
+    ["SELECT * FROM city WHERE state = 'tx'",
+     'SELECT * FROM city WHERE state = "w\'i"'],
+    ["SELECT state, COUNT(*) AS n, AVG(pop) AS a FROM city "
+     "WHERE pop > -5 GROUP BY state HAVING n > 1 ORDER BY a DESC LIMIT -1"],
+    ["SELECT name, pop FROM city WHERE pop >= +1 AND state IN ('tx', "
+     "\"wi\") ORDER BY pop LIMIT 1",
+     "SELECT name, pop FROM city WHERE pop >= 600000 AND state IN ('x', "
+     "'tx') ORDER BY pop LIMIT 0"],
+    ["SELECT city.name, st.label FROM city JOIN st ON city.state = st.state "
+     "WHERE NOT (pop < 600000) OR name LIKE '%a%'"],
 ]
 
 
@@ -49,6 +65,24 @@ def lexed(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def parsed(monkeypatch):
+    """How often ``sql.parse_sql`` ran."""
+    calls = []
+    original = sqlmod.parse_sql
+
+    def counting(sql):
+        calls.append(sql)
+        return original(sql)
+
+    monkeypatch.setattr(sqlmod, "parse_sql", counting)
+    return calls
+
+
+def _shape(cache, sql):
+    return cache._shapes[sqlmod.statement_shape(sql)[0]]
+
+
 @pytest.mark.parametrize("sql", SELECTS)
 def test_executing_a_memoized_statement_leaves_it_as_parsed(db, sql):
     cache = QueryResultCache(db)
@@ -56,9 +90,12 @@ def test_executing_a_memoized_statement_leaves_it_as_parsed(db, sql):
     for _ in range(3):
         cache.clear()                  # execute, not hit
         assert cache.execute(sql) == want
-    stmt, key = cache._statements[sql]
-    assert stmt == parse_sql(sql)
-    assert key == sqlmod.normalize_sql(sql)
+    for other in OTHER_TEXTS[SELECTS.index(sql)]:
+        assert cache.execute(other) == execute_sql(db, other)
+    shape = _shape(cache, sql)
+    assert shape.stmt == parse_sql(sql)
+    assert shape.key == sqlmod.statement_key(sqlmod._lex(sql))[0]
+    assert len(cache._shapes) == 1
 
 
 def test_a_new_text_is_lexed_once_and_a_repeated_one_never(db, lexed):
@@ -74,18 +111,40 @@ def test_a_new_text_is_lexed_once_and_a_repeated_one_never(db, lexed):
     assert lexed == []
 
 
+def test_a_new_text_of_a_known_shape_is_neither_lexed_nor_parsed(
+        db, lexed, parsed):
+    cache = QueryResultCache(db)
+    for sql in SELECTS:
+        cache.execute(sql)
+    for others in OTHER_TEXTS:
+        for other in others:
+            assert sqlmod.statement_shape(other)[0] in cache._shapes
+            lexed.clear()
+            parsed.clear()
+            got = cache.execute(other)
+            assert (lexed, parsed) == ([], [])
+            assert got == execute_sql(db, other, use_planner=False)
+
+
 def test_the_memo_is_bounded_by_the_cache_capacity(db):
     cache = QueryResultCache(db, capacity=2)
     for sql in SELECTS:
         cache.execute(sql)
-    assert list(cache._statements) == SELECTS[-2:]
+    assert list(cache._shapes) == [
+        sqlmod.statement_shape(sql)[0] for sql in SELECTS[-2:]]
+    for others in OTHER_TEXTS:          # new texts, old shapes
+        for other in others:
+            cache.execute(other)
+            assert len(cache._shapes) <= 2
 
 
-def test_other_statements_are_parsed_every_time(db, lexed):
+def test_other_statements_are_parsed_every_time(db, lexed, parsed):
     cache = QueryResultCache(db)
     update = "UPDATE city SET pop = 1 WHERE name = 'austin'"
     assert cache.execute(update) == [{"updated": 1}]
     assert cache.execute(update) == [{"updated": 1}]
-    assert lexed == [update, update] and not cache._statements
-    explain = cache.execute(f"EXPLAIN {SELECTS[0]}")
-    assert explain and not cache._statements
+    assert lexed == [update, update] and not cache._shapes
+    explain = f"EXPLAIN {SELECTS[0]}"
+    assert cache.execute(explain) and cache.execute(explain)
+    assert lexed[2:] == [explain, explain] and len(parsed) == 4
+    assert not cache._shapes
