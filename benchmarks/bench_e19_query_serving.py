@@ -200,11 +200,11 @@ def bench_result_cache(db: Database, num_items: int, repeats: int) -> dict:
 
 
 #: What a served read spends before it executes: finding the statement
-#: (the shape pass; lex and parse for a new shape) and planning it
-#: (prepare for a new shape, bind for every read).
-_FRONT = ((sqlmod, "statement_shape"), (sqlmod, "_lex"),
-          (sqlmod, "parse_sql"), (sqlmod, "statement_key"),
-          (sqlmod, "binds_exactly"), (sqlmod, "bind_literals"),
+#: (the lexer's first stage; its second stage and the parse for a new
+#: shape, binding the literals for a known one) and planning it (prepare
+#: for a new shape, bind for every read).
+_FRONT = ((sqlmod, "split_literals"), (sqlmod, "_lex"),
+          (sqlmod, "parse_sql"), (sqlmod, "bind_literals"),
           (Planner, "prepare"), (Planner, "bind"))
 
 

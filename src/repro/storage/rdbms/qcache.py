@@ -20,8 +20,9 @@ the entries either way.
 Only SELECTs are cached; every other statement (DML, DDL, EXPLAIN)
 passes straight through to the executor.  Rows are defensively copied in
 both directions, so callers may mutate what they get back.  A SELECT
-text of a shape seen before is neither lexed, parsed nor planned again:
-its literals bind into the shape's prepared statement (DESIGN.md §11).
+text of a shape seen before runs only the lexer's first stage, no
+tokenizing, parsing or planning: its literals bind into the shape's
+prepared statement (DESIGN.md §11).
 
 This is also the observability funnel: every ``system.query`` and
 exploration-session statement flows through :meth:`execute`, so when a
@@ -82,7 +83,7 @@ class QueryResultCache:
         self._entries: OrderedDict[
             tuple[str, tuple[Any, ...]],
             tuple[dict[str, int], list[dict[str, Any]]]] = OrderedDict()
-        # a SELECT text's shape (statement_shape) -> its prepared shape
+        # a SELECT text's shape (split_literals) -> its prepared shape
         self._shapes: OrderedDict[str, _Shape] = OrderedDict()
 
     # ------------------------------------------------------------- serving
@@ -110,38 +111,32 @@ class QueryResultCache:
     def _execute(self, sql: str,
                  guard: CancellationToken | None = None,
                  ) -> list[dict[str, Any]]:
-        # A text of a known shape is neither lexed nor parsed: its
-        # literals bind into the shape's statement.  A new text is lexed
-        # and parsed once; a SELECT's shape is kept (LRU, ``capacity``
-        # shapes) when every text of it binds into its parse exactly.
+        # The lexer's first stage splits the text into its shape and
+        # literals.  A text of a known shape goes no further: its literals
+        # bind into the shape's statement.  A new text is tokenized and
+        # parsed from that split; a SELECT's shape is kept (LRU,
+        # ``capacity`` shapes).
         registry = metrics.get_registry()
-        # Only SELECTs enter the table: another text is not shaped.
-        shaped = sqlmod.statement_shape(sql) \
-            if sql.lstrip()[:6].lower() == "select" else None
-        shape = None
-        if shaped is not None:
-            with self._lock:
-                shape = self._shapes.get(shaped[0])
-                if shape is not None:
-                    self._shapes.move_to_end(shaped[0])
+        split = sqlmod.split_literals(sql)
+        with self._lock:
+            shape = self._shapes.get(split[0])
+            if shape is not None:
+                self._shapes.move_to_end(split[0])
         if shape is not None:
             registry.inc("planner.prepared.hits")
-            literals = shaped[1]
             stmt = None  # bound on a result-cache miss only
         else:
-            tokens = sqlmod._lex(sql)
+            tokens = sqlmod._lex(sql, split)
             stmt = sqlmod.parse_sql(tokens)
             if not isinstance(stmt, sqlmod.SelectStatement):
                 return sqlmod.execute_statement(self._db, stmt, guard=guard)
             registry.inc("planner.prepared.misses")
-            canonical, literals = sqlmod.statement_key(tokens)
-            shape = _Shape(stmt, canonical)
-            if shaped is not None \
-                    and sqlmod.binds_exactly(stmt, shaped[1], literals):
-                with self._lock:
-                    self._shapes[shaped[0]] = shape
-                    if len(self._shapes) > self._capacity:
-                        self._shapes.popitem(last=False)
+            shape = _Shape(stmt, sqlmod._render_tokens(tokens, True))
+            with self._lock:
+                self._shapes[split[0]] = shape
+                if len(self._shapes) > self._capacity:
+                    self._shapes.popitem(last=False)
+        literals = split[1]
         key = shape.key, literals
 
         def read(snap: Any) -> list[dict[str, Any]]:

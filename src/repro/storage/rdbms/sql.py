@@ -22,6 +22,14 @@ String literals take either quote, a doubled quote escaping itself
 (``'it''s'``, ``"a ""b"" c"``); ``NULL`` and ``NONE`` are the null
 literal.  :func:`parse_predicate` parses a bare predicate.
 
+The lexer has two stages.  :func:`split_literals` finds every string and
+number literal in one regex pass and gives the text's *shape* (each
+literal as a typed slot, ``?s`` / ``?i`` / ``?f``) and the literals'
+values; :func:`_lex` then tokenizes the shape, each slot taking its
+literal.  A served SELECT of a known shape stops after the first stage
+(:mod:`repro.storage.rdbms.qcache`): :func:`bind_literals` puts its
+literals into the statement the shape was parsed to.
+
 Execution goes through the cost-based planner in
 :mod:`repro.storage.rdbms.planner` by default (index lookups, range
 scans, pushed-down join predicates, statistics-driven join choice); pass
@@ -57,17 +65,26 @@ class SqlError(Exception):
 
 # --------------------------------------------------------------------- lexer
 
-_SQL_TOKEN_RE = re.compile(
+#: Stage 1: a text's literals and the ``text`` runs between them (a word
+#: swallows its digits, a sign not before a digit is no number).  A ``?``
+#: (it would read as a slot) or a quote that opens no string is ``bad``.
+_LITERAL_RE = re.compile(
     r"""
-    \s*(?:
-        (?P<string>'(?:[^']|'')*'|"(?:[^"]|"")*")
-      | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-      | (?P<op><=|>=|!=|<>|=|<|>|\(|\)|,|\*|\.)
-      | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
-    )
+      (?P<text>(?:[A-Za-z_][A-Za-z_0-9]*|[^'"?+\-\dA-Za-z_]+|[+-](?!\d))+)
+    | (?P<string>'(?:[^']|'')*'|"(?:[^"]|"")*")
+    | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+
+#: Stage 2: a shape's words, two-character ops and slots, then any other
+#: non-space character (a one-character op, or no token at all).
+_SHAPE_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|<=|>=|!=|<>|\?[sif]|\S")
+
+_SLOTS = {str: "?s", int: "?i", float: "?f"}
+_SLOT_KINDS = {"?s": "string", "?i": "number", "?f": "number"}
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 _KEYWORDS = frozenset(
     {
@@ -88,34 +105,69 @@ class _Token:
     text: str
 
 
-def _lex(sql: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(sql):
-        if sql[pos].isspace():
-            pos += 1
+_EOF = _Token("eof", None, "")
+#: tokens by text, shared (nothing mutates a token): the ops, and the
+#: keywords in lower and in upper case
+_FIXED = {op: _Token("op", op, op) for op in
+          ("<=", ">=", "!=", "<>", "=", "<", ">", "(", ")", ",", "*", ".")}
+_FIXED.update({text: _Token("keyword", word, text) for word in _KEYWORDS
+               for text in (word, word.upper())})
+
+
+def split_literals(sql: str) -> tuple[str, tuple[Any, ...], list[str]]:
+    """The lexer's first stage: ``(shape, literals, texts)`` — the text
+    with each string or number literal replaced by its typed slot, and
+    the literals' values and texts in text order.  Texts of one shape lex
+    to the same tokens but for the literals.  A ``bad`` character stays
+    in the shape behind a ``?``, as no slot (and so no shape of a text
+    that lexes) has it: :func:`_lex` raises there."""
+    parts: list[str] = []
+    values: list[Any] = []
+    texts: list[str] = []
+    for text, string, number, bad in _LITERAL_RE.findall(sql):
+        if text or bad:
+            parts.append(text or "?" + bad)
             continue
-        match = _SQL_TOKEN_RE.match(sql, pos)
-        if match is None or match.end() == pos:
-            raise SqlError(f"cannot tokenize SQL at: {sql[pos:pos+20]!r}")
-        pos = match.end()
-        if match.group("string") is not None:
-            raw = match.group("string")
-            quote = raw[0]
-            tokens.append(_Token("string", raw[1:-1].replace(quote * 2, quote),
-                                 raw))
-        elif match.group("number") is not None:
-            raw = match.group("number")
-            is_float = "." in raw or "e" in raw.lower()
-            value = float(raw) if is_float else int(raw)
-            tokens.append(_Token("number", value, raw))
-        elif match.group("op") is not None:
-            tokens.append(_Token("op", match.group("op"), match.group("op")))
+        if string:
+            value: Any = string[1:-1].replace(string[0] * 2, string[0])
         else:
-            word = match.group("word")
-            kind = "keyword" if word.lower() in _KEYWORDS else "word"
-            tokens.append(_Token(kind, word.lower() if kind == "keyword" else word, word))
-    tokens.append(_Token("eof", None, ""))
+            value = float(number) if "." in number or "e" in number.lower() \
+                else int(number)
+        parts.append(_SLOTS[type(value)])
+        values.append(value)
+        texts.append(string or number)
+    return "".join(parts), tuple(values), texts
+
+
+def _lex(sql: str, split: tuple[str, tuple[Any, ...], list[str]] | None = None,
+         ) -> list[_Token]:
+    """``sql``'s tokens: stage 1, or its result ``split`` when the caller
+    has it, then stage 2, one pass over the shape in which each slot takes
+    the next literal.
+
+    Raises:
+        SqlError: the text cannot lex.
+    """
+    shape, literals, texts = split_literals(sql) if split is None else split
+    tokens: list[_Token] = []
+    slot = 0
+    for text in _SHAPE_TOKEN_RE.findall(shape):
+        token = _FIXED.get(text)
+        if token is None:
+            if text in _SLOT_KINDS:
+                token = _Token(_SLOT_KINDS[text], literals[slot], texts[slot])
+                slot += 1
+            elif text[0] not in _WORD_START:
+                at = next(m.start() for m in _SHAPE_TOKEN_RE.finditer(shape)
+                          if m.group() == text)
+                at += sum(map(len, texts[:slot])) - 2 * slot
+                raise SqlError(f"cannot tokenize SQL at: {sql[at:at + 20]!r}")
+            elif text.lower() in _KEYWORDS:
+                token = _Token("keyword", text.lower(), text)
+            else:
+                token = _Token("word", text, text)
+        tokens.append(token)
+    tokens.append(_EOF)
     return tokens
 
 
@@ -342,6 +394,18 @@ class _Parser:
         token = self._peek()
         return token.kind == "op" and token.value == op
 
+    def _comma_list(self, parse) -> list:
+        """One or more of ``parse``'s items, separated by commas."""
+        items = [parse()]
+        while self._at_op(","):
+            self._next()
+            items.append(parse())
+        return items
+
+    def _expect_end(self) -> None:
+        if self._peek().kind != "eof":
+            raise SqlError(f"trailing input: {self._peek().text!r}")
+
     def _identifier(self) -> str:
         token = self._next()
         if token.kind not in ("word", "keyword"):
@@ -389,12 +453,10 @@ class _Parser:
         if self._at_keyword("reshard"):
             self._next()
             key, count = self._parse_shard_clause(by_consumed=False)
-            if self._peek().kind != "eof":
-                raise SqlError(f"trailing input: {self._peek().text!r}")
+            self._expect_end()
             return ReshardStatement(table, key, count)
         self._expect_keyword("compact")
-        if self._peek().kind != "eof":
-            raise SqlError(f"trailing input: {self._peek().text!r}")
+        self._expect_end()
         return CompactStatement(table)
 
     def _parse_shard_clause(self, by_consumed: bool) -> tuple[str, int]:
@@ -415,16 +477,10 @@ class _Parser:
 
     def _parse_select(self) -> SelectStatement:
         self._expect_keyword("select")
-        star = False
-        items: list[SelectItem] = []
-        if self._at_op("*"):
+        star = self._at_op("*")
+        if star:
             self._next()
-            star = True
-        else:
-            items.append(self._parse_select_item())
-            while self._at_op(","):
-                self._next()
-                items.append(self._parse_select_item())
+        items = [] if star else self._comma_list(self._parse_select_item)
         self._expect_keyword("from")
         table = self._identifier()
         stmt = SelectStatement(items=items, star=star, table=table)
@@ -441,10 +497,7 @@ class _Parser:
         if self._at_keyword("group"):
             self._next()
             self._expect_keyword("by")
-            stmt.group_by.append(self._parse_column_ref())
-            while self._at_op(","):
-                self._next()
-                stmt.group_by.append(self._parse_column_ref())
+            stmt.group_by = self._comma_list(self._parse_column_ref)
         if self._at_keyword("having"):
             self._next()
             stmt.having = self._parse_or()
@@ -460,8 +513,7 @@ class _Parser:
             if token.kind != "number" or not isinstance(token.value, int):
                 raise SqlError("LIMIT expects an integer")
             stmt.limit = token.value
-        if self._peek().kind != "eof":
-            raise SqlError(f"trailing input: {self._peek().text!r}")
+        self._expect_end()
         return stmt
 
     def _parse_select_item(self) -> SelectItem:
@@ -501,42 +553,31 @@ class _Parser:
         self._expect_keyword("into")
         table = self._identifier()
         self._expect_op("(")
-        columns = [self._identifier()]
-        while self._at_op(","):
-            self._next()
-            columns.append(self._identifier())
+        columns = self._comma_list(self._identifier)
         self._expect_op(")")
         self._expect_keyword("values")
-        rows: list[list[Any]] = []
-        while True:
+
+        def row() -> list[Literal]:
             self._expect_op("(")
-            row = [self._parse_literal()]
-            while self._at_op(","):
-                self._next()
-                row.append(self._parse_literal())
+            values = self._comma_list(self._parse_literal)
             self._expect_op(")")
-            if len(row) != len(columns):
+            if len(values) != len(columns):
                 raise SqlError("VALUES arity does not match column list")
-            rows.append(row)
-            if self._at_op(","):
-                self._next()
-                continue
-            break
-        return InsertStatement(table, columns, rows)
+            return values
+
+        return InsertStatement(table, columns, self._comma_list(row))
 
     def _parse_update(self) -> UpdateStatement:
         self._expect_keyword("update")
         table = self._identifier()
         self._expect_keyword("set")
-        assignments: dict[str, Any] = {}
-        while True:
+
+        def assignment() -> tuple[str, Literal]:
             column = self._identifier()
             self._expect_op("=")
-            assignments[column] = self._parse_literal()
-            if self._at_op(","):
-                self._next()
-                continue
-            break
+            return column, self._parse_literal()
+
+        assignments = dict(self._comma_list(assignment))
         where = None
         if self._at_keyword("where"):
             self._next()
@@ -558,28 +599,25 @@ class _Parser:
         self._expect_keyword("table")
         name = self._identifier()
         self._expect_op("(")
-        columns: list[Column] = []
         primary_key: str | None = None
-        while True:
+
+        def column() -> Column:
+            nonlocal primary_key
             col_name = self._identifier()
             type_word = self._identifier().lower()
             if type_word not in _TYPE_MAP:
                 raise SqlError(f"unknown type {type_word!r}")
             nullable = True
             while self._at_keyword("primary", "not"):
-                word = self._next().value
-                if word == "primary":
+                if self._next().value == "primary":
                     self._expect_keyword("key")
                     primary_key = col_name
-                    nullable = False
                 else:
                     self._expect_keyword("null")
-                    nullable = False
-            columns.append(Column(col_name, _TYPE_MAP[type_word], nullable))
-            if self._at_op(","):
-                self._next()
-                continue
-            break
+                nullable = False
+            return Column(col_name, _TYPE_MAP[type_word], nullable)
+
+        columns = self._comma_list(column)
         self._expect_op(")")
         shard_key: str | None = None
         shard_count = 1
@@ -650,10 +688,7 @@ class _Parser:
             if token.kind == "keyword" and token.value == "in":
                 self._next()
                 self._expect_op("(")
-                values = [self._parse_literal()]
-                while self._at_op(","):
-                    self._next()
-                    values.append(self._parse_literal())
+                values = self._comma_list(self._parse_literal)
                 self._expect_op(")")
                 if not isinstance(left, ColumnRef):
                     raise SqlError("IN requires a column")
@@ -746,54 +781,7 @@ def _render_tokens(tokens: list[_Token], slots: bool) -> str:
     return " ".join(parts)
 
 
-# ------------------------------------------------------------ statement shape
-
-#: A text's literals found in one pass, tokenized exactly as :func:`_lex`
-#: does: ``text`` runs hold everything else (a word swallows its digits,
-#: a sign not before a digit is no number).  A ``?`` outside a string
-#: (it would read as a slot) or a quote that opens no string is ``bad``:
-#: the text cannot lex.
-_SHAPE_RE = re.compile(
-    r"""
-      (?P<text>(?:[A-Za-z_][A-Za-z_0-9]*|[^'"?+\-\dA-Za-z_]+|[+-](?!\d))+)
-    | (?P<string>'(?:[^']|'')*'|"(?:[^"]|"")*")
-    | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-    | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
-
-_SLOTS = {str: "?s", int: "?i", float: "?f"}
-
-
-def statement_shape(sql: str) -> tuple[str, tuple[Any, ...]] | None:
-    """``(shape, literals)``: the text with each string or number literal
-    replaced by its typed slot, and the literals' values in text order —
-    or None when the text cannot lex.  Texts of one shape lex to the same
-    tokens but for the literals' values."""
-    parts: list[str] = []
-    literals: list[Any] = []
-    for text, string, number, _ in _SHAPE_RE.findall(sql):
-        if text:
-            parts.append(text)
-            continue
-        if string:
-            value: Any = string[1:-1].replace(string[0] * 2, string[0])
-        elif number:
-            value = float(number) if "." in number or "e" in number.lower() \
-                else int(number)
-        else:
-            return None
-        parts.append(_SLOTS[type(value)])
-        literals.append(value)
-    return "".join(parts), tuple(literals)
-
-
-def statement_key(tokens: list[_Token]) -> tuple[str, tuple[Any, ...]]:
-    """A statement's canonical shape and its literals' values: equal keys
-    are equal statements however they were spaced, cased or quoted."""
-    return _render_tokens(tokens, True), tuple(
-        [t.value for t in tokens if t.kind in ("string", "number")])
+# ------------------------------------------------------------------ binding
 
 
 def _is_slot(value: Any) -> bool:
@@ -825,8 +813,11 @@ def _rebind(node: Any, values: Iterator[Any]) -> Any:
 def bind_literals(stmt: SelectStatement,
                   literals: Iterable[Any]) -> SelectStatement:
     """A new statement: ``stmt`` with its slot literals, in text order,
-    replaced by ``literals``.  Only the WHERE and HAVING trees are new;
-    the literal-free parts are shared, and nothing mutates them."""
+    replaced by ``literals``.  A parsed SELECT keeps each of its literals
+    in WHERE, HAVING or LIMIT, in text order, so the literals split from
+    any text of ``stmt``'s shape bind to that text's parse.  Only the
+    WHERE and HAVING trees are new; the literal-free parts are shared,
+    and nothing mutates them."""
     values = iter(literals)
     where = _rebind(stmt.where, values)
     having = _rebind(stmt.having, values)
@@ -834,23 +825,6 @@ def bind_literals(stmt: SelectStatement,
         stmt.items, stmt.star, stmt.table, stmt.join_table, stmt.join_left,
         stmt.join_right, where, stmt.group_by, having, stmt.order_by,
         stmt.order_desc, None if stmt.limit is None else next(values))
-
-
-def binds_exactly(stmt: SelectStatement, found: tuple[Any, ...],
-                  literals: tuple[Any, ...]) -> bool:
-    """True when ``found`` (a text's literals, as :func:`statement_shape`
-    found them) are its literal tokens' values ``literals``, type for
-    type, and binding them into ``stmt`` (the text's parse) gives
-    ``stmt`` back: every text of the shape then binds into ``stmt`` as
-    its own parse."""
-    if [(type(v), v) for v in found] != [(type(v), v) for v in literals]:
-        return False
-    values = iter(found)
-    try:
-        bound = bind_literals(stmt, values)
-    except StopIteration:
-        return False
-    return next(values, values) is values and repr(bound) == repr(stmt)
 
 
 # ----------------------------------------------------------------- evaluator

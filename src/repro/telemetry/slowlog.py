@@ -75,22 +75,20 @@ class SlowQueryLog:
         from repro.storage.rdbms import sql as _sql
 
         registry = metrics.get_registry()
+        normalized = stmt = None
         try:
-            normalized = _sql.normalize_sql(sql)
+            tokens = _sql._lex(sql)  # once: the entry's text and the parse
+            normalized = _sql.normalize_sql(tokens)
+            stmt = _sql.parse_sql(tokens)
         except Exception:
-            normalized = " ".join(sql.split())
+            pass
         entry = {
             "ts": time.time(),
-            "sql": normalized,
+            "sql": normalized or " ".join(sql.split()),
             "seconds": seconds,
             "rows": rows,
             "threshold": self.threshold_seconds,
         }
-        stmt = None
-        try:
-            stmt = _sql.parse_sql(sql)
-        except Exception:
-            pass
         if stmt is not None:
             entry["stats_versions"] = self._stats_versions(db, stmt)
             if self.annotate and isinstance(stmt, _sql.SelectStatement):

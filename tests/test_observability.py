@@ -11,6 +11,7 @@ import pytest
 from repro import telemetry
 from repro.cli import main as cli_main
 from repro.core.system import StructureManagementSystem
+from repro.storage.rdbms import sql as sqlmod
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.qcache import QueryResultCache
 from repro.storage.rdbms.sql import SqlError, execute_sql, normalize_sql
@@ -326,6 +327,17 @@ def test_qcache_observes_through_slowlog(root, db):
     cache.execute("SELECT COUNT(*) AS n FROM items")
     cache.execute("SELECT COUNT(*) AS n FROM items")  # cache hit: also timed
     assert len(log.entries()) == 2
+
+
+def test_a_captured_statement_is_lexed_once(db, monkeypatch):
+    lexed, real = [], sqlmod._lex
+    monkeypatch.setattr(sqlmod, "_lex", lambda sql, split=None: lexed.append(
+        sql) or real(sql, split))
+    text = "select * from items where cat = 'cat2'"
+    entry = SlowQueryLog(threshold_seconds=0.0).capture(db, text, 1.0, 25)
+    assert lexed == [text]
+    assert entry["sql"] == "SELECT * FROM items WHERE cat = 'cat2'"
+    assert any("actual rows=25" in line for line in entry["plan"])
 
 
 def test_system_slow_queries_and_workspace_persistence(tmp_path):

@@ -5,7 +5,9 @@ The differential: generated SELECTs run through one long-lived
 ``QueryResultCache``, each after other texts of its shape, with commits,
 ``compact``, ``create_index`` and ``reshard`` in between.  Rows, the
 exception type and message, and the EXPLAIN lines of the bound plan must
-equal a fresh ``execute_sql`` / ``plan_select`` of the same text.
+equal a fresh ``execute_sql`` / ``plan_select`` of the same text, and
+the text's literals, bound into the statement its shape was first parsed
+to, must give the text's own parse.
 """
 
 import sys
@@ -199,7 +201,7 @@ def _outcome(run):
 def _bound_explain(db, cache, sql):
     """The EXPLAIN lines of the plan ``cache`` bound ``sql`` to, its
     shape's prepared plan being the catalog's current one."""
-    shape, literals = sqlmod.statement_shape(sql)
+    shape, literals, _ = sqlmod.split_literals(sql)
     prepared = cache._shapes[shape].prepared
     assert prepared.catalog == db.catalog_version, sql
     stmt = sqlmod.bind_literals(cache._shapes[shape].stmt, literals)
@@ -232,7 +234,12 @@ def test_texts_of_a_prepared_shape_run_as_a_fresh_parse(rows, data):
         got = _outcome(lambda: cache.execute(sql))
         assert got == _outcome(lambda: execute_sql(db, sql)), sql
         if isinstance(got, list):
-            assert sqlmod.statement_shape(sql)[0] in cache._shapes, sql
+            shape, literals, _ = sqlmod.split_literals(sql)
+            # the shape's statement is the parse of its first text: this
+            # text's literals bind into it as this text's parse
+            assert repr(sqlmod.bind_literals(cache._shapes[shape].stmt,
+                                             literals)) == \
+                repr(parse_sql(sql)), sql
             if registry.get("planner.cache.misses") > misses:  # it bound
                 assert _bound_explain(db, cache, sql) == Planner(
                     db).plan_select(parse_sql(sql)).render(), sql

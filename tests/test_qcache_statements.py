@@ -57,9 +57,9 @@ def lexed(monkeypatch):
     calls = []
     original = sqlmod._lex
 
-    def counting(text):
+    def counting(text, split=None):
         calls.append(text)
-        return original(text)
+        return original(text, split)
 
     monkeypatch.setattr(sqlmod, "_lex", counting)
     return calls
@@ -80,7 +80,7 @@ def parsed(monkeypatch):
 
 
 def _shape(cache, sql):
-    return cache._shapes[sqlmod.statement_shape(sql)[0]]
+    return cache._shapes[sqlmod.split_literals(sql)[0]]
 
 
 @pytest.mark.parametrize("sql", SELECTS)
@@ -94,7 +94,7 @@ def test_executing_a_memoized_statement_leaves_it_as_parsed(db, sql):
         assert cache.execute(other) == execute_sql(db, other)
     shape = _shape(cache, sql)
     assert shape.stmt == parse_sql(sql)
-    assert shape.key == sqlmod.statement_key(sqlmod._lex(sql))[0]
+    assert shape.key == sqlmod._render_tokens(sqlmod._lex(sql), True)
     assert len(cache._shapes) == 1
 
 
@@ -118,7 +118,7 @@ def test_a_new_text_of_a_known_shape_is_neither_lexed_nor_parsed(
         cache.execute(sql)
     for others in OTHER_TEXTS:
         for other in others:
-            assert sqlmod.statement_shape(other)[0] in cache._shapes
+            assert sqlmod.split_literals(other)[0] in cache._shapes
             lexed.clear()
             parsed.clear()
             got = cache.execute(other)
@@ -131,7 +131,7 @@ def test_the_memo_is_bounded_by_the_cache_capacity(db):
     for sql in SELECTS:
         cache.execute(sql)
     assert list(cache._shapes) == [
-        sqlmod.statement_shape(sql)[0] for sql in SELECTS[-2:]]
+        sqlmod.split_literals(sql)[0] for sql in SELECTS[-2:]]
     for others in OTHER_TEXTS:          # new texts, old shapes
         for other in others:
             cache.execute(other)
