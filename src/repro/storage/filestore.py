@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
@@ -267,6 +268,28 @@ class RecordFileStore:
         self._device.sync()
         self._drop([i for i in reversed(self._device.segments())
                     if i < self._end[0]])
+
+    def drop_before(self, **leading: Any) -> None:
+        """Delete the segments before the newest one whose first record
+        is whole and its payload begins with the ``leading`` items, in
+        order, parsing none of them: a log whose records of that kind
+        supersede everything before them (the WAL's checkpoint) is read
+        from there.  A crash between such a record's append and
+        :meth:`drop_sealed_segments` leaves what this deletes.  That
+        segment is fsynced first, and the deletions go newest first, as
+        there."""
+        head = re.compile(rb'\{"id": \d+, '
+                          + re.escape(_encode(leading)[1:-1].encode("ascii"))
+                          + rb"[,}]").match
+        indexes = self._device.segments()
+        for index in reversed(indexes[1:]):
+            first = self._device.line(index, 0) \
+                if self._device.size(index) else b""
+            if first.endswith(b"\n") and head(first):
+                self._device.append(index, b"")  # open, to be fsynced
+                self._device.sync()
+                self._drop([i for i in reversed(indexes) if i < index])
+                return
 
     def total_bytes(self) -> int:
         """Total size of all segments."""

@@ -4,10 +4,11 @@
 (optionally) the write-ahead log.  :class:`Transaction` is the unit of work:
 all reads and writes go through it, acquiring strict-2PL locks and keeping
 one change log of before/after images that commit writes to the WAL as one
-record.  Recovery redoes the records on the log, a checkpoint (every
-table's committed image) among them, so a "crash" (simply abandoning the
-in-memory object) loses no committed work — experiment E11 exercises
-exactly this.
+record.  Recovery loads the last checkpoint (every table's committed
+image, its segments as encoded columns) and redoes the records after it,
+so a "crash" (simply abandoning the in-memory object) loses no committed
+work — experiment E11 exercises exactly this; a clean :meth:`Database.close`
+writes that checkpoint, so the next open redoes nothing.
 """
 
 from __future__ import annotations
@@ -68,13 +69,11 @@ def _reindex(indexes: Iterable[tuple[str, Index]], rid: int,
 def _table_image(table: HeapTable) -> dict[str, Any]:
     """What a ``checkpoint`` record holds of each table and an
     ``alter_schema`` record of its one: the schema, the shard spec (as a
-    ``create_table`` record carries it), the rows by rid and the segment
-    layout (:meth:`HeapTable.segment_layout`) that reopen re-freezes."""
-    image: dict[str, Any] = {
-        "schema": table.schema.to_dict(),
-        "rows": {str(r.rid): r.values for r in table.scan()},
-        "segments": table.segment_layout(),
-    }
+    ``create_table`` record carries it) and the table's data — tail rows
+    by rid, encoded segments with their dead positions
+    (:meth:`HeapTable.image`)."""
+    image: dict[str, Any] = {"schema": table.schema.to_dict(),
+                             **table.image()}
     if table.shard_spec is not None:
         image["shard_key"] = table.shard_spec.key
         image["shard_count"] = table.shard_spec.count
@@ -88,14 +87,7 @@ def _load_table(image: dict[str, Any]) -> HeapTable:
     table = HeapTable(TableSchema.from_dict(image["schema"]),
                       shard_spec=None if key is None
                       else ShardSpec(key, image.get("shard_count", 1)))
-    table.load([(int(rid), values)
-                for rid, values in image.get("rows", {}).items()])
-    layout = image.get("segments")
-    if layout and not table.restore_segments(layout):
-        # The layout drifted from the rows: the un-restored remainder
-        # stays in the tail (correct, just uncompacted) rather than
-        # serving a segment whose zone maps no longer match its data.
-        metrics.get_registry().inc("segments.invalidated")
+    table.load_image(image)
     return table
 
 
@@ -850,12 +842,13 @@ class Database:
         Runs under the EXCLUSIVE table lock (:meth:`_table_exclusive`),
         so no concurrent writer can have uncommitted rows in the tail
         while it runs — everything frozen is committed data.  The freeze
-        is logged as a ``compact`` WAL record (txn 0, DDL-style: replay
-        applies it unconditionally at its log position, where the
-        committed row set provably matches the live one), so a crash at
-        any point recovers to a consistent state: either the record made
-        it and replay re-freezes the identical layout, or it did not and
-        the rows are simply still in the tail.
+        (or, freezing nothing, the drop of a segment whose positions are
+        all dead) is logged as a ``compact`` WAL record (txn 0,
+        DDL-style: replay applies it unconditionally at its log position,
+        where the committed row set provably matches the live one), so a
+        crash at any point recovers to a consistent state: either the
+        record made it and replay re-freezes the identical layout, or it
+        did not and the rows are simply still in the tail.
 
         Compaction changes layout, not data: delta listeners are NOT
         told and the table's version stays, so cached query results and
@@ -867,13 +860,16 @@ class Database:
                 get_tracer().span("rdbms.compact") as span:
             with self._mutate_lock:
                 heap = self._table(table)
+                before = heap.segment_count()
                 created, frozen, max_rid = heap.compact(
                     target_rows=target_rows)
-                if frozen:
+                segment_count = heap.segment_count()
+                # (nothing frozen: the layout changed only if a segment
+                # with every position dead went)
+                if frozen or segment_count != before:
                     self._log(0, "compact", table=table, max_rid=max_rid,
                               target_rows=target_rows)
                     self._snapshot_cache.pop(table, None)
-                segment_count = heap.segment_count()
             span.set_attribute("table", table)
             span.set_attribute("segments_created", created)
             span.set_attribute("rows_frozen", frozen)
@@ -1063,16 +1059,18 @@ class Database:
 
     def checkpoint(self) -> None:
         """Append one ``checkpoint`` record — the committed image of every
-        table (:func:`_table_image`) and ``[table, column, kind]`` per
-        index — as the first record of a new WAL segment, and delete the
-        segments before it.
+        table (:func:`_table_image`), ``[table, column, kind]`` per index
+        and the transaction counter — as the first record of a new WAL
+        segment, and delete the segments before it.
 
         The images are read through :meth:`begin_snapshot`, so open
         writers' rows are rolled back out of them (they arrive with their
         commit records, after this one); the mutate lock is held through
         the append, so no commit lands between the images and the record.
         If the append fails, nothing of it stays in the log and nothing
-        is deleted.
+        is deleted; if the fsync or a deletion after it fails, the record
+        stays and the next open deletes the segments before it
+        (:meth:`WriteAheadLog.records`).
         """
         if self._wal is None:
             return
@@ -1083,10 +1081,21 @@ class Database:
                         for name in self._tables},
                 indexes=[[table, column, "sorted"
                           if isinstance(index, SortedIndex) else "hash"]
-                         for (table, column), index in self._indexes.items()])
+                         for (table, column), index in self._indexes.items()],
+                txn_counter=self._txn_counter)
 
     def close(self) -> None:
-        if self._wal is not None:
+        """Release the log, after a shutdown checkpoint when it holds a
+        record after its last checkpoint: the next open loads the images
+        instead of redoing the log.  A checkpoint that fails is raised
+        once the log is released; what it leaves, the next open recovers
+        from (:meth:`checkpoint`)."""
+        if self._wal is None:
+            return
+        try:
+            if self._wal.needs_checkpoint:
+                self.checkpoint()
+        finally:
             self._wal.close()
 
     def wal_size_bytes(self) -> int:
@@ -1238,8 +1247,10 @@ class Database:
             _reindex(self._indexes_of(table), rid, after, before)
 
     def _recover(self) -> None:
-        """Rebuild state: redo every record on the log, in LSN order; a
-        ``checkpoint`` record replaces the tables and indexes so far."""
+        """Rebuild state: redo every record on the log from the last
+        checkpoint on (:meth:`WriteAheadLog.records`), in LSN order; a
+        ``checkpoint`` record replaces the tables, the indexes and the
+        transaction counter so far."""
         assert self._wal is not None
         max_txn = 0
         for rec in self._wal.records():
@@ -1257,6 +1268,7 @@ class Database:
                 self._indexes = {(table, column): _INDEX_KINDS[kind](
                     table, column) for table, column, kind
                     in rec.payload["indexes"]}
+                max_txn = max(max_txn, rec.payload.get("txn_counter", 0))
             elif rec.rec_type == "create_index":
                 # DDL-style like compact: skipped when its table or column
                 # is not there at this log position.

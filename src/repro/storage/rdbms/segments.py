@@ -20,17 +20,21 @@ Segments are purely a layout change: :meth:`Segment.iter_rows` decodes
 byte-identical ``(rid, values)`` pairs, and the heap table merges
 segments with its row-store tail so readers never observe the split.
 The vectorized executor in :mod:`repro.storage.rdbms.planner` is the
-consumer that makes the layout pay off.
+consumer that makes the layout pay off.  A checkpoint stores a segment
+as its buffers (:meth:`Segment.image`), and reopen takes them back as
+they are, rebuilding only the zone maps from them.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from array import array
+from base64 import b64decode, b64encode
 from collections import defaultdict
-from itertools import accumulate, repeat
-from operator import is_, itemgetter
+from itertools import accumulate, compress, repeat
+from operator import is_, itemgetter, not_
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.storage.rdbms.types import ColumnType, TableSchema
@@ -47,6 +51,10 @@ DICT_MAX_ENTRIES = 4_096
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
+#: The typed buffer of each encoding that has one (``raw`` keeps a list).
+_TYPECODES = {"int": "q", "float": "d", "bool": "b", "dict": "i"}
+
+
 def take(cells: Sequence[Any], positions: Sequence[int]) -> Sequence[Any]:
     """``cells`` at ``positions``, gathered by one C-level call (a slice
     for a stretch of consecutive positions)."""
@@ -61,6 +69,39 @@ def take(cells: Sequence[Any], positions: Sequence[int]) -> Sequence[Any]:
 #: (not one position) at a time, and all-zero bytes cost nothing.
 _SET_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1)
                   for byte in range(256))
+
+
+def _bounds(col_type: ColumnType, non_null: Sequence[Any]) -> tuple[Any, Any]:
+    """A column's zone-map ``(min, max)`` from its non-NULL values: what
+    :meth:`ColumnSegment.encode` publishes and what a column loaded from
+    its image rebuilds (:meth:`ColumnSegment.from_image`), so a bound is
+    always one its data has.  NaN poisons min()/max(): a FLOAT column
+    holding one publishes no bounds rather than bounds a zone-map prune
+    could wrongly trust."""
+    if not non_null or (col_type is ColumnType.FLOAT
+                        and any(map(math.isnan, non_null))):
+        return None, None
+    low, high = min(non_null), max(non_null)
+    if col_type is ColumnType.BOOL:  # (a bool buffer holds 0 and 1)
+        return bool(low), bool(high)
+    return low, high
+
+
+def _to_base64(buffer: array | bytearray) -> str:
+    """A typed buffer or a null bitmap as base64 of its little-endian
+    bytes."""
+    if sys.byteorder == "big" and isinstance(buffer, array):
+        buffer = array(buffer.typecode, buffer)
+        buffer.byteswap()
+    return b64encode(buffer).decode("ascii")
+
+
+def _from_base64(text: str, typecode: str) -> array:
+    """The typed buffer :func:`_to_base64` made ``text`` of."""
+    buffer = array(typecode, b64decode(text))
+    if sys.byteorder == "big":
+        buffer.byteswap()
+    return buffer
 
 
 class ColumnSegment:
@@ -120,8 +161,7 @@ class ColumnSegment:
                 packed |= int.from_bytes(flags[bit::8], "little") << bit
             nulls = bytearray(packed.to_bytes((count + 7) // 8, "little"))
             non_null = [v for v in values if v is not None]
-        min_value = min(non_null) if non_null else None
-        max_value = max(non_null) if non_null else None
+        min_value, max_value = _bounds(col_type, non_null)
 
         def done(encoding: str, data: Any,
                  dictionary: list[str] | None = None) -> "ColumnSegment":
@@ -138,10 +178,6 @@ class ColumnSegment:
                 return done("raw", list(values))
             return done("int", array("q", filled(0)))
         if col_type is ColumnType.FLOAT:
-            if any(map(math.isnan, non_null)):
-                # NaN poisons min()/max(); publish no bounds rather than
-                # bounds a zone-map prune could wrongly trust.
-                min_value = max_value = None
             return done("float", array("d", filled(0.0)))
         if col_type is ColumnType.BOOL:
             return done("bool", array("b", map(bool, values)))
@@ -155,6 +191,46 @@ class ColumnSegment:
                 return done("dict", array("i", map(code_of.__getitem__,
                                                    values)), dictionary)
         return done("raw", list(values))  # also: dictionary overflow
+
+    def image(self) -> dict[str, Any]:
+        """What a checkpoint stores of this column: the encoding, the
+        buffer (base64 of its little-endian bytes; a ``raw`` column's
+        list as it is), the dictionary, the null bitmap and null count.
+        The zone map is not stored: :meth:`from_image` rebuilds it."""
+        image: dict[str, Any] = {
+            "encoding": self.encoding,
+            "data": self.data if self.encoding == "raw"
+            else _to_base64(self.data)}
+        if self.dictionary is not None:
+            image["dictionary"] = self.dictionary
+        if self.nulls is not None:
+            image["nulls"] = _to_base64(self.nulls)
+            image["null_count"] = self.null_count
+        return image
+
+    @staticmethod
+    def from_image(name: str, col_type: ColumnType, image: dict[str, Any],
+                   count: int) -> "ColumnSegment":
+        """The column :meth:`image` made ``image`` of, its ``count``
+        cells taken from the buffer as they are and its zone map rebuilt
+        from them (:func:`_bounds`)."""
+        encoding = image["encoding"]
+        data = image["data"]
+        if encoding != "raw":
+            data = _from_base64(data, _TYPECODES[encoding])
+        nulls = image.get("nulls")
+        column = ColumnSegment(
+            name, encoding, data, image.get("dictionary"),
+            None if nulls is None else bytearray(b64decode(nulls)),
+            image.get("null_count", 0), count, None, None)
+        if encoding == "dict":  # (every entry is a cell's value)
+            non_null = column.dictionary
+        elif column.null_count:
+            non_null = list(compress(data, map(not_, column.null_flags())))
+        else:
+            non_null = data
+        column.min_value, column.max_value = _bounds(col_type, non_null)
+        return column
 
     # ------------------------------------------------------------ decoding
 
@@ -370,13 +446,32 @@ class Segment:
                   items: list[tuple[int, dict[str, Any]]],
                   dict_max: int = DICT_MAX_ENTRIES,
                   shard: int | None = None) -> "Segment":
-        """Freeze ``(rid, values)`` pairs into a segment (rid-sorted)."""
+        """Freeze ``(rid, values)`` pairs into a segment (rid-sorted).
+        Tests build segments with it; the engine freezes columns."""
         items = sorted(items, key=lambda kv: kv[0])
         return Segment.from_columns(
             schema, [rid for rid, _ in items],
             ([values.get(name) for _, values in items]
              for name in schema.column_names),
             dict_max=dict_max, shard=shard)[0]
+
+    def image(self) -> dict[str, Any]:
+        """What a checkpoint stores of this segment: its rids (base64 of
+        little-endian int64), its shard tag and each column's
+        :meth:`ColumnSegment.image`, one column at a time."""
+        return {"rids": _to_base64(self.rids), "shard": self.shard,
+                "columns": {name: column.image()
+                            for name, column in self.columns.items()}}
+
+    @staticmethod
+    def from_image(schema: TableSchema, image: dict[str, Any]) -> "Segment":
+        """The segment :meth:`image` made ``image`` of: no row is built
+        and nothing is encoded."""
+        rids = _from_base64(image["rids"], "q")
+        return Segment(schema, rids, {
+            col.name: ColumnSegment.from_image(
+                col.name, col.col_type, image["columns"][col.name], len(rids))
+            for col in schema.columns}, shard=image["shard"])
 
     # -------------------------------------------------------------- access
 
@@ -441,5 +536,5 @@ class Segment:
         return col.decoded() if col is not None else [None] * self.count
 
     def zone_maps(self) -> dict[str, dict[str, Any]]:
-        """Column name → zone map, validated by the reopen regression."""
+        """Column name → zone map."""
         return {name: col.zone_map() for name, col in self.columns.items()}

@@ -430,7 +430,7 @@ class HeapTable:
         """``(shard, segments, tail rids)`` per shard — one group, shard
         None, when unsharded — both in rid order.  The segments of a
         group never overlap in rid range: :meth:`compact` chunks that
-        way and :meth:`restore_segments` refuses a layout that does not.
+        way, and a checkpoint image brings them back as they were.
         """
         by_min_rid = attrgetter("min_rid")
         segments = [s for s in self._segments if s.count]
@@ -626,17 +626,11 @@ class HeapTable:
         return units
 
     def segment_layout(self) -> list[list[int]]:
-        """``[[min_rid, max_rid, count], ...]`` — checkpointed so reopen
-        can re-freeze the same layout (and detect drift).  ``count`` is
-        what :meth:`restore_segments` will find in the range once every
-        row is back in the tail: the segment's live rows plus the tail
-        rows inside its rid range; a range left with none is omitted.
-
-        Segments of sharded tables emit a fourth ``shard`` element:
-        per-shard rid ranges interleave, so restore must know which shard
-        each frozen range belonged to (a bare range would scoop up other
-        shards' rows).  Unsharded segments keep the 3-entry form so old
-        checkpoints stay readable.
+        """``[[min_rid, max_rid, count], ...]``, a fourth ``shard``
+        element on a sharded table's segments: the layout as tests
+        observe it (nothing in the engine reads it).  ``count`` is the
+        segment's live rows plus the tail rows inside its rid range (of
+        its shard); a range left with none is omitted.
         """
         layout = []
         rows = self._rows
@@ -653,49 +647,52 @@ class HeapTable:
                               else [s.min_rid, s.max_rid, count, s.shard])
         return layout
 
-    def restore_segments(self, layout: list[list[int]]) -> bool:
-        """Re-freeze a checkpointed layout after the rows were reloaded.
+    def image(self) -> dict[str, Any]:
+        """The table's data as a checkpoint stores it: the tail rows by
+        rid (value dicts by reference) and each segment's
+        :meth:`Segment.image` with its dead positions.  No row is
+        decoded."""
+        return {
+            "rows": {str(rid): values for rid, values in self._rows.items()},
+            "segments": [{**segment.image(),
+                          "dead": self._dead.get(segment, [])}
+                         for segment in self._segments],
+        }
 
-        Re-encoding from the recovered rows rebuilds every zone map from
-        scratch, so reopen can never serve stale min/max bounds (the
-        drift class PR 5's facts-index bug belonged to).  If any entry no
-        longer matches the live rows — the snapshot drifted — or reaches
-        across a segment already restored, the restore stops and the
-        remaining rows stay in the (always correct) tail; returns False
-        in that case so callers can count the invalidation.
+    def load_image(self, image: dict[str, Any]) -> None:
+        """Take in what :meth:`image` made (recovery, into an empty
+        table): the tail through :meth:`load`, each segment straight from
+        its buffers (:meth:`Segment.from_image`: no row dict, no
+        encoding) with its dead positions, and the pk map from the pk
+        column's live positions.
 
-        The shard spec must already be applied (recovery order): 4-entry
-        layouts select rows by rid range *and* shard membership.
+        Raises:
+            ValueError: the image holds segments as rid ranges, the
+                layout before encoded segments.
         """
-        rows = self._rows
-        rids = sorted(rows)  # once: each entry bisects its range
-        spec = self._shard_spec
-        restored: dict[int | None, list[tuple[int, int]]] = {}
-        try:
-            for min_rid, max_rid, count, *tag in layout:
-                shard = tag[0] if tag else None
-                if (shard is None) != (spec is None) \
-                        or (spec is not None and shard >= spec.count):
-                    return False
-                chunk = rids[bisect_left(rids, min_rid):
-                             bisect_right(rids, max_rid)]
-                if shard is not None:  # (a rid not in rows: frozen above)
-                    chunk = [rid for rid in chunk if rid in rows
-                             and self._shard_of_values(rows[rid]) == shard]
-                ranges = restored.setdefault(shard, [])
-                if len(chunk) != count or any(
-                        lo <= max_rid and min_rid <= hi for lo, hi in ranges):
-                    return False
-                if not chunk:
-                    continue
-                ranges.append((min_rid, max_rid))
-                self._segments.append(Segment.from_rows(
-                    self._schema, [(rid, self._rows.pop(rid)) for rid in chunk],
-                    shard=shard))
-                self._directory = None
-            return True
-        finally:
-            self._rows = dict(self._rows)  # see compact: no leftovers
+        entries = image.get("segments", ())
+        if any(not isinstance(entry, dict) for entry in entries):
+            raise ValueError(
+                f"table {self.name!r}: its image holds segments as rid "
+                "ranges, an older layout which this version neither reads "
+                "nor migrates")
+        self.load([(int(rid), values)
+                   for rid, values in image.get("rows", {}).items()])
+        pk = self._schema.primary_key
+        for entry in entries:
+            segment = Segment.from_image(self._schema, entry)
+            self._segments.append(segment)
+            if entry["dead"]:
+                self._dead[segment] = entry["dead"]
+            if pk is not None:
+                live = self.live_positions(segment)
+                self._pk_index.update(zip(segment.gather((pk,), live)[0],
+                                          take(segment.rids, live)))
+            if segment.count:  # (a dead position's rid is not reused)
+                self._next_rid = max(self._next_rid, segment.max_rid + 1)
+        self._directory = None
+        if self._dead:
+            self._publish_dead_rows()
 
     # ---------------------------------------------------------------- reads
 

@@ -20,17 +20,21 @@ payload ``{"txn": id, "type": kind, ...}``.  Written:
   routing is seed-stable, so replaying the spec at the same log position
   reproduces the identical shard membership),
 * ``checkpoint`` — the committed image of every table (schema, shard
-  spec, rows by rid, segment layout) and the index list.
+  spec, tail rows by rid, each segment's encoded columns with its dead
+  positions), the index list and the transaction counter.
 
 A checkpoint (:meth:`WriteAheadLog.checkpoint`) is the first record of a
 new segment; once it is written the segments before it are deleted.
-Recovery (:meth:`repro.storage.rdbms.engine.Database._recover`) redoes
-the records in LSN order over an empty database (it never trusts the
-crashed in-memory image), and a ``checkpoint`` record replaces every table
-and index with its image.  A record torn at any byte is the log's torn
-suffix, which the store drops — so a transaction, or a checkpoint, is
-recovered whole or not at all by construction; and segments a crash left
-before a whole checkpoint record are replayed, then superseded by it.
+:meth:`Database.close <repro.storage.rdbms.engine.Database.close>`
+writes one when the log holds a record after its last.  Recovery
+(:meth:`repro.storage.rdbms.engine.Database._recover`) starts at the
+last whole checkpoint record — segments a crash left before it are
+deleted unread — and redoes the records in LSN order over an empty
+database (it never trusts the crashed in-memory image); the
+``checkpoint`` record replaces every table and index with its image.  A
+record torn at any byte is the log's torn suffix, which the store drops
+— so a transaction, or a checkpoint, is recovered whole or not at all by
+construction.
 """
 
 from __future__ import annotations
@@ -79,6 +83,9 @@ class WriteAheadLog:
         self._log = RecordFileStore(os.path.join(directory, LOG_DIR),
                                     segment_max_records=SEGMENT_RECORDS,
                                     sync=sync)
+        #: Whether the log holds a record after its last checkpoint
+        #: (what :meth:`Database.close` checkpoints).
+        self.needs_checkpoint = False
 
     # ------------------------------------------------------------------ API
 
@@ -91,20 +98,26 @@ class WriteAheadLog:
         registry.inc("rdbms.wal.records")
         registry.inc(f"rdbms.wal.records.{rec_type}")
         registry.inc("rdbms.wal.bytes", log.appended_bytes - before)
+        self.needs_checkpoint = rec_type != "checkpoint"
         return LogRecord(lsn, txn_id, rec_type, payload)
 
     def records(self) -> Iterator[LogRecord]:
-        """All records on disk, in LSN order, each parsed once; once read,
-        the torn suffix is cut from the file (and counted in
+        """The records on disk from the last whole checkpoint record on
+        (the first, without one), in LSN order, each parsed once: the
+        segments before that record are deleted unread.  Once read, the
+        torn suffix is cut from the file (and counted in
         ``recovery.truncated_records``).
 
         Raises:
             ValueError: a damaged record with records after it.
         """
+        self._log.drop_before(txn=0, type="checkpoint")
         for record in self._log.replay():
             payload = record.payload
-            yield LogRecord(record.record_id, payload.pop("txn"),
+            rec = LogRecord(record.record_id, payload.pop("txn"),
                             payload.pop("type"), payload)
+            self.needs_checkpoint = rec.rec_type != "checkpoint"
+            yield rec
         self._log.catch_up()
 
     def checkpoint(self, **image: Any) -> None:

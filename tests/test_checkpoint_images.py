@@ -1,0 +1,311 @@
+"""A clean close writes a checkpoint whose table images hold each segment
+as its encoded columns, and reopen takes them back as they are.
+
+The oracle: for any table state, a clean close + reopen reads exactly like
+a crash reopen, which replays the same log — rows in rid order, each
+segment down to its buffers, encodings and zone maps, dead positions, the
+tail, primary-key and index lookups, and the EXPLAIN, rows and zone-map
+skips of range SELECTs (the layout parts only where no aborted write
+took a row back: see the test).  (Not the next rid to assign: a rid that no
+stored row or segment holds, freed by an abort or a tail delete, may be
+assigned again after a clean reopen; no record names it.)  Also here: a read-only open and
+close rewrites nothing, open starts at the last checkpoint record, and a
+shutdown checkpoint that fails loses nothing.
+"""
+
+import json
+import os
+import shutil
+import tempfile
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.system import StructureManagementSystem
+from repro.storage.rdbms import wal
+from repro.storage.rdbms.engine import Database
+from repro.storage.rdbms.segments import (DICT_MAX_ENTRIES, ColumnSegment,
+                                          Segment)
+from repro.storage.rdbms.sql import execute_sql
+from repro.storage.rdbms.types import Column, ColumnType, TableSchema
+from repro.telemetry.metrics import MetricsRegistry, use_registry
+from tests.devices import failing
+from tests.test_rdbms_compact_layout import _plain, column_layout
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+TABLES = ("t", "u")  # "u" is sharded on "s"
+
+
+def _schema(name):
+    return TableSchema(
+        name,
+        (Column("id", ColumnType.INT, nullable=False),
+         Column("n", ColumnType.INT),
+         Column("f", ColumnType.FLOAT),
+         Column("s", ColumnType.TEXT),
+         Column("b", ColumnType.BOOL)),
+        primary_key="id")
+
+
+cells_st = st.tuples(
+    st.one_of(st.none(), st.integers(-5, 5),
+              st.sampled_from([_INT64_MIN - 1, _INT64_MAX + 1, _INT64_MIN])),
+    st.one_of(st.none(), st.sampled_from([-0.0, float("nan"), float("inf"),
+                                          float("-inf")]),
+              st.floats(-4, 4, width=32)),
+    st.one_of(st.none(), st.sampled_from(["", "a", "b", "ß", "a b"])),
+    st.one_of(st.none(), st.booleans()))
+#: (kind, table, which row, new cells, segment size of a compaction)
+op_st = st.tuples(
+    st.sampled_from(["insert", "insert", "update", "update", "delete",
+                     "compact", "abort", "checkpoint"]),
+    st.sampled_from(TABLES), st.integers(0, 1000), cells_st,
+    st.integers(1, 6))
+
+
+def _values(key, cells):
+    return dict(zip(("n", "f", "s", "b"), cells), id=key)
+
+
+def _create(directory):
+    db = Database(directory)
+    db.create_table(_schema("t"))
+    db.create_table(_schema("u"), shard_key="s", shard_count=3)
+    for table in TABLES:
+        db.create_index(table, "s")
+        db.create_index(table, "n", kind="sorted")
+    return db
+
+
+def _apply(db, ops, keys):
+    """Commits, aborts, compactions and checkpoints, so the log holds
+    every record kind and the tables dead positions, tail rows inside
+    and beyond segments, and neighbours rewritten together.  Returns
+    whether an aborted write touched a row that was there before it."""
+    undone = False
+    for kind, table, pick, cells, size in ops:
+        rids = db._table(table).rids()
+        if kind == "compact":
+            db.compact(table, target_rows=size)
+        elif kind == "checkpoint":
+            db.checkpoint()
+        elif kind == "insert" or not rids:
+            db.run(lambda t: t.insert(table, _values(next(keys), cells)))
+        elif kind == "abort":       # of an insert, an update or a delete
+            txn = db.begin()
+            rid = rids[pick % len(rids)]
+            if size % 3 == 0:
+                txn.insert(table, _values(next(keys), cells))
+            elif size % 3 == 1:
+                txn.update(table, rid, {"n": cells[0]})
+            else:
+                txn.delete(table, rid)
+            txn.abort()
+            undone |= size % 3 != 0
+        elif kind == "update":
+            rid = rids[pick % len(rids)]
+            db.run(lambda t: t.update(table, rid, _values(
+                db._table(table).get(rid)["id"], cells)))
+        else:
+            db.run(lambda t: t.delete(table, rids[pick % len(rids)]))
+    return undone
+
+
+def _layout(heap):
+    return ([(segment.shard, segment.rids.tobytes(),
+              [column_layout(segment.columns[name])
+               for name in heap.schema.column_names],
+              list(heap.dead_positions(segment)))
+             for segment in heap._segments],
+            {rid: _plain_row(values) for rid, values in heap._rows.items()})
+
+
+def _plain_row(values):
+    return {name: _plain(value) for name, value in values.items()}
+
+
+def _state(db, probes):
+    """What the two reopens must agree on, read through every path, as
+    ``(contents, layout)``."""
+    state = {"indexes": sorted((key, type(index).__name__)
+                               for key, index in db._indexes.items())}
+    layout = {}
+    for table in TABLES:
+        heap = db._table(table)
+        rows = db.run(lambda t: t.scan(table))
+        layout[table] = _layout(heap)
+        state[table] = (
+            [(row.rid, _plain_row(row.values)) for row in rows],
+            heap.shard_spec, sorted(heap._pk_index.items()),
+            db.run(lambda t: (
+                [t.get_by_pk(table, row["id"]).rid for row in rows],
+                [[r.rid for r in t.lookup(table, "s", text)]
+                 for text in ("", "a", "b", "ß", "a b", "w7")],
+                [[r.rid for r in t.range_lookup(table, "n", low, high)]
+                 for low, high in probes])))
+        for low, high in probes:
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                where = f"n >= {low} AND n <= {high} AND f > -1.5"
+                state[table, where] = [_plain_row(r) for r in execute_sql(
+                    db, f"SELECT id, f FROM {table} WHERE {where}")]
+                layout[table, where] = (
+                    [r["plan"] for r in execute_sql(
+                        db, f"EXPLAIN SELECT id, f FROM {table} "
+                            f"WHERE {where}")],
+                    registry.get("segments.skipped"),
+                    registry.get("segments.scanned"))
+    return state, layout
+
+
+@given(ops=st.lists(op_st, max_size=30), wide=st.sampled_from(
+    [False, False, False, True]), probes=st.lists(st.tuples(
+        st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_a_clean_reopen_reads_like_a_crash_reopen(ops, wide, probes):
+    with tempfile.TemporaryDirectory() as scratch:
+        clean, crash = (os.path.join(scratch, name)
+                        for name in ("clean", "crash"))
+        db = _create(clean)
+        keys = iter(range(10**6))
+        if wide:   # a TEXT column over the dictionary's bound: raw
+            db.run(lambda t: t.insert_many("t", [
+                _values(next(keys), (None, 0.5, f"w{i}", True))
+                for i in range(DICT_MAX_ENTRIES + 1)]))
+            db.compact("t")
+            assert "raw" in {segment.columns["s"].encoding
+                             for segment in db._table("t").segments}
+        undone = _apply(db, ops, keys)
+        shutil.copytree(clean, crash)      # the log as a crash leaves it
+        replayed = Database(crash)
+        db.close()
+        assert not db._wal.needs_checkpoint
+        with mock.patch.object(ColumnSegment, "encode") as encode, \
+                mock.patch.object(Segment, "rows_at") as rows_at:
+            reopened = Database(clean)
+        assert encode.call_count == rows_at.call_count == 0  # none made
+        (contents, layout), (replayed_contents, replayed_layout) = (
+            _state(reopened, probes), _state(replayed, probes))
+        assert contents == replayed_contents
+        # An aborted update or delete leaves the row it took back as a
+        # dead position and a tail copy of its values in the live table
+        # (and in a committed view built while it was open); a replay,
+        # which never sees the abort, does not.  Only then may the
+        # layouts differ.
+        if not undone:
+            assert layout == replayed_layout
+        assert reopened._txn_counter >= replayed._txn_counter
+
+
+# ------------------------------------------------ the shutdown checkpoint
+
+
+def _seeded(directory):
+    """A table with segments, dead positions and tail rows, and an index."""
+    db = _create(directory)
+    db.run(lambda t: t.insert_many("t", [
+        _values(i, (i, i / 4, "ab"[i % 2], i % 3 == 0)) for i in range(12)]))
+    db.compact("t", target_rows=4)
+    db.run(lambda t: t.update("t", 5, {"s": "b"}))
+    db.run(lambda t: t.delete("t", 9))
+    db.run(lambda t: t.insert("t", _values(12, (None, None, None, None))))
+    return db
+
+
+def _wal(directory):
+    """The WAL's segment files: name -> bytes."""
+    return {path.name: path.read_bytes()
+            for path in (directory / "wal").iterdir()}
+
+
+def _rows(db):
+    return {table: db.run(lambda t: [(r.rid, _plain_row(r.values))
+                                     for r in t.scan(table)])
+            for table in db.table_names()}
+
+
+def test_close_checkpoints_a_log_with_records_after_its_last(tmp_path):
+    db = _seeded(str(tmp_path))
+    rows, last_txn = _rows(db), db._txn_counter
+    assert len(_wal(tmp_path)) == 1 and db._wal.needs_checkpoint
+    db.close()
+    [(name, data)] = _wal(tmp_path).items()
+    assert name == "seg-0001.jsonl"          # the log before it is gone
+    assert [json.loads(line)["type"] for line in data.splitlines()] == [
+        "checkpoint"]
+    reopened = Database(str(tmp_path))
+    assert _rows(reopened) == rows
+    assert reopened.begin().txn_id > last_txn  # the record carries it
+
+
+def test_a_read_only_open_and_close_rewrites_nothing(tmp_path):
+    _seeded(str(tmp_path)).close()
+    before = _wal(tmp_path)
+    reopened = Database(str(tmp_path))
+    assert execute_sql(reopened, "SELECT COUNT(*) AS n FROM t") == [{"n": 12}]
+    reopened.close()
+    assert _wal(tmp_path) == before
+    Database(str(tmp_path)).close()      # nor does one that reads nothing
+    assert _wal(tmp_path) == before
+
+
+def test_a_reopened_workspace_closes_without_rewriting_its_log(tmp_path):
+    """The e2e cycle's reopen: open a closed workspace, count, close."""
+    workspace = str(tmp_path / "ws")
+    system = StructureManagementSystem(workspace=workspace)
+    system.db.create_table(_schema("t"))
+    system.db.run(lambda t: t.insert("t", _values(1, (1, 1.0, "a", True))))
+    system.close()
+    before = _wal(tmp_path / "ws" / "final")
+    reopened = StructureManagementSystem(workspace=workspace)
+    assert reopened.query("SELECT COUNT(*) AS n FROM t") == [{"n": 1}]
+    reopened.close()
+    assert _wal(tmp_path / "ws" / "final") == before
+
+
+@pytest.mark.parametrize("deleted", [0, 1, 2])
+def test_open_starts_at_the_last_checkpoint(tmp_path, monkeypatch, deleted):
+    """A crash between a checkpoint's append and the deletion of the log
+    before it (here: the deletion fails after ``deleted`` segments): the
+    next open deletes what is left of that log without parsing it, and
+    the tables and the transaction counter come back all the same."""
+    monkeypatch.setattr(wal, "SEGMENT_RECORDS", 2)
+    interrupted, whole = _seeded(str(tmp_path / "a")), _seeded(
+        str(tmp_path / "b"))
+    with failing(interrupted._wal._log, "remove", after=deleted), \
+            pytest.raises(OSError):
+        interrupted.checkpoint()
+    whole.checkpoint()
+    left = sorted(_wal(tmp_path / "a"))
+    assert len(left) > len(_wal(tmp_path / "b")) + 1
+    for db in (interrupted, whole):     # a record after the checkpoint
+        db.run(lambda t: t.insert("t", _values(13, (13, None, "c", None))))
+    last_txn = interrupted._txn_counter
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, *args, **kwargs: (
+        parsed.append(text), loads(text, *args, **kwargs))[1])
+    reopened = Database(str(tmp_path / "a"))
+    monkeypatch.setattr(json, "loads", loads)
+    assert len(parsed) == 2             # the checkpoint and the commit
+    assert sorted(_wal(tmp_path / "a")) == left[-1:]
+    assert _rows(reopened) == _rows(Database(str(tmp_path / "b")))
+    assert reopened.begin().txn_id > last_txn
+
+
+@pytest.mark.parametrize("fail", ["write", "sync"])
+def test_a_failed_shutdown_checkpoint_loses_nothing(tmp_path, fail):
+    """The checkpoint's append reports a full disk, or the fsync before
+    the old log's deletion fails: close releases the log and raises, and
+    the directory reopens to the committed state."""
+    db = _seeded(str(tmp_path))
+    rows = _rows(db)
+    with failing(db._wal._log, fail) as device, pytest.raises(OSError):
+        db.close()
+    assert device._device._file is None            # the log is released
+    reopened = Database(str(tmp_path))
+    assert _rows(reopened) == rows
+    reopened.close()
+    assert _rows(Database(str(tmp_path))) == rows

@@ -290,7 +290,7 @@ def test_insert_many_records_wal_and_batch_metrics(tmp_path):
         db = Database(str(tmp_path))
         db.create_table(_schema())
         db.run(lambda t: t.insert_many("items", _rows(50)))
-        db.close()
+    db.close()
     # the batch is one WAL record — metrics agree with the log itself
     assert registry.get("rdbms.wal.records.commit") == 1
     assert registry.get("rdbms.wal.records") == 2  # create_table + the batch

@@ -244,7 +244,7 @@ def test_wal_cut_at_every_byte_reopens_to_the_last_whole_record(
             history.append((sum(map(len, covered.values()))
                             + db.wal_size_bytes(), model.state()))
             whats.append(what)
-    db.close()
+    # crash: no close, so no shutdown checkpoint
     segments = {**covered, **_segments(live)}
     layout, size = [], 0  # (name, stream offset it starts at, bytes)
     for name in sorted(segments):

@@ -1,7 +1,7 @@
 """Compaction builds segments a column at a time (DESIGN.md §12); the
 layout must be byte for byte what the row-at-a-time compaction produced,
-because WAL replay of a ``compact`` record and ``restore_segments`` both
-rebuild it.  The old bodies live on here as the reference."""
+because WAL replay of a ``compact`` record rebuilds it.  The old bodies
+live on here as the reference."""
 
 import copy
 from array import array

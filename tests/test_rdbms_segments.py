@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.backends import SerialBackend
+from repro.storage.filestore import RecordFileStore
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.segments import Segment
 from repro.storage.rdbms.sql import SqlError, execute_sql
@@ -676,6 +677,21 @@ def test_compact_survives_crash_via_wal(tmp_path):
     assert db2._table("t").tail_size == 0
 
 
+def test_a_compaction_that_only_drops_dead_segments_replays(tmp_path):
+    """A compaction whose only work is dropping a segment with every
+    position dead freezes no row; it is logged all the same, so a replay
+    drops the segment too (it used to keep it, dead)."""
+    db = Database(str(tmp_path))
+    _load(db, 4)
+    db.compact("t", target_rows=2)
+    db.run(lambda txn: [txn.delete("t", rid) for rid in (0, 1)])
+    assert db.compact("t")["rows_frozen"] == 0
+    heap = db._table("t")
+    assert (heap.segment_count(), heap.dead_rows) == (1, 0)
+    replayed = Database(str(tmp_path))._table("t")  # a crash: no close
+    assert (replayed.segment_count(), replayed.dead_rows) == (1, 0)
+
+
 def test_compact_layout_restored_from_checkpoint(tmp_path):
     db = Database(str(tmp_path))
     _load(db, 90)
@@ -722,19 +738,20 @@ def test_reopened_zone_maps_match_freshly_built_ones(tmp_path):
     assert registry.get("segments.skipped") == skipped + 1
 
 
-def test_bad_segment_layout_invalidates_instead_of_corrupting():
+def test_an_image_of_segments_as_rid_ranges_is_refused(tmp_path):
+    """A checkpoint of the layout before encoded segments held each
+    segment as a rid range to re-freeze; reopen refuses it by name."""
     db = Database()
-    _load(db, 50)
-    heap = db._table("t")
-    registry = metrics.get_registry()
-    # a layout whose counts don't match the live rows must be rejected
-    assert heap.restore_segments([[0, 49, 49]]) is False
-    assert heap.segment_count() == 0
-    assert len(heap) == 50
-    # engine counts the rejection during recovery
-    before = registry.get("segments.invalidated")
-    registry.inc("segments.invalidated", 0)  # counter exists
-    assert registry.get("segments.invalidated") == before
+    _load(db, 4)
+    image = {"schema": db.schema("t").to_dict(),
+             "rows": {str(row.rid): row.values
+                      for row in db.run(lambda t: t.scan("t"))},
+             "segments": [[0, 3, 4]]}
+    RecordFileStore(str(tmp_path / "wal")).append(
+        {"txn": 0, "type": "checkpoint", "tables": {"t": image},
+         "indexes": []})
+    with pytest.raises(ValueError, match="'t'.*rid ranges.*older layout"):
+        Database(str(tmp_path))
 
 
 # --------------------------------------------------------- auto-compaction

@@ -253,7 +253,7 @@ def test_wal_truncated_inside_create_index_recovers_without_the_index(
     db.create_table(_schema())
     db.run(lambda t: t.insert("t", {"id": 1, "value": "a"}))
     db.create_index("t", "value")
-    db.close()
+    # crash: no close, so no shutdown checkpoint
     wal_path = tmp_path / "wal" / "seg-0000.jsonl"
     data = wal_path.read_bytes()
     last = data.rstrip(b"\n").rsplit(b"\n", 1)[-1]
@@ -292,7 +292,7 @@ def test_torn_final_record_is_tolerated(tmp_path):
     db.create_table(_schema())
     with db.begin() as txn:
         txn.insert("t", {"id": 1, "value": "committed"})
-    db.close()
+    # crash: no close, so no shutdown checkpoint
     wal_path = tmp_path / "wal" / "seg-0000.jsonl"
     with open(wal_path, "a", encoding="utf-8") as f:
         f.write('{"lsn": 999, "txn": 9, "type": "ins')  # torn write
@@ -312,7 +312,7 @@ def test_multi_record_corrupt_suffix_is_tolerated(tmp_path):
     db.create_table(_schema())
     with db.begin() as txn:
         txn.insert("t", {"id": 1, "value": "committed"})
-    db.close()
+    # crash: no close, so no shutdown checkpoint
     wal_path = tmp_path / "wal" / "seg-0000.jsonl"
     with open(wal_path, "a", encoding="utf-8") as f:
         f.write("GARBAGE NOT JSON\n")
@@ -331,7 +331,7 @@ def test_midlog_corruption_raises(tmp_path):
     db.create_table(_schema())
     with db.begin() as txn:
         txn.insert("t", {"id": 1, "value": "a"})
-    db.close()
+    # crash: no close, so no shutdown checkpoint
     wal_path = tmp_path / "wal" / "seg-0000.jsonl"
     lines = wal_path.read_text().splitlines()
     assert len(lines) == 2                      # create_table, the commit
@@ -353,12 +353,11 @@ def test_recovery_is_idempotent(tmp_path):
     assert rows1 == rows2 == [{"id": 1, "value": "a"}]
 
 
-def test_checkpoint_after_writes_to_frozen_rows_refreezes_on_reopen(tmp_path):
-    """A checkpoint records live counts: dead positions and the tail rows
-    standing in for them must not read as drift (the table used to come
-    back all-tail), and zone maps are rebuilt from the recovered rows."""
-    from repro.telemetry import metrics
-
+def test_checkpoint_after_writes_to_frozen_rows_reopens_as_it_was(tmp_path):
+    """A checkpoint stores each segment with its dead positions, beside
+    the tail rows standing in for them: reopen brings the table back as
+    it was, the WAL suffix redone beside it, and rebuilds each zone map
+    from its segment's buffers."""
     db = Database(str(tmp_path))
     db.create_table(_schema())
     db.run(lambda t: t.insert_many(
@@ -375,18 +374,18 @@ def test_checkpoint_after_writes_to_frozen_rows_refreezes_on_reopen(tmp_path):
     db.run(lambda t: t.delete("t", 6))
     before = db.run(lambda t: [r.values for r in t.scan("t")])
 
-    invalidated = metrics.get_registry().get("segments.invalidated")
     reopened = Database(str(tmp_path))
-    assert metrics.get_registry().get("segments.invalidated") == invalidated
     heap = reopened._table("t")
     assert reopened.run(lambda t: [r.values for r in t.scan("t")]) == before
-    assert heap.segment_count() == 3
-    # the suffix replayed beside the re-frozen segments, melting nothing
-    assert (heap.tail_size, heap.dead_rows) == (1, 2)
+    # the suffix replayed beside the checkpointed segments, melting nothing
+    assert (heap.segment_count(), heap.tail_size, heap.dead_rows) == (3, 2, 5)
+    live = db._table("t")
+    assert [(list(s.rids), list(heap.dead_positions(s)), s.zone_maps())
+            for s in heap.segments] == \
+        [(list(s.rids), list(live.dead_positions(s)), s.zone_maps())
+         for s in live.segments]
     middle = next(s for s in heap.segments if s.min_rid == 4)
-    assert middle.zone_maps()["value"]["max"] == "zz"
-    assert next(s for s in heap.segments
-                if s.min_rid == 10).zone_maps()["id"]["min"] == 10
+    assert middle.zone_maps()["value"]["max"] == "v07"  # "zz" is a tail row
 
 
 # ------------------------------------------------- the batch write record
@@ -473,7 +472,7 @@ def test_batch_record_torn_at_any_byte_recovers_to_before_the_transaction(
     wal_path = tmp_path / "db" / "wal" / "seg-0000.jsonl"
     prefix = wal_path.read_bytes()
     db.run(lambda t: t.write_many("t", BATCH))
-    db.close()
+    # crash: no close, so no shutdown checkpoint
     whole = wal_path.read_bytes()
     lines = whole[len(prefix):].splitlines(keepends=True)
     assert [json.loads(line)["type"] for line in lines] \

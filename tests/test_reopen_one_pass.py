@@ -41,8 +41,7 @@ def _lines(directory):
 
 
 def test_reopen_parses_each_record_once(tmp_path, monkeypatch):
-    db = _checkpointed_log(str(tmp_path), monkeypatch)
-    db.close()
+    db = _checkpointed_log(str(tmp_path), monkeypatch)  # then a crash
     lines = _lines(tmp_path)
     assert len(list((tmp_path / "wal").iterdir())) == 2
     assert [json.loads(line)["type"] for line in lines] == [
@@ -62,8 +61,7 @@ def test_reopen_parses_each_record_once(tmp_path, monkeypatch):
 
 
 def test_a_torn_suffix_is_still_cut_and_counted(tmp_path, monkeypatch):
-    db = _checkpointed_log(str(tmp_path), monkeypatch)
-    db.close()
+    db = _checkpointed_log(str(tmp_path), monkeypatch)  # then a crash
     last = sorted((tmp_path / "wal").iterdir())[-1]
     size = last.stat().st_size
     with open(last, "a", encoding="utf-8") as f:
@@ -77,7 +75,6 @@ def test_a_torn_suffix_is_still_cut_and_counted(tmp_path, monkeypatch):
     assert last.stat().st_size == size
     assert _rows(reopened) == _rows(db)
     reopened.run(lambda t: t.insert("t", {"id": 9, "value": "after"}))
-    reopened.close()
     assert [json.loads(line)["id"] for line in _lines(tmp_path)] == list(
         range(5, 12))  # the LSNs go on past the cut
 
