@@ -28,6 +28,7 @@ from repro.lang.registry import OperatorRegistry
 from repro.storage.manager import StorageManager
 from repro.storage.rdbms.engine import CommitDelta, Database
 from repro.storage.rdbms.qcache import QueryResultCache
+from repro.storage.rdbms.sql import execute_sql
 from repro.storage.rdbms.table import ScanUnit, gather_column
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry import current_session, metrics
@@ -219,8 +220,6 @@ class StructureManagementSystem:
     drain_timeout_seconds: float = 10.0
 
     def __post_init__(self) -> None:
-        # Serving state first: the reopened-workspace path below issues a
-        # query, which must pass through the admission gate.
         self.gate = ServingGate(
             max_concurrent=self.max_concurrent_queries,
             max_queue=self.max_queued_queries,
@@ -284,10 +283,11 @@ class StructureManagementSystem:
             # Reopened workspace (recovery brought the indexes back):
             # continue fact ids after any stored one (a program's list can
             # name a fact raw SQL deleted)
-            top = [self.query(
-                f"SELECT MAX(fact_id) AS m FROM {FACTS_TABLE}")[0]["m"]]
-            for row in self.query(
-                    f"SELECT fact_ids FROM {PROGRAM_FACTS_TABLE}"):
+            top = [execute_sql(
+                self.db, f"SELECT MAX(fact_id) AS m FROM {FACTS_TABLE}",
+            )[0]["m"]]
+            for row in execute_sql(
+                    self.db, f"SELECT fact_ids FROM {PROGRAM_FACTS_TABLE}"):
                 top += json.loads(row["fact_ids"])
             self._fact_counter = max([m + 1 for m in top if m is not None],
                                      default=0)
@@ -482,8 +482,8 @@ class StructureManagementSystem:
     def provenance(self) -> ProvenanceGraph:
         """The lineage graph of the facts stored now: a view built from
         their lineage records on each access (hold on to the result)."""
-        ids = {r["fact_id"] for r in self.query(
-            f"SELECT fact_id FROM {FACTS_TABLE}")}
+        ids = {r["fact_id"] for r in execute_sql(
+            self.db, f"SELECT fact_id FROM {FACTS_TABLE}")}
         return _record_fact_provenance(self._lineage_records(), ids)
 
     # ------------------------------------------------------------- queries
@@ -496,7 +496,8 @@ class StructureManagementSystem:
         the snapshot-coherent result cache; everything else executes
         directly (and, by committing, invalidates whatever it touched).
         Every call passes the admission gate (bounded concurrency +
-        overflow queue) and runs under a cooperative deadline.
+        overflow queue) and runs under a cooperative deadline; the
+        system's own reads do not (they call ``execute_sql``).
 
         Args:
             deadline_seconds: per-call deadline override; defaults to
@@ -633,21 +634,13 @@ class StructureManagementSystem:
 
     def translator(self) -> QueryTranslator:
         """A translator reflecting the currently stored structure."""
-        attributes = sorted(
-            {r["attribute"] for r in self.query(
-                f"SELECT attribute FROM {FACTS_TABLE}"
-            )}
-        )
-        entities = sorted(
-            {r["entity"] for r in self.query(
-                f"SELECT entity FROM {FACTS_TABLE}"
-            )}
-        )
+        rows = execute_sql(self.db,
+                           f"SELECT entity, attribute FROM {FACTS_TABLE}")
         return QueryTranslator(
             table=FACTS_TABLE,
             entity_column="entity",
-            attributes=attributes,
-            entities=entities,
+            attributes=sorted({r["attribute"] for r in rows}),
+            entities=sorted({r["entity"] for r in rows}),
             attribute_column="attribute",
             value_column="value_num",
             catalog=self.forms,
@@ -719,9 +712,9 @@ class StructureManagementSystem:
         """
         from repro.integration.schema_matching import SchemaMatcher
 
-        rows = self.query(
-            f"SELECT attribute, value_num, value_text FROM {FACTS_TABLE}"
-        )
+        rows = execute_sql(
+            self.db,
+            f"SELECT attribute, value_num, value_text FROM {FACTS_TABLE}")
         samples: dict[str, list[Any]] = {}
         for row in rows:
             value = row["value_num"] if row["value_num"] is not None \
@@ -739,8 +732,9 @@ class StructureManagementSystem:
             # containing ', and this also uses the attribute index).
             def rewrite(t, source=match.left, target=match.right):
                 hits = t.lookup(FACTS_TABLE, "attribute", source)
-                for hit in hits:
-                    t.update(FACTS_TABLE, hit.rid, {"attribute": target})
+                t.write_many(FACTS_TABLE, [
+                    ("update", hit.rid, {"attribute": target})
+                    for hit in hits])
                 return len(hits)
 
             out.append((match.left, match.right, self.db.run(rewrite)))
@@ -764,7 +758,8 @@ class StructureManagementSystem:
         )
 
     def fact_count(self) -> int:
-        rows = self.query(f"SELECT COUNT(*) AS n FROM {FACTS_TABLE}")
+        rows = execute_sql(self.db,
+                           f"SELECT COUNT(*) AS n FROM {FACTS_TABLE}")
         return int(rows[0]["n"])
 
     def streaming_pipeline(self, extractor_names: Sequence[str] | None = None,

@@ -433,8 +433,8 @@ class PlanNode:
     """A physical operator: ``units(txn)`` streams its rows as scan units
     (nothing decoded, tail rows by reference), ``rows(txn)`` the same
     rows as ``(rid, values)`` pairs for consumers that need whole rows
-    (joins, DML matching), ``fold(txn, state)`` folds them into an
-    aggregate stage's :class:`AggState`, ``render()`` the EXPLAIN
+    (joins, projection row by row), ``fold(txn, state)`` folds them into
+    an aggregate stage's :class:`AggState`, ``render()`` the EXPLAIN
     subtree.
 
     An operator implements ``_units``; the public entry points own the
@@ -1628,7 +1628,7 @@ class _AccessChoice:
 
 @dataclass(frozen=True, slots=True)
 class _AccessShape:
-    """What :meth:`Planner.plan_access` reads off the catalog for one
+    """What :meth:`Planner.prepare` reads off the catalog for one
     table and its conjuncts, by conjunct position: which run as column
     kernels, which can probe a hash or sorted index or the primary key,
     and which bound a sorted-index range, per column.  It holds no
@@ -1675,15 +1675,16 @@ class PreparedSelect:
 
 
 class Planner:
-    """Builds physical plans for SELECT sourcing and DML row matching.
+    """Builds physical plans for SELECTs (an UPDATE or DELETE finds its
+    rows through the plan of the ``SELECT *`` with its WHERE).
 
     Planning is two phases of one planner.  :meth:`prepare` reads the
     catalog — the conjunct split, what each conjunct can probe, which run
     as column kernels, the aggregate and output stages — once per
     statement shape; :meth:`bind` reads a statement's literals, the
     data's size and the statistics: every selectivity, estimate and
-    cost, the cheapest candidate, the fan-out.  :meth:`plan_select` and
-    :meth:`plan_access` are the two phases in a row.
+    cost, the cheapest candidate, the fan-out.  :meth:`plan_select` is
+    the two phases in a row.
     """
 
     def __init__(self, db: Database) -> None:
@@ -1738,24 +1739,6 @@ class Planner:
         return max(est, 0.0)
 
     # -------------------------------------------------------- access paths
-
-    def plan_access(self, table: str, conjuncts: list[Any],
-                    prefer_columnar: bool = False) -> tuple[PlanNode, list[Any]]:
-        """Cheapest access path for ``table`` under the given conjuncts.
-
-        Returns ``(node, residual_conjuncts)`` — the node produces a
-        superset of the matching rows in rid order, the residual still
-        needs a filter.  ``prefer_columnar`` sweetens the SegmentScan
-        cost for aggregate-stage queries, where the columnar payoff
-        (vectorized accumulation, no row dicts) is largest.
-
-        Raises:
-            KeyError: unknown table.
-        """
-        node, residual = self._bind_access(
-            self._prepare_access(table, conjuncts), conjuncts,
-            prefer_columnar, self._selectivity(table))
-        return node, [conjuncts[pos] for pos in residual]
 
     def _prepare_access(self, table: str,
                         conjuncts: list[Any]) -> _AccessShape:

@@ -55,6 +55,7 @@ from repro.errors import (CancellationToken, QueryDeadlockError, QueryError,
                           QueryLockTimeoutError, StaleSnapshotError)
 from repro.storage.rdbms.engine import Database, Transaction
 from repro.storage.rdbms.lockmgr import DeadlockError, LockTimeoutError
+from repro.storage.rdbms.segments import take
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry.tracing import get_tracer
 
@@ -977,50 +978,48 @@ class _Executor:
         self._prepared = prepared
 
     def execute(self, stmt) -> list[dict[str, Any]]:
+        """Run one SELECT, INSERT, UPDATE or DELETE.  A write finds all
+        its rows first and then applies them in one
+        :meth:`~repro.storage.rdbms.engine.Transaction.write_many`, so a
+        statement that fails leaves none of its writes behind."""
         if isinstance(stmt, SelectStatement):
             return self._select(stmt)
         if isinstance(stmt, InsertStatement):
-            count = 0
-            for row in stmt.rows:
-                values = {c: v.value for c, v in zip(stmt.columns, row)}
-                self._txn.insert(stmt.table, values)
-                count += 1
-            return [{"inserted": count}]
+            self._txn.write_many(stmt.table, [
+                ("insert", {c: v.value for c, v in zip(stmt.columns, row)})
+                for row in stmt.rows])
+            return [{"inserted": len(stmt.rows)}]
         if isinstance(stmt, UpdateStatement):
             changes = {c: v.value for c, v in stmt.assignments.items()}
             rids = self._matching_rids(stmt.table, stmt.where)
-            for rid in rids:
-                self._txn.update(stmt.table, rid, changes)
+            self._txn.write_many(
+                stmt.table, [("update", rid, changes) for rid in rids])
             return [{"updated": len(rids)}]
         if isinstance(stmt, DeleteStatement):
             rids = self._matching_rids(stmt.table, stmt.where)
-            for rid in rids:
-                self._txn.delete(stmt.table, rid)
+            self._txn.write_many(stmt.table, [("delete", rid) for rid in rids])
             return [{"deleted": len(rids)}]
         raise SqlError(f"cannot execute {stmt!r}")
 
     # -- row production
 
     def _matching_rids(self, table: str, where) -> list[int]:
-        """Rids of the rows of ``table`` a DML statement's WHERE selects.
-
-        The access path (index lookup, range scan, or full scan — what a
-        statement without WHERE gets on a heap table) is chosen by cost;
-        the full predicate is still re-checked on every candidate, so a
-        stale plan can only cost time, never rows.  The list is complete
-        before the first row is written.
-        """
+        """Rids of the rows of ``table`` a DML statement's WHERE selects:
+        those of the planned ``SELECT * FROM table WHERE <where>`` — its
+        access path, residual filter and scan kernel, and its predicate
+        feedback — read off the source's units, so no row is decoded to
+        decide whether it matches.  The list is complete before the
+        first row is written."""
         from repro.storage.rdbms import planner as _planner
 
-        conjuncts = _planner.split_conjuncts(where)
-        node, _ = _planner.Planner(self._db).plan_access(table, conjuncts)
-        candidates = list(node.rows(self._txn))
-        keys = _feedback_keys(where)
-        if keys:
-            self._db.statistics().record_predicate_feedback(
-                table, keys, node.est_rows, len(candidates))
-        return [rid for rid, values in candidates
-                if eval_predicate(where, values)]
+        stmt = SelectStatement(items=[], star=True, table=table, where=where)
+        plan = _planner.Planner(self._db).plan_select(stmt)
+        rids: list[int] = []
+        for kind, unit, selected in plan.source.units(self._txn):
+            rids.extend(take(unit.rids, selected) if kind == "segment"
+                        else map(operator.itemgetter(0), unit))
+        self._record_feedback(stmt, plan, len(rids))
+        return rids
 
     def _select(self, stmt: SelectStatement,
                 plan: Any = None) -> list[dict[str, Any]]:
@@ -1293,6 +1292,14 @@ def _run_snapshot_read(db: Database, guard: CancellationToken | None,
     raise last
 
 
+def require_tables(db: Database, tables: Iterable[str | None]) -> None:
+    """Raise :class:`SqlError` for the first of ``tables`` (None skipped)
+    that ``db`` does not hold."""
+    for name in tables:
+        if name is not None and name not in db._tables:
+            raise SqlError(f"unknown table {name!r}")
+
+
 def execute_statement(db: Database, stmt, txn: Transaction | None = None,
                       use_planner: bool = True,
                       guard: CancellationToken | None = None,
@@ -1305,22 +1312,17 @@ def execute_statement(db: Database, stmt, txn: Transaction | None = None,
         db.create_table(stmt.schema, shard_key=stmt.shard_key,
                         shard_count=stmt.shard_count)
         return [{"created": stmt.schema.name}]
+    named = stmt.select if isinstance(stmt, ExplainStatement) else stmt
+    require_tables(db, (named.table, getattr(named, "join_table", None)))
     if isinstance(stmt, CompactStatement):
-        try:
-            summary = db.compact(stmt.table)
-        except KeyError:
-            raise SqlError(f"unknown table {stmt.table!r}") from None
+        summary = db.compact(stmt.table)
         return [{
             "compacted": stmt.table,
             "segments_created": summary["segments_created"],
             "rows_frozen": summary["rows_frozen"],
         }]
     if isinstance(stmt, ReshardStatement):
-        try:
-            summary = db.reshard(stmt.table, stmt.shard_key,
-                                 stmt.shard_count)
-        except KeyError:
-            raise SqlError(f"unknown table {stmt.table!r}") from None
+        summary = db.reshard(stmt.table, stmt.shard_key, stmt.shard_count)
         return [{
             "resharded": stmt.table,
             "shard_key": summary["shard_key"],

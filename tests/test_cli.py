@@ -339,3 +339,13 @@ def test_sql_into_a_reader_that_closes_early_exits_quietly(
         child.stderr.close()
     assert all(line.endswith(b"\n") for line in head)
     assert err == b""
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT * FROM nosuch", "INSERT INTO nosuch (a) VALUES (1)",
+    "UPDATE nosuch SET a = 1", "DELETE FROM nosuch WHERE a = 1"])
+def test_sql_on_an_unknown_table_fails_as_a_query(capsys, workspace, sql):
+    code = main(["--workspace", workspace, "sql", sql])
+    assert code == 3
+    assert capsys.readouterr().err == \
+        "repro: query failed: unknown table 'nosuch'\n"

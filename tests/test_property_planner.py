@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.sql import SqlError, execute_sql
-from repro.storage.rdbms.types import Column, ColumnType, TableSchema
+from repro.storage.rdbms.types import (Column, ColumnType, SchemaError,
+                                       TableSchema)
 from repro.telemetry import metrics
 
 _NAMES = ["alpha", "beta", "gamma", "delta", "epsilon"]
@@ -170,6 +171,23 @@ def test_join_aggregate_matches_naive(rows, dims, with_indexes):
     assert execute_sql(db, sql) == execute_sql(db, sql, use_planner=False)
 
 
+def _dml_outcome(db, sql, use_planner=True):
+    """What ``sql`` returns or raises inside an explicit transaction that
+    ran an earlier statement first, and the table that transaction then
+    commits: a statement that fails leaves none of its writes, and the
+    earlier statement still commits."""
+    txn = db.begin()
+    execute_sql(db, "INSERT INTO t (rid, name, qty) VALUES (-1, 'omega', 0)",
+                txn, use_planner)
+    try:
+        result = execute_sql(db, sql, txn, use_planner)
+    except (SqlError, SchemaError) as exc:
+        result = type(exc).__name__, str(exc)
+    txn.commit()
+    return result, execute_sql(db, "SELECT * FROM t ORDER BY rid",
+                               use_planner=use_planner)
+
+
 @given(
     rows=rows_strategy,
     template=st.sampled_from([
@@ -177,21 +195,31 @@ def test_join_aggregate_matches_naive(rows, dims, with_indexes):
         "UPDATE t SET qty = 99 WHERE qty < {n}",
         "DELETE FROM t WHERE name = '{name}' AND qty >= {n}",
         "DELETE FROM t WHERE qty IN ({n}, 0)",
+        # a duplicate key: within the statement, or a stored row's
+        "INSERT INTO t (rid, name, qty) VALUES (40, '{name}', {n}), "
+        "(41, 'omega', {m}), ({k}, 'beta', 1)",
+        # several rows moved onto one key
+        "UPDATE t SET rid = {k} WHERE qty < {n}",
+        # a kernel conjunct beside OR / NOT ones
+        "UPDATE t SET score = 1.5 WHERE qty >= {n} "
+        "AND (name = '{name}' OR NOT qty = {m})",
+        "DELETE FROM t WHERE name != '{name}' "
+        "AND NOT (qty < {n} OR qty = {m})",
     ]),
     n=st.integers(-50, 50),
+    m=st.integers(-50, 50),
+    k=st.integers(-1, 45),
     name=st.sampled_from(_NAMES),
     with_indexes=st.booleans(),
 )
-@settings(max_examples=40, deadline=None)
-def test_dml_planner_matches_naive(rows, template, n, name, with_indexes):
-    sql = template.format(n=n, name=name)
+@settings(max_examples=80, deadline=None)
+def test_dml_planner_matches_naive(rows, template, n, m, k, name,
+                                   with_indexes):
+    sql = template.format(n=n, m=m, k=k, name=name)
     planner_db = _load(rows, with_indexes)
     naive_db = _load(rows, False)
-    assert execute_sql(planner_db, sql) == \
-        execute_sql(naive_db, sql, use_planner=False)
-    final = "SELECT * FROM t ORDER BY rid"
-    assert execute_sql(planner_db, final) == \
-        execute_sql(naive_db, final, use_planner=False)
+    assert _dml_outcome(planner_db, sql) == \
+        _dml_outcome(naive_db, sql, use_planner=False), sql
 
 
 # ------------------------------------------------- late materialization

@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 from repro.cluster.backends import SerialBackend
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.planner import AggState
-from repro.storage.rdbms.sql import _Interpreter, execute_sql, parse_sql
-from repro.storage.rdbms.types import Column, ColumnType, TableSchema
+from repro.storage.rdbms.sql import (SqlError, _Interpreter, execute_sql,
+                                     parse_sql)
+from repro.storage.rdbms.types import (Column, ColumnType, SchemaError,
+                                       TableSchema)
 
 _NAMES = ["alpha", "beta", "gamma", "delta", "epsilon"]
 
@@ -141,6 +143,23 @@ def test_sharded_aggregates_match_unsharded(rows, shards, shard_key,
         _canon(execute_sql(oracle, sql, use_planner=False)), sql
 
 
+def _dml_outcome(db, sql, use_planner=True):
+    """What ``sql`` returns or raises inside an explicit transaction that
+    ran an earlier statement first, and the table that transaction then
+    commits: a statement that fails leaves none of its writes, and the
+    earlier statement still commits."""
+    txn = db.begin()
+    execute_sql(db, "INSERT INTO t (rid, name, qty) VALUES (-1, 'omega', 0)",
+                txn, use_planner)
+    try:
+        result = execute_sql(db, sql, txn, use_planner)
+    except (SqlError, SchemaError) as exc:
+        result = type(exc).__name__, str(exc)
+    txn.commit()
+    return _canon([result, execute_sql(db, "SELECT * FROM t ORDER BY rid",
+                                       use_planner=use_planner)])
+
+
 @given(
     rows=rows_strategy,
     shards=shard_count_strategy,
@@ -153,21 +172,30 @@ def test_sharded_aggregates_match_unsharded(rows, shards, shard_key,
         "UPDATE t SET name = 'omega' WHERE qty >= {n}",
         "DELETE FROM t WHERE name = '{name}' AND qty >= {n}",
         "DELETE FROM t WHERE qty IN ({n}, 0)",
+        # a duplicate key: within the statement, or a stored row's
+        "INSERT INTO t (rid, name, qty) VALUES (50, '{name}', {n}), "
+        "(51, 'omega', {m}), ({k}, 'beta', 1)",
+        # several rows moved onto one key
+        "UPDATE t SET rid = {k} WHERE qty < {n}",
+        # a kernel conjunct beside OR / NOT ones
+        "UPDATE t SET score = 1.5 WHERE qty >= {n} "
+        "AND (name = '{name}' OR NOT qty = {m})",
+        "DELETE FROM t WHERE name != '{name}' "
+        "AND NOT (qty < {n} OR qty = {m})",
     ]),
     n=st.integers(-50, 50),
+    m=st.integers(-50, 50),
+    k=st.integers(-1, 55),
     name=st.sampled_from(_NAMES),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_sharded_dml_matches_unsharded(rows, shards, shard_key, layout,
-                                       template, n, name):
-    sql = template.format(n=n, name=name)
+                                       template, n, m, k, name):
+    sql = template.format(n=n, m=m, k=k, name=name)
     sharded = _load(rows, shard_key, shards, layout)
     oracle = _load(rows, layout=layout, oracle=True)
-    assert _canon(execute_sql(sharded, sql)) == \
-        _canon(execute_sql(oracle, sql, use_planner=False)), sql
-    final = "SELECT * FROM t ORDER BY rid"
-    assert _canon(execute_sql(sharded, final)) == \
-        _canon(execute_sql(oracle, final, use_planner=False)), sql
+    assert _dml_outcome(sharded, sql) == \
+        _dml_outcome(oracle, sql, use_planner=False), sql
 
 
 @given(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.planner import (
+    Filter,
     Planner,
     conjoin,
     split_conjuncts,
@@ -258,11 +259,10 @@ def test_normalize_sql_canonicalizes():
         "SELECT 15 FROM t")
 
 
-def test_plan_access_estimates_present(db):
+def test_access_path_estimates_present(db):
     planner = Planner(db)
     stmt = parse_sql("SELECT * FROM items WHERE cat = 'cat1'")
-    node, residual = planner.plan_access("items",
-                                         split_conjuncts(stmt.where))
-    assert residual == []
+    node = planner.plan_select(stmt).source
+    assert not isinstance(node, Filter)  # no residual conjunct
     assert node.est_rows == pytest.approx(25.0, rel=0.3)
     assert node.cost < 200  # cheaper than the 200-row full scan

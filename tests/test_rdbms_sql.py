@@ -3,7 +3,9 @@
 import pytest
 
 from repro.storage.rdbms.engine import Database
+from repro.storage.rdbms.qcache import QueryResultCache
 from repro.storage.rdbms.sql import SqlError, execute_sql, parse_sql
+from repro.storage.rdbms.types import SchemaError
 
 
 @pytest.fixture
@@ -228,3 +230,44 @@ def test_planner_off_oracle_matches(db):
     ]:
         assert execute_sql(db, sql) == \
             execute_sql(db, sql, use_planner=False), sql
+
+
+@pytest.mark.parametrize("use_planner", [True, False])
+@pytest.mark.parametrize("sql, error", [
+    ("INSERT INTO t (id, v) VALUES (1, 1), (2, 2), (1, 3)",
+     "duplicate primary key 1"),
+    ("UPDATE t SET id = 9 WHERE v >= 2", "duplicate primary key 9"),
+    ("UPDATE t SET id = 9 WHERE v = 2 OR NOT id < 3",
+     "duplicate primary key 9"),
+])
+def test_a_failing_statement_in_a_transaction_leaves_none_of_its_writes(
+        use_planner, sql, error):
+    db = Database()
+    execute_sql(db, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+    if sql.startswith("UPDATE"):
+        execute_sql(db, "INSERT INTO t (id, v) VALUES (3, 3), (4, 4), (5, 5)")
+    before = execute_sql(db, "SELECT * FROM t")
+    txn = db.begin()
+    execute_sql(db, "INSERT INTO t (id, v) VALUES (100, 0)", txn, use_planner)
+    with pytest.raises(SchemaError, match=error):
+        execute_sql(db, sql, txn, use_planner)
+    txn.commit()  # the earlier statement still commits
+    assert execute_sql(db, "SELECT * FROM t ORDER BY id") == \
+        sorted(before + [{"id": 100, "v": 0}], key=lambda r: r["id"])
+
+
+_UNKNOWN = ["SELECT * FROM nosuch",
+            "SELECT * FROM city JOIN nosuch ON city.name = nosuch.name",
+            "INSERT INTO nosuch (a) VALUES (1)",
+            "UPDATE nosuch SET a = 1 WHERE a = 2",
+            "DELETE FROM nosuch"]
+
+
+@pytest.mark.parametrize("entry", ["planner", "interpreter", "qcache"])
+@pytest.mark.parametrize("sql", _UNKNOWN)
+def test_an_unknown_table_is_a_sql_error(db, sql, entry):
+    with pytest.raises(SqlError, match="unknown table 'nosuch'"):
+        if entry == "qcache":
+            QueryResultCache(db).execute(sql)
+        else:
+            execute_sql(db, sql, use_planner=entry == "planner")

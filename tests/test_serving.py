@@ -361,6 +361,62 @@ def test_system_deadline_times_out_a_slow_query_and_sessions_inherit_it():
         system.close()
 
 
+def _add_facts(system, n=6):
+    system.db.run(lambda t: t.insert_many("facts", [
+        {"fact_id": i, "entity": f"c{i % 3}", "attribute": f"a{i % 2}",
+         "value_num": float(i), "confidence": 0.9} for i in range(n)]))
+
+
+def test_a_workspace_reopens_under_a_deadline_no_read_could_meet(tmp_path):
+    workspace = str(tmp_path / "ws")
+    system = StructureManagementSystem(workspace=workspace)
+    _add_facts(system)
+    system.close()
+    system = StructureManagementSystem(workspace=workspace,
+                                       query_deadline_seconds=1e-9)
+    try:
+        assert system.fact_count() == 6
+        session = system.session("alice")
+        assert session.translator.attributes == ["a0", "a1"]
+        with pytest.raises(QueryTimeoutError):  # submitted SQL stays timed
+            session.structured("SELECT * FROM facts")
+    finally:
+        system.close()
+
+
+def test_a_session_starts_under_a_deadline_no_read_could_meet():
+    system = StructureManagementSystem(query_deadline_seconds=1e-9)
+    try:
+        _add_facts(system)
+        session = system.session("alice")
+        assert session.translator.entities == ["c0", "c1", "c2"]
+        assert session.deadline_seconds == 1e-9
+        with pytest.raises(QueryTimeoutError):
+            system.query("SELECT COUNT(*) AS n FROM facts")
+    finally:
+        system.close()
+
+
+def test_the_systems_own_reads_take_no_admission_slot():
+    system = StructureManagementSystem(max_concurrent_queries=1,
+                                       max_queued_queries=0)
+    try:
+        _add_facts(system)
+        with system.gate.admit("held"):
+            session = system.session("alice")
+            assert session.translator.attributes == ["a0", "a1"]
+            assert system.fact_count() == 6
+            assert list(system.provenance.facts()) == []  # none landed
+            with pytest.raises(AdmissionRejected):
+                session.structured("SELECT * FROM facts")
+            with pytest.raises(AdmissionRejected):
+                system.query("SELECT COUNT(*) AS n FROM facts")
+        assert session.structured("SELECT COUNT(*) AS n FROM facts") == \
+            [{"n": 6}]
+    finally:
+        system.close()
+
+
 def test_session_and_explain_statements_pass_the_admission_gate():
     system = StructureManagementSystem(max_concurrent_queries=1,
                                        max_queued_queries=0)

@@ -5,9 +5,14 @@
 interpreter's methods are patched to raise, then one statement of each
 shape the system serves runs through ``system.query`` and through an
 exploration session, over a heap-only and a compacted ``facts`` table.
+Two structural tests hold each SQL write to one ``write_many`` and keep
+DML's former access planner (``plan_access``) out of ``src/``.
 """
 
+import ast
 import inspect
+import pathlib
+import textwrap
 
 import pytest
 
@@ -32,7 +37,11 @@ _SHAPES = [
     "EXPLAIN SELECT attribute, COUNT(*) AS n FROM facts GROUP BY attribute",
     "EXPLAIN ANALYZE SELECT entity, SUM(value_num) AS s FROM facts "
     "WHERE attribute = 'a2' GROUP BY entity",
+    "INSERT INTO facts (fact_id, entity, attribute, value_num) VALUES "
+    "(100, 'c9', 'a1', 1.5), (101, 'c9', 'a2', 2.5)",
     "UPDATE facts SET confidence = 0.9 WHERE attribute = 'a1'",
+    "UPDATE facts SET confidence = 0.1 WHERE attribute = 'a0' "
+    "OR value_num > 50",
     "UPDATE facts SET doc_id = 'd0'",
     "DELETE FROM facts WHERE attribute = 'a2'",
     "DELETE FROM regions",
@@ -74,3 +83,29 @@ def test_served_statements_never_reach_the_interpreter(monkeypatch, front,
 def test_the_planner_never_references_the_executor():
     source = inspect.getsource(planner)
     assert "_Executor" not in source and "_Interpreter" not in source
+
+
+def test_each_dml_statement_is_one_write_many():
+    tree = ast.parse(textwrap.dedent(inspect.getsource(sql._Executor.execute)))
+    writes = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Call) \
+                and getattr(node.test.func, "id", None) == "isinstance":
+            kind = node.test.args[1].id
+            calls = [call.func.attr for stmt in node.body
+                     for call in ast.walk(stmt)
+                     if isinstance(call, ast.Call)
+                     and isinstance(call.func, ast.Attribute)]
+            writes[kind] = [name for name in calls if name in (
+                "write_many", "insert", "insert_many", "update", "delete")]
+    assert {kind: writes.get(kind) for kind in (
+        "InsertStatement", "UpdateStatement", "DeleteStatement")} == {
+        "InsertStatement": ["write_many"],
+        "UpdateStatement": ["write_many"],
+        "DeleteStatement": ["write_many"]}
+
+
+def test_no_source_module_names_plan_access():
+    package = pathlib.Path(sql.__file__).parents[2]  # src/repro
+    assert [str(path.relative_to(package)) for path in package.rglob("*.py")
+            if "plan_access" in path.read_text()] == []
