@@ -12,7 +12,9 @@ Reported series:
   (b) crash-recovery: committed work survives, in-flight work does not;
       and reopen times — after many one-row commits, after one large
       commit and a compact (both replayed, as a crash leaves the log),
-      after a checkpoint of that state, after a clean close of it;
+      after a checkpoint of that state, after a clean close of it, and
+      after a clean close of it with two hash indexes, loaded from the
+      checkpoint's index images against rebuilt from the rows;
   (c) WAL fsync durability cost.
 
 Gate (``results/BENCH_e11.json``, re-validated by ``check_gates.py``): a
@@ -102,14 +104,15 @@ def test_e11_concurrent_edit_throughput(benchmark):
     benchmark(one_edit)
 
 
-def _reopen_ms(directory, opens=5):
-    """Median wall time of opening ``directory``, in milliseconds.  Each
-    opened database is abandoned, as a crash leaves it: a close would
-    checkpoint a log that holds records after its last checkpoint."""
+def _reopen_ms(directory, opens=5, then=lambda db: None):
+    """Median wall time of opening ``directory`` (and ``then`` of the
+    opened database), in milliseconds.  Each opened database is
+    abandoned, as a crash leaves it: a close would checkpoint a log that
+    holds records after its last checkpoint."""
     times = []
     for _ in range(opens):
         started = time.perf_counter()
-        Database(directory)
+        then(Database(directory))
         times.append((time.perf_counter() - started) * 1000.0)
     return round(statistics.median(times), 1)
 
@@ -142,12 +145,26 @@ def _reopen_times(tmp_path, rows=20_000, commits=5_000):
     _compacted(checkpointed, rows).checkpoint()
     closed = str(tmp_path / "closed")
     _compacted(closed, rows).close()
+    indexed = str(tmp_path / "indexed")
+    db = _compacted(indexed, rows)
+    for column in ("edits", "body"):
+        db.create_index("wiki_facts", column)
+    db.close()
+
+    def rebuild(db):
+        for key in list(db._indexes):
+            db._rebuild_index(*key)
+
     return [[f"reopen ms after {commits:,} one-row commits", _reopen_ms(many)],
             [f"reopen ms after one {rows:,}-row commit + compact", replayed],
             ["reopen ms after a checkpoint of that state",
              _reopen_ms(checkpointed)],
             ["reopen ms after a clean close of that state",
-             _reopen_ms(closed)]]
+             _reopen_ms(closed)],
+            ["... with two hash indexes, loaded from their images",
+             _reopen_ms(indexed)],
+            ["... with two hash indexes, rebuilt from the rows",
+             _reopen_ms(indexed, then=rebuild)]]
 
 
 def test_e11_crash_recovery(benchmark, tmp_path):

@@ -253,7 +253,8 @@ class StructureManagementSystem:
         # registration and evaluates changed rows only, so direct
         # db.run(insert_many)/run_batch writes that never pass through
         # generate()/contribute() notify too, without a full re-run.
-        self._fact_counter = 0
+        #: The next fact id, read by the first landing (:meth:`_land`).
+        self._fact_counter: int | None = None
         self._facts_lock = threading.Lock()  # the keyword fact index
         self._facts_indexed = self._facts_followed = False
         backend_retry = RetryPolicy(max_attempts=1) if self.fail_fast \
@@ -268,6 +269,7 @@ class StructureManagementSystem:
         self._cache = make_cache(self.cache)
         self.deadletter = DeadLetterStore(self.storage.path("deadletter"))
         if FACTS_TABLE not in self.db.table_names():
+            self._fact_counter = 0
             self.db.create_table(facts_schema())
             self.db.create_index(FACTS_TABLE, "entity")
             self.db.create_index(FACTS_TABLE, "attribute")
@@ -279,18 +281,6 @@ class StructureManagementSystem:
             raise ValueError(f"no {PROGRAM_FACTS_TABLE!r} table beside "
                              f"{FACTS_TABLE!r}: an older layout, which this "
                              "version neither reads nor migrates")
-        else:
-            # Reopened workspace (recovery brought the indexes back):
-            # continue fact ids after any stored one (a program's list can
-            # name a fact raw SQL deleted)
-            top = [execute_sql(
-                self.db, f"SELECT MAX(fact_id) AS m FROM {FACTS_TABLE}",
-            )[0]["m"]]
-            for row in execute_sql(
-                    self.db, f"SELECT fact_ids FROM {PROGRAM_FACTS_TABLE}"):
-                top += json.loads(row["fact_ids"])
-            self._fact_counter = max([m + 1 for m in top if m is not None],
-                                     default=0)
 
     # ------------------------------------------------------------ ingestion
 
@@ -433,6 +423,18 @@ class StructureManagementSystem:
                               str(row["attribute"]), row["value"], confidence)
             values["doc_id"] = str(row.get("doc_id", ""))
             batch.append((row, values))
+
+        if self._fact_counter is None:
+            # continue fact ids after any stored one (a program's list can
+            # name a fact raw SQL deleted)
+            top = [execute_sql(
+                self.db, f"SELECT MAX(fact_id) AS m FROM {FACTS_TABLE}",
+            )[0]["m"]]
+            for row in execute_sql(
+                    self.db, f"SELECT fact_ids FROM {PROGRAM_FACTS_TABLE}"):
+                top += json.loads(row["fact_ids"])
+            self._fact_counter = max([m + 1 for m in top if m is not None],
+                                     default=0)
 
         def land(t: Any) -> tuple[list, int]:
             stored: dict[tuple, list] = {}  # cells -> facts

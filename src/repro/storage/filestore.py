@@ -22,13 +22,118 @@ import os
 import re
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _escape
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.telemetry import metrics
 
 _TOMBSTONE_KEY = "__deleted__"
 #: ``json.dumps`` without the cycle check: payloads are trees of JSON values
 _encode = json.JSONEncoder(check_circular=False).encode
+#: About the most characters of a line held at once while it is written:
+#: a part of a record estimated to be longer is walked, a longer string
+#: escaped a slice of this size at a time.
+_PIECE = 1 << 14
+
+
+def _over(obj: Any, budget: int) -> int:
+    """What is left of ``budget`` once ``obj``'s JSON text is paid from
+    it (estimated: a string costs its length, a dict entry 24, a list
+    item or anything else 8), or a negative number once it runs out."""
+    kind = type(obj)
+    if kind is dict:
+        budget -= 24 * len(obj)
+        obj = obj.values()
+    elif kind is list:
+        budget -= 8 * len(obj)
+    elif kind is str:
+        return budget - len(obj)
+    else:
+        return budget - 8
+    for value in obj:
+        kind = type(value)
+        if kind is str:
+            budget -= len(value)
+        elif kind is dict or kind is list:
+            budget = _over(value, budget)
+            if budget < 0:
+                break
+    return budget
+
+
+def _pieces(obj: Any) -> Iterator[str]:
+    """``obj``'s JSON text, the same as :data:`_encode`'s, in pieces of
+    about :data:`_PIECE` characters or less: a record is never held whole
+    as text.  What is estimated to fit in a piece is encoded at once
+    (consecutive items of a dict or list together), a string is escaped
+    on its own, and any other dict or list is walked."""
+    kind = type(obj)
+    if kind is str:   # (escaping is per character: slices escape alike)
+        yield '"'
+        for at in range(0, len(obj), _PIECE):
+            yield _escape(obj[at:at + _PIECE])[1:-1]
+        yield '"'
+        return
+    if (kind is not dict and kind is not list) or _over(obj, _PIECE) >= 0:
+        yield _encode(obj)
+        return
+    opening, closing = "{}" if kind is dict else "[]"
+    yield opening
+    items = obj.items() if kind is dict else obj
+    batch: list = []
+    room = _PIECE
+    sep = ""
+    for item in items:
+        value = item[1] if kind is dict else item
+        left = _over(value, room)
+        if left < 0 and batch:   # the batch is full
+            yield sep + _encode(dict(batch) if kind is dict else batch)[1:-1]
+            batch, room, sep = [], _PIECE, ", "
+            left = _over(value, room)
+        if left >= 0:            # the value joins the batch
+            batch.append(item)
+            room = left
+            continue
+        if kind is dict:
+            key = item[0]
+            yield f"{sep}{_escape(key if type(key) is str else _encode(key))}: "
+        else:
+            yield sep
+        yield from _pieces(value)
+        sep = ", "
+    if batch:
+        yield sep + _encode(dict(batch) if kind is dict else batch)[1:-1]
+    yield closing
+
+
+def _lines(objs: list[dict[str, Any]], sizes: list[int]) -> Iterator[bytes]:
+    """The lines of ``objs`` (each one's JSON text and a newline) as
+    ASCII bytes (the encoder escapes non-ASCII), in chunks of about
+    :data:`_PIECE` characters; appends each line's length to ``sizes``
+    once it is all given."""
+    held: list[str] = []
+    held_size = 0
+    for obj in objs:
+        if _over(obj, _PIECE) >= 0:   # a line of one piece
+            line = _encode(obj) + "\n"
+            held.append(line)
+            held_size += len(line)
+            sizes.append(len(line))
+        else:
+            size = 0
+            for piece in chain(_pieces(obj), "\n"):
+                held.append(piece)
+                held_size += len(piece)
+                size += len(piece)
+                if held_size >= _PIECE:
+                    yield "".join(held).encode("ascii")
+                    held, held_size = [], 0
+            sizes.append(size)
+        if held_size >= _PIECE:
+            yield "".join(held).encode("ascii")
+            held, held_size = [], 0
+    yield "".join(held).encode("ascii")
 
 
 def refuse_older_log(path: str) -> None:
@@ -286,7 +391,7 @@ class RecordFileStore:
             first = self._device.line(index, 0) \
                 if self._device.size(index) else b""
             if first.endswith(b"\n") and head(first):
-                self._device.append(index, b"")  # open, to be fsynced
+                self._device.append(index, ())  # open, to be fsynced
                 self._device.sync()
                 self._drop([i for i in reversed(indexes) if i < index])
                 return
@@ -408,32 +513,34 @@ class RecordFileStore:
             self._where[line["id"]] = (segment, offset)
 
     def _write_lines(self, objs: list[dict[str, Any]]) -> None:
-        # the encoder escapes non-ASCII, so these are the lines' bytes
-        lines = [(_encode(obj) + "\n").encode("ascii") for obj in objs]
+        # Each line is encoded as it is written (:func:`_lines`):
+        # no line is held whole as text and as bytes at once.
         end = self._end
-        done = 0
+        done = written = 0
         try:
-            while done < len(lines):
+            while done < len(objs):
                 segment, offset, count = self._end
                 if count >= self._segment_max:
                     segment, offset, count = segment + 1, 0, 0
-                chunk = lines[done:done + self._segment_max - count]
-                data = b"".join(chunk)
-                self._device.append(segment, data)
+                chunk = objs[done:done + self._segment_max - count]
+                sizes: list[int] = []
+                self._device.append(segment, _lines(chunk, sizes))
                 self._appending = segment
                 if self._sync:
                     self._device.sync()
                 if self._where is not None:
                     start = offset
-                    for obj, line in zip(objs[done:], chunk):
+                    for obj, size in zip(chunk, sizes):
                         self._place(segment, start, obj)
-                        start += len(line)
+                        start += size
                 done += len(chunk)
-                self._end = (segment, offset + len(data), count + len(chunk))
+                written += sum(sizes)
+                self._end = (segment, offset + sum(sizes),
+                             count + len(chunk))
         except BaseException:
             self._take_back(end)
             raise
-        self.appended_bytes += sum(map(len, lines))
+        self.appended_bytes += written
 
     def _take_back(self, end: tuple[int, int, int]) -> None:
         """Cut the log back to ``end``, where a write that raised began.
@@ -485,11 +592,11 @@ class _Directory:
             return os.fstat(self._file.fileno()).st_size
         return os.path.getsize(self._path(segment))
 
-    def append(self, segment: int, data: bytes) -> None:
+    def append(self, segment: int, data: Iterable[bytes]) -> None:
         if segment != self._open:
             self.close()
             self._file, self._open = open(self._path(segment), "ab"), segment
-        self._file.write(data)
+        self._file.writelines(data)
         self._file.flush()
 
     def truncate(self, segment: int, size: int) -> None:
@@ -534,8 +641,10 @@ class _Memory:
     def size(self, segment: int) -> int:
         return len(self._data[segment])
 
-    def append(self, segment: int, data: bytes) -> None:
-        self._data.setdefault(segment, bytearray()).extend(data)
+    def append(self, segment: int, data: Iterable[bytes]) -> None:
+        into = self._data.setdefault(segment, bytearray())
+        for chunk in data:
+            into += chunk
 
     def truncate(self, segment: int, size: int) -> None:
         del self._data[segment][size:]

@@ -5,10 +5,11 @@
 all reads and writes go through it, acquiring strict-2PL locks and keeping
 one change log of before/after images that commit writes to the WAL as one
 record.  Recovery loads the last checkpoint (every table's committed
-image, its segments as encoded columns) and redoes the records after it,
-so a "crash" (simply abandoning the in-memory object) loses no committed
-work — experiment E11 exercises exactly this; a clean :meth:`Database.close`
-writes that checkpoint, so the next open redoes nothing.
+image, its segments as encoded columns with their zone maps, and every
+index's contents) and redoes the records after it, so a "crash" (simply
+abandoning the in-memory object) loses no committed work — experiment
+E11 exercises exactly this; a clean :meth:`Database.close` writes that
+checkpoint, so the next open redoes and rebuilds nothing.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain, groupby
+from math import copysign
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -66,6 +68,13 @@ def _reindex(indexes: Iterable[tuple[str, Index]], rid: int,
             index.update(old[column], new[column], rid)
 
 
+def _changed(old: Any, new: Any) -> bool:
+    """Whether storing ``new`` over ``old`` changes what a reader gets:
+    ``!=``, or a float zero whose sign flips (-0.0 == 0.0)."""
+    return old != new or (type(new) is float and new == 0.0
+                          and copysign(1.0, old) != copysign(1.0, new))
+
+
 def _table_image(table: HeapTable) -> dict[str, Any]:
     """What a ``checkpoint`` record holds of each table and an
     ``alter_schema`` record of its one: the schema, the shard spec (as a
@@ -78,6 +87,24 @@ def _table_image(table: HeapTable) -> dict[str, Any]:
         image["shard_key"] = table.shard_spec.key
         image["shard_count"] = table.shard_spec.count
     return image
+
+
+def _load_index(entry: dict[str, Any]) -> tuple[tuple[str, str], Index]:
+    """The index of a checkpoint's entry (:meth:`Database._index_image`)
+    under its ``(table, column)`` key (recovery).
+
+    Raises:
+        ValueError: the entry holds no contents, the layout before index
+            images.
+    """
+    if not isinstance(entry, dict):
+        raise ValueError(
+            f"index {entry[0]}.{entry[1]}: its checkpoint entry holds no "
+            "contents, an older layout which this version neither reads "
+            "nor migrates")
+    table, column = entry["table"], entry["column"]
+    return (table, column), _INDEX_KINDS[entry["kind"]].from_image(
+        table, column, entry)
 
 
 def _load_table(image: dict[str, Any]) -> HeapTable:
@@ -206,6 +233,14 @@ class TransactionReads:
         self._check_active()
         self._enter(table, None, LockMode.SHARED)
         return self._heap(table).sharded_scan_units()
+
+    def has_table(self, table: str) -> bool:
+        """Whether ``table`` is there for this reader."""
+        try:
+            self._heap(table)
+        except KeyError:
+            return False
+        return True
 
     def shard_spec(self, table: str) -> ShardSpec | None:
         """The shard layout this transaction reads ``table`` under (None
@@ -400,7 +435,7 @@ class Transaction(TransactionReads):
                 elif kind == "update":
                     ops.append([kind, rid, {
                         column: value for column, value in after.items()
-                        if before[column] != value}])
+                        if _changed(before[column], value)}])
                 else:
                     ops.append([kind, rid])
             runs.append([table, ops])
@@ -1059,14 +1094,17 @@ class Database:
 
     def checkpoint(self) -> None:
         """Append one ``checkpoint`` record — the committed image of every
-        table (:func:`_table_image`), ``[table, column, kind]`` per index
-        and the transaction counter — as the first record of a new WAL
-        segment, and delete the segments before it.
+        table (:func:`_table_image`), the table, column, kind and
+        contents (:meth:`Index.image`) of every index and the
+        transaction counter — as the first record of a new WAL segment,
+        and delete the segments before it.
 
-        The images are read through :meth:`begin_snapshot`, so open
-        writers' rows are rolled back out of them (they arrive with their
-        commit records, after this one); the mutate lock is held through
-        the append, so no commit lands between the images and the record.
+        The images are read through :meth:`begin_snapshot`, and each
+        index is the live one with the open writers' change logs rolled
+        back, so open writers' rows are out of them (they arrive with
+        their commit records, after this one); the mutate lock is held
+        through the append, so no commit lands between the images and
+        the record.
         If the append fails, nothing of it stays in the log and nothing
         is deleted; if the fsync or a deletion after it fails, the record
         stays and the next open deletes the segments before it
@@ -1075,14 +1113,28 @@ class Database:
         if self._wal is None:
             return
         with self._mutate_lock:
-            snapshot = self.begin_snapshot()
+            snapshot, undo = self.begin_snapshot(), self._uncommitted()
             self._wal.checkpoint(
                 tables={name: _table_image(snapshot._heap(name))
                         for name in self._tables},
-                indexes=[[table, column, "sorted"
-                          if isinstance(index, SortedIndex) else "hash"]
+                indexes=[self._index_image(table, column, index,
+                                           undo.get(table))
                          for (table, column), index in self._indexes.items()],
                 txn_counter=self._txn_counter)
+
+    @staticmethod
+    def _index_image(table: str, column: str, index: Index,
+                     undo: Sequence[tuple] | None) -> dict[str, Any]:
+        """A checkpoint's entry of one index: its table, column and kind,
+        and its contents with the change-log entries ``undo`` (open
+        writers' of its table) rolled back out of a copy."""
+        if undo:
+            index = type(index).from_image(table, column, index.image())
+            for _, _, rid, before, after in reversed(undo):
+                _reindex(((column, index),), rid, after, before)
+        return {"table": table, "column": column,
+                "kind": "sorted" if isinstance(index, SortedIndex)
+                else "hash", **index.image()}
 
     def close(self) -> None:
         """Release the log, after a shutdown checkpoint when it holds a
@@ -1250,24 +1302,29 @@ class Database:
         """Rebuild state: redo every record on the log from the last
         checkpoint on (:meth:`WriteAheadLog.records`), in LSN order; a
         ``checkpoint`` record replaces the tables, the indexes and the
-        transaction counter so far."""
+        transaction counter so far.  Once the log is read, the indexes of
+        the tables a record after the checkpoint wrote, created or
+        replaced are rebuilt from their rows; every other index is the
+        checkpoint's, as it was loaded."""
         assert self._wal is not None
         max_txn = 0
+        stale: set[str] = set()  # tables whose indexes are rebuilt
         for rec in self._wal.records():
             max_txn = max(max_txn, rec.txn_id)
             if rec.rec_type in ("create_table", "alter_schema"):
                 table = _load_table(rec.payload)
                 self._tables[table.name] = table
                 self._drop_indexes(table.name, table.schema)
+                stale.add(table.name)
             elif rec.rec_type == "drop_table":
                 self._tables.pop(rec.payload["table"], None)
                 self._drop_indexes(rec.payload["table"])
             elif rec.rec_type == "checkpoint":
                 self._tables = {name: _load_table(image) for name, image
                                 in rec.payload["tables"].items()}
-                self._indexes = {(table, column): _INDEX_KINDS[kind](
-                    table, column) for table, column, kind
-                    in rec.payload["indexes"]}
+                self._indexes = dict(map(_load_index,
+                                         rec.payload["indexes"]))
+                stale.clear()
                 max_txn = max(max_txn, rec.payload.get("txn_counter", 0))
             elif rec.rec_type == "create_index":
                 # DDL-style like compact: skipped when its table or column
@@ -1277,11 +1334,13 @@ class Database:
                 if table is not None and table.schema.has_column(key[1]):
                     self._indexes.setdefault(
                         key, _INDEX_KINDS[rec.payload["kind"]](*key))
+                    stale.add(key[0])
             elif rec.rec_type == "commit":
                 # A whole transaction, redone at the position it became
                 # durable.
                 for table, ops in rec.payload["writes"]:
                     self._redo(table, ops)
+                    stale.add(table)
             elif rec.rec_type == "compact":
                 # DDL-style (txn 0): applied unconditionally at its log
                 # position, where the replayed committed row set matches
@@ -1301,7 +1360,7 @@ class Database:
                         ShardSpec(key, rec.payload.get("shard_count", 1))
                         if key is not None else None)
         self._txn_counter = max_txn
-        for key in list(self._indexes):
+        for key in [key for key in self._indexes if key[0] in stale]:
             self._rebuild_index(*key)
 
     def _redo(self, table: str, ops: Iterable[Sequence]) -> None:

@@ -5,15 +5,21 @@ maintains them on insert/update/delete; the SQL layer consults them for
 equality and range predicates.  There is one index per indexed column,
 the live one: a locked transaction probes it as it is, a snapshot probes
 it and corrects the answer by the rows written since the snapshot
-(:mod:`repro.storage.rdbms.mvcc`).
+(:mod:`repro.storage.rdbms.mvcc`).  A checkpoint stores an index's
+contents (:meth:`Index.image`), so reopen loads it instead of rebuilding
+it from the rows.
 """
 
 from __future__ import annotations
 
 import bisect
 from abc import ABC, abstractmethod
+from array import array
+from itertools import accumulate, chain, groupby
 from operator import itemgetter
 from typing import Any, Iterable, Iterator
+
+from repro.storage.rdbms.segments import from_base64, to_base64
 
 
 class Index(ABC):
@@ -50,6 +56,38 @@ class Index(ABC):
         """
         for value, rid in pairs:
             self.insert(value, rid)
+
+    @abstractmethod
+    def runs(self) -> Iterable[tuple[Any, list[int]]]:
+        """``(key, ascending rids)`` per key, in index order."""
+
+    @abstractmethod
+    def _load_runs(self, runs: Iterable[tuple[Any, list[int]]]) -> None:
+        """Take in what :meth:`runs` gave, into an empty index."""
+
+    def image(self) -> dict[str, Any]:
+        """What a checkpoint stores of this index: its keys in index
+        order, ``bounds`` (key ``i``'s rids are ``rids[bounds[i]:bounds[i
+        + 1]]``) and the rids as base64 of one little-endian int64
+        buffer."""
+        keys, rids = [], []
+        for key, held in self.runs():
+            keys.append(key)
+            rids.append(held)
+        return {"keys": keys,
+                "bounds": list(accumulate(map(len, rids), initial=0)),
+                "rids": to_base64(array("q", chain.from_iterable(rids)))}
+
+    @classmethod
+    def from_image(cls, table: str, column: str,
+                   image: dict[str, Any]) -> "Index":
+        """The index :meth:`image` made ``image`` of: no row is read."""
+        index = cls(table, column)
+        rids, bounds = from_base64(image["rids"], "q").tolist(), \
+            image["bounds"]
+        index._load_runs(zip(image["keys"], map(
+            rids.__getitem__, map(slice, bounds, bounds[1:]))))
+        return index
 
 
 class HashIndex(Index):
@@ -97,6 +135,12 @@ class HashIndex(Index):
         for bucket in buckets.values():
             bucket.sort()
 
+    def runs(self) -> Iterable[tuple[Any, list[int]]]:
+        return self._buckets.items()
+
+    def _load_runs(self, runs: Iterable[tuple[Any, list[int]]]) -> None:
+        self._buckets = dict(runs)
+
     def __len__(self) -> int:
         return sum(len(b) for b in self._buckets.values())
 
@@ -127,6 +171,15 @@ class SortedIndex(Index):
     def bulk_load(self, pairs: Iterable[tuple[Any, int]]) -> None:
         self._pairs.extend((v, r) for v, r in pairs if v is not None)
         self._pairs.sort()
+
+    def runs(self) -> Iterable[tuple[Any, list[int]]]:
+        # (a run of equal values is one key: -0.0 joins 0.0, each NaN
+        # is a key of its own)
+        return ((key, [rid for _, rid in pairs])
+                for key, pairs in groupby(self._pairs, key=itemgetter(0)))
+
+    def _load_runs(self, runs: Iterable[tuple[Any, list[int]]]) -> None:
+        self._pairs = [(key, rid) for key, rids in runs for rid in rids]
 
     def lookup(self, value: Any) -> list[int]:
         # equal values sort by rid: the stretch is in ascending rid order

@@ -150,7 +150,7 @@ class QueryResultCache:
             registry.inc("planner.cache.misses")
             # A table it names that is not there (now) has version 0 and
             # no entry: every such read misses and lands here.
-            sqlmod.require_tables(self._db, shape.tables)
+            sqlmod.require_tables(self._db, shape.tables, snap)
             nonlocal stmt
             if stmt is None:
                 stmt = sqlmod.bind_literals(shape.stmt, literals)

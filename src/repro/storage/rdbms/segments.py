@@ -21,8 +21,8 @@ byte-identical ``(rid, values)`` pairs, and the heap table merges
 segments with its row-store tail so readers never observe the split.
 The vectorized executor in :mod:`repro.storage.rdbms.planner` is the
 consumer that makes the layout pay off.  A checkpoint stores a segment
-as its buffers (:meth:`Segment.image`), and reopen takes them back as
-they are, rebuilding only the zone maps from them.
+as its buffers and zone maps (:meth:`Segment.image`), and reopen takes
+them back as they are.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import sys
 from array import array
 from base64 import b64decode, b64encode
 from collections import defaultdict
-from itertools import accumulate, compress, repeat
-from operator import is_, itemgetter, not_
+from itertools import accumulate, repeat
+from operator import is_, itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.storage.rdbms.types import ColumnType, TableSchema
@@ -73,11 +73,10 @@ _SET_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1)
 
 def _bounds(col_type: ColumnType, non_null: Sequence[Any]) -> tuple[Any, Any]:
     """A column's zone-map ``(min, max)`` from its non-NULL values: what
-    :meth:`ColumnSegment.encode` publishes and what a column loaded from
-    its image rebuilds (:meth:`ColumnSegment.from_image`), so a bound is
-    always one its data has.  NaN poisons min()/max(): a FLOAT column
-    holding one publishes no bounds rather than bounds a zone-map prune
-    could wrongly trust."""
+    :meth:`ColumnSegment.encode` publishes (and a checkpoint image
+    carries), so a bound is always one its data has.  NaN poisons
+    min()/max(): a FLOAT column holding one publishes no bounds rather
+    than bounds a zone-map prune could wrongly trust."""
     if not non_null or (col_type is ColumnType.FLOAT
                         and any(map(math.isnan, non_null))):
         return None, None
@@ -87,7 +86,7 @@ def _bounds(col_type: ColumnType, non_null: Sequence[Any]) -> tuple[Any, Any]:
     return low, high
 
 
-def _to_base64(buffer: array | bytearray) -> str:
+def to_base64(buffer: array | bytearray) -> str:
     """A typed buffer or a null bitmap as base64 of its little-endian
     bytes."""
     if sys.byteorder == "big" and isinstance(buffer, array):
@@ -96,8 +95,8 @@ def _to_base64(buffer: array | bytearray) -> str:
     return b64encode(buffer).decode("ascii")
 
 
-def _from_base64(text: str, typecode: str) -> array:
-    """The typed buffer :func:`_to_base64` made ``text`` of."""
+def from_base64(text: str, typecode: str) -> array:
+    """The typed buffer :func:`to_base64` made ``text`` of."""
     buffer = array(typecode, b64decode(text))
     if sys.byteorder == "big":
         buffer.byteswap()
@@ -195,42 +194,34 @@ class ColumnSegment:
     def image(self) -> dict[str, Any]:
         """What a checkpoint stores of this column: the encoding, the
         buffer (base64 of its little-endian bytes; a ``raw`` column's
-        list as it is), the dictionary, the null bitmap and null count.
-        The zone map is not stored: :meth:`from_image` rebuilds it."""
+        list as it is), the zone map's bounds, the dictionary, the null
+        bitmap and null count."""
         image: dict[str, Any] = {
             "encoding": self.encoding,
             "data": self.data if self.encoding == "raw"
-            else _to_base64(self.data)}
+            else to_base64(self.data),
+            "min": self.min_value, "max": self.max_value}
         if self.dictionary is not None:
             image["dictionary"] = self.dictionary
         if self.nulls is not None:
-            image["nulls"] = _to_base64(self.nulls)
+            image["nulls"] = to_base64(self.nulls)
             image["null_count"] = self.null_count
         return image
 
     @staticmethod
-    def from_image(name: str, col_type: ColumnType, image: dict[str, Any],
+    def from_image(name: str, image: dict[str, Any],
                    count: int) -> "ColumnSegment":
         """The column :meth:`image` made ``image`` of, its ``count``
-        cells taken from the buffer as they are and its zone map rebuilt
-        from them (:func:`_bounds`)."""
+        cells and its zone map taken as they are."""
         encoding = image["encoding"]
         data = image["data"]
         if encoding != "raw":
-            data = _from_base64(data, _TYPECODES[encoding])
+            data = from_base64(data, _TYPECODES[encoding])
         nulls = image.get("nulls")
-        column = ColumnSegment(
+        return ColumnSegment(
             name, encoding, data, image.get("dictionary"),
             None if nulls is None else bytearray(b64decode(nulls)),
-            image.get("null_count", 0), count, None, None)
-        if encoding == "dict":  # (every entry is a cell's value)
-            non_null = column.dictionary
-        elif column.null_count:
-            non_null = list(compress(data, map(not_, column.null_flags())))
-        else:
-            non_null = data
-        column.min_value, column.max_value = _bounds(col_type, non_null)
-        return column
+            image.get("null_count", 0), count, image["min"], image["max"])
 
     # ------------------------------------------------------------ decoding
 
@@ -459,7 +450,7 @@ class Segment:
         """What a checkpoint stores of this segment: its rids (base64 of
         little-endian int64), its shard tag and each column's
         :meth:`ColumnSegment.image`, one column at a time."""
-        return {"rids": _to_base64(self.rids), "shard": self.shard,
+        return {"rids": to_base64(self.rids), "shard": self.shard,
                 "columns": {name: column.image()
                             for name, column in self.columns.items()}}
 
@@ -467,11 +458,11 @@ class Segment:
     def from_image(schema: TableSchema, image: dict[str, Any]) -> "Segment":
         """The segment :meth:`image` made ``image`` of: no row is built
         and nothing is encoded."""
-        rids = _from_base64(image["rids"], "q")
+        rids = from_base64(image["rids"], "q")
         return Segment(schema, rids, {
-            col.name: ColumnSegment.from_image(
-                col.name, col.col_type, image["columns"][col.name], len(rids))
-            for col in schema.columns}, shard=image["shard"])
+            name: ColumnSegment.from_image(
+                name, image["columns"][name], len(rids))
+            for name in schema.column_names}, shard=image["shard"])
 
     # -------------------------------------------------------------- access
 

@@ -1292,11 +1292,14 @@ def _run_snapshot_read(db: Database, guard: CancellationToken | None,
     raise last
 
 
-def require_tables(db: Database, tables: Iterable[str | None]) -> None:
+def require_tables(db: Database, tables: Iterable[str | None],
+                   txn: Any = None) -> None:
     """Raise :class:`SqlError` for the first of ``tables`` (None skipped)
-    that ``db`` does not hold."""
+    that the statement's reader does not hold: ``txn`` (a snapshot holds
+    the tables of its commit point), else ``db`` as it is now."""
     for name in tables:
-        if name is not None and name not in db._tables:
+        if name is not None and not (name in db._tables if txn is None
+                                     else txn.has_table(name)):
             raise SqlError(f"unknown table {name!r}")
 
 
@@ -1313,7 +1316,8 @@ def execute_statement(db: Database, stmt, txn: Transaction | None = None,
                         shard_count=stmt.shard_count)
         return [{"created": stmt.schema.name}]
     named = stmt.select if isinstance(stmt, ExplainStatement) else stmt
-    require_tables(db, (named.table, getattr(named, "join_table", None)))
+    require_tables(db, (named.table, getattr(named, "join_table", None)),
+                   txn)
     if isinstance(stmt, CompactStatement):
         summary = db.compact(stmt.table)
         return [{

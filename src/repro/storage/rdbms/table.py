@@ -668,14 +668,19 @@ class HeapTable:
 
         Raises:
             ValueError: the image holds segments as rid ranges, the
-                layout before encoded segments.
+                layout before encoded segments, or columns without zone
+                maps, the layout before those.
         """
         entries = image.get("segments", ())
-        if any(not isinstance(entry, dict) for entry in entries):
+        older = "segments as rid ranges" if any(
+            not isinstance(entry, dict) for entry in entries) \
+            else "columns without zone maps" if any(
+                "min" not in column for entry in entries
+                for column in entry["columns"].values()) else None
+        if older is not None:
             raise ValueError(
-                f"table {self.name!r}: its image holds segments as rid "
-                "ranges, an older layout which this version neither reads "
-                "nor migrates")
+                f"table {self.name!r}: its image holds {older}, an older "
+                "layout which this version neither reads nor migrates")
         self.load([(int(rid), values)
                    for rid, values in image.get("rows", {}).items()])
         pk = self._schema.primary_key

@@ -25,9 +25,11 @@ from hypothesis import strategies as st
 
 from repro.core.system import StructureManagementSystem
 from repro.storage.rdbms import wal
+from repro.storage.rdbms import segments
 from repro.storage.rdbms.engine import Database
+from repro.storage.rdbms.index import HashIndex, SortedIndex
 from repro.storage.rdbms.segments import (DICT_MAX_ENTRIES, ColumnSegment,
-                                          Segment)
+                                          Segment, _bounds)
 from repro.storage.rdbms.sql import execute_sql
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry.metrics import MetricsRegistry, use_registry
@@ -199,6 +201,22 @@ def test_a_clean_reopen_reads_like_a_crash_reopen(ops, wide, probes):
         assert reopened._txn_counter >= replayed._txn_counter
 
 
+def test_an_update_that_flips_a_zeros_sign_is_redone(tmp_path):
+    """-0.0 == 0.0, yet an update storing one over the other changes what
+    a reader gets: its commit record carries the column, so a crash
+    reopen reads what a clean one does."""
+    db = _create(str(tmp_path / "db"))
+    db.run(lambda t: t.insert("u", _values(1, (None, 0.0, None, None))))
+    [rid] = db._table("u").rids()
+    db.run(lambda t: t.update("u", rid, {"f": -0.0, "b": False}))
+    shutil.copytree(tmp_path / "db", tmp_path / "crash")
+    db.close()
+    for reopened in (Database(str(tmp_path / "crash")),
+                     Database(str(tmp_path / "db"))):
+        assert _plain_row(reopened.run(lambda t: t.get("u", rid)).values) \
+            == _plain_row(_values(1, (None, -0.0, None, False)))
+
+
 # ------------------------------------------------ the shutdown checkpoint
 
 
@@ -309,3 +327,151 @@ def test_a_failed_shutdown_checkpoint_loses_nothing(tmp_path, fail):
     assert _rows(reopened) == rows
     reopened.close()
     assert _rows(Database(str(tmp_path))) == rows
+
+
+# ------------------------------------- zone maps and indexes as loaded
+
+
+def _pairs(index):
+    """An index as its ``(key, rid)`` pairs, in index order for a sorted
+    index and sorted for a hash one: what lookups read off it (a key
+    compared as the index compares it: -0.0 is 0.0, each NaN apart)."""
+    pairs = [(_plain(key + 0.0 if type(key) is float else key), rid)
+             for key, rids in index.runs() for rid in rids]
+    return pairs if isinstance(index, SortedIndex) else sorted(pairs)
+
+
+def _as_rebuilt(db):
+    """Every index of ``db`` beside one loaded from its recovered rows;
+    every zone map beside :func:`_bounds` of its decoded column, the
+    bounds compared in value and in type."""
+    indexes = []
+    for (table, column), index in db._indexes.items():
+        rebuilt = type(index)(table, column)
+        rebuilt.bulk_load(db._table(table).column_items(column))
+        nan = any(key != key for key, _ in index.runs())
+        indexes.append((
+            _pairs(index) if not nan else sorted(_pairs(index), key=repr),
+            _pairs(rebuilt) if not nan else sorted(_pairs(rebuilt),
+                                                   key=repr)))
+    zones = []
+    for table in db.table_names():
+        schema = db.schema(table)
+        for segment in db._table(table).segments:
+            for col in schema.columns:
+                column = segment.columns[col.name]
+                decoded = column.decoded()
+                zones.append((
+                    tuple(map(_plain, (column.min_value, column.max_value))),
+                    tuple(map(_plain, _bounds(col.col_type, [
+                        v for v in decoded if v is not None]))),
+                    all(v is None for v in decoded)))
+    return indexes, zones
+
+
+def _assert_as_rebuilt(db):
+    """Returns whether a segment column holds NULLs only."""
+    indexes, zones = _as_rebuilt(db)
+    for loaded, rebuilt in indexes:
+        assert loaded == rebuilt
+    for loaded, computed, _ in zones:
+        assert loaded == computed
+    return any(null_only for _, _, null_only in zones)
+
+
+@given(ops=st.lists(op_st, max_size=30), wide=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_a_reopen_loads_zone_maps_and_indexes_a_rebuild_would_make(ops,
+                                                                   wide):
+    """NaN, ±inf, -0.0, NULL-only columns, BOOL, ints past int64 (raw)
+    and TEXT past the dictionary's bound, under a hash and a sorted
+    index: after a close and a reopen, each zone map is its decoded
+    column's and each index the one its recovered rows make — loaded,
+    not rebuilt."""
+    with tempfile.TemporaryDirectory() as scratch:
+        db = _create(scratch)
+        keys = iter(range(10**6))
+        db.create_table(_schema("v"))   # NULL-only columns, left alone
+        db.create_index("v", "s")
+        db.create_index("v", "n", kind="sorted")
+        db.run(lambda t: t.insert_many("v", [
+            _values(next(keys), (None, None, None, None))
+            for _ in range(3)]))
+        db.compact("v")
+        if wide:   # TEXT over the dictionary's bound: raw
+            db.run(lambda t: t.insert_many("u", [
+                _values(next(keys), (None, 0.5, f"w{i}", True))
+                for i in range(DICT_MAX_ENTRIES + 1)]))
+            db.compact("u")
+        _apply(db, ops, keys)
+        db.compact("t")
+        db.close()
+        with mock.patch.object(Database, "_rebuild_index") as rebuild:
+            reopened = Database(scratch)
+        assert rebuild.call_count == 0
+        assert _assert_as_rebuilt(reopened)
+
+
+@given(ops=st.lists(op_st, max_size=20), cells=st.lists(cells_st,
+       min_size=3, max_size=3), pick=st.integers(0, 1000))
+@settings(max_examples=60, deadline=None)
+def test_a_checkpoint_beside_an_open_writer_holds_committed_indexes(
+        ops, cells, pick):
+    """A checkpoint taken while another transaction holds uncommitted
+    inserts, updates and deletes on the indexed columns, then a crash:
+    the reopen loads the indexes of the committed rows, as a rebuild
+    from them would make."""
+    with tempfile.TemporaryDirectory() as scratch:
+        db = _create(scratch)
+        keys = iter(range(10**6))
+        db.run(lambda t: t.insert_many("t", [
+            _values(next(keys), cell) for cell in cells]))
+        _apply(db, ops, keys)
+        with db.begin_snapshot() as snap:
+            committed = {table: [(row.rid, _plain_row(row.values))
+                                 for row in snap.scan(table)]
+                         for table in TABLES}
+        writer = db.begin()
+        for table in TABLES:
+            rids = db._table(table).rids()
+            writer.insert(table, _values(next(keys), cells[0]))
+            if rids:
+                writer.update(table, rids[pick % len(rids)],
+                              {"s": cells[1][2], "n": cells[1][0]})
+                writer.delete(table, rids[(pick + 1) % len(rids)])
+        db.checkpoint()
+        with mock.patch.object(Database, "_rebuild_index") as rebuild:
+            reopened = Database(scratch)   # (the writer never ends)
+        assert rebuild.call_count == 0
+        assert {table: [(row.rid, _plain_row(row.values))
+                        for row in reopened.run(lambda t: t.scan(table))]
+                for table in TABLES} == committed
+        _assert_as_rebuilt(reopened)
+        writer.abort()
+
+
+def test_a_clean_reopen_rebuilds_nothing_and_runs_no_sql(tmp_path):
+    """Open a closed workspace and count its facts: no index is loaded
+    from rows, no zone map computed, no column encoded and no row dict
+    built, and opening runs no SQL statement."""
+    workspace = str(tmp_path / "ws")
+    system = StructureManagementSystem(workspace=workspace)
+    system.users.register("ann", "secret")
+    system.contribute("ann", "Madison", "population", 250_000)
+    system.contribute("ann", "Boston", "population", 650_000)
+    system.compact()
+    system.close()
+    from repro.storage.rdbms import sql
+    with mock.patch.object(HashIndex, "bulk_load") as hash_loads, \
+            mock.patch.object(SortedIndex, "bulk_load") as sorted_loads, \
+            mock.patch.object(Database, "_rebuild_index") as rebuilds, \
+            mock.patch.object(segments, "_bounds") as bounds, \
+            mock.patch.object(ColumnSegment, "encode") as encode, \
+            mock.patch.object(Segment, "rows_at") as rows_at:
+        with mock.patch.object(sql, "execute_statement") as statements:
+            reopened = StructureManagementSystem(workspace=workspace)
+        assert statements.call_count == 0
+        assert reopened.fact_count() == 2
+        reopened.close()
+    for spy in (hash_loads, sorted_loads, rebuilds, bounds, encode, rows_at):
+        assert spy.call_count == 0

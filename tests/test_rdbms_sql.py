@@ -1,5 +1,7 @@
 """Tests for the SQL subset."""
 
+from unittest import mock
+
 import pytest
 
 from repro.storage.rdbms.engine import Database
@@ -271,3 +273,18 @@ def test_an_unknown_table_is_a_sql_error(db, sql, entry):
             QueryResultCache(db).execute(sql)
         else:
             execute_sql(db, sql, use_planner=entry == "planner")
+
+
+@pytest.mark.parametrize("entry", ["planner", "interpreter", "qcache"])
+def test_a_table_created_after_the_snapshot_is_unknown_to_it(db, entry):
+    """A statement names a table its snapshot predates: the reader it runs
+    on, not the live catalog, decides that the table is unknown."""
+    snap = db.begin_snapshot()
+    execute_sql(db, "CREATE TABLE b (id INT PRIMARY KEY)")
+    with pytest.raises(SqlError, match="unknown table 'b'"):
+        if entry == "qcache":   # (its read takes this snapshot)
+            with mock.patch.object(db, "begin_snapshot", return_value=snap):
+                QueryResultCache(db).execute("SELECT * FROM b")
+        else:
+            execute_sql(db, "SELECT * FROM b", snap,
+                        use_planner=entry == "planner")

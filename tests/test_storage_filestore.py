@@ -9,9 +9,12 @@ across handles: a memory store is one handle), and
 compares two stores' segment files byte for byte).
 """
 
+import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.filestore import RecordFileStore, UncutWriteError
 from tests.devices import failing, on_both_devices
@@ -180,6 +183,51 @@ def test_reading_one_record_from_memory_copies_that_line():
         tracemalloc.stop()
     assert record.payload == {"text": text}
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("shape", ["one string", "many strings", "rows"])
+def test_appending_a_1_mb_record_holds_at_most_one_encoded_copy(
+        tmp_path, shape):
+    """The payload is traced too: the peak stays under it plus one copy
+    of its line (a line is encoded as it is written, never held whole
+    as text and as bytes)."""
+    store = RecordFileStore(str(tmp_path))
+    tracemalloc.start()
+    try:
+        payload = {"one string": lambda: {"text": "é" * 180_000},
+                   "many strings": lambda: {"parts": [
+                       "y" * 16_000 for _ in range(64)]},
+                   "rows": lambda: {"rows": {str(rid): {
+                       "n": rid, "f": rid / 3, "s": f"s{rid}", "b": None}
+                       for rid in range(16_000)}}}[shape]()
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        store.append(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    line = (tmp_path / "seg-0000.jsonl").read_bytes()
+    assert len(line) >= 10**6 and json.loads(line)["id"] == 0
+    assert peak <= held + len(line)
+
+
+@given(payload=st.recursive(
+    st.none() | st.booleans() | st.integers(-(1 << 70), 1 << 70)
+    | st.floats() | st.text(max_size=3) | st.sampled_from(
+        ["x" * 40_000, "é\U0001F600\n" * 9_000]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2) | st.integers(), inner,
+                      max_size=4)
+    | st.lists(st.integers(), min_size=3_000, max_size=3_000),
+    max_leaves=12))
+@settings(max_examples=80, deadline=None)
+def test_a_line_written_in_pieces_is_the_json_of_its_record(payload):
+    store = RecordFileStore(None)
+    store.append_many([{"v": payload}, {"w": [payload, payload]}])
+    expected = "".join(json.dumps(record) + "\n" for record in (
+        {"id": 0, "v": payload}, {"id": 1, "w": [payload, payload]}))
+    assert bytes(store._device._data[0]) == expected.encode("ascii")
+    assert store.appended_bytes == len(expected)
 
 
 # ------------------------------------------------- a write that raises
