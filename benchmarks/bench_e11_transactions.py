@@ -14,7 +14,9 @@ Reported series:
       commit and a compact (both replayed, as a crash leaves the log),
       after a checkpoint of that state, after a clean close of it, and
       after a clean close of it with two hash indexes, loaded from the
-      checkpoint's index images against rebuilt from the rows;
+      checkpoint's index images against rebuilt from the rows, and with
+      the first read after it — a count, a lookup on an indexed column,
+      every row — which pays for what the open left encoded;
   (c) WAL fsync durability cost.
 
 Gate (``results/BENCH_e11.json``, re-validated by ``check_gates.py``): a
@@ -31,6 +33,7 @@ import time
 from _tables import RESULTS_DIR, assert_gates, gate, write_table
 
 from repro.storage.rdbms.engine import Database
+from repro.storage.rdbms.sql import execute_sql
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 
 
@@ -155,6 +158,9 @@ def _reopen_times(tmp_path, rows=20_000, commits=5_000):
         for key in list(db._indexes):
             db._rebuild_index(*key)
 
+    def reads(sql):
+        return lambda db: execute_sql(db, sql)
+
     return [[f"reopen ms after {commits:,} one-row commits", _reopen_ms(many)],
             [f"reopen ms after one {rows:,}-row commit + compact", replayed],
             ["reopen ms after a checkpoint of that state",
@@ -164,7 +170,15 @@ def _reopen_times(tmp_path, rows=20_000, commits=5_000):
             ["... with two hash indexes, loaded from their images",
              _reopen_ms(indexed)],
             ["... with two hash indexes, rebuilt from the rows",
-             _reopen_ms(indexed, then=rebuild)]]
+             _reopen_ms(indexed, then=rebuild)],
+            ["... with two hash indexes, + SELECT COUNT(*)",
+             _reopen_ms(indexed, then=reads(
+                 "SELECT COUNT(*) AS n FROM wiki_facts"))],
+            ["... with two hash indexes, + first lookup on body",
+             _reopen_ms(indexed, then=reads(
+                 "SELECT * FROM wiki_facts WHERE body = 'fact 7'"))],
+            ["... with two hash indexes, + SELECT * of every row",
+             _reopen_ms(indexed, then=reads("SELECT * FROM wiki_facts"))]]
 
 
 def test_e11_crash_recovery(benchmark, tmp_path):

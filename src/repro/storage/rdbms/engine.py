@@ -9,7 +9,9 @@ image, its segments as encoded columns with their zone maps, and every
 index's contents) and redoes the records after it, so a "crash" (simply
 abandoning the in-memory object) loses no committed work — experiment
 E11 exercises exactly this; a clean :meth:`Database.close` writes that
-checkpoint, so the next open redoes and rebuilds nothing.
+checkpoint, so the next open redoes and rebuilds nothing, and decodes
+only each segment's rids: columns, indexes and pk maps wait for their
+first use (DESIGN.md §12).
 """
 
 from __future__ import annotations

@@ -7,12 +7,13 @@ the live one: a locked transaction probes it as it is, a snapshot probes
 it and corrects the answer by the rows written since the snapshot
 (:mod:`repro.storage.rdbms.mvcc`).  A checkpoint stores an index's
 contents (:meth:`Index.image`), so reopen loads it instead of rebuilding
-it from the rows.
+it from the rows — and keeps it as that image until its first use.
 """
 
 from __future__ import annotations
 
 import bisect
+import threading
 from abc import ABC, abstractmethod
 from array import array
 from itertools import accumulate, chain, groupby
@@ -23,11 +24,42 @@ from repro.storage.rdbms.segments import from_base64, to_base64
 
 
 class Index(ABC):
-    """Common index interface."""
+    """Common index interface.
+
+    An index loaded from a checkpoint image (:meth:`from_image`) leaves
+    its contents attribute (:attr:`_CONTENTS`) unset and holds the image
+    until the first use reads it (:meth:`__getattr__`).
+    """
+
+    #: the attribute that holds a subclass's contents
+    _CONTENTS = ""
+    #: the checkpoint image of an index not yet taken in
+    _image: dict[str, Any] | None = None
 
     def __init__(self, table: str, column: str) -> None:
         self.table = table
         self.column = column
+
+    def __getattr__(self, name: str) -> Any:
+        """The contents of an index loaded from an image, taken in on
+        first use (only an unset attribute gets here) under the index's
+        own lock, so a writer's first insert and a reader's first probe
+        take in one copy."""
+        if name != self._CONTENTS:
+            raise AttributeError(name)
+        if self._image is not None:
+            with self._lock:
+                image = self._image
+                if image is not None:
+                    rids, bounds = from_base64(image["rids"], "q").tolist(), \
+                        image["bounds"]
+                    self._load_runs(zip(image["keys"], map(
+                        rids.__getitem__, map(slice, bounds, bounds[1:]))))
+                    self._image = None
+        try:  # (taken in by now: here, or by another first use)
+            return self.__dict__[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     @abstractmethod
     def insert(self, value: Any, rid: int) -> None:
@@ -69,7 +101,11 @@ class Index(ABC):
         """What a checkpoint stores of this index: its keys in index
         order, ``bounds`` (key ``i``'s rids are ``rids[bounds[i]:bounds[i
         + 1]]``) and the rids as base64 of one little-endian int64
-        buffer."""
+        buffer — the image a loaded index came from, while it still
+        holds it."""
+        image = self._image
+        if image is not None:
+            return {name: image[name] for name in ("keys", "bounds", "rids")}
         keys, rids = [], []
         for key, held in self.runs():
             keys.append(key)
@@ -81,12 +117,12 @@ class Index(ABC):
     @classmethod
     def from_image(cls, table: str, column: str,
                    image: dict[str, Any]) -> "Index":
-        """The index :meth:`image` made ``image`` of: no row is read."""
+        """The index :meth:`image` made ``image`` of, kept as that image
+        until its first use: no row is read."""
         index = cls(table, column)
-        rids, bounds = from_base64(image["rids"], "q").tolist(), \
-            image["bounds"]
-        index._load_runs(zip(image["keys"], map(
-            rids.__getitem__, map(slice, bounds, bounds[1:]))))
+        delattr(index, cls._CONTENTS)
+        index._lock = threading.Lock()
+        index._image = image
         return index
 
 
@@ -98,6 +134,8 @@ class HashIndex(Index):
     order with an O(k) copy instead of an O(k log k) sort per call —
     lookups vastly outnumber mutations on the facts table's hot paths.
     """
+
+    _CONTENTS = "_buckets"
 
     def __init__(self, table: str, column: str) -> None:
         super().__init__(table, column)
@@ -151,6 +189,8 @@ class SortedIndex(Index):
     Keeps parallel sorted arrays of (value, rid) pairs; lookups and range
     scans use :mod:`bisect`.  Values must be mutually comparable.
     """
+
+    _CONTENTS = "_pairs"
 
     def __init__(self, table: str, column: str) -> None:
         super().__init__(table, column)

@@ -115,10 +115,15 @@ class ColumnSegment:
         dictionary: code → string list (``dict`` encoding only).
         nulls: packed null bitmap (``None`` when the column has no NULLs).
         null_count / count / min_value / max_value: the zone map.
+
+    A column loaded from a checkpoint image (:meth:`from_image`) holds
+    ``data`` and ``nulls`` as the image's base64 text until their first
+    read (:meth:`__getattr__`).
     """
 
     __slots__ = ("name", "encoding", "data", "dictionary", "nulls",
-                 "null_count", "count", "min_value", "max_value", "_lookup")
+                 "null_count", "count", "min_value", "max_value", "_lookup",
+                 "_texts")
 
     def __init__(self, name: str, encoding: str, data: Any,
                  dictionary: list[str] | None, nulls: bytearray | None,
@@ -136,6 +141,23 @@ class ColumnSegment:
         #: code -> value with NULL's code (-1) landing on a trailing None,
         #: so dictionary columns decode with one C-level index per cell.
         self._lookup = None if dictionary is None else dictionary + [None]
+        #: ``data`` / ``nulls`` -> image text, for each still encoded
+        self._texts: dict[str, str] | None = None
+
+    def __getattr__(self, name: str) -> Any:
+        """``data`` or ``nulls`` of a column loaded from an image, on its
+        first read (only an unset slot gets here): its text decoded once
+        and dropped.  Two first reads at once may both decode; each gets
+        an equal buffer, and either stays."""
+        texts = self._texts if name in ("data", "nulls") else None
+        text = texts.get(name) if texts else None
+        if text is None:  # (or another first read has set the slot)
+            return object.__getattribute__(self, name)
+        value = bytearray(b64decode(text)) if name == "nulls" \
+            else from_base64(text, _TYPECODES[self.encoding])
+        setattr(self, name, value)
+        texts.pop(name, None)
+        return value
 
     # ------------------------------------------------------------ encoding
 
@@ -191,6 +213,13 @@ class ColumnSegment:
                                                    values)), dictionary)
         return done("raw", list(values))  # also: dictionary overflow
 
+    def _text(self, name: str) -> str:
+        """``data`` or ``nulls`` as an image holds it: the text it was
+        loaded from while it is still encoded."""
+        texts = self._texts
+        text = texts.get(name) if texts else None
+        return to_base64(getattr(self, name)) if text is None else text
+
     def image(self) -> dict[str, Any]:
         """What a checkpoint stores of this column: the encoding, the
         buffer (base64 of its little-endian bytes; a ``raw`` column's
@@ -199,12 +228,12 @@ class ColumnSegment:
         image: dict[str, Any] = {
             "encoding": self.encoding,
             "data": self.data if self.encoding == "raw"
-            else to_base64(self.data),
+            else self._text("data"),
             "min": self.min_value, "max": self.max_value}
         if self.dictionary is not None:
             image["dictionary"] = self.dictionary
-        if self.nulls is not None:
-            image["nulls"] = to_base64(self.nulls)
+        if self.null_count:
+            image["nulls"] = self._text("nulls")
             image["null_count"] = self.null_count
         return image
 
@@ -212,21 +241,24 @@ class ColumnSegment:
     def from_image(name: str, image: dict[str, Any],
                    count: int) -> "ColumnSegment":
         """The column :meth:`image` made ``image`` of, its ``count``
-        cells and its zone map taken as they are."""
+        cells and its zone map taken as they are; its buffer and null
+        bitmap stay text until first read."""
         encoding = image["encoding"]
-        data = image["data"]
-        if encoding != "raw":
-            data = from_base64(data, _TYPECODES[encoding])
-        nulls = image.get("nulls")
-        return ColumnSegment(
-            name, encoding, data, image.get("dictionary"),
-            None if nulls is None else bytearray(b64decode(nulls)),
+        column = ColumnSegment(
+            name, encoding, image["data"], image.get("dictionary"), None,
             image.get("null_count", 0), count, image["min"], image["max"])
+        texts = {"nulls": image["nulls"]} if "nulls" in image else {}
+        if encoding != "raw":
+            texts["data"] = image["data"]
+        for unset in texts:
+            delattr(column, unset)
+        column._texts = texts or None
+        return column
 
     # ------------------------------------------------------------ decoding
 
     def is_null(self, i: int) -> bool:
-        return self.nulls is not None and bool(self.nulls[i >> 3] & (1 << (i & 7)))
+        return self.null_count > 0 and bool(self.nulls[i >> 3] & (1 << (i & 7)))
 
     def value_at(self, i: int) -> Any:
         """The decoded python value at position ``i``."""
@@ -384,7 +416,7 @@ class Segment:
     """
 
     __slots__ = ("schema", "rids", "columns", "count", "shard",
-                 "_group_orders", "_lasting")
+                 "_group_orders", "_lasting", "_rids_text")
 
     def __init__(self, schema: TableSchema, rids: array,
                  columns: dict[str, ColumnSegment],
@@ -396,6 +428,8 @@ class Segment:
         self.shard = shard
         self._group_orders: dict[tuple[str, ...], GroupOrder] = {}
         self._lasting = True
+        #: the image text the rids were decoded from (None: not loaded)
+        self._rids_text: str | None = None
 
     def __reduce__(self) -> tuple:
         return (Segment, (self.schema, self.rids, self.columns, self.shard),
@@ -449,20 +483,25 @@ class Segment:
     def image(self) -> dict[str, Any]:
         """What a checkpoint stores of this segment: its rids (base64 of
         little-endian int64), its shard tag and each column's
-        :meth:`ColumnSegment.image`, one column at a time."""
-        return {"rids": to_base64(self.rids), "shard": self.shard,
+        :meth:`ColumnSegment.image`, one column at a time — the text a
+        loaded one came from, where nothing has decoded it since."""
+        return {"rids": self._rids_text or to_base64(self.rids),
+                "shard": self.shard,
                 "columns": {name: column.image()
                             for name, column in self.columns.items()}}
 
     @staticmethod
     def from_image(schema: TableSchema, image: dict[str, Any]) -> "Segment":
-        """The segment :meth:`image` made ``image`` of: no row is built
-        and nothing is encoded."""
+        """The segment :meth:`image` made ``image`` of: no row is built,
+        nothing is encoded, and only the rids are decoded (the columns
+        wait for their first read: :meth:`ColumnSegment.from_image`)."""
         rids = from_base64(image["rids"], "q")
-        return Segment(schema, rids, {
+        segment = Segment(schema, rids, {
             name: ColumnSegment.from_image(
                 name, image["columns"][name], len(rids))
             for name in schema.column_names}, shard=image["shard"])
+        segment._rids_text = image["rids"]
+        return segment
 
     # -------------------------------------------------------------- access
 

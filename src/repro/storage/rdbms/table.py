@@ -31,6 +31,7 @@ reader (or a snapshot) holding the old one keeps seeing the old values.
 from __future__ import annotations
 
 import heapq
+import threading
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import chain, starmap
@@ -128,6 +129,10 @@ class HeapTable:
 
     The engine layers locking, logging, and indexing on top; the heap table
     itself only enforces the schema and primary-key uniqueness.
+
+    A table loaded from a checkpoint image with frozen rows leaves its pk
+    map (``_pk_index``) unset until the first key lookup or write builds
+    it (:meth:`__getattr__`).
     """
 
     def __init__(self, schema: TableSchema,
@@ -146,6 +151,32 @@ class HeapTable:
         self._shard_spec: ShardSpec | None = None
         if shard_spec is not None:
             self.set_shard_spec(shard_spec)
+
+    def __getattr__(self, name: str) -> Any:
+        """The pk map of a table loaded from an image (only an unset
+        attribute gets here), built on first use under the table's lock
+        — so a writer's first insert and a reader's first lookup build
+        one — from the tail's entries and the pk column at the positions
+        live when the image was loaded.  Every write since that adds,
+        moves or drops a key went through the map, so built first; an
+        update that keeps its row's key changes no entry."""
+        pending = self.__dict__.get("_pk_pending") \
+            if name == "_pk_index" else None
+        if pending is not None:
+            lock, pks, frozen = pending
+            with lock:
+                if "_pk_index" not in self.__dict__:
+                    pk = self._schema.primary_key
+                    for segment, dead in frozen:
+                        live = _live_between(dead, 0, segment.count)
+                        pks.update(zip(segment.gather((pk,), live)[0],
+                                       take(segment.rids, live)))
+                    self._pk_index = pks
+                    del self._pk_pending
+        try:  # (built by now: here, or by another first use)
+            return self.__dict__[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     @property
     def schema(self) -> TableSchema:
@@ -417,6 +448,7 @@ class HeapTable:
         self._schema = schema
         self._rows = new_rows
         self._pk_index = new_pk
+        self.__dict__.pop("_pk_pending", None)  # (its segments are gone)
         spec = self._shard_spec
         if spec is not None:
             # Values may have been rewritten (or the key column dropped):
@@ -663,8 +695,9 @@ class HeapTable:
         """Take in what :meth:`image` made (recovery, into an empty
         table): the tail through :meth:`load`, each segment straight from
         its buffers (:meth:`Segment.from_image`: no row dict, no
-        encoding) with its dead positions, and the pk map from the pk
-        column's live positions.
+        encoding) with its dead positions.  The pk map waits for its
+        first use (:meth:`__getattr__`) with the tail's entries and each
+        segment's live positions.
 
         Raises:
             ValueError: the image holds segments as rid ranges, the
@@ -683,18 +716,18 @@ class HeapTable:
                 "layout which this version neither reads nor migrates")
         self.load([(int(rid), values)
                    for rid, values in image.get("rows", {}).items()])
-        pk = self._schema.primary_key
+        frozen = []
         for entry in entries:
             segment = Segment.from_image(self._schema, entry)
             self._segments.append(segment)
             if entry["dead"]:
-                self._dead[segment] = entry["dead"]
-            if pk is not None:
-                live = self.live_positions(segment)
-                self._pk_index.update(zip(segment.gather((pk,), live)[0],
-                                          take(segment.rids, live)))
+                self._dead[segment] = list(entry["dead"])
+            frozen.append((segment, entry["dead"]))
             if segment.count:  # (a dead position's rid is not reused)
                 self._next_rid = max(self._next_rid, segment.max_rid + 1)
+        if self._schema.primary_key is not None and frozen:
+            self._pk_pending = (threading.Lock(),
+                                self.__dict__.pop("_pk_index"), frozen)
         self._directory = None
         if self._dead:
             self._publish_dead_rows()

@@ -16,7 +16,9 @@ shutdown checkpoint that fails loses nothing.
 import json
 import os
 import shutil
+import sys
 import tempfile
+import threading
 from unittest import mock
 
 import pytest
@@ -475,3 +477,195 @@ def test_a_clean_reopen_rebuilds_nothing_and_runs_no_sql(tmp_path):
         reopened.close()
     for spy in (hash_loads, sorted_loads, rebuilds, bounds, encode, rows_at):
         assert spy.call_count == 0
+
+
+# ---------------------------------------------- what waits for first use
+
+
+def _record(directory):
+    """The one checkpoint record a clean close leaves in ``directory``."""
+    [segment] = (directory / "wal").iterdir()
+    [line] = segment.read_text().splitlines()
+    return json.loads(line)
+
+
+def _texts(table):
+    """Every base64 text a checkpoint record's table image holds."""
+    return {text for entry in table["segments"]
+            for text in (entry["rids"], *(column.get(key)
+                         for column in entry["columns"].values()
+                         for key in ("data", "nulls")))
+            if isinstance(text, str)}
+
+
+def test_a_clean_reopen_and_a_count_decode_only_rids(tmp_path):
+    """Open a closed workspace whose compacted facts table has two hash
+    indexes and NULL cells, and count its facts: only the segments' rids
+    are decoded — no column buffer, no null bitmap —, no index takes in
+    its image and no pk map is built."""
+    workspace = tmp_path / "ws"
+    system = StructureManagementSystem(workspace=str(workspace))
+    system.users.register("ann", "secret")
+    system.contribute("ann", "Madison", "population", 250_000)
+    system.contribute("ann", "Boston", "mayor", "Wu")
+    system.compact()
+    system.close()
+    record = _record(workspace / "final")
+    facts = record["tables"]["facts"]
+    rids = {entry["rids"] for entry in facts["segments"]}
+    assert any("nulls" in column for entry in facts["segments"]
+               for column in entry["columns"].values())
+    assert sorted(entry["kind"] for entry in record["indexes"]
+                  if entry["table"] == "facts") == ["hash", "hash"]
+    decoded = []
+    b64decode = segments.b64decode
+    with mock.patch.object(segments, "b64decode", lambda text: (
+            decoded.append(text), b64decode(text))[1]), \
+            mock.patch.object(HashIndex, "_load_runs") as hash_runs, \
+            mock.patch.object(SortedIndex, "_load_runs") as sorted_runs:
+        reopened = StructureManagementSystem(workspace=str(workspace))
+        assert reopened.fact_count() == 2
+        heap = reopened.db._table("facts")
+        assert "_pk_index" not in vars(heap)
+    assert decoded and set(decoded) <= rids
+    assert hash_runs.call_count == sorted_runs.call_count == 0
+    reopened.close()
+
+
+def test_a_checkpoint_passes_untouched_images_through(tmp_path):
+    """Reopen, write one row to ``t``, close: nothing of ``u`` — column,
+    index or pk map — is decoded or encoded again, its image is written
+    as it was loaded, and the next reopen reads like a crash reopen of
+    the same log."""
+    db = _create(str(tmp_path / "db"))
+    db.run(lambda t: t.insert_many("t", [
+        _values(i, (i % 3, i / 4, "ab"[i % 2], None)) for i in range(6)]))
+    db.run(lambda t: t.insert_many("u", [
+        _values(100 + i, (None, -i / 8, "xyz"[i % 3], i % 2 == 0))
+        for i in range(9)]))
+    for table in TABLES:
+        db.compact(table)
+    db.close()
+    loaded = _record(tmp_path / "db")
+    kept = _texts(loaded["tables"]["u"])
+    kept_indexes = [entry for entry in loaded["indexes"]
+                    if entry["table"] == "u"]
+    reopened = Database(str(tmp_path / "db"))
+    from_base64, to_base64 = segments.from_base64, segments.to_base64
+    read, written = [], []
+    with mock.patch.object(segments, "from_base64", lambda text, code: (
+            read.append(text), from_base64(text, code))[1]), \
+            mock.patch.object(segments, "to_base64", lambda buffer: (
+                written.append(to_base64(buffer)), written[-1])[1]), \
+            mock.patch.object(HashIndex, "_load_runs", autospec=True,
+                              side_effect=HashIndex._load_runs) as hashes, \
+            mock.patch.object(SortedIndex, "_load_runs", autospec=True,
+                              side_effect=SortedIndex._load_runs) as sorts:
+        reopened.run(lambda t: t.insert("t", _values(6, (1, 2.5, "c", True))))
+        shutil.copytree(tmp_path / "db", tmp_path / "crash")
+        reopened.close()
+    assert read and written                      # ("t" is written again)
+    assert kept.isdisjoint(read) and kept.isdisjoint(written)
+    assert {call.args[0].table for call in (*hashes.call_args_list,
+                                            *sorts.call_args_list)} == {"t"}
+    assert "_pk_index" not in vars(reopened._table("u"))
+    closed = _record(tmp_path / "db")
+    assert closed["tables"]["u"] == loaded["tables"]["u"]
+    assert [entry for entry in closed["indexes"]
+            if entry["table"] == "u"] == kept_indexes
+    probes = [(-6, 6), (0, 1)]
+    assert _state(Database(str(tmp_path / "db")), probes) == _state(
+        Database(str(tmp_path / "crash")), probes)
+
+
+def test_first_uses_at_once_take_in_each_image_once(tmp_path):
+    """Right after a clean reopen, threads released together probe the
+    hash index, probe the sorted index, look up keys and read the same
+    columns while a writer inserts into the indexed table: each index
+    takes in its image once, no insert is lost, and every read of what
+    the writer leaves alone equals a crash reopen's."""
+    directory = tmp_path / "db"
+    db = _create(str(directory))
+    db.run(lambda t: t.insert_many("t", [
+        _values(i, (i % 5 or None, i / 8, "abc"[i % 3], i % 2 == 0))
+        for i in range(400)]))
+    db.compact("t", target_rows=160)
+    db.run(lambda t: t.delete("t", 7))
+    shutil.copytree(directory, tmp_path / "crash")
+    db.close()
+
+    def columns(db):
+        return [{name: column_layout(segment.columns[name])
+                 for name in ("n", "f")}
+                for segment in db._table("t").segments]
+
+    reads = {  # (none of them meets a row the writer inserts)
+        "columns": columns,
+        "hash": lambda db: [r.rid for r in db.run(
+            lambda t: t.lookup("t", "s", "b"))],
+        "sorted": lambda db: [r.rid for r in db.run(
+            lambda t: t.range_lookup("t", "n", 1, 3))],
+        "point": lambda db: [r.rid for r in db.run(
+            lambda t: t.range_lookup("t", "n", 2, 2))],
+        "pk": lambda db: [db.run(lambda t: t.get_by_pk("t", key)).rid
+                          for key in (3, 9, 399)]}
+    crash = Database(str(tmp_path / "crash"))
+    expected = {name: read(crash) for name, read in reads.items()}
+    keys = range(1000, 1010)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # (so the first uses interleave)
+    try:
+        for attempt in range(60):   # (each on a copy of the closed log)
+            copy = tmp_path / f"attempt-{attempt}"
+            shutil.copytree(directory, copy)
+            reopened = Database(str(copy))
+            start = threading.Barrier(len(reads) * 3 + 1, timeout=60)
+            seen, errors = [], []
+
+            def each(name, work):
+                def run():
+                    start.wait()
+                    try:
+                        seen.append((name, work()))
+                    except BaseException as exc:  # (reported below)
+                        errors.append(exc)
+                return threading.Thread(target=run)
+
+            def write():
+                for key in keys:
+                    reopened.run(lambda t, key=key: t.insert(
+                        "t", _values(key, (key, 0.5, "w", None))))
+
+            with mock.patch.object(
+                    HashIndex, "_load_runs", autospec=True,
+                    side_effect=HashIndex._load_runs) as hashes, \
+                    mock.patch.object(
+                        SortedIndex, "_load_runs", autospec=True,
+                        side_effect=SortedIndex._load_runs) as sorts:
+                threads = [each(name, lambda read=read: read(reopened))
+                           for name, read in [*reads.items()] * 3]
+                threads.append(each("write", write))
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            assert sorted((call.args[0].table, call.args[0].column)
+                          for call in (*hashes.call_args_list,
+                                       *sorts.call_args_list)) == [
+                ("t", "n"), ("t", "s")]
+            got = {}
+            for name, value in seen:
+                got.setdefault(name, []).append(value)
+            assert got == {"write": [None], **{
+                name: [want] * 3 for name, want in expected.items()}}
+            assert [reopened.run(lambda t, key=key: t.get_by_pk(
+                "t", key))["id"] for key in keys] == list(keys)
+            assert [row["id"] for row in reopened.run(
+                lambda t: t.range_lookup("t", "n", 1000, 1009))] == \
+                list(keys)
+            assert len(reopened.run(lambda t: t.scan("t"))) == 399 + 10
+            _assert_as_rebuilt(reopened)
+    finally:
+        sys.setswitchinterval(switch)
