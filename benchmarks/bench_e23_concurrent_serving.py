@@ -3,13 +3,13 @@
 The robustness claim of the PR: SELECTs run lock-free against a
 commit-point snapshot while writers keep strict 2PL, so a read-heavy
 serving workload keeps answering — correctly and without collapsing —
-while ingest, compaction, and resharding churn the same table; and the
+while ingest and compaction churn the same table; and the
 serving layer shuts down gracefully under load.
 
 Checked invariants (recorded as machine-readable ``gates``):
   * **snapshot consistency** — every concurrent reader observes the
     writer's invariant (the ledger total never changes mid-transfer) in
-    every single read, across compaction and resharding;
+    every single read, across compaction;
   * **row identity** — after the run, the contended table is
     row-identical to a serialized oracle that replays the writer's
     committed script single-threaded;
@@ -130,8 +130,8 @@ def bench_mixed_workload(reads_per_reader: int, readers: int) -> dict:
     # Phase 1: idle baseline — same reader pool, no writers.
     idle_latencies, idle_bad = run_readers()
 
-    # Phase 2: mixed — a single mutator thread transfers, compacts, and
-    # reshards in a deterministic script while the reader pool re-runs.
+    # Phase 2: mixed — a single mutator thread transfers and compacts in
+    # a deterministic script while the reader pool re-runs.
     # Being single-threaded it never waits for a lock, so ANY
     # rdbms.lock.waits delta in this phase would come from readers.
     script: list[tuple[int, int, int]] = []
@@ -140,7 +140,6 @@ def bench_mixed_workload(reads_per_reader: int, readers: int) -> dict:
 
     def mutator():
         rng = random.Random(23)
-        layouts = [("id", 2), ("id", 4), (None, 1)]
         i = 0
         try:
             while not stop.is_set():
@@ -150,9 +149,6 @@ def bench_mixed_workload(reads_per_reader: int, readers: int) -> dict:
                 script.append((a, b, amount))
                 if i % 40 == 39:
                     db.compact("ledger")
-                if i % 100 == 99:
-                    key, count = layouts[(i // 100) % len(layouts)]
-                    db.reshard("ledger", key, count)
                 i += 1
                 time.sleep(0.0005)  # a steady ingest trickle, not a saturating loop
         except BaseException as exc:  # pragma: no cover - diagnostic
@@ -370,7 +366,7 @@ def run_bench(reads_per_reader: int = 300, readers: int = 2,
 
     write_table(
         "e23_concurrent_serving",
-        f"E23: reader latency idle vs under writer/compact/reshard churn "
+        f"E23: reader latency idle vs under writer/compact churn "
         f"({readers} readers x {reads_per_reader} reads, "
         f"{mixed['committed_transfers']} transfers committed)",
         ["metric", "value"],

@@ -145,33 +145,6 @@ def cmd_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_reshard(args: argparse.Namespace) -> int:
-    """Change a table's hash-partitioning layout."""
-    system = _build_system(args.workspace)
-    try:
-        if args.none:
-            summary = system.reshard(args.table, None)
-        else:
-            if args.by is None:
-                print("reshard requires --by <column> (or --none)",
-                      file=sys.stderr)
-                system.close()
-                return 2
-            summary = system.reshard(args.table, args.by, args.shards)
-    except KeyError:
-        print(f"unknown table {args.table!r}", file=sys.stderr)
-        system.close()
-        return 2
-    if summary["shard_key"] is None:
-        print(f"unsharded {summary['table']}: {summary['rows']} rows")
-    else:
-        print(f"resharded {summary['table']}: {summary['rows']} rows by "
-              f"({summary['shard_key']}) into {summary['shard_count']} "
-              f"shard(s)")
-    system.close()
-    return 0
-
-
 def cmd_search(args: argparse.Namespace) -> int:
     """Keyword-search the raw pages; print ranked hits."""
     system = _build_system(args.workspace)
@@ -482,17 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", nargs="?", default="facts",
                    help="table to compact (default: facts)")
     p.set_defaults(fn=cmd_compact)
-
-    p = sub.add_parser("reshard",
-                       help="hash-partition a table for parallel plans")
-    p.add_argument("table", nargs="?", default="facts",
-                   help="table to reshard (default: facts)")
-    p.add_argument("--by", help="shard key column")
-    p.add_argument("--shards", type=int, default=4,
-                   help="shard count (default: 4)")
-    p.add_argument("--none", action="store_true",
-                   help="remove sharding instead")
-    p.set_defaults(fn=cmd_reshard)
 
     p = sub.add_parser("search", help="keyword search over raw pages")
     p.add_argument("query")

@@ -262,10 +262,6 @@ class StructureManagementSystem:
         self._backend = make_backend(self.backend,
                                      max_workers=self.backend_workers,
                                      retry=backend_retry)
-        # The SQL planner fans sharded-table scans/aggregates/joins out
-        # on the same backend the extraction pipeline uses (DESIGN.md
-        # §14); None keeps every plan single-threaded.
-        self.db.exec_backend = self._backend
         self._cache = make_cache(self.cache)
         self.deadletter = DeadLetterStore(self.storage.path("deadletter"))
         if FACTS_TABLE not in self.db.table_names():
@@ -536,21 +532,6 @@ class StructureManagementSystem:
             KeyError: unknown table.
         """
         return self.db.compact(table)
-
-    def reshard(self, table: str, shard_key: str | None,
-                shard_count: int = 1) -> dict[str, Any]:
-        """Change ``table``'s hash-partitioning layout (DESIGN.md §14).
-
-        Equivalent to ``ALTER TABLE <table> RESHARD BY (key) SHARDS n``;
-        ``shard_key=None`` removes sharding.  With a backend configured,
-        sharded tables get parallel scans/aggregates/joins.  Returns the
-        reshard summary.
-
-        Raises:
-            KeyError: unknown table.
-            SchemaError: unknown shard key column.
-        """
-        return self.db.reshard(table, shard_key, shard_count)
 
     def explain_sql(self, sql: str) -> str:
         """The planner's physical plan for a SELECT, as text.

@@ -69,15 +69,21 @@ class ReadOnlyTransactionError(ReproError):
     """A write was attempted through a read-only snapshot transaction."""
 
 
-class StaleSnapshotError(ReproError):
-    """A plan's shard layout no longer matches the transaction's view.
+class ShardedLogError(ReproError, ValueError):
+    """A workspace's log declares a hash-shard layout for a table.
 
-    Raised by the parallel operators when a concurrent reshard slipped
-    between snapshot acquisition and planning (readers take no locks, so
-    nothing serializes the two).  The statement executor retries on a
-    fresh snapshot + fresh plan; the error never escapes to callers
-    unless the layout keeps changing faster than the retries.
+    Versions before this one could partition a table's rows by a key
+    (``SHARD BY`` / ``RESHARD``), freezing each shard into segments whose
+    rid ranges interleave; this version assumes they never do, so it
+    refuses such a log at open rather than mis-scan it.
     """
+
+    def __init__(self, table: str) -> None:
+        super().__init__(
+            f"table {table!r}: the log declares a hash-shard layout, which "
+            "this version no longer reads; unshard the table with an older "
+            f"version (repro reshard {table} --none) and close it cleanly")
+        self.table = table
 
 
 class AdmissionRejected(ReproError):

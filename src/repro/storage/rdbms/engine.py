@@ -26,7 +26,7 @@ from math import copysign
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.errors import CancellationToken
+from repro.errors import CancellationToken, ShardedLogError
 from repro.faults.retry import RetryPolicy
 from repro.storage.rdbms.index import HashIndex, Index, SortedIndex
 from repro.telemetry import metrics
@@ -34,7 +34,6 @@ from repro.telemetry.metrics import DEFAULT_SIZE_BUCKETS
 from repro.telemetry.tracing import get_tracer
 from repro.storage.rdbms.lockmgr import LockManager, LockMode
 from repro.storage.rdbms.segments import SEGMENT_TARGET_ROWS
-from repro.storage.rdbms.sharding import ShardSpec
 from repro.storage.rdbms.table import HeapTable, Row, ScanUnit, fetch_rows
 from repro.storage.rdbms.types import SchemaError, TableSchema
 from repro.storage.rdbms.wal import WriteAheadLog
@@ -79,16 +78,11 @@ def _changed(old: Any, new: Any) -> bool:
 
 def _table_image(table: HeapTable) -> dict[str, Any]:
     """What a ``checkpoint`` record holds of each table and an
-    ``alter_schema`` record of its one: the schema, the shard spec (as a
+    ``alter_schema`` record of its one: the schema (as a
     ``create_table`` record carries it) and the table's data — tail rows
     by rid, encoded segments with their dead positions
     (:meth:`HeapTable.image`)."""
-    image: dict[str, Any] = {"schema": table.schema.to_dict(),
-                             **table.image()}
-    if table.shard_spec is not None:
-        image["shard_key"] = table.shard_spec.key
-        image["shard_count"] = table.shard_spec.count
-    return image
+    return {"schema": table.schema.to_dict(), **table.image()}
 
 
 def _load_index(entry: dict[str, Any]) -> tuple[tuple[str, str], Index]:
@@ -111,11 +105,14 @@ def _load_index(entry: dict[str, Any]) -> tuple[tuple[str, str], Index]:
 
 def _load_table(image: dict[str, Any]) -> HeapTable:
     """The table :func:`_table_image` made ``image`` of, or an empty one
-    from a ``create_table`` record (recovery)."""
-    key = image.get("shard_key")
-    table = HeapTable(TableSchema.from_dict(image["schema"]),
-                      shard_spec=None if key is None
-                      else ShardSpec(key, image.get("shard_count", 1)))
+    from a ``create_table`` record (recovery).
+
+    Raises:
+        ShardedLogError: the image or record declares a shard key.
+    """
+    table = HeapTable(TableSchema.from_dict(image["schema"]))
+    if image.get("shard_key") is not None:
+        raise ShardedLogError(table.name)
     table.load_image(image)
     return table
 
@@ -229,13 +226,6 @@ class TransactionReads:
         self._enter(table, None, LockMode.SHARED)
         return self._heap(table).scan_units()
 
-    def sharded_scan_units(self, table: str) -> list[list[ScanUnit]]:
-        """Per-shard vectorizable units (2PL: S on the whole table) for
-        parallel plans; see :meth:`HeapTable.sharded_scan_units`."""
-        self._check_active()
-        self._enter(table, None, LockMode.SHARED)
-        return self._heap(table).sharded_scan_units()
-
     def has_table(self, table: str) -> bool:
         """Whether ``table`` is there for this reader."""
         try:
@@ -243,14 +233,6 @@ class TransactionReads:
         except KeyError:
             return False
         return True
-
-    def shard_spec(self, table: str) -> ShardSpec | None:
-        """The shard layout this transaction reads ``table`` under (None
-        when the table is unsharded, or is not there for this reader)."""
-        try:
-            return self._heap(table).shard_spec
-        except KeyError:
-            return None
 
     def scan_where(self, table: str,
                    predicate: Callable[[dict[str, Any]], bool]) -> list[Row]:
@@ -703,7 +685,7 @@ class Database:
         self._table_versions: dict[str, int] = {}
         self._version_seq = 0
         #: Bumped by every change of what a plan is chosen from besides
-        #: the data: tables, schemas, indexes, shard layouts.  A prepared
+        #: the data: tables, schemas, indexes.  A prepared
         #: SELECT (:meth:`~repro.storage.rdbms.planner.Planner.prepare`)
         #: is re-prepared when it moved.
         self.catalog_version = 0
@@ -722,11 +704,6 @@ class Database:
         #: When set, any commit that leaves a table's row-store tail at or
         #: above this many rows triggers :meth:`compact` on that table.
         self.auto_compact_rows: int | None = None
-        #: Execution backend for parallel plans (DESIGN.md §14).  When set
-        #: (an :mod:`repro.cluster.backends` backend), the planner fans
-        #: scans/aggregates/joins over sharded tables out as per-shard
-        #: tasks; when ``None`` every plan stays single-threaded.
-        self.exec_backend: Any = None
         self._wal: WriteAheadLog | None = None
         if directory is not None:
             self._wal = WriteAheadLog(directory, sync=sync_wal)
@@ -757,30 +734,19 @@ class Database:
 
     # -------------------------------------------------------------- schema
 
-    def create_table(self, schema: TableSchema, shard_key: str | None = None,
-                     shard_count: int = 1) -> None:
-        """Create a table, optionally hash-sharded on ``shard_key``.
+    def create_table(self, schema: TableSchema) -> None:
+        """Create a table.
 
         Raises:
-            SchemaError: if the table already exists, or the shard key is
-                not one of its columns.
+            SchemaError: if the table already exists.
         """
-        spec: ShardSpec | None = None
-        if shard_key is not None:
-            spec = ShardSpec(shard_key, shard_count)
-        elif shard_count != 1:
-            raise SchemaError("SHARDS requires a shard key")
         with self._mutate_lock:
             if schema.name in self._tables:
                 raise SchemaError(f"table {schema.name!r} already exists")
-            self._tables[schema.name] = HeapTable(schema, shard_spec=spec)
+            self._tables[schema.name] = HeapTable(schema)
             self._bump_versions({schema.name})
             self.catalog_version += 1
-            payload: dict[str, Any] = {"schema": schema.to_dict()}
-            if spec is not None:
-                payload["shard_key"] = spec.key
-                payload["shard_count"] = spec.count
-            self._log(0, "create_table", **payload)
+            self._log(0, "create_table", schema=schema.to_dict())
         self._notify(CommitDelta(ddl=frozenset({schema.name})))
 
     def drop_table(self, name: str) -> None:
@@ -915,44 +881,6 @@ class Database:
             "segments_created": created,
             "rows_frozen": frozen,
             "segment_count": segment_count,
-        }
-
-    def reshard(self, table: str, shard_key: str | None,
-                shard_count: int = 1) -> dict[str, Any]:
-        """Re-partition an existing table (``shard_key=None`` unshards).
-
-        Like :meth:`compact` this is a layout-only change run under an
-        EXCLUSIVE table lock and covered by a txn-0 DDL-style ``reshard``
-        WAL record: replay applies it unconditionally at its log
-        position, where routing (seed-stable, see
-        :mod:`repro.storage.rdbms.sharding`) reproduces the identical
-        shard membership.  Existing segments are melted — re-compact to
-        freeze per-shard segments.  Delta listeners are NOT told and the
-        table's version stays: row data is untouched, so cached results
-        and statistics stay valid; only the cached view goes.
-
-        Returns a summary dict.
-        """
-        spec = ShardSpec(shard_key, shard_count) if shard_key is not None \
-            else None
-        with self._table_exclusive(table), \
-                get_tracer().span("rdbms.reshard") as span:
-            with self._mutate_lock:
-                heap = self._table(table)
-                heap.set_shard_spec(spec)
-                self.catalog_version += 1
-                self._log(0, "reshard", table=table, shard_key=shard_key,
-                          shard_count=spec.count if spec else 1)
-                self._snapshot_cache.pop(table, None)
-                rows = len(heap)
-            span.set_attribute("table", table)
-            span.set_attribute("shard_count", spec.count if spec else 1)
-        metrics.get_registry().inc("rdbms.resharded")
-        return {
-            "table": table,
-            "shard_key": shard_key,
-            "shard_count": spec.count if spec else 1,
-            "rows": rows,
         }
 
     def _maybe_auto_compact(self, tables: set[str]) -> None:
@@ -1353,14 +1281,13 @@ class Database:
                     table.compact(max_rid=rec.payload["max_rid"],
                                   target_rows=rec.payload["target_rows"])
             elif rec.rec_type == "reshard":
-                # DDL-style like compact: routing is seed-stable, so
-                # re-applying the spec reproduces shard membership exactly.
+                # Written by versions that hash-partitioned tables; one
+                # without a key only melted the table's segments.
+                if rec.payload.get("shard_key") is not None:
+                    raise ShardedLogError(rec.payload["table"])
                 table = self._tables.get(rec.payload["table"])
                 if table is not None:
-                    key = rec.payload.get("shard_key")
-                    table.set_shard_spec(
-                        ShardSpec(key, rec.payload.get("shard_count", 1))
-                        if key is not None else None)
+                    table.melt_all()
         self._txn_counter = max_txn
         for key in [key for key in self._indexes if key[0] in stale]:
             self._rebuild_index(*key)

@@ -93,7 +93,7 @@ class SnapshotTransaction(TransactionReads):
 
     def __init__(self, db: Any, snapshots: dict[str, TableSnapshot],
                  guard: CancellationToken | None = None) -> None:
-        self._db = db  # parallel operators reach the exec backend via _db
+        self._db = db
         self._snapshots = snapshots
         self.guard = guard
         self.txn_id = -1

@@ -33,9 +33,7 @@ On top of the access paths sits one :class:`Aggregate` node folding one
 :class:`AggState` — straight off the column buffers when its child is a
 SegmentScan (float sums carry the running accumulator across segment
 boundaries, so the addition chain is bit-identical to the naive
-left-to-right fold).  The fan-out operators of
-:mod:`repro.storage.rdbms.parallel` wrap the scan kernel rather than
-copy it.
+left-to-right fold).
 
 Every operator preserves the naive interpreter's row *order* (rid order
 for scans, left-rid-major for joins), so planner output is row-identical
@@ -80,7 +78,6 @@ from repro.storage.rdbms.sql import (
     eval_predicate,
     order_key,
 )
-from repro.storage.rdbms.types import ColumnType
 from repro.telemetry import metrics
 
 #: Fixed per-probe overhead charged to index operations, so a lookup is
@@ -361,7 +358,7 @@ class OperatorProfile:
 
     __slots__ = ("rows", "loops", "seconds",
                  "segments_scanned", "segments_skipped", "rows_masked",
-                 "index_probes", "shards_total", "shards_pruned", "groups")
+                 "index_probes", "groups")
 
     def __init__(self) -> None:
         self.rows = 0
@@ -371,8 +368,6 @@ class OperatorProfile:
         self.segments_skipped = 0
         self.rows_masked = 0  # dead positions of the segments scanned
         self.index_probes = 0
-        self.shards_total = 0
-        self.shards_pruned = 0
         self.groups = 0  # group slices an aggregate folded off segments
 
     def timed(self, fn: Callable[..., Any], *args: Any) -> Any:
@@ -402,8 +397,6 @@ class OperatorProfile:
         """Count a folded child's pruning inclusively, like its time."""
         self.segments_scanned += child.segments_scanned
         self.segments_skipped += child.segments_skipped
-        self.shards_total += child.shards_total
-        self.shards_pruned += child.shards_pruned
 
     def describe(self) -> str:
         if self.loops == 0 and self.rows == 0 and self.seconds == 0.0:
@@ -419,10 +412,6 @@ class OperatorProfile:
             parts.append(f"masked={self.rows_masked}")
         if self.groups:
             parts.append(f"groups={self.groups}")
-        if self.shards_total:
-            parts.append(
-                f"shards={self.shards_total - self.shards_pruned}"
-                f"/{self.shards_total} pruned={self.shards_pruned}")
         return " ".join(parts)
 
 
@@ -448,8 +437,6 @@ class PlanNode:
     profile: OperatorProfile | None = None
     #: telemetry counter bumped when the planner picks this operator
     plan_counter: str | None = None
-    #: a sharded table still runs this access path at the coordinator
-    beats_fan_out = False
 
     def units(self, txn: Transaction) -> Iterator[ScanUnit]:
         prof = self.profile
@@ -535,7 +522,6 @@ class IndexLookup(PlanNode):
     """Equality probe of a secondary index (rows come back in rid order)."""
 
     plan_counter = "planner.plans.index_lookup"
-    beats_fan_out = True  # a point probe is cheaper than any fan-out
 
     def __init__(self, table: str, column: str, value: Any,
                  kind: str) -> None:
@@ -560,7 +546,6 @@ class PkLookup(PlanNode):
     """Probe of the table's primary-key map: at most one row."""
 
     plan_counter = "planner.plans.pk_lookup"
-    beats_fan_out = True
 
     def __init__(self, table: str, column: str, value: Any) -> None:
         self.table = table
@@ -624,7 +609,7 @@ class RangeScan(PlanNode):
 class ScanPredicate:
     """A scan's WHERE, split for the scan kernel: ``vector`` conjuncts
     run as column bitmaps (and against zone maps), ``fallback`` re-checks
-    survivors row-at-a-time.  Picklable: fan-out tasks carry it."""
+    survivors row-at-a-time."""
 
     __slots__ = ("conjuncts", "vector", "fallback", "full")
 
@@ -718,23 +703,20 @@ def filter_unit(kind: str, unit: Any, selected: Sequence[int] | None,
 
 def prune_units(units: Iterable[ScanUnit], pred: ScanPredicate,
                 guard: CancellationToken | None = None,
-                prof: OperatorProfile | None = None, count: bool = True,
-                ) -> Iterator[ScanUnit]:
+                prof: OperatorProfile | None = None) -> Iterator[ScanUnit]:
     """A table's scan units minus the segments the zone maps prove
     empty (``segments.skipped``), polling ``guard`` once per unit.
 
     A segment arrives as one stretch of live positions or, around tail
     rows that replaced some of its rows, several in a row: it is pruned
-    and counted once.  ``count=False`` leaves the counting of what is
-    scanned to the fan-out workers (the coordinator only keeps empty
-    segments out of task payloads).
+    and counted once.
     """
     registry = metrics.get_registry()
     # The latest segment, whether it was pruned, and the first of its
     # positions no stretch has reached yet (EXPLAIN ANALYZE's masked=
     # counts the live-position gaps: the dead positions scanned past).
     segment, pruned, reached = None, True, 0
-    count_masked = count and prof is not None
+    count_masked = prof is not None
     for kind, unit, selected in units:
         if guard is not None:
             guard.check()
@@ -748,7 +730,7 @@ def prune_units(units: Iterable[ScanUnit], pred: ScanPredicate,
                     registry.inc("segments.skipped")
                     if prof is not None:
                         prof.segments_skipped += 1
-                elif count:
+                else:
                     registry.inc("segments.scanned")
                     if prof is not None:
                         prof.segments_scanned += 1
@@ -772,16 +754,6 @@ def select_units(units: Iterable[ScanUnit], pred: ScanPredicate,
         out = filter_unit(*unit, pred, guard)
         if unit_len(*out):
             yield out
-
-
-def scan_rows(units: Iterable[ScanUnit], pred: ScanPredicate,
-              guard: CancellationToken | None = None,
-              prof: OperatorProfile | None = None,
-              ) -> Iterator[tuple[int, dict[str, Any]]]:
-    """The scan kernel for row consumers (fan-out workers ship rows, not
-    positions): every matching ``(rid, values)`` of a list of units."""
-    for unit in select_units(units, pred, guard, prof):
-        yield from unit_rows(*unit)
 
 
 def fold_units(units: Iterable[ScanUnit], pred: ScanPredicate,
@@ -890,8 +862,8 @@ def hash_join_pairs(left_rows: list[_Row], right_rows: list[_Row],
                     left_table: str, right_table: str, left_col: str,
                     right_col: str, build: str = "right") -> _JoinPairs:
     """Equi-join two rid-ordered inputs into ``((left rid, right rid),
-    joined row)`` pairs sorted by that key (per-shard outputs heap-merge
-    on it), whichever side the hash table is built on."""
+    joined row)`` pairs sorted by that key, whichever side the hash
+    table is built on."""
     build_left = build == "left"
     build_rows, build_col, probe_rows, probe_col = \
         (left_rows, left_col, right_rows, right_col) if build_left \
@@ -1038,9 +1010,8 @@ def _gaps(positions: Sequence[int], i: int = 0, j: int = -1) -> list[int]:
 
 class AggState:
     """The running state of one aggregate stage — COUNT/SUM/AVG/MIN/MAX
-    per GROUP BY key — folded row by row (:meth:`add_row`), straight off
-    a segment's column buffers (:meth:`add_segment`), or from another
-    state (:meth:`merge`, the per-shard partials of a fanned-out scan).
+    per GROUP BY key — folded row by row (:meth:`add_row`) or straight
+    off a segment's column buffers (:meth:`add_segment`).
 
     :meth:`finalize` is element-identical to the naive ``_aggregate``,
     and a fold raises what it raises (a name resolves like ``_resolve``;
@@ -1077,35 +1048,8 @@ class AggState:
             if not isinstance(item.expr, AggregateExpr)
             and item.expr.name not in self._group_names), None)
         #: the segment folded last and its kernels' verdicts: its stretches
-        #: arrive one after another (a pickled state leaves them behind)
+        #: arrive one after another
         self._verdicts: tuple[Segment, bytearray] | None = None
-
-    def __getstate__(self) -> dict[str, Any]:
-        return dict(self.__dict__, _verdicts=None)
-
-    @staticmethod
-    def mergeable(stmt: SelectStatement, schema: Any) -> bool:
-        """True when folding partitions separately and :meth:`merge`-ing
-        them is exact.  The statements whose fold raises — an unknown
-        column, SUM/AVG over TEXT, a select item neither aggregated nor
-        grouped — keep the serial fold, and so do FLOAT group keys
-        (``-0.0``/NaN key objects depend on which partition inserts
-        first), FLOAT SUM/AVG (float addition is non-associative; the
-        serial fold order is the oracle) and FLOAT MIN/MAX (NaN makes
-        first-value-wins order-dependent).  COUNT takes anything; INT/BOOL
-        sums are exact; INT/BOOL/TEXT extrema are total orders."""
-        state = AggState(stmt)
-        operands = [(name, "group") for name in state._group_names] + [
-            (ref.name, func) for _, func, ref in state._agg_items
-            if ref is not None]
-        for name, func in operands:
-            if not schema.has_column(name):
-                return False
-            col_type = schema.column(name).col_type
-            if func != "count" and (col_type == ColumnType.FLOAT or (
-                    func in ("sum", "avg") and col_type == ColumnType.TEXT)):
-                return False
-        return state._ungrouped is None
 
     # ----------------------------------------------------- accumulation
 
@@ -1284,29 +1228,6 @@ class AggState:
         self.slices += len(slices)
         return folded
 
-    def merge(self, other: "AggState") -> None:
-        """Fold another state of the same statement into this one."""
-        self.slices += other.slices
-        for key, accs in other.groups.items():
-            dst = self.groups.get(key)
-            if dst is None:
-                self.groups[key] = accs
-                continue
-            for dacc, sacc, (_, func, _) in zip(dst, accs, self._agg_items):
-                if func == "count":
-                    dacc[0] += sacc[0]
-                elif func in ("sum", "avg"):
-                    dacc[0] += sacc[0]
-                    dacc[1] += sacc[1]
-                elif sacc[0]:  # min / max, source has a value
-                    if not dacc[0]:
-                        dacc[0], dacc[1] = True, sacc[1]
-                    elif func == "min":
-                        if sacc[1] < dacc[1]:
-                            dacc[1] = sacc[1]
-                    elif sacc[1] > dacc[1]:
-                        dacc[1] = sacc[1]
-
     def finalize(self) -> list[dict[str, Any]]:
         if not self._group_names and not self.groups:
             # Same shape the naive path produces on an empty input:
@@ -1337,9 +1258,8 @@ class Aggregate(PlanNode):
     """The aggregate stage (GROUP BY + COUNT/SUM/AVG/MIN/MAX): its child
     folds one :class:`AggState` (:meth:`PlanNode.fold`) and EXPLAIN
     names the stage after the fold — ``VectorizedAggregate`` straight
-    off a :class:`SegmentScan`'s column buffers, ``ParallelAggregate``
-    for per-shard partials merged over a fanned-out scan, ``Aggregate``
-    for any other child's units, folded as they come.
+    off a :class:`SegmentScan`'s column buffers, ``Aggregate`` for any
+    other child's units, folded as they come.
     """
 
     est_rows = None  # group counts are not estimated
@@ -1683,7 +1603,7 @@ class Planner:
     as column kernels, the aggregate and output stages — once per
     statement shape; :meth:`bind` reads a statement's literals, the
     data's size and the statistics: every selectivity, estimate and
-    cost, the cheapest candidate, the fan-out.  :meth:`plan_select` is
+    cost, the cheapest candidate.  :meth:`plan_select` is
     the two phases in a row.
     """
 
@@ -1831,10 +1751,6 @@ class Planner:
         node.cost = best.cost
         residual = [pos for pos, conjunct in enumerate(conjuncts)
                     if not any(conjunct is used for used in best.consumed)]
-        fanned = _parallel.plan_parallel_scan(self, table, conjuncts, best)
-        if fanned is not None:
-            # The fan-out's workers apply the full predicate.
-            node, residual = fanned, []
         metrics.get_registry().inc(node.plan_counter)
         return node, residual
 
@@ -1967,10 +1883,6 @@ class Planner:
         for candidate in (inlj_right, inlj_left):
             if candidate is not None and candidate.cost < best.cost:
                 best = candidate
-        if best is hash_join:
-            best = _parallel.plan_parallel_join(
-                self._db, hash_join, left_conjuncts, right_conjuncts,
-                left_est, right_est) or hash_join
         registry.inc(best.plan_counter)
         return best, residual
 
@@ -2095,8 +2007,3 @@ def _on_side(conjuncts: list[Any], sides: tuple[str | None, ...],
              side: str) -> list[Any]:
     """The conjuncts a join pushes to ``side``."""
     return [c for c, at in zip(conjuncts, sides) if at == side]
-
-
-# parallel.py builds on PlanNode and the kernels above, and the planner
-# asks it for fan-out plans: importing it last closes that cycle.
-from repro.storage.rdbms import parallel as _parallel  # noqa: E402

@@ -38,7 +38,7 @@ from collections import OrderedDict
 from time import perf_counter
 from typing import Any
 
-from repro.errors import CancellationToken, StaleSnapshotError
+from repro.errors import CancellationToken
 from repro.storage.rdbms import planner as _planner
 from repro.storage.rdbms import sql as sqlmod
 from repro.storage.rdbms.engine import Database
@@ -154,7 +154,7 @@ class QueryResultCache:
             nonlocal stmt
             if stmt is None:
                 stmt = sqlmod.bind_literals(shape.stmt, literals)
-            # DDL, create_index and reshard move the catalog version: the
+            # DDL and create_index move the catalog version: the
             # shape is prepared again.  A commit only re-binds.
             prepared = shape.prepared
             if prepared is None \
@@ -165,12 +165,8 @@ class QueryResultCache:
             # rows correspond exactly to the stored versions; a
             # commit racing this statement bumps versions and simply
             # makes the entry miss for post-commit readers.
-            try:
-                rows = sqlmod.execute_statement(self._db, stmt, txn=snap,
-                                                prepared=prepared)
-            except StaleSnapshotError:
-                shape.prepared = None  # the retry prepares again
-                raise
+            rows = sqlmod.execute_statement(self._db, stmt, txn=snap,
+                                            prepared=prepared)
             with self._lock:
                 self._entries[key] = (versions, [dict(r) for r in rows])
                 self._entries.move_to_end(key)

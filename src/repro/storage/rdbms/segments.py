@@ -347,17 +347,14 @@ class GroupOrder:
     A key is what the segment stores (a dictionary code stands for its
     string), compared as a dict key, like the rows it stands for:
     ``-0.0`` joins ``0.0``, each NaN is a group.  No key: one group.
-    A ``lasting`` order keeps the columns it copies typed, like the
-    segment (a FLOAT column costs 8 bytes a row, its null flags one);
-    a fan-out task's throwaway order keeps what one gather gives."""
+    The columns it copies stay typed, like the segment (a FLOAT column
+    costs 8 bytes a row, its null flags one)."""
 
-    __slots__ = ("positions", "bounds", "_columns", "_lasting", "_copies",
-                 "_rank")
+    __slots__ = ("positions", "bounds", "_columns", "_copies", "_rank")
 
     def __init__(self, columns: dict[str, ColumnSegment],
-                 names: Sequence[str], count: int, lasting: bool) -> None:
+                 names: Sequence[str], count: int) -> None:
         self._columns = columns
-        self._lasting = lasting
         self._copies: dict[str, tuple[Sequence[Any], Any]] = {}
         self.positions: Sequence[int] = range(count)
         self.bounds = [0, count]
@@ -386,10 +383,9 @@ class GroupOrder:
             if not isinstance(self.positions, range):  # (else: as stored)
                 gather = itemgetter(*self.positions)  # (two groups or more)
                 data, flags = gather(data), flags and gather(flags)
-                if self._lasting and col.encoding != "raw":
+                if col.encoding != "raw":
                     data = array(col.data.typecode, data)
-            if self._lasting:
-                flags = flags and bytearray(flags)
+            flags = flags and bytearray(flags)
             copy = self._copies[name] = data, flags
         return copy
 
@@ -405,35 +401,20 @@ class GroupOrder:
 
 class Segment:
     """An immutable, rid-sorted slice of a table in columnar layout.
+    Group orders are cached on the segment."""
 
-    ``shard`` tags segments of sharded tables (DESIGN.md §14): a sharded
-    table's segments hold rows of exactly one shard, so parallel plans can
-    hand whole segments to per-shard worker tasks without re-routing rows.
-    ``None`` means the table was unsharded when the segment was frozen.
-    Group orders are cached on the segment.  A pickle — a fan-out task's
-    copy, gone with the task — leaves them out, and its own are not
-    lasting.
-    """
-
-    __slots__ = ("schema", "rids", "columns", "count", "shard",
-                 "_group_orders", "_lasting", "_rids_text")
+    __slots__ = ("schema", "rids", "columns", "count", "_group_orders",
+                 "_rids_text")
 
     def __init__(self, schema: TableSchema, rids: array,
-                 columns: dict[str, ColumnSegment],
-                 shard: int | None = None) -> None:
+                 columns: dict[str, ColumnSegment]) -> None:
         self.schema = schema
         self.rids = rids  # array('q'), ascending
         self.columns = columns
         self.count = len(rids)
-        self.shard = shard
         self._group_orders: dict[tuple[str, ...], GroupOrder] = {}
-        self._lasting = True
         #: the image text the rids were decoded from (None: not loaded)
         self._rids_text: str | None = None
-
-    def __reduce__(self) -> tuple:
-        return (Segment, (self.schema, self.rids, self.columns, self.shard),
-                (None, {"_lasting": False}))
 
     def group_order(self, names: Sequence[str]) -> GroupOrder:
         """The cached :class:`GroupOrder` of the key ``names``."""
@@ -441,7 +422,7 @@ class Segment:
         order = self._group_orders.get(key)
         if order is None:
             order = self._group_orders[key] = GroupOrder(
-                self.columns, key, self.count, self._lasting)
+                self.columns, key, self.count)
             metrics.get_registry().inc("segments.group_orders_built")
         return order
 
@@ -449,8 +430,7 @@ class Segment:
     def from_columns(schema: TableSchema, rids: Sequence[int],
                      columns: Iterable[Sequence[Any]],
                      chunk_rows: int | None = None,
-                     dict_max: int = DICT_MAX_ENTRIES,
-                     shard: int | None = None) -> "list[Segment]":
+                     dict_max: int = DICT_MAX_ENTRIES) -> "list[Segment]":
         """Freeze ascending ``rids`` and, per schema column in order, the
         values of those rows into segments of ``chunk_rows`` rows (None:
         one, even of no rows).  ``columns`` may be lazy: one column is
@@ -463,14 +443,13 @@ class Segment:
                 into[col.name] = ColumnSegment.encode(
                     col.name, col.col_type, values[start:start + step],
                     dict_max=dict_max)
-        return [Segment(schema, array("q", rids[start:start + step]), into,
-                        shard=shard) for into, start in zip(encoded, starts)]
+        return [Segment(schema, array("q", rids[start:start + step]), into)
+                for into, start in zip(encoded, starts)]
 
     @staticmethod
     def from_rows(schema: TableSchema,
                   items: list[tuple[int, dict[str, Any]]],
-                  dict_max: int = DICT_MAX_ENTRIES,
-                  shard: int | None = None) -> "Segment":
+                  dict_max: int = DICT_MAX_ENTRIES) -> "Segment":
         """Freeze ``(rid, values)`` pairs into a segment (rid-sorted).
         Tests build segments with it; the engine freezes columns."""
         items = sorted(items, key=lambda kv: kv[0])
@@ -478,15 +457,14 @@ class Segment:
             schema, [rid for rid, _ in items],
             ([values.get(name) for _, values in items]
              for name in schema.column_names),
-            dict_max=dict_max, shard=shard)[0]
+            dict_max=dict_max)[0]
 
     def image(self) -> dict[str, Any]:
         """What a checkpoint stores of this segment: its rids (base64 of
-        little-endian int64), its shard tag and each column's
+        little-endian int64) and each column's
         :meth:`ColumnSegment.image`, one column at a time — the text a
         loaded one came from, where nothing has decoded it since."""
         return {"rids": self._rids_text or to_base64(self.rids),
-                "shard": self.shard,
                 "columns": {name: column.image()
                             for name, column in self.columns.items()}}
 
@@ -499,7 +477,7 @@ class Segment:
         segment = Segment(schema, rids, {
             name: ColumnSegment.from_image(
                 name, image["columns"][name], len(rids))
-            for name in schema.column_names}, shard=image["shard"])
+            for name in schema.column_names})
         segment._rids_text = image["rids"]
         return segment
 

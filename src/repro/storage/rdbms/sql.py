@@ -52,7 +52,7 @@ from time import perf_counter
 from typing import Any, Iterable, Iterator
 
 from repro.errors import (CancellationToken, QueryDeadlockError, QueryError,
-                          QueryLockTimeoutError, StaleSnapshotError)
+                          QueryLockTimeoutError)
 from repro.storage.rdbms.engine import Database, Transaction
 from repro.storage.rdbms.lockmgr import DeadlockError, LockTimeoutError
 from repro.storage.rdbms.segments import take
@@ -94,7 +94,7 @@ _KEYWORDS = frozenset(
         "set", "delete", "create", "table", "primary", "key", "asc", "desc",
         "join", "on", "count", "sum", "avg", "min", "max", "true", "false",
         "distinct", "as", "having", "explain", "analyze", "alter", "compact",
-        "shard", "shards", "reshard", "none",
+        "none",
     }
 )
 
@@ -310,12 +310,9 @@ class DeleteStatement:
 
 @dataclass
 class CreateTableStatement:
-    """A parsed CREATE TABLE carrying the schema and optional
-    ``SHARD BY (col) SHARDS n`` partitioning clause."""
+    """A parsed CREATE TABLE carrying the schema."""
 
     schema: TableSchema
-    shard_key: str | None = None
-    shard_count: int = 1
 
 
 @dataclass
@@ -334,16 +331,6 @@ class CompactStatement:
     into columnar segments (runs in its own transaction, like DDL)."""
 
     table: str
-
-
-@dataclass
-class ReshardStatement:
-    """A parsed ``ALTER TABLE <t> RESHARD BY (col) SHARDS n``: change
-    the table's hash-partitioning layout (runs like DDL, WAL-covered)."""
-
-    table: str
-    shard_key: str
-    shard_count: int
 
 
 # -------------------------------------------------------------------- parser
@@ -447,34 +434,13 @@ class _Parser:
             raise SqlError("EXPLAIN supports SELECT statements only")
         return ExplainStatement(self._parse_select(), analyze=analyze)
 
-    def _parse_alter(self) -> "CompactStatement | ReshardStatement":
+    def _parse_alter(self) -> CompactStatement:
         self._expect_keyword("alter")
         self._expect_keyword("table")
         table = self._identifier()
-        if self._at_keyword("reshard"):
-            self._next()
-            key, count = self._parse_shard_clause(by_consumed=False)
-            self._expect_end()
-            return ReshardStatement(table, key, count)
         self._expect_keyword("compact")
         self._expect_end()
         return CompactStatement(table)
-
-    def _parse_shard_clause(self, by_consumed: bool) -> tuple[str, int]:
-        """``BY ( col ) SHARDS n`` (the SHARD/RESHARD word is consumed
-        by the caller)."""
-        if not by_consumed:
-            self._expect_keyword("by")
-        self._expect_op("(")
-        key = self._identifier()
-        self._expect_op(")")
-        self._expect_keyword("shards")
-        token = self._next()
-        if token.kind != "number" or not isinstance(token.value, int) \
-                or token.value < 1:
-            raise SqlError(f"SHARDS expects a positive integer, "
-                           f"got {token.text!r}")
-        return key, token.value
 
     def _parse_select(self) -> SelectStatement:
         self._expect_keyword("select")
@@ -620,15 +586,8 @@ class _Parser:
 
         columns = self._comma_list(column)
         self._expect_op(")")
-        shard_key: str | None = None
-        shard_count = 1
-        if self._at_keyword("shard"):
-            self._next()
-            shard_key, shard_count = self._parse_shard_clause(
-                by_consumed=False)
         return CreateTableStatement(
-            TableSchema(name, tuple(columns), primary_key),
-            shard_key=shard_key, shard_count=shard_count)
+            TableSchema(name, tuple(columns), primary_key))
 
     # -- predicates
 
@@ -1265,31 +1224,14 @@ def _analyze_rows(db: Database, stmt: ExplainStatement,
     return [{"plan": line} for line in lines]
 
 
-#: Attempts for a read whose plan went stale mid-flight (a reshard raced
-#: between snapshot acquisition and planning; readers take no locks, so
-#: nothing serializes the two).
-_STALE_PLAN_ATTEMPTS = 3
-
-
 def _run_snapshot_read(db: Database, guard: CancellationToken | None,
                        runner) -> list[dict[str, Any]]:
-    """Run a read-only statement against a fresh commit-point snapshot.
-
-    On :class:`~repro.errors.StaleSnapshotError` (shard layout changed
-    under the plan) the statement retries with a fresh snapshot *and* a
-    fresh plan; the error escapes only if the layout keeps churning
-    faster than the retries.
-    """
-    last: StaleSnapshotError | None = None
-    for _ in range(_STALE_PLAN_ATTEMPTS):
-        snap = db.begin_snapshot(guard=guard)
-        try:
-            return runner(snap)
-        except StaleSnapshotError as exc:
-            last = exc
-        finally:
-            snap.commit()
-    raise last
+    """Run a read-only statement against a fresh commit-point snapshot."""
+    snap = db.begin_snapshot(guard=guard)
+    try:
+        return runner(snap)
+    finally:
+        snap.commit()
 
 
 def require_tables(db: Database, tables: Iterable[str | None],
@@ -1312,8 +1254,7 @@ def execute_statement(db: Database, stmt, txn: Transaction | None = None,
     if guard is not None:
         guard.check()
     if isinstance(stmt, CreateTableStatement):
-        db.create_table(stmt.schema, shard_key=stmt.shard_key,
-                        shard_count=stmt.shard_count)
+        db.create_table(stmt.schema)
         return [{"created": stmt.schema.name}]
     named = stmt.select if isinstance(stmt, ExplainStatement) else stmt
     require_tables(db, (named.table, getattr(named, "join_table", None)),
@@ -1324,14 +1265,6 @@ def execute_statement(db: Database, stmt, txn: Transaction | None = None,
             "compacted": stmt.table,
             "segments_created": summary["segments_created"],
             "rows_frozen": summary["rows_frozen"],
-        }]
-    if isinstance(stmt, ReshardStatement):
-        summary = db.reshard(stmt.table, stmt.shard_key, stmt.shard_count)
-        return [{
-            "resharded": stmt.table,
-            "shard_key": summary["shard_key"],
-            "shard_count": summary["shard_count"],
-            "rows": summary["rows"],
         }]
     if isinstance(stmt, ExplainStatement):
         if not stmt.analyze:

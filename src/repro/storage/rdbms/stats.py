@@ -35,12 +35,10 @@ ranking degrades.
 from __future__ import annotations
 
 import bisect
-import heapq
 import random
 import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.storage.rdbms.segments import take
@@ -207,12 +205,9 @@ def _build_column_stats(values: Sequence[Any]) -> ColumnStats:
 
 def _tail(view: HeapTable) -> list[tuple[int, dict[str, Any]]]:
     """The row-store tail of ``view``, ``(rid, values)`` in rid order: the
-    rows units of its scan (a sharded table's shard by shard, merged)."""
-    shards = view.sharded_scan_units() if view.shard_spec is not None \
-        else [view.scan_units()]
-    return list(heapq.merge(*(
-        [pair for kind, unit, _ in units if kind == "rows" for pair in unit]
-        for units in shards), key=itemgetter(0)))
+    rows units of its scan."""
+    return [pair for kind, unit, _ in view.scan_units() if kind == "rows"
+            for pair in unit]
 
 
 def _column_pass(view: HeapTable, names: Sequence[str],

@@ -30,16 +30,15 @@ reader (or a snapshot) holding the old one keeps seeing the old values.
 
 from __future__ import annotations
 
-import heapq
 import threading
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import chain, starmap
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from repro.errors import ShardedLogError
 from repro.storage.rdbms.segments import SEGMENT_TARGET_ROWS, Segment, take
-from repro.storage.rdbms.sharding import ShardSpec
 from repro.storage.rdbms.types import SchemaError, TableSchema
 from repro.telemetry import metrics
 
@@ -61,15 +60,6 @@ class Row:
 
     def __getitem__(self, column: str) -> Any:
         return self.values[column]
-
-
-def _rid_order(ranges: list[tuple[int, int]]) -> list[int] | None:
-    """Indexes of ``(first rid, last rid)`` ranges in rid order, or None
-    when two of them overlap."""
-    order = sorted(range(len(ranges)), key=lambda i: ranges[i][0])
-    if any(ranges[b][0] <= ranges[a][1] for a, b in zip(order, order[1:])):
-        return None
-    return order
 
 
 def _live_between(dead: Sequence[int], start: int, stop: int) -> Sequence[int]:
@@ -135,8 +125,7 @@ class HeapTable:
     it (:meth:`__getattr__`).
     """
 
-    def __init__(self, schema: TableSchema,
-                 shard_spec: ShardSpec | None = None) -> None:
+    def __init__(self, schema: TableSchema) -> None:
         self._schema = schema
         self._rows: dict[int, dict[str, Any]] = {}
         self._next_rid = 0
@@ -148,9 +137,6 @@ class HeapTable:
         #: lazily built by :meth:`_segment_directory`; reset to None by
         #: whatever changes ``_segments``
         self._directory: tuple[list[int], list[Segment]] | None = None
-        self._shard_spec: ShardSpec | None = None
-        if shard_spec is not None:
-            self.set_shard_spec(shard_spec)
 
     def __getattr__(self, name: str) -> Any:
         """The pk map of a table loaded from an image (only an unset
@@ -181,26 +167,6 @@ class HeapTable:
     @property
     def schema(self) -> TableSchema:
         return self._schema
-
-    # ------------------------------------------------------------- sharding
-
-    @property
-    def shard_spec(self) -> ShardSpec | None:
-        return self._shard_spec
-
-    def set_shard_spec(self, spec: ShardSpec | None) -> None:
-        """Adopt (or drop) a sharding layout, re-routing every row.
-
-        Existing segments are melted first: a sharded table's segments
-        always hold rows of exactly one shard, and the old layout may
-        straddle the new shard boundaries.  Callers wanting frozen
-        per-shard segments re-compact afterwards.
-        """
-        if spec is not None and not self._schema.has_column(spec.key):
-            raise SchemaError(
-                f"shard key {spec.key!r} is not a column of {self.name!r}")
-        self.melt_all()
-        self._shard_spec = spec
 
     def committed_view(self, undo_entries: Sequence[tuple]) -> "HeapTable":
         """A table nobody writes to, holding this one's committed state —
@@ -234,13 +200,7 @@ class HeapTable:
         view._segments = list(self._segments)
         view._dead = {segment: list(dead)
                       for segment, dead in self._dead.items()}
-        view._shard_spec = self._shard_spec
         return view
-
-    def _shard_of_values(self, values: dict[str, Any]) -> int:
-        spec = self._shard_spec
-        assert spec is not None
-        return spec.shard_of(values.get(spec.key))
 
     @property
     def name(self) -> str:
@@ -449,48 +409,19 @@ class HeapTable:
         self._rows = new_rows
         self._pk_index = new_pk
         self.__dict__.pop("_pk_pending", None)  # (its segments are gone)
-        spec = self._shard_spec
-        if spec is not None:
-            # Values may have been rewritten (or the key column dropped):
-            # re-route every row; dropping the key unshards the table.
-            self._shard_spec = None
-            self.set_shard_spec(spec if schema.has_column(spec.key) else None)
 
     # ------------------------------------------------------------ segments
-
-    def _groups(self) -> list[tuple[int | None, list[Segment], list[int]]]:
-        """``(shard, segments, tail rids)`` per shard — one group, shard
-        None, when unsharded — both in rid order.  The segments of a
-        group never overlap in rid range: :meth:`compact` chunks that
-        way, and a checkpoint image brings them back as they were.
-        """
-        by_min_rid = attrgetter("min_rid")
-        segments = [s for s in self._segments if s.count]
-        spec = self._shard_spec
-        if spec is None:
-            return [(None, sorted(segments, key=by_min_rid),
-                     sorted(self._rows))]
-        groups: list[tuple[int | None, list[Segment], list[int]]] = [
-            (shard, [], []) for shard in range(spec.count)]
-        for segment in sorted(segments, key=by_min_rid):
-            groups[segment.shard][1].append(segment)
-        # One pass over the (usually small) tail instead of filtering
-        # every shard's full rid set: point queries hit this per
-        # execution, so it must not scale with frozen-row count.
-        for rid in sorted(self._rows):
-            groups[self._shard_of_values(self._rows[rid])][2].append(rid)
-        return groups
 
     def compact(self, max_rid: int | None = None,
                 target_rows: int = SEGMENT_TARGET_ROWS) -> tuple[int, int, int]:
         """Freeze tail rows with ``rid <= max_rid`` into columnar segments
         and fold the delete vectors in.
 
-        Per group of :meth:`_groups`, in rid order: a segment that has a
-        dead position (or a tail row inside its rid range) is rewritten —
-        its live rows and those tail rows join the run being frozen — and
-        an untouched segment ends the run, so no new segment's rid range
-        reaches across an existing one's.  A run is built a column at a
+        In rid order: a segment that has a dead position (or a tail row
+        inside its rid range) is rewritten — its live rows and those tail
+        rows join the run being frozen — and an untouched segment ends
+        the run, so no new segment's rid range reaches across an existing
+        one's.  A run is built a column at a
         time over :meth:`_interleave`'s rid-order merge (no row dict is
         made) and cut into chunks of ``target_rows``.
         Deterministic, so WAL replay of a ``compact`` record over the
@@ -502,37 +433,36 @@ class HeapTable:
         if max_rid is None:
             max_rid = self._next_rid - 1
         names = self._schema.column_names
-        rewritten: list[Segment] = []
         fresh: list[Segment] = []
         frozen = 0
-        for shard, segments, tail in self._groups():
-            del tail[bisect_right(tail, max_rid):]
-            # per run: the segments it rewrites and the tail rids it takes
-            runs: list[tuple[list[Segment], list[int]]] = [([], [])]
-            at = 0
-            for segment in segments:
-                first = bisect_left(tail, segment.min_rid, at)
-                end = bisect_right(tail, segment.max_rid, first)
-                runs[-1][1].extend(tail[at:end])
-                if end > first or segment in self._dead:
-                    runs[-1][0].append(segment)
-                else:
-                    runs.append(([], []))
-                at = end
-            runs[-1][1].extend(tail[at:])
-            for run in runs:
-                units = list(self._interleave(*run))
-                rids = list(chain.from_iterable(
-                    map(itemgetter(0), unit) if kind == "rows"
-                    else take(unit.rids, selected)
-                    for kind, unit, selected in units))
-                if rids:
-                    fresh += Segment.from_columns(
-                        self._schema, rids,
-                        (gather_column(units, name) for name in names),
-                        target_rows, shard=shard)
-                    frozen += len(rids)
-            rewritten += [segment for run in runs for segment in run[0]]
+        tail = sorted(self._rows)
+        del tail[bisect_right(tail, max_rid):]
+        # per run: the segments it rewrites and the tail rids it takes
+        runs: list[tuple[list[Segment], list[int]]] = [([], [])]
+        at = 0
+        for segment in self._segment_directory()[1]:
+            first = bisect_left(tail, segment.min_rid, at)
+            end = bisect_right(tail, segment.max_rid, first)
+            runs[-1][1].extend(tail[at:end])
+            if end > first or segment in self._dead:
+                runs[-1][0].append(segment)
+            else:
+                runs.append(([], []))
+            at = end
+        runs[-1][1].extend(tail[at:])
+        for run in runs:
+            units = list(self._interleave(*run))
+            rids = list(chain.from_iterable(
+                map(itemgetter(0), unit) if kind == "rows"
+                else take(unit.rids, selected)
+                for kind, unit, selected in units))
+            if rids:
+                fresh += Segment.from_columns(
+                    self._schema, rids,
+                    (gather_column(units, name) for name in names),
+                    target_rows)
+                frozen += len(rids)
+        rewritten = [segment for run in runs for segment in run[0]]
         # Everything new is built: only now does the old layout go.
         for segment in rewritten:
             self._segments.remove(segment)
@@ -553,8 +483,7 @@ class HeapTable:
 
     def melt_all(self) -> None:
         """Decode every segment's live rows back into the row-store tail
-        (a change of schema or of shard layout re-types or re-routes
-        every row; no write does this)."""
+        (a change of schema re-types every row; no write does this)."""
         registry = metrics.get_registry()
         for segment in self._segments:
             live = self.live_positions(segment)
@@ -569,35 +498,31 @@ class HeapTable:
 
     def _segment_directory(self) -> tuple[list[int], list[Segment]]:
         """``(first rids, segments)`` of the non-empty segments in rid
-        order, for one bisect per lookup — or ``([], segments)`` when
-        their rid ranges overlap (per-shard segments interleave) and a
-        lookup has to probe each."""
+        order, for one bisect per lookup.  Their rid ranges never
+        overlap: :meth:`compact` cuts them that way, and a checkpoint
+        image brings them back as they were."""
         directory = self._directory
         if directory is None:
-            segments = [s for s in self._segments if s.count]
-            order = _rid_order([(s.min_rid, s.max_rid) for s in segments])
-            if order is not None:
-                segments = [segments[i] for i in order]
+            segments = sorted((s for s in self._segments if s.count),
+                              key=attrgetter("min_rid"))
             directory = self._directory = (
-                [s.min_rid for s in segments] if order is not None else [],
-                segments)
+                [s.min_rid for s in segments], segments)
         return directory
 
     def _segment_of(self, rid: int) -> tuple[Segment, int] | None:
         """The segment holding ``rid`` alive and its position there, or
         None (a dead position holds nothing)."""
         mins, segments = self._segment_directory()
-        if mins:
-            at = bisect_right(mins, rid) - 1
-            segments = segments[at:at + 1] if at >= 0 else ()
-        for segment in segments:
-            pos = segment.rid_position(rid)
-            if pos is not None:
-                dead = self._dead.get(segment, ())
-                at = bisect_left(dead, pos)
-                if at == len(dead) or dead[at] != pos:
-                    return segment, pos
-        return None
+        at = bisect_right(mins, rid) - 1
+        if at < 0:
+            return None
+        segment = segments[at]
+        pos = segment.rid_position(rid)
+        if pos is None:
+            return None
+        dead = self._dead.get(segment, ())
+        at = bisect_left(dead, pos)
+        return (segment, pos) if at == len(dead) or dead[at] != pos else None
 
     def locate(self, rids: Iterable[int]) -> list[ScanUnit]:
         """Ascending ``rids`` as scan units, still in rid order: runs of
@@ -612,7 +537,6 @@ class HeapTable:
         rids = list(rids)
         units: list[ScanUnit] = []
         tail = self._rows
-        disjoint = bool(self._segment_directory()[0])
         at, n = 0, len(rids)
         while at < n:
             rid = rids[at]
@@ -636,8 +560,7 @@ class HeapTable:
             # Every rid up to the segment's last is, bar an interleaved
             # tail row, in the same segment: position the whole stretch
             # at once, and end it before the first dead position.
-            end = bisect_right(rids, segment.max_rid, at) if disjoint \
-                else at + 1
+            end = bisect_right(rids, segment.max_rid, at)
             if end > at + 1:
                 positions = segment.positions_of(rids[at:end])
                 if positions is None:
@@ -658,25 +581,18 @@ class HeapTable:
         return units
 
     def segment_layout(self) -> list[list[int]]:
-        """``[[min_rid, max_rid, count], ...]``, a fourth ``shard``
-        element on a sharded table's segments: the layout as tests
+        """``[[min_rid, max_rid, count], ...]``: the layout as tests
         observe it (nothing in the engine reads it).  ``count`` is the
-        segment's live rows plus the tail rows inside its rid range (of
-        its shard); a range left with none is omitted.
+        segment's live rows plus the tail rows inside its rid range; a
+        range left with none is omitted.
         """
         layout = []
-        rows = self._rows
-        tail = sorted(rows)
+        tail = sorted(self._rows)
         for s in self._segments:
-            inside = tail[bisect_left(tail, s.min_rid):
-                          bisect_right(tail, s.max_rid)]
-            if s.shard is not None:
-                inside = [rid for rid in inside
-                          if self._shard_of_values(rows[rid]) == s.shard]
-            count = len(self.live_positions(s)) + len(inside)
+            count = len(self.live_positions(s)) + (
+                bisect_right(tail, s.max_rid) - bisect_left(tail, s.min_rid))
             if count:
-                layout.append([s.min_rid, s.max_rid, count] if s.shard is None
-                              else [s.min_rid, s.max_rid, count, s.shard])
+                layout.append([s.min_rid, s.max_rid, count])
         return layout
 
     def image(self) -> dict[str, Any]:
@@ -703,6 +619,8 @@ class HeapTable:
             ValueError: the image holds segments as rid ranges, the
                 layout before encoded segments, or columns without zone
                 maps, the layout before those.
+            ShardedLogError: a segment of the image is tagged with a
+                shard.
         """
         entries = image.get("segments", ())
         older = "segments as rid ranges" if any(
@@ -714,6 +632,8 @@ class HeapTable:
             raise ValueError(
                 f"table {self.name!r}: its image holds {older}, an older "
                 "layout which this version neither reads nor migrates")
+        if any(entry.get("shard") is not None for entry in entries):
+            raise ShardedLogError(self.name)
         self.load([(int(rid), values)
                    for rid, values in image.get("rows", {}).items()])
         frozen = []
@@ -798,20 +718,9 @@ class HeapTable:
         """The scan split into vectorizable units, in global rid order
         (see :meth:`_interleave`).  Lazy: the caller must keep writers
         out while it iterates (a table S lock, or a snapshot clone).
-
-        Per-shard segments interleave in rid range; a sharded table's
-        global scan is then one rows unit, the rid merge of its shards'
-        decoded rows — the executor falls back to row-at-a-time, which
-        keeps e.g. float SUM accumulation order identical to the naive
-        interpreter.
         """
-        mins, segments = self._segment_directory()
-        if mins or not segments:
-            yield from self._interleave(segments, sorted(self._rows))
-            return
-        shards = (chain.from_iterable(starmap(unit_rows, units))
-                  for units in self.sharded_scan_units())
-        yield "rows", list(heapq.merge(*shards, key=itemgetter(0))), None
+        yield from self._interleave(self._segment_directory()[1],
+                                    sorted(self._rows))
 
     def column_items(self, column: str) -> Iterator[tuple[Any, int]]:
         """``(value, rid)`` of every row for one column, in no particular
@@ -832,22 +741,6 @@ class HeapTable:
         held = [rid for rid in rids
                 if rid in rows or self._segment_of(rid) is not None]
         return zip(gather_column(self.locate(held), column), held)
-
-    def sharded_scan_units(self) -> list[list[ScanUnit]]:
-        """Per-shard vectorizable units for parallel plans (DESIGN.md §14).
-
-        Returns one unit list per shard, each enumerating that shard's
-        rows in rid order (see :meth:`_interleave`).  Rows units are
-        materialized lists (value dicts by reference) so the whole
-        structure is picklable for process-pool workers.  Concatenating
-        matching rows of all shards through a rid merge reproduces
-        :meth:`scan` order exactly — the byte-identity invariant parallel
-        plans rely on.
-        """
-        if self._shard_spec is None:
-            raise SchemaError(f"table {self.name!r} is not sharded")
-        return [list(self._interleave(segments, tail))
-                for _, segments, tail in self._groups()]
 
     def scan_where(self, predicate: Callable[[dict[str, Any]], bool]) -> Iterator[Row]:
         """Filtered scan."""

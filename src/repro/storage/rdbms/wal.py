@@ -16,12 +16,13 @@ payload ``{"txn": id, "type": kind, ...}``.  Written:
 * ``compact`` — a columnar freeze of a table's committed tail rows
   (txn 0, DDL-style: replay re-runs the deterministic freeze at the same
   log position, reproducing the segment layout),
-* ``reshard`` — a shard-layout change (txn 0, DDL-style like ``compact``:
-  routing is seed-stable, so replaying the spec at the same log position
-  reproduces the identical shard membership),
-* ``checkpoint`` — the committed image of every table (schema, shard
-  spec, tail rows by rid, each segment's encoded columns with its dead
-  positions), the index list and the transaction counter.
+* ``checkpoint`` — the committed image of every table (schema, tail
+  rows by rid, each segment's encoded columns with its dead positions),
+  the index list and the transaction counter.
+
+Older versions also wrote ``reshard`` records and shard keys on tables
+and segments; recovery refuses a log that declares one
+(:class:`~repro.errors.ShardedLogError`).
 
 A checkpoint (:meth:`WriteAheadLog.checkpoint`) is the first record of a
 new segment; once it is written the segments before it are deleted.

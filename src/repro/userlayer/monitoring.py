@@ -14,8 +14,8 @@ rows are refcounted, a notification fires on the 0 -> 1 transition, and
 the count is released when the row leaves the result — so per-query memory
 is bounded by the query's current result cardinality rather than growing
 with all-time match history, and a row that disappears and later reappears
-notifies again.  Row identity uses the engine's canonical value encoding
-(``canonical_key_bytes``), so ``1`` and ``1.0`` are one row and NaN
+notifies again.  Row identity uses a canonical value encoding
+(:func:`canonical_key_bytes`), so ``1`` and ``1.0`` are one row and NaN
 compares equal to itself.
 """
 
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.storage.rdbms.engine import CommitDelta, Database, TableDelta
-from repro.storage.rdbms.sharding import canonical_key_bytes
 from repro.storage.rdbms.sql import (
     Aggregate,
     SelectStatement,
@@ -39,6 +38,29 @@ from repro.storage.rdbms.sql import (
 from repro.telemetry import metrics
 
 Callback = Callable[[str, dict[str, Any]], None]
+
+
+def canonical_key_bytes(value: Any) -> bytes:
+    """Bytes whose equality matches SQL ``=`` on the underlying values:
+    numbers that compare equal encode alike (bools as 0/1, integral
+    floats as their int, so ``-0.0`` is ``0``), strings apart from
+    numbers (``1`` is not ``'1'``), and every NaN alike."""
+    if value is None:
+        return b"\x00null"
+    if isinstance(value, bool):
+        value = int(value)
+    if isinstance(value, float):
+        if value != value:
+            return b"f:nan"
+        if value.is_integer():
+            value = int(value)
+        else:
+            return b"f:" + repr(value).encode("ascii")
+    if isinstance(value, int):
+        return b"i:" + str(value).encode("ascii")
+    if isinstance(value, str):
+        return b"s:" + value.encode("utf-8")
+    return b"r:" + repr(value).encode("utf-8", "backslashreplace")
 
 
 @dataclass

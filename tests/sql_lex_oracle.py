@@ -25,7 +25,7 @@ _KEYWORDS = frozenset(
         "set", "delete", "create", "table", "primary", "key", "asc", "desc",
         "join", "on", "count", "sum", "avg", "min", "max", "true", "false",
         "distinct", "as", "having", "explain", "analyze", "alter", "compact",
-        "shard", "shards", "reshard", "none",
+        "none",
     }
 )
 

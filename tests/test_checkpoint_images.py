@@ -39,7 +39,7 @@ from tests.devices import failing
 from tests.test_rdbms_compact_layout import _plain, column_layout
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-TABLES = ("t", "u")  # "u" is sharded on "s"
+TABLES = ("t", "u")
 
 
 def _schema(name):
@@ -76,7 +76,7 @@ def _values(key, cells):
 def _create(directory):
     db = Database(directory)
     db.create_table(_schema("t"))
-    db.create_table(_schema("u"), shard_key="s", shard_count=3)
+    db.create_table(_schema("u"))
     for table in TABLES:
         db.create_index(table, "s")
         db.create_index(table, "n", kind="sorted")
@@ -118,7 +118,7 @@ def _apply(db, ops, keys):
 
 
 def _layout(heap):
-    return ([(segment.shard, segment.rids.tobytes(),
+    return ([(segment.rids.tobytes(),
               [column_layout(segment.columns[name])
                for name in heap.schema.column_names],
               list(heap.dead_positions(segment)))
@@ -142,7 +142,7 @@ def _state(db, probes):
         layout[table] = _layout(heap)
         state[table] = (
             [(row.rid, _plain_row(row.values)) for row in rows],
-            heap.shard_spec, sorted(heap._pk_index.items()),
+            sorted(heap._pk_index.items()),
             db.run(lambda t: (
                 [t.get_by_pk(table, row["id"]).rid for row in rows],
                 [[r.rid for r in t.lookup(table, "s", text)]

@@ -255,28 +255,6 @@ def test_compact_default_table_and_unknown_table(capsys, pages_dir,
     assert "unknown table 'nosuch'" in capsys.readouterr().err
 
 
-def test_reshard_by_none_and_missing_by(capsys, pages_dir, workspace,
-                                        tmp_path):
-    _generated(capsys, pages_dir, workspace, tmp_path)
-    code, out = _run(capsys, "--workspace", workspace, "reshard",
-                     "--by", "attribute", "--shards", "2")
-    assert code == 0
-    assert out.startswith("resharded facts: ")
-    assert "rows by (attribute) into 2 shard(s)" in out
-    rows = int(out.split(": ")[1].split()[0])
-    assert rows > 0
-
-    code, out = _run(capsys, "--workspace", workspace, "reshard", "--none")
-    assert code == 0 and out.strip() == f"unsharded facts: {rows} rows"
-
-    code = main(["--workspace", workspace, "reshard"])
-    assert code == 2
-    assert "reshard requires --by" in capsys.readouterr().err
-    code = main(["--workspace", workspace, "reshard", "nosuch", "--by", "x"])
-    assert code == 2
-    assert "unknown table 'nosuch'" in capsys.readouterr().err
-
-
 def test_cache_stats_and_clear(capsys, pages_dir, workspace, tmp_path):
     cache = str(tmp_path / "cache")
     _generated(capsys, pages_dir, workspace, tmp_path, "--cache", cache)

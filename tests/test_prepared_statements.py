@@ -3,7 +3,7 @@ literals into the shape's statement and prepared plan.
 
 The differential: generated SELECTs run through one long-lived
 ``QueryResultCache``, each after other texts of its shape, with commits,
-``compact``, ``create_index`` and ``reshard`` in between.  Rows, the
+``compact`` and ``create_index`` in between.  Rows, the
 exception type and message, and the EXPLAIN lines of the bound plan must
 equal a fresh ``execute_sql`` / ``plan_select`` of the same text, and
 the text's literals, bound into the statement its shape was first parsed
@@ -16,8 +16,6 @@ import threading
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.backends import SerialBackend
-from repro.errors import StaleSnapshotError
 from repro.storage.rdbms import sql as sqlmod
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.planner import Planner
@@ -160,7 +158,6 @@ def _database(rows):
         for i, (name, qty, score) in enumerate(rows)]))
     db.run(lambda txn: txn.insert_many("dim1", [
         {"name": name, "grp": i} for i, name in enumerate(_NAMES[:4])]))
-    db.exec_backend = SerialBackend()  # a resharded table plans fan-outs
     return db
 
 
@@ -180,15 +177,10 @@ def _step(db, step, n):
         _, column, kind = step.split()
         if db._find_index("t", column) is None:
             db.create_index("t", column, kind)
-    elif step == "reshard":
-        db.reshard("t", "name", 3)
-    elif step == "unshard":
-        db.reshard("t", None)
 
 
 _STEPS = ["insert", "update", "delete", "compact", "index name hash",
-          "index qty sorted", "index score sorted", "index rid hash",
-          "reshard", "unshard"]
+          "index qty sorted", "index score sorted", "index rid hash"]
 
 
 def _outcome(run):
@@ -298,30 +290,6 @@ def test_threads_binding_one_shape_each_get_their_own_rows():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert len(cache._shapes) == 1
-
-
-def test_the_stale_plan_retry_prepares_the_shape_again(monkeypatch):
-    db = Database()
-    execute_sql(db, "CREATE TABLE t (id INT PRIMARY KEY, k TEXT)")
-    execute_sql(db, "INSERT INTO t (id, k) VALUES (1, 'a'), (2, 'b')")
-    cache = QueryResultCache(db)
-    assert cache.execute("SELECT id FROM t WHERE k = 'a'") == [{"id": 1}]
-    prepares = []
-    real_prepare, real_execute = Planner.prepare, sqlmod.execute_statement
-
-    def prepare(planner, stmt):
-        prepares.append(stmt)
-        return real_prepare(planner, stmt)
-
-    def stale_once(*args, **kwargs):
-        if not prepares:  # a reshard raced the first attempt
-            raise StaleSnapshotError("shard layout changed")
-        return real_execute(*args, **kwargs)
-
-    monkeypatch.setattr(Planner, "prepare", prepare)
-    monkeypatch.setattr(sqlmod, "execute_statement", stale_once)
-    assert cache.execute("SELECT id FROM t WHERE k = 'b'") == [{"id": 2}]
-    assert len(prepares) == 1
 
 
 def test_repro_stats_and_top_count_prepared_shapes():

@@ -230,7 +230,7 @@ def test_dml_planner_matches_naive(rows, template, n, m, k, name,
 # interpreter over every table layout the positions can come from.
 
 _STATES = ["heap", "frozen", "mixed", "masked", "masked_one", "interleaved",
-           "sharded", "raw"]
+           "raw"]
 
 late_rows_strategy = st.lists(
     st.tuples(
@@ -266,9 +266,8 @@ def _late_db(rows, state, dims=None):
     from: an all-tail heap, all frozen, frozen + newer tail rows, frozen
     rows written to since (dead positions, their new versions in the tail
     between stretches of the segment — over several small segments or
-    inside one), a tail rid in front of every segment, per-shard segments
-    with overlapping rid ranges, and dictionary-overflow / beyond-int64
-    ``raw`` columns."""
+    inside one), a tail rid in front of every segment, and
+    dictionary-overflow / beyond-int64 ``raw`` columns."""
     from repro.storage.rdbms.segments import Segment
 
     db = Database()
@@ -281,10 +280,7 @@ def _late_db(rows, state, dims=None):
          Column("score", ColumnType.FLOAT)),
         primary_key="rid",
     )
-    if state == "sharded":
-        db.create_table(schema, shard_key="name", shard_count=3)
-    else:
-        db.create_table(schema)
+    db.create_table(schema)
 
     def as_row(i, row):
         name, qty, opt, score = row
@@ -293,7 +289,7 @@ def _late_db(rows, state, dims=None):
         return {"rid": i, "name": name, "qty": qty, "opt": opt,
                 "score": score}
 
-    head = rows if state in ("heap", "frozen", "sharded", "raw") \
+    head = rows if state in ("heap", "frozen", "raw") \
         else rows[:len(rows) * 2 // 3]
     masked = state.startswith("masked")
     db.run(lambda txn: txn.insert_many(
@@ -417,13 +413,11 @@ _AGG_PATHS = [  # (layout, WHERE, the child the aggregate stage folds)
     ("indexed", " WHERE rid = {k}", "PkLookup"),
     ("indexed", " WHERE qty <= {n}", "RangeScan"),
     ("mixed", " WHERE score > {n}", "SegmentScan"),
-    ("sharded", " WHERE score > {n}", "ParallelScan"),
 ]
 
 _AGG_STATEMENTS = [
     "SELECT COUNT(*) AS n, MIN(qty) AS lo, MAX(name) AS hi FROM t{where}",
     "SELECT name, COUNT(opt) AS n, SUM(qty) AS s FROM t{where} GROUP BY name",
-    # FLOAT operands: a sharded scan folds serially instead of merging
     "SELECT opt, AVG(score) AS a, MAX(score) AS hi FROM t{where} "
     "GROUP BY opt",
     "SELECT t.name, SUM(t.qty) AS s, AVG(opt) AS a FROM t{where} "
@@ -440,12 +434,9 @@ def _paths_db(rows, layout, dims=None, filler=_FILLER):
     """``t`` holding ``rows`` (late_rows_strategy tuples) plus ``filler``
     rows in one of the layouts: ``heap`` and ``indexed`` (hash on name,
     sorted on qty) keep every row in the tail, ``mixed`` freezes all but
-    the last third of the generated rows, ``sharded`` spreads them over
-    three shards fanned out on a thread backend.  With ``dims``, ``d``
+    the last third of the generated rows.  With ``dims``, ``d``
     holds a filler row per filler name too, and is indexed on both its
     columns in the ``indexed`` layout."""
-    from repro.cluster.backends import ThreadPoolBackend
-
     db = Database()
     schema = TableSchema(
         "t",
@@ -456,11 +447,7 @@ def _paths_db(rows, layout, dims=None, filler=_FILLER):
          Column("score", ColumnType.FLOAT)),
         primary_key="rid",
     )
-    if layout == "sharded":
-        db.create_table(schema, shard_key="name", shard_count=3)
-        db.exec_backend = ThreadPoolBackend(max_workers=2)
-    else:
-        db.create_table(schema)
+    db.create_table(schema)
     filled = [(f"f{i:02d}", 100 + i, None if i % 4 == 0 else i % 3,
                i - 30.5) for i in range(filler)]
     cut = len(rows) * 2 // 3 if layout == "mixed" else len(rows)
@@ -507,17 +494,13 @@ def _folds_over(db, sql):
 def test_aggregates_match_naive_over_every_child(rows, path, n, k, name):
     layout, where, child = path
     db = _paths_db(rows, layout)
-    try:
-        where = where.format(n=n, k=k, name=name)
-        for statement in _AGG_STATEMENTS:
-            sql = statement.format(where=where)
-            assert _folds_over(db, sql) == child, sql
-            assert _outcome(db, sql) == _outcome(db, sql, False), sql
-        if layout == "mixed" and len(rows) >= 3:
-            assert db._table("t").tail_size
-    finally:
-        if db.exec_backend is not None:
-            db.exec_backend.close()
+    where = where.format(n=n, k=k, name=name)
+    for statement in _AGG_STATEMENTS:
+        sql = statement.format(where=where)
+        assert _folds_over(db, sql) == child, sql
+        assert _outcome(db, sql) == _outcome(db, sql, False), sql
+    if layout == "mixed" and len(rows) >= 3:
+        assert db._table("t").tail_size
 
 
 @given(
@@ -552,7 +535,7 @@ def test_join_aggregates_match_naive_over_both_joins(rows, dims, join, k):
 
 
 def test_aggregates_over_an_empty_table_match_naive():
-    for layout in ("heap", "indexed", "sharded"):
+    for layout in ("heap", "indexed", "mixed"):
         db = _paths_db([], layout, filler=0)
         for sql in ["SELECT COUNT(*) AS n, SUM(qty) AS s, MIN(name) AS lo "
                     "FROM t",
@@ -561,8 +544,6 @@ def test_aggregates_over_an_empty_table_match_naive():
                     "SELECT name, qty, COUNT(*) AS n FROM t GROUP BY name",
                     "SELECT qty, COUNT(*) AS n FROM t"]:
             assert _outcome(db, sql) == _outcome(db, sql, False), sql
-        if db.exec_backend is not None:
-            db.exec_backend.close()
 
 
 def test_which_statements_record_predicate_feedback(monkeypatch):
@@ -582,9 +563,6 @@ def test_which_statements_record_predicate_feedback(monkeypatch):
         ("indexed", "SELECT name, COUNT(*) AS n FROM t WHERE name = 'f01' "
                     "GROUP BY name", True),
         ("mixed", "SELECT COUNT(*) AS n FROM t WHERE score > 0", False),
-        ("sharded", "SELECT name, COUNT(*) AS n FROM t WHERE score > 0 "
-                    "GROUP BY name", False),
-        ("sharded", "SELECT SUM(score) AS s FROM t WHERE score > 0", True),
         ("heap", "SELECT COUNT(*) AS n FROM t", False),
         ("heap", f"SELECT grp, COUNT(*) AS n {join}", False),
         ("heap", "SELECT name FROM t WHERE score > 0", True),
@@ -596,5 +574,3 @@ def test_which_statements_record_predicate_feedback(monkeypatch):
         recorded.clear()
         execute_sql(db, sql)
         assert recorded == (["t"] if records else []), (layout, sql)
-        if db.exec_backend is not None:
-            db.exec_backend.close()

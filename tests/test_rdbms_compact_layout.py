@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.storage.rdbms.segments import (DICT_MAX_ENTRIES, ColumnSegment,
                                           Segment)
-from repro.storage.rdbms.sharding import ShardSpec
 from repro.storage.rdbms.table import HeapTable
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 
@@ -76,14 +75,14 @@ def encode_reference(name, col_type, values, dict_max=DICT_MAX_ENTRIES):
     return raw()
 
 
-def from_rows_reference(schema, items, shard=None):
+def from_rows_reference(schema, items):
     items = sorted(items, key=lambda kv: kv[0])
     rids = array("q", (rid for rid, _ in items))
     columns = {}
     for col in schema.columns:
         values = [values_dict.get(col.name) for _, values_dict in items]
         columns[col.name] = encode_reference(col.name, col.col_type, values)
-    return Segment(schema, rids, columns, shard=shard)
+    return Segment(schema, rids, columns)
 
 
 def compact_reference(heap, target_rows):
@@ -91,35 +90,35 @@ def compact_reference(heap, target_rows):
     segment through a row dict."""
     max_rid = heap._next_rid - 1
     rows = heap._rows
-    rewritten, fresh, taken = [], [], []
+    rewritten, fresh = [], []
     frozen = 0
-    for shard, segments, tail in heap._groups():
-        del tail[bisect_right(tail, max_rid):]
-        taken += tail
-        runs = [[]]
-        at = 0
-        for segment in segments:
-            first = bisect_left(tail, segment.min_rid, at)
-            end = bisect_right(tail, segment.max_rid, first)
-            runs[-1] += [(rid, rows[rid]) for rid in tail[at:end]]
-            if end > first or segment in heap._dead:
-                runs[-1] += segment.rows_at(heap.live_positions(segment))
-                rewritten.append(segment)
-            else:
-                runs.append([])
-            at = end
-        runs[-1] += [(rid, rows[rid]) for rid in tail[at:]]
-        for run in runs:
-            run.sort(key=itemgetter(0))
-            fresh += [from_rows_reference(heap._schema,
-                                          run[start:start + target_rows],
-                                          shard=shard)
-                      for start in range(0, len(run), target_rows)]
-            frozen += len(run)
+    segments = sorted((s for s in heap._segments if s.count),
+                      key=lambda s: s.min_rid)
+    tail = sorted(rows)
+    del tail[bisect_right(tail, max_rid):]
+    runs = [[]]
+    at = 0
+    for segment in segments:
+        first = bisect_left(tail, segment.min_rid, at)
+        end = bisect_right(tail, segment.max_rid, first)
+        runs[-1] += [(rid, rows[rid]) for rid in tail[at:end]]
+        if end > first or segment in heap._dead:
+            runs[-1] += segment.rows_at(heap.live_positions(segment))
+            rewritten.append(segment)
+        else:
+            runs.append([])
+        at = end
+    runs[-1] += [(rid, rows[rid]) for rid in tail[at:]]
+    for run in runs:
+        run.sort(key=itemgetter(0))
+        fresh += [from_rows_reference(heap._schema,
+                                      run[start:start + target_rows])
+                  for start in range(0, len(run), target_rows)]
+        frozen += len(run)
     for segment in rewritten:
         heap._segments.remove(segment)
         heap._dead.pop(segment, None)
-    for rid in taken:
+    for rid in tail:
         del rows[rid]
     heap._segments += fresh
     heap._directory = None
@@ -145,7 +144,7 @@ def column_layout(column):
 
 
 def table_layout(heap):
-    return ([(segment.shard, segment.rids.tobytes(),
+    return ([(segment.rids.tobytes(),
               [column_layout(segment.columns[name])
                for name in heap.schema.column_names],
               list(heap.dead_positions(segment)))
@@ -205,13 +204,13 @@ def _apply(heap, ops):
             heap.compact(target_rows=size)
 
 
-@given(sharded=st.booleans(), before=st.lists(op_st, max_size=25),
+@given(before=st.lists(op_st, max_size=25),
        size=st.integers(1, 6), after=st.lists(op_st, max_size=12),
        resize=st.integers(1, 6))
 @settings(max_examples=150, deadline=None)
 def test_column_major_compaction_is_layout_identical(
-        sharded, before, size, after, resize):
-    heap = HeapTable(SCHEMA, shard_spec=ShardSpec("s", 3) if sharded else None)
+        before, size, after, resize):
+    heap = HeapTable(SCHEMA)
     _apply(heap, before)
     for target_rows, ops in ((size, after), (resize, ())):
         reference = copy.deepcopy(heap)

@@ -3,7 +3,6 @@ vectorized execution, zone-map skipping, WAL/checkpoint recovery, and the
 reopen regression."""
 
 import json
-import pickle
 import sys
 import threading
 
@@ -11,10 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.backends import SerialBackend
 from repro.storage.filestore import RecordFileStore
 from repro.storage.rdbms.engine import Database
-from repro.storage.rdbms.segments import Segment
+from repro.storage.rdbms.segments import SEGMENT_TARGET_ROWS, Segment
 from repro.storage.rdbms.sql import SqlError, execute_sql
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry import metrics
@@ -344,43 +342,25 @@ def _grouped_query(draw):
     return sql + " GROUP BY " + ", ".join(keys)
 
 
-@given(rows=_grouped_rows, target_rows=st.integers(1, 16),
-       fanned=st.booleans(), update=st.booleans(), delete=st.booleans(),
+@given(rows=_grouped_rows,
+       target_rows=st.one_of(st.integers(1, 16),   # several segments
+                             st.just(SEGMENT_TARGET_ROWS)),   # or one
+       update=st.booleans(), delete=st.booleans(),
        queries=st.lists(_grouped_query(), min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_grouped_aggregates_match_naive_oracle(rows, target_rows, fanned,
-                                               update, delete, queries):
+def test_grouped_aggregates_match_naive_oracle(rows, target_rows, update,
+                                               delete, queries):
     db = Database()
     db.create_table(_GROUPED_SCHEMA)
     db.run(lambda t: t.insert_many(
         "g", [{"id": i, **row} for i, row in enumerate(rows)]))
-    heap = db._table("g")
-    heap.compact(target_rows=target_rows)  # several segments
-    if fanned:  # as a fan-out task gets them: throwaway, untyped orders
-        heap._segments[:] = pickle.loads(pickle.dumps(heap._segments))
+    db._table("g").compact(target_rows=target_rows)
     if update and rows:  # a tail row inside a segment's rid range
         execute_sql(db, f"UPDATE g SET v = 7, w = 2.5 WHERE id = "
                         f"{len(rows) // 2}")
     if delete and len(rows) > 1:  # a dead position
         execute_sql(db, f"DELETE FROM g WHERE id = {len(rows) // 3}")
-    for sql in queries:
-        assert json.dumps(execute_sql(db, sql)) == json.dumps(
-            execute_sql(db, sql, use_planner=False)), sql
-
-
-@given(rows=_grouped_rows, queries=st.lists(_grouped_query(), min_size=1,
-                                            max_size=4))
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_grouped_aggregates_on_a_sharded_table_match_naive_oracle(rows,
-                                                                  queries):
-    db = Database()
-    db.create_table(_GROUPED_SCHEMA, shard_key="s", shard_count=3)
-    db.run(lambda t: t.insert_many(
-        "g", [{"id": i, **row} for i, row in enumerate(rows)]))
-    db.compact("g")
-    db.exec_backend = SerialBackend()
     for sql in queries:
         assert json.dumps(execute_sql(db, sql)) == json.dumps(
             execute_sql(db, sql, use_planner=False)), sql
@@ -460,17 +440,6 @@ def test_readers_sharing_a_new_group_order_agree_with_the_oracle():
         assert all(rows == want for rows in got)
 
 
-def test_segments_pickle_without_their_group_orders():
-    db = Database()
-    _load(db, 50)
-    db.compact("t")
-    segment = db._table("t").segments[0]
-    segment.group_order(["s"])
-    copy = pickle.loads(pickle.dumps(segment))
-    assert copy._group_orders == {}
-    assert list(copy.iter_rows()) == list(segment.iter_rows())
-
-
 def test_a_lasting_group_order_copies_columns_typed():
     # A copy kept for the segment's life costs what the column does:
     # 8 bytes a FLOAT row, one byte a null flag, not a list of objects.
@@ -478,13 +447,11 @@ def test_a_lasting_group_order_copies_columns_typed():
     _load(db, 200)
     db.compact("t")
     segment = db._table("t").segments[0]
-    for order in (segment.group_order(["s"]),
-                  pickle.loads(pickle.dumps(segment)).group_order(["s"])):
-        data, nulls = order.column("v")
-        cells = [segment.columns["v"].value_at(p) for p in order.positions]
-        assert [None if null else v for v, null in zip(data, nulls)] == cells
-        assert order.column("f")[1] is None  # no NULLs: no flags
     lasting = segment.group_order(["s"])
+    data, nulls = lasting.column("v")
+    cells = [segment.columns["v"].value_at(p) for p in lasting.positions]
+    assert [None if null else v for v, null in zip(data, nulls)] == cells
+    assert lasting.column("f")[1] is None  # no NULLs: no flags
     assert lasting.column("f")[0].typecode == "d"
     assert lasting.column("v")[0].typecode == "q"
     assert isinstance(lasting.column("v")[1], bytearray)
@@ -514,23 +481,6 @@ def test_a_kernel_runs_once_per_segment_not_once_per_group(monkeypatch):
     assert len(calls) == 2  # one segment, two kernel conjuncts
     assert json.dumps(got) == json.dumps(execute_sql(db, sql,
                                                      use_planner=False))
-
-
-def test_an_aggregate_state_pickles_without_the_segment_it_folded():
-    from repro.storage.rdbms import planner
-    from repro.storage.rdbms.sql import parse_sql
-
-    db = Database()
-    _load(db, 200)
-    db.compact("t")
-    segment = db._table("t").segments[0]
-    stmt = parse_sql("SELECT s, COUNT(*) FROM t WHERE v > 3 GROUP BY s")
-    pred = planner.ScanPredicate([stmt.where], _schema(), "t")
-    state = planner.AggState(stmt)
-    planner.fold_units([("segment", segment, range(segment.count))], pred,
-                       state)
-    copy = pickle.loads(pickle.dumps(state))  # a fan-out task's answer
-    assert copy._verdicts is None and copy.finalize() == state.finalize()
 
 
 def test_sum_type_error_parity_on_text_column():
@@ -586,7 +536,7 @@ def test_explain_golden_segment_scan_vector_conjuncts():
 
 def test_explain_golden_fallback_conjunct_keeps_row_scan():
     # A conjunct that cannot run as a column kernel (OR, col-to-col)
-    # forfeits the columnar discount, so an unsharded table never plans a
+    # forfeits the columnar discount, so a table never plans a
     # SegmentScan with fallback conjuncts: the row scan wins by one probe.
     assert _explain(
         _golden_db(),

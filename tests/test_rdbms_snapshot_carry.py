@@ -82,8 +82,6 @@ step_st = st.one_of(
     st.tuples(st.just("open"), pick_st, row_st),
     st.tuples(st.just("close"), st.booleans()),
     st.tuples(st.just("compact"), st.integers(2, 5)),
-    st.tuples(st.just("reshard"), st.sampled_from([None, "grp", "id"]),
-              st.integers(2, 3)),
     st.tuples(st.just("alter")),
     st.tuples(st.just("create_index"), st.sampled_from(["grp", "qty"])),
 )
@@ -92,10 +90,9 @@ step_st = st.one_of(
 class Script:
     """Applies steps to one database; what it cannot do now it skips."""
 
-    def __init__(self, sharded, indexed):
+    def __init__(self, indexed):
         self.db = Database()
-        self.db.create_table(_schema(), shard_key="grp" if sharded else None,
-                             shard_count=3 if sharded else 1)
+        self.db.create_table(_schema())
         self.writer = None        # the transaction left open, if any
         self.busy = set()         # rids it wrote: everyone else keeps off
         self.free_ids = list(OPEN_IDS)
@@ -175,8 +172,6 @@ class Script:
             return                   # the rest wait for every open writer
         elif kind == "compact":
             db.compact("t", target_rows=step[1])
-        elif kind == "reshard":
-            db.reshard("t", step[1], step[2])
         elif kind == "alter":
             extra = not db.schema("t").has_column("extra")
             db.alter_table("t", _schema(extra), lambda values: {
@@ -192,12 +187,12 @@ class Script:
             pass                     # a taken primary key: an abort
 
 
-@given(sharded=st.booleans(), indexed=st.booleans(),
+@given(indexed=st.booleans(),
        steps=st.lists(step_st, min_size=1, max_size=30))
 @settings(max_examples=120, deadline=None)
 def test_carried_indexes_equal_rebuilt_ones_and_pinned_snapshots_stand(
-        sharded, indexed, steps):
-    script = Script(sharded, indexed)
+        indexed, steps):
+    script = Script(indexed)
     pinned = script.db.begin_snapshot()
     stood = answers(pinned)
     for step in steps:
@@ -219,7 +214,7 @@ def test_a_pinned_snapshot_reads_the_live_indexes_corrected_by_d():
     """Updates, deletes and aborts on indexed columns and on the primary
     key, a writer left open: the pinned snapshot answers as it did, from
     the live indexes (it never loads one of its own)."""
-    script = Script(sharded=False, indexed=True)
+    script = Script(indexed=True)
     for key in range(8):
         script.apply(("insert", key, ("abc"[key % 3], key % 3, "x")))
     script.db.compact("t", target_rows=3)     # D holds frozen rows too
@@ -248,7 +243,7 @@ def test_a_reader_probing_while_a_writer_moves_a_rid_and_aborts():
     interval.  The probe and D are one mutate-lock hold: a reader must
     never see an entry moved without the change-log entry that says so,
     or an entry restored and the transaction still registered."""
-    script = Script(sharded=False, indexed=True)
+    script = Script(indexed=True)
     script.db.run(lambda t: t.insert_many(
         "t", [script._values(key, ("abc"[key % 3], key % 3, "x"))
               for key in range(30)]))
@@ -301,7 +296,7 @@ def test_a_reader_probing_while_a_writer_moves_a_rid_and_aborts():
 
 
 def test_a_snapshot_pinned_past_the_history_bound_or_across_ddl_detaches():
-    script = Script(sharded=False, indexed=False)
+    script = Script(indexed=False)
     for key in range(6):
         script.apply(("insert", key, ("a", key % 3, "x")))
     script.create_index("grp")
@@ -382,7 +377,7 @@ def test_readers_beside_a_committing_compacting_writer_stay_consistent():
     and its scan must describe one state, and the planner's unlocked
     questions to the live table (``table_size``) must not trip over the
     writer."""
-    script = Script(sharded=False, indexed=True)
+    script = Script(indexed=True)
     script.db.run(lambda t: t.insert_many(
         "t", [script._values(key, ("abc"[key % 3], key % 3, "x"))
               for key in range(60)]))
@@ -452,7 +447,7 @@ def _facts(system, entities=20):
     return len(rows)
 
 
-def test_compact_and_reshard_leave_the_result_cache_valid():
+def test_compact_leaves_the_result_cache_valid():
     registry = MetricsRegistry()
     with use_registry(registry):
         system = StructureManagementSystem()
@@ -466,14 +461,13 @@ def test_compact_and_reshard_leave_the_result_cache_valid():
         version = system.db.begin_snapshot().version_of(FACTS_TABLE)
         assert system.compact()["rows_frozen"] == 200
         assert system.query(select) == first
-        system.reshard(FACTS_TABLE, "attribute", 3)
-        assert system.query(select) == first
         assert (registry.get("planner.cache.misses"),
-                registry.get("planner.cache.hits")) == (1, 3)
+                registry.get("planner.cache.hits")) == (1, 2)
         assert system.db.begin_snapshot().version_of(FACTS_TABLE) == version
         # and a reader still sees the new layout, not a stale view
         with system.db.begin_snapshot() as snap:
-            assert snap.shard_spec(FACTS_TABLE).count == 3
+            assert {kind for kind, _, _ in snap.scan_units(FACTS_TABLE)} \
+                == {"segment"}
         system.query("UPDATE facts SET value_num = 0.5 WHERE fact_id = 30")
         assert system.query(select) != first
         assert registry.get("planner.cache.misses") == 2
@@ -542,7 +536,7 @@ def test_serve_mixed_write_script_loads_no_snapshot_index():
 
 
 def test_stats_and_top_show_a_pinned_snapshot_holding_history():
-    script = Script(sharded=False, indexed=True)
+    script = Script(indexed=True)
     for key in range(6):
         script.apply(("insert", key, ("a", key % 3, "x")))
     registry = MetricsRegistry()

@@ -135,7 +135,7 @@ def test_many_concurrent_inserters_unique_rids():
 
 def test_mvcc_readers_consistent_under_churn():
     """Snapshot readers always see a committed total while writers
-    transfer and the table is concurrently compacted and resharded.
+    transfer and the table is concurrently compacted.
 
     Readers go through the lock-free snapshot path (both the raw
     ``begin_snapshot`` API and the auto-transaction SQL route), so any
@@ -163,17 +163,12 @@ def test_mvcc_readers_consistent_under_churn():
             db.run(transfer)
 
     def churner():
-        layouts = [("id", 2), ("id", 4), (None, 1)]
-        i = 0
         while not stop.is_set():
             try:
                 db.compact("accounts")
-                key, count = layouts[i % len(layouts)]
-                db.reshard("accounts", key, count)
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
                 return
-            i += 1
 
     def reader():
         try:
@@ -225,7 +220,6 @@ _OPS = st.lists(
                   st.integers(-100, 100)),
         st.tuples(st.just("delete"), st.integers(0, 7), st.just(0)),
         st.tuples(st.just("compact"), st.just(0), st.just(0)),
-        st.tuples(st.just("reshard"), st.integers(1, 4), st.just(0)),
     ),
     max_size=30,
 )
@@ -236,7 +230,7 @@ _OPS = st.lists(
 def test_mvcc_differential_vs_oracle(ops):
     """Differential suite: after every committed operation, the snapshot
     read path (scan + SQL aggregates) must agree exactly with a plain
-    single-threaded dict oracle — across compaction and resharding."""
+    single-threaded dict oracle — across compaction."""
     db = Database()
     db.create_table(TableSchema(
         "accounts",
@@ -265,8 +259,6 @@ def test_mvcc_differential_vs_oracle(ops):
                 del oracle[key]
         elif kind == "compact":
             db.compact("accounts")
-        elif kind == "reshard":
-            db.reshard("accounts", "id" if key > 1 else None, key)
         with db.begin_snapshot() as snap:
             seen = {r.values["id"]: r.values["balance"]
                     for r in snap.scan("accounts")}

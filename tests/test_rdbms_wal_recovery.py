@@ -483,3 +483,70 @@ def test_batch_record_torn_at_any_byte_recovers_to_before_the_transaction(
         assert _contents(Database(str(tmp_path / "db"))) == before, cut
     wal_path.write_bytes(whole)
     assert _contents(Database(str(tmp_path / "db"))) != before
+
+
+# ----------------------------------------------- logs of sharded tables
+
+
+def _plain_image(table="t", segments=()):
+    return {"schema": _schema(table).to_dict(), "rows": {},
+            "segments": list(segments)}
+
+
+def _segment_image(**extra):
+    from repro.storage.rdbms.segments import Segment
+
+    segment = Segment.from_rows(_schema(), [(0, {"id": 0, "value": "a"}),
+                                            (3, {"id": 3, "value": "b"})])
+    return {**segment.image(), "dead": [], **extra}
+
+
+#: Records older versions wrote for hash-sharded tables, one of each kind
+#: that declares a shard layout, after a plain ``create_table`` of "t".
+_SHARDED_RECORDS = {
+    "create_table": ("create_table", {
+        "schema": _schema("u").to_dict(), "shard_key": "value",
+        "shard_count": 3}),
+    "alter_schema": ("alter_schema", {
+        **_plain_image(), "shard_key": "value", "shard_count": 2}),
+    "reshard": ("reshard", {"table": "t", "shard_key": "value",
+                            "shard_count": 4}),
+    "checkpoint table": ("checkpoint", {
+        "tables": {"t": {**_plain_image(), "shard_key": "value",
+                         "shard_count": 3}},
+        "indexes": [], "txn_counter": 0}),
+    "checkpoint segment": ("checkpoint", {
+        "tables": {"t": _plain_image(segments=[_segment_image(shard=1)])},
+        "indexes": [], "txn_counter": 0}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SHARDED_RECORDS))
+def test_a_log_that_declares_a_shard_layout_is_refused_by_table(tmp_path,
+                                                                 kind):
+    from repro.errors import ShardedLogError
+
+    rec_type, payload = _SHARDED_RECORDS[kind]
+    log = WriteAheadLog(str(tmp_path))
+    log.append(0, "create_table", schema=_schema().to_dict())
+    log.append(0, rec_type, **payload)
+    log.close()
+    with pytest.raises(ShardedLogError) as info:
+        Database(str(tmp_path))
+    table = "u" if kind == "create_table" else "t"
+    assert info.value.table == table
+    assert f"table {table!r}" in str(info.value)
+
+
+def test_a_log_that_only_ever_unsharded_opens_with_its_rows(tmp_path):
+    # a reshard record without a key (and a segment tagged with no shard)
+    # is what an older version wrote for a table it left unsharded
+    log = WriteAheadLog(str(tmp_path))
+    log.checkpoint(tables={"t": _plain_image(
+        segments=[_segment_image(shard=None)])}, indexes=[], txn_counter=0)
+    log.append(0, "reshard", table="t", shard_key=None, shard_count=1)
+    log.close()
+    db = Database(str(tmp_path))
+    assert db._table("t").segment_count() == 0     # melted, as it was then
+    assert [(row.rid, row.values) for row in db.run(lambda t: t.scan("t"))] \
+        == [(0, {"id": 0, "value": "a"}), (3, {"id": 3, "value": "b"})]

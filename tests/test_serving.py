@@ -10,7 +10,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cluster.backends import SerialBackend
 from repro.core.serving import ServingGate
 from repro.core.system import StructureManagementSystem
 from repro.errors import (AdmissionRejected, CancellationToken,
@@ -167,16 +166,13 @@ class _FiresAfterFirstSegment(CancellationToken):
             raise QueryTimeoutError("query exceeded its deadline")
 
 
-def _frozen_db(shards=None, n=300):
+def _frozen_db(n=300):
     db = Database()
     schema = TableSchema("t", (Column("id", ColumnType.INT, nullable=False),
                                Column("grp", ColumnType.TEXT),
                                Column("v", ColumnType.INT)),
                          primary_key="id")
-    if shards:
-        db.create_table(schema, shard_key="grp", shard_count=shards)
-    else:
-        db.create_table(schema)
+    db.create_table(schema)
     with db.begin() as txn:
         txn.insert_many("t", [{"id": i, "grp": f"g{i % 7}", "v": i % 13}
                               for i in range(n)])
@@ -192,16 +188,6 @@ def test_deadline_cancels_scan_of_frozen_data(sql):
     db = _frozen_db()
     assert db._table("t").segment_count() == 3
     assert "SegmentScan" in execute_sql(db, f"EXPLAIN {sql}")[-1]["plan"]
-    with pytest.raises(QueryTimeoutError) as info:
-        execute_sql(db, sql, guard=_FiresAfterFirstSegment())
-    assert info.value.sql == sql
-
-
-def test_deadline_cancels_sharded_scan_between_worker_results():
-    db = _frozen_db(shards=4)
-    db.exec_backend = SerialBackend()
-    sql = "SELECT id FROM t WHERE v < 5"
-    assert "ShardScan" in execute_sql(db, f"EXPLAIN {sql}")[-1]["plan"]
     with pytest.raises(QueryTimeoutError) as info:
         execute_sql(db, sql, guard=_FiresAfterFirstSegment())
     assert info.value.sql == sql

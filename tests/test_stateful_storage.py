@@ -1,7 +1,7 @@
 """A stateful model of the relational store (ROADMAP item 2(a) in
-miniature): any interleaving of DML, aborts, compaction, resharding,
-schema migration, pinned snapshots and crash + reopen must leave two
-tables — one unsharded, one sharded — reading exactly like a plain dict.
+miniature): any interleaving of DML, aborts, compaction, schema
+migration, pinned snapshots and crash + reopen must leave two tables
+reading exactly like a plain dict.
 
 Segments hold a handful of rows (``target_rows`` 2–8), so every state a
 write beside a frozen segment can produce — dead positions, tail rows
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
-from repro.cluster.backends import SerialBackend
 from repro.storage.rdbms import stats as stats_module
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.index import HashIndex
@@ -33,7 +32,7 @@ from repro.storage.rdbms.types import (Column, ColumnType, SchemaError,
                                        TableSchema)
 from tests.devices import failing
 
-TABLES = ("t", "s")          # "s" is the sharded one
+TABLES = ("t", "s")
 GROUPS = ["a", "b", "c", None]
 
 table_st = st.sampled_from(TABLES)
@@ -145,7 +144,7 @@ class StorageMachine(RuleBasedStateMachine):
         self.directory = tempfile.mkdtemp(prefix="stateful_")
         self.db = Database(self.directory)
         self.db.create_table(_schema("t"))
-        self.db.create_table(_schema("s"), shard_key="grp", shard_count=3)
+        self.db.create_table(_schema("s"))
         #: table -> rid -> values, as of the last commit
         self.committed = {name: {} for name in TABLES}
         #: the same, as the open write transaction sees it
@@ -160,12 +159,6 @@ class StorageMachine(RuleBasedStateMachine):
         for name in TABLES:
             self.db.create_index(name, "grp", "hash")
             self.db.create_index(name, "qty", "sorted")
-        self._dress()
-
-    def _dress(self):
-        """What a reopened database does not bring back by itself."""
-        db = self.db
-        db.exec_backend = SerialBackend()    # "s" plans the fan-out paths
 
     def teardown(self):
         if self.txn is not None:
@@ -335,19 +328,10 @@ class StorageMachine(RuleBasedStateMachine):
         self.dirty.add(table)
         heap = self.db._table(table)
         assert heap.tail_size == 0 and heap.dead_rows == 0
-        by_shard = {}
-        for segment in heap.segments:
-            by_shard.setdefault(segment.shard, []).append(
-                (segment.min_rid, segment.max_rid))
-        for ranges in by_shard.values():     # none reaches across another
-            ranges.sort()
-            assert all(a[1] < b[0] for a, b in zip(ranges, ranges[1:]))
-
-    @rule(key=st.sampled_from(["grp", "qty"]), count=st.integers(2, 4))
-    def reshard(self, key, count):
-        self.pinned.clear()      # a pinned reader does not outlive DDL
-        self.db.reshard("s", key, count)
-        self.dirty.add("s")
+        ranges = sorted((segment.min_rid, segment.max_rid)
+                        for segment in heap.segments)
+        # none reaches across another
+        assert all(a[1] < b[0] for a, b in zip(ranges, ranges[1:]))
 
     @precondition(lambda self: len(self.migrated) < len(TABLES))
     @rule(table=table_st)
@@ -398,7 +382,6 @@ class StorageMachine(RuleBasedStateMachine):
             self.reads_match_the_model()
         self.pinned.clear()
         self.db = Database(self.directory)
-        self._dress()
         for name in TABLES:                  # the indexes it does bring back
             assert isinstance(self.db._find_index(name, "grp"), HashIndex)
             assert self.db.sorted_index(name, "qty") is not None

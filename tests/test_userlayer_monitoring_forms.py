@@ -9,7 +9,8 @@ from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.sql import execute_sql
 from repro.userlayer.builtin_forms import builtin_forms, register_builtin_forms
 from repro.userlayer.forms import FormCatalog
-from repro.userlayer.monitoring import ContinuousQuery, ContinuousQueryManager
+from repro.userlayer.monitoring import (ContinuousQuery, ContinuousQueryManager,
+                                       canonical_key_bytes)
 
 
 # ------------------------------------------------------------- monitoring
@@ -138,6 +139,19 @@ def test_direct_batched_writes_fire_standing_queries():
     assert system.query(f"SELECT COUNT(*) AS n FROM {FACTS_TABLE}")[0]["n"] \
         == 4
     assert len(system.monitoring.pending("hot")) == 2
+
+
+def test_canonical_key_bytes_follow_sql_equality():
+    # SQL `=` treats 1, 1.0 and True as equal: one row identity
+    assert canonical_key_bytes(1) == canonical_key_bytes(1.0)
+    assert canonical_key_bytes(1) == canonical_key_bytes(True)
+    assert canonical_key_bytes(0) == canonical_key_bytes(-0.0)
+    assert canonical_key_bytes(0) == canonical_key_bytes(False)
+    # ...but strings stay in their own namespace,
+    assert canonical_key_bytes(1) != canonical_key_bytes("1")
+    assert canonical_key_bytes(None) == canonical_key_bytes(None)
+    assert canonical_key_bytes(2.5) != canonical_key_bytes(2)
+    assert canonical_key_bytes("nan") != canonical_key_bytes(float("nan"))
 
 
 # ------------------------------------------------------------------ forms
