@@ -18,7 +18,9 @@ Checked invariants (recorded as machine-readable ``gates``):
     mixed phase must be exactly 0 (readers never enter the queue), and a
     reader completes instantly even against a held X lock;
   * **reader p99 ≤ 2× idle** — reader tail latency with the mutator
-    running vs the same reader pool idle (non-smoke only);
+    running vs the same reader pool idle, the two phases alternating in
+    :data:`ROUNDS` rounds in one process, each p99 taken over all of its
+    phase's reads (non-smoke only);
   * **no cliff after a commit** — on an indexed table at two sizes a
     decade apart, with a one-row commit between every read, the first
     read after a commit costs ≤ 2× a warm read at each size and the
@@ -110,56 +112,63 @@ def _p99(latencies: list[float]) -> float:
     return ordered[int(0.99 * (len(ordered) - 1))]
 
 
+#: Idle and mixed reader phases alternate this many times: drift in the
+#: machine's state over a run (scheduling, other tenants) lands on both.
+ROUNDS = 5
+
+
 def bench_mixed_workload(reads_per_reader: int, readers: int) -> dict:
     """Idle vs contended reader latencies + consistency + oracle identity."""
     db = build_ledger()
     registry = metrics.get_registry()
 
-    def run_readers() -> tuple[list[float], list[int]]:
-        latencies: list[float] = []
-        bad: list[int] = []
+    def run_readers(reads: int, latencies: list[float],
+                    bad: list[int]) -> None:
         threads = [threading.Thread(
-            target=_reader_pass, args=(db, reads_per_reader, latencies, bad))
+            target=_reader_pass, args=(db, reads, latencies, bad))
             for _ in range(readers)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        return latencies, bad
 
-    # Phase 1: idle baseline — same reader pool, no writers.
-    idle_latencies, idle_bad = run_readers()
-
-    # Phase 2: mixed — a single mutator thread transfers and compacts in
-    # a deterministic script while the reader pool re-runs.
-    # Being single-threaded it never waits for a lock, so ANY
-    # rdbms.lock.waits delta in this phase would come from readers.
+    # The mixed phase: a single mutator thread transfers and compacts in
+    # a deterministic script (one generator across rounds) while the
+    # reader pool re-runs.  Being single-threaded it never waits for a
+    # lock, so ANY rdbms.lock.waits delta would come from readers.
     script: list[tuple[int, int, int]] = []
-    stop = threading.Event()
+    rng = random.Random(23)
     mutator_errors: list[BaseException] = []
 
-    def mutator():
-        rng = random.Random(23)
-        i = 0
+    def mutator(stop: threading.Event) -> None:
         try:
             while not stop.is_set():
                 a, b = rng.sample(range(ACCOUNTS), 2)
                 amount = rng.randrange(1, 20)
                 _apply_transfer(db, a, b, amount)
                 script.append((a, b, amount))
-                if i % 40 == 39:
+                if len(script) % 40 == 0:
                     db.compact("ledger")
-                i += 1
                 time.sleep(0.0005)  # a steady ingest trickle, not a saturating loop
         except BaseException as exc:  # pragma: no cover - diagnostic
             mutator_errors.append(exc)
 
+    idle_latencies: list[float] = []
+    idle_bad: list[int] = []
+    mixed_latencies: list[float] = []
+    mixed_bad: list[int] = []
     waits_before = registry.get("rdbms.lock.waits")
-    mutator_thread = threading.Thread(target=mutator)
-    mutator_thread.start()
-    mixed_latencies, mixed_bad = run_readers()
-    stop.set()
-    mutator_thread.join()
+    for round_ in range(ROUNDS):
+        reads = (reads_per_reader * (round_ + 1) // ROUNDS
+                 - reads_per_reader * round_ // ROUNDS)
+        # idle: the same reader pool, no writer
+        run_readers(reads, idle_latencies, idle_bad)
+        stop = threading.Event()
+        mutator_thread = threading.Thread(target=mutator, args=(stop,))
+        mutator_thread.start()
+        run_readers(reads, mixed_latencies, mixed_bad)
+        stop.set()
+        mutator_thread.join()
     waits_delta = registry.get("rdbms.lock.waits") - waits_before
     assert not mutator_errors, f"mutator failed: {mutator_errors[0]!r}"
 
@@ -195,6 +204,7 @@ def bench_mixed_workload(reads_per_reader: int, readers: int) -> dict:
     return {
         "readers": readers,
         "reads_per_reader": reads_per_reader,
+        "rounds": ROUNDS,
         "committed_transfers": len(script),
         "idle_p99_seconds": _p99(idle_latencies),
         "mixed_p99_seconds": _p99(mixed_latencies),
@@ -367,7 +377,8 @@ def run_bench(reads_per_reader: int = 300, readers: int = 2,
     write_table(
         "e23_concurrent_serving",
         f"E23: reader latency idle vs under writer/compact churn "
-        f"({readers} readers x {reads_per_reader} reads, "
+        f"({readers} readers x {reads_per_reader} reads per phase in "
+        f"{ROUNDS} alternating rounds, "
         f"{mixed['committed_transfers']} transfers committed)",
         ["metric", "value"],
         [["idle p99 (s)", mixed["idle_p99_seconds"]],

@@ -16,7 +16,7 @@ Strategies:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.docmodel.document import Span
@@ -116,7 +116,8 @@ def _fuse_group(entity: str, attribute: str, members: Sequence[Extraction],
 
 def fuse_extractions(extractions: Sequence[Extraction],
                      strategy: str = "weighted_vote") -> list[FusedValue]:
-    """Fuse extractions into one value per (entity, attribute).
+    """Fuse extractions into one value per (entity, attribute): one
+    :class:`FusionState` fold of them, then :meth:`FusionState.fused`.
 
     Each group's members are fused in canonical order
     (:func:`canonical_extraction_sort_key`), so the output depends on the
@@ -129,18 +130,9 @@ def fuse_extractions(extractions: Sequence[Extraction],
     Raises:
         ValueError: unknown strategy.
     """
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"unknown fusion strategy {strategy!r}")
-    groups: dict[tuple[str, str], list[Extraction]] = {}
-    # the key leads with (entity, attribute): groups come out in key order
-    for extraction in sorted(extractions, key=canonical_extraction_sort_key):
-        groups.setdefault((extraction.entity, extraction.attribute), []).append(
-            extraction
-        )
-    return [
-        _fuse_group(entity, attribute, members, strategy)
-        for (entity, attribute), members in groups.items()
-    ]
+    state = FusionState(strategy)
+    state.add(extractions)
+    return state.fused()
 
 
 def _agrees(value: Any, chosen: Any, strategy: str) -> bool:
@@ -152,69 +144,37 @@ def _agrees(value: Any, chosen: Any, strategy: str) -> bool:
     return value == chosen
 
 
-@dataclass
-class _GroupState:
-    """The extraction multiset of one (entity, attribute) group.
-
-    A dirty group is re-fused from ``members`` in canonical order — the
-    float folds (vote sums, fused confidence) are not invertible under
-    floating-point subtraction, so nothing is kept incrementally but the
-    multiset itself: O(group size) per refresh, not O(corpus).
-    """
-
-    members: Counter = field(default_factory=Counter)
-    count: int = 0
-
-    def add(self, extraction: Extraction) -> None:
-        self.members[extraction] += 1
-        self.count += 1
-
-    def retract(self, extraction: Extraction) -> None:
-        have = self.members.get(extraction, 0)
-        if not have:
-            raise KeyError(f"cannot retract absent extraction {extraction!r}")
-        if have == 1:
-            del self.members[extraction]
-        else:
-            self.members[extraction] = have - 1
-        self.count -= 1
-
-    def sorted_members(self) -> list[Extraction]:
-        out: list[Extraction] = []
-        for member, n in self.members.items():
-            out.extend([member] * n)
-        out.sort(key=canonical_extraction_sort_key)
-        return out
-
-
 class FusionState:
     """Fusion under retraction: fused values maintained across deltas.
 
-    Holds the extraction multiset per (entity, attribute) group
-    (:class:`_GroupState`), marks a group dirty on every add/retract, and
-    on :meth:`refresh` re-fuses *only the dirty groups* — O(changed
-    mentions), never O(corpus).  :meth:`fused` is byte-identical to
-    ``fuse_extractions`` over the same live extractions, in any order:
-    both fuse a group's members in canonical order.
+    Holds the extraction multiset of each (entity, attribute) group (a
+    :class:`~collections.Counter`), marks a group dirty on every
+    add/retract, and on :meth:`refresh` re-fuses *only the dirty groups*,
+    each from its members in canonical order — the float folds (vote
+    sums, fused confidence) are not invertible under floating-point
+    subtraction, so nothing is kept incrementally but the multiset
+    itself: O(changed groups' sizes), never O(corpus).
+    :func:`fuse_extractions` is one fold of this, so a state's
+    :meth:`fused` equals it over the same live extractions, in any order.
     """
 
     def __init__(self, strategy: str = "weighted_vote") -> None:
         if strategy not in _STRATEGIES:
             raise ValueError(f"unknown fusion strategy {strategy!r}")
         self.strategy = strategy
-        self._groups: dict[tuple[str, str], _GroupState] = {}
+        self._groups: dict[tuple[str, str], Counter] = {}
         self._fused: dict[tuple[str, str], FusedValue] = {}
         self._dirty: set[tuple[str, str]] = set()
         self.groups_refreshed = 0
 
     def __len__(self) -> int:
-        return sum(g.count for g in self._groups.values())
+        return sum(group.total() for group in self._groups.values())
 
     def add(self, extractions: Iterable[Extraction]) -> None:
         """Fold new extractions in; their groups go dirty."""
         for extraction in extractions:
             key = (extraction.entity, extraction.attribute)
-            self._groups.setdefault(key, _GroupState()).add(extraction)
+            self._groups.setdefault(key, Counter())[extraction] += 1
             self._dirty.add(key)
 
     def retract(self, extractions: Iterable[Extraction]) -> None:
@@ -228,9 +188,14 @@ class FusionState:
             group = self._groups.get(key)
             if group is None:
                 raise KeyError(f"cannot retract from absent group {key!r}")
-            group.retract(extraction)
+            if not group[extraction]:
+                raise KeyError(
+                    f"cannot retract absent extraction {extraction!r}")
+            group[extraction] -= 1
+            if not group[extraction]:
+                del group[extraction]
             self._dirty.add(key)
-            if not group.count:
+            if not group:
                 del self._groups[key]
 
     def refresh(self) -> dict[tuple[str, str], FusedValue | None]:
@@ -243,13 +208,14 @@ class FusionState:
         changed: dict[tuple[str, str], FusedValue | None] = {}
         for key in sorted(self._dirty):
             group = self._groups.get(key)
-            if group is None or not group.count:
+            if group is None:
                 if key in self._fused:
                     del self._fused[key]
                     changed[key] = None
                 continue
-            fresh = _fuse_group(key[0], key[1], group.sorted_members(),
-                                self.strategy)
+            members = sorted(group.elements(),
+                             key=canonical_extraction_sort_key)
+            fresh = _fuse_group(key[0], key[1], members, self.strategy)
             self.groups_refreshed += 1
             if self._fused.get(key) != fresh:
                 self._fused[key] = fresh

@@ -17,7 +17,6 @@ first use (DESIGN.md §12).
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -692,13 +691,14 @@ class Database:
         #: Per-table snapshot cache: only the first reader after a commit
         #: (or a change of layout) pays the O(tail) copy.
         self._snapshot_cache: dict[str, Any] = {}
-        #: Per table: weak references to the attached snapshots (those
-        #: reading the live indexes), and ``(version, rids written)`` of
-        #: each commit since the oldest of them — what corrects their
-        #: index reads (:meth:`_written_since`) — with its row count.
-        self._readers: dict[str, list[weakref.ref]] = {}
+        #: Per table: ``(version, rids written)`` of its latest commits,
+        #: at most :meth:`_history_bound` rows, with their row count, and
+        #: its floor — the version of the newest commit trimmed off or of
+        #: its last DDL: what corrects a snapshot's index reads
+        #: (:meth:`_written_since`).
         self._history: dict[str, deque[tuple[int, list[int]]]] = {}
         self._history_rows: dict[str, int] = {}
+        self._floor: dict[str, int] = {}
         #: Retry policy for :meth:`run` (deadlock / lock-timeout victims).
         self.txn_retry: RetryPolicy = TXN_RETRY
         #: When set, any commit that leaves a table's row-store tail at or
@@ -951,9 +951,6 @@ class Database:
                     cached = self._snapshot_cache[name] = TableSnapshot(
                         heap.committed_view(undo.get(name, ())),
                         self._table_versions.get(name, 0))
-                    cached.attached = True
-                    self._readers.setdefault(name, []).append(
-                        weakref.ref(cached))
                     registry.inc("rdbms.mvcc.snapshot_builds")
                 else:
                     registry.inc("rdbms.mvcc.snapshot_reuses")
@@ -1029,12 +1026,12 @@ class Database:
         transaction counter — as the first record of a new WAL segment,
         and delete the segments before it.
 
-        The images are read through :meth:`begin_snapshot`, and each
-        index is the live one with the open writers' change logs rolled
-        back, so open writers' rows are out of them (they arrive with
-        their commit records, after this one); the mutate lock is held
-        through the append, so no commit lands between the images and
-        the record.
+        The images are read through :meth:`begin_snapshot`: the index of
+        a table an open writer wrote to is the snapshot's own, loaded from
+        its view, any other the live one, so open writers' rows are out of
+        them (they arrive with their commit records, after this one); the
+        mutate lock is held through the append, so no commit lands between
+        the images and the record.
         If the append fails, nothing of it stays in the log and nothing
         is deleted; if the fsync or a deletion after it fails, the record
         stays and the next open deletes the segments before it
@@ -1044,24 +1041,20 @@ class Database:
             return
         with self._mutate_lock:
             snapshot, undo = self.begin_snapshot(), self._uncommitted()
+            indexes = [(table, column, snapshot._snap(table).index(
+                column, type(index)) if table in undo else index)
+                for (table, column), index in self._indexes.items()]
             self._wal.checkpoint(
                 tables={name: _table_image(snapshot._heap(name))
                         for name in self._tables},
-                indexes=[self._index_image(table, column, index,
-                                           undo.get(table))
-                         for (table, column), index in self._indexes.items()],
+                indexes=[self._index_image(*entry) for entry in indexes],
                 txn_counter=self._txn_counter)
 
     @staticmethod
-    def _index_image(table: str, column: str, index: Index,
-                     undo: Sequence[tuple] | None) -> dict[str, Any]:
+    def _index_image(table: str, column: str,
+                     index: Index) -> dict[str, Any]:
         """A checkpoint's entry of one index: its table, column and kind,
-        and its contents with the change-log entries ``undo`` (open
-        writers' of its table) rolled back out of a copy."""
-        if undo:
-            index = type(index).from_image(table, column, index.image())
-            for _, _, rid, before, after in reversed(undo):
-                _reindex(((column, index),), rid, after, before)
+        and its contents."""
         return {"table": table, "column": column,
                 "kind": "sorted" if isinstance(index, SortedIndex)
                 else "hash", **index.image()}
@@ -1149,49 +1142,37 @@ class Database:
 
         Versions come from one database-wide monotonic sequence, so no
         two distinct committed states of any table — even across a
-        drop/recreate — ever share a version number.  While an attached
-        snapshot is older than the commit whose change ``log`` this is,
-        the rids it wrote join the table's history, which keeps what the
-        oldest attached snapshot needs and no more than
-        :meth:`_history_bound` rows, trimmed from the front.  The attached
-        snapshots DDL (no ``log``) or that bound leave without their
-        history are detached: they load indexes of their own from their
-        views (:mod:`~repro.storage.rdbms.mvcc`).
+        drop/recreate — ever share a version number.  The rids a commit's
+        change ``log`` wrote to a table join its history, which keeps the
+        latest commits up to :meth:`_history_bound` rows, trimmed from the
+        front: the floor moves to the newest version trimmed off.  DDL (no
+        ``log``) empties the history and moves the floor to its own
+        version.
         """
         for table in tables:
             self._version_seq += 1
-            self._table_versions[table] = self._version_seq
+            version = self._table_versions[table] = self._version_seq
             self._snapshot_cache.pop(table, None)
-            snaps = [snap for snap in (ref() for ref in
-                                       self._readers.pop(table, ()))
-                     if snap is not None and snap.attached]
-            history = self._history.pop(table, deque())
-            rows = self._history_rows.pop(table, 0)
-            floor = float("inf") if log is None else 0  # older ones detach
-            if log is not None and snaps:
-                oldest = min(snap.version for snap in snaps)
-                while history and history[0][0] <= oldest:
-                    rows -= len(history.popleft()[1])
-                rids = [rid for _, name, rid, _, _ in log if name == table]
-                history.append((self._version_seq, rids))
-                rows += len(rids)
-                bound = self._history_bound(table)
-                while rows > bound:
-                    floor, rids = history.popleft()
-                    rows -= len(rids)
-            for snap in snaps:
-                snap.attached = snap.version >= floor
-            snaps = [snap for snap in snaps if snap.attached]
-            if snaps:
-                self._readers[table] = [weakref.ref(snap) for snap in snaps]
-                self._history[table] = history
-                self._history_rows[table] = rows
+            if log is None:
+                self._history.pop(table, None)
+                self._history_rows.pop(table, None)
+                self._floor[table] = version
+                continue
+            history = self._history.setdefault(table, deque())
+            rids = [rid for _, name, rid, _, _ in log if name == table]
+            history.append((version, rids))
+            rows = self._history_rows.get(table, 0) + len(rids)
+            bound = self._history_bound(table)
+            while rows > bound:
+                self._floor[table], trimmed = history.popleft()
+                rows -= len(trimmed)
+            self._history_rows[table] = rows
         metrics.get_registry().set_gauge(
             "rdbms.mvcc.history_rows", sum(self._history_rows.values()))
 
     def _history_bound(self, table: str) -> int:
         """The most rows of D (the history, and apart from it the open
-        change logs) an attached snapshot of ``table`` is corrected by.
+        change logs) a snapshot of ``table`` is corrected by.
         Correcting costs a probe ~1 µs per row of D, loading an index of
         its own ~0.2–0.6 µs per row of the table, once: a 32nd of the
         table keeps a probe under a fifth of a load."""
@@ -1200,10 +1181,14 @@ class Database:
     def _written_since(self, table: str, version: int) -> set[int] | None:
         """D: the rids of ``table`` in the change logs of the open
         transactions and of those committed after ``version`` (mutate
-        lock held) — the rows where the live indexes and an attached
-        snapshot at ``version`` may disagree.  None when the open change
-        logs (all their tables counted) hold more than
-        :meth:`_history_bound` rows: the snapshot is cheaper detached."""
+        lock held) — the rows where the live indexes and a snapshot at
+        ``version`` may disagree.  None when the history does not reach
+        back to ``version`` (it is below the table's floor: trimmed, or
+        DDL — a drop included — came since), or when the open change logs
+        (all their tables counted) hold more than :meth:`_history_bound`
+        rows: the snapshot reads indexes of its own."""
+        if version < self._floor.get(table, 0):
+            return None
         logs = [txn._undo for txn in self._active_txns.values() if txn._undo]
         if logs and sum(map(len, logs)) > self._history_bound(table):
             return None

@@ -16,9 +16,13 @@ transactions still open or committed after its version
 of D whose value in the snapshot's own view satisfies the probe.  Probe
 and D are read under one mutate-lock hold — a write moves an index entry
 before it appends its change-log entry, an abort restores entries before
-it deregisters.  A snapshot the database keeps no D for (DDL, or a D
-past :meth:`Database._history_bound`, 64 rows and a 32nd of the table) is
-*detached*: it loads indexes of its own from its view, on first use.
+it deregisters.  The database keeps each table's latest commits whether
+anyone reads or not, up to :meth:`Database._history_bound` rows (64 and
+a 32nd of the table); where that history does not reach back to a
+snapshot (trimmed, or DDL since), or the open change logs are past the
+bound, the probe asks an index of the snapshot's own, loaded from its
+view on first use.  The database registers no reader: a snapshot is its
+view and its version.
 """
 
 from __future__ import annotations
@@ -37,24 +41,20 @@ Probe = Callable[[Index], list[int]]
 
 
 class TableSnapshot:
-    """One table's committed view, and the indexes of its own a detached
-    snapshot loads from it.
+    """One table's committed view at one version, and the indexes of its
+    own loaded from it for the probes D cannot correct.
 
     The view is a :class:`HeapTable` that is never mutated, so every read
     method works unchanged.  Shared across all readers until something
-    supersedes it.  ``attached`` is set and cleared by the database
-    (mutate lock held): an attached snapshot reads the live indexes, and
-    the database keeps the rids written since its version.  One built by
-    anyone else is detached from the start — the cold path.
+    supersedes it; the database keeps no reference to it beyond that
+    cache.
     """
 
-    __slots__ = ("table", "version", "attached", "_lock", "_indexes",
-                 "__weakref__")
+    __slots__ = ("table", "version", "_lock", "_indexes")
 
     def __init__(self, table: HeapTable, version: int) -> None:
         self.table = table
         self.version = version
-        self.attached = False
         self._lock = threading.Lock()
         self._indexes: dict[tuple[str, type], Index] = {}
 
@@ -164,14 +164,11 @@ class SnapshotTransaction(TransactionReads):
                probe: Probe, live: Callable[[], list[int]]) -> list[int]:
         """The rids ``probe`` finds in ``table``'s ``column`` at this
         snapshot: ``live()`` (the probe of the live structure) corrected
-        by D, or, detached, ``probe`` of the snapshot's own ``kind``
-        index — also once D would cost more than that index (the
-        snapshot detaches for good)."""
+        by D, or, when the database has no D for this version, ``probe``
+        of the snapshot's own ``kind`` index."""
         snap, db = self._snap(table), self._db
         with db._mutate_lock:
-            written = db._written_since(table, snap.version) \
-                if snap.attached else None
-            snap.attached = written is not None
+            written = db._written_since(table, snap.version)
             if written is not None:
                 rids = live()
         if written is None:

@@ -166,6 +166,9 @@ def render_report(summary: dict[str, Any],
             takes = builds + reuses
             rate = (f"{100.0 * reuses / takes:.1f}% reuse rate"
                     if takes else "reuse rate n/a")
+            # index_builds: indexes snapshots loaded from their views
+            # where no D reached back to them; history_rows: the rids of
+            # write history the database keeps, readers or not
             history = snapshot.get("gauges", {}).get(
                 "rdbms.mvcc.history_rows", 0.0)
             lines += [
@@ -327,6 +330,8 @@ def render_top(previous: dict[str, Any] | None, current: dict[str, Any],
     snap_builds = delta("rdbms.mvcc.snapshot_builds")
     snap_reuses = delta("rdbms.mvcc.snapshot_reuses")
     if snap_builds or snap_reuses or delta("rdbms.mvcc.read_txns"):
+        # (as on the stats line: loaded where no D reached back; the
+        # write history kept, readers or not)
         history = current.get("gauges", {}).get("rdbms.mvcc.history_rows",
                                                 0.0)
         lines.append(f"  {'mvcc snapshots':<18} "

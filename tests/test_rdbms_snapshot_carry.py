@@ -1,8 +1,8 @@
 """A snapshot reads the live indexes and pk map, corrected by the rows
 written since it (DESIGN.md §15): after every step of a random script a
-fresh snapshot must answer exactly as one built from scratch — whose
-indexes are its own, loaded from its view — and the snapshot pinned
-before the step exactly as it did."""
+fresh snapshot must answer exactly as the from-scratch oracle — each
+table's committed view, its rows filtered in plain Python — and the
+snapshot pinned before the step exactly as it did."""
 
 import sys
 import threading
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.core.system import FACTS_TABLE, StructureManagementSystem
 from repro.storage.rdbms.engine import Database
-from repro.storage.rdbms.mvcc import SnapshotTransaction, TableSnapshot
 from repro.storage.rdbms.types import (Column, ColumnType, SchemaError,
                                        TableSchema)
 from repro.telemetry.metrics import MetricsRegistry, use_registry
@@ -56,15 +55,46 @@ def answers(txn):
     return out
 
 
-def from_scratch(db):
-    """A snapshot of ``db`` now with nothing carried into it: the view
-    builder and ``bulk_load`` only."""
-    with db._mutate_lock:
-        undo = db._uncommitted()
-        return SnapshotTransaction(db, {
-            name: TableSnapshot(heap.committed_view(undo.get(name, ())),
-                                db._table_versions.get(name, 0))
-            for name, heap in db._tables.items()})
+class FromScratch:
+    """What a snapshot of ``db`` taken now must answer: each table's
+    committed view (the view builder only), its rows filtered in plain
+    Python — no index and no D."""
+
+    def __init__(self, db):
+        with db._mutate_lock:
+            undo = db._uncommitted()
+            self._views = {name: heap.committed_view(undo.get(name, ()))
+                           for name, heap in db._tables.items()}
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def scan(self, table):
+        return list(self._views[table].scan())
+
+    def lookup(self, table, column, value):
+        return [row for row in self.scan(table)
+                if row.values[column] is not None
+                and row.values[column] == value]
+
+    def range_lookup(self, table, column, low=None, high=None,
+                     include_low=True, include_high=True):
+        def within(value):
+            return value is not None \
+                and (low is None or (value >= low if include_low
+                                     else value > low)) \
+                and (high is None or (value <= high if include_high
+                                      else value < high))
+
+        return [row for row in self.scan(table) if within(row.values[column])]
+
+    def get_by_pk(self, table, key):
+        pk = self._views[table].schema.primary_key
+        found = [row for row in self.scan(table) if row.values[pk] == key]
+        return found[0] if found else None
 
 
 row_st = st.tuples(st.sampled_from(GRPS), st.sampled_from(QTYS),
@@ -106,7 +136,7 @@ class Script:
 
     def _rid(self, pick):
         """A committed row nobody holds a lock on, or None."""
-        with from_scratch(self.db) as snap:
+        with FromScratch(self.db) as snap:
             rids = [row.rid for row in snap.scan("t")
                     if row.rid not in self.busy]
         return rids[pick % len(rids)] if rids else None
@@ -149,7 +179,7 @@ class Script:
                 txn.delete("t", rid)
             txn.abort()
         elif kind == "landing":      # more rows than the table holds
-            taken = {row.values["id"] for row in from_scratch(db).scan("t")}
+            taken = {row.values["id"] for row in FromScratch(db).scan("t")}
             keys = [1000 + n for n in range(len(taken) + 3)]
             self._run(lambda t: t.insert_many(
                 "t", [self._values(key, step[1]) for key in keys]))
@@ -199,7 +229,7 @@ def test_carried_indexes_equal_rebuilt_ones_and_pinned_snapshots_stand(
         script.apply(step)
         fresh = script.db.begin_snapshot()
         got = answers(fresh)
-        assert got == answers(from_scratch(script.db)), step
+        assert got == answers(FromScratch(script.db)), step
         assert answers(pinned) == stood, step
         pinned, stood = fresh, got
     if script.writer is not None:
@@ -230,10 +260,9 @@ def test_a_pinned_snapshot_reads_the_live_indexes_corrected_by_d():
         script.apply(step)
         assert answers(pinned) == stood, step
         assert answers(script.db.begin_snapshot()) \
-            == answers(from_scratch(script.db)), step
+            == answers(FromScratch(script.db)), step
     script.apply(("close", True))
     assert answers(pinned) == stood
-    assert _table_snapshot(pinned).attached
     assert _table_snapshot(pinned)._indexes == {}
 
 
@@ -292,7 +321,7 @@ def test_a_reader_probing_while_a_writer_moves_a_rid_and_aborts():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors[0]
-    assert _table_snapshot(pinned).attached
+    assert _table_snapshot(pinned)._indexes == {}
 
 
 def test_a_snapshot_pinned_past_the_history_bound_or_across_ddl_detaches():
@@ -301,28 +330,35 @@ def test_a_snapshot_pinned_past_the_history_bound_or_across_ddl_detaches():
         script.apply(("insert", key, ("a", key % 3, "x")))
     script.create_index("grp")
     registry = MetricsRegistry()
+
+    def corrected(snap):
+        """Whether the database keeps a D for ``snap``'s version."""
+        with script.db._mutate_lock:
+            return script.db._written_since("t", snap.version) is not None
+
     with use_registry(registry):
         pinned = script.db.begin_snapshot()
         stood, snap = answers(pinned), _table_snapshot(pinned)
         script.apply(("update", 0, ("b", 2, "y"), "all", 0))
         script.create_index("qty")    # loaded from the live heap: D corrects
         assert answers(pinned) == stood
-        assert snap.attached
-        assert registry.gauge("rdbms.mvcc.history_rows") == 1
+        assert corrected(snap)
+        # every commit since create_table: six inserts and the update
+        assert registry.gauge("rdbms.mvcc.history_rows") == 7
         # more rows written than the bound (64 and a 32nd of the table):
-        # the history goes, and the snapshot it was kept for loads
-        # indexes of its own
+        # the history goes, and the snapshot older than it loads indexes
+        # of its own
         script.db.run(lambda t: t.insert_many("t", [
             script._values(1000 + n, ("c", 1, None)) for n in range(70)]))
-        assert not snap.attached
+        assert not corrected(snap)
         assert registry.gauge("rdbms.mvcc.history_rows") == 0
         assert answers(pinned) == stood
         # grp (hash), qty (sorted: equality and range), the pk
         assert registry.get("rdbms.mvcc.index_builds") == 3
 
         # one-row commits: the history never holds more than the bound;
-        # the pinned snapshot detaches when its first commit falls off the
-        # front, and what only it needed goes with it
+        # the pinned snapshot loses its D when its first commit falls off
+        # the front
         pinned = script.db.begin_snapshot()
         stood, snap = answers(pinned), _table_snapshot(pinned)
         bound = script.db._history_bound("t")
@@ -332,43 +368,43 @@ def test_a_snapshot_pinned_past_the_history_bound_or_across_ddl_detaches():
                 later = script.db.begin_snapshot()
                 later_stood = answers(later)
             assert registry.gauge("rdbms.mvcc.history_rows") <= bound
-            assert snap.attached == (n < bound)
+            assert corrected(snap) == (n < bound)
             assert answers(pinned) == stood
         assert answers(later) == later_stood
-        assert _table_snapshot(later).attached
-        # the commits after ``later``'s version, one row each
-        assert registry.gauge("rdbms.mvcc.history_rows") == bound - 6
+        assert corrected(_table_snapshot(later))
+        # the latest commits, one row each, up to the bound
+        assert registry.gauge("rdbms.mvcc.history_rows") == bound
         del later
 
-        # an open writer past the bound: the probe that sees it detaches
+        # an open writer past the bound: a probe beside it reads indexes
+        # of the snapshot's own
         pinned = script.db.begin_snapshot()
         stood, snap = answers(pinned), _table_snapshot(pinned)
         writer = script.db.begin()
         writer.insert_many("t", [script._values(2000 + n, ("a", 0, None))
                                  for n in range(bound + 10)])
-        assert snap.attached
+        assert snap._indexes == {}
         assert answers(pinned) == stood
-        assert not snap.attached
+        assert len(snap._indexes) == 3
         writer.abort()
-        # the detached view (and the indexes it loaded) serves every new
-        # reader until the next commit
+        # the view serves every new reader until the next commit
         assert _table_snapshot(script.db.begin_snapshot()) is snap
         script.apply(("update", 1, ("z", 0, None), "grp", 0))
 
         pinned = script.db.begin_snapshot()
         stood, snap = answers(pinned), _table_snapshot(pinned)
         script.apply(("update", 0, ("c", 1, None), "all", 0))
-        assert snap.attached and answers(pinned) == stood
+        assert corrected(snap) and answers(pinned) == stood
         script.apply(("alter",))      # every value rewritten
-        assert not snap.attached
+        assert not corrected(snap)
         assert registry.gauge("rdbms.mvcc.history_rows") == 0
         assert answers(pinned) == stood
         assert answers(script.db.begin_snapshot()) \
-            == answers(from_scratch(script.db))
+            == answers(FromScratch(script.db))
         del pinned, snap
         script.apply(("update", 0, ("a", 0, None), "grp", 0))
-        assert not any(script.db._readers.values())
-        assert not any(script.db._history.values())
+        # kept whether anyone reads or not
+        assert registry.gauge("rdbms.mvcc.history_rows") == 1
 
 
 def test_readers_beside_a_committing_compacting_writer_stay_consistent():
@@ -546,10 +582,11 @@ def test_stats_and_top_show_a_pinned_snapshot_holding_history():
         for key in range(3):
             script.apply(("update", key, ("b", 1, None), "grp", 0))
         frame = registry.snapshot()
-        assert "index_builds=0 history_rows=3" in render_report(
+        # six inserts and three updates, the pinned snapshot or not
+        assert "index_builds=0 history_rows=9" in render_report(
             summarize_trace([]), frame)
-        assert "indexes loaded 0, history held 3 rows" in render_top(
+        assert "indexes loaded 0, history held 9 rows" in render_top(
             None, frame)
         del pinned
         script.apply(("update", 0, ("c", 1, None), "grp", 0))
-        assert "history held 0 rows" in render_top(None, registry.snapshot())
+        assert "history held 10 rows" in render_top(None, registry.snapshot())
