@@ -17,7 +17,10 @@ Reported series:
       checkpoint's index images against rebuilt from the rows, and with
       the first read after it — a count, a lookup on an indexed column,
       every row — which pays for what the open left encoded;
-  (c) WAL fsync durability cost.
+  (c) WAL fsync durability cost;
+  (d) one 5,000-row insert transaction: the lock-table entries it holds
+      at commit (its inserts' rids are one claim, not an entry each) and
+      its wall time.
 
 Gate (``results/BENCH_e11.json``, re-validated by ``check_gates.py``): a
 reopen after a clean close of the compacted 20,000-row table takes at most
@@ -215,13 +218,41 @@ def test_e11_crash_recovery(benchmark, tmp_path):
     replayed, closed = reopens[1][1], reopens[3][1]
     gates = [gate("clean_close_reopen_over_replay_reopen",
                   round(closed / replayed, 3), "<=", 0.5)]
+    bulk = _bulk_insert()
+    write_table(
+        "e11d_bulk_insert",
+        "E11d: one 5,000-row insert transaction (in memory)",
+        ["metric", "value"], [list(item) for item in bulk.items()])
     with open(os.path.join(RESULTS_DIR, "BENCH_e11.json"), "w",
               encoding="utf-8") as f:
         json.dump({"experiment": "e11_transactions",
-                   "reopen_ms": dict(reopens), "gates": gates},
+                   "reopen_ms": dict(reopens), "bulk_insert": bulk,
+                   "gates": gates},
                   f, indent=2, sort_keys=True)
     assert_gates(gates)
     benchmark(lambda: Database(str(tmp_path / "db")))
+
+
+def _bulk_insert(rows=5_000, runs=5):
+    """Lock-table entries one ``rows``-row insert transaction holds when
+    it commits, and its median wall time (begin to commit, in memory)."""
+    entries, times = set(), []
+    for _ in range(runs):
+        db = Database()
+        db.create_table(_edit_table_schema())
+        batch = [{"id": i, "edits": 0, "body": f"fact {i}"}
+                 for i in range(rows)]
+        started = time.perf_counter()
+        txn = db.begin()
+        txn.insert_many("wiki_facts", batch)
+        entries.add(db._locks.lock_count())
+        txn.commit()
+        times.append((time.perf_counter() - started) * 1000.0)
+    (held,) = entries
+    return {f"lock entries held by a {rows:,}-row insert transaction "
+            "at commit": held,
+            f"{rows:,}-row insert transaction ms (median of {runs})":
+            round(statistics.median(times), 1)}
 
 
 def test_e11_wal_sync_cost(benchmark, tmp_path):

@@ -21,12 +21,15 @@ Checked invariants (recorded as machine-readable ``gates``):
     running vs the same reader pool idle, the two phases alternating in
     :data:`ROUNDS` rounds in one process, each p99 taken over all of its
     phase's reads (non-smoke only);
+  * **compaction under the readers** — the mutator compacts at least
+    once in every mixed round (non-smoke only);
   * **no cliff after a commit** — on an indexed table at two sizes a
-    decade apart, with a one-row commit between every read, the first
-    read after a commit costs ≤ 2× a warm read at each size and the
-    larger size ≤ 2× the smaller (the snapshot's indexes are carried
-    across the commit, not reloaded from the table: it was ~110× and
-    linear in table size; the larger size non-smoke only);
+    decade apart, built once and timed in :data:`ROUNDS` alternating
+    rounds, with a one-row commit between every read, the first read
+    after a commit costs ≤ 2× a warm read at each size and the larger
+    size ≤ 2× the smaller (the snapshot's indexes are carried across the
+    commit, not reloaded from the table: it was ~110× and linear in
+    table size; the larger size non-smoke only);
   * **graceful drain** — ``system.close()`` under a live query load
     drains in-flight queries, sheds new arrivals with typed errors, and
     a post-drain reopen of the same workspace recovers a consistent
@@ -47,6 +50,7 @@ import json
 import os
 import random
 import shutil
+import statistics
 import sys
 import tempfile
 import threading
@@ -112,9 +116,13 @@ def _p99(latencies: list[float]) -> float:
     return ordered[int(0.99 * (len(ordered) - 1))]
 
 
-#: Idle and mixed reader phases alternate this many times: drift in the
-#: machine's state over a run (scheduling, other tenants) lands on both.
+#: Idle and mixed reader phases (and the two commit-cliff sizes)
+#: alternate this many times: drift in the machine's state over a run
+#: (scheduling, other tenants) lands on both.
 ROUNDS = 5
+#: The mixed phase's mutator compacts after every this-many transfers of
+#: a round, the round's first included.
+COMPACT_EVERY = 4
 
 
 def bench_mixed_workload(reads_per_reader: int, readers: int) -> dict:
@@ -135,20 +143,26 @@ def bench_mixed_workload(reads_per_reader: int, readers: int) -> dict:
     # The mixed phase: a single mutator thread transfers and compacts in
     # a deterministic script (one generator across rounds) while the
     # reader pool re-runs.  Being single-threaded it never waits for a
-    # lock, so ANY rdbms.lock.waits delta would come from readers.
+    # lock, so ANY rdbms.lock.waits delta would come from readers.  A
+    # round commits a handful of transfers, so the mutator compacts after
+    # the first of each round and then every COMPACT_EVERY-th.
     script: list[tuple[int, int, int]] = []
     rng = random.Random(23)
     mutator_errors: list[BaseException] = []
+    compactions: list[int] = []  # per round
 
     def mutator(stop: threading.Event) -> None:
+        transfers = 0
         try:
             while not stop.is_set():
                 a, b = rng.sample(range(ACCOUNTS), 2)
                 amount = rng.randrange(1, 20)
                 _apply_transfer(db, a, b, amount)
                 script.append((a, b, amount))
-                if len(script) % 40 == 0:
+                if transfers % COMPACT_EVERY == 0:
                     db.compact("ledger")
+                    compactions[-1] += 1
+                transfers += 1
                 time.sleep(0.0005)  # a steady ingest trickle, not a saturating loop
         except BaseException as exc:  # pragma: no cover - diagnostic
             mutator_errors.append(exc)
@@ -164,6 +178,7 @@ def bench_mixed_workload(reads_per_reader: int, readers: int) -> dict:
         # idle: the same reader pool, no writer
         run_readers(reads, idle_latencies, idle_bad)
         stop = threading.Event()
+        compactions.append(0)
         mutator_thread = threading.Thread(target=mutator, args=(stop,))
         mutator_thread.start()
         run_readers(reads, mixed_latencies, mixed_bad)
@@ -206,6 +221,7 @@ def bench_mixed_workload(reads_per_reader: int, readers: int) -> dict:
         "reads_per_reader": reads_per_reader,
         "rounds": ROUNDS,
         "committed_transfers": len(script),
+        "compactions_per_round": compactions,
         "idle_p99_seconds": _p99(idle_latencies),
         "mixed_p99_seconds": _p99(mixed_latencies),
         "p99_degradation": (_p99(mixed_latencies) / _p99(idle_latencies)
@@ -222,8 +238,9 @@ def bench_mixed_workload(reads_per_reader: int, readers: int) -> dict:
 CLIFF_GROUP_ROWS = 60  # what one read returns, at either size
 
 
-def bench_commit_cliff(rows: int, reads: int) -> dict:
-    """Warm indexed read vs the first read after a one-row commit."""
+def _cliff_table(rows: int) -> Database:
+    """An indexed, compacted table of ``rows`` rows in groups of
+    :data:`CLIFF_GROUP_ROWS`."""
     db = Database()
     db.create_table(TableSchema(
         "events",
@@ -239,34 +256,48 @@ def bench_commit_cliff(rows: int, reads: int) -> dict:
             for i in range(at, min(at + 50_000, rows))]))
     db.create_index("events", "grp")
     db.compact("events")
-    rng = random.Random(rows)
+    return db
 
-    def read() -> float:
-        grp = rng.randrange(groups)
+
+def bench_commit_cliff(sizes: tuple[int, ...], reads: int) -> list[dict]:
+    """Warm indexed read vs the first read after a one-row commit, at
+    each of ``sizes``: the tables are built once and timed in
+    :data:`ROUNDS` alternating rounds in one process, the medians taken
+    over all of each size's reads."""
+    arms = []
+    for rows in sizes:
+        db, rng = _cliff_table(rows), random.Random(rows)
+        arms.append({"rows": rows, "db": db, "rng": rng, "commits": 0,
+                     "warm": [], "after_commit": []})
+
+    def read(arm: dict) -> float:
+        grp = arm["rng"].randrange(arm["rows"] // CLIFF_GROUP_ROWS)
         t0 = time.perf_counter()
-        found = execute_sql(db, f"SELECT id, v FROM events WHERE grp = {grp}")
+        found = execute_sql(arm["db"],
+                            f"SELECT id, v FROM events WHERE grp = {grp}")
         seconds = time.perf_counter() - t0
         assert len(found) == CLIFF_GROUP_ROWS
         return seconds
 
-    read()  # loads the snapshot's index once: the cold start
-    warm, after_commit = [], []
-    for n in range(reads):
-        key = rng.randrange(rows)
-        execute_sql(db, f"UPDATE events SET v = {n + 1} WHERE id = {key}")
-        after_commit.append(read())
-        warm.append(read())  # the same table state, nothing committed since
-        assert execute_sql(
-            db, f"SELECT v FROM events WHERE id = {key}") == [{"v": n + 1}]
-    warm.sort()
-    after_commit.sort()
-    return {
-        "rows": rows,
-        "reads": reads,
-        "warm_read_seconds": warm[len(warm) // 2],
-        "first_read_after_commit_seconds":
-            after_commit[len(after_commit) // 2],
-    }
+    for arm in arms:
+        read(arm)  # loads the snapshot's index once: the cold start
+    for round_ in range(ROUNDS):
+        for arm in arms:
+            db = arm["db"]
+            for _ in range(reads * (round_ + 1) // ROUNDS
+                           - reads * round_ // ROUNDS):
+                arm["commits"] += 1
+                n, key = arm["commits"], arm["rng"].randrange(arm["rows"])
+                execute_sql(db, f"UPDATE events SET v = {n} WHERE id = {key}")
+                arm["after_commit"].append(read(arm))
+                arm["warm"].append(read(arm))  # nothing committed since
+                assert execute_sql(
+                    db, f"SELECT v FROM events WHERE id = {key}") == [{"v": n}]
+    return [{"rows": arm["rows"], "reads": reads,
+             "warm_read_seconds": statistics.median(arm["warm"]),
+             "first_read_after_commit_seconds":
+                 statistics.median(arm["after_commit"])}
+            for arm in arms]
 
 
 def bench_graceful_drain(queries_per_worker: int) -> dict:
@@ -341,8 +372,8 @@ def _gate(name: str, actual: float, op: str, threshold: float) -> dict:
 def run_bench(reads_per_reader: int = 300, readers: int = 2,
               queries_per_worker: int = 200, smoke: bool = False) -> dict:
     mixed = bench_mixed_workload(reads_per_reader, readers)
-    cliff = [bench_commit_cliff(rows, 40 if smoke else 200)
-             for rows in ((60_000,) if smoke else (60_000, 600_000))]
+    cliff = bench_commit_cliff((60_000,) if smoke else (60_000, 600_000),
+                               40 if smoke else 200)
     drain = bench_graceful_drain(queries_per_worker)
 
     gates = [
@@ -362,6 +393,8 @@ def run_bench(reads_per_reader: int = 300, readers: int = 2,
     if not smoke:
         gates.append(_gate("p99_degradation", mixed["p99_degradation"],
                            "<=", 2.0))
+        gates.append(_gate("mixed_compactions_per_round_min",
+                           min(mixed["compactions_per_round"]), ">=", 1.0))
     for arm in cliff:
         arm["after_commit_over_warm"] = (
             arm["first_read_after_commit_seconds"] / arm["warm_read_seconds"])

@@ -346,6 +346,10 @@ class Transaction(TransactionReads):
         #: reads by its rids, commit writes it to the WAL and folds it
         #: into the :class:`CommitDelta`.
         self._undo: list[tuple] = []
+        #: table -> each primary-key value the change log frees (deletes,
+        #: or changes away) -> the rid it was freed from: what
+        #: :meth:`_freed_by_others` looks keys up in
+        self._freed: dict[str, dict[Any, int]] = {}
         self.finished = False
         #: Optional cooperative-cancellation token checked at every
         #: operation boundary (and at commit, so a post-deadline
@@ -465,14 +469,17 @@ class Transaction(TransactionReads):
 
     def write_many(self, table: str,
                    ops: Sequence[tuple]) -> list[Row | None]:
-        """Apply writes to one table, in order; X-locks each row.
+        """Apply writes to one table, in order; X-locks each existing row
+        it updates or deletes and claims the rids its inserts take.
 
         Each operation is ``("insert", values)``, ``("update", rid,
         changes)`` or ``("delete", rid)``.  The engine's one write
         routine (:meth:`insert`, :meth:`insert_many`, :meth:`update` and
         :meth:`delete` are forms of it): one intention-exclusive table
-        lock, an X lock per row, one mutate-lock critical section in
-        which the heap and the indexes change and each row written is
+        lock, an X lock per existing row written, one mutate-lock
+        critical section in which the inserts' fresh rids are claimed as
+        one range (:meth:`LockManager.claim`: implicit X locks, no entry
+        per row), the heap and the indexes change and each row written is
         appended to the change log; nothing reaches the WAL before
         :meth:`commit`.  An update that leaves every stored value as it
         is (compared against the heap row, under the locks the write
@@ -493,28 +500,30 @@ class Transaction(TransactionReads):
         if not ops:
             return []
         db, changes = self._db, self._undo
-        acquire, txn_id = db._locks.acquire, self.txn_id
-        acquire(txn_id, (table, None), LockMode.INTENTION_EXCLUSIVE)
-        exclusive = LockMode.EXCLUSIVE
+        locks, txn_id = db._locks, self.txn_id
+        locks.acquire(txn_id, (table, None), LockMode.INTENTION_EXCLUSIVE)
+        inserts = 0
         for op in ops:
-            if op[0] != "insert":
-                acquire(txn_id, (table, op[1]), exclusive)
+            if op[0] == "insert":
+                inserts += 1
+            else:
+                locks.acquire(txn_id, (table, op[1]), LockMode.EXCLUSIVE)
         results: list[Row | None] = []
         mark = len(changes)
-        inserted = 0
         with db._mutate_lock:
             heap = db._table(table)
             freed_from = self._freed_by_others(heap, ops)
             if freed_from is None:
                 indexes = db._indexes_of(table)
+                if inserts:  # the rids the inserts take next, one claim
+                    first = heap._next_rid
+                    locks.claim(txn_id, table, first, first + inserts - 1)
                 try:
                     for op in ops:
                         kind = op[0]
                         if kind == "insert":
                             row = heap.insert(op[1])
-                            acquire(txn_id, (table, row.rid), exclusive)
                             before, after = None, row.values
-                            inserted += 1
                         elif kind == "update":
                             old, row = heap.update(op[1], op[2])
                             before, after = old.values, row.values
@@ -534,14 +543,22 @@ class Transaction(TransactionReads):
                     for entry in reversed(changes[mark:]):
                         db._apply_undo(entry)
                     del changes[mark:]
+                    if inserts:  # the claimed rids not taken: no one's
+                        heap._next_rid = first + inserts
                     raise
+                pk = heap.schema.primary_key
+                if pk is not None and inserts < len(ops):  # keys it freed
+                    for kind, _, rid, before, after in changes[mark:]:
+                        if kind != "insert" and (
+                                after is None or after[pk] != before[pk]):
+                            self._freed.setdefault(table, {})[before[pk]] = rid
         if freed_from is not None:
             # Wait for the transaction that freed the value (it X-locks
             # that rid to its end), then look again.
-            acquire(txn_id, (table, freed_from), exclusive)
+            locks.acquire(txn_id, (table, freed_from), LockMode.EXCLUSIVE)
             return self.write_many(table, ops)
-        if inserted:
-            metrics.get_registry().inc("rdbms.rows.inserted", inserted)
+        if inserts:
+            metrics.get_registry().inc("rdbms.rows.inserted", inserts)
         return results
 
     def _freed_by_others(self, heap: HeapTable,
@@ -551,28 +568,28 @@ class Transaction(TransactionReads):
         None; mutate lock held.  Until that transaction ends the value is
         still in use in committed state: its abort puts the row back, and
         recovery, which redoes transactions in commit order, would meet
-        this insert before that delete.  Costs a pass over the change
-        logs of the table's other open writers: nothing when it has none.
+        this insert before that delete.  Costs a lookup per key-taking op
+        in the freed-key map of each of the table's other open writers
+        that freed any: nothing when none did.
         """
         db, pk, table = self._db, heap.schema.primary_key, heap.name
         if pk is None or len(db._active_txns) == 1:
             return None
-        freed: dict[Any, int] = {}
+        maps: list[dict[Any, int]] = []
         for txn_id in db._locks.holders((table, None)):
             txn = db._active_txns.get(txn_id)  # None: ended, still releasing
-            if txn is None or txn is self:
-                continue
-            for kind, name, rid, before, after in txn._undo:
-                if name == table and kind != "insert" and (
-                        after is None or after[pk] != before[pk]):
-                    freed[before[pk]] = rid
-        for op in ops if freed else ():
-            if op[0] in ("insert", "update") and op[-1].get(pk) in freed:
-                return freed[op[-1][pk]]
+            if txn is not None and txn is not self and txn._freed.get(table):
+                maps.append(txn._freed[table])
+        for op in ops if maps else ():
+            if op[0] in ("insert", "update") and pk in op[-1]:
+                for freed in maps:
+                    rid = freed.get(op[-1][pk])
+                    if rid is not None:
+                        return rid
         return None
 
     def insert(self, table: str, values: dict[str, Any]) -> Row:
-        """Insert a row; X-locks it.
+        """Insert a row; its rid is claimed (an implicit X lock).
 
         Raises:
             SchemaError: schema violation.
@@ -581,7 +598,8 @@ class Transaction(TransactionReads):
         return self.write_many(table, (("insert", values),))[0]
 
     def insert_many(self, table: str, values_list: list[dict[str, Any]]) -> list[Row]:
-        """Insert a batch of rows; X-locks each.
+        """Insert a batch of rows; their rids are claimed as one range
+        (implicit X locks, no lock entry per row).
 
         All-or-nothing — a schema or primary-key violation on any row
         stores none of them.
@@ -599,7 +617,8 @@ class Transaction(TransactionReads):
         return rows
 
     def update(self, table: str, rid: int, changes: dict[str, Any]) -> Row:
-        """Update a row by rid; X-locks it; returns the new row (the
+        """Update a row by rid; X-locks it (one this transaction inserted
+        is X-locked already, by its claim); returns the new row (the
         stored one when ``changes`` change nothing)."""
         row = self.write_many(table, (("update", rid, changes),))[0]
         return self.get(table, rid) if row is None else row

@@ -8,10 +8,20 @@ itself.  Four modes with the classic multi-granularity compatibility matrix:
 * ``S``  (shared)            — reading the whole object,
 * ``X``  (exclusive)         — writing the whole object.
 
-Writers take IX on the table plus X on each touched row; point readers take
-IS on the table plus S on the row; full scans take S on the table.  All
-locks are held to transaction end (strict 2PL): the engine releases via
-:meth:`LockManager.release_all` only at commit/abort.
+Writers take IX on the table plus X on each existing row they update or
+delete; point readers take IS on the table plus S on the row; full scans
+take S on the table.  All locks are held to transaction end (strict 2PL):
+the engine releases via :meth:`LockManager.release_all` only at
+commit/abort.
+
+A writer's lock on the rows it inserts is *implicit*, as with InnoDB's
+implicit record locks: before the inserts take their rids (which only
+grow) it registers the range as one *claim* (:meth:`LockManager.claim`),
+and no per-row entry exists.  A request for a claimed rid is granted
+outright to the claim's owner; anyone else's first turns the claim on
+that rid into an explicit X entry held by the owner, then waits for it
+as for any lock.  So the lock table grows with contention, not with the
+size of a write.
 
 Deadlocks are detected by cycle search in the waits-for graph whenever a
 request would block; the requesting transaction is the victim.
@@ -22,7 +32,9 @@ from __future__ import annotations
 import enum
 import threading
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Hashable
 
 from repro.errors import ReproError
@@ -74,6 +86,7 @@ def _fill_matrix() -> None:
 _fill_matrix()
 
 LockKey = tuple[str, Hashable]  # (table, rid) or (table, None)
+_first = itemgetter(0)  # a claim's first rid
 
 
 @dataclass
@@ -92,6 +105,9 @@ class LockManager:
         self._locks: dict[LockKey, _LockState] = {}
         self._held_by_txn: dict[int, set[LockKey]] = {}
         self._waits_for: dict[int, set[int]] = {}
+        #: table -> its claims as ``[first, last, txn]``, sorted by first
+        #: rid (they never overlap)
+        self._claims: dict[str, list[list[int]]] = {}
         self._timeout = timeout
 
     # ------------------------------------------------------------------ API
@@ -108,17 +124,26 @@ class LockManager:
         """
         with self._cond:
             state = self._locks.get(key)
+            if state is not None and self._already_holds(state, txn_id, mode):
+                return
+            owner = self._claim_owner(key)
+            if owner == txn_id:  # a row it inserted: X already, implicitly
+                return
             if state is None:
-                # Nobody holds or waits for the key (every row lock of a
-                # bulk insert): granted outright.
-                self._locks[key] = _LockState({txn_id: {mode}})
-                self._held_by_txn.setdefault(txn_id, set()).add(key)
-                return
-            if self._already_holds(state, txn_id, mode):
-                return
+                if owner is None:
+                    # Nobody holds or waits for the key: granted outright.
+                    self._locks[key] = _LockState({txn_id: {mode}})
+                    self._held_by_txn.setdefault(txn_id, set()).add(key)
+                    return
+                state = self._locks[key] = _LockState()
+            if owner is not None and owner not in state.holders:
+                # Another's uncommitted insert: make its X explicit, then
+                # wait for it like any held lock.
+                state.holders[owner] = {LockMode.EXCLUSIVE}
+                self._held_by_txn.setdefault(owner, set()).add(key)
             # Wait metrics are recorded only when the request actually
-            # blocks, so the granted-immediately fast path (every row
-            # lock of a bulk insert) stays metric-free.
+            # blocks, so the granted-immediately fast path stays
+            # metric-free.
             wait_started: float | None = None
             while not self._grantable(state, txn_id, mode):
                 if wait_started is None:
@@ -149,9 +174,33 @@ class LockManager:
             state.holders.setdefault(txn_id, set()).add(mode)
             self._held_by_txn.setdefault(txn_id, set()).add(key)
 
-    def release_all(self, txn_id: int) -> None:
-        """Release every lock the transaction holds (commit/abort time)."""
+    def claim(self, txn_id: int, table: str, first: int, last: int) -> None:
+        """Hold rids ``first``..``last`` of ``table`` for ``txn_id`` as
+        implicit X locks until :meth:`release_all`.
+
+        The caller claims rids no one else can hold: fresh ones, above
+        every rid the table has handed out, taken under the lock that
+        hands them out.  A claim that continues the transaction's claim
+        just below it extends that one.
+        """
         with self._cond:
+            spans = self._claims.setdefault(table, [])
+            at = bisect_right(spans, first, key=_first)
+            if at and spans[at - 1][2] == txn_id \
+                    and spans[at - 1][1] + 1 == first:
+                spans[at - 1][1] = last
+            else:
+                spans.insert(at, [first, last, txn_id])
+
+    def release_all(self, txn_id: int) -> None:
+        """Release every lock the transaction holds, its claims included
+        (commit/abort time): under one hold of the condition, so no
+        request can turn a claim into an entry for an ended transaction."""
+        with self._cond:
+            for table, spans in list(self._claims.items()):
+                spans[:] = [span for span in spans if span[2] != txn_id]
+                if not spans:
+                    del self._claims[table]
             for key in self._held_by_txn.pop(txn_id, set()):
                 state = self._locks.get(key)
                 if state is None:
@@ -163,21 +212,38 @@ class LockManager:
             self._cond.notify_all()
 
     def held(self, txn_id: int) -> set[LockKey]:
-        """Keys currently locked by the transaction (test introspection)."""
+        """Keys the transaction holds explicit entries for (test
+        introspection); its claims show through :meth:`holders`."""
         with self._cond:
             return set(self._held_by_txn.get(txn_id, set()))
 
     def holders(self, key: LockKey) -> set[int]:
-        """The transactions holding ``key`` in any mode."""
+        """The transactions holding ``key`` in any mode, a claim's owner
+        included."""
         with self._cond:
             state = self._locks.get(key)
-            return set(state.holders) if state is not None else set()
+            found = set(state.holders) if state is not None else set()
+            owner = self._claim_owner(key)
+            if owner is not None:
+                found.add(owner)
+            return found
 
     def lock_count(self) -> int:
+        """Explicit lock-table entries (claims are not entries)."""
         with self._cond:
             return len(self._locks)
 
     # ------------------------------------------------------------ internals
+
+    def _claim_owner(self, key: LockKey) -> int | None:
+        """The transaction whose claim covers row ``key``, or None."""
+        table, rid = key
+        spans = self._claims.get(table) if rid is not None else None
+        if spans:
+            at = bisect_right(spans, rid, key=_first)
+            if at and spans[at - 1][1] >= rid:
+                return spans[at - 1][2]
+        return None
 
     @staticmethod
     def _already_holds(state: _LockState, txn_id: int, mode: LockMode) -> bool:
