@@ -346,10 +346,6 @@ class Transaction(TransactionReads):
         #: reads by its rids, commit writes it to the WAL and folds it
         #: into the :class:`CommitDelta`.
         self._undo: list[tuple] = []
-        #: table -> each primary-key value the change log frees (deletes,
-        #: or changes away) -> the rid it was freed from: what
-        #: :meth:`_freed_by_others` looks keys up in
-        self._freed: dict[str, dict[Any, int]] = {}
         self.finished = False
         #: Optional cooperative-cancellation token checked at every
         #: operation boundary (and at commit, so a post-deadline
@@ -546,12 +542,6 @@ class Transaction(TransactionReads):
                     if inserts:  # the claimed rids not taken: no one's
                         heap._next_rid = first + inserts
                     raise
-                pk = heap.schema.primary_key
-                if pk is not None and inserts < len(ops):  # keys it freed
-                    for kind, _, rid, before, after in changes[mark:]:
-                        if kind != "insert" and (
-                                after is None or after[pk] != before[pk]):
-                            self._freed.setdefault(table, {})[before[pk]] = rid
         if freed_from is not None:
             # Wait for the transaction that freed the value (it X-locks
             # that rid to its end), then look again.
@@ -568,24 +558,24 @@ class Transaction(TransactionReads):
         None; mutate lock held.  Until that transaction ends the value is
         still in use in committed state: its abort puts the row back, and
         recovery, which redoes transactions in commit order, would meet
-        this insert before that delete.  Costs a lookup per key-taking op
-        in the freed-key map of each of the table's other open writers
-        that freed any: nothing when none did.
+        this insert before that delete.  Costs a pass over the change
+        logs of the table's other open writers: nothing when it has none.
         """
         db, pk, table = self._db, heap.schema.primary_key, heap.name
         if pk is None or len(db._active_txns) == 1:
             return None
-        maps: list[dict[Any, int]] = []
+        freed: dict[Any, int] = {}
         for txn_id in db._locks.holders((table, None)):
             txn = db._active_txns.get(txn_id)  # None: ended, still releasing
-            if txn is not None and txn is not self and txn._freed.get(table):
-                maps.append(txn._freed[table])
-        for op in ops if maps else ():
-            if op[0] in ("insert", "update") and pk in op[-1]:
-                for freed in maps:
-                    rid = freed.get(op[-1][pk])
-                    if rid is not None:
-                        return rid
+            if txn is None or txn is self:
+                continue
+            for kind, name, rid, before, after in txn._undo:
+                if name == table and kind != "insert" and (
+                        after is None or after[pk] != before[pk]):
+                    freed[before[pk]] = rid
+        for op in ops if freed else ():
+            if op[0] in ("insert", "update") and op[-1].get(pk) in freed:
+                return freed[op[-1][pk]]
         return None
 
     def insert(self, table: str, values: dict[str, Any]) -> Row:

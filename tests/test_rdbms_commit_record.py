@@ -440,33 +440,3 @@ def test_a_key_an_open_transaction_freed_is_not_taken_before_it_ends(
     assert _tables(db) == expected
     # commit order is a history the log can redo: the insert after the free
     assert _tables(Database(str(tmp_path))) == expected
-
-
-def test_the_freed_key_check_looks_keys_up_not_change_logs():
-    """Another writer with a 10,000-entry change log (one key freed among
-    them): a key-taking write looks its keys up in that writer's freed
-    keys and never walks its change log."""
-    db = Database()
-    db.create_table(_schema("t"))
-    db.run(lambda t: t.insert_many("t", [{"id": -1, "value": "old"},
-                                        {"id": -2, "value": "old"}]))
-    other = db.begin()
-    other.insert_many("t", [{"id": i, "value": "x"} for i in range(9_999)])
-    other.delete("t", 0)                 # frees -1
-    walks = []
-
-    class Walked(list):
-        def __iter__(self):
-            walks.append(len(self))
-            return super().__iter__()
-
-    other._undo = Walked(other._undo)
-    assert len(other._undo) == 10_000
-    writer = db.begin()
-    writer.insert("t", {"id": 20_000, "value": "free key"})
-    writer.update("t", 1, {"id": 20_001})  # takes a key too
-    assert walks == []
-    writer.commit()
-    other._undo = list(other._undo)
-    other.commit()
-    assert db.table_size("t") == 10_001
