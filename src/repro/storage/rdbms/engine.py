@@ -497,13 +497,14 @@ class Transaction(TransactionReads):
             return []
         db, changes = self._db, self._undo
         locks, txn_id = db._locks, self.txn_id
-        locks.acquire(txn_id, (table, None), LockMode.INTENTION_EXCLUSIVE)
+        acquire, exclusive = locks.acquire, LockMode.EXCLUSIVE
+        acquire(txn_id, (table, None), LockMode.INTENTION_EXCLUSIVE)
         inserts = 0
         for op in ops:
             if op[0] == "insert":
                 inserts += 1
             else:
-                locks.acquire(txn_id, (table, op[1]), LockMode.EXCLUSIVE)
+                acquire(txn_id, (table, op[1]), exclusive)
         results: list[Row | None] = []
         mark = len(changes)
         with db._mutate_lock:
@@ -545,7 +546,7 @@ class Transaction(TransactionReads):
         if freed_from is not None:
             # Wait for the transaction that freed the value (it X-locks
             # that rid to its end), then look again.
-            locks.acquire(txn_id, (table, freed_from), LockMode.EXCLUSIVE)
+            acquire(txn_id, (table, freed_from), exclusive)
             return self.write_many(table, ops)
         if inserts:
             metrics.get_registry().inc("rdbms.rows.inserted", inserts)

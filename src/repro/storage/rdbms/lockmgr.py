@@ -124,18 +124,19 @@ class LockManager:
         """
         with self._cond:
             state = self._locks.get(key)
-            if state is not None and self._already_holds(state, txn_id, mode):
+            owner = self._claim_owner(key) if self._claims else None
+            if state is None and owner is None:
+                # Nobody holds, waits for or claims the key: granted
+                # outright.
+                self._locks[key] = _LockState({txn_id: {mode}})
+                self._held_by_txn.setdefault(txn_id, set()).add(key)
                 return
-            owner = self._claim_owner(key)
             if owner == txn_id:  # a row it inserted: X already, implicitly
                 return
             if state is None:
-                if owner is None:
-                    # Nobody holds or waits for the key: granted outright.
-                    self._locks[key] = _LockState({txn_id: {mode}})
-                    self._held_by_txn.setdefault(txn_id, set()).add(key)
-                    return
                 state = self._locks[key] = _LockState()
+            elif self._already_holds(state, txn_id, mode):
+                return
             if owner is not None and owner not in state.holders:
                 # Another's uncommitted insert: make its X explicit, then
                 # wait for it like any held lock.
