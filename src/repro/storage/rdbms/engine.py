@@ -124,8 +124,9 @@ class TransactionAborted(Exception):
 class TableDelta:
     """Row-level changes one committed transaction made to one table.
 
-    Value dicts are the engine's own copies (the same objects handed back
-    from the write APIs); listeners must treat them as read-only.
+    Value dicts are the engine's own (an inserted row's is the stored
+    dict itself, of which the write APIs hand back a copy); listeners
+    must treat them as read-only.
     """
 
     inserted: tuple[dict[str, Any], ...] = ()
@@ -281,11 +282,11 @@ class TransactionReads:
         rid = self._pk_rid(table, key)
         if rid is None:
             return []
-        return self._heap(table).locate(self._admit(table, [rid]))
+        return self._locate(table, [rid])
 
     def _fetch(self, table: str, rids: list[int],
                counter: str) -> list[ScanUnit]:
-        units = self._heap(table).locate(self._admit(table, rids))
+        units = self._locate(table, rids)
         registry = metrics.get_registry()
         registry.inc(counter)
         registry.inc("rdbms.index.rows_fetched", len(rids))
@@ -312,6 +313,11 @@ class TransactionReads:
         """Point read by primary key, or None."""
         rows = fetch_rows(self.pk_units(table, key))
         return rows[0] if rows else None
+
+    def _locate(self, table: str, rids: list[int]) -> list[ScanUnit]:
+        """The rows at the ascending ``rids`` an index or primary-key
+        probe found, as scan units, once this reader may read them."""
+        return self._heap(table).locate(self._admit(table, rids))
 
     def _enter(self, table: str, rid: int | None, mode: LockMode) -> None:
         """Nothing to do for a reader that takes no locks."""
@@ -518,9 +524,10 @@ class Transaction(TransactionReads):
                 try:
                     for op in ops:
                         kind = op[0]
-                        if kind == "insert":
+                        if kind == "insert":  # (the log keeps the
+                            # stored dict, the caller gets a copy)
                             row = heap.insert(op[1])
-                            before, after = None, row.values
+                            before, after = None, heap._rows[row.rid]
                         elif kind == "update":
                             old, row = heap.update(op[1], op[2])
                             before, after = old.values, row.values
@@ -640,6 +647,17 @@ class Transaction(TransactionReads):
 
     def _enter(self, table: str, rid: int | None, mode: LockMode) -> None:
         self._db._locks.acquire(self.txn_id, (table, rid), mode)
+
+    def _locate(self, table: str, rids: list[int]) -> list[ScanUnit]:
+        """A probe may find the rid of another transaction's uncommitted
+        insert and wait here for its lock; when that transaction aborts,
+        the row is gone and is left out (``get`` and ``update`` of a
+        missing rid still raise)."""
+        heap, rids = self._heap(table), self._admit(table, rids)
+        try:
+            return heap.locate(rids)
+        except KeyError:
+            return heap.locate([rid for rid in rids if heap.holds(rid)])
 
     def _admit(self, table: str, rids: list[int]) -> list[int]:
         """S-lock every rid (held to commit, like any 2PL read)."""

@@ -48,7 +48,8 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from functools import partial
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -56,7 +57,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from repro.errors import CancellationToken
 from repro.storage.rdbms.engine import GUARD_STRIDE, Database, Transaction
 from repro.storage.rdbms.index import SortedIndex
-from repro.storage.rdbms.segments import Segment, take
+from repro.storage.rdbms.segments import NAN_CODE, NULL_CODE, Segment, take
 from repro.storage.rdbms.stats import MIN_SELECTIVITY
 from repro.storage.rdbms.table import (TAIL_UNIT_ROWS, ScanUnit, unit_len,
                                        unit_rows)
@@ -228,39 +229,108 @@ def _zone_map_prunes(segment: Segment, conjunct: Any) -> bool:
     return False
 
 
-def _conjunct_bitmap(col: Any, conjunct: Any, data: Sequence[Any],
-                     null_flags: Callable[[], Sequence[int] | None],
+#: An imprint table's verdict for the bucket a literal splits: its cells
+#: are compared one by one.
+_RECHECK = 2
+
+#: A rechecked cell's verdict as the byte it puts back into the bitmap.
+_VERDICTS = (b"\0", b"\1")
+
+
+def _imprint_bitmap(col: Any, conjunct: Any, positions: Sequence[int] | None,
+                    codes: bytes) -> bytearray:
+    """:func:`_conjunct_bitmap` over an imprinted column (DESIGN.md §12):
+    a 256-byte table maps each code to 0 or 1 — the conjunct's verdict on
+    every value of the bucket — or to :data:`_RECHECK`, for the literal's
+    own bucket and NaN; one ``bytes.translate`` applies it, and only the
+    cells it marks for recheck are compared, exactly, with their stored
+    values (gathered, compared and put back by C-level calls).  An
+    incomparable literal raises TypeError in ``bisect``."""
+    if isinstance(conjunct, LikePredicate):  # a number is never a string
+        return bytearray([conjunct.negated]) * len(codes)
+    imprint = col.imprint()
+    lows, points = imprint.lows, imprint.points
+    if isinstance(conjunct, NullPredicate):
+        table = bytearray([conjunct.negated]) * 256
+        table[NULL_CODE] = not conjunct.negated
+        return bytearray(codes.translate(table))
+    verdicts = _VERDICTS
+    if isinstance(conjunct, InPredicate):
+        values, negated = conjunct.values, conjunct.negated
+        table = bytearray([negated]) * 256
+        for value in values:
+            if value is not None:
+                j = bisect_right(lows, value)
+                if j not in points:
+                    table[j] = _RECHECK
+                elif lows[j - 1] == value:  # (the bucket's one value)
+                    table[j] = not negated
+        null_verdict = (None in values) != negated
+        test = partial(map, values.__contains__)
+        if negated:
+            verdicts = verdicts[::-1]
+    else:
+        _, op, lit = _normalized_comparison(conjunct)
+        fn = _COMPARE_FN[op]
+        if lit is None:
+            return bytearray(len(codes))
+        if lit != lit:  # NaN: no bucket orders against it
+            table = bytearray([_RECHECK]) * 256
+        else:  # the buckets below the literal's, then those above it
+            j = bisect_right(lows, lit)
+            table = bytearray([fn(0, 1)]) * j \
+                + bytearray([fn(1, 0)]) * (256 - j)
+            table[j] = fn(lows[j - 1], lit) if j in points else _RECHECK
+        null_verdict = False
+
+        def test(cells: Iterable[Any]) -> Iterator[bool]:
+            return map(fn, cells, repeat(lit))
+    table[NAN_CODE], table[NULL_CODE] = _RECHECK, null_verdict
+    bits = codes.translate(table)
+    if _RECHECK not in bits:
+        return bytearray(bits)
+    # The marked cells split the bitmap: part i ends where the i-th is.
+    parts = bits.split(bytes((_RECHECK,)))
+    at = list(map(operator.add, accumulate(map(len, parts[:-1])), count()))
+    metrics.get_registry().inc("planner.kernel.cells_rechecked", len(at))
+    cells = take(col.data, at if positions is None else take(positions, at))
+    return bytearray().join(chain(
+        chain.from_iterable(zip(parts, map(verdicts.__getitem__,
+                                           test(cells)))), parts[-1:]))
+
+
+def _conjunct_bitmap(col: Any, conjunct: Any,
+                     positions: Sequence[int] | None, codes: bytes | None,
+                     cells: Callable[[], tuple[Sequence[Any], Any]],
                      ) -> bytearray:
-    """Selection bitmap of one kernel conjunct over ``data``, stored
-    cells of the column segment ``col`` in any order; ``null_flags()``
-    gives their null flags (None: no NULLs), asked only when needed.
-    One byte, 0 or 1, per cell: counting, finding and slicing the
-    bitmap run in C.
+    """Selection bitmap of one kernel conjunct over the cells of the
+    column segment ``col`` at ``positions`` (None: all, as stored), in
+    that order.  An imprinted column reads ``codes``, its imprint's codes
+    of those cells (:func:`_imprint_bitmap`); any other reads ``cells()``:
+    the stored cells and their null flags (None: no NULLs).  One byte, 0
+    or 1, per cell: counting, finding and slicing the bitmap run in C.
 
     Matches :func:`repro.storage.rdbms.sql.eval_predicate` exactly on
     every cell.  May raise TypeError on incomparable operands — the
     caller falls back to row-at-a-time evaluation for the segment, which
     reproduces the naive error surface.
     """
+    if codes is not None:
+        return _imprint_bitmap(col, conjunct, positions, codes)
+    data, flags = cells()
+    dictionary = col.dictionary  # (None: a raw column, NULL stored as None)
     cmp = _normalized_comparison(conjunct)
     if cmp is not None:
         _, op, lit = cmp
         fn = _COMPARE_FN[op]
         if lit is None:
             return bytearray(len(data))
-        if col.encoding == "dict":
+        if dictionary is not None:
             # NULL's code, -1, indexes the verdict appended last.
-            matches = [fn(entry, lit) for entry in col.dictionary] + [False]
+            matches = [fn(entry, lit) for entry in dictionary] + [False]
             return bytearray(map(matches.__getitem__, data))
-        if col.encoding == "raw":
-            return bytearray([v is not None and fn(v, lit) for v in data])
-        flags = null_flags()
-        if flags is None:
-            return bytearray(map(fn, data, repeat(lit)))
-        return bytearray([not null and fn(v, lit)
-                          for null, v in zip(flags, data)])
+        return bytearray([v is not None and fn(v, lit) for v in data])
     if isinstance(conjunct, NullPredicate):
-        flags = null_flags()
         if flags is None:
             return bytearray([conjunct.negated]) * len(data)
         if conjunct.negated:
@@ -268,32 +338,19 @@ def _conjunct_bitmap(col: Any, conjunct: Any, data: Sequence[Any],
         return bytearray(flags)
     negated = conjunct.negated
     if isinstance(conjunct, LikePredicate):
-        if col.encoding == "dict":
-            regex = _like_to_regex(conjunct.pattern)
+        regex = _like_to_regex(conjunct.pattern)
+        if dictionary is not None:
             matches = [bool(regex.match(entry)) != negated
-                       for entry in col.dictionary] + [negated]
+                       for entry in dictionary] + [negated]
             return bytearray(map(matches.__getitem__, data))
-        if col.encoding == "raw":
-            regex = _like_to_regex(conjunct.pattern)
-            return bytearray([(bool(regex.match(v)) != negated)
-                              if isinstance(v, str) else negated
-                              for v in data])
-        # Typed numeric/bool buffers never hold strings: LIKE on a
-        # non-string value evaluates to the negation flag, NULL included.
-        return bytearray([negated]) * len(data)
+        return bytearray([(bool(regex.match(v)) != negated)
+                          if isinstance(v, str) else negated for v in data])
     values = conjunct.values
-    null_result = (None in values) != negated
-    if col.encoding == "dict":
-        matches = [(entry in values) != negated
-                   for entry in col.dictionary] + [null_result]
+    if dictionary is not None:
+        matches = [(entry in values) != negated for entry in dictionary] \
+            + [(None in values) != negated]
         return bytearray(map(matches.__getitem__, data))
-    if col.encoding == "raw":
-        return bytearray([(v in values) != negated for v in data])
-    flags = null_flags()
-    if flags is None:
-        return bytearray([(v in values) != negated for v in data])
-    return bytearray([null_result if null else (v in values) != negated
-                      for null, v in zip(flags, data)])
+    return bytearray([(v in values) != negated for v in data])
 
 
 # ------------------------------------------------------ predicate rendering
@@ -653,10 +710,12 @@ def _segment_selection(segment: Segment, vector_conjuncts: list[Any],
     try:
         for conjunct in vector_conjuncts:
             col = segment.columns[_conjunct_column(conjunct).name]
+            imprint = col.imprint()
             bits = _conjunct_bitmap(
-                col, conjunct, col.data if positions is None
-                else take(col.data, positions),
-                lambda: col.null_flags(positions))
+                col, conjunct, positions, imprint and imprint.at(positions),
+                lambda: (col.data if positions is None
+                         else take(col.data, positions),
+                         col.null_flags(positions)))
             positions = list(compress(
                 range(segment.count) if positions is None else positions,
                 bits))
@@ -1137,9 +1196,9 @@ class AggState:
                 try:
                     for conjunct in vector:
                         name = _conjunct_column(conjunct).name
-                        data, nulls = order.column(name)
-                        more = _conjunct_bitmap(segment.columns[name],
-                                                conjunct, data, lambda: nulls)
+                        more = _conjunct_bitmap(
+                            segment.columns[name], conjunct, positions,
+                            order.codes(name), lambda: order.column(name))
                         bits = more if bits is None \
                             else bytearray(map(operator.and_, bits, more))
                 except TypeError:
@@ -1436,6 +1495,41 @@ class SelectPlan:
             return [values.get(col) for _, values in unit]
         return unit.gather((col,), selected)[0]
 
+    def _unit_best(self, kind: str, unit: Any,
+                   selected: Sequence[int] | None) -> list[tuple[Any, int]]:
+        """``(order key, row number)`` of one unit's first ``LIMIT`` rows
+        in ORDER BY order (the reference's ``(is None, value)`` key, ties
+        in row order).
+
+        A segment ordered by an imprinted column walks the imprint's
+        buckets from the winning end — NULL's first for DESC, last for
+        ASC — and holds the unit's rows of whole buckets until it holds
+        ``LIMIT``; a row of a later bucket is worse than every row held,
+        so sorting only those decides.  A unit holding NaN keys (which
+        order against nothing) and a rows unit sort every key."""
+        desc, limit = self.stmt.order_desc, self.stmt.limit
+        col = unit.columns.get(self._order_col) if kind == "segment" \
+            else None
+        imprint = col.imprint() if col is not None else None
+        codes = imprint.at(selected) if imprint is not None else b""
+        if imprint is None or NAN_CODE in codes:
+            keys = self._order_keys(kind, unit, selected)
+            numbers = range(len(keys))
+        else:
+            numbers = []
+            for code in range(NULL_CODE, -1, -1) if desc else range(256):
+                at = codes.find(code)
+                while at >= 0:
+                    numbers.append(at)
+                    at = codes.find(code, at + 1)
+                if len(numbers) >= limit:
+                    break
+            numbers.sort()
+            keys = col.gather(take(selected, numbers))
+        pick = heapq.nlargest if desc else heapq.nsmallest
+        return [(keys[at], numbers[at]) for at in pick(
+            limit, range(len(keys)), key=_sort_ranks(keys).__getitem__)]
+
     def _output(self, units: Iterator[ScanUnit]) -> list[dict[str, Any]]:
         """Projection + ORDER BY + LIMIT over scan units."""
         stmt = self.stmt
@@ -1475,11 +1569,9 @@ class SelectPlan:
         live: dict[int, ScanUnit] = {}
         for number, u in enumerate(units):
             live[number] = u
-            keys = self._order_keys(*u)
-            local = pick(limit, range(len(keys)),
-                         key=_sort_ranks(keys).__getitem__)
-            best = pick(limit, best + [((keys[i] is None, keys[i]), number, i)
-                                       for i in local], key=itemgetter(0))
+            best = pick(limit, best + [((key is None, key), number, i)
+                                       for key, i in self._unit_best(*u)],
+                        key=itemgetter(0))
             live = {number: live[number] for _, number, _ in best}
         out = [{}] * len(best)
         picks: dict[int, list[tuple[int, int]]] = {}

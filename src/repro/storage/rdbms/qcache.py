@@ -188,10 +188,13 @@ class QueryResultCache:
             return len(self._entries)
 
     def stats(self) -> dict[str, int]:
-        """Current hit/miss counters plus entry count."""
+        """Current hit/miss counters plus entry count, and the prepared
+        statement shapes' hits and misses."""
         registry = metrics.get_registry()
         return {
             "entries": len(self),
             "hits": int(registry.get("planner.cache.hits")),
             "misses": int(registry.get("planner.cache.misses")),
+            "prepared_hits": int(registry.get("planner.prepared.hits")),
+            "prepared_misses": int(registry.get("planner.prepared.misses")),
         }

@@ -14,7 +14,10 @@ immutable column segments —
 * NULLs live in a packed per-column bitmap plus a placeholder slot, so
   the typed buffer stays rectangular;
 * every column carries a **zone map** — min/max/count/null count — that
-  lets scans skip whole segments and feeds the statistics module.
+  lets scans skip whole segments and feeds the statistics module;
+* an INT/FLOAT/BOOL column builds, at its first kernel use, an
+  :class:`Imprint` — one bucket code per cell — that the scan kernel
+  decides comparisons on (never stored in a checkpoint).
 
 Segments are purely a layout change: :meth:`Segment.iter_rows` decodes
 byte-identical ``(rid, values)`` pairs, and the heap table merges
@@ -32,9 +35,10 @@ import math
 import sys
 from array import array
 from base64 import b64decode, b64encode
-from collections import defaultdict
-from itertools import accumulate, repeat
+from collections import Counter, defaultdict
+from itertools import accumulate, compress, repeat
 from operator import is_, itemgetter
+from random import Random
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.storage.rdbms.types import ColumnType, TableSchema
@@ -86,6 +90,67 @@ def _bounds(col_type: ColumnType, non_null: Sequence[Any]) -> tuple[Any, Any]:
     return low, high
 
 
+#: Imprint codes: value buckets take 0..253, a NaN and a NULL cell these.
+NAN_CODE, NULL_CODE = 254, 255
+
+#: Cells an imprint samples its bounds from (all of a smaller column).
+_IMPRINT_SAMPLE = 1_024
+
+
+class Imprint:
+    """A column imprint (Sidirourgos & Kersten, SIGMOD 2013) at cell
+    granularity, of an ``int``/``float``/``bool`` column (DESIGN.md §12).
+
+    ``lows`` are at most 253 ascending bucket bounds and ``codes`` one
+    byte per cell: ``bisect_right(lows, v)`` for a value ``v`` — bucket
+    ``j`` holds the values in ``[lows[j - 1], lows[j])`` (open below the
+    first bound and above the last) — :data:`NAN_CODE` for NaN and
+    :data:`NULL_CODE` for NULL.  So every value of bucket ``i`` is below
+    every value of bucket ``j > i``, and a comparison with a literal is
+    decided bucket by bucket except in the literal's own bucket.
+
+    The bounds are quantiles of a seeded random sample of the cells (a
+    strided one would alias with a layout's period — rows written
+    entity by entity, ten attributes each, repeat every ten).  A value
+    the sample picks more than once also gets its successor (``v + 1``;
+    the next float up) as a bound: its bucket holds that value only, and
+    is listed in ``points``, so a comparison with a frequent value is
+    decided without looking at a cell.
+    """
+
+    __slots__ = ("lows", "points", "codes")
+
+    def __init__(self, col: "ColumnSegment") -> None:
+        data = col.data
+        count = len(data)
+        picked = Random(count).sample(range(count),
+                                      min(count, _IMPRINT_SAMPLE))
+        sample = sorted(v for v in take(data, picked)
+                        if v == v)  # (NaN orders against nothing)
+        picks = [sample[i * len(sample) // (NAN_CODE - 1)]
+                 for i in range(min(len(sample), NAN_CODE - 1))]
+        after = (lambda v: math.nextafter(v, math.inf)) \
+            if col.encoding == "float" else (lambda v: v + 1)
+        # a value picked k > 1 times frees k - 1 slots: one is its successor
+        repeated = [after(v) for v, n in Counter(picks).items() if n > 1]
+        self.lows = lows = sorted({*picks, *repeated})
+        self.points = frozenset(j for j in range(1, len(lows))
+                                if lows[j] == after(lows[j - 1]))
+        codes = bytearray(map(bisect.bisect_right, repeat(lows), data))
+        if col.encoding == "float" and col.min_value is None:  # NaN?
+            for at in compress(range(len(data)), map(math.isnan, data)):
+                codes[at] = NAN_CODE
+        for at in col.null_positions():
+            codes[at] = NULL_CODE
+        self.codes = bytes(codes)
+
+    def at(self, positions: Sequence[int] | None) -> bytes:
+        """The codes of the cells at ``positions`` (None: all)."""
+        if positions is None:
+            return self.codes
+        return bytes(take(self.codes, positions))
+
+
 def to_base64(buffer: array | bytearray) -> str:
     """A typed buffer or a null bitmap as base64 of its little-endian
     bytes."""
@@ -123,7 +188,7 @@ class ColumnSegment:
 
     __slots__ = ("name", "encoding", "data", "dictionary", "nulls",
                  "null_count", "count", "min_value", "max_value", "_lookup",
-                 "_texts")
+                 "_texts", "_imprint")
 
     def __init__(self, name: str, encoding: str, data: Any,
                  dictionary: list[str] | None, nulls: bytearray | None,
@@ -143,6 +208,7 @@ class ColumnSegment:
         self._lookup = None if dictionary is None else dictionary + [None]
         #: ``data`` / ``nulls`` -> image text, for each still encoded
         self._texts: dict[str, str] | None = None
+        self._imprint: Imprint | None = None
 
     def __getattr__(self, name: str) -> Any:
         """``data`` or ``nulls`` of a column loaded from an image, on its
@@ -317,6 +383,16 @@ class ColumnSegment:
             return self.data
         return self.decoded()
 
+    def imprint(self) -> Imprint | None:
+        """The column's :class:`Imprint` (None: not an ``int``/``float``/
+        ``bool`` column), built on first use.  Two first uses at once may
+        both build one; each is equal, and either stays."""
+        imprint = self._imprint
+        if imprint is None and self.encoding in ("int", "float", "bool"):
+            imprint = self._imprint = Imprint(self)
+            metrics.get_registry().inc("segments.imprints_built")
+        return imprint
+
     def null_flags(self, positions: Sequence[int] | None = None,
                    ) -> list[bool] | None:
         """Null flags of every position (or of ``positions``), or None
@@ -350,12 +426,14 @@ class GroupOrder:
     The columns it copies stay typed, like the segment (a FLOAT column
     costs 8 bytes a row, its null flags one)."""
 
-    __slots__ = ("positions", "bounds", "_columns", "_copies", "_rank")
+    __slots__ = ("positions", "bounds", "_columns", "_copies", "_codes",
+                 "_rank")
 
     def __init__(self, columns: dict[str, ColumnSegment],
                  names: Sequence[str], count: int) -> None:
         self._columns = columns
         self._copies: dict[str, tuple[Sequence[Any], Any]] = {}
+        self._codes: dict[str, bytes] = {}
         self.positions: Sequence[int] = range(count)
         self.bounds = [0, count]
         self._rank: array | None = None
@@ -388,6 +466,17 @@ class GroupOrder:
             flags = flags and bytearray(flags)
             copy = self._copies[name] = data, flags
         return copy
+
+    def codes(self, name: str) -> bytes | None:
+        """One column's imprint codes in this order (gathered once), or
+        None: the column has no :class:`Imprint`."""
+        codes = self._codes.get(name)
+        if codes is None:
+            imprint = self._columns[name].imprint()
+            if imprint is None:
+                return None
+            codes = self._codes[name] = imprint.at(self.positions)
+        return codes
 
     def rank(self) -> array:
         """Where each position sits in :attr:`positions`."""

@@ -17,7 +17,10 @@ too:
 * **one column pass** otherwise (:func:`_column_pass`): the values of
   the columns asked for, gathered off the snapshot's scan units (no row
   is built) — every row, or above :data:`SAMPLE_THRESHOLD` rows a seeded
-  sample, with null counts and min/max kept exact by the zone maps;
+  sample, with null counts and min/max kept exact by the zone maps.  A
+  plan's estimate runs it for one column at that column's first read
+  (:class:`LazyColumns`), so the columns no predicate names are never
+  read; an explicit :meth:`StatisticsManager.analyze` runs it for all;
 * **cardinality feedback**: the SQL layer reports estimated-vs-actual
   row counts after planned executions (exact per-operator actuals under
   ``EXPLAIN ANALYZE``, cheap result-derived counts otherwise) through
@@ -38,8 +41,10 @@ import bisect
 import random
 import threading
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.storage.rdbms.segments import take
 from repro.storage.rdbms.table import HeapTable, gather_column
@@ -151,6 +156,40 @@ class ColumnStats:
         return min(max(frac, MIN_SELECTIVITY), 1.0)
 
 
+class LazyColumns(Mapping):
+    """Column name -> :class:`ColumnStats` of an analyzed table, each
+    built by ``build(name)`` on its first read and kept: a plan asks for
+    the columns its predicates name, and no other column is read.  Two
+    first reads at once may both build; each is equal, and either stays.
+    """
+
+    def __init__(self, names: Sequence[str],
+                 build: Callable[[str], ColumnStats],
+                 built: dict[str, ColumnStats] | None = None) -> None:
+        self._names = tuple(names)
+        self._build = build
+        self._built = dict(built or {})
+
+    def __getitem__(self, name: str) -> ColumnStats:
+        stats = self._built.get(name)
+        if stats is None:
+            if name not in self._names:
+                raise KeyError(name)
+            stats = self._built[name] = self._build(name)
+        return stats
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def replaced(self, rebuilt: dict[str, ColumnStats]) -> "LazyColumns":
+        """These columns with ``rebuilt``'s stats in place of theirs."""
+        return LazyColumns(self._names, self._build,
+                           {**self._built, **rebuilt})
+
+
 @dataclass
 class TableStats:
     """Statistics for one table at one analyzed point in time."""
@@ -159,7 +198,7 @@ class TableStats:
     row_count: int = 0
     analyzed_rows: int = 0
     version: int = 0
-    columns: dict[str, ColumnStats] = field(default_factory=dict)
+    columns: Mapping[str, ColumnStats] = field(default_factory=dict)
 
     def column(self, name: str) -> ColumnStats | None:
         return self.columns.get(name)
@@ -298,20 +337,38 @@ class StatisticsManager:
         Raises:
             KeyError: unknown table.
         """
+        return self._analyze(table, every_column=True)
+
+    def _analyze(self, table: str, every_column: bool) -> TableStats:
+        """:meth:`analyze`; or, short of ``every_column``, ``table``'s
+        row count and version alone, with :class:`LazyColumns` that run
+        the pass over one column at its first read (:meth:`_column`)."""
         snapshot = self._db.begin_snapshot()
         view = snapshot._heap(table)
         count = len(view)
         sampled = count > SAMPLE_THRESHOLD
+        seed = f"analyze:{table}:{count}" if sampled else None
+        names = view.schema.column_names
         stats = TableStats(
             table=table, row_count=count, analyzed_rows=count,
-            version=snapshot.version_of(table), columns=_column_pass(
-                view, view.schema.column_names,
-                f"analyze:{table}:{count}" if sampled else None))
+            version=snapshot.version_of(table), columns=LazyColumns(
+                names, partial(self._column, table, seed),
+                _column_pass(view, names, seed) if every_column else None))
         with self._lock:
             self._stats[table] = stats
         metrics.get_registry().inc(
             "planner.analyze.sampled" if sampled else "planner.analyze.full")
         return stats
+
+    def _column(self, table: str, seed: str | None,
+                name: str) -> ColumnStats:
+        """The column pass over one column of ``table`` (sampled with
+        ``seed``, its analysis's) as a snapshot begun now holds it: the
+        state it was analyzed at, or a later committed one — statistics
+        are advisory, and nothing pins a snapshot for a column no plan
+        may ever ask for."""
+        view = self._db.begin_snapshot()._heap(table)
+        return _column_pass(view, [name], seed)[name]
 
     def stats(self, table: str) -> TableStats:
         """Current statistics, refreshed as cheaply as staleness allows.
@@ -319,7 +376,8 @@ class StatisticsManager:
         Unchanged version → cached as-is.  Small drift → the live row
         count folded in, distributions reused (incremental path: no
         snapshot and no lock, it runs for the first plan after every
-        commit).  Large drift or never analyzed → :meth:`analyze`.
+        commit).  Large drift or never analyzed → row count and version
+        now, each column's pass at its first read (:meth:`_analyze`).
 
         Raises:
             KeyError: unknown table.
@@ -338,7 +396,7 @@ class StatisticsManager:
         if cached is None or cached.analyzed_rows <= 0 or \
                 abs(rows - cached.analyzed_rows) \
                 > STALENESS_FRACTION * cached.analyzed_rows:
-            return self.analyze(table)
+            return self._analyze(table, every_column=False)
         stats = replace(cached, row_count=rows, version=version)
         with self._lock:
             self._stats[table] = stats
@@ -391,7 +449,7 @@ class StatisticsManager:
             stats = self._stats[table] = TableStats(
                 table=table, row_count=len(view), analyzed_rows=len(view),
                 version=version,
-                columns={**self._stats[table].columns, **rebuilt})
+                columns=self._stats[table].columns.replaced(rebuilt))
         self.feedback.resolve(table, pending, version)
         metrics.get_registry().inc("planner.analyze.feedback")
         return stats

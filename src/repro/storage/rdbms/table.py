@@ -331,6 +331,10 @@ class HeapTable:
         segment, pos = frozen
         return next(segment.rows_at((pos,)))[1], frozen
 
+    def holds(self, rid: int) -> bool:
+        """Whether a row lives under ``rid``."""
+        return rid in self._rows or self._segment_of(rid) is not None
+
     def _mark_dead(self, segment: Segment, pos: int) -> None:
         insort(self._dead.setdefault(segment, []), pos)
         metrics.get_registry().inc("segments.rows_masked")

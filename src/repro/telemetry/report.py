@@ -208,7 +208,11 @@ def render_report(summary: dict[str, Any],
                 f"masked_rows="
                 f"{all_counters.get('segments.rows_masked', 0.0):.0f} "
                 f"group_orders_built="
-                f"{all_counters.get('segments.group_orders_built', 0.0):.0f}",
+                f"{all_counters.get('segments.group_orders_built', 0.0):.0f} "
+                f"imprints_built="
+                f"{all_counters.get('segments.imprints_built', 0.0):.0f} "
+                f"cells_rechecked="
+                f"{all_counters.get('planner.kernel.cells_rechecked', 0.0):.0f}",
             ]
             # per table: frozen rows deleted or superseded since they
             # froze, waiting for the next compaction

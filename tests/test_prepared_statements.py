@@ -306,3 +306,15 @@ def test_repro_stats_and_top_count_prepared_shapes():
     assert "query result cache: hits=0 misses=4" in report
     assert "prepared statements: hits=2 misses=2 (50.0% hit rate)" in report
     assert "prepared shapes" in render_top(None, snapshot)
+
+
+def test_the_result_cache_stats_count_prepared_shapes_too():
+    db = Database()
+    execute_sql(db, "CREATE TABLE t (id INT PRIMARY KEY, k TEXT)")
+    registry = metrics.MetricsRegistry()
+    with metrics.use_registry(registry):
+        cache = QueryResultCache(db)
+        for k in ("a", "b", "c"):
+            cache.execute(f"SELECT id FROM t WHERE k = '{k}'")
+        stats = cache.stats()
+    assert (stats["prepared_hits"], stats["prepared_misses"]) == (2, 1)

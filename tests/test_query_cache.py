@@ -159,7 +159,8 @@ def test_clear_and_stats(db, cache):
         assert len(cache) == min(i + 1, 4)
     cache.clear()
     assert len(cache) == 0
-    assert set(cache.stats()) == {"entries", "hits", "misses"}
+    assert set(cache.stats()) == {"entries", "hits", "misses",
+                                  "prepared_hits", "prepared_misses"}
 
 
 def test_system_query_path_uses_cache():

@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -72,6 +73,41 @@ def test_a_large_insert_holds_one_lock_entry():
     txn.commit()
     assert db._locks.lock_count() == 0
     assert db.table_size("t") == 10_000
+
+
+def test_a_large_insert_holds_each_row_once():
+    """The change log keeps the stored value dict of each inserted row,
+    not a copy of it: what a 10,000-row insert into a facts-like table
+    holds itself (freed with the transaction; the rows stay in the
+    table) is its change log, about 0.7 MiB; with a copy per row it was
+    3.3 MiB."""
+    db = Database()
+    db.create_table(TableSchema("t", (
+        Column("id", ColumnType.INT, nullable=False),
+        Column("entity", ColumnType.TEXT), Column("attribute", ColumnType.TEXT),
+        Column("value_text", ColumnType.TEXT),
+        Column("value_num", ColumnType.FLOAT),
+        Column("confidence", ColumnType.FLOAT),
+        Column("doc_id", ColumnType.TEXT)), primary_key="id"))
+    rows = [{"id": i, "entity": f"e{i % 997}", "attribute": f"a{i % 10}",
+             "value_text": None, "value_num": i / 100,
+             "confidence": 0.5, "doc_id": f"d{i % 977}"}
+            for i in range(10_000)]
+    txn = db.begin()
+    tracemalloc.start()
+    try:
+        txn.insert_many("t", rows)
+        heap = db._table("t")
+        assert all(after is heap._rows[rid]
+                   for _, _, rid, _, after in txn._undo)
+        held, _ = tracemalloc.get_traced_memory()
+        txn.commit()
+        del txn
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert db.table_size("t") == 10_000
+    assert held <= 1.5 * 2 ** 20, held
 
 
 def test_holders_names_the_claim_owner():
@@ -184,8 +220,11 @@ def test_another_transaction_waits_for_an_uncommitted_insert(reader, ending):
         expected = ({"id": 1, "v": 7} if reader == "probe"
                     else {"id": 2, "v": 70})
         assert outcome["result"] == [expected]
-    else:
-        assert "result" not in outcome or outcome["result"] == []
+    elif reader == "probe":  # the rid the abort took back is left out
+        assert outcome["result"] == [] and "error" not in outcome
+        assert db.table_size("t") == 0
+    else:  # an update of the row the abort took back raises
+        assert isinstance(outcome["error"], KeyError)
         assert db.table_size("t") == 0
     assert db._locks.lock_count() == 0
     assert spy.woken and all(held == (set(), set()) for held in spy.woken)

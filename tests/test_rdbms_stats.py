@@ -1,10 +1,13 @@
 """Tests for table statistics (repro.storage.rdbms.stats)."""
 
+import json
 import random
 import threading
+from unittest import mock
 
 import pytest
 
+from repro.storage.rdbms import segments
 from repro.storage.rdbms import stats as stats_module
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.segments import Segment, take
@@ -320,3 +323,33 @@ def test_a_pass_leaves_the_writers_lock_free(monkeypatch, kind):
         manager.analyze("t")
     assert registry.get(f"planner.analyze.{kind}") == before + 1
     assert probes and all(probes)
+
+
+def test_a_first_plan_after_a_reopen_decodes_only_the_columns_it_names(
+        tmp_path):
+    """Reopen a closed database and run ``SELECT * FROM t WHERE body =
+    'x'``: its estimate analyzes ``body`` alone, so no other column's
+    buffer or null bitmap is decoded (nothing matches: nothing is
+    projected)."""
+    db = Database(str(tmp_path))
+    execute_sql(db, "CREATE TABLE t (id INT PRIMARY KEY, body TEXT, n INT, "
+                    "f FLOAT, flag BOOL)")
+    execute_sql(db, "INSERT INTO t (id, body, n, f, flag) VALUES " + ", ".join(
+        f"({i}, 'b{i % 7}', {'NULL' if i % 5 == 0 else i}, {i / 3}, "
+        f"{'TRUE' if i % 2 else 'FALSE'})" for i in range(300)))
+    db.compact("t")
+    db.close()
+    [segment] = (tmp_path / "wal").iterdir()
+    [line] = segment.read_text().splitlines()
+    [entry] = json.loads(line)["tables"]["t"]["segments"]
+    texts = {name: {column.get("data"), column.get("nulls")} - {None}
+             for name, column in entry["columns"].items()}
+    decoded = []
+    b64decode = segments.b64decode
+    with mock.patch.object(segments, "b64decode", lambda text: (
+            decoded.append(text), b64decode(text))[1]):
+        reopened = Database(str(tmp_path))
+        assert execute_sql(reopened, "SELECT * FROM t WHERE body = 'x'") == []
+    assert texts["body"] <= set(decoded)  # the estimate's pass read it
+    assert set(decoded) <= {entry["rids"], *texts["body"]}
+    reopened.close()
