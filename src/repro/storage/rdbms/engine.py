@@ -527,7 +527,8 @@ class Transaction(TransactionReads):
                         if kind == "insert":  # (the log keeps the
                             # stored dict, the caller gets a copy)
                             row = heap.insert(op[1])
-                            before, after = None, heap._rows[row.rid]
+                            before = None
+                            after = heap.stored_values(row.rid)
                         elif kind == "update":
                             old, row = heap.update(op[1], op[2])
                             before, after = old.values, row.values

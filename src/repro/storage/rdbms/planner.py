@@ -241,11 +241,12 @@ def _imprint_bitmap(col: Any, conjunct: Any, positions: Sequence[int] | None,
                     codes: bytes) -> bytearray:
     """:func:`_conjunct_bitmap` over an imprinted column (DESIGN.md §12):
     a 256-byte table maps each code to 0 or 1 — the conjunct's verdict on
-    every value of the bucket — or to :data:`_RECHECK`, for the literal's
-    own bucket and NaN; one ``bytes.translate`` applies it, and only the
-    cells it marks for recheck are compared, exactly, with their stored
-    values (gathered, compared and put back by C-level calls).  An
-    incomparable literal raises TypeError in ``bisect``."""
+    every value of the bucket, and on NaN and NULL — or to
+    :data:`_RECHECK`, for the literal's own bucket; one
+    ``bytes.translate`` applies it, and only the cells it marks for
+    recheck are compared, exactly, with their stored values (gathered,
+    compared and put back by C-level calls).  An incomparable literal
+    raises TypeError in ``bisect``."""
     if isinstance(conjunct, LikePredicate):  # a number is never a string
         return bytearray([conjunct.negated]) * len(codes)
     imprint = col.imprint()
@@ -265,6 +266,8 @@ def _imprint_bitmap(col: Any, conjunct: Any, positions: Sequence[int] | None,
                     table[j] = _RECHECK
                 elif lows[j - 1] == value:  # (the bucket's one value)
                     table[j] = not negated
+        # (a NaN cell, decoded afresh, is no literal's NaN object, so no
+        # list holds it: its code keeps ``negated``)
         null_verdict = (None in values) != negated
         test = partial(map, values.__contains__)
         if negated:
@@ -274,18 +277,19 @@ def _imprint_bitmap(col: Any, conjunct: Any, positions: Sequence[int] | None,
         fn = _COMPARE_FN[op]
         if lit is None:
             return bytearray(len(codes))
-        if lit != lit:  # NaN: no bucket orders against it
-            table = bytearray([_RECHECK]) * 256
+        if lit != lit:  # NaN: every number compares alike with it
+            table = bytearray([fn(0, lit)]) * 256
         else:  # the buckets below the literal's, then those above it
             j = bisect_right(lows, lit)
             table = bytearray([fn(0, 1)]) * j \
                 + bytearray([fn(1, 0)]) * (256 - j)
             table[j] = fn(lows[j - 1], lit) if j in points else _RECHECK
-        null_verdict = False
+        # a NaN cell equals nothing and orders against nothing
+        table[NAN_CODE], null_verdict = fn(math.nan, lit), False
 
         def test(cells: Iterable[Any]) -> Iterator[bool]:
             return map(fn, cells, repeat(lit))
-    table[NAN_CODE], table[NULL_CODE] = _RECHECK, null_verdict
+    table[NULL_CODE] = null_verdict
     bits = codes.translate(table)
     if _RECHECK not in bits:
         return bytearray(bits)
@@ -301,14 +305,16 @@ def _imprint_bitmap(col: Any, conjunct: Any, positions: Sequence[int] | None,
 
 def _conjunct_bitmap(col: Any, conjunct: Any,
                      positions: Sequence[int] | None, codes: bytes | None,
-                     cells: Callable[[], tuple[Sequence[Any], Any]],
+                     cells: Callable[[], Sequence[Any]],
+                     null_flags: Callable[[], Sequence[int] | None],
                      ) -> bytearray:
     """Selection bitmap of one kernel conjunct over the cells of the
     column segment ``col`` at ``positions`` (None: all, as stored), in
     that order.  An imprinted column reads ``codes``, its imprint's codes
-    of those cells (:func:`_imprint_bitmap`); any other reads ``cells()``:
-    the stored cells and their null flags (None: no NULLs).  One byte, 0
-    or 1, per cell: counting, finding and slicing the bitmap run in C.
+    of those cells (:func:`_imprint_bitmap`); any other reads ``cells()``,
+    the stored cells, and — for IS [NOT] NULL only — ``null_flags()``,
+    their null flags (None: no NULLs).  One byte, 0 or 1, per cell:
+    counting, finding and slicing the bitmap run in C.
 
     Matches :func:`repro.storage.rdbms.sql.eval_predicate` exactly on
     every cell.  May raise TypeError on incomparable operands — the
@@ -317,7 +323,7 @@ def _conjunct_bitmap(col: Any, conjunct: Any,
     """
     if codes is not None:
         return _imprint_bitmap(col, conjunct, positions, codes)
-    data, flags = cells()
+    data = cells()
     dictionary = col.dictionary  # (None: a raw column, NULL stored as None)
     cmp = _normalized_comparison(conjunct)
     if cmp is not None:
@@ -331,6 +337,7 @@ def _conjunct_bitmap(col: Any, conjunct: Any,
             return bytearray(map(matches.__getitem__, data))
         return bytearray([v is not None and fn(v, lit) for v in data])
     if isinstance(conjunct, NullPredicate):
+        flags = null_flags()
         if flags is None:
             return bytearray([conjunct.negated]) * len(data)
         if conjunct.negated:
@@ -714,8 +721,8 @@ def _segment_selection(segment: Segment, vector_conjuncts: list[Any],
             bits = _conjunct_bitmap(
                 col, conjunct, positions, imprint and imprint.at(positions),
                 lambda: (col.data if positions is None
-                         else take(col.data, positions),
-                         col.null_flags(positions)))
+                         else take(col.data, positions)),
+                lambda: col.null_flags(positions))
             positions = list(compress(
                 range(segment.count) if positions is None else positions,
                 bits))
@@ -1198,7 +1205,9 @@ class AggState:
                         name = _conjunct_column(conjunct).name
                         more = _conjunct_bitmap(
                             segment.columns[name], conjunct, positions,
-                            order.codes(name), lambda: order.column(name))
+                            order.codes(name),
+                            lambda: order.column(name)[0],
+                            lambda: order.column(name)[1])
                         bits = more if bits is None \
                             else bytearray(map(operator.and_, bits, more))
                 except TypeError:

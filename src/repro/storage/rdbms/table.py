@@ -240,7 +240,8 @@ class HeapTable:
     # ------------------------------------------------------------- mutation
 
     def insert(self, values: dict[str, Any], rid: int | None = None) -> Row:
-        """Insert a row; returns the stored :class:`Row`.
+        """Insert a row; returns the stored :class:`Row` (a copy: the
+        stored dict is :meth:`stored_values`).
 
         ``rid`` may be forced (an abort's undo, :meth:`load`'s row-by-row
         path); otherwise assigned.
@@ -258,7 +259,7 @@ class HeapTable:
                 raise SchemaError(f"duplicate primary key {key!r}")
         if rid is None:
             rid = self._next_rid  # above every rid ever stored: free
-        elif rid in self._rows or self._segment_of(rid) is not None:
+        elif self.holds(rid):
             raise SchemaError(f"row id {rid} already in use")
         if rid >= self._next_rid:
             self._next_rid = rid + 1
@@ -266,6 +267,11 @@ class HeapTable:
         if pk is not None:
             self._pk_index[row_values[pk]] = rid
         return Row(rid=rid, values=dict(row_values))
+
+    def stored_values(self, rid: int) -> dict[str, Any]:
+        """The values dict stored for tail row ``rid``, itself: never
+        mutated in place, and read-only to the caller."""
+        return self._rows[rid]
 
     def load(self, rows: Sequence[tuple[int, dict[str, Any]]]) -> None:
         """Store caller-owned ``(rid, values)`` rows as the same

@@ -279,7 +279,8 @@ def test_topk_decodes_the_key_column_and_k_projected_rows(decoded_cells):
     assert len(rows) == 10 and set(rows[0]) == {"entity", "value"}
     # the order key of the kept rows in the imprint buckets walked from
     # the top (at least k, far fewer than the filter kept), then k rows x
-    # 2 columns
+    # 2 columns; no other column is decoded
+    assert decoded_cells.keys() == {"value", "entity"}
     assert decoded_cells["entity"] == 10
     assert 10 + 10 <= decoded_cells["value"] <= 10 + survivors // 10
     decoded_cells.clear()

@@ -1,7 +1,7 @@
 """Column imprints (DESIGN.md §12): a segment's INT/FLOAT/BOOL column
 keeps one bucket code per cell, and the scan kernel decides a conjunct
 bucket by bucket with one ``bytes.translate``, comparing only the cells of
-the literal's own bucket (and NaN's) exactly.
+the literal's own bucket exactly.
 
 The oracles: every kernel bitmap — over all of a segment, over a subset
 of its positions and over a permutation of them (a group order) — equals

@@ -330,26 +330,35 @@ def test_a_first_plan_after_a_reopen_decodes_only_the_columns_it_names(
     """Reopen a closed database and run ``SELECT * FROM t WHERE body =
     'x'``: its estimate analyzes ``body`` alone, so no other column's
     buffer or null bitmap is decoded (nothing matches: nothing is
-    projected)."""
+    projected).  A LIKE, which no zone map skips, then runs its kernel
+    over ``body``, which holds NULLs: it asks for no null flags."""
     db = Database(str(tmp_path))
     execute_sql(db, "CREATE TABLE t (id INT PRIMARY KEY, body TEXT, n INT, "
                     "f FLOAT, flag BOOL)")
     execute_sql(db, "INSERT INTO t (id, body, n, f, flag) VALUES " + ", ".join(
-        f"({i}, 'b{i % 7}', {'NULL' if i % 5 == 0 else i}, {i / 3}, "
+        f"({i}, {'NULL' if i % 11 == 0 else repr(f'b{i % 7}')}, "
+        f"{'NULL' if i % 5 == 0 else i}, {i / 3}, "
         f"{'TRUE' if i % 2 else 'FALSE'})" for i in range(300)))
     db.compact("t")
     db.close()
     [segment] = (tmp_path / "wal").iterdir()
     [line] = segment.read_text().splitlines()
     [entry] = json.loads(line)["tables"]["t"]["segments"]
-    texts = {name: {column.get("data"), column.get("nulls")} - {None}
-             for name, column in entry["columns"].items()}
-    decoded = []
+    body = entry["columns"]["body"]
+    assert body["nulls"]  # a buffer and a null bitmap
+    decoded, flagged = [], []
     b64decode = segments.b64decode
+    null_flags = segments.ColumnSegment.null_flags
     with mock.patch.object(segments, "b64decode", lambda text: (
-            decoded.append(text), b64decode(text))[1]):
+            decoded.append(text), b64decode(text))[1]), \
+            mock.patch.object(segments.ColumnSegment, "null_flags",
+                              lambda col, *args: (flagged.append(col.name),
+                                                  null_flags(col, *args))[1]):
         reopened = Database(str(tmp_path))
         assert execute_sql(reopened, "SELECT * FROM t WHERE body = 'x'") == []
-    assert texts["body"] <= set(decoded)  # the estimate's pass read it
-    assert set(decoded) <= {entry["rids"], *texts["body"]}
+        assert execute_sql(reopened,
+                           "SELECT * FROM t WHERE body LIKE 'x%'") == []
+    assert flagged == []
+    assert body["data"] in decoded  # the estimate's pass read it
+    assert set(decoded) <= {entry["rids"], body["data"]}
     reopened.close()
