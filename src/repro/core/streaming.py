@@ -57,7 +57,7 @@ from repro.integration.fusion import (
     canonical_extraction_sort_key,
     fuse_extractions,
 )
-from repro.storage.rdbms.engine import Database
+from repro.storage.rdbms.engine import Database, WriteCursor
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry import metrics
 
@@ -159,8 +159,12 @@ class StreamingPipeline:
         self._raw: dict[int, tuple[Extraction, ...]] = {}
         #: mention id -> canonical-entity-tagged extractions now in fusion.
         self._tagged: dict[int, tuple[Extraction, ...]] = {}
-        #: (entity, attribute) -> rid of its fused row in ``fused_table``.
+        #: (entity, attribute) -> rid of its fused row in ``fused_table``,
+        #: and where that map stands in the table's write history.
         self._rids: dict[tuple[str, str], int] = {}
+        with db.begin_snapshot() as snap:
+            self._written = WriteCursor(db, fused_table,
+                                        snap.version_of(fused_table))
         self._next_mention_id = 0
         self._lock = threading.RLock()
         self._threads: list[threading.Thread] = []
@@ -361,6 +365,7 @@ class StreamingPipeline:
         The commit's row delta is what drives registered continuous
         queries — the pipeline never calls ``poke()``.
         """
+        self._forget_rows_others_wrote()
         keys: list[tuple[str, str]] = []
         ops: list[tuple] = []
         for key in sorted(changed):
@@ -382,8 +387,9 @@ class StreamingPipeline:
             keys.append(key)
         if not ops:
             return 0
-        rows = self.db.run(
-            lambda txn: txn.write_many(self.fused_table, ops))
+        rows, txn = self.db.run(
+            lambda txn: (txn.write_many(self.fused_table, ops), txn))
+        self._written.wrote(txn)
         written = 0
         for key, op, row in zip(keys, ops, rows):
             if row is None:
@@ -400,6 +406,23 @@ class StreamingPipeline:
             self.stats.fused_rows_unchanged += len(ops) - written
             registry.inc("dge.fused_rows_unchanged", len(ops) - written)
         return written
+
+    def _forget_rows_others_wrote(self) -> None:
+        """Drop the key of each fused row another writer deleted, or moved
+        to another (entity, attribute), since the last push: that key's
+        next value lands as an insert.  Asks the write history first, so
+        a push nobody else wrote beside takes no snapshot."""
+        others = self._written.others()
+        if others is None or not self._rids:
+            return
+        snap, written = others
+        keys = {rid: key for key, rid in self._rids.items()}
+        rids = keys.keys() if written is None else written & keys.keys()
+        held = {row.rid: (row["entity"], row["attribute"])
+                for row in snap.held_rows(self.fused_table, rids)}
+        for rid in rids:
+            if held.get(rid) != keys[rid]:
+                del self._rids[keys[rid]]
 
     # ------------------------------------------------------- synchronous API
 

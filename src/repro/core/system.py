@@ -7,7 +7,7 @@ import json
 import signal
 import threading
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 from typing import Any, Iterable, Sequence
 
 from repro.cache.store import LRUExtractionCache, make_cache
@@ -26,10 +26,10 @@ from repro.lang.parser import parse_program
 from repro.lang.plan import LogicalPlan
 from repro.lang.registry import OperatorRegistry
 from repro.storage.manager import StorageManager
-from repro.storage.rdbms.engine import CommitDelta, Database
+from repro.storage.rdbms.engine import Database, WriteCursor
 from repro.storage.rdbms.qcache import QueryResultCache
 from repro.storage.rdbms.sql import execute_sql
-from repro.storage.rdbms.table import ScanUnit, gather_column
+from repro.storage.rdbms.table import ScanUnit, gather_column, gather_rids
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry import current_session, metrics
 from repro.telemetry.slowlog import SlowQueryLog
@@ -89,6 +89,18 @@ def fact_row(entity: str, attribute: str, value: Any,
         "value_num": float(value) if is_num else None,
         "confidence": confidence,
     }
+
+
+def _facts_of(units: list[ScanUnit]) -> dict[int, dict[str, Any]]:
+    """rid -> fact (fact_id/entity/attribute/value) of the ``facts`` rows
+    of scan ``units``, read as columns."""
+    columns = [gather_column(units, name) for name in (
+        "fact_id", "entity", "attribute", "value_text", "value_num")]
+    return {rid: {"fact_id": fact_id, "entity": entity,
+                  "attribute": attribute,
+                  "value": text if num is None else num}
+            for rid, fact_id, entity, attribute, text, num
+            in zip(gather_rids(units), *columns)}
 
 
 def _record_fact_provenance(records: Iterable[dict[str, Any]],
@@ -253,10 +265,15 @@ class StructureManagementSystem:
         # registration and evaluates changed rows only, so direct
         # db.run(insert_many)/run_batch writes that never pass through
         # generate()/contribute() notify too, without a full re-run.
-        #: The next fact id, read by the first landing (:meth:`_land`).
-        self._fact_counter: int | None = None
+        #: The next fact id, and where it stands in the write history of
+        #: ``facts``: a landing first takes in the ids others wrote since
+        #: (the first reads them all, :meth:`_land`).
+        self._fact_counter = 0
+        self._fact_ids = WriteCursor(self.db, FACTS_TABLE)
         self._facts_lock = threading.Lock()  # the keyword fact index
-        self._facts_indexed = self._facts_followed = False
+        #: The version of ``facts`` the keyword fact index holds (None:
+        #: not built), :meth:`keyword_facts`.
+        self._facts_at: int | None = None
         backend_retry = RetryPolicy(max_attempts=1) if self.fail_fast \
             else None
         self._backend = make_backend(self.backend,
@@ -265,7 +282,6 @@ class StructureManagementSystem:
         self._cache = make_cache(self.cache)
         self.deadletter = DeadLetterStore(self.storage.path("deadletter"))
         if FACTS_TABLE not in self.db.table_names():
-            self._fact_counter = 0
             self.db.create_table(facts_schema())
             self.db.create_index(FACTS_TABLE, "entity")
             self.db.create_index(FACTS_TABLE, "attribute")
@@ -388,11 +404,13 @@ class StructureManagementSystem:
 
         Screen with the semantic debugger (a flagged fact is *kept*, its
         confidence halved).  In one transaction (one WAL record; the
-        commit delta notifies standing queries and the keyword fact
-        index), compare the rows with what ``program`` landed before, as
-        multisets of ``facts`` cells: delete the stored facts the rows no
-        longer hold, insert the rows not yet stored (all of them when
-        there is no ``program``); an empty difference writes nothing.
+        commit delta notifies standing queries), compare the rows with
+        what ``program`` landed before, as multisets of ``facts`` cells:
+        delete the stored facts the rows no longer hold, insert the rows
+        not yet stored (all of them when there is no ``program``); an
+        empty difference writes nothing.  New fact ids continue after
+        every id stored: those others wrote since the last landing are
+        read first (:class:`WriteCursor`).
         Append one lineage record per inserted fact to the intermediate
         file store.  ``rows`` are pipeline tuples; ``feedback`` marks a
         user contribution — its provenance source is a feedback node.
@@ -420,19 +438,26 @@ class StructureManagementSystem:
             values["doc_id"] = str(row.get("doc_id", ""))
             batch.append((row, values))
 
-        if self._fact_counter is None:
+        others = self._fact_ids.others()
+        if others is not None:
             # continue fact ids after any stored one (a program's list can
             # name a fact raw SQL deleted)
-            top = [execute_sql(
-                self.db, f"SELECT MAX(fact_id) AS m FROM {FACTS_TABLE}",
-            )[0]["m"]]
-            for row in execute_sql(
-                    self.db, f"SELECT fact_ids FROM {PROGRAM_FACTS_TABLE}"):
-                top += json.loads(row["fact_ids"])
-            self._fact_counter = max([m + 1 for m in top if m is not None],
-                                     default=0)
+            snap, written = others
+            if written is None:
+                top = [execute_sql(
+                    self.db, f"SELECT MAX(fact_id) AS m FROM {FACTS_TABLE}",
+                    txn=snap)[0]["m"]]
+                for row in execute_sql(
+                        self.db, f"SELECT fact_ids FROM {PROGRAM_FACTS_TABLE}",
+                        txn=snap):
+                    top += json.loads(row["fact_ids"])
+            else:
+                top = [row["fact_id"]
+                       for row in snap.held_rows(FACTS_TABLE, written)]
+            self._fact_counter = max(
+                [self._fact_counter] + [m + 1 for m in top if m is not None])
 
-        def land(t: Any) -> tuple[list, int]:
+        def land(t: Any) -> tuple[list, int, Any]:
             stored: dict[tuple, list] = {}  # cells -> facts
             link = t.get_by_pk(PROGRAM_FACTS_TABLE, program)
             for fact_id in json.loads(link["fact_ids"]) if link else ():
@@ -457,9 +482,10 @@ class StructureManagementSystem:
                 t.write_many(PROGRAM_FACTS_TABLE, [
                     ("update", link.rid, {"fact_ids": ids}) if link
                     else ("insert", {"program": program, "fact_ids": ids})])
-            return fresh, len(gone)
+            return fresh, len(gone), t
 
-        fresh, retracted = self.db.run(land)
+        fresh, retracted, txn = self.db.run(land)
+        self._fact_ids.wrote(txn)
         extra = {} if feedback is None else {"feedback": feedback}
         records = [
             {**row, "entity": v["entity"], "attribute": v["attribute"],
@@ -563,57 +589,29 @@ class StructureManagementSystem:
         return self.search.search(query, k=k)
 
     def keyword_facts(self, query: str, k: int = 5) -> list[dict[str, Any]]:
-        """Keyword search over the derived structure.  The fact index is
-        built by the first call, from one committed snapshot of ``facts``,
-        and kept by the ``facts`` commit deltas from then on, whoever
-        wrote them (:meth:`_on_facts_delta`)."""
-        with self._facts_lock:
-            if not self._facts_indexed:
-                if not self._facts_followed:
-                    self.db.add_delta_listener(self._on_facts_delta)
-                    self._facts_followed = True
-                with self.db.begin_snapshot() as snap:
-                    self._index_facts(list(snap.scan_units(FACTS_TABLE)))
-                self._facts_indexed = True
-            hits = self.search.search_facts(query, k=k)
-        with self.db.begin_snapshot() as snap:  # a commit may race the index
-            rows = [snap.get_by_pk(FACTS_TABLE, hit["fact_id"])
-                    for hit in hits]
+        """Keyword search over the derived structure.  The fact index
+        catches up first, from one snapshot of ``facts``: it re-indexes
+        the rows written since the version it was built at, whoever wrote
+        them (:meth:`Database.written_since`), or is rebuilt where that
+        history does not reach back — on first use, after DDL, once the
+        history was trimmed.  The hits are read from the same snapshot."""
+        with self._facts_lock, self.db.begin_snapshot() as snap:
+            written = None if self._facts_at is None else \
+                self.db.written_since(FACTS_TABLE, self._facts_at)
+            if written is None:
+                self.search.clear_facts()
+                units = list(snap.scan_units(FACTS_TABLE))
+            else:
+                units = [("rows", [(row.rid, row.values) for row in
+                                   snap.held_rows(FACTS_TABLE, written)],
+                          None)]
+            self._facts_at = snap.version_of(FACTS_TABLE)
+            self.search.index_facts(_facts_of(units), written or ())
+            rows = [snap.get_by_pk(FACTS_TABLE, fact_id)
+                    for fact_id in self.search.search_facts(query, k=k)]
         return [{"entity": row["entity"], "attribute": row["attribute"],
                  "value": row["value_text"] if row["value_num"] is None
-                 else row["value_num"]} for row in rows if row is not None]
-
-    def _on_facts_delta(self, delta: CommitDelta) -> None:
-        """Index each fact id a ``facts`` commit wrote as its committed
-        row, or drop it; DDL clears the index for the next search.  The
-        rows are read, not taken from the delta: a delta does not order a
-        transaction's writes, and the listeners of two commits to one row
-        may run out of commit order (the last to run reads the last)."""
-        with self._facts_lock:
-            if FACTS_TABLE in delta.ddl:
-                self.search.clear_facts()
-                self._facts_indexed = False
-            change = delta.tables.get(FACTS_TABLE)
-            if change is None or not self._facts_indexed:
-                return
-            with self.db.begin_snapshot() as snap:
-                found = {fact_id: snap.pk_units(FACTS_TABLE, fact_id)
-                         for fact_id in {row["fact_id"] for row in chain(
-                             change.inserted, change.deleted,
-                             *change.updated)}}
-                self._index_facts([u for units in found.values()
-                                   for u in units])
-            self.search.remove_facts(
-                fact_id for fact_id, units in found.items() if not units)
-
-    def _index_facts(self, units: list[ScanUnit]) -> None:
-        """Index the ``facts`` rows of scan ``units``, read as columns."""
-        columns = [gather_column(units, name) for name in (
-            "fact_id", "entity", "attribute", "value_text", "value_num")]
-        self.search.index_facts(
-            {"fact_id": fact_id, "entity": entity, "attribute": attribute,
-             "value": text if num is None else num}
-            for fact_id, entity, attribute, text, num in zip(*columns))
+                 else row["value_num"]} for row in rows]
 
     def translator(self) -> QueryTranslator:
         """A translator reflecting the currently stored structure."""

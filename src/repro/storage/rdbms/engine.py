@@ -191,6 +191,16 @@ class TransactionReads:
         self._enter(table, rid, LockMode.SHARED)
         return self._heap(table).get(rid)
 
+    def held_rows(self, table: str, rids: Iterable[int]) -> list[Row]:
+        """The rows at those of ``rids`` the table holds for this reader,
+        in rid order: a rid deleted, or not yet committed for a snapshot,
+        is skipped (2PL: IS on the table, S on each row)."""
+        self._check_active()
+        self._enter(table, None, LockMode.INTENTION_SHARED)
+        heap = self._heap(table)
+        return fetch_rows(self._locate(
+            table, [rid for rid in sorted(rids) if heap.holds(rid)]))
+
     def scan(self, table: str) -> list[Row]:
         """Full scan (2PL: S on the whole table)."""
         return list(self.scan_iter(table))
@@ -353,6 +363,9 @@ class Transaction(TransactionReads):
         #: into the :class:`CommitDelta`.
         self._undo: list[tuple] = []
         self.finished = False
+        #: Set at commit: each table it wrote -> the table's version
+        #: before it and the version it gave the table.
+        self.versions: dict[str, tuple[int, int]] = {}
         #: Optional cooperative-cancellation token checked at every
         #: operation boundary (and at commit, so a post-deadline
         #: transaction aborts instead of committing late).
@@ -401,7 +414,10 @@ class Transaction(TransactionReads):
             if tables and db._wal is not None:  # no log: skip serializing
                 db._log(self.txn_id, "commit", writes=self._logged_writes())
             db._active_txns.pop(self.txn_id, None)
+            before = {t: db._table_versions.get(t, 0) for t in tables}
             db._bump_versions(tables, self._undo)
+            self.versions = {t: (v, db._table_versions[t])
+                             for t, v in before.items()}
         self.finished = True
         db._locks.release_all(self.txn_id)
         metrics.get_registry().inc("rdbms.txn.commits")
@@ -724,7 +740,7 @@ class Database:
         #: at most :meth:`_history_bound` rows, with their row count, and
         #: its floor — the version of the newest commit trimmed off or of
         #: its last DDL: what corrects a snapshot's index reads
-        #: (:meth:`_written_since`).
+        #: (:meth:`written_since`).
         self._history: dict[str, deque[tuple[int, list[int]]]] = {}
         self._history_rows: dict[str, int] = {}
         self._floor: dict[str, int] = {}
@@ -747,10 +763,11 @@ class Database:
 
         Any committed transaction that touched rows notifies, whatever
         API produced the writes (``insert_many``, ``run_batch``, SQL):
-        this is how standing queries and the keyword fact index follow
-        the data, in O(delta).  The delta is folded from the change log
-        at commit, and only when some listener is registered.  Schema
-        changes arrive as a :class:`CommitDelta` whose ``ddl`` set names
+        this is how standing queries follow the data, in O(delta).  The
+        delta is folded from the change log at commit, and only when some
+        listener is registered.  A reader that can wait for its next read
+        asks :meth:`written_since` instead, and runs no code at commit.
+        Schema changes arrive as a :class:`CommitDelta` whose ``ddl`` set names
         the affected tables (treat that as a wholesale resync signal).
         Listeners run in registration order, outside all engine locks,
         and must not raise.
@@ -1207,27 +1224,28 @@ class Database:
         table keeps a probe under a fifth of a load."""
         return 64 + len(self._tables[table]) // 32
 
-    def _written_since(self, table: str, version: int) -> set[int] | None:
+    def written_since(self, table: str, version: int) -> set[int] | None:
         """D: the rids of ``table`` in the change logs of the open
-        transactions and of those committed after ``version`` (mutate
-        lock held) — the rows where the live indexes and a snapshot at
-        ``version`` may disagree.  None when the history does not reach
-        back to ``version`` (it is below the table's floor: trimmed, or
-        DDL — a drop included — came since), or when the open change logs
-        (all their tables counted) hold more than :meth:`_history_bound`
-        rows: the snapshot reads indexes of its own."""
-        if version < self._floor.get(table, 0):
-            return None
-        logs = [txn._undo for txn in self._active_txns.values() if txn._undo]
-        if logs and sum(map(len, logs)) > self._history_bound(table):
-            return None
-        written = {rid for log in logs
-                   for _, name, rid, _, _ in log if name == table}
-        for at, rids in reversed(self._history.get(table, ())):
-            if at <= version:
-                break
-            written.update(rids)
-        return written
+        transactions and of those committed after ``version`` — where
+        what was read of it at ``version`` may be stale.  None when the
+        history does not reach back to ``version`` (it is below the
+        table's floor: trimmed, or DDL — a drop included — came since),
+        or when the open change logs (all their tables counted) hold more
+        than :meth:`_history_bound` rows: read it anew."""
+        with self._mutate_lock:
+            if version < self._floor.get(table, 0):
+                return None
+            logs = [txn._undo for txn in self._active_txns.values()
+                    if txn._undo]
+            if logs and sum(map(len, logs)) > self._history_bound(table):
+                return None
+            written = {rid for log in logs
+                       for _, name, rid, _, _ in log if name == table}
+            for at, rids in reversed(self._history.get(table, ())):
+                if at <= version:
+                    break
+                written.update(rids)
+            return written
 
     def _apply_undo(self, entry: tuple) -> None:
         """Take back one change-log entry of an open transaction."""
@@ -1320,3 +1338,39 @@ class Database:
             else:
                 for _, rid in run:
                     heap.delete(rid)
+
+
+class WriteCursor:
+    """A writer's place in one table's write history, for state it keeps
+    from rows it writes itself (their rids, a key counter): the state
+    holds every commit up to version ``at``.  :meth:`others` asks
+    :meth:`Database.written_since` what other transactions wrote since;
+    :meth:`wrote` moves ``at`` past the writer's own commit when no other
+    came between."""
+
+    def __init__(self, db: Database, table: str,
+                 at: int | None = None) -> None:
+        self.db, self.table, self.at = db, table, at
+
+    def others(self) -> tuple[Any, set[int] | None] | None:
+        """None when no other transaction wrote the table since ``at`` (no
+        snapshot is taken).  Otherwise a snapshot to take their writes in
+        from and the rids written — None for every row: the history does
+        not reach back, or ``at`` is not set — after which the state holds
+        up to the snapshot."""
+        if self.at is not None:
+            written = self.db.written_since(self.table, self.at)
+            if written is not None and not written:
+                return None
+        snap = self.db.begin_snapshot()
+        written = None if self.at is None else \
+            self.db.written_since(self.table, self.at)
+        self.at = snap.version_of(self.table)
+        return snap, written
+
+    def wrote(self, txn: Transaction) -> None:
+        """Note the writer's committed ``txn``: the state holds through it
+        when the table was at ``at`` just before it."""
+        before, after = txn.versions.get(self.table, (None, None))
+        if self.at is not None and before == self.at:
+            self.at = after

@@ -12,7 +12,7 @@ There is one index per indexed column and one pk map per table, the live
 ones, which writers change before they commit.  A snapshot probes them
 and corrects the answer by D, the rids in the change logs of the
 transactions still open or committed after its version
-(:meth:`Database._written_since`): the live rids not in D, plus the rids
+(:meth:`Database.written_since`): the live rids not in D, plus the rids
 of D whose value in the snapshot's own view satisfies the probe.  Probe
 and D are read under one mutate-lock hold — a write moves an index entry
 before it appends its change-log entry, an abort restores entries before
@@ -168,7 +168,7 @@ class SnapshotTransaction(TransactionReads):
         of the snapshot's own ``kind`` index."""
         snap, db = self._snap(table), self._db
         with db._mutate_lock:
-            written = db._written_since(table, snap.version)
+            written = db.written_since(table, snap.version)
             if written is not None:
                 rids = live()
         if written is None:

@@ -55,7 +55,7 @@ from repro.errors import (CancellationToken, QueryDeadlockError, QueryError,
                           QueryLockTimeoutError)
 from repro.storage.rdbms.engine import Database, Transaction
 from repro.storage.rdbms.lockmgr import DeadlockError, LockTimeoutError
-from repro.storage.rdbms.segments import take
+from repro.storage.rdbms.table import gather_rids
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry.tracing import get_tracer
 
@@ -973,10 +973,7 @@ class _Executor:
 
         stmt = SelectStatement(items=[], star=True, table=table, where=where)
         plan = _planner.Planner(self._db).plan_select(stmt)
-        rids: list[int] = []
-        for kind, unit, selected in plan.source.units(self._txn):
-            rids.extend(take(unit.rids, selected) if kind == "segment"
-                        else map(operator.itemgetter(0), unit))
+        rids = gather_rids(plan.source.units(self._txn))
         self._record_feedback(stmt, plan, len(rids))
         return rids
 

@@ -84,6 +84,13 @@ def gather_column(units: list[ScanUnit], name: str) -> Sequence[Any]:
     return parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
 
 
+def gather_rids(units: Iterable[ScanUnit]) -> list[int]:
+    """The rids of ``units``, in order."""
+    return list(chain.from_iterable(
+        map(itemgetter(0), unit) if kind == "rows"
+        else take(unit.rids, selected) for kind, unit, selected in units))
+
+
 def unit_len(kind: str, unit: Any, selected: Sequence[int] | None) -> int:
     """Rows one scan unit stands for."""
     return len(unit) if kind == "rows" else len(selected)
@@ -462,10 +469,7 @@ class HeapTable:
         runs[-1][1].extend(tail[at:])
         for run in runs:
             units = list(self._interleave(*run))
-            rids = list(chain.from_iterable(
-                map(itemgetter(0), unit) if kind == "rows"
-                else take(unit.rids, selected)
-                for kind, unit, selected in units))
+            rids = gather_rids(units)
             if rids:
                 fresh += Segment.from_columns(
                     self._schema, rids,

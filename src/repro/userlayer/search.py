@@ -1,8 +1,11 @@
 """Keyword search over documents and structured facts.
 
 :class:`KeywordSearchEngine` is the user layer's keyword service: BM25 over
-the pages of the raw log, and over the stored facts.  The IR baseline the
-paper argues against is :mod:`repro.baselines`.
+the pages of the raw log, and over the stored facts.  The page index
+catches up with the raw log at each page search; the fact index is
+brought up to date by its caller, rows rewritten since in hand
+(:meth:`~repro.core.system.StructureManagementSystem.keyword_facts`).
+The IR baseline the paper argues against is :mod:`repro.baselines`.
 """
 
 from __future__ import annotations
@@ -30,10 +33,12 @@ class KeywordSearchEngine:
     The page index follows ``pages`` (the raw log): a page search first
     indexes what its ``changes_since`` names; snippets are read from it.
 
-    Facts (dicts with fact_id/entity/attribute/value) are indexed as
-    pseudo-documents under IDs ``fact:<fact_id>`` so a keyword query can
-    surface structured results alongside pages — the user layer's
-    combined exploitation mode.
+    Facts (dicts with fact_id/entity/attribute/value), each read from a
+    row of a facts table, are indexed as pseudo-documents under IDs
+    ``fact:<fact_id>`` so a keyword query can surface structured results
+    alongside pages — the user layer's combined exploitation mode.  The
+    engine keeps which fact it indexed from which row, not the facts: a
+    fact search answers fact ids, which the caller reads from the table.
     """
 
     def __init__(self, pages: SnapshotStore) -> None:
@@ -42,7 +47,8 @@ class KeywordSearchEngine:
         self._lock = threading.RLock()  # the page index and its cursor
         self._doc_index = InvertedIndex()
         self._fact_index = InvertedIndex()
-        self._facts: dict[str, dict[str, Any]] = {}
+        #: rid -> the id of the fact indexed from the row at that rid
+        self._facts: dict[int, int] = {}
 
     # ------------------------------------------------------------ indexing
 
@@ -57,26 +63,20 @@ class KeywordSearchEngine:
             for doc_id in added + changed:
                 self._doc_index.add(doc_id, self._pages.checkout(doc_id).text)
 
-    def index_facts(self, facts: Iterable[dict[str, Any]]) -> int:
-        """Index structured facts as searchable pseudo-documents, each
-        under its ``fact_id``; facts indexed under those ids before (they
-        have been rewritten since) are replaced, in one removal."""
-        batch = {f"fact:{fact['fact_id']}": dict(fact) for fact in facts}
-        self._fact_index.remove(*batch.keys() & self._facts.keys())
-        for fact_id, fact in batch.items():
+    def index_facts(self, facts: dict[int, dict[str, Any]],
+                    rewritten: Iterable[int] = ()) -> int:
+        """Index ``facts`` — the rid of a row -> the fact read from it —
+        as searchable pseudo-documents.  What was indexed from the rows
+        at ``rewritten`` (written since) goes first, in one removal."""
+        self._fact_index.remove(*(
+            f"fact:{self._facts.pop(rid)}" for rid in rewritten
+            if rid in self._facts))
+        for rid, fact in facts.items():
             rendered = " ".join(
-                str(fact.get(k, "")) for k in ("entity", "attribute", "value")
-            )
-            self._facts[fact_id] = fact
-            self._fact_index.add(fact_id, rendered)
-        return len(batch)
-
-    def remove_facts(self, fact_ids: Iterable[Any]) -> None:
-        """Drop the indexed ones of ``fact_ids``, in one removal."""
-        gone = {f"fact:{fact_id}" for fact_id in fact_ids} & self._facts.keys()
-        self._fact_index.remove(*gone)
-        for fact_id in gone:
-            del self._facts[fact_id]
+                str(fact[k]) for k in ("entity", "attribute", "value"))
+            self._facts[rid] = fact["fact_id"]
+            self._fact_index.add(f"fact:{fact['fact_id']}", rendered)
+        return len(facts)
 
     def clear_facts(self) -> None:
         self._fact_index, self._facts = InvertedIndex(), {}
@@ -93,11 +93,10 @@ class KeywordSearchEngine:
             for h in hits
         ]
 
-    def search_facts(self, query: str, k: int = 10) -> list[dict[str, Any]]:
-        """Top-k structured facts for a keyword query, as indexed (with
-        their ``fact_id``)."""
-        hits = self._fact_index.search(query, k=k)
-        return [self._facts[h.doc_id] for h in hits]
+    def search_facts(self, query: str, k: int = 10) -> list[int]:
+        """The ids of the top-k facts for a keyword query."""
+        return [int(hit.doc_id[len("fact:"):])
+                for hit in self._fact_index.search(query, k=k)]
 
     def corpus_size(self) -> int:
         with self._lock:
@@ -105,7 +104,7 @@ class KeywordSearchEngine:
             return len(self._doc_index)
 
     def fact_count(self) -> int:
-        return len(self._facts)
+        return len(self._fact_index)
 
     # ------------------------------------------------------------ internals
 

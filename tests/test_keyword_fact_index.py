@@ -1,9 +1,10 @@
-"""The keyword fact index follows the ``facts`` commit stream.
+"""The keyword fact index catches up from the write history of ``facts``.
 
 Whatever writes ``facts`` — ``_land`` (generate, contribute),
-``unify_attributes``, raw SQL, a hand-written transaction — the index is
-kept by the commit deltas, so ``keyword_facts`` answers as an index built
-from scratch out of ``SELECT * FROM facts`` would.
+``unify_attributes``, raw SQL, a hand-written transaction — the next
+search re-indexes the rows written since (or rebuilds), so
+``keyword_facts`` answers as an index built from scratch out of the rows
+of ``facts`` would.  A commit runs no index code.
 """
 
 import sys
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.system import FACTS_TABLE, StructureManagementSystem
+from repro.storage.rdbms import engine
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
 from repro.extraction.infobox import InfoboxExtractor
 from repro.extraction.normalize import MONTHS
@@ -78,7 +80,6 @@ def test_ddl_on_facts_clears_the_index_and_the_next_search_rebuilds_it():
     schema = system.db.schema(FACTS_TABLE)
     system.db.alter_table(FACTS_TABLE, schema, lambda row: {
         **row, "value_text": (row["value_text"] or "").replace("Old", "Odd")})
-    assert system.search.fact_count() == 0
     assert system.keyword_facts("Old", k=5) == []
     assert len(system.keyword_facts("Odd", k=5)) == 2
     system.close()
@@ -110,22 +111,101 @@ def test_a_transaction_writing_a_fact_several_times_leaves_its_last_row():
     system.close()
 
 
-def test_listeners_run_out_of_commit_order_leave_the_last_commit():
-    # Each listener runs after its commit released its locks, so the
-    # listener of a later commit to the same row can run first.
+def test_a_search_after_several_commits_to_a_row_indexes_its_last():
     system = _contributed_system()
     assert system.keyword_facts("Old", k=5)
-    listeners, held = system.db._listeners, []
-    system.db._listeners = [held.append]
     for text in ("Mid Town", "Last Town"):
         system.query(f"UPDATE {FACTS_TABLE} SET value_text = '{text}' "
                      "WHERE entity = 'Town1'")
-    system.db._listeners = listeners
-    for delta in reversed(held):
-        system._on_facts_delta(delta)
-    assert system.search.search_facts("Mid", k=5) == []
+    assert system.keyword_facts("Mid", k=5) == []
     assert system.keyword_facts("Last", k=5) == [
         {"entity": "Town1", "attribute": "nickname", "value": "Last Town"}]
+    system.close()
+
+
+def _spy(monkeypatch):
+    """Record every KeywordSearchEngine call (name, args) and every
+    CommitDelta the engine builds."""
+    calls, deltas = [], []
+    for name, method in list(vars(KeywordSearchEngine).items()):
+        if callable(method) and name != "__init__":
+            def spy(self, *args, _name=name, _method=method, **kwargs):
+                calls.append((_name, args))
+                return _method(self, *args, **kwargs)
+            monkeypatch.setattr(KeywordSearchEngine, name, spy)
+
+    class Counted(engine.CommitDelta):
+        def __init__(self, *args, **kwargs):
+            deltas.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "CommitDelta", Counted)
+    return calls, deltas
+
+
+def _rids(system):
+    with system.db.begin_snapshot() as snap:
+        return {row["entity"]: row.rid for row in snap.scan(FACTS_TABLE)}
+
+
+def test_a_commit_runs_no_index_code_and_a_search_takes_in_what_it_wrote(
+        monkeypatch):
+    system = _contributed_system()
+    system.query(f"INSERT INTO {FACTS_TABLE} (fact_id, entity, attribute, "
+                 "value_text, confidence, doc_id) VALUES "
+                 "(100, 'Bay Town', 'nickname', 'Bay Town', 1.0, 'sql')")
+    assert system.keyword_facts("Old", k=5)
+    before = _rids(system)
+    calls, deltas = _spy(monkeypatch)
+    system.query(f"UPDATE {FACTS_TABLE} SET value_text = 'New Harbor' "
+                 "WHERE entity = 'Town2'")
+    system.query(f"DELETE FROM {FACTS_TABLE} WHERE entity = 'Town1'")
+    system.contribute("pat", "Town3", "nickname", "Old Mill")
+    assert calls == [] and deltas == []  # writers run no index code
+    after = _rids(system)
+    system.keyword_facts("Old", k=5)
+    (_, (facts, rewritten)), = [c for c in calls if c[0] == "index_facts"]
+    assert set(rewritten) == {before["Town1"], after["Town2"],
+                              after["Town3"]}
+    assert facts.keys() == {after["Town2"], after["Town3"]}
+    assert "clear_facts" not in dict(calls)
+    calls.clear()
+    system.keyword_facts("Old", k=5)  # nothing written: nothing indexed
+    assert [(args[0], set(args[1])) for name, args in calls
+            if name == "index_facts"] == [({}, set())]
+    assert system.search._facts == _rebuilt(system)._facts
+    system.close()
+
+
+def test_after_ddl_or_a_trimmed_history_the_next_search_rebuilds_once(
+        monkeypatch):
+    system = _contributed_system()
+    assert system.keyword_facts("Old", k=5)
+    calls, _ = _spy(monkeypatch)
+
+    def rebuilds():
+        system.keyword_facts("Old", k=5)
+        system.keyword_facts("Old", k=5)
+        found = [name for name, _ in calls if name == "clear_facts"]
+        indexed = [len(args[0]) for name, args in calls
+                   if name == "index_facts"]
+        calls.clear()
+        return len(found), indexed
+
+    assert rebuilds() == (0, [0, 0])
+    schema = system.db.schema(FACTS_TABLE)
+    system.db.alter_table(FACTS_TABLE, schema, lambda row: row)
+    assert rebuilds() == (1, [2, 0])
+    # one commit of more rows than the history keeps trims it off
+    system.db.run(lambda t: t.write_many(FACTS_TABLE, [
+        ("insert", {"fact_id": 1000 + i, "entity": f"Town{i}",
+                    "attribute": "nickname", "value_text": "Bay",
+                    "value_num": None, "confidence": 1.0, "doc_id": "sql"})
+        for i in range(100)]))
+    assert rebuilds() == (1, [102, 0])
+    system.query(f"DELETE FROM {FACTS_TABLE} WHERE fact_id = 1000")
+    assert rebuilds() == (0, [0, 0])
+    assert system.search._facts == _rebuilt(system)._facts
     system.close()
 
 
@@ -197,26 +277,34 @@ def test_removing_many_documents_filters_each_posting_list_once():
 
 
 def _rebuilt(system):
-    """An index built from scratch out of ``facts``."""
+    """An index built from scratch out of the rows of ``facts``."""
     engine = KeywordSearchEngine(system.storage.raw)
-    engine.index_facts(
-        {"fact_id": row["fact_id"], "entity": row["entity"],
-         "attribute": row["attribute"],
-         "value": row["value_text"] if row["value_num"] is None
-         else row["value_num"]}
-        for row in system.query(f"SELECT * FROM {FACTS_TABLE}"))
+    with system.db.begin_snapshot() as snap:
+        engine.index_facts({row.rid: _fact(row) for row
+                            in snap.scan(FACTS_TABLE)})
     return engine
+
+
+def _fact(row):
+    return {"fact_id": row["fact_id"], "entity": row["entity"],
+            "attribute": row["attribute"],
+            "value": row["value_text"] if row["value_num"] is None
+            else row["value_num"]}
 
 
 def _assert_answers_as_rebuilt(system, step):
     rebuilt = _rebuilt(system)
+    facts = {row["fact_id"]: _fact(row)
+             for row in system.query(f"SELECT * FROM {FACTS_TABLE}")}
     for query in QUERIES:
         expected = rebuilt.search_facts(query, k=8)
         assert system.keyword_facts(query, k=8) == [
-            {key: fact[key] for key in ("entity", "attribute", "value")}
-            for fact in expected], (step, query)
-        # the index itself, not only what the primary-key check lets by
+            {key: facts[fact_id][key]
+             for key in ("entity", "attribute", "value")}
+            for fact_id in expected], (step, query)
+        # the index itself, not only what the primary-key read lets by
         assert system.search.search_facts(query, k=8) == expected
+    assert system.search._facts == rebuilt._facts
     assert system.search.fact_count() == rebuilt.fact_count()
 
 

@@ -52,6 +52,8 @@ def _units(units):
 
 READS = {
     "get": lambda t: _rows([t.get("t", 5), t.get("t", 0), t.get("t", 13)]),
+    # a deleted rid (7) and one never written (999) are skipped
+    "held_rows": lambda t: _rows(t.held_rows("t", [13, 7, 999, 5, 0])),
     "scan": lambda t: _rows(t.scan("t")),
     "scan_iter": lambda t: _rows(t.scan_iter("t")),
     "scan_units": lambda t: _units(t.scan_units("t")),
@@ -90,9 +92,11 @@ def test_neither_reader_sees_an_uncommitted_writer_but_the_writer_does():
     writer = db.begin()
     writer.update("t", 0, {"qty": 77})
     writer.delete("t", 1)
-    writer.insert("t", {"id": 99, "grp": "z", "qty": 1})
+    inserted = writer.insert("t", {"id": 99, "grp": "z", "qty": 1})
     with db.begin_snapshot() as snapshot:
         assert _rows(snapshot.scan("t")) == committed
+        assert _rows(snapshot.held_rows("t", [inserted.rid, 1, 0])) == \
+            committed[:2]
         assert _units(snapshot.pk_units("t", 99)) == []
         assert _units(snapshot.lookup_units("t", "grp", "z")) == []
     assert len(writer.scan("t")) == len(committed)

@@ -333,8 +333,7 @@ def test_a_snapshot_pinned_past_the_history_bound_or_across_ddl_detaches():
 
     def corrected(snap):
         """Whether the database keeps a D for ``snap``'s version."""
-        with script.db._mutate_lock:
-            return script.db._written_since("t", snap.version) is not None
+        return script.db.written_since("t", snap.version) is not None
 
     with use_registry(registry):
         pinned = script.db.begin_snapshot()

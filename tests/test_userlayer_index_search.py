@@ -131,22 +131,25 @@ def test_engine_indexes_corpus_and_snippets():
 
 def test_engine_fact_search():
     engine = KeywordSearchEngine(_pages())
-    engine.index_facts([
-        {"fact_id": 7, "entity": "Madison", "attribute": "sep_temp",
-         "value": 70.0},
-        {"fact_id": 9, "entity": "Austin", "attribute": "sep_temp",
-         "value": 85.0},
-    ])
-    facts = engine.search_facts("madison sep_temp")
-    assert facts[0] == {"fact_id": 7, "entity": "Madison",
-                        "attribute": "sep_temp", "value": 70.0}
+    engine.index_facts({
+        1: {"fact_id": 7, "entity": "Madison", "attribute": "sep_temp",
+            "value": 70.0},
+        2: {"fact_id": 9, "entity": "Austin", "attribute": "sep_temp",
+            "value": 85.0},
+    })
+    assert engine.search_facts("madison sep_temp") == [7, 9]
     assert engine.fact_count() == 2
-    # the same fact_id again replaces what was indexed under it
-    engine.index_facts([{"fact_id": 7, "entity": "Madison",
-                         "attribute": "september_temp", "value": 70.0}])
+    # a rewritten row replaces what was indexed from it
+    engine.index_facts({1: {"fact_id": 7, "entity": "Madison",
+                            "attribute": "september_temp", "value": 70.0}},
+                       rewritten=[1])
     assert engine.fact_count() == 2
-    assert [f["entity"] for f in engine.search_facts("sep_temp")] == ["Austin"]
-    assert engine.search_facts("september_temp")[0]["entity"] == "Madison"
+    assert engine.search_facts("sep_temp") == [9]
+    assert engine.search_facts("september_temp") == [7]
+    # a deleted one drops it
+    engine.index_facts({}, rewritten=[2])
+    assert engine.search_facts("sep_temp") == []
+    assert engine.fact_count() == 1
 
 
 def test_engine_finds_a_committed_page_only():
