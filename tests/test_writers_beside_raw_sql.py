@@ -8,8 +8,9 @@ from repro.core.system import FACTS_TABLE, StructureManagementSystem
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
 from repro.docmodel.document import Document
 from repro.extraction.infobox import InfoboxExtractor
-from repro.storage.rdbms.engine import Database
+from repro.storage.rdbms.engine import Database, WriteCursor
 from repro.storage.rdbms.sql import execute_sql
+from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from tests.test_streaming import TsvExtractor
 
 INFOBOX_PROGRAM = 'p = docs()\nf = extract(p, "infobox")\noutput f'
@@ -117,3 +118,24 @@ def test_a_push_nobody_else_wrote_beside_takes_no_snapshot(monkeypatch):
     assert len(taken) == 1  # the push that takes in the UPDATE
     pipeline.process(DocDelta(changed=(_page("alpha", 63),)))
     assert len(taken) == 1
+
+
+def test_a_cursor_moves_past_its_own_commit_only_when_none_came_between():
+    db = Database()
+    db.create_table(TableSchema("t", (Column("k", ColumnType.INT),)))
+    cursor = WriteCursor(db, "t", db.begin_snapshot().version_of("t"))
+    mine = db.begin()
+    own = mine.insert("t", {"k": 1})
+    other = db.run(lambda t: t.insert("t", {"k": 2}))  # commits in between
+    mine.commit()
+    cursor.wrote(mine)
+    snap, written = cursor.others()
+    assert written == {own.rid, other.rid}
+    assert cursor.at == snap.version_of("t")
+    mine = db.begin()
+    mine.insert("t", {"k": 3})
+    mine.commit()
+    cursor.wrote(mine)  # nothing between: the cursor moves past it
+    assert cursor.others() is None
+    db.run(lambda t: t.insert("t", {"k": 4}))
+    assert cursor.others()[1] == {3}
