@@ -21,10 +21,10 @@ Checked invariants (recorded as machine-readable ``gates``):
     running vs the same reader pool beside the mutator's loop with its
     writes and compactions taken out (idle), the two phases alternating
     in :data:`ROUNDS` rounds in one process, each p99 taken over all of
-    its phase's reads, each read timed on its thread's CPU clock (on the
-    wall clock the p99 of two CPU-bound readers is the interpreter's
-    5 ms switch interval in either phase, or not, at random)
-    (non-smoke only);
+    its phase's reads, with the interpreter's switch interval at
+    :data:`SWITCH_INTERVAL` (at its default 5 ms the p99 of two
+    CPU-bound readers is one switch interval in either phase, or not, at
+    random) (non-smoke only);
   * **compaction under the readers** — the mutator compacts at least
     once in every mixed round (non-smoke only);
   * **no cliff after a commit** — on an indexed table at two sizes a
@@ -102,11 +102,9 @@ def _apply_transfer(db: Database, a: int, b: int, amount: int) -> None:
 
 def _reader_pass(db: Database, reads: int, latencies: list[float],
                  bad_totals: list[int]) -> None:
-    """One reader thread: alternating aggregate / point reads, each timed
-    on the thread's CPU clock: the read's own work, not how long the
-    interpreter ran the other threads meanwhile."""
+    """One reader thread: alternating aggregate / point reads, timed."""
     for i in range(reads):
-        t0 = time.thread_time()
+        t0 = time.perf_counter()
         if i % 2 == 0:
             rows = execute_sql(db, "SELECT SUM(balance) AS s FROM ledger")
             total = rows[0]["s"]
@@ -114,7 +112,7 @@ def _reader_pass(db: Database, reads: int, latencies: list[float],
                 bad_totals.append(total)
         else:
             execute_sql(db, f"SELECT balance FROM ledger WHERE id = {i % ACCOUNTS}")
-        latencies.append(time.thread_time() - t0)
+        latencies.append(time.perf_counter() - t0)
 
 
 def _p99(latencies: list[float]) -> float:
@@ -126,6 +124,11 @@ def _p99(latencies: list[float]) -> float:
 #: alternate this many times: drift in the machine's state over a run
 #: (scheduling, other tenants) lands on both.
 ROUNDS = 5
+#: The interpreter's switch interval while the reader phases run (s): a
+#: reader that waits for the interpreter lock waits about this long, not
+#: the default 5 ms, so a read's wall-clock time is its own work and the
+#: waits on the writer, not one time slice of another reader.
+SWITCH_INTERVAL = 1e-4
 #: The mixed phase's mutator compacts after every this-many transfers of
 #: a round, the round's first included.
 COMPACT_EVERY = 4
@@ -193,13 +196,18 @@ def bench_mixed_workload(reads_per_reader: int, readers: int) -> dict:
     mixed_latencies: list[float] = []
     mixed_bad: list[int] = []
     waits_before = registry.get("rdbms.lock.waits")
-    for round_ in range(ROUNDS):
-        reads = (reads_per_reader * (round_ + 1) // ROUNDS
-                 - reads_per_reader * round_ // ROUNDS)
-        # idle: the same reader pool and loop, no write
-        run_phase(reads, idle_latencies, idle_bad, writes=False)
-        compactions.append(0)
-        run_phase(reads, mixed_latencies, mixed_bad, writes=True)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(SWITCH_INTERVAL)
+    try:
+        for round_ in range(ROUNDS):
+            reads = (reads_per_reader * (round_ + 1) // ROUNDS
+                     - reads_per_reader * round_ // ROUNDS)
+            # idle: the same reader pool and loop, no write
+            run_phase(reads, idle_latencies, idle_bad, writes=False)
+            compactions.append(0)
+            run_phase(reads, mixed_latencies, mixed_bad, writes=True)
+    finally:
+        sys.setswitchinterval(switch)
     waits_delta = registry.get("rdbms.lock.waits") - waits_before
     assert not mutator_errors, f"mutator failed: {mutator_errors[0]!r}"
 
@@ -430,8 +438,8 @@ def run_bench(reads_per_reader: int = 300, readers: int = 2,
         f"{ROUNDS} alternating rounds, "
         f"{mixed['committed_transfers']} transfers committed)",
         ["metric", "value"],
-        [["idle p99, thread CPU (s)", mixed["idle_p99_seconds"]],
-         ["mixed p99, thread CPU (s)", mixed["mixed_p99_seconds"]],
+        [["idle p99 (s)", mixed["idle_p99_seconds"]],
+         ["mixed p99 (s)", mixed["mixed_p99_seconds"]],
          ["p99 degradation", mixed["p99_degradation"]],
          ["inconsistent reads", mixed["mixed_inconsistent_reads"]],
          ["reader lock waits", mixed["reader_lock_waits"]],
@@ -500,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
                         queries_per_worker=30 if args.smoke else 200,
                         smoke=args.smoke)
     mixed = payload["mixed_workload"]
-    print(f"idle p99 {mixed['idle_p99_seconds'] * 1000:.2f} ms (thread CPU), "
+    print(f"idle p99 {mixed['idle_p99_seconds'] * 1000:.2f} ms "
           f"mixed p99 {mixed['mixed_p99_seconds'] * 1000:.2f} ms "
           f"({mixed['p99_degradation']:.2f}x), "
           f"{mixed['committed_transfers']} transfers committed, "

@@ -363,32 +363,42 @@ class StreamingPipeline:
         One transaction, one WAL record; returns the rows written.
 
         The commit's row delta is what drives registered continuous
-        queries — the pipeline never calls ``poke()``.
+        queries — the pipeline never calls ``poke()``.  The rows of the
+        changed keys are X-locked before the pipeline forgets the rows
+        other writers deleted or re-keyed, so none of those changes comes
+        between that check and the write.
         """
-        self._forget_rows_others_wrote()
-        keys: list[tuple[str, str]] = []
-        ops: list[tuple] = []
-        for key in sorted(changed):
-            fused = changed[key]
-            rid = self._rids.get(key)
-            if fused is None:
-                if rid is None:
-                    continue
-                ops.append(("delete", rid))
-            else:
-                row = {
-                    **fact_row(fused.entity, fused.attribute,
-                               fused.value, fused.confidence),
-                    "support": fused.support,
-                    "conflict": fused.conflict,
-                }
-                ops.append(("insert", row) if rid is None
-                           else ("update", rid, row))
-            keys.append(key)
-        if not ops:
+        if all(fused is None and key not in self._rids
+               for key, fused in changed.items()):
             return 0
-        rows, txn = self.db.run(
-            lambda txn: (txn.write_many(self.fused_table, ops), txn))
+        table = self.fused_table
+
+        def write(txn: Any) -> tuple[list, list, list, Any]:
+            txn.lock_rows(table, sorted(
+                self._rids[key] for key in changed if key in self._rids))
+            self._forget_rows_others_wrote()
+            keys: list[tuple[str, str]] = []
+            ops: list[tuple] = []
+            for key in sorted(changed):
+                fused = changed[key]
+                rid = self._rids.get(key)
+                if fused is None:
+                    if rid is None:
+                        continue
+                    ops.append(("delete", rid))
+                else:
+                    row = {
+                        **fact_row(fused.entity, fused.attribute,
+                                   fused.value, fused.confidence),
+                        "support": fused.support,
+                        "conflict": fused.conflict,
+                    }
+                    ops.append(("insert", row) if rid is None
+                               else ("update", rid, row))
+                keys.append(key)
+            return keys, ops, txn.write_many(table, ops), txn
+
+        keys, ops, rows, txn = self.db.run(write)
         self._written.wrote(txn)
         written = 0
         for key, op, row in zip(keys, ops, rows):

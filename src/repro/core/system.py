@@ -597,7 +597,8 @@ class StructureManagementSystem:
         history was trimmed.  The hits are read from the same snapshot."""
         with self._facts_lock, self.db.begin_snapshot() as snap:
             written = None if self._facts_at is None else \
-                self.db.written_since(FACTS_TABLE, self._facts_at)
+                self.db.written_since(FACTS_TABLE, self._facts_at,
+                                      uncommitted=False)
             if written is None:
                 self.search.clear_facts()
                 units = list(snap.scan_units(FACTS_TABLE))

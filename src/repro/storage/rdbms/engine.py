@@ -519,14 +519,9 @@ class Transaction(TransactionReads):
             return []
         db, changes = self._db, self._undo
         locks, txn_id = db._locks, self.txn_id
-        acquire, exclusive = locks.acquire, LockMode.EXCLUSIVE
-        acquire(txn_id, (table, None), LockMode.INTENTION_EXCLUSIVE)
-        inserts = 0
-        for op in ops:
-            if op[0] == "insert":
-                inserts += 1
-            else:
-                acquire(txn_id, (table, op[1]), exclusive)
+        rids = [op[1] for op in ops if op[0] != "insert"]
+        self.lock_rows(table, rids)
+        inserts = len(ops) - len(rids)
         results: list[Row | None] = []
         mark = len(changes)
         with db._mutate_lock:
@@ -570,11 +565,21 @@ class Transaction(TransactionReads):
         if freed_from is not None:
             # Wait for the transaction that freed the value (it X-locks
             # that rid to its end), then look again.
-            acquire(txn_id, (table, freed_from), exclusive)
+            self.lock_rows(table, (freed_from,))
             return self.write_many(table, ops)
         if inserts:
             metrics.get_registry().inc("rdbms.rows.inserted", inserts)
         return results
+
+    def lock_rows(self, table: str, rids: Iterable[int]) -> None:
+        """X-lock existing rows ahead of writing them (IX on the table):
+        once this returns, every other commit to them is in the write
+        history, and none comes before this transaction ends."""
+        self._check_active()
+        acquire, txn_id = self._db._locks.acquire, self.txn_id
+        acquire(txn_id, (table, None), LockMode.INTENTION_EXCLUSIVE)
+        for rid in rids:
+            acquire(txn_id, (table, rid), LockMode.EXCLUSIVE)
 
     def _freed_by_others(self, heap: HeapTable,
                          ops: Sequence[tuple]) -> int | None:
@@ -1224,19 +1229,24 @@ class Database:
         table keeps a probe under a fifth of a load."""
         return 64 + len(self._tables[table]) // 32
 
-    def written_since(self, table: str, version: int) -> set[int] | None:
+    def written_since(self, table: str, version: int,
+                      uncommitted: bool = True) -> set[int] | None:
         """D: the rids of ``table`` in the change logs of the open
         transactions and of those committed after ``version`` — where
         what was read of it at ``version`` may be stale.  None when the
         history does not reach back to ``version`` (it is below the
         table's floor: trimmed, or DDL — a drop included — came since),
         or when the open change logs (all their tables counted) hold more
-        than :meth:`_history_bound` rows: read it anew."""
+        than :meth:`_history_bound` rows: read it anew.
+
+        ``uncommitted=False`` leaves the open change logs (and their
+        bound) out: the committed writes only, for a reader that takes
+        an open transaction's rows in once it commits."""
         with self._mutate_lock:
             if version < self._floor.get(table, 0):
                 return None
             logs = [txn._undo for txn in self._active_txns.values()
-                    if txn._undo]
+                    if txn._undo] if uncommitted else []
             if logs and sum(map(len, logs)) > self._history_bound(table):
                 return None
             written = {rid for log in logs
@@ -1359,12 +1369,13 @@ class WriteCursor:
         not reach back, or ``at`` is not set — after which the state holds
         up to the snapshot."""
         if self.at is not None:
-            written = self.db.written_since(self.table, self.at)
+            written = self.db.written_since(self.table, self.at,
+                                            uncommitted=False)
             if written is not None and not written:
                 return None
         snap = self.db.begin_snapshot()
         written = None if self.at is None else \
-            self.db.written_since(self.table, self.at)
+            self.db.written_since(self.table, self.at, uncommitted=False)
         self.at = snap.version_of(self.table)
         return snap, written
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.system import FACTS_TABLE, StructureManagementSystem
 from repro.storage.rdbms import engine
+from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
 from repro.extraction.infobox import InfoboxExtractor
 from repro.extraction.normalize import MONTHS
@@ -206,6 +207,26 @@ def test_after_ddl_or_a_trimmed_history_the_next_search_rebuilds_once(
     system.query(f"DELETE FROM {FACTS_TABLE} WHERE fact_id = 1000")
     assert rebuilds() == (0, [0, 0])
     assert system.search._facts == _rebuilt(system)._facts
+    system.close()
+
+
+def test_a_large_open_transaction_makes_no_search_rebuild(monkeypatch):
+    system = _contributed_system()
+    system.db.create_table(TableSchema("other", (
+        Column("k", ColumnType.INT),)))
+    assert system.keyword_facts("Old", k=5)
+    calls, _ = _spy(monkeypatch)
+    txn = system.db.begin()  # more rows than the history keeps, open
+    txn.insert_many("other", [{"k": i} for i in range(100)])
+    txn.insert("facts", {"fact_id": 100, "entity": "Bay Town",
+                         "attribute": "nickname", "value_text": "Bay",
+                         "value_num": None, "confidence": 1.0,
+                         "doc_id": "sql"})
+    assert system.keyword_facts("Bay", k=5) == []
+    txn.commit()
+    assert system.keyword_facts("Bay", k=5) == [
+        {"entity": "Bay Town", "attribute": "nickname", "value": "Bay"}]
+    assert "clear_facts" not in dict(calls)
     system.close()
 
 

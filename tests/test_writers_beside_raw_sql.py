@@ -3,6 +3,8 @@ landing, the fused row of each key of the streaming pipeline — take in
 what raw SQL wrote to the same table since, through the table's write
 history, and read nothing more when nobody else wrote."""
 
+import threading
+
 from repro.core.streaming import FUSED_TABLE, DocDelta, StreamingPipeline
 from repro.core.system import FACTS_TABLE, StructureManagementSystem
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
@@ -103,6 +105,30 @@ def test_a_delta_lands_after_raw_sql_emptied_or_rekeyed_fused_rows():
                           ("gamma", "temp", None, 61.0)]
     pipeline.process(DocDelta(changed=(_page("beta", 71),)))
     assert ("beta", "temp", None, 71.0) in _fused(db)
+
+
+def test_a_raw_sql_delete_during_a_push_waits_for_its_write(monkeypatch):
+    db = Database()
+    pipeline = StreamingPipeline(db, {"tsv": TsvExtractor()})
+    pipeline.process(DocDelta(added=(_page("alpha", 60), _page("beta", 70))))
+    others, deleters = pipeline._written.others, []
+
+    def others_then_delete():
+        found = others()
+        if not deleters:  # a DELETE right after the push's check
+            deleters.append(threading.Thread(target=execute_sql, args=(
+                db, f"DELETE FROM {FUSED_TABLE}")))
+            deleters[0].start()
+            deleters[0].join(0.5)
+        return found
+
+    monkeypatch.setattr(pipeline._written, "others", others_then_delete)
+    pipeline.process(DocDelta(changed=(_page("alpha", 61),)))
+    deleters[0].join(10)
+    assert not deleters[0].is_alive()
+    assert _fused(db) == []
+    pipeline.process(DocDelta(changed=(_page("alpha", 62),)))
+    assert _fused(db) == [("alpha", "temp", None, 62.0)]
 
 
 def test_a_push_nobody_else_wrote_beside_takes_no_snapshot(monkeypatch):
