@@ -14,15 +14,24 @@ cached entry always describes exactly the committed state named by its
 key — a commit racing an in-flight lookup can therefore never produce a
 stale hit; at worst it turns a would-be hit into an extra miss.  Nothing
 is evicted on commit: an entry a commit made stale misses until the same
-statement replaces it or the LRU pushes it out, and ``capacity`` bounds
-the entries either way.
+statement replaces it or the admission rule below pushes it out, and
+``capacity`` bounds the entries either way.
+
+A full cache keeps what is costly to recompute (TinyLFU admission with
+WATCHMAN's profit, reads times cost): a miss of a new key is stored only
+when its read count times its shape's mean miss cost (thread CPU seconds
+from bind to rows) is at least the least recently used entry's; else the
+rows are returned unstored and that entry moves to the back.  Every read
+counts its key; every ``10 * capacity`` reads all counts halve and zeros
+drop, so the count table holds at most ``20 * capacity`` keys.
 
 Only SELECTs are cached; every other statement (DML, DDL, EXPLAIN)
-passes straight through to the executor.  Rows are defensively copied in
-both directions, so callers may mutate what they get back.  A SELECT
-text of a shape seen before runs only the lexer's first stage, no
-tokenizing, parsing or planning: its literals bind into the shape's
-prepared statement (DESIGN.md §11).
+passes straight through to the executor.  A caller never gets the rows
+the cache holds (the executor builds fresh dicts on every run; a hit
+copies), so it may mutate what it gets back.  A SELECT text of a shape
+seen before runs only the lexer's first stage, no tokenizing, parsing or
+planning: its literals bind into the shape's prepared statement
+(DESIGN.md §11).
 
 This is also the observability funnel: every ``system.query`` and
 exploration-session statement flows through :meth:`execute`, so when a
@@ -35,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from time import perf_counter
+from time import perf_counter, thread_time
 from typing import Any
 
 from repro.errors import CancellationToken
@@ -48,9 +57,10 @@ from repro.telemetry import metrics
 class _Shape:
     """One SELECT shape: its statement as first parsed (literals are
     bound into it), its canonical shape (the result cache's key, with the
-    literals), the tables it reads and its prepared plan."""
+    literals), the tables it reads, its prepared plan and the mean cost
+    of its result-cache misses."""
 
-    __slots__ = ("stmt", "key", "tables", "prepared")
+    __slots__ = ("stmt", "key", "tables", "prepared", "cost", "misses")
 
     def __init__(self, stmt: sqlmod.SelectStatement, key: str) -> None:
         self.stmt = stmt
@@ -59,16 +69,19 @@ class _Shape:
             t for t in (stmt.table, stmt.join_table) if t is not None)
         #: replaced, never changed: a bind reads it once
         self.prepared: _planner.PreparedSelect | None = None
+        self.cost, self.misses = 0.0, 0  # thread CPU seconds, bind to rows
 
 
 class QueryResultCache:
-    """An LRU of SELECT results, keyed by snapshot version, over a table
-    of prepared SELECT shapes.
+    """SELECT results, keyed by snapshot version, in LRU order under
+    cost-aware admission (module docstring), over a table of prepared
+    SELECT shapes.
 
     Args:
         db: the database whose snapshots version the entries.
         capacity: maximum number of cached results, and of prepared
-            shapes (LRU eviction).
+            shapes (LRU eviction); the read counts hold at most 20 times
+            as many keys.
         slowlog: optional slow-query log observing every statement's
             wall time; None keeps the pre-observability fast path.
     """
@@ -79,10 +92,15 @@ class QueryResultCache:
         self._capacity = capacity
         self.slowlog = slowlog
         self._lock = threading.Lock()
-        # (canonical shape, literals) -> ({table: snapshot version}, rows)
+        # (canonical shape, literals) -> ({table: snapshot version}, rows,
+        # the shape that read them)
         self._entries: OrderedDict[
             tuple[str, tuple[Any, ...]],
-            tuple[dict[str, int], list[dict[str, Any]]]] = OrderedDict()
+            tuple[dict[str, int], list[dict[str, Any]], _Shape]] = \
+            OrderedDict()
+        # (canonical shape, literals) -> reads, halved every 10 * capacity
+        self._counts: dict[tuple[str, tuple[Any, ...]], int] = {}
+        self._reads = 0
         # a SELECT text's shape (split_literals) -> its prepared shape
         self._shapes: OrderedDict[str, _Shape] = OrderedDict()
 
@@ -142,6 +160,13 @@ class QueryResultCache:
         def read(snap: Any) -> list[dict[str, Any]]:
             versions = {t: snap.version_of(t) for t in shape.tables}
             with self._lock:
+                # Every read counts, hit or miss; the halving every
+                # 10 * capacity reads keeps at most 20 * capacity keys.
+                self._reads += 1
+                if self._reads % (10 * self._capacity) == 0:
+                    self._counts = {k: n // 2 for k, n
+                                    in self._counts.items() if n > 1}
+                self._counts[key] = self._counts.get(key, 0) + 1
                 entry = self._entries.get(key)
                 if entry is not None and entry[0] == versions:
                     self._entries.move_to_end(key)
@@ -151,6 +176,7 @@ class QueryResultCache:
             # A table it names that is not there (now) has version 0 and
             # no entry: every such read misses and lands here.
             sqlmod.require_tables(self._db, shape.tables, snap)
+            began = thread_time()
             nonlocal stmt
             if stmt is None:
                 stmt = sqlmod.bind_literals(shape.stmt, literals)
@@ -167,11 +193,24 @@ class QueryResultCache:
             # makes the entry miss for post-commit readers.
             rows = sqlmod.execute_statement(self._db, stmt, txn=snap,
                                             prepared=prepared)
+            spent = thread_time() - began
             with self._lock:
-                self._entries[key] = (versions, [dict(r) for r in rows])
-                self._entries.move_to_end(key)
-                while len(self._entries) > self._capacity:
+                shape.misses += 1
+                shape.cost += (spent - shape.cost) / shape.misses
+                # A new key on a full cache must match the LRU head's reads
+                # x cost (ties admit); a stale entry is replaced in place.
+                if key not in self._entries \
+                        and len(self._entries) >= self._capacity:
+                    victim, (_, _, owner) = next(iter(self._entries.items()))
+                    counts = self._counts
+                    if counts.get(key, 0) * shape.cost \
+                            < counts.get(victim, 0) * owner.cost:
+                        self._entries.move_to_end(victim)
+                        registry.inc("planner.cache.declined")
+                        return rows
                     self._entries.popitem(last=False)
+                self._entries[key] = (versions, rows, shape)
+                self._entries.move_to_end(key)
             return [dict(r) for r in rows]
 
         return sqlmod._run_snapshot_read(self._db, guard, read)
@@ -179,7 +218,7 @@ class QueryResultCache:
     # ------------------------------------------------------------ plumbing
 
     def clear(self) -> None:
-        """Drop every cached result (the prepared shapes stay)."""
+        """Drop every cached result (prepared shapes and read counts stay)."""
         with self._lock:
             self._entries.clear()
 
@@ -188,13 +227,14 @@ class QueryResultCache:
             return len(self._entries)
 
     def stats(self) -> dict[str, int]:
-        """Current hit/miss counters plus entry count, and the prepared
-        statement shapes' hits and misses."""
+        """Current hit/miss/declined counters plus entry count, and the
+        prepared statement shapes' hits and misses."""
         registry = metrics.get_registry()
         return {
             "entries": len(self),
             "hits": int(registry.get("planner.cache.hits")),
             "misses": int(registry.get("planner.cache.misses")),
+            "declined": int(registry.get("planner.cache.declined")),
             "prepared_hits": int(registry.get("planner.prepared.hits")),
             "prepared_misses": int(registry.get("planner.prepared.misses")),
         }

@@ -148,7 +148,8 @@ def render_report(summary: dict[str, Any],
                 "",
                 f"query result cache: hits={query_hits:.0f} "
                 f"misses={all_counters.get('planner.cache.misses', 0.0):.0f} "
-                f"({rate})",
+                f"({rate}) declined="
+                f"{all_counters.get('planner.cache.declined', 0.0):.0f}",
             ]
         if family_present("planner.prepared"):
             # A hit is a SELECT text of a known shape: bound, not lexed,

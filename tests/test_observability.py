@@ -404,7 +404,8 @@ def test_report_hit_rate_divide_by_zero_guard():
                 "gauges": {}, "histograms": {}}
     text = render_report(summary, snapshot)
     assert "hit rate n/a" in text
-    assert "query result cache: hits=0 misses=0 (hit rate n/a)" in text
+    assert "query result cache: hits=0 misses=0 (hit rate n/a) " \
+        "declined=0" in text
     assert "zone-map skip rate n/a" in text
 
 
