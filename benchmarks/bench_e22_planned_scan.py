@@ -8,9 +8,19 @@ six identity queries beside them, must return byte-identical JSON
 (``use_planner=False``).  The planned time is the reported number; the
 naive time is an information column, not a gate.
 
-Checked invariant (recorded as a ``gates`` list in ``BENCH_e22.json``
+A second table runs the serving workloads' ``range_topk`` shape
+(``attribute = X AND value_num > N ORDER BY value_num DESC LIMIT 10``)
+on a 20,000-row one-segment ``facts`` table indexed like the system's:
+the rows it examines per row it returns — index rows fetched plus rows
+the top-k walk tested (``rdbms.index.rows_fetched`` +
+``planner.topk.rows_walked``) — and its median time per statement.
+The index-then-filter plan examined 2,000 rows for 10 (200).
+
+Checked invariants (recorded as a ``gates`` list in ``BENCH_e22.json``
 and re-validated by ``benchmarks/check_gates.py``):
-  * every bench query is byte-identical to naive execution.
+  * every bench query is byte-identical to naive execution;
+  * ``range_topk`` examines at most 40 rows per row returned (a fifth of
+    the index-then-filter plan's 200).
 
 Run standalone (writes ``results/BENCH_e22.json``)::
 
@@ -26,14 +36,17 @@ import argparse
 import json
 import os
 import random
+import statistics
 import sys
 import time
 
 from _tables import assert_gates, gate, write_table
 
+from repro.core.system import facts_schema
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.sql import execute_sql
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
+from repro.telemetry import metrics
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 JSON_PATH = os.path.join(RESULTS_DIR, "BENCH_e22.json")
@@ -145,14 +158,76 @@ def bench_queries(db: Database, repeats: int) -> list[dict]:
     return out
 
 
+#: ``range_topk`` statements timed, and the gate on the rows they
+#: examine per row they return (a fifth of the index plan's 200).
+TOPK_STATEMENTS = 100
+TOPK_EXAMINED_GATE = 40.0
+
+
+def build_facts(entities: int = 2_000, seed: int = 22) -> Database:
+    """The serving workloads' ``facts`` table: ``entities`` x 10
+    attributes, values distinct per attribute, hash indexes on ``entity``
+    and ``attribute``, compacted into one segment."""
+    rng = random.Random(seed)
+    db = Database()
+    db.create_table(facts_schema())
+    db.create_index("facts", "entity")
+    db.create_index("facts", "attribute")
+    values = {a: rng.sample(range(100_000), entities) for a in range(10)}
+    db.run(lambda txn: txn.insert_many("facts", [
+        {"fact_id": e * 10 + a, "entity": f"entity_{e:05d}",
+         "attribute": f"attr_{a:02d}", "value_text": None,
+         "value_num": values[a][e] / 100.0,
+         "confidence": rng.randrange(300, 1000) / 1000.0,
+         "doc_id": f"doc_{e % 977}"}
+        for e in range(entities) for a in range(10)]))
+    db.compact("facts")
+    return db
+
+
+def bench_range_topk(repeats: int, seed: int = 22) -> dict:
+    """``range_topk`` over :func:`build_facts`: rows examined per row
+    returned, median milliseconds per statement (each the min of
+    ``repeats``), the plan, and identity to the naive interpreter."""
+    db = build_facts()
+    rng = random.Random(seed)
+    sqls = [("SELECT entity, value_num FROM facts WHERE attribute = "
+             f"'attr_{rng.randrange(10):02d}' AND value_num > "
+             f"{rng.randrange(0, 900)} ORDER BY value_num DESC LIMIT 10")
+            for _ in range(TOPK_STATEMENTS)]
+    registry = metrics.get_registry()
+    names = ("rdbms.index.rows_fetched", "planner.topk.rows_walked")
+    for sql in sqls:  # the first reads build the index contents, imprints
+        execute_sql(db, sql)
+    before = [registry.get(name) for name in names]
+    returned = sum(len(execute_sql(db, sql)) for sql in sqls)
+    examined = int(sum(registry.get(name) for name in names) - sum(before))
+    return {
+        "statements": len(sqls),
+        "rows_returned": returned,
+        "rows_examined": examined,
+        "examined_per_returned": examined / returned,
+        "median_ms": statistics.median(
+            _time(lambda sql=sql: execute_sql(db, sql), repeats) * 1000.0
+            for sql in sqls),
+        "identical": all(_identical(db, sql) for sql in sqls[:20]),
+        "plan": "\n".join(
+            r["plan"] for r in execute_sql(db, f"EXPLAIN {sqls[0]}")),
+    }
+
+
 def run_bench(num_rows: int = 150_000, repeats: int = 3,
               smoke: bool = False) -> dict:
     db = build_db(num_rows)
     queries = bench_queries(db, repeats)
     identity = [_identical(db, sql) for sql in IDENTITY_QUERIES]
-    checked = len(queries) + len(identity)
-    identical = sum(q["identical"] for q in queries) + sum(identity)
-    gates = [gate("identical_to_naive", identical, "==", checked)]
+    topk = bench_range_topk(repeats)
+    checked = len(queries) + len(identity) + 1
+    identical = sum(q["identical"] for q in queries) + sum(identity) \
+        + topk["identical"]
+    gates = [gate("identical_to_naive", identical, "==", checked),
+             gate("range_topk_rows_examined_per_row_returned",
+                  topk["examined_per_returned"], "<=", TOPK_EXAMINED_GATE)]
 
     write_table(
         "e22_planned_scan",
@@ -162,6 +237,17 @@ def run_bench(num_rows: int = 150_000, repeats: int = 3,
         [[q["name"], q["planned_seconds"] * 1000.0,
           q["naive_seconds"] * 1000.0, q["identical"]] for q in queries],
     )
+    write_table(
+        "e22_range_topk",
+        "E22: range_topk (attribute = X AND value_num > N ORDER BY "
+        f"value_num DESC LIMIT 10), {topk['statements']} statements over "
+        "a 20,000-row one-segment facts table",
+        ["rows examined", "rows returned", "examined per returned",
+         "gate", "median ms", "identical"],
+        [[topk["rows_examined"], topk["rows_returned"],
+          topk["examined_per_returned"], f"<= {TOPK_EXAMINED_GATE:g}",
+          topk["median_ms"], topk["identical"]]],
+    )
     payload = {
         "experiment": "e22_planned_scan",
         "smoke": smoke,
@@ -169,6 +255,7 @@ def run_bench(num_rows: int = 150_000, repeats: int = 3,
         "num_rows": num_rows,
         "repeats": repeats,
         "queries": queries,
+        "range_topk": topk,
         "identity_queries_checked": len(identity),
         "gates": gates,
     }
@@ -190,6 +277,7 @@ def test_e22_smoke():
     assert all(q["identical"] for q in payload["queries"])
     assert any("VectorizedAggregate" in q["plan"] for q in payload["queries"])
     assert any("SegmentScan" in q["plan"] for q in payload["queries"])
+    assert "walk=value_num desc" in payload["range_topk"]["plan"]
 
 
 # ----------------------------------------------------------------- main
@@ -212,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
     for q in payload["queries"]:
         print(f"{q['name']}: {q['planned_seconds'] * 1000.0:.2f} ms planned, "
               f"{q['naive_seconds'] * 1000.0:.1f} ms naive")
+    topk = payload["range_topk"]
+    print(f"range_topk: {topk['examined_per_returned']:.1f} rows examined "
+          f"per row returned, {topk['median_ms']:.3f} ms median")
     return 0
 
 

@@ -49,7 +49,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -61,6 +61,7 @@ from repro.storage.rdbms.segments import NAN_CODE, NULL_CODE, Segment, take
 from repro.storage.rdbms.stats import MIN_SELECTIVITY
 from repro.storage.rdbms.table import (TAIL_UNIT_ROWS, ScanUnit, unit_len,
                                        unit_rows)
+from repro.storage.rdbms.types import ColumnType
 from repro.storage.rdbms.sql import (
     Aggregate as AggregateExpr,
     BoolOp,
@@ -193,14 +194,8 @@ def _zone_map_prunes(segment: Segment, conjunct: Any) -> bool:
                 return bool(lit < lo or lit > hi)
             if op == "!=":
                 return bool(lo == lit and hi == lit)
-            if op == "<":
-                return not lo < lit
-            if op == "<=":
-                return not lo <= lit
-            if op == ">":
-                return not hi > lit
-            if op == ">=":
-                return not hi >= lit
+            # no row beats the bound on the literal's side
+            return not _COMPARE_FN[op](lo if op[0] == "<" else hi, lit)
         except TypeError:
             return False
     if isinstance(conjunct, NullPredicate):
@@ -229,78 +224,33 @@ def _zone_map_prunes(segment: Segment, conjunct: Any) -> bool:
     return False
 
 
-#: An imprint table's verdict for the bucket a literal splits: its cells
-#: are compared one by one.
-_RECHECK = 2
-
-#: A rechecked cell's verdict as the byte it puts back into the bitmap.
-_VERDICTS = (b"\0", b"\1")
-
-
 def _imprint_bitmap(col: Any, conjunct: Any, positions: Sequence[int] | None,
                     codes: bytes) -> bytearray:
     """:func:`_conjunct_bitmap` over an imprinted column (DESIGN.md §12):
-    a 256-byte table maps each code to 0 or 1 — the conjunct's verdict on
-    every value of the bucket, and on NaN and NULL — or to
-    :data:`_RECHECK`, for the literal's own bucket; one
-    ``bytes.translate`` applies it, and only the cells it marks for
-    recheck are compared, exactly, with their stored values (gathered,
-    compared and put back by C-level calls).  An incomparable literal
-    raises TypeError in ``bisect``."""
+    the conjunct's verdict on every code — on every value of a bucket,
+    and on NaN and NULL — or a recheck, for the literal's own bucket
+    (:meth:`Imprint.verdicts`, :meth:`Imprint.memberships`), applied by
+    one ``bytes.translate`` (:meth:`Imprint.select`).  An incomparable
+    literal raises TypeError in ``bisect``."""
     if isinstance(conjunct, LikePredicate):  # a number is never a string
         return bytearray([conjunct.negated]) * len(codes)
     imprint = col.imprint()
-    lows, points = imprint.lows, imprint.points
     if isinstance(conjunct, NullPredicate):
         table = bytearray([conjunct.negated]) * 256
         table[NULL_CODE] = not conjunct.negated
         return bytearray(codes.translate(table))
-    verdicts = _VERDICTS
     if isinstance(conjunct, InPredicate):
         values, negated = conjunct.values, conjunct.negated
-        table = bytearray([negated]) * 256
-        for value in values:
-            if value is not None:
-                j = bisect_right(lows, value)
-                if j not in points:
-                    table[j] = _RECHECK
-                elif lows[j - 1] == value:  # (the bucket's one value)
-                    table[j] = not negated
-        # (a NaN cell, decoded afresh, is no literal's NaN object, so no
-        # list holds it: its code keeps ``negated``)
-        null_verdict = (None in values) != negated
-        test = partial(map, values.__contains__)
-        if negated:
-            verdicts = verdicts[::-1]
-    else:
-        _, op, lit = _normalized_comparison(conjunct)
-        fn = _COMPARE_FN[op]
-        if lit is None:
-            return bytearray(len(codes))
-        if lit != lit:  # NaN: every number compares alike with it
-            table = bytearray([fn(0, lit)]) * 256
-        else:  # the buckets below the literal's, then those above it
-            j = bisect_right(lows, lit)
-            table = bytearray([fn(0, 1)]) * j \
-                + bytearray([fn(1, 0)]) * (256 - j)
-            table[j] = fn(lows[j - 1], lit) if j in points else _RECHECK
-        # a NaN cell equals nothing and orders against nothing
-        table[NAN_CODE], null_verdict = fn(math.nan, lit), False
-
-        def test(cells: Iterable[Any]) -> Iterator[bool]:
-            return map(fn, cells, repeat(lit))
-    table[NULL_CODE] = null_verdict
-    bits = codes.translate(table)
-    if _RECHECK not in bits:
-        return bytearray(bits)
-    # The marked cells split the bitmap: part i ends where the i-th is.
-    parts = bits.split(bytes((_RECHECK,)))
-    at = list(map(operator.add, accumulate(map(len, parts[:-1])), count()))
-    metrics.get_registry().inc("planner.kernel.cells_rechecked", len(at))
-    cells = take(col.data, at if positions is None else take(positions, at))
-    return bytearray().join(chain(
-        chain.from_iterable(zip(parts, map(verdicts.__getitem__,
-                                           test(cells)))), parts[-1:]))
+        return imprint.select(codes, imprint.memberships(values, negated),
+                              partial(map, values.__contains__), col.data,
+                              positions, negated)
+    _, op, lit = _normalized_comparison(conjunct)
+    fn = _COMPARE_FN[op]
+    if lit is None:
+        return bytearray(len(codes))
+    return imprint.select(codes, imprint.verdicts(fn, lit),
+                          lambda cells: map(fn, cells, repeat(lit)),
+                          col.data, positions)
 
 
 def _conjunct_bitmap(col: Any, conjunct: Any,
@@ -501,6 +451,7 @@ class PlanNode:
     profile: OperatorProfile | None = None
     #: telemetry counter bumped when the planner picks this operator
     plan_counter: str | None = None
+    stops_early = False  # may yield fewer rows than match: no feedback
 
     def units(self, txn: Transaction) -> Iterator[ScanUnit]:
         prof = self.profile
@@ -812,14 +763,40 @@ def prune_units(units: Iterable[ScanUnit], pred: ScanPredicate,
 
 def select_units(units: Iterable[ScanUnit], pred: ScanPredicate,
                  guard: CancellationToken | None = None,
-                 prof: OperatorProfile | None = None) -> Iterator[ScanUnit]:
+                 prof: OperatorProfile | None = None,
+                 walk: tuple[str, bool, int] | None = None,
+                 ) -> Iterator[ScanUnit]:
     """The scan kernel: a table's scan units narrowed to the rows
     matching ``pred`` — :func:`prune_units`, then :func:`filter_unit` on
-    every unit left.  Units nothing survives in are not yielded."""
-    for unit in prune_units(units, pred, guard, prof):
-        out = filter_unit(*unit, pred, guard)
+    every unit left.  Units nothing survives in are not yielded.  A top-k
+    ``walk`` (order column, desc, k) stops a segment at ``k``
+    (:func:`_walked`)."""
+    for kind, unit, selected in prune_units(units, pred, guard, prof):
+        out = _walked(unit, selected, pred, walk, guard) \
+            if walk is not None and kind == "segment" else None
+        if out is None:
+            out = filter_unit(kind, unit, selected, pred, guard)
         if unit_len(*out):
             yield out
+
+
+def _walked(segment: Segment, selected: Sequence[int], pred: ScanPredicate,
+            walk: tuple[str, bool, int],
+            guard: CancellationToken | None) -> ScanUnit | None:
+    """:func:`filter_unit` over the rows :meth:`Imprint.top` walks, or None
+    (a NaN key, incomparable operands): the caller filters the unit."""
+    column, desc, k = walk
+
+    def keep(positions: Sequence[int]) -> Sequence[int] | None:
+        metrics.get_registry().inc("planner.topk.rows_walked", len(positions))
+        kind, _, survivors = filter_unit("segment", segment, positions,
+                                         pred, guard)
+        return survivors if kind == "segment" else None
+
+    imprint = segment.columns[column].imprint()
+    numbers = imprint and imprint.top(selected, desc, k, keep)
+    return None if numbers is None \
+        else ("segment", segment, take(selected, numbers))
 
 
 def fold_units(units: Iterable[ScanUnit], pred: ScanPredicate,
@@ -855,13 +832,16 @@ class SegmentScan(PlanNode):
 
     plan_counter = "planner.plans.segment_scan"
 
-    def __init__(self, table: str, pred: ScanPredicate) -> None:
+    def __init__(self, table: str, pred: ScanPredicate,
+                 walk: tuple[str, bool, int] | None = None) -> None:
         self.table = table
         self.pred = pred
+        self.walk = walk  # a top-k walk's (see select_units)
+        self.stops_early = walk is not None
 
     def _units(self, txn: Transaction) -> Iterator[ScanUnit]:
         yield from select_units(txn.scan_units(self.table), self.pred,
-                                txn.guard, self.profile)
+                                txn.guard, self.profile, self.walk)
 
     def _fold(self, txn: Transaction, state: "AggState") -> int:
         return fold_units(txn.scan_units(self.table), self.pred, state,
@@ -875,8 +855,10 @@ class SegmentScan(PlanNode):
         return self.pred.feedback_keys()
 
     def label(self) -> str:
+        walk = "" if self.walk is None else \
+            f", walk={self.walk[0]} {'desc' if self.walk[1] else 'asc'}"
         return (f"SegmentScan({self.table}, "
-                f"pred={render_predicate(self.pred.full)})")
+                f"pred={render_predicate(self.pred.full)}{walk})")
 
 
 class Filter(PlanNode):
@@ -1444,24 +1426,33 @@ class SelectPlan:
     # ------------------------------------------------------------ execution
 
     def execute(self, txn: Transaction) -> list[dict[str, Any]]:
-        """Run the plan; returns the statement's result rows."""
-        stmt = self.stmt
-        if self.root is not self.source:
-            rows = self.root.execute(txn)
+        """Run the plan; returns the statement's result rows.  A NaN key
+        orders against nothing: meeting one, the top-k reruns as the
+        reference's one pass over every row (walked segments read whole)."""
+        prof = self.output_profile
+        output = self._output if prof is None \
+            else partial(prof.timed, self._output)
+        out = output(self._units(txn))
+        if out is None:
+            out = output(self._units(txn, walked=False), True)
+        if prof is not None:
+            prof.rows += len(out)
+        return out
+
+    def _units(self, txn: Transaction,
+               walked: bool = True) -> Iterator[ScanUnit]:
+        """The output stage's input: aggregated, projected or source rows."""
+        stmt, root = self.stmt, self.root
+        if root is not self.source:
+            rows = root.execute(txn)
             if stmt.having is not None:
                 rows = [r for r in rows if eval_predicate(stmt.having, r)]
-            units: Iterator[ScanUnit] = iter(
-                [("rows", [(None, row) for row in rows], None)])
-        elif self._finished and not stmt.star:
-            units = self._projected(self.root.rows(txn))
-        else:
-            units = self.root.units(txn)
-        prof = self.output_profile
-        if prof is None:
-            return self._output(units)
-        out = prof.timed(self._output, units)
-        prof.rows += len(out)
-        return out
+            return iter([("rows", [(None, row) for row in rows], None)])
+        if not walked and root.stops_early:
+            root = SegmentScan(root.table, root.pred)
+        if self._finished and not stmt.star:
+            return self._projected(root.rows(txn))
+        return root.units(txn)
 
     def _projected(self, rows: Iterator[tuple[int, dict[str, Any]]],
                    ) -> Iterator[ScanUnit]:
@@ -1504,43 +1495,35 @@ class SelectPlan:
             return [values.get(col) for _, values in unit]
         return unit.gather((col,), selected)[0]
 
-    def _unit_best(self, kind: str, unit: Any,
-                   selected: Sequence[int] | None) -> list[tuple[Any, int]]:
+    def _unit_best(self, kind: str, unit: Any, selected: Sequence[int] | None,
+                   ) -> list[tuple[Any, int]] | None:
         """``(order key, row number)`` of one unit's first ``LIMIT`` rows
         in ORDER BY order (the reference's ``(is None, value)`` key, ties
-        in row order).
-
-        A segment ordered by an imprinted column walks the imprint's
-        buckets from the winning end — NULL's first for DESC, last for
-        ASC — and holds the unit's rows of whole buckets until it holds
-        ``LIMIT``; a row of a later bucket is worse than every row held,
-        so sorting only those decides.  A unit holding NaN keys (which
-        order against nothing) and a rows unit sort every key."""
+        in row order), or None when one of its keys is NaN.  A segment
+        ordered by an imprinted column sorts only the rows of the buckets
+        :meth:`Imprint.top` walks; any other unit sorts every key."""
         desc, limit = self.stmt.order_desc, self.stmt.limit
         col = unit.columns.get(self._order_col) if kind == "segment" \
             else None
         imprint = col.imprint() if col is not None else None
-        codes = imprint.at(selected) if imprint is not None else b""
-        if imprint is None or NAN_CODE in codes:
-            keys = self._order_keys(kind, unit, selected)
-            numbers = range(len(keys))
-        else:
-            numbers = []
-            for code in range(NULL_CODE, -1, -1) if desc else range(256):
-                at = codes.find(code)
-                while at >= 0:
-                    numbers.append(at)
-                    at = codes.find(code, at + 1)
-                if len(numbers) >= limit:
-                    break
-            numbers.sort()
+        if imprint is not None:
+            numbers = imprint.top(selected, desc, limit)
+            if numbers is None:
+                return None
             keys = col.gather(take(selected, numbers))
+        else:
+            keys = self._order_keys(kind, unit, selected)
+            if kind == "rows" and any(map(operator.ne, keys, keys)):
+                return None
+            numbers = range(len(keys))
         pick = heapq.nlargest if desc else heapq.nsmallest
         return [(keys[at], numbers[at]) for at in pick(
             limit, range(len(keys)), key=_sort_ranks(keys).__getitem__)]
 
-    def _output(self, units: Iterator[ScanUnit]) -> list[dict[str, Any]]:
-        """Projection + ORDER BY + LIMIT over scan units."""
+    def _output(self, units: Iterator[ScanUnit],
+                one_pass: bool = False) -> list[dict[str, Any]] | None:
+        """Projection + ORDER BY + LIMIT over scan units; None when the
+        top-k fold met a NaN key (``one_pass`` sorts all rows at once)."""
         stmt = self.stmt
         limit = stmt.limit
         if limit == 0:
@@ -1558,28 +1541,35 @@ class SelectPlan:
                 if len(out) == limit:
                     break  # a bare LIMIT stops consuming the source
             return out
-        if limit is None or limit < 0:
+        pick = heapq.nlargest if stmt.order_desc else heapq.nsmallest
+        if limit is None or limit < 0 or one_pass:
             # Full sort: order row numbers by key, then lay the rows out.
             held = list(units)
             ranks = _sort_ranks(
                 [k for u in held for k in self._order_keys(*u)])
-            order = sorted(range(len(ranks)), key=ranks.__getitem__,
-                           reverse=stmt.order_desc)
+            if one_pass:  # the reference's own top-k pass
+                order = pick(limit, range(len(ranks)),
+                             key=ranks.__getitem__)
+            else:
+                order = sorted(range(len(ranks)), key=ranks.__getitem__,
+                               reverse=stmt.order_desc)[:limit]
             rows = [row for u in held for row in self._take(*u)]
-            return [rows[i] for i in order[:limit]]
+            return [rows[i] for i in order]
         # Top-k: heapq.nsmallest / nlargest are documented equivalent to
         # sort-then-slice (and stable).  Taking each unit's own k first
         # and folding them into a running best keeps that exact — a row
         # displaced once can never come back, and ties keep source order
         # because the running best always precedes the new unit — while
         # holding only k rows' units.
-        pick = heapq.nlargest if stmt.order_desc else heapq.nsmallest
         best: list[tuple[tuple[bool, Any], int, int]] = []
         live: dict[int, ScanUnit] = {}
         for number, u in enumerate(units):
+            ranked = self._unit_best(*u)
+            if ranked is None:
+                return None
             live[number] = u
             best = pick(limit, best + [((key is None, key), number, i)
-                                       for key, i in self._unit_best(*u)],
+                                       for key, i in ranked],
                         key=itemgetter(0))
             live = {number: live[number] for _, number, _ in best}
         out = [{}] * len(best)
@@ -1693,6 +1683,7 @@ class PreparedSelect:
     access: _AccessShape | None  # a single-table statement's
     join: _JoinShape | None
     output: _OutputStage
+    walk: str | None  # the imprinted column a top-k walk orders by
 
 
 class Planner:
@@ -1795,10 +1786,14 @@ class Planner:
     def _bind_access(self, shape: _AccessShape, conjuncts: list[Any],
                      prefer_columnar: bool,
                      selectivity: Callable[[Any], float],
+                     walk: tuple[str, bool, int] | None = None,
                      ) -> tuple[PlanNode, list[int]]:
         """The cheapest of ``shape``'s candidates for these conjuncts
         (by ``(cost, rank)``, the first of equals) and the positions of
-        the conjuncts it leaves to a filter."""
+        the conjuncts it leaves to a filter.  A ``walk`` (see
+        :func:`select_units`) tests about ``k / selectivity`` rows of each
+        segment plus a bucket (a 254th), at a heap-row read each; all of
+        a segment with dead positions, whose live ones reach it listed."""
         table = shape.table
         heap = self._db._table(table)
         rows = len(heap)
@@ -1813,11 +1808,20 @@ class Planner:
             if prefer_columnar and pred.fallback is None:
                 discount *= 0.5
             cost = heap.tail_size + seg_rows * discount + _PROBE_COST
+            est = self._filtered_estimate(table, n, conjuncts, selectivity)
             choices.append(_AccessChoice(
-                SegmentScan(table, pred), list(conjuncts),
-                self._filtered_estimate(table, n, conjuncts, selectivity),
-                cost, rank=1,
+                SegmentScan(table, pred), list(conjuncts), est, cost, rank=1,
             ))
+            if walk is not None:
+                per_segment = walk[2] * n / est if est else math.inf
+                walked = sum(s.count if heap.dead_positions(s) else min(
+                    s.count, per_segment + s.count / NAN_CODE)
+                    for s in heap.segments)
+                choices.append(_AccessChoice(
+                    SegmentScan(table, pred, walk), list(conjuncts),
+                    min(est, (walked + heap.tail_size) * est / n),
+                    heap.tail_size + walked + _PROBE_COST, rank=1,
+                ))
         for pos, column, kind in shape.probes:
             conjunct = conjuncts[pos]
             est = max(n * selectivity(conjunct), 0.0)
@@ -2046,11 +2050,17 @@ class Planner:
         schema = self._db.schema(stmt.table)
         use_topk = (stmt.order_by is not None and stmt.limit is not None
                     and not aggregate_stage)
+        output = _output_stage(stmt, schema, aggregate_stage)
+        finished, _, order_col = output
+        walk = order_col if use_topk and access is not None \
+            and not finished and schema.has_column(order_col) \
+            and schema.column(order_col).col_type is not ColumnType.TEXT \
+            else None
         return PreparedSelect(
             catalog, aggregate_stage, use_topk, schema,
             access.kernel if access is not None
             else ScanPredicate.kernel_flags(conjuncts, schema, stmt.table),
-            access, join, _output_stage(stmt, schema, aggregate_stage))
+            access, join, output, walk)
 
     def bind(self, prepared: PreparedSelect,
              stmt: SelectStatement) -> SelectPlan:
@@ -2062,9 +2072,11 @@ class Planner:
         conjuncts = split_conjuncts(stmt.where)
         selectivity = self._selectivity(stmt.table)
         if prepared.join is None:
+            walk = (prepared.walk, stmt.order_desc, stmt.limit) \
+                if prepared.walk is not None and stmt.limit >= 0 else None
             node, residual = self._bind_access(
                 prepared.access, conjuncts, prepared.aggregate_stage,
-                selectivity)
+                selectivity, walk)
         else:
             node, residual = self._bind_join(prepared.join, stmt, conjuncts)
         if residual:

@@ -20,8 +20,9 @@ statement replaces it or the admission rule below pushes it out, and
 A full cache keeps what is costly to recompute (TinyLFU admission with
 WATCHMAN's profit, reads times cost): a miss of a new key is stored only
 when its read count times its shape's mean miss cost (thread CPU seconds
-from bind to rows) is at least the least recently used entry's; else the
-rows are returned unstored and that entry moves to the back.  Every read
+from bind to rows; the first miss is left out once there is a second) is
+at least the least recently used entry's; else the rows are returned
+unstored and that entry moves to the back.  Every read
 counts its key; every ``10 * capacity`` reads all counts halve and zeros
 drop, so the count table holds at most ``20 * capacity`` keys.
 
@@ -69,7 +70,9 @@ class _Shape:
             t for t in (stmt.table, stmt.join_table) if t is not None)
         #: replaced, never changed: a bind reads it once
         self.prepared: _planner.PreparedSelect | None = None
-        self.cost, self.misses = 0.0, 0  # thread CPU seconds, bind to rows
+        #: thread CPU seconds from bind to rows: the first miss's, then the
+        #: mean of the misses after it
+        self.cost, self.misses = 0.0, 0
 
 
 class QueryResultCache:
@@ -195,8 +198,11 @@ class QueryResultCache:
                                             prepared=prepared)
             spent = thread_time() - began
             with self._lock:
+                # The first miss also pays the prepare and what the plan
+                # builds lazily (index contents, imprints): once a second
+                # miss exists, the mean leaves it out.
                 shape.misses += 1
-                shape.cost += (spent - shape.cost) / shape.misses
+                shape.cost += (spent - shape.cost) / max(shape.misses - 1, 1)
                 # A new key on a full cache must match the LRU head's reads
                 # x cost (ties admit); a stale entry is replaced in place.
                 if key not in self._entries \

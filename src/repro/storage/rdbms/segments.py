@@ -36,10 +36,10 @@ import sys
 from array import array
 from base64 import b64decode, b64encode
 from collections import Counter, defaultdict
-from itertools import accumulate, compress, repeat
-from operator import is_, itemgetter
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, is_, itemgetter
 from random import Random
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.storage.rdbms.types import ColumnType, TableSchema
 from repro.telemetry import metrics
@@ -96,6 +96,13 @@ NAN_CODE, NULL_CODE = 254, 255
 #: Cells an imprint samples its bounds from (all of a smaller column).
 _IMPRINT_SAMPLE = 1_024
 
+#: A verdict table's mark for the bucket a literal splits: its cells are
+#: compared one by one.
+RECHECK = 2
+
+#: A rechecked cell's verdict as the byte it puts back into the bitmap.
+_VERDICTS = (b"\0", b"\1")
+
 
 class Imprint:
     """A column imprint (Sidirourgos & Kersten, SIGMOD 2013) at cell
@@ -118,7 +125,7 @@ class Imprint:
     decided without looking at a cell.
     """
 
-    __slots__ = ("lows", "points", "codes")
+    __slots__ = ("lows", "points", "codes", "_by_code")
 
     def __init__(self, col: "ColumnSegment") -> None:
         data = col.data
@@ -143,12 +150,176 @@ class Imprint:
         for at in col.null_positions():
             codes[at] = NULL_CODE
         self.codes = bytes(codes)
+        self._by_code: dict[int, array] = {}  # (see _cells)
 
     def at(self, positions: Sequence[int] | None) -> bytes:
         """The codes of the cells at ``positions`` (None: all)."""
         if positions is None:
             return self.codes
         return bytes(take(self.codes, positions))
+
+    def verdicts(self, fn: Callable[[Any, Any], bool], lit: Any) -> bytearray:
+        """Per code, the verdict of ``cell fn lit`` on every value of its
+        bucket — the buckets below the literal's, then those above it —
+        or :data:`RECHECK` for the literal's own (unless it holds one
+        value); a NaN cell equals nothing and orders against nothing, and
+        a NULL cell compares false."""
+        if lit != lit:  # NaN: every number compares alike with it
+            table = bytearray([fn(0, lit)]) * 256
+        else:
+            lows = self.lows
+            j = bisect.bisect_right(lows, lit)
+            table = bytearray([fn(0, 1)]) * j \
+                + bytearray([fn(1, 0)]) * (256 - j)
+            table[j] = fn(lows[j - 1], lit) if j in self.points else RECHECK
+        table[NAN_CODE], table[NULL_CODE] = fn(math.nan, lit), False
+        return table
+
+    def memberships(self, values: Sequence[Any], negated: bool) -> bytearray:
+        """Per code, the verdict of ``cell [NOT] IN values``: a value's
+        bucket is rechecked unless it holds that one value.  (A NaN cell,
+        decoded afresh, is no literal's NaN object, so no list holds it:
+        its code keeps ``negated``.)"""
+        lows, points = self.lows, self.points
+        table = bytearray([negated]) * 256
+        for value in values:
+            if value is not None:
+                j = bisect.bisect_right(lows, value)
+                if j not in points:
+                    table[j] = RECHECK
+                elif lows[j - 1] == value:  # (the bucket's one value)
+                    table[j] = not negated
+        table[NULL_CODE] = (None in values) != negated
+        return table
+
+    @staticmethod
+    def select(codes: bytes, table: bytearray,
+               test: Callable[[Sequence[Any]], Iterable[bool]],
+               data: Sequence[Any], positions: Sequence[int] | None,
+               negated: bool = False) -> bytearray:
+        """The bitmap ``table`` makes of ``codes`` (the codes of the cells
+        at ``positions``, None: all), each :data:`RECHECK` replaced by
+        ``test``'s verdict on its stored value in ``data`` (negated when
+        ``negated``): gathered, compared and put back by C-level calls."""
+        bits = codes.translate(table)
+        if RECHECK not in bits:
+            return bytearray(bits)
+        # The marked cells split the bitmap: part i ends where the i-th is.
+        parts = bits.split(bytes((RECHECK,)))
+        at = list(map(add, accumulate(map(len, parts[:-1])), count()))
+        metrics.get_registry().inc("planner.kernel.cells_rechecked", len(at))
+        cells = take(data, at if positions is None else take(positions, at))
+        verdicts = _VERDICTS[::-1] if negated else _VERDICTS
+        return bytearray().join(chain(
+            chain.from_iterable(zip(parts, map(verdicts.__getitem__,
+                                               test(cells)))), parts[-1:]))
+
+    def top(self, positions: Sequence[int] | None, desc: bool, k: int,
+            keep: Callable[[Sequence[int]], Sequence[int] | None] | None
+            = None) -> list[int] | None:
+        """The first ``k`` cells at ``positions`` (None: all) in ORDER BY
+        order, and the ties of the last: the ascending indices into
+        ``positions`` of the cells ``keep`` passes (None: every cell) among
+        the whole buckets walked from the winning end — NULL's first for
+        DESC, last for ASC — until ``k`` pass.  A cell of a bucket not
+        walked orders after every one of them.  ``keep`` takes ascending
+        positions, a batch of buckets at a time, and returns those that
+        pass: the first batch holds ``k`` cells, each next one as many as
+        the pass rate so far says are left to find (as many as walked
+        while none passed).  None when a cell is NaN (it orders against
+        nothing) or ``keep`` returns None."""
+        last = len(self.lows)
+        order = chain((NULL_CODE,), range(last, -1, -1)) if desc \
+            else chain(range(last + 1), (NULL_CODE,))
+        buckets = self._buckets(positions, order)
+        if buckets is None:
+            return None
+        kept: list[int] = []
+        batch: list[int] = []
+        walked, want = 0, k
+        for cells in chain(buckets, [None]):
+            if cells is not None:
+                batch += cells
+                if len(batch) < want:
+                    continue
+            elif not batch:
+                break
+            batch.sort()
+            if keep is None:
+                kept += batch
+            else:
+                at = batch if positions is None else take(positions, batch)
+                passed = keep(at)
+                if passed is None:
+                    return None
+                passed = set(passed)
+                kept += compress(batch, map(passed.__contains__, at))
+            walked += len(batch)
+            if len(kept) >= k:
+                break
+            want = (k - len(kept)) * walked // len(kept) + 1 if kept \
+                else walked
+            batch = []
+        kept.sort()
+        return kept
+
+    def _buckets(self, positions: Sequence[int] | None,
+                 order: Iterable[int]) -> Iterator[Sequence[int]] | None:
+        """The ascending indices into ``positions`` (None: all cells) of
+        the cells of each code of ``order``, in that order (a code no cell
+        holds yields nothing), or None when one of them is NaN.  Over all
+        cells or one stretch of them a code's cells are a slice of its
+        positions over the whole column, found once and kept
+        (:meth:`_cells`); over other positions, their own codes are
+        searched."""
+        if positions is None or isinstance(positions, range) \
+                and positions.step == 1:
+            low, high = (0, len(self.codes)) if positions is None \
+                else (positions.start, positions.stop)
+            nan = self._cells(NAN_CODE)
+            if bisect.bisect_left(nan, low) < bisect.bisect_left(nan, high):
+                return None
+            return self._slices(order, low, high)
+        codes = self.at(positions)
+        if NAN_CODE in codes:
+            return None
+        return _found(codes, order)
+
+    def _slices(self, order: Iterable[int], low: int,
+                high: int) -> Iterator[Sequence[int]]:
+        """:meth:`_buckets` over the stretch ``low .. high - 1`` (the kept
+        positions themselves over the whole column: read, not changed)."""
+        whole = low == 0 and high == len(self.codes)
+        for code in order:
+            cells = self._cells(code)
+            if not whole:
+                cells = cells[bisect.bisect_left(cells, low):
+                              bisect.bisect_left(cells, high)]
+            if cells:
+                yield list(map((-low).__add__, cells)) if low else cells
+
+    def _cells(self, code: int) -> array:
+        """The ascending positions of the column's cells holding ``code``,
+        searched at the first walk that reaches the code and kept, 4 bytes
+        a cell (two first walks may both search; either array stays)."""
+        cells = self._by_code.get(code)
+        if cells is None:
+            cells = self._by_code[code] = array(
+                "i", next(_found(self.codes, (code,)), ()))
+        return cells
+
+
+def _found(codes: bytes, order: Iterable[int]) -> Iterator[list[int]]:
+    """The ascending indices of ``codes`` holding each code of ``order``,
+    in that order (a code no cell holds yields nothing)."""
+    for code in order:
+        at = codes.find(code)
+        cells = []
+        while at >= 0:
+            cells.append(at)
+            at = codes.find(code, at + 1)
+        if cells:
+            yield cells
 
 
 def to_base64(buffer: array | bytearray) -> str:

@@ -1012,8 +1012,9 @@ class _Executor:
         src = plan.source
         prof = src.profile
         if prof is not None and prof.loops:
-            if stmt.limit is not None and stmt.order_by is None:
-                return  # bare LIMIT stopped the scan early: truncated actuals
+            if (stmt.limit is not None and stmt.order_by is None) \
+                    or src.stops_early:
+                return  # a bare LIMIT or a top-k walk: truncated actuals
             source_count = prof.rows
         if source_count is None or stmt.where is None:
             return

@@ -48,6 +48,9 @@ def _facts_db(n=2000, frozen=True):
 
 TOPK = ("SELECT entity, value FROM facts WHERE attribute = 'attr_3' "
         "AND value > 900 ORDER BY value DESC LIMIT 10")
+#: The same rows ordered by a TEXT column, which has no imprint to walk:
+#: the planner keeps the index probe and its residual filter.
+TOPK_BY_TEXT = TOPK.replace("ORDER BY value", "ORDER BY entity")
 
 
 # ------------------------------------------------ aliasing and isolation
@@ -209,11 +212,20 @@ def test_explain_analyze_reports_rows_per_operator_without_row_dicts():
         db, "SELECT COUNT(*) AS n FROM facts WHERE attribute = 'attr_3' "
             "AND value > 900", use_planner=False)[0]["n"]
     assert 10 < matching < 200
-    lines = [r["plan"] for r in execute_sql(db, f"EXPLAIN ANALYZE {TOPK}")]
+    lines = [r["plan"] for r in execute_sql(
+        db, f"EXPLAIN ANALYZE {TOPK_BY_TEXT}")]
     assert lines[0].startswith("TopK(") and "actual rows=10 " in lines[0]
     assert "Filter(value > 900)" in lines[2]
     assert f"actual rows={matching} " in lines[2]
     assert "IndexLookup(" in lines[3] and "actual rows=200 " in lines[3]
+    assert lines[-1].startswith("Execution: 10 rows")
+    # ordered by the imprinted column, the scan walks the imprint: it
+    # keeps the survivors of the buckets it walked, at least k
+    lines = [r["plan"] for r in execute_sql(db, f"EXPLAIN ANALYZE {TOPK}")]
+    assert lines[0].startswith("TopK(") and "actual rows=10 " in lines[0]
+    assert "SegmentScan(" in lines[2] and "walk=value desc" in lines[2]
+    walked = int(lines[2].split("actual rows=")[1].split()[0])
+    assert 10 <= walked < matching
     assert lines[-1].startswith("Execution: 10 rows")
 
 
@@ -232,10 +244,16 @@ def test_index_and_plan_counters_keep_their_meaning():
                 if registry.get(name) != before[name]}
 
     # an index probe + residual filter scans no segment, fetches 200 rids
-    assert moved(TOPK) == {"rdbms.index.lookups": 1,
-                           "rdbms.index.rows_fetched": 200,
-                           "planner.plans.index_lookup": 1,
+    assert moved(TOPK_BY_TEXT) == {"rdbms.index.lookups": 1,
+                                   "rdbms.index.rows_fetched": 200,
+                                   "planner.plans.index_lookup": 1,
+                                   "planner.plans.topk": 1}
+    # a top-k walk scans the segment, and fetches nothing through an index
+    walked = registry.get("planner.topk.rows_walked")
+    assert moved(TOPK) == {"segments.scanned": 1,
+                           "planner.plans.segment_scan": 1,
                            "planner.plans.topk": 1}
+    assert 10 <= registry.get("planner.topk.rows_walked") - walked < 200
     assert moved("SELECT entity FROM facts WHERE fact_id = 42") == {
         "planner.plans.pk_lookup": 1}
     assert moved("SELECT entity FROM facts WHERE value < 3") == {

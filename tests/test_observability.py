@@ -241,6 +241,28 @@ def test_bare_limit_does_not_poison_feedback(db):
     assert len(stats.feedback.entries()) == before
 
 
+def test_a_topk_walk_under_explain_analyze_records_no_feedback():
+    """A top-k walk stops once it holds k survivors, like a bare LIMIT:
+    its actual row count is truncated, so it is no observation."""
+    database = Database()
+    execute_sql(database, "CREATE TABLE ev (id INT PRIMARY KEY, kind TEXT, "
+                          "score FLOAT)")
+    database.run(lambda t: t.insert_many("ev", [
+        {"id": i, "kind": f"k{i % 5}", "score": (i * 7919) % 3000 / 3.0}
+        for i in range(3000)]))
+    database.compact("ev")
+    stats = database.statistics()
+    stats.analyze("ev")
+    registry = metrics.get_registry()
+    observations = registry.get("planner.feedback.observations")
+    lines = [r["plan"] for r in execute_sql(
+        database, "EXPLAIN ANALYZE SELECT id, score FROM ev WHERE "
+                  "kind = 'k2' AND score > 10 ORDER BY score DESC LIMIT 5")]
+    assert "walk=score desc" in lines[2] and "actual rows=" in lines[2]
+    assert registry.get("planner.feedback.observations") == observations
+    assert stats.feedback.pending("ev") == ()
+
+
 # ----------------------------------------------------------- slow queries
 # The log tests that take ``root`` run on both devices (a directory, and
 # memory for ``root=None``).  Directory-only: reopen across handles

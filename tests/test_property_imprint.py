@@ -8,7 +8,9 @@ of its positions and over a permutation of them (a group order) — equals
 ``eval_predicate`` cell by cell, or the kernel refuses (TypeError, the
 row fallback) where the reference raises; and ORDER BY ... LIMIT k, which
 walks the imprint's buckets from the winning end, equals the naive
-interpreter's sort over several segments, tail rows and dead positions.
+interpreter's sort over several segments, tail rows and dead positions;
+so does the top-k walk access path, where the planner takes it and where
+a test forces it, on a snapshot and under 2PL, NaN keys included.
 """
 
 import math
@@ -17,12 +19,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.system import facts_schema
 from repro.storage.rdbms.engine import Database
-from repro.storage.rdbms.planner import _imprint_bitmap, _segment_selection
+from repro.storage.rdbms.planner import (Planner, ScanPredicate, SegmentScan,
+                                         SelectPlan, _imprint_bitmap,
+                                         _segment_selection, split_conjuncts)
 from repro.storage.rdbms.segments import NAN_CODE, NULL_CODE, Segment
 from repro.storage.rdbms.sql import (ColumnRef, Comparison, InPredicate,
                                      Literal, NullPredicate, SqlError,
-                                     eval_predicate, execute_sql)
+                                     eval_predicate, execute_sql, parse_sql)
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.telemetry.report import render_report, summarize_trace
@@ -239,6 +244,224 @@ def test_the_topk_walk_equals_the_reference_sort(data):
         sql = f"SELECT id, v FROM t{where} ORDER BY v{desc} LIMIT {k}"
         assert execute_sql(db, sql) == execute_sql(db, sql,
                                                    use_planner=False), sql
+
+
+# ------------------------------------------------------ the top-k walk
+
+_WALK_KEYS = {
+    ColumnType.INT: st.one_of(st.none(), st.integers(-6, 6),
+                              st.integers(-10 ** 4, 10 ** 4)),
+    ColumnType.FLOAT: st.one_of(
+        st.none(), st.just(math.nan),
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+        st.integers(-6, 6).map(lambda v: v / 2), st.floats(-1e4, 1e4)),
+    ColumnType.BOOL: st.one_of(st.none(), st.booleans())}
+_WALK_LITERALS = {
+    ColumnType.INT: st.integers(-7, 7).map(str),
+    ColumnType.FLOAT: st.sampled_from(["0.0", "-0.0", "0.5", "-2.5", "3",
+                                       "1000.0", "-1e9"]),
+    ColumnType.BOOL: st.sampled_from(["TRUE", "FALSE"])}
+
+
+@st.composite
+def _where(draw, col_type):
+    """A WHERE over the order key ``v``, an INT ``w`` and a TEXT ``s``:
+    comparisons, IN, IS [NOT] NULL and LIKE under AND and OR."""
+    def atom():
+        kind = draw(st.sampled_from(["v", "v", "w", "in", "null", "like"]))
+        if kind == "v":
+            ops = ["=", "!="] if col_type is ColumnType.BOOL else OPS
+            return (f"v {draw(st.sampled_from(ops))} "
+                    f"{draw(_WALK_LITERALS[col_type])}")
+        if kind == "w":
+            return f"w {draw(st.sampled_from(OPS))} {draw(st.integers(0, 6))}"
+        if kind == "in":
+            values = draw(st.lists(_WALK_LITERALS[col_type], min_size=1,
+                                   max_size=3))
+            return f"v IN ({', '.join(values)})"
+        if kind == "null":
+            return (f"{draw(st.sampled_from(['v', 'w', 's']))} IS "
+                    f"{draw(st.sampled_from(['', 'NOT ']))}NULL")
+        return f"s LIKE '{draw(st.sampled_from(['a%', 'b', '%c']))}'"
+
+    clause = ""
+    for _ in range(draw(st.integers(0, 3))):
+        term = atom()
+        if draw(st.booleans()):
+            term = f"({term} OR {atom()})"
+        clause = term if not clause else f"{clause} AND {term}"
+    return f" WHERE {clause}" if clause else ""
+
+
+def _walked(db, sql, txn):
+    """``sql``'s rows through the top-k walk whatever it costs, or None
+    when the statement has no walk."""
+    stmt = parse_sql(sql)
+    prepared = Planner(db).prepare(stmt)
+    if prepared.walk is None or stmt.limit < 0:
+        return None
+    scan = SegmentScan("t", ScanPredicate(split_conjuncts(stmt.where),
+                                          prepared.schema, "t"),
+                       (prepared.walk, stmt.order_desc, stmt.limit))
+    return SelectPlan(scan, stmt, True, None, prepared.output).execute(txn)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_topk_access_path_reads_as_the_reference(data):
+    """ORDER BY an INT, FLOAT or BOOL key (NULL, NaN, -0.0, ties) LIMIT
+    0..n + 2 over 1-3 segments with dead positions and tail rows, read
+    on a snapshot and under 2PL beside an open writer: the planned rows,
+    and the rows of the walk whatever the planner chose, are the naive
+    interpreter's row for row (repr: -0.0 is not 0.0, NaN is NaN)."""
+    col_type = data.draw(st.sampled_from(list(_WALK_KEYS)))
+    cells = _WALK_KEYS[col_type]
+    if data.draw(st.booleans()):  # a few values, many ties
+        cells = st.sampled_from(data.draw(st.lists(cells, min_size=1,
+                                                   max_size=4)))
+    keys = data.draw(st.lists(cells, min_size=1, max_size=250))
+    n = len(keys)
+    db = Database()
+    db.create_table(TableSchema("t", (
+        Column("id", ColumnType.INT, nullable=False), Column("v", col_type),
+        Column("w", ColumnType.INT), Column("s", ColumnType.TEXT)),
+        primary_key="id"))
+
+    def row(i, v):
+        return {"id": i, "v": v, "w": None if i % 11 == 3 else i % 7,
+                "s": ["ab", "bc", None, "ac", "b"][i % 5]}
+
+    db.run(lambda t: t.insert_many("t", [row(i, v)
+                                         for i, v in enumerate(keys)]))
+    segments = data.draw(st.integers(1, 3))
+    db.compact("t", target_rows=-(-n // segments))
+    changes = st.lists(st.tuples(
+        st.sampled_from(["update", "delete", "insert"]),
+        st.integers(0, n - 1), _WALK_KEYS[col_type]), max_size=10)
+
+    def apply(t, todo, first_id):
+        for j, (kind, at, v) in enumerate(todo):
+            if kind == "insert":
+                t.insert("t", row(first_id + j, v))
+            elif t.get_by_pk("t", at) is not None:
+                rid = t.get_by_pk("t", at).rid
+                if kind == "delete":
+                    t.delete("t", rid)
+                else:
+                    t.update("t", rid, {"v": v, "w": j % 7})
+
+    db.run(lambda t: apply(t, data.draw(changes), n))
+    writer = db.begin()  # uncommitted: a 2PL read in it sees them
+    apply(writer, data.draw(changes), n + 100)
+    try:
+        for _ in range(3):
+            items, order = data.draw(st.sampled_from(
+                [("id, v", "v"), ("*", "v"), ("v AS k, id", "k")]))
+            desc = " DESC" if data.draw(st.booleans()) else ""
+            k = data.draw(st.one_of(st.integers(0, 4),
+                                    st.integers(0, n + 2)))
+            sql = (f"SELECT {items} FROM t{data.draw(_where(col_type))} "
+                   f"ORDER BY {order}{desc} LIMIT {k}")
+            snapshot = data.draw(st.booleans())
+            txn = db.begin_snapshot() if snapshot else writer
+            try:
+                want = repr(execute_sql(db, sql, txn, use_planner=False))
+                assert repr(execute_sql(db, sql, txn)) == want, sql
+                walked = _walked(db, sql, txn)
+                assert walked is None or repr(walked) == want, sql
+            finally:
+                if snapshot:
+                    txn.commit()
+    finally:
+        writer.abort()
+
+
+def test_nan_keys_read_as_the_reference_over_segments_and_tail():
+    """A NaN key orders against nothing, so the reference's one top-k pass
+    keeps what the order it meets rows in decides; seeded FLOAT keys, one
+    in six NaN, over 1-3 segments and tail rows, read as it does."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randrange(5, 120)
+
+        def key():
+            roll = rng.random()
+            return None if roll < 0.1 else math.nan if roll < 0.25 \
+                else rng.choice([0.0, -0.0, 1.5, -2.0, rng.uniform(-9, 9)])
+
+        db = Database()
+        db.create_table(TableSchema("t", (
+            Column("id", ColumnType.INT, nullable=False),
+            Column("v", ColumnType.FLOAT), Column("w", ColumnType.INT)),
+            primary_key="id"))
+        db.run(lambda t: t.insert_many("t", [
+            {"id": i, "v": key(), "w": i % 7} for i in range(n)]))
+        db.compact("t", target_rows=-(-n // rng.randrange(1, 4)))
+        db.run(lambda t: t.insert_many("t", [
+            {"id": n + j, "v": key(), "w": j % 7}
+            for j in range(rng.randrange(0, 5))]))
+        for desc in ("", " DESC"):
+            for where in ("", " WHERE w > 1"):
+                k = rng.choice([1, 3, 10])
+                sql = f"SELECT id, v FROM t{where} ORDER BY v{desc} LIMIT {k}"
+                want = repr(execute_sql(db, sql, use_planner=False))
+                assert repr(execute_sql(db, sql)) == want, (seed, sql)
+                snap = db.begin_snapshot()
+                try:
+                    assert repr(_walked(db, sql, snap)) == want, (seed, sql)
+                finally:
+                    snap.commit()
+
+
+def _serving_facts():
+    """A ``facts`` table shaped like the serving workloads': 2,000
+    entities x 10 attributes, values distinct per attribute, one
+    compacted segment, indexed on ``entity`` and ``attribute``."""
+    db = Database()
+    db.create_table(facts_schema())
+    db.create_index("facts", "entity")
+    db.create_index("facts", "attribute")
+    rng = random.Random(7)
+    values = {a: rng.sample(range(100_000), 2_000) for a in range(10)}
+    db.run(lambda t: t.insert_many("facts", [
+        {"fact_id": e * 10 + a, "entity": f"entity_{e:05d}",
+         "attribute": f"attr_{a:02d}", "value_text": None,
+         "value_num": values[a][e] / 100.0,
+         "confidence": rng.randrange(300, 1000) / 1000.0,
+         "doc_id": f"doc_{e % 977}"}
+        for e in range(2_000) for a in range(10)]))
+    db.compact("facts")
+    return db
+
+
+def test_the_planner_walks_for_a_range_topk_and_probes_for_an_entity():
+    db = _serving_facts()
+    for threshold in (0, 450, 899):
+        sql = ("SELECT entity, value_num FROM facts WHERE attribute = "
+               f"'attr_03' AND value_num > {threshold} "
+               "ORDER BY value_num DESC LIMIT 10")
+        plan = [r["plan"] for r in execute_sql(db, f"EXPLAIN {sql}")]
+        assert plan[0] == "TopK(key=value_num, desc, k=10)"
+        assert plan[2].startswith(
+            "    SegmentScan(facts, pred=attribute = 'attr_03' AND "
+            f"value_num > {threshold}, walk=value_num desc)"), plan
+        assert execute_sql(db, sql) == execute_sql(db, sql,
+                                                   use_planner=False)
+    sql = ("SELECT entity, value_num FROM facts WHERE entity = "
+           "'entity_00042' ORDER BY value_num DESC LIMIT 3")
+    plan = [r["plan"] for r in execute_sql(db, f"EXPLAIN {sql}")]
+    assert plan[2].startswith(
+        "    IndexLookup(facts.entity = 'entity_00042' via hash index)"
+        "  [rows~10 "), plan
+    assert execute_sql(db, sql) == execute_sql(db, sql, use_planner=False)
+    # a segment with dead positions reaches a walk as a list of its live
+    # ones, built whole: the walk costs the segment, and the index wins
+    db.run(lambda t: t.update("facts", 5, {"value_num": 1.0}))
+    sql = ("SELECT entity, value_num FROM facts WHERE attribute = "
+           "'attr_03' AND value_num > 450 ORDER BY value_num DESC LIMIT 10")
+    plan = [r["plan"] for r in execute_sql(db, f"EXPLAIN {sql}")]
+    assert "IndexLookup(facts.attribute = 'attr_03'" in plan[-1], plan
+    assert execute_sql(db, sql) == execute_sql(db, sql, use_planner=False)
 
 
 # ---------------------------------------------------------- observability

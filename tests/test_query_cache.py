@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.storage.rdbms import qcache
 from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.qcache import QueryResultCache
 from repro.storage.rdbms.sql import execute_sql
@@ -253,6 +254,25 @@ def test_a_one_off_expensive_read_keeps_a_point_entry_read_often(big):
     cache.execute(point)  # still cached
     cache.execute(once)  # not cached
     assert (_hits(), _misses()) == (hits + 1, misses + 2)
+
+
+def test_a_shapes_cost_leaves_out_its_first_miss(db, monkeypatch):
+    """The first miss pays the prepare and lazily built index contents
+    and imprints; once a second miss exists the cost is the mean of the
+    misses after it (thread CPU time scripted: 3,750 us, then 70 us)."""
+    spans = [3750e-6] + [70e-6] * 5
+    clock = iter([t for i, span in enumerate(spans)
+                  for t in (float(i), i + span)])
+    monkeypatch.setattr(qcache, "thread_time", lambda: next(clock))
+    cache = QueryResultCache(db, capacity=4)
+    costs = []
+    for pop in range(len(spans)):
+        cache.execute(f"SELECT name FROM city WHERE pop > {pop}")
+        (shape,) = cache._shapes.values()
+        costs.append(shape.cost)
+    assert costs[0] == pytest.approx(3750e-6)
+    assert costs[1:] == pytest.approx([70e-6] * 5)
+    assert shape.misses == len(spans)
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 5])
