@@ -30,6 +30,10 @@ list in ``BENCH_e20.json`` and re-validated by ``benchmarks/check_gates.py``):
     faster and <= 1.5x its time on the untouched segment, no row is
     melted; COMPACT after 10 scattered updates on 16 segments rewrites
     <= 10 of them and freezes no more rows than they hold;
+  * COMPACT after that one-row UPDATE splices the segment (its kept rows
+    copied as buffers, the one tail row encoded): it takes <= 0.5x the
+    time of ``Segment.from_columns`` of the same rows, the two timed
+    alternately in one process, and makes the same image;
   * a GROUP BY over a key of 4,000 values, filtered by LIKE / IN on the
     key's own dictionary column, is no slower than at the parent commit
     (``PARENT_SECONDS``), compacted and with the segment cut into six
@@ -58,7 +62,9 @@ import time
 from _tables import assert_gates, gate, write_table
 
 from repro.storage.rdbms.engine import Database
+from repro.storage.rdbms.segments import Segment
 from repro.storage.rdbms.sql import execute_sql
+from repro.storage.rdbms.table import gather_column, gather_rids
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry import metrics
 
@@ -268,9 +274,10 @@ def bench_late_materialization(db: Database, num_rows: int,
 def bench_writes_beside_segments(repeats: int,
                                  num_rows: int = WRITE_TABLE_ROWS) -> dict:
     """What a write to a frozen row costs, and what it costs the next
-    reader, on a one-segment table of ``num_rows``; then what COMPACT
-    rewrites after 10 scattered updates on the same rows cut into 16
-    segments.  Each repeat starts from a fully frozen table (COMPACT
+    reader, on a one-segment table of ``num_rows``, and what the COMPACT
+    after it costs against a fresh encode of the same rows; then what
+    COMPACT rewrites after 10 scattered updates on the same rows cut into
+    16 segments.  Each repeat starts from a fully frozen table (COMPACT
     between repeats); rows identical to the naive interpreter."""
     group_by = ("SELECT region, COUNT(*), AVG(amount) FROM events "
                 "WHERE amount > 300.0 GROUP BY region")
@@ -280,7 +287,7 @@ def bench_writes_beside_segments(repeats: int,
     heap = db._table("events")
     registry = metrics.get_registry()
     untouched = _time(lambda: execute_sql(db, group_by), repeats)
-    update_s = after_s = float("inf")
+    update_s = after_s = splice_s = encode_s = float("inf")
     melted0 = registry.get("segments.rows_melted")
     for r in range(repeats):
         key = (r * 7919 + num_rows // 2) % num_rows
@@ -293,7 +300,19 @@ def bench_writes_beside_segments(repeats: int,
         fast = execute_sql(db, group_by)
         after_s = min(after_s, time.perf_counter() - started)
         assert fast == execute_sql(db, group_by, use_planner=False)
+        # the rows the compaction freezes, encoded afresh (what every
+        # compaction did before segments were spliced), then the splice
+        started = time.perf_counter()
+        units = list(heap.scan_units())
+        fresh = Segment.from_columns(
+            heap.schema, gather_rids(units),
+            (gather_column(units, name) for name in heap.schema.column_names))
+        encode_s = min(encode_s, time.perf_counter() - started)
+        started = time.perf_counter()
         db.compact("events")
+        splice_s = min(splice_s, time.perf_counter() - started)
+        assert [s.image() for s in heap.segments] == \
+            [s.image() for s in fresh]
     rows_melted = registry.get("segments.rows_melted") - melted0
 
     segment_rows = max(num_rows // 16, 1)
@@ -322,6 +341,9 @@ def bench_writes_beside_segments(repeats: int,
         "group_by_speedup_over_parent":
             PARENT_SECONDS["group_by_after_update"] / after_s,
         "group_by_vs_untouched": after_s / untouched,
+        "compact_after_update_seconds": splice_s,
+        "fresh_encode_seconds": encode_s,
+        "compact_over_fresh_encode": splice_s / encode_s,
         "compact_segments_before": segments,
         "compact_segments_rewritten": summary["segments_created"],
         "compact_rows_frozen": summary["rows_frozen"],
@@ -575,7 +597,12 @@ def run_bench(num_rows: int = 1_000_000, repeats: int = 3,
           writes["group_by_after_update_seconds"],
           writes["group_by_speedup_over_parent"]],
          ["GROUP BY, untouched segment", "-",
-          writes["group_by_untouched_seconds"], "-"]],
+          writes["group_by_untouched_seconds"], "-"],
+         ["its rows encoded afresh", "-", writes["fresh_encode_seconds"],
+          "-"],
+         ["COMPACT after the UPDATE (splice)", "-",
+          writes["compact_after_update_seconds"],
+          1.0 / writes["compact_over_fresh_encode"]]],
     )
 
     write_table(
@@ -604,6 +631,8 @@ def run_bench(num_rows: int = 1_000_000, repeats: int = 3,
                  writes["group_by_speedup_over_parent"], ">=", 5.0),
             gate("group_by_after_update_vs_untouched",
                  writes["group_by_vs_untouched"], "<=", 1.5),
+            gate("compact_after_update_over_fresh_encode",
+                 writes["compact_over_fresh_encode"], "<=", 0.5),
         ]
         # the key's own dictionary filtered: no worse than the parent
         gates += [gate(f"speedup_over_parent:{c['name']}",

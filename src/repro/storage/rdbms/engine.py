@@ -906,7 +906,11 @@ class Database:
 
         Compaction changes layout, not data: delta listeners are NOT
         told and the table's version stays, so cached query results and
-        statistics stay valid; only the cached view goes.
+        statistics stay valid; only the cached view goes.  A segment it
+        rewrites is spliced where it can be — its kept rows copied, only
+        the new ones encoded, a built imprint carried over — and is byte
+        for byte what a fresh encode of its rows makes
+        (:meth:`HeapTable.compact`).
 
         Returns a summary dict (segments created, rows frozen, totals).
         """

@@ -25,7 +25,10 @@ segments with its row-store tail so readers never observe the split.
 The vectorized executor in :mod:`repro.storage.rdbms.planner` is the
 consumer that makes the layout pay off.  A checkpoint stores a segment
 as its buffers and zone maps (:meth:`Segment.image`), and reopen takes
-them back as they are.
+them back as they are.  A compaction that rewrites a segment splices it
+(:meth:`Segment.spliced`: the kept rows' buffers copied, only new rows
+encoded, a built imprint carried over), byte for byte what a fresh
+encode of the same rows makes.
 """
 
 from __future__ import annotations
@@ -125,9 +128,20 @@ class Imprint:
     decided without looking at a cell.
     """
 
-    __slots__ = ("lows", "points", "codes", "_by_code")
+    __slots__ = ("lows", "points", "codes", "coded", "_by_code")
 
-    def __init__(self, col: "ColumnSegment") -> None:
+    def __init__(self, lows: list[Any], points: frozenset[int], codes: bytes,
+                 coded: int = 0) -> None:
+        self.lows = lows
+        self.points = points
+        self.codes = codes
+        #: cells coded since the sample the bounds came from (see carried)
+        self.coded = coded
+        self._by_code: dict[int, array] = {}  # (see _cells)
+
+    @staticmethod
+    def sampled(col: "ColumnSegment") -> "Imprint":
+        """The imprint of ``col``, its bounds sampled from its cells."""
         data = col.data
         count = len(data)
         picked = Random(count).sample(range(count),
@@ -140,17 +154,38 @@ class Imprint:
             if col.encoding == "float" else (lambda v: v + 1)
         # a value picked k > 1 times frees k - 1 slots: one is its successor
         repeated = [after(v) for v, n in Counter(picks).items() if n > 1]
-        self.lows = lows = sorted({*picks, *repeated})
-        self.points = frozenset(j for j in range(1, len(lows))
-                                if lows[j] == after(lows[j - 1]))
+        lows = sorted({*picks, *repeated})
+        points = frozenset(j for j in range(1, len(lows))
+                           if lows[j] == after(lows[j - 1]))
         codes = bytearray(map(bisect.bisect_right, repeat(lows), data))
         if col.encoding == "float" and col.min_value is None:  # NaN?
             for at in compress(range(len(data)), map(math.isnan, data)):
                 codes[at] = NAN_CODE
         for at in col.null_positions():
             codes[at] = NULL_CODE
-        self.codes = bytes(codes)
-        self._by_code: dict[int, array] = {}  # (see _cells)
+        return Imprint(lows, points, bytes(codes))
+
+    def carried(self, pieces: Sequence[Sequence[Any]],
+                count: int) -> "Imprint | None":
+        """This imprint over the column :meth:`ColumnSegment.spliced` makes
+        of ``pieces``: the same bounds, the codes of each kept stretch
+        copied and each new cell coded by ``bisect_right``.  None (built
+        afresh at its first use) once the cells coded since the sample
+        pass one bucket's share of the ``count`` cells: appended values
+        would pile into the buckets the sample did not foresee."""
+        lows = self.lows
+        coded = self.coded + sum(len(piece) for piece in pieces
+                                 if not isinstance(piece, range))
+        if not lows or coded > count // len(lows):
+            return None
+
+        def code(v: Any) -> int:
+            return NULL_CODE if v is None else NAN_CODE if v != v \
+                else bisect.bisect_right(lows, v)
+
+        return Imprint(lows, self.points, b"".join(
+            self.codes[piece.start:piece.stop] if isinstance(piece, range)
+            else bytes(map(code, piece)) for piece in pieces), coded)
 
     def at(self, positions: Sequence[int] | None) -> bytes:
         """The codes of the cells at ``positions`` (None: all)."""
@@ -322,6 +357,53 @@ def _found(codes: bytes, order: Iterable[int]) -> Iterator[list[int]]:
             yield cells
 
 
+#: Codes whose first cell a dictionary splice searches for one by one;
+#: past it, one pass over every code is cheaper.
+_FIRSTS_SEARCHED = 64
+
+
+def _firsts_ascend(codes: array, moved: set[int], size: int) -> bool:
+    """Whether each of the ``moved`` codes and its neighbours (of codes
+    ``0 .. size - 1``) has a cell in ``codes``, their first cells in code
+    order: then every code's are, for the other codes' cells only kept
+    their order.  Each first cell is one ``bytes.find`` of the code's
+    bytes."""
+    buffer, width = codes.tobytes(), codes.itemsize
+    firsts: dict[int, int] = {}
+
+    def first(code: int) -> int:
+        at = firsts.get(code)
+        if at is None:
+            needle = array(codes.typecode, (code,)).tobytes()
+            at = buffer.find(needle)
+            while at > 0 and at % width:  # (the end of one cell, the start
+                at = buffer.find(needle, at + 1)  # of the next)
+            firsts[code] = at
+        return at
+
+    for code in moved:
+        at = [first(c) for c in (code - 1, code, code + 1) if 0 <= c < size]
+        if min(at) < 0 or at != sorted(at):
+            return False
+    return True
+
+
+#: A bit of ``format(n, "b")`` as a 0/1 byte.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+#: One 0/1 NULL flag byte turned into a selector of the non-NULL cells.
+_NOT_NULL = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _packed(flags: bytes) -> bytearray:
+    """One 0/1 byte per position as a packed bitmap: position i's to bit
+    ``i & 7`` of byte ``i >> 3`` — eight strides ORed as big integers."""
+    packed = 0
+    for bit in range(8):
+        packed |= int.from_bytes(flags[bit::8], "little") << bit
+    return bytearray(packed.to_bytes((len(flags) + 7) // 8, "little"))
+
+
 def to_base64(buffer: array | bytearray) -> str:
     """A typed buffer or a null bitmap as base64 of its little-endian
     bytes."""
@@ -411,13 +493,7 @@ class ColumnSegment:
         nulls: bytearray | None = None
         non_null = values
         if null_count:
-            # one 0/1 byte per position, then position i's to bit i & 7
-            # of byte i >> 3 - eight strides ORed as big integers
-            flags = bytes(map(is_, values, repeat(None)))
-            packed = 0
-            for bit in range(8):
-                packed |= int.from_bytes(flags[bit::8], "little") << bit
-            nulls = bytearray(packed.to_bytes((count + 7) // 8, "little"))
+            nulls = _packed(bytes(map(is_, values, repeat(None))))
             non_null = [v for v in values if v is not None]
         min_value, max_value = _bounds(col_type, non_null)
 
@@ -449,6 +525,145 @@ class ColumnSegment:
                 return done("dict", array("i", map(code_of.__getitem__,
                                                    values)), dictionary)
         return done("raw", list(values))  # also: dictionary overflow
+
+    def spliced(self, col_type: ColumnType, pieces: Sequence[Sequence[Any]],
+                dict_max: int = DICT_MAX_ENTRIES) -> "ColumnSegment":
+        """What :meth:`encode` makes of the cells ``pieces`` name in order
+        — a ``range`` is a stretch of this column's positions (the ranges
+        ascending and disjoint), any other piece a list of new values —
+        with every stretch copied, not decoded: a slice of the typed
+        buffer, and of the null bitmap shifted as a big integer.  Only the
+        new values are encoded, by :meth:`encode`'s rules.  A dictionary
+        keeps its codes unless a value lost its last cell or a first
+        occurrence moved out of order (:meth:`_recoded`); the zone map's
+        bounds are widened by the new values unless they must be
+        recomputed (:meth:`_widened`).  A ``raw`` column, an int past 64
+        bits or a dictionary past ``dict_max`` is decoded and encoded
+        afresh.  A built :class:`Imprint` is carried over
+        (:meth:`Imprint.carried`)."""
+        count = sum(map(len, pieces))
+        column = self._copied(col_type, pieces, count, dict_max)
+        if column is None:
+            column = ColumnSegment.encode(self.name, col_type, list(
+                chain.from_iterable(self.gather(piece) if isinstance(
+                    piece, range) else piece for piece in pieces)), dict_max)
+        imprint = self._imprint
+        if imprint is not None and column.encoding in ("int", "float", "bool"):
+            column._imprint = imprint.carried(pieces, count)
+        return column
+
+    def _copied(self, col_type: ColumnType, pieces: Sequence[Sequence[Any]],
+                count: int, dict_max: int) -> "ColumnSegment | None":
+        """:meth:`spliced` by copying, or None: encode afresh."""
+        encoding = self.encoding
+        added = [v for piece in pieces if not isinstance(piece, range)
+                 for v in piece if v is not None]
+        if encoding == "raw" or encoding == "int" and added and (
+                min(added) < _INT64_MIN or max(added) > _INT64_MAX):
+            return None
+        old = self._null_bytes()
+        flags = b"".join(old[piece.start:piece.stop] if isinstance(
+            piece, range) else bytes(map(is_, piece, repeat(None)))
+            for piece in pieces)
+        null_count = flags.count(1)
+        nulls = _packed(flags) if null_count else None
+        kept = [piece for piece in pieces if isinstance(piece, range)]
+        gaps = [range(a.stop, b.start) for a, b in zip(
+            [range(0)] + kept, kept + [range(self.count, self.count)])
+            if b.start > a.stop]
+        if encoding == "dict":
+            data, dictionary = self._recoded(pieces, added, gaps)
+            if len(dictionary) > dict_max:
+                return None
+            low, high = _bounds(col_type, dictionary)
+            return ColumnSegment(self.name, encoding, data, dictionary, nulls,
+                                 null_count, count, low, high)
+        typecode = _TYPECODES[encoding]
+        data = array(typecode)
+        for piece in pieces:  # (NULL's placeholder: encode's 0 / 0.0 / False)
+            data += self.data[piece.start:piece.stop] \
+                if isinstance(piece, range) else array(
+                    typecode, [0 if v is None else v for v in piece])
+        column = ColumnSegment(self.name, encoding, data, None, nulls,
+                               null_count, count, None, None)
+        bounds = self._widened(col_type, gaps, added)
+        if bounds is None:  # (recomputed over the kept and new cells)
+            bounds = _bounds(col_type, data if not null_count else list(
+                compress(data, flags.translate(_NOT_NULL))))
+        column.min_value, column.max_value = bounds
+        return column
+
+    def _null_bytes(self) -> bytes:
+        """One 0/1 byte per position, 1 for a NULL: the bitmap unpacked
+        (its bits in ``format``'s text, read from the low end)."""
+        if not self.null_count:
+            return bytes(self.count)
+        bits = format(int.from_bytes(self.nulls, "little"), f"0{self.count}b")
+        return bits[::-1].encode("ascii").translate(_BIT_BYTES)
+
+    def _widened(self, col_type: ColumnType, gaps: Sequence[range],
+                 added: Sequence[Any]) -> tuple[Any, Any] | None:
+        """The zone map's bounds over the cells outside ``gaps`` and the
+        new non-NULL ``added`` ones, from this column's bounds, or None:
+        they must be recomputed — a removed cell held one (or a NULL's
+        placeholder equals one), a cell is NaN (NaN publishes no bounds),
+        or a new cell is ±0.0 (of equal zeros, the first cell's is the
+        bound)."""
+        low, high = self.min_value, self.max_value
+        if low is None and self.null_count < self.count:
+            return None  # a NaN cell
+        data = self.data
+        if low is not None and any(low in cells or high in cells for cells in (
+                data[gap.start:gap.stop] for gap in gaps)):
+            return None
+        if not added:
+            return low, high
+        if col_type is ColumnType.FLOAT and not all(v and v == v
+                                                     for v in added):
+            return None
+        new_low, new_high = _bounds(col_type, added)
+        if low is None:
+            return new_low, new_high
+        return (new_low if new_low < low else low,
+                new_high if new_high > high else high)
+
+    def _recoded(self, pieces: Sequence[Sequence[Any]], added: Sequence[Any],
+                 gaps: Sequence[range]) -> tuple[array, list[str]]:
+        """The dictionary codes of the cells ``pieces`` name and their
+        dictionary in first-occurrence order: the old codes, a new value
+        coded after every old one, unless a value lost its last cell or a
+        first occurrence moved past another's — then every code is
+        renumbered.  Only the codes of removed and new cells can have
+        moved; their first cells are searched for (:func:`_firsts_ascend`),
+        and a pass over all codes is made only when one did."""
+        old = self.dictionary
+        code_of = dict(zip(old, range(len(old))))
+        for v in added:
+            code_of.setdefault(v, len(code_of))
+        dictionary = list(code_of)
+        code_of[None] = -1
+        data = array("i")
+        for piece in pieces:
+            data += self.data[piece.start:piece.stop] \
+                if isinstance(piece, range) \
+                else array("i", map(code_of.__getitem__, piece))
+        moved = set(chain.from_iterable(self.data[gap.start:gap.stop]
+                                        for gap in gaps))
+        moved.update(code for code in map(code_of.__getitem__, added)
+                     if code < len(old))
+        if len(dictionary) > len(old):
+            moved.add(len(old))
+        moved.discard(-1)
+        if moved and (len(moved) > _FIRSTS_SEARCHED
+                      or not _firsts_ascend(data, moved, len(dictionary))):
+            order = [code for code in dict.fromkeys(data) if code != -1]
+            if order != list(range(len(dictionary))):
+                back = [-1] * (len(dictionary) + 1)  # (-1 stays -1)
+                for new, code in enumerate(order):
+                    back[code] = new
+                data = array("i", map(back.__getitem__, data))
+                dictionary = [dictionary[code] for code in order]
+        return data, dictionary
 
     def _text(self, name: str) -> str:
         """``data`` or ``nulls`` as an image holds it: the text it was
@@ -560,7 +775,7 @@ class ColumnSegment:
         both build one; each is equal, and either stays."""
         imprint = self._imprint
         if imprint is None and self.encoding in ("int", "float", "bool"):
-            imprint = self._imprint = Imprint(self)
+            imprint = self._imprint = Imprint.sampled(self)
             metrics.get_registry().inc("segments.imprints_built")
         return imprint
 
@@ -718,6 +933,25 @@ class Segment:
             ([values.get(name) for _, values in items]
              for name in schema.column_names),
             dict_max=dict_max)[0]
+
+    def spliced(self, pieces: Sequence[Sequence[Any]],
+                dict_max: int = DICT_MAX_ENTRIES) -> "Segment":
+        """The segment :meth:`from_columns` makes of the rows ``pieces``
+        name in order — a ``range`` is a stretch of this segment's
+        positions (the ranges ascending and disjoint), any other piece a
+        list of new ``(rid, values)`` rows — byte for byte, with each
+        stretch's rids and cells copied (:meth:`ColumnSegment.spliced`)."""
+        rids = array("q")
+        for piece in pieces:
+            rids += self.rids[piece.start:piece.stop] \
+                if isinstance(piece, range) \
+                else array("q", map(itemgetter(0), piece))
+        return Segment(self.schema, rids, {
+            col.name: self.columns[col.name].spliced(col.col_type, [
+                piece if isinstance(piece, range)
+                else [values.get(col.name) for _, values in piece]
+                for piece in pieces], dict_max)
+            for col in self.schema.columns})
 
     def image(self) -> dict[str, Any]:
         """What a checkpoint stores of this segment: its rids (base64 of

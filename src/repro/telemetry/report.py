@@ -206,6 +206,8 @@ def render_report(summary: dict[str, Any],
                 f"({rate}) "
                 f"frozen_rows="
                 f"{all_counters.get('segments.rows_frozen', 0.0):.0f} "
+                f"copied_rows="
+                f"{all_counters.get('segments.rows_copied', 0.0):.0f} "
                 f"masked_rows="
                 f"{all_counters.get('segments.rows_masked', 0.0):.0f} "
                 f"group_orders_built="

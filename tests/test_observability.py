@@ -431,6 +431,31 @@ def test_report_hit_rate_divide_by_zero_guard():
     assert "zone-map skip rate n/a" in text
 
 
+def test_compaction_counts_the_rows_it_copies_beside_those_it_freezes():
+    """A compaction that rewrites one segment copies its kept rows and
+    encodes only the tail's; one whose output draws on two segments
+    encodes every row.  ``rows_frozen`` counts both, ``rows_copied`` the
+    copied ones, and the report prints them side by side."""
+    db = Database()
+    execute_sql(db, "CREATE TABLE t (id INT PRIMARY KEY, v FLOAT)")
+    db.run(lambda t: t.insert_many("t", [{"id": i, "v": i / 2}
+                                         for i in range(100)]))
+    db.compact("t", target_rows=50)
+    registry = MetricsRegistry()
+    with metrics.use_registry(registry):
+        execute_sql(db, "UPDATE t SET v = 0.25 WHERE id = 7")
+        execute_sql(db, "DELETE FROM t WHERE id = 60")
+        db.compact("t", target_rows=50)  # each segment rewritten alone
+        assert registry.get("segments.rows_frozen") == 99
+        assert registry.get("segments.rows_copied") == 98
+        execute_sql(db, "UPDATE t SET v = 0.75 WHERE id IN (1, 51)")
+        db.compact("t", target_rows=200)  # one output of two segments
+        assert registry.get("segments.rows_frozen") == 99 + 99
+        assert registry.get("segments.rows_copied") == 98
+    text = render_report(summarize_trace([]), registry.snapshot())
+    assert "frozen_rows=198 copied_rows=98 " in text
+
+
 def test_report_edge_cases_empty_single_bucket_disjoint_merge():
     # empty registry: render must not raise and still shows the header
     empty = render_report(summarize_trace([]), MetricsRegistry().snapshot())

@@ -10,7 +10,9 @@ row fallback) where the reference raises; and ORDER BY ... LIMIT k, which
 walks the imprint's buckets from the winning end, equals the naive
 interpreter's sort over several segments, tail rows and dead positions;
 so does the top-k walk access path, where the planner takes it and where
-a test forces it, on a snapshot and under 2PL, NaN keys included.
+a test forces it, on a snapshot and under 2PL, NaN keys included.  An
+imprint a compaction carries over to the segment it splices reads the
+same, and is dropped once its new cells pass one bucket's share.
 """
 
 import math
@@ -31,6 +33,7 @@ from repro.storage.rdbms.sql import (ColumnRef, Comparison, InPredicate,
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.telemetry.report import render_report, summarize_trace
+from tests.segment_checks import every_chunk_spliced
 
 C = ColumnRef(None, "c")
 OPS = ("=", "!=", "<", "<=", ">", ">=")
@@ -143,9 +146,16 @@ def _segment(col_type, values):
 @settings(max_examples=150, deadline=None)
 def test_the_kernel_bitmap_equals_eval_predicate_cell_by_cell(data):
     col_type, values = data.draw(columns())
-    segment = _segment(col_type, values)
+    _assert_kernels_read_as_the_reference(data, _segment(col_type, values))
+
+
+def _assert_kernels_read_as_the_reference(data, segment):
+    """Drawn conjuncts over column ``c`` of ``segment``: the kernel
+    bitmap over all of it, a subset of its positions and a permutation
+    of them equals ``eval_predicate`` cell by cell (or the kernel
+    refuses where the reference raises or cannot compare)."""
     col = segment.columns["c"]
-    cells = col.decoded()
+    cells = values = col.decoded()
     imprint = col.imprint()
     assert imprint is not None and len(imprint.codes) == len(values)
     n = len(values)
@@ -194,6 +204,106 @@ def test_codes_order_the_buckets_and_reserve_nan_and_null(data):
         assert max(buckets[lower]) < min(buckets[upper])
     for j in imprint.points:  # a one-value bucket holds one value
         assert len(set(buckets.get(j, []))) <= 1
+
+
+# ------------------------------------------------- carried by a compaction
+
+
+def _one_segment_table(col_type, values):
+    db = Database()
+    db.create_table(TableSchema("t", (
+        Column("id", ColumnType.INT, nullable=False), Column("c", col_type)),
+        primary_key="id"))
+    db.run(lambda t: t.insert_many("t", [{"id": i, "c": v}
+                                         for i, v in enumerate(values)]))
+    db.compact("t")
+    return db
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_carried_imprint_reads_as_the_reference(data):
+    """An imprint built, then updates and deletes of the segment's rows
+    and a compaction that splices it: the imprint is carried (same
+    bounds, each new cell coded by them) while the new cells are within
+    one bucket's share, and the range, IN and top-k walk kernels on the
+    new segment read as the reference."""
+    col_type, values = data.draw(columns())
+    n = len(values)
+    db = _one_segment_table(col_type, values)
+    built = db._table("t").segments[0].columns["c"].imprint()
+    writes = data.draw(st.lists(st.tuples(
+        st.sampled_from(["update", "update", "delete"]),
+        st.integers(0, n - 1), _CELLS[col_type]), min_size=1, max_size=12))
+
+    def apply(t):
+        for kind, at, v in writes:
+            row = t.get_by_pk("t", at)
+            if row is None:
+                continue
+            if kind == "delete":
+                t.delete("t", row.rid)
+            else:
+                t.update("t", row.rid, {"c": v})
+    db.run(apply)
+    heap = db._table("t")
+    added = heap.tail_size
+    with every_chunk_spliced():  # (however few rows the writes left)
+        db.compact("t")
+    if not heap.segments:
+        return
+    [segment] = heap.segments
+    carried = segment.columns["c"]._imprint
+    within = bool(built.lows) and added < segment.count \
+        and added <= segment.count // len(built.lows)  # (a row is kept)
+    assert (carried is not None) == within
+    if carried is not None:
+        assert carried.lows is built.lows and carried.coded == added
+    _assert_kernels_read_as_the_reference(data, segment)
+    snapshot = db.begin_snapshot()
+    try:
+        for desc in ("", " DESC"):
+            k = data.draw(st.integers(1, 12))
+            sql = f"SELECT id, c FROM t ORDER BY c{desc} LIMIT {k}"
+            want = repr(execute_sql(db, sql, snapshot, use_planner=False))
+            assert repr(execute_sql(db, sql, snapshot)) == want, sql
+            walked = _walked(db, sql, snapshot)
+            assert walked is None or repr(walked) == want, sql
+    finally:
+        snapshot.commit()
+
+
+def test_a_carried_imprint_is_dropped_past_one_buckets_share():
+    """Compactions carry an imprint while the cells coded since its
+    sample are at most ``count // len(lows)``; one more, and the
+    compaction drops it and the next kernel use builds one afresh
+    (counted by ``segments.imprints_built``)."""
+    n = 2_530
+    rng = random.Random(11)
+    db = _one_segment_table(ColumnType.FLOAT,
+                            [rng.uniform(0, 100) for _ in range(n)])
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        execute_sql(db, "SELECT id FROM t WHERE c > 50")
+        imprint = db._table("t").segments[0].columns["c"]._imprint
+        share = n // len(imprint.lows)
+        assert registry.get("segments.imprints_built") == 1 and share > 2
+        for i in range(share):  # one cell coded per compaction
+            execute_sql(db, f"UPDATE t SET c = {200 + i} WHERE id = {i}")
+            db.compact("t")
+            carried = db._table("t").segments[0].columns["c"]._imprint
+            assert carried.lows is imprint.lows and carried.coded == i + 1
+        rows = execute_sql(db, "SELECT id FROM t WHERE c > 150")
+        assert [row["id"] for row in rows] == list(range(share))
+        assert registry.get("segments.imprints_built") == 1  # carried
+        execute_sql(db, f"UPDATE t SET c = 300 WHERE id = {share}")
+        db.compact("t")
+        assert db._table("t").segments[0].columns["c"]._imprint is None
+        rows = execute_sql(db, "SELECT id FROM t WHERE c > 150")
+        assert [row["id"] for row in rows] == list(range(share + 1))
+        assert registry.get("segments.imprints_built") == 2  # rebuilt
+        rebuilt = db._table("t").segments[0].columns["c"]._imprint
+        assert rebuilt.coded == 0 and rebuilt.lows is not imprint.lows
 
 
 # ------------------------------------------------------------- ORDER BY

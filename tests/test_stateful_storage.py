@@ -31,6 +31,8 @@ from repro.storage.rdbms.sql import execute_sql
 from repro.storage.rdbms.types import (Column, ColumnType, SchemaError,
                                        TableSchema)
 from tests.devices import failing
+from tests.segment_checks import (assert_segments_canonical,
+                                  every_chunk_spliced)
 
 TABLES = ("t", "s")
 GROUPS = ["a", "b", "c", None]
@@ -324,10 +326,13 @@ class StorageMachine(RuleBasedStateMachine):
 
     @rule(table=table_st, target_rows=st.integers(2, 8))
     def compact(self, table, target_rows):
-        self.db.compact(table, target_rows=target_rows)
+        with every_chunk_spliced():  # (rows of a few-row table, copied)
+            self.db.compact(table, target_rows=target_rows)
         self.dirty.add(table)
         heap = self.db._table(table)
         assert heap.tail_size == 0 and heap.dead_rows == 0
+        # a segment copied from another is what a fresh encode makes
+        assert_segments_canonical(heap)
         ranges = sorted((segment.min_rid, segment.max_rid)
                         for segment in heap.segments)
         # none reaches across another
@@ -634,9 +639,27 @@ class TwoWriterMachine(RuleBasedStateMachine):
                 "t", column, "hash" if column == "grp" else "sorted")
 
     @precondition(lambda self: not self.writers)
-    @rule(target_rows=st.integers(2, 6))
-    def compact(self, target_rows):
-        self.db.compact("t", target_rows=target_rows)
+    @rule(target_rows=st.integers(2, 6), imprinted=st.booleans(),
+          pick=pick_st, row=row_st)
+    def compact(self, target_rows, imprinted, pick, row):
+        """Compact; then, after a read that builds the imprint of
+        ``score`` or not, commit one update of a frozen row and compact
+        again, so the second compaction copies the rest of its segment
+        (and carries the imprint).  Every segment then is what a fresh
+        encode makes."""
+        with every_chunk_spliced():
+            self.db.compact("t", target_rows=target_rows)
+        assert_segments_canonical(self.db._table("t"))
+        if imprinted:
+            execute_sql(self.db, "SELECT id FROM t WHERE score < 50")
+        if self.committed:
+            rid = sorted(self.committed)[pick % len(self.committed)]
+            changes = {"qty": row[1], "score": row[2]}
+            self.db.run(lambda txn: txn.update("t", rid, changes))
+            self.committed[rid] = {**self.committed[rid], **changes}
+            with every_chunk_spliced():
+                self.db.compact("t", target_rows=target_rows)
+            assert_segments_canonical(self.db._table("t"))
 
     @precondition(lambda self: not self.writers)
     @rule()
