@@ -357,37 +357,6 @@ def _found(codes: bytes, order: Iterable[int]) -> Iterator[list[int]]:
             yield cells
 
 
-#: Codes whose first cell a dictionary splice searches for one by one;
-#: past it, one pass over every code is cheaper.
-_FIRSTS_SEARCHED = 64
-
-
-def _firsts_ascend(codes: array, moved: set[int], size: int) -> bool:
-    """Whether each of the ``moved`` codes and its neighbours (of codes
-    ``0 .. size - 1``) has a cell in ``codes``, their first cells in code
-    order: then every code's are, for the other codes' cells only kept
-    their order.  Each first cell is one ``bytes.find`` of the code's
-    bytes."""
-    buffer, width = codes.tobytes(), codes.itemsize
-    firsts: dict[int, int] = {}
-
-    def first(code: int) -> int:
-        at = firsts.get(code)
-        if at is None:
-            needle = array(codes.typecode, (code,)).tobytes()
-            at = buffer.find(needle)
-            while at > 0 and at % width:  # (the end of one cell, the start
-                at = buffer.find(needle, at + 1)  # of the next)
-            firsts[code] = at
-        return at
-
-    for code in moved:
-        at = [first(c) for c in (code - 1, code, code + 1) if 0 <= c < size]
-        if min(at) < 0 or at != sorted(at):
-            return False
-    return True
-
-
 #: A bit of ``format(n, "b")`` as a 0/1 byte.
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
@@ -536,8 +505,8 @@ class ColumnSegment:
         new values are encoded, by :meth:`encode`'s rules.  A dictionary
         keeps its codes unless a value lost its last cell or a first
         occurrence moved out of order (:meth:`_recoded`); the zone map's
-        bounds are widened by the new values unless they must be
-        recomputed (:meth:`_widened`).  A ``raw`` column, an int past 64
+        bounds are recomputed over the spliced buffer by :func:`_bounds`,
+        as :meth:`encode` computes them.  A ``raw`` column, an int past 64
         bits or a dictionary past ``dict_max`` is decoded and encoded
         afresh.  A built :class:`Imprint` is carried over
         (:meth:`Imprint.carried`)."""
@@ -567,12 +536,8 @@ class ColumnSegment:
             for piece in pieces)
         null_count = flags.count(1)
         nulls = _packed(flags) if null_count else None
-        kept = [piece for piece in pieces if isinstance(piece, range)]
-        gaps = [range(a.stop, b.start) for a, b in zip(
-            [range(0)] + kept, kept + [range(self.count, self.count)])
-            if b.start > a.stop]
         if encoding == "dict":
-            data, dictionary = self._recoded(pieces, added, gaps)
+            data, dictionary = self._recoded(pieces, added)
             if len(dictionary) > dict_max:
                 return None
             low, high = _bounds(col_type, dictionary)
@@ -584,14 +549,10 @@ class ColumnSegment:
             data += self.data[piece.start:piece.stop] \
                 if isinstance(piece, range) else array(
                     typecode, [0 if v is None else v for v in piece])
-        column = ColumnSegment(self.name, encoding, data, None, nulls,
-                               null_count, count, None, None)
-        bounds = self._widened(col_type, gaps, added)
-        if bounds is None:  # (recomputed over the kept and new cells)
-            bounds = _bounds(col_type, data if not null_count else list(
-                compress(data, flags.translate(_NOT_NULL))))
-        column.min_value, column.max_value = bounds
-        return column
+        low, high = _bounds(col_type, data if not null_count else list(
+            compress(data, flags.translate(_NOT_NULL))))
+        return ColumnSegment(self.name, encoding, data, None, nulls,
+                             null_count, count, low, high)
 
     def _null_bytes(self) -> bytes:
         """One 0/1 byte per position, 1 for a NULL: the bitmap unpacked
@@ -601,41 +562,13 @@ class ColumnSegment:
         bits = format(int.from_bytes(self.nulls, "little"), f"0{self.count}b")
         return bits[::-1].encode("ascii").translate(_BIT_BYTES)
 
-    def _widened(self, col_type: ColumnType, gaps: Sequence[range],
-                 added: Sequence[Any]) -> tuple[Any, Any] | None:
-        """The zone map's bounds over the cells outside ``gaps`` and the
-        new non-NULL ``added`` ones, from this column's bounds, or None:
-        they must be recomputed — a removed cell held one (or a NULL's
-        placeholder equals one), a cell is NaN (NaN publishes no bounds),
-        or a new cell is ±0.0 (of equal zeros, the first cell's is the
-        bound)."""
-        low, high = self.min_value, self.max_value
-        if low is None and self.null_count < self.count:
-            return None  # a NaN cell
-        data = self.data
-        if low is not None and any(low in cells or high in cells for cells in (
-                data[gap.start:gap.stop] for gap in gaps)):
-            return None
-        if not added:
-            return low, high
-        if col_type is ColumnType.FLOAT and not all(v and v == v
-                                                     for v in added):
-            return None
-        new_low, new_high = _bounds(col_type, added)
-        if low is None:
-            return new_low, new_high
-        return (new_low if new_low < low else low,
-                new_high if new_high > high else high)
-
-    def _recoded(self, pieces: Sequence[Sequence[Any]], added: Sequence[Any],
-                 gaps: Sequence[range]) -> tuple[array, list[str]]:
+    def _recoded(self, pieces: Sequence[Sequence[Any]],
+                 added: Sequence[Any]) -> tuple[array, list[str]]:
         """The dictionary codes of the cells ``pieces`` name and their
         dictionary in first-occurrence order: the old codes, a new value
-        coded after every old one, unless a value lost its last cell or a
-        first occurrence moved past another's — then every code is
-        renumbered.  Only the codes of removed and new cells can have
-        moved; their first cells are searched for (:func:`_firsts_ascend`),
-        and a pass over all codes is made only when one did."""
+        coded after every old one, renumbered by one pass over the codes
+        when a value lost its last cell or a first occurrence moved past
+        another's."""
         old = self.dictionary
         code_of = dict(zip(old, range(len(old))))
         for v in added:
@@ -647,22 +580,13 @@ class ColumnSegment:
             data += self.data[piece.start:piece.stop] \
                 if isinstance(piece, range) \
                 else array("i", map(code_of.__getitem__, piece))
-        moved = set(chain.from_iterable(self.data[gap.start:gap.stop]
-                                        for gap in gaps))
-        moved.update(code for code in map(code_of.__getitem__, added)
-                     if code < len(old))
-        if len(dictionary) > len(old):
-            moved.add(len(old))
-        moved.discard(-1)
-        if moved and (len(moved) > _FIRSTS_SEARCHED
-                      or not _firsts_ascend(data, moved, len(dictionary))):
-            order = [code for code in dict.fromkeys(data) if code != -1]
-            if order != list(range(len(dictionary))):
-                back = [-1] * (len(dictionary) + 1)  # (-1 stays -1)
-                for new, code in enumerate(order):
-                    back[code] = new
-                data = array("i", map(back.__getitem__, data))
-                dictionary = [dictionary[code] for code in order]
+        order = [code for code in dict.fromkeys(data) if code != -1]
+        if order != list(range(len(dictionary))):
+            back = [-1] * (len(dictionary) + 1)  # (-1 stays -1)
+            for new, code in enumerate(order):
+                back[code] = new
+            data = array("i", map(back.__getitem__, data))
+            dictionary = [dictionary[code] for code in order]
         return data, dictionary
 
     def _text(self, name: str) -> str:
@@ -904,22 +828,14 @@ class Segment:
     @staticmethod
     def from_columns(schema: TableSchema, rids: Sequence[int],
                      columns: Iterable[Sequence[Any]],
-                     chunk_rows: int | None = None,
-                     dict_max: int = DICT_MAX_ENTRIES) -> "list[Segment]":
+                     dict_max: int = DICT_MAX_ENTRIES) -> "Segment":
         """Freeze ascending ``rids`` and, per schema column in order, the
-        values of those rows into segments of ``chunk_rows`` rows (None:
-        one, even of no rows).  ``columns`` may be lazy: one column is
-        held at a time."""
-        step = chunk_rows or max(len(rids), 1)
-        starts = range(0, max(len(rids), 1), step)
-        encoded: list[dict[str, ColumnSegment]] = [{} for _ in starts]
-        for col, values in zip(schema.columns, columns):
-            for into, start in zip(encoded, starts):
-                into[col.name] = ColumnSegment.encode(
-                    col.name, col.col_type, values[start:start + step],
-                    dict_max=dict_max)
-        return [Segment(schema, array("q", rids[start:start + step]), into)
-                for into, start in zip(encoded, starts)]
+        values of those rows into one segment.  ``columns`` may be lazy:
+        one column is held at a time."""
+        return Segment(schema, array("q", rids), {
+            col.name: ColumnSegment.encode(col.name, col.col_type, values,
+                                           dict_max=dict_max)
+            for col, values in zip(schema.columns, columns)})
 
     @staticmethod
     def from_rows(schema: TableSchema,
@@ -932,7 +848,7 @@ class Segment:
             schema, [rid for rid, _ in items],
             ([values.get(name) for _, values in items]
              for name in schema.column_names),
-            dict_max=dict_max)[0]
+            dict_max=dict_max)
 
     def spliced(self, pieces: Sequence[Sequence[Any]],
                 dict_max: int = DICT_MAX_ENTRIES) -> "Segment":

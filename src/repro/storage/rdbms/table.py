@@ -34,7 +34,7 @@ import threading
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, ne
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ShardedLogError
@@ -94,6 +94,17 @@ def _stretches(dead: Sequence[int], start: int, stop: int) -> list[range]:
     if stop > start:
         out.append(range(start, stop))
     return out
+
+
+def _cuts(dead: Sequence[int], live: Sequence[int]) -> int:
+    """How many stretches of the ascending ``dead`` positions lie between
+    the first and the last of the ascending ``live`` ones: each cuts the
+    live ones once more, however long it is."""
+    inside = dead[bisect_left(dead, live[0]):bisect_left(dead, live[-1])]
+    if not inside:
+        return 0
+    # a dead position starts a stretch unless the one before it is dead
+    return 1 + sum(map(ne, inside[1:], map((1).__add__, inside)))
 
 
 def _chunks(units: Iterable[ScanUnit], rows: int) -> Iterator[list[ScanUnit]]:
@@ -519,9 +530,9 @@ class HeapTable:
                     fresh.append(spliced[0])
                     copied += spliced[1]
                 else:
-                    fresh += Segment.from_columns(
+                    fresh.append(Segment.from_columns(
                         self._schema, gather_rids(chunk),
-                        (gather_column(chunk, name) for name in names))
+                        (gather_column(chunk, name) for name in names)))
                 frozen += fresh[-1].count
         rewritten = [segment for run in runs for segment in run[0]]
         # Everything new is built: only now does the old layout go.
@@ -549,7 +560,7 @@ class HeapTable:
         each stretch between dead positions and tail rows a ``range``),
         and the rows it copies; None when they come from two segments or
         none, or when its pieces are too short to copy
-        (:data:`SPLICE_PIECE_ROWS`, told from the dead positions before a
+        (:data:`SPLICE_PIECE_ROWS`, told by :func:`_cuts` before a
         stretch is cut)."""
         sources = {unit for kind, unit, _ in chunk if kind == "segment"}
         if len(sources) != 1:
@@ -559,10 +570,9 @@ class HeapTable:
         kept = pieces = 0
         for kind, _, selected in chunk:
             pieces += 1
-            if kind == "segment":  # (each dead position inside cuts it)
+            if kind == "segment":
                 kept += len(selected)
-                pieces += bisect_left(dead, selected[-1]) \
-                    - bisect_left(dead, selected[0])
+                pieces += _cuts(dead, selected)
         if pieces * SPLICE_PIECE_ROWS > kept:
             return None
         cut: list[Sequence[Any]] = []

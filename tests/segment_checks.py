@@ -28,7 +28,7 @@ def encoded_afresh(segment):
     return Segment.from_columns(
         segment.schema, [rid for rid, _ in rows],
         ([values[name] for _, values in rows]
-         for name in segment.schema.column_names))[0]
+         for name in segment.schema.column_names))
 
 
 def imprint_codes(column, lows):

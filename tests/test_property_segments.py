@@ -17,7 +17,8 @@ from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.segments import (DICT_MAX_ENTRIES, ColumnSegment,
                                           Segment)
 from repro.storage.rdbms.sql import execute_sql
-from repro.storage.rdbms.table import SPLICE_PIECE_ROWS
+from repro.storage.rdbms.table import (SPLICE_PIECE_ROWS, _cuts,
+                                       _live_between, _stretches)
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from tests.segment_checks import (assert_segments_canonical,
@@ -262,7 +263,7 @@ def test_a_spliced_segment_is_a_fresh_encode(data, dict_max, imprinted):
         _SPLICE_SCHEMA, [10 * p for p in range(n)],
         (list(range(n)) if name == "id"
          else [values[name] for values in old]
-         for name in _SPLICE_SCHEMA.column_names), dict_max=dict_max)[0]
+         for name in _SPLICE_SCHEMA.column_names), dict_max=dict_max)
     if imprinted:
         for name in ("i", "f", "b"):
             segment.columns[name].imprint()
@@ -288,7 +289,7 @@ def test_a_spliced_segment_is_a_fresh_encode(data, dict_max, imprinted):
     fresh = Segment.from_columns(
         _SPLICE_SCHEMA, [rid for rid, _ in rows],
         ([values[name] for _, values in rows]
-         for name in _SPLICE_SCHEMA.column_names), dict_max=dict_max)[0]
+         for name in _SPLICE_SCHEMA.column_names), dict_max=dict_max)
     assert _image(spliced) == _image(fresh)
     assert list(spliced.iter_rows()) == list(fresh.iter_rows()) or any(
         values["f"] != values["f"] for _, values in rows)  # (NaN != NaN)
@@ -431,8 +432,8 @@ def test_a_splice_keeps_each_case_a_fresh_encode_would_decide_otherwise():
     assert _copied(wide, [f"DELETE FROM t WHERE id = {DICT_MAX_ENTRIES}"]) \
         == DICT_MAX_ENTRIES  # ... and back
     assert wide._table("t").segments[0].columns["s"].encoding == "dict"
-    # a new cell before the first of a value its removed cell's code is
-    # no neighbour of: an old value's, then a new value's
+    # a new cell before the first cell of a value whose code is not next
+    # to the removed cell's: an old value's, then a new value's
     for cells, value, dictionary in (
             (["a", "b", "a", "c", "d"] * 4, "d", ["a", "b", "d", "c"]),
             (["a", "b", "a", "d"] * 5, "w", ["a", "b", "w", "d"])):
@@ -443,11 +444,25 @@ def test_a_splice_keeps_each_case_a_fresh_encode_would_decide_otherwise():
             == dictionary
 
 
+@given(n=st.integers(1, 60), data=st.data())
+def test_the_piece_rule_counts_stretches_of_dead_rows(n, data):
+    """What the piece rule counts before a chunk is cut is one less than
+    the stretches it is cut into: a run of dead positions cuts once."""
+    flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    dead = [p for p in range(n) if flags[p]]
+    start = data.draw(st.integers(0, n - 1))
+    live = _live_between(dead, start, data.draw(st.integers(start + 1, n)))
+    if live:
+        assert _cuts(dead, live) \
+            == len(_stretches(dead, live[0], live[-1] + 1)) - 1
+
+
 def test_a_chunk_cut_into_short_pieces_is_encoded_afresh():
     """A compaction splices a chunk only when its pieces average at
     least ``SPLICE_PIECE_ROWS`` kept rows; past that, a piece's slicing
     costs more than encoding its rows, and the chunk is encoded afresh.
-    Either way the segment is what a fresh encode makes."""
+    A stretch of dead rows cuts once, however long it is.  Either way
+    the segment is what a fresh encode makes."""
     for rows, copied in ((2 * SPLICE_PIECE_ROWS + 1, 2 * SPLICE_PIECE_ROWS),
                          (2 * SPLICE_PIECE_ROWS, 0)):
         db = _one_segment({"i": list(range(rows)),
@@ -465,4 +480,10 @@ def test_a_chunk_cut_into_short_pieces_is_encoded_afresh():
                     + ", ".join(str(k) for k in range(1, 64, 2)) + ")")
         db.compact("t")
     assert registry.get("segments.rows_copied") == 0
+    assert_segments_canonical(db._table("t"))
+    db = _one_segment({"i": list(range(64))})
+    with use_registry(registry := MetricsRegistry()):  # one dead stretch
+        execute_sql(db, "DELETE FROM t WHERE id >= 16 AND id < 48")
+        db.compact("t")
+    assert registry.get("segments.rows_copied") == 32
     assert_segments_canonical(db._table("t"))
