@@ -57,7 +57,7 @@ from repro.integration.fusion import (
     canonical_extraction_sort_key,
     fuse_extractions,
 )
-from repro.storage.rdbms.engine import Database, WriteCursor
+from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from repro.telemetry import metrics
 
@@ -159,12 +159,9 @@ class StreamingPipeline:
         self._raw: dict[int, tuple[Extraction, ...]] = {}
         #: mention id -> canonical-entity-tagged extractions now in fusion.
         self._tagged: dict[int, tuple[Extraction, ...]] = {}
-        #: (entity, attribute) -> rid of its fused row in ``fused_table``,
-        #: and where that map stands in the table's write history.
+        #: (entity, attribute) -> rid of the fused row the pipeline last
+        #: wrote for it in ``fused_table`` (a push checks it, :meth:`_push`).
         self._rids: dict[tuple[str, str], int] = {}
-        with db.begin_snapshot() as snap:
-            self._written = WriteCursor(db, fused_table,
-                                        snap.version_of(fused_table))
         self._next_mention_id = 0
         self._lock = threading.RLock()
         self._threads: list[threading.Thread] = []
@@ -363,20 +360,26 @@ class StreamingPipeline:
         One transaction, one WAL record; returns the rows written.
 
         The commit's row delta is what drives registered continuous
-        queries — the pipeline never calls ``poke()``.  The rows of the
-        changed keys are X-locked before the pipeline forgets the rows
-        other writers deleted or re-keyed, so none of those changes comes
-        between that check and the write.
+        queries — the pipeline never calls ``poke()``.  The rows the
+        changed keys last had are X-locked and then read: a key whose
+        row another writer deleted, or moved to another (entity,
+        attribute), lands as an insert, and no other writer's change to
+        those rows comes between that read and the write.
         """
         if all(fused is None and key not in self._rids
                for key, fused in changed.items()):
             return 0
         table = self.fused_table
 
-        def write(txn: Any) -> tuple[list, list, list, Any]:
-            txn.lock_rows(table, sorted(
-                self._rids[key] for key in changed if key in self._rids))
-            self._forget_rows_others_wrote()
+        def write(txn: Any) -> tuple[list, list, list]:
+            rids = sorted(self._rids[key] for key in changed
+                          if key in self._rids)
+            txn.lock_rows(table, rids)
+            held = {row.rid: (row["entity"], row["attribute"])
+                    for row in txn.held_rows(table, rids)}
+            for key in changed:
+                if key in self._rids and held.get(self._rids[key]) != key:
+                    del self._rids[key]
             keys: list[tuple[str, str]] = []
             ops: list[tuple] = []
             for key in sorted(changed):
@@ -396,10 +399,9 @@ class StreamingPipeline:
                     ops.append(("insert", row) if rid is None
                                else ("update", rid, row))
                 keys.append(key)
-            return keys, ops, txn.write_many(table, ops), txn
+            return keys, ops, txn.write_many(table, ops)
 
-        keys, ops, rows, txn = self.db.run(write)
-        self._written.wrote(txn)
+        keys, ops, rows = self.db.run(write)
         written = 0
         for key, op, row in zip(keys, ops, rows):
             if row is None:
@@ -416,23 +418,6 @@ class StreamingPipeline:
             self.stats.fused_rows_unchanged += len(ops) - written
             registry.inc("dge.fused_rows_unchanged", len(ops) - written)
         return written
-
-    def _forget_rows_others_wrote(self) -> None:
-        """Drop the key of each fused row another writer deleted, or moved
-        to another (entity, attribute), since the last push: that key's
-        next value lands as an insert.  Asks the write history first, so
-        a push nobody else wrote beside takes no snapshot."""
-        others = self._written.others()
-        if others is None or not self._rids:
-            return
-        snap, written = others
-        keys = {rid: key for key, rid in self._rids.items()}
-        rids = keys.keys() if written is None else written & keys.keys()
-        held = {row.rid: (row["entity"], row["attribute"])
-                for row in snap.held_rows(self.fused_table, rids)}
-        for rid in rids:
-            if held.get(rid) != keys[rid]:
-                del self._rids[keys[rid]]
 
     # ------------------------------------------------------- synchronous API
 

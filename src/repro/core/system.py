@@ -26,7 +26,7 @@ from repro.lang.parser import parse_program
 from repro.lang.plan import LogicalPlan
 from repro.lang.registry import OperatorRegistry
 from repro.storage.manager import StorageManager
-from repro.storage.rdbms.engine import Database, WriteCursor
+from repro.storage.rdbms.engine import Database
 from repro.storage.rdbms.qcache import QueryResultCache
 from repro.storage.rdbms.sql import execute_sql
 from repro.storage.rdbms.table import ScanUnit, gather_column, gather_rids
@@ -265,11 +265,6 @@ class StructureManagementSystem:
         # registration and evaluates changed rows only, so direct
         # db.run(insert_many)/run_batch writes that never pass through
         # generate()/contribute() notify too, without a full re-run.
-        #: The next fact id, and where it stands in the write history of
-        #: ``facts``: a landing first takes in the ids others wrote since
-        #: (the first reads them all, :meth:`_land`).
-        self._fact_counter = 0
-        self._fact_ids = WriteCursor(self.db, FACTS_TABLE)
         self._facts_lock = threading.Lock()  # the keyword fact index
         #: The version of ``facts`` the keyword fact index holds (None:
         #: not built), :meth:`keyword_facts`.
@@ -408,9 +403,11 @@ class StructureManagementSystem:
         what ``program`` landed before, as multisets of ``facts`` cells:
         delete the stored facts the rows no longer hold, insert the rows
         not yet stored (all of them when there is no ``program``); an
-        empty difference writes nothing.  New fact ids continue after
-        every id stored: those others wrote since the last landing are
-        read first (:class:`WriteCursor`).
+        empty difference writes nothing.  The inserts leave ``fact_id``
+        out: the engine gives each the table's next key inside the
+        transaction, above every id ``facts`` ever held, whoever wrote it
+        (:class:`~repro.storage.rdbms.table.HeapTable`), and the ids are
+        read from the rows the write returns.
         Append one lineage record per inserted fact to the intermediate
         file store.  ``rows`` are pipeline tuples; ``feedback`` marks a
         user contribution — its provenance source is a feedback node.
@@ -438,26 +435,7 @@ class StructureManagementSystem:
             values["doc_id"] = str(row.get("doc_id", ""))
             batch.append((row, values))
 
-        others = self._fact_ids.others()
-        if others is not None:
-            # continue fact ids after any stored one (a program's list can
-            # name a fact raw SQL deleted)
-            snap, written = others
-            if written is None:
-                top = [execute_sql(
-                    self.db, f"SELECT MAX(fact_id) AS m FROM {FACTS_TABLE}",
-                    txn=snap)[0]["m"]]
-                for row in execute_sql(
-                        self.db, f"SELECT fact_ids FROM {PROGRAM_FACTS_TABLE}",
-                        txn=snap):
-                    top += json.loads(row["fact_ids"])
-            else:
-                top = [row["fact_id"]
-                       for row in snap.held_rows(FACTS_TABLE, written)]
-            self._fact_counter = max(
-                [self._fact_counter] + [m + 1 for m in top if m is not None])
-
-        def land(t: Any) -> tuple[list, int, Any]:
+        def land(t: Any) -> tuple[list, list[int], int]:
             stored: dict[tuple, list] = {}  # cells -> facts
             link = t.get_by_pk(PROGRAM_FACTS_TABLE, program)
             for fact_id in json.loads(link["fact_ids"]) if link else ():
@@ -471,30 +449,30 @@ class StructureManagementSystem:
                 if same:  # unchanged: keeps its fact_id and lineage
                     kept.append(same.pop(0)["fact_id"])
                 else:
-                    values["fact_id"] = self._fact_counter
-                    self._fact_counter += 1
                     fresh.append((row, values))
             gone = [fact for facts in stored.values() for fact in facts]
-            t.write_many(FACTS_TABLE, [("delete", f.rid) for f in gone]
-                         + [("insert", v) for _, v in fresh])
-            ids = json.dumps(sorted(kept + [v["fact_id"] for _, v in fresh]))
+            written = t.write_many(
+                FACTS_TABLE, [("delete", f.rid) for f in gone]
+                + [("insert", v) for _, v in fresh])
+            ids = [row["fact_id"] for row in written[len(gone):]]
             if program:  # an update to the same list writes nothing
+                listed = json.dumps(sorted(kept + ids))
                 t.write_many(PROGRAM_FACTS_TABLE, [
-                    ("update", link.rid, {"fact_ids": ids}) if link
-                    else ("insert", {"program": program, "fact_ids": ids})])
-            return fresh, len(gone), t
+                    ("update", link.rid, {"fact_ids": listed}) if link
+                    else ("insert", {"program": program,
+                                     "fact_ids": listed})])
+            return fresh, ids, len(gone)
 
-        fresh, retracted, txn = self.db.run(land)
-        self._fact_ids.wrote(txn)
+        fresh, ids, retracted = self.db.run(land)
         extra = {} if feedback is None else {"feedback": feedback}
         records = [
             {**row, "entity": v["entity"], "attribute": v["attribute"],
-             "fact_id": v["fact_id"], "stored_confidence": v["confidence"],
+             "fact_id": fact_id, "stored_confidence": v["confidence"],
              **extra}
-            for row, v in fresh
+            for (row, v), fact_id in zip(fresh, ids)
         ]
         self.storage.intermediate.append_many(records)
-        return [v["fact_id"] for _, v in fresh], retracted, flagged
+        return ids, retracted, flagged
 
     def _lineage_records(self) -> Iterable[dict[str, Any]]:
         """What :meth:`_land` appended, in landing order (other records

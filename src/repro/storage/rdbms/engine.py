@@ -363,9 +363,6 @@ class Transaction(TransactionReads):
         #: into the :class:`CommitDelta`.
         self._undo: list[tuple] = []
         self.finished = False
-        #: Set at commit: each table it wrote -> the table's version
-        #: before it and the version it gave the table.
-        self.versions: dict[str, tuple[int, int]] = {}
         #: Optional cooperative-cancellation token checked at every
         #: operation boundary (and at commit, so a post-deadline
         #: transaction aborts instead of committing late).
@@ -414,10 +411,7 @@ class Transaction(TransactionReads):
             if tables and db._wal is not None:  # no log: skip serializing
                 db._log(self.txn_id, "commit", writes=self._logged_writes())
             db._active_txns.pop(self.txn_id, None)
-            before = {t: db._table_versions.get(t, 0) for t in tables}
             db._bump_versions(tables, self._undo)
-            self.versions = {t: (v, db._table_versions[t])
-                             for t, v in before.items()}
         self.finished = True
         db._locks.release_all(self.txn_id)
         metrics.get_registry().inc("rdbms.txn.commits")
@@ -499,13 +493,17 @@ class Transaction(TransactionReads):
         one range (:meth:`LockManager.claim`: implicit X locks, no entry
         per row), the heap and the indexes change and each row written is
         appended to the change log; nothing reaches the WAL before
-        :meth:`commit`.  An update that leaves every stored value as it
-        is (compared against the heap row, under the locks the write
-        holds anyway) is dropped: no change-log entry, so nothing logged,
-        no version bumped, no listener told.  All-or-nothing — an
-        operation that fails takes back the ones before it.  Operations
-        that take a primary-key value another open transaction deleted
-        or changed away wait for that transaction to end first.
+        :meth:`commit`.  An insert that leaves out an INT primary key (or
+        gives NULL) takes the table's next key in that section
+        (:class:`HeapTable`), so no two transactions take one key, and
+        the row returned carries it.  An update that leaves every stored
+        value as it is (compared against the heap row, under the locks
+        the write holds anyway) is dropped: no change-log entry, so
+        nothing logged, no version bumped, no listener told.
+        All-or-nothing — an operation that fails takes back the ones
+        before it.  Operations that take a primary-key value another
+        open transaction deleted or changed away wait for that
+        transaction to end first.
 
         Returns, per operation, the inserted, updated or removed row, or
         None for a dropped update.
@@ -573,8 +571,9 @@ class Transaction(TransactionReads):
 
     def lock_rows(self, table: str, rids: Iterable[int]) -> None:
         """X-lock existing rows ahead of writing them (IX on the table):
-        once this returns, every other commit to them is in the write
-        history, and none comes before this transaction ends."""
+        once this returns, no other transaction changes them before this
+        one ends, so what this one reads of them now is what it writes
+        over."""
         self._check_active()
         acquire, txn_id = self._db._locks.acquire, self.txn_id
         acquire(txn_id, (table, None), LockMode.INTENTION_EXCLUSIVE)
@@ -1353,39 +1352,3 @@ class Database:
                 for _, rid in run:
                     heap.delete(rid)
 
-
-class WriteCursor:
-    """A writer's place in one table's write history, for state it keeps
-    from rows it writes itself (their rids, a key counter): the state
-    holds every commit up to version ``at``.  :meth:`others` asks
-    :meth:`Database.written_since` what other transactions wrote since;
-    :meth:`wrote` moves ``at`` past the writer's own commit when no other
-    came between."""
-
-    def __init__(self, db: Database, table: str,
-                 at: int | None = None) -> None:
-        self.db, self.table, self.at = db, table, at
-
-    def others(self) -> tuple[Any, set[int] | None] | None:
-        """None when no other transaction wrote the table since ``at`` (no
-        snapshot is taken).  Otherwise a snapshot to take their writes in
-        from and the rids written — None for every row: the history does
-        not reach back, or ``at`` is not set — after which the state holds
-        up to the snapshot."""
-        if self.at is not None:
-            written = self.db.written_since(self.table, self.at,
-                                            uncommitted=False)
-            if written is not None and not written:
-                return None
-        snap = self.db.begin_snapshot()
-        written = None if self.at is None else \
-            self.db.written_since(self.table, self.at, uncommitted=False)
-        self.at = snap.version_of(self.table)
-        return snap, written
-
-    def wrote(self, txn: Transaction) -> None:
-        """Note the writer's committed ``txn``: the state holds through it
-        when the table was at ``at`` just before it."""
-        before, after = txn.versions.get(self.table, (None, None))
-        if self.at is not None and before == self.at:
-            self.at = after

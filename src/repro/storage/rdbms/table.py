@@ -174,7 +174,11 @@ class HeapTable:
     """An unordered collection of rows addressed by row ID.
 
     The engine layers locking, logging, and indexing on top; the heap table
-    itself only enforces the schema and primary-key uniqueness.
+    itself only enforces the schema and primary-key uniqueness, and hands
+    out keys: with an INT primary key (:attr:`TableSchema.serial_key`) it
+    keeps ``_next_key``, one past every key it ever stored — an insert or
+    an update moves it up, a delete or an abort's undo never moves it
+    back — and an insert that leaves the key out or gives NULL takes it.
 
     A table loaded from a checkpoint image with frozen rows leaves its pk
     map (``_pk_index``) unset until the first key lookup or write builds
@@ -185,6 +189,7 @@ class HeapTable:
         self._schema = schema
         self._rows: dict[int, dict[str, Any]] = {}
         self._next_rid = 0
+        self._next_key = 0
         self._pk_index: dict[Any, int] = {}
         self._segments: list[Segment] = []
         #: segment -> its dead positions, ascending (the delete vector);
@@ -252,7 +257,7 @@ class HeapTable:
                 rows.pop(rid, None)
             else:  # update / delete
                 rows[rid] = before
-        view._next_rid = self._next_rid
+        view._next_rid, view._next_key = self._next_rid, self._next_key
         view._segments = list(self._segments)
         view._dead = {segment: list(dead)
                       for segment, dead in self._dead.items()}
@@ -300,11 +305,15 @@ class HeapTable:
         stored dict is :meth:`stored_values`).
 
         ``rid`` may be forced (an abort's undo, :meth:`load`'s row-by-row
-        path); otherwise assigned.
+        path); otherwise assigned.  A serial key left out or NULL is
+        assigned too: ``_next_key``.
 
         Raises:
             SchemaError: on schema or primary-key violations.
         """
+        serial = self._schema.serial_key
+        if serial is not None and values.get(serial) is None:
+            values = {**values, serial: self._next_key}
         row_values = self._schema.validate_row(values)
         pk = self._schema.primary_key
         if pk is not None:
@@ -313,6 +322,8 @@ class HeapTable:
                 raise SchemaError(f"primary key {pk!r} may not be NULL")
             if key in self._pk_index:
                 raise SchemaError(f"duplicate primary key {key!r}")
+            if serial is not None and key >= self._next_key:
+                self._next_key = key + 1
         if rid is None:
             rid = self._next_rid  # above every rid ever stored: free
         elif self.holds(rid):
@@ -351,7 +362,10 @@ class HeapTable:
         self._rows.update(rows)
         pk = self._schema.primary_key
         if pk is not None:
-            self._pk_index.update(zip(map(itemgetter(pk), batch), rids))
+            keys = list(map(itemgetter(pk), batch))
+            self._pk_index.update(zip(keys, rids))
+            if self._schema.serial_key is not None:
+                self._next_key = max(self._next_key, max(keys) + 1)
         self._next_rid = max(self._next_rid, max(rids) + 1)
 
     def _loadable(self, rids: list[int],
@@ -430,6 +444,8 @@ class HeapTable:
                 raise SchemaError(f"duplicate primary key {new_values[pk]!r}")
             del self._pk_index[old_values[pk]]
             self._pk_index[new_values[pk]] = rid
+            if self._schema.serial_key is not None:
+                self._next_key = max(self._next_key, new_values[pk] + 1)
         if frozen is not None:
             self._mark_dead(*frozen)
         self._rows[rid] = new_values
@@ -474,6 +490,9 @@ class HeapTable:
         self._schema = schema
         self._rows = new_rows
         self._pk_index = new_pk
+        if schema.serial_key is not None:  # (a retype can make the key INT)
+            self._next_key = max([self._next_key]
+                                 + [key + 1 for key in new_pk])
         self.__dict__.pop("_pk_pending", None)  # (its segments are gone)
 
     # ------------------------------------------------------------ segments
@@ -699,14 +718,15 @@ class HeapTable:
 
     def image(self) -> dict[str, Any]:
         """The table's data as a checkpoint stores it: the tail rows by
-        rid (value dicts by reference) and each segment's
-        :meth:`Segment.image` with its dead positions.  No row is
-        decoded."""
+        rid (value dicts by reference), each segment's
+        :meth:`Segment.image` with its dead positions, and the next key.
+        No row is decoded."""
         return {
             "rows": {str(rid): values for rid, values in self._rows.items()},
             "segments": [{**segment.image(),
                           "dead": self._dead.get(segment, [])}
                          for segment in self._segments],
+            "next_key": self._next_key,
         }
 
     def load_image(self, image: dict[str, Any]) -> None:
@@ -715,7 +735,9 @@ class HeapTable:
         its buffers (:meth:`Segment.from_image`: no row dict, no
         encoding) with its dead positions.  The pk map waits for its
         first use (:meth:`__getattr__`) with the tail's entries and each
-        segment's live positions.
+        segment's live positions.  An image without the next key (an
+        older layout) continues after its largest key, read from the
+        tail and the segments' zone maps.
 
         Raises:
             ValueError: the image holds segments as rid ranges, the
@@ -747,6 +769,14 @@ class HeapTable:
             frozen.append((segment, entry["dead"]))
             if segment.count:  # (a dead position's rid is not reused)
                 self._next_rid = max(self._next_rid, segment.max_rid + 1)
+        serial = self._schema.serial_key
+        if "next_key" in image:
+            self._next_key = image["next_key"]
+        elif serial is not None:
+            self._next_key = max([self._next_key] + [
+                segment.columns[serial].max_value + 1
+                for segment in self._segments
+                if segment.columns[serial].max_value is not None])
         if self._schema.primary_key is not None and frozen:
             self._pk_pending = (threading.Lock(),
                                 self.__dict__.pop("_pk_index"), frozen)

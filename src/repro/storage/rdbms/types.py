@@ -127,6 +127,14 @@ class TableSchema:
     def has_column(self, name: str) -> bool:
         return name in self._known
 
+    @cached_property
+    def serial_key(self) -> str | None:
+        """The primary key when it is an INT column — one an insert may
+        leave out, taking the table's next key — else None."""
+        pk = self.primary_key
+        return pk if pk is not None \
+            and self.column(pk).col_type is ColumnType.INT else None
+
     def validate_row(self, values: dict[str, Any]) -> dict[str, Any]:
         """Validate and normalize a full row dict.
 

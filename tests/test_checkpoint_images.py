@@ -8,7 +8,10 @@ tail, primary-key and index lookups, and the EXPLAIN, rows and zone-map
 skips of range SELECTs (the layout parts only where no aborted write
 took a row back: see the test).  (Not the next rid to assign: a rid that no
 stored row or segment holds, freed by an abort or a tail delete, may be
-assigned again after a clean reopen; no record names it.)  Also here: a read-only open and
+assigned again after a clean reopen; no record names it.  Like the next
+rid, the next primary key may differ between a clean and a crash reopen —
+a sequence has gaps — but both lie above every key ever committed.)
+Also here: a read-only open and
 close rewrites nothing, open starts at the last checkpoint record, and a
 shutdown checkpoint that fails loses nothing.
 """

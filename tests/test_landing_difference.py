@@ -197,7 +197,7 @@ def test_an_id_freed_by_a_retraction_explains_its_new_fact_only(tmp_path):
         rf"\n \| {top['attribute']} = [^\n]*", "", page.text))])
     assert system.generate(INFOBOX_PROGRAM).facts_retracted == 1
     system = _reopen(system, workspace)
-    assert system.contribute("pat", "Somewhere", "motto", "Onward") == \
+    assert system.contribute("pat", "Somewhere", "motto", "Onward") > \
         top["fact_id"]
     explanation = system.explain("Somewhere", "motto")
     assert explanation.count("[fact]") == 1

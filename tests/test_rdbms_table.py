@@ -32,11 +32,60 @@ def test_insert_duplicate_pk_rejected():
 
 
 def test_insert_null_pk_rejected():
+    # (an INT key left NULL takes the next key instead: see below)
     table = HeapTable(
-        TableSchema("t", (Column("id", ColumnType.INT),), primary_key="id")
+        TableSchema("t", (Column("id", ColumnType.TEXT),), primary_key="id")
     )
     with pytest.raises(SchemaError):
         table.insert({"id": None})
+
+
+def test_an_int_key_left_out_or_null_takes_the_next_key():
+    table = _table()
+    assert table.insert({"name": "a"}).values == {"id": 0, "name": "a"}
+    assert table.insert({"id": None, "name": "b"}).values["id"] == 1
+    table.insert({"id": 10, "name": "c"})
+    assert table.insert({"name": "d"}).values["id"] == 11
+
+
+def test_the_next_key_never_moves_back():
+    table = _table()
+    rows = [table.insert({"name": str(i)}) for i in range(3)]
+    table.delete(rows[-1].rid)                      # the largest key gone
+    assert table.insert({"name": "x"}).values["id"] == 3
+    table.update(rows[0].rid, {"id": 40})           # an update moves it up
+    table.update(rows[0].rid, {"id": 0})            # and never back
+    assert table.insert({"name": "y"}).values["id"] == 41
+    table.load([(100, {"id": 60, "name": "z"})])    # as a replay would
+    assert table.insert({"name": "w"}).values["id"] == 61
+
+
+def test_the_next_key_rides_the_image_and_an_older_image_continues_after_its_largest():
+    table = _table()
+    for i in range(6):
+        table.insert({"name": str(i)})
+    table.compact(target_rows=2)
+    table.insert({"id": 20, "name": "tail"})
+    table.delete(table.get_by_pk(20).rid)
+    table.delete(table.get_by_pk(5).rid)            # frozen, now dead
+    image = table.image()
+    assert image["next_key"] == 21
+    reloaded = _table()
+    reloaded.load_image(image)
+    assert reloaded.insert({"name": "n"}).values["id"] == 21
+    del image["next_key"]                           # the layout before it
+    older = _table()
+    older.load_image(image)
+    assert older.insert({"name": "n"}).values["id"] == 6
+
+
+def test_a_text_key_is_never_assigned():
+    table = HeapTable(TableSchema(
+        "t", (Column("id", ColumnType.TEXT, nullable=False),),
+        primary_key="id"))
+    assert table.schema.serial_key is None
+    with pytest.raises(SchemaError):
+        table.insert({})
 
 
 def test_get_by_pk():
@@ -131,3 +180,14 @@ def test_replace_schema_migrates_rows():
         lambda row: {"id": row["id"], "last": row["name"].split()[-1]},
     )
     assert table.get_by_pk(1).values == {"id": 1, "last": "Smith"}
+
+
+def test_a_key_retyped_to_int_continues_after_its_largest():
+    table = HeapTable(TableSchema(
+        "t", (Column("id", ColumnType.TEXT, nullable=False),),
+        primary_key="id"))
+    table.insert({"id": "7"})
+    table.replace_schema(TableSchema(
+        "t", (Column("id", ColumnType.INT, nullable=False),),
+        primary_key="id"), lambda row: {"id": int(row["id"])})
+    assert table.insert({}).values["id"] == 8

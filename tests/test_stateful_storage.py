@@ -11,7 +11,9 @@ the planner, the naive interpreter and the dict model must agree, row for
 row and key for key, on a scan, a filtered scan, ``ORDER BY … LIMIT`` with
 ties, float ``SUM``/``AVG``, ``GROUP BY``, index, range and primary-key
 reads, under both transaction kinds; so must the readers that never go
-through a scan (``len``, ``rids``, ANALYZE, the checkpointed layout).
+through a scan (``len``, ``rids``, ANALYZE, the checkpointed layout).  An
+insert that leaves its primary key out takes one above every key its table
+ever committed, across checkpoints, reopens and crashes.
 """
 
 import copy
@@ -158,6 +160,11 @@ class StorageMachine(RuleBasedStateMachine):
         self.pinned = []
         #: tables written, moved or reloaded since they were last checked
         self.dirty = set(TABLES)
+        #: table -> the largest key it ever committed
+        self.top = {name: -1 for name in TABLES}
+        #: table -> the largest key an insert without one took since the
+        #: last reopen
+        self.issued = {name: -1 for name in TABLES}
         for name in TABLES:
             self.db.create_index(name, "grp", "hash")
             self.db.create_index(name, "qty", "sorted")
@@ -176,6 +183,11 @@ class StorageMachine(RuleBasedStateMachine):
         if table in self.migrated:
             row["extra"] = None
         return row
+
+    def _note_commit(self):
+        for name, rows in self.committed.items():
+            self.top[name] = max([self.top[name]]
+                                 + [values["id"] for values in rows.values()])
 
     def _apply(self, txn, model, op):
         """One write through ``txn``, mirrored into ``model``."""
@@ -223,6 +235,7 @@ class StorageMachine(RuleBasedStateMachine):
             self.db.run(lambda txn: [
                 self._apply(txn, self.committed, ("insert", table, 0, row, ""))
                 for row in rows])
+            self._note_commit()
             self.compact(table, target_rows)
 
     # One statement, committed on its own (three rules: writes should be
@@ -231,6 +244,7 @@ class StorageMachine(RuleBasedStateMachine):
     @rule(op=op_st)
     def write(self, op):
         self.db.run(lambda txn: self._apply(txn, self.committed, op))
+        self._note_commit()
 
     @rule(table=table_st, pick=pick_st, row=row_st,
           what=st.sampled_from(["qty", "score", "grp", "all", "id"]))
@@ -317,12 +331,36 @@ class StorageMachine(RuleBasedStateMachine):
         if outcome == "commit":
             self.txn.commit()
             self.committed = self.working
+            self._note_commit()
         elif outcome == "abort":
             self.txn.abort()
         self.txn = self.working = None
         self.dirty |= touched
         if outcome == "crash":
             self.crash_and_reopen(checkpoint=None)
+
+    @rule(table=table_st, row=row_st, null=st.booleans(),
+          outcome=st.sampled_from(["commit", "abort", "crash"]))
+    def keyless_insert(self, table, row, null, outcome):
+        """An insert that leaves the key out (or gives NULL) in a
+        transaction of its own: its key is above every key the table ever
+        committed and every key handed out since the last reopen."""
+        def write(txn, model):
+            self.dirty.add(table)
+            grp, qty, score = row
+            values = {"grp": grp, "qty": qty, "score": score}
+            if null:
+                values["id"] = None
+            if table in self.migrated:
+                values["extra"] = None
+            stored = txn.insert(table, values)
+            key = stored.values["id"]
+            assert key > max(self.top[table], self.issued[table])
+            self.issued[table] = key
+            self.next_id = max(self.next_id, key)
+            model[table][stored.rid] = stored.values
+
+        self._transaction(write, outcome, pin=False)
 
     @rule(table=table_st, target_rows=st.integers(2, 8))
     def compact(self, table, target_rows):
@@ -387,6 +425,7 @@ class StorageMachine(RuleBasedStateMachine):
             self.reads_match_the_model()
         self.pinned.clear()
         self.db = Database(self.directory)
+        self.issued = {name: -1 for name in TABLES}
         for name in TABLES:                  # the indexes it does bring back
             assert isinstance(self.db._find_index(name, "grp"), HashIndex)
             assert self.db.sorted_index(name, "qty") is not None
@@ -397,6 +436,11 @@ class StorageMachine(RuleBasedStateMachine):
             assert _layout(self.db._table(name)) == layouts[name]
 
     # ---------------------------------------------------------- invariants
+
+    @invariant()
+    def the_next_key_is_above_every_committed_key(self):
+        for name in TABLES:
+            assert self.db._table(name)._next_key > self.top[name]
 
     def _check_reads(self, table, model, txn, naive=True):
         rows = [model[rid] for rid in sorted(model)]
@@ -536,6 +580,7 @@ class TwoWriterMachine(RuleBasedStateMachine):
         self.extra = False
         self.next_id = 0
         self.committed = {}     # rid -> values, as of the last commit
+        self.top = -1           # the largest key ``t`` ever committed
         self.writers = []
         self.pinned = []        # (snapshot, the rows it must read)
         self._create(indexed=True)
@@ -559,6 +604,9 @@ class TwoWriterMachine(RuleBasedStateMachine):
         if self.extra:
             values["extra"] = self.next_id
         return values
+
+    def _note_commit(self, rows):
+        self.top = max([self.top] + [values["id"] for values in rows])
 
     def _free(self, writer, rows):
         """The rids of ``rows`` no other transaction holds a lock on."""
@@ -613,12 +661,35 @@ class TwoWriterMachine(RuleBasedStateMachine):
             writer.own[rid] = txn.update("t", rid, changes).values
 
     @precondition(lambda self: self.writers)
+    @rule(which=st.integers(0, 1), row=row_st, null=st.booleans())
+    def keyless_insert(self, which, row, null):
+        """An insert that leaves the key out (or gives NULL), beside the
+        other writer's explicit keys: it takes one above every key stored
+        now, the other's uncommitted ones included, and every key ever
+        committed."""
+        writer = self.writers[which % len(self.writers)]
+        values = self._values(row)
+        if null:
+            values["id"] = None
+        else:
+            del values["id"]
+        stored = writer.txn.insert("t", values)
+        key = stored.values["id"]
+        held = [values["id"] for values in self.committed.values()] + [
+            values["id"] for other in self.writers
+            for values in other.own.values() if values is not None]
+        assert key > max([self.top] + held)
+        self.next_id = max(self.next_id, key)
+        writer.own[stored.rid] = stored.values
+
+    @precondition(lambda self: self.writers)
     @rule(which=st.integers(0, 1), commit=st.booleans())
     def end(self, which, commit):
         writer = self.writers.pop(which % len(self.writers))
         if commit:
             writer.txn.commit()
             self.committed = writer.view(self.committed)
+            self._note_commit(self.committed.values())
         else:
             writer.txn.abort()
 
@@ -680,6 +751,7 @@ class TwoWriterMachine(RuleBasedStateMachine):
     def drop_and_recreate(self, indexed):
         self.db.drop_table("t")
         self.committed = {}
+        self.top = -1
         self._create(indexed)
 
     @precondition(lambda self: not self.writers)
@@ -690,9 +762,14 @@ class TwoWriterMachine(RuleBasedStateMachine):
         batch = [self._values(row)
                  for _ in range(self.db._history_bound("t") + 1)]
         stored = self.db.run(lambda txn: txn.insert_many("t", batch))
+        self._note_commit(batch)
         self.db.run(lambda txn: [txn.delete("t", row.rid) for row in stored])
 
     # ---------------------------------------------------------- invariants
+
+    @invariant()
+    def the_next_key_is_above_every_committed_key(self):
+        assert self.db._table("t")._next_key > self.top
 
     @invariant()
     def pinned_snapshots_stand(self):

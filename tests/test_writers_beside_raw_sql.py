@@ -1,18 +1,23 @@
-"""Writers that keep state about rows they wrote — the next fact id of a
-landing, the fused row of each key of the streaming pipeline — take in
-what raw SQL wrote to the same table since, through the table's write
-history, and read nothing more when nobody else wrote."""
+"""The system's writers beside raw SQL on the same tables.  A landing
+leaves ``fact_id`` out and the engine hands out the next key inside its
+transaction, so an id raw SQL took, even just before the landing, is
+stepped over, and no id is issued twice, across a reopen too.  The
+streaming pipeline X-locks the fused rows it is about to write and then
+reads them, so a row raw SQL deleted or re-keyed makes its key land as
+an insert.  Neither reads a snapshot to find out."""
 
+import re
 import threading
+
+import pytest
 
 from repro.core.streaming import FUSED_TABLE, DocDelta, StreamingPipeline
 from repro.core.system import FACTS_TABLE, StructureManagementSystem
 from repro.datagen.cities import CityCorpusConfig, generate_city_corpus
 from repro.docmodel.document import Document
 from repro.extraction.infobox import InfoboxExtractor
-from repro.storage.rdbms.engine import Database, WriteCursor
+from repro.storage.rdbms.engine import Database, Transaction
 from repro.storage.rdbms.sql import execute_sql
-from repro.storage.rdbms.types import Column, ColumnType, TableSchema
 from tests.test_streaming import TsvExtractor
 
 INFOBOX_PROGRAM = 'p = docs()\nf = extract(p, "infobox")\noutput f'
@@ -62,21 +67,91 @@ def test_a_generate_after_a_raw_sql_fact_takes_fresh_ids():
     system.close()
 
 
+def test_a_raw_sql_insert_without_a_fact_id_takes_the_next_one():
+    system = StructureManagementSystem()
+    system.users.register("pat", "pw")
+    first = system.contribute("pat", "Town1", "nickname", "Old Town")
+    execute_sql(system.db, f"INSERT INTO {FACTS_TABLE} (entity, attribute, "
+                "value_text, confidence, doc_id) VALUES "
+                "('Bay Town', 'nickname', 'Bay', 1.0, 'sql'), "
+                "('Cove', 'nickname', 'Cove', 1.0, 'sql')")
+    raw = sorted(r["fact_id"] for r in execute_sql(
+        system.db, f"SELECT fact_id FROM {FACTS_TABLE} WHERE doc_id = 'sql'"))
+    assert raw == [first + 1, first + 2]
+    assert system.contribute("pat", "Town2", "nickname", "Old Pier") == \
+        first + 3
+    system.close()
+
+
+def test_a_raw_sql_insert_of_the_next_id_just_before_a_landing(monkeypatch):
+    """Another thread commits the next fact id right before the landing's
+    transaction begins: the landing takes the ids after it."""
+    system = StructureManagementSystem()
+    system.users.register("pat", "pw")
+    first = system.contribute("pat", "Town1", "nickname", "Old Town")
+    run = system.db.run
+
+    def insert_then_run(work, *args, **kwargs):
+        monkeypatch.setattr(system.db, "run", run)  # (the INSERT runs too)
+        raw = threading.Thread(target=_insert_fact, args=(system, first + 1))
+        raw.start()
+        raw.join(10)
+        return run(work, *args, **kwargs)
+
+    monkeypatch.setattr(system.db, "run", insert_then_run)
+    second = system.contribute("pat", "Town2", "nickname", "Old Harbor")
+    assert second > first + 1
+    assert sorted(r["fact_id"] for r in system.query(
+        f"SELECT fact_id FROM {FACTS_TABLE}")) == [first, first + 1, second]
+    system.close()
+
+
+def _infobox_system(workspace):
+    system = StructureManagementSystem(workspace=workspace)
+    system.registry.register_extractor("infobox", InfoboxExtractor())
+    system.users.register("pat", "pw")
+    return system
+
+
+@pytest.mark.parametrize("clean", [True, False], ids=["close", "crash"])
+@pytest.mark.parametrize("freed_by", ["raw_delete", "retraction"])
+def test_a_fact_id_is_never_issued_again_after_a_reopen(tmp_path, freed_by,
+                                                        clean):
+    workspace = str(tmp_path / "ws")
+    system = _infobox_system(workspace)
+    system.ingest(DOCS)
+    system.generate(INFOBOX_PROGRAM)
+    if freed_by == "raw_delete":
+        top = system.contribute("pat", "Town1", "nickname", "Old Town")
+        system.query(f"DELETE FROM {FACTS_TABLE} WHERE fact_id = {top}")
+    else:
+        [fact] = system.query(f"SELECT * FROM {FACTS_TABLE} "
+                              "ORDER BY fact_id DESC LIMIT 1")
+        top, page = fact["fact_id"], system.corpus.get(fact["doc_id"])
+        system.ingest([Document(page.doc_id, re.sub(
+            rf"\n \| {fact['attribute']} = [^\n]*", "", page.text))])
+        assert system.generate(INFOBOX_PROGRAM).facts_retracted == 1
+    assert system.query(f"SELECT MAX(fact_id) AS m FROM {FACTS_TABLE}"
+                        )[0]["m"] < top
+    if clean:
+        system.close()
+    system = _infobox_system(workspace)  # (a crash: the first never closed)
+    assert system.contribute("pat", "Town2", "nickname", "Old Pier") > top
+    system.close()
+
+
 def test_a_landing_nobody_else_wrote_beside_reads_no_history(monkeypatch):
+    """No landing reads a snapshot, even after a raw write."""
     system = StructureManagementSystem()
     system.users.register("pat", "pw")
     system.contribute("pat", "Town1", "nickname", "Old Town")
     taken = _count_snapshots(monkeypatch, system.db)
     system.contribute("pat", "Town2", "nickname", "Old Harbor")
-    system.contribute("pat", "Town3", "nickname", "Old Mill")
-    # a landing larger than the history keeps leaves no gap behind it
     system._land([{"entity": f"Town{i}", "attribute": "nickname",
                    "value": "Bay", "doc_id": "bulk"} for i in range(300)])
-    system.contribute("pat", "Town4", "nickname", "Old Pier")
-    assert taken == []
     _insert_fact(system, 1000)
     assert system.contribute("pat", "Town5", "nickname", "Old Quay") > 1000
-    assert len(taken) == 1  # the one that takes in the raw-SQL row
+    assert taken == []
     system.close()
 
 
@@ -111,18 +186,17 @@ def test_a_raw_sql_delete_during_a_push_waits_for_its_write(monkeypatch):
     db = Database()
     pipeline = StreamingPipeline(db, {"tsv": TsvExtractor()})
     pipeline.process(DocDelta(added=(_page("alpha", 60), _page("beta", 70))))
-    others, deleters = pipeline._written.others, []
+    lock_rows, deleters = Transaction.lock_rows, []
 
-    def others_then_delete():
-        found = others()
-        if not deleters:  # a DELETE right after the push's check
+    def lock_then_delete(txn, table, rids):
+        lock_rows(txn, table, rids)
+        if not deleters:  # a DELETE right after the push's lock_rows
             deleters.append(threading.Thread(target=execute_sql, args=(
                 db, f"DELETE FROM {FUSED_TABLE}")))
             deleters[0].start()
             deleters[0].join(0.5)
-        return found
 
-    monkeypatch.setattr(pipeline._written, "others", others_then_delete)
+    monkeypatch.setattr(Transaction, "lock_rows", lock_then_delete)
     pipeline.process(DocDelta(changed=(_page("alpha", 61),)))
     deleters[0].join(10)
     assert not deleters[0].is_alive()
@@ -132,36 +206,16 @@ def test_a_raw_sql_delete_during_a_push_waits_for_its_write(monkeypatch):
 
 
 def test_a_push_nobody_else_wrote_beside_takes_no_snapshot(monkeypatch):
+    """No push takes a snapshot, even after a raw write."""
     db = Database()
     pipeline = StreamingPipeline(db, {"tsv": TsvExtractor()})
     taken = _count_snapshots(monkeypatch, db)
     pipeline.process(DocDelta(added=(_page("alpha", 60), _page("beta", 70))))
     pipeline.process(DocDelta(changed=(_page("alpha", 61),)))
     pipeline.process(DocDelta(removed=("beta",)))
-    assert taken == []
     execute_sql(db, f"UPDATE {FUSED_TABLE} SET value_num = 0.0")
     pipeline.process(DocDelta(changed=(_page("alpha", 62),)))
-    assert len(taken) == 1  # the push that takes in the UPDATE
     pipeline.process(DocDelta(changed=(_page("alpha", 63),)))
-    assert len(taken) == 1
+    assert taken == []
+    assert ("alpha", "temp", None, 63.0) in _fused(db)
 
-
-def test_a_cursor_moves_past_its_own_commit_only_when_none_came_between():
-    db = Database()
-    db.create_table(TableSchema("t", (Column("k", ColumnType.INT),)))
-    cursor = WriteCursor(db, "t", db.begin_snapshot().version_of("t"))
-    mine = db.begin()
-    own = mine.insert("t", {"k": 1})
-    other = db.run(lambda t: t.insert("t", {"k": 2}))  # commits in between
-    mine.commit()
-    cursor.wrote(mine)
-    snap, written = cursor.others()
-    assert written == {own.rid, other.rid}
-    assert cursor.at == snap.version_of("t")
-    mine = db.begin()
-    mine.insert("t", {"k": 3})
-    mine.commit()
-    cursor.wrote(mine)  # nothing between: the cursor moves past it
-    assert cursor.others() is None
-    db.run(lambda t: t.insert("t", {"k": 4}))
-    assert cursor.others()[1] == {3}
